@@ -9,7 +9,9 @@
 //!    (open-tag stack, pooled attribute vector), so the total is
 //!    independent of how many events the document contains;
 //! 2. `escape::unescape` is allocation-free when the input has no `&`,
-//!    and the escape helpers are allocation-free for clean input.
+//!    and the escape helpers are allocation-free for clean input;
+//! 3. `NamespaceResolver` lookups borrow, and entering an element that
+//!    declares no namespace costs nothing.
 //!
 //! Runs in its own test binary (one `#[test]`) so no other test can
 //! disturb the counter — same discipline as `alloc_count.rs`.
@@ -121,4 +123,27 @@ fn xml_parse_allocation_budget() {
 
     // Entity expansion still works (and is allowed to allocate).
     assert_eq!(unescape("a &amp; b", pos).unwrap(), "a & b");
+
+    // --- Claim 3: namespace scopes and lookups are allocation-free. ---
+    let declaring = xmlparse::Element::new("xsd:schema").with_attr("xmlns:xsd", "urn:schema");
+    let plain = xmlparse::Element::new("xsd:element").with_attr("name", "f");
+    let mut resolver = xmlparse::namespace::NamespaceResolver::new();
+    resolver.push_scope(&declaring);
+    // One warm-up round sizes the scope stack.
+    resolver.push_scope(&plain);
+    resolver.pop_scope();
+    let before = allocations();
+    for _ in 0..100 {
+        resolver.push_scope(&plain);
+        assert_eq!(resolver.resolve("xsd:element").unwrap(), (Some("urn:schema"), "element"));
+        assert_eq!(resolver.uri_for(Some("xsd")), Some("urn:schema"));
+        assert_eq!(resolver.prefix_for("urn:schema"), Some(Some("xsd")));
+        assert_eq!(resolver.resolve("unprefixed").unwrap(), (None, "unprefixed"));
+        resolver.pop_scope();
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "declaration-free scopes and namespace lookups must not allocate"
+    );
 }

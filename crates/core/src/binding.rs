@@ -86,14 +86,21 @@ impl<'a> Binder<'a> {
     /// before the failing one remain registered (as in the original tool,
     /// which registered formats as it parsed).
     pub fn bind_schema(&self, schema: &Schema) -> Result<Vec<Arc<Format>>, X2wError> {
-        for simple in &schema.simple_types {
-            self.register_simple(simple.name.clone(), simple.base);
+        self.bind_schema_owned(schema.clone())
+    }
+
+    /// [`bind_schema`](Self::bind_schema) for a schema the caller is done
+    /// with (one it has just parsed): type and field names move into the
+    /// struct types instead of being copied.
+    ///
+    /// # Errors
+    ///
+    /// As [`bind_schema`](Self::bind_schema).
+    pub fn bind_schema_owned(&self, schema: Schema) -> Result<Vec<Arc<Format>>, X2wError> {
+        for simple in schema.simple_types {
+            self.register_simple(simple.name, simple.base);
         }
-        let mut formats = Vec::with_capacity(schema.complex_types.len());
-        for ty in &schema.complex_types {
-            formats.push(self.bind_complex_type(ty)?);
-        }
-        Ok(formats)
+        schema.complex_types.into_iter().map(|ty| self.bind(ty)).collect()
     }
 
     /// Binds one complex type: builds its [`StructType`], inserts it into
@@ -103,68 +110,61 @@ impl<'a> Binder<'a> {
     ///
     /// See [`X2wError::Binding`] and the BCM errors.
     pub fn bind_complex_type(&self, ty: &ComplexType) -> Result<Arc<Format>, X2wError> {
-        let st = self.struct_for(ty)?;
-        self.catalog.insert(st.clone());
-        let format = self.registry.register(st, self.arch)?;
-        Ok(format)
+        self.bind(ty.clone())
+    }
+
+    /// The struct type is built once; catalog, registry and format share
+    /// it.
+    fn bind(&self, ty: ComplexType) -> Result<Arc<Format>, X2wError> {
+        let st = Arc::new(self.struct_for(ty)?);
+        self.catalog.insert(Arc::clone(&st));
+        Ok(self.registry.register(st, self.arch)?)
     }
 
     /// Builds the native struct type for a complex type without
-    /// registering it.
+    /// registering it; the type's names move into the result.
     ///
     /// # Errors
     ///
     /// As [`bind_complex_type`](Self::bind_complex_type).
-    pub fn struct_for(&self, ty: &ComplexType) -> Result<StructType, X2wError> {
-        let mut fields: Vec<StructField> = Vec::with_capacity(ty.elements.len());
-        let mut synthesized_counts: Vec<String> = Vec::new();
+    pub fn struct_for(&self, ty: ComplexType) -> Result<StructType, X2wError> {
+        // `maxOccurs="*"`: dynamically allocated; synthesize the count
+        // field the C struct needs (`eta` ⇒ `eta_count` in the paper's
+        // Figure 7/8 pairing) unless the schema declares it itself.
+        let count_name = |el: &ElementDecl| format!("{}_count", el.name);
+        let synthesized_counts: Vec<String> = ty
+            .elements
+            .iter()
+            .filter(|el| el.occurs == Occurs::Unbounded)
+            .map(count_name)
+            .filter(|count| ty.element(count).is_none())
+            .collect();
 
-        for el in &ty.elements {
-            let base = self.ctype_for_ref(ty, el)?;
-            match &el.occurs {
-                Occurs::Scalar => fields.push(StructField::new(el.name.clone(), base)),
-                Occurs::Fixed(n) => {
-                    fields.push(StructField::new(
-                        el.name.clone(),
-                        CType::Array { elem: Box::new(base), len: clayout::ArrayLen::Fixed(*n) },
-                    ));
-                }
-                Occurs::Unbounded => {
-                    // `maxOccurs="*"`: dynamically allocated; synthesize
-                    // the count field the C struct needs (`eta` ⇒
-                    // `eta_count` in the paper's Figure 7/8 pairing).
-                    let count = format!("{}_count", el.name);
-                    if ty.element(&count).is_none() {
-                        synthesized_counts.push(count.clone());
-                    }
-                    fields.push(StructField::new(
-                        el.name.clone(),
-                        CType::dynamic_array(base, count),
-                    ));
-                }
-                Occurs::CountField(count) => {
-                    fields.push(StructField::new(
-                        el.name.clone(),
-                        CType::dynamic_array(base, count.clone()),
-                    ));
-                }
-            }
+        let mut fields: Vec<StructField> =
+            Vec::with_capacity(ty.elements.len() + synthesized_counts.len());
+        for el in ty.elements {
+            let base = self.ctype_for_ref(&ty.name, &el)?;
+            let ctype = match el.occurs {
+                Occurs::Scalar => base,
+                Occurs::Fixed(n) => CType::fixed_array(base, n),
+                Occurs::Unbounded => CType::dynamic_array(base, count_name(&el)),
+                Occurs::CountField(count) => CType::dynamic_array(base, count),
+            };
+            fields.push(StructField::new(el.name, ctype));
         }
-
         for count in synthesized_counts {
             fields.push(StructField::new(count, CType::Prim(Primitive::Int)));
         }
-
-        Ok(StructType::new(ty.name.clone(), fields))
+        Ok(StructType::new(ty.name, fields))
     }
 
-    fn ctype_for_ref(&self, ty: &ComplexType, el: &ElementDecl) -> Result<CType, X2wError> {
+    fn ctype_for_ref(&self, complex_type: &str, el: &ElementDecl) -> Result<CType, X2wError> {
         match &el.type_ref {
             TypeRef::Primitive(p) => Ok(scalar_ctype(*p)),
             TypeRef::Simple(name) => {
                 let base = self.simples.borrow().get(name).copied().ok_or_else(|| {
                     X2wError::Binding {
-                        complex_type: ty.name.clone(),
+                        complex_type: complex_type.to_owned(),
                         detail: format!(
                             "element {:?} references simple type {name:?} which this \
                              binder has not seen (bind the defining schema first)",
@@ -177,7 +177,7 @@ impl<'a> Binder<'a> {
             TypeRef::Named(name) => {
                 let resolved =
                     self.catalog.get(name).ok_or_else(|| X2wError::Binding {
-                        complex_type: ty.name.clone(),
+                        complex_type: complex_type.to_owned(),
                         detail: format!(
                             "element {:?} references type {name:?} which is not in the catalog \
                              (types must be defined or discovered before use)",

@@ -104,15 +104,7 @@ struct CacheInner {
     entries: RwLock<HashMap<String, Entry>>,
     flights: Mutex<HashMap<String, Arc<Flight>>>,
     refreshing: Mutex<HashSet<String>>,
-    /// Compiled schemas, keyed by locator and pinned to the exact
-    /// document `Arc` they were parsed from: a refetch that produces a
-    /// new document invalidates the parse. The document Arc is retained
-    /// so pointer identity cannot be spoofed by allocator address reuse.
-    parsed: RwLock<HashMap<String, ParsedEntry>>,
 }
-
-/// A compiled schema plus the exact document it was parsed from.
-type ParsedEntry = (Arc<String>, Arc<xsdlite::Schema>);
 
 /// The cache; cheap to clone (all clones share one store).
 ///
@@ -161,7 +153,6 @@ impl SchemaCache {
                 entries: RwLock::new(HashMap::new()),
                 flights: Mutex::new(HashMap::new()),
                 refreshing: Mutex::new(HashSet::new()),
-                parsed: RwLock::new(HashMap::new()),
             }),
         }
     }
@@ -185,31 +176,6 @@ impl SchemaCache {
     /// Drops every cached outcome.
     pub fn clear(&self) {
         self.inner.entries.write().clear();
-    }
-
-    /// Fetches `locator` (as [`SchemaCache::fetch`]) and returns the
-    /// compiled schema, memoized per cached document: repeated calls
-    /// against the same cache entry reuse one parse, and a refetched
-    /// document (new `Arc`) triggers exactly one recompile.
-    ///
-    /// # Errors
-    ///
-    /// As [`SchemaCache::fetch`], plus schema compilation failures.
-    pub fn fetch_parsed(&self, locator: &str) -> Result<Arc<xsdlite::Schema>, X2wError> {
-        let document = self.fetch(locator)?;
-        if let Some((doc, schema)) = self.inner.parsed.read().get(locator) {
-            if Arc::ptr_eq(doc, &document) {
-                return Ok(Arc::clone(schema));
-            }
-        }
-        // Streaming parse: multi-MB schema sets compile one type
-        // definition at a time instead of materializing a full DOM.
-        let schema = Arc::new(xsdlite::Schema::parse_stream(document.as_bytes())?);
-        self.inner
-            .parsed
-            .write()
-            .insert(locator.to_owned(), (document, Arc::clone(&schema)));
-        Ok(schema)
     }
 
     /// Fetches `locator`: from a fresh cache entry if possible, else
@@ -421,22 +387,6 @@ mod tests {
             fail: Arc::clone(&fail),
         }));
         (SchemaCache::with_policy(chain, policy), fetches, fail)
-    }
-
-    #[test]
-    fn fetch_parsed_memoizes_per_cached_document() {
-        let (cache, fetches, _fail) = flaky_cache(CachePolicy::default());
-        let a = cache.fetch_parsed("flaky://s.xsd").unwrap();
-        let b = cache.fetch_parsed("flaky://s.xsd").unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "same cache entry must reuse one parse");
-        assert_eq!(fetches.load(Ordering::SeqCst), 1);
-
-        // A refetched document (new Arc) recompiles exactly once.
-        cache.invalidate("flaky://s.xsd");
-        let c = cache.fetch_parsed("flaky://s.xsd").unwrap();
-        assert!(!Arc::ptr_eq(&a, &c), "refetch must invalidate the parse");
-        assert_eq!(*a, *c, "recompiled schema must be equal in value");
-        assert_eq!(fetches.load(Ordering::SeqCst), 2);
     }
 
     #[test]

@@ -234,8 +234,7 @@ fn register(state: &RwLock<State>, name: &[u8], doc: &[u8]) -> Result<u32, Strin
     let doc = std::str::from_utf8(doc).map_err(|_| "document is not UTF-8".to_owned())?;
     // Validate and fingerprint structurally: two documents describing the
     // same structure (whitespace/order of attributes aside) get one id.
-    let schema =
-        xsdlite::Schema::parse_stream(doc.as_bytes()).map_err(|e| format!("not a schema: {e}"))?;
+    let schema = xsdlite::Schema::parse_str(doc).map_err(|e| format!("not a schema: {e}"))?;
     let ty = schema
         .complex_type(name)
         .ok_or_else(|| format!("document does not define complex type {name:?}"))?;

@@ -332,10 +332,7 @@ fn handle_connection(stream: TcpStream, routes: &RwLock<Routes>) -> std::io::Res
         };
         // Reject documents that are not well-formed schemas: a central
         // metadata server should not propagate garbage to subscribers.
-        // Streamed: multi-MB schema sets validate one type definition
-        // at a time instead of materializing a full DOM next to the
-        // document buffer.
-        if let Err(e) = xsdlite::Schema::parse_stream(document.as_bytes()) {
+        if let Err(e) = xsdlite::Schema::parse_str(&document) {
             return respond(&mut stream, 422, &format!("not a schema: {e}"), "text/plain");
         }
         let bare = path.split('?').next().unwrap_or(path).to_owned();

@@ -90,8 +90,8 @@ impl Xml2Wire {
     ///
     /// Schema and binding failures.
     pub fn register_schema_str(&self, document: &str) -> Result<Vec<Arc<Format>>, X2wError> {
-        let schema = Schema::parse_stream(document.as_bytes())?;
-        self.register_schema(&schema)
+        let schema = Schema::parse_str(document)?;
+        self.binder().bind_schema_owned(schema)
     }
 
     /// Binds an already-parsed schema.
@@ -100,7 +100,7 @@ impl Xml2Wire {
     ///
     /// Binding failures.
     pub fn register_schema(&self, schema: &Schema) -> Result<Vec<Arc<Format>>, X2wError> {
-        Binder::new(&self.catalog, &self.registry, self.arch).bind_schema(schema)
+        self.binder().bind_schema(schema)
     }
 
     /// Registers a compiled-in struct definition directly, bypassing XML
@@ -111,8 +111,12 @@ impl Xml2Wire {
     ///
     /// Layout/registration failures.
     pub fn register_compiled(&self, st: StructType) -> Result<Arc<Format>, X2wError> {
-        self.catalog.insert(st.clone());
+        let st = self.catalog.insert(st);
         Ok(self.registry.register(st, self.arch)?)
+    }
+
+    fn binder(&self) -> Binder<'_> {
+        Binder::new(&self.catalog, &self.registry, self.arch)
     }
 
     /// Registers a `#[derive(Xml2WireRecord)]` type: the compile-time
@@ -235,15 +239,14 @@ impl Xml2Wire {
         document: &str,
         client: &crate::idserver::FormatIdClient,
     ) -> Result<Vec<Arc<Format>>, X2wError> {
-        let schema = xsdlite::Schema::parse_stream(document.as_bytes())?;
-        let binder = crate::binding::Binder::new(&self.catalog, &self.registry, self.arch);
-        for simple in &schema.simple_types {
-            binder.register_simple(simple.name.clone(), simple.base);
+        let schema = Schema::parse_str(document)?;
+        let binder = self.binder();
+        for simple in schema.simple_types {
+            binder.register_simple(simple.name, simple.base);
         }
         let mut formats = Vec::with_capacity(schema.complex_types.len());
-        for ty in &schema.complex_types {
-            let st = binder.struct_for(ty)?;
-            self.catalog.insert(st.clone());
+        for ty in schema.complex_types {
+            let st = self.catalog.insert(binder.struct_for(ty)?);
             // One standalone document per format: the server hands it to
             // receivers that resolve the id with no other context.
             let standalone = crate::binding::schema_for_struct(&st).to_xml_string();

@@ -23,9 +23,10 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Adds (or replaces) a definition under its own name.
-    pub fn insert(&self, st: StructType) -> Arc<StructType> {
-        let entry = Arc::new(st);
+    /// Adds (or replaces) a definition under its own name. An
+    /// `Arc<StructType>` is shared as it is, not copied.
+    pub fn insert(&self, st: impl Into<Arc<StructType>>) -> Arc<StructType> {
+        let entry = st.into();
         self.entries.write().insert(entry.name.clone(), Arc::clone(&entry));
         entry
     }

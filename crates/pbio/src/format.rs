@@ -1,6 +1,7 @@
 //! Registered message formats.
 
 use std::fmt;
+use std::sync::Arc;
 
 use clayout::{Architecture, Layout, StructType};
 
@@ -20,10 +21,14 @@ impl fmt::Display for FormatId {
 /// A message format: a struct type bound to an architecture, with its
 /// layout precomputed. This is the object a PBIO format registration
 /// returns and what xml2wire's binding step produces.
+///
+/// The struct type sits behind an [`Arc`]: the binder builds each
+/// definition once and the catalog, the registry and the format share
+/// it, so registering a type never deep-copies its fields.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Format {
     id: FormatId,
-    struct_type: StructType,
+    struct_type: Arc<StructType>,
     arch: Architecture,
     layout: Layout,
     fingerprint: u64,
@@ -62,9 +67,10 @@ impl Format {
     /// count references, arrays of arrays).
     pub fn new(
         id: FormatId,
-        struct_type: StructType,
+        struct_type: impl Into<Arc<StructType>>,
         arch: Architecture,
     ) -> Result<Format, PbioError> {
+        let struct_type = struct_type.into();
         // The wire header stores the name length in 2 bytes; a longer
         // name would silently truncate into a header that cannot
         // round-trip, so reject it before any header is ever written.
@@ -152,7 +158,7 @@ impl Format {
     ///
     /// Propagates layout failures on the new architecture.
     pub fn rebind(&self, arch: Architecture) -> Result<Format, PbioError> {
-        Format::new(self.id, self.struct_type.clone(), arch)
+        Format::new(self.id, Arc::clone(&self.struct_type), arch)
     }
 }
 

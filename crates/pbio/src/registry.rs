@@ -58,13 +58,14 @@ impl FormatRegistry {
     /// on error.
     pub fn register(
         &self,
-        struct_type: StructType,
+        struct_type: impl Into<Arc<StructType>>,
         arch: Architecture,
     ) -> Result<Arc<Format>, PbioError> {
+        let struct_type = struct_type.into();
         let mut inner = self.inner.write();
         if let Some(id) = inner.current_by_name.get(&struct_type.name) {
             let existing = &inner.by_id[id];
-            if existing.struct_type() == &struct_type && existing.arch() == &arch {
+            if existing.struct_type() == &*struct_type && existing.arch() == &arch {
                 return Ok(Arc::clone(existing));
             }
         }
@@ -86,13 +87,14 @@ impl FormatRegistry {
     /// already bound to a different definition.
     pub fn register_with_id(
         &self,
-        struct_type: StructType,
+        struct_type: impl Into<Arc<StructType>>,
         arch: Architecture,
         id: FormatId,
     ) -> Result<Arc<Format>, PbioError> {
+        let struct_type = struct_type.into();
         let mut inner = self.inner.write();
         if let Some(existing) = inner.by_id.get(&id) {
-            if existing.struct_type() == &struct_type && existing.arch() == &arch {
+            if existing.struct_type() == &*struct_type && existing.arch() == &arch {
                 return Ok(Arc::clone(existing));
             }
             return Err(PbioError::Incompatible {

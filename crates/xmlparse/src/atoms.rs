@@ -169,76 +169,36 @@ impl From<Atom> for String {
 /// `intern` returns the existing atom for previously seen text (a hash
 /// lookup plus an `Arc` clone — no allocation) and allocates exactly
 /// once for each distinct name.
-///
-/// An interner built with [`Atoms::bounded`] additionally caps retained
-/// memory with two-generation (hot/cold epoch) eviction: when the hot
-/// generation reaches the cap, it becomes the cold generation and the
-/// previous cold generation is dropped. Names still in active use are
-/// promoted from cold back to hot on their next `intern` — keeping
-/// their `Arc` identity — while names a hostile document minted once
-/// age out after at most two epochs. Live size never exceeds twice the
-/// cap.
 #[derive(Debug, Default)]
 pub struct Atoms {
     set: HashSet<Atom>,
-    cold: HashSet<Atom>,
-    cap: Option<usize>,
 }
 
 impl Atoms {
-    /// Creates an empty, unbounded interner.
+    /// Creates an empty interner.
     pub fn new() -> Self {
         Atoms::default()
     }
 
-    /// Creates an interner that retains at most `2 * cap` distinct
-    /// names via hot/cold epoch eviction (`cap` is clamped to at
-    /// least 1).
-    pub fn bounded(cap: usize) -> Self {
-        Atoms {
-            set: HashSet::new(),
-            cold: HashSet::new(),
-            cap: Some(cap.max(1)),
-        }
-    }
-
     /// Returns the interned atom for `text`, allocating only on first
-    /// sight (or first sight since eviction, for bounded interners).
+    /// sight.
     pub fn intern(&mut self, text: &str) -> Atom {
         if let Some(existing) = self.set.get(text) {
             return existing.clone();
         }
-        if let Some(atom) = self.cold.take(text) {
-            // Promote: still in use, keep its allocation another epoch.
-            self.rotate_if_full();
-            self.set.insert(atom.clone());
-            return atom;
-        }
         let atom = Atom::new(text);
-        self.rotate_if_full();
         self.set.insert(atom.clone());
         atom
     }
 
-    /// Starts a new epoch if the hot generation is at capacity: hot
-    /// becomes cold, the old cold generation is dropped.
-    fn rotate_if_full(&mut self) {
-        if let Some(cap) = self.cap {
-            if self.set.len() >= cap {
-                self.cold = std::mem::take(&mut self.set);
-            }
-        }
-    }
-
-    /// The number of distinct names currently retained (both
-    /// generations; they are disjoint).
+    /// The number of distinct names retained.
     pub fn len(&self) -> usize {
-        self.set.len() + self.cold.len()
+        self.set.len()
     }
 
     /// Whether no names are retained.
     pub fn is_empty(&self) -> bool {
-        self.set.is_empty() && self.cold.is_empty()
+        self.set.is_empty()
     }
 }
 
@@ -279,24 +239,7 @@ mod tests {
     }
 
     #[test]
-    fn bounded_interner_stays_bounded_under_name_churn() {
-        let cap = 64;
-        let mut atoms = Atoms::bounded(cap);
-        let hot = atoms.intern("xs:element");
-        for i in 0..10 * cap {
-            atoms.intern(&format!("hostile-{i}"));
-            // A name in active use survives every epoch with its
-            // allocation (hence pointer identity) intact.
-            let again = atoms.intern("xs:element");
-            assert!(Arc::ptr_eq(&hot.0, &again.0), "lost identity at churn {i}");
-            assert!(atoms.len() <= 2 * cap, "grew to {} at churn {i}", atoms.len());
-        }
-        // One-shot names age out; the interner did not pin 10*cap names.
-        assert!(atoms.len() <= 2 * cap);
-    }
-
-    #[test]
-    fn unbounded_interner_never_evicts() {
+    fn interner_never_evicts() {
         let mut atoms = Atoms::new();
         let first = atoms.intern("keep");
         for i in 0..10_000 {

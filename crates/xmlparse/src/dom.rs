@@ -106,18 +106,12 @@ impl Element {
 
     /// The local part of this element's name (after any `prefix:`).
     pub fn local_name(&self) -> &str {
-        match self.name.split_once(':') {
-            Some((prefix, local)) if !prefix.is_empty() => local,
-            _ => &self.name,
-        }
+        crate::qname::split(&self.name).1
     }
 
     /// The namespace prefix of this element's name, if any.
     pub fn prefix(&self) -> Option<&str> {
-        match self.name.split_once(':') {
-            Some((prefix, _)) if !prefix.is_empty() => Some(prefix),
-            _ => None,
-        }
+        crate::qname::split(&self.name).0
     }
 
     /// Concatenated text content of this element and its descendants,
@@ -262,19 +256,26 @@ impl Document {
     /// I/O failures and invalid UTF-8 are reported as [`XmlError`]s, as
     /// are parse errors.
     pub fn parse_file(path: impl AsRef<Path>) -> Result<Document, XmlError> {
-        let path = path.as_ref();
-        let bytes = std::fs::read(path).map_err(|e| {
-            XmlError::custom(format!("cannot read {}: {e}", path.display()), Position::start())
-        })?;
-        let text = String::from_utf8(bytes)
-            .map_err(|_| XmlError::new(ErrorKind::InvalidUtf8, Position::start()))?;
-        Document::parse_str(&text)
+        Document::parse_str(&read_file(path.as_ref())?)
     }
 
     /// Serializes with the default writer configuration.
     pub fn to_xml_string(&self) -> String {
         crate::writer::Writer::default().document_to_string(self)
     }
+}
+
+/// Reads a document's text from disk, for callers that parse it
+/// themselves.
+///
+/// # Errors
+///
+/// I/O failures and invalid UTF-8 are reported as [`XmlError`]s.
+pub fn read_file(path: &Path) -> Result<String, XmlError> {
+    let bytes = std::fs::read(path).map_err(|e| {
+        XmlError::custom(format!("cannot read {}: {e}", path.display()), Position::start())
+    })?;
+    String::from_utf8(bytes).map_err(|_| XmlError::new(ErrorKind::InvalidUtf8, Position::start()))
 }
 
 impl fmt::Display for Document {

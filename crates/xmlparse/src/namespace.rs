@@ -1,11 +1,8 @@
 //! Namespace resolution per "Namespaces in XML" (the `xmlns` convention
 //! the paper relies on to reference XML Schema datatypes).
 
-use std::collections::HashMap;
-
 use crate::dom::Element;
 use crate::error::{ErrorKind, Position, XmlError};
-use crate::qname::QName;
 
 /// The reserved `xml` prefix URI.
 pub const XML_NS: &str = "http://www.w3.org/XML/1998/namespace";
@@ -14,32 +11,44 @@ pub const XML_NS: &str = "http://www.w3.org/XML/1998/namespace";
 ///
 /// Push a scope when entering an element (with that element's `xmlns`
 /// attributes), pop when leaving it, and [`resolve`](Self::resolve) any
-/// qualified name in between.
-#[derive(Debug, Clone, Default)]
+/// qualified name in between. Declarations live in one flat list, so
+/// entering an element that declares nothing allocates nothing, and
+/// lookups borrow: names in, slices of the stored declarations out.
+#[derive(Debug, Clone)]
 pub struct NamespaceResolver {
-    scopes: Vec<HashMap<Option<String>, String>>,
+    /// In-scope declarations, outermost first; a `None` prefix is the
+    /// default namespace.
+    bindings: Vec<(Option<String>, String)>,
+    /// `bindings.len()` on entry to each open scope.
+    scopes: Vec<usize>,
+}
+
+impl Default for NamespaceResolver {
+    fn default() -> Self {
+        NamespaceResolver::new()
+    }
 }
 
 impl NamespaceResolver {
     /// Creates an empty resolver with only the built-in `xml` binding.
     pub fn new() -> Self {
-        let mut root = HashMap::new();
-        root.insert(Some("xml".to_owned()), XML_NS.to_owned());
-        NamespaceResolver { scopes: vec![root] }
+        NamespaceResolver {
+            bindings: vec![(Some("xml".to_owned()), XML_NS.to_owned())],
+            scopes: Vec::new(),
+        }
     }
 
     /// Enters an element scope, reading its `xmlns` / `xmlns:prefix`
     /// attributes.
     pub fn push_scope(&mut self, element: &Element) {
-        let mut scope = HashMap::new();
+        self.scopes.push(self.bindings.len());
         for attr in &element.attributes {
             if attr.name == "xmlns" {
-                scope.insert(None, attr.value.clone());
+                self.bindings.push((None, attr.value.clone()));
             } else if let Some(prefix) = attr.name.strip_prefix("xmlns:") {
-                scope.insert(Some(prefix.to_owned()), attr.value.clone());
+                self.bindings.push((Some(prefix.to_owned()), attr.value.clone()));
             }
         }
-        self.scopes.push(scope);
     }
 
     /// Leaves the innermost element scope.
@@ -49,18 +58,17 @@ impl NamespaceResolver {
     /// Panics if called more times than [`push_scope`](Self::push_scope);
     /// the built-in scope is never popped.
     pub fn pop_scope(&mut self) {
-        assert!(self.scopes.len() > 1, "pop_scope without matching push_scope");
-        self.scopes.pop();
+        let mark = self.scopes.pop().expect("pop_scope without matching push_scope");
+        self.bindings.truncate(mark);
     }
 
     /// The URI bound to `prefix` (or the default namespace for `None`).
     pub fn uri_for(&self, prefix: Option<&str>) -> Option<&str> {
-        let key = prefix.map(str::to_owned);
-        self.scopes
+        self.bindings
             .iter()
             .rev()
-            .find_map(|scope| scope.get(&key))
-            .map(String::as_str)
+            .find(|(bound, _)| bound.as_deref() == prefix)
+            .map(|(_, uri)| uri.as_str())
     }
 
     /// Resolves a qualified name to `(namespace uri, local part)`.
@@ -72,31 +80,25 @@ impl NamespaceResolver {
     ///
     /// Returns [`ErrorKind::UndeclaredPrefix`] when a prefix has no
     /// binding in scope.
-    pub fn resolve(&self, name: &str) -> Result<(Option<String>, String), XmlError> {
-        let q = QName::parse(name);
-        match q.prefix() {
-            Some(prefix) => match self.uri_for(Some(prefix)) {
-                Some(uri) => Ok((Some(uri.to_owned()), q.local().to_owned())),
-                None => Err(XmlError::new(
-                    ErrorKind::UndeclaredPrefix { prefix: prefix.to_owned() },
-                    Position::start(),
-                )),
-            },
-            None => Ok((self.uri_for(None).map(str::to_owned), q.local().to_owned())),
+    pub fn resolve<'a>(&'a self, name: &'a str) -> Result<(Option<&'a str>, &'a str), XmlError> {
+        let (prefix, local) = crate::qname::split(name);
+        match (prefix, self.uri_for(prefix)) {
+            (Some(prefix), None) => Err(XmlError::new(
+                ErrorKind::UndeclaredPrefix { prefix: prefix.to_owned() },
+                Position::start(),
+            )),
+            (_, uri) => Ok((uri, local)),
         }
     }
 
     /// Finds a prefix currently bound to `uri` (`Some(None)` means the
     /// default namespace). Returns `None` if nothing is bound to `uri`.
     pub fn prefix_for(&self, uri: &str) -> Option<Option<&str>> {
-        for scope in self.scopes.iter().rev() {
-            for (prefix, bound) in scope {
-                if bound == uri {
-                    return Some(prefix.as_deref());
-                }
-            }
-        }
-        None
+        self.bindings
+            .iter()
+            .rev()
+            .find(|(_, bound)| bound == uri)
+            .map(|(prefix, _)| prefix.as_deref())
     }
 }
 
@@ -146,7 +148,7 @@ mod tests {
         let d = doc("<root xmlns=\"urn:d\"><child/></root>");
         let mut r = NamespaceResolver::new();
         r.push_scope(&d.root);
-        assert_eq!(r.resolve("child").unwrap(), (Some("urn:d".into()), "child".into()));
+        assert_eq!(r.resolve("child").unwrap(), (Some("urn:d"), "child"));
     }
 
     #[test]
@@ -156,12 +158,12 @@ mod tests {
         );
         let mut r = NamespaceResolver::new();
         r.push_scope(&d.root);
-        assert_eq!(r.resolve("p:x").unwrap().0.as_deref(), Some("urn:outer"));
+        assert_eq!(r.resolve("p:x").unwrap().0, Some("urn:outer"));
         let b = d.root.find_child("b").unwrap();
         r.push_scope(b);
-        assert_eq!(r.resolve("p:x").unwrap().0.as_deref(), Some("urn:inner"));
+        assert_eq!(r.resolve("p:x").unwrap().0, Some("urn:inner"));
         r.pop_scope();
-        assert_eq!(r.resolve("p:x").unwrap().0.as_deref(), Some("urn:outer"));
+        assert_eq!(r.resolve("p:x").unwrap().0, Some("urn:outer"));
     }
 
     #[test]
@@ -176,7 +178,7 @@ mod tests {
     #[test]
     fn xml_prefix_is_predeclared() {
         let r = NamespaceResolver::new();
-        assert_eq!(r.resolve("xml:lang").unwrap().0.as_deref(), Some(XML_NS));
+        assert_eq!(r.resolve("xml:lang").unwrap().0, Some(XML_NS));
     }
 
     #[test]
@@ -187,7 +189,7 @@ mod tests {
         let mut seen = Vec::new();
         walk_with_namespaces(&d.root, &mut |el, r| {
             let (uri, local) = r.resolve(&el.name)?;
-            seen.push((uri, local));
+            seen.push((uri.map(str::to_owned), local.to_owned()));
             Ok(())
         })
         .unwrap();
@@ -208,6 +210,6 @@ mod tests {
     #[test]
     fn no_namespace_when_nothing_declared() {
         let r = NamespaceResolver::new();
-        assert_eq!(r.resolve("plain").unwrap(), (None, "plain".into()));
+        assert_eq!(r.resolve("plain").unwrap(), (None, "plain"));
     }
 }

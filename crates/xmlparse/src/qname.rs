@@ -24,12 +24,8 @@ impl QName {
     /// respectively; callers that care should validate with
     /// [`is_valid_name`].
     pub fn parse(raw: &str) -> Self {
-        match raw.split_once(':') {
-            Some((prefix, local)) if !prefix.is_empty() => {
-                QName { prefix: Some(prefix.to_owned()), local: local.to_owned() }
-            }
-            _ => QName { prefix: None, local: raw.to_owned() },
-        }
+        let (prefix, local) = split(raw);
+        QName::new(prefix, local)
     }
 
     /// Builds a `QName` from explicit parts.
@@ -54,6 +50,16 @@ impl fmt::Display for QName {
             Some(p) => write!(f, "{p}:{}", self.local),
             None => f.write_str(&self.local),
         }
+    }
+}
+
+/// Splits `raw` on its first `:` into `(prefix, local part)` without
+/// copying either; a leading colon means no prefix (as [`QName::parse`]).
+#[inline]
+pub fn split(raw: &str) -> (Option<&str>, &str) {
+    match raw.split_once(':') {
+        Some((prefix, local)) if !prefix.is_empty() => (Some(prefix), local),
+        _ => (None, raw),
     }
 }
 

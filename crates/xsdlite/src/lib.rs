@@ -18,11 +18,23 @@
 //! (`xsd:unsignedLong`) are accepted, as are the corresponding namespace
 //! URIs.
 //!
-//! The crate parses schema documents into a [`Schema`] model
+//! The crate compiles schema documents into a [`Schema`] model
 //! ([`parser`]), writes models back out as XML ([`writer`]) — used by the
 //! metadata server to generate scoped schemas dynamically — and validates
 //! XML *instance* documents against a schema ([`validate`]), which is the
 //! paper's "schema-checking tools will be applicable to live messages".
+//!
+//! Reading a schema is what a joining client pays for open metadata, so
+//! it is done at tokenizer speed: one compiler, driven by the XML
+//! reader's events, builds the model directly — no DOM in between. Use
+//! [`Schema::parse_str`] when the document is in memory (the reader's
+//! zero-copy events feed the compiler; only the names and values the
+//! schema keeps are copied), [`Schema::parse_stream`] when it comes from
+//! an [`std::io::Read`] too large or too remote to hold (bounded window),
+//! [`Schema::parse_file`] for a path. All three give the same [`Schema`]
+//! and the same [`SchemaError`] kinds for the same bytes; a document that
+//! is not well-formed is reported as [`SchemaError::Xml`] whatever else
+//! is wrong with it.
 //!
 //! # Examples
 //!

@@ -215,24 +215,30 @@ impl Schema {
         }
     }
 
-    /// Parses a schema document from a string.
+    /// Parses a schema document already in memory — the front-end for
+    /// every caller that holds the text (discovery, registration,
+    /// validation of uploads). The tokenizer's borrowed events drive the
+    /// compiler directly; nothing of the document is copied but the
+    /// names and values the schema keeps.
     ///
     /// # Errors
     ///
     /// See [`SchemaError`]; both XML-level and schema-level problems are
-    /// reported.
+    /// reported, XML-level ones first.
     pub fn parse_str(input: &str) -> Result<Schema, SchemaError> {
         crate::parser::parse_schema_str(input)
     }
 
     /// Parses a schema document from an incremental byte source at
-    /// bounded peak memory (one refill window plus the largest single
-    /// type definition), for multi-megabyte schema sets.
+    /// bounded peak memory (one refill window plus the schema itself) —
+    /// the front-end for sources that are not in memory, such as
+    /// multi-megabyte schema sets read off a socket or a file. The same
+    /// compiler as [`Schema::parse_str`], so the same [`Schema`] and the
+    /// same error kinds on the same bytes.
     ///
     /// # Errors
     ///
-    /// See [`SchemaError`]; XML error *kinds* match
-    /// [`Schema::parse_str`] on the same bytes.
+    /// See [`SchemaError`].
     pub fn parse_stream<R: std::io::Read>(source: R) -> Result<Schema, SchemaError> {
         crate::parser::parse_schema_stream(source)
     }
@@ -241,10 +247,10 @@ impl Schema {
     ///
     /// # Errors
     ///
-    /// As [`Schema::parse_str`], plus I/O failures.
+    /// As [`Schema::parse_str`], plus I/O failures and invalid UTF-8
+    /// (both reported as [`SchemaError::Xml`]).
     pub fn parse_file(path: impl AsRef<std::path::Path>) -> Result<Schema, SchemaError> {
-        let doc = xmlparse::Document::parse_file(path)?;
-        crate::parser::parse_schema_document(&doc)
+        Schema::parse_str(&xmlparse::dom::read_file(path.as_ref())?)
     }
 
     /// Finds a complex type by name.

@@ -1,21 +1,27 @@
-//! Parsing schema documents into the [`Schema`] model.
+//! Compiling schema documents into the [`Schema`] model.
+//!
+//! There is one compiler, `Compiler`: a state machine fed start tags,
+//! end tags and character data. It reads the attributes it needs
+//! straight off the tokenizer's attribute slices and emits
+//! [`ComplexType`] and [`SimpleType`] values directly — no DOM, no owned
+//! copy of the document's markup. Two front-ends drive it:
+//! [`parse_schema_str`] from [`xmlparse::Reader::next_borrowed`] over a
+//! document already in memory, and [`parse_schema_stream`] from
+//! [`xmlparse::StreamingReader`] over any [`std::io::Read`] at bounded
+//! memory.
+//!
+//! A document must be well-formed before anything else is said about it:
+//! the compiler holds on to the first schema-level problem while the
+//! front-end reads the document to its end, so a malformed document is
+//! reported as [`SchemaError::Xml`] whatever else is wrong with it.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
 
-use xmlparse::namespace::NamespaceResolver;
-use xmlparse::{Atoms, Document, Element, Node};
+use xmlparse::{Attribute, BorrowedAttr, BorrowedEvent, Event, Reader, StreamingReader};
 
 use crate::datatypes::{is_xsd_namespace, XsdType};
 use crate::error::SchemaError;
 use crate::model::{ComplexType, ElementDecl, Facet, Occurs, Schema, SimpleType, TypeRef};
-
-/// Process-wide name interner for schema documents. The XSD markup
-/// vocabulary (`xs:schema`, `xs:element`, `name`, `type`, ...) is small
-/// and shared across every schema a process compiles, so repeated
-/// compiles reuse one allocation per distinct name instead of
-/// re-allocating it per document.
-static SCHEMA_ATOMS: Mutex<Option<Atoms>> = Mutex::new(None);
 
 /// Parses a schema from its textual XML form.
 ///
@@ -23,424 +29,429 @@ static SCHEMA_ATOMS: Mutex<Option<Atoms>> = Mutex::new(None);
 ///
 /// See [`SchemaError`].
 pub fn parse_schema_str(input: &str) -> Result<Schema, SchemaError> {
-    let doc = {
-        let mut guard = SCHEMA_ATOMS.lock().unwrap_or_else(|e| e.into_inner());
-        // Bounded: hostile documents minting unbounded distinct names
-        // age out via epoch eviction instead of pinning memory for the
-        // life of the process, while the shared XSD vocabulary keeps
-        // its allocations (and pointer identity) across documents.
-        let atoms = guard.get_or_insert_with(|| Atoms::bounded(4096));
-        Document::parse_str_interned(input, atoms)?
-    };
-    parse_schema_document(&doc)
-}
-
-/// Parses a schema from an already-parsed XML document.
-///
-/// # Errors
-///
-/// See [`SchemaError`].
-pub fn parse_schema_document(doc: &Document) -> Result<Schema, SchemaError> {
-    let root = &doc.root;
-    let mut resolver = NamespaceResolver::new();
-    resolver.push_scope(root);
-
-    if root.local_name() != "schema" || !in_xsd_namespace(root, &resolver) {
-        return Err(SchemaError::NotASchema { found: root.name.to_string() });
+    let mut reader = Reader::new(input);
+    let mut compiler = Compiler::default();
+    loop {
+        match reader.next_borrowed()? {
+            BorrowedEvent::StartElement { name, attributes } => compiler.start(name, attributes),
+            BorrowedEvent::EndElement { .. } => compiler.end(),
+            BorrowedEvent::Text(text) => compiler.text(&text),
+            BorrowedEvent::CData(text) => compiler.cdata(text),
+            BorrowedEvent::Eof => return compiler.finish(),
+            _ => {}
+        }
     }
-
-    let mut schema = Schema {
-        target_namespace: root.attr("targetNamespace").map(str::to_owned),
-        documentation: None,
-        complex_types: Vec::new(),
-        simple_types: Vec::new(),
-    };
-
-    for child in root.child_elements() {
-        process_top_level_child(child, &mut resolver, &mut schema)?;
-    }
-
-    finish_schema(schema)
-}
-
-/// Compiles one top-level schema child (`annotation`, `complexType`,
-/// `simpleType`; anything else is skipped — this is a subset processor,
-/// and the paper's tool likewise only consumed complexType definitions).
-/// Shared between the whole-document and streaming entry points.
-fn process_top_level_child(
-    child: &Element,
-    resolver: &mut NamespaceResolver,
-    schema: &mut Schema,
-) -> Result<(), SchemaError> {
-    resolver.push_scope(child);
-    let result = match child.local_name() {
-        "annotation" if in_xsd_namespace(child, resolver) => {
-            schema.documentation = documentation_text(child);
-            Ok(())
-        }
-        "complexType" if in_xsd_namespace(child, resolver) => {
-            parse_complex_type(child, resolver).and_then(|ty| schema.add_complex_type(ty))
-        }
-        "simpleType" if in_xsd_namespace(child, resolver) => {
-            parse_simple_type(child, resolver, schema).and_then(|ty| schema.add_simple_type(ty))
-        }
-        _ => Ok(()),
-    };
-    resolver.pop_scope();
-    result
-}
-
-/// Post-pass shared by every entry point: element type references were
-/// parsed as Named; those that match a user-defined simple type are
-/// really Simple references. Then resolve and validate.
-fn finish_schema(mut schema: Schema) -> Result<Schema, SchemaError> {
-    rewrite_simple_refs(&mut schema);
-    resolve_schema(&schema)?;
-    Ok(schema)
 }
 
 /// Parses a schema from an incremental byte source at bounded peak
-/// memory.
-///
-/// Events stream through [`xmlparse::StreamingReader`] (128 KiB refill
-/// window); each top-level schema child is materialized as a mini-DOM
-/// subtree, compiled, and dropped before the next is read. A
-/// multi-megabyte schema set therefore never holds the whole document —
-/// or the whole DOM — in memory: peak usage is one window plus the
-/// largest single type definition.
+/// memory: one [`StreamingReader`] window (128 KiB unless a single tag
+/// or text run is larger) plus the schema being built, however long the
+/// document.
 ///
 /// # Errors
 ///
-/// See [`SchemaError`]. XML error *kinds* match [`parse_schema_str`] on
-/// the same bytes; positions are window-relative.
+/// See [`SchemaError`]. Error *kinds* match [`parse_schema_str`] on the
+/// same bytes; XML error positions are window-relative.
 pub fn parse_schema_stream<R: std::io::Read>(source: R) -> Result<Schema, SchemaError> {
-    use xmlparse::{Event, StreamingReader};
-
     let mut reader = StreamingReader::new(source);
-
-    // Skip past the prolog to the root start tag. The streaming reader
-    // reports NoRootElement/ContentOutsideRoot itself, so Eof here is
-    // unreachable, but map it defensively.
-    let root = loop {
-        match reader.next_event().map_err(SchemaError::Xml)? {
-            Event::StartElement { name, attributes } => {
-                let mut el = Element::new(name);
-                el.attributes = attributes;
-                break el;
-            }
-            Event::Eof => {
-                return Err(SchemaError::NotASchema {
-                    found: String::new(),
-                })
-            }
-            _ => continue,
-        }
-    };
-
-    let mut resolver = NamespaceResolver::new();
-    resolver.push_scope(&root);
-    if root.local_name() != "schema" || !in_xsd_namespace(&root, &resolver) {
-        return Err(SchemaError::NotASchema {
-            found: root.name.to_string(),
-        });
-    }
-
-    let mut schema = Schema {
-        target_namespace: root.attr("targetNamespace").map(str::to_owned),
-        documentation: None,
-        complex_types: Vec::new(),
-        simple_types: Vec::new(),
-    };
-
+    let mut compiler = Compiler::default();
     loop {
-        match reader.next_event().map_err(SchemaError::Xml)? {
-            Event::StartElement { name, attributes } => {
-                let child = read_subtree(&mut reader, name, attributes)?;
-                process_top_level_child(&child, &mut resolver, &mut schema)?;
-            }
-            // The root's end tag: drain the epilogue so trailing
-            // malformedness (content after root, unbalanced tags) is
-            // still reported, then finish.
-            Event::EndElement { .. } | Event::Eof => break,
-            _ => continue,
-        }
-    }
-    while reader.next_event().map_err(SchemaError::Xml)? != Event::Eof {}
-
-    finish_schema(schema)
-}
-
-/// Reads one element subtree (the start tag already consumed) from the
-/// streaming reader into a DOM [`Element`].
-fn read_subtree<R: std::io::Read>(
-    reader: &mut xmlparse::StreamingReader<R>,
-    name: String,
-    attributes: Vec<xmlparse::Attribute>,
-) -> Result<Element, SchemaError> {
-    use xmlparse::Event;
-
-    let mut el = Element::new(name);
-    el.attributes = attributes;
-    loop {
-        match reader.next_event().map_err(SchemaError::Xml)? {
-            Event::StartElement { name, attributes } => {
-                el.children
-                    .push(Node::Element(read_subtree(reader, name, attributes)?));
-            }
-            Event::EndElement { .. } => return Ok(el),
-            Event::Text(text) => el.children.push(Node::Text(text)),
-            Event::CData(text) => el.children.push(Node::CData(text)),
-            Event::Comment(text) => el.children.push(Node::Comment(text)),
-            Event::ProcessingInstruction { target, data } => el
-                .children
-                .push(Node::ProcessingInstruction { target, data }),
-            // The reader reports UnclosedElement before Eof and emits
-            // declarations/doctypes only at the document head.
-            Event::Doctype(_) | Event::XmlDecl(_) | Event::Eof => unreachable!(),
+        match &reader.next_event()? {
+            Event::StartElement { name, attributes } => compiler.start(name, attributes),
+            Event::EndElement { .. } => compiler.end(),
+            Event::Text(text) => compiler.text(text),
+            Event::CData(text) => compiler.cdata(text),
+            Event::Eof => return compiler.finish(),
+            _ => {}
         }
     }
 }
 
-/// Rewrites `Named` references that target simple types into `Simple`.
-fn rewrite_simple_refs(schema: &mut Schema) {
-    let simple_names: Vec<String> =
-        schema.simple_types.iter().map(|t| t.name.clone()).collect();
-    for ty in &mut schema.complex_types {
-        for el in &mut ty.elements {
-            if let TypeRef::Named(name) = &el.type_ref {
-                if simple_names.iter().any(|s| s == name) {
-                    el.type_ref = TypeRef::Simple(name.clone());
+/// An attribute as either reader hands it over.
+trait Attr {
+    fn name(&self) -> &str;
+    fn value(&self) -> &str;
+}
+
+impl Attr for BorrowedAttr<'_> {
+    fn name(&self) -> &str {
+        self.name
+    }
+    fn value(&self) -> &str {
+        &self.value
+    }
+}
+
+impl Attr for Attribute {
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn value(&self) -> &str {
+        &self.value
+    }
+}
+
+fn attr<'e, A: Attr>(attrs: &'e [A], name: &str) -> Option<&'e str> {
+    attrs.iter().find(|a| a.name() == name).map(Attr::value)
+}
+
+fn missing(element: impl Into<String>, attribute: &str) -> SchemaError {
+    SchemaError::MissingAttribute { element: element.into(), attribute: attribute.to_owned() }
+}
+
+/// What the compiler is inside of: one entry per open element.
+#[derive(Clone, Copy)]
+enum Open {
+    /// The `xsd:schema` root.
+    Schema,
+    /// An `xsd:annotation` of the schema or of the open complex type.
+    Annotation,
+    /// The first `documentation` child of an annotation, or anything
+    /// below it: character data here is the documentation text.
+    Documentation,
+    /// An `xsd:complexType`.
+    ComplexType,
+    /// An `xsd:sequence` / `xsd:all` wrapper inside a complex type.
+    Wrapper,
+    /// An `xsd:simpleType`.
+    SimpleType,
+    /// The first `restriction` child of a simple type; its children are
+    /// facets.
+    Restriction,
+    /// A subtree the dialect has no use for (the children of an
+    /// `xsd:element`, unknown top-level declarations, ...).
+    Ignored,
+}
+
+/// The schema compiler. Fed events in document order; [`finish`] hands
+/// the schema over or reports the first thing that was wrong with it.
+///
+/// [`finish`]: Compiler::finish
+#[derive(Default)]
+struct Compiler {
+    schema: Schema,
+    open: Vec<Open>,
+    /// Namespace declarations in scope, outermost first: the depth of
+    /// the declaring element, the prefix (`""` for the default
+    /// namespace) and whether the URI is an XML Schema namespace — the
+    /// one thing the compiler ever asks about a namespace, answered once
+    /// per declaration rather than once per element. Only elements that
+    /// declare something add entries.
+    bindings: Vec<(usize, Box<str>, bool)>,
+    /// The open complex type; its element declarations collect in
+    /// `elements` and move into an exactly sized vector when it closes.
+    complex: Option<ComplexType>,
+    elements: Vec<ElementDecl>,
+    /// The open simple type: its name, the base and facets once its
+    /// restriction has been seen, and the enumeration values so far.
+    simple_name: String,
+    restriction: Option<(XsdType, Vec<Facet>)>,
+    enumeration: Vec<String>,
+    /// Text of the open annotation's documentation, if it has any.
+    documentation: Option<String>,
+    /// The first schema-level problem; nothing is compiled after it.
+    failed: Option<SchemaError>,
+}
+
+impl Compiler {
+    fn start<A: Attr>(&mut self, name: &str, attrs: &[A]) {
+        if self.failed.is_some() {
+            return;
+        }
+        match self.enter(name, attrs) {
+            Ok(open) => self.open.push(open),
+            Err(e) => self.failed = Some(e),
+        }
+    }
+
+    fn end(&mut self) {
+        if self.failed.is_some() {
+            return;
+        }
+        let closed = self.open.pop();
+        while self.bindings.last().is_some_and(|b| b.0 == self.open.len()) {
+            self.bindings.pop();
+        }
+        if let Err(e) = self.leave(closed) {
+            self.failed = Some(e);
+        }
+    }
+
+    /// Character data. Whitespace-only runs between markup are
+    /// indentation, not documentation.
+    fn text(&mut self, text: &str) {
+        if !text.bytes().all(|b| b.is_ascii_whitespace()) {
+            self.cdata(text);
+        }
+    }
+
+    fn cdata(&mut self, text: &str) {
+        if let (Some(Open::Documentation), Some(doc)) = (self.open.last(), &mut self.documentation) {
+            doc.push_str(text);
+        }
+    }
+
+    /// The document ended (well-formed): resolve what was compiled.
+    fn finish(self) -> Result<Schema, SchemaError> {
+        if let Some(e) = self.failed {
+            return Err(e);
+        }
+        let mut schema = self.schema;
+        rewrite_simple_refs(&mut schema);
+        resolve_schema(&schema)?;
+        Ok(schema)
+    }
+
+    /// Whether an element name with this prefix is in an XML Schema
+    /// namespace. Undeclared conventional prefixes are tolerated; real
+    /// documents from the paper's era were frequently sloppy about this.
+    fn element_is_xsd(&self, prefix: Option<&str>) -> bool {
+        self.binding(prefix.unwrap_or(""))
+            .unwrap_or(matches!(prefix, None | Some("xsd" | "xs")))
+    }
+
+    fn binding(&self, prefix: &str) -> Option<bool> {
+        self.bindings.iter().rev().find(|b| *b.1 == *prefix).map(|b| b.2)
+    }
+
+    /// Handles a start tag: what kind of element it opens, given what it
+    /// is inside of. Everything a declaration says is in its attributes,
+    /// so `xsd:element` and the facets are compiled right here.
+    fn enter<A: Attr>(&mut self, name: &str, attrs: &[A]) -> Result<Open, SchemaError> {
+        for a in attrs {
+            let prefix = match a.name().strip_prefix("xmlns") {
+                Some("") => "",
+                Some(rest) => match rest.strip_prefix(':') {
+                    Some(prefix) if !prefix.is_empty() => prefix,
+                    _ => continue,
+                },
+                None => continue,
+            };
+            self.bindings.push((self.open.len(), prefix.into(), is_xsd_namespace(a.value())));
+        }
+        let (prefix, local) = xmlparse::qname::split(name);
+        let Some(&parent) = self.open.last() else {
+            if local != "schema" || !self.element_is_xsd(prefix) {
+                return Err(SchemaError::NotASchema { found: name.to_owned() });
+            }
+            self.schema.target_namespace = attr(attrs, "targetNamespace").map(str::to_owned);
+            return Ok(Open::Schema);
+        };
+        Ok(match parent {
+            // This is a subset processor: top-level declarations other
+            // than these are skipped, as the paper's tool skipped them.
+            Open::Schema => match local {
+                "annotation" if self.element_is_xsd(prefix) => self.enter_annotation(),
+                "complexType" if self.element_is_xsd(prefix) => {
+                    let type_name = attr(attrs, "name").ok_or_else(|| missing(name, "name"))?;
+                    self.complex = Some(ComplexType::new(type_name, Vec::new()));
+                    Open::ComplexType
                 }
-            }
-        }
-    }
-}
-
-/// Parses `<xsd:simpleType name="..."><xsd:restriction base="...">
-/// facets... </xsd:restriction></xsd:simpleType>`. The base may be a
-/// primitive or a previously defined simple type (facets accumulate and
-/// the base bottoms out at the primitive).
-fn parse_simple_type(
-    el: &Element,
-    resolver: &NamespaceResolver,
-    schema: &Schema,
-) -> Result<SimpleType, SchemaError> {
-    let name = el
-        .attr("name")
-        .ok_or_else(|| SchemaError::MissingAttribute {
-            element: el.name.to_string(),
-            attribute: "name".to_owned(),
-        })?
-        .to_owned();
-    let restriction = el
-        .child_elements()
-        .find(|c| c.local_name() == "restriction")
-        .ok_or_else(|| SchemaError::Invalid {
-            detail: format!(
-                "simpleType {name:?} has no <restriction> (only restriction is supported)"
-            ),
-        })?;
-    let base_attr = restriction.attr("base").ok_or_else(|| SchemaError::MissingAttribute {
-        element: format!("restriction in simpleType {name:?}"),
-        attribute: "base".to_owned(),
-    })?;
-
-    // Resolve the base: primitive, or a prior simple type (chained).
-    let (base, mut facets) = match resolve_type_ref(base_attr, resolver, &name)? {
-        TypeRef::Primitive(p) => (p, Vec::new()),
-        TypeRef::Named(base_name) | TypeRef::Simple(base_name) => {
-            match schema.simple_type(&base_name) {
-                Some(parent) => (parent.base, parent.facets.clone()),
-                None => {
-                    return Err(SchemaError::UnknownType {
-                        element: format!("simpleType {name}"),
-                        type_name: base_attr.to_owned(),
+                "simpleType" if self.element_is_xsd(prefix) => {
+                    let type_name = attr(attrs, "name").ok_or_else(|| missing(name, "name"))?;
+                    type_name.clone_into(&mut self.simple_name);
+                    self.restriction = None;
+                    Open::SimpleType
+                }
+                _ => Open::Ignored,
+            },
+            Open::ComplexType | Open::Wrapper => match local {
+                "annotation" if self.element_is_xsd(prefix) => self.enter_annotation(),
+                "sequence" | "all" if self.element_is_xsd(prefix) => Open::Wrapper,
+                "element" if self.element_is_xsd(prefix) => {
+                    let decl = self.element_decl(name, attrs)?;
+                    if self.elements.iter().any(|e| e.name == decl.name) {
+                        return Err(SchemaError::DuplicateElement {
+                            complex_type: self.complex_name().to_owned(),
+                            element: decl.name,
+                        });
+                    }
+                    self.elements.push(decl);
+                    Open::Ignored
+                }
+                other => {
+                    return Err(SchemaError::Invalid {
+                        detail: format!(
+                            "unsupported construct <{other}> inside complexType {:?}",
+                            self.complex_name()
+                        ),
                     })
                 }
+            },
+            Open::Annotation if local == "documentation" && self.documentation.is_none() => {
+                self.documentation = Some(String::new());
+                Open::Documentation
             }
-        }
-    };
-
-    let mut enumeration: Vec<String> = Vec::new();
-    for facet_el in restriction.child_elements() {
-        let value = || -> Result<&str, SchemaError> {
-            facet_el.attr("value").ok_or_else(|| SchemaError::MissingAttribute {
-                element: facet_el.name.to_string(),
-                attribute: "value".to_owned(),
-            })
-        };
-        let numeric = |v: &str| -> Result<f64, SchemaError> {
-            v.trim().parse::<f64>().map_err(|_| SchemaError::Invalid {
-                detail: format!(
-                    "facet <{}> of simpleType {name:?} has non-numeric value {v:?}",
-                    facet_el.name
-                ),
-            })
-        };
-        let length = |v: &str| -> Result<usize, SchemaError> {
-            v.trim().parse::<usize>().map_err(|_| SchemaError::Invalid {
-                detail: format!(
-                    "facet <{}> of simpleType {name:?} has non-integer value {v:?}",
-                    facet_el.name
-                ),
-            })
-        };
-        match facet_el.local_name() {
-            "minInclusive" => facets.push(Facet::MinInclusive(numeric(value()?)?)),
-            "maxInclusive" => facets.push(Facet::MaxInclusive(numeric(value()?)?)),
-            "minExclusive" => facets.push(Facet::MinExclusive(numeric(value()?)?)),
-            "maxExclusive" => facets.push(Facet::MaxExclusive(numeric(value()?)?)),
-            "minLength" => facets.push(Facet::MinLength(length(value()?)?)),
-            "maxLength" => facets.push(Facet::MaxLength(length(value()?)?)),
-            "enumeration" => enumeration.push(value()?.to_owned()),
-            "annotation" => {}
-            other => {
-                return Err(SchemaError::Invalid {
-                    detail: format!(
-                        "unsupported facet <{other}> in simpleType {name:?}"
-                    ),
-                })
+            Open::Documentation => Open::Documentation,
+            // Only restriction is supported, and only the first one counts.
+            Open::SimpleType if local == "restriction" && self.restriction.is_none() => {
+                self.restriction = Some(self.restriction_base(attrs)?);
+                Open::Restriction
             }
-        }
+            Open::Restriction => {
+                self.facet(name, local, attrs)?;
+                Open::Ignored
+            }
+            Open::Annotation | Open::SimpleType | Open::Ignored => Open::Ignored,
+        })
     }
-    if !enumeration.is_empty() {
-        facets.push(Facet::Enumeration(enumeration));
+
+    fn enter_annotation(&mut self) -> Open {
+        self.documentation = None;
+        Open::Annotation
     }
-    Ok(SimpleType { name, base, facets })
-}
 
-fn in_xsd_namespace(el: &Element, resolver: &NamespaceResolver) -> bool {
-    match resolver.resolve(&el.name) {
-        Ok((Some(uri), _)) => is_xsd_namespace(&uri),
-        // Tolerate undeclared-but-conventional prefixes; real documents
-        // from the paper's era were frequently sloppy about this.
-        _ => matches!(el.prefix(), Some("xsd") | Some("xs") | None),
-    }
-}
-
-fn documentation_text(annotation: &Element) -> Option<String> {
-    annotation
-        .find_child("documentation")
-        .map(|d| d.text_content().trim().to_owned())
-        .filter(|s| !s.is_empty())
-}
-
-fn parse_complex_type(
-    el: &Element,
-    resolver: &mut NamespaceResolver,
-) -> Result<ComplexType, SchemaError> {
-    let name = el
-        .attr("name")
-        .ok_or_else(|| SchemaError::MissingAttribute {
-            element: el.name.to_string(),
-            attribute: "name".to_owned(),
-        })?
-        .to_owned();
-    let mut ty = ComplexType::new(name, Vec::new());
-    collect_elements(el, resolver, &mut ty)?;
-    Ok(ty)
-}
-
-/// Gathers `xsd:element` children, descending through an optional
-/// `xsd:sequence`/`xsd:all` wrapper (2001-style schemas) and skipping
-/// annotations.
-fn collect_elements(
-    parent: &Element,
-    resolver: &mut NamespaceResolver,
-    ty: &mut ComplexType,
-) -> Result<(), SchemaError> {
-    for child in parent.child_elements() {
-        resolver.push_scope(child);
-        let result = match child.local_name() {
-            "annotation" if in_xsd_namespace(child, resolver) => {
-                if ty.documentation.is_none() {
-                    ty.documentation = documentation_text(child);
+    /// Handles the end tag of `closed`; `self.open` is already back to
+    /// its parent.
+    fn leave(&mut self, closed: Option<Open>) -> Result<(), SchemaError> {
+        match closed {
+            Some(Open::Annotation) => {
+                let text = self.documentation.take();
+                let text = text.map(|t| t.trim().to_owned()).filter(|t| !t.is_empty());
+                match (self.open.last(), &mut self.complex) {
+                    (Some(Open::Schema), _) => self.schema.documentation = text,
+                    (_, Some(ty)) if ty.documentation.is_none() => ty.documentation = text,
+                    _ => {}
                 }
                 Ok(())
             }
-            "sequence" | "all" if in_xsd_namespace(child, resolver) => {
-                collect_elements(child, resolver, ty)
+            Some(Open::ComplexType) => {
+                let mut ty = self.complex.take().expect("a complex type is open");
+                ty.elements = self.elements.drain(..).collect();
+                self.schema.add_complex_type(ty)
             }
-            "element" if in_xsd_namespace(child, resolver) => {
-                parse_element(child, resolver).and_then(|decl| {
-                    if ty.element(&decl.name).is_some() {
-                        Err(SchemaError::DuplicateElement {
-                            complex_type: ty.name.clone(),
-                            element: decl.name,
-                        })
-                    } else {
-                        ty.elements.push(decl);
-                        Ok(())
-                    }
+            Some(Open::SimpleType) => {
+                let name = std::mem::take(&mut self.simple_name);
+                let (base, mut facets) =
+                    self.restriction.take().ok_or_else(|| SchemaError::Invalid {
+                        detail: format!(
+                            "simpleType {name:?} has no <restriction> (only restriction is supported)"
+                        ),
+                    })?;
+                if !self.enumeration.is_empty() {
+                    facets.push(Facet::Enumeration(std::mem::take(&mut self.enumeration)));
+                }
+                self.schema.add_simple_type(SimpleType { name, base, facets })
+            }
+            _ => Ok(()),
+        }
+    }
+
+    fn complex_name(&self) -> &str {
+        self.complex.as_ref().map_or("", |ty| &ty.name)
+    }
+
+    /// Compiles one `<xsd:element name=".." type=".." [minOccurs] [maxOccurs]/>`.
+    fn element_decl<A: Attr>(&self, tag: &str, attrs: &[A]) -> Result<ElementDecl, SchemaError> {
+        let (mut name, mut type_attr, mut min, mut max) = (None, None, None, None);
+        for a in attrs {
+            match a.name() {
+                "name" => name = Some(a.value()),
+                "type" => type_attr = Some(a.value()),
+                "minOccurs" => min = Some(a.value()),
+                "maxOccurs" => max = Some(a.value()),
+                _ => {}
+            }
+        }
+        let name = name.ok_or_else(|| missing(tag, "name"))?;
+        let type_attr =
+            type_attr.ok_or_else(|| missing(format!("{tag} name=\"{name}\""), "type"))?;
+        let type_ref = self.resolve_type_ref(type_attr, name)?;
+        let occurs = parse_occurs(min, max, name)?;
+        Ok(ElementDecl { name: name.to_owned(), type_ref, occurs })
+    }
+
+    /// Resolves the `base` of the open simple type's restriction: a
+    /// primitive, or a previously defined simple type (facets accumulate
+    /// and the base bottoms out at the primitive).
+    fn restriction_base<A: Attr>(&self, attrs: &[A]) -> Result<(XsdType, Vec<Facet>), SchemaError> {
+        let name = &self.simple_name;
+        let base_attr = attr(attrs, "base")
+            .ok_or_else(|| missing(format!("restriction in simpleType {name:?}"), "base"))?;
+        match self.resolve_type_ref(base_attr, name)? {
+            TypeRef::Primitive(p) => Ok((p, Vec::new())),
+            TypeRef::Named(base) | TypeRef::Simple(base) => match self.schema.simple_type(&base) {
+                Some(parent) => Ok((parent.base, parent.facets.clone())),
+                None => Err(SchemaError::UnknownType {
+                    element: format!("simpleType {name}"),
+                    type_name: base_attr.to_owned(),
+                }),
+            },
+        }
+    }
+
+    /// Compiles one facet of the open restriction.
+    fn facet<A: Attr>(&mut self, tag: &str, local: &str, attrs: &[A]) -> Result<(), SchemaError> {
+        let name = &self.simple_name;
+        let value = || attr(attrs, "value").ok_or_else(|| missing(tag, "value"));
+        let numeric = |v: &str| {
+            v.trim().parse::<f64>().map_err(|_| SchemaError::Invalid {
+                detail: format!("facet <{tag}> of simpleType {name:?} has non-numeric value {v:?}"),
+            })
+        };
+        let length = |v: &str| {
+            v.trim().parse::<usize>().map_err(|_| SchemaError::Invalid {
+                detail: format!("facet <{tag}> of simpleType {name:?} has non-integer value {v:?}"),
+            })
+        };
+        let facet = match local {
+            "minInclusive" => Facet::MinInclusive(numeric(value()?)?),
+            "maxInclusive" => Facet::MaxInclusive(numeric(value()?)?),
+            "minExclusive" => Facet::MinExclusive(numeric(value()?)?),
+            "maxExclusive" => Facet::MaxExclusive(numeric(value()?)?),
+            "minLength" => Facet::MinLength(length(value()?)?),
+            "maxLength" => Facet::MaxLength(length(value()?)?),
+            "enumeration" => {
+                self.enumeration.push(value()?.to_owned());
+                return Ok(());
+            }
+            "annotation" => return Ok(()),
+            other => {
+                return Err(SchemaError::Invalid {
+                    detail: format!("unsupported facet <{other}> in simpleType {name:?}"),
                 })
             }
-            other => Err(SchemaError::Invalid {
-                detail: format!(
-                    "unsupported construct <{other}> inside complexType {:?}",
-                    ty.name
-                ),
-            }),
         };
-        resolver.pop_scope();
-        result?;
+        let (_, facets) = self.restriction.as_mut().expect("a restriction is open");
+        facets.push(facet);
+        Ok(())
     }
-    Ok(())
-}
 
-fn parse_element(
-    el: &Element,
-    resolver: &NamespaceResolver,
-) -> Result<ElementDecl, SchemaError> {
-    let name = el
-        .attr("name")
-        .ok_or_else(|| SchemaError::MissingAttribute {
-            element: el.name.to_string(),
-            attribute: "name".to_owned(),
-        })?
-        .to_owned();
-    let type_attr = el.attr("type").ok_or_else(|| SchemaError::MissingAttribute {
-        element: format!("{} name=\"{name}\"", el.name),
-        attribute: "type".to_owned(),
-    })?;
-
-    let type_ref = resolve_type_ref(type_attr, resolver, &name)?;
-    let occurs = parse_occurs(el, &name)?;
-    Ok(ElementDecl { name, type_ref, occurs })
-}
-
-fn resolve_type_ref(
-    type_attr: &str,
-    resolver: &NamespaceResolver,
-    element: &str,
-) -> Result<TypeRef, SchemaError> {
-    let (prefix, local) = match type_attr.split_once(':') {
-        Some((p, l)) if !p.is_empty() => (Some(p), l),
-        _ => (None, type_attr),
-    };
-    let is_xsd = match prefix {
-        Some(p) => match resolver.uri_for(Some(p)) {
-            Some(uri) => is_xsd_namespace(uri),
-            None => p == "xsd" || p == "xs",
-        },
-        // Unprefixed type names reference user-defined complex types, as
-        // in the paper's `type="ASDOffEvent"`.
-        None => false,
-    };
-    if is_xsd {
-        XsdType::from_name(local)
-            .map(TypeRef::Primitive)
-            .ok_or_else(|| SchemaError::UnknownType {
-                element: element.to_owned(),
-                type_name: type_attr.to_owned(),
+    fn resolve_type_ref(&self, type_attr: &str, element: &str) -> Result<TypeRef, SchemaError> {
+        let (prefix, local) = xmlparse::qname::split(type_attr);
+        // Unprefixed type names reference user-defined types, as in the
+        // paper's `type="ASDOffEvent"`.
+        let is_xsd = prefix.is_some_and(|p| self.binding(p).unwrap_or(p == "xsd" || p == "xs"));
+        if is_xsd {
+            XsdType::from_name(local).map(TypeRef::Primitive).ok_or_else(|| {
+                SchemaError::UnknownType {
+                    element: element.to_owned(),
+                    type_name: type_attr.to_owned(),
+                }
             })
-    } else {
-        Ok(TypeRef::Named(local.to_owned()))
+        } else {
+            Ok(TypeRef::Named(local.to_owned()))
+        }
     }
 }
 
-fn parse_occurs(el: &Element, name: &str) -> Result<Occurs, SchemaError> {
-    let min = el.attr("minOccurs");
-    let max = el.attr("maxOccurs");
+/// Element type references are compiled as `Named`; those that match a
+/// user-defined simple type are really `Simple` references.
+fn rewrite_simple_refs(schema: &mut Schema) {
+    let Schema { simple_types, complex_types, .. } = schema;
+    if simple_types.is_empty() {
+        return;
+    }
+    for el in complex_types.iter_mut().flat_map(|ty| &mut ty.elements) {
+        if let TypeRef::Named(name) = &mut el.type_ref {
+            if simple_types.iter().any(|s| s.name == *name) {
+                el.type_ref = TypeRef::Simple(std::mem::take(name));
+            }
+        }
+    }
+}
+
+fn parse_occurs(min: Option<&str>, max: Option<&str>, name: &str) -> Result<Occurs, SchemaError> {
     let Some(max) = max else {
         // No maxOccurs: scalar regardless of minOccurs (minOccurs="0"
         // optionality is not representable in a C struct; treat as 1).
@@ -553,17 +564,17 @@ pub fn resolve_schema(schema: &Schema) -> Result<(), SchemaError> {
         Grey,
         Black,
     }
-    fn visit(
-        name: &str,
-        by_name: &HashMap<&str, &ComplexType>,
-        marks: &mut HashMap<String, Mark>,
+    fn visit<'s>(
+        name: &'s str,
+        by_name: &HashMap<&str, &'s ComplexType>,
+        marks: &mut HashMap<&'s str, Mark>,
     ) -> Result<(), SchemaError> {
         match marks.get(name).copied().unwrap_or(Mark::White) {
             Mark::Black => return Ok(()),
             Mark::Grey => return Err(SchemaError::RecursiveType { name: name.to_owned() }),
             Mark::White => {}
         }
-        marks.insert(name.to_owned(), Mark::Grey);
+        marks.insert(name, Mark::Grey);
         if let Some(ty) = by_name.get(name) {
             for el in &ty.elements {
                 if let TypeRef::Named(target) = &el.type_ref {
@@ -571,7 +582,7 @@ pub fn resolve_schema(schema: &Schema) -> Result<(), SchemaError> {
                 }
             }
         }
-        marks.insert(name.to_owned(), Mark::Black);
+        marks.insert(name, Mark::Black);
         Ok(())
     }
     let mut marks = HashMap::new();
@@ -585,35 +596,8 @@ pub fn resolve_schema(schema: &Schema) -> Result<(), SchemaError> {
 mod tests {
     use super::*;
 
-    /// Hostile schema documents minting arbitrarily many distinct names
-    /// must not grow the process-wide interner without bound: epoch
-    /// eviction caps it at twice the configured capacity.
-    #[test]
-    fn schema_interner_is_bounded_under_hostile_names() {
-        for round in 0..40 {
-            let mut doc = String::from(
-                "<xsd:schema xmlns:xsd=\"http://www.w3.org/1999/XMLSchema\">\
-                 <xsd:complexType name=\"T\">",
-            );
-            // Interning covers element/attribute *names*: mint distinct
-            // attribute names (ignored by the schema compiler) so every
-            // round feeds the interner 500 never-seen strings.
-            for i in 0..500 {
-                doc.push_str(&format!(
-                    "<xsd:element name=\"f{i}\" type=\"xsd:string\" h{round}x{i}=\"1\"/>"
-                ));
-            }
-            doc.push_str("</xsd:complexType></xsd:schema>");
-            parse_schema_str(&doc).unwrap();
-        }
-        let guard = SCHEMA_ATOMS.lock().unwrap_or_else(|e| e.into_inner());
-        let len = guard.as_ref().map_or(0, |atoms| atoms.len());
-        assert!(len <= 2 * 4096, "interner grew to {len} names");
-        assert!(len > 0, "interner unexpectedly empty");
-    }
-
-    /// The streaming entry point compiles the same schema value as the
-    /// whole-document path, on real and generated schema sets.
+    /// Both front-ends compile the same schema value, on real and
+    /// generated schema sets.
     #[test]
     fn streaming_matches_whole_document_parse() {
         let by_str = parse_schema_str(FIGURE_9).unwrap();
@@ -647,14 +631,13 @@ mod tests {
         assert_eq!(by_stream.simple_types.len(), 1);
     }
 
-    /// Malformed inputs fail through the streaming path with the same
-    /// error classification as the whole-document path.
+    /// Malformed inputs fail through the streaming front-end with the
+    /// same error classification as through the in-memory one.
     #[test]
     fn streaming_matches_whole_document_errors() {
-        // One defect per document: on doubly-invalid input the paths
-        // legitimately differ in which defect they surface (streaming
-        // compiles each child before reading on; whole-document parses
-        // all XML first).
+        // The last case is doubly invalid — a schema-level defect and,
+        // after it, malformed XML: both front-ends read to the end and
+        // report the document as not well-formed.
         let cases = [
             "<xsd:schema xmlns:xsd=\"http://www.w3.org/1999/XMLSchema\">\
              <xsd:complexType name=\"T\"/>",
@@ -665,7 +648,10 @@ mod tests {
              <xsd:complexType name=\"T\"><xsd:element name=\"f\" type=\"xsd:nosuch\"/>\
              </xsd:complexType></xsd:schema>",
             "junk",
+            "<xsd:schema xmlns:xsd=\"http://www.w3.org/1999/XMLSchema\">\
+             <xsd:complexType/><unclosed></xsd:schema>",
         ];
+        assert!(matches!(parse_schema_str(cases[5]), Err(SchemaError::Xml(_))));
         for doc in cases {
             let by_str = parse_schema_str(doc).unwrap_err();
             let by_stream = parse_schema_stream(doc.as_bytes()).unwrap_err();

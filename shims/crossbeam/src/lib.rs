@@ -26,13 +26,28 @@ pub mod channel {
         /// condvar entirely when this is zero — `notify_one` performs a
         /// wake syscall even with no waiters, which would otherwise
         /// dominate high-fan-out publish paths whose consumers poll.
+        /// Read and written only with the queue lock held.
         waiters: AtomicUsize,
         /// Senders currently blocked waiting for space.
         send_waiters: AtomicUsize,
         /// Set when a receiver wake is already in flight; collapses the
         /// one-syscall-per-push storm a producer would otherwise cause
         /// while the consumer is runnable but not yet scheduled.
+        ///
+        /// Read and written only with the queue lock held, like
+        /// `waiters`: a sender that raised it has seen, under the lock, a
+        /// receiver that is still counted in `waiters`, and every such
+        /// receiver lowers it again when it next takes the lock. Deciding
+        /// outside the lock let a receiver wake, lower the flag, drain the
+        /// queue and get on with its work between a sender's look at
+        /// `waiters` and its raising of the flag; the flag then stayed up
+        /// with nobody left to lower it, every later send skipped its
+        /// notify, and the receiver's next untimed wait never ended.
         notify_pending: AtomicBool,
+        /// Test hook: run once by the next sender that has claimed a
+        /// wake-up, after it released the queue and before it notifies.
+        #[cfg(test)]
+        before_notify: Mutex<Option<Box<dyn FnOnce() + Send>>>,
     }
 
     impl<T> Shared<T> {
@@ -40,11 +55,29 @@ pub mod channel {
             self.queue.lock().unwrap_or_else(PoisonError::into_inner)
         }
 
-        /// Wake one receiver if any is blocked and no wake is pending.
-        fn wake_receiver(&self) {
-            if self.waiters.load(Ordering::SeqCst) > 0
+        /// After a push, with the queue lock held (the guard is the
+        /// proof): whether this sender is the one to wake a receiver —
+        /// one is blocked and no wake is pending. With no receiver
+        /// blocked this is two loads and no syscall.
+        fn claim_wake(&self, _held: &MutexGuard<'_, VecDeque<T>>) -> bool {
+            self.waiters.load(Ordering::SeqCst) > 0
                 && !self.notify_pending.swap(true, Ordering::SeqCst)
-            {
+        }
+
+        /// Ends a push: decides about the wake-up under the lock,
+        /// releases the queue, then notifies — outside the lock, so the
+        /// woken receiver does not run straight into it.
+        fn unlock_and_wake(&self, queue: MutexGuard<'_, VecDeque<T>>) {
+            let wake = self.claim_wake(&queue);
+            drop(queue);
+            if wake {
+                #[cfg(test)]
+                {
+                    let hook = self.before_notify.lock().unwrap().take();
+                    if let Some(hook) = hook {
+                        hook();
+                    }
+                }
                 self.available.notify_one();
             }
         }
@@ -139,6 +172,8 @@ pub mod channel {
             waiters: AtomicUsize::new(0),
             send_waiters: AtomicUsize::new(0),
             notify_pending: AtomicBool::new(false),
+            #[cfg(test)]
+            before_notify: Mutex::new(None),
         });
         (Sender { shared: Arc::clone(&shared) }, Receiver { shared })
     }
@@ -216,12 +251,7 @@ pub mod channel {
                 }
                 if !self.shared.is_full(&queue) {
                     queue.push_back(value);
-                    drop(queue);
-                    // A blocked receiver increments `waiters` under the
-                    // queue lock before sleeping, so after the push above
-                    // this load cannot miss a receiver that went to sleep
-                    // before the message became visible.
-                    self.shared.wake_receiver();
+                    self.shared.unlock_and_wake(queue);
                     return Ok(());
                 }
                 self.shared.send_waiters.fetch_add(1, Ordering::SeqCst);
@@ -243,8 +273,7 @@ pub mod channel {
                 return Err(TrySendError::Full(value));
             }
             queue.push_back(value);
-            drop(queue);
-            self.shared.wake_receiver();
+            self.shared.unlock_and_wake(queue);
             Ok(())
         }
 
@@ -263,8 +292,7 @@ pub mod channel {
                 }
                 if !self.shared.is_full(&queue) {
                     queue.push_back(value);
-                    drop(queue);
-                    self.shared.wake_receiver();
+                    self.shared.unlock_and_wake(queue);
                     return Ok(());
                 }
                 let now = Instant::now();
@@ -293,8 +321,7 @@ pub mod channel {
             let evicted =
                 if self.shared.is_full(&queue) { queue.pop_front() } else { None };
             queue.push_back(value);
-            drop(queue);
-            self.shared.wake_receiver();
+            self.shared.unlock_and_wake(queue);
             Ok(evicted)
         }
 
@@ -316,7 +343,11 @@ pub mod channel {
                     if !self.shared.is_full(&queue) {
                         queue.push_back(value);
                         pushed += 1;
-                        self.shared.wake_receiver();
+                        // Before this sender can block for space: the
+                        // receiver that will make it must be awake.
+                        if self.shared.claim_wake(&queue) {
+                            self.shared.available.notify_one();
+                        }
                         break;
                     }
                     self.shared.send_waiters.fetch_add(1, Ordering::SeqCst);
@@ -353,9 +384,8 @@ pub mod channel {
                 queue.push_back(value);
                 pushed += 1;
             }
-            drop(queue);
             if pushed > 0 {
-                self.shared.wake_receiver();
+                self.shared.unlock_and_wake(queue);
             }
             Ok(pushed)
         }
@@ -382,9 +412,8 @@ pub mod channel {
                 queue.push_back(value);
                 pushed = true;
             }
-            drop(queue);
             if pushed {
-                self.shared.wake_receiver();
+                self.shared.unlock_and_wake(queue);
             }
             Ok(evicted)
         }
@@ -676,6 +705,70 @@ pub mod channel {
             assert_eq!(out, vec![1, 2, 3]);
             handle.join().unwrap();
             assert_eq!(rx.recv_batch(&mut out, 8), Err(RecvError));
+        }
+
+        /// The lost wake-up that left a broker shard worker parked in an
+        /// untimed `recv_batch` on a non-empty queue. The schedule is
+        /// forced, not hoped for: a sender claims the wake-up for a
+        /// parked receiver and stalls before delivering it; the receiver
+        /// is woken another way (a chain wake), takes what is queued and
+        /// goes off to work; the stalled notify then lands on nobody.
+        /// Whatever the flag says at that point, the receiver's next
+        /// untimed wait must still end when something is sent.
+        #[test]
+        fn stalled_notify_does_not_strand_the_next_wait() {
+            fn until_parked<T>(shared: &Shared<T>) {
+                while shared.waiters.load(Ordering::SeqCst) == 0 {
+                    std::thread::yield_now();
+                }
+            }
+            let patience = Duration::from_secs(10);
+            let (tx, rx) = unbounded::<u32>();
+            let (claimed_tx, claimed) = std::sync::mpsc::channel();
+            let (resume, resumed) = std::sync::mpsc::channel::<()>();
+            *tx.shared.before_notify.lock().unwrap() = Some(Box::new(move || {
+                claimed_tx.send(()).unwrap();
+                resumed.recv().unwrap();
+            }));
+
+            let parked = {
+                let rx = rx.clone();
+                std::thread::spawn(move || rx.recv())
+            };
+            until_parked(&tx.shared);
+            let stalled = {
+                let tx = tx.clone();
+                std::thread::spawn(move || tx.send(1))
+            };
+            claimed.recv_timeout(patience).expect("a sender claims the wake-up");
+
+            // A second message (its sender sees a wake pending and skips
+            // the notify), then a pop by another receiver: messages
+            // remain and a receiver is blocked, so the pop chain-wakes it.
+            tx.send(2).unwrap();
+            let polled = rx.try_recv().unwrap();
+            let woken = parked.join().unwrap().unwrap();
+            assert_eq!((polled.min(woken), polled.max(woken)), (1, 2));
+
+            // The receiver is off working; the stalled notify finds nobody.
+            resume.send(()).unwrap();
+            stalled.join().unwrap().unwrap();
+
+            // Its next wait is untimed, as the shard worker's is.
+            let (got_tx, got) = std::sync::mpsc::channel();
+            let worker = std::thread::spawn(move || {
+                let mut out = Vec::new();
+                let taken = rx.recv_batch(&mut out, 8);
+                got_tx.send((taken, out)).unwrap();
+            });
+            until_parked(&tx.shared);
+            tx.send(3).unwrap();
+            assert_eq!(
+                got.recv_timeout(patience),
+                Ok((Ok(1), vec![3])),
+                "receiver left parked on a non-empty queue"
+            );
+            worker.join().unwrap();
         }
 
         #[test]

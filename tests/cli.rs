@@ -6,8 +6,11 @@ fn x2w() -> Command {
     Command::new(env!("CARGO_BIN_EXE_x2w"))
 }
 
-fn demo_dir() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("x2w-cli-{}", std::process::id()));
+/// A directory of demo files of the calling test's own: tests run in
+/// parallel, and a file being rewritten by one must not be read by the
+/// `x2w` process of another.
+fn demo_dir(test: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("x2w-cli-{}-{test}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(
         dir.join("flight.xsd"),
@@ -35,7 +38,7 @@ fn demo_dir() -> std::path::PathBuf {
 
 #[test]
 fn inspect_prints_field_tables() {
-    let dir = demo_dir();
+    let dir = demo_dir("inspect_prints_field_tables");
     let out = x2w()
         .args(["inspect", dir.join("flight.xsd").to_str().unwrap(), "--arch", "sparc32"])
         .output()
@@ -48,7 +51,7 @@ fn inspect_prints_field_tables() {
 
 #[test]
 fn sizes_covers_every_architecture() {
-    let dir = demo_dir();
+    let dir = demo_dir("sizes_covers_every_architecture");
     let out =
         x2w().args(["sizes", dir.join("flight.xsd").to_str().unwrap()]).output().unwrap();
     assert!(out.status.success());
@@ -60,7 +63,7 @@ fn sizes_covers_every_architecture() {
 
 #[test]
 fn validate_passes_good_and_fails_bad() {
-    let dir = demo_dir();
+    let dir = demo_dir("validate_passes_good_and_fails_bad");
     let schema = dir.join("flight.xsd");
     let ok = x2w()
         .args(["validate", schema.to_str().unwrap(), dir.join("good.xml").to_str().unwrap()])
@@ -79,7 +82,7 @@ fn validate_passes_good_and_fails_bad() {
 
 #[test]
 fn match_classifies_instances() {
-    let dir = demo_dir();
+    let dir = demo_dir("match_classifies_instances");
     let out = x2w()
         .args([
             "match",
@@ -110,7 +113,7 @@ fn missing_file_is_a_clean_error() {
 fn cat_dumps_archives() {
     use std::sync::Arc;
     use openmeta::prelude::*;
-    let dir = demo_dir();
+    let dir = demo_dir("cat_dumps_archives");
     let archive_path = dir.join("flights.x2w");
 
     let session = Arc::new(Xml2Wire::builder().build());

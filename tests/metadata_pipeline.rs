@@ -163,3 +163,61 @@ fn encoded_sizes_match_between_pbio_and_xml2wire_paths() {
     let via_pbio = pbio::ndr::encode(&record, &pbio_format).unwrap();
     assert_eq!(via_xml.len(), via_pbio.len());
 }
+
+/// A site catalogue the size a late joiner meets in the field — 65
+/// message types of 24 fields, about 80 KiB of XSD — discovered over a
+/// real `MetadataServer` binds every type to exactly what the same
+/// types yield when built by hand and registered with no XML involved:
+/// same struct definitions, same fingerprints, same layouts, on the
+/// host and on the paper's big-endian ILP32 machine.
+#[test]
+fn discovered_catalogue_binds_like_hand_built_types() {
+    const TYPES: usize = 65;
+    const FIELDS: usize = 24;
+    let field_types = [
+        ("xsd:string", CType::String),
+        ("xsd:integer", CType::Prim(Primitive::Int)),
+        ("xsd:double", CType::Prim(Primitive::Double)),
+        ("xsd:unsigned-long", CType::Prim(Primitive::ULong)),
+    ];
+
+    let mut document = String::from(
+        "<?xml version=\"1.0\"?>\n<xsd:schema xmlns:xsd=\"http://www.w3.org/1999/XMLSchema\"\n            \
+         targetNamespace=\"http://www.cc.gatech.edu/~pmw/schemas\">\n",
+    );
+    let mut by_hand = Vec::with_capacity(TYPES);
+    for t in 0..TYPES {
+        document.push_str(&format!("  <xsd:complexType name=\"Catalogue{t:02}\">\n"));
+        let mut fields = Vec::with_capacity(FIELDS);
+        for f in 0..FIELDS {
+            let (xsd, ctype) = &field_types[(f + t) % field_types.len()];
+            document.push_str(&format!("    <xsd:element name=\"f{f:02}\" type=\"{xsd}\"/>\n"));
+            fields.push(StructField::new(format!("f{f:02}"), ctype.clone()));
+        }
+        document.push_str("  </xsd:complexType>\n");
+        by_hand.push(StructType::new(format!("Catalogue{t:02}"), fields));
+    }
+    document.push_str("</xsd:schema>\n");
+
+    let server = MetadataServer::bind("127.0.0.1:0").unwrap();
+    server.publish("/site/catalogue.xsd", document);
+    let url = server.url_for("/site/catalogue.xsd");
+
+    for arch in [Architecture::host(), Architecture::SPARC32] {
+        let discovering =
+            Xml2Wire::builder().arch(arch).source(Box::new(UrlSource::new())).build();
+        let discovered = discovering.discover(&url).unwrap();
+        assert_eq!(discovered.len(), TYPES);
+
+        let compiled = Xml2Wire::builder().arch(arch).build();
+        for (found, st) in discovered.iter().zip(&by_hand) {
+            let expected = compiled.register_compiled(st.clone()).unwrap();
+            assert_eq!(found.struct_type(), expected.struct_type(), "{} on {arch}", st.name);
+            assert_eq!(found.fingerprint(), expected.fingerprint(), "{} on {arch}", st.name);
+            assert_eq!(found.layout(), expected.layout(), "{} on {arch}", st.name);
+            assert_eq!(found.arch(), &arch);
+            // The catalog serves later compositions from the same definition.
+            assert_eq!(*discovering.catalog().get(&st.name).unwrap(), *st);
+        }
+    }
+}
