@@ -11,9 +11,9 @@
 //! touched. Set membership (`price IN (100, 200, 300)`) and inclusive
 //! ranges (`weight BETWEEN 1.0 AND 2.5`) compile to single ops — one
 //! load, then immediate scans/compares — rather than chains of
-//! comparisons and jumps. The same move PR 5 made for conversion (`ConversionPlan`)
-//! and PR 7 made for XML ingest (the tape pass): compile per-format
-//! structure once, run a flat program per message.
+//! comparisons and jumps. The same move PR 5 made for conversion
+//! (`ConversionPlan`): compile per-format structure once, run a flat
+//! program per message.
 //!
 //! Pipeline: lexer → Pratt-style recursive-descent parser (depth and
 //! length limited, so adversarial input cannot recurse unboundedly) →

@@ -8,8 +8,7 @@
 //! touching metadata handling.
 //!
 //! Two server transports implement the same observable contract and are
-//! selected by [`NetConfig`] (or the `X2W_NET_TRANSPORT` environment
-//! variable):
+//! selected by [`NetConfig::transport`]:
 //!
 //! * [`Transport::Readiness`] (default) — one blocking acceptor plus a
 //!   few event-loop shards over epoll (`poll(2)` fallback off Linux);
@@ -280,11 +279,10 @@ pub enum Transport {
     Threaded,
 }
 
-/// Server construction knobs. `Default` honours two environment
-/// variables so a deployment (or a differential test run) can flip
-/// implementations without code changes: `X2W_NET_TRANSPORT=threaded`
-/// selects the thread-per-connection oracle, and `X2W_NET_BACKEND=poll`
-/// forces the portable `poll(2)` backend under the readiness loop.
+/// Server construction knobs. `Default` is the production transport:
+/// the readiness loop on epoll where the platform has it and on
+/// `poll(2)` elsewhere. The equivalence tests and benches that want the
+/// threaded oracle or the `poll(2)` backend set those fields themselves.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Which transport to run.
@@ -302,16 +300,11 @@ pub struct NetConfig {
 
 impl Default for NetConfig {
     fn default() -> NetConfig {
-        let transport = match std::env::var("X2W_NET_TRANSPORT").as_deref() {
-            Ok("threaded") => Transport::Threaded,
-            _ => Transport::Readiness,
-        };
-        let force_poll_fallback = matches!(std::env::var("X2W_NET_BACKEND").as_deref(), Ok("poll"));
         NetConfig {
-            transport,
+            transport: Transport::Readiness,
             shards: 0,
             reply_queue_depth: WRITER_QUEUE_DEPTH,
-            force_poll_fallback,
+            force_poll_fallback: false,
         }
     }
 }

@@ -24,10 +24,7 @@ use omf_bench::{
     bind, fmt_ns, generated_schema, generated_schema_set, record_cd, SchemaSetSource, SCHEMA_A,
     SCHEMA_B, SCHEMA_CD,
 };
-use xmlparse::{
-    classic, Atoms, BorrowedEvent, Document, Event, IndexReader, Reader, StreamingReader,
-    TapeBuilder,
-};
+use xmlparse::{classic, Atoms, BorrowedEvent, Document, Event, Reader, StreamingReader};
 
 /// Measures `f` repeatedly and returns ns/iteration. In smoke mode runs
 /// the routine exactly once (correctness only).
@@ -243,7 +240,7 @@ fn main() {
     println!("dom-interned (gen256):     {}", fmt_ns(interned));
     println!("textxml-decode (recordCD): {}", fmt_ns(textxml_decode));
 
-    // ---- E-index: structural-index ingest on a multi-MB schema set ----
+    // ---- E-index: bounded-memory streaming of a multi-MB schema set ----
     // Smoke mode shrinks the corpus (correctness only); timed runs use
     // the full ≥ 8 MiB document.
     let (set_types, set_fields) = if smoke { (300, 40) } else { (2_400, 80) };
@@ -257,27 +254,7 @@ fn main() {
     let schema_set = generated_schema_set(set_types, set_fields);
     assert_eq!(schema_set.len() as u64, stream_bytes);
 
-    // Phase 1 alone: the delimiter tape pass over the whole document.
-    let mut tape_builder = TapeBuilder::new();
-    let tape_ns = time(smoke, || tape_builder.build(&schema_set).len());
-    // Phase 1 + 2: build the tape, then replay it as borrowed events.
-    let mut index_builder = TapeBuilder::new();
-    let index_ns = time(smoke, || {
-        let tape = index_builder.build(&schema_set);
-        let mut reader = IndexReader::new(&schema_set, tape);
-        let mut events = 0usize;
-        loop {
-            match reader.next_borrowed().unwrap() {
-                BorrowedEvent::Eof => break,
-                ev => {
-                    black_box(&ev);
-                    events += 1;
-                }
-            }
-        }
-        events
-    });
-    // The scanning baseline on the same document.
+    // The in-memory reader on the same document.
     let set_borrowed_ns = time(smoke, || {
         let mut reader = Reader::new(&schema_set);
         let mut events = 0usize;
@@ -308,18 +285,12 @@ fn main() {
         events
     });
 
-    // Fidelity: all three ingest paths must produce identical event
-    // streams on the same bytes (vectors compared pairwise so only two
-    // are alive at once).
+    // Fidelity: both readers must produce identical event streams on
+    // the same bytes.
     let reader_events = Reader::new(&schema_set).collect_events().unwrap();
-    let mut eq_builder = TapeBuilder::new();
-    let index_events =
-        IndexReader::new(&schema_set, eq_builder.build(&schema_set)).collect_events().unwrap();
-    assert_eq!(reader_events, index_events, "index reader diverged from scanning reader");
-    drop(index_events);
     let streaming_events =
         StreamingReader::new(schema_set.as_bytes()).collect_events().unwrap();
-    assert_eq!(reader_events, streaming_events, "streaming reader diverged from scanning reader");
+    assert_eq!(reader_events, streaming_events, "streaming reader diverged from in-memory reader");
     drop(streaming_events);
     let mut reader_fnv = FNV_OFFSET;
     let mut reader_events_n = 0u64;
@@ -341,16 +312,6 @@ fn main() {
         reader_events_n
     );
     println!(
-        "tape-pass:       {:>12} {:>9.1} MiB/s",
-        fmt_ns(tape_ns),
-        mib_per_s(schema_set.len(), tape_ns)
-    );
-    println!(
-        "index events:    {:>12} {:>9.1} MiB/s",
-        fmt_ns(index_ns),
-        mib_per_s(schema_set.len(), index_ns)
-    );
-    println!(
         "borrowed events: {:>12} {:>9.1} MiB/s",
         fmt_ns(set_borrowed_ns),
         mib_per_s(schema_set.len(), set_borrowed_ns)
@@ -366,16 +327,9 @@ fn main() {
         return;
     }
 
-    // Acceptance gates for the structural-index ingest: the pure tape
-    // pass must clear 2x the full borrowed-event parse on the same
-    // bytes, and generator-fed streaming must stay under the 2 MiB
-    // peak-RSS ceiling (the clean-process version of this gate runs as
-    // `--rss-smoke` in CI).
-    let tape_vs_borrowed = set_borrowed_ns / tape_ns;
-    assert!(
-        tape_vs_borrowed >= 2.0,
-        "tape pass only {tape_vs_borrowed:.2}x over borrowed event throughput"
-    );
+    // Acceptance gate for bounded-memory streaming: generator-fed
+    // streaming must stay under the 2 MiB peak-RSS ceiling (the
+    // clean-process version of this gate runs as `--rss-smoke` in CI).
     assert!(
         rss_delta_kb <= 2 * 1024,
         "streaming raised peak RSS by {rss_delta_kb} KiB — over the 2 MiB ceiling"
@@ -417,14 +371,10 @@ fn main() {
     json.push_str(&format!(
         "  \"index\": {{\"doc_bytes\": {}, \"events\": {reader_events_n}, \
          \"event_stream_fnv\": \"{stream_fnv:016x}\", \
-         \"tape_pass_mib_s\": {:.1}, \"index_events_mib_s\": {:.1}, \
          \"borrowed_events_mib_s\": {:.1}, \"streaming_mib_s\": {:.1}, \
-         \"tape_vs_borrowed\": {tape_vs_borrowed:.2}, \
          \"streaming_window_bytes\": {}, \
          \"streaming_peak_rss_delta_kb\": {rss_delta_kb}}}\n}}\n",
         schema_set.len(),
-        mib_per_s(schema_set.len(), tape_ns),
-        mib_per_s(schema_set.len(), index_ns),
         mib_per_s(schema_set.len(), set_borrowed_ns),
         mib_per_s(schema_set.len(), set_stream_ns),
         xmlparse::DEFAULT_WINDOW,

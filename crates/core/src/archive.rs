@@ -41,13 +41,20 @@ const MAX_SCHEMAS: u32 = 4096;
 pub struct ArchiveWriter<W: Write> {
     inner: Option<RecordWriter<W>>,
     pending: Option<(W, Vec<String>)>,
+    /// Names of the formats whose schemas the header carries.
+    declared: Vec<String>,
     session: std::sync::Arc<Xml2Wire>,
 }
 
 impl<W: Write> ArchiveWriter<W> {
     /// Starts an archive on `sink`, embedding metadata from `session`.
     pub fn create(sink: W, session: std::sync::Arc<Xml2Wire>) -> Self {
-        ArchiveWriter { inner: None, pending: Some((sink, Vec::new())), session }
+        ArchiveWriter {
+            inner: None,
+            pending: Some((sink, Vec::new())),
+            declared: Vec::new(),
+            session,
+        }
     }
 
     /// Declares that records of `format_name` will appear; its schema
@@ -61,6 +68,7 @@ impl<W: Write> ArchiveWriter<W> {
         match &mut self.pending {
             Some((_, schemas)) => {
                 schemas.push(schema_for_struct(format.struct_type()).to_xml_string());
+                self.declared.push(format_name.to_owned());
                 Ok(())
             }
             None => Err(X2wError::Bcm(PbioError::Text {
@@ -92,11 +100,16 @@ impl<W: Write> ArchiveWriter<W> {
     ///
     /// # Errors
     ///
-    /// Encoding or I/O failures; unknown formats.
+    /// Encoding or I/O failures; unknown formats; a format that was not
+    /// declared, which is refused before anything is written because no
+    /// reader could decode its records from the archive alone.
     pub fn append(&mut self, record: &Record, format_name: &str) -> Result<(), X2wError> {
         let format = self.session.require_format(format_name)?;
-        let session = std::sync::Arc::clone(&self.session);
-        let _ = session;
+        if !self.declared.iter().any(|name| name == format_name) {
+            return Err(X2wError::Bcm(PbioError::Text {
+                detail: format!("format {format_name:?} was not declared for this archive"),
+            }));
+        }
         self.ensure_started()?.append(record, &format).map_err(X2wError::Bcm)
     }
 
@@ -312,25 +325,59 @@ mod tests {
     }
 
     #[test]
-    fn undeclared_format_records_still_fail_clearly() {
+    fn appending_an_undeclared_format_is_rejected() {
         let session = std::sync::Arc::new(Xml2Wire::builder().build());
         session.register_schema_str(FLIGHT).unwrap();
         session.register_schema_str(WEATHER).unwrap();
         let mut writer = ArchiveWriter::create(Vec::new(), session);
         writer.declare_format("Flight").unwrap();
-        // Weather is written but never declared: its schema is missing
-        // from the dictionary, so the reader reports an unknown format.
-        for i in 0..2 {
-            writer.append(&flight(i), "Flight").unwrap();
-        }
-        writer
-            .append(&Record::new().with("station", "KBOS").with("tempC", 1.0f64), "Weather")
-            .unwrap();
+        // Weather is registered with the session but was never declared:
+        // its schema is not in the dictionary, so no reader could decode
+        // the record. The writer refuses it and the archive stays whole.
+        writer.append(&flight(0), "Flight").unwrap();
+        let weather = Record::new().with("station", "KBOS").with("tempC", 1.0f64);
+        let err = writer.append(&weather, "Weather").unwrap_err();
+        assert!(err.to_string().contains("Weather"), "{err}");
+        writer.append(&flight(1), "Flight").unwrap();
         let bytes = writer.finish().unwrap();
         let mut reader = ArchiveReader::open(&bytes[..]).unwrap();
+        assert_eq!(reader.format_names(), vec!["Flight"]);
+        let entries: Vec<_> = reader.records().collect::<Result<_, _>>().unwrap();
+        assert_eq!(entries.len(), 2);
+        assert!(entries.iter().all(|(name, _)| name == "Flight"));
+    }
+
+    /// Where the embedded recfile starts: just past the schema dictionary.
+    fn recfile_offset(archive: &[u8]) -> usize {
+        let u32_at = |at: usize| u32::from_le_bytes(archive[at..at + 4].try_into().unwrap());
+        let mut at = ARCHIVE_MAGIC.len() + 1;
+        let schemas = u32_at(at);
+        at += 4;
+        for _ in 0..schemas {
+            at += 4 + u32_at(at) as usize;
+        }
+        at
+    }
+
+    #[test]
+    fn records_in_a_format_the_dictionary_lacks_fail_clearly() {
+        // No writer produces this any more; a reader can still meet it
+        // in a damaged or foreign file. Splice a Flight-only dictionary
+        // onto records that include a Weather one.
+        let session = std::sync::Arc::new(Xml2Wire::builder().build());
+        session.register_schema_str(FLIGHT).unwrap();
+        let mut writer = ArchiveWriter::create(Vec::new(), session);
+        writer.declare_format("Flight").unwrap();
+        let flight_only = writer.finish().unwrap();
+        let full = write_archive(Architecture::host());
+        let mut bytes = flight_only[..recfile_offset(&flight_only)].to_vec();
+        bytes.extend_from_slice(&full[recfile_offset(&full)..]);
+
+        let mut reader = ArchiveReader::open(&bytes[..]).unwrap();
         let mut records = reader.records();
-        assert!(records.next().unwrap().is_ok());
-        assert!(records.next().unwrap().is_ok());
+        for _ in 0..10 {
+            assert!(records.next().unwrap().is_ok());
+        }
         let err = records.next().unwrap().unwrap_err();
         assert!(err.to_string().contains("Weather"), "{err}");
         assert!(records.next().is_none(), "iteration must stop after an error");

@@ -14,7 +14,7 @@ use std::borrow::Cow;
 use clayout::{ArrayLen, CType, LayoutError, Record, StructType, Value};
 #[cfg(test)]
 use clayout::Primitive;
-use xmlparse::{BorrowedEvent, Element, IndexReader, Reader, TapeBuilder, Writer};
+use xmlparse::{BorrowedEvent, Element, Reader, Writer};
 
 use crate::error::PbioError;
 
@@ -204,54 +204,12 @@ enum XChild<'a> {
     Text(Cow<'a, str>),
 }
 
-/// Event source abstraction so tree building runs identically over the
-/// scanning reader and the tape-backed index reader.
-trait EventSource<'a> {
-    fn next(&mut self) -> Result<BorrowedEvent<'_, 'a>, xmlparse::XmlError>;
-}
-
-impl<'a> EventSource<'a> for Reader<'a> {
-    fn next(&mut self) -> Result<BorrowedEvent<'_, 'a>, xmlparse::XmlError> {
-        self.next_borrowed()
-    }
-}
-
-impl<'a> EventSource<'a> for IndexReader<'a, '_> {
-    fn next(&mut self) -> Result<BorrowedEvent<'_, 'a>, xmlparse::XmlError> {
-        self.next_borrowed()
-    }
-}
-
-/// Documents at least this large take the two-phase structural-index
-/// path: one branch-light tape pass over the whole input, then an
-/// index-walk that skips re-scanning. Small records stay on the plain
-/// reader (the tape pass does not amortize below a few KiB).
-const INDEX_THRESHOLD: usize = 16 * 1024;
-
-thread_local! {
-    /// Pooled tape storage: one allocation reused across decodes on
-    /// this thread, per the zero-allocation steady-state design.
-    static TAPE_POOL: std::cell::RefCell<TapeBuilder> =
-        std::cell::RefCell::new(TapeBuilder::new());
-}
-
 fn parse_tree(text: &str) -> Result<XElem<'_>, PbioError> {
-    if text.len() >= INDEX_THRESHOLD {
-        TAPE_POOL.with(|pool| {
-            let mut builder = pool.borrow_mut();
-            let tape = builder.build(text);
-            parse_tree_from(IndexReader::new(text, tape))
-        })
-    } else {
-        parse_tree_from(Reader::new(text))
-    }
-}
-
-fn parse_tree_from<'a>(mut reader: impl EventSource<'a>) -> Result<XElem<'a>, PbioError> {
+    let mut reader = Reader::new(text);
     let mut stack: Vec<XElem<'_>> = Vec::new();
     let mut root = None;
     loop {
-        match reader.next()? {
+        match reader.next_borrowed()? {
             BorrowedEvent::StartElement { name, .. } => {
                 stack.push(XElem { name, children: Vec::new() });
             }
@@ -469,10 +427,9 @@ mod tests {
     }
 
     #[test]
-    fn large_documents_take_index_path_and_round_trip() {
-        // Build a record whose encoding crosses INDEX_THRESHOLD so decode
-        // runs through the tape + IndexReader path; verify it agrees with
-        // a plain Reader parse of the same text.
+    fn large_documents_round_trip() {
+        // A record whose encoding is far larger than any stream record
+        // decodes whole.
         let st = StructType::new(
             "big",
             vec![
@@ -483,7 +440,7 @@ mod tests {
         let vals: Vec<u64> = (0..4000).map(|i| i * 37 + 1).collect();
         let rec = Record::new().with("eta", vals.clone());
         let text = encode(&rec, &st).unwrap();
-        assert!(text.len() >= INDEX_THRESHOLD, "corpus too small: {}", text.len());
+        assert!(text.len() >= 16 * 1024, "corpus too small: {}", text.len());
         let back = decode(&text, &st).unwrap();
         let got: Vec<u64> = back
             .get("eta")
@@ -495,11 +452,9 @@ mod tests {
             .collect();
         assert_eq!(got, vals);
         assert_eq!(back.get("n").unwrap().as_u64(), Some(4000));
-        // The same tree must come out of the scanning reader.
-        let small = parse_tree_from(Reader::new(&text)).unwrap();
-        let indexed = parse_tree(&text).unwrap();
-        assert_eq!(small.name, indexed.name);
-        assert_eq!(small.children.len(), indexed.children.len());
+        let tree = parse_tree(&text).unwrap();
+        assert_eq!(tree.name, "big");
+        assert_eq!(tree.children.len(), 4001);
     }
 
     #[test]

@@ -8,10 +8,14 @@
 //!
 //! * a byte-[`Cursor`](cursor::Cursor) scanning word-at-a-time (SWAR)
 //!   with lazy line/column tracking,
-//! * a pull [`Reader`] with a zero-copy borrowed event API
-//!   ([`BorrowedEvent`], via [`Reader::next_borrowed`]) and an owned
-//!   [`Event`] adapter (start/end tags, text, CDATA, comments,
-//!   processing instructions, the XML declaration),
+//! * one construct scanner with two drivers: the in-memory pull
+//!   [`Reader`], with a zero-copy borrowed event API ([`BorrowedEvent`],
+//!   via [`Reader::next_borrowed`]) and an owned [`Event`] adapter
+//!   (start/end tags, text, CDATA, comments, processing instructions,
+//!   the XML declaration), and the bounded-memory [`StreamingReader`],
+//!   which yields the same events and the same error kinds from any
+//!   [`std::io::Read`] through a refill window validated once per
+//!   refill,
 //! * an [`Atoms`] interner deduplicating repeated element/attribute
 //!   names into cheap [`Atom`] handles,
 //! * a [`Document`]/[`Element`] DOM built on top of the pull reader,
@@ -47,20 +51,16 @@ pub mod cursor;
 pub mod dom;
 pub mod error;
 pub mod escape;
-pub mod index;
 pub mod namespace;
 pub mod qname;
 pub mod reader;
 pub mod stream;
-pub mod tape;
 pub mod writer;
 
 pub use atoms::{Atom, Atoms};
 pub use dom::{Document, Element, Node};
 pub use error::{ErrorKind, Position, XmlError};
-pub use index::IndexReader;
 pub use qname::QName;
 pub use reader::{Attribute, BorrowedAttr, BorrowedEvent, Event, Reader, XmlDecl};
 pub use stream::{StreamingReader, DEFAULT_MAX_WINDOW, DEFAULT_WINDOW};
-pub use tape::{EntryKind, StructEntry, Tape, TapeBuilder};
 pub use writer::{Writer, WriterConfig};

@@ -1,32 +1,41 @@
 //! Bounded-memory streaming parse over any [`Read`] source.
 //!
-//! A [`StreamingReader`] applies the two-phase structural-index design
-//! to inputs that never fit in memory at once: it fills a refill window
-//! (default 128 KiB), runs the [`TapeBuilder`](crate::tape::TapeBuilder)
-//! delimiter scan over the window in *partial* mode, walks the complete
-//! spans, and carries the trailing incomplete construct's bytes to the
-//! front of the window before refilling. Peak memory is therefore
-//! bounded by `max(window, largest single construct)` plus the tape for
-//! one window — independent of document size. A construct larger than
-//! the window (a megabyte comment, say) grows the buffer to hold that
-//! one construct and the buffer stays at the high-water mark thereafter;
-//! schema documents, whose constructs are tags and short text runs,
-//! stream at the configured window. Growth is not unbounded: a hard cap
-//! (default [`DEFAULT_MAX_WINDOW`], configurable via
+//! A [`StreamingReader`] runs the in-memory [`Reader`](crate::Reader)'s
+//! construct scanner over a refill window (default 128 KiB) instead of
+//! over the whole document. Peak memory is bounded by the window, or by
+//! the largest single construct plus the markup up to the next `>` if
+//! that is larger — independent of document size. A construct larger
+//! than the window (a megabyte comment, say) grows the buffer to hold
+//! that one construct and the buffer stays at the high-water mark
+//! thereafter; schema documents, whose constructs are tags and short
+//! text runs, stream at the configured window. Growth is not unbounded:
+//! a hard cap (default [`DEFAULT_MAX_WINDOW`], configurable via
 //! [`StreamingReader::with_limits`]) turns a construct that would
 //! outgrow it into a clean [`ErrorKind::ConstructTooLarge`] parse error
 //! instead of letting a hostile or corrupt source run the process out
 //! of memory one doubling at a time.
 //!
-//! Span carryover keeps every span intact: spans begin and end at ASCII
-//! delimiters, so chunk boundaries that fall inside tags, entities or
-//! multi-byte UTF-8 sequences are invisible to the walker — the split
-//! bytes are simply rescanned once more data arrives. UTF-8 is validated
-//! one span at a time (spans are the only slices ever parsed), which is
-//! what lets the reader accept `&[u8]` windows without ever holding a
-//! validated copy of the document.
+//! Three rules make a window parse exactly as the whole document would:
 //!
-//! Events are owned [`Event`]s (names cross window boundaries, so they
+//! * **Validated text.** Each refill validates the window as UTF-8
+//!   once; events are sliced out of that `String`, never re-checked. A
+//!   sequence the refill cut in two (at most 3 bytes) waits as bytes for
+//!   the next one. Bytes that can never be valid end the text for good
+//!   and are reported as [`ErrorKind::InvalidUtf8`] only when the scan
+//!   gets to them, so an error earlier in the document is reported
+//!   first.
+//! * **Safe cut.** While more input may follow, a scan sees the window
+//!   only up to its last `>`. No proper prefix of a markup opener or
+//!   closer (`<!-`, `<![CDA`, `<?xm`, `/`, `?`, …) ends in `>`, so the
+//!   scanner never mistakes a token the refill split for a malformed
+//!   one: short of its `>` it can only run out of input.
+//! * **Retry with more input.** [`ErrorKind::UnexpectedEof`] from such
+//!   a scan, or a character-data run that reaches the cut (it has no
+//!   terminator of its own), means the construct continues in the
+//!   unread input: the window is refilled — doubled, up to the cap, if
+//!   it was already full — and that one construct is scanned again.
+//!
+//! Events are owned [`Event`]s (the window shifts under them, so they
 //! cannot borrow). Error *kinds* are identical to the in-memory
 //! [`Reader`](crate::Reader)'s on every input and every chunk schedule —
 //! pinned by `tests/proptest_index.rs` — while error positions are
@@ -34,14 +43,9 @@
 
 use std::io::Read;
 
-use crate::atoms::Atom;
-use crate::cursor::{find_byte, Cursor, WS_BYTE};
+use crate::cursor::Cursor;
 use crate::error::{ErrorKind, Position, XmlError};
-use crate::reader::{
-    finish_text, parse_doctype, parse_end_tag_name, parse_pi_rest, parse_start_tag_into,
-    parse_xml_decl, Attribute, BorrowedAttr, Event,
-};
-use crate::tape::{EntryKind, StructEntry, TapeBuilder};
+use crate::reader::{finish_text, scan_construct, BorrowedEvent, Construct, Event};
 
 /// Default refill window: large enough that tag-dense documents spend
 /// their time parsing rather than shifting carry bytes, small enough
@@ -58,94 +62,6 @@ const MIN_WINDOW: usize = 16;
 /// comment or text run past this size is almost certainly a corrupt
 /// length or an adversarial stream, not metadata.
 pub const DEFAULT_MAX_WINDOW: usize = 64 * 1024 * 1024;
-
-/// Validates a byte range of the window as UTF-8, returning early with
-/// [`ErrorKind::InvalidUtf8`] otherwise. A macro rather than a method so
-/// the borrow is of `buf` alone, leaving the walker state free to
-/// mutate while the slice is live.
-macro_rules! segment {
-    ($self:ident, $from:expr, $to:expr) => {
-        match std::str::from_utf8(&$self.buf[$from..$to]) {
-            Ok(seg) => seg,
-            Err(e) => {
-                let at = $from + e.valid_up_to();
-                return Err(XmlError::new(
-                    ErrorKind::InvalidUtf8,
-                    window_position(&$self.buf[..$self.filled], at),
-                ));
-            }
-        }
-    };
-}
-
-/// Element-nesting state shared by the tape walk and the scanning
-/// fallback. Split out of [`StreamingReader`] so it can be borrowed
-/// mutably while a span slice borrows the window buffer.
-struct Walker {
-    open: Vec<Box<str>>,
-    /// A self-closing tag queued its synthetic end event (the name is
-    /// the top of `open`).
-    pending_end: bool,
-    seen_root: bool,
-    root_closed: bool,
-}
-
-impl Walker {
-    /// `pos` is a thunk so the happy path never pays for a line/column
-    /// computation — it is only forced on the error branch.
-    fn note_element_opened(&mut self, pos: impl FnOnce() -> Position) -> Result<(), XmlError> {
-        if self.open.is_empty() {
-            if self.root_closed {
-                return Err(XmlError::new(ErrorKind::ContentOutsideRoot, pos()));
-            }
-            self.seen_root = true;
-        }
-        Ok(())
-    }
-
-    fn note_element_closed(&mut self) {
-        if self.open.is_empty() {
-            self.root_closed = true;
-        }
-    }
-}
-
-/// Amortized window-relative line/column state: remembers how far the
-/// newline scan has progressed so the monotonically increasing queries
-/// of the hot event paths cost O(new bytes) overall rather than
-/// O(offset) each (the same memo [`Cursor`] keeps for the in-memory
-/// reader). Reset whenever the window shifts.
-struct LineTracker {
-    upto: usize,
-    line: u32,
-    last_nl: Option<usize>,
-}
-
-impl LineTracker {
-    fn new() -> Self {
-        LineTracker { upto: 0, line: 1, last_nl: None }
-    }
-
-    fn reset(&mut self) {
-        *self = LineTracker::new();
-    }
-
-    fn position(&mut self, live: &[u8], offset: usize) -> Position {
-        let upto = offset.min(live.len());
-        if upto < self.upto {
-            self.reset();
-        }
-        for (i, &b) in live[self.upto..upto].iter().enumerate() {
-            if b == b'\n' {
-                self.line += 1;
-                self.last_nl = Some(self.upto + i);
-            }
-        }
-        self.upto = upto;
-        let column = (upto - self.last_nl.map_or(0, |i| i + 1)) as u32 + 1;
-        Position { offset, line: self.line, column }
-    }
-}
 
 /// A pull parser over an incremental byte source with bounded peak
 /// memory.
@@ -164,25 +80,31 @@ impl LineTracker {
 /// ```
 pub struct StreamingReader<R> {
     source: R,
-    /// The window. `buf[..filled]` is live; `buf[..consumed]` has been
-    /// walked; `buf[..scanned]` is covered by the current tape.
-    buf: Vec<u8>,
-    filled: usize,
+    /// The window's validated text; `text[..consumed]` has been parsed.
+    text: String,
     consumed: usize,
-    scanned: usize,
-    /// Next tape entry to consider.
-    next: usize,
-    builder: TapeBuilder,
-    /// Refill target (grows only when a single construct outsizes it).
+    /// How far a scan may look: all of `text` once it ends where the
+    /// document does, until then just past its last `>`.
+    limit: usize,
+    /// Bytes read after `text` that are not valid UTF-8 yet: a sequence
+    /// the next refill completes, or, once `bad_utf8` is set, the byte
+    /// nothing can follow.
+    tail: Vec<u8>,
+    bad_utf8: bool,
+    /// Refill target (exceeded only while one construct outsizes it).
     window: usize,
-    /// Hard ceiling on `window` growth; exceeding it is a parse error.
+    /// Hard ceiling on window growth; exceeding it is a parse error.
     max_window: usize,
-    /// The source returned 0 bytes: `buf[..filled]` is the document tail.
+    /// The largest the window has been.
+    high_water: usize,
+    /// The source is exhausted: the window holds the document's tail.
     eof: bool,
-    /// Whether the current window has been scanned at all.
-    tape_valid: bool,
-    walker: Walker,
-    pos: LineTracker,
+    open: Vec<Box<str>>,
+    /// A self-closing tag queued its synthetic end event (the name is
+    /// the top of `open`).
+    pending_end: bool,
+    seen_root: bool,
+    root_closed: bool,
     produced_first: bool,
     done: bool,
 }
@@ -195,7 +117,7 @@ impl<R: Read> StreamingReader<R> {
 
     /// Streams `source` with an explicit refill window (clamped to a
     /// small minimum) and the default growth cap. Peak buffer memory is
-    /// `max(window, largest construct)`, construct size capped at
+    /// `max(window, largest construct through the next '>')`, capped at
     /// [`DEFAULT_MAX_WINDOW`].
     pub fn with_window(source: R, window: usize) -> Self {
         StreamingReader::with_limits(source, window, DEFAULT_MAX_WINDOW)
@@ -210,26 +132,21 @@ impl<R: Read> StreamingReader<R> {
     /// always hold at least one full refill.
     pub fn with_limits(source: R, window: usize, max_window: usize) -> Self {
         let window = window.max(MIN_WINDOW);
-        let max_window = max_window.max(window);
         StreamingReader {
             source,
-            buf: Vec::new(),
-            filled: 0,
+            text: String::new(),
             consumed: 0,
-            scanned: 0,
-            next: 0,
-            builder: TapeBuilder::new(),
+            limit: 0,
+            tail: Vec::new(),
+            bad_utf8: false,
             window,
-            max_window,
+            max_window: max_window.max(window),
+            high_water: window,
             eof: false,
-            tape_valid: false,
-            walker: Walker {
-                open: Vec::new(),
-                pending_end: false,
-                seen_root: false,
-                root_closed: false,
-            },
-            pos: LineTracker::new(),
+            open: Vec::new(),
+            pending_end: false,
+            seen_root: false,
+            root_closed: false,
             produced_first: false,
             done: false,
         }
@@ -238,7 +155,7 @@ impl<R: Read> StreamingReader<R> {
     /// The current window capacity in bytes (grows past the configured
     /// window only if a single construct exceeded it).
     pub fn window_capacity(&self) -> usize {
-        self.buf.len().max(self.window)
+        self.high_water
     }
 
     /// Parses and returns the next event. After [`Event::Eof`] every
@@ -253,60 +170,87 @@ impl<R: Read> StreamingReader<R> {
         if self.done {
             return Ok(Event::Eof);
         }
-        if self.walker.pending_end {
-            self.walker.pending_end = false;
-            let name = self
-                .walker
-                .open
-                .pop()
-                .expect("pending end without an open element");
-            self.walker.note_element_closed();
+        if self.pending_end {
+            self.pending_end = false;
+            let name = self.open.pop().expect("pending end without an open element");
+            self.root_closed = self.open.is_empty();
             return Ok(Event::EndElement { name: name.into() });
         }
         loop {
-            if !self.tape_valid {
+            // The window ends where the document does: what a scan
+            // finds there is final.
+            let complete = self.eof && !self.bad_utf8;
+            if self.consumed == self.limit {
+                if complete {
+                    return self.finish();
+                }
                 self.refill()?;
                 continue;
             }
-            // Discard entries the walker's authoritative position has
-            // already passed (spans consumed as part of a wider
-            // construct, e.g. a pathological XML declaration).
-            while let Some(e) = self.builder.entries().get(self.next) {
-                if (e.start as usize) < self.consumed {
-                    self.next += 1;
-                } else {
-                    break;
-                }
+            let base = self.consumed;
+            let mut cursor = Cursor::new(&self.text[base..self.limit]);
+            let mut attrs = Vec::new();
+            let scanned =
+                scan_construct(&mut cursor, &mut attrs, !self.produced_first, self.open.is_empty());
+            // Short of the document's end, running out of window is not
+            // an answer: character data has no terminator of its own, so
+            // a run that reaches the cut may go on, and so may whatever
+            // the scanner was in the middle of.
+            let ran_out = match &scanned {
+                Ok(Construct::Text { .. }) => cursor.is_at_end(),
+                Ok(_) => false,
+                Err(err) => matches!(err.kind(), ErrorKind::UnexpectedEof { .. }),
+            };
+            if ran_out && !complete {
+                self.refill()?;
+                continue;
             }
-            match self.builder.entries().get(self.next).copied() {
-                Some(e) if e.start as usize == self.consumed => {
-                    self.next += 1;
-                    if let Some(event) = self.walk_entry(e)? {
-                        return Ok(event);
-                    }
-                    // Inter-construct whitespace consumed, or a retry
-                    // was scheduled; keep going.
-                }
-                Some(_) => {
-                    // Gap: the cursor landed inside a span the delimiter
-                    // scan mis-sized. Parse one construct by scanning.
-                    if let Some(event) = self.walk_gap()? {
-                        return Ok(event);
-                    }
-                }
-                None => {
-                    if self.consumed < self.scanned {
-                        if let Some(event) = self.walk_gap()? {
-                            return Ok(event);
+            let construct = scanned.map_err(|err| self.rebase(err, base))?;
+            self.produced_first = true;
+            self.consumed = base + cursor.offset();
+            return Ok(match construct {
+                Construct::Whitespace => continue,
+                Construct::XmlDecl(decl) => Event::XmlDecl(decl),
+                Construct::Text { raw, pos } => match finish_text(raw, pos) {
+                    Ok(text) => Event::Text(text.into_owned()),
+                    Err(err) => return Err(self.rebase(err, base)),
+                },
+                Construct::Comment(body) => Event::Comment(body.to_owned()),
+                Construct::CData(body) => Event::CData(body.to_owned()),
+                Construct::Doctype(body) => Event::Doctype(body.to_owned()),
+                Construct::Pi { target, data } => Event::ProcessingInstruction {
+                    target: target.to_owned(),
+                    data: data.to_owned(),
+                },
+                Construct::Start { name, self_closing } => {
+                    if self.open.is_empty() {
+                        if self.root_closed {
+                            return Err(self.error_at(ErrorKind::ContentOutsideRoot, self.consumed));
                         }
-                        continue;
+                        self.seen_root = true;
                     }
-                    if self.at_document_end() {
-                        return self.finish();
-                    }
-                    self.refill()?;
+                    self.open.push(name.into());
+                    self.pending_end = self_closing;
+                    BorrowedEvent::StartElement { name, attributes: &attrs }.to_owned_event()
                 }
-            }
+                Construct::End { name, .. } => match self.open.pop() {
+                    Some(expected) if *expected == *name => {
+                        self.root_closed = self.open.is_empty();
+                        Event::EndElement { name: name.to_owned() }
+                    }
+                    Some(expected) => {
+                        let kind = ErrorKind::MismatchedTag {
+                            expected: expected.into(),
+                            found: name.to_owned(),
+                        };
+                        return Err(self.error_at(kind, base));
+                    }
+                    None => {
+                        let kind = ErrorKind::UnmatchedCloseTag { name: name.to_owned() };
+                        return Err(self.error_at(kind, base));
+                    }
+                },
+            });
         }
     }
 
@@ -326,394 +270,85 @@ impl<R: Read> StreamingReader<R> {
         }
     }
 
-    /// Whether the walker has reached the end of the final window.
-    fn at_document_end(&self) -> bool {
-        self.eof && self.consumed == self.filled
-    }
-
-    /// Whether an `UnexpectedEof` from a window-bounded parse means "the
-    /// construct continues past the window" rather than a document
-    /// error.
-    fn may_extend(&self, kind: &ErrorKind) -> bool {
-        matches!(kind, ErrorKind::UnexpectedEof { .. })
-            && !(self.eof && self.scanned == self.filled)
-    }
-
-    /// Shifts out walked bytes, tops the window up from the source, and
-    /// rescans. Grows the window only when a construct spans it whole.
+    /// Fetches more input for a scan that ran out of window: shifts out
+    /// the parsed bytes, tops the window up from the source — doubled,
+    /// up to the cap, if it was already full — and validates it.
     fn refill(&mut self) -> Result<(), XmlError> {
-        loop {
-            if self.consumed > 0 {
-                self.buf.copy_within(self.consumed..self.filled, 0);
-                self.filled -= self.consumed;
-                self.consumed = 0;
-            }
-            let mut target = self.window.max(self.filled);
-            if self.filled == target && !self.eof {
-                // A full window with no walkable progress: the current
-                // construct spans the whole window, so grow — but never
-                // past the cap. A construct the cap cannot hold is a
-                // parse error, not a license to eat memory.
-                let grown = target.saturating_mul(2).min(self.max_window);
-                if grown <= target {
-                    let pos = window_position(&self.buf[..self.filled], self.filled);
-                    return Err(XmlError::new(
-                        ErrorKind::ConstructTooLarge { limit: self.max_window },
-                        pos,
-                    ));
-                }
-                target = grown;
-            }
-            if self.buf.len() < target {
-                self.buf.resize(target, 0);
-            }
-            while !self.eof && self.filled < target {
-                match self.source.read(&mut self.buf[self.filled..target]) {
-                    Ok(0) => self.eof = true,
-                    Ok(n) => self.filled += n,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(e) => {
-                        let pos = window_position(&self.buf[..self.filled], self.filled);
-                        return Err(XmlError::custom(format!("read error: {e}"), pos));
-                    }
-                }
-            }
-            self.scanned = self.builder.scan(&self.buf[..self.filled], !self.eof);
-            self.next = 0;
-            self.tape_valid = true;
-            // The shift invalidated window coordinates.
-            self.pos.reset();
-            // Progress check: a non-final window whose first construct
-            // is incomplete yields no spans; grow and read more.
-            if self.scanned == 0 && !self.eof && self.filled > 0 {
-                continue;
-            }
-            return Ok(());
+        if self.bad_utf8 {
+            // The scan has reached the bytes no read can make valid.
+            return Err(self.error_at(ErrorKind::InvalidUtf8, self.text.len()));
         }
-    }
-
-    /// Schedules a retry of the current construct with more input: the
-    /// window is refilled (keeping `consumed`) on the next loop turn.
-    fn retry_with_more_input(&mut self) {
-        self.tape_valid = false;
-    }
-
-    /// Re-bases a segment-relative error onto window coordinates.
-    fn rebase(&self, err: XmlError, base: usize) -> XmlError {
-        let pos = window_position(&self.buf[..self.filled], base + err.position().offset);
-        XmlError::new(err.kind().clone(), pos)
-    }
-
-    /// Walks one complete tape entry. Returns `Ok(None)` when no event
-    /// was produced (top-level whitespace consumed, or a retry with
-    /// more input was scheduled).
-    fn walk_entry(&mut self, e: StructEntry) -> Result<Option<Event>, XmlError> {
-        let start = e.start as usize;
-        let end = e.range().end;
-
-        // The XML declaration is only legal as the very first bytes of
-        // the document. Parse it with an open-ended cursor: its true
-        // extent can exceed the tape's span when a quoted value contains
-        // "?>", so the walker's position is authoritative afterwards.
-        if !self.produced_first {
-            let rest = &self.buf[self.consumed..self.scanned];
-            if rest.starts_with(b"<?xml")
-                && rest.get(5).is_some_and(|&b| WS_BYTE[b as usize] || b == b'?')
-            {
-                let base = self.consumed;
-                let seg = segment!(self, base, self.scanned);
-                let mut cursor = Cursor::new(seg);
-                match parse_xml_decl(&mut cursor) {
-                    Ok(decl) => {
-                        let new_consumed = base + cursor.offset();
-                        self.produced_first = true;
-                        self.consumed = new_consumed;
-                        return Ok(Some(Event::XmlDecl(decl)));
-                    }
-                    Err(err) if self.may_extend(err.kind()) => {
-                        self.retry_with_more_input();
-                        return Ok(None);
-                    }
-                    Err(err) => return Err(self.rebase(err, base)),
-                }
+        let carry = self.text.len() - self.consumed + self.tail.len();
+        let mut target = self.window;
+        if carry >= target {
+            // A full window with nothing parseable in it: one construct
+            // spans it whole, so grow — but never past the cap. A
+            // construct the cap cannot hold is a parse error, not a
+            // license to eat memory.
+            target = carry.saturating_mul(2).min(self.max_window);
+            if target <= carry {
+                let kind = ErrorKind::ConstructTooLarge { limit: self.max_window };
+                return Err(self.error_at(kind, self.text.len()));
             }
-            self.produced_first = true;
         }
+        self.high_water = self.high_water.max(target);
 
-        match e.kind {
-            EntryKind::Text => {
-                let raw = segment!(self, start, end);
-                if self.walker.open.is_empty() {
-                    // Between top-level constructs only whitespace is
-                    // legal character data.
-                    if !raw.bytes().all(|b| WS_BYTE[b as usize]) {
-                        let pos = window_position(&self.buf[..self.filled], start);
-                        return Err(XmlError::new(ErrorKind::ContentOutsideRoot, pos));
-                    }
-                    self.consumed = end;
-                    return Ok(None);
-                }
-                let pos = self.pos.position(&self.buf[..self.filled], start);
-                let text = finish_text(raw, pos)?.into_owned();
-                self.consumed = end;
-                Ok(Some(Event::Text(text)))
-            }
-            EntryKind::Comment => {
-                let seg = segment!(self, start, end);
-                let body = seg[4..seg.len() - 3].to_owned();
-                self.consumed = end;
-                Ok(Some(Event::Comment(body)))
-            }
-            EntryKind::CData => {
-                if self.walker.open.is_empty() {
-                    let pos = window_position(&self.buf[..self.filled], start + 9);
-                    return Err(XmlError::new(ErrorKind::ContentOutsideRoot, pos));
-                }
-                let seg = segment!(self, start, end);
-                let body = seg[9..seg.len() - 3].to_owned();
-                self.consumed = end;
-                Ok(Some(Event::CData(body)))
-            }
-            EntryKind::Doctype => {
-                let seg = segment!(self, start, end);
-                let body = seg[9..seg.len() - 1].trim().to_owned();
-                self.consumed = end;
-                Ok(Some(Event::Doctype(body)))
-            }
-            EntryKind::Pi => {
-                let seg = segment!(self, start, end);
-                let mut cursor = Cursor::new(seg);
-                cursor.advance(2);
-                let (target, data) = match parse_pi_rest(&mut cursor) {
-                    Ok(parts) => parts,
-                    Err(err) => return Err(self.rebase(err, start)),
-                };
-                let event = Event::ProcessingInstruction {
-                    target: target.to_owned(),
-                    data: data.to_owned(),
-                };
-                self.consumed = end;
-                Ok(Some(event))
-            }
-            EntryKind::StartTag | EntryKind::EmptyTag => {
-                let seg = segment!(self, start, end);
-                let mut cursor = Cursor::new(seg);
-                let mut attrs: Vec<BorrowedAttr<'_>> = Vec::new();
-                let tag = match parse_start_tag_into(&mut cursor, &mut attrs) {
-                    Ok(tag) => tag,
-                    Err(err) => return Err(self.rebase(err, start)),
-                };
-                let attributes = attrs
-                    .iter()
-                    .map(|a| Attribute {
-                        name: Atom::new(a.name),
-                        value: a.value.as_ref().to_owned(),
-                    })
-                    .collect();
-                let name = tag.name.to_owned();
-                let self_closing = tag.self_closing;
-                self.consumed = end;
-                self.walker
-                    .note_element_opened(|| window_position(&self.buf[..self.filled], end))?;
-                self.walker.open.push(name.clone().into_boxed_str());
-                self.walker.pending_end = self_closing;
-                Ok(Some(Event::StartElement { name, attributes }))
-            }
-            EntryKind::EndTag => {
-                let seg = segment!(self, start, end);
-                let mut cursor = Cursor::new(seg);
-                let name = match parse_end_tag_name(&mut cursor) {
-                    Ok(name) => name.to_owned(),
-                    Err(err) => return Err(self.rebase(err, start)),
-                };
-                match self.walker.open.pop() {
-                    Some(expected) if *expected == *name => {
-                        self.consumed = end;
-                        self.walker.note_element_closed();
-                        Ok(Some(Event::EndElement { name }))
-                    }
-                    Some(expected) => Err(XmlError::new(
-                        ErrorKind::MismatchedTag {
-                            expected: expected.into(),
-                            found: name,
-                        },
-                        window_position(&self.buf[..self.filled], start),
-                    )),
-                    None => Err(XmlError::new(
-                        ErrorKind::UnmatchedCloseTag { name },
-                        window_position(&self.buf[..self.filled], start),
-                    )),
-                }
-            }
-            // Only emitted on the final window: replay the construct
-            // through the scanning dispatch for the exact truncation
-            // error (or, for pathological inputs, the exact event).
-            EntryKind::Incomplete => self.walk_gap(),
-        }
-    }
+        let mut bytes = std::mem::take(&mut self.text).into_bytes();
+        bytes.drain(..self.consumed);
+        bytes.append(&mut self.tail);
+        self.consumed = 0;
+        self.limit = 0;
+        let want = target - bytes.len();
+        bytes.reserve_exact(want);
+        let got = (&mut self.source)
+            .take(want as u64)
+            .read_to_end(&mut bytes)
+            .map_err(|e| {
+                let pos = window_position(&bytes, bytes.len());
+                XmlError::custom(format!("read error: {e}"), pos)
+            })?;
+        self.eof = got < want;
 
-    /// Parses one construct the scanning reader's way, starting at the
-    /// walker's position, without tape assistance. Used for truncated
-    /// trailing constructs and for the rare spans the delimiter scan
-    /// mis-sized.
-    fn walk_gap(&mut self) -> Result<Option<Event>, XmlError> {
-        let base = self.consumed;
-        let seg = segment!(self, base, self.scanned);
-        let mut cursor = Cursor::new(seg);
-        match scan_one(&mut self.walker, &mut cursor) {
-            Ok(outcome) => {
-                // A construct that ran to the very end of the scanned
-                // region may continue in the unread input: retry with
-                // more data rather than emit a truncated event.
-                if cursor.offset() == seg.len() && !(self.eof && self.scanned == self.filled) {
-                    self.retry_with_more_input();
-                    return Ok(None);
-                }
-                let new_consumed = base + cursor.offset();
-                self.consumed = new_consumed;
-                match outcome {
-                    ScanOutcome::Event(event) => Ok(Some(event)),
-                    ScanOutcome::Whitespace => Ok(None),
-                    ScanOutcome::Opened {
-                        name,
-                        attributes,
-                        self_closing,
-                    } => {
-                        self.walker.note_element_opened(|| {
-                            window_position(&self.buf[..self.filled], new_consumed)
-                        })?;
-                        self.walker.open.push(name.clone().into_boxed_str());
-                        self.walker.pending_end = self_closing;
-                        Ok(Some(Event::StartElement { name, attributes }))
-                    }
-                }
+        match String::from_utf8(bytes) {
+            Ok(text) => self.text = text,
+            Err(e) => {
+                let error = e.utf8_error();
+                let mut bytes = e.into_bytes();
+                self.tail = bytes.split_off(error.valid_up_to());
+                // Invalid outright, or a sequence the end of input cut.
+                self.bad_utf8 = error.error_len().is_some() || self.eof;
+                self.text = String::from_utf8(bytes).expect("split at the end of the valid prefix");
             }
-            Err(err) if self.may_extend(err.kind()) => {
-                self.retry_with_more_input();
-                Ok(None)
-            }
-            Err(err) => Err(self.rebase(err, base)),
         }
+        self.limit = if self.eof && !self.bad_utf8 {
+            self.text.len()
+        } else {
+            self.text.rfind('>').map_or(0, |at| at + 1)
+        };
+        Ok(())
     }
 
     fn finish(&mut self) -> Result<Event, XmlError> {
-        let pos = window_position(&self.buf[..self.filled], self.consumed);
-        if let Some(name) = self.walker.open.last() {
-            return Err(XmlError::new(
-                ErrorKind::UnclosedElement {
-                    name: name.to_string(),
-                },
-                pos,
-            ));
+        if let Some(name) = self.open.last() {
+            let kind = ErrorKind::UnclosedElement { name: name.to_string() };
+            return Err(self.error_at(kind, self.consumed));
         }
-        if !self.walker.seen_root {
-            return Err(XmlError::new(ErrorKind::NoRootElement, pos));
+        if !self.seen_root {
+            return Err(self.error_at(ErrorKind::NoRootElement, self.consumed));
         }
         self.done = true;
         Ok(Event::Eof)
     }
-}
 
-/// The result of parsing one construct by scanning: an event, silently
-/// consumed top-level whitespace, or an element opening whose stack
-/// bookkeeping the caller performs (so retries stay side-effect free).
-enum ScanOutcome {
-    Event(Event),
-    Whitespace,
-    Opened {
-        name: String,
-        attributes: Vec<Attribute>,
-        self_closing: bool,
-    },
-}
+    fn error_at(&self, kind: ErrorKind, offset: usize) -> XmlError {
+        XmlError::new(kind, window_position(self.text.as_bytes(), offset))
+    }
 
-/// The scanning reader's per-call dispatch (text or markup) over a
-/// window cursor, with segment-relative error positions. Mirrors
-/// `Reader::next_borrowed`'s dispatch order exactly so truncation
-/// errors land on the same kinds.
-fn scan_one(walker: &mut Walker, cursor: &mut Cursor<'_>) -> Result<ScanOutcome, XmlError> {
-    if cursor.peek_byte() != Some(b'<') {
-        let pos = cursor.position();
-        let rest = cursor.rest();
-        let end = find_byte(rest.as_bytes(), b'<').unwrap_or(rest.len());
-        let raw = &rest[..end];
-        if walker.open.is_empty() {
-            if !raw.bytes().all(|b| WS_BYTE[b as usize]) {
-                return Err(XmlError::new(ErrorKind::ContentOutsideRoot, pos));
-            }
-            cursor.advance(end);
-            return Ok(ScanOutcome::Whitespace);
-        }
-        let text = finish_text(raw, pos)?.into_owned();
-        cursor.advance(end);
-        return Ok(ScanOutcome::Event(Event::Text(text)));
+    /// Re-bases an error whose position is relative to a scan that
+    /// started at `base` onto window coordinates.
+    fn rebase(&self, err: XmlError, base: usize) -> XmlError {
+        self.error_at(err.kind().clone(), base + err.position().offset)
     }
-    if cursor.eat("<!--") {
-        let body = cursor.take_until("-->", "'-->' closing a comment")?;
-        return Ok(ScanOutcome::Event(Event::Comment(body.to_owned())));
-    }
-    if cursor.eat("<![CDATA[") {
-        if walker.open.is_empty() {
-            return Err(XmlError::new(
-                ErrorKind::ContentOutsideRoot,
-                cursor.position(),
-            ));
-        }
-        let body = cursor.take_until("]]>", "']]>' closing CDATA")?;
-        return Ok(ScanOutcome::Event(Event::CData(body.to_owned())));
-    }
-    if cursor.rest_bytes().starts_with(b"<!DOCTYPE") {
-        return Ok(ScanOutcome::Event(Event::Doctype(
-            parse_doctype(cursor)?.to_owned(),
-        )));
-    }
-    if cursor.rest_bytes().starts_with(b"<?") {
-        cursor.advance(2);
-        let (target, data) = parse_pi_rest(cursor)?;
-        return Ok(ScanOutcome::Event(Event::ProcessingInstruction {
-            target: target.to_owned(),
-            data: data.to_owned(),
-        }));
-    }
-    if cursor.rest_bytes().starts_with(b"</") {
-        let pos = cursor.position();
-        let name = parse_end_tag_name(cursor)?;
-        return match walker.open.pop() {
-            Some(expected) if *expected == *name => {
-                walker.note_element_closed();
-                Ok(ScanOutcome::Event(Event::EndElement {
-                    name: name.to_owned(),
-                }))
-            }
-            Some(expected) => Err(XmlError::new(
-                ErrorKind::MismatchedTag {
-                    expected: expected.into(),
-                    found: name.to_owned(),
-                },
-                pos,
-            )),
-            None => Err(XmlError::new(
-                ErrorKind::UnmatchedCloseTag {
-                    name: name.to_owned(),
-                },
-                pos,
-            )),
-        };
-    }
-    let mut attrs: Vec<BorrowedAttr<'_>> = Vec::new();
-    let tag = parse_start_tag_into(cursor, &mut attrs)?;
-    let attributes = attrs
-        .iter()
-        .map(|a| Attribute {
-            name: Atom::new(a.name),
-            value: a.value.as_ref().to_owned(),
-        })
-        .collect();
-    Ok(ScanOutcome::Opened {
-        name: tag.name.to_owned(),
-        attributes,
-        self_closing: tag.self_closing,
-    })
 }
 
 /// A window-relative position: line/column computed over the current
@@ -721,20 +356,9 @@ fn scan_one(walker: &mut Walker, cursor: &mut Cursor<'_>) -> Result<ScanOutcome,
 /// streaming reader). Only reached on error paths.
 fn window_position(live: &[u8], offset: usize) -> Position {
     let upto = offset.min(live.len());
-    let mut line = 1u32;
-    let mut last_nl = None;
-    for (i, &b) in live[..upto].iter().enumerate() {
-        if b == b'\n' {
-            line += 1;
-            last_nl = Some(i);
-        }
-    }
-    let column = (upto - last_nl.map_or(0, |i| i + 1)) as u32 + 1;
-    Position {
-        offset,
-        line,
-        column,
-    }
+    let line = 1 + live[..upto].iter().filter(|&&b| b == b'\n').count() as u32;
+    let line_start = live[..upto].iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    Position { offset, line, column: (upto - line_start) as u32 + 1 }
 }
 
 #[cfg(test)]
@@ -812,6 +436,14 @@ mod tests {
             "<a>&unknown;</a>",
             "<a><![CDATA[big ]] almost ]]>done</a>",
             "<?pi?><a/><?pi2 data?>",
+            "<h\u{e9}llo attr-\u{fc}=\"w\u{f6}rld\">\u{fc}n\u{ef}code</h\u{e9}llo>",
+            "<a/></b>",
+            "<a x=\"1<2\"/>",
+            "<1a/>",
+            "<a>t<![CDATA[x",
+            "<!-",
+            "<",
+            "<![CDATA[x]]>",
         ];
         for doc in docs {
             for window in [16, 23, 64, 4096] {

@@ -1,28 +1,20 @@
-//! Differential property tests for the structural-index ingest path.
+//! Differential property tests for the bounded-memory streaming path.
 //!
-//! The tape-backed [`IndexReader`] and the bounded-memory
-//! [`StreamingReader`] must produce exactly the event stream of the
-//! scanning [`Reader`] — on serialized trees, on markup soup, and on
-//! truncated prefixes — and the streaming reader must do so under every
-//! chunk-split schedule: reads that split tags, entities, multi-byte
-//! UTF-8 sequences and closing delimiters at arbitrary byte offsets.
-//! Error *kinds* must agree; positions are not compared (the index
-//! reader scans lazily and the streaming reader reports window-relative
-//! positions).
+//! The [`StreamingReader`] must produce exactly the event stream of the
+//! in-memory [`Reader`] — on serialized trees, on markup soup, and on
+//! truncated prefixes — under every chunk-split schedule: reads that
+//! split tags, entities, multi-byte UTF-8 sequences and closing
+//! delimiters at arbitrary byte offsets. Error *kinds* must agree;
+//! positions are not compared (the streaming reader reports
+//! window-relative positions).
 
 use std::io::Read;
 
 use proptest::prelude::*;
-use xmlparse::{Element, Event, IndexReader, Reader, StreamingReader, TapeBuilder, Writer, XmlError};
+use xmlparse::{Element, Event, Reader, StreamingReader, Writer, XmlError};
 
 fn reference_events(input: &str) -> Result<Vec<Event>, XmlError> {
     Reader::new(input).collect_events()
-}
-
-fn index_events(input: &str) -> Result<Vec<Event>, XmlError> {
-    let mut builder = TapeBuilder::new();
-    let tape = builder.build(input);
-    IndexReader::new(input, tape).collect_events()
 }
 
 /// A byte source that honours an arbitrary split schedule: the n-th
@@ -100,12 +92,10 @@ fn assert_matches_reference(
     }
 }
 
-/// Runs all three readers over `input` and checks both index-backed
-/// paths against the scanning reader, streaming under the given
-/// window/split schedule.
+/// Runs both readers over `input` and checks the streaming one, under
+/// the given window/split schedule, against the in-memory one.
 fn assert_all_agree(input: &str, window: usize, splits: Vec<usize>) {
     let reference = reference_events(input);
-    assert_matches_reference("index", input, index_events(input), &reference);
     assert_matches_reference(
         "streaming",
         input,
@@ -216,7 +206,7 @@ fn splits_strategy() -> impl Strategy<Value = Vec<usize>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// All three readers yield identical event streams for serialized
+    /// Both readers yield identical event streams for serialized
     /// trees, whatever the window size and read-split schedule.
     #[test]
     fn readers_agree_on_wellformed_documents(
@@ -245,9 +235,7 @@ proptest! {
     }
 
     /// Truncating a valid document at every char boundary must produce
-    /// the same error kind from every reader (tape Incomplete-entry
-    /// replay and streaming EOF handling both funnel into the scanning
-    /// dispatch).
+    /// the same error kind from both readers.
     #[test]
     fn truncated_inputs_error_identically(el in element_strategy()) {
         let xml = Writer::compact().element_to_string(&el);
