@@ -1,10 +1,138 @@
 //! The C struct layout algorithm: `sizeof`, `alignof`, field offsets.
 
-use crate::arch::{Architecture, SizeAlign};
-use crate::ctype::{ArrayLen, CType, StructField, StructType};
-#[cfg(test)]
-use crate::ctype::Primitive;
+use std::collections::HashSet;
+
+use crate::arch::{Architecture, Endianness, SizeAlign};
+use crate::ctype::{ArrayLen, CType, Primitive, StructField, StructType};
 use crate::error::LayoutError;
+
+/// How one primitive is stored on one architecture — width,
+/// signedness, float-ness and byte order resolved once into a small
+/// `Copy` code, so compiled plans ([`EncodePlan`](crate::image::EncodePlan),
+/// pbio's view plan) read and write scalars without consulting the
+/// [`Architecture`] again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScalarCode {
+    pub(crate) kind: ScalarKind,
+    /// Stored width in bytes: 1, 2, 4 or 8.
+    width: u8,
+    big_endian: bool,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ScalarKind {
+    Int,
+    UInt,
+    Float,
+}
+
+/// One decoded scalar: integers widened to 64 bits, `float` to `f64`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Scalar {
+    /// A signed integer, sign-extended from its stored width.
+    Int(i64),
+    /// An unsigned integer.
+    UInt(u64),
+    /// A floating-point number.
+    Float(f64),
+}
+
+/// The `N` bytes at `at`. Panics out of bounds, like slice indexing;
+/// callers verify extents first.
+#[inline(always)]
+fn bytes_at<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
+    bytes[at..at + N].try_into().expect("the range is N bytes long")
+}
+
+impl ScalarCode {
+    /// The code for `prim` as `arch` stores it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arch` gives the primitive a width other than 1, 2, 4
+    /// or 8 bytes (4 or 8 for floats); no such machine is modelled.
+    pub fn of(prim: Primitive, arch: &Architecture) -> ScalarCode {
+        let size = arch.primitive(prim).size;
+        let kind = if prim.is_float() {
+            assert!(matches!(size, 4 | 8), "no scalar code for a {size}-byte {prim}");
+            ScalarKind::Float
+        } else if prim.is_signed_integer() {
+            ScalarKind::Int
+        } else {
+            ScalarKind::UInt
+        };
+        ScalarCode { kind, ..ScalarCode::unsigned(size, arch.endianness) }
+    }
+
+    /// The code of a `size`-byte unsigned slot (pointer slots, unsigned
+    /// primitives).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `size` is not 1, 2, 4 or 8.
+    pub fn unsigned(size: usize, endianness: Endianness) -> ScalarCode {
+        assert!(matches!(size, 1 | 2 | 4 | 8), "no scalar code for a {size}-byte integer");
+        ScalarCode {
+            kind: ScalarKind::UInt,
+            width: size as u8,
+            big_endian: endianness == Endianness::Big,
+        }
+    }
+
+    /// Stored width in bytes.
+    pub fn size(self) -> usize {
+        usize::from(self.width)
+    }
+
+    /// Decodes the scalar stored at `at`: one width-sized load in the
+    /// stored byte order, then a sign extension or float widening.
+    ///
+    /// # Panics
+    ///
+    /// Panics out of bounds; callers verify extents first.
+    #[inline(always)]
+    pub fn read(self, bytes: &[u8], at: usize) -> Scalar {
+        let big = self.big_endian;
+        let raw: u64 = match self.width {
+            1 => bytes[at].into(),
+            2 if big => u16::from_be_bytes(bytes_at(bytes, at)).into(),
+            2 => u16::from_le_bytes(bytes_at(bytes, at)).into(),
+            4 if big => u32::from_be_bytes(bytes_at(bytes, at)).into(),
+            4 => u32::from_le_bytes(bytes_at(bytes, at)).into(),
+            _ if big => u64::from_be_bytes(bytes_at(bytes, at)),
+            _ => u64::from_le_bytes(bytes_at(bytes, at)),
+        };
+        match self.kind {
+            ScalarKind::UInt => Scalar::UInt(raw),
+            ScalarKind::Int => {
+                let shift = 64 - 8 * u32::from(self.width);
+                Scalar::Int(((raw << shift) as i64) >> shift)
+            }
+            ScalarKind::Float if self.width == 4 => {
+                Scalar::Float(f32::from_bits(raw as u32).into())
+            }
+            ScalarKind::Float => Scalar::Float(f64::from_bits(raw)),
+        }
+    }
+
+    /// Stores the low [`size`](Self::size) bytes of `raw` (an integer's
+    /// two's-complement bits, or a float's IEEE bits) at `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics out of bounds; callers size buffers from layout data.
+    #[inline(always)]
+    pub fn write_raw(self, buf: &mut [u8], at: usize, raw: u64) {
+        let big = self.big_endian;
+        let (le, be) = (raw.to_le_bytes(), raw.to_be_bytes());
+        match self.width {
+            1 => buf[at] = le[0],
+            2 => buf[at..at + 2].copy_from_slice(if big { &be[6..] } else { &le[..2] }),
+            4 => buf[at..at + 4].copy_from_slice(if big { &be[4..] } else { &le[..4] }),
+            _ => buf[at..at + 8].copy_from_slice(if big { &be } else { &le }),
+        }
+    }
+}
 
 /// The placement of one field inside a laid-out struct.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,8 +163,7 @@ pub struct Layout {
 }
 
 impl Layout {
-    /// Computes the size and alignment of any [`CType`] under `arch`,
-    /// without validating struct-level constraints.
+    /// Computes the size and alignment of any [`CType`] under `arch`.
     ///
     /// # Errors
     ///
@@ -59,35 +186,36 @@ impl Layout {
                     ArrayLen::CountField(_) => Ok(arch.pointer),
                 }
             }
-            CType::Struct(st) => {
-                let layout = Layout::of_struct(st, arch)?;
-                Ok(SizeAlign { size: layout.size, align: layout.align })
-            }
+            CType::Struct(st) => Layout::place(st, arch, |_, _, _| Ok(())),
         }
     }
 
-    /// Lays out `st` on `arch` using the standard C algorithm: each field
-    /// is placed at the next offset aligned to its requirement, and the
-    /// total size is padded up to the struct's own alignment.
+    /// Places `st`'s fields on `arch` using the standard C algorithm —
+    /// each field at the next offset aligned to its requirement, the
+    /// total size padded up to the struct's own alignment — handing
+    /// `slot` every field with its offset and size/alignment in
+    /// declaration order (an error from `slot` ends the walk), and
+    /// returns the struct's own size and alignment. Allocates nothing:
+    /// this is the walk behind [`of_struct`](Self::of_struct) and behind
+    /// every compiled plan.
     ///
-    /// Also validates the metadata-level constraints the paper's tool
-    /// enforced: unique field names, no arrays of arrays, and every
-    /// count-field reference naming an integer field of the same struct.
+    /// Only the walk: names and count-field references are checked by
+    /// [`of_struct`](Self::of_struct) (and `EncodePlan::new`) before they
+    /// walk, so hand this a struct type one of them has accepted.
     ///
     /// # Errors
     ///
-    /// See [`LayoutError`]; nothing is reported for an empty struct,
-    /// which (as in C with the usual extension) has size 0.
-    pub fn of_struct(st: &StructType, arch: &Architecture) -> Result<Layout, LayoutError> {
+    /// [`LayoutError::NestedArray`], and whatever `slot` reports; nothing
+    /// is reported for an empty struct, which (as in C with the usual
+    /// extension) has size 0.
+    pub fn place(
+        st: &StructType,
+        arch: &Architecture,
+        mut slot: impl FnMut(&StructField, usize, SizeAlign) -> Result<(), LayoutError>,
+    ) -> Result<SizeAlign, LayoutError> {
         let mut offset = 0usize;
         let mut max_align = 1usize;
-        let mut fields = Vec::with_capacity(st.fields.len());
-
-        for (idx, field) in st.fields.iter().enumerate() {
-            if st.fields[..idx].iter().any(|f| f.name == field.name) {
-                return Err(LayoutError::DuplicateField { name: field.name.clone() });
-            }
-            validate_field(field, st)?;
+        for field in &st.fields {
             let sa = Layout::size_align(&field.ty, arch).map_err(|e| match e {
                 LayoutError::NestedArray { .. } => {
                     LayoutError::NestedArray { field: field.name.clone() }
@@ -95,6 +223,47 @@ impl Layout {
                 other => other,
             })?;
             offset = align_up(offset, sa.align);
+            slot(field, offset, sa)?;
+            offset += sa.size;
+            max_align = max_align.max(sa.align);
+        }
+        Ok(SizeAlign { size: align_up(offset, max_align), align: max_align })
+    }
+
+    /// Checks the metadata-level constraints the paper's tool enforced,
+    /// in `st` and in every struct nested in it: unique field names, no
+    /// arrays of arrays, and every count-field reference naming an
+    /// integer field of the same struct. None depends on the
+    /// architecture.
+    ///
+    /// # Errors
+    ///
+    /// See [`LayoutError`].
+    pub(crate) fn validate(st: &StructType) -> Result<(), LayoutError> {
+        check_unique_names(st)?;
+        for field in &st.fields {
+            validate_field(field, st)?;
+            let inner = match &field.ty {
+                CType::Array { elem, .. } => elem,
+                other => other,
+            };
+            if let CType::Struct(inner) = inner {
+                Layout::validate(inner)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Lays out `st` on `arch`: validates it, then walks it with
+    /// [`place`](Self::place), recording every field's placement.
+    ///
+    /// # Errors
+    ///
+    /// See [`LayoutError`].
+    pub fn of_struct(st: &StructType, arch: &Architecture) -> Result<Layout, LayoutError> {
+        Layout::validate(st)?;
+        let mut fields = Vec::with_capacity(st.fields.len());
+        let SizeAlign { size, align } = Layout::place(st, arch, |field, offset, sa| {
             fields.push(FieldLayout {
                 name: field.name.clone(),
                 offset,
@@ -102,11 +271,9 @@ impl Layout {
                 align: sa.align,
                 ty: field.ty.clone(),
             });
-            offset += sa.size;
-            max_align = max_align.max(sa.align);
-        }
-
-        Ok(Layout { size: align_up(offset, max_align), align: max_align, fields })
+            Ok(())
+        })?;
+        Ok(Layout { size, align, fields })
     }
 
     /// Finds a field layout by name.
@@ -118,6 +285,27 @@ impl Layout {
     pub fn padding(&self) -> usize {
         let used: usize = self.fields.iter().map(|f| f.size).sum();
         self.size - used
+    }
+}
+
+/// Sibling counts up to this are checked for a repeated name by
+/// scanning: allocation-free, and faster than hashing on the structs
+/// messages actually have. Wider structs pay for one set.
+const NAME_SCAN_LIMIT: usize = 32;
+
+/// Reports the first field name `st` declares twice.
+fn check_unique_names(st: &StructType) -> Result<(), LayoutError> {
+    let mut seen = HashSet::new();
+    let repeated = st.fields.iter().enumerate().find(|(idx, field)| {
+        if st.fields.len() <= NAME_SCAN_LIMIT {
+            st.fields[..*idx].iter().any(|earlier| earlier.name == field.name)
+        } else {
+            !seen.insert(field.name.as_str())
+        }
+    });
+    match repeated {
+        Some((_, field)) => Err(LayoutError::DuplicateField { name: field.name.clone() }),
+        None => Ok(()),
     }
 }
 

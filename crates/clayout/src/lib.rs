@@ -17,9 +17,11 @@
 //!   count-field dynamic arrays, and nested structs.
 //! * [`Layout`] computes `sizeof`/`alignof`/field offsets with the
 //!   standard C struct layout algorithm, including compiler padding.
-//! * [`image`] builds and reads *native byte images*: the exact bytes a C
-//!   struct instance occupies in memory on a given architecture, with
-//!   pointers swizzled to in-buffer offsets (as PBIO's encode step does).
+//! * [`image`] builds *native byte images*: the exact bytes a C struct
+//!   instance occupies in memory on a given architecture, with pointers
+//!   swizzled to in-buffer offsets (as PBIO's encode step does), through
+//!   an [`EncodePlan`] compiled once per struct type and architecture.
+//!   Reading them back is pbio's `RecordView`.
 //!
 //! Because architectures are plain data, one process can simulate a
 //! heterogeneous machine room — a big-endian 32-bit sender talking to a
@@ -56,7 +58,7 @@ pub mod value;
 pub use arch::{Architecture, Endianness, SizeAlign};
 pub use ctype::{ArrayLen, CType, Primitive, StructField, StructType};
 pub use error::LayoutError;
-pub use image::{decode_record, encode_record, encode_record_into, Image};
-pub use layout::{FieldLayout, Layout};
+pub use image::{encode_record, encode_record_into, EncodePlan, Image};
+pub use layout::{FieldLayout, Layout, Scalar, ScalarCode};
 pub use typed::{ConstCType, ConstField, ConstStructType, Xml2WireRecord};
 pub use value::{Record, Value};

@@ -2,7 +2,7 @@
 //! [`Xml2WireRecord`] trait that `#[derive(Xml2WireRecord)]` implements.
 //!
 //! The dynamic pipeline discovers a struct definition at runtime, lays
-//! it out, and marshals through the reflective [`Record`] model. For
+//! it out, and marshals through the reflective [`Record`](crate::Record) model. For
 //! the common "both ends are Rust" case all of that is knowable at
 //! compile time: the derive macro (crate `x2w-derive`) emits the field
 //! list as a [`ConstStructType`] in static memory, the XSD fragment for
@@ -13,7 +13,7 @@
 //! Byte compatibility is the contract: for the same values and
 //! architecture, [`Xml2WireRecord::encode_image`] must produce exactly
 //! the bytes [`encode_record_into`](crate::image::encode_record_into)
-//! produces from the equivalent [`Record`] — the derive's differential
+//! produces from the equivalent [`Record`](crate::Record) — the derive's differential
 //! test suite pins this across the six-architecture matrix. The helper
 //! functions in this module are the single place those byte-level
 //! conventions (pointer swizzling, region alignment, count clamps) are
@@ -24,7 +24,6 @@ use crate::ctype::{ArrayLen, CType, Primitive, StructField, StructType};
 use crate::error::LayoutError;
 use crate::image::{fits_signed, fits_unsigned, get_int, get_uint, put_int, put_uint};
 use crate::layout::align_up;
-use crate::value::Record;
 
 // ---------------------------------------------------------------------------
 // Const-constructible descriptors
@@ -230,8 +229,7 @@ pub trait Xml2WireRecord: Sized {
     }
 
     /// Decodes a payload image (header already stripped) produced on
-    /// `arch` — the typed twin of
-    /// [`decode_record`](crate::image::decode_record).
+    /// `arch` — the typed twin of pbio's `RecordView::to_record`.
     ///
     /// # Errors
     ///
@@ -247,26 +245,14 @@ pub trait Xml2WireRecord: Sized {
         }
         Self::decode_fields(payload, 0, arch)
     }
-
-    /// Converts to the dynamic [`Record`] model (for interop tests and
-    /// tooling; the hot paths never call this).
-    ///
-    /// # Errors
-    ///
-    /// Decoding failures on the round trip through the image.
-    fn to_record(&self, arch: &Architecture) -> Result<Record, LayoutError> {
-        let mut buf = Vec::new();
-        self.encode_image(&mut buf, arch)?;
-        crate::image::decode_record(&buf, &Self::struct_type(), arch)
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Byte-level helpers for generated code
 // ---------------------------------------------------------------------------
 //
-// Each helper mirrors one arm of `image::encode_value_at` /
-// `image::decode_value_at` exactly; the derive emits calls to these so
+// Each helper mirrors one op of `image::EncodePlan` or one accessor of
+// pbio's view plan exactly; the derive emits calls to these so
 // the wire conventions live in one audited place instead of being
 // re-expanded into every generated impl.
 
@@ -502,7 +488,7 @@ pub fn read_str(
     let start = usize::try_from(target)
         .ok()
         .filter(|t| *t < payload.len())
-        .ok_or(LayoutError::BadPointer { field: field.to_owned(), target })?;
+        .ok_or_else(|| LayoutError::BadPointer { field: field.to_owned(), target })?;
     let end = payload[start..]
         .iter()
         .position(|b| *b == 0)

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::layout::Scalar;
+
 /// A dynamically-typed message value.
 ///
 /// Application data enters the marshaling pipeline as a [`Record`] of
@@ -90,6 +92,15 @@ impl Value {
     }
 }
 
+impl From<Scalar> for Value {
+    fn from(scalar: Scalar) -> Self {
+        match scalar {
+            Scalar::Int(v) => Value::Int(v),
+            Scalar::UInt(v) => Value::UInt(v),
+            Scalar::Float(v) => Value::Float(v),
+        }
+    }
+}
 impl From<i64> for Value {
     fn from(v: i64) -> Self {
         Value::Int(v)
@@ -176,6 +187,14 @@ impl Record {
         Record::default()
     }
 
+    /// A record of `fields` in the given order, for callers whose names
+    /// are known distinct (a decoder walking a validated struct type):
+    /// skips the per-field search [`set`](Self::set) makes. Were a name
+    /// repeated, [`get`](Self::get) would answer with its first value.
+    pub fn from_distinct(fields: Vec<(String, Value)>) -> Self {
+        Record { fields }
+    }
+
     /// Builder-style: sets (or replaces) a field and returns `self`.
     pub fn with(mut self, name: impl Into<String>, value: impl Into<Value>) -> Self {
         self.set(name, value);
@@ -195,6 +214,16 @@ impl Record {
     /// The value of field `name`, if present.
     pub fn get(&self, name: &str) -> Option<&Value> {
         self.fields.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+    }
+
+    /// The value of field `name`, trying slot `hint` before searching:
+    /// a record built in a struct's declaration order answers each of
+    /// the struct's fields at the field's own index.
+    pub(crate) fn get_hinted(&self, hint: usize, name: &str) -> Option<&Value> {
+        match self.fields.get(hint) {
+            Some((n, value)) if n == name => Some(value),
+            _ => self.get(name),
+        }
     }
 
     /// Whether the record has a field `name`.

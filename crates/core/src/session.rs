@@ -186,17 +186,21 @@ impl Xml2Wire {
     }
 
     /// Converts a message to a native image for this session's
-    /// architecture. When the sender's layout matches, the returned
+    /// architecture. The format is resolved exactly as
+    /// [`decode`](Self::decode) resolves it — by the header's name *and*
+    /// structure fingerprint — so a message of a version this session
+    /// has not bound is refused, never converted with another version's
+    /// plan. When the sender's layout matches, the returned
     /// [`ImageCow`] borrows the payload inside `bytes` — zero copies;
     /// call [`ImageCow::into_owned`] to detach.
     ///
     /// # Errors
     ///
-    /// Unknown formats, conversion overflow, malformed messages.
+    /// Unknown formats and versions, conversion overflow, malformed
+    /// messages.
     pub fn to_native_image<'a>(&self, bytes: &'a [u8]) -> Result<ImageCow<'a>, X2wError> {
-        let (header, _) = pbio::header::WireHeader::parse(bytes)?;
-        let format = self.require_format(&header.format_name)?;
-        Ok(pbio::ndr::to_native_image(bytes, &format, &self.plans)?)
+        let (format, peek, payload) = pbio::ndr::resolve(bytes, &self.registry)?;
+        Ok(self.plans.plan_for_format(&format, &peek.arch())?.convert(payload)?)
     }
 
     /// Pooled-destination variant of
@@ -214,9 +218,8 @@ impl Xml2Wire {
         bytes: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<usize, X2wError> {
-        let (header, _) = pbio::header::WireHeader::parse(bytes)?;
-        let format = self.require_format(&header.format_name)?;
-        Ok(pbio::ndr::to_native_image_into(bytes, &format, &self.plans, out)?)
+        let (format, peek, payload) = pbio::ndr::resolve(bytes, &self.registry)?;
+        Ok(self.plans.plan_for_format(&format, &peek.arch())?.convert_into(payload, out)?)
     }
 
     /// Snapshot of this session's conversion-plan cache counters
@@ -278,7 +281,7 @@ impl Xml2Wire {
         match pbio::ndr::decode(bytes, &self.registry) {
             Ok(done) => Ok(done),
             Err(pbio::PbioError::UnknownFormat { .. }) => {
-                let (header, _) = pbio::header::WireHeader::parse(bytes)?;
+                let header = pbio::header::WireHeader::peek(bytes)?;
                 let (_, document) = client.lookup(header.format_id.0)?;
                 self.register_schema_via_server(&document, client)?;
                 Ok(pbio::ndr::decode(bytes, &self.registry)?)
@@ -502,8 +505,9 @@ mod tests {
 
         let image = receiver.to_native_image(&wire).unwrap();
         let native = receiver.format("Flight").unwrap();
-        let via_image =
-            clayout::decode_record(&image.bytes, native.struct_type(), receiver.arch()).unwrap();
+        let via_image = pbio::RecordView::over(&image.bytes, &native, receiver.arch())
+            .and_then(|view| view.to_record())
+            .unwrap();
         assert_eq!(via_image.get("arln").unwrap().as_str(), Some("DL"));
 
         // Pooled delivery: same image bytes, reused buffer, plan cache
@@ -520,6 +524,74 @@ mod tests {
         let stats = receiver.plan_stats();
         assert_eq!(stats.built, 1, "{stats:?}");
         assert!(stats.hits >= 9, "{stats:?}");
+    }
+
+    #[test]
+    fn native_conversion_pins_the_version_by_fingerprint() {
+        use clayout::{CType, Primitive, StructField};
+        // Two versions of one name; a sender of each on a foreign machine.
+        let short = StructType::new(
+            "T",
+            vec![
+                StructField::new("a", CType::Prim(Primitive::Int)),
+                StructField::new("s", CType::String),
+            ],
+        );
+        let mut long = short.clone();
+        long.fields.insert(0, StructField::new("z", CType::Prim(Primitive::Double)));
+        let message = |st: &StructType, record: &Record| {
+            let sender = Xml2Wire::builder().arch(Architecture::SPARC32).build();
+            sender.register_compiled(st.clone()).unwrap();
+            sender.encode(record, "T").unwrap()
+        };
+        let short_record = Record::new().with("a", 7i64).with("s", "short");
+        let long_record = Record::new().with("z", 2.5f64).with("a", 9i64).with("s", "long");
+        let short_message = message(&short, &short_record);
+        let long_message = message(&long, &long_record);
+
+        // Whichever version is the name's current one, each message is
+        // converted with its own version's plan.
+        for order in [[&short, &long], [&long, &short]] {
+            let host = Xml2Wire::builder().build();
+            for st in order {
+                host.register_compiled(st.clone()).unwrap();
+            }
+            let mut image = Vec::new();
+            for _ in 0..3 {
+                for (wire, expected) in
+                    [(&short_message, &short_record), (&long_message, &long_record)]
+                {
+                    host.to_native_image_into(wire, &mut image).unwrap();
+                    let (format, _, _) = pbio::ndr::resolve(wire, host.registry()).unwrap();
+                    let record = pbio::RecordView::over(&image, &format, host.arch())
+                        .and_then(|view| view.to_record())
+                        .unwrap();
+                    assert_eq!(&record, expected);
+                    let borrowed = host.to_native_image(wire).unwrap();
+                    assert_eq!(borrowed.bytes.as_ref(), image.as_slice());
+                }
+            }
+            let stats = host.plan_stats();
+            assert_eq!((stats.built, stats.plans), (2, 2), "one plan per version: {stats:?}");
+        }
+
+        // A session that only knows the other version refuses, as
+        // `decode` does, instead of converting with the wrong struct.
+        let host = Xml2Wire::builder().build();
+        let native = host.register_compiled(short).unwrap();
+        let mismatch = |e: X2wError| {
+            matches!(e, X2wError::Bcm(pbio::PbioError::FormatMismatch { .. }))
+        };
+        let mut image = Vec::new();
+        assert!(host.to_native_image_into(&long_message, &mut image).is_err_and(mismatch));
+        assert!(host.to_native_image(&long_message).is_err_and(mismatch));
+        assert!(host.decode(&long_message).is_err_and(mismatch));
+        assert!(matches!(
+            pbio::ndr::to_native_image_into(&long_message, &native, host.plans(), &mut image),
+            Err(pbio::PbioError::FormatMismatch { .. })
+        ));
+        assert_eq!(host.plan_stats().built, 0);
+        host.to_native_image_into(&short_message, &mut image).unwrap();
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! produces an *identity* plan whose conversion borrows the payload
 //! outright — zero copies; see [`ImageCow`]).
 //!
-//! Plans are cached in a [`PlanCache`] keyed by format name and the two
-//! architecture descriptors.
+//! Plans are cached in a [`PlanCache`] keyed by structure fingerprint
+//! and the two architecture descriptors.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -24,7 +24,7 @@ use clayout::{ArrayLen, Architecture, CType, Image, Layout, Primitive, StructTyp
 use parking_lot::RwLock;
 
 use crate::error::PbioError;
-use crate::format::Format;
+use crate::format::{struct_fingerprint, Format};
 
 /// Conversion applied to one scalar element (also the element action of
 /// array ops).
@@ -1051,22 +1051,23 @@ pub struct PlanCacheStats {
     pub plans: usize,
 }
 
-/// Plans for one (src, dst) architecture pair, keyed by format name.
-type PairPlans = HashMap<String, Arc<ConversionPlan>>;
+/// What a cached plan is keyed by: the structure fingerprint of the
+/// definition it converts, and the source and destination architecture
+/// descriptors concatenated. Two versions of one format name never
+/// share a plan.
+type PlanKey = (u64, [u8; 12]);
 
-/// A cache of compiled plans, keyed by format name and the source and
-/// destination architecture descriptors.
+/// A cache of compiled plans, keyed by structure fingerprint and the
+/// source and destination architecture descriptors.
 ///
 /// This mirrors PBIO's cache of generated conversion routines: the first
-/// message from a new (format, architecture) pair pays for plan
+/// message from a new (format version, architecture) pair pays for plan
 /// compilation; every later message executes the cached plan. The hit
-/// path allocates nothing: the outer key is the two fixed-size
-/// architecture descriptors concatenated, and the inner map is queried
-/// by `&str` — the steady-state per-message lookup cost is two hash
-/// probes under a read lock.
+/// path allocates nothing and hashes nothing but the fixed-size key:
+/// one probe under a read lock.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    plans: RwLock<HashMap<[u8; 12], PairPlans>>,
+    plans: RwLock<HashMap<PlanKey, Arc<ConversionPlan>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     built: AtomicU64,
@@ -1079,10 +1080,11 @@ impl PlanCache {
     }
 
     /// Returns the cached plan for converting `struct_type` from
-    /// `src_arch` to `dst_arch`, compiling it on first use. Concurrent
-    /// first contacts on the same key are single-flighted: the build
-    /// happens under the write lock (plans compile in microseconds), so
-    /// exactly one build wins and the rest observe it.
+    /// `src_arch` to `dst_arch`, compiling it on first use.
+    ///
+    /// The definition is hashed for its fingerprint on every call;
+    /// per-message callers hold a [`Format`], which memoizes it, and
+    /// use [`plan_for_format`](Self::plan_for_format).
     ///
     /// # Errors
     ///
@@ -1093,33 +1095,59 @@ impl PlanCache {
         src_arch: &Architecture,
         dst_arch: &Architecture,
     ) -> Result<Arc<ConversionPlan>, PbioError> {
-        let mut arch_key = [0u8; 12];
-        arch_key[..6].copy_from_slice(&src_arch.descriptor());
-        arch_key[6..].copy_from_slice(&dst_arch.descriptor());
-        if let Some(plan) = self
-            .plans
-            .read()
-            .get(&arch_key)
-            .and_then(|inner| inner.get(struct_type.name.as_str()))
-        {
+        self.plan_keyed(struct_fingerprint(struct_type), struct_type, src_arch, dst_arch)
+    }
+
+    /// Returns the cached plan for converting payloads of `native`'s
+    /// definition laid out on `src_arch` into `native`'s architecture,
+    /// compiling it on first use — the per-message entry point: the
+    /// key is the format's memoized fingerprint and two descriptors.
+    ///
+    /// # Errors
+    ///
+    /// Propagates plan-compilation failures (not cached).
+    pub fn plan_for_format(
+        &self,
+        native: &Format,
+        src_arch: &Architecture,
+    ) -> Result<Arc<ConversionPlan>, PbioError> {
+        self.plan_keyed(native.fingerprint(), native.struct_type(), src_arch, native.arch())
+    }
+
+    /// The probe behind both entry points; `fingerprint` is
+    /// `struct_type`'s. Concurrent first contacts on the same key are
+    /// single-flighted: the build happens under the write lock (plans
+    /// compile in microseconds), so exactly one build wins and the rest
+    /// observe it.
+    fn plan_keyed(
+        &self,
+        fingerprint: u64,
+        struct_type: &StructType,
+        src_arch: &Architecture,
+        dst_arch: &Architecture,
+    ) -> Result<Arc<ConversionPlan>, PbioError> {
+        let mut archs = [0u8; 12];
+        archs[..6].copy_from_slice(&src_arch.descriptor());
+        archs[6..].copy_from_slice(&dst_arch.descriptor());
+        let key = (fingerprint, archs);
+        if let Some(plan) = self.plans.read().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(plan));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut map = self.plans.write();
-        let inner = map.entry(arch_key).or_default();
-        if let Some(plan) = inner.get(struct_type.name.as_str()) {
+        if let Some(plan) = map.get(&key) {
             return Ok(Arc::clone(plan));
         }
         let plan = Arc::new(ConversionPlan::build(struct_type, src_arch, dst_arch)?);
         self.built.fetch_add(1, Ordering::Relaxed);
-        inner.insert(struct_type.name.clone(), Arc::clone(&plan));
+        map.insert(key, Arc::clone(&plan));
         Ok(plan)
     }
 
     /// Number of cached plans.
     pub fn len(&self) -> usize {
-        self.plans.read().values().map(HashMap::len).sum()
+        self.plans.read().len()
     }
 
     /// Whether the cache is empty.
@@ -1141,7 +1169,18 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clayout::{decode_record, encode_record, Record, StructField, Value};
+    use crate::format::FormatId;
+    use crate::view::RecordView;
+    use clayout::{encode_record, Record, StructField, Value};
+
+    fn decode_record(
+        bytes: &[u8],
+        st: &StructType,
+        arch: &Architecture,
+    ) -> Result<Record, PbioError> {
+        let format = Format::new(FormatId(0), st.clone(), *arch)?;
+        RecordView::over(bytes, &format, arch)?.to_record()
+    }
 
     fn prim(p: Primitive) -> CType {
         CType::Prim(p)

@@ -1,12 +1,13 @@
 //! Registered message formats.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use clayout::{Architecture, Layout, StructType};
+use clayout::{Architecture, EncodePlan, Layout, StructType};
 
 use crate::error::PbioError;
 use crate::field::{field_table, IoField};
+use crate::view::ViewPlan;
 
 /// A registry-assigned format identifier, carried in wire headers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -25,13 +26,23 @@ impl fmt::Display for FormatId {
 /// The struct type sits behind an [`Arc`]: the binder builds each
 /// definition once and the catalog, the registry and the format share
 /// it, so registering a type never deep-copies its fields.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The compiled accessors — the encode plan behind
+/// [`ndr::encode_into`](crate::ndr::encode_into) and the view plan
+/// behind [`RecordView`](crate::view::RecordView) — are built on first
+/// use, so binding a catalogue costs nothing for the types that are
+/// never marshaled.
+#[derive(Debug, Clone)]
 pub struct Format {
     id: FormatId,
     struct_type: Arc<StructType>,
     arch: Architecture,
     layout: Layout,
     fingerprint: u64,
+    // Boxed: a bound format that is never marshaled carries two empty
+    // cells, not room for two plans.
+    encode_plan: OnceLock<Box<EncodePlan>>,
+    view_plan: OnceLock<Box<ViewPlan>>,
     /// Memoized wire-header bytes: everything in this format's header —
     /// magic, id, arch descriptor, name, fingerprint — is per-format
     /// constant except the two length fields, which encoders patch after
@@ -92,7 +103,35 @@ impl Format {
         };
         let mut header_prefix = Vec::with_capacity(header.encoded_len());
         header.write_to(&mut header_prefix);
-        Ok(Format { id, struct_type, arch, layout, fingerprint, header_prefix })
+        Ok(Format {
+            id,
+            struct_type,
+            arch,
+            layout,
+            fingerprint,
+            encode_plan: OnceLock::new(),
+            view_plan: OnceLock::new(),
+            header_prefix,
+        })
+    }
+
+    /// This format's compiled encoder, built on first use.
+    pub(crate) fn encode_plan(&self) -> Result<&EncodePlan, PbioError> {
+        if let Some(plan) = self.encode_plan.get() {
+            return Ok(plan);
+        }
+        let plan = Box::new(EncodePlan::new(&self.struct_type, &self.arch)?);
+        Ok(self.encode_plan.get_or_init(|| plan))
+    }
+
+    /// The compiled accessors of payloads laid out for this format's
+    /// own architecture, built on first use.
+    pub(crate) fn view_plan(&self) -> Result<&ViewPlan, PbioError> {
+        if let Some(plan) = self.view_plan.get() {
+            return Ok(plan);
+        }
+        let plan = Box::new(ViewPlan::build(&self.struct_type, &self.arch)?);
+        Ok(self.view_plan.get_or_init(|| plan))
     }
 
     /// The memoized wire-header bytes for this format, with the two
@@ -159,6 +198,15 @@ impl Format {
     /// Propagates layout failures on the new architecture.
     pub fn rebind(&self, arch: Architecture) -> Result<Format, PbioError> {
         Format::new(self.id, Arc::clone(&self.struct_type), arch)
+    }
+}
+
+/// Formats are equal when they bind the same definition to the same
+/// architecture under the same id; everything else is derived from
+/// those.
+impl PartialEq for Format {
+    fn eq(&self, other: &Format) -> bool {
+        self.id == other.id && self.arch == other.arch && self.struct_type == other.struct_type
     }
 }
 
@@ -232,8 +280,8 @@ mod tests {
             Architecture::X86_64,
         )
         .unwrap();
-        let (parsed, _) = crate::header::WireHeader::parse(ok.header_prefix()).unwrap();
-        assert_eq!(parsed.format_name, longest);
+        let peek = crate::header::WireHeader::peek(ok.header_prefix()).unwrap();
+        assert_eq!(peek.format_name(ok.header_prefix()).unwrap(), longest);
         // 65536 bytes: one past the boundary — rejected, not truncated.
         let too_long = "n".repeat(crate::header::MAX_FORMAT_NAME_LEN + 1);
         let err = Format::new(

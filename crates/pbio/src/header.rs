@@ -6,7 +6,7 @@
 //! Header fields themselves are fixed little-endian so the header can be
 //! parsed before anything is known about the sender.
 
-use clayout::image::{get_uint, put_uint};
+use clayout::image::put_uint;
 use clayout::{Architecture, Endianness};
 
 use crate::error::PbioError;
@@ -29,7 +29,8 @@ pub const PAYLOAD_LEN_OFFSET: usize = 20;
 /// truncated, non-round-trippable header is never produced.
 pub const MAX_FORMAT_NAME_LEN: usize = u16::MAX as usize;
 
-/// A parsed (or to-be-written) NDR message header.
+/// An NDR message header to be written ([`WirePeek`] is what reading
+/// one yields).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireHeader {
     /// The sender's registry id for the format.
@@ -49,17 +50,20 @@ pub struct WireHeader {
     pub payload_len: u32,
 }
 
-/// The allocation-free subset of a parsed header: everything a hot
-/// path needs to locate and interpret the payload image without
-/// materializing the format name ([`WireHeader::parse`] allocates a
-/// `String` for it, which rules it out for per-event work such as
-/// compiled subscription filters).
+/// A parsed header that borrows nothing and allocates nothing: the
+/// fixed fields by value, and the format name as a range the caller
+/// slices out of its own buffer ([`WirePeek::format_name`]). This is
+/// what every receive path reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WirePeek {
+    /// The sender's registry id for the format.
+    pub format_id: FormatId,
     /// The sender's raw architecture descriptor (bytes 8..14).
     pub descriptor: [u8; 6],
     /// The struct-definition fingerprint.
     pub fingerprint: u64,
+    /// Length of the format name, which starts at [`FIXED_HEADER_LEN`].
+    pub name_len: u16,
     /// Bytes the header occupies (fixed part + padded name); the
     /// payload image starts here. Guaranteed `<= buf.len()`.
     pub header_len: usize,
@@ -69,6 +73,30 @@ pub struct WirePeek {
     pub payload_len: u32,
 }
 
+impl WirePeek {
+    /// The sender's architecture, reconstructed from its descriptor.
+    pub fn arch(&self) -> Architecture {
+        Architecture::from_descriptor(self.descriptor)
+    }
+
+    /// The format name, borrowed from `buf` — the buffer this header
+    /// was peeked from.
+    ///
+    /// # Errors
+    ///
+    /// Reports a name that is not UTF-8.
+    pub fn format_name<'a>(&self, buf: &'a [u8]) -> Result<&'a str, PbioError> {
+        std::str::from_utf8(self.name_bytes(buf))
+            .map_err(|_| PbioError::Text { detail: "format name is not UTF-8".to_owned() })
+    }
+
+    /// The format name's bytes in `buf`, unvalidated — enough to tell
+    /// whether the message carries a name already in hand.
+    pub(crate) fn name_bytes<'a>(&self, buf: &'a [u8]) -> &'a [u8] {
+        &buf[FIXED_HEADER_LEN..FIXED_HEADER_LEN + usize::from(self.name_len)]
+    }
+}
+
 impl WireHeader {
     /// Bytes this header occupies on the wire (fixed part + name, padded
     /// to 4 bytes).
@@ -76,37 +104,40 @@ impl WireHeader {
         FIXED_HEADER_LEN + pad4(self.format_name.len())
     }
 
-    /// Parses the fixed header fields without allocating — see
-    /// [`WirePeek`]. Validates magic, version and that the whole header
-    /// (including the skipped-over name) is present.
+    /// Parses the header without allocating — see [`WirePeek`].
+    /// Validates magic, version and that the whole header (including
+    /// the name) is present.
     ///
     /// # Errors
     ///
-    /// Reports bad magic, unsupported versions and truncation, exactly
-    /// as [`WireHeader::parse`] does for the same prefixes.
+    /// Reports bad magic, unsupported versions and truncation.
     pub fn peek(buf: &[u8]) -> Result<WirePeek, PbioError> {
-        if buf.len() < FIXED_HEADER_LEN {
+        let Some(fixed) = buf.first_chunk::<FIXED_HEADER_LEN>() else {
             return Err(PbioError::Truncated { need: FIXED_HEADER_LEN, have: buf.len() });
+        };
+        if fixed[0..2] != MAGIC {
+            return Err(PbioError::BadMagic { found: [fixed[0], fixed[1]] });
         }
-        if buf[0..2] != MAGIC {
-            return Err(PbioError::BadMagic { found: [buf[0], buf[1]] });
+        if fixed[2] != VERSION {
+            return Err(PbioError::UnsupportedVersion { version: fixed[2] });
         }
-        if buf[2] != VERSION {
-            return Err(PbioError::UnsupportedVersion { version: buf[2] });
+        // Fixed-width little-endian fields at fixed offsets.
+        fn le<const N: usize>(fixed: &[u8; FIXED_HEADER_LEN], at: usize) -> [u8; N] {
+            fixed[at..at + N].try_into().expect("N bytes inside the fixed header")
         }
-        let mut descriptor = [0u8; 6];
-        descriptor.copy_from_slice(&buf[8..14]);
-        let name_len = get_uint(buf, 14, 2, Endianness::Little) as usize;
-        let header_len = FIXED_HEADER_LEN + pad4(name_len);
+        let name_len = u16::from_le_bytes(le(fixed, 14));
+        let header_len = FIXED_HEADER_LEN + pad4(usize::from(name_len));
         if buf.len() < header_len {
             return Err(PbioError::Truncated { need: header_len, have: buf.len() });
         }
         Ok(WirePeek {
-            descriptor,
-            fingerprint: get_uint(buf, 24, 8, Endianness::Little),
+            format_id: FormatId(u32::from_le_bytes(le(fixed, 4))),
+            descriptor: le(fixed, 8),
+            fingerprint: u64::from_le_bytes(le(fixed, 24)),
+            name_len,
             header_len,
-            fixed_len: get_uint(buf, 16, 4, Endianness::Little) as u32,
-            payload_len: get_uint(buf, 20, 4, Endianness::Little) as u32,
+            fixed_len: u32::from_le_bytes(le(fixed, FIXED_LEN_OFFSET)),
+            payload_len: u32::from_le_bytes(le(fixed, PAYLOAD_LEN_OFFSET)),
         })
     }
 
@@ -138,43 +169,6 @@ impl WireHeader {
             .copy_from_slice(self.format_name.as_bytes());
     }
 
-    /// Parses a header from the front of `buf`, returning it and the
-    /// number of bytes it occupied.
-    ///
-    /// # Errors
-    ///
-    /// Reports bad magic, unsupported versions and truncation.
-    pub fn parse(buf: &[u8]) -> Result<(WireHeader, usize), PbioError> {
-        if buf.len() < FIXED_HEADER_LEN {
-            return Err(PbioError::Truncated { need: FIXED_HEADER_LEN, have: buf.len() });
-        }
-        if buf[0..2] != MAGIC {
-            return Err(PbioError::BadMagic { found: [buf[0], buf[1]] });
-        }
-        if buf[2] != VERSION {
-            return Err(PbioError::UnsupportedVersion { version: buf[2] });
-        }
-        let format_id = FormatId(get_uint(buf, 4, 4, Endianness::Little) as u32);
-        let mut descriptor = [0u8; 6];
-        descriptor.copy_from_slice(&buf[8..14]);
-        let arch = Architecture::from_descriptor(descriptor);
-        let name_len = get_uint(buf, 14, 2, Endianness::Little) as usize;
-        let fixed_len = get_uint(buf, 16, 4, Endianness::Little) as u32;
-        let payload_len = get_uint(buf, 20, 4, Endianness::Little) as u32;
-        let fingerprint = get_uint(buf, 24, 8, Endianness::Little);
-        let header_len = FIXED_HEADER_LEN + pad4(name_len);
-        if buf.len() < header_len {
-            return Err(PbioError::Truncated { need: header_len, have: buf.len() });
-        }
-        let name_bytes = &buf[FIXED_HEADER_LEN..FIXED_HEADER_LEN + name_len];
-        let format_name = std::str::from_utf8(name_bytes)
-            .map_err(|_| PbioError::Text { detail: "format name is not UTF-8".to_owned() })?
-            .to_owned();
-        Ok((
-            WireHeader { format_id, arch, format_name, fingerprint, fixed_len, payload_len },
-            header_len,
-        ))
-    }
 }
 
 /// Rounds `n` up to a multiple of 4 (XDR-style header padding).
@@ -203,9 +197,15 @@ mod tests {
         let mut buf = Vec::new();
         header.write_to(&mut buf);
         assert_eq!(buf.len(), header.encoded_len());
-        let (parsed, len) = WireHeader::parse(&buf).unwrap();
-        assert_eq!(parsed, header);
-        assert_eq!(len, buf.len());
+        let peek = WireHeader::peek(&buf).unwrap();
+        assert_eq!(peek.header_len, buf.len());
+        assert_eq!(peek.format_id, header.format_id);
+        assert_eq!(peek.descriptor, header.arch.descriptor());
+        assert_eq!(peek.arch(), header.arch);
+        assert_eq!(peek.format_name(&buf).unwrap(), header.format_name);
+        assert_eq!(peek.name_bytes(&buf), header.format_name.as_bytes());
+        assert_eq!(peek.fingerprint, header.fingerprint);
+        assert_eq!((peek.fixed_len, peek.payload_len), (header.fixed_len, header.payload_len));
     }
 
     #[test]
@@ -222,7 +222,7 @@ mod tests {
         let mut buf = Vec::new();
         sample().write_to(&mut buf);
         buf[0] = b'X';
-        assert!(matches!(WireHeader::parse(&buf), Err(PbioError::BadMagic { .. })));
+        assert!(matches!(WireHeader::peek(&buf), Err(PbioError::BadMagic { .. })));
     }
 
     #[test]
@@ -231,7 +231,7 @@ mod tests {
         sample().write_to(&mut buf);
         buf[2] = 99;
         assert!(matches!(
-            WireHeader::parse(&buf),
+            WireHeader::peek(&buf),
             Err(PbioError::UnsupportedVersion { version: 99 })
         ));
     }
@@ -241,7 +241,7 @@ mod tests {
         let mut buf = Vec::new();
         sample().write_to(&mut buf);
         for cut in 0..buf.len() {
-            assert!(WireHeader::parse(&buf[..cut]).is_err(), "cut {cut}");
+            assert!(WireHeader::peek(&buf[..cut]).is_err(), "cut {cut}");
         }
     }
 
@@ -252,10 +252,9 @@ mod tests {
         let header = WireHeader { format_name: "n".repeat(MAX_FORMAT_NAME_LEN), ..sample() };
         let mut buf = Vec::new();
         header.write_to(&mut buf);
-        let (parsed, len) = WireHeader::parse(&buf).unwrap();
-        assert_eq!(parsed.format_name.len(), MAX_FORMAT_NAME_LEN);
-        assert_eq!(parsed, header);
-        assert_eq!(len, buf.len());
+        let peek = WireHeader::peek(&buf).unwrap();
+        assert_eq!(peek.format_name(&buf).unwrap(), header.format_name);
+        assert_eq!(peek.header_len, buf.len());
     }
 
     #[test]
@@ -269,22 +268,12 @@ mod tests {
     }
 
     #[test]
-    fn peek_agrees_with_parse() {
-        let header = sample();
+    fn a_name_that_is_not_utf8_is_reported_when_asked_for() {
         let mut buf = Vec::new();
-        header.write_to(&mut buf);
+        sample().write_to(&mut buf);
+        buf[FIXED_HEADER_LEN] = 0xff;
         let peek = WireHeader::peek(&buf).unwrap();
-        let (parsed, len) = WireHeader::parse(&buf).unwrap();
-        assert_eq!(peek.header_len, len);
-        assert_eq!(peek.descriptor, parsed.arch.descriptor());
-        assert_eq!(peek.fingerprint, parsed.fingerprint);
-        assert_eq!(peek.fixed_len, parsed.fixed_len);
-        assert_eq!(peek.payload_len, parsed.payload_len);
-        for cut in 0..buf.len() {
-            assert!(WireHeader::peek(&buf[..cut]).is_err(), "cut {cut}");
-        }
-        buf[0] = b'X';
-        assert!(matches!(WireHeader::peek(&buf), Err(PbioError::BadMagic { .. })));
+        assert!(matches!(peek.format_name(&buf), Err(PbioError::Text { .. })));
     }
 
     #[test]
@@ -293,8 +282,7 @@ mod tests {
             let header = WireHeader { arch, ..sample() };
             let mut buf = Vec::new();
             header.write_to(&mut buf);
-            let (parsed, _) = WireHeader::parse(&buf).unwrap();
-            assert!(parsed.arch.layout_compatible(&arch), "{arch}");
+            assert!(WireHeader::peek(&buf).unwrap().arch().layout_compatible(&arch), "{arch}");
         }
     }
 }

@@ -2,25 +2,30 @@
 //!
 //! Encoding "moves data directly out of memory onto the transmission
 //! medium" (§1): the payload *is* the sender's native image, so the
-//! sender-side cost is building that image (one pass, no representation
-//! change). Decoding has two paths:
+//! sender-side cost is building that image (one pass of the format's
+//! compiled encode plan, no representation change). Decoding has two
+//! paths:
 //!
-//! * [`decode`] / [`decode_with`] — read values straight out of the wire
-//!   image using the sender's layout (reader-makes-right at the value
-//!   level), with [`view_with`] as the zero-copy lazy variant, or
+//! * [`view_with`] — read values straight out of the wire image through
+//!   the sender's view plan (reader-makes-right at the value level),
+//!   with [`decode`] / [`decode_with`] materializing the view as a
+//!   [`Record`], or
 //! * [`to_native_image`] — produce a byte image in the *receiver's*
 //!   layout via a cached [`ConversionPlan`](crate::convert::ConversionPlan),
 //!   which is free (one bulk
 //!   copy) between layout-compatible machines.
+//!
+//! Every receive path reads the header with [`WireHeader::peek`]: once,
+//! without allocating.
 
 use std::sync::Arc;
 
-use clayout::{decode_record, Architecture, Record};
+use clayout::{Architecture, LayoutError, Record};
 
 use crate::convert::{ImageCow, PlanCache};
 use crate::error::PbioError;
 use crate::format::Format;
-use crate::header::WireHeader;
+use crate::header::{WireHeader, WirePeek};
 use crate::registry::FormatRegistry;
 use crate::view::RecordView;
 
@@ -30,20 +35,44 @@ use crate::view::RecordView;
 ///
 /// Propagates image-encoding failures (missing fields, range overflow).
 pub fn encode(record: &Record, format: &Format) -> Result<Vec<u8>, PbioError> {
-    let mut out = Vec::new();
+    // The header and the fixed part are the message's known minimum.
+    let mut out = Vec::with_capacity(format.header_prefix().len() + format.record_size());
     encode_into(&mut out, record, format)?;
     Ok(out)
+}
+
+/// Writes a message of `format` into `out` (cleared first): the
+/// format's memoized header prefix, the payload `image` appends, and
+/// the two length fields — the only per-message header work.
+fn message_into(
+    out: &mut Vec<u8>,
+    format: &Format,
+    image: impl FnOnce(&mut Vec<u8>) -> Result<usize, LayoutError>,
+) -> Result<(), PbioError> {
+    use crate::header::{FIXED_LEN_OFFSET, PAYLOAD_LEN_OFFSET};
+    use clayout::image::put_uint;
+    use clayout::Endianness;
+
+    out.clear();
+    out.extend_from_slice(format.header_prefix());
+    let header_len = out.len();
+    let fixed_len = image(out)?;
+    let payload_len = out.len() - header_len;
+    put_uint(out, FIXED_LEN_OFFSET, 4, Endianness::Little, fixed_len as u64);
+    put_uint(out, PAYLOAD_LEN_OFFSET, 4, Endianness::Little, payload_len as u64);
+    Ok(())
 }
 
 /// Encodes `record` in `format` into `out`, reusing the buffer's
 /// capacity — the zero-allocation hot path behind [`encode`].
 ///
 /// The buffer is cleared, the format's memoized header prefix is copied
-/// in, and the payload image is built directly after it in one pass;
-/// the only per-message header work is patching the two length fields.
-/// A caller that keeps `out` pooled (e.g. backbone's `CapturePoint`)
-/// performs no allocations per message once the buffer has grown to the
-/// working-set size.
+/// in, and the format's compiled encode plan (built on first use)
+/// writes the payload image directly after it in one pass; the only
+/// per-message header work is patching the two length fields. A caller
+/// that keeps `out` pooled (e.g. backbone's `CapturePoint`) performs no
+/// allocations per message once the buffer has grown to the working-set
+/// size.
 ///
 /// # Errors
 ///
@@ -54,31 +83,19 @@ pub fn encode_into(
     record: &Record,
     format: &Format,
 ) -> Result<(), PbioError> {
-    use crate::header::{FIXED_LEN_OFFSET, PAYLOAD_LEN_OFFSET};
-    use clayout::image::put_uint;
-    use clayout::Endianness;
-
-    out.clear();
-    out.extend_from_slice(format.header_prefix());
-    let header_len = out.len();
-    let fixed_len =
-        clayout::encode_record_into(out, record, format.layout(), format.arch())?;
-    let payload_len = out.len() - header_len;
-    put_uint(out, FIXED_LEN_OFFSET, 4, Endianness::Little, fixed_len as u64);
-    put_uint(out, PAYLOAD_LEN_OFFSET, 4, Endianness::Little, payload_len as u64);
-    Ok(())
+    let plan = format.encode_plan()?;
+    message_into(out, format, |out| clayout::encode_record_into(out, record, plan))
 }
 
 /// Encodes a derived [`Xml2WireRecord`] in `format` into `out` — the
 /// compile-time twin of [`encode_into`].
 ///
-/// Where the dynamic path walks the format's field table and the
+/// Where the dynamic path runs the format's encode plan over the
 /// reflective [`Record`] model, this calls the straight-line
 /// `encode_image` the derive macro generated: the only per-message
 /// work is the memoized header copy, the native-image build, and the
-/// two length patches. No format reflection, no plan-cache lookup,
-/// and byte-for-byte identical output to the dynamic path for
-/// equivalent values.
+/// two length patches. Byte-for-byte identical output to the dynamic
+/// path for equivalent values.
 ///
 /// `format` must describe `T` (normally obtained by registering
 /// `T::struct_type()`); the caller pins it once, exactly like the
@@ -94,89 +111,113 @@ pub fn encode_typed_into<T: clayout::Xml2WireRecord>(
     value: &T,
     format: &Format,
 ) -> Result<(), PbioError> {
-    use crate::header::{FIXED_LEN_OFFSET, PAYLOAD_LEN_OFFSET};
-    use clayout::image::put_uint;
-    use clayout::Endianness;
-
-    out.clear();
-    out.extend_from_slice(format.header_prefix());
-    let header_len = out.len();
-    let fixed_len = value.encode_image(out, format.arch())?;
-    let payload_len = out.len() - header_len;
-    put_uint(out, FIXED_LEN_OFFSET, 4, Endianness::Little, fixed_len as u64);
-    put_uint(out, PAYLOAD_LEN_OFFSET, 4, Endianness::Little, payload_len as u64);
-    Ok(())
+    message_into(out, format, |out| value.encode_image(out, format.arch()))
 }
 
-/// Splits a message into its parsed header and payload bytes.
+/// Splits a message into its peeked header and payload bytes. Nothing
+/// is allocated; the format name stays in `buf`
+/// ([`WirePeek::format_name`]).
 ///
 /// # Errors
 ///
 /// Reports malformed or truncated headers and payloads.
-pub fn split(buf: &[u8]) -> Result<(WireHeader, &[u8]), PbioError> {
-    let (header, header_len) = WireHeader::parse(buf)?;
-    let need = header_len + header.payload_len as usize;
+pub fn split(buf: &[u8]) -> Result<(WirePeek, &[u8]), PbioError> {
+    let peek = WireHeader::peek(buf)?;
+    let need = peek.header_len + peek.payload_len as usize;
     if buf.len() < need {
         return Err(PbioError::Truncated { need, have: buf.len() });
     }
-    let payload = &buf[header_len..need];
-    if (header.fixed_len as usize) > payload.len() {
-        return Err(PbioError::Truncated {
-            need: header.fixed_len as usize,
-            have: payload.len(),
+    let payload = &buf[peek.header_len..need];
+    if (peek.fixed_len as usize) > payload.len() {
+        return Err(PbioError::Truncated { need: peek.fixed_len as usize, have: payload.len() });
+    }
+    Ok((peek, payload))
+}
+
+/// [`split`], refusing a message that does not carry `format`'s name.
+fn split_for<'a>(buf: &'a [u8], format: &Format) -> Result<(WirePeek, &'a [u8]), PbioError> {
+    let (peek, payload) = split(buf)?;
+    if peek.name_bytes(buf) != format.name().as_bytes() {
+        return Err(PbioError::FormatMismatch {
+            expected: format.name().to_owned(),
+            found: peek.format_name(buf)?.to_owned(),
         });
     }
-    Ok((header, payload))
+    Ok((peek, payload))
+}
+
+/// The error for a message whose name is known but whose structure
+/// fingerprint is not the one in hand.
+fn different_version(name: &str) -> PbioError {
+    PbioError::FormatMismatch {
+        expected: name.to_owned(),
+        found: format!("{name} (a different version: structure fingerprints differ)"),
+    }
 }
 
 /// Decodes a message whose format the caller already holds (e.g. from a
-/// subscription). The payload is interpreted with the *sender's*
-/// architecture from the header; the caller's format supplies the struct
-/// type.
+/// subscription): [`view_with`], materialized. The payload is
+/// interpreted with the *sender's* architecture from the header; the
+/// caller's format supplies the struct type.
 ///
 /// # Errors
 ///
 /// Reports header problems, format-name mismatches and malformed
 /// payloads.
 pub fn decode_with(buf: &[u8], format: &Format) -> Result<Record, PbioError> {
-    let (header, payload) = split(buf)?;
-    if header.format_name != format.name() {
-        return Err(PbioError::FormatMismatch {
-            expected: format.name().to_owned(),
-            found: header.format_name,
-        });
-    }
-    Ok(decode_record(payload, format.struct_type(), &header.arch)?)
+    view_with(buf, format)?.to_record()
 }
 
-/// Opens a borrowed [`RecordView`] over a message's payload — the
-/// zero-copy counterpart of [`decode_with`]: no `Record` is
-/// materialized, fields decode lazily on access, and strings come back
-/// as slices of `buf` itself.
+/// Opens a borrowed [`RecordView`] over a message's payload: no
+/// `Record` is materialized, fields decode lazily on access, and
+/// strings come back as slices of `buf` itself. Between
+/// layout-compatible machines nothing is allocated.
 ///
 /// # Errors
 ///
 /// Reports header problems, format-name mismatches, and payloads
 /// shorter than the sender's fixed part.
 pub fn view_with<'a>(buf: &'a [u8], format: &'a Format) -> Result<RecordView<'a>, PbioError> {
-    let (header, payload) = split(buf)?;
-    if header.format_name != format.name() {
-        return Err(PbioError::FormatMismatch {
-            expected: format.name().to_owned(),
-            found: header.format_name,
-        });
-    }
-    RecordView::over(payload, format, &header.arch)
+    let (peek, payload) = split_for(buf, format)?;
+    RecordView::over(payload, format, &peek.arch())
 }
 
-/// Decodes a message by resolving its format in `registry`.
+/// Resolves the format a message was encoded with in `registry`, and
+/// splits the message.
 ///
-/// Resolution pins the exact *definition* the message was encoded with:
-/// first the header's id (fast path when sender and receiver share an id
-/// space), then any registered version whose structure fingerprint
-/// matches the header's. A registry that only holds a *different*
-/// version of the name gets [`PbioError::FormatMismatch`] — never a
-/// silent mis-layout decode — prompting re-discovery.
+/// Resolution pins the exact *definition*: first the header's id (fast
+/// path when sender and receiver share an id space), then any
+/// registered version whose name and structure fingerprint match the
+/// header's. A registry that only holds a *different* version of the
+/// name gets [`PbioError::FormatMismatch`] — never a silent mis-layout
+/// read — prompting re-discovery.
+///
+/// # Errors
+///
+/// Header problems, unknown formats, version-fingerprint mismatches.
+pub fn resolve<'a>(
+    buf: &'a [u8],
+    registry: &FormatRegistry,
+) -> Result<(Arc<Format>, WirePeek, &'a [u8]), PbioError> {
+    let (peek, payload) = split(buf)?;
+    let name = peek.format_name(buf)?;
+    let pinned = |f: &Arc<Format>| f.fingerprint() == peek.fingerprint && f.name() == name;
+    match registry
+        .by_id(peek.format_id)
+        .filter(pinned)
+        .or_else(|| registry.by_fingerprint(name, peek.fingerprint))
+    {
+        Some(format) => Ok((format, peek, payload)),
+        // Distinguish "never heard of it" from "wrong version".
+        None => Err(match registry.by_name(name) {
+            Some(_) => different_version(name),
+            None => PbioError::UnknownFormat { name: name.to_owned() },
+        }),
+    }
+}
+
+/// Decodes a message by resolving its format in `registry`
+/// ([`resolve`]).
 ///
 /// # Errors
 ///
@@ -185,30 +226,23 @@ pub fn decode(
     buf: &[u8],
     registry: &FormatRegistry,
 ) -> Result<(Arc<Format>, Record), PbioError> {
-    let (header, payload) = split(buf)?;
-    let by_id = registry.by_id(header.format_id).filter(|f| {
-        f.name() == header.format_name && f.fingerprint() == header.fingerprint
-    });
-    let format = match by_id
-        .or_else(|| registry.by_fingerprint(&header.format_name, header.fingerprint))
-    {
-        Some(format) => format,
-        None => {
-            // Distinguish "never heard of it" from "wrong version".
-            return Err(match registry.by_name(&header.format_name) {
-                Some(_) => PbioError::FormatMismatch {
-                    expected: header.format_name.clone(),
-                    found: format!(
-                        "{} (a different version: structure fingerprints differ)",
-                        header.format_name
-                    ),
-                },
-                None => PbioError::UnknownFormat { name: header.format_name },
-            });
-        }
-    };
-    let record = decode_record(payload, format.struct_type(), &header.arch)?;
+    let (format, peek, payload) = resolve(buf, registry)?;
+    let record = RecordView::over(payload, &format, &peek.arch())?.to_record()?;
     Ok((format, record))
+}
+
+/// [`split_for`], also refusing a message of another *version* of the
+/// name: a conversion plan is compiled from `native_format`'s
+/// definition, so it may only ever see payloads of that definition.
+fn split_pinned<'a>(
+    buf: &'a [u8],
+    native_format: &Format,
+) -> Result<(WirePeek, &'a [u8]), PbioError> {
+    let (peek, payload) = split_for(buf, native_format)?;
+    if peek.fingerprint != native_format.fingerprint() {
+        return Err(different_version(native_format.name()));
+    }
+    Ok((peek, payload))
 }
 
 /// Converts a message's payload into a native image for
@@ -221,23 +255,15 @@ pub fn decode(
 ///
 /// # Errors
 ///
-/// Reports header problems, name mismatches, conversion overflow and
-/// malformed payloads.
+/// Reports header problems, name and version mismatches, conversion
+/// overflow and malformed payloads.
 pub fn to_native_image<'a>(
     buf: &'a [u8],
     native_format: &Format,
     plans: &PlanCache,
 ) -> Result<ImageCow<'a>, PbioError> {
-    let (header, payload) = split(buf)?;
-    if header.format_name != native_format.name() {
-        return Err(PbioError::FormatMismatch {
-            expected: native_format.name().to_owned(),
-            found: header.format_name,
-        });
-    }
-    let plan =
-        plans.plan_for(native_format.struct_type(), &header.arch, native_format.arch())?;
-    plan.convert(payload)
+    let (peek, payload) = split_pinned(buf, native_format)?;
+    plans.plan_for_format(native_format, &peek.arch())?.convert(payload)
 }
 
 /// Pooled-destination variant of [`to_native_image`]: converts the
@@ -260,16 +286,8 @@ pub fn to_native_image_into(
     plans: &PlanCache,
     out: &mut Vec<u8>,
 ) -> Result<usize, PbioError> {
-    let (header, payload) = split(buf)?;
-    if header.format_name != native_format.name() {
-        return Err(PbioError::FormatMismatch {
-            expected: native_format.name().to_owned(),
-            found: header.format_name,
-        });
-    }
-    let plan =
-        plans.plan_for(native_format.struct_type(), &header.arch, native_format.arch())?;
-    plan.convert_into(payload, out)
+    let (peek, payload) = split_pinned(buf, native_format)?;
+    plans.plan_for_format(native_format, &peek.arch())?.convert_into(payload, out)
 }
 
 /// The number of wire bytes [`encode`] would produce for `record`,
@@ -289,8 +307,7 @@ pub fn encoded_size(record: &Record, format: &Format) -> Result<usize, PbioError
 ///
 /// Reports malformed headers.
 pub fn peek_arch(buf: &[u8]) -> Result<Architecture, PbioError> {
-    let (header, _) = WireHeader::parse(buf)?;
-    Ok(header.arch)
+    Ok(WireHeader::peek(buf)?.arch())
 }
 
 #[cfg(test)]
@@ -419,7 +436,7 @@ mod tests {
         let image = to_native_image(&wire, &native, &plans).unwrap();
         assert_eq!(image.fixed_len, native.record_size());
         let record =
-            clayout::decode_record(&image.bytes, native.struct_type(), native.arch()).unwrap();
+            RecordView::over(&image.bytes, &native, native.arch()).unwrap().to_record().unwrap();
         assert_eq!(record.get("org").unwrap().as_str(), Some("ATL"));
         // Second message reuses the plan.
         assert_eq!(plans.len(), 1);

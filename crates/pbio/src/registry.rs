@@ -30,6 +30,10 @@ pub const LOCAL_ID_BASE: u32 = 0x8000_0000;
 #[derive(Debug)]
 struct Inner {
     by_id: HashMap<FormatId, Arc<Format>>,
+    /// The first format registered with each structure fingerprint (the
+    /// fingerprint covers the name; later bindings of the definition to
+    /// other architectures or ids resolve to the first).
+    by_fingerprint: HashMap<u64, FormatId>,
     current_by_name: HashMap<String, FormatId>,
     next_id: u32,
 }
@@ -38,9 +42,18 @@ impl Default for Inner {
     fn default() -> Self {
         Inner {
             by_id: HashMap::new(),
+            by_fingerprint: HashMap::new(),
             current_by_name: HashMap::new(),
             next_id: LOCAL_ID_BASE,
         }
+    }
+}
+
+impl Inner {
+    fn insert(&mut self, format: &Arc<Format>) {
+        self.by_id.insert(format.id(), Arc::clone(format));
+        self.by_fingerprint.entry(format.fingerprint()).or_insert(format.id());
+        self.current_by_name.insert(format.name().to_owned(), format.id());
     }
 }
 
@@ -72,8 +85,7 @@ impl FormatRegistry {
         let id = FormatId(inner.next_id);
         let format = Arc::new(Format::new(id, struct_type, arch)?);
         inner.next_id += 1;
-        inner.by_id.insert(id, Arc::clone(&format));
-        inner.current_by_name.insert(format.name().to_owned(), id);
+        inner.insert(&format);
         Ok(format)
     }
 
@@ -108,8 +120,7 @@ impl FormatRegistry {
         // External ids live below LOCAL_ID_BASE; only bump the local
         // counter if someone hands us an id from the local range.
         inner.next_id = inner.next_id.max(id.0.saturating_add(1).max(LOCAL_ID_BASE));
-        inner.by_id.insert(id, Arc::clone(&format));
-        inner.current_by_name.insert(format.name().to_owned(), id);
+        inner.insert(&format);
         Ok(format)
     }
 
@@ -119,15 +130,17 @@ impl FormatRegistry {
     }
 
     /// Finds the format with this name and structure fingerprint (any
-    /// version, any id) — how receivers pin the exact *definition* a
-    /// message was encoded with.
+    /// version, any id; the earliest registered when several bind the
+    /// definition) — how receivers pin the exact *definition* a message
+    /// was encoded with. Two hash probes; a scan only if two names'
+    /// fingerprints ever collide.
     pub fn by_fingerprint(&self, name: &str, fingerprint: u64) -> Option<Arc<Format>> {
-        self.inner
-            .read()
-            .by_id
-            .values()
-            .find(|f| f.name() == name && f.fingerprint() == fingerprint)
-            .cloned()
+        let inner = self.inner.read();
+        let first = inner.by_id.get(inner.by_fingerprint.get(&fingerprint)?)?;
+        if first.name() == name {
+            return Some(Arc::clone(first));
+        }
+        inner.by_id.values().find(|f| f.name() == name && f.fingerprint() == fingerprint).cloned()
     }
 
     /// Looks up the *current* version of a name.

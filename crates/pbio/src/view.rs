@@ -1,38 +1,178 @@
 //! Borrowed decode views over NDR payloads.
 //!
-//! [`RecordView`] is the zero-copy counterpart of
-//! [`ndr::decode_with`](crate::ndr::decode_with): instead of
-//! materializing a [`Record`] (one allocation per field name, one per
-//! string, one per array), it wraps the wire payload and decodes fields
-//! lazily on access — NDR's whole point is that the payload *is* the
-//! sender's native memory image, so a receiver that shares the sender's
-//! layout can read values straight out of it. Strings come back as
-//! validated `&str` slices of the payload, arrays as iterators that
-//! decode one element per step, and nested structs as nested views.
+//! [`RecordView`] wraps a wire payload and decodes fields on access —
+//! NDR's whole point is that the payload *is* the sender's native memory
+//! image, so a receiver that knows the sender's layout can read values
+//! straight out of it. Strings come back as validated `&str` slices of
+//! the payload, arrays as iterators that decode one element per step,
+//! and nested structs as nested views. [`RecordView::to_record`]
+//! materializes the whole view as a [`Record`]; it is the one dynamic
+//! decoder behind [`ndr::decode_with`](crate::ndr::decode_with).
 //!
-//! The sender's layout is reused from the receiver's [`Format`] when the
-//! architectures are layout-compatible (the common homogeneous-cluster
-//! case: zero allocation to build the view); otherwise the sender's
-//! layout is computed once per view. [`RecordView::to_record`] is the
-//! escape hatch back to the eager world and decodes exactly what
-//! `decode_record` would.
+//! A view reads through a **view plan**: per field of the struct type on
+//! the sender's architecture, the slot offset and a pre-resolved
+//! accessor — a [`ScalarCode`] that fixes width, signedness, float-ness
+//! and byte order; a string; an array with its element accessor, stride
+//! and (for a dynamic array) the offset and code of its count slot; or a
+//! nested plan. Everything the layout decides is resolved when the plan
+//! is built; per message only the data-dependent checks remain (the
+//! payload covers the fixed part, counts are plausible, pointers and
+//! regions lie inside the payload, strings are terminated UTF-8).
+//!
+//! Plans are built lazily. A [`Format`] memoizes the plan of its own
+//! architecture the first time a layout-compatible payload is viewed
+//! (binding a catalogue of types nobody views builds none), and every
+//! such view borrows it. A view of a foreign-architecture payload
+//! builds the sender's plan and owns it for its own lifetime.
 
-use std::borrow::Cow;
+use std::ops::Deref;
+use std::sync::Arc;
 
-use clayout::image::{get_int, get_uint};
 use clayout::{
-    Architecture, ArrayLen, CType, Layout, LayoutError, Primitive, Record, StructType, Value,
+    Architecture, ArrayLen, CType, Layout, LayoutError, Record, Scalar, ScalarCode, StructField,
+    StructType, Value,
 };
 
 use crate::error::PbioError;
 use crate::format::Format;
 
+/// The compiled accessors of one struct type on one architecture; see
+/// the [module docs](self).
+#[derive(Debug, Clone)]
+pub(crate) struct ViewPlan {
+    arch: Architecture,
+    /// `sizeof` the struct: the extent every view verifies once.
+    size: usize,
+    /// One accessor per field, in declaration order.
+    fields: Vec<FieldAccess>,
+}
+
+#[derive(Debug, Clone)]
+struct FieldAccess {
+    offset: usize,
+    kind: Access,
+}
+
+// Composite accessors sit behind their own `Arc` so a view that owns its
+// plan can hand a nested view or an array iterator a share of exactly
+// the node it reads through.
+#[derive(Debug, Clone)]
+enum Access {
+    Scalar(ScalarCode),
+    /// A string, behind a pointer slot of this code.
+    Str(ScalarCode),
+    Record(Arc<ViewPlan>),
+    Array(Arc<ArrayAccess>),
+}
+
+#[derive(Debug, Clone)]
+struct ArrayAccess {
+    elem: Access,
+    stride: usize,
+    len: Len,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Len {
+    Fixed(usize),
+    /// A dynamic array: the count slot's offset in the enclosing struct
+    /// and its code, and the code of the array's own pointer slot.
+    Counted { offset: usize, code: ScalarCode, pointer: ScalarCode },
+}
+
+impl ViewPlan {
+    /// Compiles the accessors of `st` — a [`Format`]'s struct type, which
+    /// `Format::new` validated — as laid out on `arch`.
+    pub(crate) fn build(st: &StructType, arch: &Architecture) -> Result<ViewPlan, LayoutError> {
+        let pointer = ScalarCode::unsigned(arch.pointer.size, arch.endianness);
+        let mut offsets = Vec::with_capacity(st.fields.len());
+        let size = Layout::place(st, arch, |_, offset, _| {
+            offsets.push(offset);
+            Ok(())
+        })?
+        .size;
+        let access = |ty: &CType| -> Result<Access, LayoutError> {
+            Ok(match ty {
+                CType::Prim(p) => Access::Scalar(ScalarCode::of(*p, arch)),
+                CType::String => Access::Str(pointer),
+                CType::Struct(inner) => Access::Record(Arc::new(ViewPlan::build(inner, arch)?)),
+                CType::Array { .. } => {
+                    return Err(LayoutError::NestedArray { field: String::new() })
+                }
+            })
+        };
+        let count_slot = |array: &StructField, count_name: &String| {
+            let slot = st.fields.iter().zip(&offsets).find_map(|(field, offset)| match &field.ty {
+                CType::Prim(p) if field.name == *count_name => {
+                    Some(Len::Counted { offset: *offset, code: ScalarCode::of(*p, arch), pointer })
+                }
+                _ => None,
+            });
+            slot.ok_or_else(|| LayoutError::MissingCountField {
+                array: array.name.clone(),
+                count_field: count_name.clone(),
+            })
+        };
+        let fields = st
+            .fields
+            .iter()
+            .zip(&offsets)
+            .map(|(field, &offset)| {
+                let kind = match &field.ty {
+                    CType::Array { elem, len } => Access::Array(Arc::new(ArrayAccess {
+                        elem: access(elem)?,
+                        stride: Layout::size_align(elem, arch)?.size,
+                        len: match len {
+                            ArrayLen::Fixed(n) => Len::Fixed(*n),
+                            ArrayLen::CountField(count_name) => count_slot(field, count_name)?,
+                        },
+                    })),
+                    other => access(other)?,
+                };
+                Ok(FieldAccess { offset, kind })
+            })
+            .collect::<Result<_, LayoutError>>()?;
+        Ok(ViewPlan { arch: *arch, size, fields })
+    }
+}
+
+/// A plan node a view reads through: borrowed from the [`Format`] that
+/// memoizes it, or a share of a plan the root view built for a foreign
+/// architecture.
+#[derive(Debug, Clone)]
+enum PlanRef<'a, T> {
+    Borrowed(&'a T),
+    Shared(Arc<T>),
+}
+
+impl<'a, T> PlanRef<'a, T> {
+    /// A reference of the same kind to the composite node `part` picks
+    /// out of this one.
+    fn project<U>(&self, part: impl for<'p> FnOnce(&'p T) -> &'p Arc<U>) -> PlanRef<'a, U> {
+        match self {
+            PlanRef::Borrowed(whole) => PlanRef::Borrowed(part(whole)),
+            PlanRef::Shared(whole) => PlanRef::Shared(Arc::clone(part(whole))),
+        }
+    }
+}
+
+impl<T> Deref for PlanRef<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        match self {
+            PlanRef::Borrowed(node) => node,
+            PlanRef::Shared(node) => node,
+        }
+    }
+}
+
 /// A lazily-decoded view of one record's NDR payload.
 ///
 /// Obtained from [`ndr::view_with`](crate::ndr::view_with) (whole wire
 /// message) or [`RecordView::over`] (bare payload). Field access via
-/// [`get`](Self::get) decodes on demand and borrows from the payload
-/// wherever the data allows it.
+/// [`get`](Self::get) or [`fields`](Self::fields) decodes on demand and
+/// borrows from the payload wherever the data allows it.
 ///
 /// Bounds checks are hoisted, not per access: [`over`](Self::over)
 /// verifies the whole fixed part once, every dynamic array verifies its
@@ -45,8 +185,7 @@ use crate::format::Format;
 pub struct RecordView<'a> {
     payload: &'a [u8],
     struct_type: &'a StructType,
-    layout: Cow<'a, Layout>,
-    arch: Architecture,
+    plan: PlanRef<'a, ViewPlan>,
     /// Offset of this struct's fixed part within `payload` (non-zero for
     /// nested struct views; pointers stay payload-relative throughout).
     base: usize,
@@ -76,16 +215,27 @@ pub enum FieldView<'a> {
 }
 
 /// An iterator over one array field's elements, decoding each element
-/// from the payload as it is consumed.
+/// from the payload as it is consumed: the payload, the array's
+/// accessor (element code, stride), a cursor and a count.
 #[derive(Debug, Clone)]
 pub struct ArrayView<'a> {
     payload: &'a [u8],
-    elem: &'a CType,
-    arch: Architecture,
-    field: &'a str,
+    access: PlanRef<'a, ArrayAccess>,
+    /// The array field: its name for error reports, its element type
+    /// for nested views.
+    field: &'a StructField,
     at: usize,
-    stride: usize,
     remaining: usize,
+}
+
+impl From<Scalar> for FieldView<'_> {
+    fn from(scalar: Scalar) -> Self {
+        match scalar {
+            Scalar::Int(v) => FieldView::Int(v),
+            Scalar::UInt(v) => FieldView::UInt(v),
+            Scalar::Float(v) => FieldView::Float(v),
+        }
+    }
 }
 
 impl<'a> RecordView<'a> {
@@ -93,9 +243,9 @@ impl<'a> RecordView<'a> {
     /// `sender_arch` in `format`'s struct type.
     ///
     /// When `sender_arch` is layout-compatible with the format's
-    /// architecture the format's precomputed layout is borrowed and
+    /// architecture the format's memoized view plan is borrowed and
     /// constructing the view allocates nothing; otherwise the sender's
-    /// layout is computed once here.
+    /// plan is compiled once here and lives as long as the view.
     ///
     /// # Errors
     ///
@@ -106,15 +256,15 @@ impl<'a> RecordView<'a> {
         format: &'a Format,
         sender_arch: &Architecture,
     ) -> Result<RecordView<'a>, PbioError> {
-        let (layout, arch) = if sender_arch.layout_compatible(format.arch()) {
-            (Cow::Borrowed(format.layout()), *format.arch())
+        let plan = if sender_arch.layout_compatible(format.arch()) {
+            PlanRef::Borrowed(format.view_plan()?)
         } else {
-            (Cow::Owned(Layout::of_struct(format.struct_type(), sender_arch)?), *sender_arch)
+            PlanRef::Shared(Arc::new(ViewPlan::build(format.struct_type(), sender_arch)?))
         };
-        if payload.len() < layout.size {
-            return Err(PbioError::Truncated { need: layout.size, have: payload.len() });
+        if payload.len() < plan.size {
+            return Err(PbioError::Truncated { need: plan.size, have: payload.len() });
         }
-        Ok(RecordView { payload, struct_type: format.struct_type(), layout, arch, base: 0 })
+        Ok(RecordView { payload, struct_type: format.struct_type(), plan, base: 0 })
     }
 
     /// The struct type this view decodes.
@@ -124,120 +274,153 @@ impl<'a> RecordView<'a> {
 
     /// The architecture the payload is laid out for (the sender's).
     pub fn arch(&self) -> &Architecture {
-        &self.arch
+        &self.plan.arch
     }
 
-    /// Decodes one field by name.
+    /// Decodes one field by name: one name search, then the field's
+    /// compiled accessor.
     ///
     /// # Errors
     ///
-    /// Reports unknown fields and the same truncation/bad-pointer/
-    /// bad-string conditions `decode_record` reports for the field.
+    /// Reports unknown fields, and for a known one bad counts, pointers
+    /// and regions outside the payload, and unterminated or non-UTF-8
+    /// strings.
     pub fn get(&self, name: &str) -> Result<FieldView<'a>, PbioError> {
-        let field = self.struct_type.field(name).ok_or_else(|| {
+        let idx = self.struct_type.field_index(name).ok_or_else(|| {
             PbioError::Layout(LayoutError::MissingField { field: name.to_owned() })
         })?;
-        let fl = self.layout.field(name).ok_or_else(|| {
-            PbioError::Layout(LayoutError::MissingField { field: name.to_owned() })
-        })?;
-        self.view_at(self.base + fl.offset, &field.ty, &field.name)
+        self.field_at(idx)
     }
 
     /// Decodes every field in declaration order, yielding
-    /// `(name, field)` pairs.
+    /// `(name, field)` pairs; no name is searched for.
     pub fn fields(&self) -> impl Iterator<Item = (&'a str, Result<FieldView<'a>, PbioError>)> + '_ {
-        self.struct_type.fields.iter().map(move |f| (f.name.as_str(), self.get(&f.name)))
+        let names = self.struct_type.fields.iter().map(|f| f.name.as_str());
+        names.enumerate().map(move |(idx, name)| (name, self.field_at(idx)))
     }
 
-    /// Eagerly decodes the whole view into a [`Record`] — the escape
-    /// hatch back to the allocating world, equal to what
-    /// [`clayout::decode_record`] produces from the same payload.
+    /// Eagerly decodes the whole view into a [`Record`] — the one
+    /// dynamic decoder: what [`ndr::decode_with`](crate::ndr::decode_with)
+    /// returns.
     ///
     /// # Errors
     ///
     /// As [`get`](Self::get), for whichever field fails first.
     pub fn to_record(&self) -> Result<Record, PbioError> {
-        let mut record = Record::new();
-        for field in &self.struct_type.fields {
-            record.set(field.name.clone(), self.get(&field.name)?.to_value()?);
-        }
-        Ok(record)
+        // The struct type's names are distinct (the layout walk checked).
+        let fields = self.fields().map(|(name, field)| Ok((name.to_owned(), field?.to_value()?)));
+        Ok(Record::from_distinct(fields.collect::<Result<_, PbioError>>()?))
     }
 
-    /// Decodes the value of type `ty` at absolute payload offset `at`.
-    fn view_at(&self, at: usize, ty: &'a CType, field: &'a str) -> Result<FieldView<'a>, PbioError> {
-        match ty {
-            CType::Prim(p) => Ok(prim_view(self.payload, at, *p, &self.arch)),
-            CType::String => {
-                // Slot read covered by this view's verified extent; only
-                // the chase needs checking.
-                let target = get_uint(self.payload, at, self.arch.pointer.size, self.arch.endianness);
-                Ok(FieldView::Str(str_at(self.payload, target, field)?))
+    /// Decodes the `idx`-th field through its accessor.
+    #[inline]
+    fn field_at(&self, idx: usize) -> Result<FieldView<'a>, PbioError> {
+        let access = &self.plan.fields[idx];
+        match access.kind {
+            // Covered by this view's verified extent.
+            Access::Scalar(code) => Ok(code.read(self.payload, self.base + access.offset).into()),
+            _ => self.composite_at(idx),
+        }
+    }
+
+    /// Views the `idx`-th field, a string, array or nested struct.
+    fn composite_at(&self, idx: usize) -> Result<FieldView<'a>, PbioError> {
+        let field = &self.struct_type.fields[idx];
+        let access = &self.plan.fields[idx];
+        let at = self.base + access.offset;
+        match &access.kind {
+            Access::Scalar(code) => Ok(code.read(self.payload, at).into()),
+            // Slot read covered by this view's verified extent; only
+            // the chase needs checking.
+            Access::Str(pointer) => {
+                str_at(self.payload, slot(*pointer, self.payload, at), &field.name)
+                    .map(FieldView::Str)
             }
-            CType::Array { elem, len } => {
-                let elem_sa = Layout::size_align(elem, &self.arch)?;
-                let (start, count) = match len {
-                    ArrayLen::Fixed(n) => (at, *n),
-                    ArrayLen::CountField(count_name) => {
-                        let cf = self.layout.field(count_name).ok_or_else(|| {
-                            PbioError::Layout(LayoutError::MissingCountField {
-                                array: field.to_owned(),
-                                count_field: count_name.clone(),
-                            })
-                        })?;
-                        let count_at = self.base + cf.offset;
-                        let count = get_int(self.payload, count_at, cf.size, self.arch.endianness);
-                        // Clamp by element size so `count * size` below
-                        // cannot overflow and absurd counts fail fast.
-                        if count < 0
-                            || count as usize > self.payload.len() / elem_sa.size.max(1)
-                        {
-                            return Err(PbioError::Layout(LayoutError::BadCount {
-                                field: count_name.clone(),
-                                count,
-                            }));
-                        }
-                        let count = count as usize;
-                        let target =
-                            get_uint(self.payload, at, self.arch.pointer.size, self.arch.endianness);
-                        if count == 0 {
-                            (0, 0)
-                        } else {
-                            let target = usize::try_from(target).map_err(|_| {
-                                PbioError::Layout(LayoutError::BadPointer {
-                                    field: field.to_owned(),
-                                    target,
-                                })
-                            })?;
-                            // The one dynamic-region check: covers every
-                            // element the iterator will read.
-                            bounds_check(self.payload, target, count * elem_sa.size, field)?;
-                            (target, count)
-                        }
+            Access::Record(_) => Ok(FieldView::Record(RecordView {
+                payload: self.payload,
+                struct_type: struct_of(&field.ty),
+                plan: self.plan.project(|plan| match &plan.fields[idx].kind {
+                    Access::Record(inner) => inner,
+                    _ => unreachable!("the accessor matched as a record"),
+                }),
+                // The nested extent lies inside this view's verified one.
+                base: at,
+            })),
+            Access::Array(array) => {
+                let (start, count) = match array.len {
+                    Len::Fixed(n) => (at, n),
+                    Len::Counted { offset, code, pointer } => {
+                        let count = code.read(self.payload, self.base + offset);
+                        let target = slot(pointer, self.payload, at);
+                        self.dynamic_region(count, target, array.stride, field)?
                     }
                 };
                 Ok(FieldView::Array(ArrayView {
                     payload: self.payload,
-                    elem,
-                    arch: self.arch,
+                    access: self.plan.project(|plan| match &plan.fields[idx].kind {
+                        Access::Array(array) => array,
+                        _ => unreachable!("the accessor matched as an array"),
+                    }),
                     field,
                     at: start,
-                    stride: elem_sa.size,
                     remaining: count,
                 }))
             }
-            CType::Struct(inner) => {
-                // The nested extent lies inside this view's verified one.
-                let inner_layout = Layout::of_struct(inner, &self.arch)?;
-                Ok(FieldView::Record(RecordView {
-                    payload: self.payload,
-                    struct_type: inner,
-                    layout: Cow::Owned(inner_layout),
-                    arch: self.arch,
-                    base: at,
-                }))
-            }
         }
+    }
+
+    /// Verifies the region a dynamic array's count and pointer slots
+    /// name; returns `(start, count)`.
+    fn dynamic_region(
+        &self,
+        count: Scalar,
+        target: u64,
+        stride: usize,
+        field: &StructField,
+    ) -> Result<(usize, usize), PbioError> {
+        let count = match count {
+            Scalar::Int(n) => n,
+            Scalar::UInt(n) => i64::try_from(n).unwrap_or(-1),
+            Scalar::Float(_) => -1,
+        };
+        // An honest count is bounded by the payload size over the
+        // element size; clamping here also keeps `count * stride` from
+        // overflowing and makes absurd counts fail fast.
+        if count < 0 || count as usize > self.payload.len() / stride.max(1) {
+            let count_field = match &field.ty {
+                CType::Array { len: ArrayLen::CountField(name), .. } => name.clone(),
+                _ => field.name.clone(),
+            };
+            return Err(LayoutError::BadCount { field: count_field, count }.into());
+        }
+        if count == 0 {
+            return Ok((0, 0));
+        }
+        let start = usize::try_from(target)
+            .map_err(|_| LayoutError::BadPointer { field: field.name.clone(), target })?;
+        // The one dynamic-region check: covers every element the
+        // iterator will read.
+        let count = count as usize;
+        bounds_check(self.payload, start, count * stride, &field.name)?;
+        Ok((start, count))
+    }
+}
+
+/// The unsigned value of the pointer slot at `at`.
+fn slot(pointer: ScalarCode, payload: &[u8], at: usize) -> u64 {
+    match pointer.read(payload, at) {
+        Scalar::UInt(target) => target,
+        Scalar::Int(_) | Scalar::Float(_) => unreachable!("pointer codes are unsigned"),
+    }
+}
+
+/// The struct type of a struct field, or of an array-of-structs field's
+/// elements.
+fn struct_of(ty: &CType) -> &StructType {
+    match ty {
+        CType::Struct(inner) => inner,
+        CType::Array { elem, .. } => struct_of(elem),
+        _ => unreachable!("a record accessor is compiled from a struct type"),
     }
 }
 
@@ -319,13 +502,7 @@ impl<'a> FieldView<'a> {
             FieldView::UInt(v) => Value::UInt(*v),
             FieldView::Float(v) => Value::Float(*v),
             FieldView::Str(s) => Value::String((*s).to_owned()),
-            FieldView::Array(a) => {
-                let mut items = Vec::with_capacity(a.len());
-                for item in a.clone() {
-                    items.push(item?.to_value()?);
-                }
-                Value::Array(items)
-            }
+            FieldView::Array(a) => Value::Array(a.to_values()?),
             FieldView::Record(r) => Value::Record(r.to_record()?),
         })
     }
@@ -341,19 +518,57 @@ impl<'a> ArrayView<'a> {
     pub fn is_empty(&self) -> bool {
         self.remaining == 0
     }
+
+    /// The remaining elements, eagerly converted.
+    fn to_values(&self) -> Result<Vec<Value>, PbioError> {
+        if let Access::Scalar(code) = self.access.elem {
+            let slots = (0..self.remaining).map(|i| self.at + i * self.access.stride);
+            return Ok(slots.map(|at| code.read(self.payload, at).into()).collect());
+        }
+        self.clone().map(|item| item?.to_value()).collect()
+    }
 }
 
 impl<'a> Iterator for ArrayView<'a> {
     type Item = Result<FieldView<'a>, PbioError>;
 
+    // Always inlined, and every kind of element built here rather than
+    // behind a call: an element comes back as a ~90-byte `Result`, and
+    // only when no path hands that back through memory can the
+    // optimizer keep a scalar in registers in the caller's loop
+    // (measured: 13 ns per element otherwise, 3 ns so).
+    #[inline(always)]
     fn next(&mut self) -> Option<Self::Item> {
         if self.remaining == 0 {
             return None;
         }
+        let access = &*self.access;
         let at = self.at;
-        self.at += self.stride;
+        self.at += access.stride;
         self.remaining -= 1;
-        Some(element_view(self.payload, at, self.elem, self.field, &self.arch))
+        // The element's extent is covered by the array's verified
+        // region (or the enclosing fixed part).
+        Some(match &access.elem {
+            Access::Scalar(code) => Ok(code.read(self.payload, at).into()),
+            // (Not built inside `str_at`: a callee writing the element
+            // would pin every element to memory again.)
+            Access::Str(pointer) => {
+                str_at(self.payload, slot(*pointer, self.payload, at), &self.field.name)
+                    .map(FieldView::Str)
+            }
+            Access::Record(_) => Ok(FieldView::Record(RecordView {
+                payload: self.payload,
+                struct_type: struct_of(&self.field.ty),
+                plan: self.access.project(|array| match &array.elem {
+                    Access::Record(inner) => inner,
+                    _ => unreachable!("the element accessor matched as a record"),
+                }),
+                base: at,
+            })),
+            Access::Array(_) => {
+                Err(LayoutError::NestedArray { field: self.field.name.clone() }.into())
+            }
+        })
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -362,58 +577,6 @@ impl<'a> Iterator for ArrayView<'a> {
 }
 
 impl ExactSizeIterator for ArrayView<'_> {}
-
-/// Decodes one array element (the layout engine guarantees no
-/// arrays-of-arrays reach here).
-fn element_view<'a>(
-    payload: &'a [u8],
-    at: usize,
-    elem: &'a CType,
-    field: &'a str,
-    arch: &Architecture,
-) -> Result<FieldView<'a>, PbioError> {
-    match elem {
-        CType::Prim(p) => Ok(prim_view(payload, at, *p, arch)),
-        CType::String => {
-            // Slot covered by the array's verified region (or the fixed
-            // part); only the chase needs checking.
-            let target = get_uint(payload, at, arch.pointer.size, arch.endianness);
-            Ok(FieldView::Str(str_at(payload, target, field)?))
-        }
-        CType::Struct(inner) => {
-            // Element extent covered by the array's verified region.
-            let inner_layout = Layout::of_struct(inner, arch)?;
-            Ok(FieldView::Record(RecordView {
-                payload,
-                struct_type: inner,
-                layout: Cow::Owned(inner_layout),
-                arch: *arch,
-                base: at,
-            }))
-        }
-        CType::Array { .. } => {
-            Err(PbioError::Layout(LayoutError::NestedArray { field: field.to_owned() }))
-        }
-    }
-}
-
-/// Reads one primitive; the caller's verified extent (view fixed part
-/// or dynamic-array region) guarantees the read is in bounds, so this
-/// is infallible.
-fn prim_view<'a>(payload: &[u8], at: usize, prim: Primitive, arch: &Architecture) -> FieldView<'a> {
-    let sa = arch.primitive(prim);
-    if prim.is_float() {
-        let value = match sa.size {
-            4 => f32::from_bits(get_uint(payload, at, 4, arch.endianness) as u32) as f64,
-            _ => f64::from_bits(get_uint(payload, at, 8, arch.endianness)),
-        };
-        return FieldView::Float(value);
-    }
-    if prim.is_signed_integer() {
-        return FieldView::Int(get_int(payload, at, sa.size, arch.endianness));
-    }
-    FieldView::UInt(get_uint(payload, at, sa.size, arch.endianness))
-}
 
 /// Borrows the NUL-terminated string at payload-relative `target` (a
 /// swizzled pointer slot value; `0` is the null pointer and views as
@@ -425,20 +588,17 @@ fn str_at<'a>(payload: &'a [u8], target: u64, field: &str) -> Result<&'a str, Pb
     let start = usize::try_from(target)
         .ok()
         .filter(|t| *t < payload.len())
-        .ok_or(PbioError::Layout(LayoutError::BadPointer { field: field.to_owned(), target }))?;
-    let end = payload[start..]
-        .iter()
-        .position(|b| *b == 0)
-        .map(|rel| start + rel)
-        .ok_or_else(|| {
-            PbioError::Layout(LayoutError::Truncated {
-                reading: format!("string field {field}"),
-                offset: start,
-                len: payload.len(),
-            })
-        })?;
-    std::str::from_utf8(&payload[start..end])
-        .map_err(|_| PbioError::Layout(LayoutError::BadString { field: field.to_owned() }))
+        .ok_or_else(|| LayoutError::BadPointer { field: field.to_owned(), target })?;
+    let Some(len) = payload[start..].iter().position(|b| *b == 0) else {
+        return Err(LayoutError::Truncated {
+            reading: format!("string field {field}"),
+            offset: start,
+            len: payload.len(),
+        }
+        .into());
+    };
+    std::str::from_utf8(&payload[start..start + len])
+        .map_err(|_| LayoutError::BadString { field: field.to_owned() }.into())
 }
 
 fn bounds_check(payload: &[u8], at: usize, need: usize, what: &str) -> Result<(), PbioError> {
@@ -458,7 +618,7 @@ mod tests {
     use super::*;
     use crate::format::FormatId;
     use crate::ndr;
-    use clayout::StructField;
+    use clayout::Primitive;
 
     fn prim(p: Primitive) -> CType {
         CType::Prim(p)
@@ -529,8 +689,8 @@ mod tests {
     #[test]
     fn view_agrees_with_eager_decode_cross_architecture() {
         // A big-endian ILP32 sender read by an x86-64 receiver: the view
-        // must build the sender's layout and still agree with
-        // decode_record.
+        // must build the sender's plan and still agree with the
+        // materialized decode.
         let sender = format_on(Architecture::SPARC32);
         let receiver = format_on(Architecture::X86_64);
         let wire = ndr::encode(&sample_b(), &sender).unwrap();
@@ -611,6 +771,44 @@ mod tests {
         let wire = ndr::encode(&sample_b(), &format).unwrap();
         let view = ndr::view_with(&wire, &format).unwrap();
         assert!(view.get("nope").is_err());
+    }
+
+    #[test]
+    fn an_unsigned_count_is_read_as_unsigned() {
+        // 200 elements counted by an `unsigned char`: the count's top
+        // bit is set, and it is not a negative count.
+        let st = StructType::new(
+            "t",
+            vec![
+                StructField::new("a", CType::dynamic_array(prim(Primitive::Short), "n")),
+                StructField::new("n", prim(Primitive::UChar)),
+            ],
+        );
+        let items: Vec<i64> = (0..200).collect();
+        let rec = Record::new().with("a", items.clone());
+        for arch in [Architecture::X86_64, Architecture::SPARC32] {
+            let format = Format::new(FormatId(4), st.clone(), arch).unwrap();
+            let wire = ndr::encode(&rec, &format).unwrap();
+            let view = ndr::view_with(&wire, &format).unwrap();
+            assert_eq!(view.get("n").unwrap().as_u64(), Some(200));
+            let a = view.get("a").unwrap().as_array().unwrap();
+            assert_eq!(a.map(|v| v.unwrap().as_i64().unwrap()).collect::<Vec<_>>(), items);
+        }
+    }
+
+    #[test]
+    fn unterminated_string_is_rejected() {
+        let st = StructType::new("t", vec![StructField::new("s", CType::String)]);
+        let format = Format::new(FormatId(3), st, Architecture::X86_64).unwrap();
+        let rec = Record::new().with("s", "hello");
+        let image = clayout::encode_record(&rec, format.struct_type(), format.arch()).unwrap();
+        // Drop the trailing NUL.
+        let cut = &image.bytes[..image.bytes.len() - 1];
+        let view = RecordView::over(cut, &format, format.arch()).unwrap();
+        assert!(matches!(
+            view.get("s"),
+            Err(PbioError::Layout(LayoutError::Truncated { .. }))
+        ));
     }
 
     #[test]

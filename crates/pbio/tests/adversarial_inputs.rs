@@ -46,7 +46,7 @@ fn forge_count(codec: &str, wire: &mut [u8], format: &Format, claimed: u32) -> b
         "ndr" => {
             // The count field lives in the fixed region at its layout
             // offset, in the sender's byte order, after the header.
-            let (_, header_len) = pbio::header::WireHeader::parse(wire).unwrap();
+            let header_len = pbio::header::WireHeader::peek(wire).unwrap().header_len;
             let field = format.layout().field("n").unwrap();
             put_uint(
                 wire,
@@ -147,7 +147,7 @@ fn conversion_plans_reject_forged_counts_on_both_engines() {
         let format = adversarial_format();
         let mut wire = pbio::ndr::encode(&sample(), &format).unwrap();
         assert!(forge_count("ndr", &mut wire, &format, u32::MAX));
-        let (_, header_len) = pbio::header::WireHeader::parse(&wire).unwrap();
+        let header_len = pbio::header::WireHeader::peek(&wire).unwrap().header_len;
         wire.split_off(header_len)
     };
     for dst in Architecture::ALL {
@@ -194,7 +194,7 @@ fn conversion_plans_reject_truncation_at_every_cut() {
     let st = format.struct_type().clone();
     let src = *format.arch();
     let wire = pbio::ndr::encode(&sample(), &format).unwrap();
-    let (_, header_len) = pbio::header::WireHeader::parse(&wire).unwrap();
+    let header_len = pbio::header::WireHeader::peek(&wire).unwrap().header_len;
     let payload = &wire[header_len..];
     for dst in [Architecture::POWER64, Architecture::SPARC32] {
         let fused = pbio::ConversionPlan::build(&st, &src, &dst).unwrap();

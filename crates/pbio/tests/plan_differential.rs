@@ -1,0 +1,448 @@
+//! Seeded differential of the compiled plans against the interpretive
+//! codec they replaced (`clayout/tests/oracle`), committed and
+//! deterministic: fixed seed, fixed counts, no environment.
+//!
+//! For generated struct types — every primitive width, strings, fixed
+//! and dynamic arrays of primitives, strings and structs, nested
+//! structs, empty arrays — on the six architectures:
+//!
+//! * the **encode plan** writes the oracle's bytes, for records in
+//!   declaration order, shuffled, and with count fields omitted or
+//!   supplied; a record with one defect (a wrong count, a missing field,
+//!   a value of the wrong type or out of range, a fixed array of the
+//!   wrong length) is refused with the oracle's error;
+//! * the **view plan** — borrowed from the format, and owned by a view
+//!   of a foreign-architecture payload — materializes the oracle's
+//!   record, and `get(name)` is the `fields()` entry;
+//! * on every **mutant** of an image (each truncation, flipped bytes in
+//!   the fixed part where pointers and counts live, strings made
+//!   non-UTF-8 or unterminated, random flips) both readers reach the
+//!   same verdict: equal records, or the same kind of error. Reading
+//!   outside the payload would be a panic, and fails the test.
+//!
+//! One difference is by design and asserted as such: a payload shorter
+//! than the struct's fixed part is refused by `RecordView::over` as
+//! truncated before any field is read, where the oracle reports
+//! whatever the first unreadable field runs into (or nothing, when only
+//! trailing padding is missing).
+
+#[path = "../../clayout/tests/oracle/mod.rs"]
+mod oracle;
+
+use clayout::{
+    Architecture, CType, LayoutError, Primitive, Record, StructField, StructType, Value,
+};
+use pbio::format::{Format, FormatId};
+use pbio::{PbioError, RecordView};
+
+const SEED: u64 = 0x91a7_d1ff_5eed_0016;
+const TYPES: usize = 160;
+const MIN_MUTANTS: usize = 20_000;
+
+/// SplitMix64: a few lines, good enough to pick shapes and offsets.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A value in `0..bound` (`bound` > 0).
+    fn below(&mut self, bound: usize) -> usize {
+        (self.next() % bound as u64) as usize
+    }
+
+    fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+        from[self.below(from.len())]
+    }
+}
+
+const COUNT_TYPES: [Primitive; 6] = [
+    Primitive::Int,
+    Primitive::UInt,
+    Primitive::Short,
+    Primitive::UChar,
+    Primitive::Long,
+    Primitive::ULongLong,
+];
+
+/// A value of `p` that fits it on every architecture (ILP32 `long` is
+/// 32 bits; floats stay binary32-exact).
+fn prim_value(rng: &mut Rng, p: Primitive) -> Value {
+    let raw = rng.next();
+    if p.is_float() {
+        return Value::Float((raw % 8192) as f64 * 0.25 - 1024.0);
+    }
+    let bits = match p {
+        Primitive::Char | Primitive::UChar => 8,
+        Primitive::Short | Primitive::UShort => 16,
+        Primitive::LongLong | Primitive::ULongLong => 64,
+        _ => 32,
+    };
+    if p.is_unsigned_integer() {
+        Value::UInt(if bits == 64 { raw } else { raw % (1 << bits) })
+    } else {
+        Value::Int((raw as i64) >> (64 - bits))
+    }
+}
+
+fn text(rng: &mut Rng) -> String {
+    let len = rng.below(12);
+    (0..len)
+        .map(|_| rng.pick(&['a', 'Z', '7', ' ', '-', '\u{e9}', '\u{4e2d}']))
+        .collect()
+}
+
+/// An element type (no arrays of arrays).
+fn element(rng: &mut Rng, depth: usize) -> CType {
+    match rng.below(if depth < 2 { 6 } else { 5 }) {
+        0..=2 => CType::Prim(rng.pick(&Primitive::ALL)),
+        3 | 4 => CType::String,
+        _ => CType::Struct(structure(rng, depth + 1)),
+    }
+}
+
+fn structure(rng: &mut Rng, depth: usize) -> StructType {
+    let mut fields = Vec::new();
+    let mut late_counts = Vec::new();
+    let wanted = 1 + rng.below(6);
+    for i in 0..wanted {
+        let name = format!("f{depth}_{i}");
+        match rng.below(8) {
+            0..=3 => fields.push(StructField::new(name, element(rng, depth))),
+            4 | 5 => {
+                let elem = element(rng, depth);
+                fields.push(StructField::new(
+                    name,
+                    CType::fixed_array(elem, rng.below(4)),
+                ));
+            }
+            _ => {
+                let count =
+                    StructField::new(format!("{name}_count"), CType::Prim(rng.pick(&COUNT_TYPES)));
+                let array = StructField::new(
+                    name,
+                    CType::dynamic_array(element(rng, depth), count.name.clone()),
+                );
+                // The count field before its array, right after it, or
+                // at the end of the struct.
+                match rng.below(3) {
+                    0 => fields.extend([count, array]),
+                    1 => fields.extend([array, count]),
+                    _ => {
+                        fields.push(array);
+                        late_counts.push(count);
+                    }
+                }
+            }
+        }
+    }
+    fields.extend(late_counts);
+    StructType::new(format!("Gen{depth}"), fields)
+}
+
+fn value_of(rng: &mut Rng, ty: &CType) -> Value {
+    match ty {
+        CType::Prim(p) => prim_value(rng, *p),
+        CType::String => Value::String(text(rng)),
+        CType::Struct(inner) => Value::Record(record_of(rng, inner)),
+        CType::Array { elem, len } => {
+            let n = match len {
+                clayout::ArrayLen::Fixed(n) => *n,
+                clayout::ArrayLen::CountField(_) => rng.below(4),
+            };
+            Value::Array((0..n).map(|_| value_of(rng, elem)).collect())
+        }
+    }
+}
+
+/// A record of `st` in declaration order with the count fields omitted.
+fn record_of(rng: &mut Rng, st: &StructType) -> Record {
+    let counts: Vec<&str> = st
+        .fields
+        .iter()
+        .filter_map(|f| match &f.ty {
+            CType::Array {
+                len: clayout::ArrayLen::CountField(c),
+                ..
+            } => Some(c.as_str()),
+            _ => None,
+        })
+        .collect();
+    let mut record = Record::new();
+    for field in &st.fields {
+        if !counts.contains(&field.name.as_str()) {
+            record.set(field.name.clone(), value_of(rng, &field.ty));
+        }
+    }
+    record
+}
+
+/// `record` with every count field supplied, at its declared position.
+fn with_counts(record: &Record, st: &StructType) -> Record {
+    let mut full = Record::new();
+    for field in &st.fields {
+        let value = match record.get(&field.name) {
+            Some(value) => value.clone(),
+            None => {
+                let array = st
+                    .fields
+                    .iter()
+                    .find(|f| matches!(&f.ty, CType::Array { len: clayout::ArrayLen::CountField(c), .. } if *c == field.name))
+                    .expect("an omitted field is a count field");
+                Value::UInt(record.get(&array.name).unwrap().as_array().unwrap().len() as u64)
+            }
+        };
+        full.set(field.name.clone(), value);
+    }
+    full
+}
+
+fn shuffled(rng: &mut Rng, record: &Record) -> Record {
+    let mut fields: Vec<(String, Value)> = record
+        .iter()
+        .map(|(n, v)| (n.to_owned(), v.clone()))
+        .collect();
+    for i in (1..fields.len()).rev() {
+        fields.swap(i, rng.below(i + 1));
+    }
+    fields.into_iter().collect()
+}
+
+/// `record` (count fields supplied) with one thing wrong with it.
+fn with_one_defect(rng: &mut Rng, record: &Record, st: &StructType) -> Record {
+    let mut broken = record.clone();
+    let field = &st.fields[rng.below(st.fields.len())];
+    match (&field.ty, rng.below(3)) {
+        (_, 0) => {
+            broken.remove(&field.name);
+            // An omitted count field is synthesized, not missed.
+            if record_is_count(st, &field.name) {
+                broken.set(field.name.clone(), Value::String("not a count".into()));
+            }
+        }
+        (CType::Prim(p), 1)
+            if !p.is_float() && !matches!(p, Primitive::LongLong | Primitive::ULongLong) =>
+        {
+            // Out of range on every architecture, or a wrong count.
+            broken.set(field.name.clone(), Value::UInt(u64::MAX));
+        }
+        (CType::Array { .. }, 1) => {
+            let mut items = record
+                .get(&field.name)
+                .unwrap()
+                .as_array()
+                .unwrap()
+                .to_vec();
+            items.push(items.first().cloned().unwrap_or(Value::Int(0)));
+            broken.set(field.name.clone(), Value::Array(items));
+        }
+        (CType::String, _) => broken.set(field.name.clone(), Value::Float(1.5)),
+        _ => broken.set(field.name.clone(), Value::String("wrong type".into())),
+    }
+    broken
+}
+
+fn record_is_count(st: &StructType, name: &str) -> bool {
+    st.fields.iter().any(
+        |f| matches!(&f.ty, CType::Array { len: clayout::ArrayLen::CountField(c), .. } if c == name),
+    )
+}
+
+/// What a reader made of a payload: the record, or the kind of error.
+#[derive(Debug)]
+enum Verdict {
+    Read(Record),
+    Refused(&'static str),
+}
+
+/// Floats compare by bits: a mutant may well hold a NaN.
+impl PartialEq for Verdict {
+    fn eq(&self, other: &Verdict) -> bool {
+        fn same(a: &Value, b: &Value) -> bool {
+            match (a, b) {
+                (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
+                (Value::Array(a), Value::Array(b)) => {
+                    a.len() == b.len() && a.iter().zip(b).all(|(a, b)| same(a, b))
+                }
+                (Value::Record(a), Value::Record(b)) => same_record(a, b),
+                (a, b) => a == b,
+            }
+        }
+        fn same_record(a: &Record, b: &Record) -> bool {
+            a.len() == b.len()
+                && a.iter()
+                    .zip(b.iter())
+                    .all(|((an, av), (bn, bv))| an == bn && same(av, bv))
+        }
+        match (self, other) {
+            (Verdict::Read(a), Verdict::Read(b)) => same_record(a, b),
+            (Verdict::Refused(a), Verdict::Refused(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+fn layout_kind(e: &LayoutError) -> &'static str {
+    match e {
+        LayoutError::Truncated { .. } => "truncated",
+        LayoutError::BadPointer { .. } => "bad pointer",
+        LayoutError::BadString { .. } => "bad string",
+        LayoutError::BadCount { .. } => "bad count",
+        _ => "not a payload error",
+    }
+}
+
+fn oracle_verdict(payload: &[u8], st: &StructType, arch: &Architecture) -> Verdict {
+    match oracle::decode_record(payload, st, arch) {
+        Ok(record) => Verdict::Read(record),
+        Err(e) => Verdict::Refused(layout_kind(&e)),
+    }
+}
+
+fn planned_verdict(payload: &[u8], format: &Format, arch: &Architecture) -> Verdict {
+    match RecordView::over(payload, format, arch).and_then(|view| view.to_record()) {
+        Ok(record) => Verdict::Read(record),
+        Err(PbioError::Truncated { .. }) => Verdict::Refused("truncated"),
+        Err(PbioError::Layout(e)) => Verdict::Refused(layout_kind(&e)),
+        Err(_) => Verdict::Refused("not a payload error"),
+    }
+}
+
+/// Mutants of `image`: every truncation, then seeded damage.
+fn mutants(rng: &mut Rng, image: &[u8], fixed_len: usize) -> Vec<Vec<u8>> {
+    let mut out: Vec<Vec<u8>> = (0..image.len()).map(|cut| image[..cut].to_vec()).collect();
+    let mut damaged = |edit: &mut dyn FnMut(&mut Rng, &mut Vec<u8>)| {
+        let mut mutant = image.to_vec();
+        edit(rng, &mut mutant);
+        out.push(mutant);
+    };
+    if image.is_empty() {
+        return out;
+    }
+    for _ in 0..12 {
+        // Pointer, count and length slots all live in the fixed part.
+        if fixed_len > 0 {
+            damaged(&mut |rng, m| m[rng.below(fixed_len)] = rng.next() as u8);
+            damaged(&mut |rng, m| m[rng.below(fixed_len)] ^= 1 << rng.below(8));
+        }
+        // Anywhere: dynamic regions hold pointers and counts too.
+        damaged(&mut |rng, m| {
+            let at = rng.below(m.len());
+            m[at] = rng.next() as u8;
+        });
+    }
+    if image.len() > fixed_len {
+        for _ in 0..6 {
+            // Strings: not UTF-8, and unterminated.
+            damaged(&mut |rng, m| {
+                let at = fixed_len + rng.below(m.len() - fixed_len);
+                m[at] = rng.pick(&[0xff, 0xc0, 0x80, 0xf8]);
+            });
+            damaged(&mut |rng, m| {
+                let nuls: Vec<usize> = (fixed_len..m.len()).filter(|i| m[*i] == 0).collect();
+                if !nuls.is_empty() {
+                    m[rng.pick(&nuls)] = b'x';
+                }
+            });
+        }
+    }
+    out
+}
+
+#[test]
+fn plans_agree_with_the_interpretive_oracle() {
+    let mut rng = Rng(SEED);
+    let mut mutants_read = 0usize;
+    let mut defects_refused = 0usize;
+    for case in 0..TYPES {
+        let st = structure(&mut rng, 0);
+        let omitted = record_of(&mut rng, &st);
+        let supplied = with_counts(&omitted, &st);
+        let shuffled = shuffled(&mut rng, &supplied);
+        let broken = with_one_defect(&mut rng, &supplied, &st);
+        let foreign_arch = Architecture::ALL[case % Architecture::ALL.len()];
+
+        for arch in &Architecture::ALL {
+            let expected = oracle::encode_record(&omitted, &st, arch)
+                .unwrap_or_else(|e| panic!("case {case} on {arch}: the oracle refuses {st}: {e}"));
+            for (what, record) in [
+                ("omitted", &omitted),
+                ("supplied", &supplied),
+                ("shuffled", &shuffled),
+            ] {
+                assert_eq!(
+                    clayout::encode_record(record, &st, arch).as_ref(),
+                    Ok(&expected),
+                    "case {case} on {arch}, counts {what}: {st}\n{record}"
+                );
+                assert_eq!(
+                    oracle::encode_record(record, &st, arch).as_ref(),
+                    Ok(&expected)
+                );
+            }
+            let refused = clayout::encode_record(&broken, &st, arch);
+            assert_eq!(
+                refused,
+                oracle::encode_record(&broken, &st, arch),
+                "case {case} on {arch}: {st}\n{broken}"
+            );
+            defects_refused += usize::from(refused.is_err());
+
+            // The same payload read through the format's own plan and
+            // through a plan a foreign-architecture view builds.
+            let own = Format::new(FormatId(1), st.clone(), *arch).unwrap();
+            let foreign = Format::new(FormatId(1), st.clone(), foreign_arch).unwrap();
+            let read = oracle_verdict(&expected.bytes, &st, arch);
+            assert!(
+                matches!(read, Verdict::Read(_)),
+                "case {case} on {arch}: {read:?}"
+            );
+            for format in [&own, &foreign] {
+                assert_eq!(
+                    planned_verdict(&expected.bytes, format, arch),
+                    read,
+                    "case {case} on {arch}"
+                );
+                let view = RecordView::over(&expected.bytes, format, arch).unwrap();
+                assert!(view.arch().layout_compatible(arch));
+                for (name, field) in view.fields() {
+                    let by_index = field.unwrap().to_value().unwrap();
+                    assert_eq!(
+                        view.get(name).unwrap().to_value().unwrap(),
+                        by_index,
+                        "{name}"
+                    );
+                }
+            }
+
+            for mutant in mutants(&mut rng, &expected.bytes, expected.fixed_len) {
+                let oracle = oracle_verdict(&mutant, &st, arch);
+                for format in [&own, &foreign] {
+                    let planned = planned_verdict(&mutant, format, arch);
+                    if mutant.len() < expected.fixed_len {
+                        assert_eq!(planned, Verdict::Refused("truncated"));
+                    } else {
+                        assert_eq!(
+                            planned, oracle,
+                            "case {case} on {arch}: {st}\nimage  {:02x?}\nmutant {mutant:02x?}",
+                            expected.bytes
+                        );
+                    }
+                }
+                mutants_read += 1;
+            }
+        }
+    }
+    println!("{mutants_read} mutants read, {defects_refused} defective records refused");
+    assert!(mutants_read >= MIN_MUTANTS, "only {mutants_read} mutants");
+    // The generated defects are real ones, nearly always.
+    assert!(
+        defects_refused > TYPES * Architecture::ALL.len() * 9 / 10,
+        "{defects_refused}"
+    );
+}

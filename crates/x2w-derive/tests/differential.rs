@@ -144,9 +144,7 @@ fn derived_encode_is_byte_identical_to_dynamic_encode_on_every_architecture() {
     let record = sample_record();
     let value = sample();
     for arch in &Architecture::ALL {
-        let layout = clayout::Layout::of_struct(&st, arch).unwrap();
-        let mut dynamic = Vec::new();
-        clayout::encode_record_into(&mut dynamic, &record, &layout, arch).unwrap();
+        let dynamic = clayout::encode_record(&record, &st, arch).unwrap().bytes;
         let mut derived = Vec::new();
         value.encode_image(&mut derived, arch).unwrap();
         assert_eq!(derived, dynamic, "wire image diverged on {}", arch.name);
@@ -161,15 +159,14 @@ fn derived_encode_dynamic_decode_round_trips_on_every_architecture() {
         let mut image = Vec::new();
         value.encode_image(&mut image, arch).unwrap();
         // Dynamic peer decodes the derived image reflectively.
-        let decoded = clayout::decode_record(&image, &st, arch).unwrap();
+        let format = pbio::Format::new(pbio::FormatId(42), st.clone(), *arch).unwrap();
+        let decoded =
+            pbio::RecordView::over(&image, &format, arch).unwrap().to_record().unwrap();
         assert_eq!(decoded.get("big").unwrap().as_i64(), Some(-2_000_000_000));
         assert_eq!(decoded.get("name").unwrap().as_str(), Some("ASDOffEvent"));
         assert_eq!(decoded.get("eta_count").unwrap().as_i64(), Some(3));
         // Derived peer decodes the dynamic image natively.
-        let record = sample_record();
-        let layout = clayout::Layout::of_struct(&st, arch).unwrap();
-        let mut dynamic = Vec::new();
-        clayout::encode_record_into(&mut dynamic, &record, &layout, arch).unwrap();
+        let dynamic = clayout::encode_record(&sample_record(), &st, arch).unwrap().bytes;
         let back = Everything::decode_view(&dynamic, arch).unwrap();
         assert_eq!(back, value, "typed view of the dynamic image diverged on {}", arch.name);
         // And the derived view of its own image round-trips too.
@@ -202,7 +199,7 @@ fn full_wire_frames_match_the_dynamic_path() {
         assert_eq!(derived, dynamic, "framed message diverged on {}", arch.name);
         // The frame decodes through the fully dynamic receive path.
         let (header, _) = pbio::ndr::split(&derived).unwrap();
-        assert_eq!(header.format_name, "Everything");
+        assert_eq!(header.format_name(&derived).unwrap(), "Everything");
     }
 }
 

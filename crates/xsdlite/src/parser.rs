@@ -15,7 +15,8 @@
 //! front-end reads the document to its end, so a malformed document is
 //! reported as [`SchemaError::Xml`] whatever else is wrong with it.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, RandomState};
 
 use xmlparse::{Attribute, BorrowedAttr, BorrowedEvent, Event, Reader, StreamingReader};
 
@@ -123,6 +124,10 @@ enum Open {
     Ignored,
 }
 
+/// Element counts up to this are checked for a repeated name by
+/// scanning.
+const NAME_SCAN_LIMIT: usize = 32;
+
 /// The schema compiler. Fed events in document order; [`finish`] hands
 /// the schema over or reports the first thing that was wrong with it.
 ///
@@ -142,6 +147,10 @@ struct Compiler {
     /// `elements` and move into an exactly sized vector when it closes.
     complex: Option<ComplexType>,
     elements: Vec<ElementDecl>,
+    /// Hashes of `elements`' names, kept only while the open type has
+    /// more than [`NAME_SCAN_LIMIT`] of them; pooled across types.
+    element_names: HashSet<u64>,
+    name_hasher: RandomState,
     /// The open simple type: its name, the base and facets once its
     /// restriction has been seen, and the enumeration values so far.
     simple_name: String,
@@ -260,7 +269,7 @@ impl Compiler {
                 "sequence" | "all" if self.element_is_xsd(prefix) => Open::Wrapper,
                 "element" if self.element_is_xsd(prefix) => {
                     let decl = self.element_decl(name, attrs)?;
-                    if self.elements.iter().any(|e| e.name == decl.name) {
+                    if self.repeats_a_sibling(&decl.name) {
                         return Err(SchemaError::DuplicateElement {
                             complex_type: self.complex_name().to_owned(),
                             element: decl.name,
@@ -294,6 +303,25 @@ impl Compiler {
             }
             Open::Annotation | Open::SimpleType | Open::Ignored => Open::Ignored,
         })
+    }
+
+    /// Whether the open type already declares an element called `name`.
+    /// A scan while the type is small (allocation-free, and faster than
+    /// hashing on the types messages actually have); past
+    /// [`NAME_SCAN_LIMIT`] siblings a set of name hashes answers, and a
+    /// hash seen before is confirmed by the scan (the hasher is randomly
+    /// keyed, so names cannot be crafted to collide).
+    fn repeats_a_sibling(&mut self, name: &str) -> bool {
+        let scan = |elements: &[ElementDecl]| elements.iter().any(|e| e.name == name);
+        if self.elements.len() < NAME_SCAN_LIMIT {
+            return scan(&self.elements);
+        }
+        if self.elements.len() == NAME_SCAN_LIMIT {
+            self.element_names.clear();
+            let hashes = self.elements.iter().map(|e| self.name_hasher.hash_one(&e.name));
+            self.element_names.extend(hashes);
+        }
+        !self.element_names.insert(self.name_hasher.hash_one(name)) && scan(&self.elements)
     }
 
     fn enter_annotation(&mut self) -> Open {

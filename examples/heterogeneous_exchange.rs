@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         native.bytes.len() - native.fixed_len
     );
     let via_native =
-        clayout::decode_record(&native.bytes, receiver_format.struct_type(), receiver.arch())?;
+        pbio::RecordView::over(&native.bytes, &receiver_format, receiver.arch())?.to_record()?;
     assert_eq!(
         via_native.get("fltNum").unwrap().as_i64(),
         decoded.get("fltNum").unwrap().as_i64()
