@@ -15,10 +15,9 @@
 //!   policy decides what happens to slow subscribers.
 //! * [`net`] — a length-prefixed TCP event transport
 //!   ([`net::EventServer`], [`net::EventClient`]): a readiness event
-//!   loop over epoll (sharded, nonblocking connection state machines,
-//!   write coalescing) as the default, with the original
-//!   thread-per-connection implementation selectable as a differential
-//!   oracle, so the scale and latency experiments cross real sockets.
+//!   loop over epoll, `poll(2)` off Linux (sharded, nonblocking
+//!   connection state machines, write coalescing), so the scale and
+//!   latency experiments cross real sockets.
 //! * [`federation`] — broker-to-broker links: a [`FederationLink`]
 //!   forwards *aggregated* per-stream subscriptions to a remote broker
 //!   so an event crosses the link once regardless of local fan-out,
@@ -61,7 +60,7 @@ pub use filter::{FilterCache, FilterCacheStats, FilterError, FilterStats, Stream
 pub use federation::{FederatedBroker, FederationLink, LinkConfig, LinkStats};
 pub use net::{
     ClientCloser, CloseHandler, ConnId, EventClient, EventServer, Frame, NetConfig, NetStats,
-    ServerHandle, Transport, TrySendError,
+    ServerHandle, TrySendError,
 };
 pub use scoping::FormatScope;
 pub use stream::{CapturePoint, Consumer};

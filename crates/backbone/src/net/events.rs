@@ -1,5 +1,5 @@
-//! The readiness event-loop transport: one acceptor plus a few loop
-//! shards replace two OS threads per connection.
+//! The readiness event loop behind [`EventServer`](super::EventServer):
+//! one acceptor plus a few loop shards, however many connections.
 //!
 //! Every accepted socket becomes **nonblocking** and is hashed (by
 //! connection id, like broker streams) onto a loop shard. A shard owns
@@ -20,9 +20,7 @@
 //! * **Reply-queue backpressure without blocking.** When a
 //!   connection's outbound queue reaches the configured depth the
 //!   shard stops *parsing* (and drops read interest), leaving unread
-//!   bytes to TCP flow control — the nonblocking analogue of the
-//!   threaded reader blocking on a full queue. Parsing resumes at half
-//!   depth.
+//!   bytes to TCP flow control. Parsing resumes at half depth.
 //! * **Push admission is synchronous and admitted pushes are never
 //!   silently dropped.** Pushers consult a per-connection inflight
 //!   mirror before enqueueing: a full window surfaces as `Busy`
@@ -253,10 +251,9 @@ impl Server {
         on_close: Option<CloseHandler>,
         shard_count: usize,
         queue_depth: usize,
-        force_poll_fallback: bool,
-        counters: Arc<NetCounters>,
     ) -> Result<Server, BackboneError> {
         let addr = listener.local_addr()?;
+        let counters = Arc::new(NetCounters::default());
         let stop = Arc::new(AtomicBool::new(false));
         // Build every poller/waker pair before spawning anything so a
         // failure unwinds with no threads to clean up.
@@ -264,9 +261,8 @@ impl Server {
         let mut shard_shared = Vec::with_capacity(shard_count);
         let mut backend = "poll";
         for _ in 0..shard_count {
-            let poller =
-                if force_poll_fallback { Poller::new_poll_fallback() } else { Poller::new() }?;
-            let waker = if force_poll_fallback { Waker::new_pipe() } else { Waker::new() }?;
+            let poller = Poller::new()?;
+            let waker = Waker::new()?;
             backend = poller.backend_name();
             poller.add(waker.read_fd(), WAKE_KEY, Interest::READ)?;
             let shared = Arc::new(ShardShared {
@@ -373,8 +369,7 @@ fn accept_loop(
 ) {
     let mut next_id: ConnId = 0;
     loop {
-        // Blocking accept: no polling, no idle wakeups — identical to
-        // the threaded transport's accept discipline.
+        // Blocking accept: no polling, no idle wakeups.
         match listener.accept() {
             Ok((stream, _)) => {
                 wakeups.fetch_add(1, Ordering::SeqCst);
@@ -638,8 +633,7 @@ impl Shard {
 
         // 3. Close or resync interest. A connection drains queued
         // output and processes already-received frames before an EOF
-        // close (mirroring the threaded writer's drain-then-shutdown),
-        // but an I/O error closes immediately.
+        // close, but an I/O error closes immediately.
         let drained = conn.eof && !conn.paused && !conn.machine.has_output();
         if dead || drained {
             let conn = conns.remove(&id).expect("serviced connection vanished");

@@ -7,22 +7,17 @@
 //! could be swapped for multicast or a cluster interconnect without
 //! touching metadata handling.
 //!
-//! Two server transports implement the same observable contract and are
-//! selected by [`NetConfig::transport`]:
-//!
-//! * [`Transport::Readiness`] (default) — one blocking acceptor plus a
-//!   few event-loop shards over epoll (`poll(2)` fallback off Linux);
-//!   each connection is a nonblocking [`machine::ConnMachine`] state
-//!   machine, so 100k mostly-idle subscribers cost a handful of
-//!   threads and flat memory. See [`events`](self) internals.
-//! * [`Transport::Threaded`] — the original reader/writer thread pair
-//!   per connection, kept as the differential oracle the equivalence
-//!   tests hold the event loop against.
-//!
-//! Both share the framing functions below, coalesce queued replies into
-//! vectored writes, bound each connection's reply queue (backpressuring
-//! slow readers), support server-initiated pushes via [`ServerHandle`],
-//! and expose the same [`NetStats`] observability snapshot.
+//! The server is a readiness event loop: one blocking acceptor plus a
+//! few loop shards over epoll (`poll(2)` off Linux); each connection is
+//! a nonblocking [`machine::ConnMachine`] state machine, so 100k
+//! mostly-idle subscribers cost a handful of threads and flat memory
+//! (see the `events` module's header for the loop's invariants). It
+//! uses the framing functions below, coalesces queued replies into
+//! vectored writes, bounds each connection's reply queue (backpressuring
+//! slow readers), supports server-initiated pushes via [`ServerHandle`],
+//! and exposes a [`NetStats`] observability snapshot. Its observable
+//! contract is pinned by `tests/transport_contract.rs` at the workspace
+//! root.
 
 use std::io::{BufReader, BufWriter, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -33,7 +28,6 @@ use crate::error::BackboneError;
 
 mod events;
 pub mod machine;
-mod threaded;
 
 pub use machine::{ConnMachine, WriteOutcome};
 
@@ -96,9 +90,9 @@ const MAX_SECTION: u32 = 64 * 1024 * 1024;
 /// Linux caps an iovec at 1024 entries.
 const MAX_FRAMES_PER_WRITEV: usize = 256;
 
-/// Default depth of a connection's outbound reply queue; both
-/// transports backpressure (stop consuming requests) when a peer reads
-/// slowly, and drop server pushes rather than stall fanout.
+/// Default depth of a connection's outbound reply queue; the server
+/// backpressures (stops consuming requests) when a peer reads slowly,
+/// and drops server pushes rather than stall fanout.
 const WRITER_QUEUE_DEPTH: usize = 512;
 
 /// Writes one frame and flushes.
@@ -264,48 +258,26 @@ pub type RoutedHandler = Arc<dyn Fn(ConnId, Frame) -> Option<Frame> + Send + Syn
 /// deregistered (peer disconnect, I/O error, or server shutdown).
 /// Runs on a transport thread — it must not block. Brokers use this to
 /// reap per-connection state (subscriptions, forwarders) without
-/// heartbeats: [`ServerHandle::send`] on the readiness transport cannot
-/// report a dead peer synchronously, but this callback can.
+/// heartbeats: [`ServerHandle::send`] cannot report a dead peer
+/// synchronously, but this callback can.
 pub type CloseHandler = Arc<dyn Fn(ConnId) + Send + Sync>;
 
-/// Which server implementation carries the frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transport {
-    /// Readiness event loop: epoll shards, nonblocking connections
-    /// (the default).
-    Readiness,
-    /// One reader + one writer thread per connection (the differential
-    /// oracle).
-    Threaded,
-}
-
-/// Server construction knobs. `Default` is the production transport:
-/// the readiness loop on epoll where the platform has it and on
-/// `poll(2)` elsewhere. The equivalence tests and benches that want the
-/// threaded oracle or the `poll(2)` backend set those fields themselves.
+/// Server construction knobs. The kernel backend is not one of them:
+/// the loop runs on epoll where the platform has it and on `poll(2)`
+/// elsewhere.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// Which transport to run.
-    pub transport: Transport,
     /// Event-loop shard count; `0` sizes to available parallelism
     /// (capped at 4 — shards are I/O bound, not compute bound).
     pub shards: usize,
     /// Per-connection outbound queue bound; reaching it pauses request
     /// consumption and drops pushes.
     pub reply_queue_depth: usize,
-    /// Use the `poll(2)` backend even where epoll is available (for
-    /// differential coverage of the fallback).
-    pub force_poll_fallback: bool,
 }
 
 impl Default for NetConfig {
     fn default() -> NetConfig {
-        NetConfig {
-            transport: Transport::Readiness,
-            shards: 0,
-            reply_queue_depth: WRITER_QUEUE_DEPTH,
-            force_poll_fallback: false,
-        }
+        NetConfig { shards: 0, reply_queue_depth: WRITER_QUEUE_DEPTH }
     }
 }
 
@@ -314,7 +286,7 @@ fn default_shards() -> usize {
 }
 
 /// Internal atomic tallies behind [`NetStats`]: one instance per
-/// server, shared by every transport thread. Relaxed ordering — these
+/// server, shared by every loop thread. Relaxed ordering — these
 /// are monotonic counters, not synchronization.
 #[derive(Debug, Default)]
 pub(crate) struct NetCounters {
@@ -374,8 +346,8 @@ impl NetCounters {
 /// layer). Cheap to take — a handful of relaxed atomic loads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetStats {
-    /// Which implementation produced these numbers: `"threaded"`,
-    /// `"readiness-epoll"`, or `"readiness-poll"`.
+    /// Which kernel backend the loop shards wait on:
+    /// `"readiness-epoll"` or `"readiness-poll"`.
     pub transport: &'static str,
     /// Connections the acceptor has handed to the transport.
     pub connections_accepted: u64,
@@ -384,9 +356,9 @@ pub struct NetStats {
     /// Connections fully closed and deregistered — each one closed its
     /// fd exactly once.
     pub connections_reaped: u64,
-    /// Kernel-wait returns across all loop shards (always `0` for the
-    /// threaded transport). An idle server's loops stay asleep, so this
-    /// advancing at rest indicates a spin bug.
+    /// Kernel-wait returns across all loop shards. An idle server's
+    /// loops stay asleep, so this advancing at rest indicates a spin
+    /// bug.
     pub loop_wakeups: u64,
     /// Frames parsed off sockets and handed to the handler.
     pub frames_read: u64,
@@ -401,36 +373,30 @@ pub struct NetStats {
     /// Deepest any connection's reply queue has been.
     pub reply_queue_high_water: u64,
     /// Times backpressure suspended request consumption on a
-    /// connection (readiness transport only).
+    /// connection.
     pub read_pauses: u64,
     /// Server pushes dropped because the target was unknown, closed, or
     /// its queue was full.
     pub pushes_dropped: u64,
 }
 
-enum ServerImpl {
-    Readiness(events::Server),
-    Threaded(threaded::Server),
-}
-
 /// A TCP event server: accepts connections and feeds frames to a
-/// handler. The transport behind it is chosen by [`NetConfig`].
+/// handler.
 pub struct EventServer {
-    imp: ServerImpl,
+    server: events::Server,
 }
 
 impl std::fmt::Debug for EventServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventServer")
             .field("addr", &self.local_addr())
-            .field("transport", &self.transport())
             .finish_non_exhaustive()
     }
 }
 
 impl EventServer {
     /// Binds and serves on `addr` with `handler`, using the default
-    /// (environment-sensitive) configuration.
+    /// configuration.
     ///
     /// # Errors
     ///
@@ -470,7 +436,7 @@ impl EventServer {
 
     /// [`bind_routed`](Self::bind_routed) plus a close notification: the
     /// [`CloseHandler`] fires exactly once per connection when it is
-    /// deregistered, on whichever transport thread performed the close.
+    /// deregistered, on the loop thread that performed the close.
     /// This is how a federated broker learns a remote link died without
     /// heartbeating it.
     ///
@@ -484,102 +450,52 @@ impl EventServer {
         config: NetConfig,
     ) -> Result<Self, BackboneError> {
         let listener = TcpListener::bind(addr)?;
-        let counters = Arc::new(NetCounters::default());
+        let shards = if config.shards == 0 { default_shards() } else { config.shards };
         let depth = config.reply_queue_depth.max(1);
-        let imp = match config.transport {
-            Transport::Threaded => ServerImpl::Threaded(threaded::Server::bind(
-                listener, handler, on_close, depth, counters,
-            )?),
-            Transport::Readiness => {
-                let shards =
-                    if config.shards == 0 { default_shards() } else { config.shards };
-                ServerImpl::Readiness(events::Server::bind(
-                    listener,
-                    handler,
-                    on_close,
-                    shards,
-                    depth,
-                    config.force_poll_fallback,
-                    counters,
-                )?)
-            }
-        };
-        Ok(EventServer { imp })
+        let server = events::Server::bind(listener, handler, on_close, shards, depth)?;
+        Ok(EventServer { server })
     }
 
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        match &self.imp {
-            ServerImpl::Readiness(s) => s.local_addr(),
-            ServerImpl::Threaded(s) => s.local_addr(),
-        }
+        self.server.local_addr()
     }
 
-    /// Which transport this server runs.
-    pub fn transport(&self) -> Transport {
-        match &self.imp {
-            ServerImpl::Readiness(_) => Transport::Readiness,
-            ServerImpl::Threaded(_) => Transport::Threaded,
-        }
-    }
-
-    /// How many times the accept loop has woken so far. Both transports
-    /// block in `accept(2)`, so this advances only when a connection
+    /// How many times the accept loop has woken so far. The acceptor
+    /// blocks in `accept(2)`, so this advances only when a connection
     /// actually arrives — an idle server stays at zero instead of
     /// burning CPU in a sleep-poll cycle.
     pub fn accept_wakeups(&self) -> u64 {
-        match &self.imp {
-            ServerImpl::Readiness(s) => s.accept_wakeups(),
-            ServerImpl::Threaded(s) => s.accept_wakeups(),
-        }
+        self.server.accept_wakeups()
     }
 
     /// Number of currently tracked (not yet reaped) connections.
     pub fn connection_count(&self) -> usize {
-        match &self.imp {
-            ServerImpl::Readiness(s) => s.connection_count(),
-            ServerImpl::Threaded(s) => s.connection_count(),
-        }
+        self.server.connection_count()
     }
 
     /// A snapshot of the transport counters.
     pub fn net_stats(&self) -> NetStats {
-        match &self.imp {
-            ServerImpl::Readiness(s) => {
-                let label = match s.backend() {
-                    "epoll" => "readiness-epoll",
-                    _ => "readiness-poll",
-                };
-                s.counters().snapshot(label)
-            }
-            ServerImpl::Threaded(s) => s.counters().snapshot("threaded"),
-        }
+        let label = match self.server.backend() {
+            "epoll" => "readiness-epoll",
+            _ => "readiness-poll",
+        };
+        self.server.counters().snapshot(label)
     }
 
     /// A cloneable handle for pushing server-initiated frames (broker
     /// fanout). Outlives nothing: pushes after the server drops are
     /// no-ops returning `false`.
     pub fn handle(&self) -> ServerHandle {
-        match &self.imp {
-            ServerImpl::Readiness(s) => {
-                ServerHandle { inner: HandleInner::Readiness(s.shared()) }
-            }
-            ServerImpl::Threaded(s) => ServerHandle { inner: HandleInner::Threaded(s.shared()) },
-        }
+        ServerHandle { shared: self.server.shared() }
     }
-}
-
-#[derive(Clone)]
-enum HandleInner {
-    Readiness(Arc<events::Shared>),
-    Threaded(Arc<threaded::Shared>),
 }
 
 /// Pushes frames to specific connections from outside the handler — the
 /// broker fanout path. Cloneable and thread-safe.
 #[derive(Clone)]
 pub struct ServerHandle {
-    inner: HandleInner,
+    shared: Arc<events::Shared>,
 }
 
 impl std::fmt::Debug for ServerHandle {
@@ -593,16 +509,13 @@ impl ServerHandle {
     /// `false` when the push definitely went nowhere (unknown or closed
     /// connection, full queue, server shutting down); `true` means it
     /// was queued and will reach the socket unless the connection
-    /// closes first. The overflow decision is made synchronously on
-    /// both transports — a `true` is a real acceptance, never a frame
-    /// silently resolved to a drop later. Drops are counted in
+    /// closes first. The overflow decision is made synchronously — a
+    /// `true` is a real acceptance, never a frame silently resolved to
+    /// a drop later. Drops are counted in
     /// [`NetStats::pushes_dropped`]; callers that would rather retry
     /// than drop should use [`try_send`](Self::try_send).
     pub fn send(&self, conn: ConnId, frame: Frame) -> bool {
-        match &self.inner {
-            HandleInner::Readiness(shared) => shared.push(conn, frame),
-            HandleInner::Threaded(shared) => shared.push(conn, frame),
-        }
+        self.shared.push(conn, frame)
     }
 
     /// Queues `frame` to connection `conn` without blocking, handing
@@ -623,38 +536,29 @@ impl ServerHandle {
     /// is unknown/closed or the server is shutting down (permanent,
     /// counted in [`NetStats::pushes_dropped`]).
     pub fn try_send(&self, conn: ConnId, frame: Frame) -> Result<(), TrySendError> {
-        match &self.inner {
-            HandleInner::Readiness(shared) => shared.try_push(conn, frame),
-            HandleInner::Threaded(shared) => shared.try_push(conn, frame),
-        }
+        self.shared.try_push(conn, frame)
     }
 
     /// Queues a whole fanout batch without blocking, coalescing the
-    /// per-push bookkeeping: on the readiness transport the batch is
-    /// grouped by owning shard and each shard pays **one** inbox lock
-    /// and at most one waker (eventfd) write, instead of one kernel
-    /// write per frame; on the threaded transport the connection-table
-    /// lock is taken once for the batch.
+    /// per-push bookkeeping: the batch is grouped by owning shard and
+    /// each shard pays **one** inbox lock and at most one waker
+    /// (eventfd) write, instead of one kernel write per frame.
     ///
     /// Returns the `(conn, frame)` pairs that were definitely not
     /// queued — unknown/closed connections, full queues, server
     /// shutting down — so callers can retry after yielding or count
     /// them as dropped (they are also tallied in
-    /// [`NetStats::pushes_dropped`]). Both transports make the
-    /// overflow decision synchronously: an empty return means every
-    /// frame was queued and will reach its socket unless the
-    /// connection closes first.
+    /// [`NetStats::pushes_dropped`]). The overflow decision is made
+    /// synchronously: an empty return means every frame was queued and
+    /// will reach its socket unless the connection closes first.
     ///
-    /// Rejection preserves per-connection order: on both transports a
-    /// rejected frame is followed only by more rejects for that same
-    /// connection within the batch (a contiguous tail), so a caller
-    /// that retries the returned pairs in order — as the federation
-    /// forwarder does — never reorders a connection's stream.
+    /// Rejection preserves per-connection order: a rejected frame is
+    /// followed only by more rejects for that same connection within
+    /// the batch (a contiguous tail), so a caller that retries the
+    /// returned pairs in order — as the federation forwarder does —
+    /// never reorders a connection's stream.
     pub fn send_batch(&self, frames: Vec<(ConnId, Frame)>) -> Vec<(ConnId, Frame)> {
-        match &self.inner {
-            HandleInner::Readiness(shared) => shared.push_batch(frames),
-            HandleInner::Threaded(shared) => shared.push_batch(frames),
-        }
+        self.shared.push_batch(frames)
     }
 }
 
@@ -762,23 +666,10 @@ mod tests {
     use std::net::Shutdown;
     use std::time::Duration;
 
-    /// Both transports under their test configuration; every behavioral
-    /// test runs against each.
-    fn configs() -> Vec<NetConfig> {
-        vec![
-            NetConfig {
-                transport: Transport::Readiness,
-                shards: 2,
-                reply_queue_depth: WRITER_QUEUE_DEPTH,
-                force_poll_fallback: false,
-            },
-            NetConfig {
-                transport: Transport::Threaded,
-                shards: 0,
-                reply_queue_depth: WRITER_QUEUE_DEPTH,
-                force_poll_fallback: false,
-            },
-        ]
+    /// Two shards, so the sharded dispatch path is exercised and not
+    /// only the degenerate single-loop case.
+    fn config() -> NetConfig {
+        NetConfig { shards: 2, ..NetConfig::default() }
     }
 
     fn echo_with(config: NetConfig) -> EventServer {
@@ -799,38 +690,32 @@ mod tests {
 
     #[test]
     fn round_trip_over_a_real_socket() {
-        for config in configs() {
-            let server = echo_with(config);
-            let mut client = EventClient::connect(server.local_addr()).unwrap();
-            let frame = Frame::new("asd", b"payload bytes".to_vec());
-            let reply = client.request(&frame).unwrap();
-            assert_eq!(reply, frame);
-        }
+        let server = echo_with(config());
+        let mut client = EventClient::connect(server.local_addr()).unwrap();
+        let frame = Frame::new("asd", b"payload bytes".to_vec());
+        let reply = client.request(&frame).unwrap();
+        assert_eq!(reply, frame);
     }
 
     #[test]
     fn many_frames_on_one_connection() {
-        for config in configs() {
-            let server = echo_with(config);
-            let mut client = EventClient::connect(server.local_addr()).unwrap();
-            for i in 0..100u32 {
-                let frame = Frame::new("s", i.to_le_bytes().to_vec());
-                assert_eq!(client.request(&frame).unwrap().payload, i.to_le_bytes());
-            }
+        let server = echo_with(config());
+        let mut client = EventClient::connect(server.local_addr()).unwrap();
+        for i in 0..100u32 {
+            let frame = Frame::new("s", i.to_le_bytes().to_vec());
+            assert_eq!(client.request(&frame).unwrap().payload, i.to_le_bytes());
         }
     }
 
     #[test]
     fn batched_frames_round_trip_with_one_flush() {
-        for config in configs() {
-            let server = echo_with(config);
-            let mut client = EventClient::connect(server.local_addr()).unwrap();
-            let frames: Vec<Frame> =
-                (0..10u8).map(|i| Frame::new("batch", vec![i; i as usize])).collect();
-            client.send_batch(&frames).unwrap();
-            for frame in &frames {
-                assert_eq!(client.recv().unwrap().unwrap(), *frame);
-            }
+        let server = echo_with(config());
+        let mut client = EventClient::connect(server.local_addr()).unwrap();
+        let frames: Vec<Frame> =
+            (0..10u8).map(|i| Frame::new("batch", vec![i; i as usize])).collect();
+        client.send_batch(&frames).unwrap();
+        for frame in &frames {
+            assert_eq!(client.recv().unwrap().unwrap(), *frame);
         }
     }
 
@@ -875,63 +760,57 @@ mod tests {
 
     #[test]
     fn server_can_transform_frames() {
-        for config in configs() {
-            let server = EventServer::bind_with(
-                "127.0.0.1:0",
-                Arc::new(|mut frame: Frame| {
-                    frame.payload.reverse();
-                    Some(frame)
-                }),
-                config,
-            )
-            .unwrap();
-            let mut client = EventClient::connect(server.local_addr()).unwrap();
-            let reply = client.request(&Frame::new("s", vec![1, 2, 3])).unwrap();
-            assert_eq!(reply.payload, vec![3, 2, 1]);
-        }
+        let server = EventServer::bind_with(
+            "127.0.0.1:0",
+            Arc::new(|mut frame: Frame| {
+                frame.payload.reverse();
+                Some(frame)
+            }),
+            config(),
+        )
+        .unwrap();
+        let mut client = EventClient::connect(server.local_addr()).unwrap();
+        let reply = client.request(&Frame::new("s", vec![1, 2, 3])).unwrap();
+        assert_eq!(reply.payload, vec![3, 2, 1]);
     }
 
     #[test]
     fn one_way_frames_are_allowed() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        for config in configs() {
-            let seen = Arc::new(AtomicUsize::new(0));
-            let server = {
-                let seen = Arc::clone(&seen);
-                EventServer::bind_with(
-                    "127.0.0.1:0",
-                    Arc::new(move |_frame| {
-                        seen.fetch_add(1, Ordering::SeqCst);
-                        None
-                    }),
-                    config,
-                )
-                .unwrap()
-            };
-            let mut client = EventClient::connect(server.local_addr()).unwrap();
-            for _ in 0..10 {
-                client.send(&Frame::new("s", vec![0])).unwrap();
-            }
-            drop(client);
-            // Wait for the connection to drain.
-            for _ in 0..100 {
-                if seen.load(Ordering::SeqCst) == 10 {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            assert_eq!(seen.load(Ordering::SeqCst), 10);
+        let seen = Arc::new(AtomicUsize::new(0));
+        let server = {
+            let seen = Arc::clone(&seen);
+            EventServer::bind_with(
+                "127.0.0.1:0",
+                Arc::new(move |_frame| {
+                    seen.fetch_add(1, Ordering::SeqCst);
+                    None
+                }),
+                config(),
+            )
+            .unwrap()
+        };
+        let mut client = EventClient::connect(server.local_addr()).unwrap();
+        for _ in 0..10 {
+            client.send(&Frame::new("s", vec![0])).unwrap();
         }
+        drop(client);
+        // Wait for the connection to drain.
+        for _ in 0..100 {
+            if seen.load(Ordering::SeqCst) == 10 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(seen.load(Ordering::SeqCst), 10);
     }
 
     #[test]
     fn empty_payload_and_empty_stream_name() {
-        for config in configs() {
-            let server = echo_with(config);
-            let mut client = EventClient::connect(server.local_addr()).unwrap();
-            let frame = Frame::new("", Vec::new());
-            assert_eq!(client.request(&frame).unwrap(), frame);
-        }
+        let server = echo_with(config());
+        let mut client = EventClient::connect(server.local_addr()).unwrap();
+        let frame = Frame::new("", Vec::new());
+        assert_eq!(client.request(&frame).unwrap(), frame);
     }
 
     #[test]
@@ -961,295 +840,233 @@ mod tests {
 
     #[test]
     fn idle_server_never_wakes() {
-        for config in configs() {
-            // The accept loop blocks in accept(2) and event-loop shards
-            // sleep in the kernel; an idle server must not spin. Give it
-            // time to misbehave, then check the counters.
-            let server = echo_with(config);
-            let settle_wakeups = server.net_stats().loop_wakeups;
-            std::thread::sleep(Duration::from_millis(200));
-            assert_eq!(server.accept_wakeups(), 0, "idle accept loop woke up");
-            assert_eq!(
-                server.net_stats().loop_wakeups,
-                settle_wakeups,
-                "idle event loop woke up"
-            );
-            // A real connection wakes the acceptor exactly once.
-            let mut client = EventClient::connect(server.local_addr()).unwrap();
-            let _ = client.request(&Frame::new("s", vec![1])).unwrap();
-            assert_eq!(server.accept_wakeups(), 1);
-        }
+        // The accept loop blocks in accept(2) and event-loop shards
+        // sleep in the kernel; an idle server must not spin. Give it
+        // time to misbehave, then check the counters.
+        let server = echo_with(config());
+        let settle_wakeups = server.net_stats().loop_wakeups;
+        std::thread::sleep(Duration::from_millis(200));
+        assert_eq!(server.accept_wakeups(), 0, "idle accept loop woke up");
+        assert_eq!(
+            server.net_stats().loop_wakeups,
+            settle_wakeups,
+            "idle event loop woke up"
+        );
+        // A real connection wakes the acceptor exactly once.
+        let mut client = EventClient::connect(server.local_addr()).unwrap();
+        let _ = client.request(&Frame::new("s", vec![1])).unwrap();
+        assert_eq!(server.accept_wakeups(), 1);
     }
 
     #[test]
     fn blocked_writer_does_not_stall_the_accept_loop() {
-        for config in configs() {
-            // A peer that sends requests, half-closes, and never reads
-            // its replies leaves megabytes of output waiting on a socket
-            // that can't take them. Neither transport may let that stall
-            // other clients: the threaded reaper must not join the
-            // wedged writer, and the event loop must park the connection
-            // on write interest and move on.
-            let server = echo_with(config);
-            let wedged = TcpStream::connect(server.local_addr()).unwrap();
-            {
-                let mut tx = BufWriter::new(wedged.try_clone().unwrap());
-                let big = Frame::new("big", vec![0xAB; 1 << 20]);
-                for _ in 0..32 {
-                    write_frame(&mut tx, &big).unwrap();
-                }
+        // A peer that sends requests, half-closes, and never reads
+        // its replies leaves megabytes of output waiting on a socket
+        // that can't take them. That must not stall other clients:
+        // the event loop parks the connection on write interest and
+        // moves on.
+        let server = echo_with(config());
+        let wedged = TcpStream::connect(server.local_addr()).unwrap();
+        {
+            let mut tx = BufWriter::new(wedged.try_clone().unwrap());
+            let big = Frame::new("big", vec![0xAB; 1 << 20]);
+            for _ in 0..32 {
+                write_frame(&mut tx, &big).unwrap();
             }
-            // Half-close: the server sees EOF on the read side while the
-            // replies (32 MiB, unread by us) remain queued.
-            wedged.shutdown(Shutdown::Write).unwrap();
-            std::thread::sleep(Duration::from_millis(200));
-            // A fresh client must still get served promptly.
-            let probe = TcpStream::connect(server.local_addr()).unwrap();
-            probe.set_nodelay(true).unwrap();
-            probe.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            let mut writer = BufWriter::new(probe.try_clone().unwrap());
-            write_frame(&mut writer, &Frame::new("ping", vec![1])).unwrap();
-            let mut reader = BufReader::new(probe);
-            let reply = read_frame(&mut reader)
-                .expect("server stalled behind a blocked writer")
-                .unwrap();
-            assert_eq!(reply.payload, vec![1]);
-            drop(wedged); // keep the wedged socket alive until here
         }
+        // Half-close: the server sees EOF on the read side while the
+        // replies (32 MiB, unread by us) remain queued.
+        wedged.shutdown(Shutdown::Write).unwrap();
+        std::thread::sleep(Duration::from_millis(200));
+        // A fresh client must still get served promptly.
+        let probe = TcpStream::connect(server.local_addr()).unwrap();
+        probe.set_nodelay(true).unwrap();
+        probe.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut writer = BufWriter::new(probe.try_clone().unwrap());
+        write_frame(&mut writer, &Frame::new("ping", vec![1])).unwrap();
+        let mut reader = BufReader::new(probe);
+        let reply = read_frame(&mut reader)
+            .expect("server stalled behind a blocked writer")
+            .unwrap();
+        assert_eq!(reply.payload, vec![1]);
+        drop(wedged); // keep the wedged socket alive until here
     }
 
     #[test]
     fn dead_connections_are_reaped() {
-        for config in configs() {
-            let server = echo_with(config);
-            for _ in 0..3 {
-                let mut client = EventClient::connect(server.local_addr()).unwrap();
-                let _ = client.request(&Frame::new("s", vec![1])).unwrap();
-                drop(client);
-            }
-            // The event loop closes on EOF directly; the threaded
-            // transport reaps finished predecessors on each new accept.
-            std::thread::sleep(Duration::from_millis(100));
-            let mut probe = EventClient::connect(server.local_addr()).unwrap();
-            let _ = probe.request(&Frame::new("s", vec![1])).unwrap();
-            std::thread::sleep(Duration::from_millis(50));
-            assert!(
-                server.connection_count() <= 2,
-                "dead connections not reaped: {}",
-                server.connection_count()
-            );
-            assert!(server.net_stats().connections_reaped >= 3);
+        let server = echo_with(config());
+        for _ in 0..3 {
+            let mut client = EventClient::connect(server.local_addr()).unwrap();
+            let _ = client.request(&Frame::new("s", vec![1])).unwrap();
+            drop(client);
         }
+        // The event loop closes on EOF directly, with no later accept
+        // needed to trigger a sweep.
+        assert!(
+            eventually(|| server.connection_count() == 0),
+            "dead connections not reaped: {}",
+            server.connection_count()
+        );
+        assert_eq!(server.net_stats().connections_reaped, 3);
     }
 
     #[test]
     fn net_stats_track_traffic() {
-        for config in configs() {
-            let server = echo_with(config);
-            let mut client = EventClient::connect(server.local_addr()).unwrap();
-            for i in 0..10u32 {
-                let _ = client.request(&Frame::new("s", i.to_le_bytes().to_vec())).unwrap();
-            }
-            // Counters are bumped just after their observable effect
-            // (the reply reaching the client), so poll briefly.
-            assert!(
-                eventually(|| server.net_stats().frames_written == 10),
-                "frames_written never reached 10: {:?}",
-                server.net_stats()
-            );
-            let stats = server.net_stats();
-            assert_eq!(stats.connections_accepted, 1);
-            assert_eq!(stats.connections_open, 1);
-            assert_eq!(stats.frames_read, 10);
-            assert!(stats.writev_calls >= 1);
-            assert!(stats.reply_queue_high_water >= 1);
-            match server.transport() {
-                Transport::Readiness => assert_eq!(stats.transport, "readiness-epoll"),
-                Transport::Threaded => assert_eq!(stats.transport, "threaded"),
-            }
+        let server = echo_with(config());
+        let mut client = EventClient::connect(server.local_addr()).unwrap();
+        for i in 0..10u32 {
+            let _ = client.request(&Frame::new("s", i.to_le_bytes().to_vec())).unwrap();
         }
+        // Counters are bumped just after their observable effect
+        // (the reply reaching the client), so poll briefly.
+        assert!(
+            eventually(|| server.net_stats().frames_written == 10),
+            "frames_written never reached 10: {:?}",
+            server.net_stats()
+        );
+        let stats = server.net_stats();
+        assert_eq!(stats.connections_accepted, 1);
+        assert_eq!(stats.connections_open, 1);
+        assert_eq!(stats.frames_read, 10);
+        assert!(stats.writev_calls >= 1);
+        assert!(stats.reply_queue_high_water >= 1);
+        let backend = if cfg!(target_os = "linux") { "readiness-epoll" } else { "readiness-poll" };
+        assert_eq!(stats.transport, backend);
     }
 
     #[test]
     fn server_push_reaches_subscribers() {
-        for config in configs() {
-            // A routed handler records which connection said hello; the
-            // server then pushes frames to it unprompted (broker fanout).
-            let subscriber: Arc<Mutex<Option<ConnId>>> = Arc::new(Mutex::new(None));
-            let server = {
-                let subscriber = Arc::clone(&subscriber);
-                EventServer::bind_routed(
-                    "127.0.0.1:0",
-                    Arc::new(move |conn, frame: Frame| {
-                        *subscriber.lock() = Some(conn);
-                        Some(frame) // ack the subscribe
-                    }),
-                    config,
-                )
-                .unwrap()
-            };
-            let mut client = EventClient::connect(server.local_addr()).unwrap();
-            let _ = client.request(&Frame::new("subscribe", vec![])).unwrap();
-            let conn = subscriber.lock().expect("handler saw the subscribe");
-            let handle = server.handle();
-            for i in 0..5u8 {
-                assert!(handle.send(conn, Frame::new("push", vec![i])));
-            }
-            for i in 0..5u8 {
-                let frame = client.recv().unwrap().unwrap();
-                assert_eq!(frame.stream, "push");
-                assert_eq!(frame.payload, vec![i]);
-            }
-            // Pushes to a connection that never existed are dropped and
-            // counted, not errors.
-            assert!(!handle.send(9999, Frame::new("push", vec![0])) || {
-                // The readiness push resolves asynchronously on the
-                // shard; poll the drop counter instead.
-                let mut dropped = false;
-                for _ in 0..100 {
-                    if server.net_stats().pushes_dropped >= 1 {
-                        dropped = true;
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                dropped
-            });
+        // A routed handler records which connection said hello; the
+        // server then pushes frames to it unprompted (broker fanout).
+        let subscriber: Arc<Mutex<Option<ConnId>>> = Arc::new(Mutex::new(None));
+        let server = {
+            let subscriber = Arc::clone(&subscriber);
+            EventServer::bind_routed(
+                "127.0.0.1:0",
+                Arc::new(move |conn, frame: Frame| {
+                    *subscriber.lock() = Some(conn);
+                    Some(frame) // ack the subscribe
+                }),
+                config(),
+            )
+            .unwrap()
+        };
+        let mut client = EventClient::connect(server.local_addr()).unwrap();
+        let _ = client.request(&Frame::new("subscribe", vec![])).unwrap();
+        let conn = subscriber.lock().expect("handler saw the subscribe");
+        let handle = server.handle();
+        for i in 0..5u8 {
+            assert!(handle.send(conn, Frame::new("push", vec![i])));
         }
+        for i in 0..5u8 {
+            let frame = client.recv().unwrap().unwrap();
+            assert_eq!(frame.stream, "push");
+            assert_eq!(frame.payload, vec![i]);
+        }
+        // Pushes to a connection that never existed are dropped and
+        // counted, not errors — decided synchronously.
+        assert!(!handle.send(9999, Frame::new("push", vec![0])));
+        assert_eq!(server.net_stats().pushes_dropped, 1);
     }
 
     #[test]
     fn bulk_try_send_bursts_survive_backpressure_without_loss() {
         // The federation-replay regression: a producer bursting far
         // past the reply-queue depth must be able to deliver every
-        // frame by retrying Busy — on both transports, with nothing
-        // landing in pushes_dropped. Before try_send existed the
-        // readiness transport accepted such pushes and silently shed
-        // them on the loop shard.
+        // frame by retrying Busy, with nothing landing in
+        // pushes_dropped. Before try_send existed the loop accepted
+        // such pushes and silently shed them on the shard.
         const BURST: u32 = 4 * WRITER_QUEUE_DEPTH as u32;
-        for config in configs() {
-            let subscriber: Arc<Mutex<Option<ConnId>>> = Arc::new(Mutex::new(None));
-            let server = {
-                let subscriber = Arc::clone(&subscriber);
-                EventServer::bind_routed(
-                    "127.0.0.1:0",
-                    Arc::new(move |conn, frame: Frame| {
-                        *subscriber.lock() = Some(conn);
-                        Some(frame)
-                    }),
-                    config,
-                )
-                .unwrap()
-            };
-            let mut client = EventClient::connect(server.local_addr()).unwrap();
-            let _ = client.request(&Frame::new("subscribe", vec![])).unwrap();
-            let conn = subscriber.lock().expect("handler saw the subscribe");
-            let handle = server.handle();
+        let subscriber: Arc<Mutex<Option<ConnId>>> = Arc::new(Mutex::new(None));
+        let server = {
+            let subscriber = Arc::clone(&subscriber);
+            EventServer::bind_routed(
+                "127.0.0.1:0",
+                Arc::new(move |conn, frame: Frame| {
+                    *subscriber.lock() = Some(conn);
+                    Some(frame)
+                }),
+                config(),
+            )
+            .unwrap()
+        };
+        let mut client = EventClient::connect(server.local_addr()).unwrap();
+        let _ = client.request(&Frame::new("subscribe", vec![])).unwrap();
+        let conn = subscriber.lock().expect("handler saw the subscribe");
+        let handle = server.handle();
 
-            let pusher = std::thread::spawn(move || {
-                for i in 0..BURST {
-                    let mut frame = Frame::new("push", i.to_le_bytes().to_vec());
-                    loop {
-                        match handle.try_send(conn, frame) {
-                            Ok(()) => break,
-                            Err(TrySendError::Busy(returned)) => {
-                                frame = returned;
-                                std::thread::sleep(Duration::from_micros(200));
-                            }
-                            Err(TrySendError::Gone(_)) => {
-                                panic!("connection died mid-burst at frame {i}")
-                            }
+        let pusher = std::thread::spawn(move || {
+            for i in 0..BURST {
+                let mut frame = Frame::new("push", i.to_le_bytes().to_vec());
+                loop {
+                    match handle.try_send(conn, frame) {
+                        Ok(()) => break,
+                        Err(TrySendError::Busy(returned)) => {
+                            frame = returned;
+                            std::thread::sleep(Duration::from_micros(200));
+                        }
+                        Err(TrySendError::Gone(_)) => {
+                            panic!("connection died mid-burst at frame {i}")
                         }
                     }
                 }
-            });
-
-            for i in 0..BURST {
-                let frame = client.recv().unwrap().expect("burst ended early");
-                assert_eq!(frame.payload, i.to_le_bytes().to_vec(), "loss or reorder at {i}");
             }
-            pusher.join().expect("pusher panicked");
-            assert_eq!(
-                server.net_stats().pushes_dropped,
-                0,
-                "a retried burst must never shed frames"
-            );
-
-            // And a try_send at a connection that never existed is a
-            // synchronous, frame-returning Gone.
-            let handle = server.handle();
-            match handle.try_send(9999, Frame::new("push", vec![7])) {
-                Err(TrySendError::Gone(frame)) => assert_eq!(frame.payload, vec![7]),
-                other => panic!("expected Gone for an unknown connection, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn batched_pushes_reach_subscribers_on_both_transports() {
-        for config in configs() {
-            let subscriber: Arc<Mutex<Option<ConnId>>> = Arc::new(Mutex::new(None));
-            let server = {
-                let subscriber = Arc::clone(&subscriber);
-                EventServer::bind_routed(
-                    "127.0.0.1:0",
-                    Arc::new(move |conn, frame: Frame| {
-                        *subscriber.lock() = Some(conn);
-                        Some(frame)
-                    }),
-                    config,
-                )
-                .unwrap()
-            };
-            let mut client = EventClient::connect(server.local_addr()).unwrap();
-            let _ = client.request(&Frame::new("subscribe", vec![])).unwrap();
-            let conn = subscriber.lock().expect("handler saw the subscribe");
-            let handle = server.handle();
-            // One batch, many frames: the readiness path must deliver
-            // them all off a single waker write, in order.
-            let batch: Vec<(ConnId, Frame)> =
-                (0..16u8).map(|i| (conn, Frame::new("push", vec![i]))).collect();
-            assert!(handle.send_batch(batch).is_empty());
-            for i in 0..16u8 {
-                let frame = client.recv().unwrap().unwrap();
-                assert_eq!(frame.stream, "push");
-                assert_eq!(frame.payload, vec![i]);
-            }
-            // A batch aimed at a connection that never existed comes
-            // back rejected (threaded) or is dropped and counted on the
-            // shard (readiness) — never silently lost without trace.
-            let bogus = vec![(9999, Frame::new("push", vec![0]))];
-            let rejected = handle.send_batch(bogus);
-            assert!(!rejected.is_empty() || {
-                let mut dropped = false;
-                for _ in 0..100 {
-                    if server.net_stats().pushes_dropped >= 1 {
-                        dropped = true;
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                dropped
-            });
-        }
-    }
-
-    #[test]
-    fn poll_fallback_round_trips() {
-        // The portable poll(2) backend must carry the same traffic as
-        // epoll (differential coverage for non-Linux builds).
-        let server = echo_with(NetConfig {
-            transport: Transport::Readiness,
-            shards: 2,
-            reply_queue_depth: WRITER_QUEUE_DEPTH,
-            force_poll_fallback: true,
         });
-        assert_eq!(server.net_stats().transport, "readiness-poll");
-        let mut client = EventClient::connect(server.local_addr()).unwrap();
-        for i in 0..50u32 {
-            let frame = Frame::new("s", i.to_le_bytes().to_vec());
-            assert_eq!(client.request(&frame).unwrap(), frame);
+
+        for i in 0..BURST {
+            let frame = client.recv().unwrap().expect("burst ended early");
+            assert_eq!(frame.payload, i.to_le_bytes().to_vec(), "loss or reorder at {i}");
         }
+        pusher.join().expect("pusher panicked");
+        assert_eq!(
+            server.net_stats().pushes_dropped,
+            0,
+            "a retried burst must never shed frames"
+        );
+
+        // And a try_send at a connection that never existed is a
+        // synchronous, frame-returning Gone.
+        let handle = server.handle();
+        match handle.try_send(9999, Frame::new("push", vec![7])) {
+            Err(TrySendError::Gone(frame)) => assert_eq!(frame.payload, vec![7]),
+            other => panic!("expected Gone for an unknown connection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn batched_pushes_reach_subscribers() {
+        let subscriber: Arc<Mutex<Option<ConnId>>> = Arc::new(Mutex::new(None));
+        let server = {
+            let subscriber = Arc::clone(&subscriber);
+            EventServer::bind_routed(
+                "127.0.0.1:0",
+                Arc::new(move |conn, frame: Frame| {
+                    *subscriber.lock() = Some(conn);
+                    Some(frame)
+                }),
+                config(),
+            )
+            .unwrap()
+        };
+        let mut client = EventClient::connect(server.local_addr()).unwrap();
+        let _ = client.request(&Frame::new("subscribe", vec![])).unwrap();
+        let conn = subscriber.lock().expect("handler saw the subscribe");
+        let handle = server.handle();
+        // One batch, many frames: delivered off a single waker write,
+        // in order.
+        let batch: Vec<(ConnId, Frame)> =
+            (0..16u8).map(|i| (conn, Frame::new("push", vec![i]))).collect();
+        assert!(handle.send_batch(batch).is_empty());
+        for i in 0..16u8 {
+            let frame = client.recv().unwrap().unwrap();
+            assert_eq!(frame.stream, "push");
+            assert_eq!(frame.payload, vec![i]);
+        }
+        // A batch aimed at a connection that never existed comes
+        // back rejected and counted — never silently lost.
+        let bogus = vec![(9999, Frame::new("push", vec![0]))];
+        assert_eq!(handle.send_batch(bogus.clone()), bogus);
+        assert_eq!(server.net_stats().pushes_dropped, 1);
     }
 
     #[test]
@@ -1259,12 +1076,7 @@ mod tests {
         // (read_pauses) rather than queue replies without bound — and
         // every reply must still arrive, in order, once the client
         // starts reading.
-        let server = echo_with(NetConfig {
-            transport: Transport::Readiness,
-            shards: 1,
-            reply_queue_depth: 2,
-            force_poll_fallback: false,
-        });
+        let server = echo_with(NetConfig { shards: 1, reply_queue_depth: 2 });
         // Hundreds of small frames arrive in each socket read, so the
         // parse loop hits the depth-2 bound long before the flood is
         // consumed and must pause/resume repeatedly.

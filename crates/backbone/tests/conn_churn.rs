@@ -2,19 +2,31 @@
 //!
 //! The readiness transport owns raw epoll/eventfd descriptors behind
 //! safe wrappers; the invariant worth a test is that every descriptor
-//! is closed exactly once — across mass mid-batch disconnects, across
-//! server shutdown, and on the poll(2) fallback. Linux makes the
-//! check direct: `/proc/self/fd` is ground truth for the whole
-//! process.
+//! is closed exactly once — across mass mid-batch disconnects and
+//! across server shutdown (the `poll(2)` backend's descriptors are held
+//! to the same standard where they are owned, in `shims/polling`).
+//! Linux makes the check direct: `/proc/self/fd` is ground truth for
+//! the whole process — which is why the tests here must not overlap.
 
 #![cfg(target_os = "linux")]
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use backbone::net::{write_frame_batch, EventServer, Frame, NetConfig, Transport};
+use backbone::net::{write_frame_batch, EventServer, Frame, NetConfig};
+
+/// `/proc/self/fd` counts the whole process, and `cargo test` runs this
+/// file's tests on parallel threads of one process: each test holds
+/// this lock for its whole body so another test's sockets never land
+/// between its baseline and its final count.
+static FD_COUNT: Mutex<()> = Mutex::new(());
+
+fn fd_count_lock() -> std::sync::MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the other one can still run.
+    FD_COUNT.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Open descriptors in this process right now. The `read_dir` handle
 /// itself briefly adds one fd, but it is open during every call, so
@@ -34,16 +46,17 @@ fn eventually(mut cond: impl FnMut() -> bool) -> bool {
     false
 }
 
-fn readiness_config() -> NetConfig {
-    NetConfig { transport: Transport::Readiness, shards: 2, ..NetConfig::default() }
+fn config() -> NetConfig {
+    NetConfig { shards: 2, ..NetConfig::default() }
 }
 
 #[test]
 fn killing_a_thousand_connections_mid_batch_leaks_no_fds() {
     const CONNS: usize = 1000;
+    let _alone = fd_count_lock();
 
     let server =
-        EventServer::bind_with("127.0.0.1:0", Arc::new(Some), readiness_config())
+        EventServer::bind_with("127.0.0.1:0", Arc::new(Some), config())
             .unwrap();
     let addr = server.local_addr();
     let baseline = open_fds();
@@ -91,10 +104,11 @@ fn server_shutdown_returns_every_descriptor() {
     // shard, plus any live connection sockets; dropping it must return
     // all of them — exactly once each (a double close would race other
     // threads' fd allocation and corrupt an unrelated descriptor).
+    let _alone = fd_count_lock();
     let before = open_fds();
     {
         let server =
-            EventServer::bind_with("127.0.0.1:0", Arc::new(Some), readiness_config())
+            EventServer::bind_with("127.0.0.1:0", Arc::new(Some), config())
                 .unwrap();
         // Leave connections open across the shutdown so Drop has live
         // conns to tear down, not just the loop machinery.
@@ -114,32 +128,4 @@ fn server_shutdown_returns_every_descriptor() {
         open_fds(),
         before
     );
-}
-
-#[test]
-fn poll_fallback_churn_leaks_no_fds() {
-    // The portable poll(2) backend and the pipe-pair waker manage
-    // different descriptors than epoll/eventfd; hold them to the same
-    // standard at a smaller scale.
-    let config = NetConfig {
-        transport: Transport::Readiness,
-        shards: 2,
-        force_poll_fallback: true,
-        ..NetConfig::default()
-    };
-    let server = EventServer::bind_with("127.0.0.1:0", Arc::new(Some), config).unwrap();
-    let baseline = open_fds();
-    for _ in 0..100 {
-        let mut sock = TcpStream::connect(server.local_addr()).unwrap();
-        write_frame_batch(&mut sock, &[Frame::new("probe", vec![9; 64])]).unwrap();
-        drop(sock);
-    }
-    assert!(
-        eventually(|| server.connection_count() == 0 && open_fds() == baseline),
-        "poll fallback leaked fds: {} open vs baseline {}, {} conns tracked",
-        open_fds(),
-        baseline,
-        server.connection_count()
-    );
-    assert_eq!(server.net_stats().transport, "readiness-poll");
 }

@@ -6,16 +6,13 @@
 //! resolving its connections. The invariant: a frame aimed at a dead or
 //! dying connection is **counted** (returned rejected or tallied in
 //! `pushes_dropped`), never a panic, a wedge, or a leaked descriptor,
-//! and the server keeps serving the survivors throughout. Both
-//! transports are held to it.
+//! and the server keeps serving the survivors throughout.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use backbone::net::{
-    ConnId, EventClient, EventServer, Frame, NetConfig, Transport,
-};
+use backbone::net::{ConnId, EventClient, EventServer, Frame, NetConfig};
 use parking_lot::Mutex;
 
 fn eventually(mut cond: impl FnMut() -> bool) -> bool {
@@ -29,8 +26,12 @@ fn eventually(mut cond: impl FnMut() -> bool) -> bool {
     false
 }
 
-/// Runs the churn scenario against one transport configuration.
-fn push_vs_kill_churn(config: NetConfig) {
+fn config() -> NetConfig {
+    NetConfig { shards: 2, ..NetConfig::default() }
+}
+
+#[test]
+fn push_vs_kill_churn() {
     const CLIENTS: usize = 24;
     const PUSHERS: usize = 4;
     const ROUNDS: usize = 400;
@@ -46,7 +47,7 @@ fn push_vs_kill_churn(config: NetConfig) {
                 known.lock().push(conn);
                 Some(frame)
             }),
-            config,
+            config(),
         )
         .unwrap()
     };
@@ -125,85 +126,58 @@ fn push_vs_kill_churn(config: NetConfig) {
         server.net_stats()
     );
 
-    // The server must still serve new connections promptly — this also
-    // gives the threaded transport the accept its reaper runs on.
+    // The server must still serve new connections promptly.
     let mut probe = EventClient::connect(addr).unwrap();
     let reply = probe.request(&Frame::new("ping", vec![7])).unwrap();
     assert_eq!(reply.payload, vec![7]);
     drop(probe);
 
     assert!(
-        eventually(|| {
-            // A second accept lets the threaded reaper collect the probe.
-            let mut sweep = EventClient::connect(addr).ok();
-            let alive = server.connection_count();
-            drop(sweep.take());
-            alive <= 2
-        }),
+        eventually(|| server.connection_count() == 0),
         "dead connections never reaped: {} still tracked",
         server.connection_count()
     );
 }
 
 #[test]
-fn push_vs_kill_churn_readiness() {
-    push_vs_kill_churn(NetConfig {
-        transport: Transport::Readiness,
-        shards: 2,
-        ..NetConfig::default()
-    });
-}
-
-#[test]
-fn push_vs_kill_churn_threaded() {
-    push_vs_kill_churn(NetConfig {
-        transport: Transport::Threaded,
-        shards: 0,
-        ..NetConfig::default()
-    });
-}
-
-#[test]
 fn pushes_racing_server_shutdown_are_counted_or_returned() {
     // Shutdown is the other half of the race: a batch enqueued onto a
     // shard whose loop is exiting must come back rejected or land in
-    // pushes_dropped — never vanish. (The readiness loop counts inbox
-    // survivors at exit; the threaded table returns them.)
-    for transport in [Transport::Readiness, Transport::Threaded] {
-        let known: Arc<Mutex<Vec<ConnId>>> = Arc::new(Mutex::new(Vec::new()));
-        let server = {
-            let known = Arc::clone(&known);
-            EventServer::bind_routed(
-                "127.0.0.1:0",
-                Arc::new(move |conn, frame: Frame| {
-                    known.lock().push(conn);
-                    Some(frame)
-                }),
-                NetConfig { transport, shards: 2, ..NetConfig::default() },
-            )
-            .unwrap()
-        };
-        let mut client = EventClient::connect(server.local_addr()).unwrap();
-        let _ = client.request(&Frame::new("hello", vec![1])).unwrap();
-        let conn = *known.lock().first().expect("handler saw the hello");
-        let handle = server.handle();
+    // pushes_dropped — never vanish. (The loop counts inbox survivors
+    // at exit.)
+    let known: Arc<Mutex<Vec<ConnId>>> = Arc::new(Mutex::new(Vec::new()));
+    let server = {
+        let known = Arc::clone(&known);
+        EventServer::bind_routed(
+            "127.0.0.1:0",
+            Arc::new(move |conn, frame: Frame| {
+                known.lock().push(conn);
+                Some(frame)
+            }),
+            config(),
+        )
+        .unwrap()
+    };
+    let mut client = EventClient::connect(server.local_addr()).unwrap();
+    let _ = client.request(&Frame::new("hello", vec![1])).unwrap();
+    let conn = *known.lock().first().expect("handler saw the hello");
+    let handle = server.handle();
 
-        let pusher = std::thread::spawn(move || {
-            let mut returned = 0u64;
-            for i in 0..50_000u32 {
-                let batch: Vec<(ConnId, Frame)> =
-                    vec![(conn, Frame::new("p", i.to_le_bytes().to_vec()))];
-                returned += handle.send_batch(batch).len() as u64;
-                if !handle.send(conn, Frame::new("p", vec![0])) {
-                    returned += 1;
-                }
+    let pusher = std::thread::spawn(move || {
+        let mut returned = 0u64;
+        for i in 0..50_000u32 {
+            let batch: Vec<(ConnId, Frame)> =
+                vec![(conn, Frame::new("p", i.to_le_bytes().to_vec()))];
+            returned += handle.send_batch(batch).len() as u64;
+            if !handle.send(conn, Frame::new("p", vec![0])) {
+                returned += 1;
             }
-            returned
-        });
-        std::thread::sleep(Duration::from_millis(10));
-        drop(server); // shut down mid-hammer
-        let returned = pusher.join().expect("pusher panicked across shutdown");
-        // After shutdown every further push is definitively returned.
-        assert!(returned > 0, "no push was returned across a server shutdown");
-    }
+        }
+        returned
+    });
+    std::thread::sleep(Duration::from_millis(10));
+    drop(server); // shut down mid-hammer
+    let returned = pusher.join().expect("pusher panicked across shutdown");
+    // After shutdown every further push is definitively returned.
+    assert!(returned > 0, "no push was returned across a server shutdown");
 }

@@ -1,8 +1,8 @@
 //! **E-net**: connection-scale and fanout cost of the readiness
 //! transport.
 //!
-//! The paper's backplane serves many mostly-idle subscribers; the
-//! thread-per-connection seed paid two stacks (~16 MiB virtual, tens
+//! The paper's backplane serves many mostly-idle subscribers; a
+//! thread-per-connection server pays two stacks (~16 MiB virtual, tens
 //! of KiB resident) plus two schedulable threads per subscriber, which
 //! caps a broker in the low thousands of connections. The readiness
 //! transport pins per-connection cost to one socket plus one
@@ -17,9 +17,8 @@
 //!   not exceed bytes/conn at 1k by more than 25% (superlinear growth
 //!   would mean a hidden per-conn structure scaling with the table).
 //! * `fanout_push` — wall time for the broker to push a frame batch to
-//!   64 subscribers and for every subscriber to read it back, on both
-//!   the readiness and threaded transports. The differential oracle in
-//!   one number: same semantics, different µs/frame.
+//!   64 subscribers and for every subscriber to read it back, in
+//!   µs/frame.
 //!
 //! Smoke mode (`--test`, used by CI) holds 2k connections and asserts
 //! an absolute RSS ceiling instead of writing `BENCH_net.json`.
@@ -30,7 +29,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use backbone::net::{write_frame_batch, ConnId, EventClient};
-use backbone::{EventServer, Frame, NetConfig, Transport};
+use backbone::{EventServer, Frame, NetConfig};
 
 /// Resident set size in KiB from `/proc/self/status`, or 0 where /proc
 /// is unavailable (the bench then reports zeros rather than lying).
@@ -70,9 +69,9 @@ fn idle_scale(targets: &[usize]) -> Vec<ScalePoint> {
     let server = EventServer::bind_with(
         "127.0.0.1:0",
         Arc::new(Some),
-        NetConfig { transport: Transport::Readiness, shards: 2, ..NetConfig::default() },
+        NetConfig { shards: 2, ..NetConfig::default() },
     )
-    .expect("bind readiness server");
+    .expect("bind server");
     let addr = server.local_addr();
 
     let baseline = rss_kb();
@@ -112,7 +111,7 @@ fn idle_scale(targets: &[usize]) -> Vec<ScalePoint> {
 /// Pushes `rounds` frames to each of `subs` subscribers through the
 /// broker handle and waits for every subscriber to read its full
 /// backlog. Returns mean microseconds per delivered frame.
-fn fanout_push(transport: Transport, subs: usize, rounds: usize) -> f64 {
+fn fanout_push(subs: usize, rounds: usize) -> f64 {
     let registered: Arc<Mutex<Vec<ConnId>>> = Arc::new(Mutex::new(Vec::new()));
     let reg = Arc::clone(&registered);
     let server = EventServer::bind_routed(
@@ -123,7 +122,7 @@ fn fanout_push(transport: Transport, subs: usize, rounds: usize) -> f64 {
             }
             None
         }),
-        NetConfig { transport, shards: 2, ..NetConfig::default() },
+        NetConfig { shards: 2, ..NetConfig::default() },
     )
     .expect("bind server");
 
@@ -143,9 +142,9 @@ fn fanout_push(transport: Transport, subs: usize, rounds: usize) -> f64 {
 
     let start = Instant::now();
     for seq in 0..rounds {
-        // One batched send per round: the readiness transport coalesces
-        // this to at most one eventfd write per shard instead of one
-        // per subscriber. Bounded reply queues can reject under burst;
+        // One batched send per round: the transport coalesces this to
+        // at most one eventfd write per shard instead of one per
+        // subscriber. Bounded reply queues can reject under burst;
         // retrying the rejected remainder is the broker's own
         // backpressure contract.
         let mut batch: Vec<(ConnId, Frame)> = conns
@@ -233,18 +232,8 @@ fn main() {
     }
 
     println!("\ne_net fanout_push: 64 subscribers, 256 rounds");
-    let readiness_us = fanout_push(Transport::Readiness, 64, 256);
-    let threaded_us = fanout_push(Transport::Threaded, 64, 256);
+    let readiness_us = fanout_push(64, 256);
     println!("readiness: {readiness_us:>8.2} us/frame");
-    println!("threaded:  {threaded_us:>8.2} us/frame");
-    // Acceptance gate: batched wakers must keep the shared event loop
-    // competitive with a dedicated writer thread per subscriber.
-    let ratio = readiness_us / threaded_us;
-    assert!(
-        ratio <= 1.3,
-        "readiness fanout {readiness_us:.2} us/frame is {ratio:.2}x threaded \
-         {threaded_us:.2} us/frame — over the 1.3x gate"
-    );
 
     let mut json = String::from("{\n  \"bench\": \"conn_scale\",\n");
     json.push_str("  \"transport\": \"readiness-epoll\",\n  \"idle_scale\": [\n");
@@ -264,8 +253,7 @@ fn main() {
     ));
     json.push_str(&format!(
         "  \"fanout_push\": {{\"subscribers\": 64, \"rounds\": 256, \
-         \"readiness_us_per_frame\": {readiness_us:.2}, \
-         \"threaded_us_per_frame\": {threaded_us:.2}}}\n}}\n"
+         \"readiness_us_per_frame\": {readiness_us:.2}}}\n}}\n"
     ));
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_net.json");
     std::fs::write(path, json).expect("write BENCH_net.json");

@@ -1,7 +1,6 @@
 //! Allocation accounting for the derived (typed-binding) publish path.
 //!
-//! The `typed_publish` numbers in `benches/hot_path.rs` and the
-//! typed-binding ablation in `benches/conversion_matrix.rs` rest on the
+//! The `typed_publish` numbers in `benches/hot_path.rs` rest on the
 //! same structural claims the dynamic path makes in `alloc_count.rs`,
 //! now for the straight-line encoder `#[derive(Xml2WireRecord)]`
 //! generated:

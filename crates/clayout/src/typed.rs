@@ -92,8 +92,8 @@ pub struct ConstStructType {
     /// The format (complex type) name.
     pub name: &'static str,
     /// The fields, in declaration order, with synthesized count fields
-    /// appended after the declared ones (the same convention the
-    /// dynamic `wire_message!` binding uses).
+    /// appended after the declared ones (the XSD binder's convention
+    /// for `maxOccurs="*"` elements).
     pub fields: &'static [ConstField],
 }
 

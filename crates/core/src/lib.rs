@@ -61,7 +61,6 @@ pub mod idserver;
 pub mod seglog;
 pub mod server;
 pub mod session;
-pub mod typed;
 pub mod url;
 
 pub use binding::{
@@ -78,7 +77,6 @@ pub use seglog::{FsyncPolicy, Retention, SegLogConfig, SegReplay, SegmentLog};
 pub use idserver::{FormatIdClient, FormatIdServer};
 pub use server::MetadataServer;
 pub use session::{Xml2Wire, Xml2WireBuilder};
-pub use typed::{WireField, WireMessage};
 pub use url::Locator;
 
 // Compile-time typed bindings: the trait (from clayout) and the derive

@@ -289,56 +289,6 @@ impl Xml2Wire {
             Err(e) => Err(e.into()),
         }
     }
-
-    // -- typed messages ------------------------------------------------
-
-    /// Registers the format of a [`WireMessage`](crate::typed::WireMessage)
-    /// type (language-level
-    /// message objects; see [`crate::typed`]).
-    ///
-    /// # Errors
-    ///
-    /// Layout/registration failures.
-    pub fn register_message<M: crate::typed::WireMessage>(
-        &self,
-    ) -> Result<Arc<Format>, X2wError> {
-        self.register_compiled(M::struct_type())
-    }
-
-    /// Encodes a typed message (registering its format on first use).
-    ///
-    /// # Errors
-    ///
-    /// Encoding failures.
-    pub fn encode_message<M: crate::typed::WireMessage>(
-        &self,
-        message: &M,
-    ) -> Result<Vec<u8>, X2wError> {
-        if self.format(M::FORMAT_NAME).is_none() {
-            self.register_message::<M>()?;
-        }
-        self.encode(&message.to_record(), M::FORMAT_NAME)
-    }
-
-    /// Decodes a typed message.
-    ///
-    /// # Errors
-    ///
-    /// Unknown formats, malformed messages, or shape mismatches between
-    /// the wire record and the Rust type.
-    pub fn decode_message<M: crate::typed::WireMessage>(
-        &self,
-        bytes: &[u8],
-    ) -> Result<M, X2wError> {
-        let (format, record) = self.decode(bytes)?;
-        if format.name() != M::FORMAT_NAME {
-            return Err(X2wError::Bcm(pbio::PbioError::FormatMismatch {
-                expected: M::FORMAT_NAME.to_owned(),
-                found: format.name().to_owned(),
-            }));
-        }
-        M::from_record(&record)
-    }
 }
 
 /// Builder for [`Xml2Wire`].

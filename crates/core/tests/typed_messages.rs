@@ -1,39 +1,48 @@
-//! Tests for the language-level message object layer (`wire_message!`).
+//! Tests for language-level message objects — plain structs bound by
+//! `#[derive(Xml2WireRecord)]` — at the session level: registration,
+//! the typed encode and decode primitives, and interop with the
+//! dynamic `Record` API. (The broker-level twins, `TypedCapture` and
+//! `TypedSubscriber`, are exercised by the workspace root's
+//! `tests/typed_bindings.rs`; the descriptor conventions, range checks
+//! and the six-architecture byte differential by
+//! `crates/x2w-derive/tests/differential.rs`.)
 
-use clayout::Architecture;
-use xml2wire::typed::{WireField, WireMessage};
-use xml2wire::{wire_message, Xml2Wire};
+use clayout::{Architecture, Record};
+use pbio::format::struct_fingerprint;
+use xml2wire::{X2wError, Xml2Wire, Xml2WireRecord};
 
-wire_message! {
-    /// The paper's Structure B as a Rust struct.
-    pub struct Flight("ASDOffEvent") {
-        cntrID: String,
-        arln: String,
-        fltNum: i32,
-        equip: String,
-        org: String,
-        dest: String,
-        off: [u64; 5],
-        eta: Vec<u64>,
-    }
+/// The paper's Structure B as a Rust struct.
+#[derive(Debug, Clone, PartialEq, Xml2WireRecord)]
+#[x2w(name = "ASDOffEvent")]
+struct Flight {
+    #[x2w(name = "cntrID")]
+    cntr_id: String,
+    arln: String,
+    #[x2w(name = "fltNum")]
+    flt_num: i32,
+    equip: String,
+    org: String,
+    dest: String,
+    off: [u64; 5],
+    eta: Vec<u64>,
 }
 
-wire_message! {
-    pub struct Sensors("SensorFrame") {
-        id: u32,
-        scale: f32,
-        offset: f64,
-        flags: u8,
-        deltas: Vec<i16>,
-        labels: Vec<String>,
-    }
+#[derive(Debug, Clone, PartialEq, Xml2WireRecord)]
+#[x2w(name = "SensorFrame")]
+struct Sensors {
+    id: u32,
+    scale: f32,
+    offset: f64,
+    flags: u8,
+    deltas: Vec<i16>,
+    labels: Vec<String>,
 }
 
 fn sample_flight() -> Flight {
     Flight {
-        cntrID: "ZTL".into(),
+        cntr_id: "ZTL".into(),
         arln: "DL".into(),
-        fltNum: 1202,
+        flt_num: 1202,
         equip: "B752".into(),
         org: "ATL".into(),
         dest: "BOS".into(),
@@ -42,10 +51,34 @@ fn sample_flight() -> Flight {
     }
 }
 
+/// The typed send path: register the record's format with the session
+/// (idempotent) and run the generated encoder into a framed message.
+fn send<T: Xml2WireRecord>(session: &Xml2Wire, message: &T) -> Result<Vec<u8>, X2wError> {
+    let format = session.register_record::<T>()?;
+    let mut wire = Vec::new();
+    pbio::ndr::encode_typed_into(&mut wire, message, &format)?;
+    Ok(wire)
+}
+
+/// The typed receive path, as `TypedSubscriber` runs it: the header's
+/// fingerprint must be `T`'s, then the generated view reads the payload
+/// in the sender's architecture.
+fn receive<T: Xml2WireRecord>(wire: &[u8]) -> Result<T, X2wError> {
+    let (peek, payload) = pbio::ndr::split(wire)?;
+    if peek.fingerprint != struct_fingerprint(&T::struct_type()) {
+        return Err(X2wError::Bcm(pbio::PbioError::FormatMismatch {
+            expected: T::FORMAT_NAME.to_owned(),
+            found: peek.format_name(wire)?.to_owned(),
+        }));
+    }
+    Ok(T::decode_view(payload, &peek.arch()).map_err(pbio::PbioError::from)?)
+}
+
 #[test]
-fn struct_type_matches_the_schema_bound_one() {
-    // The macro-produced struct type must equal what binding the paper's
-    // Figure 9 schema produces, so typed and schema-discovered peers
+fn struct_type_is_the_schema_bound_one() {
+    // The derived struct type must equal what binding the paper's
+    // Figure 9 schema produces — names, order, C types and the trailing
+    // synthesized count — so typed and schema-discovered peers
     // interoperate bit-for-bit.
     const ASD_SCHEMA: &str = r#"<xsd:schema xmlns:xsd="http://www.w3.org/1999/XMLSchema">
   <xsd:complexType name="ASDOffEvent">
@@ -61,86 +94,68 @@ fn struct_type_matches_the_schema_bound_one() {
 </xsd:schema>"#;
     let session = Xml2Wire::builder().build();
     let via_schema = session.register_schema_str(ASD_SCHEMA).unwrap()[0].clone();
-    let via_macro = Flight::struct_type();
-    // Field names, order, and types must match exactly, with one
-    // documented difference: the schema binds xsd:unsigned-long to C
-    // `unsigned long` while Rust u64 binds to `unsigned long long`
-    // (always-8-byte safety). Compare names and shapes.
-    let a: Vec<&str> =
-        via_schema.struct_type().fields.iter().map(|f| f.name.as_str()).collect();
-    let b: Vec<&str> = via_macro.fields.iter().map(|f| f.name.as_str()).collect();
-    assert_eq!(a, b);
+    assert_eq!(via_schema.struct_type(), &Flight::struct_type());
+    // Registering the derived record on top is the same format, not a
+    // new version of it.
+    let via_derive = session.register_record::<Flight>().unwrap();
+    assert_eq!(via_derive.fingerprint(), via_schema.fingerprint());
 }
 
 #[test]
 fn typed_round_trip() {
     let session = Xml2Wire::builder().build();
     let msg = sample_flight();
-    let wire = session.encode_message(&msg).unwrap();
-    let back: Flight = session.decode_message(&wire).unwrap();
-    assert_eq!(back, msg);
+    let wire = send(&session, &msg).unwrap();
+    assert_eq!(receive::<Flight>(&wire).unwrap(), msg);
 }
 
 #[test]
 fn typed_round_trip_across_architectures() {
+    // The receiver is an x86-64 process: the typed view reads the
+    // SPARC32 sender's image in place, receiver makes right.
     let sender = Xml2Wire::builder().arch(Architecture::SPARC32).build();
-    let receiver = Xml2Wire::builder().arch(Architecture::X86_64).build();
-    receiver.register_message::<Flight>().unwrap();
     let msg = sample_flight();
-    let wire = sender.encode_message(&msg).unwrap();
-    let back: Flight = receiver.decode_message(&wire).unwrap();
-    assert_eq!(back, msg);
+    let wire = send(&sender, &msg).unwrap();
+    let (peek, _) = pbio::ndr::split(&wire).unwrap();
+    assert!(peek.arch().layout_compatible(&Architecture::SPARC32));
+    assert_eq!(receive::<Flight>(&wire).unwrap(), msg);
 }
 
 #[test]
 fn mixed_field_kinds_round_trip() {
     let session = Xml2Wire::builder().build();
-    let msg = Sensors {
-        id: 7,
-        scale: 0.5,
-        offset: -1.25,
-        flags: 0b1010_0001,
-        deltas: vec![-3, 0, 12, -150],
-        labels: vec!["north".into(), "south".into()],
-    };
-    let wire = session.encode_message(&msg).unwrap();
-    let back: Sensors = session.decode_message(&wire).unwrap();
-    assert_eq!(back, msg);
-}
-
-#[test]
-fn empty_vecs_round_trip() {
-    let session = Xml2Wire::builder().build();
-    let msg = Sensors {
-        id: 0,
-        scale: 0.0,
-        offset: 0.0,
-        flags: 0,
-        deltas: vec![],
-        labels: vec![],
-    };
-    let wire = session.encode_message(&msg).unwrap();
-    let back: Sensors = session.decode_message(&wire).unwrap();
-    assert_eq!(back, msg);
-}
-
-#[test]
-fn count_fields_are_synthesized_and_trail_the_struct() {
-    let st = Sensors::struct_type();
-    let names: Vec<&str> = st.fields.iter().map(|f| f.name.as_str()).collect();
-    assert_eq!(
-        names,
-        vec!["id", "scale", "offset", "flags", "deltas", "labels", "deltas_count", "labels_count"]
-    );
+    for msg in [
+        Sensors {
+            id: 7,
+            scale: 0.5,
+            offset: -1.25,
+            flags: 0b1010_0001,
+            deltas: vec![-3, 0, 12, -150],
+            labels: vec!["north".into(), "south".into()],
+        },
+        // Empty dynamic arrays: null pointers, zero counts.
+        Sensors { id: 0, scale: 0.0, offset: 0.0, flags: 0, deltas: vec![], labels: vec![] },
+    ] {
+        let wire = send(&session, &msg).unwrap();
+        assert_eq!(receive::<Sensors>(&wire).unwrap(), msg);
+    }
 }
 
 #[test]
 fn decoding_the_wrong_type_is_detected() {
+    // A message names its type in its header — by name and by the
+    // fingerprint of its definition — so a typed receiver can refuse
+    // foreign bytes instead of misreading them.
     let session = Xml2Wire::builder().build();
-    let wire = session.encode_message(&sample_flight()).unwrap();
-    session.register_message::<Sensors>().unwrap();
-    let result: Result<Sensors, _> = session.decode_message(&wire);
-    assert!(result.is_err());
+    let wire = send(&session, &sample_flight()).unwrap();
+    let (peek, _) = pbio::ndr::split(&wire).unwrap();
+    assert_eq!(peek.format_name(&wire).unwrap(), Flight::FORMAT_NAME);
+    assert_eq!(peek.fingerprint, struct_fingerprint(&Flight::struct_type()));
+    assert_ne!(peek.fingerprint, struct_fingerprint(&Sensors::struct_type()));
+    assert!(matches!(
+        receive::<Sensors>(&wire),
+        Err(X2wError::Bcm(pbio::PbioError::FormatMismatch { .. }))
+    ));
 }
 
 #[test]
@@ -148,33 +163,17 @@ fn typed_and_dynamic_apis_interoperate() {
     // A typed sender and a Record-level receiver (e.g. a generic
     // monitoring tool) see the same data.
     let session = Xml2Wire::builder().build();
-    let wire = session.encode_message(&sample_flight()).unwrap();
+    let wire = send(&session, &sample_flight()).unwrap();
     let (format, record) = session.decode(&wire).unwrap();
     assert_eq!(format.name(), "ASDOffEvent");
     assert_eq!(record.get("fltNum").unwrap().as_i64(), Some(1202));
     assert_eq!(record.get("eta_count").unwrap().as_i64(), Some(3));
 
-    // And the reverse: a dynamic record decodes into the typed struct.
-    let typed = Flight::from_record(&record).unwrap();
-    assert_eq!(typed, sample_flight());
-}
-
-#[test]
-fn wire_field_conversions_reject_wrong_shapes() {
-    use clayout::Value;
-    assert!(<i32 as WireField>::from_value(&Value::String("x".into())).is_err());
-    assert!(<String as WireField>::from_value(&Value::Int(1)).is_err());
-    assert!(<u8 as WireField>::from_value(&Value::Int(300)).is_err());
-    assert!(<[u64; 2] as WireField>::from_value(&Value::Array(vec![Value::UInt(1)])).is_err());
-    assert!(<Vec<i16> as WireField>::from_value(&Value::Array(vec![Value::Int(40000)])).is_err());
-}
-
-#[test]
-fn range_checks_on_narrowing() {
-    assert_eq!(<i8 as WireField>::from_value(&clayout::Value::Int(-128)).unwrap(), -128);
-    assert!(<i8 as WireField>::from_value(&clayout::Value::Int(-129)).is_err());
-    assert_eq!(<u16 as WireField>::from_value(&clayout::Value::UInt(65535)).unwrap(), 65535);
-    assert!(<u16 as WireField>::from_value(&clayout::Value::UInt(65536)).is_err());
+    // And the reverse: a dynamically encoded record reads as the typed
+    // struct — the two encoders write the same bytes.
+    let dynamic = session.encode(&record, Flight::FORMAT_NAME).unwrap();
+    assert_eq!(dynamic, wire);
+    assert_eq!(receive::<Flight>(&dynamic).unwrap(), sample_flight());
 }
 
 #[test]
@@ -207,7 +206,7 @@ fn binding_maps_simple_types_to_base_primitives() {
         st.field("loadFactor").unwrap().ty,
         clayout::CType::Prim(clayout::Primitive::Int)
     );
-    let record = clayout::Record::new().with("arln", "DL").with("loadFactor", 85i64);
+    let record = Record::new().with("arln", "DL").with("loadFactor", 85i64);
     let wire = session.encode(&record, "LoadReport").unwrap();
     assert!(session.decode(&wire).is_ok());
 }

@@ -170,10 +170,6 @@ pub struct ConversionPlan {
     /// there too when the pair is byte-identical but not
     /// layout-compatible — a pure memcpy).
     swap_spans: Vec<SwapSpan>,
-    /// Reference (pre-fusion) engine: per-element classification,
-    /// always-checked integer conversions, per-element bounds checks.
-    /// Kept as the differential-test oracle and the ablation baseline.
-    reference: bool,
 }
 
 impl ConversionPlan {
@@ -189,33 +185,6 @@ impl ConversionPlan {
         src_arch: &Architecture,
         dst_arch: &Architecture,
     ) -> Result<ConversionPlan, PbioError> {
-        Self::build_inner(struct_type, src_arch, dst_arch, false)
-    }
-
-    /// Compiles a plan with the pre-fusion **reference** engine:
-    /// per-element scalar classification (no [`ElemPlan::Swap`], no
-    /// [`Op::SwapRun`]), always-checked integer conversions, and a
-    /// bounds check per element at run time. Semantically identical to
-    /// [`build`](Self::build) — it is the differential-test oracle and
-    /// the "before" side of the conversion ablation bench.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`build`](Self::build).
-    pub fn build_reference(
-        struct_type: &StructType,
-        src_arch: &Architecture,
-        dst_arch: &Architecture,
-    ) -> Result<ConversionPlan, PbioError> {
-        Self::build_inner(struct_type, src_arch, dst_arch, true)
-    }
-
-    fn build_inner(
-        struct_type: &StructType,
-        src_arch: &Architecture,
-        dst_arch: &Architecture,
-        reference: bool,
-    ) -> Result<ConversionPlan, PbioError> {
         let src_layout = Layout::of_struct(struct_type, src_arch)?;
         let dst_layout = Layout::of_struct(struct_type, dst_arch)?;
         let identity = src_arch.layout_compatible(dst_arch);
@@ -225,13 +194,12 @@ impl ConversionPlan {
         let ops = if identity {
             Vec::new()
         } else {
-            let raw = build_ops(struct_type, src_arch, dst_arch, &mut names, "", reference)?;
-            let fused = if reference { coalesce(raw) } else { fuse(raw) };
+            let fused = fuse(build_ops(struct_type, src_arch, dst_arch, &mut names, "")?);
             // PureSwap candidacy: identical total size and every op a
             // same-offset copy or swap (recursively) — which also rules
             // out pointer-bearing fields, keeping error behaviour
             // identical to the General interpreter.
-            if !reference && src_layout.size == dst_layout.size {
+            if src_layout.size == dst_layout.size {
                 if let Some(spans) = pure_swap_spans(&fused) {
                     swap_spans = spans;
                     tier = PlanTier::PureSwap;
@@ -248,7 +216,6 @@ impl ConversionPlan {
             dst_fixed_len: dst_layout.size,
             tier,
             swap_spans,
-            reference,
         })
     }
 
@@ -375,17 +342,13 @@ impl ConversionPlan {
     ) -> Result<(), PbioError> {
         // Bounds-check hoisting: `convert`/`convert_into` verify the
         // whole source fixed part up front, and every dynamic region is
-        // verified once (below) before its elements run, so the
-        // fused engine performs no per-op checks — layout guarantees
-        // each op's extent lies inside its enclosing (checked) extent.
-        // The reference engine keeps the original check-per-element.
+        // verified once (below) before its elements run, so there are
+        // no per-op checks — layout guarantees each op's extent lies
+        // inside its enclosing (checked) extent.
         for op in ops {
             match op {
                 Op::Copy { src: s, dst: d, len } => {
                     let s = src_base + s;
-                    if self.reference {
-                        check(src, s, *len)?;
-                    }
                     dst[dst_base + d..dst_base + d + len].copy_from_slice(&src[s..s + len]);
                 }
                 Op::SwapRun { src: s, dst: d, width, count } => {
@@ -421,9 +384,6 @@ impl ConversionPlan {
                     field,
                 } => {
                     let count_at = src_base + count_off;
-                    if self.reference {
-                        check(src, count_at, *count_size as usize)?;
-                    }
                     let count = if *count_signed {
                         get_int(src, count_at, *count_size as usize, self.src_arch.endianness)
                     } else {
@@ -438,9 +398,6 @@ impl ConversionPlan {
                     }
                     let count = count as usize;
                     let slot_at = src_base + src_slot;
-                    if self.reference {
-                        check(src, slot_at, self.src_arch.pointer.size)?;
-                    }
                     if count == 0 {
                         put_uint(
                             dst,
@@ -487,17 +444,14 @@ impl ConversionPlan {
                         // copy scalars is one region-sized copy (plus an
                         // in-place swap pass), not `count` dispatches.
                         ElemPlan::Swap { width }
-                            if !self.reference
-                                && *src_stride == *width as usize
+                            if *src_stride == *width as usize
                                 && *dst_stride == *width as usize =>
                         {
                             dst[region..region + dst_len]
                                 .copy_from_slice(&src[target..target + src_len]);
                             swap_in_place(&mut dst[region..region + dst_len], *width);
                         }
-                        ElemPlan::Copy { len }
-                            if !self.reference && *len == *src_stride && *len == *dst_stride =>
-                        {
+                        ElemPlan::Copy { len } if *len == *src_stride && *len == *dst_stride => {
                             dst[region..region + dst_len]
                                 .copy_from_slice(&src[target..target + src_len]);
                         }
@@ -529,9 +483,6 @@ impl ConversionPlan {
     ) -> Result<(), PbioError> {
         match elem {
             ElemPlan::Copy { len } => {
-                if self.reference {
-                    check(src, s_at, *len)?;
-                }
                 dst[d_at..d_at + len].copy_from_slice(&src[s_at..s_at + len]);
                 Ok(())
             }
@@ -542,9 +493,6 @@ impl ConversionPlan {
                 Ok(())
             }
             ElemPlan::Int { src_size, dst_size, signed, checked, field } => {
-                if self.reference {
-                    check(src, s_at, *src_size as usize)?;
-                }
                 if *signed {
                     let v = get_int(src, s_at, *src_size as usize, self.src_arch.endianness);
                     if *checked && !fits_signed(v, *dst_size as usize) {
@@ -567,9 +515,6 @@ impl ConversionPlan {
                 Ok(())
             }
             ElemPlan::Float { src_size, dst_size } => {
-                if self.reference {
-                    check(src, s_at, *src_size as usize)?;
-                }
                 let value = match src_size {
                     4 => f32::from_bits(get_uint(src, s_at, 4, self.src_arch.endianness) as u32)
                         as f64,
@@ -659,39 +604,16 @@ fn prim_elem(
     src_arch: &Architecture,
     dst_arch: &Architecture,
     field: u32,
-    reference: bool,
 ) -> ElemPlan {
     let s = src_arch.primitive(p);
     let d = dst_arch.primitive(p);
-    if reference {
-        // Pre-fusion classification: no Swap tier, integers always
-        // carry their overflow check, same-size floats re-encode
-        // through f32/f64.
-        return if p.is_float() {
-            if s.size == d.size && src_arch.endianness == dst_arch.endianness {
-                ElemPlan::Copy { len: s.size }
-            } else {
-                ElemPlan::Float { src_size: s.size as u8, dst_size: d.size as u8 }
-            }
-        } else if s.size == d.size && (src_arch.endianness == dst_arch.endianness || s.size == 1) {
-            ElemPlan::Copy { len: s.size }
-        } else {
-            ElemPlan::Int {
-                src_size: s.size as u8,
-                dst_size: d.size as u8,
-                signed: p.is_signed_integer(),
-                checked: true,
-                field,
-            }
-        };
-    }
     if s.size == d.size {
         if src_arch.endianness == dst_arch.endianness || s.size == 1 {
             ElemPlan::Copy { len: s.size }
         } else {
             // Same width, opposite byte order: a raw swap is exact for
-            // integers and floats alike (bit-preserving, unlike the
-            // reference float path's f32->f64->f32 round trip).
+            // integers and floats alike (bit-preserving, unlike a
+            // decode/re-encode round trip through `f64`).
             ElemPlan::Swap { width: s.size as u8 }
         }
     } else if p.is_float() {
@@ -716,13 +638,12 @@ fn elem_for(
     names: &mut Vec<String>,
     field_name: &str,
     field: u32,
-    reference: bool,
 ) -> Result<(ElemPlan, usize, usize, usize), PbioError> {
     match ty {
         CType::Prim(p) => {
             let s = src_arch.primitive(*p);
             let d = dst_arch.primitive(*p);
-            Ok((prim_elem(*p, src_arch, dst_arch, field, reference), s.size, d.size, d.align))
+            Ok((prim_elem(*p, src_arch, dst_arch, field), s.size, d.size, d.align))
         }
         CType::String => Ok((
             ElemPlan::String { field },
@@ -732,8 +653,7 @@ fn elem_for(
         )),
         CType::Struct(inner) => {
             let ops =
-                build_ops(inner, src_arch, dst_arch, names, &format!("{field_name}."), reference)?;
-            let ops = if reference { coalesce(ops) } else { fuse(ops) };
+                fuse(build_ops(inner, src_arch, dst_arch, names, &format!("{field_name}."))?);
             let s = Layout::of_struct(inner, src_arch)?;
             let d = Layout::of_struct(inner, dst_arch)?;
             Ok((ElemPlan::Struct { ops }, s.size, d.size, d.align))
@@ -750,7 +670,6 @@ fn build_ops(
     dst_arch: &Architecture,
     names: &mut Vec<String>,
     prefix: &str,
-    reference: bool,
 ) -> Result<Vec<Op>, PbioError> {
     let src_layout = Layout::of_struct(st, src_arch)?;
     let dst_layout = Layout::of_struct(st, dst_arch)?;
@@ -764,7 +683,7 @@ fn build_ops(
         match &sf.ty {
             CType::Prim(_) | CType::String | CType::Struct(_) => {
                 let (elem, _, _, _) =
-                    elem_for(&sf.ty, src_arch, dst_arch, names, &sf.name, field, reference)?;
+                    elem_for(&sf.ty, src_arch, dst_arch, names, &sf.name, field)?;
                 ops.push(match elem {
                     ElemPlan::Copy { len } => Op::Copy { src: sf.offset, dst: df.offset, len },
                     elem => Op::Scalar { src: sf.offset, dst: df.offset, elem },
@@ -772,7 +691,7 @@ fn build_ops(
             }
             CType::Array { elem: elem_ty, len } => {
                 let (elem, src_stride, dst_stride, dst_align) =
-                    elem_for(elem_ty, src_arch, dst_arch, names, &sf.name, field, reference)?;
+                    elem_for(elem_ty, src_arch, dst_arch, names, &sf.name, field)?;
                 match len {
                     ArrayLen::Fixed(n) => {
                         // A fixed array of identically-represented
@@ -827,34 +746,12 @@ fn build_ops(
     Ok(ops)
 }
 
-/// Merges adjacent raw copies, bridging equal-width padding gaps, so the
-/// common "mostly compatible" case executes few large copies instead of
-/// many small ones.
-fn coalesce(ops: Vec<Op>) -> Vec<Op> {
-    let mut out: Vec<Op> = Vec::with_capacity(ops.len());
-    for op in ops {
-        if let (Some(Op::Copy { src, dst, len }), Op::Copy { src: s2, dst: d2, len: l2 }) =
-            (out.last_mut(), &op)
-        {
-            let src_gap = s2.checked_sub(*src + *len);
-            let dst_gap = d2.checked_sub(*dst + *len);
-            if let (Some(sg), Some(dg)) = (src_gap, dst_gap) {
-                if sg == dg {
-                    *len += sg + l2;
-                    continue;
-                }
-            }
-        }
-        out.push(op);
-    }
-    out
-}
-
-/// Op fusion for the tiered engine: everything [`coalesce`] does, plus
-/// swap normalization — `Scalar`-of-swap and `Repeat`-of-swap with
-/// stride == width become [`Op::SwapRun`]s, adjacent same-width
-/// contiguous runs merge, and `Repeat`-of-`Copy` with stride == element
-/// length collapses into one `Copy`.
+/// Op fusion: adjacent raw copies merge, bridging equal-width padding
+/// gaps, so the common "mostly compatible" case executes few large
+/// copies instead of many small ones; `Scalar`-of-swap and
+/// `Repeat`-of-swap with stride == width become [`Op::SwapRun`]s,
+/// adjacent same-width contiguous runs merge, and `Repeat`-of-`Copy`
+/// with stride == element length collapses into one `Copy`.
 fn fuse(ops: Vec<Op>) -> Vec<Op> {
     let mut out: Vec<Op> = Vec::with_capacity(ops.len());
     for raw in ops {
@@ -1479,39 +1376,6 @@ mod tests {
         let plan3 =
             ConversionPlan::build(&st, &Architecture::POWER64, &Architecture::SPARC64).unwrap();
         assert_eq!(plan3.tier(), PlanTier::Identity);
-        // The reference engine never tiers.
-        let r = ConversionPlan::build_reference(
-            &st,
-            &Architecture::X86_64,
-            &Architecture::POWER64,
-        )
-        .unwrap();
-        assert_eq!(r.tier(), PlanTier::General);
-        assert!(r.op_count() > plan.op_count());
-    }
-
-    #[test]
-    fn pure_swap_matches_reference_bytes() {
-        let st = telemetry();
-        let rec = Record::new()
-            .with("a", 0x0102_0304_0506_0708u64)
-            .with("b", -2.5f64)
-            .with("c", 7u64)
-            .with("d", 0xDEAD_BEEFu64)
-            .with("pts", vec![1.5f64, -0.0, 3.25, 4.0, 5.0, 6.0, 7.0, 8.0]);
-        for (src, dst) in [
-            (Architecture::X86_64, Architecture::POWER64),
-            (Architecture::POWER64, Architecture::X86_64),
-        ] {
-            let wire = encode_record(&rec, &st, &src).unwrap();
-            let tiered = ConversionPlan::build(&st, &src, &dst).unwrap();
-            assert_eq!(tiered.tier(), PlanTier::PureSwap);
-            let reference = ConversionPlan::build_reference(&st, &src, &dst).unwrap();
-            let a = tiered.convert(&wire.bytes).unwrap();
-            let b = reference.convert(&wire.bytes).unwrap();
-            assert_eq!(a.bytes, b.bytes, "{src} -> {dst}");
-            assert_eq!(a.fixed_len, b.fixed_len);
-        }
     }
 
     #[test]
@@ -1558,13 +1422,6 @@ mod tests {
             Op::Scalar { elem: ElemPlan::Int { checked, .. }, .. } => {
                 assert!(checked, "narrowing must keep its overflow check")
             }
-            other => panic!("expected Int scalar, got {other:?}"),
-        }
-        // The reference engine checks even widenings.
-        let r = ConversionPlan::build_reference(&st, &Architecture::I386, &Architecture::X86_64)
-            .unwrap();
-        match &r.ops[0] {
-            Op::Scalar { elem: ElemPlan::Int { checked, .. }, .. } => assert!(checked),
             other => panic!("expected Int scalar, got {other:?}"),
         }
     }

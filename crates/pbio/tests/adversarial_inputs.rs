@@ -8,6 +8,9 @@
 //! the decoder rejects the message instead of attempting a multi-GB
 //! allocation or a runaway decode loop.
 
+#[path = "../../clayout/tests/oracle/mod.rs"]
+mod oracle;
+
 use clayout::image::put_uint;
 use clayout::{Architecture, CType, Primitive, Record, StructField, StructType};
 use pbio::format::{Format, FormatId};
@@ -137,10 +140,10 @@ fn ndr_view_rejects_forged_counts_too() {
 }
 
 #[test]
-fn conversion_plans_reject_forged_counts_on_both_engines() {
+fn conversion_plans_reject_forged_counts() {
     // The heterogeneous receive path runs ConversionPlan, not the eager
-    // decoder — it must apply the same count clamp. Exercise the fused
-    // engine and the reference oracle across swapped and resized pairs.
+    // decoder — it must apply the same count clamp, across swapped and
+    // resized pairs, to a payload the interpretive oracle refuses too.
     let st = adversarial_format().struct_type().clone();
     let src = *adversarial_format().arch();
     let native_wire = {
@@ -150,21 +153,21 @@ fn conversion_plans_reject_forged_counts_on_both_engines() {
         let header_len = pbio::header::WireHeader::peek(&wire).unwrap().header_len;
         wire.split_off(header_len)
     };
+    assert!(matches!(
+        oracle::decode_record(&native_wire, &st, &src),
+        Err(clayout::LayoutError::BadCount { .. })
+    ));
     for dst in Architecture::ALL {
-        for (plan, engine) in [
-            (pbio::ConversionPlan::build(&st, &src, &dst).unwrap(), "fused"),
-            (pbio::ConversionPlan::build_reference(&st, &src, &dst).unwrap(), "reference"),
-        ] {
-            if plan.is_identity() {
-                continue; // identity borrows; the decoder clamps later
-            }
-            let err = plan.convert(&native_wire).unwrap_err();
-            let text = err.to_string();
-            assert!(
-                text.contains("count") || text.contains("truncated"),
-                "{engine} {src} -> {dst}: unexpected error {text}"
-            );
+        let plan = pbio::ConversionPlan::build(&st, &src, &dst).unwrap();
+        if plan.is_identity() {
+            continue; // identity borrows; the decoder clamps later
         }
+        let err = plan.convert(&native_wire).unwrap_err();
+        let text = err.to_string();
+        assert!(
+            text.contains("count") || text.contains("truncated"),
+            "{src} -> {dst}: unexpected error {text}"
+        );
     }
 }
 
@@ -188,8 +191,9 @@ fn conversion_plans_reject_forged_string_pointers() {
 
 #[test]
 fn conversion_plans_reject_truncation_at_every_cut() {
-    // Both engines, a swap-only pair and a general pair: every prefix of
-    // an honest payload must error, never panic.
+    // A swap-only pair and a general pair: every prefix of an honest
+    // payload must error, never panic — as it does in the interpretive
+    // oracle's reader.
     let format = adversarial_format();
     let st = format.struct_type().clone();
     let src = *format.arch();
@@ -197,11 +201,10 @@ fn conversion_plans_reject_truncation_at_every_cut() {
     let header_len = pbio::header::WireHeader::peek(&wire).unwrap().header_len;
     let payload = &wire[header_len..];
     for dst in [Architecture::POWER64, Architecture::SPARC32] {
-        let fused = pbio::ConversionPlan::build(&st, &src, &dst).unwrap();
-        let reference = pbio::ConversionPlan::build_reference(&st, &src, &dst).unwrap();
+        let plan = pbio::ConversionPlan::build(&st, &src, &dst).unwrap();
         for cut in 0..payload.len() {
-            assert!(fused.convert(&payload[..cut]).is_err(), "fused {dst} cut {cut}");
-            assert!(reference.convert(&payload[..cut]).is_err(), "reference {dst} cut {cut}");
+            assert!(plan.convert(&payload[..cut]).is_err(), "{dst} cut {cut}");
+            assert!(oracle::decode_record(&payload[..cut], &st, &src).is_err(), "oracle cut {cut}");
         }
     }
 }

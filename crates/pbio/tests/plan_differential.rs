@@ -19,6 +19,17 @@
 //!   non-UTF-8 or unterminated, random flips) both readers reach the
 //!   same verdict: equal records, or the same kind of error. Reading
 //!   outside the payload would be a panic, and fails the test.
+//! * the **conversion plan** — the one engine behind every
+//!   heterogeneous receive, for each of the 36 architecture pairs that
+//!   is not an identity — turns an honest image into the bytes the
+//!   oracle writes for the same record on the destination, which a view
+//!   reads back as the record the oracle reads from the source;
+//!   `convert_into` a used pool does what `convert` does; and every
+//!   mutant is refused by conversion-then-view exactly when the oracle
+//!   refuses to read it on the source or to write what it read on the
+//!   destination (`ConversionOverflow` is the oracle's destination-side
+//!   `ValueOutOfRange`), with the same kind of error but for the three
+//!   orderings `same_outcome` names.
 //!
 //! One difference is by design and asserted as such: a payload shorter
 //! than the struct's fixed part is refused by `RecordView::over` as
@@ -33,7 +44,7 @@ use clayout::{
     Architecture, CType, LayoutError, Primitive, Record, StructField, StructType, Value,
 };
 use pbio::format::{Format, FormatId};
-use pbio::{PbioError, RecordView};
+use pbio::{ConversionPlan, PbioError, RecordView};
 
 const SEED: u64 = 0x91a7_d1ff_5eed_0016;
 const TYPES: usize = 160;
@@ -304,12 +315,82 @@ fn oracle_verdict(payload: &[u8], st: &StructType, arch: &Architecture) -> Verdi
     }
 }
 
+fn pbio_kind(e: &PbioError) -> &'static str {
+    match e {
+        PbioError::Truncated { .. } => "truncated",
+        PbioError::Layout(e) => layout_kind(e),
+        PbioError::ConversionOverflow { .. } => "out of range",
+        _ => "not a payload error",
+    }
+}
+
 fn planned_verdict(payload: &[u8], format: &Format, arch: &Architecture) -> Verdict {
     match RecordView::over(payload, format, arch).and_then(|view| view.to_record()) {
         Ok(record) => Verdict::Read(record),
-        Err(PbioError::Truncated { .. }) => Verdict::Refused("truncated"),
-        Err(PbioError::Layout(e)) => Verdict::Refused(layout_kind(&e)),
-        Err(_) => Verdict::Refused("not a payload error"),
+        Err(e) => Verdict::Refused(pbio_kind(&e)),
+    }
+}
+
+/// What the oracle makes of a source-architecture payload that is to be
+/// read on `native`'s architecture: the record it decodes, unless that
+/// record cannot be written there (a `long` that needs 64 bits, on an
+/// ILP32 reader).
+fn oracle_conversion_verdict(payload: &[u8], src: &Architecture, native: &Format) -> Verdict {
+    let st = native.struct_type();
+    match oracle::decode_record(payload, st, src) {
+        Ok(record) => match oracle::encode_record(&record, st, native.arch()) {
+            Err(LayoutError::ValueOutOfRange { .. }) => Verdict::Refused("out of range"),
+            _ => Verdict::Read(record),
+        },
+        Err(e) => Verdict::Refused(layout_kind(&e)),
+    }
+}
+
+/// Equal verdicts — or a payload both refuse, for one of the three
+/// reasons the two-stage reader (convert, then view) names differently
+/// from the one-pass oracle:
+///
+/// * a count the oracle calls bad because `count * element size`
+///   cannot fit the payload is, to the plan, bad only above the
+///   payload's length in bytes; between the two its one region check
+///   finds the array truncated;
+/// * a count field declared before its array and narrower on the
+///   destination is converted, and found out of range, before the
+///   array op reads it as a count;
+/// * string bytes are copied unvalidated and only the view finds them
+///   not UTF-8, so a pointer out of bounds further on in the same
+///   payload is reported first.
+fn same_outcome(converted: &Verdict, oracle: &Verdict) -> bool {
+    converted == oracle
+        || matches!(
+            (converted, oracle),
+            (Verdict::Refused("truncated" | "out of range"), Verdict::Refused("bad count"))
+                | (Verdict::Refused("bad pointer"), Verdict::Refused("bad string"))
+        )
+}
+
+/// What the conversion plan followed by a view of its output makes of
+/// the same payload; `convert_into` a used pool must do what `convert`
+/// does.
+fn converted_verdict(
+    payload: &[u8],
+    plan: &ConversionPlan,
+    native: &Format,
+    pool: &mut Vec<u8>,
+) -> Verdict {
+    let converted = plan.convert(payload);
+    let pooled = plan.convert_into(payload, pool);
+    match (converted, pooled) {
+        (Ok(image), Ok(fixed_len)) => {
+            assert_eq!(image.fixed_len, fixed_len);
+            assert_eq!(image.bytes.as_ref(), pool.as_slice());
+            planned_verdict(&image.bytes, native, native.arch())
+        }
+        (Err(e), Err(pooled)) => {
+            assert_eq!(pbio_kind(&e), pbio_kind(&pooled));
+            Verdict::Refused(pbio_kind(&e))
+        }
+        (converted, pooled) => panic!("convert {converted:?} but convert_into {pooled:?}"),
     }
 }
 
@@ -445,4 +526,66 @@ fn plans_agree_with_the_interpretive_oracle() {
         defects_refused > TYPES * Architecture::ALL.len() * 9 / 10,
         "{defects_refused}"
     );
+}
+
+#[test]
+fn conversion_agrees_with_the_interpretive_oracle() {
+    let mut rng = Rng(SEED);
+    let mut mutants_converted = 0usize;
+    let mut pool = Vec::new();
+    for case in 0..TYPES {
+        let st = structure(&mut rng, 0);
+        let record = record_of(&mut rng, &st);
+        let natives: Vec<Format> = Architecture::ALL
+            .iter()
+            .map(|arch| Format::new(FormatId(1), st.clone(), *arch).unwrap())
+            .collect();
+        for src in &Architecture::ALL {
+            let image = oracle::encode_record(&record, &st, src).unwrap();
+            let sent = oracle::decode_record(&image.bytes, &st, src).unwrap();
+            let mutants = mutants(&mut rng, &image.bytes, image.fixed_len);
+            for native in &natives {
+                let dst = native.arch();
+                let plan = ConversionPlan::build(&st, src, dst).unwrap();
+                // An identity plan hands the payload on untouched; the
+                // view arm above is what reads it.
+                if plan.is_identity() {
+                    continue;
+                }
+                let context = || format!("case {case}, {src} -> {dst}: {st}");
+
+                // An honest image converts to the bytes the oracle
+                // writes for the same record on the destination, and
+                // reads back as the record that was sent.
+                let converted = plan.convert(&image.bytes).unwrap();
+                let direct = oracle::encode_record(&record, &st, dst).unwrap();
+                assert_eq!(converted.fixed_len, direct.fixed_len, "{}", context());
+                assert_eq!(converted.bytes.as_ref(), direct.bytes.as_slice(), "{}", context());
+                assert_eq!(
+                    converted_verdict(&image.bytes, &plan, native, &mut pool),
+                    Verdict::Read(sent.clone()),
+                    "{}",
+                    context()
+                );
+
+                for mutant in &mutants {
+                    let converted = converted_verdict(mutant, &plan, native, &mut pool);
+                    if mutant.len() < image.fixed_len {
+                        assert_eq!(converted, Verdict::Refused("truncated"));
+                    } else {
+                        let oracle = oracle_conversion_verdict(mutant, src, native);
+                        assert!(
+                            same_outcome(&converted, &oracle),
+                            "{}: converted {converted:?}, oracle {oracle:?}\nimage  {:02x?}\nmutant {mutant:02x?}",
+                            context(),
+                            image.bytes
+                        );
+                    }
+                    mutants_converted += 1;
+                }
+            }
+        }
+    }
+    println!("{mutants_converted} mutants converted");
+    assert!(mutants_converted >= MIN_MUTANTS, "only {mutants_converted} mutants");
 }

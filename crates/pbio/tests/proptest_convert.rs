@@ -1,13 +1,21 @@
-//! Differential property tests for the tiered conversion engine:
+//! Differential property tests for the conversion engine:
 //! [`pbio::ConversionPlan::build`] (fused swap runs, hoisted checks,
-//! unchecked widenings) must be observationally identical to
-//! [`pbio::ConversionPlan::build_reference`] (the pre-fusion
-//! per-element interpreter, kept as the oracle) — byte-identical native
-//! images on honest encodes, matching error kinds on corrupt ones —
-//! across random struct types and the full architecture matrix.
+//! unchecked widenings) against the interpretive image codec in
+//! `clayout/tests/oracle`, which shares no code with it — a converted
+//! image is byte for byte what the oracle writes for the same record on
+//! the destination and reads back as what the oracle reads from the
+//! source; a corrupt one is refused as the oracle refuses it — across
+//! random struct types and the full architecture matrix. The tier a
+//! plan lands on is a property of the plan and asserted directly.
 
-use clayout::{Architecture, CType, Primitive, Record, StructField, StructType, Value};
-use pbio::{ConversionPlan, PbioError, PlanTier};
+#[path = "../../clayout/tests/oracle/mod.rs"]
+mod oracle;
+
+use clayout::{
+    Architecture, CType, LayoutError, Primitive, Record, StructField, StructType, Value,
+};
+use pbio::format::{Format, FormatId};
+use pbio::{ConversionPlan, PbioError, PlanTier, RecordView};
 use proptest::prelude::*;
 
 /// Primitives restricted to values that fit every modelled architecture
@@ -149,90 +157,134 @@ fn has_pointers(st: &StructType) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// On honest encodes the fused/tiered engine and the reference
-    /// interpreter must produce byte-identical native images (encoders
-    /// zero padding, so bulk copies that bridge padding match the
-    /// reference's untouched zeros), and the pooled `convert_into` must
-    /// equal `convert`. x86-64 <-> POWER64 pairs without pointer-bearing
-    /// fields must additionally land on the PureSwap tier.
+    /// On honest encodes the converted image is the one the oracle
+    /// writes directly on the destination (encoders zero padding, so
+    /// bulk copies that bridge padding match), a view of it reads what
+    /// the oracle reads from the source image, and the pooled
+    /// `convert_into` equals `convert`. A plan is `Identity` exactly on
+    /// layout-compatible pairs; x86-64 <-> POWER64 pairs without
+    /// pointer-bearing fields land on the PureSwap tier.
     #[test]
-    fn tiered_engine_matches_reference_bytes(
+    fn converted_image_is_the_oracles(
         specs in proptest::collection::vec(spec_strategy(), 1..6),
         src in arch_strategy(),
         dst in arch_strategy(),
     ) {
         let (st, record) = build(&specs);
-        let wire = clayout::encode_record(&record, &st, &src).unwrap();
+        let wire = oracle::encode_record(&record, &st, &src).unwrap();
+        let direct = oracle::encode_record(&record, &st, &dst).unwrap();
+        let plan = ConversionPlan::build(&st, &src, &dst).unwrap();
 
-        let fused = ConversionPlan::build(&st, &src, &dst).unwrap();
-        let reference = ConversionPlan::build_reference(&st, &src, &dst).unwrap();
-        prop_assert_eq!(fused.is_identity(), reference.is_identity());
+        let converted = plan.convert(&wire.bytes).unwrap();
+        prop_assert_eq!(converted.fixed_len, direct.fixed_len, "{} -> {}", src, dst);
+        prop_assert_eq!(converted.bytes.as_ref(), direct.bytes.as_slice(), "{} -> {}", src, dst);
 
-        let a = fused.convert(&wire.bytes).unwrap();
-        let b = reference.convert(&wire.bytes).unwrap();
-        prop_assert_eq!(a.fixed_len, b.fixed_len, "{} -> {}", src, dst);
-        prop_assert_eq!(a.bytes.as_ref(), b.bytes.as_ref(), "{} -> {}", src, dst);
+        let native = Format::new(FormatId(1), st.clone(), dst).unwrap();
+        let viewed = RecordView::over(&converted.bytes, &native, &dst).unwrap().to_record().unwrap();
+        prop_assert_eq!(viewed, oracle::decode_record(&wire.bytes, &st, &src).unwrap());
 
         let mut pool = Vec::new();
-        let fixed = fused.convert_into(&wire.bytes, &mut pool).unwrap();
-        prop_assert_eq!(fixed, a.fixed_len);
-        prop_assert_eq!(pool.as_slice(), a.bytes.as_ref());
+        let fixed = plan.convert_into(&wire.bytes, &mut pool).unwrap();
+        prop_assert_eq!(fixed, converted.fixed_len);
+        prop_assert_eq!(pool.as_slice(), converted.bytes.as_ref());
 
         // Tier classification is a plan property, assert it directly.
+        prop_assert_eq!(plan.tier() == PlanTier::Identity, src.layout_compatible(&dst));
+        prop_assert_eq!(plan.is_identity(), converted.is_borrowed());
         let swap_pair = (src == Architecture::X86_64 && dst == Architecture::POWER64)
             || (src == Architecture::POWER64 && dst == Architecture::X86_64);
         if swap_pair && !has_pointers(&st) {
-            prop_assert_eq!(fused.tier(), PlanTier::PureSwap);
+            prop_assert_eq!(plan.tier(), PlanTier::PureSwap);
         }
-        prop_assert_eq!(reference.tier() == PlanTier::Identity, reference.is_identity());
     }
 
-    /// Corrupting by truncation: at every cut point both engines must
-    /// fail (never panic) with the same error kind — the hoisted checks
-    /// may *coarsen* where truncation is noticed, but not what is
-    /// reported or whether it is.
+    /// Corrupting by truncation: at every cut point conversion must
+    /// fail (never panic), and with the oracle's kind of error — the
+    /// hoisted checks may *coarsen* where truncation is noticed, but
+    /// not what is reported or whether it is.
     #[test]
-    fn error_kinds_agree_at_every_cut(
+    fn every_cut_is_refused_as_the_oracle_refuses_it(
         specs in proptest::collection::vec(spec_strategy(), 1..5),
         src in arch_strategy(),
         dst in arch_strategy(),
     ) {
         let (st, record) = build(&specs);
-        let wire = clayout::encode_record(&record, &st, &src).unwrap();
-        let fused = ConversionPlan::build(&st, &src, &dst).unwrap();
-        let reference = ConversionPlan::build_reference(&st, &src, &dst).unwrap();
+        let wire = oracle::encode_record(&record, &st, &src).unwrap();
+        let plan = ConversionPlan::build(&st, &src, &dst).unwrap();
         // Identity plans borrow without inspecting the variable section;
-        // nothing to compare beyond the (shared) entry check.
-        let cuts = if fused.is_identity() { 0 } else { wire.bytes.len() };
+        // nothing to compare beyond the entry check.
+        let cuts = if plan.is_identity() { 0 } else { wire.bytes.len() };
         for cut in 0..cuts {
-            let a = fused.convert(&wire.bytes[..cut]);
-            let b = reference.convert(&wire.bytes[..cut]);
-            match (a, b) {
-                (Err(ea), Err(eb)) => prop_assert_eq!(
-                    std::mem::discriminant(&ea),
-                    std::mem::discriminant(&eb),
-                    "cut {} ({} -> {}): fused {:?} vs reference {:?}",
-                    cut, src, dst, ea, eb
-                ),
-                (a, b) => prop_assert_eq!(
-                    a.is_ok(), b.is_ok(),
-                    "cut {} ({} -> {}) diverged", cut, src, dst
-                ),
-            }
+            let refused = match plan.convert(&wire.bytes[..cut]) {
+                Err(PbioError::Truncated { .. }) => "truncated",
+                Err(PbioError::Layout(LayoutError::BadPointer { .. })) => "bad pointer",
+                other => panic!("cut {cut} ({src} -> {dst}): {other:?}"),
+            };
+            // A prefix shorter than the fixed part is refused before any
+            // field is read; the oracle may not miss trailing padding.
+            let expected = if cut < wire.fixed_len {
+                "truncated"
+            } else {
+                match oracle::decode_record(&wire.bytes[..cut], &st, &src) {
+                    // The oracle bounds a count by payload length over
+                    // element size; the plan's region check calls the
+                    // same array truncated.
+                    Err(LayoutError::Truncated { .. } | LayoutError::BadCount { .. }) => "truncated",
+                    Err(LayoutError::BadPointer { .. }) => "bad pointer",
+                    other => panic!("cut {cut} on {src}: the oracle says {other:?}"),
+                }
+            };
+            prop_assert_eq!(refused, expected, "cut {} ({} -> {})", cut, src, dst);
         }
     }
 }
 
 #[test]
-fn narrowing_overflow_reported_identically_by_both_engines() {
+fn narrowing_overflow_is_the_oracles_out_of_range() {
     let st = StructType::new("t", vec![StructField::new("big", CType::Prim(Primitive::ULong))]);
     let rec = Record::new().with("big", (1u64 << 40) + 5);
-    let wire = clayout::encode_record(&rec, &st, &Architecture::X86_64).unwrap();
-    for build in [ConversionPlan::build, ConversionPlan::build_reference] {
-        let plan = build(&st, &Architecture::X86_64, &Architecture::I386).unwrap();
-        match plan.convert(&wire.bytes) {
-            Err(PbioError::ConversionOverflow { field, .. }) => assert_eq!(field, "big"),
-            other => panic!("expected overflow, got {other:?}"),
-        }
+    let wire = oracle::encode_record(&rec, &st, &Architecture::X86_64).unwrap();
+    let plan = ConversionPlan::build(&st, &Architecture::X86_64, &Architecture::I386).unwrap();
+    match plan.convert(&wire.bytes) {
+        Err(PbioError::ConversionOverflow { field, .. }) => assert_eq!(field, "big"),
+        other => panic!("expected overflow, got {other:?}"),
+    }
+    let sent = oracle::decode_record(&wire.bytes, &st, &Architecture::X86_64).unwrap();
+    match oracle::encode_record(&sent, &st, &Architecture::I386) {
+        Err(LayoutError::ValueOutOfRange { field, .. }) => assert_eq!(field, "big"),
+        other => panic!("expected out of range, got {other:?}"),
+    }
+}
+
+#[test]
+fn pure_swap_matches_oracle_bytes() {
+    let prim = CType::Prim;
+    let st = StructType::new(
+        "tele",
+        vec![
+            StructField::new("a", prim(Primitive::ULongLong)),
+            StructField::new("b", prim(Primitive::Double)),
+            StructField::new("c", prim(Primitive::UInt)),
+            StructField::new("d", prim(Primitive::UInt)),
+            StructField::new("pts", CType::fixed_array(prim(Primitive::Double), 8)),
+        ],
+    );
+    let rec = Record::new()
+        .with("a", 0x0102_0304_0506_0708u64)
+        .with("b", -2.5f64)
+        .with("c", 7u64)
+        .with("d", 0xDEAD_BEEFu64)
+        .with("pts", vec![1.5f64, -0.0, 3.25, 4.0, 5.0, 6.0, 7.0, 8.0]);
+    for (src, dst) in [
+        (Architecture::X86_64, Architecture::POWER64),
+        (Architecture::POWER64, Architecture::X86_64),
+    ] {
+        let wire = oracle::encode_record(&rec, &st, &src).unwrap();
+        let plan = ConversionPlan::build(&st, &src, &dst).unwrap();
+        assert_eq!(plan.tier(), PlanTier::PureSwap);
+        let converted = plan.convert(&wire.bytes).unwrap();
+        let direct = oracle::encode_record(&rec, &st, &dst).unwrap();
+        assert_eq!(converted.bytes.as_ref(), direct.bytes.as_slice(), "{src} -> {dst}");
+        assert_eq!(converted.fixed_len, direct.fixed_len);
     }
 }

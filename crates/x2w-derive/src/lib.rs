@@ -7,7 +7,8 @@
 //! * the `clayout` field list as a `const`-constructed
 //!   `ConstStructType` in static memory (counts for `Vec` fields
 //!   synthesized as `<field>_count`, appended after the declared
-//!   fields, exactly like the dynamic `wire_message!` binding),
+//!   fields, exactly like the XSD binder does for `maxOccurs="*"`
+//!   elements),
 //! * the `<xsd:complexType>` fragment for metadata-server registration
 //!   as a string literal, and
 //! * straight-line `encode_fields`/`decode_fields` code that writes the

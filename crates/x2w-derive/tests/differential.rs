@@ -105,7 +105,7 @@ fn sample_record() -> Record {
 }
 
 #[test]
-fn derived_descriptor_matches_wire_message_conventions() {
+fn derived_descriptor_matches_the_binder_conventions() {
     let st = Everything::struct_type();
     assert_eq!(st.name, "Everything");
     // Declared fields first, then one synthesized count per Vec field,

@@ -46,7 +46,6 @@
 #![warn(missing_docs)]
 
 pub mod atoms;
-pub mod classic;
 pub mod cursor;
 pub mod dom;
 pub mod error;

@@ -1,24 +1,21 @@
 //! The original `char`-at-a-time tokenizer, preserved verbatim as a
-//! reference implementation.
+//! test-side oracle (the `xsdlite/tests/dom_oracle` pattern).
 //!
-//! The production [`Reader`](crate::Reader) scans bytes word-at-a-time
-//! (see [`cursor`](crate::cursor)); this module keeps the straightforward
+//! The production [`xmlparse::Reader`] scans bytes word-at-a-time (see
+//! [`xmlparse::cursor`]); this module keeps the straightforward
 //! `char`-walking implementation it replaced so that
-//!
-//! * differential property tests (`tests/proptest_fastpath.rs`) can
-//!   assert the two tokenizers produce identical event streams on
-//!   arbitrary inputs, and
-//! * the `xml_parse` microbenchmark can report an honest before/after
-//!   throughput comparison from a single binary.
-//!
-//! It is not part of the supported API surface.
+//! `proptest_fastpath.rs`, which includes it by path, can assert the
+//! two tokenizers produce identical event streams on arbitrary inputs.
+//! It uses only the crate's public items.
+
+#![allow(dead_code)]
 
 use std::borrow::Cow;
 
-use crate::error::{ErrorKind, Position, XmlError};
-use crate::escape::unescape;
-use crate::qname::{is_name_char, is_name_start_char};
-use crate::reader::{Attribute, Event, XmlDecl};
+use xmlparse::error::{ErrorKind, Position, XmlError};
+use xmlparse::escape::unescape;
+use xmlparse::qname::{is_name_char, is_name_start_char};
+use xmlparse::reader::{Attribute, Event, XmlDecl};
 
 /// Whether `ch` is whitespace per XML 1.0 §2.3.
 fn is_xml_whitespace(ch: char) -> bool {
@@ -129,7 +126,7 @@ impl<'a> Cursor<'a> {
 }
 
 /// The original streaming pull parser, producing the same owned
-/// [`Event`]s as [`crate::Reader::next_event`].
+/// [`Event`]s as [`xmlparse::Reader::next_event`].
 #[derive(Debug, Clone)]
 pub struct Reader<'a> {
     cursor: Cursor<'a>,
@@ -162,7 +159,7 @@ impl<'a> Reader<'a> {
     ///
     /// # Errors
     ///
-    /// As [`crate::Reader::next_event`].
+    /// As [`xmlparse::Reader::next_event`].
     pub fn next_event(&mut self) -> Result<Event, XmlError> {
         if let Some(name) = self.pending_end.take() {
             let popped = self.open.pop();

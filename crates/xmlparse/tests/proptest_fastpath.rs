@@ -2,14 +2,17 @@
 //!
 //! The byte/SWAR tokenizer ([`xmlparse::Reader`]) must produce exactly
 //! the event stream of the preserved `char`-at-a-time reference
-//! implementation ([`xmlparse::classic::Reader`]) — on serialized trees,
+//! implementation (`tests/classic_oracle`) — on serialized trees,
 //! on arbitrary markup-ish byte soup (mostly ill-formed), and on inputs
 //! truncated at every char boundary. Error *kinds* must agree; byte
 //! positions may differ (the fast path reports byte columns and scans
 //! lazily), so positions are not compared.
 
 use proptest::prelude::*;
-use xmlparse::{classic, Document, Element, Event, Reader, Writer, XmlError};
+#[path = "classic_oracle/mod.rs"]
+mod classic;
+
+use xmlparse::{Document, Element, Event, Reader, Writer, XmlError};
 
 fn fast_events(input: &str) -> Result<Vec<Event>, XmlError> {
     Reader::new(input).collect_events()

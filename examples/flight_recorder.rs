@@ -1,29 +1,29 @@
 //! Flight recorder: typed message objects + self-contained archives.
 //!
 //! Combines two future-work features of the paper (§7): language-level
-//! message objects (the `wire_message!` macro) and open metadata applied
-//! to *storage* — the archive embeds its own XML Schema documents, so a
-//! reader with zero prior knowledge (even the `x2w cat` command-line
-//! tool) can decode it years later.
+//! message objects (`#[derive(Xml2WireRecord)]`) and open metadata
+//! applied to *storage* — the archive embeds its own XML Schema
+//! documents, so a reader with zero prior knowledge (even the `x2w cat`
+//! command-line tool) can decode it years later.
 //!
 //! Run with: `cargo run --example flight_recorder`
 
 use std::sync::Arc;
 
 use openmeta::prelude::*;
-use xml2wire::typed::WireMessage;
-use xml2wire::{wire_message, ArchiveReader, ArchiveWriter};
+use xml2wire::{ArchiveReader, ArchiveWriter, Xml2WireRecord};
 
-wire_message! {
-    /// A position report, declared once as a plain Rust struct.
-    pub struct PositionReport("PositionReport") {
-        arln: String,
-        fltNum: i32,
-        lat: f64,
-        lon: f64,
-        altitudeFt: u32,
-        waypoints: Vec<String>,
-    }
+/// A position report, declared once as a plain Rust struct.
+#[derive(Debug, Xml2WireRecord)]
+struct PositionReport {
+    arln: String,
+    #[x2w(name = "fltNum")]
+    flt_num: i32,
+    lat: f64,
+    lon: f64,
+    #[x2w(name = "altitudeFt")]
+    altitude_ft: u32,
+    waypoints: Vec<String>,
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -31,22 +31,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Recording side -------------------------------------------------
     let session = Arc::new(Xml2Wire::builder().build());
-    session.register_message::<PositionReport>()?;
+    let format = session.register_record::<PositionReport>()?;
 
     let file = std::fs::File::create(&path)?;
     let mut recorder = ArchiveWriter::create(file, Arc::clone(&session));
     recorder.declare_format(PositionReport::FORMAT_NAME)?;
 
+    let mut wire = Vec::new();
     for i in 0..5 {
         let report = PositionReport {
             arln: "DL".into(),
-            fltNum: 1200 + i,
+            flt_num: 1200 + i,
             lat: 33.6367 + f64::from(i) * 0.25,
             lon: -84.4281 + f64::from(i) * 0.4,
-            altitudeFt: 31_000 + (i as u32) * 500,
+            altitude_ft: 31_000 + (i as u32) * 500,
             waypoints: vec!["ODF".into(), "SPA".into()],
         };
-        recorder.append(&report.to_record(), PositionReport::FORMAT_NAME)?;
+        // The archive stores reflective records; the typed struct gets
+        // there through its own wire image (generated encoder, then the
+        // dynamic decoder every untyped peer would run).
+        pbio::ndr::encode_typed_into(&mut wire, &report, &format)?;
+        let (_, record) = session.decode(&wire)?;
+        recorder.append(&record, PositionReport::FORMAT_NAME)?;
     }
     recorder.finish()?;
     println!("recorded 5 position reports to {}", path.display());
@@ -58,9 +64,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     while let Some((format, record)) = replay.next_record()? {
         // Generic consumers read the dynamic record...
         println!("[{format}] {record}");
-        // ...and typed consumers can still reconstruct the struct.
-        let report = PositionReport::from_record(&record)?;
-        assert!(report.altitudeFt >= 31_000);
+        // ...and typed consumers can still reconstruct the struct: the
+        // generated view reads the image the dynamic encoder writes.
+        let wire = session.encode(&record, PositionReport::FORMAT_NAME)?;
+        let (header, payload) = pbio::ndr::split(&wire)?;
+        let report = PositionReport::decode_view(payload, &header.arch())?;
+        assert!(report.altitude_ft >= 31_000);
     }
 
     println!(

@@ -555,7 +555,18 @@ mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
+    use std::sync::{Mutex, MutexGuard, PoisonError};
     use std::time::Duration;
+
+    /// `/proc/self/fd` counts the whole process and the tests of this
+    /// module run on parallel threads of it: every test that opens a
+    /// descriptor holds this lock for its whole body, so none opens or
+    /// closes one between another's baseline and final count.
+    static FD_COUNT: Mutex<()> = Mutex::new(());
+
+    fn fd_count_lock() -> MutexGuard<'static, ()> {
+        FD_COUNT.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     fn backends() -> Vec<Poller> {
         let mut pollers = vec![Poller::new_poll_fallback().unwrap()];
@@ -568,6 +579,7 @@ mod tests {
     #[test]
     fn socket_readiness_round_trip_on_every_backend() {
         use std::os::unix::io::AsRawFd;
+        let _alone = fd_count_lock();
         for poller in backends() {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
@@ -604,6 +616,7 @@ mod tests {
     #[test]
     fn hangup_is_reported() {
         use std::os::unix::io::AsRawFd;
+        let _alone = fd_count_lock();
         for poller in backends() {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
@@ -623,6 +636,7 @@ mod tests {
     #[test]
     fn wakers_wake_and_drain_on_every_backend() {
         use std::sync::Arc;
+        let _alone = fd_count_lock();
         let wakers = {
             let mut w = vec![Arc::new(Waker::new_pipe().unwrap())];
             if cfg!(target_os = "linux") {
@@ -656,6 +670,43 @@ mod tests {
                 poller.delete(waker.read_fd()).unwrap();
             }
         }
+    }
+
+    /// The `poll(2)` backend and the pipe waker own different
+    /// descriptors than epoll/eventfd (a pipe pair; no kernel object
+    /// for the poller, but a registration table that must not keep a
+    /// closed socket alive): after 100 sockets were registered, made
+    /// ready, deregistered and closed, and both were dropped, the
+    /// process holds exactly the descriptors it started with.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn poll_backend_and_pipe_waker_churn_returns_every_descriptor() {
+        use std::os::unix::io::AsRawFd;
+        const WAKE_KEY: u64 = u64::MAX;
+        let open_fds = || std::fs::read_dir("/proc/self/fd").unwrap().count();
+        let _alone = fd_count_lock();
+        let baseline = open_fds();
+        {
+            let poller = Poller::new_poll_fallback().unwrap();
+            let waker = Waker::new_pipe().unwrap();
+            poller.add(waker.read_fd(), WAKE_KEY, Interest::READ).unwrap();
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let mut events = Vec::new();
+            for key in 0..100u64 {
+                let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+                let (server, _) = listener.accept().unwrap();
+                poller.add(server.as_raw_fd(), key, Interest::READ).unwrap();
+                client.write_all(b"probe").unwrap();
+                waker.wake();
+                events.clear();
+                poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+                assert!(events.iter().any(|e| e.key == key && e.readable));
+                waker.drain();
+                poller.delete(server.as_raw_fd()).unwrap();
+            }
+            assert!(open_fds() > baseline);
+        }
+        assert_eq!(open_fds(), baseline, "poll backend or pipe waker leaked a descriptor");
     }
 
     #[test]
