@@ -416,6 +416,9 @@ pub struct ReplaySubscription {
     cutover: u64,
     live: Subscription,
     stream: Arc<str>,
+    /// Format name of the last archived record: one log is one stream
+    /// and in practice one format, so its `Arc` is shared, not rebuilt.
+    format_name: Arc<str>,
 }
 
 impl ReplaySubscription {
@@ -430,6 +433,20 @@ impl ReplaySubscription {
         self.replay.is_some()
     }
 
+    /// The next archived event, or `None` once the snapshot is
+    /// exhausted (the replay is dropped with it).
+    fn next_archived(&mut self) -> Result<Option<Arc<Event>>, BackboneError> {
+        let Some(replay) = &mut self.replay else {
+            return Ok(None);
+        };
+        let Some((seq, record)) = replay.next_record()? else {
+            self.replay = None;
+            return Ok(None);
+        };
+        decode_log_record(&self.stream, &mut self.format_name, seq, record)
+            .map(|event| Some(Arc::new(event)))
+    }
+
     /// Next event: archived history until the snapshot is exhausted,
     /// live (seq-deduped) after. `timeout` applies to the live wait;
     /// archive reads don't block.
@@ -442,14 +459,8 @@ impl ReplaySubscription {
         &mut self,
         timeout: std::time::Duration,
     ) -> Result<Arc<Event>, BackboneError> {
-        while let Some(replay) = &mut self.replay {
-            match replay.next_record() {
-                Ok(Some((seq, record))) => {
-                    return decode_log_record(&self.stream, seq, record).map(Arc::new);
-                }
-                Ok(None) => self.replay = None,
-                Err(e) => return Err(e.into()),
-            }
+        if let Some(event) = self.next_archived()? {
+            return Ok(event);
         }
         let deadline = std::time::Instant::now() + timeout;
         loop {
@@ -475,15 +486,8 @@ impl ReplaySubscription {
         &mut self,
         timeout: std::time::Duration,
     ) -> Result<Option<Arc<Event>>, BackboneError> {
-        while let Some(replay) = &mut self.replay {
-            match replay.next_record() {
-                Ok(Some((seq, record))) => {
-                    return decode_log_record(&self.stream, seq, record)
-                        .map(|event| Some(Arc::new(event)));
-                }
-                Ok(None) => self.replay = None,
-                Err(e) => return Err(e.into()),
-            }
+        if let Some(event) = self.next_archived()? {
+            return Ok(Some(event));
         }
         let deadline = std::time::Instant::now() + timeout;
         loop {
@@ -506,14 +510,8 @@ impl ReplaySubscription {
     ///
     /// Corrupt archive records or disconnection.
     pub fn recv(&mut self) -> Result<Arc<Event>, BackboneError> {
-        while let Some(replay) = &mut self.replay {
-            match replay.next_record() {
-                Ok(Some((seq, record))) => {
-                    return decode_log_record(&self.stream, seq, record).map(Arc::new);
-                }
-                Ok(None) => self.replay = None,
-                Err(e) => return Err(e.into()),
-            }
+        if let Some(event) = self.next_archived()? {
+            return Ok(event);
         }
         loop {
             let event = self.live.recv()?;
@@ -987,6 +985,7 @@ impl Broker {
             cutover,
             live,
             stream: Arc::clone(&meta.name),
+            format_name: Arc::from(""),
         })
     }
 
@@ -1100,43 +1099,40 @@ struct DurableSink {
 /// Durable logs for one shard's streams.
 type ShardSinks = HashMap<Arc<str>, DurableSink>;
 
-/// Serializes one event into a segment-log record:
+/// Hands one event to the segment log as the pieces of its record:
 /// `u16 LE format-name len ∥ format name ∥ payload`. The stream name is
 /// implicit (one log per stream) and the seq lives in the record frame.
-fn encode_log_record(scratch: &mut Vec<u8>, event: &Event) {
-    scratch.clear();
+fn put_log_record(event: &Event, put: &mut dyn FnMut(&[u8])) {
     let name = event.format_name.as_bytes();
     debug_assert!(name.len() <= usize::from(u16::MAX));
-    scratch.extend_from_slice(&(name.len() as u16).to_le_bytes());
-    scratch.extend_from_slice(name);
-    scratch.extend_from_slice(&event.payload);
+    put(&(name.len() as u16).to_le_bytes());
+    put(name);
+    put(&event.payload);
 }
 
-/// Inverse of [`encode_log_record`]: reconstructs the event from a
-/// replayed `(seq, record)` pair.
+/// Inverse of [`put_log_record`]: reconstructs the event from a
+/// replayed `(seq, record)` pair the log lends, copying exactly the
+/// payload. `last_name` is the previous record's format name, reused
+/// when this record carries the same bytes.
 fn decode_log_record(
     stream: &Arc<str>,
+    last_name: &mut Arc<str>,
     seq: u64,
-    mut record: Vec<u8>,
+    record: &[u8],
 ) -> Result<Event, BackboneError> {
-    if record.len() < 2 {
-        return Err(BackboneError::BadFrame {
-            detail: format!("archived record seq {seq} shorter than its header"),
-        });
+    let bad = |what: &str| BackboneError::BadFrame {
+        detail: format!("archived record seq {seq} {what}"),
+    };
+    let (name_len, rest) =
+        record.split_first_chunk::<2>().ok_or_else(|| bad("shorter than its header"))?;
+    let (name, payload) = rest
+        .split_at_checked(usize::from(u16::from_le_bytes(*name_len)))
+        .ok_or_else(|| bad("truncates its format name"))?;
+    if last_name.as_bytes() != name {
+        let name = std::str::from_utf8(name).map_err(|_| bad("has a non-UTF-8 format name"))?;
+        *last_name = name.into();
     }
-    let name_len = usize::from(u16::from_le_bytes([record[0], record[1]]));
-    if record.len() < 2 + name_len {
-        return Err(BackboneError::BadFrame {
-            detail: format!("archived record seq {seq} truncates its format name"),
-        });
-    }
-    let name = std::str::from_utf8(&record[2..2 + name_len])
-        .map_err(|_| BackboneError::BadFrame {
-            detail: format!("archived record seq {seq} has a non-UTF-8 format name"),
-        })?
-        .to_owned();
-    record.drain(..2 + name_len);
-    Ok(Event::with_seq(Arc::clone(stream), name, record, seq))
+    Ok(Event::with_seq(Arc::clone(stream), Arc::clone(last_name), payload.to_vec(), seq))
 }
 
 /// The dispatch worker: drains the shard queue in batches, applies
@@ -1150,7 +1146,6 @@ fn dispatch_loop(rx: &Receiver<ShardMsg>) {
     let mut batch: Vec<ShardMsg> = Vec::with_capacity(DISPATCH_BATCH);
     let mut buckets: Vec<Bucket> = Vec::new();
     let mut preds: Vec<PredBucket> = Vec::new();
-    let mut scratch: Vec<u8> = Vec::new();
     loop {
         batch.clear();
         // Spin-then-park: poll the queue through a bounded number of
@@ -1185,7 +1180,6 @@ fn dispatch_loop(rx: &Receiver<ShardMsg>) {
                         &mut buckets,
                         &mut preds,
                         &sinks,
-                        &mut scratch,
                     );
                 }
                 ShardMsg::Subscribe { entry, ack } => {
@@ -1314,7 +1308,6 @@ fn deliver_events(
     buckets: &mut Vec<Bucket>,
     preds: &mut Vec<PredBucket>,
     sinks: &ShardSinks,
-    scratch: &mut Vec<u8>,
 ) {
     fn event_of(msg: &ShardMsg) -> &Arc<Event> {
         match msg {
@@ -1346,24 +1339,22 @@ fn deliver_events(
     for bucket in buckets.iter_mut().take(active) {
         let stream = bucket.name.take().expect("active bucket has a name");
         let group: &[u32] = &bucket.idxs;
-        // Durable streams: append (one lock for the whole group) BEFORE
-        // fan-out — the replay/cutover gap-free invariant depends on it.
+        // Durable streams: append (one lock and one write for the whole
+        // group) BEFORE fan-out — the replay/cutover gap-free invariant
+        // depends on it, and so does the fsync policy's promise.
         // Events forwarded from another broker (seq 0 is impossible
         // here: forwarded durable events keep their origin seq, local
         // ones were assigned at publish) append under the origin's
         // numbering, so a contiguity violation means lost link traffic
         // and is surfaced as an archive error, not a panic.
         if let Some(sink) = sinks.get(&stream) {
-            let mut log = sink.log.lock();
-            for &k in group {
-                let event = event_of(&run[k as usize]);
-                if event.seq == 0 {
-                    continue;
-                }
-                encode_log_record(scratch, event);
-                if log.append(event.seq, scratch).is_err() {
-                    sink.meta.archive_errors.fetch_add(1, Ordering::Relaxed);
-                }
+            let records = group.iter().filter_map(|&k| {
+                let event: &Event = event_of(&run[k as usize]);
+                let pieces = move |put: &mut dyn FnMut(&[u8])| put_log_record(event, put);
+                (event.seq != 0).then_some((event.seq, pieces))
+            });
+            if let Err(e) = sink.log.lock().append_group(records) {
+                sink.meta.archive_errors.fetch_add(e.lost as u64, Ordering::Relaxed);
             }
         }
         if let Some(subs) = streams.get_mut(&stream) {
@@ -1789,6 +1780,78 @@ mod tests {
         assert_eq!(seqs, (1..=15).collect::<Vec<u64>>());
         assert_eq!(payloads, (0..15).collect::<Vec<u8>>());
         assert!(replay.cutover_seq() >= 10);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replays_beside_group_appends_end_at_their_certified_bytes() {
+        // A replay reads its segment in large slices while the shard
+        // worker writes whole groups into it, so a slice can end
+        // anywhere in a group whose write has not returned. Every
+        // replay must still yield exactly 1..=cutover and then follow
+        // the live feed — which holds because its snapshot is certified
+        // in bytes, not because a write is atomic. A fresh stream every
+        // few replays keeps the history that each replay re-reads from
+        // seq 1 short while the appends never stop.
+        const STREAMS: usize = 25;
+        const REPLAYS_EACH: usize = 8;
+        let body = |seq: u64| [&seq.to_le_bytes()[..], &[seq as u8; 600]].concat();
+        let dir = temp_dir("beside");
+        let broker = Arc::new(Broker::new());
+        let log = SegLogConfig {
+            segment_bytes: 32 * 1024,
+            fsync: xml2wire::FsyncPolicy::Never,
+            ..SegLogConfig::default()
+        };
+        for s in 0..STREAMS {
+            let name = format!("ops-{s}");
+            let spec = DurableSpec { dir: dir.join(&name), log };
+            broker.create_stream_durable(&name, StreamConfig::default(), spec).unwrap();
+            let stop = Arc::new(AtomicU64::new(0));
+            let publisher = {
+                let (broker, stop, name) = (Arc::clone(&broker), Arc::clone(&stop), name.clone());
+                std::thread::spawn(move || {
+                    let handle = broker.publish_handle(&name).unwrap();
+                    // Its own subscriber clocks it: at most 32 events in
+                    // the shard queue, so the worker always has a group
+                    // to append and a subscribe never waits long.
+                    let echo = broker.subscribe(&name).unwrap();
+                    let format: Arc<str> = Arc::from("F");
+                    for seq in 1.. {
+                        if stop.load(Ordering::SeqCst) != 0 {
+                            break;
+                        }
+                        handle.publish(Arc::clone(&format), body(seq)).unwrap();
+                        if seq > 32 {
+                            echo.recv_timeout(Duration::from_secs(5)).unwrap();
+                        }
+                        if seq > 1000 {
+                            // Enough history; just keep the feed alive.
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                    }
+                })
+            };
+            for round in 0..REPLAYS_EACH {
+                let mut replay = broker.subscribe_replay(&name, 1).unwrap();
+                let cutover = replay.cutover_seq();
+                for seq in 1..=cutover {
+                    let event = replay.recv_timeout(Duration::from_secs(5)).unwrap_or_else(|e| {
+                        panic!("{name} replay {round} at seq {seq} of {cutover}: {e}")
+                    });
+                    assert_eq!((event.seq, &event.payload), (seq, &body(seq)), "{name} replay {round}");
+                }
+                // What is appended from here on arrives through the live
+                // feed, gap-free.
+                for seq in cutover + 1..=cutover + 3 {
+                    let event = replay.recv_timeout(Duration::from_secs(5)).unwrap();
+                    assert_eq!(event.seq, seq, "{name} replay {round} after cut-over at {cutover}");
+                }
+            }
+            stop.store(1, Ordering::SeqCst);
+            publisher.join().unwrap();
+        }
+        assert!(broker.streams().iter().all(|stream| stream.archive_errors == 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

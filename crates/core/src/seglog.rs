@@ -18,15 +18,31 @@
 //! greater than record `n`, and a segment's base seq is the seq of its
 //! first record.
 //!
+//! One function, `next_frame`, decides what the bytes at the start of
+//! a window are — a whole CRC-clean record, not enough bytes yet, or
+//! something no correct writer produced — and does no I/O. Replay and
+//! recovery both drive it through a `Window` that is refilled by large
+//! reads, so neither pays a system call, a copy or an allocation per
+//! record: [`SegReplay::next_record`] *lends* each payload out of the
+//! window it was checked in.
+//!
+//! Writing is by group ([`SegmentLog::append_group`]): any number of
+//! records are framed into one buffer and reach the file in one
+//! `write` per segment they touch; [`SegmentLog::append`] is a group of
+//! one. A reader running beside the writer could therefore see part of
+//! a group — which is why a replay is certified in *bytes* as well as
+//! in sequence numbers when it is opened, and never reads past them.
+//!
 //! Crash recovery: [`SegmentLog::open`] re-validates the *tail* segment
-//! record by record and truncates at the first record whose length,
+//! frame by frame and truncates at the first record whose length,
 //! sequence, or CRC does not check out — a torn tail from a crash
 //! mid-append disappears, everything fsynced before it survives.
 //! Earlier (sealed) segments are validated lazily during replay, where
 //! corruption is an error rather than silent truncation.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
@@ -40,18 +56,32 @@ pub const SEGMENT_MAGIC: &[u8; 8] = b"X2WSEGLG";
 pub const SEGMENT_VERSION: u8 = 1;
 /// Fixed header size: magic ∥ version ∥ base seq.
 const SEGMENT_HEADER: u64 = 8 + 1 + 8;
+/// Framing before a record's payload: len ∥ seq.
+const FRAME_HEAD: usize = 4 + 8;
 /// Per-record framing overhead: len ∥ seq ∥ crc.
-const RECORD_OVERHEAD: u64 = 4 + 8 + 4;
+const RECORD_OVERHEAD: u64 = FRAME_HEAD as u64 + 4;
 /// Corruption guard: one record's payload may not claim more than this.
 pub const MAX_RECORD: u32 = 64 * 1024 * 1024;
+/// Bytes a replay or a recovery scan asks the file for at a time. The
+/// window is larger only while it holds a single record that is.
+const CHUNK: usize = 256 * 1024;
 
 /// When the log forces data to stable storage.
+///
+/// Policies count *records*, but the log syncs at most once per write,
+/// after it and before the append call returns — so a group append
+/// (see [`SegmentLog::append_group`]) is covered by one sync, and
+/// nothing a caller does after the call returns (the broker's fan-out,
+/// say) can run ahead of the guarantee.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// fsync after every append — maximum durability, slowest.
+    /// fsync every write before the append returns: every record of a
+    /// group is on stable storage when its append call returns —
+    /// maximum durability, slowest.
     Always,
-    /// fsync after every `n` appends (and on rotation / explicit
-    /// [`SegmentLog::sync`]); a crash loses at most `n - 1` records.
+    /// fsync once `n` records have been written since the last sync
+    /// (and on rotation / explicit [`SegmentLog::sync`]); a crash loses
+    /// at most `n - 1` records whose append has returned.
     EveryN(u32),
     /// Never fsync implicitly; the OS decides. A crash can lose any
     /// record not yet written back.
@@ -69,7 +99,8 @@ pub enum FsyncPolicy {
 /// fails with the typed [`X2wError::SeqTruncated`] instead of silently
 /// starting late — the caller (a federation link catching up after an
 /// outage, say) must *know* the history is gone, not infer it from a
-/// gap.
+/// gap. The same error reports a segment deleted *under* an open
+/// replay, which opens its segments lazily.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Retention {
     /// Cap on the number of segment files, active one included;
@@ -110,10 +141,13 @@ fn log_err(detail: String) -> X2wError {
     X2wError::Bcm(PbioError::Text { detail })
 }
 
-// CRC-32 (IEEE 802.3), table-driven; the table is built at compile time
-// so the crate stays dependency-free.
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+// CRC-32 (IEEE 802.3), slicing-by-8: `CRC_TABLES[0]` is the classic
+// byte-at-a-time table and `CRC_TABLES[k][b]` the CRC of byte `b`
+// followed by `k` zero bytes, so eight input bytes fold into the
+// checksum with eight independent lookups. Built at compile time so the
+// crate stays dependency-free.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -122,28 +156,174 @@ const fn crc_table() -> [u32; 256] {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
 /// CRC-32 (IEEE) over `bytes`, continuing from `seed` (pass `0` to
 /// start a fresh checksum).
 pub fn crc32(seed: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !seed;
-    for &b in bytes {
-        crc = CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        // Byte `k` of the word has `7 - k` bytes of the word after it.
+        let v = u64::from_le_bytes(w.try_into().expect("8 bytes")) ^ u64::from(crc);
+        crc = (0..8).fold(0, |acc, k| acc ^ t[7 - k][(v >> (8 * k)) as u8 as usize]);
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
 
-fn record_crc(len: u32, seq: u64, payload: &[u8]) -> u32 {
-    let mut crc = crc32(0, &len.to_le_bytes());
-    crc = crc32(crc, &seq.to_le_bytes());
-    crc32(crc, payload)
+/// What [`next_frame`] found at the start of a window.
+enum Frame {
+    /// A whole record with a matching CRC: it occupies the window's
+    /// first `total` bytes and `payload` indexes the window.
+    Record { seq: u64, payload: Range<usize>, total: usize },
+    /// Undecidable until the window holds this many bytes.
+    NeedMore(usize),
+    /// Not something a correct writer put there.
+    Bad(String),
+}
+
+/// The one decoder of `len ∥ seq ∥ payload ∥ crc`: what is at the start
+/// of `window`, given that the next record must carry `expect_seq`.
+/// Pure — replay and recovery differ only in what they do with `Bad`.
+/// A verdict never changes as the window grows: a prefix of a valid
+/// record is `NeedMore`, never `Bad`.
+fn next_frame(window: &[u8], expect_seq: u64) -> Frame {
+    let Some(head) = window.first_chunk::<FRAME_HEAD>() else {
+        return Frame::NeedMore(FRAME_HEAD);
+    };
+    let len = u32::from_le_bytes(head[..4].try_into().expect("4 bytes"));
+    let seq = u64::from_le_bytes(head[4..].try_into().expect("8 bytes"));
+    if len > MAX_RECORD {
+        return Frame::Bad(format!("record claims {len} bytes, over the {MAX_RECORD} limit"));
+    }
+    if seq != expect_seq {
+        return Frame::Bad(format!("record seq {seq} where seq {expect_seq} belongs"));
+    }
+    let body = FRAME_HEAD + len as usize;
+    let Some(crc) = window.get(body..body + 4) else {
+        return Frame::NeedMore(body + 4);
+    };
+    if u32::from_le_bytes(crc.try_into().expect("4 bytes")) != crc32(0, &window[..body]) {
+        return Frame::Bad(format!("record seq {seq} fails its crc check"));
+    }
+    Frame::Record { seq, payload: FRAME_HEAD..body, total: body + 4 }
+}
+
+/// One step of a [`Window`] through its segment.
+enum Step {
+    /// The next record; `payload` indexes [`Window::buf`].
+    Record { seq: u64, payload: Range<usize> },
+    /// The segment ends here, on a record boundary.
+    End,
+    /// The segment stops being a sequence of records here.
+    Torn(String),
+}
+
+/// The bytes of one segment that [`next_frame`] is looking at: a buffer
+/// refilled a [`CHUNK`] at a time from a source it is lent for each
+/// call, never beyond the length the segment was certified to have.
+#[derive(Debug, Default)]
+struct Window {
+    buf: Vec<u8>,
+    /// `buf[head..tail]` is read and not yet walked.
+    head: usize,
+    tail: usize,
+    /// Certified bytes of the segment not yet read.
+    remaining: u64,
+    /// Seq the next record must carry.
+    expect: u64,
+}
+
+impl Window {
+    /// Starts on a segment of `limit` certified bytes whose header must
+    /// name `base_seq`; `false` if the header is short or wrong.
+    fn start(&mut self, src: &mut impl Read, limit: u64, base_seq: u64) -> io::Result<bool> {
+        (self.head, self.tail, self.remaining, self.expect) = (0, 0, limit, base_seq);
+        if !self.fill(src, SEGMENT_HEADER as usize)? {
+            return Ok(false);
+        }
+        self.head = SEGMENT_HEADER as usize;
+        Ok(self.buf[..self.head] == segment_header(base_seq))
+    }
+
+    /// Makes `buf[head..]` hold at least `need` bytes, reading as much
+    /// of a chunk as the certified length allows; `false` if the
+    /// segment ends first.
+    fn fill(&mut self, src: &mut impl Read, need: usize) -> io::Result<bool> {
+        let have = self.tail - self.head;
+        // Where the certified bytes end, counted from `head`.
+        let certified = have.saturating_add(usize::try_from(self.remaining).unwrap_or(usize::MAX));
+        if need > certified {
+            return Ok(false);
+        }
+        self.buf.copy_within(self.head..self.tail, 0);
+        (self.head, self.tail) = (0, have);
+        let size = need.max(CHUNK.min(certified));
+        if self.buf.len() < size {
+            self.buf.resize(size, 0);
+        }
+        while self.tail < need {
+            let end = self.buf.len().min(certified);
+            match src.read(&mut self.buf[self.tail..end]) {
+                Ok(0) => return Ok(false),
+                Ok(n) => {
+                    self.tail += n;
+                    self.remaining -= n as u64;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(true)
+    }
+
+    fn step(&mut self, src: &mut impl Read) -> io::Result<Step> {
+        loop {
+            match next_frame(&self.buf[self.head..self.tail], self.expect) {
+                Frame::Record { seq, payload, total } => {
+                    let at = self.head;
+                    self.head += total;
+                    self.expect = seq + 1;
+                    return Ok(Step::Record { seq, payload: at + payload.start..at + payload.end });
+                }
+                Frame::NeedMore(need) if self.fill(src, need)? => {}
+                Frame::NeedMore(_) if self.head == self.tail => return Ok(Step::End),
+                Frame::NeedMore(_) => {
+                    return Ok(Step::Torn(format!("segment ends inside record seq {}", self.expect)))
+                }
+                Frame::Bad(why) => return Ok(Step::Torn(why)),
+            }
+        }
+    }
+}
+
+/// The header of the segment whose first record is `base_seq`.
+fn segment_header(base_seq: u64) -> [u8; SEGMENT_HEADER as usize] {
+    let mut header = [0; SEGMENT_HEADER as usize];
+    header[..8].copy_from_slice(SEGMENT_MAGIC);
+    header[8] = SEGMENT_VERSION;
+    header[9..].copy_from_slice(&base_seq.to_le_bytes());
+    header
 }
 
 fn segment_path(dir: &Path, base_seq: u64) -> PathBuf {
@@ -165,7 +345,19 @@ struct SegmentRef {
 #[derive(Debug)]
 struct ActiveSegment {
     file: File,
+    /// Bytes of whole records (and the header) written so far: what a
+    /// replay opened now may read.
     bytes: u64,
+}
+
+/// What [`SegmentLog::append_group`] could not append.
+#[derive(Debug)]
+pub struct GroupError {
+    /// Records of the group that are not in the log: each one rejected,
+    /// and every one that was in a write that failed or behind it.
+    pub lost: usize,
+    /// The first error met.
+    pub first: X2wError,
 }
 
 /// An append-only, crash-recovering log of `(seq, payload)` records.
@@ -185,7 +377,9 @@ pub struct SegmentLog {
     /// Seq of the first record retained; 0 when the log is empty.
     first_seq: u64,
     unsynced: u32,
+    /// The group being appended, framed, and where each frame ends.
     scratch: Vec<u8>,
+    ends: Vec<usize>,
 }
 
 impl SegmentLog {
@@ -221,12 +415,13 @@ impl SegmentLog {
             first_seq: 0,
             unsynced: 0,
             scratch: Vec::new(),
+            ends: Vec::new(),
         };
         log.recover_tail()?;
         Ok(log)
     }
 
-    /// Scans the final segment, truncating the torn tail, and positions
+    /// Walks the final segment, truncating the torn tail, and positions
     /// the log for appending.
     fn recover_tail(&mut self) -> Result<(), X2wError> {
         let Some(tail) = self.segments.last().cloned() else {
@@ -236,60 +431,23 @@ impl SegmentLog {
         let mut file = OpenOptions::new().read(true).write(true).open(&tail.path)?;
         let file_len = file.metadata()?.len();
 
-        let mut header = [0u8; SEGMENT_HEADER as usize];
+        // Everything up to `valid_end` is header and whole records; 0
+        // says not even the header is.
         let mut valid_end = 0u64;
-        let mut last_seq = tail.base_seq.saturating_sub(1);
-        let header_ok = file_len >= SEGMENT_HEADER && {
-            file.read_exact(&mut header)?;
-            &header[..8] == SEGMENT_MAGIC
-                && header[8] == SEGMENT_VERSION
-                && u64::from_le_bytes(header[9..17].try_into().expect("8 bytes"))
-                    == tail.base_seq
-        };
-        if header_ok {
+        let mut window = Window::default();
+        if window.start(&mut &file, file_len, tail.base_seq)? {
             valid_end = SEGMENT_HEADER;
-            let mut expect = tail.base_seq;
-            let mut frame = [0u8; 12];
-            loop {
-                if file_len - valid_end < RECORD_OVERHEAD {
-                    break;
-                }
-                file.seek(SeekFrom::Start(valid_end))?;
-                if file.read_exact(&mut frame).is_err() {
-                    break;
-                }
-                let len = u32::from_le_bytes(frame[..4].try_into().expect("4 bytes"));
-                let seq = u64::from_le_bytes(frame[4..].try_into().expect("8 bytes"));
-                if len > MAX_RECORD
-                    || seq != expect
-                    || file_len - valid_end < RECORD_OVERHEAD + u64::from(len)
-                {
-                    break;
-                }
-                self.scratch.resize(len as usize, 0);
-                let mut crc4 = [0u8; 4];
-                if file.read_exact(&mut self.scratch).is_err()
-                    || file.read_exact(&mut crc4).is_err()
-                {
-                    break;
-                }
-                if u32::from_le_bytes(crc4) != record_crc(len, seq, &self.scratch) {
-                    break;
-                }
-                valid_end += RECORD_OVERHEAD + u64::from(len);
-                last_seq = seq;
-                expect = seq + 1;
+            while let Step::Record { payload, .. } = window.step(&mut &file)? {
+                valid_end += RECORD_OVERHEAD + payload.len() as u64;
             }
         }
 
-        if !header_ok {
+        if valid_end == 0 {
             // A crash can land between creating the tail segment and
             // writing its header; rewrite it from scratch.
             file.set_len(0)?;
             file.seek(SeekFrom::Start(0))?;
-            file.write_all(SEGMENT_MAGIC)?;
-            file.write_all(&[SEGMENT_VERSION])?;
-            file.write_all(&tail.base_seq.to_le_bytes())?;
+            file.write_all(&segment_header(tail.base_seq))?;
             file.sync_all()?;
             valid_end = SEGMENT_HEADER;
         } else if valid_end < file_len {
@@ -298,7 +456,8 @@ impl SegmentLog {
         }
         file.seek(SeekFrom::Start(valid_end))?;
 
-        self.last_seq = last_seq;
+        // The walk stopped expecting the seq after the last whole record.
+        self.last_seq = window.expect.saturating_sub(1);
         if self.last_seq == 0 && self.segments.len() == 1 && valid_end == SEGMENT_HEADER {
             // The whole log is one empty segment.
             self.first_seq = 0;
@@ -322,86 +481,154 @@ impl SegmentLog {
         self.segments.len()
     }
 
-    fn start_segment(&mut self, base_seq: u64) -> Result<(), X2wError> {
+    /// Seals the active segment and starts the one whose first record
+    /// is `base_seq`.
+    fn rotate(&mut self, base_seq: u64) -> Result<(), X2wError> {
+        if let Some(seg) = &mut self.active {
+            // Seal the outgoing segment so rotation is a durability
+            // barrier regardless of policy.
+            seg.file.sync_all()?;
+        }
         let path = segment_path(&self.dir, base_seq);
         let mut file =
             OpenOptions::new().create(true).truncate(true).write(true).read(true).open(&path)?;
-        file.write_all(SEGMENT_MAGIC)?;
-        file.write_all(&[SEGMENT_VERSION])?;
-        file.write_all(&base_seq.to_le_bytes())?;
+        file.write_all(&segment_header(base_seq))?;
         self.segments.push(SegmentRef { base_seq, path });
         self.active = Some(ActiveSegment { file, bytes: SEGMENT_HEADER });
-        Ok(())
+        self.unsynced = 0;
+        self.enforce_retention()
     }
 
-    /// Appends one record. `seq` must continue the log: exactly
-    /// `last_seq() + 1` once the log is non-empty (the first append may
-    /// pick any starting seq ≥ 1).
+    /// Appends one record — a group of one. `seq` must continue the
+    /// log: exactly `last_seq() + 1` once the log is non-empty (the
+    /// first append may pick any starting seq ≥ 1).
     ///
     /// # Errors
     ///
     /// Non-contiguous sequences, oversized payloads, I/O failures.
     pub fn append(&mut self, seq: u64, payload: &[u8]) -> Result<(), X2wError> {
+        self.append_group([(seq, |put: &mut dyn FnMut(&[u8])| put(payload))]).map_err(|e| e.first)
+    }
+
+    /// Appends a group of records with one `write` per segment the
+    /// group touches (rotation splits it), under one fsync decision per
+    /// write. Each record is its `seq` and a function that hands the
+    /// payload over as any number of byte slices, so a caller whose
+    /// payload lives in pieces frames it without gluing them first.
+    /// Sequences must continue the log as for [`append`](Self::append);
+    /// a record that does not, or is oversized, is rejected on its own
+    /// and the rest of the group is judged as if it had not been given.
+    ///
+    /// When the call returns, the records it did not report lost are
+    /// visible to [`replay_from`](Self::replay_from) and as durable as
+    /// the [`FsyncPolicy`] promises.
+    ///
+    /// # Errors
+    ///
+    /// How many records were not appended and the first reason why.
+    pub fn append_group<P: FnOnce(&mut dyn FnMut(&[u8]))>(
+        &mut self,
+        records: impl IntoIterator<Item = (u64, P)>,
+    ) -> Result<(), GroupError> {
+        self.scratch.clear();
+        self.ends.clear();
+        let mut last = self.last_seq;
+        let mut failed: Option<GroupError> = None;
+        for (seq, parts) in records {
+            match self.frame(seq, last, parts) {
+                Ok(()) => last = seq,
+                Err(e) => failed.get_or_insert(GroupError { lost: 0, first: e }).lost += 1,
+            }
+        }
+        let mut written = 0;
+        if let Err(e) = self.write_frames(last, &mut written) {
+            failed.get_or_insert(GroupError { lost: 0, first: e }).lost += self.ends.len() - written;
+        }
+        failed.map_or(Ok(()), Err)
+    }
+
+    /// Frames one record of a group at the end of `scratch`; `last` is
+    /// the seq of the record before it.
+    fn frame(
+        &mut self,
+        seq: u64,
+        last: u64,
+        parts: impl FnOnce(&mut dyn FnMut(&[u8])),
+    ) -> Result<(), X2wError> {
         if seq == 0 {
             return Err(log_err("sequence numbers start at 1".to_owned()));
         }
-        if self.last_seq != 0 && seq != self.last_seq + 1 {
-            return Err(log_err(format!(
-                "non-contiguous append: expected seq {}, got {seq}",
-                self.last_seq + 1
-            )));
+        let expect = last + 1;
+        if last != 0 && seq != expect {
+            return Err(log_err(format!("non-contiguous append: expected seq {expect}, got {seq}")));
         }
-        if payload.len() as u64 > u64::from(MAX_RECORD) {
-            return Err(log_err(format!(
-                "record of {} bytes exceeds the {MAX_RECORD} limit",
-                payload.len()
-            )));
-        }
-        let len = payload.len() as u32;
-        let record_bytes = RECORD_OVERHEAD + u64::from(len);
-
-        let rotate = match &self.active {
-            None => true,
-            Some(seg) => {
-                seg.bytes > SEGMENT_HEADER && seg.bytes + record_bytes > self.config.segment_bytes
+        let scratch = &mut self.scratch;
+        let start = scratch.len();
+        scratch.extend_from_slice(&[0; 4]);
+        scratch.extend_from_slice(&seq.to_le_bytes());
+        let mut len = 0u64;
+        parts(&mut |bytes: &[u8]| {
+            len += bytes.len() as u64;
+            if len <= u64::from(MAX_RECORD) {
+                scratch.extend_from_slice(bytes);
             }
-        };
-        if rotate {
-            if let Some(seg) = &mut self.active {
-                // Seal the outgoing segment so rotation is a durability
-                // barrier regardless of policy.
+        });
+        if len > u64::from(MAX_RECORD) {
+            scratch.truncate(start);
+            return Err(log_err(format!("record of {len} bytes exceeds the {MAX_RECORD} limit")));
+        }
+        scratch[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        let crc = crc32(0, &scratch[start..]);
+        scratch.extend_from_slice(&crc.to_le_bytes());
+        self.ends.push(scratch.len());
+        Ok(())
+    }
+
+    /// Writes the framed group, whose last record is `last`: as many
+    /// frames as the active segment has room for in one `write_all`,
+    /// then a rotation, until none is left. `written` counts the frames
+    /// that made it.
+    ///
+    /// One write carries many records, so a reader beside the writer
+    /// may find part of a group in the file. It never *parses* one:
+    /// `bytes`, `last_seq` and `first_seq` move only once a write has
+    /// returned, under the same `&mut self` a replay's snapshot is taken
+    /// against, and a replay reads no byte past its snapshot. Torn
+    /// records come only from crashes, and the CRC catches those.
+    fn write_frames(&mut self, last: u64, written: &mut usize) -> Result<(), X2wError> {
+        let first = last + 1 - self.ends.len() as u64;
+        while *written < self.ends.len() {
+            let start = if *written == 0 { 0 } else { self.ends[*written - 1] };
+            // A frame goes where the last one went unless that segment
+            // is full; an empty segment takes any one frame.
+            let fits = self.active.as_ref().map_or(0, |seg| {
+                let room = self.config.segment_bytes.saturating_sub(seg.bytes);
+                let whole = self.ends[*written..].partition_point(|&end| (end - start) as u64 <= room);
+                whole.max(usize::from(seg.bytes == SEGMENT_HEADER))
+            });
+            if fits == 0 {
+                self.rotate(first + *written as u64)?;
+                continue;
+            }
+            let end = self.ends[*written + fits - 1];
+            let seg = self.active.as_mut().expect("a frame fits only in a segment");
+            seg.file.write_all(&self.scratch[start..end])?;
+            seg.bytes += (end - start) as u64;
+            *written += fits;
+            self.last_seq = first + *written as u64 - 1;
+            if self.first_seq == 0 {
+                self.first_seq = first;
+            }
+            self.unsynced = self.unsynced.saturating_add(fits as u32);
+            let sync_now = match self.config.fsync {
+                FsyncPolicy::Always => true,
+                FsyncPolicy::EveryN(n) => self.unsynced >= n.max(1),
+                FsyncPolicy::Never => false,
+            };
+            if sync_now {
                 seg.file.sync_all()?;
+                self.unsynced = 0;
             }
-            self.start_segment(seq)?;
-            self.unsynced = 0;
-            self.enforce_retention()?;
-        }
-
-        // One contiguous write per record so an in-process reader never
-        // observes a record split across writes; torn tails only come
-        // from crashes, and the CRC catches those.
-        self.scratch.clear();
-        self.scratch.extend_from_slice(&len.to_le_bytes());
-        self.scratch.extend_from_slice(&seq.to_le_bytes());
-        self.scratch.extend_from_slice(payload);
-        self.scratch.extend_from_slice(&record_crc(len, seq, payload).to_le_bytes());
-        let seg = self.active.as_mut().expect("rotated above");
-        seg.file.write_all(&self.scratch)?;
-        seg.bytes += record_bytes;
-        self.last_seq = seq;
-        if self.first_seq == 0 {
-            self.first_seq = seq;
-        }
-
-        self.unsynced += 1;
-        let sync_now = match self.config.fsync {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::EveryN(n) => self.unsynced >= n.max(1),
-            FsyncPolicy::Never => false,
-        };
-        if sync_now {
-            seg.file.sync_all()?;
-            self.unsynced = 0;
         }
         Ok(())
     }
@@ -466,9 +693,12 @@ impl SegmentLog {
     /// Opens a bounded replay of records with seq ≥ `from_seq`, ending
     /// at the log's current [`last_seq`](Self::last_seq) (a snapshot —
     /// records appended later are not visited; the caller cuts over to
-    /// the live stream and dedupes by seq).
+    /// the live stream and dedupes by seq). The snapshot is certified
+    /// in bytes too: the replay reads the segment that is active now
+    /// only as far as it has been written now, so appends that run
+    /// beside it are never read, let alone half-read.
     ///
-    /// The replay holds its own file handles and one record buffer, so
+    /// The replay holds its own file handle and one read window, so
     /// it is bounded-memory and may run while appends continue.
     ///
     /// # Errors
@@ -500,26 +730,32 @@ impl SegmentLog {
             segments: relevant,
             next_segment: 0,
             current: None,
+            window: Window::default(),
             from_seq: from_seq.max(1),
             end_seq: self.last_seq,
-            scratch: Vec::new(),
+            end_bytes: self.active.as_ref().map_or(0, |seg| seg.bytes),
         })
     }
 }
 
 /// A bounded-memory cursor over a [`SegmentLog`]'s records.
 ///
-/// Yields `(seq, payload)` in sequence order starting at the requested
+/// Lends `(seq, payload)` in sequence order starting at the requested
 /// seq; corruption inside a sealed segment is an error (recovery only
-/// forgives the torn *tail* of the log).
+/// forgives the torn *tail* of the log), and so is history that is no
+/// longer there.
 #[derive(Debug)]
 pub struct SegReplay {
+    /// The snapshot's segments; the last is the one that was active.
     segments: Vec<SegmentRef>,
     next_segment: usize,
     current: Option<File>,
+    window: Window,
+    /// The next seq owed to the caller.
     from_seq: u64,
     end_seq: u64,
-    scratch: Vec<u8>,
+    /// Length of the last segment when the snapshot was taken.
+    end_bytes: u64,
 }
 
 impl SegReplay {
@@ -529,95 +765,70 @@ impl SegReplay {
         self.end_seq
     }
 
-    fn open_next(&mut self) -> Result<Option<File>, X2wError> {
+    /// Opens the next segment of the snapshot, which still owes
+    /// `from_seq`.
+    fn open_next(&mut self) -> Result<(), X2wError> {
         let Some(seg) = self.segments.get(self.next_segment) else {
-            return Ok(None);
+            return Err(log_err(format!("the log ends before seq {}", self.from_seq)));
         };
         self.next_segment += 1;
-        let mut file = File::open(&seg.path)?;
-        let mut header = [0u8; SEGMENT_HEADER as usize];
-        file.read_exact(&mut header)
-            .map_err(|_| log_err(format!("segment {} truncated in header", seg.path.display())))?;
-        if &header[..8] != SEGMENT_MAGIC || header[8] != SEGMENT_VERSION {
-            return Err(log_err(format!("segment {} has a bad header", seg.path.display())));
+        let later = &self.segments[self.next_segment..];
+        let file = match File::open(&seg.path) {
+            // Deleted under us: retention rotated the log since the
+            // snapshot. Sealed segments go oldest-first, so the first
+            // one still there is where history now starts.
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                let survivor = later.iter().find(|s| s.path.exists());
+                return Err(X2wError::SeqTruncated {
+                    requested: self.from_seq,
+                    earliest: survivor.map_or(self.end_seq + 1, |s| s.base_seq),
+                });
+            }
+            opened => opened?,
+        };
+        // Sealed segments are final; the one that was active counts
+        // only as far as the snapshot certified it.
+        let limit = if later.is_empty() { self.end_bytes } else { file.metadata()?.len() };
+        // The first segment may start before the seq owed; each later
+        // one starts exactly where the one before it ended.
+        let joins = match self.next_segment {
+            1 => seg.base_seq <= self.from_seq,
+            _ => seg.base_seq == self.window.expect,
+        };
+        if !joins || !self.window.start(&mut &file, limit, seg.base_seq)? {
+            let path = seg.path.display();
+            return Err(log_err(format!("segment {path} has a bad header or does not continue the log")));
         }
-        let base = u64::from_le_bytes(header[9..17].try_into().expect("8 bytes"));
-        if base != seg.base_seq {
-            return Err(log_err(format!(
-                "segment {} header seq {base} disagrees with its name",
-                seg.path.display()
-            )));
-        }
-        Ok(Some(file))
+        self.current = Some(file);
+        Ok(())
     }
 
-    /// Reads the next in-range record; `None` once the snapshot end is
-    /// reached.
+    /// Lends the next in-range record — valid until the next call —
+    /// or `None` once the snapshot end is reached.
     ///
     /// # Errors
     ///
-    /// Corrupt sealed segments (bad CRC, forged lengths, truncation
-    /// anywhere but past the snapshot end).
-    pub fn next_record(&mut self) -> Result<Option<(u64, Vec<u8>)>, X2wError> {
-        loop {
-            if self.end_seq == 0 || self.from_seq > self.end_seq {
-                return Ok(None);
-            }
-            let file = match &mut self.current {
-                Some(f) => f,
-                None => match self.open_next()? {
-                    Some(f) => {
-                        self.current = Some(f);
-                        self.current.as_mut().expect("just set")
-                    }
-                    None => return Ok(None),
-                },
+    /// Corrupt segments (bad CRC, forged lengths, a sequence skipped or
+    /// repeated, truncation before the snapshot end), and
+    /// [`X2wError::SeqTruncated`] when [`Retention`] deleted a segment
+    /// of the snapshot before the replay reached it.
+    pub fn next_record(&mut self) -> Result<Option<(u64, &[u8])>, X2wError> {
+        while self.from_seq <= self.end_seq {
+            let Some(file) = &self.current else {
+                self.open_next()?;
+                continue;
             };
-            let mut frame = [0u8; 12];
-            let mut got = 0;
-            while got < 12 {
-                match file.read(&mut frame[got..])? {
-                    0 if got == 0 => break,
-                    0 => {
-                        return Err(log_err(
-                            "segment truncated mid record header".to_owned(),
-                        ))
-                    }
-                    n => got += n,
+            match self.window.step(&mut &*file)? {
+                Step::Record { seq, payload } if seq >= self.from_seq => {
+                    self.from_seq = seq + 1;
+                    return Ok(Some((seq, &self.window.buf[payload])));
                 }
+                Step::Record { .. } => {}
+                Step::End => self.current = None,
+                Step::Torn(why) => return Err(log_err(why)),
             }
-            if got == 0 {
-                // Clean end of this segment; move on.
-                self.current = None;
-                continue;
-            }
-            let len = u32::from_le_bytes(frame[..4].try_into().expect("4 bytes"));
-            let seq = u64::from_le_bytes(frame[4..].try_into().expect("8 bytes"));
-            if len > MAX_RECORD {
-                return Err(log_err(format!(
-                    "record claims {len} bytes, over the {MAX_RECORD} limit"
-                )));
-            }
-            self.scratch.resize(len as usize, 0);
-            file.read_exact(&mut self.scratch)
-                .map_err(|_| log_err("segment truncated mid record payload".to_owned()))?;
-            let mut crc4 = [0u8; 4];
-            file.read_exact(&mut crc4)
-                .map_err(|_| log_err("segment truncated before record crc".to_owned()))?;
-            if u32::from_le_bytes(crc4) != record_crc(len, seq, &self.scratch) {
-                return Err(log_err(format!("record seq {seq} fails its crc check")));
-            }
-            if seq > self.end_seq {
-                // Appended after the snapshot was taken; the live feed
-                // owns everything from here.
-                return Ok(None);
-            }
-            if seq < self.from_seq {
-                continue;
-            }
-            self.from_seq = seq + 1;
-            return Ok(Some((seq, std::mem::take(&mut self.scratch))));
         }
+        Ok(None)
     }
 }
 
@@ -625,7 +836,7 @@ impl Iterator for SegReplay {
     type Item = Result<(u64, Vec<u8>), X2wError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.next_record().transpose()
+        self.next_record().map(|r| r.map(|(seq, payload)| (seq, payload.to_vec()))).transpose()
     }
 }
 
@@ -1029,6 +1240,206 @@ mod tests {
         assert_eq!(log2.last_seq(), 60);
         fs::remove_dir_all(&dir).unwrap();
         fs::remove_dir_all(&dir2).unwrap();
+    }
+
+    #[test]
+    fn a_segment_deleted_under_an_open_replay_is_seq_truncated() {
+        let dir = temp_dir("deleted-under-replay");
+        let small = SegLogConfig { segment_bytes: 256, fsync: FsyncPolicy::Never, ..Default::default() };
+        for keep in [1usize, 2] {
+            let _ = fs::remove_dir_all(&dir);
+            {
+                let mut log = SegmentLog::open(&dir, small).unwrap();
+                for i in 1..=40 {
+                    log.append(i, &payload(i)).unwrap();
+                }
+                assert!(log.segment_count() >= 3);
+            }
+            let retention = Retention { max_segments: Some(keep), ..Retention::default() };
+            let mut log = SegmentLog::open(&dir, SegLogConfig { retention, ..small }).unwrap();
+            // Every segment is still there, so the replay opens; it
+            // opens its files lazily, so none is held yet.
+            let mut replay = log.replay_from(log.first_seq()).unwrap();
+            let owed = log.first_seq();
+            let mut next = log.last_seq() + 1;
+            while log.first_seq() == owed {
+                log.append(next, &payload(next)).unwrap();
+                next += 1;
+            }
+            let end = replay.end_seq();
+            match replay.next_record() {
+                Err(X2wError::SeqTruncated { requested, earliest }) => {
+                    assert_eq!(requested, owed, "the next seq the replay owed");
+                    // keep = 1 deleted the whole snapshot; keep = 2 left
+                    // its last segment, where history now starts.
+                    let expected = if keep == 1 { end + 1 } else { log.first_seq() };
+                    assert_eq!(earliest, expected, "keep {keep}");
+                    assert!(earliest > owed && earliest <= end + 1);
+                }
+                other => panic!("expected SeqTruncated, got {other:?}"),
+            }
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Hands `body` over in three slices, as the broker does a record.
+    fn in_three(body: &[u8], put: &mut dyn FnMut(&[u8])) {
+        let cut = body.len() / 3;
+        put(&body[..cut]);
+        put(&body[cut..cut]);
+        put(&body[cut..]);
+    }
+
+    #[test]
+    fn a_group_append_writes_what_single_appends_write() {
+        let (one, many) = (temp_dir("group-single"), temp_dir("group-many"));
+        let config = SegLogConfig { segment_bytes: 700, fsync: FsyncPolicy::EveryN(5), ..Default::default() };
+        let bodies: Vec<Vec<u8>> = (1..=90).map(payload).collect();
+        let mut single = SegmentLog::open(&one, config).unwrap();
+        let mut grouped = SegmentLog::open(&many, config).unwrap();
+        for (i, body) in bodies.iter().enumerate() {
+            single.append(i as u64 + 1, body).unwrap();
+        }
+        // Groups of 1, 2, 3, …: most of them straddle a rotation.
+        let (mut next, mut size) = (0usize, 1usize);
+        while next < bodies.len() {
+            let bodies = &bodies[next..bodies.len().min(next + size)];
+            let seqs = next as u64 + 1..;
+            grouped
+                .append_group(
+                    seqs.zip(bodies).map(|(seq, b)| (seq, move |put: &mut dyn FnMut(&[u8])| in_three(b, put))),
+                )
+                .unwrap();
+            next += bodies.len();
+            size += 1;
+            assert_eq!(grouped.last_seq(), next as u64);
+            assert!(grouped.unsynced < 5, "EveryN(5) leaves at most 4 unsynced records");
+        }
+        assert!(single.segment_count() > 5);
+        assert_eq!(grouped.segment_count(), single.segment_count());
+        for (a, b) in single.segments.iter().zip(&grouped.segments) {
+            assert_eq!(a.base_seq, b.base_seq, "same rotation points");
+            assert_eq!(fs::read(&a.path).unwrap(), fs::read(&b.path).unwrap());
+        }
+        assert_eq!(collect(grouped.replay_from(1).unwrap()), collect(single.replay_from(1).unwrap()));
+        fs::remove_dir_all(&one).unwrap();
+        fs::remove_dir_all(&many).unwrap();
+    }
+
+    #[test]
+    fn a_group_rejects_record_by_record() {
+        let dir = temp_dir("group-reject");
+        let mut log = SegmentLog::open(&dir, SegLogConfig::default()).unwrap();
+        let group = |records: [(u64, &'static [u8]); 3]| {
+            records.map(|(seq, body)| (seq, move |put: &mut dyn FnMut(&[u8])| in_three(body, put)))
+        };
+        let err = log.append_group(group([(0, b"zero"), (7, b"first"), (9, b"gap")])).unwrap_err();
+        assert_eq!(err.lost, 2, "seq 0 and the gap: {}", err.first);
+        assert_eq!((log.first_seq(), log.last_seq()), (7, 7));
+        // A rejected record is as if not given: 8 still continues 7.
+        let err = log
+            .append_group(group([(7, b"repeat"), (8, b"second"), (9, b"third")]))
+            .unwrap_err();
+        assert_eq!(err.lost, 1);
+        assert!(err.first.to_string().contains("expected seq 8, got 7"), "{}", err.first);
+        log.append_group(std::iter::empty::<(u64, fn(&mut dyn FnMut(&[u8])))>()).unwrap();
+        let seqs: Vec<u64> = collect(log.replay_from(7).unwrap()).iter().map(|(s, _)| *s).collect();
+        assert_eq!(seqs, vec![7, 8, 9]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_replay_never_reads_past_its_certified_bytes() {
+        let dir = temp_dir("certified");
+        let mut log = SegmentLog::open(&dir, SegLogConfig::default()).unwrap();
+        for i in 1..=5 {
+            log.append(i, &payload(i)).unwrap();
+        }
+        let replay = log.replay_from(1).unwrap();
+        // What a reader beside the writer can find in the file: the
+        // front of a group whose write has not returned — here a frame
+        // that claims seq 6 and stops inside its payload.
+        let mut file = OpenOptions::new().append(true).open(segment_path(&dir, 1)).unwrap();
+        file.write_all(&200u32.to_le_bytes()).unwrap();
+        file.write_all(&6u64.to_le_bytes()).unwrap();
+        file.write_all(b"half a payload").unwrap();
+        let entries = collect(replay);
+        assert_eq!(entries.len(), 5, "the snapshot ends at its bytes, without an error");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A valid segment image: header and `n` records of `payload(i)`.
+    fn segment_image(tag: &str, n: u64, segment_bytes: u64) -> Vec<u8> {
+        let dir = temp_dir(tag);
+        let config = SegLogConfig { segment_bytes, fsync: FsyncPolicy::Never, ..Default::default() };
+        let mut log = SegmentLog::open(&dir, config).unwrap();
+        log.append_group((1..=n).map(|i| (i, move |put: &mut dyn FnMut(&[u8])| put(&payload(i))))).unwrap();
+        assert_eq!(log.segment_count(), 1);
+        let image = fs::read(segment_path(&dir, 1)).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        image
+    }
+
+    #[test]
+    fn a_verdict_never_changes_as_the_window_grows() {
+        // The safe-cut property: on every prefix of a valid segment the
+        // walker answers what it answers on the whole of it, or asks for
+        // more — never `Bad`. It is what lets a window end anywhere.
+        let image = segment_image("safe-cut", 12, 1 << 20);
+        let records = &image[SEGMENT_HEADER as usize..];
+        let (mut at, mut seq) = (0usize, 1u64);
+        while at < records.len() {
+            let Frame::Record { seq: got, payload: whole, total } = next_frame(&records[at..], seq)
+            else {
+                panic!("record {seq} of a valid segment");
+            };
+            assert_eq!((got, &records[at..][whole.clone()]), (seq, &payload(seq)[..]));
+            for cut in 0..total {
+                match next_frame(&records[at..at + cut], seq) {
+                    Frame::NeedMore(need) => assert!(need > cut && need <= total),
+                    Frame::Record { .. } => panic!("a record from {cut} of its {total} bytes"),
+                    Frame::Bad(why) => panic!("prefix {cut} of record {seq} is Bad: {why}"),
+                }
+            }
+            // More bytes behind it change nothing either.
+            assert!(matches!(
+                next_frame(&records[at..at + total], seq),
+                Frame::Record { payload, total: t, .. } if payload == whole && t == total
+            ));
+            at += total;
+            seq += 1;
+        }
+        assert_eq!(seq, 13);
+        assert!(matches!(next_frame(&records[..40], 2), Frame::Bad(_)), "wrong seq");
+    }
+
+    #[test]
+    fn a_segment_is_read_in_chunks_not_per_record() {
+        struct Counting<R>(R, usize);
+        impl<R: Read> Read for Counting<R> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.1 += 1;
+                self.0.read(buf)
+            }
+        }
+        let n = 140_000;
+        let image = segment_image("chunks", n, 16 << 20);
+        assert!(image.len() >= 8 << 20, "an 8 MiB segment, got {}", image.len());
+        let mut src = Counting(&image[..], 0);
+        let mut window = Window::default();
+        assert!(window.start(&mut src, image.len() as u64, 1).unwrap());
+        let mut seen = 0;
+        while let Step::Record { seq, payload: at } = window.step(&mut src).unwrap() {
+            seen += 1;
+            assert_eq!(seq, seen);
+            if seq % 1000 == 0 {
+                assert_eq!(&window.buf[at], &payload(seq)[..]);
+            }
+        }
+        assert_eq!(seen, n);
+        let reads = src.1;
+        assert!(reads <= image.len() / CHUNK + 4, "{reads} reads for {} bytes", image.len());
+        assert!(window.buf.len() == CHUNK, "the window never grew past one chunk");
     }
 
     #[test]

@@ -132,7 +132,7 @@ fn sigkill_mid_append_truncates_the_torn_tail_and_keeps_fsynced_records() {
     let mut tail = log.replay_from(last + 1).expect("tail replay");
     assert_eq!(
         tail.next_record().expect("tail record"),
-        Some((last + 1, b"post-recovery".to_vec()))
+        Some((last + 1, &b"post-recovery"[..]))
     );
 
     drop(tail);
