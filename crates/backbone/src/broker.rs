@@ -316,21 +316,36 @@ impl Subscription {
         }
     }
 
-    /// Waits up to `timeout`, distinguishing an empty interval
-    /// (`Ok(None)`) from broker shutdown (an error) — the polling
-    /// primitive for pump loops (federation forwarders) that must tell
-    /// "nothing yet" apart from "never again".
+    /// Refills `out` with up to `max` (≥ 1) events: everything already
+    /// queued, under one lock and without reading the clock, or —
+    /// after waiting up to `timeout` on an empty queue — the first
+    /// arrival and whatever came with it. The batch is whatever is
+    /// *already* there; nothing lingers to fill it. An interval that
+    /// stays empty leaves `out` empty — the polling primitive for pump
+    /// loops (federation forwarders) that must tell "nothing yet" apart
+    /// from "never again".
     ///
     /// # Errors
     ///
-    /// [`BackboneError::Disconnected`] only on real disconnection.
-    pub fn try_recv_for(
+    /// [`BackboneError::Disconnected`] (or the typed filter error) only
+    /// on real disconnection.
+    pub(crate) fn recv_batch(
         &self,
+        out: &mut Vec<Arc<Event>>,
+        max: usize,
         timeout: std::time::Duration,
-    ) -> Result<Option<Arc<Event>>, BackboneError> {
+    ) -> Result<(), BackboneError> {
+        out.clear();
+        if self.receiver.try_recv_batch(out, max) > 0 {
+            return Ok(());
+        }
         match self.receiver.recv_timeout(timeout) {
-            Ok(event) => Ok(Some(event)),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Ok(None),
+            Ok(event) => {
+                out.push(event);
+                self.receiver.try_recv_batch(out, max - 1);
+                Ok(())
+            }
+            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Ok(()),
             Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
                 Err(self.disconnect_error())
             }
@@ -475,33 +490,33 @@ impl ReplaySubscription {
         }
     }
 
-    /// Waits up to `timeout`, distinguishing an empty interval
-    /// (`Ok(None)`) from disconnection (an error); archive records are
-    /// served immediately (see [`Subscription::try_recv_for`]).
+    /// The batch form of [`recv_timeout`](Self::recv_timeout) (see
+    /// [`Subscription::recv_batch`]): archived records first, without
+    /// blocking, as many as `max` allows; once the snapshot is
+    /// exhausted, a live batch with the replay duplicates (seq ≤
+    /// cut-over) taken out — which may leave nothing of it.
     ///
     /// # Errors
     ///
     /// Corrupt archive records, or disconnection.
-    pub fn try_recv_for(
+    pub(crate) fn recv_batch(
         &mut self,
+        out: &mut Vec<Arc<Event>>,
+        max: usize,
         timeout: std::time::Duration,
-    ) -> Result<Option<Arc<Event>>, BackboneError> {
-        if let Some(event) = self.next_archived()? {
-            return Ok(Some(event));
-        }
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            let remaining = deadline
-                .checked_duration_since(std::time::Instant::now())
-                .unwrap_or_default();
-            match self.live.try_recv_for(remaining)? {
-                Some(event) if event.seq == 0 || event.seq > self.cutover => {
-                    return Ok(Some(event));
-                }
-                Some(_) => {} // seq ≤ cutover: replay duplicate — skip
-                None => return Ok(None),
+    ) -> Result<(), BackboneError> {
+        out.clear();
+        while out.len() < max {
+            match self.next_archived()? {
+                Some(event) => out.push(event),
+                None => break,
             }
         }
+        if out.is_empty() {
+            self.live.recv_batch(out, max, timeout)?;
+            out.retain(|event| event.seq == 0 || event.seq > self.cutover);
+        }
+        Ok(())
     }
 
     /// Blocking variant of [`recv_timeout`](Self::recv_timeout).
@@ -572,6 +587,26 @@ impl PublishHandle {
     /// The stream this handle publishes to.
     pub fn stream(&self) -> &Arc<str> {
         &self.meta.name
+    }
+
+    /// Republishes events that arrived over a federation link,
+    /// *preserving their sequence numbers* (see
+    /// [`Broker::publish_forwarded`]): the whole batch enters the
+    /// shard queue under one lock and wakes its worker at most once.
+    ///
+    /// # Errors
+    ///
+    /// [`BackboneError::Disconnected`] after the broker shuts down.
+    pub(crate) fn forward(
+        &self,
+        events: impl IntoIterator<Item = Arc<Event>>,
+    ) -> Result<(), BackboneError> {
+        let sent = self
+            .shard_tx
+            .send_many(events.into_iter().map(ShardMsg::Event))
+            .map_err(|_| BackboneError::Disconnected)?;
+        self.meta.published.fetch_add(sent as u64, Ordering::Relaxed);
+        Ok(())
     }
 }
 
@@ -999,13 +1034,9 @@ impl Broker {
     ///
     /// Unknown streams.
     pub fn publish_forwarded(&self, event: Event) -> Result<usize, BackboneError> {
-        let (shard, meta) = self.lookup(&event.stream)?;
-        shard
-            .tx
-            .send(ShardMsg::Event(Arc::new(event)))
-            .map_err(|_| BackboneError::Disconnected)?;
-        meta.published.fetch_add(1, Ordering::Relaxed);
-        Ok(meta.subscribers.load(Ordering::SeqCst))
+        let handle = self.publish_handle(&event.stream)?;
+        handle.forward([Arc::new(event)])?;
+        Ok(handle.meta.subscribers.load(Ordering::SeqCst))
     }
 
     /// Publishes an event to its stream, returning the current

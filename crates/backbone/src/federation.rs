@@ -15,6 +15,20 @@
 //!   subscribers the receiving broker fans it out to. The
 //!   [`NetStats::frames_written`](crate::NetStats) counter on the
 //!   serving side is the observable proof.
+//! * **A batch at a time, each byte touched once.** A forwarder takes
+//!   whatever its subscription already holds (never waiting to fill a
+//!   batch) and writes those events straight into one contiguous wire
+//!   block; the block — not a frame per event — is what the transport
+//!   admits, queues and hands the kernel, as one slice. A full
+//!   connection queue is waited out on the transport's own progress,
+//!   not slept through. The link reads the socket in large chunks into
+//!   one window, parses every event where it lies, keeps one *route*
+//!   per subscribed stream (the local stream's pinned publish handle,
+//!   the last format name, the last seq seen) and republishes all the
+//!   events of one socket read with one hand-off per stream to the
+//!   local shard queue — never blocking on the socket while it holds
+//!   parsed events. An event costs two allocations on each side of the
+//!   hop and nothing else that is not shared by its batch.
 //! * **Sequence numbers travel with events.** A durable stream's events
 //!   keep the origin-assigned seq across hops, so dedup at the
 //!   replay/live boundary is exact *anywhere* downstream, not just at
@@ -30,7 +44,10 @@
 //!
 //! ## Wire protocol
 //!
-//! Four reserved control streams ride the ordinary framed transport:
+//! Unchanged by the batching above — a block is nothing but its
+//! events' frames end to end, and a golden-bytes test pins them — so
+//! brokers and links of different builds interoperate. Four reserved
+//! control streams ride the ordinary framed transport:
 //!
 //! | frame stream     | payload                                                    | direction |
 //! |------------------|------------------------------------------------------------|-----------|
@@ -69,12 +86,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xml2wire::DiscoveryPolicy;
 
-use crate::broker::{Broker, Event, ReplaySubscription, Subscription};
+use crate::broker::{Broker, Event, PublishHandle, ReplaySubscription, Subscription};
 use crate::error::BackboneError;
 use crate::filter::StreamFilter;
 use crate::net::{
-    ClientCloser, CloseHandler, ConnId, EventClient, EventServer, Frame, NetConfig,
-    RoutedHandler, ServerHandle, TrySendError,
+    Block, ClientCloser, CloseHandler, ConnId, EventClient, EventServer, Frame, NetConfig,
+    Refused, RoutedHandler, ServerHandle,
 };
 
 /// Control stream: a link's aggregated subscription request.
@@ -92,10 +109,14 @@ pub const FED_SUBERR: &str = "x2w.fed.suberr";
 /// Bounds both reaction time to link loss and the cost of a clean stop.
 const FORWARD_TICK: Duration = Duration::from_millis(25);
 
-/// How many queued events a forwarder drains into one batched flush.
-/// Bounds per-flush memory while letting a replay catch-up burst cross
-/// as a few writev-coalesced pushes instead of one push per event.
+/// How many queued events a forwarder drains into one wire block.
+/// Bounds per-block memory while letting a replay catch-up burst cross
+/// as a few pushes instead of one push per event.
 const FORWARD_BATCH: usize = 64;
+
+/// A block is also closed once it holds this many wire bytes, so a
+/// batch of large events does not become one oversized allocation.
+const FORWARD_BLOCK_BYTES: usize = 64 * 1024;
 
 /// Default [`LinkConfig::max_hops`]: far above any sane federation
 /// diameter, small enough that an accidental cycle self-extinguishes.
@@ -105,42 +126,35 @@ pub const DEFAULT_MAX_HOPS: u8 = 8;
 /// plateau at the policy's `backoff_max` instead of overflowing.
 const MAX_BACKOFF_ATTEMPT: u32 = 16;
 
-/// Encodes a forwarded event: `seq ∥ hops ∥ format-name len ∥ format
-/// name ∥ payload` under the stream's own frame name.
-fn encode_event_frame(event: &Event) -> Frame {
+/// Appends a forwarded event's frame to `block`, straight from the
+/// event: `seq ∥ hops ∥ format-name len ∥ format name ∥ payload` under
+/// the stream's own frame name. The one writer of that wire image.
+fn put_event(block: &mut Block, event: &Event) {
     let name = event.format_name.as_bytes();
-    let mut payload = Vec::with_capacity(11 + name.len() + event.payload.len());
-    payload.extend_from_slice(&event.seq.to_le_bytes());
-    payload.push(event.hops);
-    payload.extend_from_slice(&(name.len() as u16).to_le_bytes());
-    payload.extend_from_slice(name);
-    payload.extend_from_slice(&event.payload);
-    Frame { stream: event.stream.to_string(), payload }
+    block.push_with(&event.stream, 11 + name.len() + event.payload.len(), |bytes| {
+        bytes.extend_from_slice(&event.seq.to_le_bytes());
+        bytes.push(event.hops);
+        bytes.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        bytes.extend_from_slice(name);
+        bytes.extend_from_slice(&event.payload);
+    });
 }
 
-/// Decodes a forwarded event frame back into an [`Event`].
-fn decode_event_frame(frame: Frame) -> Result<Event, BackboneError> {
-    let Frame { stream, mut payload } = frame;
-    if payload.len() < 11 {
-        return Err(BackboneError::BadFrame {
-            detail: format!("federated event on {stream:?} shorter than its header"),
-        });
+/// Reads a forwarded event's frame payload in place: `(seq, hops,
+/// message)`, with the format name left in `format_name` — the `Arc`
+/// already there when the bytes repeat it (one link stream is in
+/// practice one format), a new one otherwise. `None` for a payload
+/// shorter than its header, one that truncates its format name, or a
+/// format name that is not UTF-8.
+fn decode_event<'a>(payload: &'a [u8], format_name: &mut Arc<str>) -> Option<(u64, u8, &'a [u8])> {
+    let (seq, rest) = payload.split_first_chunk::<8>()?;
+    let (&hops, rest) = rest.split_first()?;
+    let (name_len, rest) = rest.split_first_chunk::<2>()?;
+    let (name, message) = rest.split_at_checked(usize::from(u16::from_le_bytes(*name_len)))?;
+    if format_name.as_bytes() != name {
+        *format_name = std::str::from_utf8(name).ok()?.into();
     }
-    let seq = u64::from_le_bytes(payload[..8].try_into().expect("length checked"));
-    let hops = payload[8];
-    let name_len = usize::from(u16::from_le_bytes([payload[9], payload[10]]));
-    if payload.len() < 11 + name_len {
-        return Err(BackboneError::BadFrame {
-            detail: format!("federated event on {stream:?} truncates its format name"),
-        });
-    }
-    let format_name = std::str::from_utf8(&payload[11..11 + name_len])
-        .map_err(|_| BackboneError::BadFrame {
-            detail: format!("federated event on {stream:?} has a non-UTF-8 format name"),
-        })?
-        .to_owned();
-    payload.drain(..11 + name_len);
-    Ok(Event { stream: stream.into(), format_name: format_name.into(), payload, seq, hops })
+    Some((u64::from_le_bytes(*seq), hops, message))
 }
 
 /// Encodes a `u64 ∥ stream name` control payload (`x2w.fed.subok`).
@@ -219,10 +233,14 @@ enum Feed {
 }
 
 impl Feed {
-    fn try_recv_for(&mut self, timeout: Duration) -> Result<Option<Arc<Event>>, BackboneError> {
+    /// Refills `out` with the next batch — up to [`FORWARD_BATCH`]
+    /// events, archived history first, waiting at most a
+    /// [`FORWARD_TICK`] when there is nothing (see
+    /// [`Subscription::recv_batch`]).
+    fn recv_batch(&mut self, out: &mut Vec<Arc<Event>>) -> Result<(), BackboneError> {
         match self {
-            Feed::Replay(sub) => sub.try_recv_for(timeout),
-            Feed::Live(sub) => sub.try_recv_for(timeout),
+            Feed::Replay(sub) => sub.recv_batch(out, FORWARD_BATCH, FORWARD_TICK),
+            Feed::Live(sub) => sub.recv_batch(out, FORWARD_BATCH, FORWARD_TICK),
         }
     }
 }
@@ -434,17 +452,18 @@ fn handle_subscribe(
     Some(Frame::new(FED_SUBOK, encode_control(cutover, name)))
 }
 
-/// The forwarder pump: local subscription → link connection, batched,
-/// until stopped (link closed, unsubscribe, server drop), the broker
-/// disconnects, or the transport reports the push dead.
+/// The forwarder pump: local subscription → link connection, a batch
+/// at a time, until stopped (link closed, unsubscribe, server drop),
+/// the broker disconnects, or the transport reports the push dead.
 ///
-/// The pump blocks up to one [`FORWARD_TICK`] for the first event,
-/// then drains whatever the subscription already holds (up to
-/// [`FORWARD_BATCH`]) into a single [`ServerHandle::send_batch`] — a
-/// replay catch-up burst crosses as a few writev-coalesced pushes
-/// instead of one push (one waker write) per event. Events a
-/// predicate-scoped subscription does not match are dropped here,
-/// before they ever reach the wire.
+/// The pump takes whatever the subscription already holds (up to
+/// [`FORWARD_BATCH`]; it blocks up to one [`FORWARD_TICK`] only on an
+/// empty queue) and writes those events straight into one contiguous
+/// wire block, which is what it hands the transport: one admission,
+/// one inbox entry, at most one waker write and one `IoSlice` for the
+/// whole batch, and no per-event frame in between. Nothing lingers to
+/// fill a batch. Events a predicate-scoped subscription does not match
+/// are dropped here, before they ever reach the wire.
 fn forward_loop(
     mut feed: Feed,
     filter: Option<Arc<StreamFilter>>,
@@ -452,77 +471,51 @@ fn forward_loop(
     conn: ConnId,
     stop: &AtomicBool,
 ) {
-    let passes = |event: &Event| match &filter {
-        Some(filter) => filter.matches_message(&event.payload),
-        None => true,
-    };
-    let mut batch: Vec<(ConnId, Frame)> = Vec::with_capacity(FORWARD_BATCH);
+    let mut batch: Vec<Arc<Event>> = Vec::with_capacity(FORWARD_BATCH);
+    // Each block is sized for the largest so far (a batch and a byte
+    // cap bound it): a steady stream pays one allocation per block, not
+    // a doubling series.
+    let mut block_bytes = 0;
     while !stop.load(Ordering::SeqCst) {
-        match feed.try_recv_for(FORWARD_TICK) {
-            Ok(Some(event)) => {
-                if passes(&event) {
-                    batch.push((conn, encode_event_frame(&event)));
-                }
+        // On an error (broker shut down, corrupt archive) the batch
+        // holds what was read before it: forward that, then stop.
+        let fed = feed.recv_batch(&mut batch);
+        let mut block = Block::with_capacity(if batch.is_empty() { 0 } else { block_bytes });
+        for event in &batch {
+            if filter.as_ref().is_some_and(|filter| !filter.matches_message(&event.payload)) {
+                continue;
             }
-            Ok(None) => continue,
-            Err(_) => return, // broker shut down (or corrupt archive)
-        }
-        while batch.len() < FORWARD_BATCH {
-            match feed.try_recv_for(Duration::ZERO) {
-                Ok(Some(event)) => {
-                    if passes(&event) {
-                        batch.push((conn, encode_event_frame(&event)));
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    let _ = flush_batch(handle, &mut batch, stop);
-                    return;
-                }
+            put_event(&mut block, event);
+            if block.len() >= FORWARD_BLOCK_BYTES
+                && !push_block(handle, conn, std::mem::take(&mut block), stop)
+            {
+                return;
             }
         }
-        if !flush_batch(handle, &mut batch, stop) {
+        block_bytes = block_bytes.max(block.len());
+        if (block.frames() > 0 && !push_block(handle, conn, block, stop)) || fed.is_err() {
             return;
         }
     }
 }
 
-/// Flushes a forwarder batch without loss or reorder: `send_batch`
-/// rejects a contiguous per-connection tail (see
-/// [`ServerHandle::send_batch`]), so retrying the rejected frames in
-/// order through `try_send` keeps the connection's stream sequential.
-/// A full queue is backpressure, not loss — a replay catch-up burst
-/// outruns the wire by orders of magnitude, so the pump holds each
-/// rejected frame and retries until the peer drains; dropping here
-/// would shed exactly the events the durable log just promised.
-/// Returns `false` when the connection (or server) is definitively
-/// gone.
-fn flush_batch(
-    handle: &ServerHandle,
-    batch: &mut Vec<(ConnId, Frame)>,
-    stop: &AtomicBool,
-) -> bool {
-    if batch.is_empty() {
-        return true;
-    }
-    for (conn, mut frame) in handle.send_batch(std::mem::take(batch)) {
-        loop {
-            if stop.load(Ordering::SeqCst) {
-                return false;
-            }
-            match handle.try_send(conn, frame) {
-                Ok(()) => break,
-                Err(TrySendError::Busy(returned)) => {
-                    frame = returned;
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(TrySendError::Gone(_)) => {
-                    return false; // connection or server definitively gone
-                }
-            }
+/// Hands one block to the transport without loss or reorder. A full
+/// queue is backpressure, not loss — a replay catch-up burst outruns
+/// the wire by orders of magnitude, and dropping here would shed
+/// exactly the events the durable log just promised — so the pump
+/// keeps the refused block and offers it again; each offer waits
+/// (boundedly, so `stop` is still seen) on the connection's own drain,
+/// not on a timer. Returns `false` when stopped, or when the
+/// connection (or server) is definitively gone.
+fn push_block(handle: &ServerHandle, conn: ConnId, mut block: Block, stop: &AtomicBool) -> bool {
+    while !stop.load(Ordering::SeqCst) {
+        match handle.push_block(conn, block) {
+            Ok(()) => return true,
+            Err((Refused::Busy, refused)) => block = refused,
+            Err((Refused::Gone, _)) => return false,
         }
     }
-    true
+    false
 }
 
 /// Configuration for one [`FederationLink`].
@@ -714,6 +707,28 @@ impl Drop for FederationLink {
     }
 }
 
+/// One subscribed stream as the link thread sees it: where its events
+/// go and what has been seen of it. Routes outlive connections, so a
+/// reconnect resumes from `last_seen`.
+struct Route {
+    /// The leaf stream's pinned publish route: its canonical name (the
+    /// `Arc` every republished event shares) and its shard queue.
+    handle: PublishHandle,
+    /// Format name of the stream's last event, shared by every event
+    /// that repeats it.
+    format_name: Arc<str>,
+    /// Highest durable seq observed: what a (re)subscription resumes
+    /// after, and what dedups replay/reconnect overlap.
+    last_seen: u64,
+    /// Events parsed out of the current socket read, not yet published.
+    pending: Vec<Arc<Event>>,
+}
+
+/// The route for `stream` (a link subscribes a handful of streams).
+fn route_for<'r>(routes: &'r mut [Route], stream: &str) -> Option<&'r mut Route> {
+    routes.iter_mut().find(|route| &**route.handle.stream() == stream)
+}
+
 /// The link thread: connect → subscribe-from-last-seen → pump → on
 /// loss, jittered backoff and around again.
 fn link_loop(
@@ -724,8 +739,18 @@ fn link_loop(
     closer: &Mutex<Option<ClientCloser>>,
     counters: &LinkCounters,
 ) {
-    let mut last_seen: HashMap<String, u64> =
-        config.streams.iter().map(|s| (s.clone(), 0)).collect();
+    // `connect` registered every configured stream on the local broker.
+    let mut routes: Vec<Route> = config
+        .streams
+        .iter()
+        .filter_map(|stream| broker.publish_handle(stream).ok())
+        .map(|handle| Route {
+            handle,
+            format_name: Arc::from(""),
+            last_seen: 0,
+            pending: Vec::new(),
+        })
+        .collect();
     // Predicates the remote has refused are dropped for the life of
     // the link, so every reconnect does not replay the same refusal.
     let mut filters = config.filters.clone();
@@ -737,16 +762,17 @@ fn link_loop(
             if stop.load(Ordering::SeqCst) {
                 break; // raced Drop: its close may have missed the slot
             }
-            let subscribed = config.streams.iter().all(|stream| {
-                let from = last_seen.get(stream).copied().unwrap_or(0) + 1;
-                let predicate = filters.get(stream).map_or("", String::as_str);
-                client.send(&Frame::new(FED_SUB, encode_sub(from, stream, predicate))).is_ok()
+            let subscribed = routes.iter().all(|route| {
+                let stream = route.handle.stream();
+                let predicate = filters.get(&**stream).map_or("", String::as_str);
+                let sub = encode_sub(route.last_seen + 1, stream, predicate);
+                client.send(&Frame::new(FED_SUB, sub)).is_ok()
             });
             if subscribed {
                 counters.connects.fetch_add(1, Ordering::Relaxed);
                 counters.connected.store(true, Ordering::SeqCst);
                 attempt = 0;
-                pump_link(&mut client, broker, config, &mut filters, &mut last_seen, stop, counters);
+                pump_link(&mut client, &mut routes, config, &mut filters, stop, counters);
                 counters.connected.store(false, Ordering::SeqCst);
             }
             *closer.lock() = None;
@@ -762,84 +788,118 @@ fn link_loop(
     counters.connected.store(false, Ordering::SeqCst);
 }
 
-/// Receives frames until the link drops (or `stop` closes the socket),
-/// republishing each event on the local broker with its origin seq and
-/// an incremented hop count.
+/// Pumps the link until it drops (or `stop` closes the socket): every
+/// frame one socket read delivered is parsed where it lies in the
+/// client's receive window, and the events among them are republished
+/// on the local broker — origin seq kept, hop count incremented — with
+/// one shard-queue batch per stream per read. Nothing parsed is ever
+/// held across the next (blocking) read.
 fn pump_link(
     client: &mut EventClient,
-    broker: &Arc<Broker>,
+    routes: &mut [Route],
     config: &LinkConfig,
     filters: &mut HashMap<String, String>,
-    last_seen: &mut HashMap<String, u64>,
     stop: &AtomicBool,
     counters: &LinkCounters,
 ) {
     loop {
-        let frame = match client.recv() {
-            Ok(Some(frame)) => frame,
-            Ok(None) | Err(_) => return, // link loss (or our own Drop)
-        };
-        if stop.load(Ordering::SeqCst) {
+        let alive = absorb_window(client, routes, config, filters, counters);
+        for route in routes.iter_mut().filter(|route| !route.pending.is_empty()) {
+            let events = route.pending.len() as u64;
+            // A failure here is the local broker shutting down under
+            // the link.
+            let tally = match route.handle.forward(route.pending.drain(..)) {
+                Ok(()) => &counters.events_forwarded,
+                Err(_) => &counters.protocol_errors,
+            };
+            tally.fetch_add(events, Ordering::Relaxed);
+        }
+        // A failed or empty read is link loss (or our own Drop).
+        if !alive || stop.load(Ordering::SeqCst) || !matches!(client.fill(), Ok(1..)) {
             return;
         }
-        if frame.stream == FED_SUBOK {
+    }
+}
+
+/// Handles every whole frame in the client's receive window: control
+/// frames are acted on, events are checked (hop ceiling, seq dedup)
+/// and built — payload `Vec` and `Arc<Event>`, nothing else — onto
+/// their route's pending list. Returns `false` when the link is to be
+/// dropped (a malformed transport frame, a failed send).
+fn absorb_window(
+    client: &mut EventClient,
+    routes: &mut [Route],
+    config: &LinkConfig,
+    filters: &mut HashMap<String, String>,
+    counters: &LinkCounters,
+) -> bool {
+    let protocol_error = || counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+    loop {
+        let (stream, payload) = match client.buffered_frame() {
+            Ok(Some(frame)) => frame,
+            Ok(None) => return true,
+            Err(_) => return false,
+        };
+        if stream == FED_SUBOK {
             // The cutover seq is informational (dedup is by seq), but
             // a subok that does not even parse is a protocol error.
-            if decode_control(&frame.payload).is_none() {
-                counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            if decode_control(payload).is_none() {
+                protocol_error();
             }
             continue;
         }
-        if frame.stream == FED_SUBERR {
+        if stream == FED_SUBERR {
             // The serving broker refused our predicate (no registered
             // struct type, parse/typecheck failure); no subscription
             // exists yet. Fall back to an unfiltered one — upstream
             // filtering is an optimization, events must flow either
             // way — and stop offering the predicate on reconnect.
             counters.filter_rejected.fetch_add(1, Ordering::Relaxed);
-            match decode_suberr(&frame.payload) {
+            match decode_suberr(payload) {
                 Some((stream, _detail)) if filters.remove(stream).is_some() => {
-                    let from = last_seen.get(stream).copied().unwrap_or(0) + 1;
-                    if client.send(&Frame::new(FED_SUB, encode_sub(from, stream, ""))).is_err() {
-                        return;
+                    let from = route_for(routes, stream).map_or(0, |route| route.last_seen) + 1;
+                    let resub = Frame::new(FED_SUB, encode_sub(from, stream, ""));
+                    if client.send(&resub).is_err() {
+                        return false;
                     }
                 }
                 _ => {
-                    counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                    protocol_error();
                 }
             }
             continue;
         }
-        let mut event = match decode_event_frame(frame) {
-            Ok(event) => event,
-            Err(_) => {
-                counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
+        // A stream we never subscribed, or a payload that is not an
+        // event: drop the frame rather than kill the link.
+        let Some(route) = route_for(routes, stream) else {
+            protocol_error();
+            continue;
         };
-        if event.hops >= config.max_hops {
+        let Some((seq, hops, message)) = decode_event(payload, &mut route.format_name) else {
+            protocol_error();
+            continue;
+        };
+        if hops >= config.max_hops {
             // The frame has been around too many brokers already —
             // almost certainly a cycle (seq dedup below only protects
             // durable traffic). Extinguish it here.
             counters.cycle_drops.fetch_add(1, Ordering::Relaxed);
             continue;
         }
-        if event.seq != 0 {
-            let seen = last_seen.entry(event.stream.to_string()).or_insert(0);
-            if event.seq <= *seen {
+        if seq != 0 {
+            if seq <= route.last_seen {
                 counters.duplicates_dropped.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            *seen = event.seq;
+            route.last_seen = seq;
         }
-        event.hops += 1;
-        // An unknown stream here means the remote sent something we
-        // never subscribed — drop it rather than kill the link.
-        if broker.publish_forwarded(event).is_ok() {
-            counters.events_forwarded.fetch_add(1, Ordering::Relaxed);
-        } else {
-            counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-        }
+        route.pending.push(Arc::new(Event {
+            stream: Arc::clone(route.handle.stream()),
+            format_name: Arc::clone(&route.format_name),
+            payload: message.to_vec(),
+            seq,
+            hops: hops + 1,
+        }));
     }
 }
 
@@ -884,11 +944,30 @@ mod tests {
         false
     }
 
+    /// `event` through the forwarder's writer, the transport's frame
+    /// decoder and the link's in-place event decoder.
+    fn across_the_wire(event: &Event) -> Event {
+        let mut block = Block::default();
+        put_event(&mut block, event);
+        let mut wire = Vec::new();
+        let mut machine = crate::net::ConnMachine::new();
+        machine.queue_block(block);
+        machine.write_some(&mut wire).unwrap();
+        let (stream, payload, total) = crate::net::machine::decode_frame(&wire).unwrap().unwrap();
+        assert_eq!(total, wire.len());
+        let mut format_name: Arc<str> = Arc::from("");
+        let (seq, hops, message) = decode_event(payload, &mut format_name).unwrap();
+        Event { stream: stream.into(), format_name, payload: message.to_vec(), seq, hops }
+    }
+
+    fn decode_event_payload(payload: &[u8]) -> Option<(u64, u8, &[u8])> {
+        decode_event(payload, &mut Arc::from(""))
+    }
+
     #[test]
     fn event_frames_round_trip() {
         let event = Event::with_seq("asd", "FlightOps", vec![1, 2, 3], 42);
-        let frame = encode_event_frame(&event);
-        let back = decode_event_frame(frame).unwrap();
+        let back = across_the_wire(&event);
         assert_eq!(back, event);
         // Hop counts survive the wire.
         let hopped = Event {
@@ -898,7 +977,7 @@ mod tests {
             seq: 7,
             hops: 3,
         };
-        let back = decode_event_frame(encode_event_frame(&hopped)).unwrap();
+        let back = across_the_wire(&hopped);
         assert_eq!(back, hopped);
     }
 
@@ -909,14 +988,14 @@ mod tests {
             p[9] = 0xFF; // forged format-name length
             p
         }] {
-            assert!(decode_event_frame(Frame::new("s", payload)).is_err());
+            assert!(decode_event_payload(&payload).is_none());
         }
         // Non-UTF-8 format name.
         let mut payload = 7u64.to_le_bytes().to_vec();
         payload.push(0); // hops
         payload.extend_from_slice(&2u16.to_le_bytes());
         payload.extend_from_slice(&[0xFF, 0xFE]);
-        assert!(decode_event_frame(Frame::new("s", payload)).is_err());
+        assert!(decode_event_payload(&payload).is_none());
     }
 
     #[test]

@@ -24,30 +24,38 @@
 //! * **Push admission is synchronous and admitted pushes are never
 //!   silently dropped.** Pushers consult a per-connection inflight
 //!   mirror before enqueueing: a full window surfaces as `Busy`
-//!   *to the caller* (retry or drop, their choice), a closed
-//!   connection as `Gone`. An admitted frame that finds the machine
+//!   *to the caller* (retry, wait or drop, their choice), a closed
+//!   connection as `Gone`. An admitted push that finds the machine
 //!   momentarily full parks in a bounded per-connection overflow
 //!   buffer and enters the queue as writes drain it — fanout never
 //!   stalls the loop, and a `true` from `send` is a real acceptance.
+//! * **A push is a [`Block`], whatever it carries.** Admitted frames
+//!   are serialised into blocks on the pusher's thread (a federation
+//!   forwarder hands over a whole drained batch as one), so the inbox,
+//!   the overflow buffer and the machine's queue move blocks, the
+//!   connection and inflight lookups happen once per block, and the
+//!   kernel is offered one slice per block. Everything is still
+//!   *counted* in frames: admission, the queue bound, the statistics.
 //! * **Each fd closes exactly once.** A connection dies only by being
 //!   removed from its shard's table (poller deregistration, then the
 //!   `TcpStream` drop closes the fd); the table removal is the
 //!   once-guard, so peer resets racing mid-write cannot double-close.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use parking_lot::Mutex;
 use polling::{Interest, Poller, Waker};
 
 use crate::error::BackboneError;
 
-use super::machine::ConnMachine;
+use super::machine::{Block, ConnMachine};
 use super::{CloseHandler, ConnId, Frame, NetCounters, RoutedHandler, TrySendError};
 
 /// Reserved poller key for each shard's waker (connection ids count up
@@ -59,19 +67,31 @@ const WAKE_KEY: u64 = u64::MAX;
 /// level-triggered polling re-reports the remainder immediately.
 const READ_BUDGET: usize = 256 * 1024;
 
+/// How long a refused [`Shared::push_block`] waits for the loop to make
+/// room before it hands the block back — so a pusher never goes longer
+/// than this without a look at its own stop flag.
+const PUSH_PATIENCE: Duration = Duration::from_millis(25);
+
 /// A command delivered to a loop shard from another thread.
 enum Cmd {
     /// A freshly accepted socket to take ownership of.
     Register(ConnId, TcpStream),
-    /// A server-initiated frame (broker fanout) for one connection.
-    Push(ConnId, Frame),
+    /// Server-initiated frames (broker fanout) for one connection.
+    Push(ConnId, Block),
 }
 
-/// The cross-thread face of one shard: its command inbox, waker, and
-/// the push-admission mirror.
-struct ShardShared {
-    inbox: Mutex<VecDeque<Cmd>>,
-    waker: Waker,
+/// Why a push was not admitted.
+pub(crate) enum Refused {
+    /// The connection's window is full: retryable.
+    Busy,
+    /// The connection is unknown or closed, or the server is shutting
+    /// down: permanent.
+    Gone,
+}
+
+/// One shard's push-admission mirror.
+#[derive(Default)]
+struct Inflight {
     /// Per-connection count of pushed frames admitted but not yet
     /// transferred into the connection's state machine (still in the
     /// inbox or the connection's overflow buffer). Entries are created
@@ -81,44 +101,68 @@ struct ShardShared {
     /// queue (retryable) from a dead connection (permanent) without a
     /// round trip through the loop thread. Admission caps the count at
     /// the queue depth, bounding per-connection overflow memory.
-    inflight: Mutex<HashMap<ConnId, usize>>,
+    counts: HashMap<ConnId, usize>,
+    /// Pushers blocked in [`Shared::push_block`]; the loop signals
+    /// `drained` only while this is non-zero.
+    waiting: usize,
+}
+
+/// The cross-thread face of one shard: its command inbox, waker, and
+/// the push-admission mirror.
+struct ShardShared {
+    inbox: Mutex<VecDeque<Cmd>>,
+    waker: Waker,
+    inflight: Mutex<Inflight>,
+    /// Signalled when a connection's inflight count falls or the
+    /// connection goes away — what a back-pressured pusher waits on.
+    drained: Condvar,
 }
 
 impl ShardShared {
-    /// Enqueues one command, writing the waker's eventfd only on the
-    /// empty→non-empty transition. Safe because the shard's
-    /// `drain_inbox` re-locks and loops until the inbox is observed
-    /// empty: a command appended while the inbox is non-empty is
-    /// collected by the drain already in flight, so a second kernel
-    /// wakeup would be redundant.
-    fn enqueue(&self, cmd: Cmd) {
-        let was_empty = {
+    /// Enqueues commands — one, or a whole fanout batch — under one
+    /// inbox lock, writing the waker's eventfd only on the
+    /// empty→non-empty transition (per-frame syscall cost becomes
+    /// per-batch). Safe because the shard's `drain_inbox` re-locks and
+    /// loops until the inbox is observed empty: a command appended
+    /// while the inbox is non-empty is collected by the drain already
+    /// in flight, so a second kernel wakeup would be redundant.
+    fn enqueue(&self, cmds: impl IntoIterator<Item = Cmd>) {
+        let woke_empty = {
             let mut inbox = self.inbox.lock();
             let was_empty = inbox.is_empty();
-            inbox.push_back(cmd);
-            was_empty
+            inbox.extend(cmds);
+            was_empty && !inbox.is_empty()
         };
-        if was_empty {
+        if woke_empty {
             self.waker.wake();
         }
     }
 
-    /// Enqueues a whole command batch under one inbox lock with at most
-    /// one waker write — the broker-fanout fast path (per-frame syscall
-    /// cost becomes per-batch).
-    fn enqueue_batch(&self, cmds: Vec<Cmd>) {
-        if cmds.is_empty() {
-            return;
+    /// Applies `change` to the admission mirror on the loop's behalf
+    /// (frames landed in a machine, a connection removed) and wakes the
+    /// pushers waiting for exactly that.
+    fn release(&self, change: impl FnOnce(&mut HashMap<ConnId, usize>)) {
+        let mut inflight = self.inflight.lock();
+        change(&mut inflight.counts);
+        if inflight.waiting > 0 {
+            self.drained.notify_all();
         }
-        let was_empty = {
-            let mut inbox = self.inbox.lock();
-            let was_empty = inbox.is_empty();
-            inbox.extend(cmds);
-            was_empty
-        };
-        if was_empty {
-            self.waker.wake();
-        }
+    }
+
+    /// `conn` is gone: pushes at it read `Gone` from here on.
+    fn forget(&self, conn: ConnId) {
+        self.release(|counts| {
+            counts.remove(&conn);
+        });
+    }
+
+    /// `frames` of `conn`'s admitted pushes have entered its machine.
+    fn landed(&self, conn: ConnId, frames: usize) {
+        self.release(|counts| {
+            if let Some(count) = counts.get_mut(&conn) {
+                *count -= frames;
+            }
+        });
     }
 }
 
@@ -135,35 +179,46 @@ impl Shared {
         &self.shards[(conn as usize) % self.shards.len()]
     }
 
-    /// Admits a push against the owning shard's inflight mirror, then
-    /// enqueues it and wakes the shard (the broker fanout → eventfd
-    /// path). Admission is synchronous: an `Ok` here means the frame
-    /// **will** enter the connection's queue unless the connection
-    /// closes first — the loop shard never silently resolves an
-    /// admitted push to a drop. `Busy` hands the frame back without
-    /// counting anything; `Gone` is permanent and tallied.
-    pub(super) fn try_push(&self, conn: ConnId, frame: Frame) -> Result<(), TrySendError> {
+    /// The admission rule, applied under the owning shard's inflight
+    /// lock: a connection may have `queue_depth` admitted frames
+    /// waiting for its machine (a block larger than that is let
+    /// through only onto an empty window, so it can neither be refused
+    /// forever nor overshoot the bound by more than itself).
+    fn admit(&self, inflight: &mut Inflight, conn: ConnId, frames: usize) -> Result<(), Refused> {
         if self.stop.load(Ordering::SeqCst) {
-            self.counters.pushes_dropped.fetch_add(1, Ordering::Relaxed);
-            return Err(TrySendError::Gone(frame));
+            return Err(Refused::Gone);
         }
-        let shard = self.shard_for(conn);
-        {
-            let mut inflight = shard.inflight.lock();
-            match inflight.get_mut(&conn) {
-                None => {
-                    drop(inflight);
-                    self.counters.pushes_dropped.fetch_add(1, Ordering::Relaxed);
-                    return Err(TrySendError::Gone(frame));
-                }
-                Some(count) if *count >= self.queue_depth => {
-                    return Err(TrySendError::Busy(frame));
-                }
-                Some(count) => *count += 1,
+        match inflight.counts.get_mut(&conn) {
+            None => Err(Refused::Gone),
+            Some(count) if *count > 0 && *count + frames > self.queue_depth => Err(Refused::Busy),
+            Some(count) => {
+                *count += frames;
+                Ok(())
             }
         }
-        shard.enqueue(Cmd::Push(conn, frame));
-        Ok(())
+    }
+
+    /// Admits a push against the owning shard's inflight mirror, then
+    /// serialises it, enqueues it and wakes the shard (the broker
+    /// fanout → eventfd path). Admission is synchronous: an `Ok` here
+    /// means the frame **will** enter the connection's queue unless
+    /// the connection closes first — the loop shard never silently
+    /// resolves an admitted push to a drop. `Busy` hands the frame back
+    /// without counting anything; `Gone` is permanent and tallied.
+    pub(super) fn try_push(&self, conn: ConnId, frame: Frame) -> Result<(), TrySendError> {
+        let shard = self.shard_for(conn);
+        let admission = self.admit(&mut shard.inflight.lock(), conn, 1);
+        match admission {
+            Ok(()) => {
+                shard.enqueue([Cmd::Push(conn, Block::of(&frame))]);
+                Ok(())
+            }
+            Err(Refused::Busy) => Err(TrySendError::Busy(frame)),
+            Err(Refused::Gone) => {
+                self.counters.note_dropped(1);
+                Err(TrySendError::Gone(frame))
+            }
+        }
     }
 
     /// The drop-on-overflow face of [`try_push`](Self::try_push):
@@ -173,20 +228,60 @@ impl Shared {
         match self.try_push(conn, frame) {
             Ok(()) => true,
             Err(TrySendError::Busy(_)) => {
-                self.counters.pushes_dropped.fetch_add(1, Ordering::Relaxed);
+                self.counters.note_dropped(1);
                 false
             }
             Err(TrySendError::Gone(_)) => false, // counted in try_push
         }
     }
 
+    /// Admits and enqueues a ready-made block — the bulk producer's
+    /// path (a federation forwarder's drained batch): one admission,
+    /// one inbox entry and at most one waker write for all its frames.
+    /// A full window is back-pressure, not loss: the call waits on the
+    /// shard's inflight mirror, up to [`PUSH_PATIENCE`], for the loop
+    /// to land frames, and only then answers `Busy`; nothing sleeps and
+    /// nothing polls. A refusal hands the block back as it was, so a
+    /// retry re-encodes nothing; `Gone` is tallied in `pushes_dropped`.
+    pub(crate) fn push_block(&self, conn: ConnId, block: Block) -> Result<(), (Refused, Block)> {
+        let shard = self.shard_for(conn);
+        let mut inflight = shard.inflight.lock();
+        let mut waited = false;
+        loop {
+            match self.admit(&mut inflight, conn, block.frames()) {
+                Ok(()) => break,
+                Err(Refused::Busy) if !waited => {
+                    inflight.waiting += 1;
+                    inflight = shard
+                        .drained
+                        .wait_timeout(inflight, PUSH_PATIENCE)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0;
+                    inflight.waiting -= 1;
+                    waited = true;
+                }
+                Err(refused) => {
+                    if matches!(refused, Refused::Gone) {
+                        self.counters.note_dropped(block.frames());
+                    }
+                    return Err((refused, block));
+                }
+            }
+        }
+        drop(inflight);
+        shard.enqueue([Cmd::Push(conn, block)]);
+        Ok(())
+    }
+
     /// Admits and enqueues a whole fanout batch, grouping frames by
     /// owning shard so each shard pays one inflight lock, one inbox
     /// lock, and at most one eventfd write for the batch instead of
-    /// one of each per frame. Returns the frames that were definitely
-    /// not enqueued — server shutting down, unknown/closed connection,
-    /// or a full queue — all decided synchronously and counted in
-    /// `pushes_dropped`, so callers can retry or drop them knowingly.
+    /// one of each per frame; admitted frames bound for one connection
+    /// back to back share a block. Returns the frames that were
+    /// definitely not enqueued — server shutting down, unknown/closed
+    /// connection, or a full queue — all decided synchronously and
+    /// counted in `pushes_dropped`, so callers can retry or drop them
+    /// knowingly.
     ///
     /// Rejection is a contiguous per-connection *tail*: the inflight
     /// mirror is only ever decremented under the same shard lock this
@@ -194,11 +289,6 @@ impl Shared {
     /// full for the rest of its group — a retrying caller never sees
     /// a connection's frames reordered.
     pub(super) fn push_batch(&self, frames: Vec<(ConnId, Frame)>) -> Vec<(ConnId, Frame)> {
-        if self.stop.load(Ordering::SeqCst) {
-            let dropped = frames.len() as u64;
-            self.counters.pushes_dropped.fetch_add(dropped, Ordering::Relaxed);
-            return frames;
-        }
         let shard_count = self.shards.len();
         let mut groups: Vec<Vec<(ConnId, Frame)>> =
             (0..shard_count).map(|_| Vec::new()).collect();
@@ -206,28 +296,26 @@ impl Shared {
             groups[(conn as usize) % shard_count].push((conn, frame));
         }
         let mut rejected = Vec::new();
-        for (index, group) in groups.into_iter().enumerate() {
+        for (shard, group) in self.shards.iter().zip(groups) {
             if group.is_empty() {
                 continue;
             }
-            let shard = &self.shards[index];
-            let mut cmds = Vec::with_capacity(group.len());
+            let mut cmds: Vec<Cmd> = Vec::new();
             {
                 let mut inflight = shard.inflight.lock();
                 for (conn, frame) in group {
-                    match inflight.get_mut(&conn) {
-                        Some(count) if *count < self.queue_depth => {
-                            *count += 1;
-                            cmds.push(Cmd::Push(conn, frame));
-                        }
-                        _ => {
-                            self.counters.pushes_dropped.fetch_add(1, Ordering::Relaxed);
-                            rejected.push((conn, frame));
-                        }
+                    if self.admit(&mut inflight, conn, 1).is_err() {
+                        self.counters.note_dropped(1);
+                        rejected.push((conn, frame));
+                        continue;
+                    }
+                    match cmds.last_mut() {
+                        Some(Cmd::Push(last, block)) if *last == conn => block.push_frame(&frame),
+                        _ => cmds.push(Cmd::Push(conn, Block::of(&frame))),
                     }
                 }
             }
-            shard.enqueue_batch(cmds);
+            shard.enqueue(cmds);
         }
         rejected
     }
@@ -268,7 +356,8 @@ impl Server {
             let shared = Arc::new(ShardShared {
                 inbox: Mutex::new(VecDeque::new()),
                 waker,
-                inflight: Mutex::new(HashMap::new()),
+                inflight: Mutex::new(Inflight::default()),
+                drained: Condvar::new(),
             });
             shard_shared.push(Arc::clone(&shared));
             parts.push((poller, shared));
@@ -291,6 +380,8 @@ impl Server {
                 queue_depth,
                 conns: HashMap::new(),
                 scratch: vec![0u8; 64 * 1024],
+                cmds: VecDeque::new(),
+                touched: Vec::new(),
             };
             shard_handles.push(
                 std::thread::Builder::new()
@@ -383,8 +474,8 @@ fn accept_loop(
                 // The inflight entry goes in before the Register
                 // command: a handler-triggered push racing the accept
                 // sees the connection as live, not Gone.
-                shard.inflight.lock().insert(id, 0);
-                shard.enqueue(Cmd::Register(id, stream));
+                shard.inflight.lock().counts.insert(id, 0);
+                shard.enqueue([Cmd::Register(id, stream)]);
             }
             Err(_) => {
                 if stop.load(Ordering::SeqCst) {
@@ -405,8 +496,11 @@ struct Conn {
     /// queue depth (admission caps the inflight mirror), drained into
     /// the machine as writes free space. This is what makes an
     /// accepted push an accepted push: the machine being momentarily
-    /// full parks the frame here instead of dropping it.
-    overflow: VecDeque<Frame>,
+    /// full parks the block here instead of dropping it.
+    overflow: VecDeque<Block>,
+    /// Already on the shard's list of connections to service once the
+    /// inbox is drained.
+    touched: bool,
     /// Interest currently registered with the poller.
     interest: Interest,
     /// Peer closed its write side (or a socket read failed cleanly):
@@ -431,6 +525,15 @@ struct Shard {
     queue_depth: usize,
     conns: HashMap<ConnId, Conn>,
     scratch: Vec<u8>,
+    /// Reused across wake-ups: the inbox is swapped out into `cmds`,
+    /// and `touched` lists the connections its pushes landed on.
+    cmds: VecDeque<Cmd>,
+    touched: Vec<ConnId>,
+}
+
+/// Frames held by parked pushes.
+fn parked_frames(overflow: &VecDeque<Block>) -> usize {
+    overflow.iter().map(Block::frames).sum()
 }
 
 impl Shard {
@@ -460,22 +563,18 @@ impl Shard {
         // Shutdown: pushes still sitting in the inbox are definitively
         // dropped — count them so a fanout racing shutdown never loses
         // frames without trace.
-        let pending: Vec<Cmd> = self.shared.inbox.lock().drain(..).collect();
+        let pending = std::mem::take(&mut *self.shared.inbox.lock());
         for cmd in pending {
-            if matches!(cmd, Cmd::Push(..)) {
-                self.counters.pushes_dropped.fetch_add(1, Ordering::Relaxed);
+            if let Cmd::Push(_, block) = cmd {
+                self.counters.note_dropped(block.frames());
             }
         }
         // Deregister and close every connection exactly once. Parked
         // pushes are definitive drops at this point too.
-        self.shared.inflight.lock().clear();
+        self.shared.release(HashMap::clear);
         for (id, conn) in self.conns.drain() {
             let _ = self.poller.delete(conn.stream.as_raw_fd());
-            if !conn.overflow.is_empty() {
-                self.counters
-                    .pushes_dropped
-                    .fetch_add(conn.overflow.len() as u64, Ordering::Relaxed);
-            }
+            self.counters.note_dropped(parked_frames(&conn.overflow));
             self.counters.note_closed();
             if let Some(on_close) = &self.on_close {
                 on_close(id);
@@ -484,36 +583,35 @@ impl Shard {
     }
 
     fn drain_inbox(&mut self) {
-        // Queue every pushed frame first, then service each touched
-        // connection once: frames that accumulated for one connection
+        // Queue every pushed block first, then service each touched
+        // connection once: blocks that accumulated for one connection
         // while the shard was busy leave in a single writev instead of
-        // one syscall per frame.
-        let mut touched: Vec<ConnId> = Vec::new();
-        let mut seen: HashSet<ConnId> = HashSet::new();
+        // one syscall each.
         loop {
-            let cmds: Vec<Cmd> = {
+            {
                 let mut inbox = self.shared.inbox.lock();
                 if inbox.is_empty() {
                     break;
                 }
-                inbox.drain(..).collect()
-            };
-            for cmd in cmds {
+                std::mem::swap(&mut *inbox, &mut self.cmds);
+            }
+            while let Some(cmd) = self.cmds.pop_front() {
                 match cmd {
                     Cmd::Register(id, stream) => self.register(id, stream),
-                    Cmd::Push(id, frame) => {
-                        if self.queue_push(id, frame) && seen.insert(id) {
-                            touched.push(id);
-                        }
-                    }
+                    Cmd::Push(id, block) => self.queue_push(id, block),
                 }
             }
         }
-        for id in touched {
+        for at in 0..self.touched.len() {
+            let id = self.touched[at];
+            if let Some(conn) = self.conns.get_mut(&id) {
+                conn.touched = false;
+            }
             // Flush eagerly: only a WouldBlock leaves residue (and arms
             // write interest).
             self.service(id, false, false);
         }
+        self.touched.clear();
     }
 
     fn register(&mut self, id: ConnId, stream: TcpStream) {
@@ -524,7 +622,7 @@ impl Shard {
             // Dropping the stream closes the only fd reference; the
             // accept-time inflight entry must go with it so pushers see
             // Gone instead of a connection that will never drain.
-            self.shared.inflight.lock().remove(&id);
+            self.shared.forget(id);
             return;
         }
         self.counters.note_open();
@@ -534,6 +632,7 @@ impl Shard {
                 stream,
                 machine: ConnMachine::new(),
                 overflow: VecDeque::new(),
+                touched: false,
                 interest: Interest::READ,
                 eof: false,
                 input_dead: false,
@@ -545,25 +644,27 @@ impl Shard {
     /// Lands one admitted push: straight into the machine when there
     /// is room (and the overflow buffer is empty, preserving FIFO),
     /// otherwise parked in the connection's overflow buffer — never
-    /// dropped, because admission already promised the sender a slot.
-    /// Returns whether the connection needs a service pass. The only
-    /// drop left here is a push whose connection closed between
-    /// admission and delivery, which is counted.
-    fn queue_push(&mut self, id: ConnId, frame: Frame) -> bool {
+    /// dropped, because admission already promised the sender a slot —
+    /// and marks the connection for a service pass. The only drop left
+    /// here is a push whose connection closed between admission and
+    /// delivery, which is counted.
+    fn queue_push(&mut self, id: ConnId, block: Block) {
         let Some(conn) = self.conns.get_mut(&id) else {
-            self.counters.pushes_dropped.fetch_add(1, Ordering::Relaxed);
-            return false;
+            self.counters.note_dropped(block.frames());
+            return;
         };
         if conn.overflow.is_empty() && conn.machine.queued_frames() < self.queue_depth {
-            conn.machine.queue(frame);
+            let frames = block.frames();
+            conn.machine.queue_block(block);
             self.counters.note_queue_depth(conn.machine.queued_frames());
-            if let Some(count) = self.shared.inflight.lock().get_mut(&id) {
-                *count -= 1;
-            }
+            self.shared.landed(id, frames);
         } else {
-            conn.overflow.push_back(frame);
+            conn.overflow.push_back(block);
         }
-        true
+        if !conn.touched {
+            conn.touched = true;
+            self.touched.push(id);
+        }
     }
 
     /// Runs one connection's state machine forward: optional socket
@@ -617,17 +718,15 @@ impl Shard {
                 }
                 let mut moved = 0usize;
                 while conn.machine.queued_frames() < depth {
-                    let Some(frame) = conn.overflow.pop_front() else { break };
-                    conn.machine.queue(frame);
-                    moved += 1;
+                    let Some(block) = conn.overflow.pop_front() else { break };
+                    moved += block.frames();
+                    conn.machine.queue_block(block);
                 }
                 if moved == 0 {
                     break;
                 }
                 counters.note_queue_depth(conn.machine.queued_frames());
-                if let Some(count) = shared.inflight.lock().get_mut(&id) {
-                    *count -= moved;
-                }
+                shared.landed(id, moved);
             }
         }
 
@@ -640,10 +739,8 @@ impl Shard {
             let _ = poller.delete(conn.stream.as_raw_fd());
             // Removing the inflight entry turns further pushes into
             // Gone; parked pushes die with the connection, counted.
-            shared.inflight.lock().remove(&id);
-            if !conn.overflow.is_empty() {
-                counters.pushes_dropped.fetch_add(conn.overflow.len() as u64, Ordering::Relaxed);
-            }
+            shared.forget(id);
+            counters.note_dropped(parked_frames(&conn.overflow));
             counters.note_closed();
             if let Some(on_close) = on_close {
                 on_close(id);

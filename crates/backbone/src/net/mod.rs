@@ -12,14 +12,16 @@
 //! a nonblocking [`machine::ConnMachine`] state machine, so 100k
 //! mostly-idle subscribers cost a handful of threads and flat memory
 //! (see the `events` module's header for the loop's invariants). It
-//! uses the framing functions below, coalesces queued replies into
-//! vectored writes, bounds each connection's reply queue (backpressuring
-//! slow readers), supports server-initiated pushes via [`ServerHandle`],
-//! and exposes a [`NetStats`] observability snapshot. Its observable
-//! contract is pinned by `tests/transport_contract.rs` at the workspace
-//! root.
+//! queues output as blocks of ready wire bytes and offers the kernel a
+//! slice per block in vectored writes, bounds each connection's reply
+//! queue (backpressuring slow readers), supports server-initiated
+//! pushes via [`ServerHandle`], and exposes a [`NetStats`] observability
+//! snapshot. The blocking framing functions below are what clients
+//! write with and what the tests hold the machine's one frame decoder
+//! and its block writer to. The observable contract is pinned by
+//! `tests/transport_contract.rs` at the workspace root.
 
-use std::io::{BufReader, BufWriter, IoSlice, Read, Write};
+use std::io::{BufWriter, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -29,6 +31,8 @@ use crate::error::BackboneError;
 mod events;
 pub mod machine;
 
+pub(crate) use events::Refused;
+pub(crate) use machine::Block;
 pub use machine::{ConnMachine, WriteOutcome};
 
 /// One transport frame: a stream name and an opaque payload.
@@ -319,6 +323,10 @@ impl NetCounters {
         });
     }
 
+    pub(crate) fn note_dropped(&self, frames: usize) {
+        self.pushes_dropped.fetch_add(frames as u64, Ordering::Relaxed);
+    }
+
     pub(crate) fn note_queue_depth(&self, depth: usize) {
         self.reply_queue_high_water.fetch_max(depth as u64, Ordering::Relaxed);
     }
@@ -523,11 +531,9 @@ impl ServerHandle {
     ///
     /// Where [`send`](Self::send) resolves a full queue by dropping the
     /// frame, this returns [`TrySendError::Busy`] with the frame inside
-    /// — nothing is dropped or counted, and the caller owns the retry
-    /// (typically a short sleep while watching its own stop flag). This
-    /// is what a bulk producer such as a federation replay forwarder
-    /// must use: a 10k-event catch-up burst against a 512-deep
-    /// connection queue is backpressure, not loss.
+    /// — nothing is dropped or counted, and the caller owns the retry.
+    /// A 10k-frame burst against a 512-deep connection queue is
+    /// backpressure, not loss.
     ///
     /// # Errors
     ///
@@ -542,7 +548,11 @@ impl ServerHandle {
     /// Queues a whole fanout batch without blocking, coalescing the
     /// per-push bookkeeping: the batch is grouped by owning shard and
     /// each shard pays **one** inbox lock and at most one waker
-    /// (eventfd) write, instead of one kernel write per frame.
+    /// (eventfd) write, instead of one kernel write per frame. Admitted
+    /// frames are serialised into wire blocks here, on the caller's
+    /// thread — frames bound for one connection back to back share a
+    /// block — so the loop thread and the kernel handle each run once,
+    /// not each frame.
     ///
     /// Returns the `(conn, frame)` pairs that were definitely not
     /// queued — unknown/closed connections, full queues, server
@@ -555,18 +565,40 @@ impl ServerHandle {
     /// Rejection preserves per-connection order: a rejected frame is
     /// followed only by more rejects for that same connection within
     /// the batch (a contiguous tail), so a caller that retries the
-    /// returned pairs in order — as the federation forwarder does —
-    /// never reorders a connection's stream.
+    /// returned pairs in order never reorders a connection's stream.
     pub fn send_batch(&self, frames: Vec<(ConnId, Frame)>) -> Vec<(ConnId, Frame)> {
         self.shared.push_batch(frames)
     }
+
+    /// Queues a ready-made wire block to `conn` — what a bulk producer
+    /// (the federation forwarder) uses in place of per-frame pushes.
+    /// Admission counts the block's frames against the same queue
+    /// bound; a full queue is waited out (briefly, on the loop's own
+    /// progress) before `Busy` hands the block back.
+    pub(crate) fn push_block(&self, conn: ConnId, block: Block) -> Result<(), (Refused, Block)> {
+        self.shared.push_block(conn, block)
+    }
 }
 
+/// How much an [`EventClient`] asks the socket for per read, and the
+/// size its receive window starts at (and returns to).
+const CLIENT_READ_CHUNK: usize = 64 * 1024;
+
 /// A TCP event client: a framed connection to an [`EventServer`].
+///
+/// Receiving reads the socket in large chunks into one reusable window
+/// and decodes frames in place with the transport's one decoder;
+/// [`recv`](Self::recv) copies the next frame out of it, the federation
+/// link borrows frames from it.
 #[derive(Debug)]
 pub struct EventClient {
-    reader: BufReader<TcpStream>,
+    stream: TcpStream,
     writer: BufWriter<TcpStream>,
+    /// Received bytes: `window[head..tail]` is not yet consumed, the
+    /// rest is free space (kept initialised so reads can land in it).
+    window: Vec<u8>,
+    head: usize,
+    tail: usize,
 }
 
 impl EventClient {
@@ -579,8 +611,11 @@ impl EventClient {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(EventClient {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: BufWriter::new(stream),
+            writer: BufWriter::new(stream.try_clone()?),
+            stream,
+            window: vec![0; CLIENT_READ_CHUNK],
+            head: 0,
+            tail: 0,
         })
     }
 
@@ -603,14 +638,76 @@ impl EventClient {
         write_frame_batch(&mut self.writer, frames)
     }
 
+    /// The next frame already received, lent out of the receive window
+    /// as `(stream, payload)`; `None` when the window holds no whole
+    /// frame (call [`fill`](Self::fill)). Never touches the socket.
+    ///
+    /// # Errors
+    ///
+    /// `BadFrame`, as [`read_frame`].
+    pub(crate) fn buffered_frame(&mut self) -> Result<Option<(&str, &[u8])>, BackboneError> {
+        let buffered = &self.window[self.head..self.tail];
+        Ok(machine::decode_frame(buffered)?.map(|(stream, payload, total)| {
+            self.head += total;
+            (stream, payload)
+        }))
+    }
+
+    /// One blocking socket read into the window's free space, after
+    /// moving what is left unconsumed (less than a frame, when the
+    /// caller drained [`buffered_frame`](Self::buffered_frame) first)
+    /// to the front. The window grows only while a single frame is
+    /// larger than it, as that frame's bytes actually arrive, and
+    /// shrinks back once empty. Returns the bytes read; `0` is
+    /// end-of-stream.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures.
+    pub(crate) fn fill(&mut self) -> Result<usize, BackboneError> {
+        if self.head > 0 {
+            self.window.copy_within(self.head..self.tail, 0);
+            self.tail -= self.head;
+            self.head = 0;
+        }
+        if self.tail == self.window.len() {
+            self.window.resize(self.window.len() * 2, 0);
+        } else if self.tail == 0 && self.window.len() > CLIENT_READ_CHUNK {
+            self.window.truncate(CLIENT_READ_CHUNK);
+            self.window.shrink_to_fit();
+        }
+        loop {
+            match self.stream.read(&mut self.window[self.tail..]) {
+                Ok(n) => {
+                    self.tail += n;
+                    return Ok(n);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+
     /// Receives one frame; `None` means the server closed the
     /// connection.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures.
+    /// Propagates I/O failures (a stream that ends inside a frame is an
+    /// `UnexpectedEof`, as with [`read_frame`]).
     pub fn recv(&mut self) -> Result<Option<Frame>, BackboneError> {
-        read_frame(&mut self.reader)
+        loop {
+            if let Some((stream, payload)) = self.buffered_frame()? {
+                return Ok(Some(Frame { stream: stream.to_owned(), payload: payload.to_vec() }));
+            }
+            if self.fill()? == 0 {
+                return if self.tail - self.head < 4 {
+                    Ok(None)
+                } else {
+                    Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into())
+                };
+            }
+        }
     }
 
     /// Sends a frame and waits for the reply (request/reply round trip,
@@ -629,15 +726,15 @@ impl EventClient {
 
     /// A handle that can shut this connection down from another thread.
     /// Read timeouts would desynchronize the framing (a timeout
-    /// mid-`read_exact` discards bytes already consumed), so a thread
-    /// blocked in [`recv`](Self::recv) is instead unblocked by shutting
-    /// the socket down: the blocked read observes a clean end-of-stream.
+    /// mid-frame discards bytes already consumed), so a thread blocked
+    /// in [`recv`](Self::recv) is instead unblocked by shutting the
+    /// socket down: the blocked read observes a clean end-of-stream.
     ///
     /// # Errors
     ///
     /// Propagates the descriptor-duplication failure.
     pub fn closer(&self) -> Result<ClientCloser, BackboneError> {
-        Ok(ClientCloser { stream: self.reader.get_ref().try_clone()? })
+        Ok(ClientCloser { stream: self.stream.try_clone()? })
     }
 }
 
@@ -663,6 +760,7 @@ impl ClientCloser {
 mod tests {
     use super::*;
     use parking_lot::Mutex;
+    use std::io::BufReader;
     use std::net::Shutdown;
     use std::time::Duration;
 

@@ -87,6 +87,15 @@ fn three_broker_chain_survives_an_origin_kill_with_zero_loss_or_dup() {
         FederationLink::connect(fed_relay.local_addr(), Arc::clone(&leaf), tight_link(&[STREAM]))
             .expect("leaf link");
 
+    // Both subscriptions must be in place before anything is published:
+    // the relay's stream is not durable, so what it republishes before
+    // the leaf's forwarder exists is never forwarded to the leaf.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while fed1.forwarder_count() + fed_relay.forwarder_count() < 2 {
+        assert!(Instant::now() < deadline, "the chain never came up");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
     // Phase 1: live traffic flows two hops.
     publish_n(&origin1, 10);
 
