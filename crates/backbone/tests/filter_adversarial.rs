@@ -15,7 +15,10 @@
 //!    records, and fail closed (non-match, counted error, no panic) on
 //!    malformed messages.
 
+use std::time::Duration;
+
 use backbone::filter::{FilterError, StreamFilter, MAX_EXPR_DEPTH, MAX_EXPR_LEN};
+use backbone::{Broker, Event};
 use clayout::{Architecture, CType, Primitive, Record, StructField, StructType};
 use pbio::format::{Format, FormatId};
 use proptest::prelude::*;
@@ -140,6 +143,58 @@ fn malformed_messages_fail_closed_with_counted_errors() {
     assert_eq!(stats.evals, 4);
     assert_eq!(stats.matches, 1);
     assert_eq!(stats.errors, 3);
+}
+
+/// A fleet of filtered subscribers shares compiled programs: 2 000
+/// subscriptions over 16 distinct predicates build 16 programs, each
+/// evaluated once per event (not once per subscriber), and every
+/// subscriber receives exactly what its predicate accepts.
+#[test]
+fn a_subscriber_fleet_shares_programs_evaluated_once_per_event() {
+    const SUBSCRIBERS: usize = 2_000;
+    const UNIQUE: usize = 16;
+    let st = ticks();
+    let broker = Broker::new();
+    broker.create_stream("quotes", None);
+    broker.register_stream_type("quotes", st.clone()).expect("register type");
+
+    let thresholds: Vec<i64> = (0..UNIQUE as i64).map(|j| 9_400 + 40 * j).collect();
+    let exprs: Vec<String> = thresholds.iter().map(|t| format!("price >= {t}")).collect();
+    let subs: Vec<_> = (0..SUBSCRIBERS)
+        .map(|i| broker.subscribe_filtered("quotes", &exprs[i % UNIQUE]).expect("subscribe"))
+        .collect();
+    let cache = broker.filter_cache_stats();
+    assert_eq!((cache.built, cache.resident), (UNIQUE as u64, UNIQUE));
+    assert!(cache.hits >= (SUBSCRIBERS - UNIQUE) as u64, "only {} cache hits", cache.hits);
+    let programs: Vec<_> =
+        exprs.iter().map(|e| broker.compile_filter("quotes", e).expect("cache hit")).collect();
+
+    // A permutation of the multiples of 20 below 10 000 — a few percent
+    // of the events land at or above each threshold — and a last event
+    // every predicate accepts: once a subscriber holds it, nothing more
+    // is on its way to that subscriber.
+    let mut prices: Vec<i64> = (0..500i64).map(|i| (i * 9_973 % 500) * 20).collect();
+    prices.push(10_000);
+    for &price in &prices {
+        let record = Record::new()
+            .with("price", price)
+            .with("qty", 1u64)
+            .with("weight", 0.5f64)
+            .with("dest", "ATL");
+        let payload = encode(&record, &st, Architecture::host());
+        broker.publish(Event::new("quotes", "Tick", payload)).expect("publish");
+    }
+    for (i, sub) in subs.iter().enumerate() {
+        for _ in prices.iter().filter(|&&p| p >= thresholds[i % UNIQUE]) {
+            sub.recv_timeout(Duration::from_secs(30)).expect("filtered delivery");
+        }
+    }
+    for sub in &subs {
+        assert!(sub.try_recv().is_none(), "a subscriber got an event its predicate rejects");
+    }
+    for (program, expr) in programs.iter().zip(&exprs) {
+        assert_eq!(program.stats().evals, prices.len() as u64, "{expr}: not once per event");
+    }
 }
 
 proptest! {

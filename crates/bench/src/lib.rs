@@ -1,88 +1,55 @@
-//! Shared fixtures for the benchmark harness: the paper's Appendix A
-//! structures, their schemas, matching sample records, and scaling
-//! workloads.
+//! Fixtures and the counting allocator behind the allocation and RSS
+//! gates in `tests/`: the paper's Structure B (schema, a matching
+//! dynamic record and its derived twin), a pure-scalar conversion
+//! workload, and a generated schema-set document that can be streamed
+//! without ever existing in memory.
 //!
-//! Every benchmark target in `benches/` regenerates one row/figure of
-//! the paper's evaluation (see DESIGN.md §5 for the experiment index and
-//! EXPERIMENTS.md for measured-vs-paper results).
+//! How fast the system is, is `benchmark/`'s question; the paper's
+//! tables are `examples/repro_report.rs`'s. This crate holds the
+//! structural budgets both rest on (see DESIGN.md §5).
 
-use clayout::{Architecture, CType, Primitive, Record, StructField, StructType, Value};
-use pbio::format::FormatId;
-use pbio::Format;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Structure A (paper Fig. 4/6): flat, no arrays — 32 bytes on sparc32.
-pub const SCHEMA_A: &str = r#"<?xml version="1.0"?>
-<xsd:schema xmlns:xsd="http://www.w3.org/1999/XMLSchema"
-            targetNamespace="http://www.cc.gatech.edu/~pmw/schemas">
-  <xsd:annotation><xsd:documentation>ASDOff</xsd:documentation></xsd:annotation>
-  <xsd:complexType name="ASDOffEvent">
-    <xsd:element name="cntrID" type="xsd:string" />
-    <xsd:element name="arln" type="xsd:string" />
-    <xsd:element name="fltNum" type="xsd:integer" />
-    <xsd:element name="equip" type="xsd:string" />
-    <xsd:element name="org" type="xsd:string" />
-    <xsd:element name="dest" type="xsd:string" />
-    <xsd:element name="off" type="xsd:unsigned-long" />
-    <xsd:element name="eta" type="xsd:unsigned-long" />
-  </xsd:complexType>
-</xsd:schema>"#;
+use clayout::{CType, Primitive, Record, StructField, StructType, Value};
+
+/// Counts every allocation (alloc/alloc_zeroed/realloc) of the process
+/// and delegates to the system allocator. Deallocations are free and
+/// uncounted. A test installs it with its own `#[global_allocator]`
+/// static and reads the count with [`allocations`].
+pub struct CountingAllocator;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+/// Allocations counted so far by an installed [`CountingAllocator`].
+pub fn allocations() -> usize {
+    ALLOCATIONS.load(Ordering::SeqCst)
+}
 
 /// Structure B (paper Fig. 7/9): static + dynamic arrays — 52 bytes on
 /// sparc32.
 pub const SCHEMA_B: &str = backbone::airline::ASD_SCHEMA;
-
-/// Structures C+D (paper Fig. 10/12): arrays + composition by nesting —
-/// 184 bytes on sparc32 (paper reports 180; see EXPERIMENTS.md).
-pub const SCHEMA_CD: &str = r#"<?xml version="1.0"?>
-<xsd:schema xmlns:xsd="http://www.w3.org/1999/XMLSchema"
-            targetNamespace="http://www.cc.gatech.edu/~pmw/schemas">
-  <xsd:complexType name="ASDOffEvent">
-    <xsd:element name="cntrID" type="xsd:string" />
-    <xsd:element name="arln" type="xsd:string" />
-    <xsd:element name="fltNum" type="xsd:integer" />
-    <xsd:element name="equip" type="xsd:string" />
-    <xsd:element name="org" type="xsd:string" />
-    <xsd:element name="dest" type="xsd:string" />
-    <xsd:element name="off" type="xsd:unsigned-long" minOccurs="5" maxOccurs="5" />
-    <xsd:element name="eta" type="xsd:unsigned-long" minOccurs="1" maxOccurs="*" />
-  </xsd:complexType>
-  <xsd:complexType name="threeASDOffs">
-    <xsd:element name="one" type="ASDOffEvent" />
-    <xsd:element name="bart" type="xsd:double" />
-    <xsd:element name="two" type="ASDOffEvent" />
-    <xsd:element name="lisa" type="xsd:double" />
-    <xsd:element name="three" type="ASDOffEvent" />
-  </xsd:complexType>
-</xsd:schema>"#;
-
-/// The three Table 1 rows: label, schema, index of the measured type in
-/// the document, and the paper's structure size on its machines.
-pub fn table1_rows() -> Vec<(&'static str, &'static str, usize, usize)> {
-    vec![
-        ("A (32B)", SCHEMA_A, 0, 32),
-        ("B (52B)", SCHEMA_B, 0, 52),
-        ("C+D (180B)", SCHEMA_CD, 1, 184),
-    ]
-}
-
-/// Binds `schema` on `arch` and returns the `index`-th format.
-pub fn bind(schema: &str, index: usize, arch: Architecture) -> std::sync::Arc<Format> {
-    let session = xml2wire::Xml2Wire::builder().arch(arch).build();
-    session.register_schema_str(schema).expect("benchmark schema binds")[index].clone()
-}
-
-/// A record matching Structure A.
-pub fn record_a() -> Record {
-    Record::new()
-        .with("cntrID", "ZTL")
-        .with("arln", "DL")
-        .with("fltNum", 1202i64)
-        .with("equip", "B752")
-        .with("org", "ATL")
-        .with("dest", "BOS")
-        .with("off", 1_748_707_200u64)
-        .with("eta", 1_748_710_800u64)
-}
 
 /// A record matching Structure B.
 pub fn record_b() -> Record {
@@ -97,10 +64,8 @@ pub fn record_b() -> Record {
         .with("eta", vec![100u64, 200, 300])
 }
 
-/// Structure B as a compile-time typed binding: the derived descriptor
-/// is fingerprint-identical to `SCHEMA_B`'s dynamically-bound
-/// `ASDOffEvent` (asserted by the benches that use it), so the derived
-/// and dynamic encoders produce the same bytes for equivalent values.
+/// Structure B as a compile-time typed binding: the derived twin of
+/// `SCHEMA_B`'s dynamically-bound `ASDOffEvent`.
 #[derive(Debug, Clone, PartialEq, xml2wire::Xml2WireRecord)]
 #[allow(missing_docs)]
 pub struct ASDOffEvent {
@@ -116,9 +81,7 @@ pub struct ASDOffEvent {
     pub eta: Vec<u64>,
 }
 
-/// The typed twin of [`record_b`]: same field values, so the derived
-/// encoder must emit the same wire image the dynamic encoder emits for
-/// `record_b()`.
+/// The typed twin of [`record_b`]: same field values.
 pub fn typed_b() -> ASDOffEvent {
     ASDOffEvent {
         cntr_id: "ZTL".to_owned(),
@@ -132,51 +95,9 @@ pub fn typed_b() -> ASDOffEvent {
     }
 }
 
-/// A record matching Structure D (`threeASDOffs`).
-pub fn record_cd() -> Record {
-    Record::new()
-        .with("one", record_b())
-        .with("bart", 1.5f64)
-        .with("two", record_b())
-        .with("lisa", -2.5f64)
-        .with("three", record_b())
-}
-
-/// The record for a Table 1 row.
-pub fn table1_record(label: &str) -> Record {
-    match label {
-        "A (32B)" => record_a(),
-        "B (52B)" => record_b(),
-        _ => record_cd(),
-    }
-}
-
-/// A `double[n]` payload-scaling workload: struct type and a record with
-/// `n` doubles (32-bit-safe values).
-pub fn doubles_workload(n: usize) -> (StructType, Record) {
-    let st = StructType::new(
-        "Samples",
-        vec![
-            StructField::new(
-                "values",
-                CType::dynamic_array(CType::Prim(Primitive::Double), "n"),
-            ),
-            StructField::new("n", CType::Prim(Primitive::Int)),
-        ],
-    );
-    let record = Record::new().with(
-        "values",
-        (0..n)
-            .map(|i| Value::Float((i as f64).sin() * 1000.0 + 0.123))
-            .collect::<Vec<_>>(),
-    );
-    (st, record)
-}
-
-/// A pure-scalar telemetry workload for the conversion ablation: no
-/// pointer-bearing fields, so same-size/opposite-endianness pairs
-/// (x86-64 <-> POWER64) land on the PureSwap tier, and the per-element
-/// interpreter baseline has ~60 scalars to dispatch.
+/// A pure-scalar telemetry workload: no pointer-bearing fields, so
+/// same-size/opposite-endianness pairs (x86-64 <-> POWER64) land on the
+/// PureSwap conversion tier.
 pub fn swap_workload() -> (StructType, Record) {
     let st = StructType::new(
         "Telemetry",
@@ -217,35 +138,11 @@ pub fn swap_workload() -> (StructType, Record) {
     (st, record)
 }
 
-/// Builds a `Format` directly from a struct type (the "plain PBIO" path).
-pub fn format_for(st: StructType, arch: Architecture) -> Format {
-    Format::new(FormatId(0), st, arch).expect("benchmark struct lays out")
-}
-
-/// A generated schema document with `fields` scalar elements, for the
-/// schema-scaling experiment (E8).
-pub fn generated_schema(fields: usize) -> String {
-    let mut body = String::new();
-    for i in 0..fields {
-        let ty = match i % 4 {
-            0 => "xsd:string",
-            1 => "xsd:integer",
-            2 => "xsd:double",
-            _ => "xsd:unsigned-long",
-        };
-        body.push_str(&format!("    <xsd:element name=\"f{i}\" type=\"{ty}\"/>\n"));
-    }
-    format!(
-        "<xsd:schema xmlns:xsd=\"http://www.w3.org/1999/XMLSchema\">\n  \
-         <xsd:complexType name=\"Generated\">\n{body}  </xsd:complexType>\n</xsd:schema>"
-    )
-}
-
 /// Incremental generator for a large schema-*set* document: `types`
 /// complex types of `fields` elements each, produced as an
 /// [`std::io::Read`] stream one line at a time so arbitrarily large
 /// documents never exist in memory — the fixture for the
-/// bounded-memory streaming-ingest experiment (E-index).
+/// bounded-memory streaming-ingest gate (`tests/rss_streaming.rs`).
 ///
 /// The byte stream is exactly what [`generated_schema_set`] returns,
 /// so in-memory readers and the streaming reader can be compared on
@@ -344,51 +241,9 @@ pub fn generated_schema_set(types: usize, fields: usize) -> String {
     doc
 }
 
-/// Formats nanoseconds as a human-friendly quantity for printed tables.
-pub fn fmt_ns(ns: f64) -> String {
-    if ns < 1_000.0 {
-        format!("{ns:.0}ns")
-    } else if ns < 1_000_000.0 {
-        format!("{:.2}us", ns / 1_000.0)
-    } else {
-        format!("{:.3}ms", ns / 1_000_000.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table1_fixtures_bind_to_expected_sizes() {
-        for (label, schema, index, size) in table1_rows() {
-            let format = bind(schema, index, Architecture::SPARC32);
-            assert_eq!(format.record_size(), size, "{label}");
-            // And the matching record encodes.
-            let record = table1_record(label);
-            assert!(pbio::ndr::encode(&record, &format).is_ok(), "{label}");
-        }
-    }
-
-    #[test]
-    fn scaling_workloads_encode_under_all_codecs() {
-        let (st, record) = doubles_workload(64);
-        let format = format_for(st.clone(), Architecture::host());
-        for codec in pbio::wire::all_codecs() {
-            let wire = codec.encode(&record, &format).unwrap();
-            assert!(codec.decode(&wire, &format).is_ok(), "{}", codec.name());
-        }
-    }
-
-    #[test]
-    fn generated_schemas_bind_at_every_size() {
-        for n in [2usize, 16, 64] {
-            let doc = generated_schema(n);
-            let session = xml2wire::Xml2Wire::builder().build();
-            let formats = session.register_schema_str(&doc).unwrap();
-            assert_eq!(formats[0].struct_type().fields.len(), n);
-        }
-    }
 
     #[test]
     fn schema_set_source_streams_the_materialized_document() {

@@ -18,36 +18,8 @@
 //! Runs in its own test binary (one `#[test]`) so no other test can
 //! disturb the counter — same discipline as `alloc_count.rs`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use omf_bench::generated_schema_set;
+use omf_bench::{allocations, generated_schema_set, CountingAllocator};
 use xml2wire::Xml2Wire;
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -64,9 +36,9 @@ const BUDGET_PER_ELEMENT: usize = 6;
 fn registration_allocs(fields: usize) -> usize {
     let document = generated_schema_set(TYPES, fields);
     let session = Xml2Wire::builder().build();
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let formats = session.register_schema_str(&document).expect("generated catalogue binds");
-    let spent = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let spent = allocations() - before;
     assert_eq!(formats.len(), TYPES);
     assert_eq!(formats[0].struct_type().fields.len(), fields);
     spent

@@ -33,8 +33,6 @@
 //! Everything runs inside a single `#[test]` so no concurrent test can
 //! disturb the counter.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -43,42 +41,11 @@ use backbone::{
     NetConfig, StreamConfig, Subscription,
 };
 use clayout::Architecture;
-use omf_bench::{record_b, SCHEMA_B};
+use omf_bench::{allocations, record_b, CountingAllocator, SCHEMA_B};
 use xml2wire::{FsyncPolicy, SegLogConfig};
-
-/// Counts every allocation (alloc/alloc_zeroed/realloc) and delegates to
-/// the system allocator. Deallocations are free and uncounted.
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn allocations() -> usize {
-    ALLOCATIONS.load(Ordering::SeqCst)
-}
 
 const STREAM: &str = "asd-offs";
 /// Events per publish burst, as `relay_small` issues them.
@@ -116,6 +83,7 @@ fn live_cost(capture: &CapturePoint, sub: &Subscription, events: usize) -> usize
 /// link on a durable stream holding `events` events, every one
 /// received, all of it dropped.
 fn catch_up_cost(fed: &FederatedBroker, stream: &str, events: u64) -> usize {
+    let net = fed.net_stats();
     let before = allocations();
     let (link, sub) = leaf_of(fed, stream);
     for seq in 1..=events {
@@ -124,7 +92,15 @@ fn catch_up_cost(fed: &FederatedBroker, stream: &str, events: u64) -> usize {
     }
     assert_eq!(link.stats().duplicates_dropped, 0);
     drop((sub, link));
-    allocations() - before
+    let spent = allocations() - before;
+    // Whole batches must share vectored writes. (The counters trail the
+    // kernel write by microseconds; one write more or less does not move
+    // a ratio that sits near the batch size.)
+    let now = fed.net_stats();
+    let (frames, writes) =
+        (now.frames_written - net.frames_written, now.writev_calls - net.writev_calls);
+    assert!(frames >= 2 * writes, "catch-up wrote {frames} frames in {writes} writev calls");
+    spent
 }
 
 #[test]

@@ -6,7 +6,6 @@ use crate::ctype::Primitive;
 
 /// Byte order of a machine architecture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Endianness {
     /// Least-significant byte first (x86, ARM in common configurations).
     Little,
@@ -26,7 +25,6 @@ impl fmt::Display for Endianness {
 
 /// The size and alignment of one C primitive under an ABI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SizeAlign {
     /// `sizeof` in bytes.
     pub size: usize,
@@ -55,7 +53,6 @@ impl SizeAlign {
 /// a format *as if it were* another machine, which is how heterogeneity is
 /// simulated throughout this reproduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct Architecture {
     /// Human-readable ABI name (e.g. `"x86_64"`).
     pub name: &'static str,

@@ -8,7 +8,6 @@ use std::fmt;
 /// distinction, but it lays out exactly like `int` (as mainstream C
 /// compilers do).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Primitive {
     /// `char` (one byte, treated as a small integer).
     Char,
@@ -115,7 +114,6 @@ impl fmt::Display for Primitive {
 /// The length specification of an array field, mirroring the paper's
 /// `maxOccurs` semantics (§4.1.1 "Array Types").
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ArrayLen {
     /// `maxOccurs="5"` — a fixed-size array laid out inline.
     Fixed(usize),
@@ -136,7 +134,6 @@ impl fmt::Display for ArrayLen {
 
 /// A C-level type as expressible by the paper's metadata language.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CType {
     /// A primitive scalar.
     Prim(Primitive),
@@ -193,7 +190,6 @@ impl fmt::Display for CType {
 
 /// One named field of a struct.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StructField {
     /// Field name.
     pub name: String,
@@ -210,7 +206,6 @@ impl StructField {
 
 /// A named C struct: an ordered list of fields.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StructType {
     /// Struct (message format) name.
     pub name: String,

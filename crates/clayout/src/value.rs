@@ -10,7 +10,6 @@ use crate::layout::Scalar;
 /// `Value`s (the reproduction's stand-in for "a region in the address
 /// space of a process" — §3.2 of the paper).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Value {
     /// A signed integer (covers `char` through `long long`).
     Int(i64),
@@ -176,7 +175,6 @@ impl fmt::Display for Value {
 
 /// An ordered set of named values — one message instance.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Record {
     fields: Vec<(String, Value)>,
 }

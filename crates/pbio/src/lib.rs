@@ -31,8 +31,6 @@
 //!   working when senders add fields.
 //! * [`recfile`] — PBIO's file half: append-only record files of
 //!   self-describing NDR messages, readable across machines.
-//! * [`wire::WireCodec`] — one trait over all three codecs so benchmarks
-//!   and applications can switch uniformly.
 //!
 //! # Examples
 //!
@@ -73,7 +71,6 @@ pub mod recfile;
 pub mod registry;
 pub mod textxml;
 pub mod view;
-pub mod wire;
 pub mod xdr;
 
 pub use catalog::Catalog;
@@ -83,4 +80,3 @@ pub use field::IoField;
 pub use format::{Format, FormatId};
 pub use registry::FormatRegistry;
 pub use view::{ArrayView, FieldView, RecordView};
-pub use wire::WireCodec;

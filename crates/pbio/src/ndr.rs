@@ -290,17 +290,6 @@ pub fn to_native_image_into(
     plans.plan_for_format(native_format, &peek.arch())?.convert_into(payload, out)
 }
 
-/// The number of wire bytes [`encode`] would produce for `record`,
-/// without building the message (used by size-accounting benchmarks).
-///
-/// # Errors
-///
-/// As [`encode`].
-pub fn encoded_size(record: &Record, format: &Format) -> Result<usize, PbioError> {
-    // Encoding is the only precise way to size the variable section.
-    Ok(encode(record, format)?.len())
-}
-
 /// Returns the sender architecture recorded in a message header.
 ///
 /// # Errors
@@ -479,14 +468,5 @@ mod tests {
         let sender = format_on(Architecture::POWER64);
         let wire = encode(&sample(), &sender).unwrap();
         assert!(peek_arch(&wire).unwrap().layout_compatible(&Architecture::POWER64));
-    }
-
-    #[test]
-    fn encoded_size_matches_encode() {
-        let format = format_on(Architecture::I386);
-        assert_eq!(
-            encoded_size(&sample(), &format).unwrap(),
-            encode(&sample(), &format).unwrap().len()
-        );
     }
 }

@@ -353,16 +353,6 @@ fn bad_lexical(field: &str, text: &str, expected: &str) -> PbioError {
     PbioError::Text { detail: format!("field {field:?}: {text:?} is not {expected}") }
 }
 
-/// The exact number of wire bytes [`encode`] produces (used by the
-/// wire-size experiment).
-///
-/// # Errors
-///
-/// As [`encode`].
-pub fn encoded_size(record: &Record, st: &StructType) -> Result<usize, PbioError> {
-    Ok(encode(record, st)?.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -541,7 +531,7 @@ mod tests {
             "xs",
             (0..64).map(|i| Value::Float(i as f64 * 0.7310586)).collect::<Vec<_>>(),
         );
-        let text_len = encoded_size(&rec, &st).unwrap();
+        let text_len = encode(&rec, &st).unwrap().len();
         let binary_len = crate::xdr::encode(&rec, &st).unwrap().len();
         assert!(
             text_len > 2 * binary_len,

@@ -357,16 +357,6 @@ fn decode_prim(reader: &mut XdrReader<'_>, p: Primitive) -> Result<Value, PbioEr
     }
 }
 
-/// The exact number of bytes [`encode`] produces for `record` (used by
-/// the wire-size experiment).
-///
-/// # Errors
-///
-/// As [`encode`].
-pub fn encoded_size(record: &Record, st: &StructType) -> Result<usize, PbioError> {
-    Ok(encode(record, st)?.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

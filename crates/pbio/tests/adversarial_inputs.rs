@@ -8,14 +8,14 @@
 //! the decoder rejects the message instead of attempting a multi-GB
 //! allocation or a runaway decode loop.
 
+mod codecs;
 #[path = "../../clayout/tests/oracle/mod.rs"]
 mod oracle;
 
 use clayout::image::put_uint;
 use clayout::{Architecture, CType, Primitive, Record, StructField, StructType};
+use codecs::CODECS;
 use pbio::format::{Format, FormatId};
-use pbio::wire::all_codecs;
-use pbio::WireCodec;
 
 fn adversarial_format() -> Format {
     Format::new(
@@ -79,17 +79,16 @@ fn forge_count(codec: &str, wire: &mut [u8], format: &Format, claimed: u32) -> b
 #[test]
 fn forged_u32_max_counts_are_rejected_by_every_binary_codec() {
     let format = adversarial_format();
-    for codec in all_codecs() {
-        let mut wire = codec.encode(&sample(), &format).unwrap();
-        if !forge_count(codec.name(), &mut wire, &format, u32::MAX) {
+    for (name, encode, decode) in CODECS {
+        let mut wire = encode(&sample(), &format).unwrap();
+        if !forge_count(name, &mut wire, &format, u32::MAX) {
             continue;
         }
-        let err = codec.decode(&wire, &format).unwrap_err();
+        let err = decode(&wire, &format).unwrap_err();
         let text = err.to_string();
         assert!(
             text.contains("count") || text.contains("truncated"),
-            "{}: unexpected error {text}",
-            codec.name()
+            "{name}: unexpected error {text}"
         );
     }
 }
@@ -99,31 +98,23 @@ fn forged_counts_just_past_the_input_are_rejected() {
     // Not only the absurd extreme: a count that is merely one element
     // more than the input can back must also fail cleanly.
     let format = adversarial_format();
-    for codec in all_codecs() {
-        let mut wire = codec.encode(&sample(), &format).unwrap();
+    for (name, encode, decode) in CODECS {
+        let mut wire = encode(&sample(), &format).unwrap();
         let too_many = (wire.len() / 4 + 1) as u32;
-        if !forge_count(codec.name(), &mut wire, &format, too_many) {
+        if !forge_count(name, &mut wire, &format, too_many) {
             continue;
         }
-        assert!(
-            codec.decode(&wire, &format).is_err(),
-            "{}: accepted a count the input cannot back",
-            codec.name()
-        );
+        assert!(decode(&wire, &format).is_err(), "{name}: accepted a count the input cannot back");
     }
 }
 
 #[test]
 fn truncated_messages_are_rejected_at_every_cut_by_every_codec() {
     let format = adversarial_format();
-    for codec in all_codecs() {
-        let wire = codec.encode(&sample(), &format).unwrap();
+    for (name, encode, decode) in CODECS {
+        let wire = encode(&sample(), &format).unwrap();
         for cut in 0..wire.len() {
-            assert!(
-                codec.decode(&wire[..cut], &format).is_err(),
-                "{} accepted a message cut at {cut}",
-                codec.name()
-            );
+            assert!(decode(&wire[..cut], &format).is_err(), "{name} accepted a cut at {cut}");
         }
     }
 }
@@ -214,12 +205,9 @@ fn xml_text_with_absurd_count_value_stays_bounded() {
     // The text codec derives array counts from the elements actually
     // present; a forged count *value* must not drive any allocation.
     let format = adversarial_format();
-    let wire = pbio::wire::TextXmlCodec
-        .encode(&sample(), &format)
-        .unwrap();
-    let text = String::from_utf8(wire).unwrap();
+    let text = pbio::textxml::encode(&sample(), format.struct_type()).unwrap();
     let forged = text.replace(">3<", ">4294967295<");
-    let out = pbio::wire::TextXmlCodec.decode(forged.as_bytes(), &format);
+    let out = pbio::textxml::decode(&forged, format.struct_type());
     // Either rejected or decoded with the three real elements — never a
     // 0xFFFFFFFF-element allocation.
     if let Ok(record) = out {

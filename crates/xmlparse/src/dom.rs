@@ -185,7 +185,7 @@ impl Document {
     /// # Errors
     ///
     /// Propagates any well-formedness error from the [`Reader`].
-    pub fn parse_str_interned(input: &str, atoms: &mut Atoms) -> Result<Document, XmlError> {
+    fn parse_str_interned(input: &str, atoms: &mut Atoms) -> Result<Document, XmlError> {
         let mut reader = Reader::new(input);
         let mut decl = None;
         let mut doctype = None;

@@ -1,15 +1,17 @@
-//! One-shot reproduction report: quick versions of every experiment,
-//! printed as paper-claim vs measured-here tables. The `cargo bench`
-//! targets are the rigorous (criterion) variants of the same
-//! measurements; this binary exists so `EXPERIMENTS.md` can be checked
-//! against a single fast run.
+//! The reproduction of the paper's evaluation: every table and
+//! quantified claim (T1, E2–E9), printed as paper-claim vs
+//! measured-here, and the source of every number in `EXPERIMENTS.md`.
+//! Timings are minima over a few short batches — indicative, not
+//! gated; the quantities that are exact (E4's wire sizes, T1's encoded
+//! size on both registration paths) are asserted, so CI runs this as a
+//! smoke. How fast the *system* is, is `benchmark/`'s question.
 //!
-//! Run with: `cargo run --release --example repro_report`
+//! Run with: `cargo run --release --example repro_report` (~1 s)
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use backbone::{EventClient, EventServer, Frame};
+use backbone::{Broker, Event, EventClient, EventServer, Frame};
 use clayout::{Architecture, Endianness};
 use openmeta::prelude::*;
 use pbio::{ConversionPlan, PlanCache};
@@ -120,17 +122,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- T1: Table 1 ----------------------------------------------------
     println!("== T1  Table 1: format registration (paper: xml2wire ~1.9-2x PBIO, sub-ms, linear)");
     println!(
-        "{:<14} {:>7} {:>9} {:>12} {:>12} {:>6}",
-        "structure", "bytes", "paper", "pbio", "xml2wire", "ratio"
+        "{:<14} {:>7} {:>9} {:>9} {:>12} {:>12} {:>6}",
+        "structure", "bytes", "paper", "encoded", "pbio", "xml2wire", "ratio"
     );
-    for (label, schema, index, paper_bytes) in [
-        ("A", SCHEMA_A, 0usize, 32usize),
-        ("B", SCHEMA_B, 0, 52),
-        ("C+D", SCHEMA_CD, 1, 180),
+    for (label, schema, index, paper_bytes, record) in [
+        ("A", SCHEMA_A, 0usize, 32usize, record_a()),
+        ("B", SCHEMA_B, 0, 52, record_b()),
+        ("C+D", SCHEMA_CD, 1, 180, record_cd()),
     ] {
-        let probe = Xml2Wire::builder().arch(arch).build();
-        let st = probe.register_schema_str(schema)?[index].struct_type().clone();
-        let size = probe.register_schema_str(schema)?[index].record_size();
+        let session = Xml2Wire::builder().arch(arch).build();
+        let bound = session.register_schema_str(schema)?[index].clone();
+        let st = bound.struct_type().clone();
+        let size = bound.record_size();
+        // Paper: "encoded sizes are identical for the two paths".
+        let encoded = pbio::ndr::encode(&record, &bound)?.len();
+        let direct = FormatRegistry::new().register(st.clone(), arch)?;
+        assert_eq!(encoded, pbio::ndr::encode(&record, &direct)?.len(), "T1 {label}: encoded size");
         let pbio_ns = time_ns(7, 50, || {
             let registry = FormatRegistry::new();
             std::hint::black_box(registry.register(st.clone(), arch).unwrap());
@@ -140,7 +147,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             std::hint::black_box(session.register_schema_str(schema).unwrap());
         });
         println!(
-            "{label:<14} {size:>7} {paper_bytes:>9} {:>12} {:>12} {:>5.1}x",
+            "{label:<14} {size:>7} {paper_bytes:>9} {encoded:>9} {:>12} {:>12} {:>5.1}x",
             us(pbio_ns),
             us(x2w_ns),
             x2w_ns / pbio_ns
@@ -229,7 +236,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<14} {:>8} {:>8} {:>8} {:>8} {:>9} {:>8}",
         "workload", "native", "NDR", "XDR", "CDR", "XML-text", "expand"
     );
-    let e4 = |label: &str, st: clayout::StructType, record: Record| {
+    // Sizes are exact, so each row is held to its recorded value:
+    // [native, NDR, XDR, CDR, XML-text] on the sparc32 layout.
+    let e4 = |label: &str, st: clayout::StructType, record: Record, recorded: [usize; 5]| {
         let format =
             pbio::Format::new(pbio::format::FormatId(0), st.clone(), arch).unwrap();
         let native = clayout::encode_record(&record, &st, &arch).unwrap().bytes.len();
@@ -237,19 +246,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let xdr = pbio::xdr::encode(&record, &st).unwrap().len();
         let cdr = pbio::cdr::encode(&record, &st, arch.endianness).unwrap().len();
         let text = pbio::textxml::encode(&record, &st).unwrap().len();
+        assert_eq!([native, ndr, xdr, cdr, text], recorded, "E4 {label}: wire sizes moved");
         println!(
             "{label:<14} {native:>8} {ndr:>8} {xdr:>8} {cdr:>8} {text:>9} {:>7.1}x",
             text as f64 / native as f64
         );
     };
-    for (label, schema, index, record) in [
-        ("A", SCHEMA_A, 0usize, record_a()),
-        ("B", SCHEMA_B, 0, record_b()),
-        ("C+D", SCHEMA_CD, 1, record_cd()),
+    for (label, schema, index, record, recorded) in [
+        ("A", SCHEMA_A, 0usize, record_a(), [52, 96, 60, 68, 174]),
+        ("B", SCHEMA_B, 0, record_b(), [84, 128, 116, 128, 263]),
+        ("C+D", SCHEMA_CD, 1, record_cd(), [280, 324, 364, 400, 807]),
     ] {
         let probe = Xml2Wire::builder().arch(arch).build();
         let st = probe.register_schema_str(schema)?[index].struct_type().clone();
-        e4(label, st, record);
+        e4(label, st, record, recorded);
     }
     {
         use clayout::{CType, Primitive, StructField, StructType, Value};
@@ -269,7 +279,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .map(|i| Value::UInt(i.wrapping_mul(2_654_435_761) & 0xFFFF_FFFF))
                 .collect::<Vec<_>>(),
         );
-        e4("ulong[1024]", st, record);
+        e4("ulong[1024]", st, record, [4104, 4148, 8200, 8208, 31506]);
     }
 
     // ---- E5: amortization --------------------------------------------------
@@ -388,6 +398,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             std::hint::black_box(session.register_schema_str(&doc).unwrap());
         });
         println!("{fields:<10} {:>12} {:>14}", doc.len(), us(t));
+    }
+
+    // ---- E9: fan-out ----------------------------------------------------
+    println!("\n== E9  sender-side cost of one event x N subscribers (paper: text loads servers)");
+    println!("{:<12} {:>12} {:>12} {:>7}", "subscribers", "ndr", "xml-text", "ratio");
+    {
+        let format = Xml2Wire::builder().build().register_schema_str(SCHEMA_B)?[0].clone();
+        let record = record_b();
+        for subscribers in [1usize, 10, 100, 1000] {
+            let broker = Broker::new();
+            broker.create_stream("s", None);
+            let subs: Vec<_> = (0..subscribers).map(|_| broker.subscribe("s").unwrap()).collect();
+            // Encode once, fan out to every subscriber, drain.
+            let serve = |payload: Vec<u8>| {
+                let delivered = broker.publish(Event::new("s", format.name(), payload)).unwrap();
+                assert_eq!(delivered, subscribers);
+                for sub in &subs {
+                    std::hint::black_box(sub.try_recv());
+                }
+            };
+            let t_ndr = time_ns(5, 50, || serve(pbio::ndr::encode(&record, &format).unwrap()));
+            let t_text = time_ns(5, 50, || {
+                serve(pbio::textxml::encode(&record, format.struct_type()).unwrap().into_bytes());
+            });
+            let ratio = t_text / t_ndr;
+            println!("{subscribers:<12} {:>12} {:>12} {ratio:>6.1}x", us(t_ndr), us(t_text));
+        }
     }
 
     println!("\nsee EXPERIMENTS.md for the paper-vs-measured discussion of each table.");

@@ -219,9 +219,10 @@ impl Poller {
         }
     }
 
-    /// Creates a poller on the portable `poll(2)` backend explicitly —
-    /// on Linux this is how the fallback gets differential coverage.
-    pub fn new_poll_fallback() -> io::Result<Poller> {
+    /// Creates a poller on the portable `poll(2)` backend. On Linux
+    /// only this file's `*_on_every_backend` tests construct it.
+    #[cfg_attr(target_os = "linux", allow(dead_code))]
+    pub(crate) fn new_poll_fallback() -> io::Result<Poller> {
         Ok(Poller { backend: Backend::Poll { registered: Mutex::new(HashMap::new()) } })
     }
 
@@ -438,9 +439,10 @@ impl Waker {
         }
     }
 
-    /// Creates a pipe-backed waker explicitly — on Linux this is how
-    /// the fallback path gets exercised in tests.
-    pub fn new_pipe() -> io::Result<Waker> {
+    /// Creates a pipe-backed waker. On Linux only this file's
+    /// `*_on_every_backend` tests construct it.
+    #[cfg_attr(target_os = "linux", allow(dead_code))]
+    pub(crate) fn new_pipe() -> io::Result<Waker> {
         let mut fds: [std::os::raw::c_int; 2] = [0; 2];
         #[allow(unsafe_code)]
         check(unsafe { sys::pipe(fds.as_mut_ptr()) })?;

@@ -53,7 +53,7 @@ pub use xsdlite;
 pub mod prelude {
     pub use backbone::{Broker, CapturePoint, Consumer, Event, FormatScope};
     pub use clayout::{Architecture, CType, Primitive, Record, StructField, StructType, Value};
-    pub use pbio::{Format, FormatRegistry, WireCodec};
+    pub use pbio::{Format, FormatRegistry};
     pub use xml2wire::{
         CompiledSource, DiscoveryChain, FileSource, MetadataServer, UrlSource, X2wError,
         Xml2Wire,
