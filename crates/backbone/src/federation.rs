@@ -1247,9 +1247,16 @@ mod tests {
                 pbio::ndr::decode_with(&event.payload, &format).unwrap();
             assert_eq!(record.get("price"), Some(&Value::Int(*want)));
         }
-        // The rest never crossed the wire: matching events + 1 subok.
+        // The rest never crossed the wire: matching events + 1 subok. The
+        // counter moves after `write_some` returns, which can be after the
+        // link has read every event, so it is waited for, not read once.
         assert!(wait_for(|| link.stats().events_forwarded == matching.len() as u64));
-        assert_eq!(fed.net_stats().frames_written, matching.len() as u64 + 1);
+        let frames = matching.len() as u64 + 1;
+        assert!(
+            wait_for(|| fed.net_stats().frames_written == frames),
+            "{} frames written, want {frames}",
+            fed.net_stats().frames_written
+        );
         assert!(sub.try_recv().is_none());
         assert_eq!(link.stats().filter_rejected, 0);
     }

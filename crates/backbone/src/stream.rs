@@ -139,6 +139,14 @@ impl Consumer {
     /// chain provides), binds the format, and returns a decoding
     /// subscription.
     ///
+    /// The stream's format is the document's first complex type, and
+    /// only it and the types it is composed of are compiled and bound
+    /// ([`Xml2Wire::discover_root`]): a catalogue of many formats costs a
+    /// joiner one read of the document, not a compile of every format in
+    /// it, and a defect in a type the stream never uses does not stop the
+    /// join. A malformed document, a type name declared twice, or a
+    /// defect in the stream's own types does.
+    ///
     /// This is the paper's claim made concrete: a brand-new consumer
     /// needs *no compiled-in knowledge* of the stream's message format.
     ///
@@ -150,7 +158,7 @@ impl Consumer {
             self.broker.metadata_locator(stream).ok_or_else(|| BackboneError::UnknownStream {
                 name: stream.to_owned(),
             })?;
-        let formats = self.session.discover(&locator)?;
+        let formats = self.session.discover_root(&locator)?;
         let format = formats.into_iter().next().ok_or_else(|| BackboneError::Metadata(
             xml2wire::X2wError::Binding {
                 complex_type: stream.to_owned(),
@@ -321,5 +329,116 @@ mod tests {
             consumer.subscribe("s"),
             Err(BackboneError::Metadata(_))
         ));
+    }
+
+    /// [`ASD_SCHEMA`] with `types` declared after its `ASDOffEvent`.
+    fn asd_catalogue(types: &str) -> String {
+        ASD_SCHEMA.replace("</xsd:schema>", &format!("{types}\n</xsd:schema>"))
+    }
+
+    /// A consumer with a URL source, and a stream `s` whose metadata is
+    /// `document`, served by the returned server.
+    fn consumer_of(document: &str) -> (MetadataServer, Arc<Broker>, Consumer) {
+        let server = MetadataServer::bind("127.0.0.1:0").unwrap();
+        server.publish("/s.xsd", document);
+        let broker = Arc::new(Broker::new());
+        broker.create_stream("s", Some(server.url_for("/s.xsd")));
+        let session = xml2wire::Xml2Wire::builder().source(Box::new(UrlSource::new())).build();
+        let consumer = Consumer::new(Arc::clone(&broker), Arc::new(session));
+        (server, broker, consumer)
+    }
+
+    fn schema_error(result: Result<DecodedSubscription, BackboneError>) -> xsdlite::SchemaError {
+        match result {
+            Err(BackboneError::Metadata(xml2wire::X2wError::Schema(e))) => e,
+            other => panic!("expected a schema error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_defect_in_a_type_the_stream_never_uses_does_not_stop_the_join() {
+        let catalogue = asd_catalogue(
+            r#"<xsd:complexType name="Filler"><xsd:element name="q" type="xsd:quaternion"/></xsd:complexType>"#,
+        );
+        assert!(xsdlite::Schema::parse_str(&catalogue).is_err());
+        let (server, _broker, capture, consumer) = pipeline();
+        server.publish("/schemas/asd.xsd", catalogue);
+        let sub = consumer.subscribe(ASD_STREAM).unwrap();
+        assert_eq!(sub.format().name(), "ASDOffEvent");
+        let record = AirlineGenerator::seeded(4).flight_event();
+        capture.publish(&record).unwrap();
+        let decoded = sub.next_record_timeout(Duration::from_secs(2)).unwrap();
+        assert_eq!(decoded.get("fltNum"), record.get("fltNum"));
+    }
+
+    #[test]
+    fn malformed_xml_anywhere_in_the_catalogue_fails_the_join() {
+        let catalogue = asd_catalogue(r#"<xsd:complexType name="Filler"><oops></xsd:complexType>"#);
+        let (_server, _broker, consumer) = consumer_of(&catalogue);
+        assert!(matches!(schema_error(consumer.subscribe("s")), xsdlite::SchemaError::Xml(_)));
+        // So does a type name declared twice, reached or not.
+        let twice = asd_catalogue(
+            r#"<xsd:complexType name="F"><xsd:element name="a" type="xsd:int"/></xsd:complexType>
+               <xsd:complexType name="F"><xsd:element name="b" type="xsd:int"/></xsd:complexType>"#,
+        );
+        let (_server, _broker, consumer) = consumer_of(&twice);
+        assert!(matches!(
+            schema_error(consumer.subscribe("s")),
+            xsdlite::SchemaError::DuplicateType { .. }
+        ));
+    }
+
+    /// The stream's type is the document's first complex type, so what it
+    /// is composed of and declared before it is a simple type.
+    #[test]
+    fn a_root_composed_of_an_earlier_type_binds_both_and_decodes() {
+        let document = r#"<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:simpleType name="Carrier">
+    <xsd:restriction base="xsd:string"><xsd:maxLength value="3"/></xsd:restriction>
+  </xsd:simpleType>
+  <xsd:complexType name="Leg">
+    <xsd:element name="arln" type="Carrier"/>
+    <xsd:element name="fltNum" type="xsd:integer"/>
+  </xsd:complexType>
+  <xsd:complexType name="Unrelated"><xsd:element name="z" type="xsd:double"/></xsd:complexType>
+</xsd:schema>"#;
+        let (_server, broker, consumer) = consumer_of(document);
+        let producer = Arc::new(xml2wire::Xml2Wire::builder().build());
+        producer.register_schema_str(document).unwrap();
+        let capture = CapturePoint::new(broker, producer, "s", "Leg", None).unwrap();
+        let sub = consumer.subscribe("s").unwrap();
+        assert_eq!(sub.format().name(), "Leg");
+        assert!(consumer.session.format("Unrelated").is_none());
+        let record = Record::new().with("arln", "DL").with("fltNum", 1202i64);
+        capture.publish(&record).unwrap();
+        let decoded = sub.next_record_timeout(Duration::from_secs(2)).unwrap();
+        assert_eq!(decoded.get("arln").and_then(|v| v.as_str()), Some("DL"));
+        assert_eq!(decoded.get("fltNum").and_then(|v| v.as_i64()), Some(1202));
+    }
+
+    #[test]
+    fn a_root_naming_a_later_type_fails_as_discover_does() {
+        let document = r#"<xsd:schema xmlns:xsd="http://www.w3.org/1999/XMLSchema">
+  <xsd:complexType name="Outer"><xsd:element name="in" type="Inner"/></xsd:complexType>
+  <xsd:complexType name="Inner"><xsd:element name="x" type="xsd:int"/></xsd:complexType>
+</xsd:schema>"#;
+        let (server, _broker, consumer) = consumer_of(document);
+        let eager = xml2wire::Xml2Wire::builder().source(Box::new(UrlSource::new())).build();
+        let discovered = eager.discover(&server.url_for("/s.xsd")).unwrap_err();
+        assert!(discovered.to_string().contains("before use"), "{discovered}");
+        let joined = consumer.subscribe("s").unwrap_err();
+        assert_eq!(joined.to_string(), discovered.to_string());
+    }
+
+    #[test]
+    fn a_document_without_complex_types_keeps_its_error() {
+        let (_server, _broker, consumer) =
+            consumer_of("<xsd:schema xmlns:xsd=\"http://www.w3.org/1999/XMLSchema\"/>");
+        match consumer.subscribe("s") {
+            Err(BackboneError::Metadata(xml2wire::X2wError::Binding { detail, .. })) => {
+                assert_eq!(detail, "discovered document defines no complex types");
+            }
+            other => panic!("expected the no-complex-types error, got {other:?}"),
+        }
     }
 }

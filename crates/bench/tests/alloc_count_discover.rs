@@ -1,25 +1,37 @@
-//! Allocation accounting for the cold discovery path: schema document in
-//! hand → compiled schema → every type bound and registered
-//! (`Xml2Wire::register_schema_str`, which is what `discover()` runs on
-//! the fetched document).
+//! Allocation accounting for the cold discovery paths, schema document
+//! in hand:
 //!
-//! The `late_join` workload of the repo's benchmark pays this once per
-//! join on a 65-type × 24-field catalogue. What keeps it cheap is
+//! * `discover()` — compiled schema → every type bound and registered
+//!   (`Xml2Wire::register_schema_str`, which is what it runs on the
+//!   fetched document);
+//! * `discover_root()` — `Schema::parse_reachable` → the root's closure
+//!   bound (what `Consumer::subscribe` runs on the fetched document).
+//!
+//! The `late_join` workload of the repo's benchmark pays one of these
+//! per join on a 65-type × 24-field catalogue. What keeps them cheap is
 //! structural and pinned here with a counting global allocator:
 //!
 //! 1. at most [`BUDGET_PER_ELEMENT`] allocations per element
-//!    declaration end to end — the compiler reads borrowed events (no
-//!    DOM, no owned event, no per-element namespace map) and the binder
-//!    shares one `Arc<StructType>` between catalog, registry and format
-//!    instead of deep-copying it;
-//! 2. the cost of one more field is the same in an 8-field type as in a
-//!    24-field one: nothing on the path re-allocates as a type grows.
+//!    declaration compiled, end to end — the compiler reads borrowed
+//!    events (no DOM, no owned event, no per-element namespace map) and
+//!    the binder shares one `Arc<StructType>` between catalog, registry
+//!    and format instead of deep-copying it;
+//! 2. for `discover()`, the cost of one more field is the same in an
+//!    8-field type as in a 24-field one: nothing on the path
+//!    re-allocates as a type grows;
+//! 3. for `discover_root()`, a type outside the closure costs at most
+//!    [`INDEX_PER_TYPE`] allocations however many fields it has: its
+//!    elements are read, not compiled.
 //!
-//! Runs in its own test binary (one `#[test]`) so no other test can
-//! disturb the counter — same discipline as `alloc_count.rs`.
+//! Runs in its own test binary as one `#[test]`, both paths in turn, so
+//! no other test can disturb the process-wide counter — same discipline
+//! as `alloc_count.rs`.
 
-use omf_bench::{allocations, generated_schema_set, CountingAllocator};
-use xml2wire::Xml2Wire;
+use clayout::Architecture;
+use omf_bench::{allocations, generated_schema_set, CountingAllocator, SCHEMA_B};
+use pbio::{Catalog, FormatRegistry};
+use xml2wire::{Binder, Xml2Wire};
+use xsdlite::Schema;
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -30,6 +42,13 @@ const TYPES: usize = 65;
 /// Allocations allowed per `xsd:element`, parse and bind together.
 /// (The DOM-based path this replaced spent about 21.)
 const BUDGET_PER_ELEMENT: usize = 6;
+
+/// Allocations allowed per complex type a reachable-only parse indexes:
+/// its name, and its share of the index's growth.
+const INDEX_PER_TYPE: usize = 2;
+
+/// Element declarations of Structure B, the root `Consumer` binds.
+const ROOT_DECLARATIONS: usize = 8;
 
 /// Allocations of one cold registration of a `TYPES` × `fields`
 /// catalogue into a fresh session.
@@ -46,6 +65,11 @@ fn registration_allocs(fields: usize) -> usize {
 
 #[test]
 fn cold_registration_allocation_budget() {
+    discover_pays_per_element();
+    discover_root_pays_for_the_closure_only();
+}
+
+fn discover_pays_per_element() {
     // Warm up lazily-initialized runtime machinery outside the windows.
     registration_allocs(8);
 
@@ -76,5 +100,50 @@ fn cold_registration_allocation_budget() {
         per_added_field <= 2.5,
         "one more field costs {per_added_field:.2} allocations; a name in the schema and a name \
          in the layout are all it should need"
+    );
+}
+
+/// Structure B, then `TYPES - 1` generated filler types of `fields`
+/// elements each: the site catalogue's shape, root first.
+fn catalogue(fields: usize) -> String {
+    let set = generated_schema_set(TYPES - 1, fields);
+    let (_, rest) = set.split_once('\n').expect("the set opens with its schema tag");
+    let fillers = rest.strip_suffix("</xsd:schema>\n").expect("the set closes its schema");
+    SCHEMA_B.replace("</xsd:schema>", &format!("{fillers}</xsd:schema>"))
+}
+
+/// Allocations of one reachable-only registration of the catalogue with
+/// `fields`-element fillers into fresh state: `discover_root()` without
+/// the fetch.
+fn root_registration_allocs(fields: usize) -> usize {
+    let document = catalogue(fields);
+    let (catalog, registry) = (Catalog::new(), FormatRegistry::new());
+    let binder = Binder::new(&catalog, &registry, Architecture::host());
+    let before = allocations();
+    let schema = Schema::parse_reachable(&document).expect("the catalogue's root compiles");
+    let formats = binder.bind_schema_owned(schema).expect("the catalogue's root binds");
+    let spent = allocations() - before;
+    assert_eq!(formats.len(), 1);
+    assert_eq!(formats[0].struct_type().fields.len(), ROOT_DECLARATIONS + 1, "eta_count");
+    spent
+}
+
+fn discover_root_pays_for_the_closure_only() {
+    root_registration_allocs(8);
+
+    let (at_8, at_16, at_24) =
+        (root_registration_allocs(8), root_registration_allocs(16), root_registration_allocs(24));
+
+    // The fillers are indexed, never compiled: their size is invisible.
+    assert_eq!(
+        (at_8, at_16),
+        (at_24, at_24),
+        "filler field count moved the allocations: 8 -> {at_8}, 16 -> {at_16}, 24 -> {at_24}"
+    );
+    let budget = BUDGET_PER_ELEMENT * ROOT_DECLARATIONS + INDEX_PER_TYPE * TYPES;
+    assert!(
+        at_24 <= budget,
+        "{at_24} allocations for a {ROOT_DECLARATIONS}-element root among {TYPES} types, budget \
+         {budget} ({BUDGET_PER_ELEMENT} per root element + {INDEX_PER_TYPE} per indexed type)"
     );
 }

@@ -39,7 +39,8 @@ pub type Generator = Box<dyn Fn(&str) -> Option<String> + Send + Sync>;
 
 #[derive(Default)]
 struct Routes {
-    documents: HashMap<String, String>,
+    /// Shared, so serving a document is a reference count, not a copy.
+    documents: HashMap<String, Arc<str>>,
     generators: Vec<(String, Generator)>,
 }
 
@@ -143,7 +144,7 @@ impl MetadataServer {
     /// Publishes a static document at `path` (replacing any previous
     /// one — metadata updates are how format evolution propagates).
     pub fn publish(&self, path: &str, document: impl Into<String>) {
-        self.routes.write().documents.insert(path.to_owned(), document.into());
+        self.routes.write().documents.insert(path.to_owned(), document.into().into());
     }
 
     /// Removes a static document; returns whether one was present.
@@ -336,25 +337,29 @@ fn handle_connection(stream: TcpStream, routes: &RwLock<Routes>) -> std::io::Res
             return respond(&mut stream, 422, &format!("not a schema: {e}"), "text/plain");
         }
         let bare = path.split('?').next().unwrap_or(path).to_owned();
-        routes.write().documents.insert(bare, document);
+        routes.write().documents.insert(bare, document.into());
         return respond(&mut stream, 201, "registered", "text/plain");
     }
     if method != "GET" {
         return respond(&mut stream, 405, "method not allowed", "text/plain");
     }
 
-    let body = {
+    // A static document is shared, a generated one is sent as generated:
+    // neither is copied.
+    let bare = path.split('?').next().unwrap_or(path);
+    let document = routes.read().documents.get(bare).cloned();
+    if let Some(document) = document {
+        return respond(&mut stream, 200, &document, "text/xml");
+    }
+    let generated = {
         let routes = routes.read();
-        let bare = path.split('?').next().unwrap_or(path);
-        routes.documents.get(bare).cloned().or_else(|| {
-            routes
-                .generators
-                .iter()
-                .find(|(prefix, _)| path.starts_with(prefix.as_str()))
-                .and_then(|(_, generator)| generator(path))
-        })
+        routes
+            .generators
+            .iter()
+            .find(|(prefix, _)| path.starts_with(prefix.as_str()))
+            .and_then(|(_, generator)| generator(path))
     };
-    match body {
+    match generated {
         Some(document) => respond(&mut stream, 200, &document, "text/xml"),
         None => respond(&mut stream, 404, "no such metadata document", "text/plain"),
     }

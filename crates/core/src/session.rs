@@ -55,7 +55,10 @@ impl Xml2Wire {
     // -- discovery ---------------------------------------------------------
 
     /// Discovers metadata at `locator` through the cached source chain,
-    /// then parses and binds every complex type in the document.
+    /// then parses and binds every complex type in the document, in
+    /// document order, and returns their formats in that order. Every
+    /// type must be valid; a session that will only read one stream's
+    /// type wants [`discover_root`](Self::discover_root).
     ///
     /// By default every discovery revalidates against the chain (so
     /// re-published documents propagate immediately), but concurrent
@@ -70,6 +73,25 @@ impl Xml2Wire {
     pub fn discover(&self, locator: &str) -> Result<Vec<Arc<Format>>, X2wError> {
         let document = self.cache.fetch(locator)?;
         self.register_schema_str(&document)
+    }
+
+    /// Discovers metadata at `locator` as [`discover`](Self::discover)
+    /// does, but compiles and binds only the document's first complex
+    /// type and the types it names, transitively
+    /// ([`Schema::parse_reachable`]): what a subscriber to a stream of
+    /// that type can be sent. The formats come back in document order, so
+    /// the root is the first of them, and a type that names a later one
+    /// fails to bind exactly as under `discover`. The whole document is
+    /// still read — a malformed one fails, as does a type name declared
+    /// twice — but a type outside the closure is neither checked nor
+    /// bound.
+    ///
+    /// # Errors
+    ///
+    /// As [`discover`](Self::discover), for the closure.
+    pub fn discover_root(&self, locator: &str) -> Result<Vec<Arc<Format>>, X2wError> {
+        let document = self.cache.fetch(locator)?;
+        self.binder().bind_schema_owned(Schema::parse_reachable(&document)?)
     }
 
     /// The session's schema-document cache (shared clones are cheap).
@@ -395,6 +417,34 @@ mod tests {
             .build();
         let formats = x2w.discover(&server.url_for("/schemas/flight.xsd")).unwrap();
         assert_eq!(formats[0].name(), "Flight");
+    }
+
+    #[test]
+    fn discover_root_binds_the_first_types_closure_only() {
+        let catalogue = FLIGHT.replace(
+            "</xsd:schema>",
+            r#"<xsd:complexType name="Broken"><xsd:element name="b" type="xsd:quaternion"/></xsd:complexType>
+  <xsd:complexType name="Other"><xsd:element name="x" type="xsd:int"/></xsd:complexType>
+</xsd:schema>"#,
+        );
+        let x2w = Xml2Wire::builder()
+            .source(Box::new(CompiledSource::new().with_document("c.xsd", catalogue.as_str())))
+            .build();
+        assert!(matches!(x2w.discover("c.xsd"), Err(X2wError::Schema(_))));
+        let formats = x2w.discover_root("c.xsd").unwrap();
+        let names: Vec<&str> = formats.iter().map(|f| f.name()).collect();
+        assert_eq!(names, ["Flight"]);
+        assert!(x2w.format("Other").is_none());
+        let wire = x2w.encode(&flight_record(), "Flight").unwrap();
+        assert_eq!(x2w.decode(&wire).unwrap().1.get("fltNum").unwrap().as_i64(), Some(1202));
+
+        // `discover` still binds every type of a sound catalogue.
+        let sound = catalogue.replace("xsd:quaternion", "xsd:double");
+        let x2w = Xml2Wire::builder()
+            .source(Box::new(CompiledSource::new().with_document("c.xsd", sound)))
+            .build();
+        assert_eq!(x2w.discover("c.xsd").unwrap().len(), 3);
+        assert_eq!(x2w.discover_root("c.xsd").unwrap().len(), 1);
     }
 
     #[test]

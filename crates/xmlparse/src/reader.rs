@@ -219,6 +219,16 @@ impl<'a> Reader<'a> {
         self.cursor.position()
     }
 
+    /// The byte offset of the first unread byte: just past the construct
+    /// of the last event returned (past `/>` for both events of an
+    /// empty-element tag). Inside the root element every byte belongs to
+    /// some event, so the offset read before pulling a start tag there is
+    /// that tag's `<`. Free, unlike [`position`](Self::position), which
+    /// counts lines.
+    pub fn offset(&self) -> usize {
+        self.cursor.offset()
+    }
+
     /// Parses and returns the next event as an owned [`Event`].
     ///
     /// This is a thin adapter over [`Reader::next_borrowed`].
@@ -832,6 +842,25 @@ mod tests {
             BorrowedEvent::Text(Cow::Owned(t)) => assert_eq!(t, "plain & fancy"),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn offset_before_a_start_tag_is_its_angle_bracket() {
+        let doc = "<a>\n  <b x='1'/>text<!-- c --><c>&amp;</c></a>";
+        let mut r = Reader::new(doc);
+        let mut starts = Vec::new();
+        loop {
+            let at = r.offset();
+            match r.next_borrowed().unwrap() {
+                BorrowedEvent::StartElement { name, .. } => starts.push((name, at)),
+                BorrowedEvent::Eof => break,
+                _ => {}
+            }
+        }
+        for (name, at) in starts {
+            assert!(doc[at..].starts_with(&format!("<{name}")), "{name} at {at}");
+        }
+        assert_eq!(r.offset(), doc.len());
     }
 
     #[test]

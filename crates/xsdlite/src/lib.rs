@@ -34,7 +34,10 @@
 //! [`Schema::parse_file`] for a path. All three give the same [`Schema`]
 //! and the same [`SchemaError`] kinds for the same bytes; a document that
 //! is not well-formed is reported as [`SchemaError::Xml`] whatever else
-//! is wrong with it.
+//! is wrong with it. [`Schema::parse_reachable`] reads a document in
+//! memory the same way but compiles only its first complex type and the
+//! types that one names — what a subscriber binding that type needs out
+//! of a large catalogue.
 //!
 //! # Examples
 //!

@@ -229,6 +229,33 @@ impl Schema {
         crate::parser::parse_schema_str(input)
     }
 
+    /// Parses only what the document's first complex type — its root —
+    /// needs: the root and every complex type it names, transitively, the
+    /// types a stream bound to the root can carry. Complex types outside
+    /// that closure are read but not compiled, so a joining client that
+    /// binds one type of a large catalogue pays for tokenizing the
+    /// catalogue, not for compiling all of it.
+    ///
+    /// The result is [`Schema::parse_str`]'s schema restricted to the
+    /// closure: the same complex types in the same (document) order, every
+    /// simple type, the same namespace and documentation. What is checked:
+    ///
+    /// * the whole document's well-formedness, reported first;
+    /// * over the whole document, that every top-level complex type has a
+    ///   name and no name is declared twice, and every simple type;
+    /// * every other schema check, on the closure only — a defect in a
+    ///   complex type the root never reaches is not an error here.
+    ///
+    /// A document without complex types gives an empty schema, as
+    /// `parse_str` does.
+    ///
+    /// # Errors
+    ///
+    /// See [`SchemaError`].
+    pub fn parse_reachable(input: &str) -> Result<Schema, SchemaError> {
+        crate::parser::parse_reachable_str(input)
+    }
+
     /// Parses a schema document from an incremental byte source at
     /// bounded peak memory (one refill window plus the schema itself) —
     /// the front-end for sources that are not in memory, such as

@@ -14,6 +14,14 @@
 //! the compiler holds on to the first schema-level problem while the
 //! front-end reads the document to its end, so a malformed document is
 //! reported as [`SchemaError::Xml`] whatever else is wrong with it.
+//!
+//! The in-memory front-end can also compile only what the document's
+//! first complex type needs ([`crate::Schema::parse_reachable`]): the
+//! same driver reads the whole document, but every later top-level
+//! complex type is skipped where it stands — its name and where its
+//! start tag is go into an index — and after the end of the document the
+//! skipped types the first one transitively names are compiled from
+//! there.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, RandomState};
@@ -30,16 +38,23 @@ use crate::model::{ComplexType, ElementDecl, Facet, Occurs, Schema, SimpleType, 
 ///
 /// See [`SchemaError`].
 pub fn parse_schema_str(input: &str) -> Result<Schema, SchemaError> {
+    compile_str(input, Compiler::default())
+}
+
+/// Parses the closure of the document's first complex type. See
+/// [`crate::Schema::parse_reachable`].
+pub(crate) fn parse_reachable_str(input: &str) -> Result<Schema, SchemaError> {
+    compile_str(input, Compiler { index: Some(Index::new()), ..Compiler::default() })
+}
+
+/// The in-memory driver: the whole document through `compiler`, then
+/// whatever its index left for pass 2.
+fn compile_str(input: &str, mut compiler: Compiler) -> Result<Schema, SchemaError> {
     let mut reader = Reader::new(input);
-    let mut compiler = Compiler::default();
     loop {
-        match reader.next_borrowed()? {
-            BorrowedEvent::StartElement { name, attributes } => compiler.start(name, attributes),
-            BorrowedEvent::EndElement { .. } => compiler.end(),
-            BorrowedEvent::Text(text) => compiler.text(&text),
-            BorrowedEvent::CData(text) => compiler.cdata(text),
-            BorrowedEvent::Eof => return compiler.finish(),
-            _ => {}
+        let at = reader.offset();
+        if compiler.feed(&reader.next_borrowed()?, at) {
+            return compiler.finish(input);
         }
     }
 }
@@ -58,11 +73,11 @@ pub fn parse_schema_stream<R: std::io::Read>(source: R) -> Result<Schema, Schema
     let mut compiler = Compiler::default();
     loop {
         match &reader.next_event()? {
-            Event::StartElement { name, attributes } => compiler.start(name, attributes),
+            Event::StartElement { name, attributes } => compiler.start(name, attributes, 0),
             Event::EndElement { .. } => compiler.end(),
             Event::Text(text) => compiler.text(text),
             Event::CData(text) => compiler.cdata(text),
-            Event::Eof => return compiler.finish(),
+            Event::Eof => return compiler.finish(""),
             _ => {}
         }
     }
@@ -128,12 +143,32 @@ enum Open {
 /// scanning.
 const NAME_SCAN_LIMIT: usize = 32;
 
+/// Pass-1 state of a reachable-only compile: the top-level complex types
+/// met so far, by name — their position among the document's complex
+/// types and, while skipped and not yet compiled, the offset of their
+/// start tag. The map is also what catches a name declared twice
+/// anywhere in the document.
+type Index = HashMap<Box<str>, (usize, Option<usize>)>;
+
+/// Indexes the complex type `name` whose start tag is at `at`; whether
+/// to compile it now (it is the first, the root) or skip it.
+fn admit(index: &mut Index, name: &str, at: usize) -> Result<bool, SchemaError> {
+    let now = index.is_empty();
+    if index.insert(name.into(), (index.len(), (!now).then_some(at))).is_some() {
+        return Err(SchemaError::DuplicateType { name: name.to_owned() });
+    }
+    Ok(now)
+}
+
 /// The schema compiler. Fed events in document order; [`finish`] hands
 /// the schema over or reports the first thing that was wrong with it.
 ///
 /// [`finish`]: Compiler::finish
 #[derive(Default)]
 struct Compiler {
+    /// `Some` when only the first complex type's closure is wanted;
+    /// every complex type is compiled where it stands otherwise.
+    index: Option<Index>,
     schema: Schema,
     open: Vec<Open>,
     /// Namespace declarations in scope, outermost first: the depth of
@@ -163,11 +198,26 @@ struct Compiler {
 }
 
 impl Compiler {
-    fn start<A: Attr>(&mut self, name: &str, attrs: &[A]) {
+    /// Feeds one event of the in-memory reader, which read it from
+    /// offset `at`; whether it was the end of the document.
+    fn feed(&mut self, event: &BorrowedEvent<'_, '_>, at: usize) -> bool {
+        match event {
+            BorrowedEvent::StartElement { name, attributes } => self.start(name, attributes, at),
+            BorrowedEvent::EndElement { .. } => self.end(),
+            BorrowedEvent::Text(text) => self.text(text),
+            BorrowedEvent::CData(text) => self.cdata(text),
+            BorrowedEvent::Eof => return true,
+            _ => {}
+        }
+        false
+    }
+
+    /// A start tag, which begins at byte `at` of the document.
+    fn start<A: Attr>(&mut self, name: &str, attrs: &[A], at: usize) {
         if self.failed.is_some() {
             return;
         }
-        match self.enter(name, attrs) {
+        match self.enter(name, attrs, at) {
             Ok(open) => self.open.push(open),
             Err(e) => self.failed = Some(e),
         }
@@ -178,7 +228,9 @@ impl Compiler {
             return;
         }
         let closed = self.open.pop();
-        while self.bindings.last().is_some_and(|b| b.0 == self.open.len()) {
+        // The schema element's own declarations stay: pass 2 compiles
+        // skipped types in their scope.
+        while self.bindings.last().is_some_and(|b| b.0 == self.open.len() && b.0 > 0) {
             self.bindings.pop();
         }
         if let Err(e) = self.leave(closed) {
@@ -200,15 +252,66 @@ impl Compiler {
         }
     }
 
-    /// The document ended (well-formed): resolve what was compiled.
-    fn finish(self) -> Result<Schema, SchemaError> {
-        if let Some(e) = self.failed {
+    /// The document `input` ended (well-formed): compile what pass 1
+    /// skipped but the root needs, then resolve what was compiled.
+    fn finish(mut self, input: &str) -> Result<Schema, SchemaError> {
+        if let Some(e) = self.failed.take() {
             return Err(e);
+        }
+        if let Some(index) = self.index.take() {
+            self.compile_closure(index, input)?;
         }
         let mut schema = self.schema;
         rewrite_simple_refs(&mut schema);
         resolve_schema(&schema)?;
         Ok(schema)
+    }
+
+    /// Pass 2: compiles every skipped type that a compiled one names —
+    /// the root's transitive closure — and puts the compiled types in
+    /// document order. A name that matches a simple type is a reference
+    /// to that simple type, as [`rewrite_simple_refs`] decides.
+    fn compile_closure(&mut self, mut index: Index, input: &str) -> Result<(), SchemaError> {
+        // Indices, not iterators: compiling a skipped type pushes it onto
+        // `complex_types`, where this loop then reads its references too.
+        let mut next = 0;
+        while next < self.schema.complex_types.len() {
+            for e in 0..self.schema.complex_types[next].elements.len() {
+                let TypeRef::Named(target) = &self.schema.complex_types[next].elements[e].type_ref
+                else {
+                    continue;
+                };
+                if self.schema.simple_type(target).is_some() {
+                    continue;
+                }
+                if let Some(at) = index.get_mut(target.as_str()).and_then(|t| t.1.take()) {
+                    self.compile_skipped(&input[at..])?;
+                }
+            }
+            next += 1;
+        }
+        self.schema.complex_types.sort_unstable_by_key(|ty| index[ty.name.as_str()].0);
+        Ok(())
+    }
+
+    /// Compiles the one complex type `fragment` starts with, in the scope
+    /// of the schema element's namespace declarations, and stops reading
+    /// where it closes. Pass 1 read these bytes already, so they are
+    /// well-formed.
+    fn compile_skipped(&mut self, fragment: &str) -> Result<(), SchemaError> {
+        let mut reader = Reader::new(fragment);
+        self.open.push(Open::Schema);
+        loop {
+            let eof = self.feed(&reader.next_borrowed()?, 0);
+            if let Some(e) = self.failed.take() {
+                return Err(e);
+            }
+            if eof || self.open.len() == 1 {
+                break;
+            }
+        }
+        self.open.pop();
+        Ok(())
     }
 
     /// Whether an element name with this prefix is in an XML Schema
@@ -223,10 +326,16 @@ impl Compiler {
         self.bindings.iter().rev().find(|b| *b.1 == *prefix).map(|b| b.2)
     }
 
-    /// Handles a start tag: what kind of element it opens, given what it
-    /// is inside of. Everything a declaration says is in its attributes,
-    /// so `xsd:element` and the facets are compiled right here.
-    fn enter<A: Attr>(&mut self, name: &str, attrs: &[A]) -> Result<Open, SchemaError> {
+    /// Handles a start tag at byte `at`: what kind of element it opens,
+    /// given what it is inside of. Everything a declaration says is in
+    /// its attributes, so `xsd:element` and the facets are compiled right
+    /// here.
+    fn enter<A: Attr>(&mut self, name: &str, attrs: &[A], at: usize) -> Result<Open, SchemaError> {
+        // Nothing below an ignored element is read, so its namespace
+        // declarations need not be either.
+        if let Some(Open::Ignored) = self.open.last() {
+            return Ok(Open::Ignored);
+        }
         for a in attrs {
             let prefix = match a.name().strip_prefix("xmlns") {
                 Some("") => "",
@@ -253,6 +362,11 @@ impl Compiler {
                 "annotation" if self.element_is_xsd(prefix) => self.enter_annotation(),
                 "complexType" if self.element_is_xsd(prefix) => {
                     let type_name = attr(attrs, "name").ok_or_else(|| missing(name, "name"))?;
+                    if let Some(index) = &mut self.index {
+                        if !admit(index, type_name, at)? {
+                            return Ok(Open::Ignored);
+                        }
+                    }
                     self.complex = Some(ComplexType::new(type_name, Vec::new()));
                     Open::ComplexType
                 }
@@ -358,6 +472,10 @@ impl Compiler {
                     })?;
                 if !self.enumeration.is_empty() {
                     facets.push(Facet::Enumeration(std::mem::take(&mut self.enumeration)));
+                }
+                // Skipped complex types are in the index, not the schema.
+                if self.index.as_ref().is_some_and(|i| i.contains_key(name.as_str())) {
+                    return Err(SchemaError::DuplicateType { name });
                 }
                 self.schema.add_simple_type(SimpleType { name, base, facets })
             }
