@@ -477,12 +477,19 @@ impl ReplaySubscription {
         if let Some(event) = self.next_archived()? {
             return Ok(event);
         }
-        let deadline = std::time::Instant::now() + timeout;
+        // A live event already queued is taken without reading the
+        // clock; the deadline is fixed only when a wait begins.
+        let mut deadline = None;
         loop {
-            let remaining = deadline
-                .checked_duration_since(std::time::Instant::now())
-                .unwrap_or_default();
-            let event = self.live.recv_timeout(remaining)?;
+            let event = match self.live.try_recv() {
+                Some(event) => event,
+                None => {
+                    let deadline =
+                        *deadline.get_or_insert_with(|| std::time::Instant::now() + timeout);
+                    let remaining = deadline.saturating_duration_since(std::time::Instant::now());
+                    self.live.recv_timeout(remaining)?
+                }
+            };
             if event.seq == 0 || event.seq > self.cutover {
                 return Ok(event);
             }
@@ -1392,7 +1399,8 @@ fn deliver_events(
             // Predicate-indexed fanout: find the unique compiled
             // programs among this stream's subscribers (Arc identity —
             // the FilterCache dedups equivalent predicates) and
-            // evaluate each program once per event in the group. The
+            // evaluate each program once per event in the group, in one
+            // `select` over the whole group. The
             // delivery loop below then reuses the match set for every
             // subscriber sharing the program.
             let mut pactive = 0usize;
@@ -1412,11 +1420,10 @@ fn deliver_events(
             for pb in preds[..pactive].iter_mut() {
                 let filter = pb.filter.as_ref().expect("active pred bucket has a filter");
                 pb.matched.clear();
-                for &k in group {
-                    if filter.matches_message(&event_of(&run[k as usize]).payload) {
-                        pb.matched.push(k);
-                    }
-                }
+                let messages = group
+                    .iter()
+                    .map(|&k| (k, event_of(&run[k as usize]).payload.as_slice()));
+                filter.select(messages, &mut pb.matched);
             }
             let mut pruned = false;
             for entry in subs.iter() {

@@ -1282,7 +1282,8 @@ pub struct FilterStats {
 }
 
 /// A compiled, shareable subscription predicate bound to one struct
-/// type. Holds one [`FilterProgram`] per sender architecture seen,
+/// type. Holds one [`FilterProgram`] per sender architecture seen: the
+/// host's compiled eagerly and read without a lock, every other one
 /// compiled lazily on first contact and cached forever (the
 /// architecture set is tiny and closed). All subscribers passing the
 /// same `(format, normalized expression)` share one `Arc<StreamFilter>`
@@ -1295,17 +1296,38 @@ pub struct StreamFilter {
     struct_type: Arc<StructType>,
     typed: TExpr,
     fields: Vec<String>,
+    /// The host architecture's descriptor and program.
+    host: ([u8; 6], FilterProgram),
+    /// Programs for foreign sender architectures, by descriptor.
     programs: RwLock<Vec<([u8; 6], Arc<FilterProgram>)>>,
     evals: AtomicU64,
     matches: AtomicU64,
     errors: AtomicU64,
 }
 
+/// A resolved program: the host's, borrowed from its filter, or a share
+/// of one compiled for a foreign sender.
+enum Program<'a> {
+    Host(&'a FilterProgram),
+    Foreign(Arc<FilterProgram>),
+}
+
+impl std::ops::Deref for Program<'_> {
+    type Target = FilterProgram;
+
+    fn deref(&self) -> &FilterProgram {
+        match self {
+            Program::Host(program) => program,
+            Program::Foreign(program) => program,
+        }
+    }
+}
+
 impl StreamFilter {
-    /// Parses, typechecks and prepares `expr` against `st`. No
-    /// per-architecture program is compiled yet — that happens on the
-    /// first event from each sender architecture. The host program is
-    /// compiled eagerly so layout errors surface at subscribe time.
+    /// Parses, typechecks and prepares `expr` against `st`. The host
+    /// program is compiled eagerly, so layout errors surface at
+    /// subscribe time; every other architecture's program is compiled
+    /// on the first event from a sender of that architecture.
     ///
     /// # Errors
     ///
@@ -1318,22 +1340,20 @@ impl StreamFilter {
         render(&ast, &mut normalized);
         let mut fields = Vec::new();
         collect_fields(&typed, st, &mut fields);
-        let filter = StreamFilter {
+        let host = Architecture::host();
+        let host = (host.descriptor(), compile(&typed, st, &host)?);
+        Ok(StreamFilter {
             normalized,
             fingerprint: pbio::format::struct_fingerprint(st),
             struct_type: Arc::new(st.clone()),
             typed,
             fields,
+            host,
             programs: RwLock::new(Vec::new()),
             evals: AtomicU64::new(0),
             matches: AtomicU64::new(0),
             errors: AtomicU64::new(0),
-        };
-        // Surface un-layout-able struct types now rather than silently
-        // never matching later.
-        let host = Architecture::host();
-        filter.program_for(host.descriptor(), &host)?;
-        Ok(filter)
+        })
     }
 
     /// The canonical form of the expression — the cache key half.
@@ -1361,53 +1381,89 @@ impl StreamFilter {
         }
     }
 
-    fn program_for(
-        &self,
-        descriptor: [u8; 6],
-        arch: &Architecture,
-    ) -> Result<Arc<FilterProgram>, FilterError> {
+    /// The program for senders with `descriptor`: the host's without a
+    /// lock, any other from the memo, compiling it on first contact.
+    fn program_for(&self, descriptor: [u8; 6]) -> Result<Program<'_>, FilterError> {
+        if descriptor == self.host.0 {
+            return Ok(Program::Host(&self.host.1));
+        }
         {
             let programs = self.programs.read();
             if let Some((_, p)) = programs.iter().find(|(d, _)| *d == descriptor) {
-                return Ok(Arc::clone(p));
+                return Ok(Program::Foreign(Arc::clone(p)));
             }
         }
-        let program = Arc::new(compile(&self.typed, &self.struct_type, arch)?);
+        let arch = Architecture::from_descriptor(descriptor);
+        let program = Arc::new(compile(&self.typed, &self.struct_type, &arch)?);
         let mut programs = self.programs.write();
         if let Some((_, p)) = programs.iter().find(|(d, _)| *d == descriptor) {
-            return Ok(Arc::clone(p));
+            return Ok(Program::Foreign(Arc::clone(p)));
         }
         programs.push((descriptor, Arc::clone(&program)));
-        Ok(program)
+        Ok(Program::Foreign(program))
     }
 
-    /// Evaluates the predicate against a full NDR message (wire header
-    /// plus payload image) — the broker's per-event entry point. Zero
-    /// allocations once the sender's architecture has been seen once.
-    /// Fail-closed: malformed headers, a fingerprint that differs from
-    /// the filter's struct type, and un-layout-able architectures all
-    /// count as errors and do not match.
+    /// Evaluates the predicate over a run of full NDR messages (wire
+    /// header plus payload image) and pushes the key of every message
+    /// that matches onto `out`, in run order — the broker's entry point,
+    /// called once per (unique program, dispatch run).
+    ///
+    /// Per message only the header peek, the fingerprint check and the
+    /// program remain: the program is resolved once per run of equal
+    /// sender descriptors, and the counters are added once per call.
+    /// Zero allocations beyond `out`'s growth once each sender
+    /// architecture has been seen. Fail-closed: a malformed header, a
+    /// fingerprint that differs from the filter's struct type or an
+    /// un-layout-able architecture counts as an error and does not
+    /// match.
+    pub fn select<'m, K>(
+        &self,
+        messages: impl IntoIterator<Item = (K, &'m [u8])>,
+        out: &mut Vec<K>,
+    ) {
+        let (mut evals, mut matches, mut errors) = (0, 0, 0);
+        let mut run: Option<([u8; 6], Option<Program<'_>>)> = None;
+        for (key, message) in messages {
+            evals += 1;
+            let peek = match WireHeader::peek(message) {
+                Ok(peek) if peek.fingerprint == self.fingerprint => peek,
+                _ => {
+                    errors += 1;
+                    continue;
+                }
+            };
+            if run
+                .as_ref()
+                .is_none_or(|(descriptor, _)| *descriptor != peek.descriptor)
+            {
+                run = Some((peek.descriptor, self.program_for(peek.descriptor).ok()));
+            }
+            let Some((_, Some(program))) = &run else {
+                errors += 1;
+                continue;
+            };
+            if program.eval(&message[peek.header_len..]) {
+                matches += 1;
+                out.push(key);
+            }
+        }
+        for (counter, n) in [
+            (&self.evals, evals),
+            (&self.matches, matches),
+            (&self.errors, errors),
+        ] {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// [`select`](Self::select) over one message: whether it matches.
     pub fn matches_message(&self, message: &[u8]) -> bool {
-        self.evals.fetch_add(1, Ordering::Relaxed);
-        let Ok(peek) = WireHeader::peek(message) else {
-            self.errors.fetch_add(1, Ordering::Relaxed);
-            return false;
-        };
-        if peek.fingerprint != self.fingerprint {
-            self.errors.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        let arch = Architecture::from_descriptor(peek.descriptor);
-        let Ok(program) = self.program_for(peek.descriptor, &arch) else {
-            self.errors.fetch_add(1, Ordering::Relaxed);
-            return false;
-        };
-        if program.eval(&message[peek.header_len..]) {
-            self.matches.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
+        // A `Vec<()>` never allocates.
+        let mut hit = Vec::new();
+        self.select([((), message)], &mut hit);
+        !hit.is_empty()
     }
 
     /// The naive decode-then-eval reference oracle: evaluates the
@@ -1683,7 +1739,7 @@ mod tests {
         // the program shape: Str, JmpTrue, CmpI.
         let f = filter("dest == \"ATL\" || price > 0");
         let host = Architecture::host();
-        let program = f.program_for(host.descriptor(), &host).unwrap();
+        let program = f.program_for(host.descriptor()).unwrap();
         assert_eq!(program.len(), 3);
         assert!(f.matches_message(&encode(-1, 1, 0.0, "ATL", host)));
     }
@@ -1701,7 +1757,7 @@ mod tests {
             "weight BETWEEN 0.0 AND 1.0",
         ] {
             let f = filter(expr);
-            let program = f.program_for(host.descriptor(), &host).unwrap();
+            let program = f.program_for(host.descriptor()).unwrap();
             assert_eq!(program.len(), 1, "{expr} must be one op, got {}", program.len());
         }
     }

@@ -13,7 +13,9 @@
 //!    decode-then-[`eval_record`](StreamFilter::eval_record) across a
 //!    generated matrix of formats × architectures × expressions ×
 //!    records, and fail closed (non-match, counted error, no panic) on
-//!    malformed messages.
+//!    malformed messages — one message at a time and in
+//!    [`select`](StreamFilter::select)'s runs, which resolve a program
+//!    once per run of equal sender architectures.
 
 use std::time::Duration;
 
@@ -359,5 +361,119 @@ proptest! {
             );
         }
         prop_assert_eq!(f.stats().errors, 0);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// `select` differential: one call over a whole run vs the per-message
+// oracle, on runs that switch sender architecture and carry bad messages.
+// ---------------------------------------------------------------------------
+
+/// A splitmix64 stream: the run generator's only source of choices.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// One generated run of 1–200 messages, each with what the oracle says
+/// of it: `Some(record)` for a well-formed `Tick` message (it matches
+/// exactly when `eval_record` does), `None` for one that must fail
+/// closed as a counted error — a header cut short, a `Flight` message
+/// (a foreign fingerprint) or byte soup. The sender architecture is
+/// drawn afresh either for every message or for runs of up to 24.
+fn generated_run(seed: u64) -> Vec<(Vec<u8>, Option<Record>)> {
+    let mut mix = Mix(seed);
+    let st = ticks();
+    let len = 1 + mix.below(200) as usize;
+    let alternate = mix.below(2) == 0;
+    let mut arch = Architecture::ALL[mix.below(6) as usize];
+    let mut left_in_run = 0;
+    let dests = ["ATL", "BOS", "AB", "Z", ""];
+    (0..len)
+        .map(|_| {
+            if alternate || left_in_run == 0 {
+                arch = Architecture::ALL[mix.below(6) as usize];
+                left_in_run = 1 + mix.below(24);
+            }
+            left_in_run -= 1;
+            let record = Record::new()
+                .with("price", mix.below(80) as i64 - 40)
+                .with("qty", mix.below(40))
+                .with("weight", (mix.below(80) as i64 - 40) as f64 + 0.5)
+                .with("dest", dests[mix.below(5) as usize]);
+            match mix.below(16) {
+                0 => {
+                    let msg = encode(&record, &st, arch);
+                    let cut = mix.below(pbio::header::FIXED_HEADER_LEN as u64 + 4) as usize;
+                    (msg[..cut].to_vec(), None)
+                }
+                1 => {
+                    let flight = Record::new()
+                        .with("callsign", "DL1202")
+                        .with("alt", mix.below(50_000))
+                        .with("temp", -40.0f64)
+                        .with("heading", 270i64);
+                    (encode(&flight, &flights(), arch), None)
+                }
+                2 => ((0..mix.below(96)).map(|_| mix.next() as u8).collect(), None),
+                _ => (encode(&record, &st, arch), Some(record)),
+            }
+        })
+        .collect()
+}
+
+fn delta(before: backbone::filter::FilterStats, after: backbone::filter::FilterStats) -> [u64; 3] {
+    [
+        after.evals - before.evals,
+        after.matches - before.matches,
+        after.errors - before.errors,
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `select` over a run yields exactly the keys of the messages the
+    /// decode-then-`eval_record` oracle accepts, and moves the counters
+    /// exactly as one `matches_message` per message does — however often
+    /// the sender architecture changes inside the run.
+    #[test]
+    fn select_agrees_with_the_per_message_oracle(expr in tick_expr(), seed in any::<u64>()) {
+        let f = StreamFilter::compile(&expr, &ticks()).expect("generated exprs are well-typed");
+        let run = generated_run(seed);
+        let want: Vec<usize> = run
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, record))| record.as_ref().is_some_and(|r| f.eval_record(r)))
+            .map(|(k, _)| k)
+            .collect();
+
+        let before = f.stats();
+        let mut got = Vec::new();
+        f.select(run.iter().enumerate().map(|(k, (msg, _))| (k, msg.as_slice())), &mut got);
+        let selected = f.stats();
+        prop_assert_eq!(&got, &want, "expr {:?}, seed {}", expr, seed);
+
+        let one_by_one: Vec<usize> =
+            (0..run.len()).filter(|&k| f.matches_message(&run[k].0)).collect();
+        let after = f.stats();
+        prop_assert_eq!(&one_by_one, &want, "expr {:?}, seed {}", expr, seed);
+        prop_assert_eq!(delta(before, selected), delta(selected, after));
+        let bad = run.iter().filter(|(_, record)| record.is_none()).count() as u64;
+        prop_assert_eq!(
+            delta(before, selected),
+            [run.len() as u64, want.len() as u64, bad]
+        );
     }
 }

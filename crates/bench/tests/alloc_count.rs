@@ -1,8 +1,8 @@
 //! Allocation accounting for the zero-copy hot path.
 //!
-//! The throughput numbers in `benches/hot_path.rs` rest on two
-//! structural claims this test pins down with a counting global
-//! allocator:
+//! The repo benchmark's `pbio.encode_dyn_ns` and
+//! `backbone.stream.capture_publish_ns` rest on two structural claims
+//! this test pins down with a counting global allocator:
 //!
 //! 1. `pbio::ndr::encode_into` performs **zero** allocations per message
 //!    once its buffer has grown to the working-set size, and

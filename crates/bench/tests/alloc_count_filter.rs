@@ -1,12 +1,14 @@
 //! Allocation accounting for compiled content filters (DESIGN §6.13).
 //!
-//! The filter numbers in `benches/filter_fanout.rs` rest on two
+//! The `fanout_filtered` workload of the repo's benchmark rests on two
 //! structural claims this test pins down with a counting global
 //! allocator:
 //!
 //! 1. `StreamFilter::matches_message` performs **zero** allocations per
 //!    event once the sender's architecture has been seen — on matches
-//!    and non-matches alike, and
+//!    and non-matches alike — and neither does `StreamFilter::select`
+//!    over a 128-message run of two sender architectures once its key
+//!    list has grown, and
 //! 2. a filtered broker publish allocates exactly what an unfiltered
 //!    one does (the payload `Vec` and the `Arc<Event>` wrapper):
 //!    predicate-indexed fanout adds nothing per event, independent of
@@ -107,6 +109,33 @@ fn filtered_fanout_allocation_budget() {
         allocations() - before,
         0,
         "filter evaluation must not allocate per event"
+    );
+    // The batch form over a 128-message run: host messages interleaved
+    // with runs of big-endian ones, whose program is compiled by the
+    // warm-up call and shared, not rebuilt, afterwards.
+    let sparc = Format::new(FormatId(7), st.clone(), Architecture::SPARC32).unwrap();
+    let foreign_hit = encode_tick(&sparc, 150, "ATL");
+    let run: Vec<&[u8]> = (0..128)
+        .map(|k| match k % 8 {
+            0..=2 => foreign_hit.as_slice(),
+            3..=4 => hit.as_slice(),
+            _ => miss.as_slice(),
+        })
+        .collect();
+    let mut matched = Vec::new();
+    f.select(run.iter().copied().enumerate(), &mut matched); // warm
+    let want = matched.len();
+    assert_eq!(want, 128 / 8 * 5);
+    let before = allocations();
+    for _ in 0..100 {
+        matched.clear();
+        f.select(run.iter().copied().enumerate(), &mut matched);
+        assert_eq!(matched.len(), want);
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "a warm select over a run must not allocate"
     );
 
     // --- Claim 2: filtered publish keeps the unfiltered budget — the

@@ -39,6 +39,11 @@ pub struct Format {
     arch: Architecture,
     layout: Layout,
     fingerprint: u64,
+    /// `arch`'s wire descriptor, when it maps back to an architecture
+    /// layout-compatible with `arch` (every preset's does; a custom
+    /// architecture's may not): a message carrying it is laid out for
+    /// this format's own view plan.
+    own_descriptor: Option<[u8; 6]>,
     // Boxed: a bound format that is never marshaled carries two empty
     // cells, not room for two plans.
     encode_plan: OnceLock<Box<EncodePlan>>,
@@ -103,12 +108,17 @@ impl Format {
         };
         let mut header_prefix = Vec::with_capacity(header.encoded_len());
         header.write_to(&mut header_prefix);
+        let descriptor = arch.descriptor();
+        let own_descriptor = Architecture::from_descriptor(descriptor)
+            .layout_compatible(&arch)
+            .then_some(descriptor);
         Ok(Format {
             id,
             struct_type,
             arch,
             layout,
             fingerprint,
+            own_descriptor,
             encode_plan: OnceLock::new(),
             view_plan: OnceLock::new(),
             header_prefix,
@@ -132,6 +142,13 @@ impl Format {
         }
         let plan = Box::new(ViewPlan::build(&self.struct_type, &self.arch)?);
         Ok(self.view_plan.get_or_init(|| plan))
+    }
+
+    /// The wire descriptor of messages laid out for this format's own
+    /// architecture, or `None` when the architecture's descriptor does
+    /// not map back to it.
+    pub(crate) fn own_descriptor(&self) -> Option<[u8; 6]> {
+        self.own_descriptor
     }
 
     /// The memoized wire-header bytes for this format, with the two
@@ -226,7 +243,7 @@ impl fmt::Display for Format {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clayout::{CType, Primitive, StructField};
+    use clayout::{CType, Primitive, SizeAlign, StructField};
 
     fn point() -> StructType {
         StructType::new(
@@ -294,6 +311,22 @@ mod tests {
             matches!(err, PbioError::FormatNameTooLong { len: 65536, max: 65535 }),
             "{err}"
         );
+    }
+
+    #[test]
+    fn own_descriptor_only_when_it_maps_back() {
+        for arch in Architecture::ALL {
+            let f = Format::new(FormatId(1), point(), arch).unwrap();
+            assert_eq!(f.own_descriptor(), Some(arch.descriptor()), "{arch}");
+        }
+        // The descriptor carries an int's size, not its alignment.
+        let packed = Architecture {
+            name: "packed",
+            int: SizeAlign::with_align(4, 2),
+            ..Architecture::X86_64
+        };
+        let f = Format::new(FormatId(1), point(), packed).unwrap();
+        assert_eq!(f.own_descriptor(), None);
     }
 
     #[test]

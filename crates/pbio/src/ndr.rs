@@ -179,7 +179,7 @@ pub fn decode_with(buf: &[u8], format: &Format) -> Result<Record, PbioError> {
 /// shorter than the sender's fixed part.
 pub fn view_with<'a>(buf: &'a [u8], format: &'a Format) -> Result<RecordView<'a>, PbioError> {
     let (peek, payload) = split_for(buf, format)?;
-    RecordView::over(payload, format, &peek.arch())
+    RecordView::over_descriptor(payload, format, peek.descriptor)
 }
 
 /// Resolves the format a message was encoded with in `registry`, and
@@ -227,7 +227,7 @@ pub fn decode(
     registry: &FormatRegistry,
 ) -> Result<(Arc<Format>, Record), PbioError> {
     let (format, peek, payload) = resolve(buf, registry)?;
-    let record = RecordView::over(payload, &format, &peek.arch())?.to_record()?;
+    let record = RecordView::over_descriptor(payload, &format, peek.descriptor)?.to_record()?;
     Ok((format, record))
 }
 

@@ -22,7 +22,9 @@
 //! Plans are built lazily. A [`Format`] memoizes the plan of its own
 //! architecture the first time a layout-compatible payload is viewed
 //! (binding a catalogue of types nobody views builds none), and every
-//! such view borrows it. A view of a foreign-architecture payload
+//! such view borrows it; a message whose header carries the format's own
+//! architecture descriptor reaches it without the sender's architecture
+//! being rebuilt from the header. A view of a foreign-architecture payload
 //! builds the sender's plan and owns it for its own lifetime.
 
 use std::ops::Deref;
@@ -261,6 +263,31 @@ impl<'a> RecordView<'a> {
         } else {
             PlanRef::Shared(Arc::new(ViewPlan::build(format.struct_type(), sender_arch)?))
         };
+        RecordView::with_plan(payload, format, plan)
+    }
+
+    /// [`over`](Self::over) for a sender named by its wire-header
+    /// descriptor. The format's own descriptor — which `Format::new`
+    /// checked maps back to a layout-compatible architecture — borrows
+    /// the memoized plan without rebuilding the sender's architecture;
+    /// any other is reconstructed and goes through `over`.
+    pub(crate) fn over_descriptor(
+        payload: &'a [u8],
+        format: &'a Format,
+        descriptor: [u8; 6],
+    ) -> Result<RecordView<'a>, PbioError> {
+        if format.own_descriptor() == Some(descriptor) {
+            RecordView::with_plan(payload, format, PlanRef::Borrowed(format.view_plan()?))
+        } else {
+            RecordView::over(payload, format, &Architecture::from_descriptor(descriptor))
+        }
+    }
+
+    fn with_plan(
+        payload: &'a [u8],
+        format: &'a Format,
+        plan: PlanRef<'a, ViewPlan>,
+    ) -> Result<RecordView<'a>, PbioError> {
         if payload.len() < plan.size {
             return Err(PbioError::Truncated { need: plan.size, have: payload.len() });
         }

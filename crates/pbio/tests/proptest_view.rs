@@ -5,7 +5,7 @@
 //! buffers cleanly at every cut point.
 
 use clayout::{
-    Architecture, CType, Primitive, Record, StructField, StructType, Value,
+    Architecture, CType, Endianness, Primitive, Record, SizeAlign, StructField, StructType, Value,
 };
 use pbio::format::{Format, FormatId};
 use proptest::prelude::*;
@@ -114,6 +114,57 @@ fn build(specs: &[Spec]) -> (StructType, Record) {
     (StructType::new("Gen", fields), record)
 }
 
+/// A 68k-like ABI: big-endian ILP32 with every multi-byte scalar
+/// 2-aligned. Its wire descriptor cannot say "2-aligned `int`", so it
+/// maps back to a different (naturally aligned) architecture.
+fn unmapped_custom_arch() -> Architecture {
+    let two = |size| SizeAlign::with_align(size, 2);
+    let arch = Architecture {
+        name: "m68k",
+        endianness: Endianness::Big,
+        short: two(2),
+        int: two(4),
+        long: two(4),
+        long_long: two(8),
+        pointer: two(4),
+        float: two(4),
+        double: two(8),
+    };
+    assert!(!Architecture::from_descriptor(arch.descriptor()).layout_compatible(&arch));
+    arch
+}
+
+/// The message itself, every cut of its payload (the header's lengths
+/// patched to match, so the payload is what is short) and every single
+/// byte flip of its payload.
+fn payload_mutants(wire: &[u8], header_len: usize) -> Vec<Vec<u8>> {
+    use pbio::header::{FIXED_LEN_OFFSET, PAYLOAD_LEN_OFFSET};
+    let fixed_len = u32::from_le_bytes(wire[FIXED_LEN_OFFSET..][..4].try_into().unwrap());
+    let mut mutants = vec![wire.to_vec()];
+    for cut in 0..wire.len() - header_len {
+        let mut m = wire[..header_len + cut].to_vec();
+        m[PAYLOAD_LEN_OFFSET..][..4].copy_from_slice(&(cut as u32).to_le_bytes());
+        m[FIXED_LEN_OFFSET..][..4].copy_from_slice(&fixed_len.min(cut as u32).to_le_bytes());
+        mutants.push(m);
+    }
+    for at in header_len..wire.len() {
+        let mut m = wire.to_vec();
+        m[at] ^= 0xA5;
+        mutants.push(m);
+    }
+    mutants
+}
+
+/// What a view yields, compared whole: the arch it reports and its
+/// record, or the error (by its debug form: kind and detail).
+fn outcome(
+    view: Result<pbio::RecordView<'_>, pbio::PbioError>,
+) -> Result<(String, Record), String> {
+    let view = view.map_err(|e| format!("{e:?}"))?;
+    let record = view.to_record().map_err(|e| format!("{e:?}"))?;
+    Ok((format!("{:?}", view.arch()), record))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -146,6 +197,37 @@ proptest! {
             );
         }
         prop_assert_eq!(&view.to_record().unwrap(), &decoded);
+    }
+
+    /// `view_with` borrows the format's plan straight from a header
+    /// descriptor equal to the format's own; that shortcut must be
+    /// invisible. For every (format arch, sender arch) pair — the six
+    /// presets and a custom ABI whose descriptor does not map back to
+    /// it — the record, the reported arch and the error of every
+    /// payload cut and byte flip equal `RecordView::over` with the
+    /// architecture rebuilt from the header.
+    #[test]
+    fn view_with_equals_over_the_rebuilt_sender_arch(
+        specs in proptest::collection::vec(spec_strategy(), 1..5),
+    ) {
+        let (st, record) = build(&specs);
+        let archs: Vec<Architecture> =
+            Architecture::ALL.into_iter().chain([unmapped_custom_arch()]).collect();
+        for sender in &archs {
+            let wire =
+                pbio::ndr::encode(&record, &Format::new(FormatId(1), st.clone(), *sender).unwrap())
+                    .unwrap();
+            let peek = pbio::header::WireHeader::peek(&wire).unwrap();
+            for format_arch in &archs {
+                let format = Format::new(FormatId(1), st.clone(), *format_arch).unwrap();
+                for mutant in payload_mutants(&wire, peek.header_len) {
+                    let (peek, payload) = pbio::ndr::split(&mutant).unwrap();
+                    let want = outcome(pbio::RecordView::over(payload, &format, &peek.arch()));
+                    let got = outcome(pbio::ndr::view_with(&mutant, &format));
+                    prop_assert_eq!(got, want, "{} -> {}", sender, format_arch);
+                }
+            }
+        }
     }
 
     /// Cutting the wire buffer anywhere must never panic: either view

@@ -450,10 +450,12 @@ pub mod channel {
             }
         }
 
-        /// Waits up to `timeout` for a message.
+        /// Waits up to `timeout` for a message. A message already queued
+        /// is popped without reading the clock; the deadline is fixed
+        /// when the first wait begins.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
             let mut queue = self.shared.lock();
+            let mut deadline = None;
             loop {
                 if let Some(value) = self.pop(&mut queue) {
                     return Ok(value);
@@ -462,6 +464,7 @@ pub mod channel {
                     return Err(RecvTimeoutError::Disconnected);
                 }
                 let now = Instant::now();
+                let deadline = *deadline.get_or_insert(now + timeout);
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
@@ -769,6 +772,48 @@ pub mod channel {
                 "receiver left parked on a non-empty queue"
             );
             worker.join().unwrap();
+        }
+
+        /// A message already queued is returned even when no time is
+        /// left: `recv_timeout` pops before it looks at the clock.
+        #[test]
+        fn recv_timeout_zero_takes_a_queued_message() {
+            let (tx, rx) = unbounded();
+            tx.send(1).unwrap();
+            tx.send(2).unwrap();
+            assert_eq!(rx.recv_timeout(Duration::ZERO), Ok(1));
+            assert_eq!(rx.recv_timeout(Duration::ZERO), Ok(2));
+            assert_eq!(
+                rx.recv_timeout(Duration::ZERO),
+                Err(RecvTimeoutError::Timeout)
+            );
+            drop(tx);
+            assert_eq!(
+                rx.recv_timeout(Duration::ZERO),
+                Err(RecvTimeoutError::Disconnected)
+            );
+        }
+
+        /// The pop fast path keeps the chain wake: a `recv_timeout` that
+        /// leaves messages behind wakes the other blocked receiver.
+        #[test]
+        fn two_blocked_recv_timeout_receivers_both_wake() {
+            let patience = Duration::from_secs(10);
+            let (tx, rx) = unbounded();
+            let rx2 = rx.clone();
+            let h1 = std::thread::spawn(move || rx.recv_timeout(patience));
+            let h2 = std::thread::spawn(move || rx2.recv_timeout(patience));
+            while tx.shared.waiters.load(Ordering::SeqCst) < 2 {
+                std::thread::yield_now();
+            }
+            // Two rapid sends: the second usually finds a wake pending and
+            // skips its notify, so only the first receiver's pop wakes the
+            // second (which otherwise times out, and the unwrap fails).
+            tx.send(1).unwrap();
+            tx.send(2).unwrap();
+            let mut got = vec![h1.join().unwrap().unwrap(), h2.join().unwrap().unwrap()];
+            got.sort_unstable();
+            assert_eq!(got, vec![1, 2]);
         }
 
         #[test]
