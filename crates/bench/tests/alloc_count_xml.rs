@@ -1,7 +1,6 @@
-//! Allocation accounting for the zero-copy XML parse path.
-//!
-//! The `xml_parse` bench's throughput claims rest on structural
-//! properties this test pins down with a counting global allocator:
+//! Allocation accounting for the XML layer's zero-copy paths, pinned
+//! with a counting global allocator (the schema ingest that
+//! `late_join` measures tokenizes through claim 1):
 //!
 //! 1. the borrowed pull API ([`xmlparse::Reader::next_borrowed`]) does
 //!    **zero** allocations per event for markup and entity-free text —
@@ -10,15 +9,17 @@
 //!    independent of how many events the document contains;
 //! 2. `escape::unescape` is allocation-free when the input has no `&`,
 //!    and the escape helpers are allocation-free for clean input;
-//! 3. `NamespaceResolver` lookups borrow, and entering an element that
-//!    declares no namespace costs nothing.
+//! 3. the streaming [`Writer`] keeps open elements' names as positions
+//!    in its output, so writing clean names and text into a `String`
+//!    with room to spare, once its element stack is warm, allocates
+//!    nothing — whatever the element count.
 //!
 //! Runs in its own test binary (one `#[test]`) so no other test can
 //! disturb the counter — same discipline as `alloc_count.rs`.
 
 use omf_bench::{allocations, CountingAllocator};
 use xmlparse::escape::{escape_attribute, escape_text, unescape};
-use xmlparse::{BorrowedEvent, Position, Reader};
+use xmlparse::{BorrowedEvent, Element, Position, Reader, Writer};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -33,6 +34,22 @@ fn flat_doc(items: usize) -> String {
     }
     doc.push_str("</root>");
     doc
+}
+
+/// Writes one `<item>` three elements deep, with an attribute and text
+/// that need no escaping.
+fn write_item(w: &mut Writer<'_>) {
+    w.start("item");
+    w.attr("kind", "sample");
+    w.start("name");
+    w.text("plain");
+    w.end();
+    w.start("payload");
+    w.start("value");
+    w.text("text content");
+    w.end();
+    w.end();
+    w.end();
 }
 
 /// Total allocations for one full borrowed-API parse, and the event
@@ -93,26 +110,21 @@ fn xml_parse_allocation_budget() {
     // Entity expansion still works (and is allowed to allocate).
     assert_eq!(unescape("a &amp; b", pos).unwrap(), "a & b");
 
-    // --- Claim 3: namespace scopes and lookups are allocation-free. ---
-    let declaring = xmlparse::Element::new("xsd:schema").with_attr("xmlns:xsd", "urn:schema");
-    let plain = xmlparse::Element::new("xsd:element").with_attr("name", "f");
-    let mut resolver = xmlparse::namespace::NamespaceResolver::new();
-    resolver.push_scope(&declaring);
-    // One warm-up round sizes the scope stack.
-    resolver.push_scope(&plain);
-    resolver.pop_scope();
-    let before = allocations();
-    for _ in 0..100 {
-        resolver.push_scope(&plain);
-        assert_eq!(resolver.resolve("xsd:element").unwrap(), (Some("urn:schema"), "element"));
-        assert_eq!(resolver.uri_for(Some("xsd")), Some("urn:schema"));
-        assert_eq!(resolver.prefix_for("urn:schema"), Some(Some("xsd")));
-        assert_eq!(resolver.resolve("unprefixed").unwrap(), (None, "unprefixed"));
-        resolver.pop_scope();
+    // --- Claim 3: a warm writer allocates nothing. ---
+    for pretty in [false, true] {
+        let mut xml = String::with_capacity(64 * 1024);
+        let mut w = if pretty { Writer::pretty(&mut xml) } else { Writer::compact(&mut xml) };
+        w.start("root");
+        // One warm-up item sizes the element stack.
+        write_item(&mut w);
+        let before = allocations();
+        for _ in 0..100 {
+            write_item(&mut w);
+        }
+        w.end();
+        let allocs = allocations() - before;
+        assert_eq!(allocs, 0, "writing 100 items (pretty: {pretty}) allocated {allocs} times");
+        let root = Element::parse(&xml).unwrap();
+        assert_eq!(root.child_elements().count(), 101, "{xml}");
     }
-    assert_eq!(
-        allocations() - before,
-        0,
-        "declaration-free scopes and namespace lookups must not allocate"
-    );
 }

@@ -7,14 +7,14 @@
 //! text, and arrays become repeated elements. The costs the paper
 //! attributes to this style — binary↔ASCII translation on both ends and a
 //! 6–8× expansion of the wire image — fall directly out of this encoding
-//! and are measured by the `wire_sizes` and `binary_vs_text` benchmarks.
+//! and are measured by `repro_report`'s E3 (time) and E4 (size) tables.
 
 use std::borrow::Cow;
 
 use clayout::{ArrayLen, CType, LayoutError, Record, StructType, Value};
 #[cfg(test)]
 use clayout::Primitive;
-use xmlparse::{BorrowedEvent, Element, Reader, Writer};
+use xmlparse::{Element, Writer};
 
 use crate::error::PbioError;
 
@@ -27,24 +27,31 @@ use crate::error::PbioError;
 ///
 /// Reports missing fields and type mismatches.
 pub fn encode(record: &Record, st: &StructType) -> Result<String, PbioError> {
-    let root = element_for_struct(record, st)?;
-    Ok(Writer::compact().element_to_string(&root))
+    let mut xml = String::new();
+    write_struct(&mut Writer::compact(&mut xml), record, st, &st.name)?;
+    Ok(xml)
 }
 
-fn element_for_struct(record: &Record, st: &StructType) -> Result<Element, PbioError> {
-    let mut root = Element::new(st.name.clone());
+fn write_struct(
+    w: &mut Writer<'_>,
+    record: &Record,
+    st: &StructType,
+    name: &str,
+) -> Result<(), PbioError> {
+    w.start(name);
     for field in &st.fields {
         match record.get(&field.name) {
-            Some(value) => append_field(&mut root, value, &field.ty, &field.name)?,
+            Some(value) => write_field(w, value, &field.ty, &field.name)?,
             None => {
                 let derived = derive_count(record, st, &field.name)?.ok_or_else(|| {
                     PbioError::Layout(LayoutError::MissingField { field: field.name.clone() })
                 })?;
-                append_field(&mut root, &derived, &field.ty, &field.name)?;
+                write_field(w, &derived, &field.ty, &field.name)?;
             }
         }
     }
-    Ok(root)
+    w.end();
+    Ok(())
 }
 
 fn derive_count(
@@ -65,8 +72,8 @@ fn derive_count(
     Ok(None)
 }
 
-fn append_field(
-    parent: &mut Element,
+fn write_field(
+    w: &mut Writer<'_>,
     value: &Value,
     ty: &CType,
     name: &str,
@@ -74,19 +81,19 @@ fn append_field(
     match ty {
         CType::Prim(_) | CType::String => {
             let text = scalar_text(value, ty, name)?;
-            let mut el = Element::new(name);
-            // Whitespace-only text nodes are dropped by DOM parsing (as
+            w.start(name);
+            // Whitespace-only text is dropped on decode (as
             // element-content whitespace), which would silently corrupt
-            // strings like " ". CDATA sections are always preserved, so
-            // use them whenever the string's edges are at risk.
+            // strings like " ". CDATA sections are always kept, so use
+            // them whenever the string's edges are at risk.
             let edges_at_risk =
                 matches!(ty, CType::String) && !text.is_empty() && text.trim() != text;
             if edges_at_risk {
-                push_cdata(&mut el, &text);
+                write_cdata(w, &text);
             } else if !text.is_empty() {
-                el = el.with_text(text);
+                w.text(&text);
             }
-            parent.children.push(xmlparse::Node::Element(el));
+            w.end();
             Ok(())
         }
         CType::Array { elem, len } => {
@@ -102,48 +109,44 @@ fn append_field(
                 }
             }
             for item in items {
-                append_field(parent, item, elem, name)?;
+                write_field(w, item, elem, name)?;
             }
             Ok(())
         }
         CType::Struct(inner) => {
             let rec = value.as_record().ok_or_else(|| type_mismatch(name, "record", value))?;
-            let mut el = element_for_struct(rec, inner)?;
-            el.name = name.into();
-            parent.children.push(xmlparse::Node::Element(el));
-            Ok(())
+            write_struct(w, rec, inner, name)
         }
     }
 }
 
-
-/// Appends `text` as CDATA children, splitting around any literal `]]>`
-/// (which cannot appear inside one CDATA section).
-fn push_cdata(el: &mut Element, text: &str) {
+/// Writes `text` as CDATA, splitting around any literal `]]>` (which
+/// cannot appear inside one CDATA section).
+fn write_cdata(w: &mut Writer<'_>, text: &str) {
     for (i, part) in text.split("]]>").enumerate() {
         if i > 0 {
-            el.children.push(xmlparse::Node::Text("]]>".to_owned()));
+            w.text("]]>");
         }
         if !part.is_empty() {
-            el.children.push(xmlparse::Node::CData(part.to_owned()));
+            w.cdata(part);
         }
     }
 }
 
-fn scalar_text(value: &Value, ty: &CType, name: &str) -> Result<String, PbioError> {
+fn scalar_text<'v>(value: &'v Value, ty: &CType, name: &str) -> Result<Cow<'v, str>, PbioError> {
     match ty {
         CType::String => {
-            Ok(value.as_str().ok_or_else(|| type_mismatch(name, "string", value))?.to_owned())
+            Ok(Cow::Borrowed(value.as_str().ok_or_else(|| type_mismatch(name, "string", value))?))
         }
         CType::Prim(p) if p.is_float() => {
             let v = value.as_f64().ok_or_else(|| type_mismatch(name, "float", value))?;
-            Ok(format_float(v))
+            Ok(Cow::Owned(format_float(v)))
         }
         CType::Prim(p) if p.is_signed_integer() => {
-            Ok(value.as_i64().ok_or_else(|| type_mismatch(name, "int", value))?.to_string())
+            Ok(value.as_i64().ok_or_else(|| type_mismatch(name, "int", value))?.to_string().into())
         }
         CType::Prim(_) => {
-            Ok(value.as_u64().ok_or_else(|| type_mismatch(name, "uint", value))?.to_string())
+            Ok(value.as_u64().ok_or_else(|| type_mismatch(name, "uint", value))?.to_string().into())
         }
         _ => unreachable!("scalar_text only sees scalars"),
     }
@@ -168,10 +171,9 @@ fn type_mismatch(field: &str, expected: &str, value: &Value) -> PbioError {
 
 /// Decodes an XML document produced by [`encode`] back into a record.
 ///
-/// The document is parsed through the zero-copy borrowed pull API
-/// ([`Reader::next_borrowed`]) into a lightweight tree whose names and
-/// text are slices of the input, so markup and entity-free content cost
-/// no string allocations; owned storage is only created for the decoded
+/// The document is parsed into an [`Element`] tree whose names and text
+/// are slices of the input, so markup and entity-free content cost no
+/// string allocations; owned storage is only created for the decoded
 /// [`Value`]s themselves.
 ///
 /// # Errors
@@ -179,7 +181,7 @@ fn type_mismatch(field: &str, expected: &str, value: &Value) -> PbioError {
 /// Reports malformed XML, wrong root elements, occurrence mismatches and
 /// unparseable values.
 pub fn decode(text: &str, st: &StructType) -> Result<Record, PbioError> {
-    let root = parse_tree(text)?;
+    let root = Element::parse(text)?;
     if root.name != st.name {
         return Err(PbioError::FormatMismatch {
             expected: st.name.clone(),
@@ -189,95 +191,10 @@ pub fn decode(text: &str, st: &StructType) -> Result<Record, PbioError> {
     record_from_element(&root, st)
 }
 
-/// An element of the borrowed decode tree: the name is a slice of the
-/// input and text children borrow it unless entity expansion forced a
-/// copy. Mirrors the DOM's content model for decoding purposes —
-/// whitespace-only text is dropped (element-content whitespace), CDATA
-/// is kept verbatim, comments/PIs are skipped.
-struct XElem<'a> {
-    name: &'a str,
-    children: Vec<XChild<'a>>,
-}
-
-enum XChild<'a> {
-    Elem(XElem<'a>),
-    Text(Cow<'a, str>),
-}
-
-fn parse_tree(text: &str) -> Result<XElem<'_>, PbioError> {
-    let mut reader = Reader::new(text);
-    let mut stack: Vec<XElem<'_>> = Vec::new();
-    let mut root = None;
-    loop {
-        match reader.next_borrowed()? {
-            BorrowedEvent::StartElement { name, .. } => {
-                stack.push(XElem { name, children: Vec::new() });
-            }
-            BorrowedEvent::EndElement { .. } => {
-                let done = stack.pop().expect("reader guarantees matched tags");
-                match stack.last_mut() {
-                    Some(parent) => parent.children.push(XChild::Elem(done)),
-                    None => root = Some(done),
-                }
-            }
-            BorrowedEvent::Text(t) => {
-                if let Some(parent) = stack.last_mut() {
-                    if !t.bytes().all(|b| b.is_ascii_whitespace()) {
-                        parent.children.push(XChild::Text(t));
-                    }
-                }
-            }
-            BorrowedEvent::CData(t) => {
-                if let Some(parent) = stack.last_mut() {
-                    parent.children.push(XChild::Text(Cow::Borrowed(t)));
-                }
-            }
-            BorrowedEvent::XmlDecl(_)
-            | BorrowedEvent::Comment(_)
-            | BorrowedEvent::ProcessingInstruction { .. }
-            | BorrowedEvent::Doctype(_) => {}
-            BorrowedEvent::Eof => break,
-        }
-    }
-    Ok(root.expect("reader rejects documents without a root"))
-}
-
-impl<'a> XElem<'a> {
-    fn child_elements(&self) -> impl Iterator<Item = &XElem<'a>> {
-        self.children.iter().filter_map(|c| match c {
-            XChild::Elem(el) => Some(el),
-            XChild::Text(_) => None,
-        })
-    }
-
-    /// Concatenated text of this element and its descendants (CDATA
-    /// included), borrowed when a single text child makes that possible.
-    fn text_content(&self) -> Cow<'_, str> {
-        match self.children.as_slice() {
-            [] => Cow::Borrowed(""),
-            [XChild::Text(t)] => Cow::Borrowed(t.as_ref()),
-            _ => {
-                let mut out = String::new();
-                self.collect_text(&mut out);
-                Cow::Owned(out)
-            }
-        }
-    }
-
-    fn collect_text(&self, out: &mut String) {
-        for child in &self.children {
-            match child {
-                XChild::Text(t) => out.push_str(t),
-                XChild::Elem(el) => el.collect_text(out),
-            }
-        }
-    }
-}
-
-fn record_from_element(el: &XElem<'_>, st: &StructType) -> Result<Record, PbioError> {
+fn record_from_element(el: &Element<'_>, st: &StructType) -> Result<Record, PbioError> {
     let mut record = Record::new();
     for field in &st.fields {
-        let occurrences: Vec<&XElem<'_>> =
+        let occurrences: Vec<&Element<'_>> =
             el.child_elements().filter(|c| c.name == field.name).collect();
         let value = match &field.ty {
             CType::Prim(_) | CType::String => {
@@ -316,9 +233,9 @@ fn record_from_element(el: &XElem<'_>, st: &StructType) -> Result<Record, PbioEr
 }
 
 fn single<'a, 'b>(
-    occurrences: &[&'a XElem<'b>],
+    occurrences: &[&'a Element<'b>],
     field: &str,
-) -> Result<&'a XElem<'b>, PbioError> {
+) -> Result<&'a Element<'b>, PbioError> {
     match occurrences {
         [one] => Ok(one),
         other => Err(PbioError::Text {
@@ -406,7 +323,7 @@ mod tests {
     #[test]
     fn whitespace_edged_strings_survive() {
         // Regression: whitespace-only text nodes are element-content
-        // whitespace to a DOM parser; CDATA keeps them intact.
+        // whitespace to the tree; CDATA keeps them intact.
         let st = StructType::new("t", vec![StructField::new("s", CType::String)]);
         for raw in [" ", "  x  ", "\ttabbed\t", "", "inner only", " ]]> tricky "] {
             let rec = Record::new().with("s", raw);
@@ -442,7 +359,7 @@ mod tests {
             .collect();
         assert_eq!(got, vals);
         assert_eq!(back.get("n").unwrap().as_u64(), Some(4000));
-        let tree = parse_tree(&text).unwrap();
+        let tree = Element::parse(&text).unwrap();
         assert_eq!(tree.name, "big");
         assert_eq!(tree.children.len(), 4001);
     }
@@ -513,6 +430,106 @@ mod tests {
     fn malformed_xml_is_rejected() {
         let st = structure_b();
         assert!(decode("<asdOff><cntrId>", &st).is_err());
+    }
+
+    /// The exact bytes of the paper's Structures A–D and of the string
+    /// edges the CDATA rule exists for: empty, whitespace at either
+    /// edge, and `]]>` (which one CDATA section cannot hold).
+    #[test]
+    fn structures_and_string_edges_are_written_as_these_bytes() {
+        let strings = ["cntrID", "arln", "equip", "org", "dest"];
+        let flat = |off: CType, eta: CType| {
+            let mut fields: Vec<StructField> =
+                strings.iter().map(|s| StructField::new(*s, CType::String)).collect();
+            fields.insert(2, StructField::new("fltNum", prim(Primitive::Int)));
+            fields.push(StructField::new("off", off));
+            fields.push(StructField::new("eta", eta));
+            fields
+        };
+        let ulong = || prim(Primitive::ULong);
+        let a = StructType::new("ASDOffEvent", flat(ulong(), ulong()));
+        let mut b_fields =
+            flat(CType::fixed_array(ulong(), 5), CType::dynamic_array(ulong(), "eta_count"));
+        b_fields.push(StructField::new("eta_count", prim(Primitive::Int)));
+        let b = StructType::new("ASDOffEvent", b_fields);
+        let d = StructType::new(
+            "threeASDOffs",
+            vec![
+                StructField::new("one", CType::Struct(b.clone())),
+                StructField::new("bart", prim(Primitive::Double)),
+                StructField::new("two", CType::Struct(b.clone())),
+                StructField::new("lisa", prim(Primitive::Double)),
+                StructField::new("three", CType::Struct(b.clone())),
+            ],
+        );
+        let base = || {
+            Record::new()
+                .with("cntrID", "ZTL")
+                .with("arln", "DL")
+                .with("fltNum", 1202i64)
+                .with("equip", "B752")
+                .with("org", "ATL")
+                .with("dest", "BOS")
+        };
+        let rec_a = base().with("off", 1_748_707_200u64).with("eta", 1_748_710_800u64);
+        let rec_b = base().with("off", vec![10u64, 20, 30, 40, 50]).with("eta", vec![100u64, 200, 300]);
+        // Structure C is B's layout with its dynamic array empty.
+        let rec_c = base().with("fltNum", -7i64).with("off", vec![0u64; 5]).with("eta", Vec::<u64>::new());
+        let rec_d = Record::new()
+            .with("one", rec_b.clone())
+            .with("bart", 1.5f64)
+            .with("two", rec_c.clone())
+            .with("lisa", -2.0f64)
+            .with("three", rec_b.clone());
+        let edges = ["", " ", " x", "x ", "a]]>b", "]]>", "<&\"'>", " a]]>b ", "]]> "];
+        let e = StructType::new(
+            "edges",
+            (0..edges.len()).map(|i| StructField::new(format!("s{i}"), CType::String)).collect(),
+        );
+        let mut rec_e = Record::new();
+        for (i, s) in edges.iter().enumerate() {
+            rec_e.set(format!("s{i}"), *s);
+        }
+        let got: Vec<String> = [(&rec_a, &a), (&rec_b, &b), (&rec_c, &b), (&rec_d, &d), (&rec_e, &e)]
+            .iter()
+            .map(|(rec, st)| encode(rec, st).unwrap())
+            .collect();
+        const HEAD: &str = "<cntrID>ZTL</cntrID><arln>DL</arln>";
+        const TAIL: &str = "<equip>B752</equip><org>ATL</org><dest>BOS</dest>";
+        let body_b = format!(
+            "{HEAD}<fltNum>1202</fltNum>{TAIL}<off>10</off><off>20</off><off>30</off>\
+             <off>40</off><off>50</off><eta>100</eta><eta>200</eta><eta>300</eta>\
+             <eta_count>3</eta_count>"
+        );
+        let body_c = format!(
+            "{HEAD}<fltNum>-7</fltNum>{TAIL}<off>0</off><off>0</off><off>0</off><off>0</off>\
+             <off>0</off><eta_count>0</eta_count>"
+        );
+        let expected = [
+            format!(
+                "<ASDOffEvent>{HEAD}<fltNum>1202</fltNum>{TAIL}<off>1748707200</off>\
+                 <eta>1748710800</eta></ASDOffEvent>"
+            ),
+            format!("<ASDOffEvent>{body_b}</ASDOffEvent>"),
+            format!("<ASDOffEvent>{body_c}</ASDOffEvent>"),
+            format!(
+                "<threeASDOffs><one>{body_b}</one><bart>1.5</bart><two>{body_c}</two>\
+                 <lisa>-2.0</lisa><three>{body_b}</three></threeASDOffs>"
+            ),
+            "<edges><s0/><s1><![CDATA[ ]]></s1><s2><![CDATA[ x]]></s2><s3><![CDATA[x ]]></s3>\
+             <s4>a]]&gt;b</s4><s5>]]&gt;</s5><s6>&lt;&amp;\"'&gt;</s6>\
+             <s7><![CDATA[ a]]>]]&gt;<![CDATA[b ]]></s7><s8>]]&gt;<![CDATA[ ]]></s8></edges>"
+                .to_owned(),
+        ];
+        assert_eq!(got, expected);
+        for ((rec, st), text) in [(&rec_b, &b), (&rec_c, &b), (&rec_e, &e)].iter().zip([1, 2, 4]) {
+            let back = decode(&expected[text], st).unwrap();
+            for field in &st.fields {
+                if field.name != "eta_count" {
+                    assert_eq!(back.get(&field.name), rec.get(&field.name), "{}", field.name);
+                }
+            }
+        }
     }
 
     #[test]

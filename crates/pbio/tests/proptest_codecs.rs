@@ -140,6 +140,59 @@ fn records_agree(original: &Record, decoded: &Record) -> bool {
     })
 }
 
+fn round_trips_through_every_codec(specs: &[Spec], arch: Architecture) {
+    let (st, record) = build(specs);
+    let format = Format::new(FormatId(1), st, arch).unwrap();
+    for (name, encode, decode) in CODECS {
+        let wire = encode(&record, &format).unwrap();
+        let back = decode(&wire, &format).unwrap();
+        assert!(records_agree(&record, &back), "codec {name}");
+    }
+}
+
+/// NDR-encodes a record of `specs` on `arch`, XORs `flips` into the
+/// wire, cuts it at `cut` (modulo its length + 1) and decodes the rest.
+fn decode_corrupted_ndr(
+    specs: &[Spec],
+    arch: Architecture,
+    flips: &[(u16, u8)],
+    cut: u16,
+) -> Result<Record, PbioError> {
+    let (st, record) = build(specs);
+    let format = Format::new(FormatId(1), st, arch).unwrap();
+    let mut wire = pbio::ndr::encode(&record, &format).unwrap();
+    for &(pos, val) in flips {
+        if !wire.is_empty() {
+            let idx = pos as usize % wire.len();
+            wire[idx] ^= val;
+        }
+    }
+    wire.truncate(cut as usize % (wire.len() + 1));
+    pbio::ndr::decode_with(&wire, &format)
+}
+
+// Failures the properties below once found, kept as named cases.
+
+/// A whitespace-only string: the case `textxml`'s CDATA edge rule exists
+/// for, since a text node of only whitespace is dropped on decode.
+#[test]
+fn a_whitespace_only_string_round_trips_through_every_codec() {
+    round_trips_through_every_codec(&[Spec::Str(" ".to_owned())], Architecture::X86_64);
+}
+
+/// A flipped and cut SPARC32 image of one double fails to decode, and
+/// does not panic.
+#[test]
+fn a_flipped_and_cut_sparc32_double_fails_ndr_decode_without_panicking() {
+    let decoded = decode_corrupted_ndr(
+        &[Spec::Prim(Primitive::Double, 0)],
+        Architecture::SPARC32,
+        &[(59088, 1)],
+        15206,
+    );
+    assert!(decoded.is_err(), "{decoded:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -148,13 +201,7 @@ proptest! {
         specs in proptest::collection::vec(spec_strategy(), 1..7),
         arch in arch_strategy(),
     ) {
-        let (st, record) = build(&specs);
-        let format = Format::new(FormatId(1), st, arch).unwrap();
-        for (name, encode, decode) in CODECS {
-            let wire = encode(&record, &format).unwrap();
-            let back = decode(&wire, &format).unwrap();
-            prop_assert!(records_agree(&record, &back), "codec {}", name);
-        }
+        round_trips_through_every_codec(&specs, arch);
     }
 
     #[test]
@@ -179,17 +226,7 @@ proptest! {
         flips in proptest::collection::vec((any::<u16>(), any::<u8>()), 0..10),
         cut in any::<u16>(),
     ) {
-        let (st, record) = build(&specs);
-        let format = Format::new(FormatId(1), st, arch).unwrap();
-        let mut wire = pbio::ndr::encode(&record, &format).unwrap();
-        for (pos, val) in flips {
-            if !wire.is_empty() {
-                let idx = pos as usize % wire.len();
-                wire[idx] ^= val;
-            }
-        }
-        wire.truncate(cut as usize % (wire.len() + 1));
-        let _ = pbio::ndr::decode_with(&wire, &format);
+        let _ = decode_corrupted_ndr(&specs, arch, &flips, cut);
     }
 
     #[test]

@@ -89,11 +89,6 @@ pub enum ErrorKind {
     ContentOutsideRoot,
     /// The document contained no root element at all.
     NoRootElement,
-    /// A namespace prefix was used without being declared.
-    UndeclaredPrefix {
-        /// The undeclared prefix.
-        prefix: String,
-    },
     /// A single construct (tag, comment, CDATA, text run) exceeded the
     /// streaming reader's configured window cap. The document may be
     /// well-formed; it simply cannot be parsed within the memory bound
@@ -140,9 +135,6 @@ impl fmt::Display for ErrorKind {
                 write!(f, "content outside the document's root element")
             }
             ErrorKind::NoRootElement => write!(f, "document has no root element"),
-            ErrorKind::UndeclaredPrefix { prefix } => {
-                write!(f, "namespace prefix {prefix:?} is not declared")
-            }
             ErrorKind::ConstructTooLarge { limit } => {
                 write!(f, "a single construct exceeded the {limit}-byte streaming window cap")
             }

@@ -16,11 +16,11 @@
 //!   which yields the same events and the same error kinds from any
 //!   [`std::io::Read`] through a refill window validated once per
 //!   refill,
-//! * an [`Atoms`] interner deduplicating repeated element/attribute
-//!   names into cheap [`Atom`] handles,
-//! * a [`Document`]/[`Element`] DOM built on top of the pull reader,
-//! * namespace resolution ([`namespace::NamespaceResolver`], [`QName`]),
-//! * a configurable [`Writer`] that serializes DOM trees back to XML.
+//! * prefixed-name splitting ([`QName`]),
+//! * one tree, [`Element`], whose names and text borrow the parsed
+//!   document, built on the borrowed events,
+//! * a streaming [`Writer`] that serializes into a `String`, compact or
+//!   pretty-printed.
 //!
 //! The dialect implemented is the subset needed for metadata documents:
 //! well-formed XML 1.0 with the five predefined entities, numeric
@@ -32,12 +32,12 @@
 //!
 //! ```
 //! # fn main() -> Result<(), xmlparse::XmlError> {
-//! let doc = xmlparse::Document::parse_str(
+//! let root = xmlparse::Element::parse(
 //!     "<greeting kind=\"warm\">hello <b>world</b></greeting>",
 //! )?;
-//! assert_eq!(doc.root.name, "greeting");
-//! assert_eq!(doc.root.attr("kind"), Some("warm"));
-//! assert_eq!(doc.root.text_content(), "hello world");
+//! assert_eq!(root.name, "greeting");
+//! assert_eq!(root.attr("kind"), Some("warm"));
+//! assert_eq!(root.text_content(), "hello world");
 //! # Ok(())
 //! # }
 //! ```
@@ -45,21 +45,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod atoms;
 pub mod cursor;
-pub mod dom;
 pub mod error;
 pub mod escape;
-pub mod namespace;
 pub mod qname;
 pub mod reader;
 pub mod stream;
+pub mod tree;
 pub mod writer;
 
-pub use atoms::{Atom, Atoms};
-pub use dom::{Document, Element, Node};
 pub use error::{ErrorKind, Position, XmlError};
 pub use qname::QName;
 pub use reader::{Attribute, BorrowedAttr, BorrowedEvent, Event, Reader, XmlDecl};
 pub use stream::{StreamingReader, DEFAULT_MAX_WINDOW, DEFAULT_WINDOW};
-pub use writer::{Writer, WriterConfig};
+pub use tree::{Element, Node};
+pub use writer::Writer;

@@ -18,24 +18,23 @@
 
 use std::borrow::Cow;
 
-use crate::atoms::Atom;
 use crate::cursor::{find_byte, is_xml_whitespace, Cursor, NAME_BYTE, NAME_START_BYTE, WS_BYTE};
 use crate::error::{ErrorKind, Position, XmlError};
 use crate::escape::unescape;
 
 /// A single `name="value"` attribute as parsed from a start tag, with
-/// owned (interned) storage.
+/// owned storage.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Attribute {
     /// The attribute name exactly as written (possibly prefixed).
-    pub name: Atom,
+    pub name: String,
     /// The attribute value with entities resolved.
     pub value: String,
 }
 
 impl Attribute {
     /// Convenience constructor.
-    pub fn new(name: impl Into<Atom>, value: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<String>, value: impl Into<String>) -> Self {
         Attribute { name: name.into(), value: value.into() }
     }
 }
@@ -82,7 +81,7 @@ pub enum Event {
         name: String,
     },
     /// Character data with entities resolved. Whitespace-only runs are
-    /// still reported; DOM construction decides what to keep.
+    /// still reported; tree construction decides what to keep.
     Text(String),
     /// A `<![CDATA[...]]>` section, verbatim.
     CData(String),
@@ -154,7 +153,7 @@ impl BorrowedEvent<'_, '_> {
                 name: (*name).to_owned(),
                 attributes: attributes
                     .iter()
-                    .map(|a| Attribute { name: Atom::new(a.name), value: a.value.as_ref().to_owned() })
+                    .map(|a| Attribute { name: a.name.to_owned(), value: a.value.as_ref().to_owned() })
                     .collect(),
             },
             BorrowedEvent::EndElement { name } => Event::EndElement { name: (*name).to_owned() },

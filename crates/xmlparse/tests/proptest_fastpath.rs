@@ -11,8 +11,11 @@
 use proptest::prelude::*;
 #[path = "classic_oracle/mod.rs"]
 mod classic;
+#[path = "gen_tree/mod.rs"]
+mod gen_tree;
 
-use xmlparse::{Document, Element, Event, Reader, Writer, XmlError};
+use gen_tree::{element_strategy, name_strategy, text_strategy, GenElement};
+use xmlparse::{Element, Event, Reader, XmlError};
 
 fn fast_events(input: &str) -> Result<Vec<Event>, XmlError> {
     Reader::new(input).collect_events()
@@ -49,79 +52,6 @@ fn assert_agree(input: &str) -> bool {
     }
 }
 
-/// XML names, including multibyte starts and interiors (every non-ASCII
-/// char is a name char in this dialect).
-fn name_strategy() -> impl Strategy<Value = String> {
-    prop_oneof![
-        "[A-Za-z_][A-Za-z0-9_.-]{0,11}",
-        "[A-Za-z_éλü][A-Za-z0-9_.éλü\u{4e2d}-]{0,9}",
-    ]
-    .prop_filter("avoid xml-reserved names", |s| {
-        !s.eq_ignore_ascii_case("xml") && !s.starts_with("xmlns")
-    })
-}
-
-/// Text content mixing escapables, multibyte chars (1–4 byte encodings)
-/// and whitespace, so slices straddle SWAR word boundaries arbitrarily.
-fn text_strategy() -> impl Strategy<Value = String> {
-    proptest::collection::vec(
-        prop_oneof![
-            Just('<'),
-            Just('>'),
-            Just('&'),
-            Just('"'),
-            Just('\''),
-            proptest::char::range('a', 'z'),
-            proptest::char::range('0', '9'),
-            Just(' '),
-            Just('\n'),
-            Just('é'),       // 2-byte UTF-8
-            Just('\u{4e2d}'), // 3-byte UTF-8
-            Just('\u{1F600}'), // 4-byte UTF-8
-        ],
-        0..48,
-    )
-    .prop_map(|chars| chars.into_iter().collect())
-}
-
-fn element_strategy() -> impl Strategy<Value = Element> {
-    let leaf = (name_strategy(), proptest::collection::vec((name_strategy(), text_strategy()), 0..4))
-        .prop_map(|(name, attrs)| {
-            let mut el = Element::new(name);
-            for (aname, avalue) in attrs {
-                if el.attr(&aname).is_none() {
-                    el = el.with_attr(aname, avalue);
-                }
-            }
-            el
-        });
-    leaf.prop_recursive(3, 24, 4, |inner| {
-        (
-            name_strategy(),
-            proptest::collection::vec((name_strategy(), text_strategy()), 0..3),
-            proptest::collection::vec(inner, 0..4),
-            proptest::option::of(text_strategy()),
-        )
-            .prop_map(|(name, attrs, children, text)| {
-                let mut el = Element::new(name);
-                for (aname, avalue) in attrs {
-                    if el.attr(&aname).is_none() {
-                        el = el.with_attr(aname, avalue);
-                    }
-                }
-                if let Some(t) = text {
-                    if !t.trim().is_empty() {
-                        el = el.with_text(t);
-                    }
-                }
-                for child in children {
-                    el = el.with_child(child);
-                }
-                el
-            })
-    })
-}
-
 /// Markup-ish fragments for byte-soup documents: mostly ill-formed, some
 /// accidentally valid, full of partial delimiters and entities.
 fn fragment_strategy() -> impl Strategy<Value = &'static str> {
@@ -142,16 +72,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Both tokenizers yield identical event streams for serialized
-    /// trees (pretty and compact), and the DOM built on the borrowed
+    /// trees (pretty and compact), and the tree built on the borrowed
     /// path round-trips them identically.
     #[test]
-    fn tokenizers_agree_on_wellformed_documents(el in element_strategy()) {
-        for writer in [Writer::default(), Writer::compact()] {
-            let xml = writer.element_to_string(&el);
+    fn tokenizers_agree_on_wellformed_documents(el in element_strategy(name_strategy, text_strategy)) {
+        for pretty in [true, false] {
+            let xml = el.to_xml(pretty);
             let ok = assert_agree(&xml);
             prop_assert!(ok, "serialized tree must parse: {:?}", xml);
-            let doc = Document::parse_str(&xml).unwrap();
-            prop_assert_eq!(&doc.root, &el, "DOM round trip via {:?}", xml);
+            let root = Element::parse(&xml).unwrap();
+            prop_assert_eq!(&GenElement::of(&root), &el, "tree round trip via {:?}", xml);
         }
     }
 
@@ -168,8 +98,8 @@ proptest! {
     /// with the reference on every prefix (almost all of which must
     /// error).
     #[test]
-    fn truncated_inputs_error_identically(el in element_strategy()) {
-        let xml = Writer::compact().element_to_string(&el);
+    fn truncated_inputs_error_identically(el in element_strategy(name_strategy, text_strategy)) {
+        let xml = el.to_xml(false);
         for end in (0..xml.len()).filter(|&i| xml.is_char_boundary(i)) {
             let prefix = &xml[..end];
             assert_agree(prefix);
@@ -181,8 +111,8 @@ proptest! {
     /// only becomes a complete document at its final byte, so every
     /// proper prefix must be rejected.
     #[test]
-    fn truncation_never_silently_succeeds(el in element_strategy()) {
-        let xml = Writer::compact().element_to_string(&el);
+    fn truncation_never_silently_succeeds(el in element_strategy(name_strategy, text_strategy)) {
+        let xml = el.to_xml(false);
         prop_assert!(fast_events(&xml).is_ok());
         for end in (0..xml.len()).filter(|&i| xml.is_char_boundary(i)) {
             if let Ok(events) = fast_events(&xml[..end]) {

@@ -11,7 +11,11 @@
 use std::io::Read;
 
 use proptest::prelude::*;
-use xmlparse::{Element, Event, Reader, StreamingReader, Writer, XmlError};
+#[path = "gen_tree/mod.rs"]
+mod gen_tree;
+
+use gen_tree::{element_strategy, name_strategy, text_strategy};
+use xmlparse::{Event, Reader, StreamingReader, XmlError};
 
 fn reference_events(input: &str) -> Result<Vec<Event>, XmlError> {
     Reader::new(input).collect_events()
@@ -104,80 +108,6 @@ fn assert_all_agree(input: &str, window: usize, splits: Vec<usize>) {
     );
 }
 
-// --- strategies (mirroring tests/proptest_fastpath.rs) ---
-
-fn name_strategy() -> impl Strategy<Value = String> {
-    prop_oneof![
-        "[A-Za-z_][A-Za-z0-9_.-]{0,11}",
-        "[A-Za-z_éλü][A-Za-z0-9_.éλü\u{4e2d}-]{0,9}",
-    ]
-    .prop_filter("avoid xml-reserved names", |s| {
-        !s.eq_ignore_ascii_case("xml") && !s.starts_with("xmlns")
-    })
-}
-
-fn text_strategy() -> impl Strategy<Value = String> {
-    proptest::collection::vec(
-        prop_oneof![
-            Just('<'),
-            Just('>'),
-            Just('&'),
-            Just('"'),
-            Just('\''),
-            proptest::char::range('a', 'z'),
-            proptest::char::range('0', '9'),
-            Just(' '),
-            Just('\n'),
-            Just('é'),         // 2-byte UTF-8
-            Just('\u{4e2d}'),  // 3-byte UTF-8
-            Just('\u{1F600}'), // 4-byte UTF-8
-        ],
-        0..48,
-    )
-    .prop_map(|chars| chars.into_iter().collect())
-}
-
-fn element_strategy() -> impl Strategy<Value = Element> {
-    let leaf = (
-        name_strategy(),
-        proptest::collection::vec((name_strategy(), text_strategy()), 0..4),
-    )
-        .prop_map(|(name, attrs)| {
-            let mut el = Element::new(name);
-            for (aname, avalue) in attrs {
-                if el.attr(&aname).is_none() {
-                    el = el.with_attr(aname, avalue);
-                }
-            }
-            el
-        });
-    leaf.prop_recursive(3, 24, 4, |inner| {
-        (
-            name_strategy(),
-            proptest::collection::vec((name_strategy(), text_strategy()), 0..3),
-            proptest::collection::vec(inner, 0..4),
-            proptest::option::of(text_strategy()),
-        )
-            .prop_map(|(name, attrs, children, text)| {
-                let mut el = Element::new(name);
-                for (aname, avalue) in attrs {
-                    if el.attr(&aname).is_none() {
-                        el = el.with_attr(aname, avalue);
-                    }
-                }
-                if let Some(t) = text {
-                    if !t.trim().is_empty() {
-                        el = el.with_text(t);
-                    }
-                }
-                for child in children {
-                    el = el.with_child(child);
-                }
-                el
-            })
-    })
-}
-
 /// Markup-ish fragments: mostly ill-formed, some accidentally valid,
 /// full of partial delimiters, split entity syntax, and declarations.
 fn fragment_strategy() -> impl Strategy<Value = &'static str> {
@@ -210,12 +140,12 @@ proptest! {
     /// trees, whatever the window size and read-split schedule.
     #[test]
     fn readers_agree_on_wellformed_documents(
-        el in element_strategy(),
+        el in element_strategy(name_strategy, text_strategy),
         window in window_strategy(),
         splits in splits_strategy(),
     ) {
-        for writer in [Writer::default(), Writer::compact()] {
-            let xml = writer.element_to_string(&el);
+        for pretty in [true, false] {
+            let xml = el.to_xml(pretty);
             prop_assert!(reference_events(&xml).is_ok(), "serialized tree must parse: {:?}", xml);
             assert_all_agree(&xml, window, splits.clone());
         }
@@ -237,8 +167,8 @@ proptest! {
     /// Truncating a valid document at every char boundary must produce
     /// the same error kind from both readers.
     #[test]
-    fn truncated_inputs_error_identically(el in element_strategy()) {
-        let xml = Writer::compact().element_to_string(&el);
+    fn truncated_inputs_error_identically(el in element_strategy(name_strategy, text_strategy)) {
+        let xml = el.to_xml(false);
         for end in (0..xml.len()).filter(|&i| xml.is_char_boundary(i)) {
             assert_all_agree(&xml[..end], 32, vec![5]);
         }

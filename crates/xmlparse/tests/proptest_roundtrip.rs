@@ -1,8 +1,12 @@
-//! Property tests: arbitrary DOM trees survive a write→parse round trip,
+//! Property tests: arbitrary trees survive a write→parse round trip,
 //! and arbitrary text survives escaping.
 
 use proptest::prelude::*;
-use xmlparse::{Document, Element, Writer};
+#[path = "gen_tree/mod.rs"]
+mod gen_tree;
+
+use gen_tree::{element_strategy, GenElement};
+use xmlparse::Element;
 
 /// Strategy for XML names (conservative ASCII subset).
 fn name_strategy() -> impl Strategy<Value = String> {
@@ -33,62 +37,19 @@ fn text_strategy() -> impl Strategy<Value = String> {
     .prop_map(|chars| chars.into_iter().collect())
 }
 
-fn element_strategy() -> impl Strategy<Value = Element> {
-    let leaf = (name_strategy(), proptest::collection::vec((name_strategy(), text_strategy()), 0..4))
-        .prop_map(|(name, attrs)| {
-            let mut el = Element::new(name);
-            for (aname, avalue) in attrs {
-                if el.attr(&aname).is_none() {
-                    el = el.with_attr(aname, avalue);
-                }
-            }
-            el
-        });
-    leaf.prop_recursive(3, 24, 4, |inner| {
-        (
-            name_strategy(),
-            proptest::collection::vec((name_strategy(), text_strategy()), 0..3),
-            proptest::collection::vec(inner, 0..4),
-            proptest::option::of(text_strategy()),
-        )
-            .prop_map(|(name, attrs, children, text)| {
-                let mut el = Element::new(name);
-                for (aname, avalue) in attrs {
-                    if el.attr(&aname).is_none() {
-                        el = el.with_attr(aname, avalue);
-                    }
-                }
-                // A single optional text child keeps mixed-content
-                // comparisons well-defined (whitespace-only text nodes
-                // between elements are dropped by the DOM parser).
-                if let Some(t) = text {
-                    if !t.trim().is_empty() {
-                        el = el.with_text(t);
-                    }
-                }
-                for child in children {
-                    el = el.with_child(child);
-                }
-                el
-            })
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn write_parse_round_trip_pretty(el in element_strategy()) {
-        let xml = Writer::default().element_to_string(&el);
-        let doc = Document::parse_str(&xml).unwrap();
-        prop_assert_eq!(doc.root, el);
+    fn write_parse_round_trip_pretty(el in element_strategy(name_strategy, text_strategy)) {
+        let xml = el.to_xml(true);
+        prop_assert_eq!(GenElement::of(&Element::parse(&xml).unwrap()), el);
     }
 
     #[test]
-    fn write_parse_round_trip_compact(el in element_strategy()) {
-        let xml = Writer::compact().element_to_string(&el);
-        let doc = Document::parse_str(&xml).unwrap();
-        prop_assert_eq!(doc.root, el);
+    fn write_parse_round_trip_compact(el in element_strategy(name_strategy, text_strategy)) {
+        let xml = el.to_xml(false);
+        prop_assert_eq!(GenElement::of(&Element::parse(&xml).unwrap()), el);
     }
 
     #[test]
@@ -108,6 +69,6 @@ proptest! {
     #[test]
     fn parser_never_panics_on_arbitrary_input(input in "\\PC{0,200}") {
         // Errors are fine; panics are not.
-        let _ = Document::parse_str(&input);
+        let _ = Element::parse(&input);
     }
 }

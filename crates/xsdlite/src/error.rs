@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn xml_errors_convert_and_chain() {
-        let xml_err = xmlparse::Document::parse_str("<open>").unwrap_err();
+        let xml_err = xmlparse::Element::parse("<open>").unwrap_err();
         let err: SchemaError = xml_err.into();
         assert!(err.to_string().contains("not well-formed"));
         assert!(StdError::source(&err).is_some());

@@ -26,7 +26,7 @@
 //!
 //! Reading a schema is what a joining client pays for open metadata, so
 //! it is done at tokenizer speed: one compiler, driven by the XML
-//! reader's events, builds the model directly — no DOM in between. Use
+//! reader's events, builds the model directly — no tree in between. Use
 //! [`Schema::parse_str`] when the document is in memory (the reader's
 //! zero-copy events feed the compiler; only the names and values the
 //! schema keeps are copied), [`Schema::parse_stream`] when it comes from

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use xmlparse::{ErrorKind, Position, XmlError};
+
 use crate::datatypes::XsdType;
 use crate::error::SchemaError;
 
@@ -277,7 +279,13 @@ impl Schema {
     /// As [`Schema::parse_str`], plus I/O failures and invalid UTF-8
     /// (both reported as [`SchemaError::Xml`]).
     pub fn parse_file(path: impl AsRef<std::path::Path>) -> Result<Schema, SchemaError> {
-        Schema::parse_str(&xmlparse::dom::read_file(path.as_ref())?)
+        let path = path.as_ref();
+        let bytes = std::fs::read(path).map_err(|e| {
+            XmlError::custom(format!("cannot read {}: {e}", path.display()), Position::start())
+        })?;
+        let text = String::from_utf8(bytes)
+            .map_err(|_| XmlError::new(ErrorKind::InvalidUtf8, Position::start()))?;
+        Schema::parse_str(&text)
     }
 
     /// Finds a complex type by name.

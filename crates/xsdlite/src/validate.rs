@@ -6,7 +6,10 @@
 //! from other parties", and that this "could be used to determine which
 //! of a set of structure definitions a message most closely fits". This
 //! module implements both: strict validation ([`validate_instance`]) and
-//! best-fit scoring ([`match_score`], [`best_match`]).
+//! best-fit scoring ([`match_score`], [`best_match`]). Instances are
+//! parsed [`Element`] trees rather than event streams: a count field's
+//! check reads a sibling that follows the array it counts, and
+//! [`best_match`] scores every type against one parse.
 
 use std::fmt;
 
@@ -41,7 +44,7 @@ impl fmt::Display for ValidationIssue {
 /// conforms). Occurrence constraints, element order, unknown elements,
 /// count-field consistency and primitive lexical forms are all checked.
 pub fn validate_instance(
-    instance: &Element,
+    instance: &Element<'_>,
     type_name: &str,
     schema: &Schema,
 ) -> Vec<ValidationIssue> {
@@ -57,13 +60,13 @@ pub fn validate_instance(
 }
 
 fn validate_against(
-    instance: &Element,
+    instance: &Element<'_>,
     ty: &ComplexType,
     schema: &Schema,
     path: &str,
     issues: &mut Vec<ValidationIssue>,
 ) {
-    let children: Vec<&Element> = instance.child_elements().collect();
+    let children: Vec<&Element<'_>> = instance.child_elements().collect();
 
     // Unknown children.
     for child in &children {
@@ -91,7 +94,7 @@ fn validate_against(
     }
 
     for decl in &ty.elements {
-        let matches: Vec<&&Element> =
+        let matches: Vec<&&Element<'_>> =
             children.iter().filter(|c| c.local_name() == decl.name).collect();
         let child_path = format!("{path}/{}", decl.name);
 
@@ -191,7 +194,7 @@ fn validate_against(
 /// Scores how well `instance` fits complex type `type_name`: `1.0` is a
 /// perfect fit, decreasing with each issue relative to the size of the
 /// type. Returns `0.0` for unknown types.
-pub fn match_score(instance: &Element, type_name: &str, schema: &Schema) -> f64 {
+pub fn match_score(instance: &Element<'_>, type_name: &str, schema: &Schema) -> f64 {
     let Some(ty) = schema.complex_type(type_name) else {
         return 0.0;
     };
@@ -206,7 +209,7 @@ pub fn match_score(instance: &Element, type_name: &str, schema: &Schema) -> f64 
 ///
 /// Ties break toward the earliest-declared type. Returns `None` for an
 /// empty schema.
-pub fn best_match<'s>(instance: &Element, schema: &'s Schema) -> Option<(&'s ComplexType, f64)> {
+pub fn best_match<'s>(instance: &Element<'_>, schema: &'s Schema) -> Option<(&'s ComplexType, f64)> {
     let mut best: Option<(&ComplexType, f64)> = None;
     for ty in &schema.complex_types {
         let score = match_score(instance, &ty.name, schema);
@@ -224,7 +227,6 @@ pub fn best_match<'s>(instance: &Element, schema: &'s Schema) -> Option<(&'s Com
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xmlparse::Document;
 
     fn schema() -> Schema {
         Schema::parse_str(
@@ -245,8 +247,8 @@ mod tests {
         .unwrap()
     }
 
-    fn parse(xml: &str) -> Element {
-        Document::parse_str(xml).unwrap().root
+    fn parse(xml: &str) -> Element<'_> {
+        Element::parse(xml).unwrap()
     }
 
     const GOOD: &str = "<Flight><arln>DL</arln><fltNum>1202</fltNum>\

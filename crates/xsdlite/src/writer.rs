@@ -4,7 +4,7 @@
 //! *scoped* schemas (paper §4.4: "the server can also be extended to
 //! dynamically generate metadata").
 
-use xmlparse::{Document, Element, Writer};
+use xmlparse::Writer;
 
 use crate::datatypes::XSD_NS_2001;
 use crate::model::{Facet, Occurs, Schema, TypeRef};
@@ -12,92 +12,80 @@ use crate::model::{Facet, Occurs, Schema, TypeRef};
 /// Renders `schema` as a pretty-printed XML document using 2001
 /// spellings and the `xsd:` prefix.
 pub fn schema_to_xml(schema: &Schema) -> String {
-    let mut root = Element::new("xsd:schema").with_attr("xmlns:xsd", XSD_NS_2001);
+    let mut xml = String::new();
+    let mut w = Writer::pretty(&mut xml);
+    w.declaration();
+    w.start("xsd:schema");
+    w.attr("xmlns:xsd", XSD_NS_2001);
     if let Some(tns) = &schema.target_namespace {
-        root = root.with_attr("targetNamespace", tns.clone());
+        w.attr("targetNamespace", tns);
     }
     if let Some(doc) = &schema.documentation {
-        root = root.with_child(annotation(doc));
+        annotation(&mut w, doc);
     }
     for ty in &schema.simple_types {
-        let mut restriction = Element::new("xsd:restriction")
-            .with_attr("base", format!("xsd:{}", ty.base.canonical_name()));
+        w.start("xsd:simpleType");
+        w.attr("name", &ty.name);
+        w.start("xsd:restriction");
+        w.attr("base", &format!("xsd:{}", ty.base.canonical_name()));
         for facet in &ty.facets {
-            match facet {
-                Facet::MinInclusive(v) => {
-                    restriction = restriction
-                        .with_child(facet_el("xsd:minInclusive", &fmt_num(*v)));
-                }
-                Facet::MaxInclusive(v) => {
-                    restriction = restriction
-                        .with_child(facet_el("xsd:maxInclusive", &fmt_num(*v)));
-                }
-                Facet::MinExclusive(v) => {
-                    restriction = restriction
-                        .with_child(facet_el("xsd:minExclusive", &fmt_num(*v)));
-                }
-                Facet::MaxExclusive(v) => {
-                    restriction = restriction
-                        .with_child(facet_el("xsd:maxExclusive", &fmt_num(*v)));
-                }
-                Facet::MinLength(n) => {
-                    restriction =
-                        restriction.with_child(facet_el("xsd:minLength", &n.to_string()));
-                }
-                Facet::MaxLength(n) => {
-                    restriction =
-                        restriction.with_child(facet_el("xsd:maxLength", &n.to_string()));
-                }
+            let (name, value) = match facet {
+                Facet::MinInclusive(v) => ("xsd:minInclusive", fmt_num(*v)),
+                Facet::MaxInclusive(v) => ("xsd:maxInclusive", fmt_num(*v)),
+                Facet::MinExclusive(v) => ("xsd:minExclusive", fmt_num(*v)),
+                Facet::MaxExclusive(v) => ("xsd:maxExclusive", fmt_num(*v)),
+                Facet::MinLength(n) => ("xsd:minLength", n.to_string()),
+                Facet::MaxLength(n) => ("xsd:maxLength", n.to_string()),
                 Facet::Enumeration(values) => {
                     for value in values {
-                        restriction =
-                            restriction.with_child(facet_el("xsd:enumeration", value));
+                        facet_el(&mut w, "xsd:enumeration", value);
                     }
+                    continue;
                 }
-            }
+            };
+            facet_el(&mut w, name, &value);
         }
-        root = root.with_child(
-            Element::new("xsd:simpleType")
-                .with_attr("name", ty.name.clone())
-                .with_child(restriction),
-        );
+        w.end();
+        w.end();
     }
     for ty in &schema.complex_types {
-        let mut ct = Element::new("xsd:complexType").with_attr("name", ty.name.clone());
+        w.start("xsd:complexType");
+        w.attr("name", &ty.name);
         if let Some(doc) = &ty.documentation {
-            ct = ct.with_child(annotation(doc));
+            annotation(&mut w, doc);
         }
         for el in &ty.elements {
-            let type_attr = match &el.type_ref {
-                TypeRef::Primitive(p) => format!("xsd:{}", p.canonical_name()),
-                TypeRef::Named(n) | TypeRef::Simple(n) => n.clone(),
-            };
-            let mut decl = Element::new("xsd:element")
-                .with_attr("name", el.name.clone())
-                .with_attr("type", type_attr);
+            w.start("xsd:element");
+            w.attr("name", &el.name);
+            match &el.type_ref {
+                TypeRef::Primitive(p) => w.attr("type", &format!("xsd:{}", p.canonical_name())),
+                TypeRef::Named(n) | TypeRef::Simple(n) => w.attr("type", n),
+            }
             match &el.occurs {
                 Occurs::Scalar => {}
                 Occurs::Fixed(n) => {
-                    decl = decl
-                        .with_attr("minOccurs", n.to_string())
-                        .with_attr("maxOccurs", n.to_string());
+                    let n = n.to_string();
+                    w.attr("minOccurs", &n);
+                    w.attr("maxOccurs", &n);
                 }
                 Occurs::Unbounded => {
-                    decl = decl.with_attr("minOccurs", "0").with_attr("maxOccurs", "*");
+                    w.attr("minOccurs", "0");
+                    w.attr("maxOccurs", "*");
                 }
-                Occurs::CountField(count) => {
-                    decl = decl.with_attr("maxOccurs", count.clone());
-                }
+                Occurs::CountField(count) => w.attr("maxOccurs", count),
             }
-            ct = ct.with_child(decl);
+            w.end();
         }
-        root = root.with_child(ct);
+        w.end();
     }
-    Writer::default().document_to_string(&Document::new(root))
+    w.end();
+    xml
 }
 
-fn facet_el(name: &str, value: &str) -> Element {
-    Element::new(name).with_attr("value", value)
+fn facet_el(w: &mut Writer<'_>, name: &str, value: &str) {
+    w.start(name);
+    w.attr("value", value);
+    w.end();
 }
 
 /// Integer-valued bounds print without a trailing `.0` so they re-parse
@@ -110,9 +98,12 @@ fn fmt_num(v: f64) -> String {
     }
 }
 
-fn annotation(text: &str) -> Element {
-    Element::new("xsd:annotation")
-        .with_child(Element::new("xsd:documentation").with_text(text))
+fn annotation(w: &mut Writer<'_>, text: &str) {
+    w.start("xsd:annotation");
+    w.start("xsd:documentation");
+    w.text(text);
+    w.end();
+    w.end();
 }
 
 #[cfg(test)]
@@ -172,5 +163,90 @@ mod tests {
         let schema = Schema::default();
         let back = Schema::parse_str(&schema.to_xml_string()).unwrap();
         assert_eq!(back, schema);
+    }
+
+    /// The exact bytes of a schema using every construct the writer
+    /// emits. Schema documents are served, archived and fingerprinted,
+    /// so a change here is a change on the wire.
+    #[test]
+    fn every_construct_is_written_as_these_bytes() {
+        use crate::model::SimpleType;
+        let mut schema = Schema::new("urn:golden");
+        schema.documentation = Some("Flights & <gates> > 0".to_owned());
+        schema
+            .add_simple_type(SimpleType::new(
+                "Gate",
+                XsdType::Double,
+                vec![
+                    Facet::MinInclusive(0.0),
+                    Facet::MaxInclusive(100.0),
+                    Facet::MinExclusive(-0.5),
+                    Facet::MaxExclusive(99.75),
+                    Facet::MinLength(1),
+                    Facet::MaxLength(6),
+                    Facet::Enumeration(vec!["1".to_owned(), "a&b".to_owned()]),
+                ],
+            ))
+            .unwrap();
+        schema
+            .add_complex_type(ComplexType::new(
+                "Inner",
+                vec![ElementDecl::primitive("x", XsdType::Int)],
+            ))
+            .unwrap();
+        let mut outer = ComplexType::new(
+            "Outer",
+            vec![
+                ElementDecl::named("in", "Inner"),
+                ElementDecl {
+                    name: "gate".to_owned(),
+                    type_ref: TypeRef::Simple("Gate".to_owned()),
+                    occurs: Occurs::Scalar,
+                },
+                ElementDecl::primitive("off", XsdType::UnsignedLong).with_occurs(Occurs::Fixed(3)),
+                ElementDecl::primitive("eta", XsdType::UnsignedLong)
+                    .with_occurs(Occurs::CountField("eta_count".into())),
+                ElementDecl::primitive("eta_count", XsdType::Integer),
+                ElementDecl::primitive("extra", XsdType::Float).with_occurs(Occurs::Unbounded),
+            ],
+        );
+        outer.documentation = Some("<Outer> & \"its\" parts".to_owned());
+        schema.add_complex_type(outer).unwrap();
+        assert_eq!(
+            schema.to_xml_string(),
+            r#"<?xml version="1.0"?>
+<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema" targetNamespace="urn:golden">
+  <xsd:annotation>
+    <xsd:documentation>Flights &amp; &lt;gates&gt; &gt; 0</xsd:documentation>
+  </xsd:annotation>
+  <xsd:simpleType name="Gate">
+    <xsd:restriction base="xsd:double">
+      <xsd:minInclusive value="0"/>
+      <xsd:maxInclusive value="100"/>
+      <xsd:minExclusive value="-0.5"/>
+      <xsd:maxExclusive value="99.75"/>
+      <xsd:minLength value="1"/>
+      <xsd:maxLength value="6"/>
+      <xsd:enumeration value="1"/>
+      <xsd:enumeration value="a&amp;b"/>
+    </xsd:restriction>
+  </xsd:simpleType>
+  <xsd:complexType name="Inner">
+    <xsd:element name="x" type="xsd:int"/>
+  </xsd:complexType>
+  <xsd:complexType name="Outer">
+    <xsd:annotation>
+      <xsd:documentation>&lt;Outer&gt; &amp; "its" parts</xsd:documentation>
+    </xsd:annotation>
+    <xsd:element name="in" type="Inner"/>
+    <xsd:element name="gate" type="Gate"/>
+    <xsd:element name="off" type="xsd:unsignedLong" minOccurs="3" maxOccurs="3"/>
+    <xsd:element name="eta" type="xsd:unsignedLong" maxOccurs="eta_count"/>
+    <xsd:element name="eta_count" type="xsd:integer"/>
+    <xsd:element name="extra" type="xsd:float" minOccurs="0" maxOccurs="*"/>
+  </xsd:complexType>
+</xsd:schema>
+"#
+        );
     }
 }

@@ -1,33 +1,59 @@
 //! The differential oracle for the schema compiler: the DOM-walking
 //! compile that `xsdlite::parser` used before it was rewritten over
-//! borrowed events, kept verbatim (bar the borrowing
-//! `NamespaceResolver` signatures). It builds a whole
-//! [`xmlparse::Document`] first and walks it, which is slow and simple —
-//! what an oracle should be.
+//! borrowed events, kept as it was but for the tree type and the
+//! namespace resolver, which lives below now that nothing in the library
+//! walks a tree with namespace scopes. It builds a whole
+//! [`xmlparse::Element`] tree first and walks it, which is slow and
+//! simple — what an oracle should be.
 
-use xmlparse::namespace::NamespaceResolver;
-use xmlparse::{Document, Element};
+use xmlparse::qname;
+use xmlparse::Element;
 
 use xsdlite::datatypes::{is_xsd_namespace, XsdType};
 use xsdlite::model::{Facet, SimpleType};
 use xsdlite::{ComplexType, ElementDecl, Occurs, Schema, SchemaError, TypeRef};
 
-/// Parses a schema by way of the DOM.
-pub fn parse_schema_str(input: &str) -> Result<Schema, SchemaError> {
-    parse_schema_document(&Document::parse_str(input)?)
+/// In-scope namespace declarations: push an element's `xmlns` and
+/// `xmlns:prefix` attributes on entering it, pop them on leaving it.
+#[derive(Default)]
+struct NamespaceResolver<'t> {
+    /// Declarations, outermost first; a `None` prefix is the default
+    /// namespace.
+    bindings: Vec<(Option<&'t str>, &'t str)>,
+    /// `bindings.len()` on entry to each open scope.
+    scopes: Vec<usize>,
 }
 
-/// Parses a schema from an already-parsed XML document.
-///
-/// # Errors
-///
-/// See [`SchemaError`].
-fn parse_schema_document(doc: &Document) -> Result<Schema, SchemaError> {
-    let root = &doc.root;
-    let mut resolver = NamespaceResolver::new();
-    resolver.push_scope(root);
+impl<'t> NamespaceResolver<'t> {
+    fn push_scope(&mut self, element: &'t Element<'_>) {
+        self.scopes.push(self.bindings.len());
+        for attr in &element.attributes {
+            if attr.name == "xmlns" {
+                self.bindings.push((None, attr.value.as_ref()));
+            } else if let Some(prefix) = attr.name.strip_prefix("xmlns:") {
+                self.bindings.push((Some(prefix), attr.value.as_ref()));
+            }
+        }
+    }
 
-    if root.local_name() != "schema" || !in_xsd_namespace(root, &resolver) {
+    fn pop_scope(&mut self) {
+        let mark = self.scopes.pop().expect("pop_scope without matching push_scope");
+        self.bindings.truncate(mark);
+    }
+
+    /// The URI bound to `prefix` (or the default namespace for `None`).
+    fn uri_for(&self, prefix: Option<&str>) -> Option<&'t str> {
+        self.bindings.iter().rev().find(|(bound, _)| *bound == prefix).map(|(_, uri)| *uri)
+    }
+}
+
+/// Parses a schema by way of a whole tree.
+pub fn parse_schema_str(input: &str) -> Result<Schema, SchemaError> {
+    let root = Element::parse(input)?;
+    let mut resolver = NamespaceResolver::default();
+    resolver.push_scope(&root);
+
+    if root.local_name() != "schema" || !in_xsd_namespace(&root, &resolver) {
         return Err(SchemaError::NotASchema { found: root.name.to_string() });
     }
 
@@ -48,9 +74,9 @@ fn parse_schema_document(doc: &Document) -> Result<Schema, SchemaError> {
 /// Compiles one top-level schema child (`annotation`, `complexType`,
 /// `simpleType`; anything else is skipped — this is a subset processor,
 /// and the paper's tool likewise only consumed complexType definitions).
-fn process_top_level_child(
-    child: &Element,
-    resolver: &mut NamespaceResolver,
+fn process_top_level_child<'t>(
+    child: &'t Element<'_>,
+    resolver: &mut NamespaceResolver<'t>,
     schema: &mut Schema,
 ) -> Result<(), SchemaError> {
     resolver.push_scope(child);
@@ -100,8 +126,8 @@ fn rewrite_simple_refs(schema: &mut Schema) {
 /// primitive or a previously defined simple type (facets accumulate and
 /// the base bottoms out at the primitive).
 fn parse_simple_type(
-    el: &Element,
-    resolver: &NamespaceResolver,
+    el: &Element<'_>,
+    resolver: &NamespaceResolver<'_>,
     schema: &Schema,
 ) -> Result<SimpleType, SchemaError> {
     let name = el
@@ -188,25 +214,27 @@ fn parse_simple_type(
     Ok(SimpleType { name, base, facets })
 }
 
-fn in_xsd_namespace(el: &Element, resolver: &NamespaceResolver) -> bool {
-    match resolver.resolve(&el.name) {
-        Ok((Some(uri), _)) => is_xsd_namespace(uri),
+fn in_xsd_namespace(el: &Element<'_>, resolver: &NamespaceResolver<'_>) -> bool {
+    let prefix = qname::split(el.name).0;
+    match resolver.uri_for(prefix) {
+        Some(uri) => is_xsd_namespace(uri),
         // Tolerate undeclared-but-conventional prefixes; real documents
         // from the paper's era were frequently sloppy about this.
-        _ => matches!(el.prefix(), Some("xsd") | Some("xs") | None),
+        None => matches!(prefix, Some("xsd") | Some("xs") | None),
     }
 }
 
-fn documentation_text(annotation: &Element) -> Option<String> {
+fn documentation_text(annotation: &Element<'_>) -> Option<String> {
     annotation
-        .find_child("documentation")
+        .child_elements()
+        .find(|el| el.local_name() == "documentation")
         .map(|d| d.text_content().trim().to_owned())
         .filter(|s| !s.is_empty())
 }
 
-fn parse_complex_type(
-    el: &Element,
-    resolver: &mut NamespaceResolver,
+fn parse_complex_type<'t>(
+    el: &'t Element<'_>,
+    resolver: &mut NamespaceResolver<'t>,
 ) -> Result<ComplexType, SchemaError> {
     let name = el
         .attr("name")
@@ -223,9 +251,9 @@ fn parse_complex_type(
 /// Gathers `xsd:element` children, descending through an optional
 /// `xsd:sequence`/`xsd:all` wrapper (2001-style schemas) and skipping
 /// annotations.
-fn collect_elements(
-    parent: &Element,
-    resolver: &mut NamespaceResolver,
+fn collect_elements<'t>(
+    parent: &'t Element<'_>,
+    resolver: &mut NamespaceResolver<'t>,
     ty: &mut ComplexType,
 ) -> Result<(), SchemaError> {
     for child in parent.child_elements() {
@@ -267,8 +295,8 @@ fn collect_elements(
 }
 
 fn parse_element(
-    el: &Element,
-    resolver: &NamespaceResolver,
+    el: &Element<'_>,
+    resolver: &NamespaceResolver<'_>,
 ) -> Result<ElementDecl, SchemaError> {
     let name = el
         .attr("name")
@@ -289,7 +317,7 @@ fn parse_element(
 
 fn resolve_type_ref(
     type_attr: &str,
-    resolver: &NamespaceResolver,
+    resolver: &NamespaceResolver<'_>,
     element: &str,
 ) -> Result<TypeRef, SchemaError> {
     let (prefix, local) = match type_attr.split_once(':') {
@@ -317,7 +345,7 @@ fn resolve_type_ref(
     }
 }
 
-fn parse_occurs(el: &Element, name: &str) -> Result<Occurs, SchemaError> {
+fn parse_occurs(el: &Element<'_>, name: &str) -> Result<Occurs, SchemaError> {
     let min = el.attr("minOccurs");
     let max = el.attr("maxOccurs");
     let Some(max) = max else {

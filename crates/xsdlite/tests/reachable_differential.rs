@@ -14,7 +14,7 @@
 //! * a defect inside a complex type is the same error when the root
 //!   reaches that type, and no error when it does not.
 //!
-//! The closure is computed here from the document's DOM, not from
+//! The closure is computed here from the document's tree, not from
 //! anything the compiler under test says.
 
 mod generator;
@@ -24,8 +24,7 @@ use std::ops::Range;
 
 use generator::{document, generate, Defect};
 use proptest::prelude::*;
-use xmlparse::dom::{Document, Element};
-use xmlparse::{BorrowedEvent, Reader};
+use xmlparse::{BorrowedEvent, Element, Reader};
 use xsdlite::{Schema, SchemaError};
 
 /// The document's top-level complex types in document order: each one's
@@ -34,7 +33,7 @@ use xsdlite::{Schema, SchemaError};
 type Graph = Vec<(Option<String>, Vec<String>)>;
 
 fn type_graph(doc: &str) -> Graph {
-    fn references(el: &Element, out: &mut Vec<String>) {
+    fn references(el: &Element<'_>, out: &mut Vec<String>) {
         for child in el.child_elements() {
             if child.local_name() != "element" {
                 references(child, out);
@@ -43,11 +42,10 @@ fn type_graph(doc: &str) -> Graph {
             }
         }
     }
-    let Ok(dom) = Document::parse_str(doc) else {
+    let Ok(root) = Element::parse(doc) else {
         return Graph::new();
     };
-    dom.root
-        .child_elements()
+    root.child_elements()
         .filter(|el| el.local_name() == "complexType")
         .map(|ty| {
             let mut refs = Vec::new();

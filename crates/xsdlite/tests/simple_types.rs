@@ -1,7 +1,7 @@
 //! Tests for user-defined simple types (restriction of primitives) —
 //! the paper's footnote 1 feature.
 
-use xmlparse::Document;
+use xmlparse::Element;
 use xsdlite::model::{Facet, SimpleType};
 use xsdlite::{validate_instance, Schema, TypeRef, XsdType};
 
@@ -89,19 +89,19 @@ fn lexical_acceptance_applies_base_and_facets() {
 #[test]
 fn instance_validation_enforces_facets() {
     let schema = Schema::parse_str(DOC).unwrap();
-    let good = Document::parse_str(
+    let good = Element::parse(
         "<LoadReport><arln>DL</arln><loadFactor>85</loadFactor>\
          <standbyShare>10</standbyShare></LoadReport>",
     )
     .unwrap();
-    assert!(validate_instance(&good.root, "LoadReport", &schema).is_empty());
+    assert!(validate_instance(&good, "LoadReport", &schema).is_empty());
 
-    let bad = Document::parse_str(
+    let bad = Element::parse(
         "<LoadReport><arln>ZZ</arln><loadFactor>130</loadFactor>\
          <standbyShare>90</standbyShare></LoadReport>",
     )
     .unwrap();
-    let issues = validate_instance(&bad.root, "LoadReport", &schema);
+    let issues = validate_instance(&bad, "LoadReport", &schema);
     assert_eq!(issues.len(), 3, "{issues:?}");
     assert!(issues.iter().all(|i| i.message.contains("violates simple type")), "{issues:?}");
 }

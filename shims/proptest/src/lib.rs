@@ -8,7 +8,9 @@
 //! Differences from real proptest: no shrinking (failures report the
 //! case number and generated inputs panic-style), and the per-test RNG is
 //! seeded from the test name so runs are reproducible without a
-//! persistence file. `.proptest-regressions` files are ignored.
+//! persistence file. There is none: no `.proptest-regressions` file is
+//! read or written, so a failure a property finds is kept as a named,
+//! deterministic `#[test]` beside it.
 
 pub mod test_runner {
     /// Deterministic RNG used to generate all test inputs (SplitMix64).

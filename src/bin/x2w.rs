@@ -13,6 +13,7 @@ use std::process::ExitCode;
 
 use openmeta::prelude::*;
 use xml2wire::ArchiveReader;
+use xmlparse::{Element, ErrorKind, Position, XmlError};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -124,10 +125,20 @@ fn sizes(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn load_instance(path: &str) -> Result<xmlparse::Element, String> {
-    xmlparse::Document::parse_file(path)
-        .map(|doc| doc.root)
+/// Reads an instance document; an unreadable or non-UTF-8 file is
+/// reported as an XML error at its start, like any other bad document.
+fn read_instance(path: &str) -> Result<String, String> {
+    std::fs::read(path)
+        .map_err(|e| XmlError::custom(format!("cannot read {path}: {e}"), Position::start()))
+        .and_then(|bytes| {
+            String::from_utf8(bytes)
+                .map_err(|_| XmlError::new(ErrorKind::InvalidUtf8, Position::start()))
+        })
         .map_err(|e| format!("{path}: {e}"))
+}
+
+fn parse_instance<'a>(path: &str, text: &'a str) -> Result<Element<'a>, String> {
+    Element::parse(text).map_err(|e| format!("{path}: {e}"))
 }
 
 fn validate(args: &[String]) -> Result<(), String> {
@@ -135,9 +146,10 @@ fn validate(args: &[String]) -> Result<(), String> {
         return Err("validate needs <schema.xsd> <instance.xml>".to_owned());
     };
     let schema = load_schema(schema_path)?;
-    let instance = load_instance(instance_path)?;
-    let type_name = instance.local_name().to_owned();
-    let issues = xsdlite::validate_instance(&instance, &type_name, &schema);
+    let text = read_instance(instance_path)?;
+    let instance = parse_instance(instance_path, &text)?;
+    let type_name = instance.local_name();
+    let issues = xsdlite::validate_instance(&instance, type_name, &schema);
     if issues.is_empty() {
         println!("{instance_path}: valid {type_name}");
         Ok(())
@@ -154,7 +166,8 @@ fn classify(args: &[String]) -> Result<(), String> {
         return Err("match needs <schema.xsd> <instance.xml>".to_owned());
     };
     let schema = load_schema(schema_path)?;
-    let instance = load_instance(instance_path)?;
+    let text = read_instance(instance_path)?;
+    let instance = parse_instance(instance_path, &text)?;
     for ty in &schema.complex_types {
         println!(
             "{:<24} {:>6.1}%",

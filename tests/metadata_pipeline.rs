@@ -3,7 +3,7 @@
 
 use backbone::airline::{AirlineGenerator, ASD_SCHEMA, WEATHER_SCHEMA};
 use openmeta::prelude::*;
-use xmlparse::Document;
+use xmlparse::Element;
 use xsdlite::{best_match, validate_instance};
 
 /// §4.1.1: "schema-checking tools will be applicable to live messages" —
@@ -32,17 +32,17 @@ fn live_messages_validate_and_classify_against_schemas() {
         let flight = generator.flight_event();
         let text =
             pbio::textxml::encode(&flight, asd_format.struct_type()).unwrap();
-        let doc = Document::parse_str(&text).unwrap();
-        let issues = validate_instance(&doc.root, "ASDOffEvent", &schema);
+        let instance = Element::parse(&text).unwrap();
+        let issues = validate_instance(&instance, "ASDOffEvent", &schema);
         assert!(issues.is_empty(), "{issues:?}");
-        let (matched, score) = best_match(&doc.root, &schema).unwrap();
+        let (matched, score) = best_match(&instance, &schema).unwrap();
         assert_eq!(matched.name, "ASDOffEvent");
         assert!((score - 1.0).abs() < f64::EPSILON);
 
         let obs = generator.weather_event();
         let text = pbio::textxml::encode(&obs, wx_format.struct_type()).unwrap();
-        let doc = Document::parse_str(&text).unwrap();
-        let (matched, _) = best_match(&doc.root, &schema).unwrap();
+        let instance = Element::parse(&text).unwrap();
+        let (matched, _) = best_match(&instance, &schema).unwrap();
         assert_eq!(matched.name, "WeatherObs");
     }
 }
