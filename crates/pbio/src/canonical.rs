@@ -1,0 +1,431 @@
+//! The one walk behind the paper's three baselines (§1, §6): XDR,
+//! CORBA/IIOP's CDR and XML-RPC-style text each visit every field of a
+//! record and copy it into a representation no machine holds natively.
+//!
+//! [`encode`] does what the three share, once: the type check, the range
+//! check at the wire's width, the fixed-length check, and count fields —
+//! synthesized from their array when the record omits them, and held to
+//! it when it supplies them (NDR's `ArrayLengthMismatch`, at whichever
+//! of the count and its array comes first). What reaches the wire is the
+//! [`Sink`]'s business: XDR and CDR are one byte sink under different
+//! [`Rules`], text XML is `xmlparse`'s `Writer`. XDR and CDR also read
+//! back through one [`decode`] under the same rules; text decodes by its
+//! own walk over the parsed tree, because it finds fields by name.
+
+use std::borrow::Cow;
+
+use clayout::image::{fits_signed, fits_unsigned, put_uint};
+use clayout::layout::align_up;
+use clayout::{ArrayLen, CType, Endianness, LayoutError, Primitive, Record, Scalar, ScalarCode};
+use clayout::{StructType, Value};
+
+use crate::error::PbioError;
+
+/// A number that passed the walk's checks.
+pub(crate) enum Num {
+    Int(i64),
+    UInt(u64),
+    Float(f64),
+}
+
+/// What a codec writes as the walk visits a record.
+pub(crate) trait Sink {
+    /// The bytes an integer of `p` must fit in on this wire.
+    fn width(&self, p: Primitive) -> usize;
+    /// A struct begins: the root (named for its type) or a field's value.
+    fn open(&mut self, _name: &str) {}
+    /// The struct opened last ends.
+    fn close(&mut self) {}
+    /// A dynamic array of `n` elements begins.
+    fn count(&mut self, _n: usize) {}
+    /// One number of `field`, `width` bytes wide on this wire.
+    fn num(&mut self, field: &str, width: usize, n: Num);
+    /// One string of `field`.
+    fn string(&mut self, field: &str, s: &str);
+}
+
+/// Walks `record` as an instance of `st` into `sink`; `name` is what the
+/// struct is called there (the root: its type's name).
+pub(crate) fn encode<S: Sink>(
+    record: &Record,
+    st: &StructType,
+    name: &str,
+    sink: &mut S,
+) -> Result<(), PbioError> {
+    sink.open(name);
+    for field in &st.fields {
+        let supplied = record.get(&field.name);
+        let len = match &field.ty {
+            CType::Array { len: ArrayLen::CountField(count), .. } => {
+                Some(array_len(record, &field.name, record.get(count))?)
+            }
+            CType::Prim(_) => counted_array(st, &field.name)
+                .map(|array| array_len(record, array, supplied))
+                .transpose()?,
+            _ => None,
+        };
+        let value = match (supplied, len) {
+            (Some(value), _) => Cow::Borrowed(value),
+            // Only a count field gets here: an absent array failed above.
+            (None, Some(n)) => Cow::Owned(Value::UInt(n as u64)),
+            (None, None) => return Err(missing(&field.name)),
+        };
+        encode_value(&value, &field.ty, &field.name, sink)?;
+    }
+    sink.close();
+    Ok(())
+}
+
+/// The dynamic array of `st` whose count field is `name` (the first,
+/// as in NDR's encode plan), if any.
+fn counted_array<'s>(st: &'s StructType, name: &str) -> Option<&'s str> {
+    st.fields.iter().find_map(|f| match &f.ty {
+        CType::Array { len: ArrayLen::CountField(count), .. } if count == name => {
+            Some(f.name.as_str())
+        }
+        _ => None,
+    })
+}
+
+/// The length of the record's dynamic array `array`, refusing a
+/// supplied `count` that says otherwise with the error NDR gives.
+fn array_len(record: &Record, array: &str, count: Option<&Value>) -> Result<usize, PbioError> {
+    let value = record.get(array).ok_or_else(|| missing(array))?;
+    let len = value.as_array().ok_or_else(|| type_mismatch(array, "array", value))?.len();
+    match count.and_then(Value::as_u64) {
+        Some(n) if n != len as u64 => Err(mismatched(array, n as usize, len)),
+        _ => Ok(len),
+    }
+}
+
+fn encode_value<S: Sink>(
+    value: &Value,
+    ty: &CType,
+    field: &str,
+    sink: &mut S,
+) -> Result<(), PbioError> {
+    match ty {
+        CType::Prim(p) => {
+            let width = sink.width(*p);
+            let out_of_range = |value| {
+                let field = field.to_owned();
+                PbioError::Layout(LayoutError::ValueOutOfRange { field, value, width })
+            };
+            let n = if p.is_float() {
+                Num::Float(value.as_f64().ok_or_else(|| type_mismatch(field, "float", value))?)
+            } else if p.is_signed_integer() {
+                let v = value.as_i64().ok_or_else(|| type_mismatch(field, "int", value))?;
+                if !fits_signed(v, width) {
+                    return Err(out_of_range(v.to_string()));
+                }
+                Num::Int(v)
+            } else {
+                let v = value.as_u64().ok_or_else(|| type_mismatch(field, "uint", value))?;
+                if !fits_unsigned(v, width) {
+                    return Err(out_of_range(v.to_string()));
+                }
+                Num::UInt(v)
+            };
+            sink.num(field, width, n);
+        }
+        CType::String => {
+            sink.string(field, value.as_str().ok_or_else(|| type_mismatch(field, "string", value))?)
+        }
+        CType::Array { elem, len } => {
+            let items = value.as_array().ok_or_else(|| type_mismatch(field, "array", value))?;
+            match len {
+                ArrayLen::Fixed(n) if items.len() != *n => {
+                    return Err(mismatched(field, *n, items.len()))
+                }
+                ArrayLen::Fixed(_) => {}
+                ArrayLen::CountField(_) => sink.count(items.len()),
+            }
+            for item in items {
+                encode_value(item, elem, field, sink)?;
+            }
+        }
+        CType::Struct(inner) => {
+            let rec = value.as_record().ok_or_else(|| type_mismatch(field, "record", value))?;
+            encode(rec, inner, field, sink)?;
+        }
+    }
+    Ok(())
+}
+
+fn mismatched(field: &str, declared: usize, actual: usize) -> PbioError {
+    let field = field.to_owned();
+    PbioError::Layout(LayoutError::ArrayLengthMismatch { field, declared, actual })
+}
+
+fn missing(field: &str) -> PbioError {
+    PbioError::Layout(LayoutError::MissingField { field: field.to_owned() })
+}
+
+fn type_mismatch(field: &str, expected: &str, value: &Value) -> PbioError {
+    PbioError::Layout(LayoutError::TypeMismatch {
+        field: field.to_owned(),
+        expected: expected.to_owned(),
+        found: value.type_name().to_owned(),
+    })
+}
+
+/// What tells XDR's bytes from CDR's: the byte sink and the reader both
+/// follow it. Counts and string lengths are 4-byte unsigned numbers.
+#[derive(Clone, Copy)]
+pub(crate) struct Rules {
+    /// The byte order of every number.
+    pub order: Endianness,
+    /// The narrowest number, and what a string pads to: XDR's 4-byte
+    /// unit, or 1 (no padding).
+    pub unit: usize,
+    /// Numbers align to their width, counted from the body's first byte.
+    pub align: bool,
+    /// A NUL follows each string's bytes and is counted in its length.
+    pub nul: bool,
+}
+
+impl Rules {
+    /// The wire width of a `p`: its C size with `long` always 8 bytes
+    /// (so no ABI loses data), widened to the unit.
+    fn width(&self, p: Primitive) -> usize {
+        let natural = match p {
+            Primitive::Char | Primitive::UChar => 1,
+            Primitive::Short | Primitive::UShort => 2,
+            Primitive::Int | Primitive::UInt | Primitive::Enum | Primitive::Float => 4,
+            _ => 8,
+        };
+        natural.max(self.unit)
+    }
+
+    /// The unsigned number `b` holds: 1, 2, 4 or 8 bytes in the rules'
+    /// byte order.
+    fn raw(self, b: &[u8]) -> u64 {
+        match ScalarCode::unsigned(b.len(), self.order).read(b, 0) {
+            Scalar::UInt(raw) => raw,
+            _ => unreachable!("an unsigned code reads unsigned numbers"),
+        }
+    }
+
+    /// The zero bytes after a string of `len` wire bytes.
+    fn pad(&self, len: usize) -> usize {
+        len.next_multiple_of(self.unit) - len
+    }
+
+    /// The fewest wire bytes any value of `ty` occupies (alignment
+    /// ignored: undercounting only makes a clamp more permissive).
+    fn min_size(&self, ty: &CType) -> usize {
+        match ty {
+            CType::Prim(p) => self.width(*p),
+            CType::String => 4 + usize::from(self.nul),
+            CType::Array { elem, len: ArrayLen::Fixed(n) } => n.saturating_mul(self.min_size(elem)),
+            // The count; the array may be empty.
+            CType::Array { .. } => 4,
+            CType::Struct(inner) => inner.fields.iter().map(|f| self.min_size(&f.ty)).sum(),
+        }
+    }
+}
+
+/// Appends `record` to `out` as bytes under `rules`; the body, which
+/// alignment counts from, starts at `out.len()`.
+pub(crate) fn to_bytes(
+    record: &Record,
+    st: &StructType,
+    rules: Rules,
+    out: Vec<u8>,
+) -> Result<Vec<u8>, PbioError> {
+    let mut wire = Wire { base: out.len(), out, rules };
+    encode(record, st, &st.name, &mut wire)?;
+    Ok(wire.out)
+}
+
+/// The byte sink.
+struct Wire {
+    out: Vec<u8>,
+    base: usize,
+    rules: Rules,
+}
+
+impl Wire {
+    fn put(&mut self, width: usize, raw: u64) {
+        if self.rules.align {
+            let body = align_up(self.out.len() - self.base, width);
+            self.out.resize(self.base + body, 0);
+        }
+        let at = self.out.len();
+        self.out.resize(at + width, 0);
+        put_uint(&mut self.out, at, width, self.rules.order, raw);
+    }
+}
+
+impl Sink for Wire {
+    fn width(&self, p: Primitive) -> usize {
+        self.rules.width(p)
+    }
+
+    fn count(&mut self, n: usize) {
+        self.put(4, n as u64);
+    }
+
+    fn num(&mut self, _: &str, width: usize, n: Num) {
+        let raw = match n {
+            Num::Int(v) => v as u64,
+            Num::UInt(v) => v,
+            Num::Float(v) if width == 4 => u64::from((v as f32).to_bits()),
+            Num::Float(v) => v.to_bits(),
+        };
+        self.put(width, raw);
+    }
+
+    fn string(&mut self, _: &str, s: &str) {
+        let len = s.len() + usize::from(self.rules.nul);
+        self.put(4, len as u64);
+        self.out.extend_from_slice(s.as_bytes());
+        // The NUL, then the padding.
+        let zeros = len - s.len() + self.rules.pad(len);
+        self.out.resize(self.out.len() + zeros, 0);
+    }
+}
+
+/// Reads a record of `st` written under `rules` from `bytes`, whose body
+/// starts at `body`.
+///
+/// # Errors
+///
+/// Truncation, counts and lengths the input cannot hold, and strings
+/// that are not UTF-8 (or, under `nul`, not terminated).
+pub(crate) fn decode(
+    bytes: &[u8],
+    body: usize,
+    rules: Rules,
+    st: &StructType,
+) -> Result<Record, PbioError> {
+    Reader { bytes, at: body, base: body, rules }.record(st)
+}
+
+struct Reader<'a> {
+    bytes: &'a [u8],
+    at: usize,
+    base: usize,
+    rules: Rules,
+}
+
+impl<'a> Reader<'a> {
+    /// Bytes left between the cursor and the end of input.
+    fn remaining(&self) -> usize {
+        self.bytes.len().saturating_sub(self.at)
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], PbioError> {
+        match self.at.checked_add(n) {
+            Some(end) if end <= self.bytes.len() => {
+                let slice = &self.bytes[self.at..end];
+                self.at = end;
+                Ok(slice)
+            }
+            _ => Err(PbioError::Truncated {
+                need: self.at.saturating_add(n),
+                have: self.bytes.len(),
+            }),
+        }
+    }
+
+    /// `n` numbers of `width` bytes as one slice, aligned (under the
+    /// rules, when there are any) and bounds-checked once. A short input
+    /// fails at the first number it cannot hold, as one-by-one reads do.
+    fn numbers(&mut self, width: usize, n: usize) -> Result<&'a [u8], PbioError> {
+        if self.rules.align && n > 0 {
+            self.at = self.base + align_up(self.at - self.base, width);
+        }
+        let fit = self.remaining() / width;
+        if n > fit {
+            self.at += fit * width;
+            return self.take(width);
+        }
+        self.take(n * width)
+    }
+
+    /// A count or a length.
+    fn u32(&mut self) -> Result<usize, PbioError> {
+        Ok(self.rules.raw(self.numbers(4, 1)?) as usize)
+    }
+
+    fn record(&mut self, st: &StructType) -> Result<Record, PbioError> {
+        let mut record = Record::new();
+        for field in &st.fields {
+            let value = self.value(&field.ty, &field.name)?;
+            record.set(field.name.clone(), value);
+        }
+        Ok(record)
+    }
+
+    fn value(&mut self, ty: &CType, field: &str) -> Result<Value, PbioError> {
+        let bad_count = |count: usize| {
+            PbioError::Layout(LayoutError::BadCount { field: field.to_owned(), count: count as i64 })
+        };
+        let bad_string = || PbioError::Layout(LayoutError::BadString { field: field.to_owned() });
+        Ok(match ty {
+            CType::Prim(p) => {
+                let width = self.rules.width(*p);
+                prim_value(*p, width, self.rules.raw(self.numbers(width, 1)?))
+            }
+            CType::String => {
+                let len = self.u32()?;
+                // Clamped against the *remaining* input, so a hostile
+                // length is refused before anything is allocated; a
+                // length that counts a NUL cannot be 0.
+                if len > self.remaining() || (self.rules.nul && len == 0) {
+                    return Err(bad_count(len));
+                }
+                let raw = self.take(len)?;
+                self.take(self.rules.pad(len))?;
+                let raw = match self.rules.nul {
+                    true => raw.strip_suffix(&[0]).ok_or_else(bad_string)?,
+                    false => raw,
+                };
+                Value::String(std::str::from_utf8(raw).map_err(|_| bad_string())?.to_owned())
+            }
+            CType::Array { elem, len } => {
+                let count = match len {
+                    ArrayLen::Fixed(n) => *n,
+                    ArrayLen::CountField(_) => {
+                        let c = self.u32()?;
+                        // Each element takes at least `min_size` bytes
+                        // (`max(1)` guards zero-size ones), so a count of
+                        // 0xFFFFFFFF fails here, before the allocation.
+                        if c > self.remaining() / self.rules.min_size(elem).max(1) {
+                            return Err(bad_count(c));
+                        }
+                        c
+                    }
+                };
+                let mut items = Vec::with_capacity(count.min(4096));
+                if let CType::Prim(p) = **elem {
+                    let (rules, width) = (self.rules, self.rules.width(p));
+                    let run = self.numbers(width, count)?.chunks_exact(width);
+                    items.extend(run.map(|b| prim_value(p, width, rules.raw(b))));
+                } else {
+                    for _ in 0..count {
+                        items.push(self.value(elem, field)?);
+                    }
+                }
+                Value::Array(items)
+            }
+            CType::Struct(inner) => Value::Record(self.record(inner)?),
+        })
+    }
+}
+
+/// The value of a `p` whose `width` wire bytes held `raw`.
+fn prim_value(p: Primitive, width: usize, raw: u64) -> Value {
+    if p.is_float() {
+        Value::Float(match width {
+            4 => f64::from(f32::from_bits(raw as u32)),
+            _ => f64::from_bits(raw),
+        })
+    } else if p.is_signed_integer() {
+        let shift = 64 - 8 * width as u32;
+        Value::Int(((raw << shift) as i64) >> shift)
+    } else {
+        Value::UInt(raw)
+    }
+}

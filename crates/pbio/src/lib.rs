@@ -27,6 +27,14 @@
 //! * [`cdr`] — a CORBA/IIOP-style CDR codec: reader-makes-right byte
 //!   order behind a flag byte, but still a canonical walk-and-copy on
 //!   both ends (the paper's object-system comparison class).
+//!
+//!   The three baselines share one walk of the record: it type-checks,
+//!   range-checks at the wire's width, synthesizes or checks count
+//!   fields (refusing a count that contradicts its array, as NDR does)
+//!   and checks fixed lengths once, and each codec supplies only a sink
+//!   — XDR and CDR one byte sink under their own rules (byte order,
+//!   unit, alignment, string form) that their one reader also follows,
+//!   text XML the `xmlparse` writer.
 //! * [`evolution`] — PBIO's restricted format evolution: receivers keep
 //!   working when senders add fields.
 //! * [`recfile`] — PBIO's file half: append-only record files of
@@ -58,6 +66,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod canonical;
 pub mod catalog;
 pub mod cdr;
 pub mod convert;

@@ -8,147 +8,81 @@
 //! attributes to this style — binary↔ASCII translation on both ends and a
 //! 6–8× expansion of the wire image — fall directly out of this encoding
 //! and are measured by `repro_report`'s E3 (time) and E4 (size) tables.
+//!
+//! Encoding is the shared canonical walk (`canonical.rs`) into the
+//! compact `xmlparse` writer, which is this codec's sink: it decides the
+//! element names, the decimal and CDATA forms, and that no integer is
+//! out of range. Decoding is this module's own walk over the parsed
+//! [`Element`] tree, because it finds each field by name.
 
-use std::borrow::Cow;
-
-use clayout::{ArrayLen, CType, LayoutError, Record, StructType, Value};
-#[cfg(test)]
-use clayout::Primitive;
+use clayout::{ArrayLen, CType, Primitive, Record, StructType, Value};
 use xmlparse::{Element, Writer};
 
+use crate::canonical::{self, Num, Sink};
 use crate::error::PbioError;
 
 /// Encodes `record` as a single-line XML document for `st`.
 ///
-/// Count fields of dynamic arrays are synchronized from array lengths,
-/// as in the binary codecs.
+/// Count fields are synthesized or checked as by [`crate::xdr::encode`].
 ///
 /// # Errors
 ///
-/// Reports missing fields and type mismatches.
+/// Reports missing fields, type mismatches and array lengths that
+/// disagree with the schema or with their count field.
 pub fn encode(record: &Record, st: &StructType) -> Result<String, PbioError> {
     let mut xml = String::new();
-    write_struct(&mut Writer::compact(&mut xml), record, st, &st.name)?;
+    canonical::encode(record, st, &st.name, &mut Writer::compact(&mut xml))?;
     Ok(xml)
 }
 
-fn write_struct(
-    w: &mut Writer<'_>,
-    record: &Record,
-    st: &StructType,
-    name: &str,
-) -> Result<(), PbioError> {
-    w.start(name);
-    for field in &st.fields {
-        match record.get(&field.name) {
-            Some(value) => write_field(w, value, &field.ty, &field.name)?,
-            None => {
-                let derived = derive_count(record, st, &field.name)?.ok_or_else(|| {
-                    PbioError::Layout(LayoutError::MissingField { field: field.name.clone() })
-                })?;
-                write_field(w, &derived, &field.ty, &field.name)?;
-            }
-        }
+/// The text sink: a struct is an element named for its field (the root
+/// for its type), a scalar is an element holding its decimal or string
+/// text, an array is its elements repeated under the field's name, and
+/// a dynamic array's length is carried by its count field alone.
+impl Sink for Writer<'_> {
+    /// Text holds any integer: nothing is out of range.
+    fn width(&self, _: Primitive) -> usize {
+        8
     }
-    w.end();
-    Ok(())
-}
 
-fn derive_count(
-    record: &Record,
-    st: &StructType,
-    name: &str,
-) -> Result<Option<Value>, PbioError> {
-    for field in &st.fields {
-        if let CType::Array { len: ArrayLen::CountField(count), .. } = &field.ty {
-            if count == name {
-                let arr = record.get(&field.name).and_then(Value::as_array).ok_or_else(
-                    || PbioError::Layout(LayoutError::MissingField { field: field.name.clone() }),
-                )?;
-                return Ok(Some(Value::UInt(arr.len() as u64)));
-            }
-        }
+    fn open(&mut self, name: &str) {
+        self.start(name);
     }
-    Ok(None)
-}
 
-fn write_field(
-    w: &mut Writer<'_>,
-    value: &Value,
-    ty: &CType,
-    name: &str,
-) -> Result<(), PbioError> {
-    match ty {
-        CType::Prim(_) | CType::String => {
-            let text = scalar_text(value, ty, name)?;
-            w.start(name);
-            // Whitespace-only text is dropped on decode (as
-            // element-content whitespace), which would silently corrupt
-            // strings like " ". CDATA sections are always kept, so use
-            // them whenever the string's edges are at risk.
-            let edges_at_risk =
-                matches!(ty, CType::String) && !text.is_empty() && text.trim() != text;
-            if edges_at_risk {
-                write_cdata(w, &text);
-            } else if !text.is_empty() {
-                w.text(&text);
-            }
-            w.end();
-            Ok(())
-        }
-        CType::Array { elem, len } => {
-            let items =
-                value.as_array().ok_or_else(|| type_mismatch(name, "array", value))?;
-            if let ArrayLen::Fixed(n) = len {
-                if items.len() != *n {
-                    return Err(PbioError::Layout(LayoutError::ArrayLengthMismatch {
-                        field: name.to_owned(),
-                        declared: *n,
-                        actual: items.len(),
-                    }));
+    fn close(&mut self) {
+        self.end();
+    }
+
+    fn num(&mut self, field: &str, _: usize, n: Num) {
+        self.start(field);
+        self.text(&match n {
+            Num::Int(v) => v.to_string(),
+            Num::UInt(v) => v.to_string(),
+            Num::Float(v) => format_float(v),
+        });
+        self.end();
+    }
+
+    fn string(&mut self, field: &str, s: &str) {
+        self.start(field);
+        // Whitespace-only text is dropped on decode (as element-content
+        // whitespace), which would silently corrupt strings like " ".
+        // CDATA sections are always kept, so use them whenever the
+        // string's edges are at risk — split around any literal `]]>`,
+        // which one CDATA section cannot hold.
+        if s.trim() != s {
+            for (i, part) in s.split("]]>").enumerate() {
+                if i > 0 {
+                    self.text("]]>");
+                }
+                if !part.is_empty() {
+                    self.cdata(part);
                 }
             }
-            for item in items {
-                write_field(w, item, elem, name)?;
-            }
-            Ok(())
+        } else if !s.is_empty() {
+            self.text(s);
         }
-        CType::Struct(inner) => {
-            let rec = value.as_record().ok_or_else(|| type_mismatch(name, "record", value))?;
-            write_struct(w, rec, inner, name)
-        }
-    }
-}
-
-/// Writes `text` as CDATA, splitting around any literal `]]>` (which
-/// cannot appear inside one CDATA section).
-fn write_cdata(w: &mut Writer<'_>, text: &str) {
-    for (i, part) in text.split("]]>").enumerate() {
-        if i > 0 {
-            w.text("]]>");
-        }
-        if !part.is_empty() {
-            w.cdata(part);
-        }
-    }
-}
-
-fn scalar_text<'v>(value: &'v Value, ty: &CType, name: &str) -> Result<Cow<'v, str>, PbioError> {
-    match ty {
-        CType::String => {
-            Ok(Cow::Borrowed(value.as_str().ok_or_else(|| type_mismatch(name, "string", value))?))
-        }
-        CType::Prim(p) if p.is_float() => {
-            let v = value.as_f64().ok_or_else(|| type_mismatch(name, "float", value))?;
-            Ok(Cow::Owned(format_float(v)))
-        }
-        CType::Prim(p) if p.is_signed_integer() => {
-            Ok(value.as_i64().ok_or_else(|| type_mismatch(name, "int", value))?.to_string().into())
-        }
-        CType::Prim(_) => {
-            Ok(value.as_u64().ok_or_else(|| type_mismatch(name, "uint", value))?.to_string().into())
-        }
-        _ => unreachable!("scalar_text only sees scalars"),
+        self.end();
     }
 }
 
@@ -159,14 +93,6 @@ fn format_float(v: f64) -> String {
         s.push_str(".0");
     }
     s
-}
-
-fn type_mismatch(field: &str, expected: &str, value: &Value) -> PbioError {
-    PbioError::Layout(LayoutError::TypeMismatch {
-        field: field.to_owned(),
-        expected: expected.to_owned(),
-        found: value.type_name().to_owned(),
-    })
 }
 
 /// Decodes an XML document produced by [`encode`] back into a record.

@@ -1,14 +1,15 @@
-//! Property tests across all three wire codecs and the conversion
-//! machinery: arbitrary records round-trip through every codec, and
-//! NDR + conversion agrees with direct decoding for every architecture
-//! pair.
+//! Property tests across all four wire codecs and the conversion
+//! machinery: arbitrary records — nested structs among them — round-trip
+//! through every codec, no codec panics on a corrupted message, every
+//! codec holds a count field to its array, and NDR + conversion agrees
+//! with direct decoding for every architecture pair.
 
 mod codecs;
 #[path = "../../clayout/tests/oracle/mod.rs"]
 mod oracle;
 
 use clayout::{
-    Architecture, CType, Primitive, Record, StructField, StructType, Value,
+    Architecture, CType, LayoutError, Primitive, Record, StructField, StructType, Value,
 };
 use codecs::CODECS;
 use pbio::format::{Format, FormatId};
@@ -42,6 +43,9 @@ enum Spec {
     Str(String),
     FixedArr(Primitive, Vec<i64>),
     DynArr(Primitive, Vec<i64>),
+    /// A struct of a `char` and then a `double`: CDR aligns the double
+    /// relative to the message body, below the root too.
+    Nested(i64, i64),
 }
 
 fn spec_strategy() -> impl Strategy<Value = Spec> {
@@ -52,6 +56,7 @@ fn spec_strategy() -> impl Strategy<Value = Spec> {
             .prop_map(|(p, xs)| Spec::FixedArr(p, xs)),
         1 => (prim_strategy(), proptest::collection::vec(any::<i64>(), 0..5))
             .prop_map(|(p, xs)| Spec::DynArr(p, xs)),
+        1 => (any::<i64>(), any::<i64>()).prop_map(|(c, d)| Spec::Nested(c, d)),
     ]
 }
 
@@ -112,6 +117,22 @@ fn build(specs: &[Spec]) -> (StructType, Record) {
                     Value::Array(seeds.iter().map(|s| prim_value(*p, *s)).collect()),
                 );
             }
+            Spec::Nested(c, d) => {
+                let inner = StructType::new(
+                    "Inner",
+                    vec![
+                        StructField::new("c", CType::Prim(Primitive::Char)),
+                        StructField::new("d", CType::Prim(Primitive::Double)),
+                    ],
+                );
+                fields.push(StructField::new(&name, CType::Struct(inner)));
+                record.set(
+                    name,
+                    Record::new()
+                        .with("c", prim_value(Primitive::Char, *c))
+                        .with("d", prim_value(Primitive::Double, *d)),
+                );
+            }
         }
     }
     (StructType::new("Gen", fields), record)
@@ -127,6 +148,7 @@ fn values_equal(a: &Value, b: &Value) -> bool {
             (*x - *y).abs() < 1e-3
         }
         (Value::String(x), Value::String(y)) => x == y,
+        (Value::Record(x), Value::Record(y)) => records_agree(x, y),
         (Value::Array(xs), Value::Array(ys)) => {
             xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| values_equal(x, y))
         }
@@ -150,17 +172,20 @@ fn round_trips_through_every_codec(specs: &[Spec], arch: Architecture) {
     }
 }
 
-/// NDR-encodes a record of `specs` on `arch`, XORs `flips` into the
-/// wire, cuts it at `cut` (modulo its length + 1) and decodes the rest.
-fn decode_corrupted_ndr(
+/// Encodes a record of `specs` on `arch` with `codec`, XORs `flips`
+/// into the wire, cuts it at `cut` (modulo its length + 1) and decodes
+/// the rest.
+fn decode_corrupted(
+    codec: &str,
     specs: &[Spec],
     arch: Architecture,
     flips: &[(u16, u8)],
     cut: u16,
 ) -> Result<Record, PbioError> {
+    let (_, encode, decode) = CODECS.into_iter().find(|(name, ..)| *name == codec).unwrap();
     let (st, record) = build(specs);
     let format = Format::new(FormatId(1), st, arch).unwrap();
-    let mut wire = pbio::ndr::encode(&record, &format).unwrap();
+    let mut wire = encode(&record, &format).unwrap();
     for &(pos, val) in flips {
         if !wire.is_empty() {
             let idx = pos as usize % wire.len();
@@ -168,7 +193,7 @@ fn decode_corrupted_ndr(
         }
     }
     wire.truncate(cut as usize % (wire.len() + 1));
-    pbio::ndr::decode_with(&wire, &format)
+    decode(&wire, &format)
 }
 
 // Failures the properties below once found, kept as named cases.
@@ -184,13 +209,60 @@ fn a_whitespace_only_string_round_trips_through_every_codec() {
 /// does not panic.
 #[test]
 fn a_flipped_and_cut_sparc32_double_fails_ndr_decode_without_panicking() {
-    let decoded = decode_corrupted_ndr(
+    let decoded = decode_corrupted(
+        "ndr",
         &[Spec::Prim(Primitive::Double, 0)],
         Architecture::SPARC32,
         &[(59088, 1)],
         15206,
     );
     assert!(decoded.is_err(), "{decoded:?}");
+}
+
+/// A supplied count that contradicts its array is refused by every
+/// codec with NDR's error, reported at whichever of the count and the
+/// array comes first — so a wrong-typed field before both is reported
+/// instead; a count that agrees is accepted and read back.
+#[test]
+fn every_codec_holds_a_supplied_count_to_its_array() {
+    let field = |name: &str| match name {
+        "eta" => StructField::new("eta", CType::dynamic_array(CType::Prim(Primitive::ULong), "n")),
+        "n" => StructField::new("n", CType::Prim(Primitive::Int)),
+        _ => StructField::new(name, CType::String),
+    };
+    let record = |n: i64, tag: Value| {
+        Record::new().with("eta", vec![1u64, 2, 3]).with("n", n).with("tag", tag)
+    };
+    let contradiction = PbioError::Layout(LayoutError::ArrayLengthMismatch {
+        field: "eta".to_owned(),
+        declared: 7,
+        actual: 3,
+    });
+    let wrong_tag = PbioError::Layout(LayoutError::TypeMismatch {
+        field: "tag".to_owned(),
+        expected: "string".to_owned(),
+        found: "float".to_owned(),
+    });
+    for (order, first) in [
+        (["eta", "tag", "n"], &contradiction),
+        (["n", "tag", "eta"], &contradiction),
+        (["tag", "eta", "n"], &wrong_tag),
+    ] {
+        let st = StructType::new("Counted", order.iter().map(|name| field(name)).collect());
+        let format = Format::new(FormatId(1), st, Architecture::SPARC32).unwrap();
+        for (name, encode, decode) in CODECS {
+            let refused = encode(&record(7, Value::Float(1.5)), &format);
+            assert_eq!(refused.as_ref(), Err(first), "{name}, fields {order:?}");
+            assert_eq!(
+                encode(&record(7, "x".into()), &format),
+                Err(contradiction.clone()),
+                "{name}, fields {order:?}"
+            );
+            let agreed = record(3, "x".into());
+            let wire = encode(&agreed, &format).unwrap();
+            assert!(records_agree(&agreed, &decode(&wire, &format).unwrap()), "{name}");
+        }
+    }
 }
 
 proptest! {
@@ -226,7 +298,7 @@ proptest! {
         flips in proptest::collection::vec((any::<u16>(), any::<u8>()), 0..10),
         cut in any::<u16>(),
     ) {
-        let _ = decode_corrupted_ndr(&specs, arch, &flips, cut);
+        let _ = decode_corrupted("ndr", &specs, arch, &flips, cut);
     }
 
     #[test]
@@ -235,16 +307,19 @@ proptest! {
         flips in proptest::collection::vec((any::<u16>(), any::<u8>()), 0..10),
         cut in any::<u16>(),
     ) {
-        let (st, record) = build(&specs);
-        let mut wire = pbio::xdr::encode(&record, &st).unwrap();
-        for (pos, val) in flips {
-            if !wire.is_empty() {
-                let idx = pos as usize % wire.len();
-                wire[idx] ^= val;
-            }
+        let _ = decode_corrupted("xdr", &specs, Architecture::SPARC32, &flips, cut);
+    }
+
+    #[test]
+    fn cdr_and_text_decode_never_panic_on_corruption(
+        specs in proptest::collection::vec(spec_strategy(), 1..5),
+        arch in arch_strategy(),
+        flips in proptest::collection::vec((any::<u16>(), any::<u8>()), 0..10),
+        cut in any::<u16>(),
+    ) {
+        for codec in ["cdr", "xml-text"] {
+            let _ = decode_corrupted(codec, &specs, arch, &flips, cut);
         }
-        wire.truncate(cut as usize % (wire.len() + 1));
-        let _ = pbio::xdr::decode(&wire, &st);
     }
 
     #[test]
