@@ -1,11 +1,11 @@
-//! Allocation accounting for the cold discovery paths, schema document
-//! in hand:
+//! Allocation accounting for the cold discovery paths:
 //!
 //! * `discover()` — compiled schema → every type bound and registered
 //!   (`Xml2Wire::register_schema_str`, which is what it runs on the
 //!   fetched document);
 //! * `discover_root()` — `Schema::parse_reachable` → the root's closure
-//!   bound (what `Consumer::subscribe` runs on the fetched document).
+//!   bound (what `Consumer::subscribe` runs on the fetched document),
+//!   document in hand and then fetched over HTTP.
 //!
 //! The `late_join` workload of the repo's benchmark pays one of these
 //! per join on a 65-type × 24-field catalogue. What keeps them cheap is
@@ -21,16 +21,20 @@
 //!    re-allocates as a type grows;
 //! 3. for `discover_root()`, a type outside the closure costs at most
 //!    [`INDEX_PER_TYPE`] allocations however many fields it has: its
-//!    elements are read, not compiled.
+//!    elements are read, not compiled;
+//! 4. fetching the catalogue from a real `MetadataServer` adds at most
+//!    [`FETCH_ALLOCATIONS`] to `discover_root()`, counting the server's
+//!    allocations with the client's: the response is read into one
+//!    buffer that becomes the document, never copied whole.
 //!
-//! Runs in its own test binary as one `#[test]`, both paths in turn, so
+//! Runs in its own test binary as one `#[test]`, the paths in turn, so
 //! no other test can disturb the process-wide counter — same discipline
 //! as `alloc_count.rs`.
 
 use clayout::Architecture;
 use omf_bench::{allocations, generated_schema_set, CountingAllocator, SCHEMA_B};
 use pbio::{Catalog, FormatRegistry};
-use xml2wire::{Binder, Xml2Wire};
+use xml2wire::{Binder, MetadataServer, UrlSource, Xml2Wire};
 use xsdlite::Schema;
 
 #[global_allocator]
@@ -46,6 +50,14 @@ const BUDGET_PER_ELEMENT: usize = 6;
 /// Allocations allowed per complex type a reachable-only parse indexes:
 /// its name, and its share of the index's growth.
 const INDEX_PER_TYPE: usize = 2;
+
+/// Allocations a cold fetch adds to `discover_root()`'s parse and bind,
+/// client and server together: the request, the response read into one
+/// buffer that doubles from 8 KiB (five allocations for the catalogue)
+/// and becomes the document in place, the schema cache's entry and
+/// singleflight, and the server's request and response heads. A copy of
+/// the document anywhere on the way would be one more.
+const FETCH_ALLOCATIONS: usize = 24;
 
 /// Element declarations of Structure B, the root `Consumer` binds.
 const ROOT_DECLARATIONS: usize = 8;
@@ -67,6 +79,7 @@ fn registration_allocs(fields: usize) -> usize {
 fn cold_registration_allocation_budget() {
     discover_pays_per_element();
     discover_root_pays_for_the_closure_only();
+    discover_root_fetches_without_copying();
 }
 
 fn discover_pays_per_element() {
@@ -146,4 +159,37 @@ fn discover_root_pays_for_the_closure_only() {
         "{at_24} allocations for a {ROOT_DECLARATIONS}-element root among {TYPES} types, budget \
          {budget} ({BUDGET_PER_ELEMENT} per root element + {INDEX_PER_TYPE} per indexed type)"
     );
+}
+
+fn discover_root_fetches_without_copying() {
+    let server = MetadataServer::bind("127.0.0.1:0").expect("a loopback port");
+    server.publish("/site/catalogue.xsd", catalogue(24));
+    let url = server.url_for("/site/catalogue.xsd");
+    let parse_and_bind = root_registration_allocs(24);
+    // The first fetch warms the server's worker threads; of the next
+    // ones the cheapest counts, so a stray allocation on a thread this
+    // test does not control cannot fail it, while a copy made on every
+    // fetch still does.
+    fetched_root_allocs(&url);
+    let fetched = (0..3).map(|_| fetched_root_allocs(&url)).min().expect("three fetches");
+    let fetch = fetched - parse_and_bind;
+    assert!(
+        fetch <= FETCH_ALLOCATIONS,
+        "{fetched} allocations for a cold discover_root() over HTTP, {parse_and_bind} of them \
+         the parse and bind: the fetch made {fetch}, budget {FETCH_ALLOCATIONS} (another copy \
+         of the {}-byte document would be one more)",
+        catalogue(24).len()
+    );
+}
+
+/// Allocations of one cold `discover_root()` of the catalogue from a
+/// metadata server in this process: the client's and the server's, as
+/// the counter is process-wide.
+fn fetched_root_allocs(url: &str) -> usize {
+    let session = Xml2Wire::builder().source(Box::new(UrlSource::new())).build();
+    let before = allocations();
+    let formats = session.discover_root(url).expect("the served catalogue's root binds");
+    let spent = allocations() - before;
+    assert_eq!(formats.len(), 1);
+    spent
 }

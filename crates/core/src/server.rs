@@ -8,7 +8,7 @@
 //! dynamic generators for prefix-matched paths.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -237,34 +237,36 @@ fn serve_loop(
     }
 }
 
-/// Reads one header line (through `\n`) within the caller's byte
-/// budget. Returns `Ok(None)` when the budget ran out before a newline
-/// arrived — the slow-loris case — and the line (possibly empty, at
-/// EOF) otherwise. Bytes are consumed incrementally, so memory is
-/// bounded by the budget no matter how the client drips them.
-fn read_header_line(
-    reader: &mut impl BufRead,
-    budget: &mut usize,
-) -> std::io::Result<Option<String>> {
-    let mut line = Vec::new();
+/// Reads a request head — the request line, then header lines through
+/// the blank line that ends them — into one buffer of at most
+/// [`MAX_HEADER_BYTES`]. Returns `Ok(None)` when the budget ran out
+/// first — the slow-loris case — and what arrived otherwise (cut short
+/// at EOF). Bytes are consumed incrementally, so memory is bounded by
+/// the budget no matter how the client drips them.
+fn read_request_head(reader: &mut impl BufRead) -> std::io::Result<Option<Vec<u8>>> {
+    let mut head = Vec::new();
+    let mut line_start = 0;
     loop {
-        if *budget == 0 {
+        if head.len() == MAX_HEADER_BYTES {
             return Ok(None);
         }
         let buf = reader.fill_buf()?;
         if buf.is_empty() {
-            return Ok(Some(String::from_utf8_lossy(&line).into_owned()));
+            return Ok(Some(head));
         }
-        let window = buf.len().min(*budget);
-        if let Some(pos) = buf[..window].iter().position(|b| *b == b'\n') {
-            line.extend_from_slice(&buf[..=pos]);
-            reader.consume(pos + 1);
-            *budget -= pos + 1;
-            return Ok(Some(String::from_utf8_lossy(&line).into_owned()));
+        let window = buf.len().min(MAX_HEADER_BYTES - head.len());
+        let Some(pos) = buf[..window].iter().position(|b| *b == b'\n') else {
+            head.extend_from_slice(&buf[..window]);
+            reader.consume(window);
+            continue;
+        };
+        head.extend_from_slice(&buf[..=pos]);
+        reader.consume(pos + 1);
+        // The request line cannot end the head, however short it is.
+        if line_start > 0 && matches!(&head[line_start..], b"\r\n" | b"\n") {
+            return Ok(Some(head));
         }
-        line.extend_from_slice(&buf[..window]);
-        reader.consume(window);
-        *budget -= window;
+        line_start = head.len();
     }
 }
 
@@ -295,29 +297,25 @@ fn handle_connection(stream: TcpStream, routes: &RwLock<Routes>) -> std::io::Res
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut stream = stream;
-    let mut budget = MAX_HEADER_BYTES;
-    let Some(request_line) = read_header_line(&mut reader, &mut budget)? else {
+    let Some(head) = read_request_head(&mut reader)? else {
         return refuse_oversized_header(&mut stream, &mut reader);
     };
-    // Drain headers, noting Content-Length for uploads.
+    let mut lines = head.split(|b| *b == b'\n');
+    let request_line = String::from_utf8_lossy(lines.next().unwrap_or_default());
+    // Note Content-Length for uploads.
     let mut content_length = 0usize;
-    loop {
-        let Some(line) = read_header_line(&mut reader, &mut budget)? else {
-            return refuse_oversized_header(&mut stream, &mut reader);
-        };
-        if line.is_empty() || line == "\r\n" || line == "\n" {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().unwrap_or(0);
-            }
+    for line in lines {
+        let Some(colon) = line.iter().position(|b| *b == b':') else { continue };
+        if line[..colon].eq_ignore_ascii_case(b"content-length") {
+            content_length = std::str::from_utf8(&line[colon + 1..])
+                .ok()
+                .and_then(|value| value.trim().parse().ok())
+                .unwrap_or(0);
         }
     }
     let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("").to_owned();
-    let path = parts.next().unwrap_or("/").to_owned();
-    let path = path.as_str();
+    let method = parts.next().unwrap_or("");
+    let path = parts.next().unwrap_or("/");
 
     // Remote format registration (paper §7's "format registration
     // mechanism … that incorporates the HTTP protocol"): POST/PUT a
@@ -386,8 +384,18 @@ fn respond(
         "HTTP/1.0 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    stream.write_all(header.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    // Head and body leave in one gathered write: two `write_all`s under
+    // TCP_NODELAY put the head in a segment of its own.
+    let mut slices = [IoSlice::new(header.as_bytes()), IoSlice::new(body.as_bytes())];
+    let mut unsent = &mut slices[..];
+    while !unsent.is_empty() {
+        match stream.write_vectored(unsent) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut unsent, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     stream.flush()
 }
 
@@ -485,7 +493,7 @@ pub(crate) fn http_get_observed(
     };
     let head = format!("GET {path} HTTP/1.0\r\nHost: {host}\r\nConnection: close\r\n\r\n");
     let response = http_exchange(&locator, url, &head, b"", policy, stats)?;
-    parse_http_response(&response, url)
+    parse_http_response(response, url)
 }
 
 /// Runs one request/response exchange under `policy`: up to
@@ -579,28 +587,44 @@ fn attempt_exchange(
     // Bounded read loop: the timeout is re-armed against the remaining
     // total deadline between reads, so a server drip-feeding one byte
     // per read cannot stretch the fetch past `policy.total_deadline`.
-    let mut response = Vec::new();
-    let mut chunk = [0u8; 8 * 1024];
+    // The socket is told only when the clamped value changes — until the
+    // deadline is closer than `read_timeout`, that is once.
+    //
+    // The response is read straight into one buffer: `response[..filled]`
+    // has been received, and the zeroed rest, grown by doubling, is where
+    // the next read lands. At most one byte past the cap is ever asked
+    // for, which is enough to refuse the response.
+    let mut armed = None;
+    let mut response = vec![0u8; 8 * 1024];
+    let mut filled = 0;
     loop {
         let left = deadline.saturating_duration_since(Instant::now());
         if left.is_zero() {
             return Err(timed_out("total discovery deadline exhausted mid-read"));
         }
-        stream.set_read_timeout(Some(policy.read_timeout.min(left).max(MIN_TIMEOUT)))?;
-        match stream.read(&mut chunk) {
+        let timeout = Some(policy.read_timeout.min(left).max(MIN_TIMEOUT));
+        if timeout != armed {
+            stream.set_read_timeout(timeout)?;
+            armed = timeout;
+        }
+        if filled == response.len() {
+            response.resize((2 * filled).min(MAX_RESPONSE_BYTES + 1), 0);
+        }
+        match stream.read(&mut response[filled..]) {
             Ok(0) => break,
             Ok(n) => {
-                if response.len() + n > MAX_RESPONSE_BYTES {
+                filled += n;
+                if filled > MAX_RESPONSE_BYTES {
                     return Err(X2wError::Io(std::io::Error::new(
                         std::io::ErrorKind::InvalidData,
                         "response exceeds the discovery response cap",
                     )));
                 }
-                response.extend_from_slice(&chunk[..n]);
             }
             Err(e) => return Err(X2wError::Io(e)),
         }
     }
+    response.truncate(filled);
     Ok(response)
 }
 
@@ -621,17 +645,23 @@ fn jitter_unit() -> f64 {
     (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
 }
 
-fn parse_http_response(response: &[u8], url: &str) -> Result<String, X2wError> {
-    let text = String::from_utf8(response.to_vec()).map_err(|_| X2wError::BadLocator {
+/// The body of a `200` response, which becomes the returned `String`
+/// in place: the head is drained off the front and each byte is checked
+/// as UTF-8 once.
+fn parse_http_response(mut response: Vec<u8>, url: &str) -> Result<String, X2wError> {
+    let not_utf8 = || X2wError::BadLocator {
         locator: url.to_owned(),
         reason: "response is not UTF-8".to_owned(),
-    })?;
-    let (head, body) = text.split_once("\r\n\r\n").or_else(|| text.split_once("\n\n")).ok_or(
-        X2wError::BadLocator {
+    };
+    let find = |needle: &[u8]| response.windows(needle.len()).position(|w| w == needle);
+    let (head_len, body_start) = find(b"\r\n\r\n")
+        .map(|at| (at, at + 4))
+        .or_else(|| find(b"\n\n").map(|at| (at, at + 2)))
+        .ok_or(X2wError::BadLocator {
             locator: url.to_owned(),
             reason: "malformed HTTP response (no header terminator)".to_owned(),
-        },
-    )?;
+        })?;
+    let head = std::str::from_utf8(&response[..head_len]).map_err(|_| not_utf8())?;
     let status_line = head.lines().next().unwrap_or("");
     let status: u16 = status_line
         .split_whitespace()
@@ -647,7 +677,8 @@ fn parse_http_response(response: &[u8], url: &str) -> Result<String, X2wError> {
             attempts: vec![format!("server answered HTTP {status}")],
         });
     }
-    Ok(body.to_owned())
+    response.drain(..body_start);
+    String::from_utf8(response).map_err(|_| not_utf8())
 }
 
 #[cfg(test)]
@@ -846,6 +877,105 @@ mod tests {
             panic!("expected Discovery, got {err}");
         };
         assert_eq!(attempts.len(), policy.attempts as usize, "{attempts:?}");
+    }
+
+    /// Serves one connection on a fresh port: reads the request head,
+    /// then hands the socket to `reply`. Returns a URL on that port and
+    /// the serving thread.
+    fn serve_once(
+        reply: impl FnOnce(&mut TcpStream) + Send + 'static,
+    ) -> (String, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let url = format!("http://{}/doc.xsd", listener.local_addr().unwrap());
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut head = Vec::new();
+            while !head.ends_with(b"\r\n\r\n") {
+                let mut byte = [0u8; 1];
+                stream.read_exact(&mut byte).unwrap();
+                head.push(byte[0]);
+            }
+            stream.set_nodelay(true).unwrap();
+            reply(&mut stream);
+        });
+        (url, server)
+    }
+
+    /// One attempt, so each fetch is one connection to [`serve_once`].
+    fn one_attempt() -> DiscoveryPolicy {
+        DiscoveryPolicy::one_shot(Duration::from_secs(10))
+    }
+
+    #[test]
+    fn a_response_dripped_a_byte_at_a_time_is_read_whole() {
+        let (url, server) = serve_once(|stream| {
+            let response = format!("HTTP/1.0 200 OK\r\nContent-Length: {}\r\n\r\n{DOC}", DOC.len());
+            for byte in response.as_bytes() {
+                stream.write_all(std::slice::from_ref(byte)).unwrap();
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        assert_eq!(http_get_with(&url, &one_attempt()).unwrap(), DOC);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_response_at_the_cap_is_read_and_one_byte_more_is_refused() {
+        const HEAD: &str = "HTTP/1.0 200 OK\r\n\r\n";
+        for extra in [0, 1] {
+            let body_len = MAX_RESPONSE_BYTES - HEAD.len() + extra;
+            let (url, server) = serve_once(move |stream| {
+                // The client hangs up on a response over the cap, so
+                // writes may fail.
+                let _ = stream.write_all(HEAD.as_bytes());
+                let chunk = vec![b'x'; 1 << 20];
+                let mut left = body_len;
+                while left > 0 {
+                    let n = left.min(chunk.len());
+                    if stream.write_all(&chunk[..n]).is_err() {
+                        break;
+                    }
+                    left -= n;
+                }
+            });
+            let fetched = http_get_with(&url, &one_attempt());
+            server.join().unwrap();
+            match fetched {
+                Ok(body) => assert_eq!((extra, body.len()), (0, body_len)),
+                Err(err) => {
+                    assert_eq!(extra, 1, "a response at the cap was refused: {err}");
+                    assert!(err.to_string().contains("response cap"), "{err}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_response_that_is_not_utf8_is_refused_in_body_or_head() {
+        let responses: [&[u8]; 2] =
+            [b"HTTP/1.0 200 OK\r\n\r\n<a>\xff</a>", b"HTTP/1.0 200 O\xffK\r\n\r\n<a/>"];
+        for response in responses {
+            let (url, server) = serve_once(move |stream| stream.write_all(response).unwrap());
+            let err = http_get_with(&url, &one_attempt()).unwrap_err();
+            server.join().unwrap();
+            assert!(err.to_string().contains("not UTF-8"), "{err}");
+        }
+    }
+
+    #[test]
+    fn error_statuses_are_reported_as_such() {
+        for status in [404, 500] {
+            let (url, server) = serve_once(move |stream| {
+                let response = format!("HTTP/1.0 {status} Whatever\r\n\r\nno document here");
+                stream.write_all(response.as_bytes()).unwrap();
+            });
+            let err = http_get_with(&url, &one_attempt()).unwrap_err();
+            server.join().unwrap();
+            let X2wError::Discovery { attempts, .. } = &err else {
+                panic!("expected Discovery, got {err}");
+            };
+            assert_eq!(attempts, &[format!("server answered HTTP {status}")]);
+        }
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! through `chunks_exact` + `from_ne_bytes`, which the compiler lowers
 //! to single loads.
 //!
-//! Line/column positions are computed lazily from a monotonic checkpoint
-//! instead of being updated per character; successive
-//! [`position`](Cursor::position) calls therefore cost amortized O(n)
-//! over the whole input instead of O(n) each.
+//! The cursor tracks a byte offset only. The tokenizer notes where each
+//! construct began as an offset and turns one into a line/column
+//! [`Position`] only when it builds an error, so a document that parses
+//! never has its newlines counted. Successive position queries scan on
+//! from a cached checkpoint, amortized O(n) over the whole input.
 
 use std::cell::Cell;
 
@@ -163,25 +164,30 @@ impl<'a> Cursor<'a> {
     /// computed lazily; columns count bytes, as documented on
     /// [`Position`].
     pub fn position(&self) -> Position {
+        self.position_at(self.offset)
+    }
+
+    /// The position of byte `offset` (at most the input's length): what
+    /// an error about a construct that began there reports. The
+    /// tokenizer keeps plain offsets and asks this only when it builds
+    /// an error.
+    pub(crate) fn position_at(&self, offset: usize) -> Position {
         let (mut scanned, mut line, mut line_start) = self.mark.get();
-        if self.offset < scanned {
-            // A cloned cursor may observe a rewound offset; restart.
+        if offset < scanned {
+            // Behind the checkpoint (an earlier construct, or a cloned
+            // cursor that rewound): count from the start.
             scanned = 0;
             line = 1;
             line_start = 0;
         }
-        for (i, &b) in self.input.as_bytes()[scanned..self.offset].iter().enumerate() {
+        for (i, &b) in self.input.as_bytes()[scanned..offset].iter().enumerate() {
             if b == b'\n' {
                 line += 1;
                 line_start = scanned + i + 1;
             }
         }
-        self.mark.set((self.offset, line, line_start));
-        Position {
-            offset: self.offset,
-            line,
-            column: (self.offset - line_start + 1) as u32,
-        }
+        self.mark.set((offset, line, line_start));
+        Position { offset, line, column: (offset - line_start + 1) as u32 }
     }
 
     /// Whether the entire input has been consumed.

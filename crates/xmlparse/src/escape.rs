@@ -109,6 +109,11 @@ pub fn escape_attribute_into(out: &mut String, raw: &str) {
 /// Returns [`ErrorKind::UnknownEntity`] or [`ErrorKind::InvalidCharRef`]
 /// at `pos`.
 pub fn resolve_entity(entity: &str, pos: Position) -> Result<char, XmlError> {
+    entity_char(entity).map_err(|kind| XmlError::new(kind, pos))
+}
+
+/// [`resolve_entity`] without a position: the error's kind alone.
+fn entity_char(entity: &str) -> Result<char, ErrorKind> {
     match entity {
         "lt" => Ok('<'),
         "gt" => Ok('>'),
@@ -126,14 +131,9 @@ pub fn resolve_entity(entity: &str, pos: Position) -> Result<char, XmlError> {
                     .ok()
                     .and_then(char::from_u32)
                     .filter(|ch| is_xml_char(*ch))
-                    .ok_or_else(|| {
-                        XmlError::new(
-                            ErrorKind::InvalidCharRef { reference: entity.to_owned() },
-                            pos,
-                        )
-                    })
+                    .ok_or_else(|| ErrorKind::InvalidCharRef { reference: entity.to_owned() })
             } else {
-                Err(XmlError::new(ErrorKind::UnknownEntity { entity: entity.to_owned() }, pos))
+                Err(ErrorKind::UnknownEntity { entity: entity.to_owned() })
             }
         }
     }
@@ -150,6 +150,13 @@ pub fn resolve_entity(entity: &str, pos: Position) -> Result<char, XmlError> {
 /// [`ErrorKind::UnexpectedEof`] style error if a `&` is never closed by
 /// `;`.
 pub fn unescape(raw: &str, pos: Position) -> Result<Cow<'_, str>, XmlError> {
+    unescape_kind(raw).map_err(|kind| XmlError::new(kind, pos))
+}
+
+/// [`unescape`] without a position: the error's kind alone, for the
+/// tokenizer, which knows where a run began as a byte offset and builds
+/// a [`Position`] from it only on error.
+pub(crate) fn unescape_kind(raw: &str) -> Result<Cow<'_, str>, ErrorKind> {
     let first = match find_byte(raw.as_bytes(), b'&') {
         None => return Ok(Cow::Borrowed(raw)),
         Some(first) => first,
@@ -160,10 +167,9 @@ pub fn unescape(raw: &str, pos: Position) -> Result<Cow<'_, str>, XmlError> {
     while let Some(amp) = find_byte(rest.as_bytes(), b'&') {
         out.push_str(&rest[..amp]);
         let after = &rest[amp + 1..];
-        let semi = find_byte(after.as_bytes(), b';').ok_or_else(|| {
-            XmlError::new(ErrorKind::UnexpectedEof { expecting: "';' closing an entity" }, pos)
-        })?;
-        out.push(resolve_entity(&after[..semi], pos)?);
+        let semi = find_byte(after.as_bytes(), b';')
+            .ok_or(ErrorKind::UnexpectedEof { expecting: "';' closing an entity" })?;
+        out.push(entity_char(&after[..semi])?);
         rest = &after[semi + 1..];
     }
     out.push_str(rest);

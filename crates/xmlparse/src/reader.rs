@@ -18,9 +18,11 @@
 
 use std::borrow::Cow;
 
-use crate::cursor::{find_byte, is_xml_whitespace, Cursor, NAME_BYTE, NAME_START_BYTE, WS_BYTE};
+use crate::cursor::{
+    find_byte, find_byte3, is_xml_whitespace, Cursor, NAME_BYTE, NAME_START_BYTE, WS_BYTE,
+};
 use crate::error::{ErrorKind, Position, XmlError};
-use crate::escape::unescape;
+use crate::escape::unescape_kind;
 
 /// A single `name="value"` attribute as parsed from a start tag, with
 /// owned storage.
@@ -250,10 +252,7 @@ impl<'a> Reader<'a> {
     /// the position of the offending construct. After an error the reader
     /// state is unspecified and parsing should not continue.
     pub fn next_borrowed(&mut self) -> Result<BorrowedEvent<'_, 'a>, XmlError> {
-        if let Some(name) = self.pending_end.take() {
-            let popped = self.open.pop();
-            debug_assert_eq!(popped, Some(name));
-            self.note_element_closed();
+        if let Some(name) = self.close_pending() {
             return Ok(BorrowedEvent::EndElement { name });
         }
 
@@ -270,7 +269,9 @@ impl<'a> Reader<'a> {
             return Ok(match construct {
                 Construct::Whitespace => continue,
                 Construct::XmlDecl(decl) => BorrowedEvent::XmlDecl(decl),
-                Construct::Text { raw, pos } => BorrowedEvent::Text(finish_text(raw, pos)?),
+                Construct::Text { raw, at } => {
+                    BorrowedEvent::Text(finish_text(raw).map_err(|kind| self.error_at(kind, at))?)
+                }
                 Construct::Comment(body) => BorrowedEvent::Comment(body),
                 Construct::CData(body) => BorrowedEvent::CData(body),
                 Construct::Doctype(body) => BorrowedEvent::Doctype(body),
@@ -284,29 +285,61 @@ impl<'a> Reader<'a> {
                     }
                     BorrowedEvent::StartElement { name, attributes: &self.attrs }
                 }
-                Construct::End { name, pos } => match self.open.pop() {
-                    Some(expected) if expected == name => {
-                        self.note_element_closed();
-                        BorrowedEvent::EndElement { name }
-                    }
-                    Some(expected) => {
-                        return Err(XmlError::new(
-                            ErrorKind::MismatchedTag {
-                                expected: expected.to_owned(),
-                                found: name.to_owned(),
-                            },
-                            pos,
-                        ))
-                    }
-                    None => {
-                        return Err(XmlError::new(
-                            ErrorKind::UnmatchedCloseTag { name: name.to_owned() },
-                            pos,
-                        ))
-                    }
-                },
+                Construct::End { name, at } => {
+                    self.close(name, at)?;
+                    BorrowedEvent::EndElement { name }
+                }
             });
         }
+    }
+
+    /// Consumes the rest of the innermost open element — the one whose
+    /// [`BorrowedEvent::StartElement`] was just returned — through its
+    /// end tag, without surfacing what is inside as events.
+    ///
+    /// The content is checked exactly as
+    /// [`next_borrowed`](Self::next_borrowed) checks it: the same scanner
+    /// reads it, under the same nesting, name, attribute, character-data
+    /// and entity rules. The reader ends where pulling events up to the
+    /// matching [`BorrowedEvent::EndElement`] would have left it, at the
+    /// same [`offset`](Self::offset). With no element open it does
+    /// nothing.
+    ///
+    /// ```
+    /// use xmlparse::{BorrowedEvent, Reader};
+    /// # fn main() -> Result<(), xmlparse::XmlError> {
+    /// let mut r = Reader::new("<a><skip x='1'>t<b/></skip><keep/></a>");
+    /// r.next_borrowed()?; // <a>
+    /// r.next_borrowed()?; // <skip>
+    /// r.skip_element()?;
+    /// assert!(matches!(r.next_borrowed()?, BorrowedEvent::StartElement { name: "keep", .. }));
+    /// # Ok(())
+    /// # }
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// The first error `next_borrowed` would have returned inside the
+    /// element, with the same kind and position.
+    pub fn skip_element(&mut self) -> Result<(), XmlError> {
+        if self.close_pending().is_some() {
+            return Ok(());
+        }
+        let depth = self.open.len();
+        while depth > 0 && self.open.len() >= depth {
+            if self.cursor.is_at_end() {
+                return Err(self.unclosed(self.open.last().expect("an element is open")));
+            }
+            match scan_construct(&mut self.cursor, &mut self.attrs, false, false)? {
+                Construct::Text { raw, at } => {
+                    finish_text(raw).map_err(|kind| self.error_at(kind, at))?;
+                }
+                Construct::Start { name, self_closing: false } => self.open.push(name),
+                Construct::End { name, at } => self.close(name, at)?,
+                _ => {}
+            }
+        }
+        Ok(())
     }
 
     /// Runs the reader to completion, collecting all events (excluding the
@@ -327,15 +360,48 @@ impl<'a> Reader<'a> {
 
     fn finish(&mut self) -> Result<BorrowedEvent<'_, 'a>, XmlError> {
         if let Some(name) = self.open.last() {
-            return Err(XmlError::new(
-                ErrorKind::UnclosedElement { name: (*name).to_owned() },
-                self.cursor.position(),
-            ));
+            return Err(self.unclosed(name));
         }
         if !self.seen_root {
             return Err(XmlError::new(ErrorKind::NoRootElement, self.cursor.position()));
         }
         Ok(BorrowedEvent::Eof)
+    }
+
+    /// The input ended with `name` open.
+    fn unclosed(&self, name: &str) -> XmlError {
+        XmlError::new(ErrorKind::UnclosedElement { name: name.to_owned() }, self.cursor.position())
+    }
+
+    fn error_at(&self, kind: ErrorKind, offset: usize) -> XmlError {
+        XmlError::new(kind, self.cursor.position_at(offset))
+    }
+
+    /// Closes the element an empty-element tag left open, if there is
+    /// one, and returns its name.
+    fn close_pending(&mut self) -> Option<&'a str> {
+        let name = self.pending_end.take()?;
+        let popped = self.open.pop();
+        debug_assert_eq!(popped, Some(name));
+        self.note_element_closed();
+        Some(name)
+    }
+
+    /// Matches the end tag `name`, which began at byte `at`, against the
+    /// innermost open element.
+    fn close(&mut self, name: &'a str, at: usize) -> Result<(), XmlError> {
+        match self.open.pop() {
+            Some(expected) if expected == name => {
+                self.note_element_closed();
+                Ok(())
+            }
+            Some(expected) => {
+                let kind =
+                    ErrorKind::MismatchedTag { expected: expected.to_owned(), found: name.to_owned() };
+                Err(self.error_at(kind, at))
+            }
+            None => Err(self.error_at(ErrorKind::UnmatchedCloseTag { name: name.to_owned() }, at)),
+        }
     }
 
     fn note_element_opened(&mut self, name: &'a str) -> Result<(), XmlError> {
@@ -369,7 +435,9 @@ impl<'a> Reader<'a> {
 // both produce the same events and the same error kinds by construction.
 
 /// One construct of a document, borrowed from the input, before any
-/// nesting rule has been applied to it.
+/// nesting rule has been applied to it. Where a caller may still have
+/// to report an error about it, the construct carries the byte offset
+/// it began at; a [`Position`] is built from that only for an error.
 pub(crate) enum Construct<'a> {
     /// Whitespace between top-level constructs: consumed, not an event.
     Whitespace,
@@ -377,7 +445,7 @@ pub(crate) enum Construct<'a> {
     /// A character-data run up to the next `<` or the end of the input,
     /// not yet checked or unescaped: [`finish_text`] does that once the
     /// caller knows the run is whole.
-    Text { raw: &'a str, pos: Position },
+    Text { raw: &'a str, at: usize },
     Comment(&'a str),
     CData(&'a str),
     Doctype(&'a str),
@@ -385,7 +453,7 @@ pub(crate) enum Construct<'a> {
     /// A start tag; its attributes are in the pool the caller passed.
     Start { name: &'a str, self_closing: bool },
     /// An end tag, and where it began for the caller's mismatch error.
-    End { name: &'a str, pos: Position },
+    End { name: &'a str, at: usize },
 }
 
 /// Scans the one construct that starts at the cursor, which must not be
@@ -394,10 +462,13 @@ pub(crate) enum Construct<'a> {
 /// as the very first bytes; `at_top_level` (no element is open) admits
 /// only whitespace as character data and no CDATA section.
 ///
-/// `#[inline]` so that each driver's match on the result fuses with the
+/// Inlined so that each driver's match on the result fuses with the
 /// scan: called out of line, the in-memory reader measured 12–16 % slower
-/// on the 9.7 MiB E-index document.
-#[inline]
+/// on the 9.7 MiB E-index document. `always`, because a plain hint stops
+/// being taken once the crate has two callers of its own
+/// ([`Reader::next_borrowed`] and [`Reader::skip_element`]): that cost
+/// `next_borrowed` a quarter of its speed on a text-heavy document.
+#[inline(always)]
 pub(crate) fn scan_construct<'a>(
     cursor: &mut Cursor<'a>,
     attrs: &mut Vec<BorrowedAttr<'a>>,
@@ -405,15 +476,15 @@ pub(crate) fn scan_construct<'a>(
     at_top_level: bool,
 ) -> Result<Construct<'a>, XmlError> {
     if cursor.peek_byte() != Some(b'<') {
-        let pos = cursor.position();
+        let at = cursor.offset();
         let rest = cursor.rest();
         let end = find_byte(rest.as_bytes(), b'<').unwrap_or(rest.len());
         let raw = &rest[..end];
         if at_top_level && !raw.bytes().all(|b| WS_BYTE[b as usize]) {
-            return Err(XmlError::new(ErrorKind::ContentOutsideRoot, pos));
+            return Err(XmlError::new(ErrorKind::ContentOutsideRoot, cursor.position()));
         }
         cursor.advance(end);
-        return Ok(if at_top_level { Construct::Whitespace } else { Construct::Text { raw, pos } });
+        return Ok(if at_top_level { Construct::Whitespace } else { Construct::Text { raw, at } });
     }
     // The byte after `<` picks the family; whatever fits none of them is
     // left to the start-tag parser to name the error.
@@ -446,8 +517,8 @@ pub(crate) fn scan_construct<'a>(
             return Ok(Construct::Pi { target, data });
         }
         Some(b'/') => {
-            let pos = cursor.position();
-            return Ok(Construct::End { name: parse_end_tag_name(cursor)?, pos });
+            let at = cursor.offset();
+            return Ok(Construct::End { name: parse_end_tag_name(cursor)?, at });
         }
         _ => {}
     }
@@ -464,7 +535,7 @@ fn parse_xml_decl(cursor: &mut Cursor<'_>) -> Result<XmlDecl, XmlError> {
         if cursor.eat("?>") {
             break;
         }
-        let pos = cursor.position();
+        let at = cursor.offset();
         let name = parse_name(cursor)?;
         cursor.skip_whitespace();
         cursor.expect("=", "'=' in the XML declaration")?;
@@ -477,7 +548,7 @@ fn parse_xml_decl(cursor: &mut Cursor<'_>) -> Result<XmlDecl, XmlError> {
             _ => {
                 return Err(XmlError::custom(
                     format!("unknown XML declaration attribute {name:?}"),
-                    pos,
+                    cursor.position_at(at),
                 ))
             }
         }
@@ -488,7 +559,7 @@ fn parse_xml_decl(cursor: &mut Cursor<'_>) -> Result<XmlDecl, XmlError> {
 /// Parses `<!DOCTYPE ...>` (cursor at the `<`), returning the trimmed
 /// body. Honours an internal subset in `[...]`.
 fn parse_doctype<'a>(cursor: &mut Cursor<'a>) -> Result<&'a str, XmlError> {
-    let start = cursor.position();
+    let start = cursor.offset();
     cursor.expect("<!DOCTYPE", "a DOCTYPE declaration")?;
     // Scan to the matching '>', honouring an internal subset in [...].
     let rest = cursor.rest();
@@ -500,7 +571,7 @@ fn parse_doctype<'a>(cursor: &mut Cursor<'a>) -> Result<&'a str, XmlError> {
             None => {
                 return Err(XmlError::new(
                     ErrorKind::UnexpectedEof { expecting: "'>' closing DOCTYPE" },
-                    start,
+                    cursor.position_at(start),
                 ))
             }
             Some(rel) => {
@@ -572,12 +643,12 @@ fn parse_start_tag_into<'a>(
                 pos,
             ));
         }
-        let attr_pos = cursor.position();
+        let attr_at = cursor.offset();
         let attr_name = parse_name(cursor)?;
         if attrs.iter().any(|a| a.name == attr_name) {
             return Err(XmlError::new(
                 ErrorKind::DuplicateAttribute { name: attr_name.to_owned() },
-                attr_pos,
+                cursor.position_at(attr_at),
             ));
         }
         cursor.skip_whitespace();
@@ -598,13 +669,14 @@ fn parse_end_tag_name<'a>(cursor: &mut Cursor<'a>) -> Result<&'a str, XmlError> 
     Ok(name)
 }
 
-/// Validates and unescapes a raw character-data run that starts at
-/// `pos`.
-pub(crate) fn finish_text(raw: &str, pos: Position) -> Result<Cow<'_, str>, XmlError> {
+/// Validates and unescapes a raw character-data run; an error is
+/// reported at the run's start, which the caller knows.
+pub(crate) fn finish_text(raw: &str) -> Result<Cow<'_, str>, ErrorKind> {
     if raw.contains("]]>") {
-        return Err(XmlError::custom("']]>' is not allowed in character data", pos));
+        let message = "']]>' is not allowed in character data".to_owned();
+        return Err(ErrorKind::Custom { message });
     }
-    unescape(raw, pos)
+    unescape_kind(raw)
 }
 
 /// Parses an XML name at the cursor.
@@ -632,25 +704,34 @@ fn parse_name<'a>(cursor: &mut Cursor<'a>) -> Result<&'a str, XmlError> {
 
 /// Parses a quoted attribute value at the cursor, resolving entities.
 fn parse_quoted_value<'a>(cursor: &mut Cursor<'a>) -> Result<Cow<'a, str>, XmlError> {
-    let pos = cursor.position();
+    let at = cursor.offset();
     let quote = match cursor.peek_byte() {
         Some(q @ (b'"' | b'\'')) => q,
         Some(_) => {
             let found = cursor.peek().expect("peek_byte saw a byte");
             return Err(XmlError::new(
                 ErrorKind::UnexpectedChar { found, expecting: "a quoted attribute value" },
-                pos,
+                cursor.position(),
             ));
         }
         None => {
             return Err(XmlError::new(
                 ErrorKind::UnexpectedEof { expecting: "a quoted attribute value" },
-                pos,
+                cursor.position(),
             ))
         }
     };
     cursor.advance(1);
     let rest = cursor.rest();
+    // A value with neither markup nor a reference in it — nearly every
+    // value — ends at the first hit of one pass; the rest take the checks
+    // below.
+    if let Some(end) = find_byte3(rest.as_bytes(), quote, b'<', b'&') {
+        if rest.as_bytes()[end] == quote {
+            cursor.advance(end + 1);
+            return Ok(Cow::Borrowed(&rest[..end]));
+        }
+    }
     let end = find_byte(rest.as_bytes(), quote).ok_or_else(|| {
         XmlError::new(
             ErrorKind::UnexpectedEof { expecting: "the closing attribute quote" },
@@ -659,10 +740,10 @@ fn parse_quoted_value<'a>(cursor: &mut Cursor<'a>) -> Result<Cow<'a, str>, XmlEr
     })?;
     let raw = &rest[..end];
     if find_byte(raw.as_bytes(), b'<').is_some() {
-        return Err(XmlError::custom("'<' is not allowed in attribute values", pos));
+        return Err(XmlError::custom("'<' is not allowed in attribute values", cursor.position_at(at)));
     }
     cursor.advance(end + 1);
-    unescape(raw, pos)
+    unescape_kind(raw).map_err(|kind| XmlError::new(kind, cursor.position_at(at)))
 }
 
 #[cfg(test)]

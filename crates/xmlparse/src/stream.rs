@@ -211,9 +211,9 @@ impl<R: Read> StreamingReader<R> {
             return Ok(match construct {
                 Construct::Whitespace => continue,
                 Construct::XmlDecl(decl) => Event::XmlDecl(decl),
-                Construct::Text { raw, pos } => match finish_text(raw, pos) {
+                Construct::Text { raw, at } => match finish_text(raw) {
                     Ok(text) => Event::Text(text.into_owned()),
-                    Err(err) => return Err(self.rebase(err, base)),
+                    Err(kind) => return Err(self.error_at(kind, base + at)),
                 },
                 Construct::Comment(body) => Event::Comment(body.to_owned()),
                 Construct::CData(body) => Event::CData(body.to_owned()),

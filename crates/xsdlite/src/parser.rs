@@ -19,9 +19,10 @@
 //! first complex type needs ([`crate::Schema::parse_reachable`]): the
 //! same driver reads the whole document, but every later top-level
 //! complex type is skipped where it stands — its name and where its
-//! start tag is go into an index — and after the end of the document the
-//! skipped types the first one transitively names are compiled from
-//! there.
+//! start tag is go into an index, and [`xmlparse::Reader::skip_element`]
+//! checks its body without building events — and after the end of the
+//! document the skipped types the first one transitively names are
+//! compiled from there.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, RandomState};
@@ -51,12 +52,8 @@ pub(crate) fn parse_reachable_str(input: &str) -> Result<Schema, SchemaError> {
 /// whatever its index left for pass 2.
 fn compile_str(input: &str, mut compiler: Compiler) -> Result<Schema, SchemaError> {
     let mut reader = Reader::new(input);
-    loop {
-        let at = reader.offset();
-        if compiler.feed(&reader.next_borrowed()?, at) {
-            return compiler.finish(input);
-        }
-    }
+    while !compiler.pull(&mut reader)? {}
+    compiler.finish(input)
 }
 
 /// Parses a schema from an incremental byte source at bounded peak
@@ -198,18 +195,26 @@ struct Compiler {
 }
 
 impl Compiler {
-    /// Feeds one event of the in-memory reader, which read it from
-    /// offset `at`; whether it was the end of the document.
-    fn feed(&mut self, event: &BorrowedEvent<'_, '_>, at: usize) -> bool {
-        match event {
+    /// Feeds the in-memory reader's next event; whether it was the end of
+    /// the document. An element the compiler has no use for is read to
+    /// its end right away by [`Reader::skip_element`], which checks it as
+    /// the events would have been checked but builds none of them: every
+    /// skipped complex type and every `xsd:element` body goes that way.
+    fn pull(&mut self, reader: &mut Reader<'_>) -> Result<bool, xmlparse::XmlError> {
+        let at = reader.offset();
+        match &reader.next_borrowed()? {
             BorrowedEvent::StartElement { name, attributes } => self.start(name, attributes, at),
             BorrowedEvent::EndElement { .. } => self.end(),
             BorrowedEvent::Text(text) => self.text(text),
             BorrowedEvent::CData(text) => self.cdata(text),
-            BorrowedEvent::Eof => return true,
+            BorrowedEvent::Eof => return Ok(true),
             _ => {}
         }
-        false
+        if self.failed.is_none() && matches!(self.open.last(), Some(Open::Ignored)) {
+            reader.skip_element()?;
+            self.end();
+        }
+        Ok(false)
     }
 
     /// A start tag, which begins at byte `at` of the document.
@@ -302,7 +307,7 @@ impl Compiler {
         let mut reader = Reader::new(fragment);
         self.open.push(Open::Schema);
         loop {
-            let eof = self.feed(&reader.next_borrowed()?, 0);
+            let eof = self.pull(&mut reader)?;
             if let Some(e) = self.failed.take() {
                 return Err(e);
             }
