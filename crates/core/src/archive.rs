@@ -1,37 +1,47 @@
-//! Self-contained archives: record files that carry their own metadata.
+//! Self-contained archives: files of NDR records that carry their own
+//! metadata.
 //!
-//! A [`pbio::recfile`] needs the reader to already know the formats.
-//! This module applies the paper's open-metadata idea to storage: the
-//! archive *embeds the XML Schema documents* for every format it
-//! contains, so any reader — written years later, knowing nothing —
-//! discovers the metadata from the file itself and decodes the records.
-//! This is exactly the scenario the paper's introduction gives for open
-//! metadata ("the engineers designing parts, the physicists studying
-//! atmospheric phenomena … sharing such data"), applied to archived
-//! rather than live streams.
+//! PBIO encodes structures to be sent over networks "**or written to
+//! data files**" (§4.1.2). An NDR message names its format and its
+//! sender's architecture, so a file of them written on one machine reads
+//! on any other — given the formats. An archive applies the paper's
+//! open-metadata idea to storage: it *embeds the XML Schema documents*
+//! for every format it contains, so any reader — written years later,
+//! knowing nothing — discovers the metadata from the file itself and
+//! decodes the records. This is exactly the scenario the paper's
+//! introduction gives for open metadata ("the engineers designing parts,
+//! the physicists studying atmospheric phenomena … sharing such data"),
+//! applied to archived rather than live streams.
 //!
-//! Layout: `"X2WARCHV" ∥ u8 version ∥ u32 schema count ∥ (u32 len ∥
-//! schema document bytes)* ∥ recfile bytes` (the embedded recfile has
-//! its own magic and framing).
+//! Layout: `"X2WARCHV" ∥ u8 version ∥ u32 LE schema count N ∥ frames*`,
+//! each frame the segment log's `len ∥ seq ∥ payload ∥ crc` with seqs 1,
+//! 2, …: the first N payloads are the schema documents, the rest NDR
+//! messages. The log's frame writer writes them and its window reads
+//! them ([`crate::seglog`]), so a flipped bit or a torn tail is an error,
+//! never a different record.
 
-use std::io::{Read, Write};
+use std::io::{BufWriter, Read, Write};
+use std::sync::Arc;
 
 use clayout::Record;
-use pbio::recfile::{RecordReader, RecordWriter};
 use pbio::PbioError;
 
 use crate::binding::schema_for_struct;
 use crate::error::X2wError;
+use crate::seglog::{put_frame, Step, Window};
 use crate::session::Xml2Wire;
 
 /// The archive magic.
 pub const ARCHIVE_MAGIC: &[u8; 8] = b"X2WARCHV";
-/// The archive format version this build writes.
-pub const ARCHIVE_VERSION: u8 = 1;
-/// Corruption guard for embedded schema documents.
-const MAX_SCHEMA: u32 = 16 * 1024 * 1024;
+/// The archive format version this build writes and reads. Version 1
+/// framed records without a checksum; it is refused.
+pub const ARCHIVE_VERSION: u8 = 2;
 /// Corruption guard for the schema dictionary entry count.
 const MAX_SCHEMAS: u32 = 4096;
+
+fn archive_err(detail: String) -> X2wError {
+    X2wError::Bcm(PbioError::Text { detail })
+}
 
 /// Writes a self-contained archive.
 ///
@@ -39,21 +49,28 @@ const MAX_SCHEMAS: u32 = 4096;
 /// written, because the schema dictionary precedes the records on disk.
 #[derive(Debug)]
 pub struct ArchiveWriter<W: Write> {
-    inner: Option<RecordWriter<W>>,
-    pending: Option<(W, Vec<String>)>,
+    sink: BufWriter<W>,
+    /// The declared formats' schema documents until the first record
+    /// writes them; `None` after.
+    schemas: Option<Vec<String>>,
     /// Names of the formats whose schemas the header carries.
     declared: Vec<String>,
-    session: std::sync::Arc<Xml2Wire>,
+    session: Arc<Xml2Wire>,
+    /// Seq of the last frame written.
+    seq: u64,
+    frame: Vec<u8>,
 }
 
 impl<W: Write> ArchiveWriter<W> {
     /// Starts an archive on `sink`, embedding metadata from `session`.
-    pub fn create(sink: W, session: std::sync::Arc<Xml2Wire>) -> Self {
+    pub fn create(sink: W, session: Arc<Xml2Wire>) -> Self {
         ArchiveWriter {
-            inner: None,
-            pending: Some((sink, Vec::new())),
+            sink: BufWriter::new(sink),
+            schemas: Some(Vec::new()),
             declared: Vec::new(),
             session,
+            seq: 0,
+            frame: Vec::new(),
         }
     }
 
@@ -65,35 +82,32 @@ impl<W: Write> ArchiveWriter<W> {
     /// Unknown formats, or formats declared after the first record.
     pub fn declare_format(&mut self, format_name: &str) -> Result<(), X2wError> {
         let format = self.session.require_format(format_name)?;
-        match &mut self.pending {
-            Some((_, schemas)) => {
-                schemas.push(schema_for_struct(format.struct_type()).to_xml_string());
-                self.declared.push(format_name.to_owned());
-                Ok(())
-            }
-            None => Err(X2wError::Bcm(PbioError::Text {
-                detail: "formats must be declared before the first record".to_owned(),
-            })),
-        }
+        let Some(schemas) = &mut self.schemas else {
+            return Err(archive_err("formats must be declared before the first record".to_owned()));
+        };
+        schemas.push(schema_for_struct(format.struct_type()).to_xml_string());
+        self.declared.push(format_name.to_owned());
+        Ok(())
     }
 
-    fn ensure_started(&mut self) -> Result<&mut RecordWriter<W>, X2wError> {
-        if self.inner.is_none() {
-            let (mut sink, schemas) =
-                self.pending.take().expect("either pending or started");
-            let io = |e: std::io::Error| {
-                X2wError::Bcm(PbioError::Text { detail: format!("archive i/o: {e}") })
-            };
-            sink.write_all(ARCHIVE_MAGIC).map_err(io)?;
-            sink.write_all(&[ARCHIVE_VERSION]).map_err(io)?;
-            sink.write_all(&(schemas.len() as u32).to_le_bytes()).map_err(io)?;
-            for schema in &schemas {
-                sink.write_all(&(schema.len() as u32).to_le_bytes()).map_err(io)?;
-                sink.write_all(schema.as_bytes()).map_err(io)?;
-            }
-            self.inner = Some(RecordWriter::create(sink).map_err(X2wError::Bcm)?);
-        }
-        Ok(self.inner.as_mut().expect("just started"))
+    /// Writes the header and the schema frames, the first time only.
+    fn ensure_started(&mut self) -> Result<(), X2wError> {
+        let Some(schemas) = self.schemas.take() else {
+            return Ok(());
+        };
+        self.sink.write_all(ARCHIVE_MAGIC)?;
+        self.sink.write_all(&[ARCHIVE_VERSION])?;
+        self.sink.write_all(&(schemas.len() as u32).to_le_bytes())?;
+        schemas.iter().try_for_each(|schema| self.write_frame(schema.as_bytes()))
+    }
+
+    /// Frames `payload` as the next record and writes it.
+    fn write_frame(&mut self, payload: &[u8]) -> Result<(), X2wError> {
+        self.frame.clear();
+        put_frame(&mut self.frame, self.seq + 1, |put| put(payload))?;
+        self.sink.write_all(&self.frame)?;
+        self.seq += 1;
+        Ok(())
     }
 
     /// Appends one record in the named (declared) format.
@@ -106,11 +120,13 @@ impl<W: Write> ArchiveWriter<W> {
     pub fn append(&mut self, record: &Record, format_name: &str) -> Result<(), X2wError> {
         let format = self.session.require_format(format_name)?;
         if !self.declared.iter().any(|name| name == format_name) {
-            return Err(X2wError::Bcm(PbioError::Text {
-                detail: format!("format {format_name:?} was not declared for this archive"),
-            }));
+            return Err(archive_err(format!(
+                "format {format_name:?} was not declared for this archive"
+            )));
         }
-        self.ensure_started()?.append(record, &format).map_err(X2wError::Bcm)
+        let message = pbio::ndr::encode(record, &format)?;
+        self.ensure_started()?;
+        self.write_frame(&message)
     }
 
     /// Flushes and returns the sink.
@@ -120,20 +136,35 @@ impl<W: Write> ArchiveWriter<W> {
     /// Propagates the final flush.
     pub fn finish(mut self) -> Result<W, X2wError> {
         self.ensure_started()?;
-        self.inner
-            .take()
-            .expect("started above")
-            .finish()
-            .map_err(X2wError::Bcm)
+        self.sink.into_inner().map_err(|e| X2wError::Io(e.into_error()))
     }
 }
 
 /// Reads a self-contained archive with no prior knowledge: the embedded
 /// schemas are parsed and bound into a fresh session first.
+///
+/// Frames run to the end of the source, which certifies no length: a
+/// frame that claims more bytes than follow it (at most
+/// [`MAX_RECORD`](crate::seglog::MAX_RECORD)) is read up to the end and
+/// reported torn.
 #[derive(Debug)]
 pub struct ArchiveReader<R: Read> {
     session: Xml2Wire,
-    inner: RecordReader<R>,
+    source: R,
+    window: Window,
+}
+
+/// The next frame's payload, lent out of `window`; `None` where the
+/// archive ends on a frame boundary.
+fn next_payload<'w>(
+    window: &'w mut Window,
+    source: &mut impl Read,
+) -> Result<Option<&'w [u8]>, X2wError> {
+    match window.step(source)? {
+        Step::Record { payload, .. } => Ok(Some(&window.buf[payload])),
+        Step::End => Ok(None),
+        Step::Torn(why) => Err(archive_err(format!("corrupt archive: {why}"))),
+    }
 }
 
 impl<R: Read> ArchiveReader<R> {
@@ -142,61 +173,35 @@ impl<R: Read> ArchiveReader<R> {
     ///
     /// # Errors
     ///
-    /// Bad magic/version, malformed embedded schemas, I/O failures.
+    /// Bad magic/version, malformed or torn embedded schemas, I/O
+    /// failures.
     pub fn open(mut source: R) -> Result<Self, X2wError> {
-        let io = |e: std::io::Error| {
-            X2wError::Bcm(PbioError::Text { detail: format!("archive i/o: {e}") })
-        };
-        let mut magic = [0u8; 8];
-        source.read_exact(&mut magic).map_err(io)?;
-        if &magic != ARCHIVE_MAGIC {
+        let mut header = [0u8; 13];
+        source.read_exact(&mut header)?;
+        let (magic, version, count) = (&header[..8], header[8], &header[9..]);
+        if magic != ARCHIVE_MAGIC {
             return Err(X2wError::Bcm(PbioError::BadMagic { found: [magic[0], magic[1]] }));
         }
-        let mut version = [0u8; 1];
-        source.read_exact(&mut version).map_err(io)?;
-        if version[0] != ARCHIVE_VERSION {
-            return Err(X2wError::Bcm(PbioError::UnsupportedVersion { version: version[0] }));
+        if version != ARCHIVE_VERSION {
+            return Err(X2wError::Bcm(PbioError::UnsupportedVersion { version }));
         }
-        let mut len4 = [0u8; 4];
-        source.read_exact(&mut len4).map_err(io)?;
-        let schema_count = u32::from_le_bytes(len4);
+        let schema_count = u32::from_le_bytes(count.try_into().expect("4 bytes"));
         if schema_count > MAX_SCHEMAS {
-            return Err(X2wError::Bcm(PbioError::Text {
-                detail: format!("implausible schema count {schema_count}"),
-            }));
+            return Err(archive_err(format!("implausible schema count {schema_count}")));
         }
+        // Nothing certifies how many bytes the frames fill: to the end.
+        let mut window = Window::default();
+        (window.remaining, window.expect) = (u64::MAX, 1);
         let session = Xml2Wire::builder().build();
         for _ in 0..schema_count {
-            source.read_exact(&mut len4).map_err(io)?;
-            let len = u32::from_le_bytes(len4);
-            if len > MAX_SCHEMA {
-                return Err(X2wError::Bcm(PbioError::Text {
-                    detail: format!("embedded schema of {len} bytes exceeds the limit"),
-                }));
-            }
-            // Read through a `take` so a forged length allocates no more
-            // than the bytes actually present, then verify the claim.
-            let mut doc = Vec::new();
-            let got = source
-                .by_ref()
-                .take(u64::from(len))
-                .read_to_end(&mut doc)
-                .map_err(io)?;
-            if got != len as usize {
-                return Err(X2wError::Bcm(PbioError::Truncated {
-                    need: len as usize,
-                    have: got,
-                }));
-            }
-            let text = String::from_utf8(doc).map_err(|_| {
-                X2wError::Bcm(PbioError::Text {
-                    detail: "embedded schema is not UTF-8".to_owned(),
-                })
+            let document = next_payload(&mut window, &mut source)?.ok_or_else(|| {
+                archive_err("the archive ends inside its schema dictionary".to_owned())
             })?;
-            session.register_schema_str(&text)?;
+            let text = std::str::from_utf8(document)
+                .map_err(|_| archive_err("embedded schema is not UTF-8".to_owned()))?;
+            session.register_schema_str(text)?;
         }
-        let inner = RecordReader::open(source).map_err(X2wError::Bcm)?;
-        Ok(ArchiveReader { session, inner })
+        Ok(ArchiveReader { session, source, window })
     }
 
     /// Format names discovered from the embedded metadata.
@@ -208,14 +213,13 @@ impl<R: Read> ArchiveReader<R> {
     ///
     /// # Errors
     ///
-    /// Truncation or decode failures.
-    pub fn next_record(
-        &mut self,
-    ) -> Result<Option<(String, Record)>, X2wError> {
-        match self.inner.next_record(self.session.registry()).map_err(X2wError::Bcm)? {
-            None => Ok(None),
-            Some((format, record)) => Ok(Some((format.name().to_owned(), record))),
-        }
+    /// Torn or corrupt frames, decode failures.
+    pub fn next_record(&mut self) -> Result<Option<(String, Record)>, X2wError> {
+        let Some(message) = next_payload(&mut self.window, &mut self.source)? else {
+            return Ok(None);
+        };
+        let (format, record) = pbio::ndr::decode(message, self.session.registry())?;
+        Ok(Some((format.name().to_owned(), record)))
     }
 
     /// Iterates over the remaining records one at a time.
@@ -233,8 +237,8 @@ impl<R: Read> ArchiveReader<R> {
 /// Streaming iterator over an archive's records; holds one decoded
 /// record at a time.
 ///
-/// Yields `Err` once at the first failure, then `None` (decoding past a
-/// corrupt record would produce garbage framing).
+/// Yields `Err` once at the first failure, then `None` (the frames
+/// after a corrupt one cannot be trusted to be where they seem).
 #[derive(Debug)]
 pub struct ArchiveRecords<'a, R: Read> {
     reader: &'a mut ArchiveReader<R>,
@@ -285,8 +289,12 @@ mod tests {
             .with("eta", (0..(i as u64 % 3)).collect::<Vec<u64>>())
     }
 
+    fn weather() -> Record {
+        Record::new().with("station", "KATL").with("tempC", 28.5f64)
+    }
+
     fn write_archive(arch: Architecture) -> Vec<u8> {
-        let session = std::sync::Arc::new(Xml2Wire::builder().arch(arch).build());
+        let session = Arc::new(Xml2Wire::builder().arch(arch).build());
         session.register_schema_str(FLIGHT).unwrap();
         session.register_schema_str(WEATHER).unwrap();
         let mut writer = ArchiveWriter::create(Vec::new(), session);
@@ -295,10 +303,25 @@ mod tests {
         for i in 0..10 {
             writer.append(&flight(i), "Flight").unwrap();
         }
-        writer
-            .append(&Record::new().with("station", "KATL").with("tempC", 28.5f64), "Weather")
-            .unwrap();
+        writer.append(&weather(), "Weather").unwrap();
         writer.finish().unwrap()
+    }
+
+    /// An archive framed by hand: `count` in the header, then each of
+    /// `payloads` in a frame of its own.
+    fn framed(count: u32, payloads: &[&[u8]]) -> Vec<u8> {
+        let mut bytes = ARCHIVE_MAGIC.to_vec();
+        bytes.push(ARCHIVE_VERSION);
+        bytes.extend_from_slice(&count.to_le_bytes());
+        for (seq, payload) in (1..).zip(payloads) {
+            put_frame(&mut bytes, seq, |put| put(payload)).unwrap();
+        }
+        bytes
+    }
+
+    /// Every record of an archive, or the first error.
+    fn read_all(bytes: &[u8]) -> Result<Vec<(String, Record)>, X2wError> {
+        ArchiveReader::open(bytes)?.records().collect()
     }
 
     #[test]
@@ -326,7 +349,7 @@ mod tests {
 
     #[test]
     fn appending_an_undeclared_format_is_rejected() {
-        let session = std::sync::Arc::new(Xml2Wire::builder().build());
+        let session = Arc::new(Xml2Wire::builder().build());
         session.register_schema_str(FLIGHT).unwrap();
         session.register_schema_str(WEATHER).unwrap();
         let mut writer = ArchiveWriter::create(Vec::new(), session);
@@ -347,31 +370,20 @@ mod tests {
         assert!(entries.iter().all(|(name, _)| name == "Flight"));
     }
 
-    /// Where the embedded recfile starts: just past the schema dictionary.
-    fn recfile_offset(archive: &[u8]) -> usize {
-        let u32_at = |at: usize| u32::from_le_bytes(archive[at..at + 4].try_into().unwrap());
-        let mut at = ARCHIVE_MAGIC.len() + 1;
-        let schemas = u32_at(at);
-        at += 4;
-        for _ in 0..schemas {
-            at += 4 + u32_at(at) as usize;
-        }
-        at
-    }
-
     #[test]
     fn records_in_a_format_the_dictionary_lacks_fail_clearly() {
-        // No writer produces this any more; a reader can still meet it
-        // in a damaged or foreign file. Splice a Flight-only dictionary
-        // onto records that include a Weather one.
-        let session = std::sync::Arc::new(Xml2Wire::builder().build());
+        // No writer produces this; a reader can still meet it in a
+        // foreign file. A Flight-only dictionary ahead of records that
+        // include a Weather one, every frame whole.
+        let session = Xml2Wire::builder().build();
         session.register_schema_str(FLIGHT).unwrap();
-        let mut writer = ArchiveWriter::create(Vec::new(), session);
-        writer.declare_format("Flight").unwrap();
-        let flight_only = writer.finish().unwrap();
-        let full = write_archive(Architecture::host());
-        let mut bytes = flight_only[..recfile_offset(&flight_only)].to_vec();
-        bytes.extend_from_slice(&full[recfile_offset(&full)..]);
+        session.register_schema_str(WEATHER).unwrap();
+        let mut messages: Vec<Vec<u8>> =
+            (0..10).map(|i| session.encode(&flight(i), "Flight").unwrap()).collect();
+        messages.push(session.encode(&weather(), "Weather").unwrap());
+        let mut payloads = vec![FLIGHT.as_bytes()];
+        payloads.extend(messages.iter().map(Vec::as_slice));
+        let bytes = framed(1, &payloads);
 
         let mut reader = ArchiveReader::open(&bytes[..]).unwrap();
         let mut records = reader.records();
@@ -385,7 +397,7 @@ mod tests {
 
     #[test]
     fn declaring_after_first_record_is_rejected() {
-        let session = std::sync::Arc::new(Xml2Wire::builder().build());
+        let session = Arc::new(Xml2Wire::builder().build());
         session.register_schema_str(FLIGHT).unwrap();
         session.register_schema_str(WEATHER).unwrap();
         let mut writer = ArchiveWriter::create(Vec::new(), session);
@@ -396,7 +408,7 @@ mod tests {
 
     #[test]
     fn empty_archive_round_trips() {
-        let session = std::sync::Arc::new(Xml2Wire::builder().build());
+        let session = Arc::new(Xml2Wire::builder().build());
         session.register_schema_str(FLIGHT).unwrap();
         let mut writer = ArchiveWriter::create(Vec::new(), session);
         writer.declare_format("Flight").unwrap();
@@ -409,7 +421,7 @@ mod tests {
     #[test]
     fn corrupted_archives_error_cleanly() {
         let bytes = write_archive(Architecture::host());
-        assert!(ArchiveReader::open(&b"WRONGMAG\x01"[..]).is_err());
+        assert!(ArchiveReader::open(&b"WRONGMAG\x02"[..]).is_err());
         for cut in [0usize, 5, 9, 12, 40] {
             let _ = ArchiveReader::open(&bytes[..cut.min(bytes.len())]);
         }
@@ -418,6 +430,11 @@ mod tests {
         broken[9] = 0xFF;
         broken[10] = 0xFF;
         assert!(ArchiveReader::open(&broken[..]).is_err());
+        // A version 1 archive, whose frames had no checksum, is refused.
+        let mut v1 = bytes;
+        v1[8] = 1;
+        let err = ArchiveReader::open(&v1[..]).unwrap_err();
+        assert!(matches!(err, X2wError::Bcm(PbioError::UnsupportedVersion { version: 1 })), "{err}");
     }
 
     #[test]
@@ -444,73 +461,79 @@ mod tests {
     }
 
     #[test]
-    fn forged_schema_length_does_not_allocate_the_claim() {
-        // Header claims one schema of MAX_SCHEMA bytes but carries four:
-        // the reader must report truncation after the bytes actually
-        // present, not trust the claim.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(ARCHIVE_MAGIC);
-        bytes.push(ARCHIVE_VERSION);
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&MAX_SCHEMA.to_le_bytes());
+    fn forged_schema_length_is_torn_or_over_the_limit() {
+        // The header promises one schema; its frame claims 16 MiB and
+        // carries four bytes. The reader reports a torn archive after the
+        // bytes actually present instead of waiting for the claim.
+        let mut bytes = framed(1, &[]);
+        bytes.extend_from_slice(&(16u32 << 20).to_le_bytes());
+        bytes.extend_from_slice(&1u64.to_le_bytes());
         bytes.extend_from_slice(b"tiny");
         let err = ArchiveReader::open(&bytes[..]).unwrap_err();
-        assert!(matches!(err, X2wError::Bcm(PbioError::Truncated { .. })), "{err}");
+        assert!(err.to_string().contains("ends inside record seq 1"), "{err}");
 
-        // And a claim over the limit is rejected before any read at all.
-        let mut over = Vec::new();
-        over.extend_from_slice(ARCHIVE_MAGIC);
-        over.push(ARCHIVE_VERSION);
-        over.extend_from_slice(&1u32.to_le_bytes());
+        // And a claim over the frame limit is refused before any read.
+        let mut over = framed(1, &[]);
         over.extend_from_slice(&u32::MAX.to_le_bytes());
+        over.extend_from_slice(&1u64.to_le_bytes());
         let err = ArchiveReader::open(&over[..]).unwrap_err();
         assert!(err.to_string().contains("limit"), "{err}");
     }
 
     #[test]
     fn forged_schema_count_is_clamped() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(ARCHIVE_MAGIC);
-        bytes.push(ARCHIVE_VERSION);
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        let err = ArchiveReader::open(&bytes[..]).unwrap_err();
+        let err = ArchiveReader::open(&framed(u32::MAX, &[])[..]).unwrap_err();
         assert!(err.to_string().contains("schema count"), "{err}");
+        let err = ArchiveReader::open(&framed(2, &[FLIGHT.as_bytes()])[..]).unwrap_err();
+        assert!(err.to_string().contains("schema dictionary"), "{err}");
     }
 
     #[test]
-    fn bit_flips_error_or_alter_but_never_panic() {
+    fn bit_flips_are_errors_never_altered_records() {
         let bytes = write_archive(Architecture::host());
-        // Flip one bit at a spread of offsets across header, schema
-        // dictionary, and record region; open+iterate must stay sound.
-        for pos in (0..bytes.len()).step_by(7) {
+        let full = read_all(&bytes).unwrap();
+        // One bit of every byte — header, schema frames, record frames:
+        // the archive fails to open, or yields a prefix of its records
+        // and then an error. A checksum-free frame would decode a flip in
+        // a payload as a different record.
+        for pos in 0..bytes.len() {
             let mut broken = bytes.clone();
-            broken[pos] ^= 0x04;
-            if let Ok(mut reader) = ArchiveReader::open(&broken[..]) {
-                for entry in reader.records() {
-                    if entry.is_err() {
-                        break;
+            broken[pos] ^= 1 << (pos % 8);
+            let Ok(mut reader) = ArchiveReader::open(&broken[..]) else { continue };
+            let mut records = reader.records();
+            let mut seen = 0;
+            let err = loop {
+                match records.next() {
+                    Some(Ok(entry)) => {
+                        assert_eq!(entry, full[seen], "flip at {pos} altered record {seen}");
+                        seen += 1;
                     }
+                    Some(Err(e)) => break e,
+                    None => panic!("flip at {pos} read as a whole archive"),
                 }
-            }
+            };
+            assert!(!err.to_string().is_empty());
         }
     }
 
     #[test]
     fn forged_record_length_is_clamped() {
         let bytes = write_archive(Architecture::host());
-        // Find the embedded recfile magic, then forge the first record's
-        // length prefix to u32::MAX.
-        let rec_off = (0..bytes.len() - 8)
-            .find(|&i| &bytes[i..i + 8] == b"PBIOFILE")
-            .expect("embedded recfile magic");
-        let len_off = rec_off + 9;
-        let mut broken = bytes.clone();
-        broken[len_off..len_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let mut reader = ArchiveReader::open(&broken[..]).unwrap();
-        let err = reader
-            .records()
-            .find_map(Result::err)
-            .expect("forged record length must not decode");
-        assert!(err.to_string().contains("limit"), "{err}");
+        // The first record frame: past the header and the two schema
+        // frames, each 16 bytes of framing around its document.
+        let len_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        let mut first = 13;
+        for _ in 0..2 {
+            first += 16 + len_at(first) as usize;
+        }
+        let real = len_at(first);
+        let claims = [(u32::MAX, "limit"), (1 << 24, "ends inside"), (real + 1, "crc"), (real - 1, "crc")];
+        for (forged, says) in claims {
+            let mut broken = bytes.clone();
+            broken[first..first + 4].copy_from_slice(&forged.to_le_bytes());
+            let mut reader = ArchiveReader::open(&broken[..]).unwrap();
+            let err = reader.records().find_map(Result::err).expect("a forged length must not decode");
+            assert!(err.to_string().contains(says), "length {forged}: {err}");
+        }
     }
 }

@@ -57,7 +57,6 @@ pub mod binding;
 pub mod cache;
 pub mod discovery;
 pub mod error;
-pub mod idserver;
 pub mod seglog;
 pub mod server;
 pub mod session;
@@ -74,7 +73,6 @@ pub use discovery::{
 pub use archive::{ArchiveReader, ArchiveRecords, ArchiveWriter};
 pub use error::X2wError;
 pub use seglog::{FsyncPolicy, Retention, SegLogConfig, SegReplay, SegmentLog};
-pub use idserver::{FormatIdClient, FormatIdServer};
 pub use server::MetadataServer;
 pub use session::{Xml2Wire, Xml2WireBuilder};
 pub use url::Locator;

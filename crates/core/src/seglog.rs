@@ -24,7 +24,9 @@
 //! recovery both drive it through a `Window` that is refilled by large
 //! reads, so neither pays a system call, a copy or an allocation per
 //! record: [`SegReplay::next_record`] *lends* each payload out of the
-//! window it was checked in.
+//! window it was checked in. One function, `put_frame`, writes the
+//! frame. Archives ([`crate::archive`]) are a header and these frames,
+//! written by `put_frame` and read through a `Window`.
 //!
 //! Writing is by group ([`SegmentLog::append_group`]): any number of
 //! records are framed into one buffer and reach the file in one
@@ -192,7 +194,7 @@ pub fn crc32(seed: u32, bytes: &[u8]) -> u32 {
 }
 
 /// What [`next_frame`] found at the start of a window.
-enum Frame {
+pub(crate) enum Frame {
     /// A whole record with a matching CRC: it occupies the window's
     /// first `total` bytes and `payload` indexes the window.
     Record { seq: u64, payload: Range<usize>, total: usize },
@@ -207,7 +209,7 @@ enum Frame {
 /// Pure — replay and recovery differ only in what they do with `Bad`.
 /// A verdict never changes as the window grows: a prefix of a valid
 /// record is `NeedMore`, never `Bad`.
-fn next_frame(window: &[u8], expect_seq: u64) -> Frame {
+pub(crate) fn next_frame(window: &[u8], expect_seq: u64) -> Frame {
     let Some(head) = window.first_chunk::<FRAME_HEAD>() else {
         return Frame::NeedMore(FRAME_HEAD);
     };
@@ -229,8 +231,36 @@ fn next_frame(window: &[u8], expect_seq: u64) -> Frame {
     Frame::Record { seq, payload: FRAME_HEAD..body, total: body + 4 }
 }
 
+/// The one writer of `len ∥ seq ∥ payload ∥ crc`: appends the frame of
+/// record `seq` to `out`, its payload handed over by `parts` as any
+/// number of byte slices. An oversized payload leaves `out` as it was.
+pub(crate) fn put_frame(
+    out: &mut Vec<u8>,
+    seq: u64,
+    parts: impl FnOnce(&mut dyn FnMut(&[u8])),
+) -> Result<(), X2wError> {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    out.extend_from_slice(&seq.to_le_bytes());
+    let mut len = 0u64;
+    parts(&mut |bytes: &[u8]| {
+        len += bytes.len() as u64;
+        if len <= u64::from(MAX_RECORD) {
+            out.extend_from_slice(bytes);
+        }
+    });
+    if len > u64::from(MAX_RECORD) {
+        out.truncate(start);
+        return Err(log_err(format!("record of {len} bytes exceeds the {MAX_RECORD} limit")));
+    }
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    let crc = crc32(0, &out[start..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    Ok(())
+}
+
 /// One step of a [`Window`] through its segment.
-enum Step {
+pub(crate) enum Step {
     /// The next record; `payload` indexes [`Window::buf`].
     Record { seq: u64, payload: Range<usize> },
     /// The segment ends here, on a record boundary.
@@ -243,15 +273,15 @@ enum Step {
 /// refilled a [`CHUNK`] at a time from a source it is lent for each
 /// call, never beyond the length the segment was certified to have.
 #[derive(Debug, Default)]
-struct Window {
-    buf: Vec<u8>,
+pub(crate) struct Window {
+    pub(crate) buf: Vec<u8>,
     /// `buf[head..tail]` is read and not yet walked.
     head: usize,
     tail: usize,
     /// Certified bytes of the segment not yet read.
-    remaining: u64,
+    pub(crate) remaining: u64,
     /// Seq the next record must carry.
-    expect: u64,
+    pub(crate) expect: u64,
 }
 
 impl Window {
@@ -297,7 +327,7 @@ impl Window {
         Ok(true)
     }
 
-    fn step(&mut self, src: &mut impl Read) -> io::Result<Step> {
+    pub(crate) fn step(&mut self, src: &mut impl Read) -> io::Result<Step> {
         loop {
             match next_frame(&self.buf[self.head..self.tail], self.expect) {
                 Frame::Record { seq, payload, total } => {
@@ -562,25 +592,8 @@ impl SegmentLog {
         if last != 0 && seq != expect {
             return Err(log_err(format!("non-contiguous append: expected seq {expect}, got {seq}")));
         }
-        let scratch = &mut self.scratch;
-        let start = scratch.len();
-        scratch.extend_from_slice(&[0; 4]);
-        scratch.extend_from_slice(&seq.to_le_bytes());
-        let mut len = 0u64;
-        parts(&mut |bytes: &[u8]| {
-            len += bytes.len() as u64;
-            if len <= u64::from(MAX_RECORD) {
-                scratch.extend_from_slice(bytes);
-            }
-        });
-        if len > u64::from(MAX_RECORD) {
-            scratch.truncate(start);
-            return Err(log_err(format!("record of {len} bytes exceeds the {MAX_RECORD} limit")));
-        }
-        scratch[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
-        let crc = crc32(0, &scratch[start..]);
-        scratch.extend_from_slice(&crc.to_le_bytes());
-        self.ends.push(scratch.len());
+        put_frame(&mut self.scratch, seq, parts)?;
+        self.ends.push(self.scratch.len());
         Ok(())
     }
 

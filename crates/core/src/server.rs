@@ -5,7 +5,12 @@
 //! also be extended to dynamically generate metadata…". This module is
 //! that server: a small HTTP/1.0 GET subset over TCP (built from scratch
 //! — no HTTP crates), serving registered schema documents and invoking
-//! dynamic generators for prefix-matched paths.
+//! dynamic generators for prefix-matched paths. It is the system's one
+//! metadata service: documents are also registered over POST (§7), and
+//! each format a session publishes lives at
+//! `/formats/{name}/{fingerprint:016x}.xsd`, where a receiver that meets
+//! it in a message header finds it
+//! ([`Xml2Wire::decode_resolving`](crate::Xml2Wire::decode_resolving)).
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, IoSlice, Read, Write};
@@ -324,8 +329,13 @@ fn handle_connection(stream: TcpStream, routes: &RwLock<Routes>) -> std::io::Res
         if content_length > 16 * 1024 * 1024 {
             return respond(&mut stream, 413, "document too large", "text/plain");
         }
-        let mut body = vec![0u8; content_length];
-        reader.read_exact(&mut body)?;
+        // The buffer grows with the bytes that arrive, not with the
+        // claim: a forged Content-Length pins nothing.
+        let mut body = Vec::new();
+        reader.take(content_length as u64).read_to_end(&mut body)?;
+        if body.len() < content_length {
+            return respond(&mut stream, 400, "body shorter than its Content-Length", "text/plain");
+        }
         let Ok(document) = String::from_utf8(body) else {
             return respond(&mut stream, 400, "document is not UTF-8", "text/plain");
         };
@@ -820,6 +830,28 @@ mod tests {
         let text = String::from_utf8_lossy(&response);
         assert!(text.starts_with("HTTP/1.0 431"), "{text}");
         // The server itself is still healthy for well-formed requests.
+        assert_eq!(http_get(&server.url_for("/a.xsd")).unwrap(), DOC);
+    }
+
+    #[test]
+    fn a_post_body_shorter_than_its_claim_is_refused_with_400() {
+        // A 16 MiB claim, four bytes and a half-close: the server must
+        // answer from the bytes that came, not wait for or reserve the
+        // claim.
+        let server = MetadataServer::bind("127.0.0.1:0").unwrap();
+        server.publish("/a.xsd", DOC);
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let head = format!("POST /b.xsd HTTP/1.0\r\nContent-Length: {}\r\n\r\n", 16 << 20);
+        stream.write_all(head.as_bytes()).unwrap();
+        stream.write_all(b"tiny").unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let start = Instant::now();
+        let mut response = Vec::new();
+        stream.read_to_end(&mut response).unwrap();
+        let text = String::from_utf8_lossy(&response);
+        assert!(text.starts_with("HTTP/1.0 400"), "{text}");
+        assert!(start.elapsed() < Duration::from_secs(2), "answered after {:?}", start.elapsed());
+        assert_eq!(server.published_paths(), vec!["/a.xsd"]);
         assert_eq!(http_get(&server.url_for("/a.xsd")).unwrap(), DOC);
     }
 

@@ -4,13 +4,15 @@
 use std::sync::Arc;
 
 use clayout::{Architecture, Record, StructType};
+use pbio::header::WireHeader;
 use pbio::{Catalog, Format, FormatRegistry, ImageCow, PlanCache};
 use xsdlite::Schema;
 
-use crate::binding::Binder;
+use crate::binding::{schema_for_struct, Binder};
 use crate::cache::{CachePolicy, SchemaCache};
 use crate::discovery::{DiscoveryChain, DiscoverySource, DiscoveryStatsSnapshot};
 use crate::error::X2wError;
+use crate::server::{http_get, http_post};
 
 /// A configured xml2wire instance: the runtime counterpart of the
 /// paper's Figure 2 (XML metadata → Catalog of Formats and Fields → BCM
@@ -250,67 +252,82 @@ impl Xml2Wire {
         self.plans.stats()
     }
 
-    // -- format server (globally negotiated ids) ------------------------
+    // -- formats on the metadata server ------------------------------------
 
-    /// Binds a schema document and registers every type under ids
-    /// negotiated with a format server, so the ids in this session's
-    /// wire headers are globally meaningful.
+    /// Binds a schema document as [`register_schema_str`](Self::register_schema_str)
+    /// does, then publishes each of its types as a standalone document on
+    /// the metadata server at `base_url` (`http://host:port`), at the
+    /// path named by the type's name and structure fingerprint — the two
+    /// things every message header carries. The path does not depend on
+    /// the architecture, so sessions publishing one structure from any
+    /// machine write one document to one path.
     ///
     /// # Errors
     ///
-    /// Schema, binding, layout and server failures.
+    /// Schema, binding and layout failures; the server refusing the
+    /// document or unreachable within [`DiscoveryPolicy`]'s deadline.
+    ///
+    /// [`DiscoveryPolicy`]: crate::DiscoveryPolicy
     pub fn register_schema_via_server(
         &self,
         document: &str,
-        client: &crate::idserver::FormatIdClient,
+        base_url: &str,
     ) -> Result<Vec<Arc<Format>>, X2wError> {
-        let schema = Schema::parse_str(document)?;
-        let binder = self.binder();
-        for simple in schema.simple_types {
-            binder.register_simple(simple.name, simple.base);
-        }
-        let mut formats = Vec::with_capacity(schema.complex_types.len());
-        for ty in schema.complex_types {
-            let st = self.catalog.insert(binder.struct_for(ty)?);
-            // One standalone document per format: the server hands it to
-            // receivers that resolve the id with no other context.
-            let standalone = crate::binding::schema_for_struct(&st).to_xml_string();
-            let id = client.register(&st.name, &standalone)?;
-            formats.push(self.registry.register_with_id(
-                st,
-                self.arch,
-                pbio::format::FormatId(id),
-            )?);
+        let formats = self.register_schema_str(document)?;
+        for format in &formats {
+            let standalone = schema_for_struct(format.struct_type()).to_xml_string();
+            http_post(&format_url(base_url, format.name(), format.fingerprint()), &standalone)?;
         }
         Ok(formats)
     }
 
-    /// Decodes a message, resolving unknown formats through the format
-    /// server: if the header's id is not known locally, the server is
-    /// asked for the metadata, which is bound on the spot — a receiver
-    /// can decode a format it has never seen (PBIO's format-server
-    /// behaviour, §4.2's broker fallback).
+    /// Decodes a message, resolving a format this session has never seen
+    /// on the metadata server at `base_url`: the document at the path of
+    /// the header's name and fingerprint (see
+    /// [`register_schema_via_server`](Self::register_schema_via_server))
+    /// is fetched, checked to define that structure, and bound — a
+    /// receiver can decode a format it knew nothing of (PBIO's
+    /// format-server behaviour, §4.2's broker fallback). Later messages of
+    /// the format decode without a fetch.
     ///
     /// # Errors
     ///
-    /// Malformed messages, server failures, or ids the server does not
-    /// know either.
+    /// Malformed messages; no document at the path, or the server
+    /// unreachable within [`DiscoveryPolicy`]'s deadline; a document that
+    /// does not define the header's structure, which leaves the registry
+    /// as it was.
+    ///
+    /// [`DiscoveryPolicy`]: crate::DiscoveryPolicy
     pub fn decode_resolving(
         &self,
         bytes: &[u8],
-        client: &crate::idserver::FormatIdClient,
+        base_url: &str,
     ) -> Result<(Arc<Format>, Record), X2wError> {
         match pbio::ndr::decode(bytes, &self.registry) {
-            Ok(done) => Ok(done),
-            Err(pbio::PbioError::UnknownFormat { .. }) => {
-                let header = pbio::header::WireHeader::peek(bytes)?;
-                let (_, document) = client.lookup(header.format_id.0)?;
-                self.register_schema_via_server(&document, client)?;
-                Ok(pbio::ndr::decode(bytes, &self.registry)?)
-            }
-            Err(e) => Err(e.into()),
+            Err(pbio::PbioError::UnknownFormat { .. }) => {}
+            decoded => return Ok(decoded?),
         }
+        let peek = WireHeader::peek(bytes)?;
+        let name = peek.format_name(bytes)?;
+        let url = format_url(base_url, name, peek.fingerprint);
+        let schema = Schema::parse_str(&http_get(&url)?)?;
+        // Bound into a scratch registry first: a document that does not
+        // define this structure must leave this session's untouched.
+        let scratch = FormatRegistry::new();
+        Binder::new(&Catalog::new(), &scratch, self.arch).bind_schema(&schema)?;
+        if scratch.by_fingerprint(name, peek.fingerprint).is_none() {
+            let why = format!("it does not define {name:?} with fingerprint {:016x}", peek.fingerprint);
+            return Err(X2wError::Discovery { locator: url, attempts: vec![why] });
+        }
+        self.binder().bind_schema_owned(schema)?;
+        Ok(pbio::ndr::decode(bytes, &self.registry)?)
     }
+}
+
+/// Where the metadata server at `base_url` keeps the standalone schema
+/// of the structure `name` with `fingerprint`.
+fn format_url(base_url: &str, name: &str, fingerprint: u64) -> String {
+    format!("{}/formats/{name}/{fingerprint:016x}.xsd", base_url.trim_end_matches('/'))
 }
 
 /// Builder for [`Xml2Wire`].

@@ -16,14 +16,25 @@
 //!   must yield exactly the oracle's records and then fail if and only
 //!   if the oracle found the segment anything but whole and contiguous
 //!   with the next one.
+//!
+//! Archives are an archive header and the same frames, so the **archive
+//! arm** wraps the record region of a real archive's mutants in that
+//! header: [`ArchiveReader`] must yield exactly the records the oracle
+//! finds (decoded) and then fail if and only if the oracle found the
+//! region anything but whole, and no single-bit flip anywhere in the
+//! region may come out as a record.
 
 use std::fs;
 use std::io::Read;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
+use clayout::{Architecture, Record};
 use xml2wire::seglog::{crc32, MAX_RECORD, SEGMENT_MAGIC, SEGMENT_VERSION};
-use xml2wire::{FsyncPolicy, SegLogConfig, SegmentLog, X2wError};
+use xml2wire::{
+    ArchiveReader, ArchiveWriter, FsyncPolicy, SegLogConfig, SegmentLog, X2wError, Xml2Wire,
+};
 
 const SEED: u64 = 0x5e61_065e_ed00_d1ff;
 /// Random mutants per small base log; the sweeps and the large-record
@@ -505,4 +516,131 @@ fn segment_version_1_is_these_bytes() {
     assert!(ended.is_ok());
     assert_eq!(got, vec![(1, vec![]), (2, b"abc".to_vec()), (3, (0..9).collect())]);
     fs::remove_dir_all(&dir).unwrap();
+}
+
+const READING: &str = r#"<xsd:schema xmlns:xsd="http://www.w3.org/1999/XMLSchema">
+  <xsd:complexType name="Reading">
+    <xsd:element name="station" type="xsd:string"/>
+    <xsd:element name="seq" type="xsd:integer"/>
+    <xsd:element name="samples" type="xsd:double" maxOccurs="*"/>
+  </xsd:complexType>
+</xsd:schema>"#;
+
+/// Magic, version and schema count.
+const ARCHIVE_HEADER: usize = 13;
+
+/// A real archive written on a foreign machine — one schema, a dozen
+/// records — split into its header and the base log its frames are.
+fn archive_log() -> (Vec<u8>, BaseLog) {
+    let session = Arc::new(Xml2Wire::builder().arch(Architecture::SPARC32).build());
+    session.register_schema_str(READING).unwrap();
+    let mut writer = ArchiveWriter::create(Vec::new(), session);
+    writer.declare_format("Reading").unwrap();
+    for i in 0..12i64 {
+        let samples: Vec<f64> = (0..i % 4).map(|k| k as f64 / 2.0).collect();
+        let record =
+            Record::new().with("station", format!("K{i}")).with("seq", i).with("samples", samples);
+        writer.append(&record, "Reading").unwrap();
+    }
+    let archive = writer.finish().unwrap();
+    let (head, region) = archive.split_at(ARCHIVE_HEADER);
+    let mut image = header(1);
+    image.extend_from_slice(region);
+    let verdict = oracle(&image, 1);
+    assert!(verdict.whole, "an archive's frames are the log's frames");
+    let payloads = verdict.records.into_iter().map(|(_, payload)| payload).collect();
+    (head.to_vec(), BaseLog { base: 1, payloads })
+}
+
+/// An archive of `head` and the record region of the segment `image`
+/// (a mutated segment header leaves the region as it was).
+fn archive_of(head: &[u8], image: &[u8]) -> Vec<u8> {
+    let mut archive = head.to_vec();
+    archive.extend_from_slice(image.get(HEADER..).unwrap_or_default());
+    archive
+}
+
+/// Judges the archive made of `head` and `image`'s record region: the
+/// first frame is the schema, the rest are records.
+fn judge_archive(head: &[u8], image: &[u8], reference: &Xml2Wire, what: &str) {
+    let archive = archive_of(head, image);
+    let verdict = oracle(&[&header(1)[..], &archive[ARCHIVE_HEADER..]].concat(), 1);
+    let mut reader = match ArchiveReader::open(&archive[..]) {
+        Ok(reader) => reader,
+        Err(e) => {
+            assert!(verdict.records.is_empty(), "archive, {what}: open failed with its schema whole: {e}");
+            return;
+        }
+    };
+    assert!(!verdict.records.is_empty(), "archive, {what}: opened without its schema");
+    let mut records = reader.records();
+    // A frame the oracle accepts whose payload is not a message (a valid
+    // frame appended) is where the reader must fail instead.
+    let mut whole = verdict.whole;
+    for (seq, payload) in &verdict.records[1..] {
+        let Ok((format, expected)) = reference.decode(payload) else {
+            whole = false;
+            break;
+        };
+        match records.next() {
+            Some(Ok(got)) => assert_eq!(got, (format.name().to_owned(), expected), "archive, {what}: seq {seq}"),
+            other => panic!("archive, {what}: seq {seq} read as {other:?}"),
+        }
+    }
+    match records.next() {
+        None => assert!(whole, "archive, {what}: ended cleanly, oracle {verdict:?}"),
+        Some(Ok(got)) => panic!("archive, {what}: a record the oracle did not find: {got:?}"),
+        Some(Err(e)) => assert!(!whole, "archive, {what}: failed on a whole archive: {e}"),
+    }
+}
+
+#[test]
+fn archive_frames_read_as_the_oracle_says() {
+    let mut rng = Rng(SEED ^ 3);
+    let (head, log) = archive_log();
+    let reference = Xml2Wire::builder().build();
+    reference.register_schema_str(std::str::from_utf8(&log.payloads[0]).unwrap()).unwrap();
+    let image = log.image();
+    judge_archive(&head, &image, &reference, "unmutated");
+    let mut mutants = 0usize;
+    for cut in HEADER..image.len() {
+        judge_archive(&head, &image[..cut], &reference, &format!("cut at {cut}"));
+        mutants += 1;
+    }
+    for _ in 0..PER_LOG {
+        let (mutant, what) = mutate(&log, &mut rng);
+        judge_archive(&head, &mutant, &reference, &what);
+        mutants += 1;
+    }
+    eprintln!("{mutants} archive mutants");
+}
+
+#[test]
+fn every_bit_flip_in_an_archives_frames_is_an_error() {
+    let (head, log) = archive_log();
+    let archive = archive_of(&head, &log.image());
+    let full: Vec<(String, Record)> =
+        ArchiveReader::open(&archive[..]).unwrap().records().collect::<Result<_, _>>().unwrap();
+    assert_eq!(full.len(), 12);
+    for at in ARCHIVE_HEADER..archive.len() {
+        // An unoptimised build flips one bit of each byte.
+        let bits = if cfg!(debug_assertions) { at % 8..at % 8 + 1 } else { 0..8 };
+        for bit in bits {
+            let mut flipped = archive.clone();
+            flipped[at] ^= 1 << bit;
+            let Ok(mut reader) = ArchiveReader::open(&flipped[..]) else { continue };
+            let mut records = reader.records();
+            let mut seen = 0;
+            loop {
+                match records.next() {
+                    Some(Ok(got)) => {
+                        assert_eq!(got, full[seen], "bit {bit} of byte {at} altered record {seen}");
+                        seen += 1;
+                    }
+                    Some(Err(_)) => break,
+                    None => panic!("bit {bit} of byte {at} flipped and the archive read whole"),
+                }
+            }
+        }
+    }
 }

@@ -37,8 +37,10 @@
 //!   text XML the `xmlparse` writer.
 //! * [`evolution`] — PBIO's restricted format evolution: receivers keep
 //!   working when senders add fields.
-//! * [`recfile`] — PBIO's file half: append-only record files of
-//!   self-describing NDR messages, readable across machines.
+//!
+//! PBIO's file half — NDR messages written to data files — is
+//! `xml2wire::archive`: the messages in CRC-checked frames behind the
+//! schema documents that describe them.
 //!
 //! # Examples
 //!
@@ -76,7 +78,6 @@ pub mod field;
 pub mod format;
 pub mod header;
 pub mod ndr;
-pub mod recfile;
 pub mod registry;
 pub mod textxml;
 pub mod view;

@@ -11,6 +11,12 @@ use crate::format::{Format, FormatId};
 
 /// A thread-safe registry of message formats.
 ///
+/// Ids are this registry's own: it assigns them counting up, and a
+/// message's header carries its sender's. Across processes a format is
+/// known by its name and structure fingerprint, which every header also
+/// carries ([`by_fingerprint`](Self::by_fingerprint)); the id is only the
+/// fast path for traffic within one registry.
+///
 /// Registration is idempotent for identical definitions: registering the
 /// same struct type on the same architecture returns the existing format.
 /// Registering a *different* definition under an existing name assigns a
@@ -22,10 +28,10 @@ pub struct FormatRegistry {
     inner: RwLock<Inner>,
 }
 
-/// Locally assigned ids live above this base so they can never collide
-/// with ids negotiated externally (format servers hand out small ids
-/// counting up from 1; see `xml2wire::idserver`).
-pub const LOCAL_ID_BASE: u32 = 0x8000_0000;
+/// The first id a registry assigns. The committed wire corpus
+/// (`tests/corpus`) carries ids counted from here in its NDR headers,
+/// which freezes the value.
+const LOCAL_ID_BASE: u32 = 0x8000_0000;
 
 #[derive(Debug)]
 struct Inner {
@@ -85,41 +91,6 @@ impl FormatRegistry {
         let id = FormatId(inner.next_id);
         let format = Arc::new(Format::new(id, struct_type, arch)?);
         inner.next_id += 1;
-        inner.insert(&format);
-        Ok(format)
-    }
-
-    /// Registers `struct_type` under an externally assigned id (e.g. one
-    /// negotiated with a format server, so every process shares the same
-    /// id space). The name's current version becomes this format.
-    ///
-    /// # Errors
-    ///
-    /// Layout failures, or [`PbioError::Incompatible`] when the id is
-    /// already bound to a different definition.
-    pub fn register_with_id(
-        &self,
-        struct_type: impl Into<Arc<StructType>>,
-        arch: Architecture,
-        id: FormatId,
-    ) -> Result<Arc<Format>, PbioError> {
-        let struct_type = struct_type.into();
-        let mut inner = self.inner.write();
-        if let Some(existing) = inner.by_id.get(&id) {
-            if existing.struct_type() == &*struct_type && existing.arch() == &arch {
-                return Ok(Arc::clone(existing));
-            }
-            return Err(PbioError::Incompatible {
-                detail: format!(
-                    "format id {id} is already bound to {:?}",
-                    existing.name()
-                ),
-            });
-        }
-        let format = Arc::new(Format::new(id, struct_type, arch)?);
-        // External ids live below LOCAL_ID_BASE; only bump the local
-        // counter if someone hands us an id from the local range.
-        inner.next_id = inner.next_id.max(id.0.saturating_add(1).max(LOCAL_ID_BASE));
         inner.insert(&format);
         Ok(format)
     }
@@ -191,33 +162,9 @@ mod tests {
         let b = r.register(ty("B", "x"), Architecture::X86_64).unwrap();
         assert_ne!(a.id(), b.id());
         assert_eq!(r.len(), 2);
-        // Local ids stay out of the externally negotiated range.
-        assert!(a.id().0 >= LOCAL_ID_BASE);
-        assert!(b.id().0 >= LOCAL_ID_BASE);
-    }
-
-    #[test]
-    fn external_ids_never_collide_with_local_ones() {
-        let r = FormatRegistry::new();
-        // Many local registrations first…
-        for i in 0..10 {
-            r.register(ty(&format!("L{i}"), "x"), Architecture::X86_64).unwrap();
-        }
-        // …then server-assigned small ids slot in without clashes.
-        let g = r
-            .register_with_id(ty("G", "x"), Architecture::X86_64, FormatId(1))
-            .unwrap();
-        assert_eq!(g.id(), FormatId(1));
-        assert!(r.by_id(FormatId(1)).is_some());
-        // Idempotent re-registration under the same id.
-        let g2 = r
-            .register_with_id(ty("G", "x"), Architecture::X86_64, FormatId(1))
-            .unwrap();
-        assert_eq!(g.id(), g2.id());
-        // A conflicting definition under a taken id is rejected.
-        assert!(r
-            .register_with_id(ty("Other", "y"), Architecture::X86_64, FormatId(1))
-            .is_err());
+        // Ids count up from the base the wire corpus pins.
+        assert_eq!(a.id(), FormatId(LOCAL_ID_BASE));
+        assert_eq!(b.id(), FormatId(LOCAL_ID_BASE + 1));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The grand tour: every subsystem in one scenario.
 //!
-//! An airline deploys the full stack — metadata server (with dynamic
-//! scoped generation and HTTP-POST registration), format-id server,
-//! event backbone over real TCP, heterogeneous producers, discovering
-//! consumers, format evolution, and archival — and it all interoperates.
+//! An airline deploys the full stack — one metadata server (with dynamic
+//! scoped generation, HTTP-POST registration and formats resolved by
+//! name and fingerprint), event backbone over real TCP, heterogeneous
+//! producers, discovering consumers, format evolution, and archival —
+//! and it all interoperates.
 
 use std::sync::Arc;
 
@@ -11,7 +12,7 @@ use backbone::airline::AirlineGenerator;
 use backbone::{EventClient, EventServer, Frame, FormatScope};
 use openmeta::prelude::*;
 use xml2wire::server::http_post;
-use xml2wire::{ArchiveReader, ArchiveWriter, FormatIdClient, FormatIdServer};
+use xml2wire::{ArchiveReader, ArchiveWriter};
 
 const FLIGHT_V1: &str = r#"<xsd:schema xmlns:xsd="http://www.w3.org/1999/XMLSchema">
   <xsd:complexType name="FlightOps">
@@ -28,11 +29,10 @@ const FLIGHT_V1: &str = r#"<xsd:schema xmlns:xsd="http://www.w3.org/1999/XMLSche
 fn the_whole_system_interoperates() {
     // --- Infrastructure --------------------------------------------------
     let metadata = MetadataServer::bind("127.0.0.1:0").unwrap();
-    let id_server = FormatIdServer::bind("127.0.0.1:0").unwrap();
-    let id_client = FormatIdClient::new(id_server.local_addr()).unwrap();
 
     // The producer *pushes* its metadata to the server over HTTP (no
-    // shared filesystem) and negotiates a global format id.
+    // shared filesystem), the catalogue here and each format at the path
+    // its name and fingerprint give it below.
     let full_url = metadata.url_for("/schemas/flight-ops.xsd");
     http_post(&full_url, FLIGHT_V1).unwrap();
 
@@ -59,7 +59,7 @@ fn the_whole_system_interoperates() {
             .source(Box::new(UrlSource::new()))
             .build(),
     );
-    producer.register_schema_via_server(FLIGHT_V1, &id_client).unwrap();
+    producer.register_schema_via_server(FLIGHT_V1, &metadata.url_for("")).unwrap();
 
     // --- Dispatcher consumer: full format, discovered over HTTP -----------
     let dispatcher = Arc::new(
@@ -125,7 +125,7 @@ fn the_whole_system_interoperates() {
         archive.append(&record, "FlightOps").unwrap();
     }
 
-    // --- A cold receiver resolves the producer's format id ----------------
+    // --- A cold receiver resolves the producer's format on the server -----
     let cold = Xml2Wire::builder().build();
     let wire = producer
         .encode(
@@ -138,7 +138,7 @@ fn the_whole_system_interoperates() {
             "FlightOps",
         )
         .unwrap();
-    let (resolved, record) = cold.decode_resolving(&wire, &id_client).unwrap();
+    let (resolved, record) = cold.decode_resolving(&wire, &metadata.url_for("")).unwrap();
     assert_eq!(resolved.name(), "FlightOps");
     assert_eq!(record.get("dest").unwrap().as_str(), Some("BOS"));
 
