@@ -1,27 +1,27 @@
 //! Typed capture points and subscribers for
 //! `#[derive(Xml2WireRecord)]` records.
 //!
-//! [`TypedCapture`] and [`TypedSubscriber`] are the compile-time twins
-//! of [`CapturePoint`](crate::CapturePoint) and the dynamic
-//! subscribe/decode pipeline: registration materializes the derived
-//! descriptor once, the publish path calls the generated straight-line
-//! encoder (`pbio::ndr::encode_typed_into` — no format reflection, no
-//! plan-cache lookup), and the receive path decodes events directly
-//! into `T` from the wire image with receiver-makes-right conversion
-//! implied by the sender's architecture descriptor.
+//! [`TypedCapture`] and [`TypedSubscriber`] are the typed twins of
+//! [`CapturePoint`](crate::CapturePoint) and the dynamic
+//! subscribe/decode pipeline, on the same marshaler: registration
+//! materializes the derived descriptor once, the publish path runs the
+//! format's encode plan over the struct's fields
+//! (`pbio::ndr::encode_typed_into`), and the receive path reads each
+//! event's `RecordView` — over the subscriber's format's view plan, or
+//! the sender's for a foreign architecture — into `T`
+//! (`pbio::ndr::decode_typed`).
 //!
-//! Everything stays wire-compatible with dynamically-bound peers: a
-//! typed producer's stream carries the same bytes and the same
-//! registered struct type, so dynamic consumers, compiled content
+//! A typed producer's stream carries the bytes and the registered struct
+//! type a dynamic one would, so dynamic consumers, compiled content
 //! filters, federation links and durable logs all work unchanged.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Duration;
 
-use clayout::{Architecture, Xml2WireRecord};
+use clayout::Architecture;
 use parking_lot::Mutex;
-use pbio::Format;
+use pbio::{Format, FormatId, Xml2WireRecord};
 use xml2wire::Xml2Wire;
 
 use crate::broker::{Broker, Event, PublishHandle, Subscription};
@@ -31,9 +31,8 @@ use crate::error::BackboneError;
 ///
 /// Like [`CapturePoint`](crate::CapturePoint), the publish route is
 /// pinned at creation time (resolved format, shard handle, pooled
-/// scratch buffer); unlike it, encoding is the straight-line code the
-/// derive generated, so a publish performs no field-table walk and no
-/// reflective `Record` access at all.
+/// scratch buffer), and a publish runs the format's encode plan; the
+/// plan reads the struct's fields instead of a `Record`'s.
 #[derive(Debug)]
 pub struct TypedCapture<T: Xml2WireRecord> {
     /// Kept so the broker's dispatch workers outlive the capture point.
@@ -52,8 +51,8 @@ impl<T: Xml2WireRecord> TypedCapture<T> {
     /// struct type for content filters, and pins the publish route.
     ///
     /// Advertise `metadata_locator` (typically a metadata server URL
-    /// serving `T::schema_xml()`) so dynamically-bound consumers can
-    /// discover the format.
+    /// serving `xml2wire::schema_for_struct(&T::struct_type())`) so
+    /// dynamically-bound consumers can discover the format.
     ///
     /// # Errors
     ///
@@ -123,14 +122,15 @@ impl<T: Xml2WireRecord> TypedCapture<T> {
 ///
 /// No discovery round trip is needed — the format is compiled in — but
 /// the wire protocol is unchanged: each event's header carries the
-/// sender's struct fingerprint and architecture descriptor, and the
-/// subscriber verifies the fingerprint before decoding (a
-/// schema-evolved or foreign stream fails closed with
-/// [`BackboneError::BadFrame`] rather than misdecoding).
+/// sender's struct fingerprint and architecture descriptor, and a
+/// message whose fingerprint is not `T`'s (a schema-evolved or foreign
+/// stream) fails closed with [`BackboneError::BadFrame`] rather than
+/// misdecoding.
 #[derive(Debug)]
 pub struct TypedSubscriber<T: Xml2WireRecord> {
     subscription: Subscription,
-    fingerprint: u64,
+    /// `T` on this host: its view plan reads host-architecture events.
+    format: Format,
     _record: PhantomData<fn() -> T>,
 }
 
@@ -158,12 +158,14 @@ impl<T: Xml2WireRecord> TypedSubscriber<T> {
 
     /// Wraps an existing raw subscription (e.g. a replay subscription)
     /// with typed decoding.
+    ///
+    /// # Panics
+    ///
+    /// Never for a derived `T`: its descriptor always lays out.
     pub fn wrap(subscription: Subscription) -> Self {
-        TypedSubscriber {
-            subscription,
-            fingerprint: pbio::format::struct_fingerprint(&T::struct_type()),
-            _record: PhantomData,
-        }
+        let format = Format::new(FormatId(0), T::struct_type(), Architecture::host())
+            .expect("a derived descriptor lays out");
+        TypedSubscriber { subscription, format, _record: PhantomData }
     }
 
     /// Blocks for the next event and decodes it into `T`.
@@ -186,27 +188,27 @@ impl<T: Xml2WireRecord> TypedSubscriber<T> {
         self.decode(&event)
     }
 
-    /// Decodes one raw event into `T`: fingerprint check, then the
-    /// generated receiver-makes-right view over the payload image.
+    /// Decodes one raw event into `T` through the event's
+    /// [`RecordView`](pbio::RecordView), receiver makes right.
     ///
     /// # Errors
     ///
-    /// [`BackboneError::BadFrame`] on fingerprint mismatch; decode
-    /// failures otherwise.
+    /// [`BackboneError::BadFrame`] on a header that does not parse or a
+    /// fingerprint that is not `T`'s; decode failures otherwise.
     pub fn decode(&self, event: &Event) -> Result<T, BackboneError> {
-        let peek = pbio::header::WireHeader::peek(&event.payload)
-            .map_err(|e| BackboneError::BadFrame { detail: e.to_string() })?;
-        if peek.fingerprint != self.fingerprint {
-            return Err(BackboneError::BadFrame {
-                detail: format!(
-                    "struct fingerprint mismatch for {}: stream sends {:#018x}, typed binding expects {:#018x} (schema evolved?)",
-                    T::FORMAT_NAME, peek.fingerprint, self.fingerprint
-                ),
-            });
-        }
-        let arch = Architecture::from_descriptor(peek.descriptor);
-        T::decode_view(&event.payload[peek.header_len..], &arch)
-            .map_err(|e| BackboneError::Metadata(xml2wire::X2wError::from(pbio::PbioError::from(e))))
+        pbio::ndr::decode_typed(&event.payload, &self.format).map_err(|e| {
+            let fingerprint = self.format.fingerprint();
+            match pbio::header::WireHeader::peek(&event.payload) {
+                Err(e) => BackboneError::BadFrame { detail: e.to_string() },
+                Ok(peek) if peek.fingerprint != fingerprint => BackboneError::BadFrame {
+                    detail: format!(
+                        "struct fingerprint mismatch for {}: stream sends {:#018x}, typed binding expects {:#018x} (schema evolved?)",
+                        T::FORMAT_NAME, peek.fingerprint, fingerprint
+                    ),
+                },
+                Ok(_) => BackboneError::Metadata(e.into()),
+            }
+        })
     }
 
     /// The raw subscription, for callers that want undecoded events.

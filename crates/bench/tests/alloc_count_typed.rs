@@ -1,22 +1,26 @@
-//! Allocation accounting for the derived (typed-binding) publish path.
+//! Allocation accounting for the derived (typed-binding) paths.
 //!
-//! The repo benchmark's `x2w-derive.encode_ns` and
-//! `backbone.typed.publish_ns` rest on the same structural claims the
-//! dynamic path makes in `alloc_count.rs`, now for the straight-line
-//! encoder `#[derive(Xml2WireRecord)]` generated:
+//! The repo benchmark's `x2w-derive.encode_ns`,
+//! `backbone.typed.publish_ns` and `x2w-derive.decode_view_ns` rest on
+//! the structural claims the dynamic path makes in `alloc_count.rs`, for
+//! a `#[derive(Xml2WireRecord)]` struct marshaled by its format's plans:
 //!
 //! 1. `pbio::ndr::encode_typed_into` performs **zero** allocations per
-//!    message once its buffer has grown to the working-set size, and
+//!    message once its buffer has grown to the working-set size;
 //! 2. `TypedCapture::publish` allocates exactly what the dynamic
 //!    `CapturePoint::publish` does — the exact-size payload `Vec` plus
-//!    the `Arc<Event>` wrapper — independent of the subscriber count.
+//!    the `Arc<Event>` wrapper — independent of the subscriber count;
+//! 3. a warm `TypedSubscriber::decode` of a host-architecture event
+//!    allocates only the decoded value's own heap data (Structure B: its
+//!    five `String`s and its one `Vec`) — the view borrows the
+//!    subscriber format's plan instead of building one per message.
 //!
 //! Everything runs inside a single `#[test]` so no concurrent test can
 //! disturb the counter.
 
 use std::sync::Arc;
 
-use backbone::{Broker, Subscription, TypedCapture};
+use backbone::{Broker, Subscription, TypedCapture, TypedSubscriber};
 use clayout::Architecture;
 use omf_bench::{allocations, typed_b, ASDOffEvent, CountingAllocator};
 
@@ -26,13 +30,13 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 /// The typed twin of `alloc_count.rs`'s pipeline: a broker with
 /// `subscribers` subscriptions on one stream and a
 /// `TypedCapture<ASDOffEvent>` publishing derived records.
-fn pipeline(subscribers: usize) -> (TypedCapture<ASDOffEvent>, Vec<Subscription>) {
+fn pipeline(subscribers: usize) -> (Arc<Broker>, TypedCapture<ASDOffEvent>, Vec<Subscription>) {
     let broker = Arc::new(Broker::new());
     let session = xml2wire::Xml2Wire::builder().arch(Architecture::host()).build();
     let capture =
         TypedCapture::<ASDOffEvent>::new(Arc::clone(&broker), &session, "hot", None).unwrap();
     let subs: Vec<_> = (0..subscribers).map(|_| broker.subscribe("hot").unwrap()).collect();
-    (capture, subs)
+    (broker, capture, subs)
 }
 
 /// Steady-state allocations per published message for a given fan-out
@@ -85,10 +89,10 @@ fn typed_path_allocation_budget() {
     // --- Claim 2: typed publish matches the dynamic path's budget —
     // the exact-size payload Vec plus the shared Arc<Event>, regardless
     // of fan-out. ---
-    let (capture_1, subs_1) = pipeline(1);
+    let (broker_1, capture_1, subs_1) = pipeline(1);
     let per_message_1 = publish_allocs_per_message(&capture_1, &subs_1);
 
-    let (capture_64, subs_64) = pipeline(64);
+    let (_, capture_64, subs_64) = pipeline(64);
     let per_message_64 = publish_allocs_per_message(&capture_64, &subs_64);
 
     assert_eq!(
@@ -98,5 +102,26 @@ fn typed_path_allocation_budget() {
     assert_eq!(
         per_message_64, 2,
         "typed publish should allocate exactly the payload and its Arc<Event> wrapper"
+    );
+
+    // --- Claim 3: a warm typed decode of a host-architecture event
+    // allocates the value's strings and vector and nothing else. On the
+    // warmed 1-subscriber pipeline, so no dispatch thread is still
+    // starting up. ---
+    let typed = TypedSubscriber::<ASDOffEvent>::new(&broker_1, "hot").unwrap();
+    capture_1.publish(&value).unwrap();
+    subs_1[0].recv().unwrap();
+    let event = typed.raw().recv().unwrap();
+    assert_eq!(typed.decode(&event).unwrap(), value); // builds the view plan
+    let rounds = 50;
+    let before = allocations();
+    for _ in 0..rounds {
+        std::hint::black_box(typed.decode(&event).unwrap());
+    }
+    let decode_allocs = allocations() - before;
+    assert_eq!(
+        decode_allocs,
+        6 * rounds,
+        "a typed decode of Structure B should allocate its five Strings and one Vec only"
     );
 }

@@ -116,11 +116,193 @@ pub fn fits_unsigned(value: u64, size: usize) -> bool {
 // Encoding
 // ---------------------------------------------------------------------------
 
+/// What an [`EncodePlan`] reads a record's values from.
+///
+/// A [`Record`] is one source, and so is every struct
+/// `#[derive(Xml2WireRecord)]` binds, answering field `idx` with its
+/// `idx`-th declared field.
+pub trait Source {
+    /// Field `idx`, named `name`, or `None` when the record lacks it. A
+    /// dynamic array's count field may be absent: the plan writes it from
+    /// the array's length.
+    fn field(&self, idx: usize, name: &str) -> Option<SourceValue<'_>>;
+}
+
+/// One value a [`Source`] hands an [`EncodePlan`]. The plan checks its
+/// kind and range against the slot it is written to.
+#[derive(Clone, Copy)]
+pub enum SourceValue<'a> {
+    /// A signed integer.
+    Int(i64),
+    /// An unsigned integer.
+    UInt(u64),
+    /// A floating-point number.
+    Float(f64),
+    /// A string.
+    Str(&'a str),
+    /// An array.
+    Array(Items<'a>),
+    /// A nested record.
+    Record(&'a dyn Source),
+    /// A dynamic value, which may be any of the above.
+    Value(&'a Value),
+}
+
+// The accessors convert exactly as `Value`'s do.
+impl<'a> SourceValue<'a> {
+    /// The name [`Value::type_name`] gives the same kind of value.
+    fn type_name(self) -> &'static str {
+        match self {
+            SourceValue::Int(_) => "int",
+            SourceValue::UInt(_) => "uint",
+            SourceValue::Float(_) => "float",
+            SourceValue::Str(_) => "string",
+            SourceValue::Array(_) => "array",
+            SourceValue::Record(_) => "record",
+            SourceValue::Value(v) => v.type_name(),
+        }
+    }
+
+    #[inline]
+    fn as_i64(self) -> Option<i64> {
+        match self {
+            SourceValue::Int(v) => Some(v),
+            SourceValue::UInt(v) => i64::try_from(v).ok(),
+            SourceValue::Value(v) => v.as_i64(),
+            _ => None,
+        }
+    }
+
+    #[inline]
+    fn as_u64(self) -> Option<u64> {
+        match self {
+            SourceValue::UInt(v) => Some(v),
+            SourceValue::Int(v) => u64::try_from(v).ok(),
+            SourceValue::Value(v) => v.as_u64(),
+            _ => None,
+        }
+    }
+
+    #[inline]
+    fn as_f64(self) -> Option<f64> {
+        match self {
+            SourceValue::Float(v) => Some(v),
+            SourceValue::Value(v) => v.as_f64(),
+            _ => None,
+        }
+    }
+
+    fn as_str(self) -> Option<&'a str> {
+        match self {
+            SourceValue::Str(s) => Some(s),
+            SourceValue::Value(v) => v.as_str(),
+            _ => None,
+        }
+    }
+
+    fn as_array(self) -> Option<Items<'a>> {
+        match self {
+            SourceValue::Array(items) => Some(items),
+            SourceValue::Value(v) => v.as_array().map(Items::Values),
+            _ => None,
+        }
+    }
+
+    fn as_record(self) -> Option<&'a dyn Source> {
+        match self {
+            SourceValue::Record(record) => Some(record),
+            SourceValue::Value(v) => v.as_record().map(|record| record as &dyn Source),
+            _ => None,
+        }
+    }
+}
+
+// One slice type per item type, so a plan walks an array's items with
+// no call per item; each item type converts to a `SourceValue` as given.
+macro_rules! items {
+    ($($variant:ident($t:ty): |$v:ident| $value:expr,)*) => {
+        /// The items of an array [`SourceValue`]: a slice of dynamic
+        /// values, of one scalar type, or of strings.
+        #[derive(Clone, Copy)]
+        pub enum Items<'a> {
+            $(
+                #[doc = concat!("A `", stringify!($t), "` slice.")]
+                $variant(&'a [$t]),
+            )*
+        }
+
+        impl<'a> Items<'a> {
+            #[inline]
+            fn len(self) -> usize {
+                match self {
+                    $(Items::$variant(items) => items.len(),)*
+                }
+            }
+
+            /// Hands `f` each item and its index, in order, stopping at
+            /// the first error.
+            #[inline]
+            fn each<E>(
+                self,
+                mut f: impl FnMut(usize, SourceValue<'a>) -> Result<(), E>,
+            ) -> Result<(), E> {
+                match self {
+                    $(Items::$variant(items) => {
+                        for (i, item) in items.iter().enumerate() {
+                            f(i, item.into())?;
+                        }
+                    })*
+                }
+                Ok(())
+            }
+        }
+
+        $(
+            impl<'a> From<&'a $t> for SourceValue<'a> {
+                #[inline]
+                fn from($v: &'a $t) -> Self {
+                    $value
+                }
+            }
+
+            impl<'a> From<&'a [$t]> for SourceValue<'a> {
+                #[inline]
+                fn from(items: &'a [$t]) -> Self {
+                    SourceValue::Array(Items::$variant(items))
+                }
+            }
+        )*
+    };
+}
+
+items! {
+    Values(Value): |v| SourceValue::Value(v),
+    I8(i8): |v| SourceValue::Int(i64::from(*v)),
+    U8(u8): |v| SourceValue::UInt(u64::from(*v)),
+    I16(i16): |v| SourceValue::Int(i64::from(*v)),
+    U16(u16): |v| SourceValue::UInt(u64::from(*v)),
+    I32(i32): |v| SourceValue::Int(i64::from(*v)),
+    U32(u32): |v| SourceValue::UInt(u64::from(*v)),
+    I64(i64): |v| SourceValue::Int(*v),
+    U64(u64): |v| SourceValue::UInt(*v),
+    F32(f32): |v| SourceValue::Float(f64::from(*v)),
+    F64(f64): |v| SourceValue::Float(*v),
+    Strings(String): |v| SourceValue::Str(v),
+}
+
+impl Source for Record {
+    #[inline]
+    fn field(&self, idx: usize, name: &str) -> Option<SourceValue<'_>> {
+        self.get_hinted(idx, name).map(SourceValue::from)
+    }
+}
+
 /// A struct type's encoder on one architecture, compiled once: per
 /// field, the slot offset and what to write there, with every width,
 /// byte order, stride, alignment and count-field link resolved from the
-/// layout at build time. [`encode_record_into`] runs it in one pass;
-/// per message it only type-checks and range-checks the values.
+/// layout at build time. [`encode_record_into`] runs it in one pass over
+/// any [`Source`]; per message it only type-checks and range-checks the
+/// values.
 #[derive(Debug, Clone)]
 pub struct EncodePlan {
     name: String,
@@ -217,29 +399,30 @@ impl EncodePlan {
     /// at `image_start` (pointers are image-relative, not
     /// buffer-relative: the image may sit after other content, e.g. a
     /// wire header).
-    fn encode_struct(
+    fn encode_struct<S: Source + ?Sized>(
         &self,
         buf: &mut Vec<u8>,
         image_start: usize,
         base: usize,
-        record: &Record,
+        record: &S,
     ) -> Result<(), LayoutError> {
         for (idx, field) in self.fields.iter().enumerate() {
             let at = base + field.offset;
-            match (record.get_hinted(idx, &field.name), &field.op) {
+            match (record.field(idx, &field.name), &field.op) {
                 (Some(value), Op::Dynamic { elem, stride, align, count }) => {
                     let items =
                         value.as_array().ok_or_else(|| mismatch(&field.name, "array", value))?;
-                    let supplied = record.get_hinted(*count, &self.fields[*count].name);
+                    let supplied = record.field(*count, &self.fields[*count].name);
                     self.check_count(supplied, idx, items)?;
-                    if items.is_empty() {
+                    let len = items.len();
+                    if len == 0 {
                         // The slot stays the null pointer it was zero-filled to.
                         continue;
                     }
                     // Align the region within the *image*, not the buffer.
                     let region_rel = align_up(buf.len() - image_start, *align);
                     let region = image_start + region_rel;
-                    buf.resize(region + items.len() * stride, 0);
+                    buf.resize(region + len * stride, 0);
                     let name = &field.name;
                     self.pointer.write_raw(buf, at, self.pointer_to(region_rel, name)?);
                     self.encode_elements(buf, image_start, region, *stride, elem, items, name)?;
@@ -254,7 +437,7 @@ impl EncodePlan {
                 (Some(value), op) => self.encode_at(buf, image_start, at, value, op, &field.name)?,
                 (None, Op::Count { code, array }) => {
                     let n = self.items_of(record, *array)?.len() as u64;
-                    encode_scalar(buf, at, *code, &Value::UInt(n), &field.name)?;
+                    encode_scalar(buf, at, *code, SourceValue::UInt(n), &field.name)?;
                 }
                 (None, _) => return Err(LayoutError::MissingField { field: field.name.clone() }),
             }
@@ -262,35 +445,42 @@ impl EncodePlan {
         Ok(())
     }
 
-    /// The elements the record holds for the dynamic array at field
-    /// index `array`.
-    fn items_of<'r>(&self, record: &'r Record, array: usize) -> Result<&'r [Value], LayoutError> {
+    /// The items the record holds for the dynamic array at field index
+    /// `array`.
+    fn items_of<'r, S: Source + ?Sized>(
+        &self,
+        record: &'r S,
+        array: usize,
+    ) -> Result<Items<'r>, LayoutError> {
         let name = &self.fields[array].name;
         let value = record
-            .get_hinted(array, name)
+            .field(array, name)
             .ok_or_else(|| LayoutError::MissingField { field: name.clone() })?;
         value.as_array().ok_or_else(|| mismatch(name, "array", value))
     }
 
     /// Refuses a count the record supplies that is not the length of
     /// `items`, the array at field index `array`.
+    #[inline]
     fn check_count(
         &self,
-        supplied: Option<&Value>,
+        supplied: Option<SourceValue<'_>>,
         array: usize,
-        items: &[Value],
+        items: Items<'_>,
     ) -> Result<(), LayoutError> {
-        match supplied.and_then(Value::as_u64) {
-            Some(count) if count != items.len() as u64 => Err(LayoutError::ArrayLengthMismatch {
+        let actual = items.len();
+        match supplied.and_then(SourceValue::as_u64) {
+            Some(count) if count != actual as u64 => Err(LayoutError::ArrayLengthMismatch {
                 field: self.fields[array].name.clone(),
                 declared: count as usize,
-                actual: items.len(),
+                actual,
             }),
             _ => Ok(()),
         }
     }
 
     /// `target` if a pointer slot can hold it.
+    #[inline]
     fn pointer_to(&self, target: usize, field: &str) -> Result<u64, LayoutError> {
         match target as u64 {
             target if fits_unsigned(target, self.pointer.size()) => Ok(target),
@@ -299,12 +489,13 @@ impl EncodePlan {
     }
 
     /// Writes one value of a non-dynamic-array kind at `at`.
+    #[inline]
     fn encode_at(
         &self,
         buf: &mut Vec<u8>,
         image_start: usize,
         at: usize,
-        value: &Value,
+        value: SourceValue<'_>,
         op: &Op,
         field: &str,
     ) -> Result<(), LayoutError> {
@@ -345,6 +536,7 @@ impl EncodePlan {
 
     /// Writes `items` at `start`, `stride` bytes apart.
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     fn encode_elements(
         &self,
         buf: &mut Vec<u8>,
@@ -352,24 +544,18 @@ impl EncodePlan {
         start: usize,
         stride: usize,
         elem: &Op,
-        items: &[Value],
+        items: Items<'_>,
         field: &str,
     ) -> Result<(), LayoutError> {
         if let Op::Scalar(code) = elem {
             let slots = &mut buf[start..start + items.len() * stride];
-            for (slot, item) in slots.chunks_exact_mut(stride).zip(items) {
-                encode_scalar(slot, 0, *code, item, field)?;
-            }
-            return Ok(());
+            return items.each(|i, item| encode_scalar(slots, i * stride, *code, item, field));
         }
-        for (i, item) in items.iter().enumerate() {
-            self.encode_at(buf, image_start, start + i * stride, item, elem, field)?;
-        }
-        Ok(())
+        items.each(|i, item| self.encode_at(buf, image_start, start + i * stride, item, elem, field))
     }
 }
 
-fn mismatch(field: &str, expected: &str, found: &Value) -> LayoutError {
+fn mismatch(field: &str, expected: &str, found: SourceValue<'_>) -> LayoutError {
     LayoutError::TypeMismatch {
         field: field.to_owned(),
         expected: expected.to_owned(),
@@ -383,7 +569,7 @@ fn encode_scalar(
     buf: &mut [u8],
     at: usize,
     code: ScalarCode,
-    value: &Value,
+    value: SourceValue<'_>,
     field: &str,
 ) -> Result<(), LayoutError> {
     let width = code.size();
@@ -444,24 +630,24 @@ pub fn encode_record(
 /// Appends a native byte image of `record` to `buf`, reusing the
 /// caller's buffer (and its capacity) instead of allocating one — the
 /// zero-allocation encode primitive behind [`encode_record`] and pbio's
-/// pooled message encoder.
+/// pooled message encoders, dynamic and typed.
 ///
 /// The image starts at `buf.len()` at entry; image-relative pointers
 /// (strings, dynamic arrays) are measured from there, so the appended
 /// bytes are exactly what [`encode_record`] would have produced on an
 /// empty buffer. `plan` is the struct type's compiled encoder — callers
-/// that encode at rate (pbio's `Format`) build it once. The record's
-/// slot for each field is tried at the field's own index first, so a
-/// record built in declaration order is never searched by name. Returns
-/// the image's fixed-part length.
+/// that encode at rate (pbio's `Format`) build it once. Each field is
+/// asked of the source at the field's own index, so a [`Record`] built
+/// in declaration order is never searched by name. Returns the image's
+/// fixed-part length.
 ///
 /// # Errors
 ///
 /// As [`encode_record`]. On error the buffer's length beyond the entry
 /// point is unspecified; callers reusing buffers should truncate back.
-pub fn encode_record_into(
+pub fn encode_record_into<S: Source + ?Sized>(
     buf: &mut Vec<u8>,
-    record: &Record,
+    record: &S,
     plan: &EncodePlan,
 ) -> Result<usize, LayoutError> {
     let image_start = buf.len();

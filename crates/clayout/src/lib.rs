@@ -20,7 +20,8 @@
 //! * [`image`] builds *native byte images*: the exact bytes a C struct
 //!   instance occupies in memory on a given architecture, with pointers
 //!   swizzled to in-buffer offsets (as PBIO's encode step does), through
-//!   an [`EncodePlan`] compiled once per struct type and architecture.
+//!   an [`EncodePlan`] compiled once per struct type and architecture
+//!   that reads any [`Source`]: a dynamic [`Record`] or a derived struct.
 //!   Reading them back is pbio's `RecordView`.
 //!
 //! Because architectures are plain data, one process can simulate a
@@ -58,7 +59,7 @@ pub mod value;
 pub use arch::{Architecture, Endianness, SizeAlign};
 pub use ctype::{ArrayLen, CType, Primitive, StructField, StructType};
 pub use error::LayoutError;
-pub use image::{encode_record, encode_record_into, EncodePlan, Image};
+pub use image::{encode_record, encode_record_into, EncodePlan, Image, Items, Source, SourceValue};
 pub use layout::{FieldLayout, Layout, Scalar, ScalarCode};
-pub use typed::{ConstCType, ConstField, ConstStructType, Xml2WireRecord};
+pub use typed::{ConstCType, ConstField, ConstStructType};
 pub use value::{Record, Value};

@@ -217,6 +217,7 @@ impl Record {
     /// The value of field `name`, trying slot `hint` before searching:
     /// a record built in a struct's declaration order answers each of
     /// the struct's fields at the field's own index.
+    #[inline]
     pub(crate) fn get_hinted(&self, hint: usize, name: &str) -> Option<&Value> {
         match self.fields.get(hint) {
             Some((n, value)) if n == name => Some(value),

@@ -77,8 +77,8 @@ pub use server::MetadataServer;
 pub use session::{Xml2Wire, Xml2WireBuilder};
 pub use url::Locator;
 
-// Compile-time typed bindings: the trait (from clayout) and the derive
+// Compile-time typed bindings: the trait (from pbio) and the derive
 // macro (from x2w-derive) share one name, so `use xml2wire::Xml2WireRecord;`
 // brings in both — the serde convention.
-pub use clayout::Xml2WireRecord;
+pub use pbio::Xml2WireRecord;
 pub use x2w_derive::Xml2WireRecord;

@@ -147,12 +147,12 @@ impl Xml2Wire {
     /// descriptor is materialized once here, and the returned format is
     /// what the typed publish path (`pbio::ndr::encode_typed_into`)
     /// pins. Dynamically-bound peers can discover the same definition
-    /// from `T::schema_xml()`.
+    /// from `schema_for_struct(&T::struct_type())`.
     ///
     /// # Errors
     ///
     /// Layout/registration failures.
-    pub fn register_record<T: clayout::Xml2WireRecord>(&self) -> Result<Arc<Format>, X2wError> {
+    pub fn register_record<T: pbio::Xml2WireRecord>(&self) -> Result<Arc<Format>, X2wError> {
         self.register_compiled(T::struct_type())
     }
 

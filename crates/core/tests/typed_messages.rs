@@ -9,6 +9,7 @@
 
 use clayout::{Architecture, Record};
 use pbio::format::struct_fingerprint;
+use pbio::{Format, FormatId};
 use xml2wire::{X2wError, Xml2Wire, Xml2WireRecord};
 
 /// The paper's Structure B as a Rust struct.
@@ -52,7 +53,8 @@ fn sample_flight() -> Flight {
 }
 
 /// The typed send path: register the record's format with the session
-/// (idempotent) and run the generated encoder into a framed message.
+/// (idempotent) and run its encode plan over the struct into a framed
+/// message.
 fn send<T: Xml2WireRecord>(session: &Xml2Wire, message: &T) -> Result<Vec<u8>, X2wError> {
     let format = session.register_record::<T>()?;
     let mut wire = Vec::new();
@@ -60,18 +62,12 @@ fn send<T: Xml2WireRecord>(session: &Xml2Wire, message: &T) -> Result<Vec<u8>, X
     Ok(wire)
 }
 
-/// The typed receive path, as `TypedSubscriber` runs it: the header's
-/// fingerprint must be `T`'s, then the generated view reads the payload
-/// in the sender's architecture.
+/// The typed receive path, as `TypedSubscriber` runs it: `T`'s format
+/// on this host, whose name and fingerprint the header must carry, and
+/// a view of the payload in the sender's architecture read into `T`.
 fn receive<T: Xml2WireRecord>(wire: &[u8]) -> Result<T, X2wError> {
-    let (peek, payload) = pbio::ndr::split(wire)?;
-    if peek.fingerprint != struct_fingerprint(&T::struct_type()) {
-        return Err(X2wError::Bcm(pbio::PbioError::FormatMismatch {
-            expected: T::FORMAT_NAME.to_owned(),
-            found: peek.format_name(wire)?.to_owned(),
-        }));
-    }
-    Ok(T::decode_view(payload, &peek.arch()).map_err(pbio::PbioError::from)?)
+    let format = Format::new(FormatId(1), T::struct_type(), Architecture::host())?;
+    Ok(pbio::ndr::decode_typed(wire, &format)?)
 }
 
 #[test]

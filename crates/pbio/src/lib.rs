@@ -37,6 +37,9 @@
 //!   text XML the `xmlparse` writer.
 //! * [`evolution`] — PBIO's restricted format evolution: receivers keep
 //!   working when senders add fields.
+//! * [`typed`] — [`Xml2WireRecord`], the binding `#[derive(Xml2WireRecord)]`
+//!   implements: a Rust struct marshaled by its format's plans, like a
+//!   [`Record`](clayout::Record).
 //!
 //! PBIO's file half — NDR messages written to data files — is
 //! `xml2wire::archive`: the messages in CRC-checked frames behind the
@@ -80,6 +83,7 @@ pub mod header;
 pub mod ndr;
 pub mod registry;
 pub mod textxml;
+pub mod typed;
 pub mod view;
 pub mod xdr;
 
@@ -89,4 +93,5 @@ pub use error::PbioError;
 pub use field::IoField;
 pub use format::{Format, FormatId};
 pub use registry::FormatRegistry;
+pub use typed::Xml2WireRecord;
 pub use view::{ArrayView, FieldView, RecordView};

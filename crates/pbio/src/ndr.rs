@@ -9,7 +9,7 @@
 //! * [`view_with`] — read values straight out of the wire image through
 //!   the sender's view plan (reader-makes-right at the value level),
 //!   with [`decode`] / [`decode_with`] materializing the view as a
-//!   [`Record`], or
+//!   [`Record`] and [`decode_typed`] reading it into a derived struct, or
 //! * [`to_native_image`] — produce a byte image in the *receiver's*
 //!   layout via a cached [`ConversionPlan`](crate::convert::ConversionPlan),
 //!   which is free (one bulk
@@ -20,13 +20,14 @@
 
 use std::sync::Arc;
 
-use clayout::{Architecture, LayoutError, Record};
+use clayout::{Architecture, Record, Source};
 
 use crate::convert::{ImageCow, PlanCache};
 use crate::error::PbioError;
 use crate::format::Format;
 use crate::header::{WireHeader, WirePeek};
 use crate::registry::FormatRegistry;
+use crate::typed::Xml2WireRecord;
 use crate::view::RecordView;
 
 /// Encodes `record` in `format` as a complete NDR message.
@@ -42,21 +43,23 @@ pub fn encode(record: &Record, format: &Format) -> Result<Vec<u8>, PbioError> {
 }
 
 /// Writes a message of `format` into `out` (cleared first): the
-/// format's memoized header prefix, the payload `image` appends, and
-/// the two length fields — the only per-message header work.
-fn message_into(
+/// format's memoized header prefix, the payload image its memoized
+/// encode plan writes from `record`, and the two length fields — the
+/// only per-message header work.
+fn message_into<S: Source + ?Sized>(
     out: &mut Vec<u8>,
+    record: &S,
     format: &Format,
-    image: impl FnOnce(&mut Vec<u8>) -> Result<usize, LayoutError>,
 ) -> Result<(), PbioError> {
     use crate::header::{FIXED_LEN_OFFSET, PAYLOAD_LEN_OFFSET};
     use clayout::image::put_uint;
     use clayout::Endianness;
 
+    let plan = format.encode_plan()?;
     out.clear();
     out.extend_from_slice(format.header_prefix());
     let header_len = out.len();
-    let fixed_len = image(out)?;
+    let fixed_len = clayout::encode_record_into(out, record, plan)?;
     let payload_len = out.len() - header_len;
     put_uint(out, FIXED_LEN_OFFSET, 4, Endianness::Little, fixed_len as u64);
     put_uint(out, PAYLOAD_LEN_OFFSET, 4, Endianness::Little, payload_len as u64);
@@ -83,19 +86,14 @@ pub fn encode_into(
     record: &Record,
     format: &Format,
 ) -> Result<(), PbioError> {
-    let plan = format.encode_plan()?;
-    message_into(out, format, |out| clayout::encode_record_into(out, record, plan))
+    message_into(out, record, format)
 }
 
-/// Encodes a derived [`Xml2WireRecord`] in `format` into `out` — the
-/// compile-time twin of [`encode_into`].
-///
-/// Where the dynamic path runs the format's encode plan over the
-/// reflective [`Record`] model, this calls the straight-line
-/// `encode_image` the derive macro generated: the only per-message
-/// work is the memoized header copy, the native-image build, and the
-/// two length patches. Byte-for-byte identical output to the dynamic
-/// path for equivalent values.
+/// Encodes a derived [`Xml2WireRecord`] in `format` into `out`: the
+/// typed twin of [`encode_into`], through the same memoized encode
+/// plan, which reads the struct's fields where it reads a [`Record`]'s.
+/// The bytes are [`encode_into`]'s for the equivalent record, and so are
+/// the errors (range overflows, pointer-width overflows).
 ///
 /// `format` must describe `T` (normally obtained by registering
 /// `T::struct_type()`); the caller pins it once, exactly like the
@@ -103,15 +101,14 @@ pub fn encode_into(
 ///
 /// # Errors
 ///
-/// As [`encode_into`]: range overflows and pointer-width overflows. On
-/// error `out` holds partially written bytes and must not be
-/// transmitted.
-pub fn encode_typed_into<T: clayout::Xml2WireRecord>(
+/// As [`encode_into`]. On error `out` holds partially written bytes and
+/// must not be transmitted.
+pub fn encode_typed_into<T: Xml2WireRecord>(
     out: &mut Vec<u8>,
     value: &T,
     format: &Format,
 ) -> Result<(), PbioError> {
-    message_into(out, format, |out| value.encode_image(out, format.arch()))
+    message_into(out, value, format)
 }
 
 /// Splits a message into its peeked header and payload bytes. Nothing
@@ -134,7 +131,10 @@ pub fn split(buf: &[u8]) -> Result<(WirePeek, &[u8]), PbioError> {
     Ok((peek, payload))
 }
 
-/// [`split`], refusing a message that does not carry `format`'s name.
+/// [`split`], refusing a message that does not carry `format`'s name,
+/// or carries it for another *version* of the definition: a view or a
+/// conversion plan reads a payload through `format`'s struct type, so
+/// it may only ever see payloads of that definition.
 fn split_for<'a>(buf: &'a [u8], format: &Format) -> Result<(WirePeek, &'a [u8]), PbioError> {
     let (peek, payload) = split(buf)?;
     if peek.name_bytes(buf) != format.name().as_bytes() {
@@ -142,6 +142,9 @@ fn split_for<'a>(buf: &'a [u8], format: &Format) -> Result<(WirePeek, &'a [u8]),
             expected: format.name().to_owned(),
             found: peek.format_name(buf)?.to_owned(),
         });
+    }
+    if peek.fingerprint != format.fingerprint() {
+        return Err(different_version(format.name()));
     }
     Ok((peek, payload))
 }
@@ -162,8 +165,8 @@ fn different_version(name: &str) -> PbioError {
 ///
 /// # Errors
 ///
-/// Reports header problems, format-name mismatches and malformed
-/// payloads.
+/// Reports header problems, format-name and version mismatches, and
+/// malformed payloads.
 pub fn decode_with(buf: &[u8], format: &Format) -> Result<Record, PbioError> {
     view_with(buf, format)?.to_record()
 }
@@ -175,11 +178,29 @@ pub fn decode_with(buf: &[u8], format: &Format) -> Result<Record, PbioError> {
 ///
 /// # Errors
 ///
-/// Reports header problems, format-name mismatches, and payloads
-/// shorter than the sender's fixed part.
+/// Reports header problems, format-name and version mismatches, and
+/// payloads shorter than the sender's fixed part.
 pub fn view_with<'a>(buf: &'a [u8], format: &'a Format) -> Result<RecordView<'a>, PbioError> {
     let (peek, payload) = split_for(buf, format)?;
     RecordView::over_descriptor(payload, format, peek.descriptor)
+}
+
+/// Decodes a message of `format` into a derived [`Xml2WireRecord`]: the
+/// typed twin of [`decode_with`], reading the same [`view_with`] view —
+/// over the format's memoized view plan when the sender shares its
+/// layout — field by field into `T`. From a preset architecture it
+/// succeeds exactly when [`decode_with`] does, with the same values; a
+/// sender whose `int` is wider than an `i32` field gets a type mismatch
+/// where [`decode_with`] would hand back the wide value.
+///
+/// `format` must describe `T`, as for [`encode_typed_into`].
+///
+/// # Errors
+///
+/// As [`decode_with`], and a type mismatch for a value `T`'s field cannot
+/// hold.
+pub fn decode_typed<T: Xml2WireRecord>(buf: &[u8], format: &Format) -> Result<T, PbioError> {
+    T::from_view(&view_with(buf, format)?)
 }
 
 /// Resolves the format a message was encoded with in `registry`, and
@@ -231,20 +252,6 @@ pub fn decode(
     Ok((format, record))
 }
 
-/// [`split_for`], also refusing a message of another *version* of the
-/// name: a conversion plan is compiled from `native_format`'s
-/// definition, so it may only ever see payloads of that definition.
-fn split_pinned<'a>(
-    buf: &'a [u8],
-    native_format: &Format,
-) -> Result<(WirePeek, &'a [u8]), PbioError> {
-    let (peek, payload) = split_for(buf, native_format)?;
-    if peek.fingerprint != native_format.fingerprint() {
-        return Err(different_version(native_format.name()));
-    }
-    Ok((peek, payload))
-}
-
 /// Converts a message's payload into a native image for
 /// `native_format`'s architecture, using (and populating) `plans`.
 ///
@@ -262,7 +269,7 @@ pub fn to_native_image<'a>(
     native_format: &Format,
     plans: &PlanCache,
 ) -> Result<ImageCow<'a>, PbioError> {
-    let (peek, payload) = split_pinned(buf, native_format)?;
+    let (peek, payload) = split_for(buf, native_format)?;
     plans.plan_for_format(native_format, &peek.arch())?.convert(payload)
 }
 
@@ -286,7 +293,7 @@ pub fn to_native_image_into(
     plans: &PlanCache,
     out: &mut Vec<u8>,
 ) -> Result<usize, PbioError> {
-    let (peek, payload) = split_pinned(buf, native_format)?;
+    let (peek, payload) = split_for(buf, native_format)?;
     plans.plan_for_format(native_format, &peek.arch())?.convert_into(payload, out)
 }
 
@@ -401,6 +408,31 @@ mod tests {
             decode_with(&wire, &other),
             Err(PbioError::FormatMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn another_version_of_the_name_is_refused_not_misread() {
+        // The sender's `T` grew a leading double; a receiver holding the
+        // old `T` must not read the new layout through its own.
+        let field = |name: &str, ty| StructField::new(name, ty);
+        let held = StructType::new(
+            "T",
+            vec![field("a", CType::Prim(Primitive::Int)), field("s", CType::String)],
+        );
+        let mut sent = held.clone();
+        sent.fields.insert(0, field("z", CType::Prim(Primitive::Double)));
+        let sender = Format::new(FormatId(1), sent, Architecture::X86_64).unwrap();
+        let record = Record::new().with("z", 2.5f64).with("a", 9i64).with("s", "long");
+        let wire = encode(&record, &sender).unwrap();
+        let held = Format::new(FormatId(1), held, Architecture::X86_64).unwrap();
+        let plans = PlanCache::new();
+        for err in [
+            decode_with(&wire, &held).unwrap_err(),
+            view_with(&wire, &held).unwrap_err(),
+            to_native_image(&wire, &held, &plans).unwrap_err(),
+        ] {
+            assert!(err.to_string().contains("a different version"), "{err}");
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Recording side -------------------------------------------------
     let session = Arc::new(Xml2Wire::builder().build());
-    let format = session.register_record::<PositionReport>()?;
+    let position = session.register_record::<PositionReport>()?;
 
     let file = std::fs::File::create(&path)?;
     let mut recorder = ArchiveWriter::create(file, Arc::clone(&session));
@@ -48,9 +48,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             waypoints: vec!["ODF".into(), "SPA".into()],
         };
         // The archive stores reflective records; the typed struct gets
-        // there through its own wire image (generated encoder, then the
+        // there through its own wire image (typed encode, then the
         // dynamic decoder every untyped peer would run).
-        pbio::ndr::encode_typed_into(&mut wire, &report, &format)?;
+        pbio::ndr::encode_typed_into(&mut wire, &report, &position)?;
         let (_, record) = session.decode(&wire)?;
         recorder.append(&record, PositionReport::FORMAT_NAME)?;
     }
@@ -64,11 +64,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     while let Some((format, record)) = replay.next_record()? {
         // Generic consumers read the dynamic record...
         println!("[{format}] {record}");
-        // ...and typed consumers can still reconstruct the struct: the
-        // generated view reads the image the dynamic encoder writes.
+        // ...and typed consumers can still reconstruct the struct from
+        // the image the dynamic encoder writes.
         let wire = session.encode(&record, PositionReport::FORMAT_NAME)?;
-        let (header, payload) = pbio::ndr::split(&wire)?;
-        let report = PositionReport::decode_view(payload, &header.arch())?;
+        let report: PositionReport = pbio::ndr::decode_typed(&wire, &position)?;
         assert!(report.altitude_ft >= 31_000);
     }
 

@@ -1,14 +1,13 @@
 //! Compile-time typed bindings against a dynamically-bound peer
 //! (DESIGN §6.14).
 //!
-//! The dynamic pipeline pays for its generality per message: discovery
-//! at first contact, then a field-table walk over a reflective
-//! `Record` for every publish. When the producer's struct is known at
-//! compile time, `#[derive(Xml2WireRecord)]` collapses
-//! discovery→binding→marshal into straight-line generated code — and
-//! stays byte-compatible with every dynamically-bound peer, because
-//! the derived descriptor is exactly what the XSD binder would
-//! produce. This example runs both sides of that bargain:
+//! The dynamic pipeline discovers a producer's type at first contact.
+//! When the producer's struct is known at compile time,
+//! `#[derive(Xml2WireRecord)]` binds it at compile time instead: the
+//! derived descriptor is exactly what the XSD binder would produce, and
+//! the struct is marshaled by the same encode and view plans as a
+//! reflective `Record`, so it is byte-compatible with every
+//! dynamically-bound peer. This example runs both sides of that bargain:
 //!
 //! 1. a *typed* producer publishes derived `FlightEvent`s while a
 //!    *dynamic* consumer — which knows nothing at compile time —
@@ -37,13 +36,14 @@ struct FlightEvent {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 1. Typed producer → dynamic consumer -----------------------
     //
-    // The derive generated an XSD document; serving it from a metadata
-    // server makes the compile-time type discoverable exactly like a
-    // hand-written schema.
+    // The derived descriptor has a schema document; serving it from a
+    // metadata server makes the compile-time type discoverable exactly
+    // like a hand-written schema.
+    let schema = xml2wire::schema_for_struct(&FlightEvent::struct_type()).to_xml_string();
     let metadata = MetadataServer::bind("127.0.0.1:0")?;
-    metadata.publish("/flight.xsd", FlightEvent::schema_xml());
+    metadata.publish("/flight.xsd", schema.clone());
     let url = metadata.url_for("/flight.xsd");
-    println!("generated schema served at {url}:\n{}\n", FlightEvent::schema_xml());
+    println!("generated schema served at {url}:\n{schema}\n");
 
     let broker = Arc::new(Broker::new());
     let producer_session = Xml2Wire::builder().build();
@@ -99,7 +99,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 3. Compiled filters see nothing special --------------------
     //
     // TypedCapture registered the struct type, so content predicates
-    // typecheck and run against the generated encoder's wire images
+    // typecheck and run against the typed producer's wire images
     // unchanged.
     let atl = TypedSubscriber::<FlightEvent>::filtered(&broker, "flights", "dest == \"ATL\"")?;
     capture.publish(&FlightEvent { flt_num: 1, dest: "BOS".into(), eta: vec![] })?;

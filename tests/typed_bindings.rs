@@ -33,13 +33,14 @@ fn sample(i: i64) -> FlightEvent {
 }
 
 /// A typed producer feeds a dynamic consumer that knows *nothing* at
-/// compile time: it discovers `FlightEvent::schema_xml()` over HTTP,
+/// compile time: it discovers `FlightEvent`'s schema over HTTP,
 /// binds it, and decodes the typed publisher's bytes — and the
 /// discovered struct type is fingerprint-identical to the derived one.
 #[test]
 fn typed_producer_to_dynamic_consumer_via_discovery() {
     let metadata = MetadataServer::bind("127.0.0.1:0").unwrap();
-    metadata.publish("/flight.xsd", FlightEvent::schema_xml());
+    let schema = xml2wire::schema_for_struct(&FlightEvent::struct_type());
+    metadata.publish("/flight.xsd", schema.to_xml_string());
     let url = metadata.url_for("/flight.xsd");
 
     let broker = Arc::new(Broker::new());
@@ -120,7 +121,7 @@ fn dynamic_producer_to_typed_subscriber() {
 
 /// Compiled content filters treat a typed producer like any other:
 /// `TypedCapture` registers the derived struct type, so predicates
-/// typecheck and evaluate against the generated encoder's bytes.
+/// typecheck and evaluate against the typed publisher's bytes.
 #[test]
 fn typed_publish_through_compiled_filters() {
     let broker = Arc::new(Broker::new());

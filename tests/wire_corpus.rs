@@ -7,13 +7,19 @@
 //! The files are the wire formats' memory: a change to any encoding is
 //! a change to these bytes, made on purpose and reviewed as such. This
 //! test only reads them.
+//!
+//! Structures B and C+D also have derived twins (`#[derive(Xml2WireRecord)]`):
+//! their typed encode must write the same NDR files, and their typed
+//! decode must read every one of them back to the typed value.
 
 use std::path::Path;
 use std::sync::Arc;
 
+use backbone::TypedSubscriber;
 use clayout::Endianness;
 use openmeta::prelude::*;
 use pbio::{cdr, ndr, textxml, xdr};
+use xml2wire::Xml2WireRecord;
 
 fn corpus(file: &str) -> Vec<u8> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus").join(file);
@@ -96,5 +102,83 @@ fn every_encoder_reproduces_the_corpus_and_every_decoder_reads_it() {
         let wire = String::from_utf8(corpus(&file)).unwrap();
         assert_eq!(textxml::encode(&record, st).unwrap(), wire, "{file}");
         assert_eq!(textxml::decode(&wire, st).unwrap(), record, "{file}");
+    }
+}
+
+/// `b.xsd`'s `ASDOffEvent`, and the element type of `cd.xsd`'s
+/// `threeASDOffs`.
+#[derive(Debug, Clone, PartialEq, Xml2WireRecord)]
+struct ASDOffEvent {
+    #[x2w(name = "cntrID")]
+    cntr_id: String,
+    arln: String,
+    #[x2w(name = "fltNum")]
+    flt_num: i32,
+    equip: String,
+    org: String,
+    dest: String,
+    off: [u64; 5],
+    eta: Vec<u64>,
+}
+
+#[derive(Debug, Clone, PartialEq, Xml2WireRecord)]
+#[x2w(name = "threeASDOffs")]
+struct ThreeAsdOffs {
+    one: ASDOffEvent,
+    bart: f64,
+    two: ASDOffEvent,
+    lisa: f64,
+    three: ASDOffEvent,
+}
+
+/// The typed twin of [`asd_b`].
+fn typed_b(flt_num: i32, dest: &str, eta: &[u64]) -> ASDOffEvent {
+    ASDOffEvent {
+        cntr_id: "ZTL".to_owned(),
+        arln: "DL".to_owned(),
+        flt_num,
+        equip: "B752".to_owned(),
+        org: "ATL".to_owned(),
+        dest: dest.to_owned(),
+        off: [10, 20, 30, 40, 50],
+        eta: eta.to_vec(),
+    }
+}
+
+/// Decodes `wire` as a typed subscriber on this host does.
+fn typed_decode<T: Xml2WireRecord>(broker: &Broker, name: &str, wire: Vec<u8>) -> T {
+    let sub = TypedSubscriber::<T>::new(broker, "corpus").unwrap();
+    sub.decode(&Event::new("corpus", name, wire)).unwrap()
+}
+
+#[test]
+fn derived_twins_reproduce_the_ndr_corpus_and_read_it_back() {
+    let b = typed_b(1202, "BOS", &[100, 200, 300]);
+    let cd = ThreeAsdOffs {
+        one: b.clone(),
+        bart: 1.5,
+        two: typed_b(-7, "SFO", &[]),
+        lisa: -2.5,
+        three: typed_b(88, "<&>", &[u64::from(u32::MAX)]),
+    };
+    let broker = Broker::new();
+    broker.create_stream("corpus", None);
+    for arch in Architecture::ALL {
+        // Registered in document order, so the local ids in the headers
+        // are the ones the corpus files carry.
+        let session = Xml2Wire::builder().arch(arch).build();
+        let asd = session.register_record::<ASDOffEvent>().unwrap();
+        let three = session.register_record::<ThreeAsdOffs>().unwrap();
+        let mut wire = Vec::new();
+
+        let file = format!("b.{}.ndr", arch.name);
+        ndr::encode_typed_into(&mut wire, &b, &asd).unwrap();
+        assert_eq!(wire, corpus(&file), "{file}");
+        assert_eq!(typed_decode::<ASDOffEvent>(&broker, "ASDOffEvent", corpus(&file)), b, "{file}");
+
+        let file = format!("cd.{}.ndr", arch.name);
+        ndr::encode_typed_into(&mut wire, &cd, &three).unwrap();
+        assert_eq!(wire, corpus(&file), "{file}");
+        assert_eq!(typed_decode::<ThreeAsdOffs>(&broker, "threeASDOffs", corpus(&file)), cd, "{file}");
     }
 }
