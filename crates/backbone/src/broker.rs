@@ -35,7 +35,7 @@ use parking_lot::{Mutex, RwLock};
 use xml2wire::seglog::{SegLogConfig, SegReplay, SegmentLog};
 
 use crate::error::BackboneError;
-use crate::filter::{FilterCache, FilterCacheStats, FilterError, StreamFilter};
+use crate::filter::{FilterCache, FilterError, StreamFilter};
 
 /// One event on a stream: an encoded message plus routing metadata.
 ///
@@ -988,7 +988,7 @@ impl Broker {
     }
 
     /// Counter snapshot of the broker's shared filter cache.
-    pub fn filter_cache_stats(&self) -> FilterCacheStats {
+    pub fn filter_cache_stats(&self) -> pbio::MemoStats {
         self.filters.stats()
     }
 

@@ -56,7 +56,7 @@ pub use broker::{
     StreamConfig, StreamInfo, Subscription,
 };
 pub use error::BackboneError;
-pub use filter::{FilterCache, FilterCacheStats, FilterError, FilterStats, StreamFilter};
+pub use filter::{FilterCache, FilterError, FilterStats, StreamFilter};
 pub use federation::{FederatedBroker, FederationLink, LinkConfig, LinkStats};
 pub use net::{
     ClientCloser, CloseHandler, ConnId, EventClient, EventServer, Frame, NetConfig, NetStats,

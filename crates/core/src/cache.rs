@@ -1,346 +1,164 @@
-//! A schema-document cache over a [`DiscoveryChain`].
+//! The schema-document cache a session discovers through.
 //!
-//! Discovery is a *control-plane* operation — rare, but on the
-//! connection-setup path — so a failing metadata server must cost each
-//! process one bounded fetch, not one per thread per binding. This
-//! layer adds the standard cache defenses around the chain:
+//! Every discovery goes to the [`DiscoveryChain`], so a document
+//! re-published at the same locator reaches the next discovery. Two
+//! defences sit around the chain, both counted in its
+//! [`DiscoveryStats`]:
 //!
-//! - **Positive TTL**: a fetched document is served from memory until
-//!   it expires, so format evolution still propagates.
-//! - **Negative caching**: a definitive miss short-circuits repeat
-//!   fetches for a (shorter) TTL instead of hammering a server that
-//!   just said no.
-//! - **Stale-while-revalidate**: when every source fails and an
-//!   *expired* document is still on hand, the stale copy is served —
-//!   the paper's §3.3 degraded mode, generalized from compiled-in
-//!   fallbacks to anything fetched before the outage — and one
-//!   background refresh is spawned to repair the entry.
-//! - **Singleflight**: N threads binding the same locator trigger one
-//!   chain fetch; the rest wait for its result.
-//!
-//! All of it is observable through the chain's shared
-//! [`DiscoveryStats`].
+//! - **One fetch per locator in flight**: threads discovering a locator
+//!   another thread is fetching wait for that fetch instead of
+//!   repeating it (`cache_hits`). A fetch that unwinds still lands its
+//!   flight, as an error, so later discoveries start their own.
+//! - **The last good document**: when every source fails, the document
+//!   last fetched for the locator is served if it is at most
+//!   [`STALE_GRACE`] old (`stale_serves`) — the paper's §3.3 degraded
+//!   mode, generalized from compiled-in fallbacks to anything fetched
+//!   before the outage.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::HashMap;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::RwLock;
 
 use crate::discovery::{DiscoveryChain, DiscoveryStats};
 use crate::error::X2wError;
 
-/// How long a singleflight waiter will wait for the leading fetch
-/// before giving up. Chain fetches are themselves deadline-bounded, so
-/// this only fires if the leader dies; it exists to turn that into an
-/// error instead of a hang.
+/// How long a thread waits on another thread's fetch before giving up.
+/// Chain fetches are themselves deadline-bounded, so this only turns a
+/// leader that never lands into an error instead of a hang.
 const FLIGHT_WAIT_CAP: Duration = Duration::from_secs(30);
 
-/// TTLs and refresh behaviour for a [`SchemaCache`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CachePolicy {
-    /// How long a fetched document is served without re-consulting the
-    /// chain. Shorter = faster format-evolution propagation; longer =
-    /// fewer control-plane fetches.
-    pub positive_ttl: Duration,
-    /// How long a definitive miss suppresses repeat fetches of the same
-    /// locator.
-    pub negative_ttl: Duration,
-    /// How far past `positive_ttl` an expired document may still be
-    /// served when every source fails (the stale-while-revalidate
-    /// window).
-    pub stale_grace: Duration,
-    /// Whether a stale serve spawns one background refresh attempt to
-    /// repair the entry without blocking the caller.
-    pub background_refresh: bool,
-}
+/// How old the last good document may be and still bridge an outage.
+const STALE_GRACE: Duration = Duration::from_secs(300);
 
-impl Default for CachePolicy {
-    fn default() -> Self {
-        CachePolicy {
-            positive_ttl: Duration::from_secs(60),
-            negative_ttl: Duration::from_secs(2),
-            stale_grace: Duration::from_secs(300),
-            background_refresh: true,
-        }
-    }
-}
+/// What a flight lands with. The error is rendered because [`X2wError`]
+/// is not `Clone`; waiters rebuild a Discovery error around it.
+type Outcome = Result<Arc<String>, String>;
 
-impl CachePolicy {
-    /// Always revalidate against the chain — no positive or negative
-    /// TTL — but keep the stale fallback and singleflight. Metadata
-    /// updates propagate immediately (re-publishing a document at the
-    /// same locator is how format evolution reaches subscribers), while
-    /// an outage still serves the last good document. This is the
-    /// default for [`Xml2Wire`](crate::Xml2Wire) sessions.
-    pub fn revalidating() -> Self {
-        CachePolicy {
-            positive_ttl: Duration::ZERO,
-            negative_ttl: Duration::ZERO,
-            ..CachePolicy::default()
-        }
-    }
-}
-
-/// One cached outcome for a locator.
-enum Entry {
-    /// A document and when it was fetched.
-    Document { document: Arc<String>, fetched_at: Instant },
-    /// A definitive failure and when it happened.
-    Miss { error: String, at: Instant },
-}
-
-/// An in-flight fetch that late arrivals join instead of duplicating.
-/// `Result`'s error half is a rendered string because [`X2wError`] is
-/// not `Clone`; waiters rebuild a Discovery error around it.
+/// A fetch in flight, which other threads wait on. `done` is written in
+/// one store, so even a poisoned lock holds a whole value.
+#[derive(Debug, Default)]
 struct Flight {
-    done: Mutex<Option<Result<Arc<String>, String>>>,
+    done: Mutex<Option<Outcome>>,
     cv: Condvar,
 }
 
-struct CacheInner {
+/// What the cache holds for one locator.
+#[derive(Debug, Default)]
+struct Slot {
+    flight: Option<Arc<Flight>>,
+    /// The last document fetched, and when.
+    last_good: Option<(Arc<String>, Instant)>,
+}
+
+/// The cache; see the module docs.
+#[derive(Debug)]
+pub(crate) struct SchemaCache {
     chain: DiscoveryChain,
-    policy: CachePolicy,
-    entries: RwLock<HashMap<String, Entry>>,
-    flights: Mutex<HashMap<String, Arc<Flight>>>,
-    refreshing: Mutex<HashSet<String>>,
-}
-
-/// The cache; cheap to clone (all clones share one store).
-///
-/// ```
-/// # fn main() -> Result<(), xml2wire::X2wError> {
-/// let server = xml2wire::MetadataServer::bind("127.0.0.1:0")?;
-/// server.publish("/s.xsd", "<xsd:schema xmlns:xsd=\"http://www.w3.org/1999/XMLSchema\"/>");
-/// let mut chain = xml2wire::DiscoveryChain::new();
-/// chain.push(Box::new(xml2wire::UrlSource::new()));
-/// let cache = xml2wire::SchemaCache::new(chain);
-/// let url = server.url_for("/s.xsd");
-/// let first = cache.fetch(&url)?;   // chain fetch
-/// let second = cache.fetch(&url)?;  // served from memory
-/// assert_eq!(first, second);
-/// assert_eq!(cache.stats().snapshot().cache_hits, 1);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Clone)]
-pub struct SchemaCache {
-    inner: Arc<CacheInner>,
-}
-
-impl std::fmt::Debug for SchemaCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SchemaCache")
-            .field("chain", &self.inner.chain)
-            .field("policy", &self.inner.policy)
-            .field("entries", &self.inner.entries.read().len())
-            .finish()
-    }
+    slots: parking_lot::Mutex<HashMap<String, Slot>>,
 }
 
 impl SchemaCache {
-    /// Wraps `chain` with the default [`CachePolicy`].
-    pub fn new(chain: DiscoveryChain) -> Self {
-        SchemaCache::with_policy(chain, CachePolicy::default())
+    pub(crate) fn new(chain: DiscoveryChain) -> Self {
+        let slots = parking_lot::Mutex::default();
+        SchemaCache { chain, slots }
     }
 
-    /// Wraps `chain` with an explicit policy.
-    pub fn with_policy(chain: DiscoveryChain, policy: CachePolicy) -> Self {
-        SchemaCache {
-            inner: Arc::new(CacheInner {
-                chain,
-                policy,
-                entries: RwLock::new(HashMap::new()),
-                flights: Mutex::new(HashMap::new()),
-                refreshing: Mutex::new(HashSet::new()),
-            }),
-        }
+    /// The shared counters (the chain's).
+    pub(crate) fn stats(&self) -> &Arc<DiscoveryStats> {
+        self.chain.stats()
     }
 
-    /// The shared counters (same instance as the wrapped chain's).
-    pub fn stats(&self) -> &Arc<DiscoveryStats> {
-        self.inner.chain.stats()
-    }
-
-    /// The wrapped chain, for callers that need to bypass the cache.
-    pub fn chain(&self) -> &DiscoveryChain {
-        &self.inner.chain
-    }
-
-    /// Drops the cached outcome for `locator`; returns whether one was
-    /// present.
-    pub fn invalidate(&self, locator: &str) -> bool {
-        self.inner.entries.write().remove(locator).is_some()
-    }
-
-    /// Drops every cached outcome.
-    pub fn clear(&self) {
-        self.inner.entries.write().clear();
-    }
-
-    /// Fetches `locator`: from a fresh cache entry if possible, else
-    /// through the chain (one flight per locator no matter how many
-    /// threads ask), serving a stale entry if the chain fails inside
-    /// the grace window.
+    /// Fetches `locator` through the chain, or waits for the fetch
+    /// another thread has in flight for it; serves the last good
+    /// document if the chain fails inside [`STALE_GRACE`].
     ///
     /// # Errors
     ///
-    /// [`X2wError::Discovery`] when every source fails and no stale
-    /// document is available, or replayed from a live negative entry.
-    pub fn fetch(&self, locator: &str) -> Result<Arc<String>, X2wError> {
-        let stats = Arc::clone(self.inner.chain.stats());
-        let now = Instant::now();
-        match self.inner.entries.read().get(locator) {
-            Some(Entry::Document { document, fetched_at })
-                if now.duration_since(*fetched_at) <= self.inner.policy.positive_ttl =>
-            {
-                stats.note_cache_hit();
-                return Ok(Arc::clone(document));
+    /// [`X2wError::Discovery`] when every source fails and no document
+    /// young enough is on hand.
+    pub(crate) fn fetch(&self, locator: &str) -> Result<Arc<String>, X2wError> {
+        let flight = {
+            let mut slots = self.slots.lock();
+            let slot = slots.entry(locator.to_owned()).or_default();
+            if let Some(flight) = &slot.flight {
+                let flight = Arc::clone(flight);
+                drop(slots);
+                self.stats().note_cache_hit();
+                return wait_for(&flight, locator);
             }
-            Some(Entry::Miss { error, at })
-                if now.duration_since(*at) <= self.inner.policy.negative_ttl =>
-            {
-                stats.note_negative_hit();
-                return Err(X2wError::Discovery {
-                    locator: locator.to_owned(),
-                    attempts: vec![format!("cached miss: {error}")],
-                });
-            }
-            _ => {}
-        }
-
-        // Entry absent or expired: join or start the flight.
-        let (flight, leader) = {
-            let mut flights = self.inner.flights.lock().expect("flights lock");
-            match flights.get(locator) {
-                Some(f) => (Arc::clone(f), false),
-                None => {
-                    let f = Arc::new(Flight { done: Mutex::new(None), cv: Condvar::new() });
-                    flights.insert(locator.to_owned(), Arc::clone(&f));
-                    (f, true)
-                }
-            }
+            Arc::clone(slot.flight.insert(Arc::default()))
         };
-
-        if !leader {
-            stats.note_singleflight_wait();
-            return wait_for_flight(&flight, locator);
-        }
-
-        let outcome = self.lead_fetch(locator, &stats);
-        // Publish before unregistering so arrivals in between still see
-        // the result instantly.
-        {
-            let mut done = flight.done.lock().expect("flight lock");
-            *done = Some(match &outcome {
-                Ok(document) => Ok(Arc::clone(document)),
-                Err(e) => Err(e.to_string()),
-            });
-        }
-        flight.cv.notify_all();
-        self.inner.flights.lock().expect("flights lock").remove(locator);
-        outcome
+        let mut landing = Landing {
+            cache: self,
+            locator,
+            flight,
+            outcome: None,
+        };
+        let result = self.lead_fetch(locator);
+        landing.outcome = Some(result.as_ref().map(Arc::clone).map_err(ToString::to_string));
+        result
     }
 
-    /// The leading thread's path: consult the chain, fall back to a
-    /// stale entry inside the grace window, record the outcome.
-    fn lead_fetch(
-        &self,
-        locator: &str,
-        stats: &Arc<DiscoveryStats>,
-    ) -> Result<Arc<String>, X2wError> {
-        match self.inner.chain.fetch(locator) {
-            Ok(document) => {
+    fn lead_fetch(&self, locator: &str) -> Result<Arc<String>, X2wError> {
+        let fetched = self.chain.fetch(locator);
+        let mut slots = self.slots.lock();
+        let slot = slots.get_mut(locator).expect("a flight's slot stays");
+        match (fetched, &slot.last_good) {
+            (Ok(document), _) => {
                 let document = Arc::new(document);
-                self.inner.entries.write().insert(
-                    locator.to_owned(),
-                    Entry::Document {
-                        document: Arc::clone(&document),
-                        fetched_at: Instant::now(),
-                    },
-                );
+                slot.last_good = Some((Arc::clone(&document), Instant::now()));
                 Ok(document)
             }
-            Err(e) => {
-                let stale_cap = self.inner.policy.positive_ttl + self.inner.policy.stale_grace;
-                let stale = match self.inner.entries.read().get(locator) {
-                    Some(Entry::Document { document, fetched_at })
-                        if fetched_at.elapsed() <= stale_cap =>
-                    {
-                        Some(Arc::clone(document))
-                    }
-                    _ => None,
-                };
-                if let Some(document) = stale {
-                    stats.note_stale_serve();
-                    if self.inner.policy.background_refresh {
-                        self.spawn_refresh(locator, stats);
-                    }
-                    return Ok(document);
-                }
-                self.inner.entries.write().insert(
-                    locator.to_owned(),
-                    Entry::Miss { error: e.to_string(), at: Instant::now() },
-                );
-                Err(e)
+            (Err(_), Some((document, fetched_at))) if fetched_at.elapsed() <= STALE_GRACE => {
+                self.stats().note_stale_serve();
+                Ok(Arc::clone(document))
             }
+            (Err(error), _) => Err(error),
         }
-    }
-
-    /// Spawns (at most one per locator at a time) a background chain
-    /// fetch to repair a stale entry. The refresh does *not* recurse
-    /// through the stale-serve path: it either replaces the entry with
-    /// a fresh document or leaves the stale one for the next caller.
-    fn spawn_refresh(&self, locator: &str, stats: &Arc<DiscoveryStats>) {
-        {
-            let mut refreshing = self.inner.refreshing.lock().expect("refreshing lock");
-            if !refreshing.insert(locator.to_owned()) {
-                return;
-            }
-        }
-        stats.note_background_refresh();
-        let inner = Arc::clone(&self.inner);
-        let locator = locator.to_owned();
-        std::thread::spawn(move || {
-            if let Ok(document) = inner.chain.fetch(&locator) {
-                inner.entries.write().insert(
-                    locator.clone(),
-                    Entry::Document {
-                        document: Arc::new(document),
-                        fetched_at: Instant::now(),
-                    },
-                );
-            }
-            inner.refreshing.lock().expect("refreshing lock").remove(&locator);
-        });
     }
 }
 
-/// Blocks on a flight until its leader publishes, rebuilding the error
-/// for the waiter's own locator.
-fn wait_for_flight(flight: &Flight, locator: &str) -> Result<Arc<String>, X2wError> {
-    let deadline = Instant::now() + FLIGHT_WAIT_CAP;
-    let mut done = flight.done.lock().expect("flight lock");
-    loop {
-        if let Some(outcome) = done.as_ref() {
-            return match outcome {
-                Ok(document) => Ok(Arc::clone(document)),
-                Err(error) => Err(X2wError::Discovery {
-                    locator: locator.to_owned(),
-                    attempts: vec![format!("shared in-flight fetch failed: {error}")],
-                }),
-            };
+/// Lands a flight when its leader is done, returning or unwinding
+/// (`outcome` still `None`): publishes the outcome to the waiters, then
+/// unregisters the flight.
+struct Landing<'a> {
+    cache: &'a SchemaCache,
+    locator: &'a str,
+    flight: Arc<Flight>,
+    outcome: Option<Outcome>,
+}
+
+impl Drop for Landing<'_> {
+    fn drop(&mut self) {
+        // Published before unregistering, so threads that join in
+        // between still get the outcome at once.
+        let outcome = self.outcome.take();
+        let outcome = outcome.unwrap_or_else(|| Err("the fetch in flight panicked".to_owned()));
+        let flight = &self.flight;
+        *flight.done.lock().unwrap_or_else(PoisonError::into_inner) = Some(outcome);
+        flight.cv.notify_all();
+        if let Some(slot) = self.cache.slots.lock().get_mut(self.locator) {
+            slot.flight = None;
         }
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Err(X2wError::Discovery {
-                locator: locator.to_owned(),
-                attempts: vec!["timed out waiting on an in-flight fetch".to_owned()],
-            });
-        }
-        let (guard, _) = flight.cv.wait_timeout(done, left).expect("flight lock");
-        done = guard;
     }
+}
+
+/// Waits for `flight` to land, rebuilding its error for `locator`.
+fn wait_for(flight: &Flight, locator: &str) -> Result<Arc<String>, X2wError> {
+    let done = flight.done.lock().unwrap_or_else(PoisonError::into_inner);
+    let (done, _) = flight
+        .cv
+        .wait_timeout_while(done, FLIGHT_WAIT_CAP, |done| done.is_none())
+        .unwrap_or_else(PoisonError::into_inner);
+    let why = match done.as_ref() {
+        Some(Ok(document)) => return Ok(Arc::clone(document)),
+        Some(Err(error)) => format!("shared in-flight fetch failed: {error}"),
+        None => "timed out waiting on an in-flight fetch".to_owned(),
+    };
+    Err(X2wError::Discovery {
+        locator: locator.to_owned(),
+        attempts: vec![why],
+    })
 }
 
 #[cfg(test)]
@@ -348,14 +166,17 @@ mod tests {
     use super::*;
     use crate::discovery::{CompiledSource, DiscoverySource, UrlSource};
     use crate::server::MetadataServer;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     const DOC: &str = "<xsd:schema xmlns:xsd=\"http://www.w3.org/1999/XMLSchema\"/>";
 
-    /// A source that counts fetches and can be told to start failing.
+    /// A source that counts fetches and can be told to start failing,
+    /// slowly if `delay` is set.
+    #[derive(Default)]
     struct FlakySource {
         fetches: Arc<AtomicU64>,
-        fail: Arc<std::sync::atomic::AtomicBool>,
+        fail: Arc<AtomicBool>,
+        delay: Duration,
     }
 
     impl DiscoverySource for FlakySource {
@@ -366,6 +187,7 @@ mod tests {
         fn fetch(&self, locator: &str) -> Result<String, X2wError> {
             self.fetches.fetch_add(1, Ordering::SeqCst);
             if self.fail.load(Ordering::SeqCst) {
+                std::thread::sleep(self.delay);
                 Err(X2wError::Discovery {
                     locator: locator.to_owned(),
                     attempts: vec!["flaky source is down".to_owned()],
@@ -376,196 +198,79 @@ mod tests {
         }
     }
 
-    fn flaky_cache(
-        policy: CachePolicy,
-    ) -> (SchemaCache, Arc<AtomicU64>, Arc<std::sync::atomic::AtomicBool>) {
-        let fetches = Arc::new(AtomicU64::new(0));
-        let fail = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    fn flaky_cache(delay: Duration) -> (SchemaCache, Arc<AtomicU64>, Arc<AtomicBool>) {
+        let source = FlakySource {
+            delay,
+            ..FlakySource::default()
+        };
+        let (fetches, fail) = (Arc::clone(&source.fetches), Arc::clone(&source.fail));
         let mut chain = DiscoveryChain::new();
-        chain.push(Box::new(FlakySource {
-            fetches: Arc::clone(&fetches),
-            fail: Arc::clone(&fail),
-        }));
-        (SchemaCache::with_policy(chain, policy), fetches, fail)
-    }
-
-    #[test]
-    fn fresh_entries_bypass_the_chain() {
-        let (cache, fetches, _) = flaky_cache(CachePolicy::default());
-        assert_eq!(*cache.fetch("a.xsd").unwrap(), DOC);
-        assert_eq!(*cache.fetch("a.xsd").unwrap(), DOC);
-        assert_eq!(*cache.fetch("a.xsd").unwrap(), DOC);
-        assert_eq!(fetches.load(Ordering::SeqCst), 1, "chain consulted more than once");
-        let snap = cache.stats().snapshot();
-        assert_eq!(snap.cache_hits, 2);
-    }
-
-    #[test]
-    fn negative_entries_suppress_repeat_misses() {
-        let (cache, fetches, fail) = flaky_cache(CachePolicy::default());
-        fail.store(true, Ordering::SeqCst);
-        assert!(cache.fetch("a.xsd").is_err());
-        let err = cache.fetch("a.xsd").unwrap_err();
-        assert!(err.to_string().contains("cached miss"), "{err}");
-        assert_eq!(fetches.load(Ordering::SeqCst), 1, "negative entry did not hold");
-        assert_eq!(cache.stats().snapshot().negative_hits, 1);
-    }
-
-    #[test]
-    fn negative_entries_expire() {
-        let policy =
-            CachePolicy { negative_ttl: Duration::from_millis(30), ..CachePolicy::default() };
-        let (cache, fetches, fail) = flaky_cache(policy);
-        fail.store(true, Ordering::SeqCst);
-        assert!(cache.fetch("a.xsd").is_err());
-        std::thread::sleep(Duration::from_millis(60));
-        fail.store(false, Ordering::SeqCst);
-        assert_eq!(*cache.fetch("a.xsd").unwrap(), DOC);
-        assert_eq!(fetches.load(Ordering::SeqCst), 2);
+        chain.push(Box::new(source));
+        (SchemaCache::new(chain), fetches, fail)
     }
 
     #[test]
     fn stale_documents_are_served_when_the_chain_fails() {
-        let policy = CachePolicy {
-            positive_ttl: Duration::from_millis(20),
-            stale_grace: Duration::from_secs(60),
-            background_refresh: false,
-            ..CachePolicy::default()
-        };
-        let (cache, _, fail) = flaky_cache(policy);
+        let (cache, fetches, fail) = flaky_cache(Duration::ZERO);
         assert_eq!(*cache.fetch("a.xsd").unwrap(), DOC);
-        std::thread::sleep(Duration::from_millis(40)); // expire it
         fail.store(true, Ordering::SeqCst);
-        // Chain fails, but the stale copy keeps the caller alive.
+        // Chain fails, but the last good copy keeps the caller alive.
         assert_eq!(*cache.fetch("a.xsd").unwrap(), DOC);
+        assert_eq!(
+            fetches.load(Ordering::SeqCst),
+            2,
+            "the chain was not revalidated"
+        );
         assert_eq!(cache.stats().snapshot().stale_serves, 1);
-    }
-
-    #[test]
-    fn stale_serve_spawns_one_background_refresh() {
-        let policy = CachePolicy {
-            positive_ttl: Duration::from_millis(50),
-            stale_grace: Duration::from_secs(60),
-            background_refresh: true,
-            ..CachePolicy::default()
-        };
-        let (cache, fetches, fail) = flaky_cache(policy);
-        assert_eq!(*cache.fetch("a.xsd").unwrap(), DOC);
-        std::thread::sleep(Duration::from_millis(80)); // expire it
-        fail.store(true, Ordering::SeqCst);
-        assert_eq!(*cache.fetch("a.xsd").unwrap(), DOC);
-        // Let the refresh thread run; it fails (source still down) and
-        // must leave the stale entry in place.
-        std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(cache.stats().snapshot().background_refreshes, 1);
-        assert_eq!(*cache.fetch("a.xsd").unwrap(), DOC, "stale entry was lost");
-        // Let that second refresh settle, then recover the source: the
-        // next fetch succeeds directly and repairs the entry.
-        std::thread::sleep(Duration::from_millis(50));
-        fail.store(false, Ordering::SeqCst);
-        let before = fetches.load(Ordering::SeqCst);
-        assert_eq!(*cache.fetch("a.xsd").unwrap(), DOC);
-        let repaired = fetches.load(Ordering::SeqCst);
-        assert!(repaired > before);
-        // The repaired entry is fresh again: no chain fetch this time.
-        assert_eq!(*cache.fetch("a.xsd").unwrap(), DOC);
-        assert_eq!(fetches.load(Ordering::SeqCst), repaired);
+        // A locator never fetched has nothing to bridge with.
+        assert!(cache.fetch("b.xsd").is_err());
     }
 
     #[test]
     fn concurrent_expiry_stale_serves_with_exactly_one_refresh() {
-        // The stale-while-revalidate worst case: N threads hit one
-        // *expired* entry at the same instant while the chain is down.
-        // Exactly one must lead the flight (serving stale and spawning
-        // the background refresh); every other thread must ride the
-        // flight instead of stampeding the chain or stacking refreshes.
+        // N threads discover one locator at the same instant while the
+        // chain is down. One leads the flight and serves the last good
+        // document; every other thread must ride that flight instead of
+        // stampeding the chain.
         const THREADS: usize = 8;
-
-        struct SlowFail {
-            fetches: Arc<AtomicU64>,
-            fail: Arc<std::sync::atomic::AtomicBool>,
-        }
-
-        impl DiscoverySource for SlowFail {
-            fn source_name(&self) -> &'static str {
-                "slow-fail"
-            }
-
-            fn fetch(&self, locator: &str) -> Result<String, X2wError> {
-                self.fetches.fetch_add(1, Ordering::SeqCst);
-                if self.fail.load(Ordering::SeqCst) {
-                    // A slow failure holds the singleflight open long
-                    // enough for every thread past the barrier to join
-                    // it, and holds the refreshing guard so no second
-                    // stale serve can double the refresh.
-                    std::thread::sleep(Duration::from_millis(150));
-                    Err(X2wError::Discovery {
-                        locator: locator.to_owned(),
-                        attempts: vec!["source is down".to_owned()],
-                    })
-                } else {
-                    Ok(DOC.to_owned())
-                }
-            }
-        }
-
-        let fetches = Arc::new(AtomicU64::new(0));
-        let fail = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let mut chain = DiscoveryChain::new();
-        chain.push(Box::new(SlowFail {
-            fetches: Arc::clone(&fetches),
-            fail: Arc::clone(&fail),
-        }));
-        let cache = SchemaCache::with_policy(
-            chain,
-            CachePolicy {
-                positive_ttl: Duration::from_millis(10),
-                stale_grace: Duration::from_secs(60),
-                background_refresh: true,
-                ..CachePolicy::default()
-            },
-        );
-
+        // A slow failure holds the flight open long enough for every
+        // thread past the barrier to join it.
+        let (cache, fetches, fail) = flaky_cache(Duration::from_millis(150));
         assert_eq!(*cache.fetch("a.xsd").unwrap(), DOC);
-        std::thread::sleep(Duration::from_millis(30)); // expire the entry
         fail.store(true, Ordering::SeqCst);
 
-        let barrier = Arc::new(std::sync::Barrier::new(THREADS));
-        let threads: Vec<_> = (0..THREADS)
-            .map(|_| {
-                let cache = cache.clone();
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    cache.fetch("a.xsd").unwrap()
+        let barrier = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        cache.fetch("a.xsd").unwrap()
+                    })
                 })
-            })
-            .collect();
-        for t in threads {
-            assert_eq!(*t.join().unwrap(), DOC, "a thread lost the stale document");
-        }
+                .collect();
+            for t in threads {
+                assert_eq!(*t.join().unwrap(), DOC, "a thread lost the stale document");
+            }
+        });
 
-        // Let the (failing) background refresh settle before reading the
-        // counters.
-        std::thread::sleep(Duration::from_millis(200));
         let snap = cache.stats().snapshot();
-        assert_eq!(
-            snap.background_refreshes, 1,
-            "expired entry under concurrency must spawn exactly one refresh: {snap:?}"
+        assert!(
+            snap.stale_serves >= 1,
+            "no thread was served stale: {snap:?}"
         );
-        assert!(snap.stale_serves >= 1, "no thread was served stale: {snap:?}");
         // Every thread either led a flight (stale serve) or joined one —
         // none slipped through to hammer the chain directly.
         assert_eq!(
-            snap.stale_serves + snap.singleflight_waits,
+            snap.stale_serves + snap.cache_hits,
             THREADS as u64,
             "a thread bypassed the flight: {snap:?}"
         );
-        // Chain traffic: the priming fetch, one fetch per flight leader,
-        // one background refresh — nothing more.
+        // Chain traffic: the priming fetch and one fetch per flight
+        // leader — nothing more.
         assert_eq!(
             fetches.load(Ordering::SeqCst),
-            2 + snap.stale_serves,
+            1 + snap.stale_serves,
             "the chain was stampeded: {snap:?}"
         );
     }
@@ -591,47 +296,73 @@ mod tests {
         chain.push(Box::new(UrlSource::new()));
         let cache = SchemaCache::new(chain);
         let url = server.url_for("/slow/s.xsd");
-        let threads: Vec<_> = (0..8)
-            .map(|_| {
-                let cache = cache.clone();
-                let url = url.clone();
-                std::thread::spawn(move || cache.fetch(&url).unwrap())
-            })
-            .collect();
-        for t in threads {
-            assert_eq!(*t.join().unwrap(), DOC);
-        }
-        assert_eq!(hits.load(Ordering::SeqCst), 1, "concurrent fetches were not collapsed");
+        std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..8)
+                .map(|_| scope.spawn(|| cache.fetch(&url).unwrap()))
+                .collect();
+            for t in threads {
+                assert_eq!(*t.join().unwrap(), DOC);
+            }
+        });
+        assert_eq!(
+            hits.load(Ordering::SeqCst),
+            1,
+            "concurrent fetches were not collapsed"
+        );
         let snap = cache.stats().snapshot();
-        assert_eq!(snap.singleflight_waits, 7);
+        assert_eq!(snap.cache_hits, 7);
         assert_eq!(snap.fetches, 1);
     }
 
     #[test]
-    fn invalidate_forces_a_refetch() {
-        let (cache, fetches, _) = flaky_cache(CachePolicy::default());
-        cache.fetch("a.xsd").unwrap();
-        assert!(cache.invalidate("a.xsd"));
-        assert!(!cache.invalidate("a.xsd"));
-        cache.fetch("a.xsd").unwrap();
-        assert_eq!(fetches.load(Ordering::SeqCst), 2);
+    fn a_leader_that_unwinds_leaves_no_flight_behind() {
+        /// Panics on its first fetch, serves afterwards.
+        struct PanicsOnce(AtomicBool);
+
+        impl DiscoverySource for PanicsOnce {
+            fn source_name(&self) -> &'static str {
+                "panics-once"
+            }
+
+            fn fetch(&self, _: &str) -> Result<String, X2wError> {
+                if !self.0.swap(true, Ordering::SeqCst) {
+                    panic!("source bug");
+                }
+                Ok(DOC.to_owned())
+            }
+        }
+
+        let mut chain = DiscoveryChain::new();
+        chain.push(Box::new(PanicsOnce(AtomicBool::new(false))));
+        let cache = SchemaCache::new(chain);
+        let unwound =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cache.fetch("a.xsd")));
+        assert!(unwound.is_err());
+        let start = Instant::now();
+        assert_eq!(*cache.fetch("a.xsd").unwrap(), DOC);
+        assert!(
+            start.elapsed() < Duration::from_secs(2),
+            "joined a dead flight"
+        );
     }
 
     #[test]
     fn compiled_fallback_still_works_through_the_cache() {
         let mut chain = DiscoveryChain::new();
         chain.push(Box::new(UrlSource::new()));
-        chain.push(Box::new(CompiledSource::new().with_document("http://127.0.0.1:1/x.xsd", DOC)));
+        chain.push(Box::new(
+            CompiledSource::new().with_document("http://127.0.0.1:1/x.xsd", DOC),
+        ));
         let cache = SchemaCache::new(chain);
-        // Primary refused (port 1), fallback serves; second call hits
-        // the cache without touching the network at all.
+        // Primary refused (port 1), the fallback serves, every time: a
+        // fallback's answer is a fetch, not a stale serve.
         assert_eq!(*cache.fetch("http://127.0.0.1:1/x.xsd").unwrap(), DOC);
         assert_eq!(*cache.fetch("http://127.0.0.1:1/x.xsd").unwrap(), DOC);
         let snap = cache.stats().snapshot();
-        assert_eq!(snap.cache_hits, 1);
+        assert_eq!((snap.fetches, snap.stale_serves), (2, 0));
         let url = snap.source("url").unwrap();
-        assert_eq!((url.attempts, url.failures), (1, 1));
+        assert_eq!((url.attempts, url.failures), (2, 2));
         let compiled = snap.source("compiled-in").unwrap();
-        assert_eq!((compiled.attempts, compiled.failures), (1, 0));
+        assert_eq!((compiled.attempts, compiled.failures), (2, 0));
     }
 }

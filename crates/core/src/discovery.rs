@@ -10,12 +10,14 @@
 //! failure recorded for diagnosis.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
+use pbio::Memo;
 
 use crate::error::X2wError;
 use crate::url::Locator;
@@ -108,41 +110,27 @@ struct SourceCounters {
 
 /// Shared counters making degraded discovery *observable*: which
 /// sources are failing, how often fetches retry, how long they take,
-/// and how the cache is absorbing the damage (hits, stale serves,
-/// negative hits).
+/// and how the session's schema cache is absorbing the damage (shared
+/// fetches, stale serves).
 ///
-/// One instance is shared by a [`DiscoveryChain`] and any
-/// [`SchemaCache`](crate::cache::SchemaCache) wrapping it; read it with
-/// [`snapshot`](Self::snapshot).
+/// One instance is shared by a [`DiscoveryChain`] and the session
+/// discovering through it; read it with [`snapshot`](Self::snapshot).
 #[derive(Debug, Default)]
 pub struct DiscoveryStats {
-    per_source: RwLock<HashMap<&'static str, SourceCounters>>,
+    per_source: Memo<&'static str, SourceCounters>,
     retries: AtomicU64,
     fetches: AtomicU64,
     fetch_nanos: AtomicU64,
     cache_hits: AtomicU64,
     stale_serves: AtomicU64,
-    negative_hits: AtomicU64,
-    singleflight_waits: AtomicU64,
-    background_refreshes: AtomicU64,
 }
 
 impl DiscoveryStats {
     /// Counts one attempt against `source`, and the failure if it
     /// failed.
     pub fn note_source_attempt(&self, source: &'static str, failed: bool) {
-        {
-            let map = self.per_source.read();
-            if let Some(c) = map.get(source) {
-                c.attempts.fetch_add(1, Ordering::Relaxed);
-                if failed {
-                    c.failures.fetch_add(1, Ordering::Relaxed);
-                }
-                return;
-            }
-        }
-        let mut map = self.per_source.write();
-        let c = map.entry(source).or_default();
+        let new = || Ok::<_, Infallible>(SourceCounters::default());
+        let Ok(c) = self.per_source.get_or_build(source, new);
         c.attempts.fetch_add(1, Ordering::Relaxed);
         if failed {
             c.failures.fetch_add(1, Ordering::Relaxed);
@@ -168,26 +156,14 @@ impl DiscoveryStats {
         self.stale_serves.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn note_negative_hit(&self) {
-        self.negative_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_singleflight_wait(&self) {
-        self.singleflight_waits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_background_refresh(&self) {
-        self.background_refreshes.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// A consistent-enough point-in-time copy of every counter.
     pub fn snapshot(&self) -> DiscoveryStatsSnapshot {
         let mut sources: Vec<SourceStatsSnapshot> = self
             .per_source
-            .read()
-            .iter()
-            .map(|(name, c)| SourceStatsSnapshot {
-                source: name,
+            .entries()
+            .into_iter()
+            .map(|(source, c)| SourceStatsSnapshot {
+                source,
                 attempts: c.attempts.load(Ordering::Relaxed),
                 failures: c.failures.load(Ordering::Relaxed),
             })
@@ -200,9 +176,6 @@ impl DiscoveryStats {
             fetch_nanos: self.fetch_nanos.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             stale_serves: self.stale_serves.load(Ordering::Relaxed),
-            negative_hits: self.negative_hits.load(Ordering::Relaxed),
-            singleflight_waits: self.singleflight_waits.load(Ordering::Relaxed),
-            background_refreshes: self.background_refreshes.load(Ordering::Relaxed),
         }
     }
 }
@@ -229,19 +202,12 @@ pub struct DiscoveryStatsSnapshot {
     pub fetches: u64,
     /// Total wall-clock nanoseconds across those fetches.
     pub fetch_nanos: u64,
-    /// Fetches answered from a fresh cache entry without touching the
-    /// chain.
+    /// Discoveries answered by another thread's in-flight fetch of the
+    /// same locator instead of a fetch of their own.
     pub cache_hits: u64,
-    /// Fetches answered with an *expired* cached document because every
-    /// remote source failed — the paper's degraded mode, generalized.
+    /// Discoveries answered with the last good document because every
+    /// source failed — the paper's degraded mode, generalized.
     pub stale_serves: u64,
-    /// Fetches short-circuited by a recent negative (miss) entry.
-    pub negative_hits: u64,
-    /// Fetches that joined an in-flight fetch of the same locator
-    /// instead of duplicating it.
-    pub singleflight_waits: u64,
-    /// Background revalidation attempts spawned after a stale serve.
-    pub background_refreshes: u64,
 }
 
 impl DiscoveryStatsSnapshot {
@@ -478,8 +444,8 @@ impl DiscoveryChain {
         self.sources.is_empty()
     }
 
-    /// The chain's shared counters (also shared with any
-    /// [`SchemaCache`](crate::cache::SchemaCache) wrapping this chain).
+    /// The chain's shared counters (also the counters of the session
+    /// discovering through this chain).
     pub fn stats(&self) -> &Arc<DiscoveryStats> {
         &self.stats
     }

@@ -54,7 +54,7 @@
 
 pub mod archive;
 pub mod binding;
-pub mod cache;
+mod cache;
 pub mod discovery;
 pub mod error;
 pub mod seglog;
@@ -65,7 +65,6 @@ pub mod url;
 pub use binding::{
     bind_complex_type, bind_schema, complex_type_for_struct, schema_for_struct, Binder,
 };
-pub use cache::{CachePolicy, SchemaCache};
 pub use discovery::{
     CompiledSource, DiscoveryChain, DiscoveryPolicy, DiscoverySource, DiscoveryStats,
     DiscoveryStatsSnapshot, FileSource, SourceStatsSnapshot, UrlSource,

@@ -9,7 +9,7 @@ use pbio::{Catalog, Format, FormatRegistry, ImageCow, PlanCache};
 use xsdlite::Schema;
 
 use crate::binding::{schema_for_struct, Binder};
-use crate::cache::{CachePolicy, SchemaCache};
+use crate::cache::SchemaCache;
 use crate::discovery::{DiscoveryChain, DiscoverySource, DiscoveryStatsSnapshot};
 use crate::error::X2wError;
 use crate::server::{http_get, http_post};
@@ -56,18 +56,33 @@ impl Xml2Wire {
 
     // -- discovery ---------------------------------------------------------
 
-    /// Discovers metadata at `locator` through the cached source chain,
-    /// then parses and binds every complex type in the document, in
-    /// document order, and returns their formats in that order. Every
-    /// type must be valid; a session that will only read one stream's
-    /// type wants [`discover_root`](Self::discover_root).
+    /// Discovers metadata at `locator` through the source chain, then
+    /// parses and binds every complex type in the document, in document
+    /// order, and returns their formats in that order. Every type must
+    /// be valid; a session that will only read one stream's type wants
+    /// [`discover_root`](Self::discover_root).
     ///
-    /// By default every discovery revalidates against the chain (so
-    /// re-published documents propagate immediately), but concurrent
-    /// discoveries of one locator collapse into a single fetch and an
-    /// outage is bridged by the last good document
-    /// ([`CachePolicy::revalidating`]). Use
-    /// [`Xml2WireBuilder::cache_policy`] for TTL-based caching.
+    /// Every discovery asks the chain, so a document re-published at
+    /// the same locator reaches the next one. Concurrent discoveries of
+    /// one locator share one fetch (counted as `cache_hits`), and when
+    /// every source fails, the document last fetched for the locator
+    /// serves if it is at most five minutes old (`stale_serves`).
+    ///
+    /// ```
+    /// # fn main() -> Result<(), xml2wire::X2wError> {
+    /// let server = xml2wire::MetadataServer::bind("127.0.0.1:0")?;
+    /// server.publish("/s.xsd", "<xsd:schema xmlns:xsd=\"http://www.w3.org/1999/XMLSchema\"/>");
+    /// let x2w = xml2wire::Xml2Wire::builder()
+    ///     .source(Box::new(xml2wire::UrlSource::new()))
+    ///     .build();
+    /// let url = server.url_for("/s.xsd");
+    /// x2w.discover(&url)?; // fetched
+    /// drop(server);
+    /// x2w.discover(&url)?; // the server is gone: the last good document
+    /// assert_eq!(x2w.discovery_stats().stale_serves, 1);
+    /// # Ok(())
+    /// # }
+    /// ```
     ///
     /// # Errors
     ///
@@ -96,14 +111,9 @@ impl Xml2Wire {
         self.binder().bind_schema_owned(Schema::parse_reachable(&document)?)
     }
 
-    /// The session's schema-document cache (shared clones are cheap).
-    pub fn schema_cache(&self) -> &SchemaCache {
-        &self.cache
-    }
-
     /// A point-in-time copy of the session's discovery counters:
-    /// per-source attempts and failures, retries, fetch latency, cache
-    /// hits, stale serves, negative hits.
+    /// per-source attempts and failures, retries, fetch latency, shared
+    /// fetches, stale serves.
     pub fn discovery_stats(&self) -> DiscoveryStatsSnapshot {
         self.cache.stats().snapshot()
     }
@@ -248,7 +258,7 @@ impl Xml2Wire {
 
     /// Snapshot of this session's conversion-plan cache counters
     /// (hits/misses/builds and resident plan count).
-    pub fn plan_stats(&self) -> pbio::PlanCacheStats {
+    pub fn plan_stats(&self) -> pbio::MemoStats {
         self.plans.stats()
     }
 
@@ -335,7 +345,6 @@ fn format_url(base_url: &str, name: &str, fingerprint: u64) -> String {
 pub struct Xml2WireBuilder {
     arch: Option<Architecture>,
     chain: DiscoveryChain,
-    cache_policy: Option<CachePolicy>,
     shared_registry: Option<Arc<FormatRegistry>>,
 }
 
@@ -372,25 +381,13 @@ impl Xml2WireBuilder {
         self
     }
 
-    /// Overrides the schema-cache TTLs and refresh behaviour
-    /// ([`CachePolicy::revalidating`] is used otherwise, so that
-    /// re-published metadata propagates immediately).
-    #[must_use]
-    pub fn cache_policy(mut self, policy: CachePolicy) -> Self {
-        self.cache_policy = Some(policy);
-        self
-    }
-
     /// Finishes the session.
     pub fn build(self) -> Xml2Wire {
         Xml2Wire {
             registry: self.shared_registry.unwrap_or_default(),
             catalog: Arc::new(Catalog::new()),
             plans: Arc::new(PlanCache::new()),
-            cache: SchemaCache::with_policy(
-                self.chain,
-                self.cache_policy.unwrap_or_else(CachePolicy::revalidating),
-            ),
+            cache: SchemaCache::new(self.chain),
             arch: self.arch.unwrap_or_else(Architecture::host),
         }
     }
@@ -490,9 +487,9 @@ mod tests {
         let x2w = Xml2Wire::builder().source(Box::new(UrlSource::new())).build();
         x2w.discover(&url).unwrap();
         drop(server); // outage
-        // The default session policy revalidates, fails against the dead
-        // server, and bridges with the document fetched before the
-        // outage — §3.3's degraded mode without compiled-in fallbacks.
+        // The session revalidates, fails against the dead server, and
+        // bridges with the document fetched before the outage — §3.3's
+        // degraded mode without compiled-in fallbacks.
         let formats = x2w.discover(&url).unwrap();
         assert_eq!(formats[0].name(), "Flight");
         let snap = x2w.discovery_stats();
@@ -589,7 +586,7 @@ mod tests {
                 }
             }
             let stats = host.plan_stats();
-            assert_eq!((stats.built, stats.plans), (2, 2), "one plan per version: {stats:?}");
+            assert_eq!((stats.built, stats.resident), (2, 2), "one plan per version: {stats:?}");
         }
 
         // A session that only knows the other version refuses, as

@@ -13,9 +13,7 @@ use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use xml2wire::discovery::DiscoveryStatsSnapshot;
-use xml2wire::{
-    CompiledSource, DiscoveryChain, DiscoveryPolicy, SchemaCache, UrlSource,
-};
+use xml2wire::{CompiledSource, DiscoveryChain, DiscoveryPolicy, UrlSource, Xml2Wire};
 
 const DOC: &str = "<xsd:schema xmlns:xsd=\"http://www.w3.org/1999/XMLSchema\"/>";
 
@@ -167,32 +165,21 @@ fn http_500_is_definitive_and_not_retried() {
 
 #[test]
 fn stale_cache_survives_a_primary_that_dies_after_first_fetch() {
-    // End-to-end degraded mode through the cache: fetch once while the
-    // server lives, lose the server, expire the entry — the stale copy
-    // still serves, and the stats say so.
+    // End-to-end degraded mode through a session: discover once while
+    // the server lives, lose the server — the last good copy still
+    // serves, and the stats say so.
     let server = xml2wire::MetadataServer::bind("127.0.0.1:0").unwrap();
     server.publish("/s.xsd", DOC);
     let locator = server.url_for("/s.xsd");
 
-    let mut chain = DiscoveryChain::new();
-    chain.push(Box::new(UrlSource::new().policy(tight_policy())));
-    let cache = SchemaCache::with_policy(
-        chain,
-        xml2wire::CachePolicy {
-            positive_ttl: Duration::from_millis(50),
-            stale_grace: Duration::from_secs(60),
-            background_refresh: false,
-            ..xml2wire::CachePolicy::default()
-        },
-    );
-    assert_eq!(*cache.fetch(&locator).unwrap(), DOC);
+    let x2w = Xml2Wire::builder().source(Box::new(UrlSource::new().policy(tight_policy()))).build();
+    x2w.discover(&locator).unwrap();
     drop(server); // primary dies
-    std::thread::sleep(Duration::from_millis(80)); // entry expires
 
     let start = Instant::now();
-    assert_eq!(*cache.fetch(&locator).unwrap(), DOC, "stale copy did not serve");
+    x2w.discover(&locator).expect("stale copy did not serve");
     assert!(start.elapsed() < Duration::from_secs(2));
-    let snap = cache.stats().snapshot();
+    let snap = x2w.discovery_stats();
     assert_eq!(snap.stale_serves, 1, "{snap:?}");
     let url = snap.source("url").unwrap();
     assert_eq!((url.attempts, url.failures), (2, 1), "{snap:?}");

@@ -11,20 +11,18 @@
 //! produces an *identity* plan whose conversion borrows the payload
 //! outright — zero copies; see [`ImageCow`]).
 //!
-//! Plans are cached in a [`PlanCache`] keyed by structure fingerprint
-//! and the two architecture descriptors.
+//! Plans are cached in a [`PlanCache`], a [`Memo`] keyed by structure
+//! fingerprint and the two architecture descriptors.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use clayout::image::{fits_signed, fits_unsigned, get_int, get_uint, put_int, put_uint};
 use clayout::{ArrayLen, Architecture, CType, Image, Layout, Primitive, StructType};
-use parking_lot::RwLock;
 
 use crate::error::PbioError;
 use crate::format::{struct_fingerprint, Format};
+use crate::memo::{Memo, MemoStats};
 
 /// Conversion applied to one scalar element (also the element action of
 /// array ops).
@@ -934,20 +932,6 @@ fn swap_into(dst: &mut [u8], src: &[u8], width: u8) {
     }
 }
 
-/// Counter snapshot from a [`PlanCache`], for session stats.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanCacheStats {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that found no cached plan.
-    pub misses: u64,
-    /// Plans actually compiled (≤ misses: concurrent first contacts on
-    /// one key all miss, but exactly one build wins).
-    pub built: u64,
-    /// Plans currently cached.
-    pub plans: usize,
-}
-
 /// What a cached plan is keyed by: the structure fingerprint of the
 /// definition it converts, and the source and destination architecture
 /// descriptors concatenated. Two versions of one format name never
@@ -960,14 +944,11 @@ type PlanKey = (u64, [u8; 12]);
 /// This mirrors PBIO's cache of generated conversion routines: the first
 /// message from a new (format version, architecture) pair pays for plan
 /// compilation; every later message executes the cached plan. The hit
-/// path allocates nothing and hashes nothing but the fixed-size key:
-/// one probe under a read lock.
+/// path is a [`Memo`] hit: no allocation, and nothing hashed but the
+/// fixed-size key.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    plans: RwLock<HashMap<PlanKey, Arc<ConversionPlan>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    built: AtomicU64,
+    plans: Memo<PlanKey, ConversionPlan>,
 }
 
 impl PlanCache {
@@ -1012,10 +993,7 @@ impl PlanCache {
     }
 
     /// The probe behind both entry points; `fingerprint` is
-    /// `struct_type`'s. Concurrent first contacts on the same key are
-    /// single-flighted: the build happens under the write lock (plans
-    /// compile in microseconds), so exactly one build wins and the rest
-    /// observe it.
+    /// `struct_type`'s.
     fn plan_keyed(
         &self,
         fingerprint: u64,
@@ -1026,40 +1004,14 @@ impl PlanCache {
         let mut archs = [0u8; 12];
         archs[..6].copy_from_slice(&src_arch.descriptor());
         archs[6..].copy_from_slice(&dst_arch.descriptor());
-        let key = (fingerprint, archs);
-        if let Some(plan) = self.plans.read().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(plan));
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut map = self.plans.write();
-        if let Some(plan) = map.get(&key) {
-            return Ok(Arc::clone(plan));
-        }
-        let plan = Arc::new(ConversionPlan::build(struct_type, src_arch, dst_arch)?);
-        self.built.fetch_add(1, Ordering::Relaxed);
-        map.insert(key, Arc::clone(&plan));
-        Ok(plan)
+        self.plans.get_or_build((fingerprint, archs), || {
+            ConversionPlan::build(struct_type, src_arch, dst_arch)
+        })
     }
 
-    /// Number of cached plans.
-    pub fn len(&self) -> usize {
-        self.plans.read().len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Snapshot of the hit/miss/build counters.
-    pub fn stats(&self) -> PlanCacheStats {
-        PlanCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            built: self.built.load(Ordering::Relaxed),
-            plans: self.len(),
-        }
+    /// Snapshot of the hit/miss/build counters and the resident plans.
+    pub fn stats(&self) -> MemoStats {
+        self.plans.stats()
     }
 }
 
@@ -1334,9 +1286,9 @@ mod tests {
             .plan_for(&st, &Architecture::X86_64, &Architecture::SPARC32)
             .unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats().resident, 1);
         cache.plan_for(&st, &Architecture::SPARC32, &Architecture::X86_64).unwrap();
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().resident, 2);
     }
 
     fn telemetry() -> StructType {
@@ -1437,7 +1389,7 @@ mod tests {
         assert_eq!(stats.built, 1);
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 2);
-        assert_eq!(stats.plans, 1);
+        assert_eq!(stats.resident, 1);
     }
 
     #[test]
@@ -1462,7 +1414,7 @@ mod tests {
         }
         let stats = cache.stats();
         assert_eq!(stats.built, 1, "racing first contacts must build exactly once");
-        assert_eq!(stats.plans, 1);
+        assert_eq!(stats.resident, 1);
     }
 
     #[test]

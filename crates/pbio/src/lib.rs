@@ -18,8 +18,8 @@
 //!   architecture, with PBIO-style field tables ([`field::IoField`]).
 //! * [`ndr`] — the NDR wire codec: header + native byte image.
 //! * [`convert`] — receiver-side [`ConversionPlan`]s: flat op programs
-//!   compiled once per (wire format, native format) pair and cached; the
-//!   memory-safe stand-in for PBIO's dynamic code generation.
+//!   compiled once per (wire format, native format) pair and cached in a
+//!   [`Memo`]; the memory-safe stand-in for PBIO's dynamic code generation.
 //! * [`xdr`] — an XDR (RFC 1014) codec, the canonical-wire-format
 //!   baseline used by Sun RPC and "commercial platforms" in the paper.
 //! * [`textxml`] — an XML text codec in the style of XML-RPC, the
@@ -80,6 +80,7 @@ pub mod evolution;
 pub mod field;
 pub mod format;
 pub mod header;
+pub mod memo;
 pub mod ndr;
 pub mod registry;
 pub mod textxml;
@@ -88,10 +89,11 @@ pub mod view;
 pub mod xdr;
 
 pub use catalog::Catalog;
-pub use convert::{ConversionPlan, ImageCow, PlanCache, PlanCacheStats, PlanTier};
+pub use convert::{ConversionPlan, ImageCow, PlanCache, PlanTier};
 pub use error::PbioError;
 pub use field::IoField;
 pub use format::{Format, FormatId};
+pub use memo::{Memo, MemoStats};
 pub use registry::FormatRegistry;
 pub use typed::Xml2WireRecord;
 pub use view::{ArrayView, FieldView, RecordView};

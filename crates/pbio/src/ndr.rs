@@ -460,9 +460,9 @@ mod tests {
             RecordView::over(&image.bytes, &native, native.arch()).unwrap().to_record().unwrap();
         assert_eq!(record.get("org").unwrap().as_str(), Some("ATL"));
         // Second message reuses the plan.
-        assert_eq!(plans.len(), 1);
+        assert_eq!(plans.stats().resident, 1);
         to_native_image(&wire, &native, &plans).unwrap();
-        assert_eq!(plans.len(), 1);
+        assert_eq!(plans.stats().resident, 1);
     }
 
     #[test]
