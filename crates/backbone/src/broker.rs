@@ -32,6 +32,8 @@ use std::thread::JoinHandle;
 use clayout::StructType;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
+use pbio::header::MAX_FORMAT_NAME_LEN;
+use pbio::PbioError;
 use xml2wire::seglog::{SegLogConfig, SegReplay, SegmentLog};
 
 use crate::error::BackboneError;
@@ -543,11 +545,6 @@ impl ReplaySubscription {
         }
     }
 
-    /// Abandons any remaining replay and returns the underlying live
-    /// subscription (undeduped).
-    pub fn into_live(self) -> Subscription {
-        self.live
-    }
 }
 
 impl Drop for Subscription {
@@ -582,7 +579,9 @@ impl PublishHandle {
     ///
     /// # Errors
     ///
-    /// [`BackboneError::Disconnected`] after the broker shuts down.
+    /// [`BackboneError::Disconnected`] after the broker shuts down;
+    /// `FormatNameTooLong` (as [`BackboneError::Metadata`]) for a format
+    /// name over 65 535 bytes.
     pub fn publish(
         &self,
         format_name: Arc<str>,
@@ -597,9 +596,10 @@ impl PublishHandle {
     }
 
     /// Republishes events that arrived over a federation link,
-    /// *preserving their sequence numbers* (see
-    /// [`Broker::publish_forwarded`]): the whole batch enters the
-    /// shard queue under one lock and wakes its worker at most once.
+    /// *preserving their sequence numbers*, so subscribers can dedup
+    /// replay against live at any hop (the local stream is normally
+    /// non-durable — the origin owns the log): the whole batch enters
+    /// the shard queue under one lock and wakes its worker at most once.
     ///
     /// # Errors
     ///
@@ -620,12 +620,20 @@ impl PublishHandle {
 /// The one publish path: assigns the next sequence for durable streams
 /// (seq assignment and the queue send form one critical section so
 /// queue order equals seq order) and enqueues on the stream's shard.
+///
+/// A format name longer than a wire header's `u16` length can say is
+/// refused here, before it takes a seq: the segment log and a
+/// federation hop both frame the name behind that length.
 fn enqueue_event(
     meta: &Arc<StreamMeta>,
     shard_tx: &Sender<ShardMsg>,
     format_name: Arc<str>,
     payload: Vec<u8>,
 ) -> Result<usize, BackboneError> {
+    if format_name.len() > MAX_FORMAT_NAME_LEN {
+        let len = format_name.len();
+        return Err(PbioError::FormatNameTooLong { len, max: MAX_FORMAT_NAME_LEN }.into());
+    }
     if let Some(durable) = &meta.durable {
         let mut next = durable.next_seq.lock();
         let seq = *next + 1;
@@ -727,7 +735,7 @@ impl Broker {
     /// Registers a stream with explicit queueing configuration.
     /// Idempotent on the name: a repeat call may add a metadata locator,
     /// but capacity and overflow are fixed by the first registration.
-    pub fn create_stream_with(&self, name: impl Into<String>, config: StreamConfig) {
+    fn create_stream_with(&self, name: impl Into<String>, config: StreamConfig) {
         self.create_stream_inner(name.into(), config, None)
             .expect("non-durable stream creation is infallible");
     }
@@ -1031,21 +1039,6 @@ impl Broker {
         })
     }
 
-    /// Publishes an event *preserving its existing sequence number* —
-    /// the federation relay path. A forwarded event keeps the seq its
-    /// origin broker assigned, so subscribers can dedup replay against
-    /// live at any hop; the local stream must be registered (normally
-    /// non-durable — the origin owns the log).
-    ///
-    /// # Errors
-    ///
-    /// Unknown streams.
-    pub fn publish_forwarded(&self, event: Event) -> Result<usize, BackboneError> {
-        let handle = self.publish_handle(&event.stream)?;
-        handle.forward([Arc::new(event)])?;
-        Ok(handle.meta.subscribers.load(Ordering::SeqCst))
-    }
-
     /// Publishes an event to its stream, returning the current
     /// subscriber count.
     ///
@@ -1058,7 +1051,9 @@ impl Broker {
     ///
     /// # Errors
     ///
-    /// Unknown streams.
+    /// Unknown streams; `FormatNameTooLong` (as
+    /// [`BackboneError::Metadata`]) for a format name over 65 535 bytes,
+    /// which is refused before it takes a sequence number.
     pub fn publish(&self, event: Event) -> Result<usize, BackboneError> {
         let (shard, meta) = self.lookup(&event.stream)?;
         enqueue_event(&meta, &shard.tx, event.format_name, event.payload)
@@ -1792,6 +1787,42 @@ mod tests {
     }
 
     #[test]
+    fn format_names_a_u16_cannot_frame_are_refused_before_taking_a_seq() {
+        // The log record and the federation frame both carry the format
+        // name behind a u16 length: one byte more must be refused at
+        // publish, not truncated on the shard worker.
+        let dir = temp_dir("long-name");
+        let broker = Broker::new();
+        broker
+            .create_stream_durable("ops", StreamConfig::default(), DurableSpec::new(&dir))
+            .unwrap();
+        let too_long: Arc<str> = "N".repeat(MAX_FORMAT_NAME_LEN + 1).into();
+        let refused = broker.publish(Event::new("ops", Arc::clone(&too_long), b"payload".to_vec()));
+        assert!(
+            matches!(
+                refused,
+                Err(BackboneError::Metadata(xml2wire::X2wError::Bcm(
+                    PbioError::FormatNameTooLong { len: 65_536, max: 65_535 }
+                )))
+            ),
+            "{refused:?}"
+        );
+        let handle = broker.publish_handle("ops").unwrap();
+        assert!(handle.publish(too_long, b"payload".to_vec()).is_err());
+        let info = &broker.streams()[0];
+        assert_eq!((info.published, info.durable_seq), (0, 0));
+
+        let longest = "N".repeat(MAX_FORMAT_NAME_LEN);
+        broker.publish(Event::new("ops", longest.as_str(), b"payload".to_vec())).unwrap();
+        let mut replay = broker.subscribe_replay("ops", 1).unwrap();
+        let event = replay.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(event.seq, 1);
+        assert_eq!(&*event.format_name, longest);
+        assert_eq!(event.payload, b"payload");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn replay_serves_history_then_cuts_over_gap_free() {
         let dir = temp_dir("cutover");
         let broker = Broker::new();
@@ -1964,9 +1995,8 @@ mod tests {
         let broker = Broker::new();
         broker.create_stream("mirror", None);
         let sub = broker.subscribe("mirror").unwrap();
-        broker
-            .publish_forwarded(Event::with_seq("mirror", "F", vec![9], 42))
-            .unwrap();
+        let event = Event::with_seq("mirror", "F", vec![9], 42);
+        broker.publish_handle("mirror").unwrap().forward([Arc::new(event)]).unwrap();
         let event = sub.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(event.seq, 42);
         assert_eq!(event.payload, vec![9]);

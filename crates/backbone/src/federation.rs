@@ -95,15 +95,15 @@ use crate::net::{
 };
 
 /// Control stream: a link's aggregated subscription request.
-pub const FED_SUB: &str = "x2w.fed.sub";
+const FED_SUB: &str = "x2w.fed.sub";
 /// Control stream: a link's unsubscribe request.
-pub const FED_UNSUB: &str = "x2w.fed.unsub";
+const FED_UNSUB: &str = "x2w.fed.unsub";
 /// Control stream: the serving broker's subscription acknowledgement.
-pub const FED_SUBOK: &str = "x2w.fed.subok";
+const FED_SUBOK: &str = "x2w.fed.subok";
 /// Control stream: the serving broker's refusal of a subscription's
 /// predicate (the subscription itself is *not* established; the link
 /// retries without the predicate).
-pub const FED_SUBERR: &str = "x2w.fed.suberr";
+const FED_SUBERR: &str = "x2w.fed.suberr";
 
 /// How long a forwarder waits on its subscription per stop-flag check.
 /// Bounds both reaction time to link loss and the cost of a clean stop.
@@ -120,7 +120,10 @@ const FORWARD_BLOCK_BYTES: usize = 64 * 1024;
 
 /// Default [`LinkConfig::max_hops`]: far above any sane federation
 /// diameter, small enough that an accidental cycle self-extinguishes.
-pub const DEFAULT_MAX_HOPS: u8 = 8;
+const DEFAULT_MAX_HOPS: u8 = 8;
+
+/// Seed of a link's reconnect jitter.
+const JITTER_SEED: u64 = 0x5EED_11AC;
 
 /// Bound on the exponential-backoff retry index so reconnect sleeps
 /// plateau at the policy's `backoff_max` instead of overflowing.
@@ -346,7 +349,7 @@ impl FederatedBroker {
                 }
             })
         };
-        let server = EventServer::bind_routed_full(addr, handler, Some(on_close), config)?;
+        let server = EventServer::bind(addr, handler, Some(on_close), config)?;
         let _ = handle_slot.set(server.handle());
         Ok(FederatedBroker { server, broker, forwarders })
     }
@@ -509,7 +512,7 @@ fn forward_loop(
 /// connection (or server) is definitively gone.
 fn push_block(handle: &ServerHandle, conn: ConnId, mut block: Block, stop: &AtomicBool) -> bool {
     while !stop.load(Ordering::SeqCst) {
-        match handle.push_block(conn, block) {
+        match handle.push(conn, block) {
             Ok(()) => return true,
             Err((Refused::Busy, refused)) => block = refused,
             Err((Refused::Gone, _)) => return false,
@@ -533,9 +536,6 @@ pub struct LinkConfig {
     /// Reconnect backoff discipline (`backoff_base`/`backoff_max`
     /// drive the jittered-exponential sleeps between attempts).
     pub policy: DiscoveryPolicy,
-    /// Seed for the jitter source, so tests can make reconnect timing
-    /// deterministic.
-    pub jitter_seed: u64,
     /// Hop ceiling: events arriving over the link with this many hops
     /// already on them are dropped (counted in
     /// [`LinkStats::cycle_drops`]) instead of being republished, so a
@@ -551,21 +551,8 @@ impl LinkConfig {
             streams: streams.into_iter().map(Into::into).collect(),
             filters: HashMap::new(),
             policy: DiscoveryPolicy::default(),
-            jitter_seed: 0x5EED_11AC,
             max_hops: DEFAULT_MAX_HOPS,
         }
-    }
-
-    /// Attaches a serving-side predicate to one of the configured
-    /// streams.
-    #[must_use]
-    pub fn with_filter(
-        mut self,
-        stream: impl Into<String>,
-        predicate: impl Into<String>,
-    ) -> Self {
-        self.filters.insert(stream.into(), predicate.into());
-        self
     }
 
     /// Sets the forwarded-event hop ceiling.
@@ -754,7 +741,7 @@ fn link_loop(
     // Predicates the remote has refused are dropped for the life of
     // the link, so every reconnect does not replay the same refusal.
     let mut filters = config.filters.clone();
-    let mut rng = StdRng::seed_from_u64(config.jitter_seed);
+    let mut rng = StdRng::seed_from_u64(JITTER_SEED);
     let mut attempt: u32 = 0;
     while !stop.load(Ordering::SeqCst) {
         if let Ok(mut client) = EventClient::connect(addr) {
@@ -1225,7 +1212,10 @@ mod tests {
         let link = FederationLink::connect(
             fed.local_addr(),
             Arc::clone(&local),
-            LinkConfig::new(["quotes"]).with_filter("quotes", "price > 100"),
+            LinkConfig {
+                filters: [("quotes".to_owned(), "price > 100".to_owned())].into(),
+                ..LinkConfig::new(["quotes"])
+            },
         )
         .unwrap();
         assert!(wait_for(|| fed.forwarder_count() == 1));
@@ -1272,7 +1262,10 @@ mod tests {
         let link = FederationLink::connect(
             fed.local_addr(),
             Arc::clone(&local),
-            LinkConfig::new(["raw"]).with_filter("raw", "price > 1"),
+            LinkConfig {
+                filters: [("raw".to_owned(), "price > 1".to_owned())].into(),
+                ..LinkConfig::new(["raw"])
+            },
         )
         .unwrap();
         let sub = local.subscribe("raw").unwrap();

@@ -986,7 +986,7 @@ enum Op {
 /// A predicate compiled against one sender architecture: a flat op
 /// program evaluated directly over the NDR payload image.
 #[derive(Debug)]
-pub struct FilterProgram {
+struct FilterProgram {
     ops: Vec<Op>,
     /// The fixed-part size on this architecture; shorter payloads
     /// fail closed before any op runs, which makes every scalar load
@@ -997,17 +997,6 @@ pub struct FilterProgram {
 }
 
 impl FilterProgram {
-    /// Number of ops in the program (for tests and introspection).
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the program is empty (it never is; parse rejects empty
-    /// expressions — present for the `len`/`is_empty` convention).
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
     /// Evaluates the program against a bare NDR payload image (header
     /// already stripped). Zero allocations; touches only the bytes the
     /// predicate references. Fail-closed: truncated images and
@@ -1594,6 +1583,13 @@ mod tests {
     use super::*;
     use clayout::{Primitive, StructField};
     use pbio::format::{Format, FormatId};
+
+    impl FilterProgram {
+        /// Number of ops in the program.
+        fn len(&self) -> usize {
+            self.ops.len()
+        }
+    }
 
     fn ticks() -> StructType {
         StructType::new(

@@ -60,7 +60,7 @@ pub use filter::{FilterCache, FilterError, FilterStats, StreamFilter};
 pub use federation::{FederatedBroker, FederationLink, LinkConfig, LinkStats};
 pub use net::{
     ClientCloser, CloseHandler, ConnId, EventClient, EventServer, Frame, NetConfig, NetStats,
-    ServerHandle, TrySendError,
+    ServerHandle,
 };
 pub use scoping::FormatScope;
 pub use stream::{CapturePoint, Consumer};

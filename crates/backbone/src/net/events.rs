@@ -18,21 +18,22 @@
 //!   leaves residue that arms write interest, so an idle connection
 //!   costs zero wakeups.
 //! * **Reply-queue backpressure without blocking.** When a
-//!   connection's outbound queue reaches the configured depth the
+//!   connection's outbound queue reaches its depth the
 //!   shard stops *parsing* (and drops read interest), leaving unread
 //!   bytes to TCP flow control. Parsing resumes at half depth.
 //! * **Push admission is synchronous and admitted pushes are never
-//!   silently dropped.** Pushers consult a per-connection inflight
-//!   mirror before enqueueing: a full window surfaces as `Busy`
-//!   *to the caller* (retry, wait or drop, their choice), a closed
-//!   connection as `Gone`. An admitted push that finds the machine
-//!   momentarily full parks in a bounded per-connection overflow
-//!   buffer and enters the queue as writes drain it — fanout never
-//!   stalls the loop, and a `true` from `send` is a real acceptance.
-//! * **A push is a [`Block`], whatever it carries.** Admitted frames
-//!   are serialised into blocks on the pusher's thread (a federation
-//!   forwarder hands over a whole drained batch as one), so the inbox,
-//!   the overflow buffer and the machine's queue move blocks, the
+//!   silently dropped.** A pusher consults a per-connection inflight
+//!   mirror before enqueueing: a window that stays full for a bounded
+//!   wait surfaces as `Busy` *to the caller* (retry or drop, their
+//!   choice), a closed connection as `Gone`, and either hands the
+//!   block back. An admitted push that finds the machine momentarily
+//!   full parks in a bounded per-connection overflow buffer and enters
+//!   the queue as writes drain it — fanout never stalls the loop, and
+//!   an `Ok` from a push is a real acceptance.
+//! * **A push is a [`Block`], whatever it carries.** Pushers serialise
+//!   frames into blocks on their own thread (a federation forwarder
+//!   hands over a whole drained batch as one), so the inbox, the
+//!   overflow buffer and the machine's queue move blocks, the
 //!   connection and inflight lookups happen once per block, and the
 //!   kernel is offered one slice per block. Everything is still
 //!   *counted* in frames: admission, the queue bound, the statistics.
@@ -56,7 +57,7 @@ use polling::{Interest, Poller, Waker};
 use crate::error::BackboneError;
 
 use super::machine::{Block, ConnMachine};
-use super::{CloseHandler, ConnId, Frame, NetCounters, RoutedHandler, TrySendError};
+use super::{CloseHandler, ConnId, NetCounters, RoutedHandler, WRITER_QUEUE_DEPTH};
 
 /// Reserved poller key for each shard's waker (connection ids count up
 /// from zero and can never reach it).
@@ -67,7 +68,7 @@ const WAKE_KEY: u64 = u64::MAX;
 /// level-triggered polling re-reports the remainder immediately.
 const READ_BUDGET: usize = 256 * 1024;
 
-/// How long a refused [`Shared::push_block`] waits for the loop to make
+/// How long a refused [`Shared::push`] waits for the loop to make
 /// room before it hands the block back — so a pusher never goes longer
 /// than this without a look at its own stop flag.
 const PUSH_PATIENCE: Duration = Duration::from_millis(25);
@@ -80,8 +81,10 @@ enum Cmd {
     Push(ConnId, Block),
 }
 
-/// Why a push was not admitted.
-pub(crate) enum Refused {
+/// Why [`ServerHandle::push`](super::ServerHandle::push) handed its
+/// block back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refused {
     /// The connection's window is full: retryable.
     Busy,
     /// The connection is unknown or closed, or the server is shutting
@@ -97,12 +100,12 @@ struct Inflight {
     /// inbox or the connection's overflow buffer). Entries are created
     /// at accept and removed at close, so presence doubles as the
     /// liveness check: pushers consult this map **synchronously**,
-    /// which is what lets [`Shared::try_push`] distinguish a full
-    /// queue (retryable) from a dead connection (permanent) without a
-    /// round trip through the loop thread. Admission caps the count at
-    /// the queue depth, bounding per-connection overflow memory.
+    /// which is what lets [`Shared::push`] distinguish a full queue
+    /// (retryable) from a dead connection (permanent) without a round
+    /// trip through the loop thread. Admission caps the count at the
+    /// queue depth, bounding per-connection overflow memory.
     counts: HashMap<ConnId, usize>,
-    /// Pushers blocked in [`Shared::push_block`]; the loop signals
+    /// Pushers blocked in [`Shared::push`]; the loop signals
     /// `drained` only while this is non-zero.
     waiting: usize,
 }
@@ -119,21 +122,20 @@ struct ShardShared {
 }
 
 impl ShardShared {
-    /// Enqueues commands — one, or a whole fanout batch — under one
-    /// inbox lock, writing the waker's eventfd only on the
-    /// empty→non-empty transition (per-frame syscall cost becomes
-    /// per-batch). Safe because the shard's `drain_inbox` re-locks and
+    /// Enqueues a command, writing the waker's eventfd only on the
+    /// empty→non-empty transition (per-push syscall cost becomes
+    /// per-burst). Safe because the shard's `drain_inbox` re-locks and
     /// loops until the inbox is observed empty: a command appended
     /// while the inbox is non-empty is collected by the drain already
     /// in flight, so a second kernel wakeup would be redundant.
-    fn enqueue(&self, cmds: impl IntoIterator<Item = Cmd>) {
-        let woke_empty = {
+    fn enqueue(&self, cmd: Cmd) {
+        let was_empty = {
             let mut inbox = self.inbox.lock();
             let was_empty = inbox.is_empty();
-            inbox.extend(cmds);
-            was_empty && !inbox.is_empty()
+            inbox.push_back(cmd);
+            was_empty
         };
-        if woke_empty {
+        if was_empty {
             self.waker.wake();
         }
     }
@@ -171,7 +173,6 @@ pub(super) struct Shared {
     shards: Vec<Arc<ShardShared>>,
     counters: Arc<NetCounters>,
     stop: Arc<AtomicBool>,
-    queue_depth: usize,
 }
 
 impl Shared {
@@ -180,7 +181,7 @@ impl Shared {
     }
 
     /// The admission rule, applied under the owning shard's inflight
-    /// lock: a connection may have `queue_depth` admitted frames
+    /// lock: a connection may have `WRITER_QUEUE_DEPTH` admitted frames
     /// waiting for its machine (a block larger than that is let
     /// through only onto an empty window, so it can neither be refused
     /// forever nor overshoot the bound by more than itself).
@@ -190,7 +191,9 @@ impl Shared {
         }
         match inflight.counts.get_mut(&conn) {
             None => Err(Refused::Gone),
-            Some(count) if *count > 0 && *count + frames > self.queue_depth => Err(Refused::Busy),
+            Some(count) if *count > 0 && *count + frames > WRITER_QUEUE_DEPTH => {
+                Err(Refused::Busy)
+            }
             Some(count) => {
                 *count += frames;
                 Ok(())
@@ -198,52 +201,18 @@ impl Shared {
         }
     }
 
-    /// Admits a push against the owning shard's inflight mirror, then
-    /// serialises it, enqueues it and wakes the shard (the broker
-    /// fanout → eventfd path). Admission is synchronous: an `Ok` here
-    /// means the frame **will** enter the connection's queue unless
-    /// the connection closes first — the loop shard never silently
-    /// resolves an admitted push to a drop. `Busy` hands the frame back
-    /// without counting anything; `Gone` is permanent and tallied.
-    pub(super) fn try_push(&self, conn: ConnId, frame: Frame) -> Result<(), TrySendError> {
-        let shard = self.shard_for(conn);
-        let admission = self.admit(&mut shard.inflight.lock(), conn, 1);
-        match admission {
-            Ok(()) => {
-                shard.enqueue([Cmd::Push(conn, Block::of(&frame))]);
-                Ok(())
-            }
-            Err(Refused::Busy) => Err(TrySendError::Busy(frame)),
-            Err(Refused::Gone) => {
-                self.counters.note_dropped(1);
-                Err(TrySendError::Gone(frame))
-            }
-        }
-    }
-
-    /// The drop-on-overflow face of [`try_push`](Self::try_push):
-    /// `false` means the frame went nowhere (and was counted in
-    /// `pushes_dropped`), decided synchronously.
-    pub(super) fn push(&self, conn: ConnId, frame: Frame) -> bool {
-        match self.try_push(conn, frame) {
-            Ok(()) => true,
-            Err(TrySendError::Busy(_)) => {
-                self.counters.note_dropped(1);
-                false
-            }
-            Err(TrySendError::Gone(_)) => false, // counted in try_push
-        }
-    }
-
-    /// Admits and enqueues a ready-made block — the bulk producer's
-    /// path (a federation forwarder's drained batch): one admission,
-    /// one inbox entry and at most one waker write for all its frames.
+    /// Admits and enqueues a block — a single frame or a federation
+    /// forwarder's drained batch: one admission, one inbox entry and at
+    /// most one waker write for all its frames. Admission is
+    /// synchronous: an `Ok` means the frames **will** enter the
+    /// connection's queue unless the connection closes first — the loop
+    /// shard never silently resolves an admitted push to a drop.
     /// A full window is back-pressure, not loss: the call waits on the
     /// shard's inflight mirror, up to [`PUSH_PATIENCE`], for the loop
     /// to land frames, and only then answers `Busy`; nothing sleeps and
     /// nothing polls. A refusal hands the block back as it was, so a
     /// retry re-encodes nothing; `Gone` is tallied in `pushes_dropped`.
-    pub(crate) fn push_block(&self, conn: ConnId, block: Block) -> Result<(), (Refused, Block)> {
+    pub(super) fn push(&self, conn: ConnId, block: Block) -> Result<(), (Refused, Block)> {
         let shard = self.shard_for(conn);
         let mut inflight = shard.inflight.lock();
         let mut waited = false;
@@ -269,55 +238,8 @@ impl Shared {
             }
         }
         drop(inflight);
-        shard.enqueue([Cmd::Push(conn, block)]);
+        shard.enqueue(Cmd::Push(conn, block));
         Ok(())
-    }
-
-    /// Admits and enqueues a whole fanout batch, grouping frames by
-    /// owning shard so each shard pays one inflight lock, one inbox
-    /// lock, and at most one eventfd write for the batch instead of
-    /// one of each per frame; admitted frames bound for one connection
-    /// back to back share a block. Returns the frames that were
-    /// definitely not enqueued — server shutting down, unknown/closed
-    /// connection, or a full queue — all decided synchronously and
-    /// counted in `pushes_dropped`, so callers can retry or drop them
-    /// knowingly.
-    ///
-    /// Rejection is a contiguous per-connection *tail*: the inflight
-    /// mirror is only ever decremented under the same shard lock this
-    /// loop holds, so once a connection's queue reads full it stays
-    /// full for the rest of its group — a retrying caller never sees
-    /// a connection's frames reordered.
-    pub(super) fn push_batch(&self, frames: Vec<(ConnId, Frame)>) -> Vec<(ConnId, Frame)> {
-        let shard_count = self.shards.len();
-        let mut groups: Vec<Vec<(ConnId, Frame)>> =
-            (0..shard_count).map(|_| Vec::new()).collect();
-        for (conn, frame) in frames {
-            groups[(conn as usize) % shard_count].push((conn, frame));
-        }
-        let mut rejected = Vec::new();
-        for (shard, group) in self.shards.iter().zip(groups) {
-            if group.is_empty() {
-                continue;
-            }
-            let mut cmds: Vec<Cmd> = Vec::new();
-            {
-                let mut inflight = shard.inflight.lock();
-                for (conn, frame) in group {
-                    if self.admit(&mut inflight, conn, 1).is_err() {
-                        self.counters.note_dropped(1);
-                        rejected.push((conn, frame));
-                        continue;
-                    }
-                    match cmds.last_mut() {
-                        Some(Cmd::Push(last, block)) if *last == conn => block.push_frame(&frame),
-                        _ => cmds.push(Cmd::Push(conn, Block::of(&frame))),
-                    }
-                }
-            }
-            shard.enqueue(cmds);
-        }
-        rejected
     }
 }
 
@@ -338,7 +260,6 @@ impl Server {
         handler: RoutedHandler,
         on_close: Option<CloseHandler>,
         shard_count: usize,
-        queue_depth: usize,
     ) -> Result<Server, BackboneError> {
         let addr = listener.local_addr()?;
         let counters = Arc::new(NetCounters::default());
@@ -366,7 +287,6 @@ impl Server {
             shards: shard_shared,
             counters: Arc::clone(&counters),
             stop: Arc::clone(&stop),
-            queue_depth,
         });
         let mut shard_handles = Vec::with_capacity(shard_count);
         for (index, (poller, shard)) in parts.into_iter().enumerate() {
@@ -377,7 +297,6 @@ impl Server {
                 handler: Arc::clone(&handler),
                 on_close: on_close.clone(),
                 poller,
-                queue_depth,
                 conns: HashMap::new(),
                 scratch: vec![0u8; 64 * 1024],
                 cmds: VecDeque::new(),
@@ -475,7 +394,7 @@ fn accept_loop(
                 // command: a handler-triggered push racing the accept
                 // sees the connection as live, not Gone.
                 shard.inflight.lock().counts.insert(id, 0);
-                shard.enqueue([Cmd::Register(id, stream)]);
+                shard.enqueue(Cmd::Register(id, stream));
             }
             Err(_) => {
                 if stop.load(Ordering::SeqCst) {
@@ -522,7 +441,6 @@ struct Shard {
     handler: RoutedHandler,
     on_close: Option<CloseHandler>,
     poller: Poller,
-    queue_depth: usize,
     conns: HashMap<ConnId, Conn>,
     scratch: Vec<u8>,
     /// Reused across wake-ups: the inbox is swapped out into `cmds`,
@@ -653,7 +571,7 @@ impl Shard {
             self.counters.note_dropped(block.frames());
             return;
         };
-        if conn.overflow.is_empty() && conn.machine.queued_frames() < self.queue_depth {
+        if conn.overflow.is_empty() && conn.machine.queued_frames() < WRITER_QUEUE_DEPTH {
             let frames = block.frames();
             conn.machine.queue_block(block);
             self.counters.note_queue_depth(conn.machine.queued_frames());
@@ -672,9 +590,7 @@ impl Shard {
     /// backpressure pause/resume, interest resync, and the close
     /// decision.
     fn service(&mut self, id: ConnId, readable: bool, hangup: bool) {
-        let Shard { shared, conns, counters, handler, on_close, poller, queue_depth, scratch, .. } =
-            self;
-        let depth = *queue_depth;
+        let Shard { shared, conns, counters, handler, on_close, poller, scratch, .. } = self;
         let Some(conn) = conns.get_mut(&id) else { return };
         let mut dead = false;
 
@@ -712,12 +628,12 @@ impl Shard {
         // bounded by its length.
         if !dead {
             loop {
-                dead = !Self::process_and_flush(conn, handler, counters, depth, id);
+                dead = !Self::process_and_flush(conn, handler, counters, id);
                 if dead {
                     break;
                 }
                 let mut moved = 0usize;
-                while conn.machine.queued_frames() < depth {
+                while conn.machine.queued_frames() < WRITER_QUEUE_DEPTH {
                     let Some(block) = conn.overflow.pop_front() else { break };
                     moved += block.frames();
                     conn.machine.queue_block(block);
@@ -764,12 +680,11 @@ impl Shard {
         conn: &mut Conn,
         handler: &RoutedHandler,
         counters: &NetCounters,
-        depth: usize,
         id: ConnId,
     ) -> bool {
         loop {
             if !conn.input_dead {
-                while conn.machine.queued_frames() < depth {
+                while conn.machine.queued_frames() < WRITER_QUEUE_DEPTH {
                     match conn.machine.next_frame() {
                         Ok(Some(frame)) => {
                             counters.frames_read.fetch_add(1, Ordering::Relaxed);
@@ -789,7 +704,7 @@ impl Shard {
                     }
                 }
             }
-            if conn.machine.queued_frames() >= depth && !conn.paused {
+            if conn.machine.queued_frames() >= WRITER_QUEUE_DEPTH && !conn.paused {
                 conn.paused = true;
                 counters.read_pauses.fetch_add(1, Ordering::Relaxed);
             }
@@ -816,7 +731,7 @@ impl Shard {
             if blocked {
                 return true; // residue arms write interest in service()
             }
-            if conn.paused && conn.machine.queued_frames() <= depth / 2 {
+            if conn.paused && conn.machine.queued_frames() <= WRITER_QUEUE_DEPTH / 2 {
                 conn.paused = false;
                 continue; // parse the backlog skipped while paused
             }

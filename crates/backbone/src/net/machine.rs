@@ -20,13 +20,14 @@
 //!   buffer they already hold, and it borrows from that buffer. The
 //!   public [`read_frame`] stays as the blocking reader the tests hold
 //!   it to.
-//! * A `Block` is the one output representation: whole frames already
-//!   in wire format, contiguous, with their count. Whatever queues
-//!   output — a handler's reply, [`ServerHandle`](super::ServerHandle)
-//!   pushes, a federation forwarder's drained batch — serialises into a
-//!   block once, and from there to the socket the bytes are touched by
-//!   nobody but the kernel: one `IoSlice` per block, admission and
-//!   bookkeeping once per block.
+//! * A [`Block`] is the one output representation: whole frames
+//!   already in wire format, contiguous, with their count. Whatever
+//!   queues output — a handler's reply, a
+//!   [`ServerHandle::push`](super::ServerHandle::push), a federation
+//!   forwarder's drained batch — serialises into a block once, and from
+//!   there to the socket the bytes are touched by nobody but the
+//!   kernel: one `IoSlice` per block, admission and bookkeeping once per
+//!   block.
 //!
 //! [`read_frame`]: super::read_frame
 //! [`write_frame_batch`]: super::write_frame_batch
@@ -89,7 +90,7 @@ pub(crate) fn decode_frame(buf: &[u8]) -> Result<Option<Decoded<'_>>, BackboneEr
 /// The unit every outbound hand-off moves: pushes are admitted, queued,
 /// parked and written a block at a time.
 #[derive(Debug, Default)]
-pub(crate) struct Block {
+pub struct Block {
     bytes: Vec<u8>,
     frames: usize,
 }
@@ -101,14 +102,14 @@ impl Block {
     }
 
     /// A one-frame block.
-    pub(crate) fn of(frame: &Frame) -> Block {
+    pub fn of(frame: &Frame) -> Block {
         let mut block = Block::default();
         block.push_frame(frame);
         block
     }
 
     /// Appends `frame`'s wire image.
-    pub(crate) fn push_frame(&mut self, frame: &Frame) {
+    pub fn push_frame(&mut self, frame: &Frame) {
         self.push_with(&frame.stream, frame.payload.len(), |bytes| {
             bytes.extend_from_slice(&frame.payload);
         });
@@ -134,7 +135,7 @@ impl Block {
     }
 
     /// Frames in the block.
-    pub(crate) fn frames(&self) -> usize {
+    pub fn frames(&self) -> usize {
         self.frames
     }
 

@@ -12,13 +12,15 @@
 //! a nonblocking [`machine::ConnMachine`] state machine, so 100k
 //! mostly-idle subscribers cost a handful of threads and flat memory
 //! (see the `events` module's header for the loop's invariants). It
-//! queues output as blocks of ready wire bytes and offers the kernel a
-//! slice per block in vectored writes, bounds each connection's reply
-//! queue (backpressuring slow readers), supports server-initiated
-//! pushes via [`ServerHandle`], and exposes a [`NetStats`] observability
-//! snapshot. The blocking framing functions below are what clients
-//! write with and what the tests hold the machine's one frame decoder
-//! and its block writer to. The observable contract is pinned by
+//! has one constructor, [`EventServer::bind`], and one way to push,
+//! [`ServerHandle::push`] of a [`Block`]. It queues output as blocks of
+//! ready wire bytes and offers the kernel a slice per block in vectored
+//! writes, bounds each connection's queue (backpressuring slow
+//! readers, handing a pusher its block back when the window stays
+//! full), and exposes a [`NetStats`] observability snapshot. The
+//! blocking framing functions below are what clients write with and
+//! what the tests hold the machine's one frame decoder and its block
+//! writer to. The observable contract is pinned by
 //! `tests/transport_contract.rs` at the workspace root.
 
 use std::io::{BufWriter, IoSlice, Read, Write};
@@ -31,9 +33,8 @@ use crate::error::BackboneError;
 mod events;
 pub mod machine;
 
-pub(crate) use events::Refused;
-pub(crate) use machine::Block;
-pub use machine::{ConnMachine, WriteOutcome};
+pub use events::Refused;
+pub use machine::{Block, ConnMachine, WriteOutcome};
 
 /// One transport frame: a stream name and an opaque payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,41 +52,6 @@ impl Frame {
     }
 }
 
-/// Why a [`ServerHandle::try_send`] could not queue its frame. Both
-/// variants hand the frame back, so a retry costs no clone.
-#[derive(Debug)]
-pub enum TrySendError {
-    /// The connection's outbound queue (plus its pending-push window)
-    /// is at capacity. Transient: the frame was **not** dropped or
-    /// counted; retry after the peer drains, or give up and drop it
-    /// yourself.
-    Busy(Frame),
-    /// The connection is unknown or closed, or the server is shutting
-    /// down. Permanent for this connection; the reject is tallied in
-    /// [`NetStats::pushes_dropped`].
-    Gone(Frame),
-}
-
-impl TrySendError {
-    /// Recovers the frame that could not be sent.
-    pub fn into_frame(self) -> Frame {
-        match self {
-            TrySendError::Busy(frame) | TrySendError::Gone(frame) => frame,
-        }
-    }
-}
-
-impl std::fmt::Display for TrySendError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TrySendError::Busy(_) => write!(f, "connection outbound queue full (retryable)"),
-            TrySendError::Gone(_) => write!(f, "connection closed or server shutting down"),
-        }
-    }
-}
-
-impl std::error::Error for TrySendError {}
-
 /// Upper bound on frame section lengths (guards against hostile or
 /// corrupt length prefixes).
 const MAX_SECTION: u32 = 64 * 1024 * 1024;
@@ -94,9 +60,10 @@ const MAX_SECTION: u32 = 64 * 1024 * 1024;
 /// Linux caps an iovec at 1024 entries.
 const MAX_FRAMES_PER_WRITEV: usize = 256;
 
-/// Default depth of a connection's outbound reply queue; the server
-/// backpressures (stops consuming requests) when a peer reads slowly,
-/// and drops server pushes rather than stall fanout.
+/// Depth of a connection's outbound queue, in frames: reaching it
+/// pauses request consumption on that connection (a slow reader is
+/// backpressured, not buffered without bound), and it is the window a
+/// push is admitted against.
 const WRITER_QUEUE_DEPTH: usize = 512;
 
 /// Writes one frame and flushes.
@@ -249,40 +216,28 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Option<Frame>, BackboneError
 /// (monotonic, never reused).
 pub type ConnId = u64;
 
-/// The handler invoked for each inbound frame; the returned frame (if
-/// any) is written back on the same connection (request/reply).
-pub type FrameHandler = Arc<dyn Fn(Frame) -> Option<Frame> + Send + Sync>;
-
-/// A connection-aware handler: receives the [`ConnId`] the frame
-/// arrived on, so brokers can track subscribers and push to them later
-/// via [`ServerHandle::send`].
+/// The handler invoked for each inbound frame, with the [`ConnId`] it
+/// arrived on (so a broker can track subscribers and push to them later
+/// via [`ServerHandle::push`]); the returned frame (if any) is written
+/// back on the same connection (request/reply).
 pub type RoutedHandler = Arc<dyn Fn(ConnId, Frame) -> Option<Frame> + Send + Sync>;
 
 /// Invoked exactly once when a connection is fully closed and
 /// deregistered (peer disconnect, I/O error, or server shutdown).
 /// Runs on a transport thread — it must not block. Brokers use this to
 /// reap per-connection state (subscriptions, forwarders) without
-/// heartbeats: [`ServerHandle::send`] cannot report a dead peer
-/// synchronously, but this callback can.
+/// heartbeats: a push reports a dead peer only when one is attempted,
+/// this callback reports it as it happens.
 pub type CloseHandler = Arc<dyn Fn(ConnId) + Send + Sync>;
 
 /// Server construction knobs. The kernel backend is not one of them:
 /// the loop runs on epoll where the platform has it and on `poll(2)`
 /// elsewhere.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NetConfig {
     /// Event-loop shard count; `0` sizes to available parallelism
     /// (capped at 4 — shards are I/O bound, not compute bound).
     pub shards: usize,
-    /// Per-connection outbound queue bound; reaching it pauses request
-    /// consumption and drops pushes.
-    pub reply_queue_depth: usize,
-}
-
-impl Default for NetConfig {
-    fn default() -> NetConfig {
-        NetConfig { shards: 0, reply_queue_depth: WRITER_QUEUE_DEPTH }
-    }
 }
 
 fn default_shards() -> usize {
@@ -403,55 +358,17 @@ impl std::fmt::Debug for EventServer {
 }
 
 impl EventServer {
-    /// Binds and serves on `addr` with `handler`, using the default
-    /// configuration.
+    /// Binds and serves on `addr`: `handler` answers each inbound frame
+    /// and learns which connection it came from, [`handle`](Self::handle)
+    /// pushes frames to any of them, and `on_close` (if any) fires
+    /// exactly once per connection when it is deregistered, on the loop
+    /// thread that closed it — how a federated broker learns a remote
+    /// link died without heartbeating it.
     ///
     /// # Errors
     ///
     /// Propagates socket failures.
-    pub fn bind(addr: impl ToSocketAddrs, handler: FrameHandler) -> Result<Self, BackboneError> {
-        Self::bind_with(addr, handler, NetConfig::default())
-    }
-
-    /// Binds with an explicit configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket failures.
-    pub fn bind_with(
-        addr: impl ToSocketAddrs,
-        handler: FrameHandler,
-        config: NetConfig,
-    ) -> Result<Self, BackboneError> {
-        let routed: RoutedHandler = Arc::new(move |_conn, frame| handler(frame));
-        Self::bind_routed(addr, routed, config)
-    }
-
-    /// Binds with a connection-aware handler — the broker entry point:
-    /// the handler learns which connection each frame came from, and
-    /// [`handle`](Self::handle) pushes frames back to any of them.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket failures.
-    pub fn bind_routed(
-        addr: impl ToSocketAddrs,
-        handler: RoutedHandler,
-        config: NetConfig,
-    ) -> Result<Self, BackboneError> {
-        Self::bind_routed_full(addr, handler, None, config)
-    }
-
-    /// [`bind_routed`](Self::bind_routed) plus a close notification: the
-    /// [`CloseHandler`] fires exactly once per connection when it is
-    /// deregistered, on the loop thread that performed the close.
-    /// This is how a federated broker learns a remote link died without
-    /// heartbeating it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket failures.
-    pub fn bind_routed_full(
+    pub fn bind(
         addr: impl ToSocketAddrs,
         handler: RoutedHandler,
         on_close: Option<CloseHandler>,
@@ -459,8 +376,7 @@ impl EventServer {
     ) -> Result<Self, BackboneError> {
         let listener = TcpListener::bind(addr)?;
         let shards = if config.shards == 0 { default_shards() } else { config.shards };
-        let depth = config.reply_queue_depth.max(1);
-        let server = events::Server::bind(listener, handler, on_close, shards, depth)?;
+        let server = events::Server::bind(listener, handler, on_close, shards)?;
         Ok(EventServer { server })
     }
 
@@ -492,8 +408,8 @@ impl EventServer {
     }
 
     /// A cloneable handle for pushing server-initiated frames (broker
-    /// fanout). Outlives nothing: pushes after the server drops are
-    /// no-ops returning `false`.
+    /// fanout). Outlives nothing: pushes after the server drops come
+    /// back [`Refused::Gone`].
     pub fn handle(&self) -> ServerHandle {
         ServerHandle { shared: self.server.shared() }
     }
@@ -513,70 +429,25 @@ impl std::fmt::Debug for ServerHandle {
 }
 
 impl ServerHandle {
-    /// Queues `frame` to connection `conn` without blocking. Returns
-    /// `false` when the push definitely went nowhere (unknown or closed
-    /// connection, full queue, server shutting down); `true` means it
-    /// was queued and will reach the socket unless the connection
-    /// closes first. The overflow decision is made synchronously — a
-    /// `true` is a real acceptance, never a frame silently resolved to
-    /// a drop later. Drops are counted in
-    /// [`NetStats::pushes_dropped`]; callers that would rather retry
-    /// than drop should use [`try_send`](Self::try_send).
-    pub fn send(&self, conn: ConnId, frame: Frame) -> bool {
-        self.shared.push(conn, frame)
-    }
-
-    /// Queues `frame` to connection `conn` without blocking, handing
-    /// the frame back on failure so a retry needs no clone.
-    ///
-    /// Where [`send`](Self::send) resolves a full queue by dropping the
-    /// frame, this returns [`TrySendError::Busy`] with the frame inside
-    /// — nothing is dropped or counted, and the caller owns the retry.
-    /// A 10k-frame burst against a 512-deep connection queue is
-    /// backpressure, not loss.
+    /// Queues a block of frames to connection `conn`: one admission
+    /// against the connection's window, one inbox entry and at most one
+    /// waker write, however many frames the block holds. `Ok` is a real
+    /// acceptance, decided synchronously: the frames reach the socket
+    /// unless the connection closes first, and then they are counted in
+    /// [`NetStats::pushes_dropped`]. A full window is waited out on the
+    /// loop's own progress for a bounded moment before the answer is
+    /// `Busy`.
     ///
     /// # Errors
     ///
-    /// [`TrySendError::Busy`] when the connection's queue is at
-    /// capacity (retryable), [`TrySendError::Gone`] when the connection
-    /// is unknown/closed or the server is shutting down (permanent,
-    /// counted in [`NetStats::pushes_dropped`]).
-    pub fn try_send(&self, conn: ConnId, frame: Frame) -> Result<(), TrySendError> {
-        self.shared.try_push(conn, frame)
-    }
-
-    /// Queues a whole fanout batch without blocking, coalescing the
-    /// per-push bookkeeping: the batch is grouped by owning shard and
-    /// each shard pays **one** inbox lock and at most one waker
-    /// (eventfd) write, instead of one kernel write per frame. Admitted
-    /// frames are serialised into wire blocks here, on the caller's
-    /// thread — frames bound for one connection back to back share a
-    /// block — so the loop thread and the kernel handle each run once,
-    /// not each frame.
-    ///
-    /// Returns the `(conn, frame)` pairs that were definitely not
-    /// queued — unknown/closed connections, full queues, server
-    /// shutting down — so callers can retry after yielding or count
-    /// them as dropped (they are also tallied in
-    /// [`NetStats::pushes_dropped`]). The overflow decision is made
-    /// synchronously: an empty return means every frame was queued and
-    /// will reach its socket unless the connection closes first.
-    ///
-    /// Rejection preserves per-connection order: a rejected frame is
-    /// followed only by more rejects for that same connection within
-    /// the batch (a contiguous tail), so a caller that retries the
-    /// returned pairs in order never reorders a connection's stream.
-    pub fn send_batch(&self, frames: Vec<(ConnId, Frame)>) -> Vec<(ConnId, Frame)> {
-        self.shared.push_batch(frames)
-    }
-
-    /// Queues a ready-made wire block to `conn` — what a bulk producer
-    /// (the federation forwarder) uses in place of per-frame pushes.
-    /// Admission counts the block's frames against the same queue
-    /// bound; a full queue is waited out (briefly, on the loop's own
-    /// progress) before `Busy` hands the block back.
-    pub(crate) fn push_block(&self, conn: ConnId, block: Block) -> Result<(), (Refused, Block)> {
-        self.shared.push_block(conn, block)
+    /// The block comes back untouched, so a retry re-encodes nothing:
+    /// with [`Refused::Busy`] when the window stayed full (nothing is
+    /// counted; offer it again or drop it), with [`Refused::Gone`] when
+    /// the connection is unknown or closed or the server is shutting
+    /// down (permanent; its frames are counted in
+    /// [`NetStats::pushes_dropped`]).
+    pub fn push(&self, conn: ConnId, block: Block) -> Result<(), (Refused, Block)> {
+        self.shared.push(conn, block)
     }
 }
 
@@ -634,7 +505,7 @@ impl EventClient {
     /// # Errors
     ///
     /// Propagates I/O failures.
-    pub fn send_batch(&mut self, frames: &[Frame]) -> Result<(), BackboneError> {
+    pub fn send_all(&mut self, frames: &[Frame]) -> Result<(), BackboneError> {
         write_frame_batch(&mut self.writer, frames)
     }
 
@@ -767,11 +638,40 @@ mod tests {
     /// Two shards, so the sharded dispatch path is exercised and not
     /// only the degenerate single-loop case.
     fn config() -> NetConfig {
-        NetConfig { shards: 2, ..NetConfig::default() }
+        NetConfig { shards: 2 }
+    }
+
+    fn serve(handler: impl Fn(Frame) -> Option<Frame> + Send + Sync + 'static) -> EventServer {
+        EventServer::bind("127.0.0.1:0", Arc::new(move |_, frame| handler(frame)), None, config())
+            .unwrap()
     }
 
     fn echo_with(config: NetConfig) -> EventServer {
-        EventServer::bind_with("127.0.0.1:0", Arc::new(Some), config).unwrap()
+        EventServer::bind("127.0.0.1:0", Arc::new(|_, frame| Some(frame)), None, config).unwrap()
+    }
+
+    /// An echo server that remembers the connection it last heard from,
+    /// a client on it, and that connection's id once a hello went
+    /// through — a subscriber to push at.
+    fn subscribed() -> (EventServer, EventClient, ConnId) {
+        let subscriber: Arc<Mutex<Option<ConnId>>> = Arc::new(Mutex::new(None));
+        let server = {
+            let subscriber = Arc::clone(&subscriber);
+            EventServer::bind(
+                "127.0.0.1:0",
+                Arc::new(move |conn, frame: Frame| {
+                    *subscriber.lock() = Some(conn);
+                    Some(frame) // ack the subscribe
+                }),
+                None,
+                config(),
+            )
+            .unwrap()
+        };
+        let mut client = EventClient::connect(server.local_addr()).unwrap();
+        let _ = client.request(&Frame::new("subscribe", vec![])).unwrap();
+        let conn = subscriber.lock().expect("handler saw the subscribe");
+        (server, client, conn)
     }
 
     /// Polls `cond` for up to a second — for counters that are
@@ -811,7 +711,7 @@ mod tests {
         let mut client = EventClient::connect(server.local_addr()).unwrap();
         let frames: Vec<Frame> =
             (0..10u8).map(|i| Frame::new("batch", vec![i; i as usize])).collect();
-        client.send_batch(&frames).unwrap();
+        client.send_all(&frames).unwrap();
         for frame in &frames {
             assert_eq!(client.recv().unwrap().unwrap(), *frame);
         }
@@ -858,15 +758,10 @@ mod tests {
 
     #[test]
     fn server_can_transform_frames() {
-        let server = EventServer::bind_with(
-            "127.0.0.1:0",
-            Arc::new(|mut frame: Frame| {
-                frame.payload.reverse();
-                Some(frame)
-            }),
-            config(),
-        )
-        .unwrap();
+        let server = serve(|mut frame: Frame| {
+            frame.payload.reverse();
+            Some(frame)
+        });
         let mut client = EventClient::connect(server.local_addr()).unwrap();
         let reply = client.request(&Frame::new("s", vec![1, 2, 3])).unwrap();
         assert_eq!(reply.payload, vec![3, 2, 1]);
@@ -878,15 +773,10 @@ mod tests {
         let seen = Arc::new(AtomicUsize::new(0));
         let server = {
             let seen = Arc::clone(&seen);
-            EventServer::bind_with(
-                "127.0.0.1:0",
-                Arc::new(move |_frame| {
-                    seen.fetch_add(1, Ordering::SeqCst);
-                    None
-                }),
-                config(),
-            )
-            .unwrap()
+            serve(move |_frame| {
+                seen.fetch_add(1, Ordering::SeqCst);
+                None
+            })
         };
         let mut client = EventClient::connect(server.local_addr()).unwrap();
         for _ in 0..10 {
@@ -1034,159 +924,127 @@ mod tests {
 
     #[test]
     fn server_push_reaches_subscribers() {
-        // A routed handler records which connection said hello; the
-        // server then pushes frames to it unprompted (broker fanout).
-        let subscriber: Arc<Mutex<Option<ConnId>>> = Arc::new(Mutex::new(None));
-        let server = {
-            let subscriber = Arc::clone(&subscriber);
-            EventServer::bind_routed(
-                "127.0.0.1:0",
-                Arc::new(move |conn, frame: Frame| {
-                    *subscriber.lock() = Some(conn);
-                    Some(frame) // ack the subscribe
-                }),
-                config(),
-            )
-            .unwrap()
-        };
-        let mut client = EventClient::connect(server.local_addr()).unwrap();
-        let _ = client.request(&Frame::new("subscribe", vec![])).unwrap();
-        let conn = subscriber.lock().expect("handler saw the subscribe");
+        // The server pushes frames unprompted to the connection that
+        // subscribed (broker fanout).
+        let (server, mut client, conn) = subscribed();
         let handle = server.handle();
         for i in 0..5u8 {
-            assert!(handle.send(conn, Frame::new("push", vec![i])));
+            assert!(handle.push(conn, Block::of(&Frame::new("push", vec![i]))).is_ok());
         }
         for i in 0..5u8 {
             let frame = client.recv().unwrap().unwrap();
             assert_eq!(frame.stream, "push");
             assert_eq!(frame.payload, vec![i]);
         }
-        // Pushes to a connection that never existed are dropped and
-        // counted, not errors — decided synchronously.
-        assert!(!handle.send(9999, Frame::new("push", vec![0])));
+        // A push at a connection that never existed comes back Gone and
+        // counted — decided synchronously.
+        let refused = handle.push(9999, Block::of(&Frame::new("push", vec![0])));
+        assert!(matches!(refused, Err((Refused::Gone, _))));
         assert_eq!(server.net_stats().pushes_dropped, 1);
     }
 
     #[test]
-    fn bulk_try_send_bursts_survive_backpressure_without_loss() {
-        // The federation-replay regression: a producer bursting far
-        // past the reply-queue depth must be able to deliver every
-        // frame by retrying Busy, with nothing landing in
-        // pushes_dropped. Before try_send existed the loop accepted
-        // such pushes and silently shed them on the shard.
+    fn bulk_pushes_survive_backpressure_without_loss() {
+        // The federation-replay regression: a producer bursting far past
+        // the queue depth delivers every frame by offering a Busy block
+        // again, with nothing landing in pushes_dropped.
         const BURST: u32 = 4 * WRITER_QUEUE_DEPTH as u32;
-        let subscriber: Arc<Mutex<Option<ConnId>>> = Arc::new(Mutex::new(None));
-        let server = {
-            let subscriber = Arc::clone(&subscriber);
-            EventServer::bind_routed(
-                "127.0.0.1:0",
-                Arc::new(move |conn, frame: Frame| {
-                    *subscriber.lock() = Some(conn);
-                    Some(frame)
-                }),
-                config(),
-            )
-            .unwrap()
-        };
-        let mut client = EventClient::connect(server.local_addr()).unwrap();
-        let _ = client.request(&Frame::new("subscribe", vec![])).unwrap();
-        let conn = subscriber.lock().expect("handler saw the subscribe");
+        let (server, mut client, conn) = subscribed();
         let handle = server.handle();
-
         let pusher = std::thread::spawn(move || {
             for i in 0..BURST {
-                let mut frame = Frame::new("push", i.to_le_bytes().to_vec());
+                let mut block = Block::of(&Frame::new("push", i.to_le_bytes().to_vec()));
                 loop {
-                    match handle.try_send(conn, frame) {
+                    match handle.push(conn, block) {
                         Ok(()) => break,
-                        Err(TrySendError::Busy(returned)) => {
-                            frame = returned;
-                            std::thread::sleep(Duration::from_micros(200));
-                        }
-                        Err(TrySendError::Gone(_)) => {
-                            panic!("connection died mid-burst at frame {i}")
-                        }
+                        Err((Refused::Busy, refused)) => block = refused,
+                        Err((Refused::Gone, _)) => panic!("connection died mid-burst at frame {i}"),
                     }
                 }
             }
         });
-
         for i in 0..BURST {
             let frame = client.recv().unwrap().expect("burst ended early");
             assert_eq!(frame.payload, i.to_le_bytes().to_vec(), "loss or reorder at {i}");
         }
         pusher.join().expect("pusher panicked");
-        assert_eq!(
-            server.net_stats().pushes_dropped,
-            0,
-            "a retried burst must never shed frames"
-        );
+        assert_eq!(server.net_stats().pushes_dropped, 0, "a retried burst must never shed frames");
 
-        // And a try_send at a connection that never existed is a
-        // synchronous, frame-returning Gone.
+        // A push at a connection that never existed hands its block back.
         let handle = server.handle();
-        match handle.try_send(9999, Frame::new("push", vec![7])) {
-            Err(TrySendError::Gone(frame)) => assert_eq!(frame.payload, vec![7]),
+        match handle.push(9999, Block::of(&Frame::new("push", vec![7]))) {
+            Err((Refused::Gone, block)) => assert_eq!(block.frames(), 1),
             other => panic!("expected Gone for an unknown connection, got {other:?}"),
         }
     }
 
     #[test]
     fn batched_pushes_reach_subscribers() {
-        let subscriber: Arc<Mutex<Option<ConnId>>> = Arc::new(Mutex::new(None));
-        let server = {
-            let subscriber = Arc::clone(&subscriber);
-            EventServer::bind_routed(
-                "127.0.0.1:0",
-                Arc::new(move |conn, frame: Frame| {
-                    *subscriber.lock() = Some(conn);
-                    Some(frame)
-                }),
-                config(),
-            )
-            .unwrap()
-        };
-        let mut client = EventClient::connect(server.local_addr()).unwrap();
-        let _ = client.request(&Frame::new("subscribe", vec![])).unwrap();
-        let conn = subscriber.lock().expect("handler saw the subscribe");
+        let (server, mut client, conn) = subscribed();
         let handle = server.handle();
-        // One batch, many frames: delivered off a single waker write,
-        // in order.
-        let batch: Vec<(ConnId, Frame)> =
-            (0..16u8).map(|i| (conn, Frame::new("push", vec![i]))).collect();
-        assert!(handle.send_batch(batch).is_empty());
+        // One block, many frames: one admission, delivered in order.
+        let mut block = Block::default();
+        for i in 0..16u8 {
+            block.push_frame(&Frame::new("push", vec![i]));
+        }
+        assert!(handle.push(conn, block).is_ok());
         for i in 0..16u8 {
             let frame = client.recv().unwrap().unwrap();
             assert_eq!(frame.stream, "push");
             assert_eq!(frame.payload, vec![i]);
         }
-        // A batch aimed at a connection that never existed comes
-        // back rejected and counted — never silently lost.
-        let bogus = vec![(9999, Frame::new("push", vec![0]))];
-        assert_eq!(handle.send_batch(bogus.clone()), bogus);
-        assert_eq!(server.net_stats().pushes_dropped, 1);
+        // A block aimed at a connection that never existed comes back
+        // refused and its frames counted — never silently lost.
+        let mut bogus = Block::of(&Frame::new("push", vec![0]));
+        bogus.push_frame(&Frame::new("push", vec![1]));
+        let Err((Refused::Gone, bogus)) = handle.push(9999, bogus) else {
+            panic!("a push at an unknown connection was admitted")
+        };
+        assert_eq!(bogus.frames(), 2);
+        assert_eq!(server.net_stats().pushes_dropped, 2);
     }
 
     #[test]
     fn backpressure_pauses_reads_instead_of_unbounded_buffering() {
-        // A tiny reply queue plus a client that sends a flood before
-        // reading anything forces the event loop to suspend parsing
-        // (read_pauses) rather than queue replies without bound — and
-        // every reply must still arrive, in order, once the client
-        // starts reading.
-        let server = echo_with(NetConfig { shards: 1, reply_queue_depth: 2 });
-        // Hundreds of small frames arrive in each socket read, so the
-        // parse loop hits the depth-2 bound long before the flood is
-        // consumed and must pause/resume repeatedly.
-        let mut client = EventClient::connect(server.local_addr()).unwrap();
-        let frames: Vec<Frame> =
-            (0..400u16).map(|i| Frame::new("flood", i.to_le_bytes().repeat(512))).collect();
-        client.send_batch(&frames).unwrap();
-        for frame in &frames {
-            assert_eq!(client.recv().unwrap().unwrap(), *frame);
+        // A peer that floods requests without reading a reply fills the
+        // kernel's buffers and then the connection's queue: the event
+        // loop must suspend parsing (read_pauses) rather than queue
+        // replies without bound — and every reply must still arrive, in
+        // order, once the peer starts reading.
+        let server = echo_with(NetConfig { shards: 1 });
+        let sock = TcpStream::connect(server.local_addr()).unwrap();
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let flooder = {
+            let mut sock = BufWriter::new(sock.try_clone().unwrap());
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut sent = 0u32;
+                while !stop.load(Ordering::SeqCst) {
+                    write_frame(&mut sock, &Frame::new("flood", sent.to_le_bytes().repeat(1024)))
+                        .unwrap();
+                    sent += 1;
+                }
+                write_frame(&mut sock, &Frame::new("end", Vec::new())).unwrap();
+            })
+        };
+        let paused = (0..2_000).any(|_| {
+            std::thread::sleep(Duration::from_millis(5));
+            server.net_stats().read_pauses >= 1
+        });
+        stop.store(true, Ordering::SeqCst);
+        let mut reader = BufReader::new(sock);
+        let mut next = 0u32;
+        loop {
+            let frame = read_frame(&mut reader).unwrap().expect("reply stream ended early");
+            if frame.stream == "end" {
+                break;
+            }
+            assert_eq!(frame.payload, next.to_le_bytes().repeat(1024), "reply {next}");
+            next += 1;
         }
+        flooder.join().unwrap();
+        assert!(paused, "flood never engaged backpressure");
         let stats = server.net_stats();
-        assert!(stats.read_pauses >= 1, "flood never engaged backpressure");
-        assert!(stats.reply_queue_high_water <= 2);
+        assert!(stats.reply_queue_high_water <= WRITER_QUEUE_DEPTH as u64);
     }
 }

@@ -31,13 +31,8 @@ impl FormatScope {
         }
     }
 
-    /// The visible field names.
-    pub fn visible_fields(&self) -> &[String] {
-        &self.visible
-    }
-
     /// Whether `field` is visible in this scope.
-    pub fn is_visible(&self, field: &str) -> bool {
+    fn is_visible(&self, field: &str) -> bool {
         self.visible.iter().any(|v| v == field)
     }
 
@@ -293,6 +288,5 @@ mod tests {
         let scope = public_scope();
         assert!(scope.is_visible("arln"));
         assert!(!scope.is_visible("crewNotes"));
-        assert_eq!(scope.visible_fields().len(), 3);
     }
 }

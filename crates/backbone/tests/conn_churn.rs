@@ -47,7 +47,7 @@ fn eventually(mut cond: impl FnMut() -> bool) -> bool {
 }
 
 fn config() -> NetConfig {
-    NetConfig { shards: 2, ..NetConfig::default() }
+    NetConfig { shards: 2 }
 }
 
 #[test]
@@ -56,7 +56,7 @@ fn killing_a_thousand_connections_mid_batch_leaks_no_fds() {
     let _alone = fd_count_lock();
 
     let server =
-        EventServer::bind_with("127.0.0.1:0", Arc::new(Some), config())
+        EventServer::bind("127.0.0.1:0", Arc::new(|_, frame| Some(frame)), None, config())
             .unwrap();
     let addr = server.local_addr();
     let baseline = open_fds();
@@ -108,7 +108,7 @@ fn server_shutdown_returns_every_descriptor() {
     let before = open_fds();
     {
         let server =
-            EventServer::bind_with("127.0.0.1:0", Arc::new(Some), config())
+            EventServer::bind("127.0.0.1:0", Arc::new(|_, frame| Some(frame)), None, config())
                 .unwrap();
         // Leave connections open across the shutdown so Drop has live
         // conns to tear down, not just the loop machinery.

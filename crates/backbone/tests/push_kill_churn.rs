@@ -2,17 +2,17 @@
 //!
 //! Broker fanout pushes frames at connections from threads the
 //! transport does not control, while peers die at arbitrary moments —
-//! including *between* a batch being grouped onto a shard and the shard
-//! resolving its connections. The invariant: a frame aimed at a dead or
-//! dying connection is **counted** (returned rejected or tallied in
+//! including *between* a block being admitted and the shard landing it
+//! on its connection. The invariant: a frame aimed at a dead or dying
+//! connection is **counted** (its block handed back, or tallied in
 //! `pushes_dropped`), never a panic, a wedge, or a leaked descriptor,
 //! and the server keeps serving the survivors throughout.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use backbone::net::{ConnId, EventClient, EventServer, Frame, NetConfig};
+use backbone::net::{Block, ConnId, EventClient, EventServer, Frame, NetConfig};
 use parking_lot::Mutex;
 
 fn eventually(mut cond: impl FnMut() -> bool) -> bool {
@@ -27,7 +27,7 @@ fn eventually(mut cond: impl FnMut() -> bool) -> bool {
 }
 
 fn config() -> NetConfig {
-    NetConfig { shards: 2, ..NetConfig::default() }
+    NetConfig { shards: 2 }
 }
 
 #[test]
@@ -41,12 +41,13 @@ fn push_vs_kill_churn() {
     let known: Arc<Mutex<Vec<ConnId>>> = Arc::new(Mutex::new(Vec::new()));
     let server = {
         let known = Arc::clone(&known);
-        EventServer::bind_routed(
+        EventServer::bind(
             "127.0.0.1:0",
             Arc::new(move |conn, frame: Frame| {
                 known.lock().push(conn);
                 Some(frame)
             }),
+            None,
             config(),
         )
         .unwrap()
@@ -62,38 +63,35 @@ fn push_vs_kill_churn() {
     assert!(eventually(|| known.lock().len() >= CLIENTS));
     let targets: Vec<ConnId> = known.lock().clone();
 
-    // Pushers hammer singles and batches at every known connection
-    // while the killer drops clients under them. Rejected pairs are
-    // tallied; nothing here may panic or block indefinitely.
-    let stop = Arc::new(AtomicBool::new(false));
+    // Pushers hammer one- and three-frame blocks at every known
+    // connection while the killer drops clients under them. Refused
+    // frames are tallied; nothing here may panic or block indefinitely.
+    // A refusal can cost a pusher up to the push's bounded wait, so the
+    // pushers also stop at a deadline: the test's wall time is bounded
+    // whatever the schedule.
+    let deadline = Instant::now() + Duration::from_secs(10);
     let attempted = Arc::new(AtomicU64::new(0));
     let rejected = Arc::new(AtomicU64::new(0));
     let pushers: Vec<_> = (0..PUSHERS)
         .map(|p| {
             let handle = server.handle();
             let targets = targets.clone();
-            let stop = Arc::clone(&stop);
             let attempted = Arc::clone(&attempted);
             let rejected = Arc::clone(&rejected);
             std::thread::spawn(move || {
                 for round in 0..ROUNDS {
-                    if stop.load(Ordering::SeqCst) {
+                    if Instant::now() > deadline {
                         break;
                     }
-                    if (round + p) % 2 == 0 {
-                        let batch: Vec<(ConnId, Frame)> = targets
-                            .iter()
-                            .map(|&conn| (conn, Frame::new("push", vec![round as u8])))
-                            .collect();
-                        attempted.fetch_add(batch.len() as u64, Ordering::Relaxed);
-                        let back = handle.send_batch(batch);
-                        rejected.fetch_add(back.len() as u64, Ordering::Relaxed);
-                    } else {
-                        for &conn in &targets {
-                            attempted.fetch_add(1, Ordering::Relaxed);
-                            if !handle.send(conn, Frame::new("push", vec![round as u8])) {
-                                rejected.fetch_add(1, Ordering::Relaxed);
-                            }
+                    let frames = if (round + p) % 2 == 0 { 3 } else { 1 };
+                    for &conn in &targets {
+                        let mut block = Block::default();
+                        for _ in 0..frames {
+                            block.push_frame(&Frame::new("push", vec![round as u8]));
+                        }
+                        attempted.fetch_add(frames, Ordering::Relaxed);
+                        if let Err((_, back)) = handle.push(conn, block) {
+                            rejected.fetch_add(back.frames() as u64, Ordering::Relaxed);
                         }
                     }
                     std::thread::yield_now();
@@ -113,11 +111,10 @@ fn push_vs_kill_churn() {
     for pusher in pushers {
         pusher.join().expect("pusher panicked during churn");
     }
-    stop.store(true, Ordering::SeqCst);
 
     // Every frame aimed at a dead connection must be accounted for:
-    // handed back by send/send_batch, or tallied in pushes_dropped once
-    // the owning shard resolved the connection as gone.
+    // handed back by push, or tallied in pushes_dropped once the owning
+    // shard resolved the connection as gone.
     assert!(
         eventually(|| {
             server.net_stats().pushes_dropped + rejected.load(Ordering::SeqCst) > 0
@@ -141,19 +138,20 @@ fn push_vs_kill_churn() {
 
 #[test]
 fn pushes_racing_server_shutdown_are_counted_or_returned() {
-    // Shutdown is the other half of the race: a batch enqueued onto a
-    // shard whose loop is exiting must come back rejected or land in
+    // Shutdown is the other half of the race: a block enqueued onto a
+    // shard whose loop is exiting must come back refused or land in
     // pushes_dropped — never vanish. (The loop counts inbox survivors
     // at exit.)
     let known: Arc<Mutex<Vec<ConnId>>> = Arc::new(Mutex::new(Vec::new()));
     let server = {
         let known = Arc::clone(&known);
-        EventServer::bind_routed(
+        EventServer::bind(
             "127.0.0.1:0",
             Arc::new(move |conn, frame: Frame| {
                 known.lock().push(conn);
                 Some(frame)
             }),
+            None,
             config(),
         )
         .unwrap()
@@ -165,11 +163,9 @@ fn pushes_racing_server_shutdown_are_counted_or_returned() {
 
     let pusher = std::thread::spawn(move || {
         let mut returned = 0u64;
-        for i in 0..50_000u32 {
-            let batch: Vec<(ConnId, Frame)> =
-                vec![(conn, Frame::new("p", i.to_le_bytes().to_vec()))];
-            returned += handle.send_batch(batch).len() as u64;
-            if !handle.send(conn, Frame::new("p", vec![0])) {
+        for i in 0..100_000u32 {
+            let block = Block::of(&Frame::new("p", i.to_le_bytes().to_vec()));
+            if handle.push(conn, block).is_err() {
                 returned += 1;
             }
         }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use backbone::net::write_frame_batch;
-use backbone::{EventServer, Frame};
+use backbone::{EventServer, Frame, NetConfig};
 
 const CONNS: usize = 2_000;
 
@@ -37,7 +37,13 @@ fn two_thousand_idle_connections_fit_under_64_mib() {
         return;
     }
 
-    let server = EventServer::bind("127.0.0.1:0", Arc::new(Some)).expect("bind server");
+    let server = EventServer::bind(
+        "127.0.0.1:0",
+        Arc::new(|_, frame| Some(frame)),
+        None,
+        NetConfig::default(),
+    )
+    .expect("bind server");
     let hello = [Frame::new("hello", vec![0u8; 16])];
     let mut wire = Vec::new();
     write_frame_batch(&mut wire, &hello).unwrap();

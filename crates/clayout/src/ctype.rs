@@ -86,7 +86,7 @@ impl Primitive {
     }
 
     /// The C spelling of this primitive.
-    pub fn c_name(self) -> &'static str {
+    fn c_name(self) -> &'static str {
         match self {
             Primitive::Char => "char",
             Primitive::UChar => "unsigned char",
@@ -161,19 +161,6 @@ impl CType {
     /// Convenience: a dynamic array whose length lives in `count_field`.
     pub fn dynamic_array(elem: CType, count_field: impl Into<String>) -> CType {
         CType::Array { elem: Box::new(elem), len: ArrayLen::CountField(count_field.into()) }
-    }
-
-    /// Whether values of this type occupy a variable amount of storage
-    /// (directly or via any nested field).
-    pub fn is_variable(&self) -> bool {
-        match self {
-            CType::Prim(_) => false,
-            CType::String => true,
-            CType::Array { elem, len } => {
-                matches!(len, ArrayLen::CountField(_)) || elem.is_variable()
-            }
-            CType::Struct(st) => st.fields.iter().any(|f| f.ty.is_variable()),
-        }
     }
 }
 
@@ -250,17 +237,6 @@ mod tests {
             let classes = [p.is_signed_integer(), p.is_unsigned_integer(), p.is_float()];
             assert_eq!(classes.iter().filter(|c| **c).count(), 1, "{p:?}");
         }
-    }
-
-    #[test]
-    fn variability_detection() {
-        assert!(!CType::Prim(Primitive::Int).is_variable());
-        assert!(CType::String.is_variable());
-        assert!(!CType::fixed_array(CType::Prim(Primitive::Long), 5).is_variable());
-        assert!(CType::fixed_array(CType::String, 2).is_variable());
-        assert!(CType::dynamic_array(CType::Prim(Primitive::ULong), "n").is_variable());
-        let nested = StructType::new("outer", vec![StructField::new("s", CType::String)]);
-        assert!(CType::Struct(nested).is_variable());
     }
 
     #[test]

@@ -46,17 +46,17 @@ pub enum ConstCType {
 
 impl ConstCType {
     /// Converts to the runtime [`CType`] model.
-    pub fn to_ctype(&self) -> CType {
+    fn to_ctype(self) -> CType {
         match self {
-            ConstCType::Prim(p) => CType::Prim(*p),
+            ConstCType::Prim(p) => CType::Prim(p),
             ConstCType::String => CType::String,
             ConstCType::FixedArray { elem, len } => CType::Array {
                 elem: Box::new(elem.to_ctype()),
-                len: ArrayLen::Fixed(*len),
+                len: ArrayLen::Fixed(len),
             },
             ConstCType::DynArray { elem, count } => CType::Array {
                 elem: Box::new(elem.to_ctype()),
-                len: ArrayLen::CountField((*count).to_owned()),
+                len: ArrayLen::CountField(count.to_owned()),
             },
             ConstCType::Struct(inner) => CType::Struct(inner.to_struct_type()),
         }

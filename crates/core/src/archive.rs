@@ -32,10 +32,10 @@ use crate::seglog::{put_frame, Step, Window};
 use crate::session::Xml2Wire;
 
 /// The archive magic.
-pub const ARCHIVE_MAGIC: &[u8; 8] = b"X2WARCHV";
+const ARCHIVE_MAGIC: &[u8; 8] = b"X2WARCHV";
 /// The archive format version this build writes and reads. Version 1
 /// framed records without a checksum; it is refused.
-pub const ARCHIVE_VERSION: u8 = 2;
+const ARCHIVE_VERSION: u8 = 2;
 /// Corruption guard for the schema dictionary entry count.
 const MAX_SCHEMAS: u32 = 4096;
 

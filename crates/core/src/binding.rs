@@ -30,7 +30,7 @@ use crate::error::X2wError;
 /// (unbounded in XML Schema) binds to C `int` exactly as the paper's
 /// Figure 5/6 pair shows (`fltNum`: `xsd:integer` ⇒ `"integer",
 /// sizeof(int)`), and `xsd:boolean` binds to `int` as C89 code did.
-pub fn primitive_for(ty: XsdType) -> Option<Primitive> {
+fn primitive_for(ty: XsdType) -> Option<Primitive> {
     Some(match ty {
         XsdType::String => return None,
         XsdType::Boolean => Primitive::Int,
@@ -73,7 +73,7 @@ impl<'a> Binder<'a> {
     /// Makes a user-defined simple type known to this binder (simple
     /// types bind as their base primitive). [`bind_schema`](Self::bind_schema)
     /// registers a schema's simple types automatically.
-    pub fn register_simple(&self, name: impl Into<String>, base: XsdType) {
+    fn register_simple(&self, name: impl Into<String>, base: XsdType) {
         self.simples.borrow_mut().insert(name.into(), base);
     }
 
@@ -127,7 +127,7 @@ impl<'a> Binder<'a> {
     /// # Errors
     ///
     /// As [`bind_complex_type`](Self::bind_complex_type).
-    pub fn struct_for(&self, ty: ComplexType) -> Result<StructType, X2wError> {
+    fn struct_for(&self, ty: ComplexType) -> Result<StructType, X2wError> {
         // `maxOccurs="*"`: dynamically allocated; synthesize the count
         // field the C struct needs (`eta` ⇒ `eta_count` in the paper's
         // Figure 7/8 pairing) unless the schema declares it itself.

@@ -128,7 +128,7 @@ pub struct DiscoveryStats {
 impl DiscoveryStats {
     /// Counts one attempt against `source`, and the failure if it
     /// failed.
-    pub fn note_source_attempt(&self, source: &'static str, failed: bool) {
+    fn note_source_attempt(&self, source: &'static str, failed: bool) {
         let new = || Ok::<_, Infallible>(SourceCounters::default());
         let Ok(c) = self.per_source.get_or_build(source, new);
         c.attempts.fetch_add(1, Ordering::Relaxed);
@@ -143,7 +143,7 @@ impl DiscoveryStats {
     }
 
     /// Counts one completed chain fetch and its wall-clock latency.
-    pub fn note_fetch(&self, elapsed: Duration) {
+    fn note_fetch(&self, elapsed: Duration) {
         self.fetches.fetch_add(1, Ordering::Relaxed);
         self.fetch_nanos.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
     }
@@ -296,9 +296,6 @@ impl DiscoverySource for FileSource {
 /// [`DiscoveryPolicy`]'s deadlines and retry discipline.
 #[derive(Debug, Clone, Default)]
 pub struct UrlSource {
-    /// Optional base URL for relative locators (e.g.
-    /// `http://meta:8080/schemas`).
-    base: Option<String>,
     policy: DiscoveryPolicy,
 }
 
@@ -306,11 +303,6 @@ impl UrlSource {
     /// A source that only accepts absolute `http://` locators.
     pub fn new() -> Self {
         UrlSource::default()
-    }
-
-    /// A source that resolves relative locators against `base`.
-    pub fn with_base(base: impl Into<String>) -> Self {
-        UrlSource { base: Some(base.into()), policy: DiscoveryPolicy::default() }
     }
 
     /// Replaces the fetch policy (builder style).
@@ -323,17 +315,10 @@ impl UrlSource {
     fn resolve(&self, locator: &str) -> Result<String, X2wError> {
         if locator.starts_with("http://") {
             Ok(locator.to_owned())
-        } else if let Some(base) = &self.base {
-            Ok(format!(
-                "{}/{}",
-                base.trim_end_matches('/'),
-                locator.trim_start_matches('/')
-            ))
         } else {
             Err(X2wError::BadLocator {
                 locator: locator.to_owned(),
-                reason: "url source requires an absolute http:// locator (no base set)"
-                    .to_owned(),
+                reason: "url source requires an absolute http:// locator".to_owned(),
             })
         }
     }
@@ -507,8 +492,6 @@ mod tests {
         server.publish("/schemas/s.xsd", DOC);
         let absolute = UrlSource::new();
         assert_eq!(absolute.fetch(&server.url_for("/schemas/s.xsd")).unwrap(), DOC);
-        let based = UrlSource::with_base(format!("http://{}/schemas", server.local_addr()));
-        assert_eq!(based.fetch("s.xsd").unwrap(), DOC);
     }
 
     #[test]
@@ -530,13 +513,13 @@ mod tests {
         let dead_url;
         {
             let server = MetadataServer::bind("127.0.0.1:0").unwrap();
-            dead_url = format!("http://{}", server.local_addr());
+            dead_url = server.url_for("/boot.xsd");
         } // server dropped: connections now fail
         let mut chain = DiscoveryChain::new();
-        chain.push(Box::new(UrlSource::with_base(dead_url)));
-        chain.push(Box::new(CompiledSource::new().with_document("boot.xsd", DOC)));
+        chain.push(Box::new(UrlSource::new()));
+        chain.push(Box::new(CompiledSource::new().with_document(dead_url.as_str(), DOC)));
 
-        assert_eq!(chain.fetch("boot.xsd").unwrap(), DOC);
+        assert_eq!(chain.fetch(&dead_url).unwrap(), DOC);
 
         // A locator neither source has reports both failures.
         let err = chain.fetch("unknown.xsd").unwrap_err();

@@ -501,16 +501,6 @@ impl SegmentLog {
         self.last_seq
     }
 
-    /// Seq of the earliest retained record, `0` if the log is empty.
-    pub fn first_seq(&self) -> u64 {
-        self.first_seq
-    }
-
-    /// Number of segment files (including the active one).
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
     /// Seals the active segment and starts the one whose first record
     /// is `base_seq`.
     fn rotate(&mut self, base_seq: u64) -> Result<(), X2wError> {
@@ -856,6 +846,18 @@ impl Iterator for SegReplay {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SegmentLog {
+        /// Seq of the earliest retained record, `0` if the log is empty.
+        fn first_seq(&self) -> u64 {
+            self.first_seq
+        }
+
+        /// Number of segment files (including the active one).
+        fn segment_count(&self) -> usize {
+            self.segments.len()
+        }
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir()

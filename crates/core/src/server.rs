@@ -31,7 +31,7 @@ use crate::url::Locator;
 /// slow-loris client feeding header bytes that never end must not grow
 /// server memory without bound; past this budget the server answers
 /// `431 Request Header Fields Too Large` and closes.
-pub const MAX_HEADER_BYTES: usize = 8 * 1024;
+const MAX_HEADER_BYTES: usize = 8 * 1024;
 
 /// Cap on one HTTP response body accepted by the client side
 /// ([`http_get_with`]); a hostile or broken server cannot balloon a
@@ -40,7 +40,7 @@ const MAX_RESPONSE_BYTES: usize = 64 * 1024 * 1024;
 
 /// A dynamic document generator: receives the full request path (with
 /// query string, if any) and produces a document, or `None` for 404.
-pub type Generator = Box<dyn Fn(&str) -> Option<String> + Send + Sync>;
+type Generator = Box<dyn Fn(&str) -> Option<String> + Send + Sync>;
 
 #[derive(Default)]
 struct Routes {
@@ -150,11 +150,6 @@ impl MetadataServer {
     /// one — metadata updates are how format evolution propagates).
     pub fn publish(&self, path: &str, document: impl Into<String>) {
         self.routes.write().documents.insert(path.to_owned(), document.into().into());
-    }
-
-    /// Removes a static document; returns whether one was present.
-    pub fn unpublish(&self, path: &str) -> bool {
-        self.routes.write().documents.remove(path).is_some()
     }
 
     /// Registers a dynamic generator for every path starting with
@@ -710,15 +705,6 @@ mod tests {
         let server = MetadataServer::bind("127.0.0.1:0").unwrap();
         let err = http_get(&server.url_for("/nope.xsd")).unwrap_err();
         assert!(err.to_string().contains("404"), "{err}");
-    }
-
-    #[test]
-    fn unpublish_removes_documents() {
-        let server = MetadataServer::bind("127.0.0.1:0").unwrap();
-        server.publish("/a.xsd", DOC);
-        assert!(server.unpublish("/a.xsd"));
-        assert!(!server.unpublish("/a.xsd"));
-        assert!(http_get(&server.url_for("/a.xsd")).is_err());
     }
 
     #[test]

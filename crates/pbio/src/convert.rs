@@ -228,32 +228,10 @@ impl ConversionPlan {
         self.tier
     }
 
-    /// Number of fused swap spans in the `PureSwap` flat program
-    /// (0 on other tiers, and on byte-identical memcpy pairs).
-    pub fn swap_span_count(&self) -> usize {
-        self.swap_spans.len()
-    }
-
-    /// Size of the destination fixed part (what
-    /// [`convert_into`](Self::convert_into) returns on success).
-    pub fn dst_fixed_len(&self) -> usize {
-        self.dst_fixed_len
-    }
-
     /// Number of interpreter ops (after coalescing); exposed for the
     /// ablation benchmarks.
     pub fn op_count(&self) -> usize {
         self.ops.len()
-    }
-
-    /// The architecture the plan converts from.
-    pub fn src_arch(&self) -> &Architecture {
-        &self.src_arch
-    }
-
-    /// The architecture the plan converts to.
-    pub fn dst_arch(&self) -> &Architecture {
-        &self.dst_arch
     }
 
     /// Converts one wire payload (fixed part + variable section, as
@@ -568,26 +546,6 @@ impl ConversionPlan {
             ElemPlan::Struct { ops } => self.run_ops(ops, src, s_at, dst, d_at),
         }
     }
-}
-
-/// Builds a plan converting between a wire [`Format`] and a native
-/// [`Format`] of the same struct type.
-///
-/// # Errors
-///
-/// Returns [`PbioError::Incompatible`] when the two formats do not share
-/// a struct type (use [`crate::evolution`] for that case).
-pub fn plan_between(wire: &Format, native: &Format) -> Result<ConversionPlan, PbioError> {
-    if wire.struct_type() != native.struct_type() {
-        return Err(PbioError::Incompatible {
-            detail: format!(
-                "wire format {:?} and native format {:?} have different structure",
-                wire.name(),
-                native.name()
-            ),
-        });
-    }
-    ConversionPlan::build(wire.struct_type(), wire.arch(), native.arch())
 }
 
 fn check(src: &[u8], at: usize, need: usize) -> Result<(), PbioError> {
@@ -1022,6 +980,14 @@ mod tests {
     use crate::view::RecordView;
     use clayout::{encode_record, Record, StructField, Value};
 
+    impl ConversionPlan {
+        /// Number of fused swap spans in the `PureSwap` flat program
+        /// (0 on other tiers, and on byte-identical memcpy pairs).
+        fn swap_span_count(&self) -> usize {
+            self.swap_spans.len()
+        }
+    }
+
     fn decode_record(
         bytes: &[u8],
         st: &StructType,
@@ -1415,22 +1381,5 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.built, 1, "racing first contacts must build exactly once");
         assert_eq!(stats.resident, 1);
-    }
-
-    #[test]
-    fn plan_between_rejects_different_structures() {
-        let a = Format::new(
-            crate::format::FormatId(1),
-            StructType::new("A", vec![StructField::new("x", prim(Primitive::Int))]),
-            Architecture::X86_64,
-        )
-        .unwrap();
-        let b = Format::new(
-            crate::format::FormatId(2),
-            StructType::new("B", vec![StructField::new("y", prim(Primitive::Int))]),
-            Architecture::X86_64,
-        )
-        .unwrap();
-        assert!(matches!(plan_between(&a, &b), Err(PbioError::Incompatible { .. })));
     }
 }

@@ -14,7 +14,7 @@ use crate::error::PbioError;
 
 /// The zero/default value for a C type (what PBIO receivers observe for
 /// fields the sender did not transmit).
-pub fn default_value(ty: &CType) -> Value {
+fn default_value(ty: &CType) -> Value {
     match ty {
         CType::Prim(p) if p.is_float() => Value::Float(0.0),
         CType::Prim(p) if p.is_unsigned_integer() => Value::UInt(0),

@@ -39,7 +39,7 @@ impl fmt::Display for IoField {
 
 /// The PBIO type string for a primitive (PBIO collapses widths into a
 /// handful of marshaling classes; the *size* column carries the width).
-pub fn primitive_type_string(p: Primitive) -> &'static str {
+fn primitive_type_string(p: Primitive) -> &'static str {
     match p {
         Primitive::Char => "char",
         Primitive::UChar => "unsigned char",

@@ -13,9 +13,9 @@ use crate::error::PbioError;
 use crate::format::FormatId;
 
 /// The two magic bytes beginning every NDR message (`"ND"`).
-pub const MAGIC: [u8; 2] = *b"ND";
+const MAGIC: [u8; 2] = *b"ND";
 /// The protocol version this build speaks.
-pub const VERSION: u8 = 1;
+const VERSION: u8 = 1;
 /// Size of the fixed portion of the header, before the format name.
 pub const FIXED_HEADER_LEN: usize = 32;
 /// Byte offset of the `fixed_len` field — with [`PAYLOAD_LEN_OFFSET`],
@@ -172,7 +172,7 @@ impl WireHeader {
 }
 
 /// Rounds `n` up to a multiple of 4 (XDR-style header padding).
-pub fn pad4(n: usize) -> usize {
+fn pad4(n: usize) -> usize {
     (n + 3) & !3
 }
 

@@ -61,27 +61,6 @@ pub fn find_byte(hay: &[u8], b: u8) -> Option<usize> {
     chunks.remainder().iter().position(|&c| c == b).map(|j| base + j)
 }
 
-/// Finds the first occurrence of `b1` or `b2` in `hay`.
-#[inline]
-pub fn find_byte2(hay: &[u8], b1: u8, b2: u8) -> Option<usize> {
-    let s1 = splat(b1);
-    let s2 = splat(b2);
-    let mut chunks = hay.chunks_exact(WORD);
-    let mut base = 0;
-    for chunk in &mut chunks {
-        let w = usize::from_ne_bytes(chunk.try_into().expect("chunk is WORD bytes"));
-        if any_zero_byte(w ^ s1) || any_zero_byte(w ^ s2) {
-            for (j, &c) in chunk.iter().enumerate() {
-                if c == b1 || c == b2 {
-                    return Some(base + j);
-                }
-            }
-        }
-        base += WORD;
-    }
-    chunks.remainder().iter().position(|&c| c == b1 || c == b2).map(|j| base + j)
-}
-
 /// Finds the first occurrence of `b1`, `b2` or `b3` in `hay`.
 #[inline]
 pub fn find_byte3(hay: &[u8], b1: u8, b2: u8, b3: u8) -> Option<usize> {
@@ -223,13 +202,6 @@ impl<'a> Cursor<'a> {
         self.rest().chars().next()
     }
 
-    /// Peeks at the character after the next one.
-    pub fn peek2(&self) -> Option<char> {
-        let mut it = self.rest().chars();
-        it.next();
-        it.next()
-    }
-
     /// Advances the cursor by `n` bytes. The caller must ensure the new
     /// offset is a `char` boundary (true whenever `n` comes from a scan
     /// that stopped at an ASCII byte or the end of input).
@@ -244,17 +216,6 @@ impl<'a> Cursor<'a> {
         let ch = self.peek()?;
         self.offset += ch.len_utf8();
         Some(ch)
-    }
-
-    /// Consumes the next character, failing with `UnexpectedEof` if the
-    /// input is exhausted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ErrorKind::UnexpectedEof`] at the current position.
-    pub fn bump_expecting(&mut self, expecting: &'static str) -> Result<char, XmlError> {
-        self.bump()
-            .ok_or_else(|| XmlError::new(ErrorKind::UnexpectedEof { expecting }, self.position()))
     }
 
     /// If the remaining input starts with `literal`, consumes it and
@@ -454,7 +415,6 @@ mod tests {
             for at in 0..len {
                 hay[at] = b'<';
                 assert_eq!(find_byte(&hay, b'<'), Some(at), "len {len} at {at}");
-                assert_eq!(find_byte2(&hay, b'&', b'<'), Some(at));
                 assert_eq!(find_byte3(&hay, b'&', b'"', b'<'), Some(at));
                 hay[at] = b'x';
             }
@@ -465,7 +425,6 @@ mod tests {
     fn find_byte_reports_first_of_multiple_hits() {
         let hay = b"aaaaaaaaaa<bb<cc";
         assert_eq!(find_byte(hay, b'<'), Some(10));
-        assert_eq!(find_byte2(hay, b'c', b'<'), Some(10));
         assert_eq!(find_byte3(hay, b'c', b'b', b'<'), Some(10));
     }
 

@@ -99,20 +99,9 @@ pub fn escape_attribute_into(out: &mut String, raw: &str) {
     out.push_str(&raw[start..]);
 }
 
-/// Resolves a single entity body (the text between `&` and `;`).
-///
-/// Handles the five predefined entities and decimal/hex character
-/// references.
-///
-/// # Errors
-///
-/// Returns [`ErrorKind::UnknownEntity`] or [`ErrorKind::InvalidCharRef`]
-/// at `pos`.
-pub fn resolve_entity(entity: &str, pos: Position) -> Result<char, XmlError> {
-    entity_char(entity).map_err(|kind| XmlError::new(kind, pos))
-}
-
-/// [`resolve_entity`] without a position: the error's kind alone.
+/// Resolves a single entity body (the text between `&` and `;`): the
+/// five predefined entities and decimal/hex character references, or
+/// [`ErrorKind::UnknownEntity`] / [`ErrorKind::InvalidCharRef`].
 fn entity_char(entity: &str) -> Result<char, ErrorKind> {
     match entity {
         "lt" => Ok('<'),
@@ -146,7 +135,8 @@ fn entity_char(entity: &str) -> Result<char, ErrorKind> {
 ///
 /// # Errors
 ///
-/// Propagates the errors of [`resolve_entity`], and reports an
+/// [`ErrorKind::UnknownEntity`] or [`ErrorKind::InvalidCharRef`] for a
+/// reference that does not resolve, and an
 /// [`ErrorKind::UnexpectedEof`] style error if a `&` is never closed by
 /// `;`.
 pub fn unescape(raw: &str, pos: Position) -> Result<Cow<'_, str>, XmlError> {
@@ -177,7 +167,7 @@ pub(crate) fn unescape_kind(raw: &str) -> Result<Cow<'_, str>, ErrorKind> {
 }
 
 /// Whether `ch` is a legal XML 1.0 character.
-pub fn is_xml_char(ch: char) -> bool {
+fn is_xml_char(ch: char) -> bool {
     matches!(ch,
         '\u{9}' | '\u{A}' | '\u{D}'
         | '\u{20}'..='\u{D7FF}'

@@ -21,8 +21,7 @@ impl QName {
     /// Splits `raw` on the first `:` into prefix and local part.
     ///
     /// A leading or trailing colon yields no prefix / an empty local part
-    /// respectively; callers that care should validate with
-    /// [`is_valid_name`].
+    /// respectively.
     pub fn parse(raw: &str) -> Self {
         let (prefix, local) = split(raw);
         QName::new(prefix, local)
@@ -76,18 +75,19 @@ pub fn is_name_char(ch: char) -> bool {
     is_name_start_char(ch) || ch.is_ascii_digit() || ch == '-' || ch == '.'
 }
 
-/// Whether `name` is a syntactically valid XML name.
-pub fn is_valid_name(name: &str) -> bool {
-    let mut chars = name.chars();
-    match chars.next() {
-        Some(first) if is_name_start_char(first) => chars.all(is_name_char),
-        _ => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether `name` is a syntactically valid XML name: the oracle the
+    /// name-char predicates are tested against.
+    fn is_valid_name(name: &str) -> bool {
+        let mut chars = name.chars();
+        match chars.next() {
+            Some(first) if is_name_start_char(first) => chars.all(is_name_char),
+            _ => false,
+        }
+    }
 
     #[test]
     fn parse_splits_on_first_colon() {

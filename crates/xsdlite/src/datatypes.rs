@@ -5,7 +5,7 @@ use std::fmt;
 
 /// The XML Schema namespace URI of the 1999 working draft the paper's
 /// appendix uses.
-pub const XSD_NS_1999: &str = "http://www.w3.org/1999/XMLSchema";
+const XSD_NS_1999: &str = "http://www.w3.org/1999/XMLSchema";
 /// The XML Schema namespace URI of the 2001 recommendation.
 pub const XSD_NS_2001: &str = "http://www.w3.org/2001/XMLSchema";
 
@@ -105,17 +105,6 @@ impl XsdType {
         }
     }
 
-    /// The 1999 working-draft spelling (what the paper's appendix uses).
-    pub fn legacy_name(self) -> &'static str {
-        match self {
-            XsdType::UnsignedByte => "unsigned-byte",
-            XsdType::UnsignedShort => "unsigned-short",
-            XsdType::UnsignedInt => "unsigned-int",
-            XsdType::UnsignedLong => "unsigned-long",
-            other => other.canonical_name(),
-        }
-    }
-
     /// Whether the type is any integer (signed or unsigned, any width).
     pub fn is_integer(self) -> bool {
         matches!(
@@ -180,7 +169,16 @@ mod tests {
     fn canonical_names_round_trip() {
         for ty in XsdType::ALL {
             assert_eq!(XsdType::from_name(ty.canonical_name()), Some(ty));
-            assert_eq!(XsdType::from_name(ty.legacy_name()), Some(ty));
+        }
+        // The 1999 working draft's spellings, which the paper's appendix
+        // uses, are still read.
+        for (legacy, ty) in [
+            ("unsigned-byte", XsdType::UnsignedByte),
+            ("unsigned-short", XsdType::UnsignedShort),
+            ("unsigned-int", XsdType::UnsignedInt),
+            ("unsigned-long", XsdType::UnsignedLong),
+        ] {
+            assert_eq!(XsdType::from_name(legacy), Some(ty));
         }
     }
 

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use backbone::{Broker, Event, EventClient, EventServer, Frame};
+use backbone::{Broker, Event, EventClient, EventServer, Frame, NetConfig};
 use clayout::{Architecture, Endianness};
 use openmeta::prelude::*;
 use pbio::{ConversionPlan, PlanCache};
@@ -337,12 +337,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 let format = format.clone();
                 EventServer::bind(
                     "127.0.0.1:0",
-                    Arc::new(move |frame: Frame| {
+                    Arc::new(move |_, frame: Frame| {
                         std::hint::black_box(
                             pbio::ndr::decode_with(&frame.payload, &format).unwrap(),
                         );
                         Some(Frame::new(frame.stream, vec![1]))
                     }),
+                    None,
+                    NetConfig::default(),
                 )?
             };
             let mut client = EventClient::connect(server.local_addr())?;

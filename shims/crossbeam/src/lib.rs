@@ -1,7 +1,7 @@
 //! Offline shim for `crossbeam`, providing the `channel` module used by
 //! the backbone broker: unbounded and bounded MPMC channels built on
-//! `Mutex<VecDeque>` + `Condvar`, with disconnect detection, timed and
-//! non-blocking sends, and batch extensions (`send_many`,
+//! `Mutex<VecDeque>` + `Condvar`, with disconnect detection,
+//! non-blocking sends, timed receives, and batch extensions (`send_many`,
 //! `try_send_many`, `force_send_many`, `recv_batch`) that move several
 //! messages under a single lock acquisition — the primitive the broker's
 //! batched fan-out dispatch is built on.
@@ -126,15 +126,6 @@ pub mod channel {
     pub enum TrySendError<T> {
         /// The bounded channel is at capacity.
         Full(T),
-        /// Every receiver is gone.
-        Disconnected(T),
-    }
-
-    /// Error returned by [`Sender::send_timeout`].
-    #[derive(Debug, PartialEq, Eq)]
-    pub enum SendTimeoutError<T> {
-        /// No space appeared within the timeout.
-        Timeout(T),
         /// Every receiver is gone.
         Disconnected(T),
     }
@@ -275,54 +266,6 @@ pub mod channel {
             queue.push_back(value);
             self.shared.unlock_and_wake(queue);
             Ok(())
-        }
-
-        /// Enqueues, waiting up to `timeout` for space in a bounded
-        /// channel.
-        pub fn send_timeout(
-            &self,
-            value: T,
-            timeout: Duration,
-        ) -> Result<(), SendTimeoutError<T>> {
-            let deadline = Instant::now() + timeout;
-            let mut queue = self.shared.lock();
-            loop {
-                if self.shared.receivers.load(Ordering::SeqCst) == 0 {
-                    return Err(SendTimeoutError::Disconnected(value));
-                }
-                if !self.shared.is_full(&queue) {
-                    queue.push_back(value);
-                    self.shared.unlock_and_wake(queue);
-                    return Ok(());
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(SendTimeoutError::Timeout(value));
-                }
-                self.shared.send_waiters.fetch_add(1, Ordering::SeqCst);
-                let (guard, _) = self
-                    .shared
-                    .space
-                    .wait_timeout(queue, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                self.shared.send_waiters.fetch_sub(1, Ordering::SeqCst);
-                queue = guard;
-            }
-        }
-
-        /// Shim extension: enqueues unconditionally, evicting the oldest
-        /// queued message when a bounded channel is full. Returns the
-        /// evicted message, if any — the `DropOldest` overflow primitive.
-        pub fn force_send(&self, value: T) -> Result<Option<T>, SendError<T>> {
-            let mut queue = self.shared.lock();
-            if self.shared.receivers.load(Ordering::SeqCst) == 0 {
-                return Err(SendError(value));
-            }
-            let evicted =
-                if self.shared.is_full(&queue) { queue.pop_front() } else { None };
-            queue.push_back(value);
-            self.shared.unlock_and_wake(queue);
-            Ok(evicted)
         }
 
         /// Shim extension: enqueues every message of `values` under a
@@ -633,19 +576,6 @@ pub mod channel {
         }
 
         #[test]
-        fn send_timeout_expires_when_full() {
-            let (tx, rx) = bounded(1);
-            tx.send(1).unwrap();
-            assert_eq!(
-                tx.send_timeout(2, Duration::from_millis(10)),
-                Err(SendTimeoutError::Timeout(2))
-            );
-            rx.recv().unwrap();
-            tx.send_timeout(2, Duration::from_millis(10)).unwrap();
-            assert_eq!(rx.recv(), Ok(2));
-        }
-
-        #[test]
         fn blocked_send_observes_receiver_disconnect() {
             let (tx, rx) = bounded(1);
             tx.send(1).unwrap();
@@ -653,16 +583,6 @@ pub mod channel {
             std::thread::sleep(Duration::from_millis(20));
             drop(rx);
             assert_eq!(handle.join().unwrap(), Err(SendError(2)));
-        }
-
-        #[test]
-        fn force_send_evicts_oldest() {
-            let (tx, rx) = bounded(2);
-            assert_eq!(tx.force_send(1), Ok(None));
-            assert_eq!(tx.force_send(2), Ok(None));
-            assert_eq!(tx.force_send(3), Ok(Some(1)));
-            assert_eq!(rx.try_recv(), Ok(2));
-            assert_eq!(rx.try_recv(), Ok(3));
         }
 
         #[test]

@@ -32,15 +32,6 @@ impl<T: ?Sized> Mutex<T> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Attempts to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(guard) => Some(guard),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
     /// Returns a mutable reference to the underlying data.
     pub fn get_mut(&mut self) -> &mut T {
         self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
@@ -52,9 +43,9 @@ impl<T: ?Sized> Mutex<T> {
 pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
 
 /// Guard type returned by [`RwLock::read`].
-pub type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
+type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
 /// Guard type returned by [`RwLock::write`].
-pub type RwLockWriteGuard<'a, T> = std::sync::RwLockWriteGuard<'a, T>;
+type RwLockWriteGuard<'a, T> = std::sync::RwLockWriteGuard<'a, T>;
 
 impl<T> RwLock<T> {
     /// Creates a new reader-writer lock.

@@ -41,23 +41,23 @@ mod sys {
 
     // epoll(7) — Linux only.
     #[cfg(target_os = "linux")]
-    pub const EPOLL_CLOEXEC: c_int = 0o2000000;
+    pub(super) const EPOLL_CLOEXEC: c_int = 0o2000000;
     #[cfg(target_os = "linux")]
-    pub const EPOLL_CTL_ADD: c_int = 1;
+    pub(super) const EPOLL_CTL_ADD: c_int = 1;
     #[cfg(target_os = "linux")]
-    pub const EPOLL_CTL_DEL: c_int = 2;
+    pub(super) const EPOLL_CTL_DEL: c_int = 2;
     #[cfg(target_os = "linux")]
-    pub const EPOLL_CTL_MOD: c_int = 3;
+    pub(super) const EPOLL_CTL_MOD: c_int = 3;
     #[cfg(target_os = "linux")]
-    pub const EPOLLIN: u32 = 0x001;
+    pub(super) const EPOLLIN: u32 = 0x001;
     #[cfg(target_os = "linux")]
-    pub const EPOLLOUT: u32 = 0x004;
+    pub(super) const EPOLLOUT: u32 = 0x004;
     #[cfg(target_os = "linux")]
-    pub const EPOLLERR: u32 = 0x008;
+    pub(super) const EPOLLERR: u32 = 0x008;
     #[cfg(target_os = "linux")]
-    pub const EPOLLHUP: u32 = 0x010;
+    pub(super) const EPOLLHUP: u32 = 0x010;
     #[cfg(target_os = "linux")]
-    pub const EPOLLRDHUP: u32 = 0x2000;
+    pub(super) const EPOLLRDHUP: u32 = 0x2000;
 
     /// `struct epoll_event`; packed on x86 so the 12-byte kernel layout
     /// matches (other architectures use natural alignment).
@@ -65,73 +65,73 @@ mod sys {
     #[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(C, packed))]
     #[cfg_attr(not(any(target_arch = "x86", target_arch = "x86_64")), repr(C))]
     #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
+    pub(super) struct EpollEvent {
+        pub(super) events: u32,
+        pub(super) data: u64,
     }
 
     // eventfd(2) — Linux only.
     #[cfg(target_os = "linux")]
-    pub const EFD_CLOEXEC: c_int = 0o2000000;
+    pub(super) const EFD_CLOEXEC: c_int = 0o2000000;
     #[cfg(target_os = "linux")]
-    pub const EFD_NONBLOCK: c_int = 0o4000;
+    pub(super) const EFD_NONBLOCK: c_int = 0o4000;
 
     // poll(2) — portable.
     #[repr(C)]
     #[derive(Clone, Copy)]
-    pub struct PollFd {
-        pub fd: c_int,
-        pub events: i16,
-        pub revents: i16,
+    pub(super) struct PollFd {
+        pub(super) fd: c_int,
+        pub(super) events: i16,
+        pub(super) revents: i16,
     }
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
+    pub(super) const POLLIN: i16 = 0x001;
+    pub(super) const POLLOUT: i16 = 0x004;
+    pub(super) const POLLERR: i16 = 0x008;
+    pub(super) const POLLHUP: i16 = 0x010;
 
     // fcntl(2) file-status flags for the pipe waker.
-    pub const F_GETFL: c_int = 3;
-    pub const F_SETFL: c_int = 4;
+    pub(super) const F_GETFL: c_int = 3;
+    pub(super) const F_SETFL: c_int = 4;
     #[cfg(target_os = "linux")]
-    pub const O_NONBLOCK: c_int = 0o4000;
+    pub(super) const O_NONBLOCK: c_int = 0o4000;
     #[cfg(not(target_os = "linux"))]
-    pub const O_NONBLOCK: c_int = 0x0004;
+    pub(super) const O_NONBLOCK: c_int = 0x0004;
 
     // setrlimit(2).
     #[cfg(target_os = "linux")]
-    pub const RLIMIT_NOFILE: c_int = 7;
+    pub(super) const RLIMIT_NOFILE: c_int = 7;
     #[cfg(not(target_os = "linux"))]
-    pub const RLIMIT_NOFILE: c_int = 8;
+    pub(super) const RLIMIT_NOFILE: c_int = 8;
     #[repr(C)]
     #[derive(Clone, Copy)]
-    pub struct Rlimit {
-        pub cur: u64,
-        pub max: u64,
+    pub(super) struct Rlimit {
+        pub(super) cur: u64,
+        pub(super) max: u64,
     }
 
     #[allow(unsafe_code)]
     extern "C" {
         #[cfg(target_os = "linux")]
-        pub fn epoll_create1(flags: c_int) -> c_int;
+        pub(super) fn epoll_create1(flags: c_int) -> c_int;
         #[cfg(target_os = "linux")]
-        pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+        pub(super) fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
         #[cfg(target_os = "linux")]
-        pub fn epoll_wait(
+        pub(super) fn epoll_wait(
             epfd: c_int,
             events: *mut EpollEvent,
             maxevents: c_int,
             timeout: c_int,
         ) -> c_int;
         #[cfg(target_os = "linux")]
-        pub fn eventfd(initval: c_uint, flags: c_int) -> c_int;
-        pub fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
-        pub fn pipe(fds: *mut c_int) -> c_int;
-        pub fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
-        pub fn close(fd: c_int) -> c_int;
-        pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-        pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-        pub fn getrlimit(resource: c_int, rlim: *mut Rlimit) -> c_int;
-        pub fn setrlimit(resource: c_int, rlim: *const Rlimit) -> c_int;
+        pub(super) fn eventfd(initval: c_uint, flags: c_int) -> c_int;
+        pub(super) fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+        pub(super) fn pipe(fds: *mut c_int) -> c_int;
+        pub(super) fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
+        pub(super) fn close(fd: c_int) -> c_int;
+        pub(super) fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
+        pub(super) fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
+        pub(super) fn getrlimit(resource: c_int, rlim: *mut Rlimit) -> c_int;
+        pub(super) fn setrlimit(resource: c_int, rlim: *const Rlimit) -> c_int;
     }
 }
 
@@ -147,12 +147,6 @@ pub struct Interest {
 impl Interest {
     /// Readable only.
     pub const READ: Interest = Interest { read: true, write: false };
-    /// Writable only.
-    pub const WRITE: Interest = Interest { read: false, write: true };
-    /// Both directions.
-    pub const BOTH: Interest = Interest { read: true, write: true };
-    /// Registered but dormant (only errors/hangups surface).
-    pub const NONE: Interest = Interest { read: false, write: false };
 }
 
 /// One readiness notification from [`Poller::wait`].
@@ -606,7 +600,7 @@ mod tests {
             let mut buf = [0u8; 16];
             let mut srv = &server;
             let _ = srv.read(&mut buf).unwrap();
-            poller.modify(server.as_raw_fd(), 9, Interest::WRITE).unwrap();
+            poller.modify(server.as_raw_fd(), 9, Interest { read: false, write: true }).unwrap();
             events.clear();
             let n = poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
             assert!(n >= 1);

@@ -21,7 +21,7 @@ pub mod test_runner {
 
     impl TestRng {
         /// Creates an RNG from a numeric seed.
-        pub fn seed_from(seed: u64) -> Self {
+        pub(crate) fn seed_from(seed: u64) -> Self {
             TestRng { state: seed ^ 0x9E37_79B9_7F4A_7C15 }
         }
 
@@ -49,7 +49,7 @@ pub mod test_runner {
         }
 
         /// Uniform float in `[0, 1)`.
-        pub fn f64_unit(&mut self) -> f64 {
+        pub(crate) fn f64_unit(&mut self) -> f64 {
             (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
         }
     }
@@ -91,12 +91,12 @@ pub mod strategy {
         fn generate(&self, rng: &mut TestRng) -> Self::Value;
 
         /// Maps generated values through `f`.
-        fn prop_map<O, F>(self, f: F) -> Map<Self, F>
+        fn prop_map<O, F>(self, f: F) -> impl Strategy<Value = O>
         where
             Self: Sized,
             F: Fn(Self::Value) -> O,
         {
-            Map { inner: self, f }
+            FromFn(move |rng: &mut TestRng| f(self.generate(rng)))
         }
 
         /// Rejects generated values failing `pred`, retrying.
@@ -189,21 +189,14 @@ pub mod strategy {
         }
     }
 
-    /// See [`Strategy::prop_map`].
-    #[derive(Debug, Clone)]
-    pub struct Map<S, F> {
-        inner: S,
-        f: F,
-    }
+    /// A strategy drawing each value with a closure: what the
+    /// combinators return.
+    pub(crate) struct FromFn<F>(pub(crate) F);
 
-    impl<S, O, F> Strategy for Map<S, F>
-    where
-        S: Strategy,
-        F: Fn(S::Value) -> O,
-    {
-        type Value = O;
-        fn generate(&self, rng: &mut TestRng) -> O {
-            (self.f)(self.inner.generate(rng))
+    impl<T, F: Fn(&mut TestRng) -> T> Strategy for FromFn<F> {
+        type Value = T;
+        fn generate(&self, rng: &mut TestRng) -> T {
+            (self.0)(rng)
         }
     }
 
@@ -551,131 +544,64 @@ pub mod arbitrary {
 }
 
 pub mod collection {
-    use crate::strategy::Strategy;
+    use crate::strategy::{FromFn, Strategy};
     use crate::test_runner::TestRng;
     use std::ops::Range;
 
     /// Vectors of `element` values, with length drawn from `size`.
-    pub fn vec<S: Strategy>(element: S, size: Range<usize>) -> VecStrategy<S> {
+    pub fn vec<S: Strategy>(element: S, size: Range<usize>) -> impl Strategy<Value = Vec<S::Value>> {
         assert!(size.start < size.end, "empty vec size range");
-        VecStrategy { element, size }
-    }
-
-    /// See [`vec`].
-    #[derive(Debug, Clone)]
-    pub struct VecStrategy<S> {
-        element: S,
-        size: Range<usize>,
-    }
-
-    impl<S: Strategy> Strategy for VecStrategy<S> {
-        type Value = Vec<S::Value>;
-        fn generate(&self, rng: &mut TestRng) -> Vec<S::Value> {
-            let span = (self.size.end - self.size.start) as u64;
-            let len = self.size.start + rng.below(span) as usize;
-            (0..len).map(|_| self.element.generate(rng)).collect()
-        }
+        let span = (size.end - size.start) as u64;
+        FromFn(move |rng: &mut TestRng| {
+            let len = size.start + rng.below(span) as usize;
+            (0..len).map(|_| element.generate(rng)).collect()
+        })
     }
 }
 
 pub mod sample {
-    use crate::strategy::Strategy;
+    use crate::strategy::{FromFn, Strategy};
     use crate::test_runner::TestRng;
 
     /// Uniform choice from a non-empty vector.
-    pub fn select<T: Clone>(options: Vec<T>) -> Select<T> {
+    pub fn select<T: Clone>(options: Vec<T>) -> impl Strategy<Value = T> {
         assert!(!options.is_empty(), "select() needs at least one option");
-        Select { options }
-    }
-
-    /// See [`select`].
-    #[derive(Debug, Clone)]
-    pub struct Select<T> {
-        options: Vec<T>,
-    }
-
-    impl<T: Clone> Strategy for Select<T> {
-        type Value = T;
-        fn generate(&self, rng: &mut TestRng) -> T {
-            self.options[rng.below(self.options.len() as u64) as usize].clone()
-        }
+        FromFn(move |rng: &mut TestRng| options[rng.below(options.len() as u64) as usize].clone())
     }
 }
 
 pub mod option {
-    use crate::strategy::Strategy;
+    use crate::strategy::{FromFn, Strategy};
     use crate::test_runner::TestRng;
 
     /// `Some(value)` three times out of four, else `None`.
-    pub fn of<S: Strategy>(inner: S) -> OptionStrategy<S> {
-        OptionStrategy { inner }
-    }
-
-    /// See [`of`].
-    #[derive(Debug, Clone)]
-    pub struct OptionStrategy<S> {
-        inner: S,
-    }
-
-    impl<S: Strategy> Strategy for OptionStrategy<S> {
-        type Value = Option<S::Value>;
-        fn generate(&self, rng: &mut TestRng) -> Option<S::Value> {
-            if rng.below(4) == 0 {
-                None
-            } else {
-                Some(self.inner.generate(rng))
-            }
-        }
+    pub fn of<S: Strategy>(inner: S) -> impl Strategy<Value = Option<S::Value>> {
+        FromFn(move |rng: &mut TestRng| (rng.below(4) != 0).then(|| inner.generate(rng)))
     }
 }
 
 pub mod char {
-    use crate::strategy::Strategy;
+    use crate::strategy::{FromFn, Strategy};
     use crate::test_runner::TestRng;
 
     /// Characters in `[lo, hi]` inclusive.
-    pub fn range(lo: char, hi: char) -> CharRange {
+    pub fn range(lo: char, hi: char) -> impl Strategy<Value = char> {
         assert!(lo <= hi, "inverted char range");
-        CharRange { lo, hi }
-    }
-
-    /// See [`range`].
-    #[derive(Debug, Clone, Copy)]
-    pub struct CharRange {
-        lo: char,
-        hi: char,
-    }
-
-    impl Strategy for CharRange {
-        type Value = char;
-        fn generate(&self, rng: &mut TestRng) -> char {
-            let span = self.hi as u64 - self.lo as u64 + 1;
-            core::char::from_u32(self.lo as u32 + rng.below(span) as u32)
+        let span = hi as u64 - lo as u64 + 1;
+        FromFn(move |rng: &mut TestRng| {
+            core::char::from_u32(lo as u32 + rng.below(span) as u32)
                 .expect("char range covers invalid scalar")
-        }
+        })
     }
 }
 
 pub mod bool {
-    use crate::strategy::Strategy;
+    use crate::strategy::{FromFn, Strategy};
     use crate::test_runner::TestRng;
 
     /// `true` with probability `p`.
-    pub fn weighted(p: f64) -> Weighted {
-        Weighted { p }
-    }
-
-    /// See [`weighted`].
-    #[derive(Debug, Clone, Copy)]
-    pub struct Weighted {
-        p: f64,
-    }
-
-    impl Strategy for Weighted {
-        type Value = bool;
-        fn generate(&self, rng: &mut TestRng) -> bool {
-            rng.f64_unit() < self.p
-        }
+    pub fn weighted(p: f64) -> impl Strategy<Value = bool> {
+        FromFn(move |rng: &mut TestRng| rng.f64_unit() < p)
     }
 }
 

@@ -8,12 +8,6 @@
 
 use std::ops::{Range, RangeInclusive};
 
-/// Core randomness source: a 64-bit word per call.
-pub trait RngCore {
-    /// The next raw 64-bit output.
-    fn next_u64(&mut self) -> u64;
-}
-
 /// Construction from seeds.
 pub trait SeedableRng: Sized {
     /// Builds a generator from a 64-bit seed.
@@ -26,34 +20,38 @@ pub trait SeedableRng: Sized {
 /// literals, matching real rand.
 pub trait SampleUniform: Copy + PartialOrd {
     /// Uniform draw from `[lo, hi)`.
-    fn sample_half_open<R: RngCore + ?Sized>(lo: Self, hi: Self, rng: &mut R) -> Self;
+    fn sample_half_open<R: Rng + ?Sized>(lo: Self, hi: Self, rng: &mut R) -> Self;
     /// Uniform draw from `[lo, hi]`.
-    fn sample_inclusive<R: RngCore + ?Sized>(lo: Self, hi: Self, rng: &mut R) -> Self;
+    fn sample_inclusive<R: Rng + ?Sized>(lo: Self, hi: Self, rng: &mut R) -> Self;
 }
 
 /// Range types [`Rng::gen_range`] accepts.
 pub trait SampleRange<T> {
     /// Draws a value uniformly from the range.
-    fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> T;
+    fn sample_from<R: Rng + ?Sized>(self, rng: &mut R) -> T;
 }
 
 impl<T: SampleUniform> SampleRange<T> for Range<T> {
-    fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> T {
+    fn sample_from<R: Rng + ?Sized>(self, rng: &mut R) -> T {
         assert!(self.start < self.end, "gen_range on empty range");
         T::sample_half_open(self.start, self.end, rng)
     }
 }
 
 impl<T: SampleUniform> SampleRange<T> for RangeInclusive<T> {
-    fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> T {
+    fn sample_from<R: Rng + ?Sized>(self, rng: &mut R) -> T {
         let (start, end) = (*self.start(), *self.end());
         assert!(start <= end, "gen_range on empty range");
         T::sample_inclusive(start, end, rng)
     }
 }
 
-/// User-facing generator methods (blanket-implemented over [`RngCore`]).
-pub trait Rng: RngCore {
+/// A randomness source — a 64-bit word per call — and the draws made
+/// from it.
+pub trait Rng {
+    /// The next raw 64-bit output.
+    fn next_u64(&mut self) -> u64;
+
     /// Draws a value uniformly from `range`.
     fn gen_range<T, S: SampleRange<T>>(&mut self, range: S) -> T {
         range.sample_from(self)
@@ -65,17 +63,15 @@ pub trait Rng: RngCore {
     }
 }
 
-impl<R: RngCore> Rng for R {}
-
 macro_rules! int_sample_uniform {
     ($($t:ty),*) => {$(
         impl SampleUniform for $t {
-            fn sample_half_open<R: RngCore + ?Sized>(lo: $t, hi: $t, rng: &mut R) -> $t {
+            fn sample_half_open<R: Rng + ?Sized>(lo: $t, hi: $t, rng: &mut R) -> $t {
                 let span = (hi as i128 - lo as i128) as u128;
                 let draw = ((rng.next_u64() as u128) % span) as i128;
                 (lo as i128 + draw) as $t
             }
-            fn sample_inclusive<R: RngCore + ?Sized>(lo: $t, hi: $t, rng: &mut R) -> $t {
+            fn sample_inclusive<R: Rng + ?Sized>(lo: $t, hi: $t, rng: &mut R) -> $t {
                 let span = (hi as i128 - lo as i128) as u128 + 1;
                 let draw = ((rng.next_u64() as u128) % span) as i128;
                 (lo as i128 + draw) as $t
@@ -89,11 +85,11 @@ int_sample_uniform!(i8, i16, i32, i64, isize, u8, u16, u32, u64, usize);
 macro_rules! float_sample_uniform {
     ($($t:ty),*) => {$(
         impl SampleUniform for $t {
-            fn sample_half_open<R: RngCore + ?Sized>(lo: $t, hi: $t, rng: &mut R) -> $t {
+            fn sample_half_open<R: Rng + ?Sized>(lo: $t, hi: $t, rng: &mut R) -> $t {
                 let unit = (rng.next_u64() >> 11) as $t / (1u64 << 53) as $t;
                 lo + (hi - lo) * unit
             }
-            fn sample_inclusive<R: RngCore + ?Sized>(lo: $t, hi: $t, rng: &mut R) -> $t {
+            fn sample_inclusive<R: Rng + ?Sized>(lo: $t, hi: $t, rng: &mut R) -> $t {
                 Self::sample_half_open(lo, hi, rng)
             }
         }
@@ -104,7 +100,7 @@ float_sample_uniform!(f32, f64);
 
 /// Standard generators.
 pub mod rngs {
-    use super::{RngCore, SeedableRng};
+    use super::{Rng, SeedableRng};
 
     /// The shim's standard generator: SplitMix64.
     #[derive(Debug, Clone)]
@@ -112,7 +108,7 @@ pub mod rngs {
         state: u64,
     }
 
-    impl RngCore for StdRng {
+    impl Rng for StdRng {
         fn next_u64(&mut self) -> u64 {
             self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = self.state;

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use backbone::airline::{AirlineGenerator, ASD_SCHEMA};
-use backbone::{EventClient, EventServer, Frame};
+use backbone::{EventClient, EventServer, Frame, NetConfig};
 use openmeta::prelude::*;
 
 /// A full sender→TCP→receiver round trip where the two endpoints bound
@@ -33,11 +33,13 @@ fn ndr_round_trip_over_tcp_between_heterogeneous_peers() {
         let receiver = Arc::clone(&receiver);
         EventServer::bind(
             "127.0.0.1:0",
-            Arc::new(move |frame: Frame| {
+            Arc::new(move |_, frame: Frame| {
                 let (_, record) = receiver.decode(&frame.payload).unwrap();
                 let flt = record.get("fltNum").unwrap().as_i64().unwrap();
                 Some(Frame::new(frame.stream, flt.to_le_bytes().to_vec()))
             }),
+            None,
+            NetConfig::default(),
         )
         .unwrap()
     };
@@ -69,7 +71,13 @@ fn all_codecs_deliver_identical_values_over_tcp() {
     let record = AirlineGenerator::seeded(5).flight_event();
 
     // Echo server: just bounces payloads.
-    let server = EventServer::bind("127.0.0.1:0", Arc::new(Some)).unwrap();
+    let server = EventServer::bind(
+        "127.0.0.1:0",
+        Arc::new(|_, frame| Some(frame)),
+        None,
+        NetConfig::default(),
+    )
+    .unwrap();
 
     for (name, encode, decode) in codecs::CODECS {
         let mut client = EventClient::connect(server.local_addr()).unwrap();
@@ -99,13 +107,15 @@ fn many_clients_share_one_receiver() {
         let session = Arc::clone(&session);
         EventServer::bind(
             "127.0.0.1:0",
-            Arc::new(move |frame: Frame| {
+            Arc::new(move |_, frame: Frame| {
                 let (_, record) = session.decode(&frame.payload).unwrap();
                 Some(Frame::new(
                     frame.stream,
                     vec![record.get("eta_count").unwrap().as_u64().unwrap() as u8],
                 ))
             }),
+            None,
+            NetConfig::default(),
         )
         .unwrap()
     };

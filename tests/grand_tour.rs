@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use backbone::airline::AirlineGenerator;
-use backbone::{EventClient, EventServer, Frame, FormatScope};
+use backbone::{EventClient, EventServer, FormatScope, Frame, NetConfig};
 use openmeta::prelude::*;
 use xml2wire::server::http_post;
 use xml2wire::{ArchiveReader, ArchiveWriter};
@@ -82,12 +82,14 @@ fn the_whole_system_interoperates() {
         let dispatcher = Arc::clone(&dispatcher);
         EventServer::bind(
             "127.0.0.1:0",
-            Arc::new(move |frame: Frame| {
+            Arc::new(move |_, frame: Frame| {
                 let (_, record) = dispatcher.decode(&frame.payload).unwrap();
                 // The dispatcher sees the sensitive field.
                 assert!(record.get("crewNotes").is_some());
                 Some(Frame::new(frame.stream, vec![1]))
             }),
+            None,
+            NetConfig::default(),
         )
         .unwrap()
     };

@@ -24,14 +24,21 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use backbone::net::{
-    read_frame, write_frame_batch, ConnId, EventClient, EventServer, Frame, NetConfig,
+    read_frame, write_frame_batch, Block, ConnId, EventClient, EventServer, Frame, NetConfig,
+    Refused,
 };
 use backbone::{Broker, DurableSpec, Event, FederatedBroker, FederationLink, LinkConfig};
 
 /// Two shards, so the sharded dispatch path is exercised, not just the
 /// degenerate single-loop case.
 fn config() -> NetConfig {
-    NetConfig { shards: 2, ..NetConfig::default() }
+    NetConfig { shards: 2 }
+}
+
+/// A server answering each frame with `handler`'s reply.
+fn serve(handler: impl Fn(Frame) -> Option<Frame> + Send + Sync + 'static) -> EventServer {
+    EventServer::bind("127.0.0.1:0", Arc::new(move |_, frame| handler(frame)), None, config())
+        .unwrap()
 }
 
 /// Deterministic frame workload (LCG-driven): the same bytes on every
@@ -71,7 +78,7 @@ fn echo_reply_stream_is_byte_identical_to_the_framing_of_its_requests() {
     let mut expected = Vec::new();
     write_frame_batch(&mut expected, &frames).unwrap();
 
-    let server = EventServer::bind_with("127.0.0.1:0", Arc::new(Some), config()).unwrap();
+    let server = serve(Some);
     let mut sock = TcpStream::connect(server.local_addr()).unwrap();
     write_frame_batch(&mut sock, &frames).unwrap();
     sock.flush().unwrap();
@@ -96,7 +103,7 @@ fn transform_handlers_reply_frame_for_frame() {
     let expected: Vec<Frame> = frames.iter().cloned().filter_map(transform).collect();
     assert_eq!(expected.len(), frames.len());
 
-    let server = EventServer::bind_with("127.0.0.1:0", Arc::new(transform), config()).unwrap();
+    let server = serve(transform);
     let mut client = EventClient::connect(server.local_addr()).unwrap();
     let replies: Vec<Frame> =
         frames.iter().map(|frame| client.request(frame).unwrap()).collect();
@@ -114,7 +121,7 @@ fn fanout_pushes_preserve_per_subscriber_order() {
 
     let subs: Arc<Mutex<Vec<ConnId>>> = Arc::new(Mutex::new(Vec::new()));
     let subs_in_handler = Arc::clone(&subs);
-    let server = EventServer::bind_routed(
+    let server = EventServer::bind(
         "127.0.0.1:0",
         Arc::new(move |conn, frame| {
             if frame.stream == "subscribe" {
@@ -122,6 +129,7 @@ fn fanout_pushes_preserve_per_subscriber_order() {
             }
             None
         }),
+        None,
         config(),
     )
     .unwrap();
@@ -141,7 +149,7 @@ fn fanout_pushes_preserve_per_subscriber_order() {
     let conns: Vec<ConnId> = subs.lock().unwrap().clone();
     for seq in 0..PUSHES {
         for &conn in &conns {
-            assert!(handle.send(conn, Frame::new("tick", vec![seq as u8])));
+            assert!(handle.push(conn, Block::of(&Frame::new("tick", vec![seq as u8]))).is_ok());
         }
     }
 
@@ -162,18 +170,13 @@ fn traffic_totals_equal_the_workload() {
     let frames = workload(40);
     let served = Arc::new(AtomicU64::new(0));
     let served_in_handler = Arc::clone(&served);
-    let server = EventServer::bind_with(
-        "127.0.0.1:0",
-        Arc::new(move |f| {
-            served_in_handler.fetch_add(1, Ordering::Relaxed);
-            Some(f)
-        }),
-        config(),
-    )
-    .unwrap();
+    let server = serve(move |f| {
+        served_in_handler.fetch_add(1, Ordering::Relaxed);
+        Some(f)
+    });
 
     let mut client = EventClient::connect(server.local_addr()).unwrap();
-    client.send_batch(&frames).unwrap();
+    client.send_all(&frames).unwrap();
     for _ in 0..frames.len() {
         client.recv().unwrap().expect("echo stream ended early");
     }
@@ -198,7 +201,7 @@ fn reply_stream_parses_cleanly_after_half_close() {
     // After the client half-closes, the server must still drain every
     // queued reply before closing — no truncated tail frame.
     let frames = workload(80);
-    let server = EventServer::bind_with("127.0.0.1:0", Arc::new(Some), config()).unwrap();
+    let server = serve(Some);
     let mut sock = TcpStream::connect(server.local_addr()).unwrap();
     write_frame_batch(&mut sock, &frames).unwrap();
     sock.shutdown(std::net::Shutdown::Write).unwrap();
@@ -342,12 +345,13 @@ fn replies_and_pushed_blocks_share_a_connection_frame_for_frame() {
 
     let conn_slot: Arc<Mutex<Option<ConnId>>> = Arc::new(Mutex::new(None));
     let slot_in_handler = Arc::clone(&conn_slot);
-    let server = EventServer::bind_routed(
+    let server = EventServer::bind(
         "127.0.0.1:0",
         Arc::new(move |conn, frame| {
             *slot_in_handler.lock().unwrap() = Some(conn);
             (frame.stream == "req").then_some(frame)
         }),
+        None,
         config(),
     )
     .unwrap();
@@ -368,16 +372,18 @@ fn replies_and_pushed_blocks_share_a_connection_frame_for_frame() {
     let pusher = {
         let handle = server.handle();
         std::thread::spawn(move || {
-            let mut n = 0;
-            while n < EACH {
-                let batch: Vec<(ConnId, Frame)> =
-                    (n..EACH.min(n + 5)).map(|n| (conn, frame("push", n))).collect();
-                let offered = batch.len() as u32;
-                // A full queue rejects a contiguous tail: offer it again.
-                let rejected = handle.send_batch(batch).len() as u32;
-                n += offered - rejected;
-                if rejected > 0 {
-                    std::thread::sleep(Duration::from_millis(1));
+            for first in (0..EACH).step_by(5) {
+                let mut block = Block::default();
+                for n in first..EACH.min(first + 5) {
+                    block.push_frame(&frame("push", n));
+                }
+                // A full window hands the block back: offer it again.
+                loop {
+                    match handle.push(conn, block) {
+                        Ok(()) => break,
+                        Err((Refused::Busy, refused)) => block = refused,
+                        Err((Refused::Gone, _)) => panic!("the connection died mid-test"),
+                    }
                 }
             }
         })
@@ -401,7 +407,8 @@ fn replies_and_pushed_blocks_share_a_connection_frame_for_frame() {
     requester.join().unwrap();
     pusher.join().unwrap();
     assert!(eventually(|| server.net_stats().frames_written == u64::from(2 * EACH)));
-    // Rejected pushes were offered again, so every one was counted as
-    // dropped once per rejection and still delivered exactly once.
+    // Refused blocks were offered again, so every frame was delivered
+    // exactly once and none was counted as dropped.
     assert_eq!(server.net_stats().frames_read, u64::from(EACH) + 1);
+    assert_eq!(server.net_stats().pushes_dropped, 0);
 }
