@@ -18,10 +18,9 @@
 //! [`Subscription::unsubscribe`] does not return until the worker has
 //! removed the subscriber — no event is delivered after it completes.
 //!
-//! Subscriber queues honour a per-stream [`Overflow`] policy: `Block`
-//! (default; lossless, backpressures the shard), `DropOldest` (keep the
-//! freshest events — the live-display policy) or `DropNewest` (keep the
-//! oldest — the audit-log policy).
+//! Delivery is lossless. Subscriber queues are unbounded unless the
+//! stream sets a capacity ([`StreamConfig::capacity`]); a full bounded
+//! queue makes the dispatch worker wait, which backpressures the shard.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -30,7 +29,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use clayout::StructType;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, SendError, Sender};
 use parking_lot::{Mutex, RwLock};
 use pbio::header::MAX_FORMAT_NAME_LEN;
 use pbio::PbioError;
@@ -95,32 +94,17 @@ impl Event {
     }
 }
 
-/// What a dispatch worker does when a subscriber's bounded queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Overflow {
-    /// Wait for space: lossless delivery; the whole shard (and therefore
-    /// publishers routed to it) backpressures on the slow subscriber.
-    #[default]
-    Block,
-    /// Evict the oldest queued event to make room — subscribers always
-    /// see the freshest data (the live flight-display policy).
-    DropOldest,
-    /// Drop the incoming event — subscribers keep what they already have
-    /// (the audit-log policy).
-    DropNewest,
-}
-
 /// Per-stream configuration supplied at creation time.
 #[derive(Debug, Clone, Default)]
 pub struct StreamConfig {
     /// Where subscribers can discover the stream's metadata.
     pub metadata_locator: Option<String>,
-    /// Subscriber queue capacity; `None` (default) is unbounded, which
-    /// makes the overflow policy moot. `Some(0)` is clamped to `Some(1)`
-    /// at registration (rendezvous queues are not supported).
+    /// Subscriber queue capacity; `None` (default) is unbounded. A full
+    /// bounded queue makes the dispatch worker wait for space, so the
+    /// whole shard (and the publishers routed to it) backpressures on
+    /// the slow subscriber and nothing is lost. `Some(0)` is clamped to
+    /// `Some(1)` at registration (rendezvous queues are not supported).
     pub capacity: Option<usize>,
-    /// What to do when a bounded subscriber queue fills.
-    pub overflow: Overflow,
 }
 
 /// Where (and how) a durable stream's segment log lives. Passed to
@@ -164,8 +148,6 @@ pub struct StreamInfo {
     pub subscribers: usize,
     /// Number of events published so far.
     pub published: u64,
-    /// Number of events dropped by overflow policies so far.
-    pub dropped: u64,
     /// Highest sequence assigned on this (durable) stream; `0` for
     /// non-durable streams.
     pub durable_seq: u64,
@@ -183,10 +165,8 @@ struct StreamMeta {
     metadata_locator: Mutex<Option<String>>,
     subscribers: AtomicUsize,
     published: AtomicU64,
-    dropped: AtomicU64,
     archive_errors: AtomicU64,
     capacity: Option<usize>,
-    overflow: Overflow,
     durable: Option<DurableState>,
     /// The stream's clayout struct type, when registered — what
     /// subscription predicates resolve field names against. Capture
@@ -200,7 +180,6 @@ struct StreamMeta {
 struct SubEntry {
     id: u64,
     tx: Sender<Arc<Event>>,
-    overflow: Overflow,
     meta: Arc<StreamMeta>,
     /// Content predicate; `None` delivers everything. Subscribers with
     /// equivalent predicates share one `Arc` (the [`FilterCache`]
@@ -723,8 +702,8 @@ impl Broker {
 
     /// Registers a stream (idempotent; a later call may add a metadata
     /// locator but will not erase one). Equivalent to
-    /// [`create_stream_with`](Self::create_stream_with) with default
-    /// capacity/overflow (unbounded, lossless).
+    /// [`create_stream_with`](Self::create_stream_with) with the default
+    /// (unbounded) capacity.
     pub fn create_stream(&self, name: impl Into<String>, metadata_locator: Option<String>) {
         self.create_stream_with(
             name,
@@ -734,7 +713,7 @@ impl Broker {
 
     /// Registers a stream with explicit queueing configuration.
     /// Idempotent on the name: a repeat call may add a metadata locator,
-    /// but capacity and overflow are fixed by the first registration.
+    /// but the capacity is fixed by the first registration.
     fn create_stream_with(&self, name: impl Into<String>, config: StreamConfig) {
         self.create_stream_inner(name.into(), config, None)
             .expect("non-durable stream creation is infallible");
@@ -803,12 +782,10 @@ impl Broker {
             metadata_locator: Mutex::new(config.metadata_locator),
             subscribers: AtomicUsize::new(0),
             published: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
             archive_errors: AtomicU64::new(0),
             // Clamp here rather than panic in subscribe():
             // the channel shim rejects zero-capacity queues.
             capacity: config.capacity.map(|cap| cap.max(1)),
-            overflow: config.overflow,
             durable,
             filter_type: Mutex::new(None),
         });
@@ -930,7 +907,6 @@ impl Broker {
         let entry = SubEntry {
             id,
             tx,
-            overflow: meta.overflow,
             meta: Arc::clone(&meta),
             filter,
             poison: Arc::clone(&poison),
@@ -1092,7 +1068,6 @@ impl Broker {
                         metadata_locator: meta.metadata_locator.lock().clone(),
                         subscribers: meta.subscribers.load(Ordering::SeqCst),
                         published: meta.published.load(Ordering::Relaxed),
-                        dropped: meta.dropped.load(Ordering::Relaxed),
                         durable_seq: meta
                             .durable
                             .as_ref()
@@ -1441,25 +1416,10 @@ fn deliver_events(
                 }
                 let events =
                     idxs.iter().map(|&k| Arc::clone(event_of(&run[k as usize])));
-                let result = match entry.overflow {
-                    Overflow::Block => entry.tx.send_many(events).map(|_| 0),
-                    Overflow::DropNewest => entry
-                        .tx
-                        .try_send_many(events)
-                        .map(|accepted| idxs.len() - accepted),
-                    Overflow::DropOldest => entry.tx.force_send_many(events),
-                };
-                match result {
-                    Ok(0) => {}
-                    Ok(dropped) => {
-                        entry
-                            .meta
-                            .dropped
-                            .fetch_add(dropped as u64, Ordering::Relaxed);
-                    }
+                if let Err(SendError(_)) = entry.tx.send_many(events) {
                     // Receiver gone: the subscription's Drop already
                     // decremented the count; just prune the entry.
-                    Err(_) => pruned = true,
+                    pruned = true;
                 }
             }
             for pb in preds[..pactive].iter_mut() {
@@ -1467,13 +1427,8 @@ fn deliver_events(
                 pb.matched.clear();
             }
             if pruned {
-                subs.retain(|entry| {
-                    // A closed receiver rejects even a non-blocking probe.
-                    !matches!(
-                        entry.tx.try_send_many(std::iter::empty()),
-                        Err(crossbeam::channel::SendError(_))
-                    )
-                });
+                // A closed receiver rejects even an empty batch.
+                subs.retain(|entry| entry.tx.try_send_many(std::iter::empty()).is_ok());
             }
         }
         bucket.idxs.clear();
@@ -1642,7 +1597,7 @@ mod tests {
         let broker = Broker::new();
         broker.create_stream_with(
             "full",
-            StreamConfig { capacity: Some(1), overflow: Overflow::Block, ..Default::default() },
+            StreamConfig { capacity: Some(1), ..Default::default() },
         );
         let sub = broker.subscribe("full").unwrap();
         for n in 0..4 {
@@ -1671,52 +1626,15 @@ mod tests {
         let broker = Broker::new();
         broker.create_stream_with(
             "tiny",
-            StreamConfig { capacity: Some(0), overflow: Overflow::DropOldest, ..Default::default() },
+            StreamConfig { capacity: Some(0), ..Default::default() },
         );
         let sub = broker.subscribe("tiny").unwrap(); // must not panic
+        // One slot: the worker waits on the second event until the
+        // first is taken, and both arrive.
         broker.publish(event("tiny", 7)).unwrap();
+        broker.publish(event("tiny", 8)).unwrap();
         assert_eq!(sub.recv_timeout(Duration::from_secs(2)).unwrap().payload, vec![7]);
-    }
-
-    #[test]
-    fn drop_oldest_keeps_the_freshest_events() {
-        let broker = Broker::new();
-        broker.create_stream_with(
-            "live",
-            StreamConfig { capacity: Some(2), overflow: Overflow::DropOldest, ..Default::default() },
-        );
-        let sub = broker.subscribe("live").unwrap();
-        for n in 0..5 {
-            broker.publish(event("live", n)).unwrap();
-        }
-        // Wait for dispatch to settle: publishes are async.
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while broker.streams()[0].dropped < 3 && std::time::Instant::now() < deadline {
-            std::thread::yield_now();
-        }
-        assert_eq!(sub.recv().unwrap().payload, vec![3]);
-        assert_eq!(sub.recv().unwrap().payload, vec![4]);
-        assert_eq!(broker.streams()[0].dropped, 3);
-    }
-
-    #[test]
-    fn drop_newest_keeps_the_oldest_events() {
-        let broker = Broker::new();
-        broker.create_stream_with(
-            "audit",
-            StreamConfig { capacity: Some(2), overflow: Overflow::DropNewest, ..Default::default() },
-        );
-        let sub = broker.subscribe("audit").unwrap();
-        for n in 0..5 {
-            broker.publish(event("audit", n)).unwrap();
-        }
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while broker.streams()[0].dropped < 3 && std::time::Instant::now() < deadline {
-            std::thread::yield_now();
-        }
-        assert_eq!(sub.recv().unwrap().payload, vec![0]);
-        assert_eq!(sub.recv().unwrap().payload, vec![1]);
-        assert_eq!(broker.streams()[0].dropped, 3);
+        assert_eq!(sub.recv_timeout(Duration::from_secs(2)).unwrap().payload, vec![8]);
     }
 
     #[test]
@@ -1724,7 +1642,7 @@ mod tests {
         let broker = Arc::new(Broker::new());
         broker.create_stream_with(
             "lossless",
-            StreamConfig { capacity: Some(4), overflow: Overflow::Block, ..Default::default() },
+            StreamConfig { capacity: Some(4), ..Default::default() },
         );
         let sub = broker.subscribe("lossless").unwrap();
         let publisher = {

@@ -19,8 +19,12 @@
 //! length limited, so adversarial input cannot recurse unboundedly) →
 //! typecheck against the [`StructType`] → canonical normalization (the
 //! dedup key) → per-architecture compilation to [`Op`] programs with
-//! short-circuit jumps. Programs are cached per sender layout inside a
-//! [`StreamFilter`] and shared across subscribers through the
+//! short-circuit jumps. Every leaf is one `(field, Test)`: typecheck
+//! coerces the literals once to the field's class, and the compiled op
+//! loads the field through the sender's [`ScalarCode`] (the code the
+//! encode and view plans use) before running the test, which the
+//! decode-side oracle runs too. Programs are cached per sender layout
+//! inside a [`StreamFilter`] and shared across subscribers through the
 //! [`FilterCache`], a [`Memo`] keyed by
 //! `(struct fingerprint, normalized expression)` with hit/miss stats.
 //!
@@ -30,12 +34,12 @@
 //! error counter) — a filtering broker must never panic or allocate on
 //! attacker-supplied bytes.
 
+use std::cmp::Ordering as Order;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use clayout::image::{get_int, get_uint};
-use clayout::{Architecture, CType, Endianness, Layout, StructType, Value};
+use clayout::{Architecture, CType, Layout, Scalar, ScalarCode, StructType, Value};
 use pbio::header::WireHeader;
 use pbio::{Memo, MemoStats};
 
@@ -132,14 +136,21 @@ impl fmt::Display for FilterError {
             FilterError::UnknownField { field } => {
                 write!(f, "filter references unknown field `{field}`")
             }
-            FilterError::TypeMismatch { field, expected, found } => {
+            FilterError::TypeMismatch {
+                field,
+                expected,
+                found,
+            } => {
                 write!(f, "filter field `{field}` expects {expected}, got {found}")
             }
             FilterError::Unsupported { field, detail } => {
                 write!(f, "filter cannot use field `{field}`: {detail}")
             }
             FilterError::HiddenField { field, scope } => {
-                write!(f, "filter references field `{field}` hidden by scope `{scope}`")
+                write!(
+                    f,
+                    "filter references field `{field}` hidden by scope `{scope}`"
+                )
             }
             FilterError::Layout { detail } => {
                 write!(f, "filter target layout failed: {detail}")
@@ -182,15 +193,22 @@ impl CmpOp {
             CmpOp::Ge => ">=",
         }
     }
-}
 
-/// Operators defined over string fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StrOp {
-    Eq,
-    Ne,
-    /// `^=`: the field starts with the literal.
-    Prefix,
+    /// Whether a value ordered `ord` against the key passes. `None` is
+    /// unordered (a NaN): IEEE makes every comparison false but `!=`.
+    fn holds(self, ord: Option<Order>) -> bool {
+        let Some(ord) = ord else {
+            return self == CmpOp::Ne;
+        };
+        match self {
+            CmpOp::Eq => ord.is_eq(),
+            CmpOp::Ne => ord.is_ne(),
+            CmpOp::Lt => ord.is_lt(),
+            CmpOp::Le => ord.is_le(),
+            CmpOp::Gt => ord.is_gt(),
+            CmpOp::Ge => ord.is_ge(),
+        }
+    }
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -226,111 +244,60 @@ enum Tok {
 }
 
 fn err(at: usize, detail: impl Into<String>) -> FilterError {
-    FilterError::Parse { at, detail: detail.into() }
+    FilterError::Parse {
+        at,
+        detail: detail.into(),
+    }
 }
 
 fn lex(src: &str) -> Result<Vec<(usize, Tok)>, FilterError> {
     let bytes = src.as_bytes();
     let mut toks = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let at = i;
-        let b = bytes[i];
-        match b {
-            b' ' | b'\t' | b'\r' | b'\n' => i += 1,
-            b'(' => {
-                toks.push((at, Tok::LParen));
-                i += 1;
+    let mut at = 0;
+    while at < bytes.len() {
+        let b = bytes[at];
+        let then = |c: u8| bytes.get(at + 1) == Some(&c);
+        let (tok, len) = match b {
+            b' ' | b'\t' | b'\r' | b'\n' => {
+                at += 1;
+                continue;
             }
-            b')' => {
-                toks.push((at, Tok::RParen));
-                i += 1;
-            }
-            b',' => {
-                toks.push((at, Tok::Comma));
-                i += 1;
-            }
-            b'&' => {
-                if bytes.get(i + 1) == Some(&b'&') {
-                    toks.push((at, Tok::AndAnd));
-                    i += 2;
-                } else {
-                    return Err(err(at, "expected `&&`"));
-                }
-            }
-            b'|' => {
-                if bytes.get(i + 1) == Some(&b'|') {
-                    toks.push((at, Tok::OrOr));
-                    i += 2;
-                } else {
-                    return Err(err(at, "expected `||`"));
-                }
-            }
-            b'!' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    toks.push((at, Tok::Cmp(CmpOp::Ne)));
-                    i += 2;
-                } else {
-                    toks.push((at, Tok::Bang));
-                    i += 1;
-                }
-            }
-            b'=' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    toks.push((at, Tok::Cmp(CmpOp::Eq)));
-                    i += 2;
-                } else {
-                    return Err(err(at, "expected `==` (assignment is not an operator)"));
-                }
-            }
-            b'^' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    toks.push((at, Tok::PrefixEq));
-                    i += 2;
-                } else {
-                    return Err(err(at, "expected `^=`"));
-                }
-            }
-            b'<' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    toks.push((at, Tok::Cmp(CmpOp::Le)));
-                    i += 2;
-                } else {
-                    toks.push((at, Tok::Cmp(CmpOp::Lt)));
-                    i += 1;
-                }
-            }
-            b'>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    toks.push((at, Tok::Cmp(CmpOp::Ge)));
-                    i += 2;
-                } else {
-                    toks.push((at, Tok::Cmp(CmpOp::Gt)));
-                    i += 1;
-                }
-            }
+            b'(' => (Tok::LParen, 1),
+            b')' => (Tok::RParen, 1),
+            b',' => (Tok::Comma, 1),
+            b'&' if then(b'&') => (Tok::AndAnd, 2),
+            b'|' if then(b'|') => (Tok::OrOr, 2),
+            b'!' if then(b'=') => (Tok::Cmp(CmpOp::Ne), 2),
+            b'!' => (Tok::Bang, 1),
+            b'=' if then(b'=') => (Tok::Cmp(CmpOp::Eq), 2),
+            b'^' if then(b'=') => (Tok::PrefixEq, 2),
+            b'<' if then(b'=') => (Tok::Cmp(CmpOp::Le), 2),
+            b'<' => (Tok::Cmp(CmpOp::Lt), 1),
+            b'>' if then(b'=') => (Tok::Cmp(CmpOp::Ge), 2),
+            b'>' => (Tok::Cmp(CmpOp::Gt), 1),
+            b'&' => return Err(err(at, "expected `&&`")),
+            b'|' => return Err(err(at, "expected `||`")),
+            b'=' => return Err(err(at, "expected `==` (assignment is not an operator)")),
+            b'^' => return Err(err(at, "expected `^=`")),
             b'"' => {
-                let (lit, next) = lex_string(src, i)?;
-                toks.push((at, Tok::Lit(Lit::Str(lit))));
-                i = next;
+                let (lit, next) = lex_string(src, at)?;
+                (Tok::Lit(Lit::Str(lit)), next - at)
             }
             b'-' | b'0'..=b'9' => {
-                let (lit, next) = lex_number(src, i)?;
-                toks.push((at, Tok::Lit(lit)));
-                i = next;
+                let (lit, next) = lex_number(src, at)?;
+                (Tok::Lit(lit), next - at)
             }
             b'_' | b'a'..=b'z' | b'A'..=b'Z' => {
-                let mut j = i + 1;
-                while j < bytes.len()
-                    && (bytes[j] == b'_' || bytes[j] == b'.' || bytes[j].is_ascii_alphanumeric())
-                {
-                    j += 1;
-                }
-                toks.push((at, Tok::Ident(src[i..j].to_owned())));
-                i = j;
+                let name = bytes[at..]
+                    .iter()
+                    .take_while(|c| **c == b'_' || **c == b'.' || c.is_ascii_alphanumeric());
+                let len = name.count();
+                (Tok::Ident(src[at..at + len].to_owned()), len)
             }
             _ => return Err(err(at, format!("unexpected byte 0x{b:02x}"))),
-        }
+        };
+        toks.push((at, tok));
+        at += len;
     }
     Ok(toks)
 }
@@ -403,7 +370,10 @@ fn lex_number(src: &str, start: usize) -> Result<(Lit, usize), FilterError> {
     if let Ok(v) = text.parse::<u64>() {
         return Ok((Lit::UInt(v), i));
     }
-    Err(err(start, format!("integer literal `{text}` overflows 64 bits")))
+    Err(err(
+        start,
+        format!("integer literal `{text}` overflows 64 bits"),
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -412,15 +382,24 @@ fn lex_number(src: &str, start: usize) -> Result<(Lit, usize), FilterError> {
 
 #[derive(Debug, Clone, PartialEq)]
 enum Expr {
-    Cmp { field: String, op: CmpOp, lit: Lit },
-    StrPrefix { field: String, lit: String },
-    /// `field IN (a, b, c)` — set membership in one op.
-    In { field: String, items: Vec<Lit> },
-    /// `field BETWEEN lo AND hi` — inclusive range in one op.
-    Between { field: String, lo: Lit, hi: Lit },
+    /// One field tested against literals as written.
+    Leaf(String, Form),
     And(Box<Expr>, Box<Expr>),
     Or(Box<Expr>, Box<Expr>),
     Not(Box<Expr>),
+}
+
+/// What a leaf asks of its field, before typecheck: the source's
+/// literals, not yet coerced to the field's class.
+#[derive(Debug, Clone, PartialEq)]
+enum Form {
+    Cmp(CmpOp, Lit),
+    /// `^=`: the field starts with the string.
+    Prefix(String),
+    /// `field IN (a, b, c)` — set membership in one op.
+    In(Vec<Lit>),
+    /// `field BETWEEN lo AND hi` — inclusive range in one op.
+    Between(Lit, Lit),
 }
 
 struct Parser {
@@ -444,12 +423,22 @@ impl Parser {
         t
     }
 
+    /// The next token as a literal; anything else is a parse error
+    /// saying what was expected.
+    fn lit(&mut self, expected: &str) -> Result<Lit, FilterError> {
+        let at = self.at();
+        match self.bump() {
+            Some(Tok::Lit(lit)) => Ok(lit),
+            _ => Err(err(at, expected)),
+        }
+    }
+
     fn parse_or(&mut self, depth: usize) -> Result<Expr, FilterError> {
         let mut lhs = self.parse_and(depth)?;
         while matches!(self.peek(), Some(Tok::OrOr)) {
             self.bump();
             let rhs = self.parse_and(depth)?;
-            lhs = Expr::Or(Box::new(lhs), Box::new(rhs));
+            lhs = Expr::Or(lhs.into(), rhs.into());
         }
         Ok(lhs)
     }
@@ -459,19 +448,21 @@ impl Parser {
         while matches!(self.peek(), Some(Tok::AndAnd)) {
             self.bump();
             let rhs = self.parse_unary(depth)?;
-            lhs = Expr::And(Box::new(lhs), Box::new(rhs));
+            lhs = Expr::And(lhs.into(), rhs.into());
         }
         Ok(lhs)
     }
 
     fn parse_unary(&mut self, depth: usize) -> Result<Expr, FilterError> {
         if depth >= MAX_EXPR_DEPTH {
-            return Err(FilterError::TooDeep { max: MAX_EXPR_DEPTH });
+            return Err(FilterError::TooDeep {
+                max: MAX_EXPR_DEPTH,
+            });
         }
         match self.peek() {
             Some(Tok::Bang) => {
                 self.bump();
-                Ok(Expr::Not(Box::new(self.parse_unary(depth + 1)?)))
+                Ok(Expr::Not(self.parse_unary(depth + 1)?.into()))
             }
             Some(Tok::LParen) => {
                 self.bump();
@@ -504,14 +495,11 @@ impl Parser {
         }
         let op = self.bump();
         let lit_at = self.at();
-        let lit = match self.bump() {
-            Some(Tok::Lit(lit)) => lit,
-            _ => return Err(err(lit_at, "expected a literal after the operator")),
-        };
+        let lit = self.lit("expected a literal after the operator")?;
         match op {
-            Some(Tok::Cmp(op)) => Ok(Expr::Cmp { field, op, lit }),
+            Some(Tok::Cmp(op)) => Ok(Expr::Leaf(field, Form::Cmp(op, lit))),
             Some(Tok::PrefixEq) => match lit {
-                Lit::Str(s) => Ok(Expr::StrPrefix { field, lit: s }),
+                Lit::Str(s) => Ok(Expr::Leaf(field, Form::Prefix(s))),
                 other => Err(FilterError::TypeMismatch {
                     field,
                     expected: "a string literal after `^=`",
@@ -528,49 +516,48 @@ impl Parser {
         }
         let mut items = Vec::new();
         loop {
-            let lit_at = self.at();
-            let lit = match self.bump() {
-                Some(Tok::Lit(lit)) => lit,
-                _ => return Err(err(lit_at, "expected a literal in the `IN` list")),
-            };
-            items.push(lit);
+            items.push(self.lit("expected a literal in the `IN` list")?);
             match self.bump() {
                 Some(Tok::Comma) => continue,
                 Some(Tok::RParen) => break,
                 _ => return Err(err(self.at(), "expected `,` or `)` in the `IN` list")),
             }
         }
-        Ok(Expr::In { field, items })
+        Ok(Expr::Leaf(field, Form::In(items)))
     }
 
     fn parse_between(&mut self, field: String) -> Result<Expr, FilterError> {
-        let lo_at = self.at();
-        let lo = match self.bump() {
-            Some(Tok::Lit(lit)) => lit,
-            _ => return Err(err(lo_at, "expected a literal after `BETWEEN`")),
-        };
+        let lo = self.lit("expected a literal after `BETWEEN`")?;
         match self.bump() {
             Some(Tok::Ident(kw)) if kw == "AND" => {}
-            _ => return Err(err(self.at(), "expected `AND` between the `BETWEEN` bounds")),
+            _ => {
+                return Err(err(
+                    self.at(),
+                    "expected `AND` between the `BETWEEN` bounds",
+                ))
+            }
         }
-        let hi_at = self.at();
-        let hi = match self.bump() {
-            Some(Tok::Lit(lit)) => lit,
-            _ => return Err(err(hi_at, "expected a literal after `AND`")),
-        };
-        Ok(Expr::Between { field, lo, hi })
+        let hi = self.lit("expected a literal after `AND`")?;
+        Ok(Expr::Leaf(field, Form::Between(lo, hi)))
     }
 }
 
 fn parse(src: &str) -> Result<Expr, FilterError> {
     if src.len() > MAX_EXPR_LEN {
-        return Err(FilterError::TooLong { len: src.len(), max: MAX_EXPR_LEN });
+        return Err(FilterError::TooLong {
+            len: src.len(),
+            max: MAX_EXPR_LEN,
+        });
     }
     let toks = lex(src)?;
     if toks.is_empty() {
         return Err(err(0, "empty filter expression"));
     }
-    let mut parser = Parser { toks, pos: 0, end: src.len() };
+    let mut parser = Parser {
+        toks,
+        pos: 0,
+        end: src.len(),
+    };
     let expr = parser.parse_or(0)?;
     if parser.pos != parser.toks.len() {
         return Err(err(parser.at(), "trailing input after expression"));
@@ -584,47 +571,45 @@ fn parse(src: &str) -> Result<Expr, FilterError> {
 /// half of the [`FilterCache`].
 fn render(expr: &Expr, out: &mut String) {
     match expr {
-        Expr::Cmp { field, op, lit } => {
+        Expr::Leaf(field, form) => {
             out.push_str(field);
-            out.push(' ');
-            out.push_str(op.render());
-            out.push(' ');
-            render_lit(lit, out);
-        }
-        Expr::StrPrefix { field, lit } => {
-            out.push_str(field);
-            out.push_str(" ^= ");
-            render_lit(&Lit::Str(lit.clone()), out);
-        }
-        Expr::In { field, items } => {
-            out.push_str(field);
-            out.push_str(" IN (");
-            for (i, lit) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
+            match form {
+                Form::Cmp(op, lit) => {
+                    out.push(' ');
+                    out.push_str(op.render());
+                    out.push(' ');
+                    render_lit(lit, out);
                 }
-                render_lit(lit, out);
+                Form::Prefix(s) => {
+                    out.push_str(" ^= ");
+                    render_str(s, out);
+                }
+                Form::In(items) => {
+                    out.push_str(" IN (");
+                    for (i, lit) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push_str(", ");
+                        }
+                        render_lit(lit, out);
+                    }
+                    out.push(')');
+                }
+                Form::Between(lo, hi) => {
+                    out.push_str(" BETWEEN ");
+                    render_lit(lo, out);
+                    out.push_str(" AND ");
+                    render_lit(hi, out);
+                }
             }
-            out.push(')');
         }
-        Expr::Between { field, lo, hi } => {
-            out.push_str(field);
-            out.push_str(" BETWEEN ");
-            render_lit(lo, out);
-            out.push_str(" AND ");
-            render_lit(hi, out);
-        }
-        Expr::And(l, r) => {
+        Expr::And(l, r) | Expr::Or(l, r) => {
             out.push('(');
             render(l, out);
-            out.push_str(" && ");
-            render(r, out);
-            out.push(')');
-        }
-        Expr::Or(l, r) => {
-            out.push('(');
-            render(l, out);
-            out.push_str(" || ");
+            out.push_str(if matches!(expr, Expr::And(..)) {
+                " && "
+            } else {
+                " || "
+            });
             render(r, out);
             out.push(')');
         }
@@ -641,90 +626,183 @@ fn render_lit(lit: &Lit, out: &mut String) {
         Lit::Int(v) => out.push_str(&v.to_string()),
         Lit::UInt(v) => out.push_str(&v.to_string()),
         Lit::Float(v) => out.push_str(&format!("{v:?}")),
-        Lit::Str(s) => {
-            out.push('"');
-            for ch in s.chars() {
-                match ch {
-                    '\\' => out.push_str("\\\\"),
-                    '"' => out.push_str("\\\""),
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    other => out.push(other),
-                }
-            }
-            out.push('"');
+        Lit::Str(s) => render_str(s, out),
+    }
+}
+
+fn render_str(s: &str, out: &mut String) {
+    out.push('"');
+    for ch in s.chars() {
+        match ch {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            other => out.push(other),
         }
     }
+    out.push('"');
 }
 
 // ---------------------------------------------------------------------------
 // Typecheck
 // ---------------------------------------------------------------------------
 
+/// The value class of a filterable field, which its literals are
+/// coerced to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Class {
+    Int,
+    UInt,
+    Float,
+    Str,
+}
+
+/// A literal coerced once to its field's class.
+#[derive(Debug, Clone)]
+enum Key {
+    Num(Scalar),
+    Str(Box<[u8]>),
+}
+
+/// What a leaf asks of its field's value.
+#[derive(Debug, Clone)]
+enum Test {
+    Cmp(CmpOp, Key),
+    /// The string field starts with these bytes.
+    Prefix(Box<[u8]>),
+    /// Set membership: one load, one scan over the keys (the sets are
+    /// tiny — written out by hand in a predicate).
+    In(Box<[Key]>),
+    /// Inclusive range: one load, two compares.
+    Between(Key, Key),
+}
+
+/// A field's value as a [`Test`] sees it: a scalar, or a string's bytes.
+#[derive(Debug, Clone, Copy)]
+enum Field<'a> {
+    Num(Scalar),
+    Str(&'a [u8]),
+}
+
+/// How `value` orders against `key`: `None` when unordered (a NaN, or
+/// a key of another class, which typecheck never produces).
+fn order(value: Field<'_>, key: &Key) -> Option<Order> {
+    match (value, key) {
+        (Field::Num(Scalar::Int(v)), Key::Num(Scalar::Int(k))) => Some(v.cmp(k)),
+        (Field::Num(Scalar::UInt(v)), Key::Num(Scalar::UInt(k))) => Some(v.cmp(k)),
+        (Field::Num(Scalar::Float(v)), Key::Num(Scalar::Float(k))) => v.partial_cmp(k),
+        (Field::Str(v), Key::Str(k)) => Some(v.cmp(k)),
+        _ => None,
+    }
+}
+
+impl Test {
+    /// Whether `value` passes — the one test behind the wire program
+    /// and the [`StreamFilter::eval_record`] oracle. IEEE throughout:
+    /// a NaN is in no set or range and `-0.0` equals `0.0`.
+    fn holds(&self, value: Field<'_>) -> bool {
+        match self {
+            Test::Cmp(op, key) => op.holds(order(value, key)),
+            Test::Prefix(prefix) => matches!(value, Field::Str(s) if s.starts_with(prefix)),
+            Test::In(keys) => keys
+                .iter()
+                .any(|key| order(value, key) == Some(Order::Equal)),
+            Test::Between(lo, hi) => {
+                order(value, lo).is_some_and(Order::is_ge)
+                    && order(value, hi).is_some_and(Order::is_le)
+            }
+        }
+    }
+
+    /// Whether the field is a string: its load is a pointer to follow.
+    fn on_string(&self) -> bool {
+        match self {
+            Test::Prefix(_) => true,
+            Test::Cmp(_, key) | Test::Between(key, _) => matches!(key, Key::Str(_)),
+            Test::In(keys) => matches!(keys.first(), Some(Key::Str(_))),
+        }
+    }
+}
+
 /// A typechecked expression: fields resolved to indices in the struct
 /// type, literals coerced to the field's value class. Architecture
 /// independent — per-arch offsets are bound at [`compile`] time.
 #[derive(Debug, Clone)]
 enum TExpr {
-    Int { field: usize, op: CmpOp, rhs: i64 },
-    UInt { field: usize, op: CmpOp, rhs: u64 },
-    Float { field: usize, op: CmpOp, rhs: f64 },
-    Str { field: usize, op: StrOp, rhs: String },
-    InInt { field: usize, set: Vec<i64> },
-    InUInt { field: usize, set: Vec<u64> },
-    InFloat { field: usize, set: Vec<f64> },
-    InStr { field: usize, set: Vec<String> },
-    BetweenInt { field: usize, lo: i64, hi: i64 },
-    BetweenUInt { field: usize, lo: u64, hi: u64 },
-    BetweenFloat { field: usize, lo: f64, hi: f64 },
+    Leaf { field: usize, test: Test },
     And(Box<TExpr>, Box<TExpr>),
     Or(Box<TExpr>, Box<TExpr>),
     Not(Box<TExpr>),
 }
 
 fn typecheck(expr: &Expr, st: &StructType) -> Result<TExpr, FilterError> {
+    let sub = |e: &Expr| typecheck(e, st).map(Box::new);
     match expr {
-        Expr::And(l, r) => Ok(TExpr::And(
-            Box::new(typecheck(l, st)?),
-            Box::new(typecheck(r, st)?),
-        )),
-        Expr::Or(l, r) => Ok(TExpr::Or(
-            Box::new(typecheck(l, st)?),
-            Box::new(typecheck(r, st)?),
-        )),
-        Expr::Not(inner) => Ok(TExpr::Not(Box::new(typecheck(inner, st)?))),
-        Expr::StrPrefix { field, lit } => {
-            let idx = resolve_string_field(field, st, "`^=` works on string fields only")?;
-            Ok(TExpr::Str { field: idx, op: StrOp::Prefix, rhs: lit.clone() })
-        }
-        Expr::Cmp { field, op, lit } => typecheck_cmp(field, *op, lit, st),
-        Expr::In { field, items } => typecheck_in(field, items, st),
-        Expr::Between { field, lo, hi } => typecheck_between(field, lo, hi, st),
+        Expr::And(l, r) => Ok(TExpr::And(sub(l)?, sub(r)?)),
+        Expr::Or(l, r) => Ok(TExpr::Or(sub(l)?, sub(r)?)),
+        Expr::Not(inner) => Ok(TExpr::Not(sub(inner)?)),
+        Expr::Leaf(field, form) => typecheck_leaf(field, form, st),
     }
 }
 
-fn resolve_field<'a>(
-    field: &str,
-    st: &'a StructType,
-) -> Result<(usize, &'a CType), FilterError> {
-    let idx = st
-        .field_index(field)
-        .ok_or_else(|| FilterError::UnknownField { field: field.to_owned() })?;
-    Ok((idx, &st.fields[idx].ty))
+/// Resolves the field, refuses the kinds no test applies to, and
+/// coerces every literal to the field's class.
+fn typecheck_leaf(name: &str, form: &Form, st: &StructType) -> Result<TExpr, FilterError> {
+    let field = st
+        .field_index(name)
+        .ok_or_else(|| FilterError::UnknownField {
+            field: name.to_owned(),
+        })?;
+    let ty = &st.fields[field].ty;
+    let mismatch = |expected: &'static str, found: &str| FilterError::TypeMismatch {
+        field: name.to_owned(),
+        expected,
+        found: found.to_owned(),
+    };
+    let class = class_of(ty);
+    if matches!(form, Form::Prefix(_)) && class != Ok(Class::Str) {
+        return Err(mismatch("`^=` works on string fields only", type_label(ty)));
+    }
+    let class = class.map_err(|detail| FilterError::Unsupported {
+        field: name.to_owned(),
+        detail: detail.to_owned(),
+    })?;
+    let key =
+        |lit: &Lit| coerce(lit, class).map_err(|expected| mismatch(expected, lit.type_name()));
+    let test = match form {
+        Form::Prefix(s) => Test::Prefix(s.as_bytes().into()),
+        Form::Cmp(op, lit) => {
+            let key = key(lit)?;
+            if class == Class::Str && !matches!(op, CmpOp::Eq | CmpOp::Ne) {
+                return Err(mismatch(
+                    "`==`, `!=` or `^=` (strings have no ordering on the wire)",
+                    op.render(),
+                ));
+            }
+            Test::Cmp(*op, key)
+        }
+        Form::In(items) => Test::In(items.iter().map(key).collect::<Result<_, _>>()?),
+        Form::Between(..) if class == Class::Str => {
+            return Err(mismatch(
+                "`IN` for string sets (strings have no ordering on the wire)",
+                "BETWEEN",
+            ))
+        }
+        Form::Between(lo, hi) => Test::Between(key(lo)?, key(hi)?),
+    };
+    Ok(TExpr::Leaf { field, test })
 }
 
-fn resolve_string_field(
-    field: &str,
-    st: &StructType,
-    why: &'static str,
-) -> Result<usize, FilterError> {
-    match resolve_field(field, st)? {
-        (idx, CType::String) => Ok(idx),
-        (_, other) => Err(FilterError::TypeMismatch {
-            field: field.to_owned(),
-            expected: why,
-            found: type_label(other).to_owned(),
-        }),
+/// The class of a field's values, or why the field cannot be tested.
+fn class_of(ty: &CType) -> Result<Class, &'static str> {
+    match ty {
+        CType::Prim(p) if p.is_float() => Ok(Class::Float),
+        CType::Prim(p) if p.is_signed_integer() => Ok(Class::Int),
+        CType::Prim(_) => Ok(Class::UInt),
+        CType::String => Ok(Class::Str),
+        CType::Array { .. } => Err("array fields cannot be filtered on"),
+        CType::Struct(_) => Err("nested struct fields cannot be filtered on"),
     }
 }
 
@@ -739,204 +817,30 @@ fn type_label(ty: &CType) -> &'static str {
     }
 }
 
-fn typecheck_cmp(
-    field: &str,
-    op: CmpOp,
-    lit: &Lit,
-    st: &StructType,
-) -> Result<TExpr, FilterError> {
-    let (idx, ty) = resolve_field(field, st)?;
-    let mismatch = |expected: &'static str| FilterError::TypeMismatch {
-        field: field.to_owned(),
-        expected,
-        found: lit.type_name().to_owned(),
-    };
-    match ty {
-        CType::Prim(p) if p.is_float() => {
-            let rhs = match lit {
-                Lit::Int(v) => *v as f64,
-                Lit::UInt(v) => *v as f64,
-                Lit::Float(v) => *v,
-                Lit::Str(_) => return Err(mismatch("a numeric literal")),
-            };
-            Ok(TExpr::Float { field: idx, op, rhs })
-        }
-        CType::Prim(p) if p.is_signed_integer() => {
-            let rhs = match lit {
-                Lit::Int(v) => *v,
-                Lit::UInt(_) => return Err(mismatch("an integer literal in i64 range")),
-                _ => return Err(mismatch("an integer literal")),
-            };
-            Ok(TExpr::Int { field: idx, op, rhs })
-        }
-        CType::Prim(_) => {
-            let rhs = match lit {
-                Lit::Int(v) if *v >= 0 => *v as u64,
-                Lit::UInt(v) => *v,
-                Lit::Int(_) => return Err(mismatch("a non-negative integer literal")),
-                _ => return Err(mismatch("an integer literal")),
-            };
-            Ok(TExpr::UInt { field: idx, op, rhs })
-        }
-        CType::String => match (op, lit) {
-            (CmpOp::Eq, Lit::Str(s)) => {
-                Ok(TExpr::Str { field: idx, op: StrOp::Eq, rhs: s.clone() })
-            }
-            (CmpOp::Ne, Lit::Str(s)) => {
-                Ok(TExpr::Str { field: idx, op: StrOp::Ne, rhs: s.clone() })
-            }
-            (_, Lit::Str(_)) => Err(FilterError::TypeMismatch {
-                field: field.to_owned(),
-                expected: "`==`, `!=` or `^=` (strings have no ordering on the wire)",
-                found: op.render().to_owned(),
-            }),
-            _ => Err(mismatch("a string literal")),
-        },
-        CType::Array { .. } => Err(FilterError::Unsupported {
-            field: field.to_owned(),
-            detail: "array fields cannot be filtered on".to_owned(),
-        }),
-        CType::Struct(_) => Err(FilterError::Unsupported {
-            field: field.to_owned(),
-            detail: "nested struct fields cannot be filtered on".to_owned(),
-        }),
-    }
-}
-
-/// Coerces one literal to the field's value class with exactly the
-/// rules `typecheck_cmp` applies, so `IN`/`BETWEEN` accept and reject
-/// the same literals a chain of `==`/`<=` comparisons would.
-fn coerce_int(lit: &Lit) -> Result<i64, &'static str> {
-    match lit {
-        Lit::Int(v) => Ok(*v),
-        Lit::UInt(_) => Err("an integer literal in i64 range"),
-        _ => Err("an integer literal"),
-    }
-}
-
-fn coerce_uint(lit: &Lit) -> Result<u64, &'static str> {
-    match lit {
-        Lit::Int(v) if *v >= 0 => Ok(*v as u64),
-        Lit::UInt(v) => Ok(*v),
-        Lit::Int(_) => Err("a non-negative integer literal"),
-        _ => Err("an integer literal"),
-    }
-}
-
-fn coerce_float(lit: &Lit) -> Result<f64, &'static str> {
-    match lit {
-        Lit::Int(v) => Ok(*v as f64),
-        Lit::UInt(v) => Ok(*v as f64),
-        Lit::Float(v) => Ok(*v),
-        Lit::Str(_) => Err("a numeric literal"),
-    }
-}
-
-fn typecheck_in(field: &str, items: &[Lit], st: &StructType) -> Result<TExpr, FilterError> {
-    let (idx, ty) = resolve_field(field, st)?;
-    let mismatch = |expected: &'static str, found: &Lit| FilterError::TypeMismatch {
-        field: field.to_owned(),
-        expected,
-        found: found.type_name().to_owned(),
-    };
-    fn coerce_all<T>(
-        items: &[Lit],
-        f: fn(&Lit) -> Result<T, &'static str>,
-        mismatch: &impl Fn(&'static str, &Lit) -> FilterError,
-    ) -> Result<Vec<T>, FilterError> {
-        items
-            .iter()
-            .map(|lit| f(lit).map_err(|expected| mismatch(expected, lit)))
-            .collect()
-    }
-    match ty {
-        CType::Prim(p) if p.is_float() => {
-            Ok(TExpr::InFloat { field: idx, set: coerce_all(items, coerce_float, &mismatch)? })
-        }
-        CType::Prim(p) if p.is_signed_integer() => {
-            Ok(TExpr::InInt { field: idx, set: coerce_all(items, coerce_int, &mismatch)? })
-        }
-        CType::Prim(_) => {
-            Ok(TExpr::InUInt { field: idx, set: coerce_all(items, coerce_uint, &mismatch)? })
-        }
-        CType::String => {
-            let set = items
-                .iter()
-                .map(|lit| match lit {
-                    Lit::Str(s) => Ok(s.clone()),
-                    other => Err(mismatch("a string literal", other)),
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(TExpr::InStr { field: idx, set })
-        }
-        CType::Array { .. } => Err(FilterError::Unsupported {
-            field: field.to_owned(),
-            detail: "array fields cannot be filtered on".to_owned(),
-        }),
-        CType::Struct(_) => Err(FilterError::Unsupported {
-            field: field.to_owned(),
-            detail: "nested struct fields cannot be filtered on".to_owned(),
-        }),
-    }
-}
-
-fn typecheck_between(
-    field: &str,
-    lo: &Lit,
-    hi: &Lit,
-    st: &StructType,
-) -> Result<TExpr, FilterError> {
-    let (idx, ty) = resolve_field(field, st)?;
-    let mismatch = |expected: &'static str, found: &Lit| FilterError::TypeMismatch {
-        field: field.to_owned(),
-        expected,
-        found: found.type_name().to_owned(),
-    };
-    match ty {
-        CType::Prim(p) if p.is_float() => {
-            let lo = coerce_float(lo).map_err(|e| mismatch(e, lo))?;
-            let hi = coerce_float(hi).map_err(|e| mismatch(e, hi))?;
-            Ok(TExpr::BetweenFloat { field: idx, lo, hi })
-        }
-        CType::Prim(p) if p.is_signed_integer() => {
-            let lo = coerce_int(lo).map_err(|e| mismatch(e, lo))?;
-            let hi = coerce_int(hi).map_err(|e| mismatch(e, hi))?;
-            Ok(TExpr::BetweenInt { field: idx, lo, hi })
-        }
-        CType::Prim(_) => {
-            let lo = coerce_uint(lo).map_err(|e| mismatch(e, lo))?;
-            let hi = coerce_uint(hi).map_err(|e| mismatch(e, hi))?;
-            Ok(TExpr::BetweenUInt { field: idx, lo, hi })
-        }
-        CType::String => Err(FilterError::TypeMismatch {
-            field: field.to_owned(),
-            expected: "`IN` for string sets (strings have no ordering on the wire)",
-            found: "BETWEEN".to_owned(),
-        }),
-        CType::Array { .. } => Err(FilterError::Unsupported {
-            field: field.to_owned(),
-            detail: "array fields cannot be filtered on".to_owned(),
-        }),
-        CType::Struct(_) => Err(FilterError::Unsupported {
-            field: field.to_owned(),
-            detail: "nested struct fields cannot be filtered on".to_owned(),
-        }),
+/// Coerces one literal to `class`: the accept/refuse rules every test
+/// shares, so `IN`/`BETWEEN` take exactly the literals a chain of
+/// `==`/`<=` comparisons would. A refusal names what the class expects.
+fn coerce(lit: &Lit, class: Class) -> Result<Key, &'static str> {
+    let num = |v| Ok(Key::Num(v));
+    match (class, lit) {
+        (Class::Int, Lit::Int(v)) => num(Scalar::Int(*v)),
+        (Class::Int, Lit::UInt(_)) => Err("an integer literal in i64 range"),
+        (Class::UInt, Lit::Int(v)) if *v >= 0 => num(Scalar::UInt(*v as u64)),
+        (Class::UInt, Lit::UInt(v)) => num(Scalar::UInt(*v)),
+        (Class::UInt, Lit::Int(_)) => Err("a non-negative integer literal"),
+        (Class::Int | Class::UInt, _) => Err("an integer literal"),
+        (Class::Float, Lit::Int(v)) => num(Scalar::Float(*v as f64)),
+        (Class::Float, Lit::UInt(v)) => num(Scalar::Float(*v as f64)),
+        (Class::Float, Lit::Float(v)) => num(Scalar::Float(*v)),
+        (Class::Float, Lit::Str(_)) => Err("a numeric literal"),
+        (Class::Str, Lit::Str(s)) => Ok(Key::Str(s.as_bytes().into())),
+        (Class::Str, _) => Err("a string literal"),
     }
 }
 
 fn collect_fields(expr: &TExpr, st: &StructType, out: &mut Vec<String>) {
     match expr {
-        TExpr::Int { field, .. }
-        | TExpr::UInt { field, .. }
-        | TExpr::Float { field, .. }
-        | TExpr::Str { field, .. }
-        | TExpr::InInt { field, .. }
-        | TExpr::InUInt { field, .. }
-        | TExpr::InFloat { field, .. }
-        | TExpr::InStr { field, .. }
-        | TExpr::BetweenInt { field, .. }
-        | TExpr::BetweenUInt { field, .. }
-        | TExpr::BetweenFloat { field, .. } => {
+        TExpr::Leaf { field, .. } => {
             let name = &st.fields[*field].name;
             if !out.iter().any(|f| f == name) {
                 out.push(name.clone());
@@ -954,33 +858,22 @@ fn collect_fields(expr: &TExpr, st: &StructType, out: &mut Vec<String>) {
 // Compiler + evaluator
 // ---------------------------------------------------------------------------
 
-/// One op of a compiled program. Comparisons fuse the load (offset,
-/// width, byte order all baked in at compile time) with the
-/// compare-immediate and write the boolean accumulator; jumps give
+/// One op of a compiled program. A test loads its field (offset, width,
+/// signedness and byte order all fixed at compile time in a
+/// [`ScalarCode`]) and writes the boolean accumulator; jumps give
 /// `&&`/`||` short-circuit without a value stack.
 #[derive(Debug, Clone)]
 enum Op {
-    CmpI { at: u32, size: u8, op: CmpOp, rhs: i64 },
-    CmpU { at: u32, size: u8, op: CmpOp, rhs: u64 },
-    CmpF32 { at: u32, op: CmpOp, rhs: f64 },
-    CmpF64 { at: u32, op: CmpOp, rhs: f64 },
-    Str { at: u32, op: StrOp, rhs: Box<[u8]> },
-    /// `IN` set membership: one load, one linear scan over the
-    /// immediates (the sets are tiny — written out by hand in a
-    /// predicate), no jump scaffolding per alternative.
-    InI { at: u32, size: u8, set: Box<[i64]> },
-    InU { at: u32, size: u8, set: Box<[u64]> },
-    InF32 { at: u32, set: Box<[f64]> },
-    InF64 { at: u32, set: Box<[f64]> },
-    InStr { at: u32, set: Box<[Box<[u8]>]> },
-    /// `BETWEEN`: one load, two immediate compares, inclusive.
-    BetweenI { at: u32, size: u8, lo: i64, hi: i64 },
-    BetweenU { at: u32, size: u8, lo: u64, hi: u64 },
-    BetweenF32 { at: u32, lo: f64, hi: f64 },
-    BetweenF64 { at: u32, lo: f64, hi: f64 },
+    Test {
+        at: u32,
+        load: ScalarCode,
+        test: Test,
+    },
     Not,
-    JmpFalse { to: u32 },
-    JmpTrue { to: u32 },
+    /// Jump to the op at the index when the accumulator is false.
+    JmpFalse(u32),
+    /// Jump to the op at the index when the accumulator is true.
+    JmpTrue(u32),
 }
 
 /// A predicate compiled against one sender architecture: a flat op
@@ -992,8 +885,6 @@ struct FilterProgram {
     /// fail closed before any op runs, which makes every scalar load
     /// in-bounds by construction.
     min_len: usize,
-    ptr_size: u8,
-    endianness: Endianness,
 }
 
 impl FilterProgram {
@@ -1005,88 +896,34 @@ impl FilterProgram {
         if image.len() < self.min_len {
             return false;
         }
-        let e = self.endianness;
         let mut acc = false;
         let mut pc = 0usize;
         while pc < self.ops.len() {
             match &self.ops[pc] {
-                Op::CmpI { at, size, op, rhs } => {
-                    let v = get_int(image, *at as usize, *size as usize, e);
-                    acc = cmp_ord(v, *rhs, *op);
-                }
-                Op::CmpU { at, size, op, rhs } => {
-                    let v = get_uint(image, *at as usize, *size as usize, e);
-                    acc = cmp_ord(v, *rhs, *op);
-                }
-                Op::CmpF32 { at, op, rhs } => {
-                    let v = f32::from_bits(get_uint(image, *at as usize, 4, e) as u32) as f64;
-                    acc = cmp_float(v, *rhs, *op);
-                }
-                Op::CmpF64 { at, op, rhs } => {
-                    let v = f64::from_bits(get_uint(image, *at as usize, 8, e));
-                    acc = cmp_float(v, *rhs, *op);
-                }
-                Op::Str { at, op, rhs } => {
-                    let target = get_uint(image, *at as usize, self.ptr_size as usize, e);
-                    let Some(s) = str_bytes(image, target) else {
-                        // Bad pointer / unterminated / non-UTF-8: the
-                        // reference decoder errors here, so the whole
-                        // verdict is a fail-closed non-match.
-                        return false;
+                Op::Test { at, load, test } => {
+                    let scalar = load.read(image, *at as usize);
+                    let value = match scalar {
+                        Scalar::UInt(target) if test.on_string() => {
+                            let Some(s) = str_bytes(image, target) else {
+                                // Bad pointer / unterminated / non-UTF-8:
+                                // the reference decoder errors here, so the
+                                // whole verdict is a fail-closed non-match.
+                                return false;
+                            };
+                            Field::Str(s)
+                        }
+                        scalar => Field::Num(scalar),
                     };
-                    acc = match op {
-                        StrOp::Eq => s == &rhs[..],
-                        StrOp::Ne => s != &rhs[..],
-                        StrOp::Prefix => s.starts_with(rhs),
-                    };
-                }
-                Op::InI { at, size, set } => {
-                    let v = get_int(image, *at as usize, *size as usize, e);
-                    acc = set.contains(&v);
-                }
-                Op::InU { at, size, set } => {
-                    let v = get_uint(image, *at as usize, *size as usize, e);
-                    acc = set.contains(&v);
-                }
-                Op::InF32 { at, set } => {
-                    let v = f32::from_bits(get_uint(image, *at as usize, 4, e) as u32) as f64;
-                    acc = set.contains(&v);
-                }
-                Op::InF64 { at, set } => {
-                    let v = f64::from_bits(get_uint(image, *at as usize, 8, e));
-                    acc = set.contains(&v);
-                }
-                Op::InStr { at, set } => {
-                    let target = get_uint(image, *at as usize, self.ptr_size as usize, e);
-                    let Some(s) = str_bytes(image, target) else {
-                        return false;
-                    };
-                    acc = set.iter().any(|x| &x[..] == s);
-                }
-                Op::BetweenI { at, size, lo, hi } => {
-                    let v = get_int(image, *at as usize, *size as usize, e);
-                    acc = *lo <= v && v <= *hi;
-                }
-                Op::BetweenU { at, size, lo, hi } => {
-                    let v = get_uint(image, *at as usize, *size as usize, e);
-                    acc = *lo <= v && v <= *hi;
-                }
-                Op::BetweenF32 { at, lo, hi } => {
-                    let v = f32::from_bits(get_uint(image, *at as usize, 4, e) as u32) as f64;
-                    acc = v >= *lo && v <= *hi;
-                }
-                Op::BetweenF64 { at, lo, hi } => {
-                    let v = f64::from_bits(get_uint(image, *at as usize, 8, e));
-                    acc = v >= *lo && v <= *hi;
+                    acc = test.holds(value);
                 }
                 Op::Not => acc = !acc,
-                Op::JmpFalse { to } => {
+                Op::JmpFalse(to) => {
                     if !acc {
                         pc = *to as usize;
                         continue;
                     }
                 }
-                Op::JmpTrue { to } => {
+                Op::JmpTrue(to) => {
                     if acc {
                         pc = *to as usize;
                         continue;
@@ -1096,29 +933,6 @@ impl FilterProgram {
             pc += 1;
         }
         acc
-    }
-}
-
-fn cmp_ord<T: Ord>(lhs: T, rhs: T, op: CmpOp) -> bool {
-    match op {
-        CmpOp::Eq => lhs == rhs,
-        CmpOp::Ne => lhs != rhs,
-        CmpOp::Lt => lhs < rhs,
-        CmpOp::Le => lhs <= rhs,
-        CmpOp::Gt => lhs > rhs,
-        CmpOp::Ge => lhs >= rhs,
-    }
-}
-
-fn cmp_float(lhs: f64, rhs: f64, op: CmpOp) -> bool {
-    // IEEE semantics: every comparison with NaN is false except `!=`.
-    match op {
-        CmpOp::Eq => lhs == rhs,
-        CmpOp::Ne => lhs != rhs,
-        CmpOp::Lt => lhs < rhs,
-        CmpOp::Le => lhs <= rhs,
-        CmpOp::Gt => lhs > rhs,
-        CmpOp::Ge => lhs >= rhs,
     }
 }
 
@@ -1142,113 +956,47 @@ fn compile(
     st: &StructType,
     arch: &Architecture,
 ) -> Result<FilterProgram, FilterError> {
-    let layout = Layout::of_struct(st, arch)
-        .map_err(|e| FilterError::Layout { detail: e.to_string() })?;
+    let layout = Layout::of_struct(st, arch).map_err(|e| FilterError::Layout {
+        detail: e.to_string(),
+    })?;
+    let pointer = ScalarCode::unsigned(arch.pointer.size, arch.endianness);
+    // Where each field sits and how it loads: its primitive's code, or
+    // the pointer's for a string (typecheck admits nothing else).
+    let slot = |field: usize| {
+        let load = match &st.fields[field].ty {
+            CType::Prim(p) => ScalarCode::of(*p, arch),
+            _ => pointer,
+        };
+        (layout.fields[field].offset as u32, load)
+    };
     let mut ops = Vec::new();
-    emit(expr, &layout, &mut ops);
+    emit(expr, &slot, &mut ops);
     Ok(FilterProgram {
         ops,
         min_len: layout.size,
-        ptr_size: arch.pointer.size as u8,
-        endianness: arch.endianness,
     })
 }
 
-fn emit(expr: &TExpr, layout: &Layout, ops: &mut Vec<Op>) {
-    let offset_of = |idx: usize| layout.fields[idx].offset as u32;
+fn emit(expr: &TExpr, slot: &impl Fn(usize) -> (u32, ScalarCode), ops: &mut Vec<Op>) {
     match expr {
-        TExpr::Int { field, op, rhs } => {
-            let size = layout.fields[*field].size as u8;
-            ops.push(Op::CmpI { at: offset_of(*field), size, op: *op, rhs: *rhs });
-        }
-        TExpr::UInt { field, op, rhs } => {
-            let size = layout.fields[*field].size as u8;
-            ops.push(Op::CmpU { at: offset_of(*field), size, op: *op, rhs: *rhs });
-        }
-        TExpr::Float { field, op, rhs } => {
-            let at = offset_of(*field);
-            if layout.fields[*field].size == 4 {
-                ops.push(Op::CmpF32 { at, op: *op, rhs: *rhs });
-            } else {
-                ops.push(Op::CmpF64 { at, op: *op, rhs: *rhs });
-            }
-        }
-        TExpr::Str { field, op, rhs } => {
-            ops.push(Op::Str {
-                at: offset_of(*field),
-                op: *op,
-                rhs: rhs.as_bytes().to_vec().into_boxed_slice(),
-            });
-        }
-        TExpr::InInt { field, set } => {
-            let size = layout.fields[*field].size as u8;
-            ops.push(Op::InI {
-                at: offset_of(*field),
-                size,
-                set: set.clone().into_boxed_slice(),
-            });
-        }
-        TExpr::InUInt { field, set } => {
-            let size = layout.fields[*field].size as u8;
-            ops.push(Op::InU {
-                at: offset_of(*field),
-                size,
-                set: set.clone().into_boxed_slice(),
-            });
-        }
-        TExpr::InFloat { field, set } => {
-            let at = offset_of(*field);
-            let set = set.clone().into_boxed_slice();
-            if layout.fields[*field].size == 4 {
-                ops.push(Op::InF32 { at, set });
-            } else {
-                ops.push(Op::InF64 { at, set });
-            }
-        }
-        TExpr::InStr { field, set } => {
-            ops.push(Op::InStr {
-                at: offset_of(*field),
-                set: set
-                    .iter()
-                    .map(|s| s.as_bytes().to_vec().into_boxed_slice())
-                    .collect(),
-            });
-        }
-        TExpr::BetweenInt { field, lo, hi } => {
-            let size = layout.fields[*field].size as u8;
-            ops.push(Op::BetweenI { at: offset_of(*field), size, lo: *lo, hi: *hi });
-        }
-        TExpr::BetweenUInt { field, lo, hi } => {
-            let size = layout.fields[*field].size as u8;
-            ops.push(Op::BetweenU { at: offset_of(*field), size, lo: *lo, hi: *hi });
-        }
-        TExpr::BetweenFloat { field, lo, hi } => {
-            let at = offset_of(*field);
-            if layout.fields[*field].size == 4 {
-                ops.push(Op::BetweenF32 { at, lo: *lo, hi: *hi });
-            } else {
-                ops.push(Op::BetweenF64 { at, lo: *lo, hi: *hi });
-            }
+        TExpr::Leaf { field, test } => {
+            let ((at, load), test) = (slot(*field), test.clone());
+            ops.push(Op::Test { at, load, test });
         }
         TExpr::Not(inner) => {
-            emit(inner, layout, ops);
+            emit(inner, slot, ops);
             ops.push(Op::Not);
         }
-        TExpr::And(l, r) => {
-            emit(l, layout, ops);
+        TExpr::And(l, r) | TExpr::Or(l, r) => {
+            emit(l, slot, ops);
             let jmp = ops.len();
-            ops.push(Op::JmpFalse { to: 0 });
-            emit(r, layout, ops);
+            ops.push(Op::Not); // patched below, once the target is known
+            emit(r, slot, ops);
             let to = ops.len() as u32;
-            ops[jmp] = Op::JmpFalse { to };
-        }
-        TExpr::Or(l, r) => {
-            emit(l, layout, ops);
-            let jmp = ops.len();
-            ops.push(Op::JmpTrue { to: 0 });
-            emit(r, layout, ops);
-            let to = ops.len() as u32;
-            ops[jmp] = Op::JmpTrue { to };
+            ops[jmp] = match expr {
+                TExpr::And(..) => Op::JmpFalse(to),
+                _ => Op::JmpTrue(to),
+            };
         }
     }
 }
@@ -1388,7 +1136,9 @@ impl StreamFilter {
     fn foreign_program(&self, descriptor: [u8; 6]) -> Result<Program<'_>, FilterError> {
         let arch = Architecture::from_descriptor(descriptor);
         let build = || compile(&self.typed, &self.struct_type, &arch);
-        Ok(Program::Foreign(self.programs.get_or_build(arch.descriptor(), build)?))
+        Ok(Program::Foreign(
+            self.programs.get_or_build(arch.descriptor(), build)?,
+        ))
     }
 
     /// Evaluates the predicate over a run of full NDR messages (wire
@@ -1469,54 +1219,18 @@ fn eval_record(expr: &TExpr, st: &StructType, record: &clayout::Record) -> bool 
         TExpr::And(l, r) => eval_record(l, st, record) && eval_record(r, st, record),
         TExpr::Or(l, r) => eval_record(l, st, record) || eval_record(r, st, record),
         TExpr::Not(inner) => !eval_record(inner, st, record),
-        TExpr::Int { field, op, rhs } => match record.get(&st.fields[*field].name) {
-            Some(Value::Int(v)) => cmp_ord(*v, *rhs, *op),
-            _ => false,
-        },
-        TExpr::UInt { field, op, rhs } => match record.get(&st.fields[*field].name) {
-            Some(Value::UInt(v)) => cmp_ord(*v, *rhs, *op),
-            _ => false,
-        },
-        TExpr::Float { field, op, rhs } => match record.get(&st.fields[*field].name) {
-            Some(Value::Float(v)) => cmp_float(*v, *rhs, *op),
-            _ => false,
-        },
-        TExpr::Str { field, op, rhs } => match record.get(&st.fields[*field].name) {
-            Some(Value::String(s)) => match op {
-                StrOp::Eq => s == rhs,
-                StrOp::Ne => s != rhs,
-                StrOp::Prefix => s.starts_with(rhs.as_str()),
-            },
-            _ => false,
-        },
-        TExpr::InInt { field, set } => match record.get(&st.fields[*field].name) {
-            Some(Value::Int(v)) => set.contains(v),
-            _ => false,
-        },
-        TExpr::InUInt { field, set } => match record.get(&st.fields[*field].name) {
-            Some(Value::UInt(v)) => set.contains(v),
-            _ => false,
-        },
-        TExpr::InFloat { field, set } => match record.get(&st.fields[*field].name) {
-            Some(Value::Float(v)) => set.iter().any(|x| x == v),
-            _ => false,
-        },
-        TExpr::InStr { field, set } => match record.get(&st.fields[*field].name) {
-            Some(Value::String(s)) => set.iter().any(|x| x == s),
-            _ => false,
-        },
-        TExpr::BetweenInt { field, lo, hi } => match record.get(&st.fields[*field].name) {
-            Some(Value::Int(v)) => *lo <= *v && *v <= *hi,
-            _ => false,
-        },
-        TExpr::BetweenUInt { field, lo, hi } => match record.get(&st.fields[*field].name) {
-            Some(Value::UInt(v)) => *lo <= *v && *v <= *hi,
-            _ => false,
-        },
-        TExpr::BetweenFloat { field, lo, hi } => match record.get(&st.fields[*field].name) {
-            Some(Value::Float(v)) => *v >= *lo && *v <= *hi,
-            _ => false,
-        },
+        TExpr::Leaf { field, test } => {
+            let field = &st.fields[*field];
+            // The oracle's own load: the decoded value, of the field's class.
+            let value = match (class_of(&field.ty), record.get(&field.name)) {
+                (Ok(Class::Int), Some(Value::Int(v))) => Field::Num(Scalar::Int(*v)),
+                (Ok(Class::UInt), Some(Value::UInt(v))) => Field::Num(Scalar::UInt(*v)),
+                (Ok(Class::Float), Some(Value::Float(v))) => Field::Num(Scalar::Float(*v)),
+                (Ok(Class::Str), Some(Value::String(s))) => Field::Str(s.as_bytes()),
+                _ => return false,
+            };
+            test.holds(value)
+        }
     }
 }
 
@@ -1603,13 +1317,7 @@ mod tests {
         )
     }
 
-    fn encode(
-        price: i64,
-        qty: u64,
-        weight: f64,
-        dest: &str,
-        arch: Architecture,
-    ) -> Vec<u8> {
+    fn encode(price: i64, qty: u64, weight: f64, dest: &str, arch: Architecture) -> Vec<u8> {
         let mut record = clayout::Record::new();
         record.set("price", Value::Int(price));
         record.set("qty", Value::UInt(qty));
@@ -1646,7 +1354,11 @@ mod tests {
                 (0, 1.0, "ATL", false),
             ] {
                 let msg = encode(price, 7, weight, dest, arch);
-                assert_eq!(f.matches_message(&msg), want, "{arch} {price} {weight} {dest}");
+                assert_eq!(
+                    f.matches_message(&msg),
+                    want,
+                    "{arch} {price} {weight} {dest}"
+                );
             }
         }
     }
@@ -1663,13 +1375,25 @@ mod tests {
     fn normalization_dedups_equivalent_spellings() {
         let cache = FilterCache::new();
         let st = ticks();
-        let a = cache.get_or_compile(&st, "price > 100 && dest == \"ATL\"").unwrap();
-        let b = cache.get_or_compile(&st, "((price>100)&&(dest==\"ATL\"))").unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "equivalent spellings must share a filter");
-        let c = cache.get_or_compile(&st, "price > 101 && dest == \"ATL\"").unwrap();
+        let a = cache
+            .get_or_compile(&st, "price > 100 && dest == \"ATL\"")
+            .unwrap();
+        let b = cache
+            .get_or_compile(&st, "((price>100)&&(dest==\"ATL\"))")
+            .unwrap();
+        assert!(
+            Arc::ptr_eq(&a, &b),
+            "equivalent spellings must share a filter"
+        );
+        let c = cache
+            .get_or_compile(&st, "price > 101 && dest == \"ATL\"")
+            .unwrap();
         assert!(!Arc::ptr_eq(&a, &c));
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.built, stats.resident), (1, 2, 2, 2));
+        assert_eq!(
+            (stats.hits, stats.misses, stats.built, stats.resident),
+            (1, 2, 2, 2)
+        );
     }
 
     #[test]
@@ -1678,11 +1402,18 @@ mod tests {
         let st = ticks();
         let live = cache.get_or_compile(&st, "price > -1").unwrap();
         for threshold in 0..1000 {
-            drop(cache.get_or_compile(&st, &format!("price > {threshold}")).unwrap());
+            drop(
+                cache
+                    .get_or_compile(&st, &format!("price > {threshold}"))
+                    .unwrap(),
+            );
         }
         let stats = cache.stats();
         assert!(stats.resident <= 2, "{stats:?}");
-        assert!(Arc::ptr_eq(&live, &cache.get_or_compile(&st, "price>-1").unwrap()));
+        assert!(Arc::ptr_eq(
+            &live,
+            &cache.get_or_compile(&st, "price>-1").unwrap()
+        ));
     }
 
     #[test]
@@ -1741,7 +1472,7 @@ mod tests {
         // `dest == "ATL" || price > 0` on a message whose dest matches:
         // the program must exit through the JmpTrue without evaluating
         // the price comparison. Observable via op count only, so assert
-        // the program shape: Str, JmpTrue, CmpI.
+        // the program shape: Test, JmpTrue, Test.
         let f = filter("dest == \"ATL\" || price > 0");
         let host = Architecture::host();
         let program = f.program_for(host.descriptor()).unwrap();
@@ -1763,7 +1494,12 @@ mod tests {
         ] {
             let f = filter(expr);
             let program = f.program_for(host.descriptor()).unwrap();
-            assert_eq!(program.len(), 1, "{expr} must be one op, got {}", program.len());
+            assert_eq!(
+                program.len(),
+                1,
+                "{expr} must be one op, got {}",
+                program.len()
+            );
         }
     }
 
@@ -1811,7 +1547,10 @@ mod tests {
         let st = ticks();
         let a = cache.get_or_compile(&st, "price IN (1, 2)").unwrap();
         let b = cache.get_or_compile(&st, "price IN ( 1 ,2 )").unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "equivalent IN spellings must share a filter");
+        assert!(
+            Arc::ptr_eq(&a, &b),
+            "equivalent IN spellings must share a filter"
+        );
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * [`broker`] — an in-process publish/subscribe broker, sharded by
 //!   stream name across per-core dispatch workers that fan events out in
 //!   batches; streams carry a metadata locator so subscribers know where
-//!   to discover the format, and a per-stream [`broker::Overflow`]
-//!   policy decides what happens to slow subscribers.
+//!   to discover the format, and a slow subscriber's full queue
+//!   backpressures its shard rather than losing events.
 //! * [`net`] — a length-prefixed TCP event transport
 //!   ([`net::EventServer`], [`net::EventClient`]): a readiness event
 //!   loop over epoll, `poll(2)` off Linux (sharded, nonblocking
@@ -52,7 +52,7 @@ pub mod stream;
 pub mod typed;
 
 pub use broker::{
-    Broker, DurableSpec, Event, Overflow, PublishHandle, ReplaySubscription,
+    Broker, DurableSpec, Event, PublishHandle, ReplaySubscription,
     StreamConfig, StreamInfo, Subscription,
 };
 pub use error::BackboneError;

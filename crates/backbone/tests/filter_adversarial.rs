@@ -477,3 +477,407 @@ proptest! {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// Front-end mutation differential: seeded mutants of generated predicates
+// either fail with a typed error or compile to the oracle's verdict on
+// every architecture.
+// ---------------------------------------------------------------------------
+
+/// A generated predicate's vocabulary: each field with literals of its
+/// own class (already rendered as source text).
+type Vocabulary = &'static [(&'static str, bool, &'static [&'static str])];
+
+const TICK_WORDS: Vocabulary = &[
+    ("price", false, &["-40", "-3", "0", "7", "39"]),
+    ("qty", false, &["0", "3", "9", "39"]),
+    ("weight", false, &["-2.5", "0.5", "1.25", "39.5", "3"]),
+    ("dest", true, &["\"ATL\"", "\"BOS\"", "\"A\"", "\"\""]),
+];
+
+const FLIGHT_WORDS: Vocabulary = &[
+    ("callsign", true, &["\"DL\"", "\"DL1202\"", "\"UA9\"", "\"\""]),
+    ("alt", false, &["0", "31000", "49999"]),
+    ("temp", false, &["-40", "0.5", "-40.0", "12"]),
+    ("heading", false, &["-180", "0", "270"]),
+];
+
+/// Literals of every class, for the literal-class mutation.
+const ANY_LITERAL: &[&str] =
+    &["-3", "7", "18446744073709551615", "2.5", "-0.0", "1e308", "\"AT\"", "\"\""];
+
+/// Operators and keywords, for the operator-swap mutation.
+const ANY_OPERATOR: &[&str] =
+    &["==", "!=", "<", "<=", ">", ">=", "^=", "&&", "||", "!", "IN", "BETWEEN", "AND", ","];
+
+/// Field names of both structs and a few that exist in neither.
+const ANY_FIELD: &[&str] = &[
+    "price", "qty", "weight", "dest", "callsign", "alt", "temp", "heading", "nope", "price.x",
+];
+
+fn pick<'a>(mix: &mut Mix, from: &[&'a str]) -> &'a str {
+    from[mix.below(from.len() as u64) as usize]
+}
+
+fn generated_leaf(mix: &mut Mix, words: Vocabulary) -> String {
+    let (field, string, lits) = words[mix.below(words.len() as u64) as usize];
+    match mix.below(4) {
+        0 => {
+            let n = 1 + mix.below(3);
+            let items: Vec<&str> = (0..n).map(|_| pick(mix, lits)).collect();
+            format!("{field} IN ({})", items.join(", "))
+        }
+        1 if !string => {
+            format!("{field} BETWEEN {} AND {}", pick(mix, lits), pick(mix, lits))
+        }
+        _ if string => format!("{field} {} {}", pick(mix, &["==", "!=", "^="]), pick(mix, lits)),
+        _ => format!("{field} {} {}", pick(mix, &["==", "!=", "<", "<=", ">", ">="]), pick(mix, lits)),
+    }
+}
+
+fn generated_predicate(mix: &mut Mix, words: Vocabulary, depth: u32) -> String {
+    if depth == 0 || mix.below(3) == 0 {
+        return generated_leaf(mix, words);
+    }
+    match mix.below(3) {
+        0 => format!(
+            "({} && {})",
+            generated_predicate(mix, words, depth - 1),
+            generated_predicate(mix, words, depth - 1)
+        ),
+        1 => format!(
+            "{} || {}",
+            generated_predicate(mix, words, depth - 1),
+            generated_predicate(mix, words, depth - 1)
+        ),
+        _ => format!("!({})", generated_predicate(mix, words, depth - 1)),
+    }
+}
+
+/// What a token span of a predicate source is, for targeted mutation.
+#[derive(Clone, Copy, PartialEq)]
+enum Span {
+    Name,
+    Literal,
+    Operator,
+}
+
+/// Splits an ASCII predicate source into classified spans. Tolerant of
+/// anything a previous mutation left behind: unknown bytes are skipped.
+fn spans(src: &str) -> Vec<(Span, usize, usize)> {
+    let b = src.as_bytes();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < b.len() {
+        let start = i;
+        let kind = match b[i] {
+            b'"' => {
+                i += 1;
+                while i < b.len() && b[i] != b'"' {
+                    i += 1 + usize::from(b[i] == b'\\');
+                }
+                i = (i + 1).min(b.len());
+                Span::Literal
+            }
+            b'-' | b'0'..=b'9' => {
+                i += 1;
+                while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'.') {
+                    i += 1;
+                }
+                Span::Literal
+            }
+            c if c == b'_' || c.is_ascii_alphabetic() => {
+                while i < b.len() && (b[i] == b'_' || b[i] == b'.' || b[i].is_ascii_alphanumeric()) {
+                    i += 1;
+                }
+                if matches!(&src[start..i], "IN" | "BETWEEN" | "AND") {
+                    Span::Operator
+                } else {
+                    Span::Name
+                }
+            }
+            b'=' | b'!' | b'<' | b'>' | b'^' | b'&' | b'|' | b',' => {
+                i += 1;
+                if i < b.len() && matches!(b[i], b'=' | b'&' | b'|') {
+                    i += 1;
+                }
+                Span::Operator
+            }
+            _ => {
+                i += 1;
+                continue;
+            }
+        };
+        out.push((kind, start, i));
+    }
+    out
+}
+
+/// Applies one seeded mutation: a byte flip, a cut, or a swapped
+/// operator, literal or field name.
+fn mutate(src: &str, mix: &mut Mix) -> String {
+    let replace = |kind: Span, with: &[&str], mix: &mut Mix| {
+        let targets: Vec<_> = spans(src).into_iter().filter(|s| s.0 == kind).collect();
+        if targets.is_empty() {
+            return src.to_owned();
+        }
+        let (_, start, end) = targets[mix.below(targets.len() as u64) as usize];
+        format!("{}{}{}", &src[..start], pick(mix, with), &src[end..])
+    };
+    match mix.below(5) {
+        0 if !src.is_empty() => {
+            let mut bytes = src.as_bytes().to_vec();
+            let at = mix.below(bytes.len() as u64) as usize;
+            bytes[at] = b' ' + mix.below(95) as u8;
+            String::from_utf8(bytes).expect("printable ASCII")
+        }
+        1 => src[..mix.below(src.len() as u64 + 1) as usize].to_owned(),
+        2 => replace(Span::Operator, ANY_OPERATOR, mix),
+        3 => replace(Span::Literal, ANY_LITERAL, mix),
+        _ => replace(Span::Name, ANY_FIELD, mix),
+    }
+}
+
+fn generated_tick(mix: &mut Mix) -> Record {
+    Record::new()
+        .with("price", mix.below(80) as i64 - 40)
+        .with("qty", mix.below(40))
+        .with("weight", [-2.5, 0.5, 1.25, 3.0, 39.5][mix.below(5) as usize])
+        .with("dest", ["ATL", "BOS", "AB", "A", ""][mix.below(5) as usize])
+}
+
+fn generated_flight(mix: &mut Mix) -> Record {
+    Record::new()
+        .with("callsign", ["DL1202", "DL", "UA910", ""][mix.below(4) as usize])
+        .with("alt", [0, 31_000, 49_999, 7][mix.below(4) as usize])
+        .with("temp", [-40.0, 0.5, 12.0, -2.5][mix.below(4) as usize])
+        .with("heading", [-180i64, 0, 270, 5][mix.below(4) as usize])
+}
+
+/// Runs `mutants` seeded mutants of predicates generated from `words`
+/// against `st`; returns how many compiled and how many were refused.
+fn mutation_differential(
+    st: &StructType,
+    words: Vocabulary,
+    record: fn(&mut Mix) -> Record,
+    seed: u64,
+    mutants: usize,
+) -> (usize, usize) {
+    let mut mix = Mix(seed);
+    let (mut compiled, mut refused) = (0, 0);
+    for _ in 0..mutants {
+        let mut src = generated_predicate(&mut mix, words, 2);
+        for _ in 0..1 + mix.below(2) {
+            src = mutate(&src, &mut mix);
+        }
+        let filter = match StreamFilter::compile(&src, st) {
+            Ok(filter) => filter,
+            Err(e) => {
+                assert!(
+                    !matches!(
+                        e,
+                        FilterError::Layout { .. }
+                            | FilterError::HiddenField { .. }
+                            | FilterError::TypeChanged { .. }
+                    ),
+                    "{src:?}: {e:?} is not a front-end error"
+                );
+                assert!(!e.to_string().is_empty());
+                refused += 1;
+                continue;
+            }
+        };
+        compiled += 1;
+        for _ in 0..2 {
+            let record = record(&mut mix);
+            for arch in Architecture::ALL {
+                let format = Format::new(FormatId(7), st.clone(), arch).unwrap();
+                let msg = pbio::ndr::encode(&record, &format).unwrap();
+                let decoded = pbio::ndr::decode_with(&msg, &format).unwrap();
+                assert_eq!(
+                    filter.matches_message(&msg),
+                    filter.eval_record(&decoded),
+                    "{src:?} ({}) on {record:?} under {arch}",
+                    filter.normalized()
+                );
+            }
+        }
+        assert_eq!(filter.stats().errors, 0, "{src:?}");
+    }
+    (compiled, refused)
+}
+
+#[test]
+fn mutated_predicates_are_refused_or_agree_with_the_oracle() {
+    const MUTANTS: usize = 6_000;
+    for (st, words, record, seed) in [
+        (ticks(), TICK_WORDS, generated_tick as fn(&mut Mix) -> Record, 0x7157),
+        (flights(), FLIGHT_WORDS, generated_flight as fn(&mut Mix) -> Record, 0xF119),
+    ] {
+        let (compiled, refused) = mutation_differential(&st, words, record, seed, MUTANTS);
+        assert_eq!(compiled + refused, MUTANTS);
+        // Both outcomes must be common, or the differential has no teeth.
+        assert!(compiled > MUTANTS / 20, "{}: only {compiled} mutants compiled", st.name);
+        assert!(refused > MUTANTS / 10, "{}: only {refused} mutants refused", st.name);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Golden table: every field class × literal class × operator form, and
+// what the front end makes of it (normalized form or error text).
+// ---------------------------------------------------------------------------
+
+/// One field of every class the front end distinguishes.
+fn every_class() -> StructType {
+    StructType::new(
+        "Classes",
+        vec![
+            StructField::new("i", CType::Prim(Primitive::Long)),
+            StructField::new("u", CType::Prim(Primitive::UInt)),
+            StructField::new("d", CType::Prim(Primitive::Double)),
+            StructField::new("s", CType::String),
+            StructField::new("a", CType::fixed_array(CType::Prim(Primitive::Int), 2)),
+            StructField::new(
+                "n",
+                CType::Struct(StructType::new(
+                    "Inner",
+                    vec![StructField::new("x", CType::Prim(Primitive::Int))],
+                )),
+            ),
+        ],
+    )
+}
+
+fn golden_table() -> String {
+    // Two literals of each class, so `IN` and `BETWEEN` stay in class.
+    let literals = [
+        ("-3", "-7"),
+        ("7", "9"),
+        ("18446744073709551615", "9223372036854775808"),
+        ("2.5", "-0.0"),
+        ("\"AT\"", "\"a\\\"b\""),
+    ];
+    let st = every_class();
+    let mut table = String::new();
+    for field in ["i", "u", "d", "s", "a", "n"] {
+        for (lit, other) in literals {
+            let mut forms: Vec<String> = ["==", "!=", "<", "<=", ">", ">=", "^="]
+                .iter()
+                .map(|op| format!("{field} {op} {lit}"))
+                .collect();
+            forms.push(format!("{field} IN ({lit},{other})"));
+            forms.push(format!("{field} BETWEEN {lit} AND {other}"));
+            for src in forms {
+                let verdict = match StreamFilter::compile(&src, &st) {
+                    Ok(filter) => format!("ok  {}", filter.normalized()),
+                    Err(e) => format!("err {e}"),
+                };
+                table.push_str(&format!("{src}\t{verdict}\n"));
+            }
+        }
+    }
+    table
+}
+
+/// The committed table is the contract: a change to the front end's
+/// accept/refuse rules, its coercions, its error text or its canonical
+/// form (the filter cache's key) shows up here as a changed row.
+#[test]
+fn every_class_literal_and_operator_form_is_pinned() {
+    let want = include_str!("filter_forms.txt");
+    let got = golden_table();
+    for (n, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+        assert_eq!(g, w, "row {}", n + 1);
+    }
+    assert_eq!(got.lines().count(), want.lines().count());
+    assert_eq!(got, want);
+}
+
+// ---------------------------------------------------------------------------
+// IEEE semantics on both paths.
+// ---------------------------------------------------------------------------
+
+fn floats() -> StructType {
+    StructType::new(
+        "Floats",
+        vec![
+            StructField::new("d", CType::Prim(Primitive::Double)),
+            StructField::new("f", CType::Prim(Primitive::Float)),
+        ],
+    )
+}
+
+/// NaN fails every test but `!=`; `-0.0 == 0.0`; a `float` field is
+/// widened to `f64` before the compare — on the wire program and the
+/// `eval_record` oracle alike, on every architecture.
+#[test]
+fn ieee_semantics_hold_on_both_paths() {
+    let st = floats();
+    let nan = (f64::NAN, [
+        ("!= 1.0", true),
+        ("!= 0", true),
+        ("== 1.0", false),
+        ("< 1.0", false),
+        ("<= 1.0", false),
+        ("> 1.0", false),
+        (">= 1.0", false),
+        ("IN (1.0, 0.0, -1.0)", false),
+        ("BETWEEN -1e308 AND 1e308", false),
+    ]);
+    let negative_zero = (-0.0, [
+        ("== 0.0", true),
+        ("== 0", true),
+        ("== -0.0", true),
+        ("!= 0.0", false),
+        ("< 0.0", false),
+        (">= 0", true),
+        ("IN (0.0)", true),
+        ("BETWEEN 0.0 AND 0.0", true),
+        ("BETWEEN -0.0 AND -0.0", true),
+    ]);
+    let tenth = (0.1, [
+        // 0.1 stored as an f32 widens to 0.10000000149011612.
+        ("== 0.1", true),
+        ("== 0.10000000149011612", false),
+        ("!= 0.1", false),
+        ("> 0.1", false),
+        ("< 0.10000000149011612", true),
+        ("IN (0.1)", true),
+        ("BETWEEN 0.1 AND 0.1", true),
+        ("BETWEEN 0.0 AND 0.1", true),
+        ("<= 0.1", true),
+    ]);
+    let widened = [
+        ("f == 0.1", false),
+        ("f == 0.10000000149011612", true),
+        ("f != 0.1", true),
+        ("f > 0.1", true),
+        ("f IN (0.1)", false),
+        ("f IN (0.10000000149011612)", true),
+        ("f BETWEEN 0.0 AND 0.1", false),
+    ];
+    let mut cases: Vec<(f64, f64, String, bool)> = Vec::new();
+    for (value, tests) in [nan, negative_zero] {
+        for (test, want) in tests {
+            cases.push((value, value, format!("d {test}"), want));
+            cases.push((value, value, format!("f {test}"), want));
+        }
+    }
+    for (test, want) in tenth.1 {
+        cases.push((tenth.0, 0.0, format!("d {test}"), want));
+    }
+    for (test, want) in widened {
+        cases.push((0.0, tenth.0, test.to_owned(), want));
+    }
+    for (d, f, src, want) in cases {
+        let filter = StreamFilter::compile(&src, &st).expect("well-typed");
+        let record = Record::new().with("d", d).with("f", f);
+        for arch in Architecture::ALL {
+            let format = Format::new(FormatId(7), st.clone(), arch).unwrap();
+            let msg = pbio::ndr::encode(&record, &format).unwrap();
+            let decoded = pbio::ndr::decode_with(&msg, &format).unwrap();
+            assert_eq!(filter.matches_message(&msg), want, "wire: {src} on d={d} f={f} {arch}");
+            assert_eq!(filter.eval_record(&decoded), want, "oracle: {src} on d={d} f={f} {arch}");
+        }
+    }
+}

@@ -9,6 +9,7 @@
 //! structural budgets both rest on (see DESIGN.md §5).
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use clayout::{CType, Primitive, Record, StructField, StructType, Value};
@@ -16,24 +17,36 @@ use clayout::{CType, Primitive, Record, StructField, StructType, Value};
 /// Counts every allocation (alloc/alloc_zeroed/realloc) of the process
 /// and delegates to the system allocator. Deallocations are free and
 /// uncounted. A test installs it with its own `#[global_allocator]`
-/// static and reads the count with [`allocations`].
+/// static and reads the count with [`allocations`] (every thread) or
+/// [`thread_allocations`] (the calling thread only).
 pub struct CountingAllocator;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    // Const-initialised and without a destructor, so reaching it from
+    // inside the allocator never allocates or registers anything.
+    static THREAD_ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    THREAD_ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -45,6 +58,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 /// Allocations counted so far by an installed [`CountingAllocator`].
 pub fn allocations() -> usize {
     ALLOCATIONS.load(Ordering::SeqCst)
+}
+
+/// Allocations the calling thread has made so far under an installed
+/// [`CountingAllocator`] — what a single-threaded claim counts, immune
+/// to the test harness's and other threads' allocations.
+pub fn thread_allocations() -> usize {
+    THREAD_ALLOCATIONS.with(Cell::get)
 }
 
 /// Structure B (paper Fig. 7/9): static + dynamic arrays — 52 bytes on

@@ -2,7 +2,7 @@
 //! the backbone broker: unbounded and bounded MPMC channels built on
 //! `Mutex<VecDeque>` + `Condvar`, with disconnect detection,
 //! non-blocking sends, timed receives, and batch extensions (`send_many`,
-//! `try_send_many`, `force_send_many`, `recv_batch`) that move several
+//! `try_send_many`, `recv_batch`) that move several
 //! messages under a single lock acquisition — the primitive the broker's
 //! batched fan-out dispatch is built on.
 
@@ -269,9 +269,9 @@ pub mod channel {
         }
 
         /// Shim extension: enqueues every message of `values` under a
-        /// single lock acquisition, blocking for space as needed (the
-        /// `Block` overflow primitive, batched). Returns the number
-        /// enqueued; on disconnect the remaining messages are dropped.
+        /// single lock acquisition, blocking for space as needed. Returns
+        /// the number enqueued; on disconnect the remaining messages are
+        /// dropped.
         pub fn send_many<I>(&self, values: I) -> Result<usize, SendError<usize>>
         where
             I: IntoIterator<Item = T>,
@@ -308,9 +308,9 @@ pub mod channel {
         }
 
         /// Shim extension: enqueues messages under a single lock
-        /// acquisition until the channel fills, dropping the rest (the
-        /// `DropNewest` overflow primitive, batched). Returns the number
-        /// accepted.
+        /// acquisition until the channel fills, dropping the rest.
+        /// Returns the number accepted; fails only when every receiver
+        /// is gone, so an empty batch probes for a disconnect.
         pub fn try_send_many<I>(&self, values: I) -> Result<usize, SendError<usize>>
         where
             I: IntoIterator<Item = T>,
@@ -331,34 +331,6 @@ pub mod channel {
                 self.shared.unlock_and_wake(queue);
             }
             Ok(pushed)
-        }
-
-        /// Shim extension: enqueues every message under a single lock
-        /// acquisition, evicting the oldest queued messages as needed
-        /// (the `DropOldest` overflow primitive, batched). Returns the
-        /// number evicted.
-        pub fn force_send_many<I>(&self, values: I) -> Result<usize, SendError<usize>>
-        where
-            I: IntoIterator<Item = T>,
-        {
-            let mut queue = self.shared.lock();
-            if self.shared.receivers.load(Ordering::SeqCst) == 0 {
-                return Err(SendError(0));
-            }
-            let mut evicted = 0usize;
-            let mut pushed = false;
-            for value in values {
-                if self.shared.is_full(&queue) {
-                    queue.pop_front();
-                    evicted += 1;
-                }
-                queue.push_back(value);
-                pushed = true;
-            }
-            if pushed {
-                self.shared.unlock_and_wake(queue);
-            }
-            Ok(evicted)
         }
     }
 
@@ -604,16 +576,6 @@ pub mod channel {
             let mut out = Vec::new();
             rx.recv_batch(&mut out, 10).unwrap();
             assert_eq!(out, vec![0, 1, 2]);
-        }
-
-        #[test]
-        fn force_send_many_evicts_and_keeps_newest() {
-            let (tx, rx) = bounded(3);
-            tx.send_many(0..3).unwrap();
-            assert_eq!(tx.force_send_many(3..6), Ok(3));
-            let mut out = Vec::new();
-            rx.recv_batch(&mut out, 10).unwrap();
-            assert_eq!(out, vec![3, 4, 5]);
         }
 
         #[test]
