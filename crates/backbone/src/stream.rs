@@ -140,12 +140,15 @@ impl Consumer {
     /// subscription.
     ///
     /// The stream's format is the document's first complex type, and
-    /// only it and the types it is composed of are compiled and bound
-    /// ([`Xml2Wire::discover_root`]): a catalogue of many formats costs a
-    /// joiner one read of the document, not a compile of every format in
-    /// it, and a defect in a type the stream never uses does not stop the
-    /// join. A malformed document, a type name declared twice, or a
-    /// defect in the stream's own types does.
+    /// only it and the types it is composed of are fetched, compiled and
+    /// bound ([`Xml2Wire::discover_root`]): the metadata server checked
+    /// the whole catalogue once and sends the joiner that closure, so a
+    /// catalogue of many formats costs a join what the stream's own types
+    /// cost, and a defect in a type the stream never uses does not stop
+    /// it. A malformed document, a type name declared twice, or a defect
+    /// in the stream's own types does — reported as for the whole
+    /// document, which is what a server that does not cut closures
+    /// sends, and which the session then checks itself.
     ///
     /// This is the paper's claim made concrete: a brand-new consumer
     /// needs *no compiled-in knowledge* of the stream's message format.

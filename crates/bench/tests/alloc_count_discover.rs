@@ -5,7 +5,8 @@
 //!   fetched document);
 //! * `discover_root()` — `Schema::parse_reachable` → the root's closure
 //!   bound (what `Consumer::subscribe` runs on the fetched document),
-//!   document in hand and then fetched over HTTP.
+//!   document in hand, and then over HTTP, where the server sends the
+//!   closure instead of the catalogue.
 //!
 //! The `late_join` workload of the repo's benchmark pays one of these
 //! per join on a 65-type × 24-field catalogue. What keeps them cheap is
@@ -23,18 +24,25 @@
 //!    [`INDEX_PER_TYPE`] allocations however many fields it has: its
 //!    elements are read, not compiled;
 //! 4. fetching the catalogue from a real `MetadataServer` adds at most
-//!    [`FETCH_ALLOCATIONS`] to `discover_root()`, counting the server's
-//!    allocations with the client's: the response is read into one
-//!    buffer that becomes the document, never copied whole.
+//!    [`FETCH_ALLOCATIONS`] to `discover()`'s registration, counting the
+//!    server's allocations with the client's: the response is read into
+//!    one buffer that becomes the document, never copied whole;
+//! 5. a cold `discover_root()` from that server costs the same however
+//!    large the fillers are — the server sends the root's closure, cut
+//!    once per published document, so the join never sees the
+//!    catalogue's size — and at most [`FETCH_ALLOCATIONS`] more than
+//!    parsing and binding that closure in hand.
 //!
 //! Runs in its own test binary as one `#[test]`, the paths in turn, so
 //! no other test can disturb the process-wide counter — same discipline
 //! as `alloc_count.rs`.
 
+use std::sync::Arc;
+
 use clayout::Architecture;
 use omf_bench::{allocations, generated_schema_set, CountingAllocator, SCHEMA_B};
-use pbio::{Catalog, FormatRegistry};
-use xml2wire::{Binder, MetadataServer, UrlSource, Xml2Wire};
+use pbio::{Catalog, Format, FormatRegistry};
+use xml2wire::{Binder, MetadataServer, UrlSource, X2wError, Xml2Wire};
 use xsdlite::Schema;
 
 #[global_allocator]
@@ -51,12 +59,12 @@ const BUDGET_PER_ELEMENT: usize = 6;
 /// its name, and its share of the index's growth.
 const INDEX_PER_TYPE: usize = 2;
 
-/// Allocations a cold fetch adds to `discover_root()`'s parse and bind,
-/// client and server together: the request, the response read into one
-/// buffer that doubles from 8 KiB (five allocations for the catalogue)
-/// and becomes the document in place, the schema cache's entry and
-/// singleflight, and the server's request and response heads. A copy of
-/// the document anywhere on the way would be one more.
+/// Allocations a cold fetch adds to a discovery's parse and bind, client
+/// and server together: the request, the response read into one buffer
+/// that doubles from 8 KiB (five allocations for the catalogue, one for a
+/// closure) and becomes the document in place, the schema cache's entry
+/// and singleflight, and the server's request and response heads. A copy
+/// of the document anywhere on the way would be one more.
 const FETCH_ALLOCATIONS: usize = 24;
 
 /// Element declarations of Structure B, the root `Consumer` binds.
@@ -79,7 +87,8 @@ fn registration_allocs(fields: usize) -> usize {
 fn cold_registration_allocation_budget() {
     discover_pays_per_element();
     discover_root_pays_for_the_closure_only();
-    discover_root_fetches_without_copying();
+    discover_fetches_without_copying();
+    discover_root_fetches_the_closure();
 }
 
 fn discover_pays_per_element() {
@@ -161,35 +170,80 @@ fn discover_root_pays_for_the_closure_only() {
     );
 }
 
-fn discover_root_fetches_without_copying() {
+fn discover_fetches_without_copying() {
     let server = MetadataServer::bind("127.0.0.1:0").expect("a loopback port");
     server.publish("/site/catalogue.xsd", catalogue(24));
     let url = server.url_for("/site/catalogue.xsd");
-    let parse_and_bind = root_registration_allocs(24);
+    let registration = {
+        let document = catalogue(24);
+        let session = Xml2Wire::builder().build();
+        let before = allocations();
+        session.register_schema_str(&document).expect("the catalogue binds");
+        allocations() - before
+    };
     // The first fetch warms the server's worker threads; of the next
     // ones the cheapest counts, so a stray allocation on a thread this
     // test does not control cannot fail it, while a copy made on every
     // fetch still does.
-    fetched_root_allocs(&url);
-    let fetched = (0..3).map(|_| fetched_root_allocs(&url)).min().expect("three fetches");
-    let fetch = fetched - parse_and_bind;
+    let fetched = cheapest_cold(|session| session.discover(&url), TYPES);
+    let fetch = fetched - registration;
     assert!(
         fetch <= FETCH_ALLOCATIONS,
-        "{fetched} allocations for a cold discover_root() over HTTP, {parse_and_bind} of them \
-         the parse and bind: the fetch made {fetch}, budget {FETCH_ALLOCATIONS} (another copy \
-         of the {}-byte document would be one more)",
+        "{fetched} allocations for a cold discover() over HTTP, {registration} of them the \
+         registration: the fetch made {fetch}, budget {FETCH_ALLOCATIONS} (another copy of the \
+         {}-byte document would be one more)",
         catalogue(24).len()
     );
 }
 
-/// Allocations of one cold `discover_root()` of the catalogue from a
-/// metadata server in this process: the client's and the server's, as
-/// the counter is process-wide.
-fn fetched_root_allocs(url: &str) -> usize {
-    let session = Xml2Wire::builder().source(Box::new(UrlSource::new())).build();
+fn discover_root_fetches_the_closure() {
+    let server = MetadataServer::bind("127.0.0.1:0").expect("a loopback port");
+    let [at_8, at_16, at_24] = [8, 16, 24].map(|fields| {
+        let path = format!("/site/catalogue-{fields}.xsd");
+        server.publish(&path, catalogue(fields));
+        let url = server.url_for(&path);
+        cheapest_cold(|session| session.discover_root(&url), 1)
+    });
+    assert_eq!(
+        (at_8, at_16),
+        (at_24, at_24),
+        "the catalogue's size reached the join: 8 -> {at_8}, 16 -> {at_16}, 24 -> {at_24} \
+         allocations for a cold discover_root() over HTTP"
+    );
+    // The closure in hand, parsed and bound as the client does.
+    let closure = Schema::parse_reachable(&catalogue(24)).expect("the root compiles");
+    let closure = closure.to_xml_string();
+    let (catalog, registry) = (Catalog::new(), FormatRegistry::new());
+    let binder = Binder::new(&catalog, &registry, Architecture::host());
     let before = allocations();
-    let formats = session.discover_root(url).expect("the served catalogue's root binds");
-    let spent = allocations() - before;
-    assert_eq!(formats.len(), 1);
-    spent
+    let schema = Schema::parse_reachable(&closure).expect("the closure compiles");
+    binder.bind_schema_owned(schema).expect("the closure binds");
+    let parse_and_bind = allocations() - before;
+    let fetch = at_24 - parse_and_bind;
+    assert!(
+        fetch <= FETCH_ALLOCATIONS,
+        "{at_24} allocations for a cold discover_root() over HTTP, {parse_and_bind} of them the \
+         closure's parse and bind: the fetch made {fetch}, budget {FETCH_ALLOCATIONS}"
+    );
+}
+
+/// Allocations of the cheapest of three cold discoveries into fresh
+/// sessions, after one that warms the server's worker threads and, for a
+/// closure, has the server cut it. Counts the client's and the server's
+/// allocations, as the counter is process-wide; `formats` is how many
+/// each discovery must bind.
+fn cheapest_cold(
+    discover: impl Fn(&Xml2Wire) -> Result<Vec<Arc<Format>>, X2wError>,
+    formats: usize,
+) -> usize {
+    let cold = || {
+        let session = Xml2Wire::builder().source(Box::new(UrlSource::new())).build();
+        let before = allocations();
+        let bound = discover(&session).expect("the served document binds");
+        let spent = allocations() - before;
+        assert_eq!(bound.len(), formats);
+        spent
+    };
+    cold();
+    (0..3).map(|_| cold()).min().expect("three discoveries")
 }

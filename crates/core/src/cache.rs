@@ -14,12 +14,16 @@
 //!   [`STALE_GRACE`] old (`stale_serves`) — the paper's §3.3 degraded
 //!   mode, generalized from compiled-in fallbacks to anything fetched
 //!   before the outage.
+//!
+//! A locator has one slot per [`Extent`]: a whole-document discovery
+//! never shares a flight with a closure discovery, nor is it served a
+//! closure when the chain fails, and the other way round.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::discovery::{DiscoveryChain, DiscoveryStats};
+use crate::discovery::{DiscoveryChain, DiscoveryStats, Extent};
 use crate::error::X2wError;
 
 /// How long a thread waits on another thread's fetch before giving up.
@@ -42,7 +46,7 @@ struct Flight {
     cv: Condvar,
 }
 
-/// What the cache holds for one locator.
+/// What the cache holds for one locator and [`Extent`].
 #[derive(Debug, Default)]
 struct Slot {
     flight: Option<Arc<Flight>>,
@@ -54,7 +58,8 @@ struct Slot {
 #[derive(Debug)]
 pub(crate) struct SchemaCache {
     chain: DiscoveryChain,
-    slots: parking_lot::Mutex<HashMap<String, Slot>>,
+    /// Each locator's slots, indexed by [`Extent`].
+    slots: parking_lot::Mutex<HashMap<String, [Slot; 2]>>,
 }
 
 impl SchemaCache {
@@ -68,18 +73,18 @@ impl SchemaCache {
         self.chain.stats()
     }
 
-    /// Fetches `locator` through the chain, or waits for the fetch
-    /// another thread has in flight for it; serves the last good
-    /// document if the chain fails inside [`STALE_GRACE`].
+    /// Fetches `extent` of `locator` through the chain, or waits for the
+    /// fetch another thread has in flight for it; serves the last good
+    /// document of that extent if the chain fails inside [`STALE_GRACE`].
     ///
     /// # Errors
     ///
     /// [`X2wError::Discovery`] when every source fails and no document
     /// young enough is on hand.
-    pub(crate) fn fetch(&self, locator: &str) -> Result<Arc<String>, X2wError> {
+    pub(crate) fn fetch(&self, locator: &str, extent: Extent) -> Result<Arc<String>, X2wError> {
         let flight = {
             let mut slots = self.slots.lock();
-            let slot = slots.entry(locator.to_owned()).or_default();
+            let slot = &mut slots.entry(locator.to_owned()).or_default()[extent as usize];
             if let Some(flight) = &slot.flight {
                 let flight = Arc::clone(flight);
                 drop(slots);
@@ -91,18 +96,19 @@ impl SchemaCache {
         let mut landing = Landing {
             cache: self,
             locator,
+            extent,
             flight,
             outcome: None,
         };
-        let result = self.lead_fetch(locator);
+        let result = self.lead_fetch(locator, extent);
         landing.outcome = Some(result.as_ref().map(Arc::clone).map_err(ToString::to_string));
         result
     }
 
-    fn lead_fetch(&self, locator: &str) -> Result<Arc<String>, X2wError> {
-        let fetched = self.chain.fetch(locator);
+    fn lead_fetch(&self, locator: &str, extent: Extent) -> Result<Arc<String>, X2wError> {
+        let fetched = self.chain.fetch_extent(locator, extent);
         let mut slots = self.slots.lock();
-        let slot = slots.get_mut(locator).expect("a flight's slot stays");
+        let slot = &mut slots.get_mut(locator).expect("a flight's slot stays")[extent as usize];
         match (fetched, &slot.last_good) {
             (Ok(document), _) => {
                 let document = Arc::new(document);
@@ -124,6 +130,7 @@ impl SchemaCache {
 struct Landing<'a> {
     cache: &'a SchemaCache,
     locator: &'a str,
+    extent: Extent,
     flight: Arc<Flight>,
     outcome: Option<Outcome>,
 }
@@ -137,8 +144,8 @@ impl Drop for Landing<'_> {
         let flight = &self.flight;
         *flight.done.lock().unwrap_or_else(PoisonError::into_inner) = Some(outcome);
         flight.cv.notify_all();
-        if let Some(slot) = self.cache.slots.lock().get_mut(self.locator) {
-            slot.flight = None;
+        if let Some(slots) = self.cache.slots.lock().get_mut(self.locator) {
+            slots[self.extent as usize].flight = None;
         }
     }
 }
@@ -212,10 +219,10 @@ mod tests {
     #[test]
     fn stale_documents_are_served_when_the_chain_fails() {
         let (cache, fetches, fail) = flaky_cache(Duration::ZERO);
-        assert_eq!(*cache.fetch("a.xsd").unwrap(), DOC);
+        assert_eq!(*cache.fetch("a.xsd", Extent::Whole).unwrap(), DOC);
         fail.store(true, Ordering::SeqCst);
         // Chain fails, but the last good copy keeps the caller alive.
-        assert_eq!(*cache.fetch("a.xsd").unwrap(), DOC);
+        assert_eq!(*cache.fetch("a.xsd", Extent::Whole).unwrap(), DOC);
         assert_eq!(
             fetches.load(Ordering::SeqCst),
             2,
@@ -223,7 +230,7 @@ mod tests {
         );
         assert_eq!(cache.stats().snapshot().stale_serves, 1);
         // A locator never fetched has nothing to bridge with.
-        assert!(cache.fetch("b.xsd").is_err());
+        assert!(cache.fetch("b.xsd", Extent::Whole).is_err());
     }
 
     #[test]
@@ -236,7 +243,7 @@ mod tests {
         // A slow failure holds the flight open long enough for every
         // thread past the barrier to join it.
         let (cache, fetches, fail) = flaky_cache(Duration::from_millis(150));
-        assert_eq!(*cache.fetch("a.xsd").unwrap(), DOC);
+        assert_eq!(*cache.fetch("a.xsd", Extent::Whole).unwrap(), DOC);
         fail.store(true, Ordering::SeqCst);
 
         let barrier = std::sync::Barrier::new(THREADS);
@@ -245,7 +252,7 @@ mod tests {
                 .map(|_| {
                     scope.spawn(|| {
                         barrier.wait();
-                        cache.fetch("a.xsd").unwrap()
+                        cache.fetch("a.xsd", Extent::Whole).unwrap()
                     })
                 })
                 .collect();
@@ -298,7 +305,7 @@ mod tests {
         let url = server.url_for("/slow/s.xsd");
         std::thread::scope(|scope| {
             let threads: Vec<_> = (0..8)
-                .map(|_| scope.spawn(|| cache.fetch(&url).unwrap()))
+                .map(|_| scope.spawn(|| cache.fetch(&url, Extent::Whole).unwrap()))
                 .collect();
             for t in threads {
                 assert_eq!(*t.join().unwrap(), DOC);
@@ -335,11 +342,12 @@ mod tests {
         let mut chain = DiscoveryChain::new();
         chain.push(Box::new(PanicsOnce(AtomicBool::new(false))));
         let cache = SchemaCache::new(chain);
-        let unwound =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cache.fetch("a.xsd")));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.fetch("a.xsd", Extent::Whole)
+        }));
         assert!(unwound.is_err());
         let start = Instant::now();
-        assert_eq!(*cache.fetch("a.xsd").unwrap(), DOC);
+        assert_eq!(*cache.fetch("a.xsd", Extent::Whole).unwrap(), DOC);
         assert!(
             start.elapsed() < Duration::from_secs(2),
             "joined a dead flight"
@@ -356,13 +364,88 @@ mod tests {
         let cache = SchemaCache::new(chain);
         // Primary refused (port 1), the fallback serves, every time: a
         // fallback's answer is a fetch, not a stale serve.
-        assert_eq!(*cache.fetch("http://127.0.0.1:1/x.xsd").unwrap(), DOC);
-        assert_eq!(*cache.fetch("http://127.0.0.1:1/x.xsd").unwrap(), DOC);
+        assert_eq!(
+            *cache
+                .fetch("http://127.0.0.1:1/x.xsd", Extent::Whole)
+                .unwrap(),
+            DOC
+        );
+        assert_eq!(
+            *cache
+                .fetch("http://127.0.0.1:1/x.xsd", Extent::Whole)
+                .unwrap(),
+            DOC
+        );
         let snap = cache.stats().snapshot();
         assert_eq!((snap.fetches, snap.stale_serves), (2, 0));
         let url = snap.source("url").unwrap();
         assert_eq!((url.attempts, url.failures), (2, 2));
         let compiled = snap.source("compiled-in").unwrap();
         assert_eq!((compiled.attempts, compiled.failures), (2, 0));
+    }
+
+    #[test]
+    fn closure_and_whole_fetches_of_one_locator_do_not_share_a_flight() {
+        /// Answers each kind with its own text, but only once a fetch of
+        /// each kind is in flight at the same time: if the two kinds
+        /// shared a flight, the one fetch would wait alone and fail.
+        #[derive(Default)]
+        struct Rendezvous {
+            entered: Mutex<u32>,
+            cv: Condvar,
+        }
+
+        impl Rendezvous {
+            fn meet(&self, answer: &str) -> Result<String, X2wError> {
+                let mut entered = self.entered.lock().unwrap();
+                *entered += 1;
+                self.cv.notify_all();
+                let (entered, _) = self
+                    .cv
+                    .wait_timeout_while(entered, Duration::from_secs(5), |n| *n < 2)
+                    .unwrap();
+                if *entered < 2 {
+                    return Err(X2wError::Discovery {
+                        locator: answer.to_owned(),
+                        attempts: vec!["the other kind never fetched".to_owned()],
+                    });
+                }
+                Ok(answer.to_owned())
+            }
+        }
+
+        impl DiscoverySource for Arc<Rendezvous> {
+            fn source_name(&self) -> &'static str {
+                "rendezvous"
+            }
+
+            fn fetch(&self, _: &str) -> Result<String, X2wError> {
+                self.meet("whole")
+            }
+
+            fn fetch_closure(&self, _: &str, _: &DiscoveryStats) -> Result<String, X2wError> {
+                self.meet("closure")
+            }
+        }
+
+        let source = Arc::new(Rendezvous::default());
+        let mut chain = DiscoveryChain::new();
+        chain.push(Box::new(Arc::clone(&source)));
+        let cache = SchemaCache::new(chain);
+        std::thread::scope(|scope| {
+            let threads: Vec<_> = [(Extent::Whole, "whole"), (Extent::Closure, "closure")]
+                .into_iter()
+                .map(|(extent, expected)| {
+                    let cache = &cache;
+                    scope.spawn(move || (expected, cache.fetch("a.xsd", extent)))
+                })
+                .collect();
+            for t in threads {
+                let (expected, document) = t.join().unwrap();
+                assert_eq!(*document.unwrap(), expected);
+            }
+        });
+        assert_eq!(*source.entered.lock().unwrap(), 2);
+        assert_eq!(cache.stats().snapshot().cache_hits, 0);
     }
 }

@@ -222,6 +222,21 @@ impl DiscoveryStatsSnapshot {
     }
 }
 
+/// How much of a schema document a discovery asks its sources for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Extent {
+    /// The document as published, for [`Xml2Wire::discover`].
+    ///
+    /// [`Xml2Wire::discover`]: crate::Xml2Wire::discover
+    Whole,
+    /// The closure of its first complex type as a standalone document,
+    /// or the whole document from a source that does not cut closures,
+    /// for [`Xml2Wire::discover_root`].
+    ///
+    /// [`Xml2Wire::discover_root`]: crate::Xml2Wire::discover_root
+    Closure,
+}
+
 /// A source of metadata documents.
 pub trait DiscoverySource: Send + Sync {
     /// A short name for diagnostics (`"file"`, `"url"`, `"compiled-in"`).
@@ -244,6 +259,24 @@ pub trait DiscoverySource: Send + Sync {
     ) -> Result<String, X2wError> {
         let _ = stats;
         self.fetch(locator)
+    }
+
+    /// As [`fetch_observed`](Self::fetch_observed), for a caller that
+    /// binds only the closure of the document's first complex type: a
+    /// source that can cut the document down returns that closure as a
+    /// standalone document. The default returns the whole document. The
+    /// caller checks either with `Schema::parse_reachable`, so the two
+    /// bind the same types.
+    ///
+    /// # Errors
+    ///
+    /// As [`fetch`](Self::fetch).
+    fn fetch_closure(
+        &self,
+        locator: &str,
+        stats: &DiscoveryStats,
+    ) -> Result<String, X2wError> {
+        self.fetch_observed(locator, stats)
     }
 }
 
@@ -312,15 +345,21 @@ impl UrlSource {
         self
     }
 
-    fn resolve(&self, locator: &str) -> Result<String, X2wError> {
-        if locator.starts_with("http://") {
-            Ok(locator.to_owned())
-        } else {
-            Err(X2wError::BadLocator {
+    /// GETs `extent` of `locator`, which must be an absolute `http://`
+    /// URL.
+    fn get(
+        &self,
+        locator: &str,
+        stats: Option<&DiscoveryStats>,
+        extent: Extent,
+    ) -> Result<String, X2wError> {
+        if !locator.starts_with("http://") {
+            return Err(X2wError::BadLocator {
                 locator: locator.to_owned(),
                 reason: "url source requires an absolute http:// locator".to_owned(),
-            })
+            });
         }
+        crate::server::http_get_observed(locator, &self.policy, stats, extent)
     }
 }
 
@@ -330,7 +369,7 @@ impl DiscoverySource for UrlSource {
     }
 
     fn fetch(&self, locator: &str) -> Result<String, X2wError> {
-        crate::server::http_get_with(&self.resolve(locator)?, &self.policy)
+        self.get(locator, None, Extent::Whole)
     }
 
     fn fetch_observed(
@@ -338,11 +377,17 @@ impl DiscoverySource for UrlSource {
         locator: &str,
         stats: &DiscoveryStats,
     ) -> Result<String, X2wError> {
-        crate::server::http_get_observed(
-            &self.resolve(locator)?,
-            &self.policy,
-            Some(stats),
-        )
+        self.get(locator, Some(stats), Extent::Whole)
+    }
+
+    /// Asks the metadata server for the closure; a server that does not
+    /// cut closures sends the whole document.
+    fn fetch_closure(
+        &self,
+        locator: &str,
+        stats: &DiscoveryStats,
+    ) -> Result<String, X2wError> {
+        self.get(locator, Some(stats), Extent::Closure)
     }
 }
 
@@ -444,10 +489,18 @@ impl DiscoveryChain {
     /// Returns [`X2wError::Discovery`] carrying one line per failed
     /// source when every source fails.
     pub fn fetch(&self, locator: &str) -> Result<String, X2wError> {
+        self.fetch_extent(locator, Extent::Whole)
+    }
+
+    /// [`fetch`](Self::fetch) of `extent` of the document.
+    pub(crate) fn fetch_extent(&self, locator: &str, extent: Extent) -> Result<String, X2wError> {
         let start = Instant::now();
         let mut attempts = Vec::new();
         for source in &self.sources {
-            let result = source.fetch_observed(locator, &self.stats);
+            let result = match extent {
+                Extent::Whole => source.fetch_observed(locator, &self.stats),
+                Extent::Closure => source.fetch_closure(locator, &self.stats),
+            };
             self.stats.note_source_attempt(source.source_name(), result.is_err());
             match result {
                 Ok(document) => {

@@ -11,19 +11,27 @@
 //! `/formats/{name}/{fingerprint:016x}.xsd`, where a receiver that meets
 //! it in a message header finds it
 //! ([`Xml2Wire::decode_resolving`](crate::Xml2Wire::decode_resolving)).
+//!
+//! A GET carrying `X-Xsd-Closure: first` asks a static document for
+//! the closure of its first complex type — what
+//! [`Xml2Wire::discover_root`](crate::Xml2Wire::discover_root) binds —
+//! instead of the whole document. The server computes it with
+//! [`Schema::parse_reachable`], which checks the whole document once, and
+//! keeps it until the document is replaced.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::RwLock;
+use xsdlite::Schema;
 
-use crate::discovery::{DiscoveryPolicy, DiscoveryStats};
+use crate::discovery::{DiscoveryPolicy, DiscoveryStats, Extent};
 use crate::error::X2wError;
 use crate::url::Locator;
 
@@ -38,6 +46,11 @@ const MAX_HEADER_BYTES: usize = 8 * 1024;
 /// discovery fetch into an unbounded buffer.
 const MAX_RESPONSE_BYTES: usize = 64 * 1024 * 1024;
 
+/// The request header that asks for the closure of a static document's
+/// first complex type; `first` is its one value. A server that does not
+/// know it sends the whole document, which the client checks the same way.
+const CLOSURE_HEADER: &str = "X-Xsd-Closure";
+
 /// A dynamic document generator: receives the full request path (with
 /// query string, if any) and produces a document, or `None` for 404.
 type Generator = Box<dyn Fn(&str) -> Option<String> + Send + Sync>;
@@ -45,8 +58,37 @@ type Generator = Box<dyn Fn(&str) -> Option<String> + Send + Sync>;
 #[derive(Default)]
 struct Routes {
     /// Shared, so serving a document is a reference count, not a copy.
-    documents: HashMap<String, Arc<str>>,
+    documents: HashMap<String, Arc<Published>>,
     generators: Vec<(String, Generator)>,
+}
+
+/// A static document, and the closure of its first complex type once a
+/// client has asked for it. Republishing replaces the whole value, so a
+/// closure never outlives the document it was cut from.
+struct Published {
+    whole: Arc<str>,
+    closure: OnceLock<Arc<str>>,
+}
+
+impl Published {
+    fn new(whole: String) -> Arc<Published> {
+        Arc::new(Published {
+            whole: whole.into(),
+            closure: OnceLock::new(),
+        })
+    }
+
+    /// The root's closure as a standalone document, computed on the first
+    /// call. A document [`Schema::parse_reachable`] refuses is its own
+    /// "closure": the client's parse then reports the very error, at the
+    /// same position, that it reports for the whole document.
+    fn closure(&self) -> &Arc<str> {
+        self.closure
+            .get_or_init(|| match Schema::parse_reachable(&self.whole) {
+                Ok(schema) => schema.to_xml_string().into(),
+                Err(_) => Arc::clone(&self.whole),
+            })
+    }
 }
 
 /// A metadata server: serves schema documents over HTTP/1.0.
@@ -77,7 +119,9 @@ pub struct MetadataServer {
 
 impl std::fmt::Debug for MetadataServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetadataServer").field("addr", &self.addr).finish_non_exhaustive()
+        f.debug_struct("MetadataServer")
+            .field("addr", &self.addr)
+            .finish_non_exhaustive()
     }
 }
 
@@ -149,7 +193,10 @@ impl MetadataServer {
     /// Publishes a static document at `path` (replacing any previous
     /// one — metadata updates are how format evolution propagates).
     pub fn publish(&self, path: &str, document: impl Into<String>) {
-        self.routes.write().documents.insert(path.to_owned(), document.into().into());
+        self.routes
+            .write()
+            .documents
+            .insert(path.to_owned(), Published::new(document.into()));
     }
 
     /// Registers a dynamic generator for every path starting with
@@ -157,7 +204,10 @@ impl MetadataServer {
     /// full request path including any query string, enabling
     /// "format-scoping" responses based on requestor attributes.
     pub fn publish_dynamic(&self, prefix: &str, generator: Generator) {
-        self.routes.write().generators.push((prefix.to_owned(), generator));
+        self.routes
+            .write()
+            .generators
+            .push((prefix.to_owned(), generator));
     }
 
     /// How many times the accept loop has woken so far. The loop blocks
@@ -169,8 +219,7 @@ impl MetadataServer {
 
     /// Paths of all static documents currently published.
     pub fn published_paths(&self) -> Vec<String> {
-        let mut paths: Vec<String> =
-            self.routes.read().documents.keys().cloned().collect();
+        let mut paths: Vec<String> = self.routes.read().documents.keys().cloned().collect();
         paths.sort();
         paths
     }
@@ -292,6 +341,51 @@ fn refuse_oversized_header(
     Ok(())
 }
 
+/// What the server acts on in a request head, borrowed from its bytes.
+#[derive(Debug, PartialEq, Eq)]
+struct RequestHead<'a> {
+    method: &'a str,
+    /// The request target, query string included.
+    path: &'a str,
+    content_length: usize,
+    /// [`CLOSURE_HEADER`] came with the value `first`.
+    closure: bool,
+}
+
+/// Parses a request head as [`read_request_head`] returns it: the request
+/// line, then `name: value` header lines. Header names match without
+/// regard to case, and a header the server does not know is skipped, as
+/// is a line without a colon. Refuses, with the reason to answer `400`
+/// with, a request line that is not UTF-8 and a `Content-Length` that is
+/// not a number.
+fn parse_request_head(head: &[u8]) -> Result<RequestHead<'_>, &'static str> {
+    let mut lines = head.split(|b| *b == b'\n');
+    let request_line = std::str::from_utf8(lines.next().unwrap_or_default())
+        .map_err(|_| "request line is not UTF-8")?;
+    let mut parts = request_line.split_whitespace();
+    let mut request = RequestHead {
+        method: parts.next().unwrap_or(""),
+        path: parts.next().unwrap_or("/"),
+        content_length: 0,
+        closure: false,
+    };
+    for line in lines {
+        let Some(colon) = line.iter().position(|b| *b == b':') else {
+            continue;
+        };
+        let (name, value) = (&line[..colon], line[colon + 1..].trim_ascii());
+        if name.eq_ignore_ascii_case(b"content-length") {
+            request.content_length = std::str::from_utf8(value)
+                .ok()
+                .and_then(|value| value.parse().ok())
+                .ok_or("malformed Content-Length")?;
+        } else if name.eq_ignore_ascii_case(CLOSURE_HEADER.as_bytes()) {
+            request.closure = value.eq_ignore_ascii_case(b"first");
+        }
+    }
+    Ok(request)
+}
+
 fn handle_connection(stream: TcpStream, routes: &RwLock<Routes>) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     stream.set_nodelay(true)?;
@@ -300,22 +394,15 @@ fn handle_connection(stream: TcpStream, routes: &RwLock<Routes>) -> std::io::Res
     let Some(head) = read_request_head(&mut reader)? else {
         return refuse_oversized_header(&mut stream, &mut reader);
     };
-    let mut lines = head.split(|b| *b == b'\n');
-    let request_line = String::from_utf8_lossy(lines.next().unwrap_or_default());
-    // Note Content-Length for uploads.
-    let mut content_length = 0usize;
-    for line in lines {
-        let Some(colon) = line.iter().position(|b| *b == b':') else { continue };
-        if line[..colon].eq_ignore_ascii_case(b"content-length") {
-            content_length = std::str::from_utf8(&line[colon + 1..])
-                .ok()
-                .and_then(|value| value.trim().parse().ok())
-                .unwrap_or(0);
-        }
-    }
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("/");
+    let RequestHead {
+        method,
+        path,
+        content_length,
+        closure,
+    } = match parse_request_head(&head) {
+        Ok(request) => request,
+        Err(why) => return respond(&mut stream, 400, why, "text/plain"),
+    };
 
     // Remote format registration (paper §7's "format registration
     // mechanism … that incorporates the HTTP protocol"): POST/PUT a
@@ -329,18 +416,31 @@ fn handle_connection(stream: TcpStream, routes: &RwLock<Routes>) -> std::io::Res
         let mut body = Vec::new();
         reader.take(content_length as u64).read_to_end(&mut body)?;
         if body.len() < content_length {
-            return respond(&mut stream, 400, "body shorter than its Content-Length", "text/plain");
+            return respond(
+                &mut stream,
+                400,
+                "body shorter than its Content-Length",
+                "text/plain",
+            );
         }
         let Ok(document) = String::from_utf8(body) else {
             return respond(&mut stream, 400, "document is not UTF-8", "text/plain");
         };
         // Reject documents that are not well-formed schemas: a central
         // metadata server should not propagate garbage to subscribers.
-        if let Err(e) = xsdlite::Schema::parse_str(&document) {
-            return respond(&mut stream, 422, &format!("not a schema: {e}"), "text/plain");
+        if let Err(e) = Schema::parse_str(&document) {
+            return respond(
+                &mut stream,
+                422,
+                &format!("not a schema: {e}"),
+                "text/plain",
+            );
         }
         let bare = path.split('?').next().unwrap_or(path).to_owned();
-        routes.write().documents.insert(bare, document.into());
+        routes
+            .write()
+            .documents
+            .insert(bare, Published::new(document));
         return respond(&mut stream, 201, "registered", "text/plain");
     }
     if method != "GET" {
@@ -348,11 +448,17 @@ fn handle_connection(stream: TcpStream, routes: &RwLock<Routes>) -> std::io::Res
     }
 
     // A static document is shared, a generated one is sent as generated:
-    // neither is copied.
+    // neither is copied. A generator serves what it generates, whatever
+    // the request asked.
     let bare = path.split('?').next().unwrap_or(path);
-    let document = routes.read().documents.get(bare).cloned();
-    if let Some(document) = document {
-        return respond(&mut stream, 200, &document, "text/xml");
+    let published = routes.read().documents.get(bare).cloned();
+    if let Some(published) = published {
+        let document = if closure {
+            published.closure()
+        } else {
+            &published.whole
+        };
+        return respond(&mut stream, 200, document, "text/xml");
     }
     let generated = {
         let routes = routes.read();
@@ -391,7 +497,10 @@ fn respond(
     );
     // Head and body leave in one gathered write: two `write_all`s under
     // TCP_NODELAY put the head in a segment of its own.
-    let mut slices = [IoSlice::new(header.as_bytes()), IoSlice::new(body.as_bytes())];
+    let mut slices = [
+        IoSlice::new(header.as_bytes()),
+        IoSlice::new(body.as_bytes()),
+    ];
     let mut unsent = &mut slices[..];
     while !unsent.is_empty() {
         match stream.write_vectored(unsent) {
@@ -423,11 +532,7 @@ pub fn http_post(url: &str, document: &str) -> Result<(), X2wError> {
 ///
 /// As [`http_post`]; transport failures are retried per the policy, a
 /// definitive HTTP status (even 5xx) is returned immediately.
-pub fn http_post_with(
-    url: &str,
-    document: &str,
-    policy: &DiscoveryPolicy,
-) -> Result<(), X2wError> {
+pub fn http_post_with(url: &str, document: &str, policy: &DiscoveryPolicy) -> Result<(), X2wError> {
     let locator = Locator::parse(url)?;
     let Locator::Http { host, path, .. } = &locator else {
         return Err(X2wError::BadLocator {
@@ -453,7 +558,10 @@ pub fn http_post_with(
     if (200..300).contains(&status) {
         Ok(())
     } else {
-        let detail = text.split_once("\r\n\r\n").map(|(_, b)| b.trim()).unwrap_or("");
+        let detail = text
+            .split_once("\r\n\r\n")
+            .map(|(_, b)| b.trim())
+            .unwrap_or("");
         Err(X2wError::Discovery {
             locator: url.to_owned(),
             attempts: vec![format!("server answered HTTP {status}: {detail}")],
@@ -480,14 +588,17 @@ pub fn http_get(url: &str) -> Result<String, X2wError> {
 /// As [`http_get`]; transport failures are retried per the policy, a
 /// definitive HTTP status (even 5xx) is returned immediately.
 pub fn http_get_with(url: &str, policy: &DiscoveryPolicy) -> Result<String, X2wError> {
-    http_get_observed(url, policy, None)
+    http_get_observed(url, policy, None, Extent::Whole)
 }
 
-/// [`http_get_with`] that additionally records retries into `stats`.
+/// [`http_get_with`] that additionally records retries into `stats` and,
+/// for [`Extent::Closure`], asks the server for the closure of the
+/// document's first complex type.
 pub(crate) fn http_get_observed(
     url: &str,
     policy: &DiscoveryPolicy,
     stats: Option<&DiscoveryStats>,
+    extent: Extent,
 ) -> Result<String, X2wError> {
     let locator = Locator::parse(url)?;
     let Locator::Http { host, path, .. } = &locator else {
@@ -496,7 +607,12 @@ pub(crate) fn http_get_observed(
             reason: "http_get requires an http:// URL".to_owned(),
         });
     };
-    let head = format!("GET {path} HTTP/1.0\r\nHost: {host}\r\nConnection: close\r\n\r\n");
+    let head = match extent {
+        Extent::Whole => format!("GET {path} HTTP/1.0\r\nHost: {host}\r\nConnection: close\r\n\r\n"),
+        Extent::Closure => format!(
+            "GET {path} HTTP/1.0\r\nHost: {host}\r\n{CLOSURE_HEADER}: first\r\nConnection: close\r\n\r\n"
+        ),
+    };
     let response = http_exchange(&locator, url, &head, b"", policy, stats)?;
     parse_http_response(response, url)
 }
@@ -536,11 +652,17 @@ fn http_exchange(
             break;
         }
     }
-    Err(X2wError::Discovery { locator: url.to_owned(), attempts: failures })
+    Err(X2wError::Discovery {
+        locator: url.to_owned(),
+        attempts: failures,
+    })
 }
 
 fn timed_out(message: &str) -> X2wError {
-    X2wError::Io(std::io::Error::new(std::io::ErrorKind::TimedOut, message.to_owned()))
+    X2wError::Io(std::io::Error::new(
+        std::io::ErrorKind::TimedOut,
+        message.to_owned(),
+    ))
 }
 
 /// One connect/write/read round trip, every socket operation clamped to
@@ -562,12 +684,11 @@ fn attempt_exchange(
     for addr in &addrs {
         let left = deadline.saturating_duration_since(Instant::now());
         if left.is_zero() {
-            return Err(timed_out("total discovery deadline exhausted before connect"));
+            return Err(timed_out(
+                "total discovery deadline exhausted before connect",
+            ));
         }
-        match TcpStream::connect_timeout(
-            addr,
-            policy.connect_timeout.min(left).max(MIN_TIMEOUT),
-        ) {
+        match TcpStream::connect_timeout(addr, policy.connect_timeout.min(left).max(MIN_TIMEOUT)) {
             Ok(s) => {
                 stream = Some(s);
                 break;
@@ -721,11 +842,11 @@ mod tests {
         server.publish_dynamic(
             "/scoped/",
             Box::new(|path| {
-                path.split_once('?').map(|(_, query)| format!("<scoped for=\"{query}\"/>"))
+                path.split_once('?')
+                    .map(|(_, query)| format!("<scoped for=\"{query}\"/>"))
             }),
         );
-        let body =
-            http_get(&server.url_for("/scoped/flights.xsd?role=dispatcher")).unwrap();
+        let body = http_get(&server.url_for("/scoped/flights.xsd?role=dispatcher")).unwrap();
         assert!(body.contains("role=dispatcher"), "{body}");
         // No query -> generator returns None -> 404.
         assert!(http_get(&server.url_for("/scoped/flights.xsd")).is_err());
@@ -827,7 +948,10 @@ mod tests {
         let server = MetadataServer::bind("127.0.0.1:0").unwrap();
         server.publish("/a.xsd", DOC);
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        let head = format!("POST /b.xsd HTTP/1.0\r\nContent-Length: {}\r\n\r\n", 16 << 20);
+        let head = format!(
+            "POST /b.xsd HTTP/1.0\r\nContent-Length: {}\r\n\r\n",
+            16 << 20
+        );
         stream.write_all(head.as_bytes()).unwrap();
         stream.write_all(b"tiny").unwrap();
         stream.shutdown(std::net::Shutdown::Write).unwrap();
@@ -836,7 +960,11 @@ mod tests {
         stream.read_to_end(&mut response).unwrap();
         let text = String::from_utf8_lossy(&response);
         assert!(text.starts_with("HTTP/1.0 400"), "{text}");
-        assert!(start.elapsed() < Duration::from_secs(2), "answered after {:?}", start.elapsed());
+        assert!(
+            start.elapsed() < Duration::from_secs(2),
+            "answered after {:?}",
+            start.elapsed()
+        );
         assert_eq!(server.published_paths(), vec!["/a.xsd"]);
         assert_eq!(http_get(&server.url_for("/a.xsd")).unwrap(), DOC);
     }
@@ -900,9 +1028,7 @@ mod tests {
     /// Serves one connection on a fresh port: reads the request head,
     /// then hands the socket to `reply`. Returns a URL on that port and
     /// the serving thread.
-    fn serve_once(
-        reply: impl FnOnce(&mut TcpStream) + Send + 'static,
-    ) -> (String, JoinHandle<()>) {
+    fn serve_once(reply: impl FnOnce(&mut TcpStream) + Send + 'static) -> (String, JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let url = format!("http://{}/doc.xsd", listener.local_addr().unwrap());
         let server = std::thread::spawn(move || {
@@ -927,7 +1053,10 @@ mod tests {
     #[test]
     fn a_response_dripped_a_byte_at_a_time_is_read_whole() {
         let (url, server) = serve_once(|stream| {
-            let response = format!("HTTP/1.0 200 OK\r\nContent-Length: {}\r\n\r\n{DOC}", DOC.len());
+            let response = format!(
+                "HTTP/1.0 200 OK\r\nContent-Length: {}\r\n\r\n{DOC}",
+                DOC.len()
+            );
             for byte in response.as_bytes() {
                 stream.write_all(std::slice::from_ref(byte)).unwrap();
                 std::thread::sleep(Duration::from_millis(1));
@@ -970,8 +1099,10 @@ mod tests {
 
     #[test]
     fn a_response_that_is_not_utf8_is_refused_in_body_or_head() {
-        let responses: [&[u8]; 2] =
-            [b"HTTP/1.0 200 OK\r\n\r\n<a>\xff</a>", b"HTTP/1.0 200 O\xffK\r\n\r\n<a/>"];
+        let responses: [&[u8]; 2] = [
+            b"HTTP/1.0 200 OK\r\n\r\n<a>\xff</a>",
+            b"HTTP/1.0 200 O\xffK\r\n\r\n<a/>",
+        ];
         for response in responses {
             let (url, server) = serve_once(move |stream| stream.write_all(response).unwrap());
             let err = http_get_with(&url, &one_attempt()).unwrap_err();
@@ -1008,5 +1139,203 @@ mod tests {
         // After drop the port no longer accepts (connection refused or
         // immediate failure).
         assert!(http_get(&url).is_err());
+    }
+
+    const CATALOGUE: &str = r#"<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:complexType name="Root"><xsd:element name="x" type="xsd:int"/></xsd:complexType>
+  <xsd:complexType name="Filler"><xsd:element name="y" type="xsd:double"/></xsd:complexType>
+</xsd:schema>"#;
+
+    fn get(url: &str, extent: Extent) -> Result<String, X2wError> {
+        http_get_observed(url, &DiscoveryPolicy::default(), None, extent)
+    }
+
+    #[test]
+    fn a_closure_request_gets_the_roots_closure_and_follows_republishing() {
+        let server = MetadataServer::bind("127.0.0.1:0").unwrap();
+        let url = server.url_for("/c.xsd");
+        for catalogue in [
+            CATALOGUE.to_owned(),
+            CATALOGUE.replace("xsd:int", "xsd:long"),
+        ] {
+            server.publish("/c.xsd", catalogue.as_str());
+            let closure = Schema::parse_reachable(&catalogue).unwrap().to_xml_string();
+            assert!(!closure.contains("Filler"), "{closure}");
+            assert_eq!(get(&url, Extent::Closure).unwrap(), closure);
+            assert_eq!(get(&url, Extent::Closure).unwrap(), closure);
+            assert_eq!(get(&url, Extent::Whole).unwrap(), catalogue);
+        }
+    }
+
+    #[test]
+    fn a_document_the_server_cannot_cut_is_sent_whole() {
+        let server = MetadataServer::bind("127.0.0.1:0").unwrap();
+        let torn = CATALOGUE.replace("</xsd:schema>", "");
+        let twice = CATALOGUE.replace("Filler", "Root");
+        for (path, document) in [("/torn.xsd", torn), ("/twice.xsd", twice)] {
+            assert!(Schema::parse_reachable(&document).is_err());
+            server.publish(path, document.as_str());
+            assert_eq!(
+                get(&server.url_for(path), Extent::Closure).unwrap(),
+                document
+            );
+        }
+    }
+
+    #[test]
+    fn generators_ignore_a_closure_request() {
+        let server = MetadataServer::bind("127.0.0.1:0").unwrap();
+        server.publish_dynamic("/gen/", Box::new(|_| Some(CATALOGUE.to_owned())));
+        let url = server.url_for("/gen/c.xsd");
+        assert_eq!(get(&url, Extent::Closure).unwrap(), CATALOGUE);
+    }
+
+    #[test]
+    fn request_heads_parse_into_method_path_length_and_closure() {
+        let head = "GET /a.xsd?v=1 HTTP/1.0\r\nHost: h\r\nX-Xsd-Closure: first\r\n\r\n";
+        let get = |closure| RequestHead {
+            method: "GET",
+            path: "/a.xsd?v=1",
+            content_length: 0,
+            closure,
+        };
+        assert_eq!(parse_request_head(head.as_bytes()), Ok(get(true)));
+        let whole = head.replace("X-Xsd-Closure: first\r\n", "");
+        assert_eq!(parse_request_head(whole.as_bytes()), Ok(get(false)));
+        let post = "POST /b.xsd HTTP/1.0\r\ncontent-LENGTH:  12 \r\n\r\n";
+        let parsed = parse_request_head(post.as_bytes()).unwrap();
+        assert_eq!(
+            (parsed.method, parsed.path, parsed.content_length),
+            ("POST", "/b.xsd", 12)
+        );
+        for refused in [
+            &b"GET /\xff HTTP/1.0\r\n\r\n"[..],
+            b"POST / HTTP/1.0\r\nContent-Length: -1\r\n\r\n",
+        ] {
+            assert!(parse_request_head(refused).is_err());
+        }
+        // Nothing at all is a request for nothing, which is refused later.
+        assert_eq!(
+            parse_request_head(b"").map(|r| (r.method, r.path)),
+            Ok(("", "/"))
+        );
+    }
+
+    /// splitmix64, for repeatable mutants.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// Seeded mutants of real request heads. A byte flip or a cut gives a
+    /// parse or a refusal, never a panic. Changing the case of a header
+    /// name changes nothing. An unknown header, whatever its name and
+    /// value, leaves the method, path and closure request as they were —
+    /// and over a real server, the document served.
+    #[test]
+    fn request_head_mutants_parse_or_refuse() {
+        const HEADS: [&str; 3] = [
+            "GET /c.xsd HTTP/1.0\r\nHost: 127.0.0.1\r\nX-Xsd-Closure: first\r\nConnection: close\r\n\r\n",
+            "GET /c.xsd HTTP/1.0\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n",
+            "POST /d.xsd HTTP/1.0\r\nContent-Type: text/xml\r\nContent-Length: 57\r\n\r\n",
+        ];
+        let unknown = |mix: &mut Mix| -> Vec<u8> {
+            const NAME: &[u8] = b"abcdefxyzXYZ-0123456789";
+            let mut line = b"X-".to_vec();
+            line.extend((0..1 + mix.below(12)).map(|_| NAME[mix.below(NAME.len())]));
+            line.push(b':');
+            line.extend((0..mix.below(24)).map(|_| match mix.below(255) as u8 {
+                b'\n' => b' ',
+                byte => byte,
+            }));
+            line.extend_from_slice(b"\r\n");
+            line
+        };
+        let mut mix = Mix(0x0dd5_eed5);
+        let (mut parsed, mut refused) = (0, 0);
+        for _ in 0..30_000 {
+            let head = HEADS[mix.below(HEADS.len())].as_bytes();
+            let base = parse_request_head(head).unwrap();
+            let mut mutant = head.to_vec();
+            match mix.below(4) {
+                0 => {
+                    let at = mix.below(mutant.len());
+                    mutant[at] ^= 1 + mix.below(255) as u8;
+                }
+                1 => mutant.truncate(mix.below(mutant.len())),
+                2 => {
+                    // Header names only: the request line and values are
+                    // case-sensitive.
+                    let line_end = mutant.iter().position(|b| *b == b'\n').unwrap();
+                    for at in line_end..mutant.len() {
+                        let in_name = mutant[..at]
+                            .iter()
+                            .rposition(|b| *b == b'\n')
+                            .is_some_and(|start| !mutant[start..at].contains(&b':'));
+                        if in_name && mix.below(2) == 0 {
+                            mutant[at] ^= 0x20 * u8::from(mutant[at].is_ascii_alphabetic());
+                        }
+                    }
+                    assert_eq!(
+                        parse_request_head(&mutant),
+                        Ok(base),
+                        "{:?}",
+                        String::from_utf8_lossy(&mutant)
+                    );
+                }
+                _ => {
+                    let lines: Vec<usize> =
+                        (0..mutant.len()).filter(|&i| mutant[i] == b'\n').collect();
+                    let at = lines[mix.below(lines.len() - 1)] + 1;
+                    mutant.splice(at..at, unknown(&mut mix));
+                    let got = parse_request_head(&mutant).unwrap();
+                    assert_eq!(
+                        (got.method, got.path, got.closure),
+                        (base.method, base.path, base.closure),
+                        "{:?}",
+                        String::from_utf8_lossy(&mutant)
+                    );
+                }
+            }
+            match parse_request_head(&mutant) {
+                Ok(_) => parsed += 1,
+                Err(_) => refused += 1,
+            }
+        }
+        assert!(
+            parsed > 20_000 && refused > 100,
+            "{parsed} parsed, {refused} refused"
+        );
+
+        let server = MetadataServer::bind("127.0.0.1:0").unwrap();
+        server.publish("/c.xsd", CATALOGUE);
+        let served = |head: &[u8]| {
+            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+            stream.write_all(head).unwrap();
+            let mut response = Vec::new();
+            stream.read_to_end(&mut response).unwrap();
+            response
+        };
+        for head in &HEADS[..2] {
+            let expected = served(head.as_bytes());
+            for _ in 0..8 {
+                let mut mutant = head.as_bytes().to_vec();
+                let at = mutant.iter().position(|b| *b == b'\n').unwrap() + 1;
+                mutant.splice(at..at, unknown(&mut mix));
+                assert_eq!(
+                    served(&mutant),
+                    expected,
+                    "{:?}",
+                    String::from_utf8_lossy(&mutant)
+                );
+            }
+        }
     }
 }

@@ -10,7 +10,7 @@ use xsdlite::Schema;
 
 use crate::binding::{schema_for_struct, Binder};
 use crate::cache::SchemaCache;
-use crate::discovery::{DiscoveryChain, DiscoverySource, DiscoveryStatsSnapshot};
+use crate::discovery::{DiscoveryChain, DiscoverySource, DiscoveryStatsSnapshot, Extent};
 use crate::error::X2wError;
 use crate::server::{http_get, http_post};
 
@@ -88,26 +88,35 @@ impl Xml2Wire {
     ///
     /// Discovery, schema and binding failures; see [`X2wError`].
     pub fn discover(&self, locator: &str) -> Result<Vec<Arc<Format>>, X2wError> {
-        let document = self.cache.fetch(locator)?;
+        let document = self.cache.fetch(locator, Extent::Whole)?;
         self.register_schema_str(&document)
     }
 
     /// Discovers metadata at `locator` as [`discover`](Self::discover)
-    /// does, but compiles and binds only the document's first complex
-    /// type and the types it names, transitively
+    /// does, but fetches, compiles and binds only the document's first
+    /// complex type and the types it names, transitively
     /// ([`Schema::parse_reachable`]): what a subscriber to a stream of
     /// that type can be sent. The formats come back in document order, so
     /// the root is the first of them, and a type that names a later one
-    /// fails to bind exactly as under `discover`. The whole document is
-    /// still read — a malformed one fails, as does a type name declared
-    /// twice — but a type outside the closure is neither checked nor
-    /// bound.
+    /// fails to bind exactly as under `discover`.
+    ///
+    /// The request asks the source for that closure
+    /// ([`DiscoverySource::fetch_closure`]). A [`MetadataServer`] checked
+    /// the whole document when it cut the closure — a malformed one, or a
+    /// type name declared twice, is sent whole, and fails here as it
+    /// would have. A source that does not cut closures sends the whole
+    /// document, which is checked here the same way. Either way what
+    /// arrives is fully checked, and a type outside the closure is
+    /// neither checked nor bound. The schema cache keeps closures apart
+    /// from whole documents: neither is ever served for the other.
+    ///
+    /// [`MetadataServer`]: crate::MetadataServer
     ///
     /// # Errors
     ///
     /// As [`discover`](Self::discover), for the closure.
     pub fn discover_root(&self, locator: &str) -> Result<Vec<Arc<Format>>, X2wError> {
-        let document = self.cache.fetch(locator)?;
+        let document = self.cache.fetch(locator, Extent::Closure)?;
         self.binder().bind_schema_owned(Schema::parse_reachable(&document)?)
     }
 
@@ -495,6 +504,32 @@ mod tests {
         let snap = x2w.discovery_stats();
         assert_eq!(snap.stale_serves, 1, "{snap:?}");
         assert_eq!(snap.source("url").map(|s| s.failures), Some(1), "{snap:?}");
+    }
+
+    #[test]
+    fn closures_and_whole_documents_are_cached_apart() {
+        let fillers: String = (1..65)
+            .map(|i| {
+                format!(
+                    "<xsd:complexType name=\"Filler{i}\"><xsd:element name=\"v\" type=\"xsd:int\"/></xsd:complexType>\n"
+                )
+            })
+            .collect();
+        let catalogue = FLIGHT.replace("</xsd:schema>", &format!("{fillers}</xsd:schema>"));
+        let closure = Schema::parse_reachable(&catalogue).unwrap().to_xml_string();
+        let server = MetadataServer::bind("127.0.0.1:0").unwrap();
+        server.publish("/site/catalogue.xsd", catalogue.as_str());
+        let url = server.url_for("/site/catalogue.xsd");
+        let x2w = Xml2Wire::builder().source(Box::new(UrlSource::new())).build();
+        assert_eq!(x2w.discover_root(&url).unwrap().len(), 1);
+        assert_eq!(x2w.discover(&url).unwrap().len(), 65);
+        drop(server);
+        // Each kind bridges the outage with its own last good document.
+        assert_eq!(x2w.discover(&url).unwrap().len(), 65);
+        assert_eq!(x2w.discover_root(&url).unwrap().len(), 1);
+        assert_eq!(x2w.discovery_stats().stale_serves, 2);
+        assert_eq!(*x2w.cache.fetch(&url, Extent::Whole).unwrap(), catalogue);
+        assert_eq!(*x2w.cache.fetch(&url, Extent::Closure).unwrap(), closure);
     }
 
     #[test]

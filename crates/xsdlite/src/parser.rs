@@ -475,8 +475,9 @@ impl Compiler {
                             "simpleType {name:?} has no <restriction> (only restriction is supported)"
                         ),
                     })?;
-                if !self.enumeration.is_empty() {
-                    facets.push(Facet::Enumeration(std::mem::take(&mut self.enumeration)));
+                let own = std::mem::take(&mut self.enumeration);
+                if let Some(values) = enumeration(&name, &mut facets, own)? {
+                    facets.push(Facet::Enumeration(values));
                 }
                 // Skipped complex types are in the index, not the schema.
                 if self.index.as_ref().is_some_and(|i| i.contains_key(name.as_str())) {
@@ -639,6 +640,40 @@ fn parse_occurs(min: Option<&str>, max: Option<&str>, name: &str) -> Result<Occu
     // (paper §4.1.1: "if the value is a string, an element of type
     // xsd:integer with an identical name attribute must be present").
     Ok(Occurs::CountField(max.to_owned()))
+}
+
+/// A simple type's one enumeration, taken out of `facets` (what its
+/// base passed down) and merged with its `own` values: a value must be in
+/// both lists, so the merged list is the own values the base's list also
+/// has. The caller puts it after the other facets, where the writer
+/// writes it, so a written schema reads back as the same one.
+///
+/// # Errors
+///
+/// A type whose own values are all outside its base's enumeration: it
+/// admits no value at all.
+fn enumeration(
+    name: &str,
+    facets: &mut Vec<Facet>,
+    mut own: Vec<String>,
+) -> Result<Option<Vec<String>>, SchemaError> {
+    let inherited = facets.iter().position(|f| matches!(f, Facet::Enumeration(_)));
+    let Some(Facet::Enumeration(base)) = inherited.map(|at| facets.remove(at)) else {
+        return Ok((!own.is_empty()).then_some(own));
+    };
+    if own.is_empty() {
+        return Ok(Some(base));
+    }
+    own.retain(|value| base.contains(value));
+    if own.is_empty() {
+        return Err(SchemaError::Invalid {
+            detail: format!(
+                "simpleType {name:?} admits no value: none of its enumeration values is in its \
+                 base's enumeration"
+            ),
+        });
+    }
+    Ok(Some(own))
 }
 
 /// Verifies cross-type constraints over a complete schema: unique type

@@ -208,8 +208,35 @@ fn parse_simple_type(
             }
         }
     }
-    if !enumeration.is_empty() {
-        facets.push(Facet::Enumeration(enumeration));
+    // One enumeration, after the other facets: the own values that the
+    // base's enumeration (if it has one) lists too.
+    let inherited: Vec<Vec<String>> = facets
+        .iter()
+        .filter_map(|f| match f {
+            Facet::Enumeration(values) => Some(values.clone()),
+            _ => None,
+        })
+        .collect();
+    facets.retain(|f| !matches!(f, Facet::Enumeration(_)));
+    let merged = match inherited.first() {
+        None => enumeration,
+        Some(base) if enumeration.is_empty() => base.clone(),
+        Some(base) => {
+            let kept: Vec<String> =
+                enumeration.into_iter().filter(|value| base.contains(value)).collect();
+            if kept.is_empty() {
+                return Err(SchemaError::Invalid {
+                    detail: format!(
+                        "simpleType {name:?} admits no value: none of its enumeration values is \
+                         in its base's enumeration"
+                    ),
+                });
+            }
+            kept
+        }
+    };
+    if !merged.is_empty() {
+        facets.push(Facet::Enumeration(merged));
     }
     Ok(SimpleType { name, base, facets })
 }

@@ -1,8 +1,15 @@
 //! The seeded schema-document generator the differential suites share
-//! (`compiler_differential.rs`, `reachable_differential.rs`): five
-//! namespace dialects, re-bound prefixes, wrappers, annotations with
-//! mixed content, ignored subtrees, forward or backward references
-//! between complex types, and at most one injected defect.
+//! (`compiler_differential.rs`, `reachable_differential.rs`, and
+//! `xml2wire`'s `closure_differential.rs`): five namespace dialects,
+//! re-bound prefixes, wrappers, annotations with mixed content, ignored
+//! subtrees, forward or backward references between complex types, and
+//! at most one injected defect. [`every_root`] gives a document once per
+//! complex type, that type first — where `Schema::parse_reachable` takes
+//! it for the root.
+
+use std::ops::Range;
+
+use xmlparse::{BorrowedEvent, Reader};
 
 const NS_1999: &str = "http://www.w3.org/1999/XMLSchema";
 const NS_2001: &str = "http://www.w3.org/2001/XMLSchema";
@@ -61,7 +68,11 @@ fn dialect(rng: &mut Rng) -> Dialect {
             datatype: "t:",
         },
         // The conventional prefix, never declared.
-        3 => Dialect { root_attrs: String::new(), markup: "xsd:", datatype: "xsd:" },
+        3 => Dialect {
+            root_attrs: String::new(),
+            markup: "xsd:",
+            datatype: "xsd:",
+        },
         // An unconventional prefix for everything.
         _ => Dialect {
             root_attrs: format!(" xmlns:q=\"{NS_2001}\" xmlns:unused=\"urn:elsewhere\""),
@@ -72,9 +83,23 @@ fn dialect(rng: &mut Rng) -> Dialect {
 }
 
 const PRIMITIVES: [&str; 17] = [
-    "string", "boolean", "byte", "unsignedByte", "unsigned-byte", "short", "unsignedShort",
-    "int", "integer", "unsignedInt", "unsigned-int", "long", "unsignedLong", "unsigned-long",
-    "float", "double", "unsigned-short",
+    "string",
+    "boolean",
+    "byte",
+    "unsignedByte",
+    "unsigned-byte",
+    "short",
+    "unsignedShort",
+    "int",
+    "integer",
+    "unsignedInt",
+    "unsigned-int",
+    "long",
+    "unsignedLong",
+    "unsigned-long",
+    "float",
+    "double",
+    "unsigned-short",
 ];
 
 /// A defect to inject into an otherwise valid document.
@@ -161,7 +186,9 @@ fn annotation(rng: &mut Rng, d: &Dialect, out: &mut String) {
         }
         out.push_str(&format!("</{m}documentation>"));
         if rng.chance(25) {
-            out.push_str(&format!("<{m}documentation>second, ignored</{m}documentation>"));
+            out.push_str(&format!(
+                "<{m}documentation>second, ignored</{m}documentation>"
+            ));
         }
     }
     filler(rng, out);
@@ -184,7 +211,10 @@ fn simple_type(rng: &mut Rng, d: &Dialect, index: usize, defect: Defect, out: &m
     } else if index > 0 && rng.chance(40) {
         format!("Simple{}", rng.below(index))
     } else {
-        format!("{t}{}", rng.pick(&["int", "string", "double", "unsigned-long"]))
+        format!(
+            "{t}{}",
+            rng.pick(&["int", "string", "double", "unsigned-long"])
+        )
     };
     if defect == Defect::RestrictionWithoutBase {
         out.push_str(&format!("<{m}restriction>"));
@@ -195,11 +225,17 @@ fn simple_type(rng: &mut Rng, d: &Dialect, index: usize, defect: Defect, out: &m
         filler(rng, out);
         match rng.below(8) {
             0 => out.push_str(&format!("<{m}minInclusive value=\" {} \"/>", rng.below(50))),
-            1 => out.push_str(&format!("<{m}maxInclusive value=\"{}.5\"/>", rng.below(500))),
+            1 => out.push_str(&format!(
+                "<{m}maxInclusive value=\"{}.5\"/>",
+                rng.below(500)
+            )),
             2 => out.push_str(&format!("<{m}minExclusive value=\"-{}\"/>", rng.below(9))),
             3 => out.push_str(&format!("<{m}maxExclusive value=\"1e{}\"/>", rng.below(9))),
             4 => out.push_str(&format!("<{m}minLength value=\"{}\"/>", rng.below(4))),
-            5 => out.push_str(&format!("<{m}maxLength value=\"{}\"><x/></{m}maxLength>", rng.below(64))),
+            5 => out.push_str(&format!(
+                "<{m}maxLength value=\"{}\"><x/></{m}maxLength>",
+                rng.below(64)
+            )),
             6 => out.push_str(&format!(
                 "<{m}enumeration value=\"v{}\"/><{m}enumeration value=\"a &amp; b\"/>",
                 rng.below(9)
@@ -237,7 +273,11 @@ fn complex_type(
     let rebound = !d.markup.is_empty() && rng.chance(20);
     let scoped;
     let d = if rebound {
-        scoped = Dialect { root_attrs: String::new(), markup: "own:", datatype: "own:" };
+        scoped = Dialect {
+            root_attrs: String::new(),
+            markup: "own:",
+            datatype: "own:",
+        };
         &scoped
     } else {
         d
@@ -261,7 +301,9 @@ fn complex_type(
         annotation(rng, d, out);
     }
     let wrappers = rng.below(3);
-    let wrapper_names: Vec<&str> = (0..wrappers).map(|_| rng.pick(&["sequence", "all"])).collect();
+    let wrapper_names: Vec<&str> = (0..wrappers)
+        .map(|_| rng.pick(&["sequence", "all"]))
+        .collect();
     for w in &wrapper_names {
         out.push_str(&format!("<{m}{w}>"));
         filler(rng, out);
@@ -288,7 +330,8 @@ fn complex_type(
             format!("{t}{}", PRIMITIVES[rng.below(PRIMITIVES.len())])
         };
         let quote = if rng.chance(25) { '\'' } else { '"' };
-        let mut tag = format!("<{m}element name={quote}{field}{quote} type={quote}{type_attr}{quote}");
+        let mut tag =
+            format!("<{m}element name={quote}{field}{quote} type={quote}{type_attr}{quote}");
         match rng.below(12) {
             0 => tag.push_str(" minOccurs=\"5\" maxOccurs=\"5\""),
             1 => tag.push_str(" maxOccurs=\"3\""),
@@ -373,7 +416,11 @@ pub fn generate(seed: u64, with_defects: bool) -> (String, Defect) {
         out.push_str("<!-- generated -->\n");
     }
     let m = d.markup;
-    let root = if defect == Defect::NotASchema { "definitions" } else { "schema" };
+    let root = if defect == Defect::NotASchema {
+        "definitions"
+    } else {
+        "schema"
+    };
     out.push_str(&format!("<{m}{root}{}", d.root_attrs));
     if rng.chance(60) {
         out.push_str(" targetNamespace=\"urn:generated &amp; escaped\"");
@@ -386,7 +433,11 @@ pub fn generate(seed: u64, with_defects: bool) -> (String, Defect) {
     let simples_first = rng.chance(50);
     let emit_simples = |rng: &mut Rng, out: &mut String| {
         // A defect of the simple-type kind needs a simple type to sit in.
-        let count = if simples == 0 && defect_is_simple(defect) { 1 } else { simples };
+        let count = if simples == 0 && defect_is_simple(defect) {
+            1
+        } else {
+            simples
+        };
         for s in 0..count {
             filler(rng, out);
             let inject = if s == count - 1 { defect } else { Defect::None };
@@ -400,11 +451,22 @@ pub fn generate(seed: u64, with_defects: bool) -> (String, Defect) {
         filler(rng, &mut out);
         match rng.below(8) {
             0 => annotation(rng, &d, &mut out),
-            1 => out.push_str(&format!("<{m}import namespace=\"urn:x\"><{m}complexType/></{m}import>")),
+            1 => out.push_str(&format!(
+                "<{m}import namespace=\"urn:x\"><{m}complexType/></{m}import>"
+            )),
             2 => out.push_str("<foreign:thing xmlns:foreign=\"urn:f\" name=\"ignored\"/>"),
             _ => {}
         }
-        complex_type(rng, &d, index, types, simples, refs_point_forward, defect, &mut out);
+        complex_type(
+            rng,
+            &d,
+            index,
+            types,
+            simples,
+            refs_point_forward,
+            defect,
+            &mut out,
+        );
     }
     if !simples_first {
         emit_simples(rng, &mut out);
@@ -427,4 +489,61 @@ fn defect_is_simple(defect: Defect) -> bool {
             | Defect::FacetWithoutValue
             | Defect::UnknownRestrictionBase
     )
+}
+
+/// Where the document's top-level complex types are, start tag to end
+/// tag, in document order (nowhere if it is not well-formed).
+fn complex_type_spans(doc: &str) -> Vec<Range<usize>> {
+    let mut reader = Reader::new(doc);
+    let (mut spans, mut depth, mut open) = (Vec::new(), 0usize, None);
+    loop {
+        let at = reader.offset();
+        let started = match reader.next_borrowed() {
+            Ok(BorrowedEvent::StartElement { name, .. }) => {
+                Some(name.rsplit(':').next() == Some("complexType"))
+            }
+            Ok(BorrowedEvent::EndElement { .. }) => None,
+            Ok(BorrowedEvent::Eof) => return spans,
+            Ok(_) => continue,
+            Err(_) => return Vec::new(),
+        };
+        match started {
+            Some(complex) => {
+                depth += 1;
+                if depth == 2 && complex {
+                    open = Some(at);
+                }
+            }
+            None => {
+                if let Some(start) = open.filter(|_| depth == 2) {
+                    spans.push(start..reader.offset());
+                    open = None;
+                }
+                depth -= 1;
+            }
+        }
+    }
+}
+
+/// `doc` once per top-level complex type, that type moved in front of
+/// the first one — the document itself first — or `doc` alone when it
+/// has no complex type or is not well-formed.
+#[allow(dead_code)] // `compiler_differential.rs` does not move roots
+pub fn every_root(doc: &str) -> Vec<String> {
+    let spans = complex_type_spans(doc);
+    let Some(first) = spans.first().map(|span| span.start) else {
+        return vec![doc.to_owned()];
+    };
+    spans
+        .iter()
+        .map(|moved| {
+            [
+                &doc[..first],
+                &doc[moved.clone()],
+                &doc[first..moved.start],
+                &doc[moved.end..],
+            ]
+            .concat()
+        })
+        .collect()
 }

@@ -20,11 +20,10 @@
 mod generator;
 
 use std::collections::HashSet;
-use std::ops::Range;
 
-use generator::{document, generate, Defect};
+use generator::{document, every_root, generate, Defect};
 use proptest::prelude::*;
-use xmlparse::{BorrowedEvent, Element, Reader};
+use xmlparse::Element;
 use xsdlite::{Schema, SchemaError};
 
 /// The document's top-level complex types in document order: each one's
@@ -69,47 +68,6 @@ fn closure(graph: &Graph, root: &str) -> HashSet<String> {
         }
     }
     reached
-}
-
-/// Where the document's top-level complex types are, start tag to end
-/// tag, in document order (nowhere if it is not well-formed).
-fn complex_type_spans(doc: &str) -> Vec<Range<usize>> {
-    let mut reader = Reader::new(doc);
-    let (mut spans, mut depth, mut open) = (Vec::new(), 0usize, None);
-    loop {
-        let at = reader.offset();
-        let started = match reader.next_borrowed() {
-            Ok(BorrowedEvent::StartElement { name, .. }) => {
-                Some(name.rsplit(':').next() == Some("complexType"))
-            }
-            Ok(BorrowedEvent::EndElement { .. }) => None,
-            Ok(BorrowedEvent::Eof) => return spans,
-            Ok(_) => continue,
-            Err(_) => return Vec::new(),
-        };
-        match started {
-            Some(complex) => {
-                depth += 1;
-                if depth == 2 && complex {
-                    open = Some(at);
-                }
-            }
-            None => {
-                if let Some(start) = open.filter(|_| depth == 2) {
-                    spans.push(start..reader.offset());
-                    open = None;
-                }
-                depth -= 1;
-            }
-        }
-    }
-}
-
-/// `doc` with its `k`-th top-level complex type moved in front of the
-/// first one, where `parse_reachable` takes it for the root.
-fn rooted(doc: &str, spans: &[Range<usize>], k: usize) -> String {
-    let (first, moved) = (spans[0].start, spans[k].clone());
-    [&doc[..first], &doc[moved.clone()], &doc[first..moved.start], &doc[moved.end..]].concat()
 }
 
 /// Whether the generator put `defect` inside `Type0`'s body, rather than
@@ -175,12 +133,8 @@ fn check(doc: &str, defect: Defect, tally: &mut Tally) {
 
 /// [`check`] with each of `doc`'s complex types as the root in turn.
 fn check_every_root(doc: &str, defect: Defect, tally: &mut Tally) {
-    let spans = complex_type_spans(doc);
-    if spans.is_empty() {
-        return check(doc, defect, tally);
-    }
-    for k in 0..spans.len() {
-        check(&rooted(doc, &spans, k), defect, tally);
+    for doc in every_root(doc) {
+        check(&doc, defect, tally);
     }
 }
 
@@ -204,8 +158,8 @@ proptest! {
     #[test]
     fn truncations_fail_alike(seed in any::<u64>()) {
         let doc = document(seed, false);
-        let spans = complex_type_spans(&doc);
-        for doc in [doc.clone(), rooted(&doc, &spans, spans.len() - 1)] {
+        let last = every_root(&doc).pop().expect("a document has a root");
+        for doc in [doc, last] {
             for cut in (0..doc.len()).filter(|&i| doc.is_char_boundary(i)) {
                 let prefix = &doc[..cut];
                 let full = Schema::parse_str(prefix);

@@ -155,3 +155,41 @@ fn simple_typed_count_fields_are_allowed() {
     let schema = Schema::parse_str(doc).unwrap();
     assert!(schema.complex_type("T").is_some());
 }
+
+/// A derived type has one enumeration, after its other facets: its own
+/// values that its base's enumeration also lists, or the base's list.
+/// That is the form the writer writes, so the schema reads back whole.
+#[test]
+fn a_derived_enumeration_is_one_facet_after_the_others() {
+    let with_legacy = |own: &[&str]| {
+        let own: String =
+            own.iter().map(|v| format!(r#"<xsd:enumeration value="{v}"/>"#)).collect();
+        DOC.replace(
+            "</xsd:schema>",
+            &format!(
+                r#"<xsd:simpleType name="Legacy"><xsd:restriction base="AirlineCode">{own}</xsd:restriction></xsd:simpleType>
+  <xsd:simpleType name="Carrier"><xsd:restriction base="AirlineCode"><xsd:minLength value="1"/></xsd:restriction></xsd:simpleType>
+</xsd:schema>"#
+            ),
+        )
+    };
+    let values = |vs: &[&str]| Facet::Enumeration(vs.iter().map(|v| v.to_string()).collect());
+    let schema = Schema::parse_str(&with_legacy(&["PA", "DL", "AA"])).unwrap();
+    let legacy = schema.simple_type("Legacy").unwrap();
+    assert_eq!(legacy.facets, [Facet::MinLength(2), Facet::MaxLength(2), values(&["DL", "AA"])]);
+    assert!(legacy.accepts_lexical("AA"));
+    assert!(!legacy.accepts_lexical("UA") && !legacy.accepts_lexical("PA"));
+    let carrier = schema.simple_type("Carrier").unwrap();
+    let inherited_last = [
+        Facet::MinLength(2),
+        Facet::MaxLength(2),
+        Facet::MinLength(1),
+        values(&["DL", "AA", "UA"]),
+    ];
+    assert_eq!(carrier.facets, inherited_last);
+    assert_eq!(Schema::parse_str(&schema.to_xml_string()), Ok(schema));
+
+    // Own values none of which the base lists admit no value at all.
+    let err = Schema::parse_str(&with_legacy(&["PA", "TW"])).unwrap_err();
+    assert!(err.to_string().contains("\"Legacy\" admits no value"), "{err}");
+}
