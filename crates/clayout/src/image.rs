@@ -8,10 +8,10 @@
 //! from the start of the image instead of virtual addresses — exactly the
 //! pointer swizzling PBIO performs so a buffer is position-independent.
 
-use crate::arch::{Architecture, Endianness};
+use crate::arch::Architecture;
 use crate::ctype::{ArrayLen, CType, StructType};
 use crate::error::LayoutError;
-use crate::layout::{align_up, Layout, ScalarCode, ScalarKind};
+use crate::layout::{align_up, Layout, Scalar, ScalarCode, ScalarKind};
 use crate::value::{Record, Value};
 
 /// A native byte image of one record on one architecture.
@@ -28,88 +28,6 @@ impl Image {
     pub fn var_section(&self) -> &[u8] {
         &self.bytes[self.fixed_len.min(self.bytes.len())..]
     }
-}
-
-// ---------------------------------------------------------------------------
-// Raw integer/float accessors, shared with the conversion machinery in pbio.
-// ---------------------------------------------------------------------------
-
-/// Writes `value` as an unsigned integer of `size` bytes at `offset`.
-///
-/// # Panics
-///
-/// Panics if `offset + size` exceeds the buffer or `size` is not 1/2/4/8;
-/// callers are expected to have sized buffers from layout data.
-pub fn put_uint(buf: &mut [u8], offset: usize, size: usize, endianness: Endianness, value: u64) {
-    let dst = &mut buf[offset..offset + size];
-    match endianness {
-        Endianness::Little => dst.copy_from_slice(&value.to_le_bytes()[..size]),
-        // The low `size` bytes of a big-endian u64 are its trailing ones.
-        Endianness::Big => dst.copy_from_slice(&value.to_be_bytes()[8 - size..]),
-    }
-}
-
-/// Writes `value` as a two's-complement signed integer of `size` bytes.
-///
-/// # Panics
-///
-/// As [`put_uint`].
-pub fn put_int(buf: &mut [u8], offset: usize, size: usize, endianness: Endianness, value: i64) {
-    put_uint(buf, offset, size, endianness, value as u64);
-}
-
-/// Reads an unsigned integer of `size` bytes at `offset`.
-///
-/// # Panics
-///
-/// Panics on out-of-bounds access; callers bound-check first.
-pub fn get_uint(buf: &[u8], offset: usize, size: usize, endianness: Endianness) -> u64 {
-    let src = &buf[offset..offset + size];
-    let mut out = [0u8; 8];
-    match endianness {
-        Endianness::Little => {
-            out[..size].copy_from_slice(src);
-            u64::from_le_bytes(out)
-        }
-        Endianness::Big => {
-            out[8 - size..].copy_from_slice(src);
-            u64::from_be_bytes(out)
-        }
-    }
-}
-
-/// Reads a sign-extended integer of `size` bytes at `offset`.
-///
-/// # Panics
-///
-/// As [`get_uint`].
-pub fn get_int(buf: &[u8], offset: usize, size: usize, endianness: Endianness) -> i64 {
-    let raw = get_uint(buf, offset, size, endianness);
-    let shift = 64 - size * 8;
-    if shift == 0 {
-        raw as i64
-    } else {
-        ((raw << shift) as i64) >> shift
-    }
-}
-
-/// Whether `value` fits in a signed integer of `size` bytes.
-pub fn fits_signed(value: i64, size: usize) -> bool {
-    if size >= 8 {
-        return true;
-    }
-    let bits = size as u32 * 8;
-    let min = -(1i64 << (bits - 1));
-    let max = (1i64 << (bits - 1)) - 1;
-    (min..=max).contains(&value)
-}
-
-/// Whether `value` fits in an unsigned integer of `size` bytes.
-pub fn fits_unsigned(value: u64, size: usize) -> bool {
-    if size >= 8 {
-        return true;
-    }
-    value < (1u64 << (size as u32 * 8))
 }
 
 // ---------------------------------------------------------------------------
@@ -424,7 +342,7 @@ impl EncodePlan {
                     let region = image_start + region_rel;
                     buf.resize(region + len * stride, 0);
                     let name = &field.name;
-                    self.pointer.write_raw(buf, at, self.pointer_to(region_rel, name)?);
+                    self.point(buf, at, region_rel, name)?;
                     self.encode_elements(buf, image_start, region, *stride, elem, items, name)?;
                 }
                 (Some(value), Op::Count { code, array }) => {
@@ -479,13 +397,20 @@ impl EncodePlan {
         }
     }
 
-    /// `target` if a pointer slot can hold it.
+    /// Points the slot at `at` to image-relative `target`, if a pointer
+    /// slot can hold it.
     #[inline]
-    fn pointer_to(&self, target: usize, field: &str) -> Result<u64, LayoutError> {
-        match target as u64 {
-            target if fits_unsigned(target, self.pointer.size()) => Ok(target),
-            target => Err(LayoutError::BadPointer { field: field.to_owned(), target }),
-        }
+    fn point(
+        &self,
+        buf: &mut [u8],
+        at: usize,
+        target: usize,
+        field: &str,
+    ) -> Result<(), LayoutError> {
+        let target = target as u64;
+        self.pointer
+            .write(buf, at, Scalar::UInt(target), field)
+            .map_err(|_| LayoutError::BadPointer { field: field.to_owned(), target })
     }
 
     /// Writes one value of a non-dynamic-array kind at `at`.
@@ -505,10 +430,10 @@ impl EncodePlan {
             }
             Op::String => {
                 let s = value.as_str().ok_or_else(|| mismatch(field, "string", value))?;
-                let target = self.pointer_to(buf.len() - image_start, field)?;
+                let target = buf.len() - image_start;
+                self.point(buf, at, target, field)?;
                 buf.extend_from_slice(s.as_bytes());
                 buf.push(0);
-                self.pointer.write_raw(buf, at, target);
                 Ok(())
             }
             Op::Struct(inner) => {
@@ -563,7 +488,7 @@ fn mismatch(field: &str, expected: &str, found: SourceValue<'_>) -> LayoutError 
     }
 }
 
-/// Type-checks and range-checks `value` against `code` and stores it.
+/// Type-checks `value` against `code` and stores it, range-checked.
 #[inline]
 fn encode_scalar(
     buf: &mut [u8],
@@ -572,38 +497,18 @@ fn encode_scalar(
     value: SourceValue<'_>,
     field: &str,
 ) -> Result<(), LayoutError> {
-    let width = code.size();
-    let out_of_range = |value: String| LayoutError::ValueOutOfRange {
-        field: field.to_owned(),
-        value,
-        width,
-    };
-    let raw = match code.kind {
+    let number = match code.kind {
         ScalarKind::Float => {
-            let v = value.as_f64().ok_or_else(|| mismatch(field, "float", value))?;
-            if width == 4 {
-                u64::from((v as f32).to_bits())
-            } else {
-                v.to_bits()
-            }
+            Scalar::Float(value.as_f64().ok_or_else(|| mismatch(field, "float", value))?)
         }
         ScalarKind::Int => {
-            let v = value.as_i64().ok_or_else(|| mismatch(field, "int", value))?;
-            if !fits_signed(v, width) {
-                return Err(out_of_range(v.to_string()));
-            }
-            v as u64
+            Scalar::Int(value.as_i64().ok_or_else(|| mismatch(field, "int", value))?)
         }
         ScalarKind::UInt => {
-            let v = value.as_u64().ok_or_else(|| mismatch(field, "uint", value))?;
-            if !fits_unsigned(v, width) {
-                return Err(out_of_range(v.to_string()));
-            }
-            v
+            Scalar::UInt(value.as_u64().ok_or_else(|| mismatch(field, "uint", value))?)
         }
     };
-    code.write_raw(buf, at, raw);
-    Ok(())
+    code.write(buf, at, number, field)
 }
 
 /// Encodes `record` as a native byte image of `st` under `arch`.
@@ -767,34 +672,6 @@ mod tests {
         ));
         let ok = Record::new().with("a", vec![1i64, 2]).with("n", 2u64);
         assert!(encode_record(&ok, &st, &Architecture::X86_64).is_ok());
-    }
-
-    #[test]
-    fn raw_int_helpers_round_trip() {
-        let mut buf = vec![0u8; 8];
-        for endianness in [Endianness::Little, Endianness::Big] {
-            for size in [1usize, 2, 4, 8] {
-                for v in [0u64, 1, 0x7F, 0xFF % (1 << (size * 8 - 1))] {
-                    put_uint(&mut buf, 0, size, endianness, v);
-                    assert_eq!(get_uint(&buf, 0, size, endianness), v);
-                }
-                let signed = if size == 8 { -123456789i64 } else { -((1i64 << (size * 8 - 1)) / 2) };
-                put_int(&mut buf, 0, size, endianness, signed);
-                assert_eq!(get_int(&buf, 0, size, endianness), signed);
-            }
-        }
-    }
-
-    #[test]
-    fn fits_helpers() {
-        assert!(fits_signed(127, 1));
-        assert!(!fits_signed(128, 1));
-        assert!(fits_signed(-128, 1));
-        assert!(!fits_signed(-129, 1));
-        assert!(fits_unsigned(255, 1));
-        assert!(!fits_unsigned(256, 1));
-        assert!(fits_signed(i64::MIN, 8));
-        assert!(fits_unsigned(u64::MAX, 8));
     }
 
     #[test]

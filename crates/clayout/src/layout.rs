@@ -9,8 +9,9 @@ use crate::error::LayoutError;
 /// How one primitive is stored on one architecture — width,
 /// signedness, float-ness and byte order resolved once into a small
 /// `Copy` code, so compiled plans ([`EncodePlan`](crate::image::EncodePlan),
-/// pbio's view plan) read and write scalars without consulting the
-/// [`Architecture`] again.
+/// pbio's view and conversion plans) read and write scalars without
+/// consulting the [`Architecture`] again. It is the one codec for
+/// numbers in an image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScalarCode {
     pub(crate) kind: ScalarKind,
@@ -132,6 +133,53 @@ impl ScalarCode {
             _ => buf[at..at + 8].copy_from_slice(if big { &be } else { &le }),
         }
     }
+
+    /// Stores the number `value` at `at` in this code's width and byte
+    /// order: an integer if it fits [`size`](Self::size) bytes at its own
+    /// signedness, a float as binary32 or binary64. The number's own
+    /// kind decides the check; the code's kind only matters to
+    /// [`read`](Self::read). Every store of a number that may not fit —
+    /// an encoded value, a converted one — comes through here.
+    ///
+    /// # Errors
+    ///
+    /// [`LayoutError::ValueOutOfRange`], naming `field`, for an integer
+    /// too wide for the slot; nothing is written then.
+    ///
+    /// # Panics
+    ///
+    /// Panics out of bounds; callers size buffers from layout data.
+    #[inline(always)]
+    pub fn write(
+        self,
+        buf: &mut [u8],
+        at: usize,
+        value: Scalar,
+        field: &str,
+    ) -> Result<(), LayoutError> {
+        // An integer fits when its low `width` bytes, extended at its
+        // signedness, give it back.
+        let shift = 64 - 8 * u32::from(self.width);
+        let raw = match value {
+            Scalar::Int(v) if (v << shift) >> shift == v => v as u64,
+            Scalar::UInt(v) if (v << shift) >> shift == v => v,
+            Scalar::Float(v) if self.width == 4 => u64::from((v as f32).to_bits()),
+            Scalar::Float(v) => v.to_bits(),
+            _ => return Err(out_of_range(value, field, self.size())),
+        };
+        self.write_raw(buf, at, raw);
+        Ok(())
+    }
+}
+
+#[cold]
+fn out_of_range(value: Scalar, field: &str, width: usize) -> LayoutError {
+    let value = match value {
+        Scalar::Int(v) => v.to_string(),
+        Scalar::UInt(v) => v.to_string(),
+        Scalar::Float(v) => v.to_string(),
+    };
+    LayoutError::ValueOutOfRange { field: field.to_owned(), value, width }
 }
 
 /// The placement of one field inside a laid-out struct.

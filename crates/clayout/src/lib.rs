@@ -23,6 +23,11 @@
 //!   an [`EncodePlan`] compiled once per struct type and architecture
 //!   that reads any [`Source`]: a dynamic [`Record`] or a derived struct.
 //!   Reading them back is pbio's `RecordView`.
+//! * [`ScalarCode`] is the one codec for numbers in an image: one
+//!   primitive's width, signedness, float-ness and byte order, resolved
+//!   once, with `read`, `write_raw` and the range-checked `write` that
+//!   the encode plan, pbio's view and conversion plans and its filter
+//!   programs all go through.
 //!
 //! Because architectures are plain data, one process can simulate a
 //! heterogeneous machine room — a big-endian 32-bit sender talking to a

@@ -10,14 +10,19 @@
 //! byte, value for value and error kind for error kind; the
 //! differential suites in `clayout` and `pbio` include this file by
 //! path.
+//!
+//! It reads, writes and range-checks numbers with its own helpers (at
+//! the end of this file), the raw accessors the library once exported:
+//! sharing `clayout::ScalarCode` with what it judges would let a bug in
+//! that codec pass on both sides. Other test suites that need raw
+//! integer bytes take these too.
 
 #![allow(dead_code)]
 
-use clayout::image::{fits_signed, fits_unsigned, get_int, get_uint, put_int, put_uint};
 use clayout::layout::align_up;
 use clayout::{
-    Architecture, ArrayLen, CType, FieldLayout, Image, Layout, LayoutError, Primitive, Record,
-    StructType, Value,
+    Architecture, ArrayLen, CType, Endianness, FieldLayout, Image, Layout, LayoutError, Primitive,
+    Record, StructType, Value,
 };
 
 /// Encodes `record` as a native byte image of `st` under `arch`.
@@ -549,4 +554,69 @@ fn decode_prim_at(
         return Ok(Value::Int(get_int(bytes, at, sa.size, arch.endianness)));
     }
     Ok(Value::UInt(get_uint(bytes, at, sa.size, arch.endianness)))
+}
+
+// ---------------------------------------------------------------------------
+// Raw integer accessors: the oracle's own number codec.
+// ---------------------------------------------------------------------------
+
+/// Writes `value` as an unsigned integer of `size` bytes at `offset`.
+pub fn put_uint(buf: &mut [u8], offset: usize, size: usize, endianness: Endianness, value: u64) {
+    let dst = &mut buf[offset..offset + size];
+    match endianness {
+        Endianness::Little => dst.copy_from_slice(&value.to_le_bytes()[..size]),
+        // The low `size` bytes of a big-endian u64 are its trailing ones.
+        Endianness::Big => dst.copy_from_slice(&value.to_be_bytes()[8 - size..]),
+    }
+}
+
+/// Writes `value` as a two's-complement signed integer of `size` bytes.
+pub fn put_int(buf: &mut [u8], offset: usize, size: usize, endianness: Endianness, value: i64) {
+    put_uint(buf, offset, size, endianness, value as u64);
+}
+
+/// Reads an unsigned integer of `size` bytes at `offset`.
+pub fn get_uint(buf: &[u8], offset: usize, size: usize, endianness: Endianness) -> u64 {
+    let src = &buf[offset..offset + size];
+    let mut out = [0u8; 8];
+    match endianness {
+        Endianness::Little => {
+            out[..size].copy_from_slice(src);
+            u64::from_le_bytes(out)
+        }
+        Endianness::Big => {
+            out[8 - size..].copy_from_slice(src);
+            u64::from_be_bytes(out)
+        }
+    }
+}
+
+/// Reads a sign-extended integer of `size` bytes at `offset`.
+pub fn get_int(buf: &[u8], offset: usize, size: usize, endianness: Endianness) -> i64 {
+    let raw = get_uint(buf, offset, size, endianness);
+    let shift = 64 - size * 8;
+    if shift == 0 {
+        raw as i64
+    } else {
+        ((raw << shift) as i64) >> shift
+    }
+}
+
+/// Whether `value` fits in a signed integer of `size` bytes.
+pub fn fits_signed(value: i64, size: usize) -> bool {
+    if size >= 8 {
+        return true;
+    }
+    let bits = size as u32 * 8;
+    let min = -(1i64 << (bits - 1));
+    let max = (1i64 << (bits - 1)) - 1;
+    (min..=max).contains(&value)
+}
+
+/// Whether `value` fits in an unsigned integer of `size` bytes.
+pub fn fits_unsigned(value: u64, size: usize) -> bool {
+    if size >= 8 {
+        return true;
+    }
+    value < (1u64 << (size as u32 * 8))
 }

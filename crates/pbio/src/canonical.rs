@@ -2,44 +2,35 @@
 //! CORBA/IIOP's CDR and XML-RPC-style text each visit every field of a
 //! record and copy it into a representation no machine holds natively.
 //!
-//! [`encode`] does what the three share, once: the type check, the range
-//! check at the wire's width, the fixed-length check, and count fields —
-//! synthesized from their array when the record omits them, and held to
-//! it when it supplies them (NDR's `ArrayLengthMismatch`, at whichever
-//! of the count and its array comes first). What reaches the wire is the
-//! [`Sink`]'s business: XDR and CDR are one byte sink under different
-//! [`Rules`], text XML is `xmlparse`'s `Writer`. XDR and CDR also read
+//! [`encode`] does what the three share, once: the type check, the
+//! fixed-length check, and count fields — synthesized from their array
+//! when the record omits them, and held to it when it supplies them
+//! (NDR's `ArrayLengthMismatch`, at whichever of the count and its array
+//! comes first). What reaches the wire is the [`Sink`]'s business: XDR
+//! and CDR are one byte sink under different [`Rules`], which stores
+//! each number through [`ScalarCode`], range-checked at the wire's
+//! width; text XML is `xmlparse`'s `Writer`. XDR and CDR also read
 //! back through one [`decode`] under the same rules; text decodes by its
 //! own walk over the parsed tree, because it finds fields by name.
 
 use std::borrow::Cow;
 
-use clayout::image::{fits_signed, fits_unsigned, put_uint};
 use clayout::layout::align_up;
 use clayout::{ArrayLen, CType, Endianness, LayoutError, Primitive, Record, Scalar, ScalarCode};
 use clayout::{StructType, Value};
 
 use crate::error::PbioError;
 
-/// A number that passed the walk's checks.
-pub(crate) enum Num {
-    Int(i64),
-    UInt(u64),
-    Float(f64),
-}
-
 /// What a codec writes as the walk visits a record.
 pub(crate) trait Sink {
-    /// The bytes an integer of `p` must fit in on this wire.
-    fn width(&self, p: Primitive) -> usize;
     /// A struct begins: the root (named for its type) or a field's value.
     fn open(&mut self, _name: &str) {}
     /// The struct opened last ends.
     fn close(&mut self) {}
     /// A dynamic array of `n` elements begins.
     fn count(&mut self, _n: usize) {}
-    /// One number of `field`, `width` bytes wide on this wire.
-    fn num(&mut self, field: &str, width: usize, n: Num);
+    /// One number of `field`, a `p`; refused if this wire cannot hold it.
+    fn num(&mut self, field: &str, p: Primitive, n: Scalar) -> Result<(), PbioError>;
     /// One string of `field`.
     fn string(&mut self, field: &str, s: &str);
 }
@@ -106,27 +97,14 @@ fn encode_value<S: Sink>(
 ) -> Result<(), PbioError> {
     match ty {
         CType::Prim(p) => {
-            let width = sink.width(*p);
-            let out_of_range = |value| {
-                let field = field.to_owned();
-                PbioError::Layout(LayoutError::ValueOutOfRange { field, value, width })
-            };
             let n = if p.is_float() {
-                Num::Float(value.as_f64().ok_or_else(|| type_mismatch(field, "float", value))?)
+                Scalar::Float(value.as_f64().ok_or_else(|| type_mismatch(field, "float", value))?)
             } else if p.is_signed_integer() {
-                let v = value.as_i64().ok_or_else(|| type_mismatch(field, "int", value))?;
-                if !fits_signed(v, width) {
-                    return Err(out_of_range(v.to_string()));
-                }
-                Num::Int(v)
+                Scalar::Int(value.as_i64().ok_or_else(|| type_mismatch(field, "int", value))?)
             } else {
-                let v = value.as_u64().ok_or_else(|| type_mismatch(field, "uint", value))?;
-                if !fits_unsigned(v, width) {
-                    return Err(out_of_range(v.to_string()));
-                }
-                Num::UInt(v)
+                Scalar::UInt(value.as_u64().ok_or_else(|| type_mismatch(field, "uint", value))?)
             };
-            sink.num(field, width, n);
+            sink.num(field, *p, n)?;
         }
         CType::String => {
             sink.string(field, value.as_str().ok_or_else(|| type_mismatch(field, "string", value))?)
@@ -246,39 +224,39 @@ struct Wire {
 }
 
 impl Wire {
-    fn put(&mut self, width: usize, raw: u64) {
+    /// Room for one `width`-byte number, aligned under the rules: its
+    /// offset and code. A store's range check follows the number's own
+    /// signedness, so an unsigned code of the width serves every number.
+    fn slot(&mut self, width: usize) -> (usize, ScalarCode) {
         if self.rules.align {
             let body = align_up(self.out.len() - self.base, width);
             self.out.resize(self.base + body, 0);
         }
         let at = self.out.len();
         self.out.resize(at + width, 0);
-        put_uint(&mut self.out, at, width, self.rules.order, raw);
+        (at, ScalarCode::unsigned(width, self.rules.order))
+    }
+
+    /// A 4-byte count or length.
+    fn put_len(&mut self, n: usize) {
+        let (at, code) = self.slot(4);
+        code.write_raw(&mut self.out, at, n as u64);
     }
 }
 
 impl Sink for Wire {
-    fn width(&self, p: Primitive) -> usize {
-        self.rules.width(p)
-    }
-
     fn count(&mut self, n: usize) {
-        self.put(4, n as u64);
+        self.put_len(n);
     }
 
-    fn num(&mut self, _: &str, width: usize, n: Num) {
-        let raw = match n {
-            Num::Int(v) => v as u64,
-            Num::UInt(v) => v,
-            Num::Float(v) if width == 4 => u64::from((v as f32).to_bits()),
-            Num::Float(v) => v.to_bits(),
-        };
-        self.put(width, raw);
+    fn num(&mut self, field: &str, p: Primitive, n: Scalar) -> Result<(), PbioError> {
+        let (at, code) = self.slot(self.rules.width(p));
+        Ok(code.write(&mut self.out, at, n, field)?)
     }
 
     fn string(&mut self, _: &str, s: &str) {
         let len = s.len() + usize::from(self.rules.nul);
-        self.put(4, len as u64);
+        self.put_len(len);
         self.out.extend_from_slice(s.as_bytes());
         // The NUL, then the padding.
         let zeros = len - s.len() + self.rules.pad(len);

@@ -11,18 +11,26 @@
 //! produces an *identity* plan whose conversion borrows the payload
 //! outright — zero copies; see [`ImageCow`]).
 //!
+//! A plan is compiled from the two architectures' view plans, zipped
+//! field by field: every width, offset, stride and count slot comes from
+//! the plan a view of the same payload reads through, and the sender's
+//! bytes are checked by the view's own rules (the dynamic-region check,
+//! the string chase). Every number is read and stored through
+//! [`ScalarCode`].
+//!
 //! Plans are cached in a [`PlanCache`], a [`Memo`] keyed by structure
 //! fingerprint and the two architecture descriptors.
 
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use clayout::image::{fits_signed, fits_unsigned, get_int, get_uint, put_int, put_uint};
-use clayout::{ArrayLen, Architecture, CType, Image, Layout, Primitive, StructType};
+use clayout::layout::align_up;
+use clayout::{Architecture, CType, Image, Layout, LayoutError, ScalarCode, StructType};
 
 use crate::error::PbioError;
 use crate::format::{struct_fingerprint, Format};
 use crate::memo::{Memo, MemoStats};
+use crate::view::{dynamic_region, slot, str_at, Access, Len, ViewPlan};
 
 /// Conversion applied to one scalar element (also the element action of
 /// array ops).
@@ -34,13 +42,13 @@ enum ElemPlan {
     /// `width` bytes in place. Applies to integers *and* floats (a raw
     /// bit swap is exact; no round trip through `f64`).
     Swap { width: u8 },
-    /// Integer resize/byte-swap. `checked` is true only on genuine
-    /// narrowings (`dst_size < src_size`); widenings and same-size
-    /// re-encodes cannot overflow (`fits_*` is vacuously true), so their
-    /// overflow branch is compiled away at plan-build time.
-    Int { src_size: u8, dst_size: u8, signed: bool, checked: bool, field: u32 },
-    /// IEEE float between binary32/binary64 (and byte orders).
-    Float { src_size: u8, dst_size: u8 },
+    /// A number whose width differs: read in the source's code, stored
+    /// range-checked in the destination's (a widening always fits).
+    Recode {
+        from: ScalarCode,
+        to: ScalarCode,
+        field: u32,
+    },
     /// Out-of-line string: follow the source pointer, re-append in the
     /// destination variable section.
     String { field: u32 },
@@ -56,28 +64,45 @@ enum Op {
     /// padding included).
     Copy { src: usize, dst: usize, len: usize },
     /// A single element at fixed offsets.
-    Scalar { src: usize, dst: usize, elem: ElemPlan },
+    Scalar {
+        src: usize,
+        dst: usize,
+        elem: ElemPlan,
+    },
     /// `count` consecutive `width`-byte byte-swaps at the given offsets —
     /// the fused form of adjacent same-width [`ElemPlan::Swap`] scalars
     /// and of `Repeat`-of-swap with stride == width. Executes as
     /// `chunks_exact` + `u{16,32,64}::swap_bytes` (safe,
     /// autovectorizable), no per-element dispatch.
-    SwapRun { src: usize, dst: usize, width: u8, count: usize },
+    SwapRun {
+        src: usize,
+        dst: usize,
+        width: u8,
+        count: usize,
+    },
     /// A fixed-size array: `count` elements at the given strides.
-    Repeat { src: usize, dst: usize, count: usize, src_stride: usize, dst_stride: usize, elem: ElemPlan },
+    Repeat {
+        src: usize,
+        dst: usize,
+        count: usize,
+        src_stride: usize,
+        dst_stride: usize,
+        elem: ElemPlan,
+    },
     /// A dynamic (count-field) array: pointer slots plus a runtime count
-    /// read from the source image.
+    /// read from the source image in the count field's code; `field`
+    /// and `count_field` name the array and its count.
     DynArray {
         src_slot: usize,
         dst_slot: usize,
         count_off: usize,
-        count_size: u8,
-        count_signed: bool,
+        count: ScalarCode,
         src_stride: usize,
         dst_stride: usize,
         dst_align: usize,
         elem: ElemPlan,
         field: u32,
+        count_field: u32,
     },
 }
 
@@ -149,7 +174,10 @@ impl ImageCow<'_> {
 
     /// Detaches from the source buffer, copying only if still borrowed.
     pub fn into_owned(self) -> Image {
-        Image { bytes: self.bytes.into_owned(), fixed_len: self.fixed_len }
+        Image {
+            bytes: self.bytes.into_owned(),
+            fixed_len: self.fixed_len,
+        }
     }
 }
 
@@ -158,9 +186,11 @@ impl ImageCow<'_> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConversionPlan {
     ops: Vec<Op>,
+    /// Field names (`outer.inner` below the top level), for errors.
     names: Vec<String>,
-    src_arch: Architecture,
-    dst_arch: Architecture,
+    /// The codes of the two architectures' pointer slots.
+    src_pointer: ScalarCode,
+    dst_pointer: ScalarCode,
     src_fixed_len: usize,
     dst_fixed_len: usize,
     tier: PlanTier,
@@ -183,38 +213,39 @@ impl ConversionPlan {
         src_arch: &Architecture,
         dst_arch: &Architecture,
     ) -> Result<ConversionPlan, PbioError> {
-        let src_layout = Layout::of_struct(struct_type, src_arch)?;
-        let dst_layout = Layout::of_struct(struct_type, dst_arch)?;
-        let identity = src_arch.layout_compatible(dst_arch);
-        let mut names = Vec::new();
-        let mut tier = if identity { PlanTier::Identity } else { PlanTier::General };
-        let mut swap_spans = Vec::new();
-        let ops = if identity {
-            Vec::new()
-        } else {
-            let fused = fuse(build_ops(struct_type, src_arch, dst_arch, &mut names, "")?);
-            // PureSwap candidacy: identical total size and every op a
-            // same-offset copy or swap (recursively) — which also rules
-            // out pointer-bearing fields, keeping error behaviour
-            // identical to the General interpreter.
-            if src_layout.size == dst_layout.size {
-                if let Some(spans) = pure_swap_spans(&fused) {
-                    swap_spans = spans;
-                    tier = PlanTier::PureSwap;
-                }
-            }
-            fused
+        // Validates the definition, once: the view plans trust it.
+        let size = Layout::of_struct(struct_type, src_arch)?.size;
+        let pointer =
+            |arch: &Architecture| ScalarCode::unsigned(arch.pointer.size, arch.endianness);
+        let mut plan = ConversionPlan {
+            ops: Vec::new(),
+            names: Vec::new(),
+            src_pointer: pointer(src_arch),
+            dst_pointer: pointer(dst_arch),
+            src_fixed_len: size,
+            dst_fixed_len: size,
+            tier: PlanTier::Identity,
+            swap_spans: Vec::new(),
         };
-        Ok(ConversionPlan {
-            ops,
-            names,
-            src_arch: *src_arch,
-            dst_arch: *dst_arch,
-            src_fixed_len: src_layout.size,
-            dst_fixed_len: dst_layout.size,
-            tier,
-            swap_spans,
-        })
+        if src_arch.layout_compatible(dst_arch) {
+            return Ok(plan);
+        }
+        let src = ViewPlan::build(struct_type, src_arch)?;
+        let dst = ViewPlan::build(struct_type, dst_arch)?;
+        plan.ops = fuse(build_ops(struct_type, &src, &dst, &mut plan.names, ""));
+        plan.dst_fixed_len = dst.size;
+        plan.tier = PlanTier::General;
+        // PureSwap candidacy: identical total size and every op a
+        // same-offset copy or swap (recursively) — which also rules out
+        // pointer-bearing fields, keeping error behaviour identical to
+        // the General interpreter.
+        if src.size == dst.size {
+            if let Some(spans) = pure_swap_spans(&plan.ops) {
+                plan.swap_spans = spans;
+                plan.tier = PlanTier::PureSwap;
+            }
+        }
+        Ok(plan)
     }
 
     /// Whether the two layouts are identical, making conversion a single
@@ -243,18 +274,22 @@ impl ConversionPlan {
     ///
     /// # Errors
     ///
-    /// Reports truncated/corrupt source images and values that cannot be
-    /// represented on the destination (narrowing overflow).
+    /// Reports source images the view would refuse — truncated, with a
+    /// bad count or pointer, a region outside the payload, a string
+    /// unterminated or not UTF-8 — and values the destination cannot
+    /// represent ([`LayoutError::ValueOutOfRange`], as the encoder
+    /// reports them).
     pub fn convert<'a>(&self, payload: &'a [u8]) -> Result<ImageCow<'a>, PbioError> {
-        if payload.len() < self.src_fixed_len {
-            return Err(PbioError::Truncated { need: self.src_fixed_len, have: payload.len() });
-        }
-        if self.tier == PlanTier::Identity {
-            return Ok(ImageCow { bytes: Cow::Borrowed(payload), fixed_len: self.src_fixed_len });
-        }
-        let mut dst = Vec::new();
-        self.fill(payload, &mut dst)?;
-        Ok(ImageCow { bytes: Cow::Owned(dst), fixed_len: self.dst_fixed_len })
+        let bytes = if self.tier == PlanTier::Identity {
+            self.covers(payload)?;
+            Cow::Borrowed(payload)
+        } else {
+            let mut out = Vec::new();
+            self.fill(payload, &mut out)?;
+            Cow::Owned(out)
+        };
+        let fixed_len = self.dst_fixed_len;
+        Ok(ImageCow { bytes, fixed_len })
     }
 
     /// Converts one wire payload into `out`, reusing its allocation —
@@ -274,30 +309,37 @@ impl ConversionPlan {
     /// Same as [`convert`](Self::convert); `out` contents are
     /// unspecified after an error.
     pub fn convert_into(&self, payload: &[u8], out: &mut Vec<u8>) -> Result<usize, PbioError> {
-        if payload.len() < self.src_fixed_len {
-            return Err(PbioError::Truncated { need: self.src_fixed_len, have: payload.len() });
-        }
         if self.tier == PlanTier::Identity {
+            self.covers(payload)?;
             out.clear();
             out.extend_from_slice(payload);
-            return Ok(self.src_fixed_len);
+        } else {
+            self.fill(payload, out)?;
         }
-        self.fill(payload, out)?;
         Ok(self.dst_fixed_len)
+    }
+
+    /// Refuses a payload shorter than the source's fixed part.
+    fn covers(&self, payload: &[u8]) -> Result<(), PbioError> {
+        match (self.src_fixed_len, payload.len()) {
+            (need, have) if have < need => Err(PbioError::Truncated { need, have }),
+            _ => Ok(()),
+        }
     }
 
     /// Non-identity conversion into a caller-owned buffer.
     fn fill(&self, payload: &[u8], out: &mut Vec<u8>) -> Result<(), PbioError> {
+        self.covers(payload)?;
         out.clear();
         match self.tier {
             PlanTier::PureSwap => {
                 // One bulk copy of the fixed part, then the flat swap
-                // program in place. No variable section can exist on
+                // program over it. No variable section can exist on
                 // this tier (no pointer-bearing fields).
                 out.extend_from_slice(&payload[..self.src_fixed_len]);
                 for span in &self.swap_spans {
-                    let end = span.off + span.width as usize * span.count;
-                    swap_in_place(&mut out[span.off..end], span.width);
+                    let range = span.off..span.off + span.width as usize * span.count;
+                    swap_into(&mut out[range.clone()], &payload[range], span.width);
                 }
                 Ok(())
             }
@@ -308,13 +350,18 @@ impl ConversionPlan {
         }
     }
 
+    /// The name of field `field`, for an error.
+    fn name(&self, field: u32) -> &str {
+        &self.names[field as usize]
+    }
+
     fn run_ops(
         &self,
         ops: &[Op],
-        src: &[u8],
-        src_base: usize,
-        dst: &mut Vec<u8>,
-        dst_base: usize,
+        input: &[u8],
+        in_base: usize,
+        out: &mut Vec<u8>,
+        out_base: usize,
     ) -> Result<(), PbioError> {
         // Bounds-check hoisting: `convert`/`convert_into` verify the
         // whole source fixed part up front, and every dynamic region is
@@ -323,123 +370,90 @@ impl ConversionPlan {
         // inside its enclosing (checked) extent.
         for op in ops {
             match op {
-                Op::Copy { src: s, dst: d, len } => {
-                    let s = src_base + s;
-                    dst[dst_base + d..dst_base + d + len].copy_from_slice(&src[s..s + len]);
+                Op::Copy { src, dst, len } => {
+                    let (s, d) = (in_base + src, out_base + dst);
+                    out[d..d + len].copy_from_slice(&input[s..s + len]);
                 }
-                Op::SwapRun { src: s, dst: d, width, count } => {
-                    let len = *width as usize * count;
-                    let s = src_base + s;
-                    let d = dst_base + d;
-                    swap_into(&mut dst[d..d + len], &src[s..s + len], *width);
+                Op::SwapRun {
+                    src,
+                    dst,
+                    width,
+                    count,
+                } => {
+                    let (s, d, len) = (in_base + src, out_base + dst, *width as usize * count);
+                    swap_into(&mut out[d..d + len], &input[s..s + len], *width);
                 }
-                Op::Scalar { src: s, dst: d, elem } => {
-                    self.run_elem(elem, src, src_base + s, dst, dst_base + d)?;
+                Op::Scalar { src, dst, elem } => {
+                    self.run_elem(elem, input, in_base + src, out, out_base + dst)?;
                 }
-                Op::Repeat { src: s, dst: d, count, src_stride, dst_stride, elem } => {
+                Op::Repeat {
+                    src,
+                    dst,
+                    count,
+                    src_stride,
+                    dst_stride,
+                    elem,
+                } => {
                     for i in 0..*count {
-                        self.run_elem(
-                            elem,
-                            src,
-                            src_base + s + i * src_stride,
-                            dst,
-                            dst_base + d + i * dst_stride,
-                        )?;
+                        let (s, d) = (
+                            in_base + src + i * src_stride,
+                            out_base + dst + i * dst_stride,
+                        );
+                        self.run_elem(elem, input, s, out, d)?;
                     }
                 }
                 Op::DynArray {
                     src_slot,
                     dst_slot,
                     count_off,
-                    count_size,
-                    count_signed,
+                    count,
                     src_stride,
                     dst_stride,
                     dst_align,
                     elem,
                     field,
+                    count_field,
                 } => {
-                    let count_at = src_base + count_off;
-                    let count = if *count_signed {
-                        get_int(src, count_at, *count_size as usize, self.src_arch.endianness)
-                    } else {
-                        get_uint(src, count_at, *count_size as usize, self.src_arch.endianness)
-                            as i64
-                    };
-                    if count < 0 || count as usize > src.len() {
-                        return Err(PbioError::Layout(clayout::LayoutError::BadCount {
-                            field: self.names[*field as usize].clone(),
-                            count,
-                        }));
-                    }
-                    let count = count as usize;
-                    let slot_at = src_base + src_slot;
+                    let count = count.read(input, in_base + count_off);
+                    let target = slot(self.src_pointer, input, in_base + src_slot);
+                    let (array, count_field) = (self.name(*field), self.name(*count_field));
+                    let (start, count) =
+                        dynamic_region(input, count, target, *src_stride, array, count_field)?;
                     if count == 0 {
-                        put_uint(
-                            dst,
-                            dst_base + dst_slot,
-                            self.dst_arch.pointer.size,
-                            self.dst_arch.endianness,
-                            0,
-                        );
+                        // The slot stays the null pointer it was zero-filled to.
                         continue;
                     }
-                    let target = get_uint(
-                        src,
-                        slot_at,
-                        self.src_arch.pointer.size,
-                        self.src_arch.endianness,
-                    ) as usize;
-                    // A forged count near usize::MAX / stride must
-                    // error, not overflow into a tiny "valid" extent
-                    // (or panic in the resize arithmetic below).
-                    let bad_count = || {
-                        PbioError::Layout(clayout::LayoutError::BadCount {
-                            field: self.names[*field as usize].clone(),
-                            count: count as i64,
-                        })
+                    // `count` fits the source; its destination region
+                    // must fit memory.
+                    let region = align_up(out.len(), *dst_align);
+                    let end = count
+                        .checked_mul(*dst_stride)
+                        .and_then(|len| len.checked_add(region));
+                    let count_i64 = count as i64;
+                    let bad_count = || LayoutError::BadCount {
+                        field: count_field.to_owned(),
+                        count: count_i64,
                     };
-                    let src_len = count.checked_mul(*src_stride).ok_or_else(bad_count)?;
-                    let dst_len = count.checked_mul(*dst_stride).ok_or_else(bad_count)?;
-                    // The one dynamic-region bounds check: covers every
-                    // element read below (element extents lie inside
-                    // their stride).
-                    check(src, target, src_len)?;
-                    let region = clayout::layout::align_up(dst.len(), *dst_align);
-                    let new_len = region.checked_add(dst_len).ok_or_else(bad_count)?;
-                    dst.resize(new_len, 0);
-                    put_uint(
-                        dst,
-                        dst_base + dst_slot,
-                        self.dst_arch.pointer.size,
-                        self.dst_arch.endianness,
-                        region as u64,
-                    );
+                    out.resize(end.ok_or_else(bad_count)?, 0);
+                    self.dst_pointer
+                        .write_raw(out, out_base + dst_slot, region as u64);
+                    let from = &input[start..start + count * src_stride];
                     match elem {
                         // Bulk fast paths: a dynamic array of swap or
                         // copy scalars is one region-sized copy (plus an
                         // in-place swap pass), not `count` dispatches.
                         ElemPlan::Swap { width }
-                            if *src_stride == *width as usize
-                                && *dst_stride == *width as usize =>
+                            if *src_stride == *width as usize && *dst_stride == *width as usize =>
                         {
-                            dst[region..region + dst_len]
-                                .copy_from_slice(&src[target..target + src_len]);
-                            swap_in_place(&mut dst[region..region + dst_len], *width);
+                            swap_into(&mut out[region..], from, *width);
                         }
                         ElemPlan::Copy { len } if *len == *src_stride && *len == *dst_stride => {
-                            dst[region..region + dst_len]
-                                .copy_from_slice(&src[target..target + src_len]);
+                            out[region..].copy_from_slice(from);
                         }
                         _ => {
                             for i in 0..count {
-                                self.run_elem(
-                                    elem,
-                                    src,
-                                    target + i * src_stride,
-                                    dst,
-                                    region + i * dst_stride,
-                                )?;
+                                let (s, d) = (start + i * src_stride, region + i * dst_stride);
+                                self.run_elem(elem, input, s, out, d)?;
                             }
                         }
                     }
@@ -452,254 +466,118 @@ impl ConversionPlan {
     fn run_elem(
         &self,
         elem: &ElemPlan,
-        src: &[u8],
-        s_at: usize,
-        dst: &mut Vec<u8>,
-        d_at: usize,
+        input: &[u8],
+        s: usize,
+        out: &mut Vec<u8>,
+        d: usize,
     ) -> Result<(), PbioError> {
         match elem {
-            ElemPlan::Copy { len } => {
-                dst[d_at..d_at + len].copy_from_slice(&src[s_at..s_at + len]);
-                Ok(())
-            }
+            ElemPlan::Copy { len } => out[d..d + len].copy_from_slice(&input[s..s + len]),
             ElemPlan::Swap { width } => {
                 let w = *width as usize;
-                dst[d_at..d_at + w].copy_from_slice(&src[s_at..s_at + w]);
-                dst[d_at..d_at + w].reverse();
-                Ok(())
+                out[d..d + w].copy_from_slice(&input[s..s + w]);
+                out[d..d + w].reverse();
             }
-            ElemPlan::Int { src_size, dst_size, signed, checked, field } => {
-                if *signed {
-                    let v = get_int(src, s_at, *src_size as usize, self.src_arch.endianness);
-                    if *checked && !fits_signed(v, *dst_size as usize) {
-                        return Err(PbioError::ConversionOverflow {
-                            field: self.names[*field as usize].clone(),
-                            value: v.to_string(),
-                        });
-                    }
-                    put_int(dst, d_at, *dst_size as usize, self.dst_arch.endianness, v);
-                } else {
-                    let v = get_uint(src, s_at, *src_size as usize, self.src_arch.endianness);
-                    if *checked && !fits_unsigned(v, *dst_size as usize) {
-                        return Err(PbioError::ConversionOverflow {
-                            field: self.names[*field as usize].clone(),
-                            value: v.to_string(),
-                        });
-                    }
-                    put_uint(dst, d_at, *dst_size as usize, self.dst_arch.endianness, v);
-                }
-                Ok(())
-            }
-            ElemPlan::Float { src_size, dst_size } => {
-                let value = match src_size {
-                    4 => f32::from_bits(get_uint(src, s_at, 4, self.src_arch.endianness) as u32)
-                        as f64,
-                    _ => f64::from_bits(get_uint(src, s_at, 8, self.src_arch.endianness)),
-                };
-                match dst_size {
-                    4 => put_uint(
-                        dst,
-                        d_at,
-                        4,
-                        self.dst_arch.endianness,
-                        (value as f32).to_bits() as u64,
-                    ),
-                    _ => put_uint(dst, d_at, 8, self.dst_arch.endianness, value.to_bits()),
-                }
-                Ok(())
+            ElemPlan::Recode { from, to, field } => {
+                to.write(out, d, from.read(input, s), self.name(*field))?;
             }
             ElemPlan::String { field } => {
-                check(src, s_at, self.src_arch.pointer.size)?;
-                let target =
-                    get_uint(src, s_at, self.src_arch.pointer.size, self.src_arch.endianness);
-                if target == 0 {
-                    put_uint(
-                        dst,
-                        d_at,
-                        self.dst_arch.pointer.size,
-                        self.dst_arch.endianness,
-                        0,
-                    );
-                    return Ok(());
+                // A null source pointer leaves the slot the null pointer
+                // it was zero-filled to.
+                let target = slot(self.src_pointer, input, s);
+                if target != 0 {
+                    let string = str_at(input, target, self.name(*field))?;
+                    let at = out.len() as u64;
+                    out.extend_from_slice(string.as_bytes());
+                    out.push(0);
+                    self.dst_pointer.write_raw(out, d, at);
                 }
-                let start =
-                    usize::try_from(target).ok().filter(|t| *t < src.len()).ok_or_else(|| {
-                        PbioError::Layout(clayout::LayoutError::BadPointer {
-                            field: self.names[*field as usize].clone(),
-                            target,
-                        })
-                    })?;
-                let end = src[start..].iter().position(|b| *b == 0).map(|r| start + r).ok_or(
-                    PbioError::Truncated { need: src.len() + 1, have: src.len() },
-                )?;
-                let new_slot = dst.len() as u64;
-                dst.extend_from_slice(&src[start..=end]);
-                put_uint(
-                    dst,
-                    d_at,
-                    self.dst_arch.pointer.size,
-                    self.dst_arch.endianness,
-                    new_slot,
-                );
-                Ok(())
             }
-            ElemPlan::Struct { ops } => self.run_ops(ops, src, s_at, dst, d_at),
+            ElemPlan::Struct { ops } => return self.run_ops(ops, input, s, out, d),
         }
+        Ok(())
     }
 }
 
-fn check(src: &[u8], at: usize, need: usize) -> Result<(), PbioError> {
-    match at.checked_add(need) {
-        Some(end) if end <= src.len() => Ok(()),
-        _ => Err(PbioError::Truncated { need: at.saturating_add(need), have: src.len() }),
-    }
-}
-
-fn prim_elem(
-    p: Primitive,
-    src_arch: &Architecture,
-    dst_arch: &Architecture,
-    field: u32,
-) -> ElemPlan {
-    let s = src_arch.primitive(p);
-    let d = dst_arch.primitive(p);
-    if s.size == d.size {
-        if src_arch.endianness == dst_arch.endianness || s.size == 1 {
-            ElemPlan::Copy { len: s.size }
-        } else {
-            // Same width, opposite byte order: a raw swap is exact for
-            // integers and floats alike (bit-preserving, unlike a
-            // decode/re-encode round trip through `f64`).
-            ElemPlan::Swap { width: s.size as u8 }
-        }
-    } else if p.is_float() {
-        ElemPlan::Float { src_size: s.size as u8, dst_size: d.size as u8 }
-    } else {
-        // Widening can never overflow (`fits_*` vacuously true), so its
-        // check is compiled away; only genuine narrowings keep it.
-        ElemPlan::Int {
-            src_size: s.size as u8,
-            dst_size: d.size as u8,
-            signed: p.is_signed_integer(),
-            checked: d.size < s.size,
-            field,
-        }
-    }
-}
-
-fn elem_for(
-    ty: &CType,
-    src_arch: &Architecture,
-    dst_arch: &Architecture,
-    names: &mut Vec<String>,
-    field_name: &str,
-    field: u32,
-) -> Result<(ElemPlan, usize, usize, usize), PbioError> {
-    match ty {
-        CType::Prim(p) => {
-            let s = src_arch.primitive(*p);
-            let d = dst_arch.primitive(*p);
-            Ok((prim_elem(*p, src_arch, dst_arch, field), s.size, d.size, d.align))
-        }
-        CType::String => Ok((
-            ElemPlan::String { field },
-            src_arch.pointer.size,
-            dst_arch.pointer.size,
-            dst_arch.pointer.align,
-        )),
-        CType::Struct(inner) => {
-            let ops =
-                fuse(build_ops(inner, src_arch, dst_arch, names, &format!("{field_name}."))?);
-            let s = Layout::of_struct(inner, src_arch)?;
-            let d = Layout::of_struct(inner, dst_arch)?;
-            Ok((ElemPlan::Struct { ops }, s.size, d.size, d.align))
-        }
-        CType::Array { .. } => Err(PbioError::Layout(clayout::LayoutError::NestedArray {
-            field: field_name.to_owned(),
-        })),
-    }
-}
-
+/// Zips the two architectures' view plans of `st` into conversion ops;
+/// each field's name, `prefix` first, goes into `names`.
 fn build_ops(
     st: &StructType,
-    src_arch: &Architecture,
-    dst_arch: &Architecture,
+    from: &ViewPlan,
+    to: &ViewPlan,
     names: &mut Vec<String>,
     prefix: &str,
-) -> Result<Vec<Op>, PbioError> {
-    let src_layout = Layout::of_struct(st, src_arch)?;
-    let dst_layout = Layout::of_struct(st, dst_arch)?;
+) -> Vec<Op> {
+    let first = names.len();
+    names.extend(st.fields.iter().map(|f| format!("{prefix}{}", f.name)));
+    let fields = st.fields.iter().zip(&from.fields).zip(&to.fields);
     let mut ops = Vec::with_capacity(st.fields.len());
-
-    for (sf, df) in src_layout.fields.iter().zip(&dst_layout.fields) {
-        debug_assert_eq!(sf.name, df.name);
-        let field = names.len() as u32;
-        names.push(format!("{prefix}{}", sf.name));
-
-        match &sf.ty {
-            CType::Prim(_) | CType::String | CType::Struct(_) => {
-                let (elem, _, _, _) =
-                    elem_for(&sf.ty, src_arch, dst_arch, names, &sf.name, field)?;
-                ops.push(match elem {
-                    ElemPlan::Copy { len } => Op::Copy { src: sf.offset, dst: df.offset, len },
-                    elem => Op::Scalar { src: sf.offset, dst: df.offset, elem },
-                });
-            }
-            CType::Array { elem: elem_ty, len } => {
-                let (elem, src_stride, dst_stride, dst_align) =
-                    elem_for(elem_ty, src_arch, dst_arch, names, &sf.name, field)?;
-                match len {
-                    ArrayLen::Fixed(n) => {
-                        // A fixed array of identically-represented
-                        // elements is one contiguous copy.
-                        if let ElemPlan::Copy { len } = elem {
-                            if len == src_stride && len == dst_stride {
-                                ops.push(Op::Copy {
-                                    src: sf.offset,
-                                    dst: df.offset,
-                                    len: n * len,
-                                });
-                                continue;
-                            }
-                        }
-                        ops.push(Op::Repeat {
-                            src: sf.offset,
-                            dst: df.offset,
-                            count: *n,
-                            src_stride,
-                            dst_stride,
-                            elem,
-                        });
-                    }
-                    ArrayLen::CountField(count_name) => {
-                        let count_src = src_layout.field(count_name).ok_or_else(|| {
-                            PbioError::Layout(clayout::LayoutError::MissingCountField {
-                                array: sf.name.clone(),
-                                count_field: count_name.clone(),
-                            })
-                        })?;
-                        let count_signed = matches!(
-                            &count_src.ty,
-                            CType::Prim(p) if p.is_signed_integer()
-                        );
-                        ops.push(Op::DynArray {
-                            src_slot: sf.offset,
-                            dst_slot: df.offset,
-                            count_off: count_src.offset,
-                            count_size: count_src.size as u8,
-                            count_signed,
-                            src_stride,
-                            dst_stride,
-                            dst_align,
-                            elem,
-                        field,
-                        });
-                    }
+    for (idx, ((field, s), d)) in fields.enumerate() {
+        let (src, dst, name) = (s.offset, d.offset, (first + idx) as u32);
+        ops.push(match (&field.ty, &s.kind, &d.kind) {
+            (CType::Array { elem, .. }, Access::Array(s), Access::Array(d)) => {
+                let (src_stride, dst_stride) = (s.stride, d.stride);
+                let elem = elem_plan(elem, &s.elem, &d.elem, names, &field.name, name);
+                match s.len {
+                    Len::Fixed(count) => Op::Repeat {
+                        src,
+                        dst,
+                        count,
+                        src_stride,
+                        dst_stride,
+                        elem,
+                    },
+                    Len::Counted {
+                        field: counter,
+                        offset,
+                        code,
+                        ..
+                    } => Op::DynArray {
+                        src_slot: src,
+                        dst_slot: dst,
+                        count_off: offset,
+                        count: code,
+                        src_stride,
+                        dst_stride,
+                        dst_align: d.align,
+                        elem,
+                        field: name,
+                        count_field: (first + counter) as u32,
+                    },
                 }
             }
-        }
+            (ty, s, d) => {
+                let elem = elem_plan(ty, s, d, names, &field.name, name);
+                Op::Scalar { src, dst, elem }
+            }
+        });
     }
-    Ok(ops)
+    ops
+}
+
+/// What converts one value of type `ty` between the accessors `s` and
+/// `d` of the two plans: equal or 1-byte codes copy, codes of one width
+/// swap, any other pair of codes recodes.
+fn elem_plan(
+    ty: &CType,
+    s: &Access,
+    d: &Access,
+    names: &mut Vec<String>,
+    name: &str,
+    field: u32,
+) -> ElemPlan {
+    match (ty, s, d) {
+        (_, &Access::Scalar(from), &Access::Scalar(to)) => match from.size() {
+            len if from == to || len == 1 => ElemPlan::Copy { len },
+            width if width == to.size() => ElemPlan::Swap { width: width as u8 },
+            _ => ElemPlan::Recode { from, to, field },
+        },
+        (_, Access::Str(_), Access::Str(_)) => ElemPlan::String { field },
+        (CType::Struct(inner), Access::Record(s), Access::Record(d)) => ElemPlan::Struct {
+            ops: fuse(build_ops(inner, s, d, names, &format!("{name}."))),
+        },
+        _ => unreachable!("two plans of one struct type pair up field by field"),
+    }
 }
 
 /// Op fusion: adjacent raw copies merge, bridging equal-width padding
@@ -725,20 +603,46 @@ fn fuse(ops: Vec<Op>) -> Vec<Op> {
 /// Rewrites one op into its cheapest equivalent form.
 fn normalize(op: Op) -> Op {
     match op {
-        Op::Scalar { src, dst, elem: ElemPlan::Swap { width } } => {
-            Op::SwapRun { src, dst, width, count: 1 }
-        }
-        Op::Scalar { src, dst, elem: ElemPlan::Copy { len } } => Op::Copy { src, dst, len },
-        Op::Repeat { src, dst, count, src_stride, dst_stride, elem: ElemPlan::Swap { width } }
-            if src_stride == width as usize && dst_stride == width as usize =>
-        {
-            Op::SwapRun { src, dst, width, count }
-        }
-        Op::Repeat { src, dst, count, src_stride, dst_stride, elem: ElemPlan::Copy { len } }
-            if src_stride == len && dst_stride == len =>
-        {
-            Op::Copy { src, dst, len: count * len }
-        }
+        Op::Scalar {
+            src,
+            dst,
+            elem: ElemPlan::Swap { width },
+        } => Op::SwapRun {
+            src,
+            dst,
+            width,
+            count: 1,
+        },
+        Op::Scalar {
+            src,
+            dst,
+            elem: ElemPlan::Copy { len },
+        } => Op::Copy { src, dst, len },
+        Op::Repeat {
+            src,
+            dst,
+            count,
+            src_stride,
+            dst_stride,
+            elem: ElemPlan::Swap { width },
+        } if src_stride == width as usize && dst_stride == width as usize => Op::SwapRun {
+            src,
+            dst,
+            width,
+            count,
+        },
+        Op::Repeat {
+            src,
+            dst,
+            count,
+            src_stride,
+            dst_stride,
+            elem: ElemPlan::Copy { len },
+        } if src_stride == len && dst_stride == len => Op::Copy {
+            src,
+            dst,
+            len: count * len,
+        },
         op => op,
     }
 }
@@ -747,7 +651,14 @@ fn normalize(op: Op) -> Op {
 /// ops; returns whether the merge happened.
 fn merge(last: &mut Op, op: &Op) -> bool {
     match (last, op) {
-        (Op::Copy { src, dst, len }, Op::Copy { src: s2, dst: d2, len: l2 }) => {
+        (
+            Op::Copy { src, dst, len },
+            Op::Copy {
+                src: s2,
+                dst: d2,
+                len: l2,
+            },
+        ) => {
             let src_gap = s2.checked_sub(*src + *len);
             let dst_gap = d2.checked_sub(*dst + *len);
             if let (Some(sg), Some(dg)) = (src_gap, dst_gap) {
@@ -759,8 +670,18 @@ fn merge(last: &mut Op, op: &Op) -> bool {
             false
         }
         (
-            Op::SwapRun { src, dst, width, count },
-            Op::SwapRun { src: s2, dst: d2, width: w2, count: c2 },
+            Op::SwapRun {
+                src,
+                dst,
+                width,
+                count,
+            },
+            Op::SwapRun {
+                src: s2,
+                dst: d2,
+                width: w2,
+                count: c2,
+            },
         ) => {
             let step = *width as usize * *count;
             if width == w2 && *s2 == *src + step && *d2 == *dst + step {
@@ -786,9 +707,7 @@ fn pure_swap_spans(ops: &[Op]) -> Option<Vec<SwapSpan>> {
     let mut out: Vec<SwapSpan> = Vec::new();
     for span in spans {
         if let Some(last) = out.last_mut() {
-            if last.width == span.width
-                && last.off + last.width as usize * last.count == span.off
-            {
+            if last.width == span.width && last.off + last.width as usize * last.count == span.off {
                 last.count += span.count;
                 continue;
             }
@@ -805,88 +724,75 @@ fn collect_spans(ops: &[Op], base: usize, spans: &mut Vec<SwapSpan>) -> Option<(
         }
         match op {
             Op::Copy { src, dst, .. } if src == dst => {}
-            Op::SwapRun { src, dst, width, count } if src == dst => {
-                spans.push(SwapSpan { off: base + src, width: *width, count: *count });
+            Op::SwapRun {
+                src,
+                dst,
+                width,
+                count,
+            } if src == dst => {
+                let (off, width, count) = (base + src, *width, *count);
+                spans.push(SwapSpan { off, width, count });
             }
-            Op::Scalar { src, dst, elem: ElemPlan::Struct { ops } } if src == dst => {
+            Op::Scalar {
+                src,
+                dst,
+                elem: ElemPlan::Struct { ops },
+            } if src == dst => {
                 collect_spans(ops, base + src, spans)?;
             }
-            Op::Repeat { src, dst, count, src_stride, dst_stride, elem }
-                if src == dst && src_stride == dst_stride =>
-            {
-                match elem {
-                    ElemPlan::Copy { .. } => {}
-                    ElemPlan::Swap { width } => {
-                        for i in 0..*count {
-                            spans.push(SwapSpan {
-                                off: base + src + i * src_stride,
-                                width: *width,
-                                count: 1,
-                            });
-                        }
+            Op::Repeat {
+                src,
+                dst,
+                count,
+                src_stride,
+                dst_stride,
+                elem,
+            } if src == dst && src_stride == dst_stride => match elem {
+                ElemPlan::Copy { .. } => {}
+                ElemPlan::Swap { width } => {
+                    for off in (0..*count).map(|i| base + src + i * src_stride) {
+                        spans.push(SwapSpan {
+                            off,
+                            width: *width,
+                            count: 1,
+                        });
                     }
-                    ElemPlan::Struct { ops } => {
-                        for i in 0..*count {
-                            collect_spans(ops, base + src + i * src_stride, spans)?;
-                        }
-                    }
-                    _ => return None,
                 }
-            }
+                ElemPlan::Struct { ops } => {
+                    for i in 0..*count {
+                        collect_spans(ops, base + src + i * src_stride, spans)?;
+                    }
+                }
+                _ => return None,
+            },
             _ => return None,
         }
     }
     Some(())
 }
 
-/// Byte-swaps `count = buf.len() / width` scalars in place.
-fn swap_in_place(buf: &mut [u8], width: u8) {
-    match width {
-        2 => {
-            for c in buf.chunks_exact_mut(2) {
-                let v = u16::from_ne_bytes(c.try_into().unwrap()).swap_bytes();
-                c.copy_from_slice(&v.to_ne_bytes());
-            }
-        }
-        4 => {
-            for c in buf.chunks_exact_mut(4) {
-                let v = u32::from_ne_bytes(c.try_into().unwrap()).swap_bytes();
-                c.copy_from_slice(&v.to_ne_bytes());
-            }
-        }
-        8 => {
-            for c in buf.chunks_exact_mut(8) {
-                let v = u64::from_ne_bytes(c.try_into().unwrap()).swap_bytes();
-                c.copy_from_slice(&v.to_ne_bytes());
-            }
-        }
-        _ => debug_assert!(false, "swap width {width}"),
-    }
-}
-
 /// Byte-swaps scalars from `src` into `dst` (equal lengths, a multiple
 /// of `width`).
 fn swap_into(dst: &mut [u8], src: &[u8], width: u8) {
     match width {
-        2 => {
-            for (d, s) in dst.chunks_exact_mut(2).zip(src.chunks_exact(2)) {
-                let v = u16::from_ne_bytes(s.try_into().unwrap()).swap_bytes();
-                d.copy_from_slice(&v.to_ne_bytes());
-            }
-        }
-        4 => {
-            for (d, s) in dst.chunks_exact_mut(4).zip(src.chunks_exact(4)) {
-                let v = u32::from_ne_bytes(s.try_into().unwrap()).swap_bytes();
-                d.copy_from_slice(&v.to_ne_bytes());
-            }
-        }
-        8 => {
-            for (d, s) in dst.chunks_exact_mut(8).zip(src.chunks_exact(8)) {
-                let v = u64::from_ne_bytes(s.try_into().unwrap()).swap_bytes();
-                d.copy_from_slice(&v.to_ne_bytes());
-            }
-        }
+        2 => swap_each::<2>(dst, src, |b| {
+            u16::from_ne_bytes(b).swap_bytes().to_ne_bytes()
+        }),
+        4 => swap_each::<4>(dst, src, |b| {
+            u32::from_ne_bytes(b).swap_bytes().to_ne_bytes()
+        }),
+        8 => swap_each::<8>(dst, src, |b| {
+            u64::from_ne_bytes(b).swap_bytes().to_ne_bytes()
+        }),
         _ => debug_assert!(false, "swap width {width}"),
+    }
+}
+
+/// Writes `swap` of each `N`-byte chunk of `src` to `dst`.
+#[inline(always)]
+fn swap_each<const N: usize>(dst: &mut [u8], src: &[u8], swap: impl Fn([u8; N]) -> [u8; N]) {
+    for (d, s) in dst.chunks_exact_mut(N).zip(src.chunks_exact(N)) {
+        d.copy_from_slice(&swap(s.try_into().unwrap()));
     }
 }
 
@@ -931,7 +837,8 @@ impl PlanCache {
         src_arch: &Architecture,
         dst_arch: &Architecture,
     ) -> Result<Arc<ConversionPlan>, PbioError> {
-        self.plan_keyed(struct_fingerprint(struct_type), struct_type, src_arch, dst_arch)
+        let fingerprint = struct_fingerprint(struct_type);
+        self.plan_keyed(fingerprint, struct_type, src_arch, dst_arch)
     }
 
     /// Returns the cached plan for converting payloads of `native`'s
@@ -947,7 +854,8 @@ impl PlanCache {
         native: &Format,
         src_arch: &Architecture,
     ) -> Result<Arc<ConversionPlan>, PbioError> {
-        self.plan_keyed(native.fingerprint(), native.struct_type(), src_arch, native.arch())
+        let (fingerprint, dst_arch) = (native.fingerprint(), native.arch());
+        self.plan_keyed(fingerprint, native.struct_type(), src_arch, dst_arch)
     }
 
     /// The probe behind both entry points; `fingerprint` is
@@ -978,7 +886,7 @@ mod tests {
     use super::*;
     use crate::format::FormatId;
     use crate::view::RecordView;
-    use clayout::{encode_record, Record, StructField, Value};
+    use clayout::{encode_record, Primitive, Record, StructField, Value};
 
     impl ConversionPlan {
         /// Number of fused swap spans in the `PureSwap` flat program
@@ -1154,11 +1062,74 @@ mod tests {
         let st = StructType::new("t", vec![StructField::new("big", prim(Primitive::ULong))]);
         let rec = Record::new().with("big", (1u64 << 40) + 5);
         let wire = encode_record(&rec, &st, &Architecture::X86_64).unwrap();
+        let plan = ConversionPlan::build(&st, &Architecture::X86_64, &Architecture::I386).unwrap();
+        for verdict in [
+            plan.convert(&wire.bytes).map(|_| ()),
+            plan.convert_into(&wire.bytes, &mut Vec::new()).map(|_| ()),
+        ] {
+            match verdict {
+                Err(PbioError::Layout(LayoutError::ValueOutOfRange {
+                    field,
+                    value,
+                    width,
+                })) => {
+                    assert_eq!(
+                        (field.as_str(), value.as_str(), width),
+                        ("big", "1099511627781", 4)
+                    );
+                }
+                other => panic!("expected out of range, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_string_that_is_not_utf8_is_refused() {
+        // The view's rule: conversion copies only what a view would read.
+        let st = StructType::new("t", vec![StructField::new("s", CType::String)]);
+        let mut wire =
+            encode_record(&Record::new().with("s", "hi"), &st, &Architecture::X86_64).unwrap();
+        wire.bytes[wire.fixed_len] = 0xff;
         let plan =
-            ConversionPlan::build(&st, &Architecture::X86_64, &Architecture::I386).unwrap();
-        match plan.convert(&wire.bytes) {
-            Err(PbioError::ConversionOverflow { field, .. }) => assert_eq!(field, "big"),
-            other => panic!("expected overflow, got {other:?}"),
+            ConversionPlan::build(&st, &Architecture::X86_64, &Architecture::SPARC32).unwrap();
+        for verdict in [
+            plan.convert(&wire.bytes).map(|_| ()),
+            plan.convert_into(&wire.bytes, &mut Vec::new()).map(|_| ()),
+        ] {
+            match verdict {
+                Err(PbioError::Layout(LayoutError::BadString { field })) => assert_eq!(field, "s"),
+                other => panic!("expected a bad string, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_count_the_payload_cannot_hold_is_a_bad_count() {
+        // Two 4-byte elements after a 16-byte fixed part: 24 bytes, room
+        // for at most 6 elements. A count of 10 is more than fits but
+        // less than the payload's length in bytes.
+        let st = StructType::new(
+            "t",
+            vec![
+                StructField::new("a", CType::dynamic_array(prim(Primitive::Int), "n")),
+                StructField::new("n", prim(Primitive::Int)),
+            ],
+        );
+        let src = Architecture::X86_64;
+        let mut wire = encode_record(&Record::new().with("a", vec![1i64, 2]), &st, &src).unwrap();
+        assert_eq!(wire.bytes.len(), 24);
+        ScalarCode::of(Primitive::Int, &src).write_raw(&mut wire.bytes, 8, 10);
+        let plan = ConversionPlan::build(&st, &src, &Architecture::SPARC32).unwrap();
+        for verdict in [
+            plan.convert(&wire.bytes).map(|_| ()),
+            plan.convert_into(&wire.bytes, &mut Vec::new()).map(|_| ()),
+        ] {
+            match verdict {
+                Err(PbioError::Layout(LayoutError::BadCount { field, count })) => {
+                    assert_eq!((field.as_str(), count), ("n", 10));
+                }
+                other => panic!("expected a bad count, got {other:?}"),
+            }
         }
     }
 
@@ -1167,8 +1138,7 @@ mod tests {
         let st = StructType::new("t", vec![StructField::new("x", prim(Primitive::Long))]);
         let rec = Record::new().with("x", -123456i64);
         let wire = encode_record(&rec, &st, &Architecture::I386).unwrap();
-        let plan =
-            ConversionPlan::build(&st, &Architecture::I386, &Architecture::X86_64).unwrap();
+        let plan = ConversionPlan::build(&st, &Architecture::I386, &Architecture::X86_64).unwrap();
         let native = plan.convert(&wire.bytes).unwrap();
         let decoded = decode_record(&native.bytes, &st, &Architecture::X86_64).unwrap();
         assert_eq!(decoded.get("x").unwrap().as_i64(), Some(-123456));
@@ -1253,7 +1223,9 @@ mod tests {
             .unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.stats().resident, 1);
-        cache.plan_for(&st, &Architecture::SPARC32, &Architecture::X86_64).unwrap();
+        cache
+            .plan_for(&st, &Architecture::SPARC32, &Architecture::X86_64)
+            .unwrap();
         assert_eq!(cache.stats().resident, 2);
     }
 
@@ -1313,7 +1285,11 @@ mod tests {
         for _ in 0..16 {
             plan.convert_into(&wire.bytes, &mut buf).unwrap();
         }
-        assert_eq!(buf.capacity(), cap, "steady-state convert_into must not reallocate");
+        assert_eq!(
+            buf.capacity(),
+            cap,
+            "steady-state convert_into must not reallocate"
+        );
         assert_eq!(buf.as_slice(), whole.bytes.as_ref());
         // Identity tier copies into the pool.
         let id = ConversionPlan::build(&st, &Architecture::X86_64, &Architecture::X86_64).unwrap();
@@ -1323,24 +1299,24 @@ mod tests {
     }
 
     #[test]
-    fn widenings_compile_unchecked_narrowings_checked() {
-        let st = StructType::new("t", vec![StructField::new("x", prim(Primitive::Long))]);
+    fn width_changes_compile_to_one_recode_between_the_two_codes() {
         // Long: 4 bytes on i386, 8 on x86_64, same endianness.
-        let widen =
-            ConversionPlan::build(&st, &Architecture::I386, &Architecture::X86_64).unwrap();
-        match &widen.ops[0] {
-            Op::Scalar { elem: ElemPlan::Int { checked, .. }, .. } => {
-                assert!(!checked, "widening must compile unchecked")
-            }
-            other => panic!("expected Int scalar, got {other:?}"),
-        }
-        let narrow =
-            ConversionPlan::build(&st, &Architecture::X86_64, &Architecture::I386).unwrap();
-        match &narrow.ops[0] {
-            Op::Scalar { elem: ElemPlan::Int { checked, .. }, .. } => {
-                assert!(checked, "narrowing must keep its overflow check")
-            }
-            other => panic!("expected Int scalar, got {other:?}"),
+        let st = StructType::new("t", vec![StructField::new("x", prim(Primitive::Long))]);
+        let (narrow, wide) = (Architecture::I386, Architecture::X86_64);
+        for (src, dst) in [(narrow, wide), (wide, narrow)] {
+            let plan = ConversionPlan::build(&st, &src, &dst).unwrap();
+            let (from, to) = (
+                ScalarCode::of(Primitive::Long, &src),
+                ScalarCode::of(Primitive::Long, &dst),
+            );
+            assert_eq!(
+                plan.ops,
+                vec![Op::Scalar {
+                    src: 0,
+                    dst: 0,
+                    elem: ElemPlan::Recode { from, to, field: 0 }
+                }]
+            );
         }
     }
 
@@ -1348,9 +1324,15 @@ mod tests {
     fn plan_cache_stats_count_hits_misses_builds() {
         let st = structure_b();
         let cache = PlanCache::new();
-        cache.plan_for(&st, &Architecture::X86_64, &Architecture::SPARC32).unwrap();
-        cache.plan_for(&st, &Architecture::X86_64, &Architecture::SPARC32).unwrap();
-        cache.plan_for(&st, &Architecture::X86_64, &Architecture::SPARC32).unwrap();
+        cache
+            .plan_for(&st, &Architecture::X86_64, &Architecture::SPARC32)
+            .unwrap();
+        cache
+            .plan_for(&st, &Architecture::X86_64, &Architecture::SPARC32)
+            .unwrap();
+        cache
+            .plan_for(&st, &Architecture::X86_64, &Architecture::SPARC32)
+            .unwrap();
         let stats = cache.stats();
         assert_eq!(stats.built, 1);
         assert_eq!(stats.misses, 1);
@@ -1370,16 +1352,24 @@ mod tests {
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     barrier.wait();
-                    cache.plan_for(&st, &Architecture::X86_64, &Architecture::SPARC32).unwrap()
+                    cache
+                        .plan_for(&st, &Architecture::X86_64, &Architecture::SPARC32)
+                        .unwrap()
                 })
             })
             .collect();
         let plans: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         for p in &plans[1..] {
-            assert!(Arc::ptr_eq(&plans[0], p), "all callers must observe the same plan");
+            assert!(
+                Arc::ptr_eq(&plans[0], p),
+                "all callers must observe the same plan"
+            );
         }
         let stats = cache.stats();
-        assert_eq!(stats.built, 1, "racing first contacts must build exactly once");
+        assert_eq!(
+            stats.built, 1,
+            "racing first contacts must build exactly once"
+        );
         assert_eq!(stats.resident, 1);
     }
 }

@@ -46,14 +46,6 @@ pub enum PbioError {
         /// Explanation of the disagreement.
         detail: String,
     },
-    /// A value could not be represented in the destination format during
-    /// conversion (e.g. a 64-bit long into a 32-bit receiver long).
-    ConversionOverflow {
-        /// The field that overflowed.
-        field: String,
-        /// The offending value rendered as text.
-        value: String,
-    },
     /// The text (XML) codec met a document that does not match the
     /// format.
     Text {
@@ -91,9 +83,6 @@ impl fmt::Display for PbioError {
             }
             PbioError::Incompatible { detail } => {
                 write!(f, "formats are not convertible: {detail}")
-            }
-            PbioError::ConversionOverflow { field, value } => {
-                write!(f, "field {field:?}: value {value} does not fit the destination format")
             }
             PbioError::Text { detail } => write!(f, "text codec: {detail}"),
             PbioError::FormatNameTooLong { len, max } => {

@@ -6,8 +6,7 @@
 //! Header fields themselves are fixed little-endian so the header can be
 //! parsed before anything is known about the sender.
 
-use clayout::image::put_uint;
-use clayout::{Architecture, Endianness};
+use clayout::Architecture;
 
 use crate::error::PbioError;
 use crate::format::FormatId;
@@ -159,12 +158,13 @@ impl WireHeader {
         buf[0..2].copy_from_slice(&MAGIC);
         buf[2] = VERSION;
         buf[3] = 0; // flags, reserved
-        put_uint(buf, 4, 4, Endianness::Little, self.format_id.0 as u64);
+        buf[4..8].copy_from_slice(&self.format_id.0.to_le_bytes());
         buf[8..14].copy_from_slice(&self.arch.descriptor());
-        put_uint(buf, 14, 2, Endianness::Little, self.format_name.len() as u64);
-        put_uint(buf, FIXED_LEN_OFFSET, 4, Endianness::Little, self.fixed_len as u64);
-        put_uint(buf, PAYLOAD_LEN_OFFSET, 4, Endianness::Little, self.payload_len as u64);
-        put_uint(buf, 24, 8, Endianness::Little, self.fingerprint);
+        buf[14..16].copy_from_slice(&(self.format_name.len() as u16).to_le_bytes());
+        buf[FIXED_LEN_OFFSET..FIXED_LEN_OFFSET + 4].copy_from_slice(&self.fixed_len.to_le_bytes());
+        buf[PAYLOAD_LEN_OFFSET..PAYLOAD_LEN_OFFSET + 4]
+            .copy_from_slice(&self.payload_len.to_le_bytes());
+        buf[24..32].copy_from_slice(&self.fingerprint.to_le_bytes());
         buf[FIXED_HEADER_LEN..FIXED_HEADER_LEN + self.format_name.len()]
             .copy_from_slice(self.format_name.as_bytes());
     }

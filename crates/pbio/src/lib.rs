@@ -18,8 +18,10 @@
 //!   architecture, with PBIO-style field tables ([`field::IoField`]).
 //! * [`ndr`] — the NDR wire codec: header + native byte image.
 //! * [`convert`] — receiver-side [`ConversionPlan`]s: flat op programs
-//!   compiled once per (wire format, native format) pair and cached in a
-//!   [`Memo`]; the memory-safe stand-in for PBIO's dynamic code generation.
+//!   compiled once per (wire format, native format) pair, by zipping the
+//!   two architectures' view plans, and cached in a [`Memo`]; the
+//!   memory-safe stand-in for PBIO's dynamic code generation. A plan
+//!   checks the sender's bytes by the view's own rules.
 //! * [`xdr`] — an XDR (RFC 1014) codec, the canonical-wire-format
 //!   baseline used by Sun RPC and "commercial platforms" in the paper.
 //! * [`textxml`] — an XML text codec in the style of XML-RPC, the
@@ -29,12 +31,13 @@
 //!   both ends (the paper's object-system comparison class).
 //!
 //!   The three baselines share one walk of the record: it type-checks,
-//!   range-checks at the wire's width, synthesizes or checks count
-//!   fields (refusing a count that contradicts its array, as NDR does)
-//!   and checks fixed lengths once, and each codec supplies only a sink
-//!   — XDR and CDR one byte sink under their own rules (byte order,
-//!   unit, alignment, string form) that their one reader also follows,
-//!   text XML the `xmlparse` writer.
+//!   synthesizes or checks count fields (refusing a count that
+//!   contradicts its array, as NDR does) and checks fixed lengths once,
+//!   and each codec supplies only a sink — XDR and CDR one byte sink
+//!   under their own rules (byte order, unit, alignment, string form),
+//!   which range-checks each number at the wire's width as it stores it
+//!   and which their one reader also follows, text XML the `xmlparse`
+//!   writer.
 //! * [`evolution`] — PBIO's restricted format evolution: receivers keep
 //!   working when senders add fields.
 //! * [`typed`] — [`Xml2WireRecord`], the binding `#[derive(Xml2WireRecord)]`

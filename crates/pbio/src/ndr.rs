@@ -52,8 +52,6 @@ fn message_into<S: Source + ?Sized>(
     format: &Format,
 ) -> Result<(), PbioError> {
     use crate::header::{FIXED_LEN_OFFSET, PAYLOAD_LEN_OFFSET};
-    use clayout::image::put_uint;
-    use clayout::Endianness;
 
     let plan = format.encode_plan()?;
     out.clear();
@@ -61,8 +59,9 @@ fn message_into<S: Source + ?Sized>(
     let header_len = out.len();
     let fixed_len = clayout::encode_record_into(out, record, plan)?;
     let payload_len = out.len() - header_len;
-    put_uint(out, FIXED_LEN_OFFSET, 4, Endianness::Little, fixed_len as u64);
-    put_uint(out, PAYLOAD_LEN_OFFSET, 4, Endianness::Little, payload_len as u64);
+    out[FIXED_LEN_OFFSET..FIXED_LEN_OFFSET + 4].copy_from_slice(&(fixed_len as u32).to_le_bytes());
+    out[PAYLOAD_LEN_OFFSET..PAYLOAD_LEN_OFFSET + 4]
+        .copy_from_slice(&(payload_len as u32).to_le_bytes());
     Ok(())
 }
 

@@ -11,14 +11,14 @@
 //!
 //! Encoding is the shared canonical walk (`canonical.rs`) into the
 //! compact `xmlparse` writer, which is this codec's sink: it decides the
-//! element names, the decimal and CDATA forms, and that no integer is
-//! out of range. Decoding is this module's own walk over the parsed
-//! [`Element`] tree, because it finds each field by name.
+//! element names and the decimal and CDATA forms (text holds any number,
+//! so none is out of range). Decoding is this module's own walk over the
+//! parsed [`Element`] tree, because it finds each field by name.
 
-use clayout::{ArrayLen, CType, Primitive, Record, StructType, Value};
+use clayout::{ArrayLen, CType, Primitive, Record, Scalar, StructType, Value};
 use xmlparse::{Element, Writer};
 
-use crate::canonical::{self, Num, Sink};
+use crate::canonical::{self, Sink};
 use crate::error::PbioError;
 
 /// Encodes `record` as a single-line XML document for `st`.
@@ -40,11 +40,6 @@ pub fn encode(record: &Record, st: &StructType) -> Result<String, PbioError> {
 /// text, an array is its elements repeated under the field's name, and
 /// a dynamic array's length is carried by its count field alone.
 impl Sink for Writer<'_> {
-    /// Text holds any integer: nothing is out of range.
-    fn width(&self, _: Primitive) -> usize {
-        8
-    }
-
     fn open(&mut self, name: &str) {
         self.start(name);
     }
@@ -53,14 +48,16 @@ impl Sink for Writer<'_> {
         self.end();
     }
 
-    fn num(&mut self, field: &str, _: usize, n: Num) {
+    /// Text holds any number: nothing is out of range.
+    fn num(&mut self, field: &str, _: Primitive, n: Scalar) -> Result<(), PbioError> {
         self.start(field);
         self.text(&match n {
-            Num::Int(v) => v.to_string(),
-            Num::UInt(v) => v.to_string(),
-            Num::Float(v) => format_float(v),
+            Scalar::Int(v) => v.to_string(),
+            Scalar::UInt(v) => v.to_string(),
+            Scalar::Float(v) => format_float(v),
         });
         self.end();
+        Ok(())
     }
 
     fn string(&mut self, field: &str, s: &str) {

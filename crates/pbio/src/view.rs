@@ -31,8 +31,8 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 use clayout::{
-    Architecture, ArrayLen, CType, Layout, LayoutError, Record, Scalar, ScalarCode, StructField,
-    StructType, Value,
+    Architecture, ArrayLen, CType, Layout, LayoutError, Record, Scalar, ScalarCode, SizeAlign,
+    StructField, StructType, Value,
 };
 
 use crate::error::PbioError;
@@ -44,22 +44,22 @@ use crate::format::Format;
 pub(crate) struct ViewPlan {
     arch: Architecture,
     /// `sizeof` the struct: the extent every view verifies once.
-    size: usize,
+    pub(crate) size: usize,
     /// One accessor per field, in declaration order.
-    fields: Vec<FieldAccess>,
+    pub(crate) fields: Vec<FieldAccess>,
 }
 
 #[derive(Debug, Clone)]
-struct FieldAccess {
-    offset: usize,
-    kind: Access,
+pub(crate) struct FieldAccess {
+    pub(crate) offset: usize,
+    pub(crate) kind: Access,
 }
 
 // Composite accessors sit behind their own `Arc` so a view that owns its
 // plan can hand a nested view or an array iterator a share of exactly
 // the node it reads through.
 #[derive(Debug, Clone)]
-enum Access {
+pub(crate) enum Access {
     Scalar(ScalarCode),
     /// A string, behind a pointer slot of this code.
     Str(ScalarCode),
@@ -68,18 +68,21 @@ enum Access {
 }
 
 #[derive(Debug, Clone)]
-struct ArrayAccess {
-    elem: Access,
-    stride: usize,
-    len: Len,
+pub(crate) struct ArrayAccess {
+    pub(crate) elem: Access,
+    pub(crate) stride: usize,
+    /// The element's alignment: where a converted dynamic region starts.
+    pub(crate) align: usize,
+    pub(crate) len: Len,
 }
 
 #[derive(Debug, Clone, Copy)]
-enum Len {
+pub(crate) enum Len {
     Fixed(usize),
-    /// A dynamic array: the count slot's offset in the enclosing struct
-    /// and its code, and the code of the array's own pointer slot.
-    Counted { offset: usize, code: ScalarCode, pointer: ScalarCode },
+    /// A dynamic array: the count field's index in the enclosing struct,
+    /// its slot's offset and code, and the code of the array's own
+    /// pointer slot.
+    Counted { field: usize, offset: usize, code: ScalarCode, pointer: ScalarCode },
 }
 
 impl ViewPlan {
@@ -104,9 +107,11 @@ impl ViewPlan {
             })
         };
         let count_slot = |array: &StructField, count_name: &String| {
-            let slot = st.fields.iter().zip(&offsets).find_map(|(field, offset)| match &field.ty {
+            let mut slots = st.fields.iter().zip(&offsets).enumerate();
+            let slot = slots.find_map(|(idx, (field, &offset))| match &field.ty {
                 CType::Prim(p) if field.name == *count_name => {
-                    Some(Len::Counted { offset: *offset, code: ScalarCode::of(*p, arch), pointer })
+                    let code = ScalarCode::of(*p, arch);
+                    Some(Len::Counted { field: idx, offset, code, pointer })
                 }
                 _ => None,
             });
@@ -121,14 +126,20 @@ impl ViewPlan {
             .zip(&offsets)
             .map(|(field, &offset)| {
                 let kind = match &field.ty {
-                    CType::Array { elem, len } => Access::Array(Arc::new(ArrayAccess {
-                        elem: access(elem)?,
-                        stride: Layout::size_align(elem, arch)?.size,
-                        len: match len {
-                            ArrayLen::Fixed(n) => Len::Fixed(*n),
-                            ArrayLen::CountField(count_name) => count_slot(field, count_name)?,
-                        },
-                    })),
+                    CType::Array { elem, len } => {
+                        let SizeAlign { size: stride, align } = Layout::size_align(elem, arch)?;
+                        Access::Array(Arc::new(ArrayAccess {
+                            elem: access(elem)?,
+                            stride,
+                            align,
+                            len: match len {
+                                ArrayLen::Fixed(n) => Len::Fixed(*n),
+                                ArrayLen::CountField(count_name) => {
+                                    count_slot(field, count_name)?
+                                }
+                            },
+                        }))
+                    }
                     other => access(other)?,
                 };
                 Ok(FieldAccess { offset, kind })
@@ -380,10 +391,12 @@ impl<'a> RecordView<'a> {
             Access::Array(array) => {
                 let (start, count) = match array.len {
                     Len::Fixed(n) => (at, n),
-                    Len::Counted { offset, code, pointer } => {
+                    Len::Counted { field: counter, offset, code, pointer } => {
                         let count = code.read(self.payload, self.base + offset);
                         let target = slot(pointer, self.payload, at);
-                        self.dynamic_region(count, target, array.stride, field)?
+                        let counter = &self.struct_type.fields[counter].name;
+                        let stride = array.stride;
+                        dynamic_region(self.payload, count, target, stride, &field.name, counter)?
                     }
                 };
                 Ok(FieldView::Array(ArrayView {
@@ -399,46 +412,44 @@ impl<'a> RecordView<'a> {
             }
         }
     }
+}
 
-    /// Verifies the region a dynamic array's count and pointer slots
-    /// name; returns `(start, count)`.
-    fn dynamic_region(
-        &self,
-        count: Scalar,
-        target: u64,
-        stride: usize,
-        field: &StructField,
-    ) -> Result<(usize, usize), PbioError> {
-        let count = match count {
-            Scalar::Int(n) => n,
-            Scalar::UInt(n) => i64::try_from(n).unwrap_or(-1),
-            Scalar::Float(_) => -1,
-        };
-        // An honest count is bounded by the payload size over the
-        // element size; clamping here also keeps `count * stride` from
-        // overflowing and makes absurd counts fail fast.
-        if count < 0 || count as usize > self.payload.len() / stride.max(1) {
-            let count_field = match &field.ty {
-                CType::Array { len: ArrayLen::CountField(name), .. } => name.clone(),
-                _ => field.name.clone(),
-            };
-            return Err(LayoutError::BadCount { field: count_field, count }.into());
-        }
-        if count == 0 {
-            return Ok((0, 0));
-        }
-        let start = usize::try_from(target)
-            .map_err(|_| LayoutError::BadPointer { field: field.name.clone(), target })?;
-        // The one dynamic-region check: covers every element the
-        // iterator will read.
-        let count = count as usize;
-        bounds_check(self.payload, start, count * stride, &field.name)?;
-        Ok((start, count))
+/// Verifies the region of `payload` that the count and pointer slots of
+/// dynamic array `array`, counted by `count_field`, name; returns
+/// `(start, count)`. The one check behind every dynamic array a view
+/// hands out and every one a conversion copies.
+pub(crate) fn dynamic_region(
+    payload: &[u8],
+    count: Scalar,
+    target: u64,
+    stride: usize,
+    array: &str,
+    count_field: &str,
+) -> Result<(usize, usize), PbioError> {
+    let count = match count {
+        Scalar::Int(n) => n,
+        Scalar::UInt(n) => i64::try_from(n).unwrap_or(-1),
+        Scalar::Float(_) => -1,
+    };
+    // An honest count is bounded by the payload size over the element
+    // size; clamping here also keeps `count * stride` from overflowing
+    // and makes absurd counts fail fast.
+    if count < 0 || count as usize > payload.len() / stride.max(1) {
+        return Err(LayoutError::BadCount { field: count_field.to_owned(), count }.into());
     }
+    if count == 0 {
+        return Ok((0, 0));
+    }
+    let start = usize::try_from(target)
+        .map_err(|_| LayoutError::BadPointer { field: array.to_owned(), target })?;
+    // The one dynamic-region check: covers every element read from it.
+    let count = count as usize;
+    bounds_check(payload, start, count * stride, array)?;
+    Ok((start, count))
 }
 
 /// The unsigned value of the pointer slot at `at`.
-fn slot(pointer: ScalarCode, payload: &[u8], at: usize) -> u64 {
+pub(crate) fn slot(pointer: ScalarCode, payload: &[u8], at: usize) -> u64 {
     match pointer.read(payload, at) {
         Scalar::UInt(target) => target,
         Scalar::Int(_) | Scalar::Float(_) => unreachable!("pointer codes are unsigned"),
@@ -612,7 +623,11 @@ impl ExactSizeIterator for ArrayView<'_> {}
 /// Borrows the NUL-terminated string at payload-relative `target` (a
 /// swizzled pointer slot value; `0` is the null pointer and views as
 /// the empty string).
-fn str_at<'a>(payload: &'a [u8], target: u64, field: &str) -> Result<&'a str, PbioError> {
+pub(crate) fn str_at<'a>(
+    payload: &'a [u8],
+    target: u64,
+    field: &str,
+) -> Result<&'a str, PbioError> {
     if target == 0 {
         return Ok("");
     }
@@ -849,13 +864,8 @@ mod tests {
         let rec = Record::new().with("s", "hi");
         let mut wire = ndr::encode(&rec, &format).unwrap();
         let payload_at = wire.len() - (format.record_size() + 3); // fixed + "hi\0"
-        clayout::image::put_uint(
-            &mut wire,
-            payload_at,
-            8,
-            clayout::Endianness::Little,
-            1 << 40,
-        );
+        let pointer = ScalarCode::unsigned(8, clayout::Endianness::Little);
+        pointer.write_raw(&mut wire, payload_at, 1 << 40);
         let view = ndr::view_with(&wire, &format).unwrap();
         assert!(matches!(
             view.get("s"),

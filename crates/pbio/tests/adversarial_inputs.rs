@@ -12,9 +12,9 @@ mod codecs;
 #[path = "../../clayout/tests/oracle/mod.rs"]
 mod oracle;
 
-use clayout::image::put_uint;
 use clayout::{Architecture, CType, Primitive, Record, StructField, StructType};
 use codecs::CODECS;
+use oracle::put_uint;
 use pbio::format::{Format, FormatId};
 
 fn adversarial_format() -> Format {

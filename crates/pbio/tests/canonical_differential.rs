@@ -19,6 +19,8 @@
 
 mod canonical_oracle;
 mod generator;
+#[path = "../../clayout/tests/oracle/mod.rs"]
+mod oracle;
 
 use clayout::{Architecture, ArrayLen, CType, Endianness, LayoutError, Record, StructType};
 use generator::{record_of, shuffled, structure, with_counts, with_one_defect, Rng};

@@ -20,7 +20,7 @@
 //! strings as `u32 length (incl. NUL) ∥ bytes ∥ NUL`, sequences as
 //! `u32 count ∥ elements`, and structs as their members in order.
 
-use clayout::image::{fits_signed, fits_unsigned, get_uint, put_uint};
+use crate::oracle::{fits_signed, fits_unsigned, get_uint, put_uint};
 use clayout::{ArrayLen, CType, Endianness, LayoutError, Primitive, Record, StructType, Value};
 
 use pbio::PbioError;

@@ -21,7 +21,7 @@
 //! | dynamic array           | `unsigned int` count + elements    |
 //! | nested struct           | fields back to back                |
 
-use clayout::image::{fits_signed, fits_unsigned};
+use crate::oracle::{fits_signed, fits_unsigned};
 use clayout::{ArrayLen, CType, LayoutError, Primitive, Record, StructType, Value};
 
 use pbio::PbioError;

@@ -39,22 +39,36 @@ const COUNT_TYPES: [Primitive; 6] = [
 ];
 
 /// A value of `p` that fits it on every architecture (ILP32 `long` is
-/// 32 bits; floats stay binary32-exact).
+/// 32 bits; floats stay binary32-exact). One integer in eight is a bound
+/// of that range — zero, all ones, the least or the greatest — where a
+/// range check that is off by one refuses an honest value.
 fn prim_value(rng: &mut Rng, p: Primitive) -> Value {
     let raw = rng.next();
     if p.is_float() {
         return Value::Float((raw % 8192) as f64 * 0.25 - 1024.0);
     }
-    let bits = match p {
-        Primitive::Char | Primitive::UChar => 8,
-        Primitive::Short | Primitive::UShort => 16,
-        Primitive::LongLong | Primitive::ULongLong => 64,
-        _ => 32,
+    let raw = match raw % 32 {
+        0 => 0,
+        1 => u64::MAX,
+        2 => 1 << 63,
+        3 => !(1 << 63),
+        _ => raw,
     };
+    let bits = common_bits(p);
     if p.is_unsigned_integer() {
         Value::UInt(if bits == 64 { raw } else { raw % (1 << bits) })
     } else {
         Value::Int((raw as i64) >> (64 - bits))
+    }
+}
+
+/// The width in bits `p` has on every architecture: ILP32 `long` is 32.
+fn common_bits(p: Primitive) -> u32 {
+    match p {
+        Primitive::Char | Primitive::UChar => 8,
+        Primitive::Short | Primitive::UShort => 16,
+        Primitive::LongLong | Primitive::ULongLong => 64,
+        _ => 32,
     }
 }
 
@@ -196,8 +210,18 @@ pub fn with_one_defect(rng: &mut Rng, record: &Record, st: &StructType) -> Recor
         (CType::Prim(p), 1)
             if !p.is_float() && !matches!(p, Primitive::LongLong | Primitive::ULongLong) =>
         {
-            // Out of range on every architecture, or a wrong count.
-            broken.set(field.name.clone(), Value::UInt(u64::MAX));
+            // Out of range on every architecture, or a wrong count: one
+            // past a bound where every architecture has that bound (a
+            // range check that is off by one takes it), and beyond any
+            // bound for a `long`, which LP64 makes 64 bits wide.
+            let bits = common_bits(*p);
+            let value = match (p, rng.below(2)) {
+                (Primitive::Long | Primitive::ULong, _) => Value::UInt(u64::MAX),
+                (p, _) if p.is_unsigned_integer() => Value::UInt(1 << bits),
+                (_, 0) => Value::Int(1 << (bits - 1)),
+                (_, _) => Value::Int(-(1 << (bits - 1)) - 1),
+            };
+            broken.set(field.name.clone(), value);
         }
         (CType::Array { .. }, 1) => {
             let mut items = record

@@ -27,9 +27,8 @@
 //!   `convert_into` a used pool does what `convert` does; and every
 //!   mutant is refused by conversion-then-view exactly when the oracle
 //!   refuses to read it on the source or to write what it read on the
-//!   destination (`ConversionOverflow` is the oracle's destination-side
-//!   `ValueOutOfRange`), with the same kind of error but for the three
-//!   orderings `same_outcome` names.
+//!   destination (`ValueOutOfRange`, on both sides), with the same kind
+//!   of error but for the one ordering `same_outcome` names.
 //!
 //! One difference is by design and asserted as such: a payload shorter
 //! than the struct's fixed part is refused by `RecordView::over` as
@@ -90,6 +89,7 @@ fn layout_kind(e: &LayoutError) -> &'static str {
         LayoutError::BadPointer { .. } => "bad pointer",
         LayoutError::BadString { .. } => "bad string",
         LayoutError::BadCount { .. } => "bad count",
+        LayoutError::ValueOutOfRange { .. } => "out of range",
         _ => "not a payload error",
     }
 }
@@ -105,7 +105,6 @@ fn pbio_kind(e: &PbioError) -> &'static str {
     match e {
         PbioError::Truncated { .. } => "truncated",
         PbioError::Layout(e) => layout_kind(e),
-        PbioError::ConversionOverflow { .. } => "out of range",
         _ => "not a payload error",
     }
 }
@@ -132,26 +131,17 @@ fn oracle_conversion_verdict(payload: &[u8], src: &Architecture, native: &Format
     }
 }
 
-/// Equal verdicts — or a payload both refuse, for one of the three
-/// reasons the two-stage reader (convert, then view) names differently
-/// from the one-pass oracle:
-///
-/// * a count the oracle calls bad because `count * element size`
-///   cannot fit the payload is, to the plan, bad only above the
-///   payload's length in bytes; between the two its one region check
-///   finds the array truncated;
-/// * a count field declared before its array and narrower on the
-///   destination is converted, and found out of range, before the
-///   array op reads it as a count;
-/// * string bytes are copied unvalidated and only the view finds them
-///   not UTF-8, so a pointer out of bounds further on in the same
-///   payload is reported first.
+/// Equal verdicts — or a payload both refuse, for the one reason the
+/// two-stage reader (convert, then view) names differently from the
+/// one-pass oracle: a count field declared before its array and
+/// narrower on the destination is converted, and found out of range,
+/// before the array op reads it as a count. Conversion checks counts,
+/// regions and strings by the view's rules, which are the oracle's.
 fn same_outcome(converted: &Verdict, oracle: &Verdict) -> bool {
     converted == oracle
         || matches!(
             (converted, oracle),
-            (Verdict::Refused("truncated" | "out of range"), Verdict::Refused("bad count"))
-                | (Verdict::Refused("bad pointer"), Verdict::Refused("bad string"))
+            (Verdict::Refused("out of range"), Verdict::Refused("bad count"))
         )
 }
 

@@ -342,8 +342,7 @@ proptest! {
         let plan = ConversionPlan::build(&st, &src, &dst).unwrap();
         match plan.convert(&image) {
             Ok(_) => {}
-            Err(PbioError::Layout(_) | PbioError::Truncated { .. }
-                | PbioError::ConversionOverflow { .. }) => {}
+            Err(PbioError::Layout(_) | PbioError::Truncated { .. }) => {}
             Err(other) => prop_assert!(false, "unexpected error class: {other:?}"),
         }
     }

@@ -216,7 +216,9 @@ proptest! {
         let cuts = if plan.is_identity() { 0 } else { wire.bytes.len() };
         for cut in 0..cuts {
             let refused = match plan.convert(&wire.bytes[..cut]) {
-                Err(PbioError::Truncated { .. }) => "truncated",
+                Err(PbioError::Truncated { .. })
+                | Err(PbioError::Layout(LayoutError::Truncated { .. })) => "truncated",
+                Err(PbioError::Layout(LayoutError::BadCount { .. })) => "bad count",
                 Err(PbioError::Layout(LayoutError::BadPointer { .. })) => "bad pointer",
                 other => panic!("cut {cut} ({src} -> {dst}): {other:?}"),
             };
@@ -226,10 +228,10 @@ proptest! {
                 "truncated"
             } else {
                 match oracle::decode_record(&wire.bytes[..cut], &st, &src) {
-                    // The oracle bounds a count by payload length over
-                    // element size; the plan's region check calls the
-                    // same array truncated.
-                    Err(LayoutError::Truncated { .. } | LayoutError::BadCount { .. }) => "truncated",
+                    // The plan checks a count by the view's rule, which
+                    // is the oracle's: payload length over element size.
+                    Err(LayoutError::Truncated { .. }) => "truncated",
+                    Err(LayoutError::BadCount { .. }) => "bad count",
                     Err(LayoutError::BadPointer { .. }) => "bad pointer",
                     other => panic!("cut {cut} on {src}: the oracle says {other:?}"),
                 }
@@ -246,8 +248,10 @@ fn narrowing_overflow_is_the_oracles_out_of_range() {
     let wire = oracle::encode_record(&rec, &st, &Architecture::X86_64).unwrap();
     let plan = ConversionPlan::build(&st, &Architecture::X86_64, &Architecture::I386).unwrap();
     match plan.convert(&wire.bytes) {
-        Err(PbioError::ConversionOverflow { field, .. }) => assert_eq!(field, "big"),
-        other => panic!("expected overflow, got {other:?}"),
+        Err(PbioError::Layout(LayoutError::ValueOutOfRange { field, .. })) => {
+            assert_eq!(field, "big")
+        }
+        other => panic!("expected out of range, got {other:?}"),
     }
     let sent = oracle::decode_record(&wire.bytes, &st, &Architecture::X86_64).unwrap();
     match oracle::encode_record(&sent, &st, &Architecture::I386) {

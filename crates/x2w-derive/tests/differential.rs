@@ -310,7 +310,8 @@ fn decode_view_is_fail_closed_on_truncated_and_corrupt_images() {
     let count_field = layout.field("eta_count").unwrap();
     let mut corrupt = wire.clone();
     let at = header_len + count_field.offset;
-    clayout::image::put_int(&mut corrupt, at, count_field.size, format.arch().endianness, -1);
+    let code = clayout::ScalarCode::unsigned(count_field.size, format.arch().endianness);
+    code.write_raw(&mut corrupt, at, -1i64 as u64);
     assert!(matches!(
         pbio::ndr::decode_typed::<Everything>(&corrupt, &format),
         Err(PbioError::Layout(LayoutError::BadCount { .. }))
