@@ -43,8 +43,9 @@
 //! corruption is an error rather than silent truncation.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read};
 use std::ops::Range;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
@@ -143,52 +144,95 @@ fn log_err(detail: String) -> X2wError {
     X2wError::Bcm(PbioError::Text { detail })
 }
 
-// CRC-32 (IEEE 802.3), slicing-by-8: `CRC_TABLES[0]` is the classic
-// byte-at-a-time table and `CRC_TABLES[k][b]` the CRC of byte `b`
-// followed by `k` zero bytes, so eight input bytes fold into the
-// checksum with eight independent lookups. Built at compile time so the
-// crate stays dependency-free.
-const fn crc_tables() -> [[u32; 256]; 8] {
+// CRC-32 (IEEE 802.3), braided as zlib does it. `T[j][b]` is the CRC
+// register after byte `b` followed by `j` zero bytes. A word step folds
+// eight bytes into the register with eight independent lookups: byte
+// `k` of the word has `7 - k` bytes after it, so it takes `T[7 - k]`.
+// That step is one long dependency chain, each word waiting for the
+// last. Long input is therefore cut into blocks of `BRAIDS` words, and
+// word `i` of every block goes to lane `i`: `BRAIDS` independent CRCs,
+// each of which skips the other lanes' words as zero bytes — byte `k`
+// of a lane's word has `BLOCK - 1 - k` bytes before the lane's next
+// word, so it takes `T[BLOCK - 1 - k]`. At the last block the lanes
+// fold into one CRC through the word step; linearity makes that the
+// CRC of the whole input. Only `T[0..8]` (`WORD_TABLES`) and
+// `T[BLOCK - 8..BLOCK]` (`BRAID_TABLES`) are kept, built at compile
+// time so the crate stays dependency-free.
+
+/// Independent CRCs the braided loop runs side by side.
+const BRAIDS: usize = 4;
+/// Bytes of one braid block: one 8-byte word per lane.
+const BLOCK: usize = 8 * BRAIDS;
+
+/// `T[first..first + 8]`.
+const fn crc_tables(first: usize) -> [[u32; 256]; 8] {
     let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
-            bit += 1;
+    let mut b = 0;
+    while b < 256 {
+        // Byte `b`, then zero bytes: `crc` is `T[j][b]` after step `j`.
+        let mut crc = b as u32;
+        let mut j = 0;
+        while j < first + 8 {
+            let mut bit = 0;
+            while bit < 8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xEDB8_8320
+                } else {
+                    crc >> 1
+                };
+                bit += 1;
+            }
+            if j >= first {
+                tables[j - first][b] = crc;
+            }
+            j += 1;
         }
-        tables[0][i] = crc;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
+        b += 1;
     }
     tables
 }
 
-static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+static WORD_TABLES: [[u32; 256]; 8] = crc_tables(0);
+static BRAID_TABLES: [[u32; 256]; 8] = crc_tables(BLOCK - 8);
+
+/// Folds `v` — an input word XOR the register — into a register of
+/// zero; `tables[m]` is `T[j + m]`, which also steps over the `j` zero
+/// bytes behind the word.
+#[inline(always)]
+fn word_step(tables: &[[u32; 256]; 8], v: u64) -> u32 {
+    let byte = |k: usize| (v >> (8 * k)) as u8 as usize;
+    (0..8).fold(0, |acc, k| acc ^ tables[7 - k][byte(k)])
+}
 
 /// CRC-32 (IEEE) over `bytes`, continuing from `seed` (pass `0` to
 /// start a fresh checksum).
 pub fn crc32(seed: u32, bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
     let mut crc = !seed;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        // Byte `k` of the word has `7 - k` bytes of the word after it.
-        let v = u64::from_le_bytes(w.try_into().expect("8 bytes")) ^ u64::from(crc);
-        crc = (0..8).fold(0, |acc, k| acc ^ t[7 - k][(v >> (8 * k)) as u8 as usize]);
+    let mut rest = bytes;
+    // Shorter input — a frame head, a tiny record — is not worth
+    // braiding: it takes the word step only.
+    if bytes.len() >= 2 * BLOCK {
+        let (blocks, tail) = bytes.as_chunks::<BLOCK>();
+        let (last, braided) = blocks.split_last().expect("two blocks or more");
+        let mut lanes = [0u32; BRAIDS];
+        lanes[0] = crc;
+        for block in braided {
+            for (lane, w) in lanes.iter_mut().zip(block.as_chunks::<8>().0) {
+                *lane = word_step(&BRAID_TABLES, u64::from_le_bytes(*w) ^ u64::from(*lane));
+            }
+        }
+        crc = 0;
+        for (lane, w) in lanes.iter().zip(last.as_chunks::<8>().0) {
+            crc = word_step(&WORD_TABLES, u64::from_le_bytes(*w) ^ u64::from(crc ^ lane));
+        }
+        rest = tail;
     }
-    for &b in words.remainder() {
-        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    let (words, tail) = rest.as_chunks::<8>();
+    for w in words {
+        crc = word_step(&WORD_TABLES, u64::from_le_bytes(*w) ^ u64::from(crc));
+    }
+    for &b in tail {
+        crc = WORD_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -197,7 +241,11 @@ pub fn crc32(seed: u32, bytes: &[u8]) -> u32 {
 pub(crate) enum Frame {
     /// A whole record with a matching CRC: it occupies the window's
     /// first `total` bytes and `payload` indexes the window.
-    Record { seq: u64, payload: Range<usize>, total: usize },
+    Record {
+        seq: u64,
+        payload: Range<usize>,
+        total: usize,
+    },
     /// Undecidable until the window holds this many bytes.
     NeedMore(usize),
     /// Not something a correct writer put there.
@@ -216,7 +264,9 @@ pub(crate) fn next_frame(window: &[u8], expect_seq: u64) -> Frame {
     let len = u32::from_le_bytes(head[..4].try_into().expect("4 bytes"));
     let seq = u64::from_le_bytes(head[4..].try_into().expect("8 bytes"));
     if len > MAX_RECORD {
-        return Frame::Bad(format!("record claims {len} bytes, over the {MAX_RECORD} limit"));
+        return Frame::Bad(format!(
+            "record claims {len} bytes, over the {MAX_RECORD} limit"
+        ));
     }
     if seq != expect_seq {
         return Frame::Bad(format!("record seq {seq} where seq {expect_seq} belongs"));
@@ -228,7 +278,11 @@ pub(crate) fn next_frame(window: &[u8], expect_seq: u64) -> Frame {
     if u32::from_le_bytes(crc.try_into().expect("4 bytes")) != crc32(0, &window[..body]) {
         return Frame::Bad(format!("record seq {seq} fails its crc check"));
     }
-    Frame::Record { seq, payload: FRAME_HEAD..body, total: body + 4 }
+    Frame::Record {
+        seq,
+        payload: FRAME_HEAD..body,
+        total: body + 4,
+    }
 }
 
 /// The one writer of `len ∥ seq ∥ payload ∥ crc`: appends the frame of
@@ -251,7 +305,9 @@ pub(crate) fn put_frame(
     });
     if len > u64::from(MAX_RECORD) {
         out.truncate(start);
-        return Err(log_err(format!("record of {len} bytes exceeds the {MAX_RECORD} limit")));
+        return Err(log_err(format!(
+            "record of {len} bytes exceeds the {MAX_RECORD} limit"
+        )));
     }
     out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
     let crc = crc32(0, &out[start..]);
@@ -330,16 +386,26 @@ impl Window {
     pub(crate) fn step(&mut self, src: &mut impl Read) -> io::Result<Step> {
         loop {
             match next_frame(&self.buf[self.head..self.tail], self.expect) {
-                Frame::Record { seq, payload, total } => {
+                Frame::Record {
+                    seq,
+                    payload,
+                    total,
+                } => {
                     let at = self.head;
                     self.head += total;
                     self.expect = seq + 1;
-                    return Ok(Step::Record { seq, payload: at + payload.start..at + payload.end });
+                    return Ok(Step::Record {
+                        seq,
+                        payload: at + payload.start..at + payload.end,
+                    });
                 }
                 Frame::NeedMore(need) if self.fill(src, need)? => {}
                 Frame::NeedMore(_) if self.head == self.tail => return Ok(Step::End),
                 Frame::NeedMore(_) => {
-                    return Ok(Step::Torn(format!("segment ends inside record seq {}", self.expect)))
+                    return Ok(Step::Torn(format!(
+                        "segment ends inside record seq {}",
+                        self.expect
+                    )))
                 }
                 Frame::Bad(why) => return Ok(Step::Torn(why)),
             }
@@ -431,7 +497,10 @@ impl SegmentLog {
             let entry = entry?;
             let name = entry.file_name();
             if let Some(base_seq) = name.to_str().and_then(parse_segment_name) {
-                segments.push(SegmentRef { base_seq, path: entry.path() });
+                segments.push(SegmentRef {
+                    base_seq,
+                    path: entry.path(),
+                });
             }
         }
         segments.sort_by_key(|s| s.base_seq);
@@ -458,7 +527,7 @@ impl SegmentLog {
             return Ok(());
         };
         self.first_seq = self.segments[0].base_seq;
-        let mut file = OpenOptions::new().read(true).write(true).open(&tail.path)?;
+        let file = OpenOptions::new().read(true).write(true).open(&tail.path)?;
         let file_len = file.metadata()?.len();
 
         // Everything up to `valid_end` is header and whole records; 0
@@ -476,15 +545,13 @@ impl SegmentLog {
             // A crash can land between creating the tail segment and
             // writing its header; rewrite it from scratch.
             file.set_len(0)?;
-            file.seek(SeekFrom::Start(0))?;
-            file.write_all(&segment_header(tail.base_seq))?;
+            file.write_all_at(&segment_header(tail.base_seq), 0)?;
             file.sync_all()?;
             valid_end = SEGMENT_HEADER;
         } else if valid_end < file_len {
             file.set_len(valid_end)?;
             file.sync_all()?;
         }
-        file.seek(SeekFrom::Start(valid_end))?;
 
         // The walk stopped expecting the seq after the last whole record.
         self.last_seq = window.expect.saturating_sub(1);
@@ -492,7 +559,10 @@ impl SegmentLog {
             // The whole log is one empty segment.
             self.first_seq = 0;
         }
-        self.active = Some(ActiveSegment { file, bytes: valid_end });
+        self.active = Some(ActiveSegment {
+            file,
+            bytes: valid_end,
+        });
         Ok(())
     }
 
@@ -510,11 +580,18 @@ impl SegmentLog {
             seg.file.sync_all()?;
         }
         let path = segment_path(&self.dir, base_seq);
-        let mut file =
-            OpenOptions::new().create(true).truncate(true).write(true).read(true).open(&path)?;
-        file.write_all(&segment_header(base_seq))?;
+        let file = OpenOptions::new()
+            .create(true)
+            .truncate(true)
+            .write(true)
+            .read(true)
+            .open(&path)?;
+        file.write_all_at(&segment_header(base_seq), 0)?;
         self.segments.push(SegmentRef { base_seq, path });
-        self.active = Some(ActiveSegment { file, bytes: SEGMENT_HEADER });
+        self.active = Some(ActiveSegment {
+            file,
+            bytes: SEGMENT_HEADER,
+        });
         self.unsynced = 0;
         self.enforce_retention()
     }
@@ -527,7 +604,8 @@ impl SegmentLog {
     ///
     /// Non-contiguous sequences, oversized payloads, I/O failures.
     pub fn append(&mut self, seq: u64, payload: &[u8]) -> Result<(), X2wError> {
-        self.append_group([(seq, |put: &mut dyn FnMut(&[u8])| put(payload))]).map_err(|e| e.first)
+        self.append_group([(seq, |put: &mut dyn FnMut(&[u8])| put(payload))])
+            .map_err(|e| e.first)
     }
 
     /// Appends a group of records with one `write` per segment the
@@ -562,7 +640,8 @@ impl SegmentLog {
         }
         let mut written = 0;
         if let Err(e) = self.write_frames(last, &mut written) {
-            failed.get_or_insert(GroupError { lost: 0, first: e }).lost += self.ends.len() - written;
+            failed.get_or_insert(GroupError { lost: 0, first: e }).lost +=
+                self.ends.len() - written;
         }
         failed.map_or(Ok(()), Err)
     }
@@ -580,7 +659,9 @@ impl SegmentLog {
         }
         let expect = last + 1;
         if last != 0 && seq != expect {
-            return Err(log_err(format!("non-contiguous append: expected seq {expect}, got {seq}")));
+            return Err(log_err(format!(
+                "non-contiguous append: expected seq {expect}, got {seq}"
+            )));
         }
         put_frame(&mut self.scratch, seq, parts)?;
         self.ends.push(self.scratch.len());
@@ -588,25 +669,35 @@ impl SegmentLog {
     }
 
     /// Writes the framed group, whose last record is `last`: as many
-    /// frames as the active segment has room for in one `write_all`,
-    /// then a rotation, until none is left. `written` counts the frames
-    /// that made it.
+    /// frames as the active segment has room for in one write, then a
+    /// rotation, until none is left. `written` counts the frames that
+    /// made it.
     ///
     /// One write carries many records, so a reader beside the writer
     /// may find part of a group in the file. It never *parses* one:
     /// `bytes`, `last_seq` and `first_seq` move only once a write has
     /// returned, under the same `&mut self` a replay's snapshot is taken
-    /// against, and a replay reads no byte past its snapshot. Torn
-    /// records come only from crashes, and the CRC catches those.
+    /// against, and a replay reads no byte past its snapshot.
+    ///
+    /// Each write lands at `bytes`, the certified length, not at the
+    /// file cursor: a write that fails part-way (`ENOSPC`, `EFBIG`)
+    /// leaves a partial frame behind `bytes`, and the next write covers
+    /// it instead of landing after it. Torn records therefore come only
+    /// from crashes, and the CRC catches those.
     fn write_frames(&mut self, last: u64, written: &mut usize) -> Result<(), X2wError> {
         let first = last + 1 - self.ends.len() as u64;
         while *written < self.ends.len() {
-            let start = if *written == 0 { 0 } else { self.ends[*written - 1] };
+            let start = if *written == 0 {
+                0
+            } else {
+                self.ends[*written - 1]
+            };
             // A frame goes where the last one went unless that segment
             // is full; an empty segment takes any one frame.
             let fits = self.active.as_ref().map_or(0, |seg| {
                 let room = self.config.segment_bytes.saturating_sub(seg.bytes);
-                let whole = self.ends[*written..].partition_point(|&end| (end - start) as u64 <= room);
+                let whole =
+                    self.ends[*written..].partition_point(|&end| (end - start) as u64 <= room);
                 whole.max(usize::from(seg.bytes == SEGMENT_HEADER))
             });
             if fits == 0 {
@@ -614,8 +705,12 @@ impl SegmentLog {
                 continue;
             }
             let end = self.ends[*written + fits - 1];
-            let seg = self.active.as_mut().expect("a frame fits only in a segment");
-            seg.file.write_all(&self.scratch[start..end])?;
+            let seg = self
+                .active
+                .as_mut()
+                .expect("a frame fits only in a segment");
+            seg.file
+                .write_all_at(&self.scratch[start..end], seg.bytes)?;
             seg.bytes += (end - start) as u64;
             *written += fits;
             self.last_seq = first + *written as u64 - 1;
@@ -642,7 +737,11 @@ impl SegmentLog {
     /// include — is never touched, and an append-heavy log pays
     /// nothing per record.
     fn enforce_retention(&mut self) -> Result<(), X2wError> {
-        let Retention { max_segments, max_age, max_total_bytes } = self.config.retention;
+        let Retention {
+            max_segments,
+            max_age,
+            max_total_bytes,
+        } = self.config.retention;
         if max_segments.is_none() && max_age.is_none() && max_total_bytes.is_none() {
             return Ok(());
         }
@@ -723,8 +822,10 @@ impl SegmentLog {
             // A segment is relevant if any of its records could be ≥
             // from_seq: that is, unless the *next* segment still starts
             // at or below from_seq.
-            let superseded =
-                self.segments.get(i + 1).is_some_and(|next| next.base_seq <= from_seq);
+            let superseded = self
+                .segments
+                .get(i + 1)
+                .is_some_and(|next| next.base_seq <= from_seq);
             if !superseded {
                 relevant.push(seg.clone());
             }
@@ -772,7 +873,10 @@ impl SegReplay {
     /// `from_seq`.
     fn open_next(&mut self) -> Result<(), X2wError> {
         let Some(seg) = self.segments.get(self.next_segment) else {
-            return Err(log_err(format!("the log ends before seq {}", self.from_seq)));
+            return Err(log_err(format!(
+                "the log ends before seq {}",
+                self.from_seq
+            )));
         };
         self.next_segment += 1;
         let later = &self.segments[self.next_segment..];
@@ -791,7 +895,11 @@ impl SegReplay {
         };
         // Sealed segments are final; the one that was active counts
         // only as far as the snapshot certified it.
-        let limit = if later.is_empty() { self.end_bytes } else { file.metadata()?.len() };
+        let limit = if later.is_empty() {
+            self.end_bytes
+        } else {
+            file.metadata()?.len()
+        };
         // The first segment may start before the seq owed; each later
         // one starts exactly where the one before it ended.
         let joins = match self.next_segment {
@@ -800,7 +908,9 @@ impl SegReplay {
         };
         if !joins || !self.window.start(&mut &file, limit, seg.base_seq)? {
             let path = seg.path.display();
-            return Err(log_err(format!("segment {path} has a bad header or does not continue the log")));
+            return Err(log_err(format!(
+                "segment {path} has a bad header or does not continue the log"
+            )));
         }
         self.current = Some(file);
         Ok(())
@@ -835,16 +945,10 @@ impl SegReplay {
     }
 }
 
-impl Iterator for SegReplay {
-    type Item = Result<(u64, Vec<u8>), X2wError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.next_record().map(|r| r.map(|(seq, payload)| (seq, payload.to_vec()))).transpose()
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::io::Write;
+
     use super::*;
 
     impl SegmentLog {
@@ -860,8 +964,7 @@ mod tests {
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("x2w-seglog-{tag}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("x2w-seglog-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
@@ -870,8 +973,13 @@ mod tests {
         format!("record-{i}-{}", "x".repeat((i % 7) as usize * 16)).into_bytes()
     }
 
-    fn collect(replay: SegReplay) -> Vec<(u64, Vec<u8>)> {
-        replay.map(|r| r.unwrap()).collect()
+    /// Every record a replay yields; it must end cleanly.
+    fn collect(mut replay: SegReplay) -> Vec<(u64, Vec<u8>)> {
+        let mut got = Vec::new();
+        while let Some((seq, payload)) = replay.next_record().unwrap() {
+            got.push((seq, payload.to_vec()));
+        }
+        got
     }
 
     #[test]
@@ -910,24 +1018,39 @@ mod tests {
     #[test]
     fn rotation_spreads_records_over_segments() {
         let dir = temp_dir("rotate");
-        let config = SegLogConfig { segment_bytes: 256, fsync: FsyncPolicy::Never, ..Default::default() };
+        let config = SegLogConfig {
+            segment_bytes: 256,
+            fsync: FsyncPolicy::Never,
+            ..Default::default()
+        };
         let mut log = SegmentLog::open(&dir, config).unwrap();
         for i in 1..=40 {
             log.append(i, &payload(i)).unwrap();
         }
-        assert!(log.segment_count() > 3, "only {} segments", log.segment_count());
+        assert!(
+            log.segment_count() > 3,
+            "only {} segments",
+            log.segment_count()
+        );
         let entries = collect(log.replay_from(1).unwrap());
         assert_eq!(entries.len(), 40);
         // Replay skips segments wholly below from_seq.
         let late = collect(log.replay_from(39).unwrap());
-        assert_eq!(late.iter().map(|(s, _)| *s).collect::<Vec<_>>(), vec![39, 40]);
+        assert_eq!(
+            late.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
+            vec![39, 40]
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn reopen_resumes_at_the_right_seq() {
         let dir = temp_dir("reopen");
-        let config = SegLogConfig { segment_bytes: 512, fsync: FsyncPolicy::Always, ..Default::default() };
+        let config = SegLogConfig {
+            segment_bytes: 512,
+            fsync: FsyncPolicy::Always,
+            ..Default::default()
+        };
         {
             let mut log = SegmentLog::open(&dir, config).unwrap();
             for i in 1..=20 {
@@ -945,7 +1068,11 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_on_recovery() {
         let dir = temp_dir("torn");
-        let config = SegLogConfig { segment_bytes: 1 << 20, fsync: FsyncPolicy::Always, ..Default::default() };
+        let config = SegLogConfig {
+            segment_bytes: 1 << 20,
+            fsync: FsyncPolicy::Always,
+            ..Default::default()
+        };
         {
             let mut log = SegmentLog::open(&dir, config).unwrap();
             for i in 1..=10 {
@@ -973,7 +1100,11 @@ mod tests {
     #[test]
     fn bit_flip_in_tail_truncates_from_the_flip() {
         let dir = temp_dir("bitflip");
-        let config = SegLogConfig { segment_bytes: 1 << 20, fsync: FsyncPolicy::Always, ..Default::default() };
+        let config = SegLogConfig {
+            segment_bytes: 1 << 20,
+            fsync: FsyncPolicy::Always,
+            ..Default::default()
+        };
         {
             let mut log = SegmentLog::open(&dir, config).unwrap();
             for i in 1..=8 {
@@ -1001,7 +1132,11 @@ mod tests {
     #[test]
     fn forged_length_in_sealed_segment_is_a_replay_error() {
         let dir = temp_dir("forged");
-        let config = SegLogConfig { segment_bytes: 128, fsync: FsyncPolicy::Always, ..Default::default() };
+        let config = SegLogConfig {
+            segment_bytes: 128,
+            fsync: FsyncPolicy::Always,
+            ..Default::default()
+        };
         {
             let mut log = SegmentLog::open(&dir, config).unwrap();
             for i in 1..=12 {
@@ -1067,21 +1202,27 @@ mod tests {
         let config = SegLogConfig {
             segment_bytes: 256,
             fsync: FsyncPolicy::Never,
-            retention: Retention { max_segments: Some(3), ..Retention::default() },
+            retention: Retention {
+                max_segments: Some(3),
+                ..Retention::default()
+            },
         };
         let mut log = SegmentLog::open(&dir, config).unwrap();
         for i in 1..=60 {
             log.append(i, &payload(i)).unwrap();
         }
-        assert!(log.segment_count() <= 3, "{} segments retained", log.segment_count());
+        assert!(
+            log.segment_count() <= 3,
+            "{} segments retained",
+            log.segment_count()
+        );
         assert!(log.first_seq() > 1, "oldest history must be compacted away");
         assert_eq!(log.last_seq(), 60, "retention must never touch the tail");
         // The directory itself agrees with the in-memory view.
         let on_disk = fs::read_dir(&dir)
             .unwrap()
             .filter(|e| {
-                parse_segment_name(e.as_ref().unwrap().file_name().to_str().unwrap())
-                    .is_some()
+                parse_segment_name(e.as_ref().unwrap().file_name().to_str().unwrap()).is_some()
             })
             .count();
         assert_eq!(on_disk, log.segment_count());
@@ -1106,7 +1247,10 @@ mod tests {
         let config = SegLogConfig {
             segment_bytes: 256,
             fsync: FsyncPolicy::Never,
-            retention: Retention { max_segments: Some(2), ..Retention::default() },
+            retention: Retention {
+                max_segments: Some(2),
+                ..Retention::default()
+            },
         };
         let mut log = SegmentLog::open(&dir, config).unwrap();
         for i in 1..=40 {
@@ -1115,7 +1259,10 @@ mod tests {
         let earliest = log.first_seq();
         assert!(earliest > 1);
         match log.replay_from(1) {
-            Err(X2wError::SeqTruncated { requested, earliest: e }) => {
+            Err(X2wError::SeqTruncated {
+                requested,
+                earliest: e,
+            }) => {
                 assert_eq!(requested, 1);
                 assert_eq!(e, earliest);
             }
@@ -1132,7 +1279,10 @@ mod tests {
         let config = SegLogConfig {
             segment_bytes: 256,
             fsync: FsyncPolicy::Never,
-            retention: Retention { max_age: Some(Duration::ZERO), ..Retention::default() },
+            retention: Retention {
+                max_age: Some(Duration::ZERO),
+                ..Retention::default()
+            },
         };
         let mut log = SegmentLog::open(&dir, config).unwrap();
         for i in 1..=60 {
@@ -1141,11 +1291,17 @@ mod tests {
         // Every sealed segment is instantly past the age cap, so only
         // the active one survives each rotation.
         assert_eq!(log.segment_count(), 1);
-        assert!(log.first_seq() > 1, "aged-out history must be compacted away");
+        assert!(
+            log.first_seq() > 1,
+            "aged-out history must be compacted away"
+        );
         assert_eq!(log.last_seq(), 60, "retention must never touch the tail");
         // Compacted history still fails closed with the typed error.
         match log.replay_from(1) {
-            Err(X2wError::SeqTruncated { requested: 1, earliest }) => {
+            Err(X2wError::SeqTruncated {
+                requested: 1,
+                earliest,
+            }) => {
                 assert_eq!(earliest, log.first_seq());
             }
             other => panic!("expected SeqTruncated, got {other:?}"),
@@ -1184,7 +1340,10 @@ mod tests {
         let config = SegLogConfig {
             segment_bytes: 256,
             fsync: FsyncPolicy::Never,
-            retention: Retention { max_total_bytes: Some(cap), ..Retention::default() },
+            retention: Retention {
+                max_total_bytes: Some(cap),
+                ..Retention::default()
+            },
         };
         let mut log = SegmentLog::open(&dir, config).unwrap();
         for i in 1..=120 {
@@ -1260,7 +1419,11 @@ mod tests {
     #[test]
     fn a_segment_deleted_under_an_open_replay_is_seq_truncated() {
         let dir = temp_dir("deleted-under-replay");
-        let small = SegLogConfig { segment_bytes: 256, fsync: FsyncPolicy::Never, ..Default::default() };
+        let small = SegLogConfig {
+            segment_bytes: 256,
+            fsync: FsyncPolicy::Never,
+            ..Default::default()
+        };
         for keep in [1usize, 2] {
             let _ = fs::remove_dir_all(&dir);
             {
@@ -1270,7 +1433,10 @@ mod tests {
                 }
                 assert!(log.segment_count() >= 3);
             }
-            let retention = Retention { max_segments: Some(keep), ..Retention::default() };
+            let retention = Retention {
+                max_segments: Some(keep),
+                ..Retention::default()
+            };
             let mut log = SegmentLog::open(&dir, SegLogConfig { retention, ..small }).unwrap();
             // Every segment is still there, so the replay opens; it
             // opens its files lazily, so none is held yet.
@@ -1283,7 +1449,10 @@ mod tests {
             }
             let end = replay.end_seq();
             match replay.next_record() {
-                Err(X2wError::SeqTruncated { requested, earliest }) => {
+                Err(X2wError::SeqTruncated {
+                    requested,
+                    earliest,
+                }) => {
                     assert_eq!(requested, owed, "the next seq the replay owed");
                     // keep = 1 deleted the whole snapshot; keep = 2 left
                     // its last segment, where history now starts.
@@ -1308,7 +1477,11 @@ mod tests {
     #[test]
     fn a_group_append_writes_what_single_appends_write() {
         let (one, many) = (temp_dir("group-single"), temp_dir("group-many"));
-        let config = SegLogConfig { segment_bytes: 700, fsync: FsyncPolicy::EveryN(5), ..Default::default() };
+        let config = SegLogConfig {
+            segment_bytes: 700,
+            fsync: FsyncPolicy::EveryN(5),
+            ..Default::default()
+        };
         let bodies: Vec<Vec<u8>> = (1..=90).map(payload).collect();
         let mut single = SegmentLog::open(&one, config).unwrap();
         let mut grouped = SegmentLog::open(&many, config).unwrap();
@@ -1322,13 +1495,17 @@ mod tests {
             let seqs = next as u64 + 1..;
             grouped
                 .append_group(
-                    seqs.zip(bodies).map(|(seq, b)| (seq, move |put: &mut dyn FnMut(&[u8])| in_three(b, put))),
+                    seqs.zip(bodies)
+                        .map(|(seq, b)| (seq, move |put: &mut dyn FnMut(&[u8])| in_three(b, put))),
                 )
                 .unwrap();
             next += bodies.len();
             size += 1;
             assert_eq!(grouped.last_seq(), next as u64);
-            assert!(grouped.unsynced < 5, "EveryN(5) leaves at most 4 unsynced records");
+            assert!(
+                grouped.unsynced < 5,
+                "EveryN(5) leaves at most 4 unsynced records"
+            );
         }
         assert!(single.segment_count() > 5);
         assert_eq!(grouped.segment_count(), single.segment_count());
@@ -1336,7 +1513,10 @@ mod tests {
             assert_eq!(a.base_seq, b.base_seq, "same rotation points");
             assert_eq!(fs::read(&a.path).unwrap(), fs::read(&b.path).unwrap());
         }
-        assert_eq!(collect(grouped.replay_from(1).unwrap()), collect(single.replay_from(1).unwrap()));
+        assert_eq!(
+            collect(grouped.replay_from(1).unwrap()),
+            collect(single.replay_from(1).unwrap())
+        );
         fs::remove_dir_all(&one).unwrap();
         fs::remove_dir_all(&many).unwrap();
     }
@@ -1348,7 +1528,9 @@ mod tests {
         let group = |records: [(u64, &'static [u8]); 3]| {
             records.map(|(seq, body)| (seq, move |put: &mut dyn FnMut(&[u8])| in_three(body, put)))
         };
-        let err = log.append_group(group([(0, b"zero"), (7, b"first"), (9, b"gap")])).unwrap_err();
+        let err = log
+            .append_group(group([(0, b"zero"), (7, b"first"), (9, b"gap")]))
+            .unwrap_err();
         assert_eq!(err.lost, 2, "seq 0 and the gap: {}", err.first);
         assert_eq!((log.first_seq(), log.last_seq()), (7, 7));
         // A rejected record is as if not given: 8 still continues 7.
@@ -1356,9 +1538,17 @@ mod tests {
             .append_group(group([(7, b"repeat"), (8, b"second"), (9, b"third")]))
             .unwrap_err();
         assert_eq!(err.lost, 1);
-        assert!(err.first.to_string().contains("expected seq 8, got 7"), "{}", err.first);
-        log.append_group(std::iter::empty::<(u64, fn(&mut dyn FnMut(&[u8])))>()).unwrap();
-        let seqs: Vec<u64> = collect(log.replay_from(7).unwrap()).iter().map(|(s, _)| *s).collect();
+        assert!(
+            err.first.to_string().contains("expected seq 8, got 7"),
+            "{}",
+            err.first
+        );
+        log.append_group(std::iter::empty::<(u64, fn(&mut dyn FnMut(&[u8])))>())
+            .unwrap();
+        let seqs: Vec<u64> = collect(log.replay_from(7).unwrap())
+            .iter()
+            .map(|(s, _)| *s)
+            .collect();
         assert_eq!(seqs, vec![7, 8, 9]);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1374,21 +1564,33 @@ mod tests {
         // What a reader beside the writer can find in the file: the
         // front of a group whose write has not returned — here a frame
         // that claims seq 6 and stops inside its payload.
-        let mut file = OpenOptions::new().append(true).open(segment_path(&dir, 1)).unwrap();
+        let mut file = OpenOptions::new()
+            .append(true)
+            .open(segment_path(&dir, 1))
+            .unwrap();
         file.write_all(&200u32.to_le_bytes()).unwrap();
         file.write_all(&6u64.to_le_bytes()).unwrap();
         file.write_all(b"half a payload").unwrap();
         let entries = collect(replay);
-        assert_eq!(entries.len(), 5, "the snapshot ends at its bytes, without an error");
+        assert_eq!(
+            entries.len(),
+            5,
+            "the snapshot ends at its bytes, without an error"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A valid segment image: header and `n` records of `payload(i)`.
     fn segment_image(tag: &str, n: u64, segment_bytes: u64) -> Vec<u8> {
         let dir = temp_dir(tag);
-        let config = SegLogConfig { segment_bytes, fsync: FsyncPolicy::Never, ..Default::default() };
+        let config = SegLogConfig {
+            segment_bytes,
+            fsync: FsyncPolicy::Never,
+            ..Default::default()
+        };
         let mut log = SegmentLog::open(&dir, config).unwrap();
-        log.append_group((1..=n).map(|i| (i, move |put: &mut dyn FnMut(&[u8])| put(&payload(i))))).unwrap();
+        log.append_group((1..=n).map(|i| (i, move |put: &mut dyn FnMut(&[u8])| put(&payload(i)))))
+            .unwrap();
         assert_eq!(log.segment_count(), 1);
         let image = fs::read(segment_path(&dir, 1)).unwrap();
         fs::remove_dir_all(&dir).unwrap();
@@ -1404,11 +1606,18 @@ mod tests {
         let records = &image[SEGMENT_HEADER as usize..];
         let (mut at, mut seq) = (0usize, 1u64);
         while at < records.len() {
-            let Frame::Record { seq: got, payload: whole, total } = next_frame(&records[at..], seq)
+            let Frame::Record {
+                seq: got,
+                payload: whole,
+                total,
+            } = next_frame(&records[at..], seq)
             else {
                 panic!("record {seq} of a valid segment");
             };
-            assert_eq!((got, &records[at..][whole.clone()]), (seq, &payload(seq)[..]));
+            assert_eq!(
+                (got, &records[at..][whole.clone()]),
+                (seq, &payload(seq)[..])
+            );
             for cut in 0..total {
                 match next_frame(&records[at..at + cut], seq) {
                     Frame::NeedMore(need) => assert!(need > cut && need <= total),
@@ -1425,7 +1634,10 @@ mod tests {
             seq += 1;
         }
         assert_eq!(seq, 13);
-        assert!(matches!(next_frame(&records[..40], 2), Frame::Bad(_)), "wrong seq");
+        assert!(
+            matches!(next_frame(&records[..40], 2), Frame::Bad(_)),
+            "wrong seq"
+        );
     }
 
     #[test]
@@ -1439,7 +1651,11 @@ mod tests {
         }
         let n = 140_000;
         let image = segment_image("chunks", n, 16 << 20);
-        assert!(image.len() >= 8 << 20, "an 8 MiB segment, got {}", image.len());
+        assert!(
+            image.len() >= 8 << 20,
+            "an 8 MiB segment, got {}",
+            image.len()
+        );
         let mut src = Counting(&image[..], 0);
         let mut window = Window::default();
         assert!(window.start(&mut src, image.len() as u64, 1).unwrap());
@@ -1453,8 +1669,15 @@ mod tests {
         }
         assert_eq!(seen, n);
         let reads = src.1;
-        assert!(reads <= image.len() / CHUNK + 4, "{reads} reads for {} bytes", image.len());
-        assert!(window.buf.len() == CHUNK, "the window never grew past one chunk");
+        assert!(
+            reads <= image.len() / CHUNK + 4,
+            "{reads} reads for {} bytes",
+            image.len()
+        );
+        assert!(
+            window.buf.len() == CHUNK,
+            "the window never grew past one chunk"
+        );
     }
 
     #[test]

@@ -481,6 +481,74 @@ fn sliced_crc_is_the_bitwise_crc() {
     assert_eq!(crc32(0, b""), 0);
 }
 
+/// Longest input the block-boundary sweep covers: four blocks of four
+/// 8-byte braid lanes and a tail, so every count of whole blocks up to
+/// four and every tail length meets the one-word step, the braided
+/// loop and the fold between them.
+const BRAID_SWEEP: usize = 4 * 32 + 15;
+
+#[test]
+fn the_crc_is_the_bitwise_crc_across_every_block_boundary() {
+    let mut rng = Rng(SEED ^ 3);
+    let bytes = rng.bytes(BRAID_SWEEP + 8);
+    for offset in 0..8 {
+        for len in 0..=BRAID_SWEEP {
+            let slice = &bytes[offset..offset + len];
+            assert_eq!(crc32(0, slice), bitwise_crc(0, slice), "len {len} at offset {offset}");
+            // Incremental == one-shot, at every cut and from any seed.
+            let seed = rng.next() as u32;
+            let whole = bitwise_crc(seed, slice);
+            assert_eq!(crc32(seed, slice), whole, "len {len} at offset {offset}, seed {seed:#x}");
+            for cut in 0..=len {
+                let (front, back) = slice.split_at(cut);
+                assert_eq!(crc32(crc32(seed, front), back), whole, "len {len}, cut {cut}");
+            }
+        }
+    }
+}
+
+#[test]
+fn long_inputs_have_zlibs_crc() {
+    // Computed with zlib's crc32 outside this repository, e.g.
+    // python3 -c "import zlib; print(hex(zlib.crc32(bytes(range(256)))))".
+    let counting: Vec<u8> = (0..=255).collect();
+    assert_eq!(crc32(0, &counting), 0x2905_8C73);
+    assert_eq!(crc32(0xDEAD_BEEF, &counting), 0xC2BF_5872);
+    // bytes((i * 31 + 7) % 256 for i in range(1000))
+    let strided: Vec<u8> = (0..1000u32).map(|i| ((i * 31 + 7) % 256) as u8).collect();
+    assert_eq!(crc32(0, &strided), 0x8902_161E);
+    // bytes(i % 251 for i in range(65537))
+    let modular: Vec<u8> = (0..65_537u32).map(|i| (i % 251) as u8).collect();
+    assert_eq!(crc32(0, &modular), 0xA9CC_6E73);
+}
+
+#[test]
+fn a_long_record_is_these_bytes() {
+    // One 300-byte record, bytes((i * 7 + 3) % 256 for i in range(300)),
+    // at seq 1: long enough for the braided CRC. The CRC over
+    // len ∥ seq ∥ payload was computed with zlib's crc32 outside this
+    // repository.
+    let payload: Vec<u8> = (0..300u32).map(|i| ((i * 7 + 3) % 256) as u8).collect();
+    let mut golden = header(1);
+    golden.extend_from_slice(&300u32.to_le_bytes());
+    golden.extend_from_slice(&1u64.to_le_bytes());
+    golden.extend_from_slice(&payload);
+    golden.extend_from_slice(&0xB773_A5C3u32.to_le_bytes());
+    let dir = work_dir("golden-long");
+    let mut log = SegmentLog::open(&dir, config()).unwrap();
+    log.append(1, &payload).unwrap();
+    drop(log);
+    assert_eq!(fs::read(segment(&dir, 1)).unwrap(), golden);
+
+    fs::write(segment(&dir, 1), &golden).unwrap();
+    let log = SegmentLog::open(&dir, config()).unwrap();
+    assert_eq!(log.last_seq(), 1, "recovery keeps the record");
+    let (got, ended) = drain(&log, 1);
+    assert!(ended.is_ok());
+    assert_eq!(got, vec![(1, payload)]);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn segment_version_1_is_these_bytes() {
     // Three records — empty, "abc", bytes 0..9 — from seq 1, computed
