@@ -3,12 +3,11 @@
 //!
 //! Streams are partitioned by name hash across N independent **shards**
 //! (N ≈ cores, configurable). Each shard owns a dispatch worker thread
-//! that drains a bounded MPSC queue in batches and fans `Arc<Event>`s out
-//! to that shard's subscribers, so publishers on different streams never
-//! contend on a shared lock and a slow subscriber backpressures only its
-//! own shard. Within a batch, events are grouped by stream and pushed to
-//! each subscriber under a single lock acquisition (`send_many` and
-//! friends), which is what makes high-rate fan-out cheap: per-event
+//! that drains a bounded queue in batches and fans `Arc<Event>`s out to
+//! that shard's subscribers, so publishers on different streams never
+//! contend on a shared lock. Within a batch, events are grouped by stream
+//! and pushed to each subscriber under a single lock acquisition
+//! (`send_many`), which is what makes high-rate fan-out cheap: per-event
 //! subscriber-lock cost drops from O(subscribers) to
 //! O(subscribers / batch).
 //!
@@ -18,25 +17,27 @@
 //! [`Subscription::unsubscribe`] does not return until the worker has
 //! removed the subscriber — no event is delivered after it completes.
 //!
-//! Delivery is lossless. Subscriber queues are unbounded unless the
-//! stream sets a capacity ([`StreamConfig::capacity`]); a full bounded
-//! queue makes the dispatch worker wait, which backpressures the shard.
+//! Delivery is lossless. Only the shard queue is bounded, so publishers
+//! wait while their shard is behind; subscriber queues are unbounded,
+//! so the dispatch worker never waits on a subscriber, and a slow one
+//! grows its own queue ([`Subscription::backlog`]).
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 
 use clayout::StructType;
-use crossbeam::channel::{bounded, unbounded, Receiver, SendError, Sender};
-use parking_lot::{Mutex, RwLock};
 use pbio::header::MAX_FORMAT_NAME_LEN;
 use pbio::PbioError;
 use xml2wire::seglog::{SegLogConfig, SegReplay, SegmentLog};
 
 use crate::error::BackboneError;
 use crate::filter::{FilterCache, FilterError, StreamFilter};
+use crate::queue::{self, Closed, Receiver, Sender};
+use crate::unpoisoned;
 
 /// One event on a stream: an encoded message plus routing metadata.
 ///
@@ -99,12 +100,6 @@ impl Event {
 pub struct StreamConfig {
     /// Where subscribers can discover the stream's metadata.
     pub metadata_locator: Option<String>,
-    /// Subscriber queue capacity; `None` (default) is unbounded. A full
-    /// bounded queue makes the dispatch worker wait for space, so the
-    /// whole shard (and the publishers routed to it) backpressures on
-    /// the slow subscriber and nothing is lost. `Some(0)` is clamped to
-    /// `Some(1)` at registration (rendezvous queues are not supported).
-    pub capacity: Option<usize>,
 }
 
 /// Where (and how) a durable stream's segment log lives. Passed to
@@ -166,7 +161,6 @@ struct StreamMeta {
     subscribers: AtomicUsize,
     published: AtomicU64,
     archive_errors: AtomicU64,
-    capacity: Option<usize>,
     durable: Option<DurableState>,
     /// The stream's clayout struct type, when registered — what
     /// subscription predicates resolve field names against. Capture
@@ -175,8 +169,9 @@ struct StreamMeta {
     filter_type: Mutex<Option<Arc<StructType>>>,
 }
 
-/// A subscriber as the shard worker sees it.
-#[derive(Clone)]
+/// A subscriber as the shard worker sees it. Its `tx` is the only
+/// sender of the subscriber's queue, so the queue closes when the
+/// worker drops the entry.
 struct SubEntry {
     id: u64,
     tx: Sender<Arc<Event>>,
@@ -196,8 +191,8 @@ struct SubEntry {
 /// queue with events so their ordering relative to publishes is exact.
 enum ShardMsg {
     Event(Arc<Event>),
-    Subscribe { entry: SubEntry, ack: Option<Sender<()>> },
-    Unsubscribe { stream: Arc<str>, id: u64, ack: Option<Sender<()>> },
+    Subscribe { entry: SubEntry, ack: Option<SyncSender<()>> },
+    Unsubscribe { stream: Arc<str>, id: u64 },
     /// Hands the worker a durable stream's segment log. Sent before the
     /// stream becomes publishable, so it always precedes the stream's
     /// first event on the queue.
@@ -222,8 +217,8 @@ struct Shard {
 /// How many messages a worker drains per queue lock.
 const DISPATCH_BATCH: usize = 128;
 /// How many cooperative yields a worker spins through an empty queue
-/// before parking on the channel condvar. While the worker polls,
-/// publishers pay zero wake syscalls (the channel only notifies parked
+/// before parking on the queue's condvar. While the worker polls,
+/// publishers pay zero wake syscalls (the queue only notifies parked
 /// receivers), which keeps the steady-state publish path at
 /// queue-push cost; only the first publish after an idle period pays a
 /// wake. The budget bounds idle burn to a few microseconds of yields.
@@ -258,7 +253,7 @@ impl Subscription {
     /// broker is gone, but a filtered subscriber whose predicate was
     /// invalidated by a stream-type swap gets the typed reason instead.
     fn disconnect_error(&self) -> BackboneError {
-        match self.poison.lock().clone() {
+        match unpoisoned(self.poison.lock()).clone() {
             Some(e) => BackboneError::Filter(e),
             None => BackboneError::Disconnected,
         }
@@ -273,7 +268,7 @@ impl Subscription {
     /// [`FilterError::TypeChanged`] when a stream-type swap invalidated
     /// this subscription's predicate.
     pub fn recv(&self) -> Result<Arc<Event>, BackboneError> {
-        self.receiver.recv().map_err(|_| self.disconnect_error())
+        self.receiver.recv(None).ok().flatten().ok_or_else(|| self.disconnect_error())
     }
 
     /// Waits up to `timeout` for the next event.
@@ -286,14 +281,10 @@ impl Subscription {
         &self,
         timeout: std::time::Duration,
     ) -> Result<Arc<Event>, BackboneError> {
-        match self.receiver.recv_timeout(timeout) {
-            Ok(event) => Ok(event),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                Err(BackboneError::Disconnected)
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                Err(self.disconnect_error())
-            }
+        match self.receiver.recv(Some(timeout)) {
+            Ok(Some(event)) => Ok(event),
+            Ok(None) => Err(BackboneError::Disconnected),
+            Err(Closed) => Err(self.disconnect_error()),
         }
     }
 
@@ -320,22 +311,20 @@ impl Subscription {
         if self.receiver.try_recv_batch(out, max) > 0 {
             return Ok(());
         }
-        match self.receiver.recv_timeout(timeout) {
-            Ok(event) => {
+        match self.receiver.recv(Some(timeout)) {
+            Ok(Some(event)) => {
                 out.push(event);
                 self.receiver.try_recv_batch(out, max - 1);
                 Ok(())
             }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Ok(()),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                Err(self.disconnect_error())
-            }
+            Ok(None) => Ok(()),
+            Err(Closed) => Err(self.disconnect_error()),
         }
     }
 
     /// Non-blocking poll.
     pub fn try_recv(&self) -> Option<Arc<Event>> {
-        self.receiver.try_recv().ok()
+        self.receiver.try_recv()
     }
 
     /// Number of events waiting.
@@ -343,60 +332,19 @@ impl Subscription {
         self.receiver.len()
     }
 
-    /// Synchronously deregisters this subscription: sends the
-    /// unsubscribe through the shard's dispatch queue and waits for the
-    /// worker to acknowledge it. When this returns, no further event
-    /// will be delivered to (or buffered for) this subscription; the
-    /// returned receiver holds only events that were dispatched before
-    /// deregistration took effect, for callers that want to drain them.
-    pub fn unsubscribe(self) -> Receiver<Arc<Event>> {
-        let receiver = self.receiver.clone();
-        let (ack_tx, ack_rx) = bounded(1);
-        let sent = self
+    /// Synchronously deregisters this subscription and returns its
+    /// backlog: every event dispatched to it before the shard worker
+    /// removed it, in order. No event reaches it afterwards.
+    pub fn unsubscribe(self) -> Vec<Arc<Event>> {
+        // A failed send means the worker is gone, and its entries with
+        // it. Either way the queue closes once the entry holding its
+        // only sender is dropped, and the drain ends there.
+        let _ = self
             .shard_tx
-            .send(ShardMsg::Unsubscribe {
-                stream: Arc::clone(&self.meta.name),
-                id: self.id,
-                ack: Some(ack_tx),
-            })
-            .is_ok();
-        if !sent {
-            // The worker shut down, which deregisters us too.
-            return receiver;
-        }
-        // Wait for the ack while draining our own queue: under the Block
-        // policy the worker may be parked in send_many on this very
-        // (full) queue, and it can only reach our Unsubscribe message
-        // once we make room. Drained events are kept so the returned
-        // receiver still holds the whole pre-deregistration backlog.
-        let mut drained: Vec<Arc<Event>> = Vec::new();
-        loop {
-            match ack_rx.recv_timeout(std::time::Duration::from_millis(1)) {
-                Ok(()) => break,
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    while let Ok(event) = receiver.try_recv() {
-                        drained.push(event);
-                    }
-                }
-                // The worker shut down mid-wait; that deregisters us too.
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        // Drop runs next and decrements the subscriber count; the worker
-        // ignores unsubscribes for ids it no longer knows.
-        if drained.is_empty() {
-            return receiver;
-        }
-        // Reassemble the backlog in order on a fresh channel: the events
-        // drained while waiting, then whatever is still queued.
-        let (tx, rx) = unbounded();
-        for event in drained {
-            let _ = tx.send(event);
-        }
-        while let Ok(event) = receiver.try_recv() {
-            let _ = tx.send(event);
-        }
-        rx
+            .send(ShardMsg::Unsubscribe { stream: Arc::clone(&self.meta.name), id: self.id });
+        let mut backlog = Vec::new();
+        while self.receiver.recv_batch(&mut backlog, usize::MAX).is_ok() {}
+        backlog
     }
 }
 
@@ -531,11 +479,8 @@ impl Drop for Subscription {
         self.meta.subscribers.fetch_sub(1, Ordering::SeqCst);
         // Best effort eager prune; if the queue is full the worker will
         // prune on its next failed delivery instead.
-        let _ = self.shard_tx.try_send(ShardMsg::Unsubscribe {
-            stream: Arc::clone(&self.meta.name),
-            id: self.id,
-            ack: None,
-        });
+        self.shard_tx
+            .try_send(ShardMsg::Unsubscribe { stream: Arc::clone(&self.meta.name), id: self.id });
     }
 }
 
@@ -614,7 +559,7 @@ fn enqueue_event(
         return Err(PbioError::FormatNameTooLong { len, max: MAX_FORMAT_NAME_LEN }.into());
     }
     if let Some(durable) = &meta.durable {
-        let mut next = durable.next_seq.lock();
+        let mut next = unpoisoned(durable.next_seq.lock());
         let seq = *next + 1;
         let event =
             Event { stream: Arc::clone(&meta.name), format_name, payload, seq, hops: 0 };
@@ -639,7 +584,7 @@ fn enqueue_event(
 /// fan-out delivery (see the module docs for the dispatch model).
 pub struct Broker {
     shards: Vec<Arc<Shard>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    workers: Vec<JoinHandle<()>>,
     filters: Arc<FilterCache>,
 }
 
@@ -670,7 +615,7 @@ impl Broker {
         let mut shard_vec = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
         for i in 0..shards {
-            let (tx, rx) = bounded(SHARD_QUEUE_DEPTH);
+            let (tx, rx) = queue::bounded(SHARD_QUEUE_DEPTH);
             shard_vec.push(Arc::new(Shard { meta: RwLock::new(HashMap::new()), tx }));
             let handle = std::thread::Builder::new()
                 .name(format!("broker-shard-{i}"))
@@ -678,11 +623,7 @@ impl Broker {
                 .expect("spawning broker shard worker");
             workers.push(handle);
         }
-        Broker {
-            shards: shard_vec,
-            workers: Mutex::new(workers),
-            filters: Arc::new(FilterCache::new()),
-        }
+        Broker { shards: shard_vec, workers, filters: Arc::new(FilterCache::new()) }
     }
 
     /// The number of shards this broker dispatches across.
@@ -701,21 +642,9 @@ impl Broker {
     }
 
     /// Registers a stream (idempotent; a later call may add a metadata
-    /// locator but will not erase one). Equivalent to
-    /// [`create_stream_with`](Self::create_stream_with) with the default
-    /// (unbounded) capacity.
+    /// locator but will not erase one).
     pub fn create_stream(&self, name: impl Into<String>, metadata_locator: Option<String>) {
-        self.create_stream_with(
-            name,
-            StreamConfig { metadata_locator, ..StreamConfig::default() },
-        );
-    }
-
-    /// Registers a stream with explicit queueing configuration.
-    /// Idempotent on the name: a repeat call may add a metadata locator,
-    /// but the capacity is fixed by the first registration.
-    fn create_stream_with(&self, name: impl Into<String>, config: StreamConfig) {
-        self.create_stream_inner(name.into(), config, None)
+        self.create_stream_inner(name.into(), StreamConfig { metadata_locator }, None)
             .expect("non-durable stream creation is infallible");
     }
 
@@ -726,8 +655,8 @@ impl Broker {
     ///
     /// Reopening an existing log resumes its sequence; the recovered
     /// last seq is returned. Idempotent like
-    /// [`create_stream_with`](Self::create_stream_with) — but a stream
-    /// first registered non-durable cannot be upgraded.
+    /// [`create_stream`](Self::create_stream) — but a stream first
+    /// registered non-durable cannot be upgraded.
     ///
     /// # Errors
     ///
@@ -743,7 +672,7 @@ impl Broker {
         self.create_stream_inner(name.clone(), config, Some(spec))?;
         let (_, meta) = self.lookup(&name)?;
         match &meta.durable {
-            Some(durable) => Ok(*durable.next_seq.lock()),
+            Some(durable) => Ok(*unpoisoned(durable.next_seq.lock())),
             None => Err(BackboneError::NotDurable { name }),
         }
     }
@@ -756,10 +685,10 @@ impl Broker {
     ) -> Result<(), BackboneError> {
         let shard = self.shard_for(&name);
         {
-            let meta = shard.meta.read();
+            let meta = unpoisoned(shard.meta.read());
             if let Some(existing) = meta.get(&name) {
                 if config.metadata_locator.is_some() {
-                    *existing.metadata_locator.lock() = config.metadata_locator;
+                    *unpoisoned(existing.metadata_locator.lock()) = config.metadata_locator;
                 }
                 return Ok(());
             }
@@ -783,9 +712,6 @@ impl Broker {
             subscribers: AtomicUsize::new(0),
             published: AtomicU64::new(0),
             archive_errors: AtomicU64::new(0),
-            // Clamp here rather than panic in subscribe():
-            // the channel shim rejects zero-capacity queues.
-            capacity: config.capacity.map(|cap| cap.max(1)),
             durable,
             filter_type: Mutex::new(None),
         });
@@ -801,7 +727,7 @@ impl Broker {
                 })
                 .map_err(|_| BackboneError::Disconnected)?;
         }
-        let mut meta = shard.meta.write();
+        let mut meta = unpoisoned(shard.meta.write());
         // A racing create may have won; first registration wins (its
         // RegisterLog is already queued and both logs point at the same
         // recovered state only if specs agree, so keep the incumbent).
@@ -811,9 +737,7 @@ impl Broker {
 
     fn lookup(&self, stream: &str) -> Result<(&Arc<Shard>, Arc<StreamMeta>), BackboneError> {
         let shard = self.shard_for(stream);
-        let meta = shard
-            .meta
-            .read()
+        let meta = unpoisoned(shard.meta.read())
             .get(stream)
             .cloned()
             .ok_or_else(|| BackboneError::UnknownStream { name: stream.to_owned() })?;
@@ -873,34 +797,21 @@ impl Broker {
         expr: &str,
     ) -> Result<Arc<StreamFilter>, BackboneError> {
         let (_, meta) = self.lookup(stream)?;
-        let st = meta
-            .filter_type
-            .lock()
+        let st = unpoisoned(meta.filter_type.lock())
             .clone()
             .ok_or_else(|| BackboneError::NoFilterType { name: stream.to_owned() })?;
         Ok(self.filters.get_or_compile(&st, expr)?)
     }
 
-    fn subscribe_with_ack(
-        &self,
-        stream: &str,
-        ack: Option<Sender<()>>,
-    ) -> Result<Subscription, BackboneError> {
-        self.subscribe_inner(stream, ack, None)
-    }
-
     fn subscribe_inner(
         &self,
         stream: &str,
-        ack: Option<Sender<()>>,
+        ack: Option<SyncSender<()>>,
         filter: Option<Arc<StreamFilter>>,
     ) -> Result<Subscription, BackboneError> {
         static NEXT_SUB_ID: AtomicU64 = AtomicU64::new(0);
         let (shard, meta) = self.lookup(stream)?;
-        let (tx, rx) = match meta.capacity {
-            Some(cap) => bounded(cap),
-            None => unbounded(),
-        };
+        let (tx, rx) = queue::unbounded();
         let id = NEXT_SUB_ID.fetch_add(1, Ordering::Relaxed);
         meta.subscribers.fetch_add(1, Ordering::SeqCst);
         let poison = Arc::new(Mutex::new(None));
@@ -945,7 +856,7 @@ impl Broker {
         let (shard, meta) = self.lookup(stream)?;
         let st = Arc::new(st);
         let changed = {
-            let mut guard = meta.filter_type.lock();
+            let mut guard = unpoisoned(meta.filter_type.lock());
             let changed = guard.as_ref().is_some_and(|old| {
                 pbio::format::struct_fingerprint(old) != pbio::format::struct_fingerprint(&st)
             });
@@ -967,8 +878,8 @@ impl Broker {
     /// The registered struct type of a stream, if any.
     pub fn stream_type(&self, stream: &str) -> Option<Arc<StructType>> {
         let shard = self.shard_for(stream);
-        let guard = shard.meta.read();
-        guard.get(stream).and_then(|m| m.filter_type.lock().clone())
+        let guard = unpoisoned(shard.meta.read());
+        guard.get(stream).and_then(|m| unpoisoned(m.filter_type.lock()).clone())
     }
 
     /// Counter snapshot of the broker's shared filter cache.
@@ -1000,11 +911,11 @@ impl Broker {
         if meta.durable.is_none() {
             return Err(BackboneError::NotDurable { name: stream.to_owned() });
         }
-        let (ack_tx, ack_rx) = bounded(1);
-        let live = self.subscribe_with_ack(stream, Some(ack_tx))?;
+        let (ack_tx, ack_rx) = sync_channel(1);
+        let live = self.subscribe_inner(stream, Some(ack_tx), None)?;
         ack_rx.recv().map_err(|_| BackboneError::Disconnected)?;
         let durable = meta.durable.as_ref().expect("checked above");
-        let replay = durable.log.lock().replay_from(from_seq)?;
+        let replay = unpoisoned(durable.log.lock()).replay_from(from_seq)?;
         let cutover = replay.end_seq();
         Ok(ReplaySubscription {
             replay: Some(replay),
@@ -1022,8 +933,7 @@ impl Broker {
     /// on the stream's shard and the shard's worker fans it out, so the
     /// returned count is the number of live subscriptions at publish
     /// time, not a delivery receipt. Publishers block only when their
-    /// shard's dispatch queue is full (a slow lossless subscriber
-    /// backpressures just that shard).
+    /// shard's dispatch queue is full.
     ///
     /// # Errors
     ///
@@ -1049,8 +959,8 @@ impl Broker {
     /// The metadata locator registered for a stream.
     pub fn metadata_locator(&self, stream: &str) -> Option<String> {
         let shard = self.shard_for(stream);
-        let guard = shard.meta.read();
-        guard.get(stream).and_then(|m| m.metadata_locator.lock().clone())
+        let guard = unpoisoned(shard.meta.read());
+        guard.get(stream).and_then(|m| unpoisoned(m.metadata_locator.lock()).clone())
     }
 
     /// Information about every stream, sorted by name.
@@ -1059,19 +969,17 @@ impl Broker {
             .shards
             .iter()
             .flat_map(|shard| {
-                shard
-                    .meta
-                    .read()
+                unpoisoned(shard.meta.read())
                     .values()
                     .map(|meta| StreamInfo {
                         name: meta.name.to_string(),
-                        metadata_locator: meta.metadata_locator.lock().clone(),
+                        metadata_locator: unpoisoned(meta.metadata_locator.lock()).clone(),
                         subscribers: meta.subscribers.load(Ordering::SeqCst),
                         published: meta.published.load(Ordering::Relaxed),
                         durable_seq: meta
                             .durable
                             .as_ref()
-                            .map_or(0, |d| *d.next_seq.lock()),
+                            .map_or(0, |d| *unpoisoned(d.next_seq.lock())),
                         archive_errors: meta.archive_errors.load(Ordering::Relaxed),
                     })
                     .collect::<Vec<_>>()
@@ -1089,7 +997,7 @@ impl Drop for Broker {
         for shard in &self.shards {
             let _ = shard.tx.send(ShardMsg::Shutdown);
         }
-        for worker in self.workers.lock().drain(..) {
+        for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
     }
@@ -1152,10 +1060,10 @@ fn dispatch_loop(rx: &Receiver<ShardMsg>) {
     let mut streams: ShardStreams = HashMap::new();
     let mut sinks: ShardSinks = HashMap::new();
     let mut batch: Vec<ShardMsg> = Vec::with_capacity(DISPATCH_BATCH);
+    let mut run: Vec<Arc<Event>> = Vec::with_capacity(DISPATCH_BATCH);
     let mut buckets: Vec<Bucket> = Vec::new();
     let mut preds: Vec<PredBucket> = Vec::new();
     loop {
-        batch.clear();
         // Spin-then-park: poll the queue through a bounded number of
         // yields before blocking, so a steadily publishing producer
         // never pays a wake syscall to hand us work.
@@ -1171,27 +1079,16 @@ fn dispatch_loop(rx: &Receiver<ShardMsg>) {
             }
             std::thread::yield_now();
         }
-        // Process the batch as segments: maximal runs of events are
-        // delivered grouped; control messages are applied at their exact
-        // position so subscribe/unsubscribe ordering stays strict.
-        let mut i = 0;
-        while i < batch.len() {
-            match &batch[i] {
-                ShardMsg::Event(_) => {
-                    let start = i;
-                    while i < batch.len() && matches!(batch[i], ShardMsg::Event(_)) {
-                        i += 1;
-                    }
-                    deliver_events(
-                        &mut streams,
-                        &batch[start..i],
-                        &mut buckets,
-                        &mut preds,
-                        &sinks,
-                    );
-                }
+        // Maximal runs of events are delivered grouped; a control message
+        // is applied at its exact position, after the run before it, so
+        // subscribe/unsubscribe ordering stays strict.
+        for msg in batch.drain(..) {
+            if !matches!(msg, ShardMsg::Event(_)) {
+                deliver_events(&mut streams, &mut run, &mut buckets, &mut preds, &sinks);
+            }
+            match msg {
+                ShardMsg::Event(event) => run.push(event),
                 ShardMsg::Subscribe { entry, ack } => {
-                    let entry = entry.clone();
                     streams.entry(Arc::clone(&entry.meta.name)).or_default().push(entry);
                     // The ack certifies: every event dispatched before
                     // this subscription has already been appended to its
@@ -1201,27 +1098,17 @@ fn dispatch_loop(rx: &Receiver<ShardMsg>) {
                     if let Some(ack) = ack {
                         let _ = ack.send(());
                     }
-                    i += 1;
                 }
-                ShardMsg::Unsubscribe { stream, id, ack } => {
-                    if let Some(subs) = streams.get_mut(stream.as_ref()) {
-                        subs.retain(|entry| entry.id != *id);
+                ShardMsg::Unsubscribe { stream, id } => {
+                    if let Some(subs) = streams.get_mut(&stream) {
+                        subs.retain(|entry| entry.id != id);
                     }
-                    if let Some(ack) = ack {
-                        let _ = ack.send(());
-                    }
-                    i += 1;
                 }
                 ShardMsg::RegisterLog { meta, log } => {
-                    sinks.insert(
-                        Arc::clone(&meta.name),
-                        DurableSink { log: Arc::clone(log), meta: Arc::clone(meta) },
-                    );
-                    i += 1;
+                    sinks.insert(Arc::clone(&meta.name), DurableSink { log, meta });
                 }
                 ShardMsg::Retype { stream, st, cache } => {
-                    retype_stream(&mut streams, stream, st, cache);
-                    i += 1;
+                    retype_stream(&mut streams, &stream, &st, &cache);
                 }
                 ShardMsg::Shutdown => {
                     sync_sinks(&sinks);
@@ -1229,6 +1116,7 @@ fn dispatch_loop(rx: &Receiver<ShardMsg>) {
                 }
             }
         }
+        deliver_events(&mut streams, &mut run, &mut buckets, &mut preds, &sinks);
     }
 }
 
@@ -1263,7 +1151,7 @@ fn retype_stream(
                 true
             }
             Err(e) => {
-                *entry.poison.lock() = Some(FilterError::TypeChanged {
+                *unpoisoned(entry.poison.lock()) = Some(FilterError::TypeChanged {
                     expr: filter.normalized().to_owned(),
                     detail: e.to_string(),
                 });
@@ -1277,7 +1165,7 @@ fn retype_stream(
 /// shutdown so a clean broker drop leaves nothing in page cache only.
 fn sync_sinks(sinks: &ShardSinks) {
     for sink in sinks.values() {
-        if sink.log.lock().sync().is_err() {
+        if unpoisoned(sink.log.lock()).sync().is_err() {
             sink.meta.archive_errors.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -1309,24 +1197,17 @@ struct PredBucket {
 /// (publish handles reuse the stream's canonical `Arc<str>`) beats
 /// sorting the batch by stream name. Bucket order is first-seen and
 /// indices within a bucket stay ascending, so per-stream order is
-/// preserved exactly.
+/// preserved exactly. Leaves `run` empty.
 fn deliver_events(
     streams: &mut ShardStreams,
-    run: &[ShardMsg],
+    run: &mut Vec<Arc<Event>>,
     buckets: &mut Vec<Bucket>,
     preds: &mut Vec<PredBucket>,
     sinks: &ShardSinks,
 ) {
-    fn event_of(msg: &ShardMsg) -> &Arc<Event> {
-        match msg {
-            ShardMsg::Event(event) => event,
-            _ => unreachable!("deliver_events is only called on event runs"),
-        }
-    }
-
     let mut active = 0usize;
-    for (k, msg) in run.iter().enumerate() {
-        let stream = &event_of(msg).stream;
+    for (k, event) in run.iter().enumerate() {
+        let stream = &event.stream;
         let slot = buckets[..active]
             .iter()
             .position(|bucket| {
@@ -1357,11 +1238,11 @@ fn deliver_events(
         // and is surfaced as an archive error, not a panic.
         if let Some(sink) = sinks.get(&stream) {
             let records = group.iter().filter_map(|&k| {
-                let event: &Event = event_of(&run[k as usize]);
+                let event: &Event = &run[k as usize];
                 let pieces = move |put: &mut dyn FnMut(&[u8])| put_log_record(event, put);
                 (event.seq != 0).then_some((event.seq, pieces))
             });
-            if let Err(e) = sink.log.lock().append_group(records) {
+            if let Err(e) = unpoisoned(sink.log.lock()).append_group(records) {
                 sink.meta.archive_errors.fetch_add(e.lost as u64, Ordering::Relaxed);
             }
         }
@@ -1392,7 +1273,7 @@ fn deliver_events(
                 pb.matched.clear();
                 let messages = group
                     .iter()
-                    .map(|&k| (k, event_of(&run[k as usize]).payload.as_slice()));
+                    .map(|&k| (k, run[k as usize].payload.as_slice()));
                 filter.select(messages, &mut pb.matched);
             }
             let mut pruned = false;
@@ -1414,9 +1295,8 @@ fn deliver_events(
                     // lock taken, no queue touched.
                     continue;
                 }
-                let events =
-                    idxs.iter().map(|&k| Arc::clone(event_of(&run[k as usize])));
-                if let Err(SendError(_)) = entry.tx.send_many(events) {
+                let events = idxs.iter().map(|&k| Arc::clone(&run[k as usize]));
+                if entry.tx.send_many(events).is_err() {
                     // Receiver gone: the subscription's Drop already
                     // decremented the count; just prune the entry.
                     pruned = true;
@@ -1427,12 +1307,12 @@ fn deliver_events(
                 pb.matched.clear();
             }
             if pruned {
-                // A closed receiver rejects even an empty batch.
-                subs.retain(|entry| entry.tx.try_send_many(std::iter::empty()).is_ok());
+                subs.retain(|entry| !entry.tx.is_closed());
             }
         }
         bucket.idxs.clear();
     }
+    run.clear();
 }
 
 #[cfg(test)]
@@ -1589,77 +1469,64 @@ mod tests {
         assert_eq!(keep.recv().unwrap().payload, vec![1]);
     }
 
+    /// The worker never waits on a subscriber, so an unsubscribe sent
+    /// while a publisher keeps the one shard's queue full is reached,
+    /// and returns the whole backlog of a subscriber that read nothing.
     #[test]
-    fn unsubscribe_with_full_blocking_queue_does_not_deadlock() {
-        // The shard worker parks in send_many on the subscriber's full
-        // queue; unsubscribe must make room while waiting for the ack or
-        // the whole shard wedges.
-        let broker = Broker::new();
-        broker.create_stream_with(
-            "full",
-            StreamConfig { capacity: Some(1), ..Default::default() },
-        );
-        let sub = broker.subscribe("full").unwrap();
-        for n in 0..4 {
-            broker.publish(event("full", n)).unwrap();
-        }
-        // Let the worker fill the queue and block.
-        std::thread::sleep(Duration::from_millis(50));
-        let (done_tx, done_rx) = bounded(1);
-        std::thread::spawn(move || {
-            let rest = sub.unsubscribe();
-            let mut got = Vec::new();
-            while let Ok(event) = rest.recv() {
-                got.push(event.payload[0]);
-            }
-            let _ = done_tx.send(got);
-        });
-        let got = done_rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("unsubscribe deadlocked on a full Block-policy queue");
-        // The backlog survives deregistration, in order.
-        assert_eq!(got, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn zero_capacity_is_clamped_not_a_panic() {
-        let broker = Broker::new();
-        broker.create_stream_with(
-            "tiny",
-            StreamConfig { capacity: Some(0), ..Default::default() },
-        );
-        let sub = broker.subscribe("tiny").unwrap(); // must not panic
-        // One slot: the worker waits on the second event until the
-        // first is taken, and both arrive.
-        broker.publish(event("tiny", 7)).unwrap();
-        broker.publish(event("tiny", 8)).unwrap();
-        assert_eq!(sub.recv_timeout(Duration::from_secs(2)).unwrap().payload, vec![7]);
-        assert_eq!(sub.recv_timeout(Duration::from_secs(2)).unwrap().payload, vec![8]);
-    }
-
-    #[test]
-    fn block_policy_backpressures_and_loses_nothing() {
-        let broker = Arc::new(Broker::new());
-        broker.create_stream_with(
-            "lossless",
-            StreamConfig { capacity: Some(4), ..Default::default() },
-        );
-        let sub = broker.subscribe("lossless").unwrap();
+    fn unsubscribe_returns_the_backlog_while_the_shard_queue_is_full() {
+        const EVENTS: u64 = 4 * SHARD_QUEUE_DEPTH as u64;
+        let broker = Arc::new(Broker::with_shards(1));
+        broker.create_stream("flood", None);
+        let sub = broker.subscribe("flood").unwrap();
+        let published = Arc::new(AtomicU64::new(0));
         let publisher = {
-            let broker = Arc::clone(&broker);
+            let (broker, published) = (Arc::clone(&broker), Arc::clone(&published));
             std::thread::spawn(move || {
-                for n in 0..200u8 {
-                    broker.publish(event("lossless", n)).unwrap();
+                let handle = broker.publish_handle("flood").unwrap();
+                for n in 0..EVENTS {
+                    handle.publish("F".into(), n.to_le_bytes().to_vec()).unwrap();
+                    published.store(n + 1, Ordering::SeqCst);
                 }
             })
         };
-        for n in 0..200u8 {
-            assert_eq!(
-                sub.recv_timeout(Duration::from_secs(5)).unwrap().payload,
-                vec![n]
-            );
+        while published.load(Ordering::SeqCst) < SHARD_QUEUE_DEPTH as u64 {
+            std::thread::yield_now();
+        }
+        let (done_tx, done) = sync_channel(1);
+        std::thread::spawn(move || {
+            let backlog = sub.unsubscribe();
+            let _ = done_tx.send(backlog);
+        });
+        let backlog = done
+            .recv_timeout(Duration::from_secs(10))
+            .expect("unsubscribe wedged behind a full shard queue");
+        assert!(backlog.len() >= SHARD_QUEUE_DEPTH, "backlog of {}", backlog.len());
+        for (n, event) in backlog.iter().enumerate() {
+            assert_eq!(event.payload, (n as u64).to_le_bytes(), "backlog out of order");
         }
         publisher.join().unwrap();
+    }
+
+    /// Two threads waiting on one shared subscription both wake on two
+    /// publishes: a receiver is shared by reference, and the wake
+    /// reaches every waiter.
+    #[test]
+    fn two_threads_in_recv_timeout_on_one_subscription_both_wake() {
+        let broker = Broker::with_shards(1);
+        broker.create_stream("asd", None);
+        let sub = broker.subscribe("asd").unwrap();
+        std::thread::scope(|s| {
+            let waiters: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| sub.recv_timeout(Duration::from_secs(10))))
+                .collect();
+            std::thread::sleep(Duration::from_millis(50));
+            broker.publish(event("asd", 1)).unwrap();
+            broker.publish(event("asd", 2)).unwrap();
+            let mut got: Vec<u8> =
+                waiters.into_iter().map(|w| w.join().unwrap().unwrap().payload[0]).collect();
+            got.sort_unstable();
+            assert_eq!(got, vec![1, 2]);
+        });
     }
 
     #[test]

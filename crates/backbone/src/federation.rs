@@ -77,11 +77,10 @@
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xml2wire::DiscoveryPolicy;
@@ -93,6 +92,7 @@ use crate::net::{
     Block, ClientCloser, CloseHandler, ConnId, EventClient, EventServer, Frame, NetConfig,
     Refused, RoutedHandler, ServerHandle,
 };
+use crate::unpoisoned;
 
 /// Control stream: a link's aggregated subscription request.
 const FED_SUB: &str = "x2w.fed.sub";
@@ -324,7 +324,8 @@ impl FederatedBroker {
                 ),
                 FED_UNSUB => {
                     if let Ok(name) = std::str::from_utf8(&frame.payload) {
-                        if let Some(fwd) = forwarders.lock().remove(&(conn, name.to_owned())) {
+                        let key = (conn, name.to_owned());
+                        if let Some(fwd) = unpoisoned(forwarders.lock()).remove(&key) {
                             fwd.stop_detached();
                         }
                     }
@@ -339,7 +340,7 @@ impl FederatedBroker {
             let forwarders = Arc::clone(&forwarders);
             Arc::new(move |conn| {
                 // Runs on a transport thread: signal, never join.
-                let mut map = forwarders.lock();
+                let mut map = unpoisoned(forwarders.lock());
                 let keys: Vec<(ConnId, String)> =
                     map.keys().filter(|(c, _)| *c == conn).cloned().collect();
                 for key in keys {
@@ -373,7 +374,7 @@ impl FederatedBroker {
 
     /// Number of live forwarders (one per (connection, stream)).
     pub fn forwarder_count(&self) -> usize {
-        self.forwarders.lock().len()
+        unpoisoned(self.forwarders.lock()).len()
     }
 }
 
@@ -383,7 +384,7 @@ impl Drop for FederatedBroker {
         // then let the server drop join its transport threads (its
         // close callbacks find an empty map).
         let drained: Vec<Forwarder> = {
-            let mut map = self.forwarders.lock();
+            let mut map = unpoisoned(self.forwarders.lock());
             map.drain().map(|(_, fwd)| fwd).collect()
         };
         for fwd in drained {
@@ -407,7 +408,7 @@ fn handle_subscribe(
 ) -> Option<Frame> {
     let (from_seq, name, predicate) = decode_sub(payload)?;
     let key = (conn, name.to_owned());
-    if forwarders.lock().contains_key(&key) {
+    if unpoisoned(forwarders.lock()).contains_key(&key) {
         // Duplicate subscribe on a live link: the existing forwarder
         // already covers it; re-acking keeps the operation idempotent.
         return Some(Frame::new(FED_SUBOK, encode_control(0, name)));
@@ -451,7 +452,7 @@ fn handle_subscribe(
             .spawn(move || forward_loop(feed, filter, &handle, conn, &stop))
             .ok()?
     };
-    forwarders.lock().insert(key, Forwarder { stop, thread: Some(thread) });
+    unpoisoned(forwarders.lock()).insert(key, Forwarder { stop, thread: Some(thread) });
     Some(Frame::new(FED_SUBOK, encode_control(cutover, name)))
 }
 
@@ -685,7 +686,7 @@ impl Drop for FederationLink {
         self.stop.store(true, Ordering::SeqCst);
         // Unblock a receive in progress; the loop re-checks `stop`
         // before any reconnect, so this ends the thread promptly.
-        if let Some(closer) = self.closer.lock().as_ref() {
+        if let Some(closer) = unpoisoned(self.closer.lock()).as_ref() {
             closer.close();
         }
         if let Some(thread) = self.thread.take() {
@@ -745,7 +746,7 @@ fn link_loop(
     let mut attempt: u32 = 0;
     while !stop.load(Ordering::SeqCst) {
         if let Ok(mut client) = EventClient::connect(addr) {
-            *closer.lock() = client.closer().ok();
+            *unpoisoned(closer.lock()) = client.closer().ok();
             if stop.load(Ordering::SeqCst) {
                 break; // raced Drop: its close may have missed the slot
             }
@@ -762,7 +763,7 @@ fn link_loop(
                 pump_link(&mut client, &mut routes, config, &mut filters, stop, counters);
                 counters.connected.store(false, Ordering::SeqCst);
             }
-            *closer.lock() = None;
+            *unpoisoned(closer.lock()) = None;
         }
         if stop.load(Ordering::SeqCst) {
             break;

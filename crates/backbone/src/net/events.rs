@@ -47,14 +47,14 @@ use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, PoisonError};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use polling::{Interest, Poller, Waker};
 
 use crate::error::BackboneError;
+use crate::unpoisoned;
 
 use super::machine::{Block, ConnMachine};
 use super::{CloseHandler, ConnId, NetCounters, RoutedHandler, WRITER_QUEUE_DEPTH};
@@ -130,7 +130,7 @@ impl ShardShared {
     /// in flight, so a second kernel wakeup would be redundant.
     fn enqueue(&self, cmd: Cmd) {
         let was_empty = {
-            let mut inbox = self.inbox.lock();
+            let mut inbox = unpoisoned(self.inbox.lock());
             let was_empty = inbox.is_empty();
             inbox.push_back(cmd);
             was_empty
@@ -144,7 +144,7 @@ impl ShardShared {
     /// (frames landed in a machine, a connection removed) and wakes the
     /// pushers waiting for exactly that.
     fn release(&self, change: impl FnOnce(&mut HashMap<ConnId, usize>)) {
-        let mut inflight = self.inflight.lock();
+        let mut inflight = unpoisoned(self.inflight.lock());
         change(&mut inflight.counts);
         if inflight.waiting > 0 {
             self.drained.notify_all();
@@ -214,18 +214,14 @@ impl Shared {
     /// retry re-encodes nothing; `Gone` is tallied in `pushes_dropped`.
     pub(super) fn push(&self, conn: ConnId, block: Block) -> Result<(), (Refused, Block)> {
         let shard = self.shard_for(conn);
-        let mut inflight = shard.inflight.lock();
+        let mut inflight = unpoisoned(shard.inflight.lock());
         let mut waited = false;
         loop {
             match self.admit(&mut inflight, conn, block.frames()) {
                 Ok(()) => break,
                 Err(Refused::Busy) if !waited => {
                     inflight.waiting += 1;
-                    inflight = shard
-                        .drained
-                        .wait_timeout(inflight, PUSH_PATIENCE)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0;
+                    inflight = unpoisoned(shard.drained.wait_timeout(inflight, PUSH_PATIENCE)).0;
                     inflight.waiting -= 1;
                     waited = true;
                 }
@@ -393,7 +389,7 @@ fn accept_loop(
                 // The inflight entry goes in before the Register
                 // command: a handler-triggered push racing the accept
                 // sees the connection as live, not Gone.
-                shard.inflight.lock().counts.insert(id, 0);
+                unpoisoned(shard.inflight.lock()).counts.insert(id, 0);
                 shard.enqueue(Cmd::Register(id, stream));
             }
             Err(_) => {
@@ -481,7 +477,7 @@ impl Shard {
         // Shutdown: pushes still sitting in the inbox are definitively
         // dropped — count them so a fanout racing shutdown never loses
         // frames without trace.
-        let pending = std::mem::take(&mut *self.shared.inbox.lock());
+        let pending = std::mem::take(&mut *unpoisoned(self.shared.inbox.lock()));
         for cmd in pending {
             if let Cmd::Push(_, block) = cmd {
                 self.counters.note_dropped(block.frames());
@@ -507,7 +503,7 @@ impl Shard {
         // one syscall each.
         loop {
             {
-                let mut inbox = self.shared.inbox.lock();
+                let mut inbox = unpoisoned(self.shared.inbox.lock());
                 if inbox.is_empty() {
                     break;
                 }

@@ -630,9 +630,9 @@ impl ClientCloser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
     use std::io::BufReader;
     use std::net::Shutdown;
+    use std::sync::Mutex;
     use std::time::Duration;
 
     /// Two shards, so the sharded dispatch path is exercised and not
@@ -660,7 +660,7 @@ mod tests {
             EventServer::bind(
                 "127.0.0.1:0",
                 Arc::new(move |conn, frame: Frame| {
-                    *subscriber.lock() = Some(conn);
+                    *subscriber.lock().unwrap() = Some(conn);
                     Some(frame) // ack the subscribe
                 }),
                 None,
@@ -670,7 +670,7 @@ mod tests {
         };
         let mut client = EventClient::connect(server.local_addr()).unwrap();
         let _ = client.request(&Frame::new("subscribe", vec![])).unwrap();
-        let conn = subscriber.lock().expect("handler saw the subscribe");
+        let conn = subscriber.lock().unwrap().expect("handler saw the subscribe");
         (server, client, conn)
     }
 

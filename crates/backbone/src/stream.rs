@@ -1,15 +1,15 @@
 //! Capture points and consumers: the discover → subscribe → decode
 //! pipeline of Figure 3.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use clayout::Record;
-use parking_lot::Mutex;
 use pbio::Format;
 use xml2wire::Xml2Wire;
 
 use crate::broker::{Broker, PublishHandle, Subscription};
 use crate::error::BackboneError;
+use crate::unpoisoned;
 
 /// A capture point: publishes records of one format onto one stream
 /// (the FAA feed, the NOAA feed, the data-mining process of §2).
@@ -79,7 +79,7 @@ impl CapturePoint {
     ///
     /// Encoding or broker failures.
     pub fn publish(&self, record: &Record) -> Result<usize, BackboneError> {
-        let mut scratch = self.scratch.lock();
+        let mut scratch = unpoisoned(self.scratch.lock());
         self.publish_from(&mut scratch, record)
     }
 
@@ -90,7 +90,7 @@ impl CapturePoint {
     ///
     /// As [`publish`](Self::publish); stops at the first failure.
     pub fn publish_batch(&self, records: &[Record]) -> Result<usize, BackboneError> {
-        let mut scratch = self.scratch.lock();
+        let mut scratch = unpoisoned(self.scratch.lock());
         let mut total = 0;
         for record in records {
             total += self.publish_from(&mut scratch, record)?;

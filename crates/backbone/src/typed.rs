@@ -16,16 +16,16 @@
 //! filters, federation links and durable logs all work unchanged.
 
 use std::marker::PhantomData;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use clayout::Architecture;
-use parking_lot::Mutex;
 use pbio::{Format, FormatId, Xml2WireRecord};
 use xml2wire::Xml2Wire;
 
 use crate::broker::{Broker, Event, PublishHandle, Subscription};
 use crate::error::BackboneError;
+use crate::unpoisoned;
 
 /// Publishes derived records of type `T` onto one stream.
 ///
@@ -86,7 +86,7 @@ impl<T: Xml2WireRecord> TypedCapture<T> {
     ///
     /// Encoding or broker failures.
     pub fn publish(&self, value: &T) -> Result<usize, BackboneError> {
-        let mut scratch = self.scratch.lock();
+        let mut scratch = unpoisoned(self.scratch.lock());
         pbio::ndr::encode_typed_into(&mut scratch, value, &self.format)?;
         self.handle.publish(Arc::clone(&self.format_name), scratch.to_vec())
     }
@@ -98,7 +98,7 @@ impl<T: Xml2WireRecord> TypedCapture<T> {
     ///
     /// As [`publish`](Self::publish); stops at the first failure.
     pub fn publish_batch(&self, values: &[T]) -> Result<usize, BackboneError> {
-        let mut scratch = self.scratch.lock();
+        let mut scratch = unpoisoned(self.scratch.lock());
         let mut total = 0;
         for value in values {
             pbio::ndr::encode_typed_into(&mut scratch, value, &self.format)?;

@@ -9,11 +9,10 @@
 //! and the server keeps serving the survivors throughout.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use backbone::net::{Block, ConnId, EventClient, EventServer, Frame, NetConfig};
-use parking_lot::Mutex;
 
 fn eventually(mut cond: impl FnMut() -> bool) -> bool {
     let deadline = Instant::now() + Duration::from_secs(20);
@@ -44,7 +43,7 @@ fn push_vs_kill_churn() {
         EventServer::bind(
             "127.0.0.1:0",
             Arc::new(move |conn, frame: Frame| {
-                known.lock().push(conn);
+                known.lock().unwrap().push(conn);
                 Some(frame)
             }),
             None,
@@ -60,8 +59,8 @@ fn push_vs_kill_churn() {
         let _ = client.request(&Frame::new("hello", vec![1])).unwrap();
         clients.push(client);
     }
-    assert!(eventually(|| known.lock().len() >= CLIENTS));
-    let targets: Vec<ConnId> = known.lock().clone();
+    assert!(eventually(|| known.lock().unwrap().len() >= CLIENTS));
+    let targets: Vec<ConnId> = known.lock().unwrap().clone();
 
     // Pushers hammer one- and three-frame blocks at every known
     // connection while the killer drops clients under them. Refused
@@ -148,7 +147,7 @@ fn pushes_racing_server_shutdown_are_counted_or_returned() {
         EventServer::bind(
             "127.0.0.1:0",
             Arc::new(move |conn, frame: Frame| {
-                known.lock().push(conn);
+                known.lock().unwrap().push(conn);
                 Some(frame)
             }),
             None,
@@ -158,7 +157,7 @@ fn pushes_racing_server_shutdown_are_counted_or_returned() {
     };
     let mut client = EventClient::connect(server.local_addr()).unwrap();
     let _ = client.request(&Frame::new("hello", vec![1])).unwrap();
-    let conn = *known.lock().first().expect("handler saw the hello");
+    let conn = *known.lock().unwrap().first().expect("handler saw the hello");
     let handle = server.handle();
 
     let pusher = std::thread::spawn(move || {

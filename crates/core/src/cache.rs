@@ -20,11 +20,12 @@
 //! closure when the chain fails, and the other way round.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::discovery::{DiscoveryChain, DiscoveryStats, Extent};
 use crate::error::X2wError;
+use crate::unpoisoned;
 
 /// How long a thread waits on another thread's fetch before giving up.
 /// Chain fetches are themselves deadline-bounded, so this only turns a
@@ -59,12 +60,12 @@ struct Slot {
 pub(crate) struct SchemaCache {
     chain: DiscoveryChain,
     /// Each locator's slots, indexed by [`Extent`].
-    slots: parking_lot::Mutex<HashMap<String, [Slot; 2]>>,
+    slots: Mutex<HashMap<String, [Slot; 2]>>,
 }
 
 impl SchemaCache {
     pub(crate) fn new(chain: DiscoveryChain) -> Self {
-        let slots = parking_lot::Mutex::default();
+        let slots = Mutex::default();
         SchemaCache { chain, slots }
     }
 
@@ -83,7 +84,7 @@ impl SchemaCache {
     /// young enough is on hand.
     pub(crate) fn fetch(&self, locator: &str, extent: Extent) -> Result<Arc<String>, X2wError> {
         let flight = {
-            let mut slots = self.slots.lock();
+            let mut slots = unpoisoned(self.slots.lock());
             let slot = &mut slots.entry(locator.to_owned()).or_default()[extent as usize];
             if let Some(flight) = &slot.flight {
                 let flight = Arc::clone(flight);
@@ -107,7 +108,7 @@ impl SchemaCache {
 
     fn lead_fetch(&self, locator: &str, extent: Extent) -> Result<Arc<String>, X2wError> {
         let fetched = self.chain.fetch_extent(locator, extent);
-        let mut slots = self.slots.lock();
+        let mut slots = unpoisoned(self.slots.lock());
         let slot = &mut slots.get_mut(locator).expect("a flight's slot stays")[extent as usize];
         match (fetched, &slot.last_good) {
             (Ok(document), _) => {
@@ -142,9 +143,9 @@ impl Drop for Landing<'_> {
         let outcome = self.outcome.take();
         let outcome = outcome.unwrap_or_else(|| Err("the fetch in flight panicked".to_owned()));
         let flight = &self.flight;
-        *flight.done.lock().unwrap_or_else(PoisonError::into_inner) = Some(outcome);
+        *unpoisoned(flight.done.lock()) = Some(outcome);
         flight.cv.notify_all();
-        if let Some(slots) = self.cache.slots.lock().get_mut(self.locator) {
+        if let Some(slots) = unpoisoned(self.cache.slots.lock()).get_mut(self.locator) {
             slots[self.extent as usize].flight = None;
         }
     }
@@ -152,11 +153,12 @@ impl Drop for Landing<'_> {
 
 /// Waits for `flight` to land, rebuilding its error for `locator`.
 fn wait_for(flight: &Flight, locator: &str) -> Result<Arc<String>, X2wError> {
-    let done = flight.done.lock().unwrap_or_else(PoisonError::into_inner);
-    let (done, _) = flight
-        .cv
-        .wait_timeout_while(done, FLIGHT_WAIT_CAP, |done| done.is_none())
-        .unwrap_or_else(PoisonError::into_inner);
+    let done = unpoisoned(flight.done.lock());
+    let (done, _) = unpoisoned(
+        flight
+            .cv
+            .wait_timeout_while(done, FLIGHT_WAIT_CAP, |done| done.is_none()),
+    );
     let why = match done.as_ref() {
         Some(Ok(document)) => return Ok(Arc::clone(document)),
         Some(Err(error)) => format!("shared in-flight fetch failed: {error}"),

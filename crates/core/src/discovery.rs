@@ -13,13 +13,13 @@ use std::collections::HashMap;
 use std::convert::Infallible;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-use parking_lot::RwLock;
 use pbio::Memo;
 
 use crate::error::X2wError;
+use crate::unpoisoned;
 use crate::url::Locator;
 
 /// Deadlines and retry discipline for one remote metadata fetch.
@@ -402,7 +402,7 @@ pub struct CompiledSource {
 impl std::fmt::Debug for CompiledSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledSource")
-            .field("documents", &self.documents.read().len())
+            .field("documents", &unpoisoned(self.documents.read()).len())
             .finish()
     }
 }
@@ -416,13 +416,13 @@ impl CompiledSource {
     /// Adds a compiled-in document for `locator` (builder style).
     #[must_use]
     pub fn with_document(self, locator: impl Into<String>, document: impl Into<String>) -> Self {
-        self.documents.write().insert(locator.into(), document.into());
+        unpoisoned(self.documents.write()).insert(locator.into(), document.into());
         self
     }
 
     /// Adds a compiled-in document for `locator`.
     pub fn add(&self, locator: impl Into<String>, document: impl Into<String>) {
-        self.documents.write().insert(locator.into(), document.into());
+        unpoisoned(self.documents.write()).insert(locator.into(), document.into());
     }
 }
 
@@ -432,7 +432,7 @@ impl DiscoverySource for CompiledSource {
     }
 
     fn fetch(&self, locator: &str) -> Result<String, X2wError> {
-        self.documents.read().get(locator).cloned().ok_or_else(|| X2wError::Discovery {
+        unpoisoned(self.documents.read()).get(locator).cloned().ok_or_else(|| X2wError::Discovery {
             locator: locator.to_owned(),
             attempts: vec!["no compiled-in document under that locator".to_owned()],
         })

@@ -81,3 +81,9 @@ pub use url::Locator;
 // brings in both — the serde convention.
 pub use pbio::Xml2WireRecord;
 pub use x2w_derive::Xml2WireRecord;
+
+/// Unwraps a `std::sync` lock result, using the data even when a thread
+/// panicked while it held the lock.
+fn unpoisoned<G>(result: std::sync::LockResult<G>) -> G {
+    result.unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -23,16 +23,16 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
-use parking_lot::RwLock;
 use xsdlite::Schema;
 
 use crate::discovery::{DiscoveryPolicy, DiscoveryStats, Extent};
 use crate::error::X2wError;
+use crate::unpoisoned;
 use crate::url::Locator;
 
 /// Cap on the request line + headers of one inbound request. A
@@ -113,7 +113,7 @@ pub struct MetadataServer {
     wakeups: Arc<AtomicU64>,
     /// Closing the sender (in `Drop`) is what tells the worker pool to
     /// finish its queue and exit.
-    work_tx: Option<Sender<TcpStream>>,
+    work_tx: Option<SyncSender<TcpStream>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -146,18 +146,21 @@ impl MetadataServer {
         // Connection handling keeps its per-request read deadlines (the
         // PR-3 slow-loris hardening), so one dripping client stalls one
         // worker for at most ~5s, not forever.
-        let (work_tx, work_rx) = bounded::<TcpStream>(WORKER_QUEUE_DEPTH);
+        let (work_tx, work_rx) = sync_channel::<TcpStream>(WORKER_QUEUE_DEPTH);
+        let work_rx: Arc<Mutex<Receiver<TcpStream>>> = Arc::new(Mutex::new(work_rx));
         let mut workers = Vec::with_capacity(WORKER_POOL_SIZE);
         for index in 0..WORKER_POOL_SIZE {
             let routes = Arc::clone(&routes);
-            let work_rx: Receiver<TcpStream> = work_rx.clone();
+            let work_rx = Arc::clone(&work_rx);
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("metadata-worker-{index}"))
-                    .spawn(move || {
-                        while let Ok(stream) = work_rx.recv() {
-                            let _ = handle_connection(stream, &routes);
-                        }
+                    .spawn(move || loop {
+                        // One statement, so the lock is released before
+                        // the connection is served.
+                        let next = unpoisoned(work_rx.lock()).recv();
+                        let Ok(stream) = next else { break };
+                        let _ = handle_connection(stream, &routes);
                     })?,
             );
         }
@@ -193,8 +196,7 @@ impl MetadataServer {
     /// Publishes a static document at `path` (replacing any previous
     /// one — metadata updates are how format evolution propagates).
     pub fn publish(&self, path: &str, document: impl Into<String>) {
-        self.routes
-            .write()
+        unpoisoned(self.routes.write())
             .documents
             .insert(path.to_owned(), Published::new(document.into()));
     }
@@ -204,8 +206,7 @@ impl MetadataServer {
     /// full request path including any query string, enabling
     /// "format-scoping" responses based on requestor attributes.
     pub fn publish_dynamic(&self, prefix: &str, generator: Generator) {
-        self.routes
-            .write()
+        unpoisoned(self.routes.write())
             .generators
             .push((prefix.to_owned(), generator));
     }
@@ -219,7 +220,11 @@ impl MetadataServer {
 
     /// Paths of all static documents currently published.
     pub fn published_paths(&self) -> Vec<String> {
-        let mut paths: Vec<String> = self.routes.read().documents.keys().cloned().collect();
+        let mut paths: Vec<String> = unpoisoned(self.routes.read())
+            .documents
+            .keys()
+            .cloned()
+            .collect();
         paths.sort();
         paths
     }
@@ -253,7 +258,7 @@ const WORKER_QUEUE_DEPTH: usize = 64;
 
 fn serve_loop(
     listener: &TcpListener,
-    work_tx: &Sender<TcpStream>,
+    work_tx: &SyncSender<TcpStream>,
     stop: &Arc<AtomicBool>,
     wakeups: &Arc<AtomicU64>,
 ) {
@@ -437,8 +442,7 @@ fn handle_connection(stream: TcpStream, routes: &RwLock<Routes>) -> std::io::Res
             );
         }
         let bare = path.split('?').next().unwrap_or(path).to_owned();
-        routes
-            .write()
+        unpoisoned(routes.write())
             .documents
             .insert(bare, Published::new(document));
         return respond(&mut stream, 201, "registered", "text/plain");
@@ -451,7 +455,7 @@ fn handle_connection(stream: TcpStream, routes: &RwLock<Routes>) -> std::io::Res
     // neither is copied. A generator serves what it generates, whatever
     // the request asked.
     let bare = path.split('?').next().unwrap_or(path);
-    let published = routes.read().documents.get(bare).cloned();
+    let published = unpoisoned(routes.read()).documents.get(bare).cloned();
     if let Some(published) = published {
         let document = if closure {
             published.closure()
@@ -461,7 +465,7 @@ fn handle_connection(stream: TcpStream, routes: &RwLock<Routes>) -> std::io::Res
         return respond(&mut stream, 200, document, "text/xml");
     }
     let generated = {
-        let routes = routes.read();
+        let routes = unpoisoned(routes.read());
         routes
             .generators
             .iter()

@@ -3,12 +3,12 @@
 //! a Catalog is kept of known format definitions").
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 use clayout::StructType;
-use parking_lot::RwLock;
 
 use crate::error::PbioError;
+use crate::unpoisoned;
 
 /// A thread-safe map from format name to its (fully resolved) struct
 /// type, consulted when a new format composes previously defined ones.
@@ -27,13 +27,13 @@ impl Catalog {
     /// `Arc<StructType>` is shared as it is, not copied.
     pub fn insert(&self, st: impl Into<Arc<StructType>>) -> Arc<StructType> {
         let entry = st.into();
-        self.entries.write().insert(entry.name.clone(), Arc::clone(&entry));
+        unpoisoned(self.entries.write()).insert(entry.name.clone(), Arc::clone(&entry));
         entry
     }
 
     /// Looks up a definition by name.
     pub fn get(&self, name: &str) -> Option<Arc<StructType>> {
-        self.entries.read().get(name).cloned()
+        unpoisoned(self.entries.read()).get(name).cloned()
     }
 
     /// Looks up a definition, reporting an error for unknown names — the
@@ -49,12 +49,12 @@ impl Catalog {
 
     /// Whether a name is defined.
     pub fn contains(&self, name: &str) -> bool {
-        self.entries.read().contains_key(name)
+        unpoisoned(self.entries.read()).contains_key(name)
     }
 
     /// Number of definitions.
     pub fn len(&self) -> usize {
-        self.entries.read().len()
+        unpoisoned(self.entries.read()).len()
     }
 
     /// Whether the catalog is empty.
@@ -64,7 +64,7 @@ impl Catalog {
 
     /// All defined names, sorted (deterministic for tooling output).
     pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.entries.read().keys().cloned().collect();
+        let mut names: Vec<String> = unpoisoned(self.entries.read()).keys().cloned().collect();
         names.sort();
         names
     }

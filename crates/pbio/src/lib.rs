@@ -100,3 +100,9 @@ pub use memo::{Memo, MemoStats};
 pub use registry::FormatRegistry;
 pub use typed::Xml2WireRecord;
 pub use view::{ArrayView, FieldView, RecordView};
+
+/// Unwraps a `std::sync` lock result, using the data even when a thread
+/// panicked while it held the lock.
+fn unpoisoned<G>(result: std::sync::LockResult<G>) -> G {
+    result.unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -9,9 +9,9 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
-use parking_lot::RwLock;
+use crate::unpoisoned;
 
 /// Counter snapshot of a [`Memo`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -64,12 +64,12 @@ impl<K: Eq + Hash, V> Memo<K, V> {
         key: K,
         build: impl FnOnce() -> Result<V, E>,
     ) -> Result<Arc<V>, E> {
-        if let Some(value) = self.map.read().get(&key) {
+        if let Some(value) = unpoisoned(self.map.read()).get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(value));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut map = self.map.write();
+        let mut map = unpoisoned(self.map.write());
         if let Some(value) = map.get(&key) {
             return Ok(Arc::clone(value));
         }
@@ -81,7 +81,7 @@ impl<K: Eq + Hash, V> Memo<K, V> {
 
     /// Drops every resident value `keep` refuses.
     pub fn retain(&self, mut keep: impl FnMut(&Arc<V>) -> bool) {
-        self.map.write().retain(|_, value| keep(value));
+        unpoisoned(self.map.write()).retain(|_, value| keep(value));
     }
 
     /// The resident entries, in no particular order.
@@ -89,8 +89,7 @@ impl<K: Eq + Hash, V> Memo<K, V> {
     where
         K: Clone,
     {
-        self.map
-            .read()
+        unpoisoned(self.map.read())
             .iter()
             .map(|(key, value)| (key.clone(), Arc::clone(value)))
             .collect()
@@ -102,7 +101,7 @@ impl<K: Eq + Hash, V> Memo<K, V> {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             built: self.built.load(Ordering::Relaxed),
-            resident: self.map.read().len(),
+            resident: unpoisoned(self.map.read()).len(),
         }
     }
 }

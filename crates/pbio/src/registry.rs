@@ -1,13 +1,13 @@
 //! The format registry: id assignment and lookup.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 use clayout::{Architecture, StructType};
-use parking_lot::RwLock;
 
 use crate::error::PbioError;
 use crate::format::{Format, FormatId};
+use crate::unpoisoned;
 
 /// A thread-safe registry of message formats.
 ///
@@ -81,7 +81,7 @@ impl FormatRegistry {
         arch: Architecture,
     ) -> Result<Arc<Format>, PbioError> {
         let struct_type = struct_type.into();
-        let mut inner = self.inner.write();
+        let mut inner = unpoisoned(self.inner.write());
         if let Some(id) = inner.current_by_name.get(&struct_type.name) {
             let existing = &inner.by_id[id];
             if existing.struct_type() == &*struct_type && existing.arch() == &arch {
@@ -97,7 +97,7 @@ impl FormatRegistry {
 
     /// Looks a format up by id (any version ever registered).
     pub fn by_id(&self, id: FormatId) -> Option<Arc<Format>> {
-        self.inner.read().by_id.get(&id).cloned()
+        unpoisoned(self.inner.read()).by_id.get(&id).cloned()
     }
 
     /// Finds the format with this name and structure fingerprint (any
@@ -106,7 +106,7 @@ impl FormatRegistry {
     /// was encoded with. Two hash probes; a scan only if two names'
     /// fingerprints ever collide.
     pub fn by_fingerprint(&self, name: &str, fingerprint: u64) -> Option<Arc<Format>> {
-        let inner = self.inner.read();
+        let inner = unpoisoned(self.inner.read());
         let first = inner.by_id.get(inner.by_fingerprint.get(&fingerprint)?)?;
         if first.name() == name {
             return Some(Arc::clone(first));
@@ -116,7 +116,7 @@ impl FormatRegistry {
 
     /// Looks up the *current* version of a name.
     pub fn by_name(&self, name: &str) -> Option<Arc<Format>> {
-        let inner = self.inner.read();
+        let inner = unpoisoned(self.inner.read());
         let id = inner.current_by_name.get(name)?;
         inner.by_id.get(id).cloned()
     }
@@ -132,7 +132,7 @@ impl FormatRegistry {
 
     /// Number of formats (all versions) registered.
     pub fn len(&self) -> usize {
-        self.inner.read().by_id.len()
+        unpoisoned(self.inner.read()).by_id.len()
     }
 
     /// Whether the registry is empty.
@@ -142,7 +142,7 @@ impl FormatRegistry {
 
     /// Names with a current registration, in no particular order.
     pub fn names(&self) -> Vec<String> {
-        self.inner.read().current_by_name.keys().cloned().collect()
+        unpoisoned(self.inner.read()).current_by_name.keys().cloned().collect()
     }
 }
 

@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hub = Arc::new(Broker::new());
     let recovered = hub.create_stream_durable(
         ASD_STREAM,
-        StreamConfig { metadata_locator: Some(asd_url.clone()), ..StreamConfig::default() },
+        StreamConfig { metadata_locator: Some(asd_url.clone()) },
         DurableSpec::new(log_dir.join("asd")),
     )?;
     println!(
