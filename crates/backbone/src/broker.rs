@@ -211,6 +211,11 @@ enum ShardMsg {
 /// feeding this shard's worker.
 struct Shard {
     meta: RwLock<HashMap<String, Arc<StreamMeta>>>,
+    /// Held by a stream's creation from the registry check to the
+    /// insert, so a durable stream's log is opened once and the log the
+    /// registry holds is the one the worker appends to. Lookups and
+    /// publishes never take it.
+    create: Mutex<()>,
     tx: Sender<ShardMsg>,
 }
 
@@ -616,7 +621,8 @@ impl Broker {
         let mut workers = Vec::with_capacity(shards);
         for i in 0..shards {
             let (tx, rx) = queue::bounded(SHARD_QUEUE_DEPTH);
-            shard_vec.push(Arc::new(Shard { meta: RwLock::new(HashMap::new()), tx }));
+            let (meta, create) = (RwLock::new(HashMap::new()), Mutex::new(()));
+            shard_vec.push(Arc::new(Shard { meta, create, tx }));
             let handle = std::thread::Builder::new()
                 .name(format!("broker-shard-{i}"))
                 .spawn(move || dispatch_loop(&rx))
@@ -684,6 +690,7 @@ impl Broker {
         spec: Option<DurableSpec>,
     ) -> Result<(), BackboneError> {
         let shard = self.shard_for(&name);
+        let _creating = unpoisoned(shard.create.lock());
         {
             let meta = unpoisoned(shard.meta.read());
             if let Some(existing) = meta.get(&name) {
@@ -693,7 +700,8 @@ impl Broker {
                 return Ok(());
             }
         }
-        // Open the log (possibly slow recovery I/O) outside any lock.
+        // Open the log (possibly slow recovery I/O) outside the registry
+        // lock: lookups and publishes go on meanwhile.
         let durable = match spec {
             None => None,
             Some(spec) => {
@@ -727,11 +735,7 @@ impl Broker {
                 })
                 .map_err(|_| BackboneError::Disconnected)?;
         }
-        let mut meta = unpoisoned(shard.meta.write());
-        // A racing create may have won; first registration wins (its
-        // RegisterLog is already queued and both logs point at the same
-        // recovered state only if specs agree, so keep the incumbent).
-        meta.entry(name).or_insert(stream_meta);
+        unpoisoned(shard.meta.write()).insert(name, stream_meta);
         Ok(())
     }
 
@@ -1549,6 +1553,49 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn racing_durable_creates_share_one_log() {
+        // Two threads create the same durable streams at once, in the
+        // same order. Each stream must be opened once: the log the
+        // worker appends to is the log a replay snapshots, so a replay
+        // after three publishes cuts over at seq 3. One shard keeps the
+        // two creators on one registry; rounds make the race likely.
+        const ROUNDS: usize = 20;
+        const STREAMS: usize = 200;
+        let log = SegLogConfig { fsync: xml2wire::FsyncPolicy::Never, ..SegLogConfig::default() };
+        for round in 0..ROUNDS {
+            let dir = temp_dir(&format!("race-{round}"));
+            let broker = Arc::new(Broker::with_shards(1));
+            let barrier = Arc::new(std::sync::Barrier::new(2));
+            let creators: Vec<_> = (0..2)
+                .map(|_| {
+                    let (broker, barrier, dir) =
+                        (Arc::clone(&broker), Arc::clone(&barrier), dir.clone());
+                    std::thread::spawn(move || {
+                        barrier.wait();
+                        for s in 0..STREAMS {
+                            let (name, config) = (format!("s{s}"), StreamConfig::default());
+                            let spec = DurableSpec { dir: dir.join(&name), log };
+                            broker.create_stream_durable(&name, config, spec).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            for creator in creators {
+                creator.join().unwrap();
+            }
+            for s in 0..STREAMS {
+                let name = format!("s{s}");
+                for n in 0..3 {
+                    broker.publish(event(&name, n)).unwrap();
+                }
+                let replay = broker.subscribe_replay(&name, 1).unwrap();
+                assert_eq!(replay.cutover_seq(), 3, "round {round}: {name}");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -21,11 +21,11 @@
 //! dedup key) → per-architecture compilation to [`Op`] programs with
 //! short-circuit jumps. Every leaf is one `(field, Test)`: typecheck
 //! coerces the literals once to the field's class, and the compiled op
-//! loads the field through the sender's [`ScalarCode`] (the code the
-//! encode and view plans use) before running the test, which the
-//! decode-side oracle runs too. Programs are cached per sender layout
-//! inside a [`StreamFilter`] and shared across subscribers through the
-//! [`FilterCache`], a [`Memo`] keyed by
+//! loads the field through the sender's [`ScalarCode`] (the code in the
+//! sender's layout, which the encoder and the view use) before running
+//! the test, which the decode-side oracle runs too. Programs are cached
+//! per sender layout inside a [`StreamFilter`] and shared across
+//! subscribers through the [`FilterCache`], a [`Memo`] keyed by
 //! `(struct fingerprint, normalized expression)` with hit/miss stats.
 //!
 //! Evaluation is fail-closed: a payload whose header does not parse,
@@ -39,7 +39,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use clayout::{Architecture, CType, Layout, Scalar, ScalarCode, StructType, Value};
+use clayout::{Access, Architecture, CType, Layout, Scalar, ScalarCode, StructType, Value};
 use pbio::header::WireHeader;
 use pbio::{Memo, MemoStats};
 
@@ -959,15 +959,15 @@ fn compile(
     let layout = Layout::of_struct(st, arch).map_err(|e| FilterError::Layout {
         detail: e.to_string(),
     })?;
-    let pointer = ScalarCode::unsigned(arch.pointer.size, arch.endianness);
-    // Where each field sits and how it loads: its primitive's code, or
-    // the pointer's for a string (typecheck admits nothing else).
+    // Where each field sits and how it loads: its number's code, or its
+    // pointer's for a string (typecheck admits nothing else).
     let slot = |field: usize| {
-        let load = match &st.fields[field].ty {
-            CType::Prim(p) => ScalarCode::of(*p, arch),
-            _ => pointer,
+        let field = &layout.fields[field];
+        let load = match field.access {
+            Access::Scalar(code) | Access::Str(code) => code,
+            _ => unreachable!("typecheck admits only number and string fields"),
         };
-        (layout.fields[field].offset as u32, load)
+        (field.offset as u32, load)
     };
     let mut ops = Vec::new();
     emit(expr, &slot, &mut ops);

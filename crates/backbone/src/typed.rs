@@ -5,10 +5,10 @@
 //! [`CapturePoint`](crate::CapturePoint) and the dynamic
 //! subscribe/decode pipeline, on the same marshaler: registration
 //! materializes the derived descriptor once, the publish path runs the
-//! format's encode plan over the struct's fields
+//! format's layout over the struct's fields
 //! (`pbio::ndr::encode_typed_into`), and the receive path reads each
-//! event's `RecordView` — over the subscriber's format's view plan, or
-//! the sender's for a foreign architecture — into `T`
+//! event's `RecordView` — over the subscriber's format's layout, or the
+//! sender's for a foreign architecture — into `T`
 //! (`pbio::ndr::decode_typed`).
 //!
 //! A typed producer's stream carries the bytes and the registered struct
@@ -31,8 +31,8 @@ use crate::unpoisoned;
 ///
 /// Like [`CapturePoint`](crate::CapturePoint), the publish route is
 /// pinned at creation time (resolved format, shard handle, pooled
-/// scratch buffer), and a publish runs the format's encode plan; the
-/// plan reads the struct's fields instead of a `Record`'s.
+/// scratch buffer), and a publish runs the format's layout over the
+/// struct's fields instead of a `Record`'s.
 #[derive(Debug)]
 pub struct TypedCapture<T: Xml2WireRecord> {
     /// Kept so the broker's dispatch workers outlive the capture point.
@@ -129,7 +129,7 @@ impl<T: Xml2WireRecord> TypedCapture<T> {
 #[derive(Debug)]
 pub struct TypedSubscriber<T: Xml2WireRecord> {
     subscription: Subscription,
-    /// `T` on this host: its view plan reads host-architecture events.
+    /// `T` on this host: its layout reads host-architecture events.
     format: Format,
     _record: PhantomData<fn() -> T>,
 }

@@ -9,9 +9,11 @@
 //! pointer swizzling PBIO performs so a buffer is position-independent.
 
 use crate::arch::Architecture;
-use crate::ctype::{ArrayLen, CType, StructType};
+use crate::ctype::StructType;
 use crate::error::LayoutError;
-use crate::layout::{align_up, Layout, Scalar, ScalarCode, ScalarKind};
+use crate::layout::{
+    align_up, Access, ArrayAccess, ArrayCount, Layout, Scalar, ScalarCode, ScalarKind,
+};
 use crate::value::{Record, Value};
 
 /// A native byte image of one record on one architecture.
@@ -34,20 +36,21 @@ impl Image {
 // Encoding
 // ---------------------------------------------------------------------------
 
-/// What an [`EncodePlan`] reads a record's values from.
+/// What the encoder ([`encode_record_into`]) reads a record's values
+/// from.
 ///
 /// A [`Record`] is one source, and so is every struct
 /// `#[derive(Xml2WireRecord)]` binds, answering field `idx` with its
 /// `idx`-th declared field.
 pub trait Source {
     /// Field `idx`, named `name`, or `None` when the record lacks it. A
-    /// dynamic array's count field may be absent: the plan writes it from
-    /// the array's length.
+    /// dynamic array's count field may be absent: the encoder writes it
+    /// from the array's length.
     fn field(&self, idx: usize, name: &str) -> Option<SourceValue<'_>>;
 }
 
-/// One value a [`Source`] hands an [`EncodePlan`]. The plan checks its
-/// kind and range against the slot it is written to.
+/// One value a [`Source`] hands the encoder, which checks its kind and
+/// range against the slot it is written to.
 #[derive(Clone, Copy)]
 pub enum SourceValue<'a> {
     /// A signed integer.
@@ -118,11 +121,12 @@ impl<'a> SourceValue<'a> {
         }
     }
 
-    fn as_array(self) -> Option<Items<'a>> {
+    /// The items of an array value, or a type mismatch on `field`.
+    fn items(self, field: &str) -> Result<Items<'a>, LayoutError> {
         match self {
-            SourceValue::Array(items) => Some(items),
-            SourceValue::Value(v) => v.as_array().map(Items::Values),
-            _ => None,
+            SourceValue::Array(items) => Ok(items),
+            SourceValue::Value(Value::Array(v)) => Ok(Items::Values(v)),
+            _ => Err(mismatch(field, "array", self)),
         }
     }
 
@@ -135,7 +139,7 @@ impl<'a> SourceValue<'a> {
     }
 }
 
-// One slice type per item type, so a plan walks an array's items with
+// One slice type per item type, so the encoder walks an array's items with
 // no call per item; each item type converts to a `SourceValue` as given.
 macro_rules! items {
     ($($variant:ident($t:ty): |$v:ident| $value:expr,)*) => {
@@ -215,104 +219,11 @@ impl Source for Record {
     }
 }
 
-/// A struct type's encoder on one architecture, compiled once: per
-/// field, the slot offset and what to write there, with every width,
-/// byte order, stride, alignment and count-field link resolved from the
-/// layout at build time. [`encode_record_into`] runs it in one pass over
-/// any [`Source`]; per message it only type-checks and range-checks the
-/// values.
-#[derive(Debug, Clone)]
-pub struct EncodePlan {
-    name: String,
-    size: usize,
-    /// The code of a pointer slot (strings, dynamic arrays).
-    pointer: ScalarCode,
-    fields: Vec<FieldOp>,
-}
-
-#[derive(Debug, Clone)]
-struct FieldOp {
-    name: String,
-    offset: usize,
-    op: Op,
-}
-
-#[derive(Debug, Clone)]
-enum Op {
-    Scalar(ScalarCode),
-    /// The count field of the dynamic array at field index `array` (the
-    /// first one naming it): written from the array's length when the
-    /// record omits it.
-    Count { code: ScalarCode, array: usize },
-    String,
-    Struct(EncodePlan),
-    Fixed { elem: Box<Op>, stride: usize, len: usize },
-    /// `count` is the field index of the array's count field.
-    Dynamic { elem: Box<Op>, stride: usize, align: usize, count: usize },
-}
-
-impl EncodePlan {
-    /// Compiles the encoder of `st` on `arch`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates layout validation failures.
-    pub fn new(st: &StructType, arch: &Architecture) -> Result<EncodePlan, LayoutError> {
-        Layout::validate(st)?;
-        let op = |ty: &CType| -> Result<Op, LayoutError> {
-            Ok(match ty {
-                CType::Prim(p) => Op::Scalar(ScalarCode::of(*p, arch)),
-                CType::String => Op::String,
-                CType::Struct(inner) => Op::Struct(EncodePlan::new(inner, arch)?),
-                CType::Array { .. } => {
-                    return Err(LayoutError::NestedArray { field: String::new() })
-                }
-            })
-        };
-        let mut fields = Vec::with_capacity(st.fields.len());
-        let size = Layout::place(st, arch, |field, offset, _| {
-            let op = match &field.ty {
-                CType::Array { elem, len } => {
-                    let sa = Layout::size_align(elem, arch)?;
-                    let elem = Box::new(op(elem)?);
-                    match len {
-                        ArrayLen::Fixed(len) => Op::Fixed { elem, stride: sa.size, len: *len },
-                        ArrayLen::CountField(count_name) => Op::Dynamic {
-                            elem,
-                            stride: sa.size,
-                            align: sa.align,
-                            count: st.field_index(count_name).ok_or_else(|| {
-                                LayoutError::MissingCountField {
-                                    array: field.name.clone(),
-                                    count_field: count_name.clone(),
-                                }
-                            })?,
-                        },
-                    }
-                }
-                other => op(other)?,
-            };
-            fields.push(FieldOp { name: field.name.clone(), offset, op });
-            Ok(())
-        })?
-        .size;
-        // A scalar that some dynamic array names as its count field is
-        // that array's (the first such array's) count.
-        for array in 0..fields.len() {
-            if let Op::Dynamic { count, .. } = fields[array].op {
-                if let Op::Scalar(code) = fields[count].op {
-                    fields[count].op = Op::Count { code, array };
-                }
-            }
-        }
-        Ok(EncodePlan {
-            name: st.name.clone(),
-            size,
-            pointer: ScalarCode::unsigned(arch.pointer.size, arch.endianness),
-            fields,
-        })
-    }
-
+// The encoder: one pass of a struct type's [`Layout`] over a `Source`,
+// every width, byte order, stride, alignment and count-field link read
+// from the layout's accessors; per message only the values are
+// type-checked and range-checked.
+impl Layout {
     /// Writes `record` into the struct slot at `base`; the image began
     /// at `image_start` (pointers are image-relative, not
     /// buffer-relative: the image may sit after other content, e.g. a
@@ -325,40 +236,42 @@ impl EncodePlan {
         record: &S,
     ) -> Result<(), LayoutError> {
         for (idx, field) in self.fields.iter().enumerate() {
-            let at = base + field.offset;
-            match (record.field(idx, &field.name), &field.op) {
-                (Some(value), Op::Dynamic { elem, stride, align, count }) => {
-                    let items =
-                        value.as_array().ok_or_else(|| mismatch(&field.name, "array", value))?;
-                    let supplied = record.field(*count, &self.fields[*count].name);
-                    self.check_count(supplied, idx, items)?;
-                    let len = items.len();
-                    if len == 0 {
-                        // The slot stays the null pointer it was zero-filled to.
-                        continue;
-                    }
-                    // Align the region within the *image*, not the buffer.
-                    let region_rel = align_up(buf.len() - image_start, *align);
-                    let region = image_start + region_rel;
-                    buf.resize(region + len * stride, 0);
-                    let name = &field.name;
-                    self.point(buf, at, region_rel, name)?;
-                    self.encode_elements(buf, image_start, region, *stride, elem, items, name)?;
-                }
-                (Some(value), Op::Count { code, array }) => {
-                    // A wrong count is reported where the count or its
-                    // array comes first, as one validation pass up front
-                    // would report it.
-                    self.check_count(Some(value), *array, self.items_of(record, *array)?)?;
-                    encode_scalar(buf, at, *code, value, &field.name)?;
-                }
-                (Some(value), op) => self.encode_at(buf, image_start, at, value, op, &field.name)?,
-                (None, Op::Count { code, array }) => {
-                    let n = self.items_of(record, *array)?.len() as u64;
-                    encode_scalar(buf, at, *code, SourceValue::UInt(n), &field.name)?;
-                }
-                (None, _) => return Err(LayoutError::MissingField { field: field.name.clone() }),
+            let (at, name) = (base + field.offset, &field.name);
+            let value = record.field(idx, name);
+            if let Some(array) = field.count_of {
+                // A wrong count is reported where the count or its
+                // array comes first, as one validation pass up front
+                // would report it.
+                let items = self.items_of(record, array)?;
+                self.check_count(value, array, items)?;
+                let value = value.unwrap_or(SourceValue::UInt(items.len() as u64));
+                encode_at(buf, image_start, at, value, &field.access, name)?;
+                continue;
             }
+            let value = value.ok_or_else(|| LayoutError::MissingField {
+                field: name.clone(),
+            })?;
+            let Access::Array(array) = &field.access else {
+                encode_at(buf, image_start, at, value, &field.access, name)?;
+                continue;
+            };
+            let ArrayCount::Counted(slot) = array.count else {
+                encode_at(buf, image_start, at, value, &field.access, name)?;
+                continue;
+            };
+            let items = value.items(name)?;
+            let supplied = record.field(slot.field, &self.fields[slot.field].name);
+            self.check_count(supplied, idx, items)?;
+            if items.len() == 0 {
+                // The slot stays the null pointer it was zero-filled to.
+                continue;
+            }
+            // Align the region within the *image*, not the buffer.
+            let region_rel = align_up(buf.len() - image_start, array.align);
+            let region = image_start + region_rel;
+            buf.resize(region + items.len() * array.stride, 0);
+            point(buf, at, slot.pointer, region_rel, name)?;
+            encode_elements(buf, image_start, region, array, items, name)?;
         }
         Ok(())
     }
@@ -371,10 +284,10 @@ impl EncodePlan {
         array: usize,
     ) -> Result<Items<'r>, LayoutError> {
         let name = &self.fields[array].name;
-        let value = record
-            .field(array, name)
-            .ok_or_else(|| LayoutError::MissingField { field: name.clone() })?;
-        value.as_array().ok_or_else(|| mismatch(name, "array", value))
+        let missing = || LayoutError::MissingField {
+            field: name.clone(),
+        };
+        record.field(array, name).ok_or_else(missing)?.items(name)
     }
 
     /// Refuses a count the record supplies that is not the length of
@@ -396,88 +309,92 @@ impl EncodePlan {
             _ => Ok(()),
         }
     }
+}
 
-    /// Points the slot at `at` to image-relative `target`, if a pointer
-    /// slot can hold it.
-    #[inline]
-    fn point(
-        &self,
-        buf: &mut [u8],
-        at: usize,
-        target: usize,
-        field: &str,
-    ) -> Result<(), LayoutError> {
-        let target = target as u64;
-        self.pointer
-            .write(buf, at, Scalar::UInt(target), field)
-            .map_err(|_| LayoutError::BadPointer { field: field.to_owned(), target })
-    }
+/// Points the slot at `at`, of code `pointer`, to image-relative
+/// `target`, if the slot can hold it.
+#[inline]
+fn point(
+    buf: &mut [u8],
+    at: usize,
+    pointer: ScalarCode,
+    target: usize,
+    field: &str,
+) -> Result<(), LayoutError> {
+    let target = target as u64;
+    pointer
+        .write(buf, at, Scalar::UInt(target), field)
+        .map_err(|_| LayoutError::BadPointer {
+            field: field.to_owned(),
+            target,
+        })
+}
 
-    /// Writes one value of a non-dynamic-array kind at `at`.
-    #[inline]
-    fn encode_at(
-        &self,
-        buf: &mut Vec<u8>,
-        image_start: usize,
-        at: usize,
-        value: SourceValue<'_>,
-        op: &Op,
-        field: &str,
-    ) -> Result<(), LayoutError> {
-        match op {
-            Op::Scalar(code) | Op::Count { code, .. } => {
-                encode_scalar(buf, at, *code, value, field)
-            }
-            Op::String => {
-                let s = value.as_str().ok_or_else(|| mismatch(field, "string", value))?;
-                let target = buf.len() - image_start;
-                self.point(buf, at, target, field)?;
-                buf.extend_from_slice(s.as_bytes());
-                buf.push(0);
-                Ok(())
-            }
-            Op::Struct(inner) => {
-                let rec = value.as_record().ok_or_else(|| {
-                    mismatch(field, &format!("record of struct {}", inner.name), value)
-                })?;
-                inner.encode_struct(buf, image_start, at, rec)
-            }
-            Op::Fixed { elem, stride, len } => {
-                let items = value.as_array().ok_or_else(|| mismatch(field, "array", value))?;
-                if items.len() != *len {
+/// Writes one value at `at`: anything but a dynamic array, which only a
+/// struct's own field can be and `encode_struct` writes.
+#[inline]
+fn encode_at(
+    buf: &mut Vec<u8>,
+    image_start: usize,
+    at: usize,
+    value: SourceValue<'_>,
+    access: &Access,
+    field: &str,
+) -> Result<(), LayoutError> {
+    match access {
+        Access::Scalar(code) => encode_scalar(buf, at, *code, value, field),
+        Access::Str(pointer) => {
+            let s = value
+                .as_str()
+                .ok_or_else(|| mismatch(field, "string", value))?;
+            let target = buf.len() - image_start;
+            point(buf, at, *pointer, target, field)?;
+            buf.extend_from_slice(s.as_bytes());
+            buf.push(0);
+            Ok(())
+        }
+        Access::Struct(inner) => {
+            let rec = value.as_record().ok_or_else(|| {
+                mismatch(field, &format!("record of struct {}", inner.name), value)
+            })?;
+            inner.encode_struct(buf, image_start, at, rec)
+        }
+        Access::Array(array) => match array.count {
+            ArrayCount::Fixed(len) => {
+                let items = value.items(field)?;
+                if items.len() != len {
                     return Err(LayoutError::ArrayLengthMismatch {
                         field: field.to_owned(),
-                        declared: *len,
+                        declared: len,
                         actual: items.len(),
                     });
                 }
-                self.encode_elements(buf, image_start, at, *stride, elem, items, field)
+                encode_elements(buf, image_start, at, array, items, field)
             }
-            // Dynamic arrays are fields only (the layout engine admits
-            // no arrays of arrays) and `encode_struct` writes them.
-            Op::Dynamic { .. } => Err(LayoutError::NestedArray { field: field.to_owned() }),
-        }
+            // The layout engine admits no arrays of arrays.
+            ArrayCount::Counted(_) => Err(LayoutError::NestedArray {
+                field: field.to_owned(),
+            }),
+        },
     }
+}
 
-    /// Writes `items` at `start`, `stride` bytes apart.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn encode_elements(
-        &self,
-        buf: &mut Vec<u8>,
-        image_start: usize,
-        start: usize,
-        stride: usize,
-        elem: &Op,
-        items: Items<'_>,
-        field: &str,
-    ) -> Result<(), LayoutError> {
-        if let Op::Scalar(code) = elem {
-            let slots = &mut buf[start..start + items.len() * stride];
-            return items.each(|i, item| encode_scalar(slots, i * stride, *code, item, field));
-        }
-        items.each(|i, item| self.encode_at(buf, image_start, start + i * stride, item, elem, field))
+/// Writes `items`, the elements of `array`, from `start`.
+#[inline]
+fn encode_elements(
+    buf: &mut Vec<u8>,
+    image_start: usize,
+    start: usize,
+    array: &ArrayAccess,
+    items: Items<'_>,
+    field: &str,
+) -> Result<(), LayoutError> {
+    let (elem, stride) = (&array.elem, array.stride);
+    if let Access::Scalar(code) = *elem {
+        let slots = &mut buf[start..start + items.len() * stride];
+        return items.each(|i, item| encode_scalar(slots, i * stride, code, item, field));
     }
+    items.each(|i, item| encode_at(buf, image_start, start + i * stride, item, elem, field))
 }
 
 fn mismatch(field: &str, expected: &str, found: SourceValue<'_>) -> LayoutError {
@@ -497,17 +414,12 @@ fn encode_scalar(
     value: SourceValue<'_>,
     field: &str,
 ) -> Result<(), LayoutError> {
-    let number = match code.kind {
-        ScalarKind::Float => {
-            Scalar::Float(value.as_f64().ok_or_else(|| mismatch(field, "float", value))?)
-        }
-        ScalarKind::Int => {
-            Scalar::Int(value.as_i64().ok_or_else(|| mismatch(field, "int", value))?)
-        }
-        ScalarKind::UInt => {
-            Scalar::UInt(value.as_u64().ok_or_else(|| mismatch(field, "uint", value))?)
-        }
+    let (number, expected) = match code.kind {
+        ScalarKind::Float => (value.as_f64().map(Scalar::Float), "float"),
+        ScalarKind::Int => (value.as_i64().map(Scalar::Int), "int"),
+        ScalarKind::UInt => (value.as_u64().map(Scalar::UInt), "uint"),
     };
+    let number = number.ok_or_else(|| mismatch(field, expected, value))?;
     code.write(buf, at, number, field)
 }
 
@@ -526,10 +438,10 @@ pub fn encode_record(
     st: &StructType,
     arch: &Architecture,
 ) -> Result<Image, LayoutError> {
-    let plan = EncodePlan::new(st, arch)?;
-    let mut buf = Vec::with_capacity(plan.size);
-    let fixed_len = encode_record_into(&mut buf, record, &plan)?;
-    Ok(Image { bytes: buf, fixed_len })
+    let layout = Layout::of_struct(st, arch)?;
+    let mut bytes = Vec::with_capacity(layout.size);
+    let fixed_len = encode_record_into(&mut bytes, record, &layout)?;
+    Ok(Image { bytes, fixed_len })
 }
 
 /// Appends a native byte image of `record` to `buf`, reusing the
@@ -540,8 +452,9 @@ pub fn encode_record(
 /// The image starts at `buf.len()` at entry; image-relative pointers
 /// (strings, dynamic arrays) are measured from there, so the appended
 /// bytes are exactly what [`encode_record`] would have produced on an
-/// empty buffer. `plan` is the struct type's compiled encoder — callers
-/// that encode at rate (pbio's `Format`) build it once. Each field is
+/// empty buffer. `layout` is the struct type's layout on the target
+/// architecture — callers that encode at rate (pbio's `Format`) build it
+/// once. Each field is
 /// asked of the source at the field's own index, so a [`Record`] built
 /// in declaration order is never searched by name. Returns the image's
 /// fixed-part length.
@@ -553,18 +466,18 @@ pub fn encode_record(
 pub fn encode_record_into<S: Source + ?Sized>(
     buf: &mut Vec<u8>,
     record: &S,
-    plan: &EncodePlan,
+    layout: &Layout,
 ) -> Result<usize, LayoutError> {
     let image_start = buf.len();
-    buf.resize(image_start + plan.size, 0);
-    plan.encode_struct(buf, image_start, image_start, record)?;
-    Ok(plan.size)
+    buf.resize(image_start + layout.size, 0);
+    layout.encode_struct(buf, image_start, image_start, record)?;
+    Ok(layout.size)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctype::{Primitive, StructField};
+    use crate::ctype::{CType, Primitive, StructField};
 
     fn prim(p: Primitive) -> CType {
         CType::Prim(p)
@@ -582,13 +495,27 @@ mod tests {
                 StructField::new("n", prim(Primitive::Int)),
             ],
         );
-        let declared = Record::new().with("a", vec![7i64, -8]).with("s", "hi").with("n", 2i64);
-        let shuffled = Record::new().with("n", 2i64).with("s", "hi").with("a", vec![7i64, -8]);
+        let declared = Record::new()
+            .with("a", vec![7i64, -8])
+            .with("s", "hi")
+            .with("n", 2i64);
+        let shuffled = Record::new()
+            .with("n", 2i64)
+            .with("s", "hi")
+            .with("a", vec![7i64, -8]);
         let count_omitted = Record::new().with("s", "hi").with("a", vec![7i64, -8]);
         for arch in Architecture::ALL {
             let image = encode_record(&declared, &st, &arch).unwrap();
-            assert_eq!(encode_record(&shuffled, &st, &arch).unwrap(), image, "{arch}");
-            assert_eq!(encode_record(&count_omitted, &st, &arch).unwrap(), image, "{arch}");
+            assert_eq!(
+                encode_record(&shuffled, &st, &arch).unwrap(),
+                image,
+                "{arch}"
+            );
+            assert_eq!(
+                encode_record(&count_omitted, &st, &arch).unwrap(),
+                image,
+                "{arch}"
+            );
         }
     }
 
@@ -647,12 +574,19 @@ mod tests {
     fn fixed_array_length_mismatch_is_rejected() {
         let st = StructType::new(
             "t",
-            vec![StructField::new("a", CType::fixed_array(prim(Primitive::Int), 3))],
+            vec![StructField::new(
+                "a",
+                CType::fixed_array(prim(Primitive::Int), 3),
+            )],
         );
         let rec = Record::new().with("a", vec![1i64, 2]);
         assert!(matches!(
             encode_record(&rec, &st, &Architecture::X86_64),
-            Err(LayoutError::ArrayLengthMismatch { declared: 3, actual: 2, .. })
+            Err(LayoutError::ArrayLengthMismatch {
+                declared: 3,
+                actual: 2,
+                ..
+            })
         ));
     }
 

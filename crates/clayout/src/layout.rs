@@ -1,17 +1,19 @@
-//! The C struct layout algorithm: `sizeof`, `alignof`, field offsets.
+//! The C struct layout algorithm: `sizeof`, `alignof`, field offsets,
+//! and the accessor every reader of an image goes through.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use crate::arch::{Architecture, Endianness, SizeAlign};
 use crate::ctype::{ArrayLen, CType, Primitive, StructField, StructType};
 use crate::error::LayoutError;
 
-/// How one primitive is stored on one architecture — width,
-/// signedness, float-ness and byte order resolved once into a small
-/// `Copy` code, so compiled plans ([`EncodePlan`](crate::image::EncodePlan),
-/// pbio's view and conversion plans) read and write scalars without
-/// consulting the [`Architecture`] again. It is the one codec for
-/// numbers in an image.
+/// How one primitive is stored — width, signedness, float-ness and byte
+/// order resolved once into a small `Copy` code, so the readers of a
+/// [`Layout`] (the encoder, pbio's views, conversion plans and filter
+/// programs) read and write scalars without consulting the
+/// [`Architecture`] again. It is the one codec for numbers in an image,
+/// and in XDR and CDR bodies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScalarCode {
     pub(crate) kind: ScalarKind,
@@ -42,7 +44,9 @@ pub enum Scalar {
 /// callers verify extents first.
 #[inline(always)]
 fn bytes_at<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
-    bytes[at..at + N].try_into().expect("the range is N bytes long")
+    bytes[at..at + N]
+        .try_into()
+        .expect("the range is N bytes long")
 }
 
 impl ScalarCode {
@@ -53,16 +57,30 @@ impl ScalarCode {
     /// Panics if `arch` gives the primitive a width other than 1, 2, 4
     /// or 8 bytes (4 or 8 for floats); no such machine is modelled.
     pub fn of(prim: Primitive, arch: &Architecture) -> ScalarCode {
-        let size = arch.primitive(prim).size;
+        ScalarCode::new(prim, arch.primitive(prim).size, arch.endianness)
+    }
+
+    /// The code of a `prim` stored in `width` bytes in `endianness`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is not 1, 2, 4 or 8 (4 or 8 for floats).
+    pub fn new(prim: Primitive, width: usize, endianness: Endianness) -> ScalarCode {
         let kind = if prim.is_float() {
-            assert!(matches!(size, 4 | 8), "no scalar code for a {size}-byte {prim}");
+            assert!(
+                matches!(width, 4 | 8),
+                "no scalar code for a {width}-byte {prim}"
+            );
             ScalarKind::Float
         } else if prim.is_signed_integer() {
             ScalarKind::Int
         } else {
             ScalarKind::UInt
         };
-        ScalarCode { kind, ..ScalarCode::unsigned(size, arch.endianness) }
+        ScalarCode {
+            kind,
+            ..ScalarCode::unsigned(width, endianness)
+        }
     }
 
     /// The code of a `size`-byte unsigned slot (pointer slots, unsigned
@@ -72,7 +90,10 @@ impl ScalarCode {
     ///
     /// Panics if `size` is not 1, 2, 4 or 8.
     pub fn unsigned(size: usize, endianness: Endianness) -> ScalarCode {
-        assert!(matches!(size, 1 | 2 | 4 | 8), "no scalar code for a {size}-byte integer");
+        assert!(
+            matches!(size, 1 | 2 | 4 | 8),
+            "no scalar code for a {size}-byte integer"
+        );
         ScalarCode {
             kind: ScalarKind::UInt,
             width: size as u8,
@@ -179,10 +200,15 @@ fn out_of_range(value: Scalar, field: &str, width: usize) -> LayoutError {
         Scalar::UInt(v) => v.to_string(),
         Scalar::Float(v) => v.to_string(),
     };
-    LayoutError::ValueOutOfRange { field: field.to_owned(), value, width }
+    LayoutError::ValueOutOfRange {
+        field: field.to_owned(),
+        value,
+        width,
+    }
 }
 
-/// The placement of one field inside a laid-out struct.
+/// The placement of one field inside a laid-out struct, and how its
+/// slot is read and written.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FieldLayout {
     /// Field name.
@@ -195,19 +221,80 @@ pub struct FieldLayout {
     pub size: usize,
     /// Alignment requirement of the field.
     pub align: usize,
-    /// The field's C type.
-    pub ty: CType,
+    /// How the slot is read and written.
+    pub access: Access,
+    /// The field index of the first dynamic array that names this field
+    /// as its count: the encoder writes the field from that array's
+    /// length when a record omits it.
+    pub(crate) count_of: Option<usize>,
 }
 
-/// A fully laid-out struct on a specific architecture.
+/// How one value is read and written on a layout's architecture.
+// Composite accessors sit behind their own `Arc` so a reader that owns a
+// layout can hand a nested view or an array iterator a share of exactly
+// the node it reads through.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Access {
+    /// A number, stored as this code says.
+    Scalar(ScalarCode),
+    /// A string, behind a pointer slot of this code.
+    Str(ScalarCode),
+    /// A nested struct.
+    Struct(Arc<Layout>),
+    /// An array.
+    Array(Arc<ArrayAccess>),
+}
+
+/// How an array field's elements are laid out.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ArrayAccess {
+    /// How each element is read and written.
+    pub elem: Access,
+    /// Bytes from one element to the next.
+    pub stride: usize,
+    /// The element's alignment: where a dynamic array's region starts.
+    pub align: usize,
+    /// How many elements there are.
+    pub count: ArrayCount,
+}
+
+/// An array's element count.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ArrayCount {
+    /// A fixed array, inline in the fixed part.
+    Fixed(usize),
+    /// A dynamic array, behind a pointer slot, counted by a field of the
+    /// enclosing struct.
+    Counted(CountSlot),
+}
+
+/// Where a dynamic array's count and elements are found.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CountSlot {
+    /// The count field's index in the enclosing struct.
+    pub field: usize,
+    /// The count slot's offset in the enclosing struct.
+    pub offset: usize,
+    /// How the count is stored.
+    pub code: ScalarCode,
+    /// The code of the array's own pointer slot.
+    pub pointer: ScalarCode,
+}
+
+/// A struct type laid out on one architecture: its size, alignment and
+/// every field's placement and accessor, compiled once. The encoder,
+/// pbio's views, conversion plans and filter programs all read it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Layout {
+    /// The struct type's name, for the encoder's error texts.
+    pub(crate) name: String,
     /// `sizeof` the struct, including trailing padding.
     pub size: usize,
     /// `alignof` the struct (max field alignment, min 1).
     pub align: usize,
     /// Field placements in declaration order.
     pub fields: Vec<FieldLayout>,
+    arch: Architecture,
 }
 
 impl Layout {
@@ -223,12 +310,17 @@ impl Layout {
             CType::String => Ok(arch.pointer),
             CType::Array { elem, len } => {
                 if matches!(**elem, CType::Array { .. }) {
-                    return Err(LayoutError::NestedArray { field: String::new() });
+                    return Err(LayoutError::NestedArray {
+                        field: String::new(),
+                    });
                 }
                 match len {
                     ArrayLen::Fixed(n) => {
                         let elem_sa = Layout::size_align(elem, arch)?;
-                        Ok(SizeAlign { size: elem_sa.size * n, align: elem_sa.align })
+                        Ok(SizeAlign {
+                            size: elem_sa.size * n,
+                            align: elem_sa.align,
+                        })
                     }
                     // Dynamic arrays occupy a pointer slot in the struct.
                     ArrayLen::CountField(_) => Ok(arch.pointer),
@@ -244,19 +336,15 @@ impl Layout {
     /// `slot` every field with its offset and size/alignment in
     /// declaration order (an error from `slot` ends the walk), and
     /// returns the struct's own size and alignment. Allocates nothing:
-    /// this is the walk behind [`of_struct`](Self::of_struct) and behind
-    /// every compiled plan.
-    ///
-    /// Only the walk: names and count-field references are checked by
-    /// [`of_struct`](Self::of_struct) (and `EncodePlan::new`) before they
-    /// walk, so hand this a struct type one of them has accepted.
+    /// this is the walk behind [`of_struct`](Self::of_struct) and
+    /// [`size_align`](Self::size_align).
     ///
     /// # Errors
     ///
-    /// [`LayoutError::NestedArray`], and whatever `slot` reports; nothing
-    /// is reported for an empty struct, which (as in C with the usual
-    /// extension) has size 0.
-    pub fn place(
+    /// [`LayoutError::NestedArray`], naming the innermost field, and
+    /// whatever `slot` reports; nothing is reported for an empty struct,
+    /// which (as in C with the usual extension) has size 0.
+    fn place(
         st: &StructType,
         arch: &Architecture,
         mut slot: impl FnMut(&StructField, usize, SizeAlign) -> Result<(), LayoutError>,
@@ -265,8 +353,10 @@ impl Layout {
         let mut max_align = 1usize;
         for field in &st.fields {
             let sa = Layout::size_align(&field.ty, arch).map_err(|e| match e {
-                LayoutError::NestedArray { .. } => {
-                    LayoutError::NestedArray { field: field.name.clone() }
+                LayoutError::NestedArray { field: inner } if inner.is_empty() => {
+                    LayoutError::NestedArray {
+                        field: field.name.clone(),
+                    }
                 }
                 other => other,
             })?;
@@ -275,58 +365,124 @@ impl Layout {
             offset += sa.size;
             max_align = max_align.max(sa.align);
         }
-        Ok(SizeAlign { size: align_up(offset, max_align), align: max_align })
+        Ok(SizeAlign {
+            size: align_up(offset, max_align),
+            align: max_align,
+        })
     }
 
-    /// Checks the metadata-level constraints the paper's tool enforced,
+    /// Lays out `st` on `arch`, walking it with [`place`](Self::place)
+    /// and recording every field's placement and accessor. The walk
+    /// checks the metadata-level constraints the paper's tool enforced,
     /// in `st` and in every struct nested in it: unique field names, no
     /// arrays of arrays, and every count-field reference naming an
-    /// integer field of the same struct. None depends on the
-    /// architecture.
-    ///
-    /// # Errors
-    ///
-    /// See [`LayoutError`].
-    pub(crate) fn validate(st: &StructType) -> Result<(), LayoutError> {
-        check_unique_names(st)?;
-        for field in &st.fields {
-            validate_field(field, st)?;
-            let inner = match &field.ty {
-                CType::Array { elem, .. } => elem,
-                other => other,
-            };
-            if let CType::Struct(inner) = inner {
-                Layout::validate(inner)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Lays out `st` on `arch`: validates it, then walks it with
-    /// [`place`](Self::place), recording every field's placement.
+    /// integer field of the same struct.
     ///
     /// # Errors
     ///
     /// See [`LayoutError`].
     pub fn of_struct(st: &StructType, arch: &Architecture) -> Result<Layout, LayoutError> {
-        Layout::validate(st)?;
+        check_unique_names(st)?;
+        let pointer = ScalarCode::unsigned(arch.pointer.size, arch.endianness);
+        let access = |ty: &CType| -> Result<Access, LayoutError> {
+            Ok(match ty {
+                CType::Prim(p) => Access::Scalar(ScalarCode::of(*p, arch)),
+                CType::String => Access::Str(pointer),
+                CType::Struct(inner) => Access::Struct(Arc::new(Layout::of_struct(inner, arch)?)),
+                // `place` refuses arrays of arrays before an element
+                // gets here.
+                CType::Array { .. } => unreachable!("an array's element is no array"),
+            })
+        };
         let mut fields = Vec::with_capacity(st.fields.len());
         let SizeAlign { size, align } = Layout::place(st, arch, |field, offset, sa| {
+            let access = match &field.ty {
+                CType::Array { elem, len } => {
+                    let elem_sa = Layout::size_align(elem, arch)?;
+                    let count = match len {
+                        ArrayLen::Fixed(n) => ArrayCount::Fixed(*n),
+                        ArrayLen::CountField(count) => {
+                            Layout::count_slot(st, arch, &field.name, count, pointer)?
+                        }
+                    };
+                    Access::Array(Arc::new(ArrayAccess {
+                        elem: access(elem)?,
+                        stride: elem_sa.size,
+                        align: elem_sa.align,
+                        count,
+                    }))
+                }
+                other => access(other)?,
+            };
             fields.push(FieldLayout {
                 name: field.name.clone(),
                 offset,
                 size: sa.size,
                 align: sa.align,
-                ty: field.ty.clone(),
+                access,
+                count_of: None,
             });
             Ok(())
         })?;
-        Ok(Layout { size, align, fields })
+        // A count field counts the first dynamic array naming it.
+        for array in (0..fields.len()).rev() {
+            if let Access::Array(elems) = &fields[array].access {
+                if let ArrayCount::Counted(slot) = elems.count {
+                    fields[slot.field].count_of = Some(array);
+                }
+            }
+        }
+        Ok(Layout {
+            name: st.name.clone(),
+            size,
+            align,
+            fields,
+            arch: *arch,
+        })
     }
 
-    /// Finds a field layout by name.
-    pub fn field(&self, name: &str) -> Option<&FieldLayout> {
-        self.fields.iter().find(|f| f.name == name)
+    /// The count slot of dynamic array `array` of `st`, counted by field
+    /// `count`, whose pointer slot is of code `pointer`.
+    fn count_slot(
+        st: &StructType,
+        arch: &Architecture,
+        array: &str,
+        count: &str,
+        pointer: ScalarCode,
+    ) -> Result<ArrayCount, LayoutError> {
+        let Some(field) = st.field_index(count) else {
+            let (array, count_field) = (array.to_owned(), count.to_owned());
+            return Err(LayoutError::MissingCountField { array, count_field });
+        };
+        let code = match st.fields[field].ty {
+            CType::Prim(p) if p.is_signed_integer() || p.is_unsigned_integer() => {
+                ScalarCode::of(p, arch)
+            }
+            _ => {
+                return Err(LayoutError::BadCountFieldType {
+                    count_field: count.to_owned(),
+                })
+            }
+        };
+        // The count may follow its array, so it is placed on its own.
+        let mut offset = 0;
+        Layout::place(st, arch, |f, at, _| {
+            if f.name == count {
+                offset = at;
+            }
+            Ok(())
+        })?;
+        Ok(ArrayCount::Counted(CountSlot {
+            field,
+            offset,
+            code,
+            pointer,
+        }))
+    }
+
+    /// The architecture this layout is for.
+    pub fn arch(&self) -> &Architecture {
+        &self.arch
     }
 
     /// Total bytes of padding inserted between and after fields.
@@ -346,42 +502,19 @@ fn check_unique_names(st: &StructType) -> Result<(), LayoutError> {
     let mut seen = HashSet::new();
     let repeated = st.fields.iter().enumerate().find(|(idx, field)| {
         if st.fields.len() <= NAME_SCAN_LIMIT {
-            st.fields[..*idx].iter().any(|earlier| earlier.name == field.name)
+            st.fields[..*idx]
+                .iter()
+                .any(|earlier| earlier.name == field.name)
         } else {
             !seen.insert(field.name.as_str())
         }
     });
     match repeated {
-        Some((_, field)) => Err(LayoutError::DuplicateField { name: field.name.clone() }),
+        Some((_, field)) => Err(LayoutError::DuplicateField {
+            name: field.name.clone(),
+        }),
         None => Ok(()),
     }
-}
-
-fn validate_field(field: &StructField, st: &StructType) -> Result<(), LayoutError> {
-    if let CType::Array { elem, len } = &field.ty {
-        if matches!(**elem, CType::Array { .. }) {
-            return Err(LayoutError::NestedArray { field: field.name.clone() });
-        }
-        if let ArrayLen::CountField(count_name) = len {
-            match st.field(count_name) {
-                None => {
-                    return Err(LayoutError::MissingCountField {
-                        array: field.name.clone(),
-                        count_field: count_name.clone(),
-                    })
-                }
-                Some(count) => match &count.ty {
-                    CType::Prim(p) if p.is_signed_integer() || p.is_unsigned_integer() => {}
-                    _ => {
-                        return Err(LayoutError::BadCountFieldType {
-                            count_field: count_name.clone(),
-                        })
-                    }
-                },
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Rounds `offset` up to the next multiple of `align` (which must be a

@@ -16,18 +16,22 @@
 //!   paper can describe: primitives, `char*` strings, fixed arrays,
 //!   count-field dynamic arrays, and nested structs.
 //! * [`Layout`] computes `sizeof`/`alignof`/field offsets with the
-//!   standard C struct layout algorithm, including compiler padding.
+//!   standard C struct layout algorithm, including compiler padding, and
+//!   compiles each field's [`Access`] — a number's [`ScalarCode`], a
+//!   string's pointer code, a nested layout, or an array's element
+//!   accessor, stride and count — once per struct type and
+//!   architecture. It is the one compiled plan of a struct type: the
+//!   encoder, pbio's views and conversion plans and backbone's filter
+//!   programs all read it.
 //! * [`image`] builds *native byte images*: the exact bytes a C struct
 //!   instance occupies in memory on a given architecture, with pointers
-//!   swizzled to in-buffer offsets (as PBIO's encode step does), through
-//!   an [`EncodePlan`] compiled once per struct type and architecture
-//!   that reads any [`Source`]: a dynamic [`Record`] or a derived struct.
-//!   Reading them back is pbio's `RecordView`.
+//!   swizzled to in-buffer offsets (as PBIO's encode step does), in one
+//!   pass of the layout over any [`Source`]: a dynamic [`Record`] or a
+//!   derived struct. Reading them back is pbio's `RecordView`.
 //! * [`ScalarCode`] is the one codec for numbers in an image: one
 //!   primitive's width, signedness, float-ness and byte order, resolved
 //!   once, with `read`, `write_raw` and the range-checked `write` that
-//!   the encode plan, pbio's view and conversion plans and its filter
-//!   programs all go through.
+//!   every reader of a layout goes through.
 //!
 //! Because architectures are plain data, one process can simulate a
 //! heterogeneous machine room — a big-endian 32-bit sender talking to a
@@ -64,7 +68,7 @@ pub mod value;
 pub use arch::{Architecture, Endianness, SizeAlign};
 pub use ctype::{ArrayLen, CType, Primitive, StructField, StructType};
 pub use error::LayoutError;
-pub use image::{encode_record, encode_record_into, EncodePlan, Image, Items, Source, SourceValue};
-pub use layout::{FieldLayout, Layout, Scalar, ScalarCode};
+pub use image::{encode_record, encode_record_into, Image, Items, Source, SourceValue};
+pub use layout::{Access, ArrayAccess, ArrayCount, CountSlot, FieldLayout, Layout, Scalar, ScalarCode};
 pub use typed::{ConstCType, ConstField, ConstStructType};
 pub use value::{Record, Value};

@@ -6,9 +6,9 @@
 //! macro (crate `x2w-derive`) writes it as a [`ConstStructType`] in
 //! static memory and the binding materializes the runtime [`StructType`]
 //! from it once, at registration. Marshaling is not here: a derived
-//! struct is a [`Source`](crate::Source) the format's
-//! [`EncodePlan`](crate::EncodePlan) reads, and it is decoded through
-//! pbio's view plan, like every other record.
+//! struct is a [`Source`](crate::Source) the encoder reads through the
+//! format's [`Layout`](crate::Layout), and it is decoded through pbio's
+//! view of that layout, like every other record.
 
 use crate::ctype::{ArrayLen, CType, Primitive, StructField, StructType};
 

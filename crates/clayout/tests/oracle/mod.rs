@@ -5,10 +5,10 @@
 //! call — a validation pass, one `Record::get` per field, a fully
 //! generic `encode_value_at` per array element; [`decode_record`]
 //! re-derives every offset, width and count slot from the layout as it
-//! reads. `clayout::encode_record` (the [`clayout::EncodePlan`]) and
-//! pbio's `RecordView` (the view plan) must agree with them byte for
-//! byte, value for value and error kind for error kind; the
-//! differential suites in `clayout` and `pbio` include this file by
+//! reads. `clayout::encode_record` and pbio's `RecordView`, both
+//! reading the accessors `clayout::Layout` compiles, must agree with
+//! them byte for byte, value for value and error kind for error kind;
+//! the differential suites in `clayout` and `pbio` include this file by
 //! path.
 //!
 //! It reads, writes and range-checks numbers with its own helpers (at
@@ -42,7 +42,7 @@ pub fn encode_record(
 ) -> Result<Image, LayoutError> {
     let layout = Layout::of_struct(st, arch)?;
     let mut buf = Vec::with_capacity(layout.size);
-    let fixed_len = encode_record_into(&mut buf, record, &layout, arch)?;
+    let fixed_len = encode_record_into(&mut buf, record, &layout, st, arch)?;
     Ok(Image {
         bytes: buf,
         fixed_len,
@@ -70,11 +70,12 @@ pub fn encode_record_into(
     buf: &mut Vec<u8>,
     record: &Record,
     layout: &Layout,
+    st: &StructType,
     arch: &Architecture,
 ) -> Result<usize, LayoutError> {
     let image_start = buf.len();
     buf.resize(image_start + layout.size, 0);
-    encode_struct_at(buf, image_start, image_start, record, layout, arch)?;
+    encode_struct_at(buf, image_start, image_start, record, layout, st, arch)?;
     Ok(layout.size)
 }
 
@@ -84,14 +85,15 @@ fn encode_struct_at(
     base: usize,
     record: &Record,
     layout: &Layout,
+    st: &StructType,
     arch: &Architecture,
 ) -> Result<(), LayoutError> {
     // Validate supplied counts against their dynamic arrays' lengths.
-    for field in &layout.fields {
+    for (field, decl) in layout.fields.iter().zip(&st.fields) {
         if let CType::Array {
             len: ArrayLen::CountField(count_name),
             ..
-        } = &field.ty
+        } = &decl.ty
         {
             let value = record
                 .get(&field.name)
@@ -115,7 +117,7 @@ fn encode_struct_at(
         }
     }
 
-    for field in &layout.fields {
+    for (field, decl) in layout.fields.iter().zip(&st.fields) {
         // Borrow the value where present; a count field the record omits
         // is synthesized in place from its array's length (no side table
         // — this loop must not allocate on the pooled encode path).
@@ -125,12 +127,12 @@ fn encode_struct_at(
                 image_start,
                 base + field.offset,
                 value,
-                &field.ty,
+                &decl.ty,
                 &field.name,
                 arch,
             )?,
             None => {
-                let n = layout
+                let n = st
                     .fields
                     .iter()
                     .find_map(|f| match &f.ty {
@@ -151,7 +153,7 @@ fn encode_struct_at(
                     image_start,
                     base + field.offset,
                     &Value::UInt(n),
-                    &field.ty,
+                    &decl.ty,
                     &field.name,
                     arch,
                 )?
@@ -256,7 +258,7 @@ fn encode_value_at(
                 found: value.type_name().into(),
             })?;
             let inner_layout = Layout::of_struct(inner, arch)?;
-            encode_struct_at(buf, image_start, at, rec, &inner_layout, arch)
+            encode_struct_at(buf, image_start, at, rec, &inner_layout, inner, arch)
         }
     }
 }
@@ -342,18 +344,20 @@ pub fn decode_record(
     arch: &Architecture,
 ) -> Result<Record, LayoutError> {
     let layout = Layout::of_struct(st, arch)?;
-    decode_struct_at(bytes, 0, &layout, arch)
+    decode_struct_at(bytes, 0, &layout, st, arch)
 }
 
 fn decode_struct_at(
     bytes: &[u8],
     base: usize,
     layout: &Layout,
+    st: &StructType,
     arch: &Architecture,
 ) -> Result<Record, LayoutError> {
     let mut record = Record::new();
-    for field in &layout.fields {
-        let value = decode_value_at(bytes, base + field.offset, &field.ty, field, layout, arch)?;
+    for (field, decl) in layout.fields.iter().zip(&st.fields) {
+        let at = base + field.offset;
+        let value = decode_value_at(bytes, at, &decl.ty, field, layout, st, arch)?;
         record.set(field.name.clone(), value);
     }
     Ok(record)
@@ -377,6 +381,7 @@ fn decode_value_at(
     ty: &CType,
     field: &FieldLayout,
     parent: &Layout,
+    parent_type: &StructType,
     arch: &Architecture,
 ) -> Result<Value, LayoutError> {
     match ty {
@@ -403,13 +408,13 @@ fn decode_value_at(
                     Ok(Value::Array(items))
                 }
                 ArrayLen::CountField(count_name) => {
-                    let count_field =
-                        parent
-                            .field(count_name)
-                            .ok_or_else(|| LayoutError::MissingCountField {
-                                array: field.name.clone(),
-                                count_field: count_name.clone(),
-                            })?;
+                    let (count_field, count_decl) = parent_type
+                        .field_index(count_name)
+                        .map(|i| (&parent.fields[i], &parent_type.fields[i]))
+                        .ok_or_else(|| LayoutError::MissingCountField {
+                            array: field.name.clone(),
+                            count_field: count_name.clone(),
+                        })?;
                     // The count field lives in the same fixed region as
                     // this pointer; `at` is the pointer's absolute offset.
                     let struct_base = at - field.offset;
@@ -420,7 +425,7 @@ fn decode_value_at(
                     // count above 127 — which the encoder writes — was
                     // refused as negative.)
                     let unsigned =
-                        matches!(&count_field.ty, CType::Prim(p) if p.is_unsigned_integer());
+                        matches!(&count_decl.ty, CType::Prim(p) if p.is_unsigned_integer());
                     let count = if unsigned {
                         let raw = get_uint(bytes, count_at, count_field.size, arch.endianness);
                         i64::try_from(raw).unwrap_or(-1)
@@ -469,6 +474,7 @@ fn decode_value_at(
                 bytes,
                 at,
                 &inner_layout,
+                inner,
                 arch,
             )?))
         }
@@ -498,6 +504,7 @@ fn decode_element(
                 bytes,
                 at,
                 &inner_layout,
+                inner,
                 arch,
             )?))
         }

@@ -20,6 +20,7 @@ use clayout::{ArrayLen, CType, Endianness, LayoutError, Primitive, Record, Scala
 use clayout::{StructType, Value};
 
 use crate::error::PbioError;
+use crate::view::slot;
 
 /// What a codec writes as the walk visits a record.
 pub(crate) trait Sink {
@@ -47,9 +48,10 @@ pub(crate) fn encode<S: Sink>(
     for field in &st.fields {
         let supplied = record.get(&field.name);
         let len = match &field.ty {
-            CType::Array { len: ArrayLen::CountField(count), .. } => {
-                Some(array_len(record, &field.name, record.get(count))?)
-            }
+            CType::Array {
+                len: ArrayLen::CountField(count),
+                ..
+            } => Some(array_len(record, &field.name, record.get(count))?),
             CType::Prim(_) => counted_array(st, &field.name)
                 .map(|array| array_len(record, array, supplied))
                 .transpose()?,
@@ -68,12 +70,13 @@ pub(crate) fn encode<S: Sink>(
 }
 
 /// The dynamic array of `st` whose count field is `name` (the first,
-/// as in NDR's encode plan), if any.
+/// as in NDR's encoder), if any.
 fn counted_array<'s>(st: &'s StructType, name: &str) -> Option<&'s str> {
     st.fields.iter().find_map(|f| match &f.ty {
-        CType::Array { len: ArrayLen::CountField(count), .. } if count == name => {
-            Some(f.name.as_str())
-        }
+        CType::Array {
+            len: ArrayLen::CountField(count),
+            ..
+        } if count == name => Some(f.name.as_str()),
         _ => None,
     })
 }
@@ -82,7 +85,10 @@ fn counted_array<'s>(st: &'s StructType, name: &str) -> Option<&'s str> {
 /// supplied `count` that says otherwise with the error NDR gives.
 fn array_len(record: &Record, array: &str, count: Option<&Value>) -> Result<usize, PbioError> {
     let value = record.get(array).ok_or_else(|| missing(array))?;
-    let len = value.as_array().ok_or_else(|| type_mismatch(array, "array", value))?.len();
+    let len = value
+        .as_array()
+        .ok_or_else(|| type_mismatch(array, "array", value))?
+        .len();
     match count.and_then(Value::as_u64) {
         Some(n) if n != len as u64 => Err(mismatched(array, n as usize, len)),
         _ => Ok(len),
@@ -98,19 +104,36 @@ fn encode_value<S: Sink>(
     match ty {
         CType::Prim(p) => {
             let n = if p.is_float() {
-                Scalar::Float(value.as_f64().ok_or_else(|| type_mismatch(field, "float", value))?)
+                Scalar::Float(
+                    value
+                        .as_f64()
+                        .ok_or_else(|| type_mismatch(field, "float", value))?,
+                )
             } else if p.is_signed_integer() {
-                Scalar::Int(value.as_i64().ok_or_else(|| type_mismatch(field, "int", value))?)
+                Scalar::Int(
+                    value
+                        .as_i64()
+                        .ok_or_else(|| type_mismatch(field, "int", value))?,
+                )
             } else {
-                Scalar::UInt(value.as_u64().ok_or_else(|| type_mismatch(field, "uint", value))?)
+                Scalar::UInt(
+                    value
+                        .as_u64()
+                        .ok_or_else(|| type_mismatch(field, "uint", value))?,
+                )
             };
             sink.num(field, *p, n)?;
         }
-        CType::String => {
-            sink.string(field, value.as_str().ok_or_else(|| type_mismatch(field, "string", value))?)
-        }
+        CType::String => sink.string(
+            field,
+            value
+                .as_str()
+                .ok_or_else(|| type_mismatch(field, "string", value))?,
+        ),
         CType::Array { elem, len } => {
-            let items = value.as_array().ok_or_else(|| type_mismatch(field, "array", value))?;
+            let items = value
+                .as_array()
+                .ok_or_else(|| type_mismatch(field, "array", value))?;
             match len {
                 ArrayLen::Fixed(n) if items.len() != *n => {
                     return Err(mismatched(field, *n, items.len()))
@@ -123,7 +146,9 @@ fn encode_value<S: Sink>(
             }
         }
         CType::Struct(inner) => {
-            let rec = value.as_record().ok_or_else(|| type_mismatch(field, "record", value))?;
+            let rec = value
+                .as_record()
+                .ok_or_else(|| type_mismatch(field, "record", value))?;
             encode(rec, inner, field, sink)?;
         }
     }
@@ -132,11 +157,17 @@ fn encode_value<S: Sink>(
 
 fn mismatched(field: &str, declared: usize, actual: usize) -> PbioError {
     let field = field.to_owned();
-    PbioError::Layout(LayoutError::ArrayLengthMismatch { field, declared, actual })
+    PbioError::Layout(LayoutError::ArrayLengthMismatch {
+        field,
+        declared,
+        actual,
+    })
 }
 
 fn missing(field: &str) -> PbioError {
-    PbioError::Layout(LayoutError::MissingField { field: field.to_owned() })
+    PbioError::Layout(LayoutError::MissingField {
+        field: field.to_owned(),
+    })
 }
 
 fn type_mismatch(field: &str, expected: &str, value: &Value) -> PbioError {
@@ -175,15 +206,6 @@ impl Rules {
         natural.max(self.unit)
     }
 
-    /// The unsigned number `b` holds: 1, 2, 4 or 8 bytes in the rules'
-    /// byte order.
-    fn raw(self, b: &[u8]) -> u64 {
-        match ScalarCode::unsigned(b.len(), self.order).read(b, 0) {
-            Scalar::UInt(raw) => raw,
-            _ => unreachable!("an unsigned code reads unsigned numbers"),
-        }
-    }
-
     /// The zero bytes after a string of `len` wire bytes.
     fn pad(&self, len: usize) -> usize {
         len.next_multiple_of(self.unit) - len
@@ -195,7 +217,10 @@ impl Rules {
         match ty {
             CType::Prim(p) => self.width(*p),
             CType::String => 4 + usize::from(self.nul),
-            CType::Array { elem, len: ArrayLen::Fixed(n) } => n.saturating_mul(self.min_size(elem)),
+            CType::Array {
+                elem,
+                len: ArrayLen::Fixed(n),
+            } => n.saturating_mul(self.min_size(elem)),
             // The count; the array may be empty.
             CType::Array { .. } => 4,
             CType::Struct(inner) => inner.fields.iter().map(|f| self.min_size(&f.ty)).sum(),
@@ -211,7 +236,11 @@ pub(crate) fn to_bytes(
     rules: Rules,
     out: Vec<u8>,
 ) -> Result<Vec<u8>, PbioError> {
-    let mut wire = Wire { base: out.len(), out, rules };
+    let mut wire = Wire {
+        base: out.len(),
+        out,
+        rules,
+    };
     encode(record, st, &st.name, &mut wire)?;
     Ok(wire.out)
 }
@@ -277,7 +306,13 @@ pub(crate) fn decode(
     rules: Rules,
     st: &StructType,
 ) -> Result<Record, PbioError> {
-    Reader { bytes, at: body, base: body, rules }.record(st)
+    Reader {
+        bytes,
+        at: body,
+        base: body,
+        rules,
+    }
+    .record(st)
 }
 
 struct Reader<'a> {
@@ -324,7 +359,8 @@ impl<'a> Reader<'a> {
 
     /// A count or a length.
     fn u32(&mut self) -> Result<usize, PbioError> {
-        Ok(self.rules.raw(self.numbers(4, 1)?) as usize)
+        let code = ScalarCode::unsigned(4, self.rules.order);
+        Ok(slot(code, self.numbers(4, 1)?, 0) as usize)
     }
 
     fn record(&mut self, st: &StructType) -> Result<Record, PbioError> {
@@ -338,13 +374,22 @@ impl<'a> Reader<'a> {
 
     fn value(&mut self, ty: &CType, field: &str) -> Result<Value, PbioError> {
         let bad_count = |count: usize| {
-            PbioError::Layout(LayoutError::BadCount { field: field.to_owned(), count: count as i64 })
+            PbioError::Layout(LayoutError::BadCount {
+                field: field.to_owned(),
+                count: count as i64,
+            })
         };
-        let bad_string = || PbioError::Layout(LayoutError::BadString { field: field.to_owned() });
+        let bad_string = || {
+            PbioError::Layout(LayoutError::BadString {
+                field: field.to_owned(),
+            })
+        };
         Ok(match ty {
             CType::Prim(p) => {
                 let width = self.rules.width(*p);
-                prim_value(*p, width, self.rules.raw(self.numbers(width, 1)?))
+                ScalarCode::new(*p, width, self.rules.order)
+                    .read(self.numbers(width, 1)?, 0)
+                    .into()
             }
             CType::String => {
                 let len = self.u32()?;
@@ -360,7 +405,11 @@ impl<'a> Reader<'a> {
                     true => raw.strip_suffix(&[0]).ok_or_else(bad_string)?,
                     false => raw,
                 };
-                Value::String(std::str::from_utf8(raw).map_err(|_| bad_string())?.to_owned())
+                Value::String(
+                    std::str::from_utf8(raw)
+                        .map_err(|_| bad_string())?
+                        .to_owned(),
+                )
             }
             CType::Array { elem, len } => {
                 let count = match len {
@@ -378,9 +427,10 @@ impl<'a> Reader<'a> {
                 };
                 let mut items = Vec::with_capacity(count.min(4096));
                 if let CType::Prim(p) = **elem {
-                    let (rules, width) = (self.rules, self.rules.width(p));
+                    let width = self.rules.width(p);
+                    let code = ScalarCode::new(p, width, self.rules.order);
                     let run = self.numbers(width, count)?.chunks_exact(width);
-                    items.extend(run.map(|b| prim_value(p, width, rules.raw(b))));
+                    items.extend(run.map(|b| Value::from(code.read(b, 0))));
                 } else {
                     for _ in 0..count {
                         items.push(self.value(elem, field)?);
@@ -390,20 +440,5 @@ impl<'a> Reader<'a> {
             }
             CType::Struct(inner) => Value::Record(self.record(inner)?),
         })
-    }
-}
-
-/// The value of a `p` whose `width` wire bytes held `raw`.
-fn prim_value(p: Primitive, width: usize, raw: u64) -> Value {
-    if p.is_float() {
-        Value::Float(match width {
-            4 => f64::from(f32::from_bits(raw as u32)),
-            _ => f64::from_bits(raw),
-        })
-    } else if p.is_signed_integer() {
-        let shift = 64 - 8 * width as u32;
-        Value::Int(((raw << shift) as i64) >> shift)
-    } else {
-        Value::UInt(raw)
     }
 }

@@ -11,9 +11,9 @@
 //! produces an *identity* plan whose conversion borrows the payload
 //! outright — zero copies; see [`ImageCow`]).
 //!
-//! A plan is compiled from the two architectures' view plans, zipped
+//! A plan is compiled from the two architectures' [`Layout`]s, zipped
 //! field by field: every width, offset, stride and count slot comes from
-//! the plan a view of the same payload reads through, and the sender's
+//! the layout a view of the same payload reads through, and the sender's
 //! bytes are checked by the view's own rules (the dynamic-region check,
 //! the string chase). Every number is read and stored through
 //! [`ScalarCode`].
@@ -25,12 +25,14 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use clayout::layout::align_up;
-use clayout::{Architecture, CType, Image, Layout, LayoutError, ScalarCode, StructType};
+use clayout::{
+    Access, Architecture, ArrayCount, Image, Layout, LayoutError, ScalarCode, StructType,
+};
 
 use crate::error::PbioError;
 use crate::format::{struct_fingerprint, Format};
 use crate::memo::{Memo, MemoStats};
-use crate::view::{dynamic_region, slot, str_at, Access, Len, ViewPlan};
+use crate::view::{dynamic_region, slot, str_at};
 
 /// Conversion applied to one scalar element (also the element action of
 /// array ops).
@@ -213,8 +215,7 @@ impl ConversionPlan {
         src_arch: &Architecture,
         dst_arch: &Architecture,
     ) -> Result<ConversionPlan, PbioError> {
-        // Validates the definition, once: the view plans trust it.
-        let size = Layout::of_struct(struct_type, src_arch)?.size;
+        let src = Layout::of_struct(struct_type, src_arch)?;
         let pointer =
             |arch: &Architecture| ScalarCode::unsigned(arch.pointer.size, arch.endianness);
         let mut plan = ConversionPlan {
@@ -222,17 +223,16 @@ impl ConversionPlan {
             names: Vec::new(),
             src_pointer: pointer(src_arch),
             dst_pointer: pointer(dst_arch),
-            src_fixed_len: size,
-            dst_fixed_len: size,
+            src_fixed_len: src.size,
+            dst_fixed_len: src.size,
             tier: PlanTier::Identity,
             swap_spans: Vec::new(),
         };
         if src_arch.layout_compatible(dst_arch) {
             return Ok(plan);
         }
-        let src = ViewPlan::build(struct_type, src_arch)?;
-        let dst = ViewPlan::build(struct_type, dst_arch)?;
-        plan.ops = fuse(build_ops(struct_type, &src, &dst, &mut plan.names, ""));
+        let dst = Layout::of_struct(struct_type, dst_arch)?;
+        plan.ops = fuse(build_ops(&src, &dst, &mut plan.names, ""));
         plan.dst_fixed_len = dst.size;
         plan.tier = PlanTier::General;
         // PureSwap candidacy: identical total size and every op a
@@ -499,27 +499,20 @@ impl ConversionPlan {
     }
 }
 
-/// Zips the two architectures' view plans of `st` into conversion ops;
-/// each field's name, `prefix` first, goes into `names`.
-fn build_ops(
-    st: &StructType,
-    from: &ViewPlan,
-    to: &ViewPlan,
-    names: &mut Vec<String>,
-    prefix: &str,
-) -> Vec<Op> {
+/// Zips two architectures' layouts of one struct type into conversion
+/// ops; each field's name, `prefix` first, goes into `names`.
+fn build_ops(from: &Layout, to: &Layout, names: &mut Vec<String>, prefix: &str) -> Vec<Op> {
     let first = names.len();
-    names.extend(st.fields.iter().map(|f| format!("{prefix}{}", f.name)));
-    let fields = st.fields.iter().zip(&from.fields).zip(&to.fields);
-    let mut ops = Vec::with_capacity(st.fields.len());
-    for (idx, ((field, s), d)) in fields.enumerate() {
+    names.extend(from.fields.iter().map(|f| format!("{prefix}{}", f.name)));
+    let mut ops = Vec::with_capacity(from.fields.len());
+    for (idx, (s, d)) in from.fields.iter().zip(&to.fields).enumerate() {
         let (src, dst, name) = (s.offset, d.offset, (first + idx) as u32);
-        ops.push(match (&field.ty, &s.kind, &d.kind) {
-            (CType::Array { elem, .. }, Access::Array(s), Access::Array(d)) => {
-                let (src_stride, dst_stride) = (s.stride, d.stride);
-                let elem = elem_plan(elem, &s.elem, &d.elem, names, &field.name, name);
-                match s.len {
-                    Len::Fixed(count) => Op::Repeat {
+        ops.push(match (&s.access, &d.access) {
+            (Access::Array(sa), Access::Array(da)) => {
+                let (src_stride, dst_stride) = (sa.stride, da.stride);
+                let elem = elem_plan(&sa.elem, &da.elem, names, &s.name, name);
+                match sa.count {
+                    ArrayCount::Fixed(count) => Op::Repeat {
                         src,
                         dst,
                         count,
@@ -527,27 +520,22 @@ fn build_ops(
                         dst_stride,
                         elem,
                     },
-                    Len::Counted {
-                        field: counter,
-                        offset,
-                        code,
-                        ..
-                    } => Op::DynArray {
+                    ArrayCount::Counted(c) => Op::DynArray {
                         src_slot: src,
                         dst_slot: dst,
-                        count_off: offset,
-                        count: code,
+                        count_off: c.offset,
+                        count: c.code,
                         src_stride,
                         dst_stride,
-                        dst_align: d.align,
+                        dst_align: da.align,
                         elem,
                         field: name,
-                        count_field: (first + counter) as u32,
+                        count_field: (first + c.field) as u32,
                     },
                 }
             }
-            (ty, s, d) => {
-                let elem = elem_plan(ty, s, d, names, &field.name, name);
+            (sa, da) => {
+                let elem = elem_plan(sa, da, names, &s.name, name);
                 Op::Scalar { src, dst, elem }
             }
         });
@@ -555,28 +543,21 @@ fn build_ops(
     ops
 }
 
-/// What converts one value of type `ty` between the accessors `s` and
-/// `d` of the two plans: equal or 1-byte codes copy, codes of one width
-/// swap, any other pair of codes recodes.
-fn elem_plan(
-    ty: &CType,
-    s: &Access,
-    d: &Access,
-    names: &mut Vec<String>,
-    name: &str,
-    field: u32,
-) -> ElemPlan {
-    match (ty, s, d) {
-        (_, &Access::Scalar(from), &Access::Scalar(to)) => match from.size() {
+/// What converts one value between the accessors `s` and `d` of the
+/// two layouts: equal or 1-byte codes copy, codes of one width swap, any
+/// other pair of codes recodes.
+fn elem_plan(s: &Access, d: &Access, names: &mut Vec<String>, name: &str, field: u32) -> ElemPlan {
+    match (s, d) {
+        (&Access::Scalar(from), &Access::Scalar(to)) => match from.size() {
             len if from == to || len == 1 => ElemPlan::Copy { len },
             width if width == to.size() => ElemPlan::Swap { width: width as u8 },
             _ => ElemPlan::Recode { from, to, field },
         },
-        (_, Access::Str(_), Access::Str(_)) => ElemPlan::String { field },
-        (CType::Struct(inner), Access::Record(s), Access::Record(d)) => ElemPlan::Struct {
-            ops: fuse(build_ops(inner, s, d, names, &format!("{name}."))),
+        (Access::Str(_), Access::Str(_)) => ElemPlan::String { field },
+        (Access::Struct(s), Access::Struct(d)) => ElemPlan::Struct {
+            ops: fuse(build_ops(s, d, names, &format!("{name}."))),
         },
-        _ => unreachable!("two plans of one struct type pair up field by field"),
+        _ => unreachable!("two layouts of one struct type pair up field by field"),
     }
 }
 
@@ -886,7 +867,7 @@ mod tests {
     use super::*;
     use crate::format::FormatId;
     use crate::view::RecordView;
-    use clayout::{encode_record, Primitive, Record, StructField, Value};
+    use clayout::{encode_record, CType, Primitive, Record, StructField, Value};
 
     impl ConversionPlan {
         /// Number of fused swap spans in the `PureSwap` flat program
@@ -1118,7 +1099,8 @@ mod tests {
         let src = Architecture::X86_64;
         let mut wire = encode_record(&Record::new().with("a", vec![1i64, 2]), &st, &src).unwrap();
         assert_eq!(wire.bytes.len(), 24);
-        ScalarCode::of(Primitive::Int, &src).write_raw(&mut wire.bytes, 8, 10);
+        let count = ScalarCode::new(Primitive::Int, src.int.size, src.endianness);
+        count.write_raw(&mut wire.bytes, 8, 10);
         let plan = ConversionPlan::build(&st, &src, &Architecture::SPARC32).unwrap();
         for verdict in [
             plan.convert(&wire.bytes).map(|_| ()),
@@ -1306,8 +1288,8 @@ mod tests {
         for (src, dst) in [(narrow, wide), (wide, narrow)] {
             let plan = ConversionPlan::build(&st, &src, &dst).unwrap();
             let (from, to) = (
-                ScalarCode::of(Primitive::Long, &src),
-                ScalarCode::of(Primitive::Long, &dst),
+                ScalarCode::new(Primitive::Long, src.long.size, src.endianness),
+                ScalarCode::new(Primitive::Long, dst.long.size, dst.endianness),
             );
             assert_eq!(
                 plan.ops,

@@ -2,9 +2,7 @@
 
 use std::fmt;
 
-use clayout::{ArrayLen, Architecture, CType, Layout, Primitive, StructType};
-
-use crate::error::PbioError;
+use clayout::{Access, ArrayLen, CType, Layout, Primitive, StructType};
 
 /// One row of a PBIO field table — the runtime equivalent of the paper's
 /// `IOField` initializers (Figures 5, 8, 11):
@@ -59,43 +57,32 @@ fn base_type_string(ty: &CType) -> String {
     }
 }
 
-/// Builds the PBIO field table for `st` as laid out on `arch` — exactly
-/// the information the paper's hand-written `IOField` arrays carry, but
+/// The PBIO field table of `st` laid out as `layout` — exactly the
+/// information the paper's hand-written `IOField` arrays carry, but
 /// computed at runtime (which is xml2wire's contribution).
-///
-/// # Errors
-///
-/// Propagates layout validation failures.
-pub fn field_table(st: &StructType, arch: &Architecture) -> Result<Vec<IoField>, PbioError> {
-    let layout = Layout::of_struct(st, arch)?;
-    let mut rows = Vec::with_capacity(layout.fields.len());
-    for fl in &layout.fields {
-        let (type_string, elem_size) = match &fl.ty {
-            CType::Array { elem, len } => {
-                let base = base_type_string(elem);
-                let elem_size = Layout::size_align(elem, arch)?.size;
-                let suffix = match len {
-                    ArrayLen::Fixed(n) => format!("[{n}]"),
-                    ArrayLen::CountField(c) => format!("[{c}]"),
-                };
-                (format!("{base}{suffix}"), elem_size)
-            }
-            other => (base_type_string(other), fl.size),
-        };
-        rows.push(IoField {
-            name: fl.name.clone(),
-            type_string,
-            size: elem_size,
-            offset: fl.offset,
-        });
-    }
-    Ok(rows)
+pub fn field_table(st: &StructType, layout: &Layout) -> Vec<IoField> {
+    let fields = st.fields.iter().zip(&layout.fields);
+    fields
+        .map(|(field, fl)| {
+            let (type_string, size) = match (&field.ty, &fl.access) {
+                (CType::Array { elem, len }, Access::Array(array)) => {
+                    let suffix = match len {
+                        ArrayLen::Fixed(n) => format!("[{n}]"),
+                        ArrayLen::CountField(c) => format!("[{c}]"),
+                    };
+                    (format!("{}{suffix}", base_type_string(elem)), array.stride)
+                }
+                (other, _) => (base_type_string(other), fl.size),
+            };
+            IoField { name: fl.name.clone(), type_string, size, offset: fl.offset }
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clayout::StructField;
+    use clayout::{Architecture, StructField};
 
     /// The paper's Structure B field table (Figure 8) reproduced at
     /// runtime on a 32-bit big-endian machine (where `sizeof` values in
@@ -119,7 +106,7 @@ mod tests {
                 StructField::new("eta_count", CType::Prim(Primitive::Int)),
             ],
         );
-        let table = field_table(&st, &Architecture::SPARC32).unwrap();
+        let table = field_table(&st, &Layout::of_struct(&st, &Architecture::SPARC32).unwrap());
         let rendered: Vec<String> = table.iter().map(ToString::to_string).collect();
         assert_eq!(rendered[0], "{ \"cntrID\", \"string\", 4, 0 }");
         assert_eq!(rendered[2], "{ \"fltNum\", \"integer\", 4, 8 }");
@@ -137,7 +124,7 @@ mod tests {
             StructField::new("one", CType::Struct(inner)),
             StructField::new("bart", CType::Prim(Primitive::Double)),
         ]);
-        let table = field_table(&outer, &Architecture::X86_64).unwrap();
+        let table = field_table(&outer, &Layout::of_struct(&outer, &Architecture::X86_64).unwrap());
         assert_eq!(table[0].type_string, "ASDOffEvent");
         assert_eq!(table[1].type_string, "float");
         assert_eq!(table[1].size, 8);
@@ -146,7 +133,8 @@ mod tests {
     #[test]
     fn sizes_track_the_architecture() {
         let st = StructType::new("t", vec![StructField::new("x", CType::Prim(Primitive::Long))]);
-        assert_eq!(field_table(&st, &Architecture::X86_64).unwrap()[0].size, 8);
-        assert_eq!(field_table(&st, &Architecture::I386).unwrap()[0].size, 4);
+        let size = |arch| field_table(&st, &Layout::of_struct(&st, &arch).unwrap())[0].size;
+        assert_eq!(size(Architecture::X86_64), 8);
+        assert_eq!(size(Architecture::I386), 4);
     }
 }

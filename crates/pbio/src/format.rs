@@ -1,13 +1,12 @@
 //! Registered message formats.
 
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use clayout::{Architecture, EncodePlan, Layout, StructType};
+use clayout::{Architecture, Layout, StructType};
 
 use crate::error::PbioError;
 use crate::field::{field_table, IoField};
-use crate::view::ViewPlan;
 
 /// A registry-assigned format identifier, carried in wire headers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -20,18 +19,17 @@ impl fmt::Display for FormatId {
 }
 
 /// A message format: a struct type bound to an architecture, with its
-/// layout precomputed. This is the object a PBIO format registration
-/// returns and what xml2wire's binding step produces.
+/// [`Layout`] compiled once. This is the object a PBIO format
+/// registration returns and what xml2wire's binding step produces.
 ///
 /// The struct type sits behind an [`Arc`]: the binder builds each
 /// definition once and the catalog, the registry and the format share
 /// it, so registering a type never deep-copies its fields.
 ///
-/// The compiled accessors — the encode plan behind
-/// [`ndr::encode_into`](crate::ndr::encode_into) and the view plan
-/// behind [`RecordView`](crate::view::RecordView) — are built on first
-/// use, so binding a catalogue costs nothing for the types that are
-/// never marshaled.
+/// The layout is the format's one compiled plan: every field's offset
+/// and accessor, which [`ndr::encode_into`](crate::ndr::encode_into)
+/// writes through and [`RecordView`](crate::view::RecordView) reads
+/// through.
 #[derive(Debug, Clone)]
 pub struct Format {
     id: FormatId,
@@ -42,12 +40,8 @@ pub struct Format {
     /// `arch`'s wire descriptor, when it maps back to an architecture
     /// layout-compatible with `arch` (every preset's does; a custom
     /// architecture's may not): a message carrying it is laid out for
-    /// this format's own view plan.
+    /// this format's own layout.
     own_descriptor: Option<[u8; 6]>,
-    // Boxed: a bound format that is never marshaled carries two empty
-    // cells, not room for two plans.
-    encode_plan: OnceLock<Box<EncodePlan>>,
-    view_plan: OnceLock<Box<ViewPlan>>,
     /// Memoized wire-header bytes: everything in this format's header —
     /// magic, id, arch descriptor, name, fingerprint — is per-format
     /// constant except the two length fields, which encoders patch after
@@ -119,29 +113,8 @@ impl Format {
             layout,
             fingerprint,
             own_descriptor,
-            encode_plan: OnceLock::new(),
-            view_plan: OnceLock::new(),
             header_prefix,
         })
-    }
-
-    /// This format's compiled encoder, built on first use.
-    pub(crate) fn encode_plan(&self) -> Result<&EncodePlan, PbioError> {
-        if let Some(plan) = self.encode_plan.get() {
-            return Ok(plan);
-        }
-        let plan = Box::new(EncodePlan::new(&self.struct_type, &self.arch)?);
-        Ok(self.encode_plan.get_or_init(|| plan))
-    }
-
-    /// The compiled accessors of payloads laid out for this format's
-    /// own architecture, built on first use.
-    pub(crate) fn view_plan(&self) -> Result<&ViewPlan, PbioError> {
-        if let Some(plan) = self.view_plan.get() {
-            return Ok(plan);
-        }
-        let plan = Box::new(ViewPlan::build(&self.struct_type, &self.arch)?);
-        Ok(self.view_plan.get_or_init(|| plan))
     }
 
     /// The wire descriptor of messages laid out for this format's own
@@ -178,7 +151,7 @@ impl Format {
         &self.arch
     }
 
-    /// The precomputed layout on [`arch`](Self::arch).
+    /// The compiled layout on [`arch`](Self::arch).
     pub fn layout(&self) -> &Layout {
         &self.layout
     }
@@ -197,13 +170,8 @@ impl Format {
 
     /// The PBIO field table (the paper's `IOField` array, computed at
     /// runtime).
-    ///
-    /// # Errors
-    ///
-    /// Propagates layout errors (none are expected for an already
-    /// validated format).
-    pub fn field_table(&self) -> Result<Vec<IoField>, PbioError> {
-        field_table(&self.struct_type, &self.arch)
+    pub fn field_table(&self) -> Vec<IoField> {
+        field_table(&self.struct_type, &self.layout)
     }
 
     /// Rebinds this format's struct type to a different architecture
@@ -286,8 +254,7 @@ mod tests {
 
     #[test]
     fn format_name_length_is_validated_at_the_header_boundary() {
-        let fields =
-            || vec![StructField::new("x", CType::Prim(Primitive::Int))];
+        let fields = || vec![StructField::new("x", CType::Prim(Primitive::Int))];
         // 65535 bytes: the longest name the header can carry — accepted,
         // and its memoized header prefix parses back intact.
         let longest = "n".repeat(crate::header::MAX_FORMAT_NAME_LEN);
@@ -308,7 +275,13 @@ mod tests {
         )
         .unwrap_err();
         assert!(
-            matches!(err, PbioError::FormatNameTooLong { len: 65536, max: 65535 }),
+            matches!(
+                err,
+                PbioError::FormatNameTooLong {
+                    len: 65536,
+                    max: 65535
+                }
+            ),
             "{err}"
         );
     }
@@ -333,6 +306,9 @@ mod tests {
     fn display_mentions_name_id_and_size() {
         let f = Format::new(FormatId(3), point(), Architecture::SPARC32).unwrap();
         let s = f.to_string();
-        assert!(s.contains("#3") && s.contains("Point") && s.contains("sparc32"), "{s}");
+        assert!(
+            s.contains("#3") && s.contains("Point") && s.contains("sparc32"),
+            "{s}"
+        );
     }
 }

@@ -15,11 +15,13 @@
 //!
 //! * [`Format`] / [`FormatRegistry`] — registered message formats: a
 //!   named field list ([`StructType`](clayout::StructType)) bound to an
-//!   architecture, with PBIO-style field tables ([`field::IoField`]).
+//!   architecture, with its [`Layout`](clayout::Layout) compiled once —
+//!   the one plan its encoder and views read — and PBIO-style field
+//!   tables ([`field::IoField`]).
 //! * [`ndr`] — the NDR wire codec: header + native byte image.
 //! * [`convert`] — receiver-side [`ConversionPlan`]s: flat op programs
 //!   compiled once per (wire format, native format) pair, by zipping the
-//!   two architectures' view plans, and cached in a [`Memo`]; the
+//!   two architectures' layouts, and cached in a [`Memo`]; the
 //!   memory-safe stand-in for PBIO's dynamic code generation. A plan
 //!   checks the sender's bytes by the view's own rules.
 //! * [`xdr`] — an XDR (RFC 1014) codec, the canonical-wire-format
@@ -41,7 +43,7 @@
 //! * [`evolution`] — PBIO's restricted format evolution: receivers keep
 //!   working when senders add fields.
 //! * [`typed`] — [`Xml2WireRecord`], the binding `#[derive(Xml2WireRecord)]`
-//!   implements: a Rust struct marshaled by its format's plans, like a
+//!   implements: a Rust struct marshaled through its format's layout, like a
 //!   [`Record`](clayout::Record).
 //!
 //! PBIO's file half — NDR messages written to data files — is

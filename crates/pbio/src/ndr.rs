@@ -3,11 +3,10 @@
 //! Encoding "moves data directly out of memory onto the transmission
 //! medium" (§1): the payload *is* the sender's native image, so the
 //! sender-side cost is building that image (one pass of the format's
-//! compiled encode plan, no representation change). Decoding has two
-//! paths:
+//! compiled layout, no representation change). Decoding has two paths:
 //!
 //! * [`view_with`] — read values straight out of the wire image through
-//!   the sender's view plan (reader-makes-right at the value level),
+//!   the sender's layout (reader-makes-right at the value level),
 //!   with [`decode`] / [`decode_with`] materializing the view as a
 //!   [`Record`] and [`decode_typed`] reading it into a derived struct, or
 //! * [`to_native_image`] — produce a byte image in the *receiver's*
@@ -43,9 +42,9 @@ pub fn encode(record: &Record, format: &Format) -> Result<Vec<u8>, PbioError> {
 }
 
 /// Writes a message of `format` into `out` (cleared first): the
-/// format's memoized header prefix, the payload image its memoized
-/// encode plan writes from `record`, and the two length fields — the
-/// only per-message header work.
+/// format's memoized header prefix, the payload image its layout writes
+/// from `record`, and the two length fields — the only per-message
+/// header work.
 fn message_into<S: Source + ?Sized>(
     out: &mut Vec<u8>,
     record: &S,
@@ -53,11 +52,10 @@ fn message_into<S: Source + ?Sized>(
 ) -> Result<(), PbioError> {
     use crate::header::{FIXED_LEN_OFFSET, PAYLOAD_LEN_OFFSET};
 
-    let plan = format.encode_plan()?;
     out.clear();
     out.extend_from_slice(format.header_prefix());
     let header_len = out.len();
-    let fixed_len = clayout::encode_record_into(out, record, plan)?;
+    let fixed_len = clayout::encode_record_into(out, record, format.layout())?;
     let payload_len = out.len() - header_len;
     out[FIXED_LEN_OFFSET..FIXED_LEN_OFFSET + 4].copy_from_slice(&(fixed_len as u32).to_le_bytes());
     out[PAYLOAD_LEN_OFFSET..PAYLOAD_LEN_OFFSET + 4]
@@ -69,12 +67,11 @@ fn message_into<S: Source + ?Sized>(
 /// capacity — the zero-allocation hot path behind [`encode`].
 ///
 /// The buffer is cleared, the format's memoized header prefix is copied
-/// in, and the format's compiled encode plan (built on first use)
-/// writes the payload image directly after it in one pass; the only
-/// per-message header work is patching the two length fields. A caller
-/// that keeps `out` pooled (e.g. backbone's `CapturePoint`) performs no
-/// allocations per message once the buffer has grown to the working-set
-/// size.
+/// in, and the format's compiled layout writes the payload image
+/// directly after it in one pass; the only per-message header work is
+/// patching the two length fields. A caller that keeps `out` pooled
+/// (e.g. backbone's `CapturePoint`) performs no allocations per message
+/// once the buffer has grown to the working-set size.
 ///
 /// # Errors
 ///
@@ -89,8 +86,8 @@ pub fn encode_into(
 }
 
 /// Encodes a derived [`Xml2WireRecord`] in `format` into `out`: the
-/// typed twin of [`encode_into`], through the same memoized encode
-/// plan, which reads the struct's fields where it reads a [`Record`]'s.
+/// typed twin of [`encode_into`], through the same layout, which reads
+/// the struct's fields where it reads a [`Record`]'s.
 /// The bytes are [`encode_into`]'s for the equivalent record, and so are
 /// the errors (range overflows, pointer-width overflows).
 ///
@@ -186,8 +183,8 @@ pub fn view_with<'a>(buf: &'a [u8], format: &'a Format) -> Result<RecordView<'a>
 
 /// Decodes a message of `format` into a derived [`Xml2WireRecord`]: the
 /// typed twin of [`decode_with`], reading the same [`view_with`] view —
-/// over the format's memoized view plan when the sender shares its
-/// layout — field by field into `T`. From a preset architecture it
+/// over the format's own layout when the sender shares it — field by
+/// field into `T`. From a preset architecture it
 /// succeeds exactly when [`decode_with`] does, with the same values; a
 /// sender whose `int` is wider than an `i32` field gets a type mismatch
 /// where [`decode_with`] would hand back the wide value.

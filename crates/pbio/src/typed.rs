@@ -2,14 +2,14 @@
 //! `#[derive(Xml2WireRecord)]` (crate `x2w-derive`, re-exported by
 //! `xml2wire`).
 //!
-//! A derived struct is marshaled by the same compiled plans as every
-//! other record of its format. The derive emits data and glue only: the
-//! struct's definition as a [`ConstStructType`], a
-//! [`Source`](clayout::Source) that answers the format's
-//! [`EncodePlan`](clayout::EncodePlan) field by field
+//! A derived struct is marshaled through the same compiled
+//! [`Layout`](clayout::Layout) as every other record of its format. The
+//! derive emits data and glue only: the struct's definition as a
+//! [`ConstStructType`], a [`Source`](clayout::Source) that answers the
+//! encoder field by field
 //! ([`ndr::encode_typed_into`](crate::ndr::encode_typed_into)), and
 //! [`Xml2WireRecord::from_view`], which reads a [`RecordView`] over the
-//! format's view plan in declaration order
+//! format's layout in declaration order
 //! ([`ndr::decode_typed`](crate::ndr::decode_typed)). So typed and
 //! dynamic peers exchange the same bytes by construction.
 

@@ -9,173 +9,62 @@
 //! materializes the whole view as a [`Record`]; it is the one dynamic
 //! decoder behind [`ndr::decode_with`](crate::ndr::decode_with).
 //!
-//! A view reads through a **view plan**: per field of the struct type on
-//! the sender's architecture, the slot offset and a pre-resolved
-//! accessor — a [`ScalarCode`] that fixes width, signedness, float-ness
-//! and byte order; a string; an array with its element accessor, stride
-//! and (for a dynamic array) the offset and code of its count slot; or a
-//! nested plan. Everything the layout decides is resolved when the plan
-//! is built; per message only the data-dependent checks remain (the
-//! payload covers the fixed part, counts are plausible, pointers and
-//! regions lie inside the payload, strings are terminated UTF-8).
+//! A view reads through the sender's [`Layout`]: per field, the slot
+//! offset and the accessor `Layout::of_struct` compiled — a
+//! [`ScalarCode`] that fixes width, signedness, float-ness and byte
+//! order; a string's pointer code; an array with its element accessor,
+//! stride and (for a dynamic array) the offset and code of its count
+//! slot; or a nested layout. Everything the layout decides is resolved
+//! when it is compiled; per message only the data-dependent checks
+//! remain (the payload covers the fixed part, counts are plausible,
+//! pointers and regions lie inside the payload, strings are terminated
+//! UTF-8).
 //!
-//! Plans are built lazily. A [`Format`] memoizes the plan of its own
-//! architecture the first time a layout-compatible payload is viewed
-//! (binding a catalogue of types nobody views builds none), and every
-//! such view borrows it; a message whose header carries the format's own
-//! architecture descriptor reaches it without the sender's architecture
-//! being rebuilt from the header. A view of a foreign-architecture payload
-//! builds the sender's plan and owns it for its own lifetime.
+//! A [`Format`] compiles its own architecture's layout when it is bound,
+//! and every view of a layout-compatible payload borrows it; a message
+//! whose header carries the format's own architecture descriptor reaches
+//! it without the sender's architecture being rebuilt from the header. A
+//! view of a foreign-architecture payload lays the struct type out for
+//! the sender and owns that layout for its own lifetime.
 
 use std::ops::Deref;
 use std::sync::Arc;
 
 use clayout::{
-    Architecture, ArrayLen, CType, Layout, LayoutError, Record, Scalar, ScalarCode, SizeAlign,
-    StructField, StructType, Value,
+    Access, Architecture, ArrayAccess, ArrayCount, CType, Layout, LayoutError, Record, Scalar,
+    ScalarCode, StructField, StructType, Value,
 };
 
 use crate::error::PbioError;
 use crate::format::Format;
 
-/// The compiled accessors of one struct type on one architecture; see
-/// the [module docs](self).
+/// A layout node a view reads through: borrowed from the [`Format`]
+/// that compiled it, or a share of a layout the root view compiled for a
+/// foreign architecture.
 #[derive(Debug, Clone)]
-pub(crate) struct ViewPlan {
-    arch: Architecture,
-    /// `sizeof` the struct: the extent every view verifies once.
-    pub(crate) size: usize,
-    /// One accessor per field, in declaration order.
-    pub(crate) fields: Vec<FieldAccess>,
-}
-
-#[derive(Debug, Clone)]
-pub(crate) struct FieldAccess {
-    pub(crate) offset: usize,
-    pub(crate) kind: Access,
-}
-
-// Composite accessors sit behind their own `Arc` so a view that owns its
-// plan can hand a nested view or an array iterator a share of exactly
-// the node it reads through.
-#[derive(Debug, Clone)]
-pub(crate) enum Access {
-    Scalar(ScalarCode),
-    /// A string, behind a pointer slot of this code.
-    Str(ScalarCode),
-    Record(Arc<ViewPlan>),
-    Array(Arc<ArrayAccess>),
-}
-
-#[derive(Debug, Clone)]
-pub(crate) struct ArrayAccess {
-    pub(crate) elem: Access,
-    pub(crate) stride: usize,
-    /// The element's alignment: where a converted dynamic region starts.
-    pub(crate) align: usize,
-    pub(crate) len: Len,
-}
-
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Len {
-    Fixed(usize),
-    /// A dynamic array: the count field's index in the enclosing struct,
-    /// its slot's offset and code, and the code of the array's own
-    /// pointer slot.
-    Counted { field: usize, offset: usize, code: ScalarCode, pointer: ScalarCode },
-}
-
-impl ViewPlan {
-    /// Compiles the accessors of `st` — a [`Format`]'s struct type, which
-    /// `Format::new` validated — as laid out on `arch`.
-    pub(crate) fn build(st: &StructType, arch: &Architecture) -> Result<ViewPlan, LayoutError> {
-        let pointer = ScalarCode::unsigned(arch.pointer.size, arch.endianness);
-        let mut offsets = Vec::with_capacity(st.fields.len());
-        let size = Layout::place(st, arch, |_, offset, _| {
-            offsets.push(offset);
-            Ok(())
-        })?
-        .size;
-        let access = |ty: &CType| -> Result<Access, LayoutError> {
-            Ok(match ty {
-                CType::Prim(p) => Access::Scalar(ScalarCode::of(*p, arch)),
-                CType::String => Access::Str(pointer),
-                CType::Struct(inner) => Access::Record(Arc::new(ViewPlan::build(inner, arch)?)),
-                CType::Array { .. } => {
-                    return Err(LayoutError::NestedArray { field: String::new() })
-                }
-            })
-        };
-        let count_slot = |array: &StructField, count_name: &String| {
-            let mut slots = st.fields.iter().zip(&offsets).enumerate();
-            let slot = slots.find_map(|(idx, (field, &offset))| match &field.ty {
-                CType::Prim(p) if field.name == *count_name => {
-                    let code = ScalarCode::of(*p, arch);
-                    Some(Len::Counted { field: idx, offset, code, pointer })
-                }
-                _ => None,
-            });
-            slot.ok_or_else(|| LayoutError::MissingCountField {
-                array: array.name.clone(),
-                count_field: count_name.clone(),
-            })
-        };
-        let fields = st
-            .fields
-            .iter()
-            .zip(&offsets)
-            .map(|(field, &offset)| {
-                let kind = match &field.ty {
-                    CType::Array { elem, len } => {
-                        let SizeAlign { size: stride, align } = Layout::size_align(elem, arch)?;
-                        Access::Array(Arc::new(ArrayAccess {
-                            elem: access(elem)?,
-                            stride,
-                            align,
-                            len: match len {
-                                ArrayLen::Fixed(n) => Len::Fixed(*n),
-                                ArrayLen::CountField(count_name) => {
-                                    count_slot(field, count_name)?
-                                }
-                            },
-                        }))
-                    }
-                    other => access(other)?,
-                };
-                Ok(FieldAccess { offset, kind })
-            })
-            .collect::<Result<_, LayoutError>>()?;
-        Ok(ViewPlan { arch: *arch, size, fields })
-    }
-}
-
-/// A plan node a view reads through: borrowed from the [`Format`] that
-/// memoizes it, or a share of a plan the root view built for a foreign
-/// architecture.
-#[derive(Debug, Clone)]
-enum PlanRef<'a, T> {
+enum LayoutRef<'a, T> {
     Borrowed(&'a T),
     Shared(Arc<T>),
 }
 
-impl<'a, T> PlanRef<'a, T> {
+impl<'a, T> LayoutRef<'a, T> {
     /// A reference of the same kind to the composite node `part` picks
     /// out of this one.
-    fn project<U>(&self, part: impl for<'p> FnOnce(&'p T) -> &'p Arc<U>) -> PlanRef<'a, U> {
+    fn project<U>(&self, part: impl for<'p> FnOnce(&'p T) -> &'p Arc<U>) -> LayoutRef<'a, U> {
         match self {
-            PlanRef::Borrowed(whole) => PlanRef::Borrowed(part(whole)),
-            PlanRef::Shared(whole) => PlanRef::Shared(Arc::clone(part(whole))),
+            LayoutRef::Borrowed(whole) => LayoutRef::Borrowed(part(whole)),
+            LayoutRef::Shared(whole) => LayoutRef::Shared(Arc::clone(part(whole))),
         }
     }
 }
 
-impl<T> Deref for PlanRef<'_, T> {
+impl<T> Deref for LayoutRef<'_, T> {
     type Target = T;
 
     fn deref(&self) -> &T {
         match self {
-            PlanRef::Borrowed(node) => node,
-            PlanRef::Shared(node) => node,
+            LayoutRef::Borrowed(node) => node,
+            LayoutRef::Shared(node) => node,
         }
     }
 }
@@ -198,7 +87,7 @@ impl<T> Deref for PlanRef<'_, T> {
 pub struct RecordView<'a> {
     payload: &'a [u8],
     struct_type: &'a StructType,
-    plan: PlanRef<'a, ViewPlan>,
+    layout: LayoutRef<'a, Layout>,
     /// Offset of this struct's fixed part within `payload` (non-zero for
     /// nested struct views; pointers stay payload-relative throughout).
     base: usize,
@@ -233,7 +122,7 @@ pub enum FieldView<'a> {
 #[derive(Debug, Clone)]
 pub struct ArrayView<'a> {
     payload: &'a [u8],
-    access: PlanRef<'a, ArrayAccess>,
+    access: LayoutRef<'a, ArrayAccess>,
     /// The array field: its name for error reports, its element type
     /// for nested views.
     field: &'a StructField,
@@ -256,9 +145,9 @@ impl<'a> RecordView<'a> {
     /// `sender_arch` in `format`'s struct type.
     ///
     /// When `sender_arch` is layout-compatible with the format's
-    /// architecture the format's memoized view plan is borrowed and
-    /// constructing the view allocates nothing; otherwise the sender's
-    /// plan is compiled once here and lives as long as the view.
+    /// architecture the format's layout is borrowed and constructing the
+    /// view allocates nothing; otherwise the sender's layout is compiled
+    /// once here and lives as long as the view.
     ///
     /// # Errors
     ///
@@ -269,18 +158,21 @@ impl<'a> RecordView<'a> {
         format: &'a Format,
         sender_arch: &Architecture,
     ) -> Result<RecordView<'a>, PbioError> {
-        let plan = if sender_arch.layout_compatible(format.arch()) {
-            PlanRef::Borrowed(format.view_plan()?)
+        let layout = if sender_arch.layout_compatible(format.arch()) {
+            LayoutRef::Borrowed(format.layout())
         } else {
-            PlanRef::Shared(Arc::new(ViewPlan::build(format.struct_type(), sender_arch)?))
+            LayoutRef::Shared(Arc::new(Layout::of_struct(
+                format.struct_type(),
+                sender_arch,
+            )?))
         };
-        RecordView::with_plan(payload, format, plan)
+        RecordView::with_layout(payload, format, layout)
     }
 
     /// [`over`](Self::over) for a sender named by its wire-header
     /// descriptor. The format's own descriptor — which `Format::new`
     /// checked maps back to a layout-compatible architecture — borrows
-    /// the memoized plan without rebuilding the sender's architecture;
+    /// the format's layout without rebuilding the sender's architecture;
     /// any other is reconstructed and goes through `over`.
     pub(crate) fn over_descriptor(
         payload: &'a [u8],
@@ -288,21 +180,29 @@ impl<'a> RecordView<'a> {
         descriptor: [u8; 6],
     ) -> Result<RecordView<'a>, PbioError> {
         if format.own_descriptor() == Some(descriptor) {
-            RecordView::with_plan(payload, format, PlanRef::Borrowed(format.view_plan()?))
+            RecordView::with_layout(payload, format, LayoutRef::Borrowed(format.layout()))
         } else {
             RecordView::over(payload, format, &Architecture::from_descriptor(descriptor))
         }
     }
 
-    fn with_plan(
+    fn with_layout(
         payload: &'a [u8],
         format: &'a Format,
-        plan: PlanRef<'a, ViewPlan>,
+        layout: LayoutRef<'a, Layout>,
     ) -> Result<RecordView<'a>, PbioError> {
-        if payload.len() < plan.size {
-            return Err(PbioError::Truncated { need: plan.size, have: payload.len() });
+        if payload.len() < layout.size {
+            return Err(PbioError::Truncated {
+                need: layout.size,
+                have: payload.len(),
+            });
         }
-        Ok(RecordView { payload, struct_type: format.struct_type(), plan, base: 0 })
+        Ok(RecordView {
+            payload,
+            struct_type: format.struct_type(),
+            layout,
+            base: 0,
+        })
     }
 
     /// The struct type this view decodes.
@@ -312,7 +212,7 @@ impl<'a> RecordView<'a> {
 
     /// The architecture the payload is laid out for (the sender's).
     pub fn arch(&self) -> &Architecture {
-        &self.plan.arch
+        self.layout.arch()
     }
 
     /// Decodes one field by name: one name search, then the field's
@@ -325,7 +225,9 @@ impl<'a> RecordView<'a> {
     /// strings.
     pub fn get(&self, name: &str) -> Result<FieldView<'a>, PbioError> {
         let idx = self.struct_type.field_index(name).ok_or_else(|| {
-            PbioError::Layout(LayoutError::MissingField { field: name.to_owned() })
+            PbioError::Layout(LayoutError::MissingField {
+                field: name.to_owned(),
+            })
         })?;
         self.field_at(idx)
     }
@@ -334,7 +236,9 @@ impl<'a> RecordView<'a> {
     /// `(name, field)` pairs; no name is searched for.
     pub fn fields(&self) -> impl Iterator<Item = (&'a str, Result<FieldView<'a>, PbioError>)> + '_ {
         let names = self.struct_type.fields.iter().map(|f| f.name.as_str());
-        names.enumerate().map(move |(idx, name)| (name, self.field_at(idx)))
+        names
+            .enumerate()
+            .map(move |(idx, name)| (name, self.field_at(idx)))
     }
 
     /// Eagerly decodes the whole view into a [`Record`] — the one
@@ -346,8 +250,12 @@ impl<'a> RecordView<'a> {
     /// As [`get`](Self::get), for whichever field fails first.
     pub fn to_record(&self) -> Result<Record, PbioError> {
         // The struct type's names are distinct (the layout walk checked).
-        let fields = self.fields().map(|(name, field)| Ok((name.to_owned(), field?.to_value()?)));
-        Ok(Record::from_distinct(fields.collect::<Result<_, PbioError>>()?))
+        let fields = self
+            .fields()
+            .map(|(name, field)| Ok((name.to_owned(), field?.to_value()?)));
+        Ok(Record::from_distinct(
+            fields.collect::<Result<_, PbioError>>()?,
+        ))
     }
 
     /// Decodes the `idx`-th field through its accessor.
@@ -357,10 +265,10 @@ impl<'a> RecordView<'a> {
     // decodes in ~85 ns so, ~130 ns otherwise).
     #[inline(always)]
     pub(crate) fn field_at(&self, idx: usize) -> Result<FieldView<'a>, PbioError> {
-        let access = &self.plan.fields[idx];
-        match access.kind {
+        let field = &self.layout.fields[idx];
+        match field.access {
             // Covered by this view's verified extent.
-            Access::Scalar(code) => Ok(code.read(self.payload, self.base + access.offset).into()),
+            Access::Scalar(code) => Ok(code.read(self.payload, self.base + field.offset).into()),
             _ => self.composite_at(idx),
         }
     }
@@ -368,9 +276,9 @@ impl<'a> RecordView<'a> {
     /// Views the `idx`-th field, a string, array or nested struct.
     fn composite_at(&self, idx: usize) -> Result<FieldView<'a>, PbioError> {
         let field = &self.struct_type.fields[idx];
-        let access = &self.plan.fields[idx];
-        let at = self.base + access.offset;
-        match &access.kind {
+        let slot_at = &self.layout.fields[idx];
+        let at = self.base + slot_at.offset;
+        match &slot_at.access {
             Access::Scalar(code) => Ok(code.read(self.payload, at).into()),
             // Slot read covered by this view's verified extent; only
             // the chase needs checking.
@@ -378,33 +286,37 @@ impl<'a> RecordView<'a> {
                 str_at(self.payload, slot(*pointer, self.payload, at), &field.name)
                     .map(FieldView::Str)
             }
-            Access::Record(_) => Ok(FieldView::Record(RecordView {
+            Access::Struct(_) => Ok(FieldView::Record(RecordView {
                 payload: self.payload,
                 struct_type: struct_of(&field.ty),
-                plan: self.plan.project(|plan| match &plan.fields[idx].kind {
-                    Access::Record(inner) => inner,
-                    _ => unreachable!("the accessor matched as a record"),
-                }),
+                layout: self
+                    .layout
+                    .project(|layout| match &layout.fields[idx].access {
+                        Access::Struct(inner) => inner,
+                        _ => unreachable!("the accessor matched as a struct"),
+                    }),
                 // The nested extent lies inside this view's verified one.
                 base: at,
             })),
             Access::Array(array) => {
-                let (start, count) = match array.len {
-                    Len::Fixed(n) => (at, n),
-                    Len::Counted { field: counter, offset, code, pointer } => {
-                        let count = code.read(self.payload, self.base + offset);
-                        let target = slot(pointer, self.payload, at);
-                        let counter = &self.struct_type.fields[counter].name;
+                let (start, count) = match array.count {
+                    ArrayCount::Fixed(n) => (at, n),
+                    ArrayCount::Counted(c) => {
+                        let count = c.code.read(self.payload, self.base + c.offset);
+                        let target = slot(c.pointer, self.payload, at);
+                        let counter = &self.layout.fields[c.field].name;
                         let stride = array.stride;
                         dynamic_region(self.payload, count, target, stride, &field.name, counter)?
                     }
                 };
                 Ok(FieldView::Array(ArrayView {
                     payload: self.payload,
-                    access: self.plan.project(|plan| match &plan.fields[idx].kind {
-                        Access::Array(array) => array,
-                        _ => unreachable!("the accessor matched as an array"),
-                    }),
+                    access: self
+                        .layout
+                        .project(|layout| match &layout.fields[idx].access {
+                            Access::Array(array) => array,
+                            _ => unreachable!("the accessor matched as an array"),
+                        }),
                     field,
                     at: start,
                     remaining: count,
@@ -435,20 +347,26 @@ pub(crate) fn dynamic_region(
     // size; clamping here also keeps `count * stride` from overflowing
     // and makes absurd counts fail fast.
     if count < 0 || count as usize > payload.len() / stride.max(1) {
-        return Err(LayoutError::BadCount { field: count_field.to_owned(), count }.into());
+        return Err(LayoutError::BadCount {
+            field: count_field.to_owned(),
+            count,
+        }
+        .into());
     }
     if count == 0 {
         return Ok((0, 0));
     }
-    let start = usize::try_from(target)
-        .map_err(|_| LayoutError::BadPointer { field: array.to_owned(), target })?;
+    let start = usize::try_from(target).map_err(|_| LayoutError::BadPointer {
+        field: array.to_owned(),
+        target,
+    })?;
     // The one dynamic-region check: covers every element read from it.
     let count = count as usize;
     bounds_check(payload, start, count * stride, array)?;
     Ok((start, count))
 }
 
-/// The unsigned value of the pointer slot at `at`.
+/// The unsigned value of the slot of code `pointer` at `at`.
 pub(crate) fn slot(pointer: ScalarCode, payload: &[u8], at: usize) -> u64 {
     match pointer.read(payload, at) {
         Scalar::UInt(target) => target,
@@ -462,7 +380,7 @@ fn struct_of(ty: &CType) -> &StructType {
     match ty {
         CType::Struct(inner) => inner,
         CType::Array { elem, .. } => struct_of(elem),
-        _ => unreachable!("a record accessor is compiled from a struct type"),
+        _ => unreachable!("a struct accessor is compiled from a struct type"),
     }
 }
 
@@ -594,22 +512,25 @@ impl<'a> Iterator for ArrayView<'a> {
             Access::Scalar(code) => Ok(code.read(self.payload, at).into()),
             // (Not built inside `str_at`: a callee writing the element
             // would pin every element to memory again.)
-            Access::Str(pointer) => {
-                str_at(self.payload, slot(*pointer, self.payload, at), &self.field.name)
-                    .map(FieldView::Str)
-            }
-            Access::Record(_) => Ok(FieldView::Record(RecordView {
+            Access::Str(pointer) => str_at(
+                self.payload,
+                slot(*pointer, self.payload, at),
+                &self.field.name,
+            )
+            .map(FieldView::Str),
+            Access::Struct(_) => Ok(FieldView::Record(RecordView {
                 payload: self.payload,
                 struct_type: struct_of(&self.field.ty),
-                plan: self.access.project(|array| match &array.elem {
-                    Access::Record(inner) => inner,
-                    _ => unreachable!("the element accessor matched as a record"),
+                layout: self.access.project(|array| match &array.elem {
+                    Access::Struct(inner) => inner,
+                    _ => unreachable!("the element accessor matched as a struct"),
                 }),
                 base: at,
             })),
-            Access::Array(_) => {
-                Err(LayoutError::NestedArray { field: self.field.name.clone() }.into())
+            Access::Array(_) => Err(LayoutError::NestedArray {
+                field: self.field.name.clone(),
             }
+            .into()),
         })
     }
 
@@ -634,7 +555,10 @@ pub(crate) fn str_at<'a>(
     let start = usize::try_from(target)
         .ok()
         .filter(|t| *t < payload.len())
-        .ok_or_else(|| LayoutError::BadPointer { field: field.to_owned(), target })?;
+        .ok_or_else(|| LayoutError::BadPointer {
+            field: field.to_owned(),
+            target,
+        })?;
     let Some(len) = payload[start..].iter().position(|b| *b == 0) else {
         return Err(LayoutError::Truncated {
             reading: format!("string field {field}"),
@@ -643,8 +567,12 @@ pub(crate) fn str_at<'a>(
         }
         .into());
     };
-    std::str::from_utf8(&payload[start..start + len])
-        .map_err(|_| LayoutError::BadString { field: field.to_owned() }.into())
+    std::str::from_utf8(&payload[start..start + len]).map_err(|_| {
+        LayoutError::BadString {
+            field: field.to_owned(),
+        }
+        .into()
+    })
 }
 
 fn bounds_check(payload: &[u8], at: usize, need: usize, what: &str) -> Result<(), PbioError> {
@@ -682,7 +610,10 @@ mod tests {
                 StructField::new("org", CType::String),
                 StructField::new("dest", CType::String),
                 StructField::new("off", CType::fixed_array(prim(Primitive::ULong), 5)),
-                StructField::new("eta", CType::dynamic_array(prim(Primitive::ULong), "eta_count")),
+                StructField::new(
+                    "eta",
+                    CType::dynamic_array(prim(Primitive::ULong), "eta_count"),
+                ),
                 StructField::new("eta_count", prim(Primitive::Int)),
             ],
         )
@@ -735,7 +666,7 @@ mod tests {
     #[test]
     fn view_agrees_with_eager_decode_cross_architecture() {
         // A big-endian ILP32 sender read by an x86-64 receiver: the view
-        // must build the sender's plan and still agree with the
+        // must lay the struct out for the sender and still agree with the
         // materialized decode.
         let sender = format_on(Architecture::SPARC32);
         let receiver = format_on(Architecture::X86_64);
@@ -838,7 +769,10 @@ mod tests {
             let view = ndr::view_with(&wire, &format).unwrap();
             assert_eq!(view.get("n").unwrap().as_u64(), Some(200));
             let a = view.get("a").unwrap().as_array().unwrap();
-            assert_eq!(a.map(|v| v.unwrap().as_i64().unwrap()).collect::<Vec<_>>(), items);
+            assert_eq!(
+                a.map(|v| v.unwrap().as_i64().unwrap()).collect::<Vec<_>>(),
+                items
+            );
         }
     }
 

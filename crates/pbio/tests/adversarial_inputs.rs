@@ -50,7 +50,8 @@ fn forge_count(codec: &str, wire: &mut [u8], format: &Format, claimed: u32) -> b
             // The count field lives in the fixed region at its layout
             // offset, in the sender's byte order, after the header.
             let header_len = pbio::header::WireHeader::peek(wire).unwrap().header_len;
-            let field = format.layout().field("n").unwrap();
+            let n = format.struct_type().field_index("n").unwrap();
+            let field = &format.layout().fields[n];
             put_uint(
                 wire,
                 header_len + field.offset,

@@ -7,14 +7,14 @@
 //!   `clayout::ConstStructType` (counts for `Vec` fields synthesized as
 //!   `<field>_count`, appended after the declared fields, exactly like
 //!   the XSD binder does for `maxOccurs="*"` elements);
-//! * a `clayout::Source`, one match arm per field, handing the format's
-//!   encode plan a borrowed scalar, string, slice or nested record (a
-//!   count is absent, so the plan writes it from its array);
+//! * a `clayout::Source`, one match arm per field, handing the encoder
+//!   a borrowed scalar, string, slice or nested record (a count is
+//!   absent, so the encoder writes it from its array);
 //! * `from_view`, one line per field, reading a `pbio::RecordView`'s
 //!   fields in declaration order.
 //!
-//! Offsets, alignment, pointers and byte order are the format's encode
-//! and view plans' business, as for every other record.
+//! Offsets, alignment, pointers and byte order are the business of the
+//! format's `clayout::Layout`, as for every other record.
 //!
 //! Supported field types: `i8`/`u8`/`i16`/`u16`/`i32`/`u32`/`i64`/
 //! `u64`/`f32`/`f64`, `String`, `[scalar-or-String; N]`,
@@ -439,7 +439,7 @@ fn generate(input: &Input) -> String {
         ..
     } = input;
     // Per field: its descriptor entry, the `Source` arm handing the
-    // encode plan its value, and the `from_view` line reading it back.
+    // encoder its value, and the `from_view` line reading it back.
     let (mut descriptor, mut arms, mut reads) = (String::new(), String::new(), String::new());
     for (idx, Field { rust, wire, kind }) in input.fields.iter().enumerate() {
         let (ty, source) = match kind {

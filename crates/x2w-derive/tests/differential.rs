@@ -5,7 +5,7 @@
 //! descriptor's schema must bind (through the dynamic XSD binder) to the
 //! identical `StructType`.
 
-use clayout::{Architecture, EncodePlan, LayoutError, Record, Value};
+use clayout::{Architecture, LayoutError, Record, Value};
 use pbio::{Format, FormatId, PbioError, Xml2WireRecord};
 use x2w_derive::Xml2WireRecord;
 
@@ -213,9 +213,9 @@ fn derived_encode_is_byte_identical_to_dynamic_encode_on_every_architecture() {
     let value = sample();
     for arch in &Architecture::ALL {
         let dynamic = clayout::encode_record(&record, &st, arch).unwrap().bytes;
-        let plan = EncodePlan::new(&st, arch).unwrap();
+        let layout = clayout::Layout::of_struct(&st, arch).unwrap();
         let mut derived = Vec::new();
-        clayout::encode_record_into(&mut derived, &value, &plan).unwrap();
+        clayout::encode_record_into(&mut derived, &value, &layout).unwrap();
         assert_eq!(derived, dynamic, "wire image diverged on {}", arch.name);
     }
 }
@@ -306,8 +306,8 @@ fn decode_view_is_fail_closed_on_truncated_and_corrupt_images() {
         Err(PbioError::Truncated { .. })
     ));
     // Corrupt count: make eta_count negative.
-    let layout = format.layout();
-    let count_field = layout.field("eta_count").unwrap();
+    let count_idx = format.struct_type().field_index("eta_count").unwrap();
+    let count_field = &format.layout().fields[count_idx];
     let mut corrupt = wire.clone();
     let at = header_len + count_field.offset;
     let code = clayout::ScalarCode::unsigned(count_field.size, format.arch().endianness);

@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let format = &formats[0];
     println!("bound format: {format}");
     println!("field table (the paper's IOField array, computed at runtime):");
-    for field in format.field_table()? {
+    for field in format.field_table() {
         println!("  {field}");
     }
 

@@ -5,7 +5,7 @@
 //! When the producer's struct is known at compile time,
 //! `#[derive(Xml2WireRecord)]` binds it at compile time instead: the
 //! derived descriptor is exactly what the XSD binder would produce, and
-//! the struct is marshaled by the same encode and view plans as a
+//! the struct is marshaled through the same compiled layout as a
 //! reflective `Record`, so it is byte-compatible with every
 //! dynamically-bound peer. This example runs both sides of that bargain:
 //!

@@ -82,7 +82,7 @@ fn inspect(args: &[String]) -> Result<(), String> {
     for format in formats {
         println!("\nformat {} — {} bytes fixed part", format.name(), format.record_size());
         println!("  {:<16} {:>28} {:>6} {:>7}", "field", "type", "size", "offset");
-        for row in format.field_table().map_err(|e| e.to_string())? {
+        for row in format.field_table() {
             println!(
                 "  {:<16} {:>28} {:>6} {:>7}",
                 row.name, row.type_string, row.size, row.offset
