@@ -137,7 +137,9 @@ impl DiscoveryStats {
         }
     }
 
-    /// Counts one transport-level retry inside a fetch.
+    /// Counts one transport-level retry inside a fetch: a policy attempt
+    /// after the first. Re-sending a request at once because a kept
+    /// connection had been closed while idle is not one.
     pub fn note_retry(&self) {
         self.retries.fetch_add(1, Ordering::Relaxed);
     }
@@ -196,7 +198,8 @@ pub struct SourceStatsSnapshot {
 pub struct DiscoveryStatsSnapshot {
     /// Per-source attempts/failures, sorted by source name.
     pub sources: Vec<SourceStatsSnapshot>,
-    /// Transport-level retries across all fetches.
+    /// Transport-level retries across all fetches (see
+    /// [`DiscoveryStats::note_retry`]).
     pub retries: u64,
     /// Completed chain fetches (hits served from cache not included).
     pub fetches: u64,

@@ -231,9 +231,12 @@ impl Poller {
 
     #[cfg(target_os = "linux")]
     fn epoll_ctl(&self, epfd: RawFd, op: i32, fd: RawFd, key: u64, interest: Interest) -> io::Result<()> {
-        let mut events = sys::EPOLLRDHUP;
+        // A peer's half-close is news only to a reader: asked for without
+        // read interest, EPOLLRDHUP would report a half-closed socket on
+        // every wait, and a loop blocked writing to it would spin.
+        let mut events = 0;
         if interest.read {
-            events |= sys::EPOLLIN;
+            events |= sys::EPOLLIN | sys::EPOLLRDHUP;
         }
         if interest.write {
             events |= sys::EPOLLOUT;
@@ -626,6 +629,27 @@ mod tests {
             // A hangup must at least surface as readable (read returns
             // Ok(0)) so the state machine notices the close.
             assert!(events.iter().any(|e| e.key == 1 && (e.readable || e.hangup)));
+        }
+    }
+
+    #[test]
+    fn a_half_close_wakes_only_a_reader_on_every_backend() {
+        use std::os::unix::io::AsRawFd;
+        let _alone = fd_count_lock();
+        for poller in backends() {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (server, _) = listener.accept().unwrap();
+            let idle = Interest { read: false, write: false };
+            poller.add(server.as_raw_fd(), 3, idle).unwrap();
+            client.shutdown(std::net::Shutdown::Write).unwrap();
+            let mut events = Vec::new();
+            let n = poller.wait(&mut events, Some(Duration::from_millis(50))).unwrap();
+            assert_eq!(n, 0, "{}: {events:?}", poller.backend_name());
+            poller.modify(server.as_raw_fd(), 3, Interest::READ).unwrap();
+            let n = poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+            assert!(n >= 1 && events.iter().any(|e| e.key == 3 && e.readable));
+            poller.delete(server.as_raw_fd()).unwrap();
         }
     }
 
