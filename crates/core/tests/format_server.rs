@@ -78,12 +78,14 @@ fn receiver_resolves_an_unknown_id_through_the_server() {
     assert_eq!(record.get("fltNum").unwrap().as_i64(), Some(1202));
     assert_eq!(record.get("eta_count").unwrap().as_i64(), Some(2));
 
-    // Resolution happened once; a later message needs no fetch.
-    let fetches = server.accept_wakeups();
+    // Resolution happened once; a later message needs no fetch. The
+    // server is gone before it arrives, so a fetch would fail it (an
+    // accept count could not tell: the client reuses kept connections).
+    let url = base(&server);
+    drop(server);
     let wire2 = sender.encode(&flight_record(), "Flight").unwrap();
-    assert!(receiver.decode_resolving(&wire2, &base(&server)).is_ok());
+    assert!(receiver.decode_resolving(&wire2, &url).is_ok(), "the second message fetched");
     assert!(receiver.decode(&wire2).is_ok());
-    assert_eq!(server.accept_wakeups(), fetches, "the second message fetched");
 }
 
 #[test]
