@@ -207,11 +207,13 @@ impl StructType {
     }
 
     /// Finds a field by name.
+    #[inline]
     pub fn field(&self, name: &str) -> Option<&StructField> {
         self.fields.iter().find(|f| f.name == name)
     }
 
     /// Index of a field by name.
+    #[inline]
     pub fn field_index(&self, name: &str) -> Option<usize> {
         self.fields.iter().position(|f| f.name == name)
     }

@@ -40,6 +40,7 @@ impl Value {
 
     /// The value as `i64` if it is an integer of either signedness that
     /// fits.
+    #[inline]
     pub fn as_i64(&self) -> Option<i64> {
         match self {
             Value::Int(v) => Some(*v),
@@ -49,6 +50,7 @@ impl Value {
     }
 
     /// The value as `u64` if it is a non-negative integer.
+    #[inline]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Value::UInt(v) => Some(*v),
@@ -59,6 +61,7 @@ impl Value {
 
     /// The value as `f64` if it is a float (integers are *not* coerced;
     /// the metadata decides representations, not the data).
+    #[inline]
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Float(v) => Some(*v),
@@ -67,6 +70,7 @@ impl Value {
     }
 
     /// The value as `&str` if it is a string.
+    #[inline]
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::String(s) => Some(s),
@@ -75,6 +79,7 @@ impl Value {
     }
 
     /// The value as a slice if it is an array.
+    #[inline]
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {
             Value::Array(vs) => Some(vs),
@@ -83,6 +88,7 @@ impl Value {
     }
 
     /// The value as a record if it is one.
+    #[inline]
     pub fn as_record(&self) -> Option<&Record> {
         match self {
             Value::Record(r) => Some(r),
@@ -210,6 +216,7 @@ impl Record {
     }
 
     /// The value of field `name`, if present.
+    #[inline]
     pub fn get(&self, name: &str) -> Option<&Value> {
         self.fields.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }

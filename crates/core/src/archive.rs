@@ -218,7 +218,7 @@ impl<R: Read> ArchiveReader<R> {
         let Some(message) = next_payload(&mut self.window, &mut self.source)? else {
             return Ok(None);
         };
-        let (format, record) = pbio::ndr::decode(message, self.session.registry())?;
+        let (format, record) = self.session.decode(message)?;
         Ok(Some((format.name().to_owned(), record)))
     }
 

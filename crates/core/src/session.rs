@@ -221,11 +221,19 @@ impl Xml2Wire {
     /// Decodes an NDR message, resolving its format by name in this
     /// session's registry.
     ///
+    /// A message from a sender whose layout differs from this session's
+    /// is read through the sender's layout in the session's conversion
+    /// plan for that architecture ([`pbio::ndr::decode_planned`]): a
+    /// session that only decodes builds that plan on its first foreign
+    /// message, and one that also converts shares it with
+    /// [`to_native_image`](Self::to_native_image). The sender's layout
+    /// is compiled once per session, not once per message.
+    ///
     /// # Errors
     ///
     /// Unknown formats or malformed messages.
     pub fn decode(&self, bytes: &[u8]) -> Result<(Arc<Format>, Record), X2wError> {
-        Ok(pbio::ndr::decode(bytes, &self.registry)?)
+        Ok(pbio::ndr::decode_planned(bytes, &self.registry, &self.plans)?)
     }
 
     /// Converts a message to a native image for this session's
@@ -322,7 +330,7 @@ impl Xml2Wire {
         bytes: &[u8],
         base_url: &str,
     ) -> Result<(Arc<Format>, Record), X2wError> {
-        match pbio::ndr::decode(bytes, &self.registry) {
+        match pbio::ndr::decode_planned(bytes, &self.registry, &self.plans) {
             Err(pbio::PbioError::UnknownFormat { .. }) => {}
             decoded => return Ok(decoded?),
         }
@@ -339,7 +347,7 @@ impl Xml2Wire {
             return Err(X2wError::Discovery { locator: url, attempts: vec![why] });
         }
         self.binder().bind_schema_owned(schema)?;
-        Ok(pbio::ndr::decode(bytes, &self.registry)?)
+        self.decode(bytes)
     }
 }
 

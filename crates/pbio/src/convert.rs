@@ -34,6 +34,11 @@ use crate::format::{struct_fingerprint, Format};
 use crate::memo::{Memo, MemoStats};
 use crate::view::{dynamic_region, slot, str_at};
 
+/// The code of `arch`'s pointer slots.
+fn pointer_code(arch: &Architecture) -> ScalarCode {
+    ScalarCode::unsigned(arch.pointer.size, arch.endianness)
+}
+
 /// Conversion applied to one scalar element (also the element action of
 /// array ops).
 #[derive(Debug, Clone, PartialEq)]
@@ -200,6 +205,10 @@ pub struct ConversionPlan {
     /// there too when the pair is byte-identical but not
     /// layout-compatible — a pure memcpy).
     swap_spans: Vec<SwapSpan>,
+    /// The sender's layout the plan was zipped from, which a view of the
+    /// same payload reads through; `None` on the identity tier, where
+    /// the sender's layout is the destination's.
+    src: Option<Arc<Layout>>,
 }
 
 impl ConversionPlan {
@@ -216,25 +225,57 @@ impl ConversionPlan {
         dst_arch: &Architecture,
     ) -> Result<ConversionPlan, PbioError> {
         let src = Layout::of_struct(struct_type, src_arch)?;
-        let pointer =
-            |arch: &Architecture| ScalarCode::unsigned(arch.pointer.size, arch.endianness);
-        let mut plan = ConversionPlan {
-            ops: Vec::new(),
-            names: Vec::new(),
-            src_pointer: pointer(src_arch),
-            dst_pointer: pointer(dst_arch),
-            src_fixed_len: src.size,
-            dst_fixed_len: src.size,
-            tier: PlanTier::Identity,
-            swap_spans: Vec::new(),
-        };
         if src_arch.layout_compatible(dst_arch) {
-            return Ok(plan);
+            return Ok(ConversionPlan::identity(src_arch, src.size));
         }
         let dst = Layout::of_struct(struct_type, dst_arch)?;
-        plan.ops = fuse(build_ops(&src, &dst, &mut plan.names, ""));
-        plan.dst_fixed_len = dst.size;
-        plan.tier = PlanTier::General;
+        Ok(ConversionPlan::zip(src, &dst))
+    }
+
+    /// [`build`](Self::build) into `native`'s architecture, through the
+    /// layout `native` already holds: only the sender's layout is
+    /// compiled, and none for a layout-compatible sender.
+    fn for_format(native: &Format, src_arch: &Architecture) -> Result<ConversionPlan, PbioError> {
+        let dst = native.layout();
+        if src_arch.layout_compatible(dst.arch()) {
+            return Ok(ConversionPlan::identity(src_arch, dst.size));
+        }
+        let src = Layout::of_struct(native.struct_type(), src_arch)?;
+        Ok(ConversionPlan::zip(src, dst))
+    }
+
+    /// The plan between two layout-compatible architectures.
+    fn identity(arch: &Architecture, fixed_len: usize) -> ConversionPlan {
+        let pointer = pointer_code(arch);
+        ConversionPlan {
+            ops: Vec::new(),
+            names: Vec::new(),
+            src_pointer: pointer,
+            dst_pointer: pointer,
+            src_fixed_len: fixed_len,
+            dst_fixed_len: fixed_len,
+            tier: PlanTier::Identity,
+            swap_spans: Vec::new(),
+            src: None,
+        }
+    }
+
+    /// The plan from `src` to `dst`, two layouts of one struct type on
+    /// architectures that are not layout-compatible.
+    fn zip(src: Layout, dst: &Layout) -> ConversionPlan {
+        let mut names = Vec::new();
+        let ops = fuse(build_ops(&src, dst, &mut names, ""));
+        let mut plan = ConversionPlan {
+            ops,
+            names,
+            src_pointer: pointer_code(src.arch()),
+            dst_pointer: pointer_code(dst.arch()),
+            src_fixed_len: src.size,
+            dst_fixed_len: dst.size,
+            tier: PlanTier::General,
+            swap_spans: Vec::new(),
+            src: None,
+        };
         // PureSwap candidacy: identical total size and every op a
         // same-offset copy or swap (recursively) — which also rules out
         // pointer-bearing fields, keeping error behaviour identical to
@@ -245,7 +286,14 @@ impl ConversionPlan {
                 plan.tier = PlanTier::PureSwap;
             }
         }
-        Ok(plan)
+        plan.src = Some(Arc::new(src));
+        plan
+    }
+
+    /// The sender's layout, for a view of a payload this plan converts;
+    /// `None` on the identity tier (the view reads the destination's).
+    pub(crate) fn source_layout(&self) -> Option<&Arc<Layout>> {
+        self.src.as_ref()
     }
 
     /// Whether the two layouts are identical, making conversion a single
@@ -819,7 +867,9 @@ impl PlanCache {
         dst_arch: &Architecture,
     ) -> Result<Arc<ConversionPlan>, PbioError> {
         let fingerprint = struct_fingerprint(struct_type);
-        self.plan_keyed(fingerprint, struct_type, src_arch, dst_arch)
+        self.plan_keyed(fingerprint, src_arch, dst_arch, || {
+            ConversionPlan::build(struct_type, src_arch, dst_arch)
+        })
     }
 
     /// Returns the cached plan for converting payloads of `native`'s
@@ -835,25 +885,24 @@ impl PlanCache {
         native: &Format,
         src_arch: &Architecture,
     ) -> Result<Arc<ConversionPlan>, PbioError> {
-        let (fingerprint, dst_arch) = (native.fingerprint(), native.arch());
-        self.plan_keyed(fingerprint, native.struct_type(), src_arch, dst_arch)
+        self.plan_keyed(native.fingerprint(), src_arch, native.arch(), || {
+            ConversionPlan::for_format(native, src_arch)
+        })
     }
 
-    /// The probe behind both entry points; `fingerprint` is
-    /// `struct_type`'s.
+    /// The probe behind both entry points, keyed by the definition's
+    /// `fingerprint` and the two architectures; `build` compiles a miss.
     fn plan_keyed(
         &self,
         fingerprint: u64,
-        struct_type: &StructType,
         src_arch: &Architecture,
         dst_arch: &Architecture,
+        build: impl FnOnce() -> Result<ConversionPlan, PbioError>,
     ) -> Result<Arc<ConversionPlan>, PbioError> {
         let mut archs = [0u8; 12];
         archs[..6].copy_from_slice(&src_arch.descriptor());
         archs[6..].copy_from_slice(&dst_arch.descriptor());
-        self.plans.get_or_build((fingerprint, archs), || {
-            ConversionPlan::build(struct_type, src_arch, dst_arch)
-        })
+        self.plans.get_or_build((fingerprint, archs), build)
     }
 
     /// Snapshot of the hit/miss/build counters and the resident plans.

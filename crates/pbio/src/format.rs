@@ -120,6 +120,7 @@ impl Format {
     /// The wire descriptor of messages laid out for this format's own
     /// architecture, or `None` when the architecture's descriptor does
     /// not map back to it.
+    #[inline]
     pub(crate) fn own_descriptor(&self) -> Option<[u8; 6]> {
         self.own_descriptor
     }
@@ -127,31 +128,37 @@ impl Format {
     /// The memoized wire-header bytes for this format, with the two
     /// per-message length fields (`fixed_len` at offset 16, `payload_len`
     /// at offset 20) left zero for the encoder to patch.
+    #[inline]
     pub fn header_prefix(&self) -> &[u8] {
         &self.header_prefix
     }
 
     /// The registry-assigned id.
+    #[inline]
     pub fn id(&self) -> FormatId {
         self.id
     }
 
     /// The format (struct) name.
+    #[inline]
     pub fn name(&self) -> &str {
         &self.struct_type.name
     }
 
     /// The underlying struct type.
+    #[inline]
     pub fn struct_type(&self) -> &StructType {
         &self.struct_type
     }
 
     /// The architecture this format is bound to.
+    #[inline]
     pub fn arch(&self) -> &Architecture {
         &self.arch
     }
 
     /// The compiled layout on [`arch`](Self::arch).
+    #[inline]
     pub fn layout(&self) -> &Layout {
         &self.layout
     }
@@ -159,11 +166,13 @@ impl Format {
     /// A stable fingerprint of the struct definition (see
     /// [`struct_fingerprint`]); equal across architectures and
     /// registries, different across format versions.
+    #[inline]
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
 
     /// `sizeof` the fixed part of a record in this format.
+    #[inline]
     pub fn record_size(&self) -> usize {
         self.layout.size
     }

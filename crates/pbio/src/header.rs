@@ -74,6 +74,7 @@ pub struct WirePeek {
 
 impl WirePeek {
     /// The sender's architecture, reconstructed from its descriptor.
+    #[inline]
     pub fn arch(&self) -> Architecture {
         Architecture::from_descriptor(self.descriptor)
     }
@@ -84,6 +85,7 @@ impl WirePeek {
     /// # Errors
     ///
     /// Reports a name that is not UTF-8.
+    #[inline]
     pub fn format_name<'a>(&self, buf: &'a [u8]) -> Result<&'a str, PbioError> {
         std::str::from_utf8(self.name_bytes(buf))
             .map_err(|_| PbioError::Text { detail: "format name is not UTF-8".to_owned() })
@@ -91,6 +93,7 @@ impl WirePeek {
 
     /// The format name's bytes in `buf`, unvalidated — enough to tell
     /// whether the message carries a name already in hand.
+    #[inline]
     pub(crate) fn name_bytes<'a>(&self, buf: &'a [u8]) -> &'a [u8] {
         &buf[FIXED_HEADER_LEN..FIXED_HEADER_LEN + usize::from(self.name_len)]
     }
@@ -110,6 +113,7 @@ impl WireHeader {
     /// # Errors
     ///
     /// Reports bad magic, unsupported versions and truncation.
+    #[inline]
     pub fn peek(buf: &[u8]) -> Result<WirePeek, PbioError> {
         let Some(fixed) = buf.first_chunk::<FIXED_HEADER_LEN>() else {
             return Err(PbioError::Truncated { need: FIXED_HEADER_LEN, have: buf.len() });
@@ -172,6 +176,7 @@ impl WireHeader {
 }
 
 /// Rounds `n` up to a multiple of 4 (XDR-style header padding).
+#[inline]
 fn pad4(n: usize) -> usize {
     (n + 3) & !3
 }

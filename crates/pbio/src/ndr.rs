@@ -8,7 +8,9 @@
 //! * [`view_with`] — read values straight out of the wire image through
 //!   the sender's layout (reader-makes-right at the value level),
 //!   with [`decode`] / [`decode_with`] materializing the view as a
-//!   [`Record`] and [`decode_typed`] reading it into a derived struct, or
+//!   [`Record`] and [`decode_typed`] reading it into a derived struct
+//!   ([`decode_planned`] reads a foreign sender through the layout its
+//!   cached conversion plan keeps), or
 //! * [`to_native_image`] — produce a byte image in the *receiver's*
 //!   layout via a cached [`ConversionPlan`](crate::convert::ConversionPlan),
 //!   which is free (one bulk
@@ -77,6 +79,7 @@ fn message_into<S: Source + ?Sized>(
 ///
 /// As [`encode`]. On error `out` holds partially written bytes and must
 /// not be transmitted (the next `encode_into` clears it).
+#[inline]
 pub fn encode_into(
     out: &mut Vec<u8>,
     record: &Record,
@@ -114,6 +117,7 @@ pub fn encode_typed_into<T: Xml2WireRecord>(
 /// # Errors
 ///
 /// Reports malformed or truncated headers and payloads.
+#[inline]
 pub fn split(buf: &[u8]) -> Result<(WirePeek, &[u8]), PbioError> {
     let peek = WireHeader::peek(buf)?;
     let need = peek.header_len + peek.payload_len as usize;
@@ -131,6 +135,7 @@ pub fn split(buf: &[u8]) -> Result<(WirePeek, &[u8]), PbioError> {
 /// or carries it for another *version* of the definition: a view or a
 /// conversion plan reads a payload through `format`'s struct type, so
 /// it may only ever see payloads of that definition.
+#[inline]
 fn split_for<'a>(buf: &'a [u8], format: &Format) -> Result<(WirePeek, &'a [u8]), PbioError> {
     let (peek, payload) = split(buf)?;
     if peek.name_bytes(buf) != format.name().as_bytes() {
@@ -170,12 +175,15 @@ pub fn decode_with(buf: &[u8], format: &Format) -> Result<Record, PbioError> {
 /// Opens a borrowed [`RecordView`] over a message's payload: no
 /// `Record` is materialized, fields decode lazily on access, and
 /// strings come back as slices of `buf` itself. Between
-/// layout-compatible machines nothing is allocated.
+/// layout-compatible machines nothing is allocated; a foreign sender's
+/// layout is compiled for the view, per call (there is no plan cache
+/// here to keep it — see [`decode_planned`]).
 ///
 /// # Errors
 ///
 /// Reports header problems, format-name and version mismatches, and
 /// payloads shorter than the sender's fixed part.
+#[inline]
 pub fn view_with<'a>(buf: &'a [u8], format: &'a Format) -> Result<RecordView<'a>, PbioError> {
     let (peek, payload) = split_for(buf, format)?;
     RecordView::over_descriptor(payload, format, peek.descriptor)
@@ -212,6 +220,7 @@ pub fn decode_typed<T: Xml2WireRecord>(buf: &[u8], format: &Format) -> Result<T,
 /// # Errors
 ///
 /// Header problems, unknown formats, version-fingerprint mismatches.
+#[inline]
 pub fn resolve<'a>(
     buf: &'a [u8],
     registry: &FormatRegistry,
@@ -234,7 +243,8 @@ pub fn resolve<'a>(
 }
 
 /// Decodes a message by resolving its format in `registry`
-/// ([`resolve`]).
+/// ([`resolve`]). A foreign sender's layout is compiled per call;
+/// [`decode_planned`] keeps it in a [`PlanCache`].
 ///
 /// # Errors
 ///
@@ -245,6 +255,32 @@ pub fn decode(
 ) -> Result<(Arc<Format>, Record), PbioError> {
     let (format, peek, payload) = resolve(buf, registry)?;
     let record = RecordView::over_descriptor(payload, &format, peek.descriptor)?.to_record()?;
+    Ok((format, record))
+}
+
+/// [`decode`] for a receiver that keeps a [`PlanCache`]: a payload from a
+/// sender that is not laid out like the resolved format is read through
+/// the source layout of the plan `plans` holds for the sender's
+/// architecture — the plan [`to_native_image`] converts with, compiled
+/// on the first such message — instead of a layout compiled per
+/// message, as [`decode`] and [`view_with`] compile it. The records and
+/// errors are [`decode`]'s.
+///
+/// # Errors
+///
+/// As [`decode`].
+pub fn decode_planned(
+    buf: &[u8],
+    registry: &FormatRegistry,
+    plans: &PlanCache,
+) -> Result<(Arc<Format>, Record), PbioError> {
+    let (format, peek, payload) = resolve(buf, registry)?;
+    let record = if format.own_descriptor() == Some(peek.descriptor) {
+        RecordView::over_descriptor(payload, &format, peek.descriptor)?.to_record()?
+    } else {
+        let plan = plans.plan_for_format(&format, &peek.arch())?;
+        RecordView::over_plan(payload, &format, &plan)?.to_record()?
+    };
     Ok((format, record))
 }
 

@@ -35,6 +35,7 @@ use clayout::{
     ScalarCode, StructField, StructType, Value,
 };
 
+use crate::convert::ConversionPlan;
 use crate::error::PbioError;
 use crate::format::Format;
 
@@ -153,6 +154,7 @@ impl<'a> RecordView<'a> {
     ///
     /// Reports layout failures on the sender's architecture and payloads
     /// shorter than the fixed part.
+    #[inline]
     pub fn over(
         payload: &'a [u8],
         format: &'a Format,
@@ -174,6 +176,7 @@ impl<'a> RecordView<'a> {
     /// checked maps back to a layout-compatible architecture — borrows
     /// the format's layout without rebuilding the sender's architecture;
     /// any other is reconstructed and goes through `over`.
+    #[inline]
     pub(crate) fn over_descriptor(
         payload: &'a [u8],
         format: &'a Format,
@@ -186,6 +189,23 @@ impl<'a> RecordView<'a> {
         }
     }
 
+    /// [`over`](Self::over) for the sender whose layout `plan` was
+    /// compiled from (`plan` converts `format`'s struct type): the
+    /// plan's source layout is shared instead of compiled again, and an
+    /// identity plan's sender reads through the format's own layout.
+    pub(crate) fn over_plan(
+        payload: &'a [u8],
+        format: &'a Format,
+        plan: &ConversionPlan,
+    ) -> Result<RecordView<'a>, PbioError> {
+        let layout = match plan.source_layout() {
+            Some(src) => LayoutRef::Shared(Arc::clone(src)),
+            None => LayoutRef::Borrowed(format.layout()),
+        };
+        RecordView::with_layout(payload, format, layout)
+    }
+
+    #[inline]
     fn with_layout(
         payload: &'a [u8],
         format: &'a Format,
@@ -223,6 +243,7 @@ impl<'a> RecordView<'a> {
     /// Reports unknown fields, and for a known one bad counts, pointers
     /// and regions outside the payload, and unterminated or non-UTF-8
     /// strings.
+    #[inline]
     pub fn get(&self, name: &str) -> Result<FieldView<'a>, PbioError> {
         let idx = self.struct_type.field_index(name).ok_or_else(|| {
             PbioError::Layout(LayoutError::MissingField {
@@ -234,6 +255,7 @@ impl<'a> RecordView<'a> {
 
     /// Decodes every field in declaration order, yielding
     /// `(name, field)` pairs; no name is searched for.
+    #[inline]
     pub fn fields(&self) -> impl Iterator<Item = (&'a str, Result<FieldView<'a>, PbioError>)> + '_ {
         let names = self.struct_type.fields.iter().map(|f| f.name.as_str());
         names
@@ -400,6 +422,7 @@ impl<'a> FieldView<'a> {
 
     /// The field as `i64` if it is an integer of either signedness that
     /// fits (same semantics as [`Value::as_i64`]).
+    #[inline]
     pub fn as_i64(&self) -> Option<i64> {
         match self {
             FieldView::Int(v) => Some(*v),
@@ -409,6 +432,7 @@ impl<'a> FieldView<'a> {
     }
 
     /// The field as `u64` if it is a non-negative integer.
+    #[inline]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             FieldView::UInt(v) => Some(*v),
@@ -418,6 +442,7 @@ impl<'a> FieldView<'a> {
     }
 
     /// The field as `f64` if it is a float.
+    #[inline]
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             FieldView::Float(v) => Some(*v),
@@ -426,6 +451,7 @@ impl<'a> FieldView<'a> {
     }
 
     /// The field as a payload-borrowed `&str` if it is a string.
+    #[inline]
     pub fn as_str(&self) -> Option<&'a str> {
         match self {
             FieldView::Str(s) => Some(s),
@@ -434,6 +460,7 @@ impl<'a> FieldView<'a> {
     }
 
     /// The field as an element iterator if it is an array.
+    #[inline]
     pub fn as_array(&self) -> Option<ArrayView<'a>> {
         match self {
             FieldView::Array(a) => Some(a.clone()),
@@ -442,6 +469,7 @@ impl<'a> FieldView<'a> {
     }
 
     /// The field as a nested view if it is a struct.
+    #[inline]
     pub fn as_record(&self) -> Option<&RecordView<'a>> {
         match self {
             FieldView::Record(r) => Some(r),
