@@ -794,13 +794,15 @@ fn pump_link(
         let alive = absorb_window(client, routes, config, filters, counters);
         for route in routes.iter_mut().filter(|route| !route.pending.is_empty()) {
             let events = route.pending.len() as u64;
-            // A failure here is the local broker shutting down under
-            // the link.
-            let tally = match route.handle.forward(route.pending.drain(..)) {
-                Ok(()) => &counters.events_forwarded,
-                Err(_) => &counters.protocol_errors,
-            };
-            tally.fetch_add(events, Ordering::Relaxed);
+            // Counted before the hand-off: the shard queue's lock orders
+            // this add before any delivery of the batch, so whoever
+            // received an event reads a count that includes it. A failure
+            // is the local broker shutting down under the link.
+            counters.events_forwarded.fetch_add(events, Ordering::Relaxed);
+            if route.handle.forward(route.pending.drain(..)).is_err() {
+                counters.events_forwarded.fetch_sub(events, Ordering::Relaxed);
+                counters.protocol_errors.fetch_add(events, Ordering::Relaxed);
+            }
         }
         // A failed or empty read is link loss (or our own Drop).
         if !alive || stop.load(Ordering::SeqCst) || !matches!(client.fill(), Ok(1..)) {

@@ -26,6 +26,8 @@
 //! is generated directly on `proc_macro::TokenStream` so the workspace
 //! builds offline. A crate that derives depends on `clayout` and `pbio`.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 // ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@
 //! * an **`RLIMIT_NOFILE` raiser**, because holding 100k sockets open
 //!   needs more than the default 1024-fd budget.
 //!
-//! All `unsafe` in the workspace lives here (every other crate keeps
-//! `#![forbid(unsafe_code)]`), confined to the `sys` module's raw
-//! syscall bindings and a handful of call sites that pass plain
+//! The workspace's `unsafe` lives in two shims (every product crate
+//! keeps `#![forbid(unsafe_code)]`): `crc32fast`'s one call into its
+//! carry-less-multiply kernel, and here, confined to the `sys` module's
+//! raw syscall bindings and a handful of call sites that pass plain
 //! integers and `#[repr(C)]` structs across the FFI boundary. The API
 //! surface mirrors the real `polling` crate in spirit (add / modify /
 //! delete / wait with level-triggered semantics and u64 keys) but only
