@@ -27,8 +27,11 @@
 //!   the last format name, the last seq seen) and republishes all the
 //!   events of one socket read with one hand-off per stream to the
 //!   local shard queue — never blocking on the socket while it holds
-//!   parsed events. An event costs two allocations on each side of the
-//!   hop and nothing else that is not shared by its batch.
+//!   parsed events. A live event costs two allocations on each side of
+//!   the hop and nothing else that is not shared by its batch. An event
+//!   replayed from a durable stream's log costs none on the serving
+//!   side: the forwarder hands each drained batch back to its replay
+//!   subscription, which overwrites those events with the next records.
 //! * **Sequence numbers travel with events.** A durable stream's events
 //!   keep the origin-assigned seq across hops, so dedup at the
 //!   replay/live boundary is exact *anywhere* downstream, not just at
@@ -112,7 +115,7 @@ const FORWARD_TICK: Duration = Duration::from_millis(25);
 /// How many queued events a forwarder drains into one wire block.
 /// Bounds per-block memory while letting a replay catch-up burst cross
 /// as a few pushes instead of one push per event.
-const FORWARD_BATCH: usize = 64;
+pub(crate) const FORWARD_BATCH: usize = 64;
 
 /// A block is also closed once it holds this many wire bytes, so a
 /// batch of large events does not become one oversized allocation.
@@ -229,9 +232,11 @@ fn decode_suberr(payload: &[u8]) -> Option<(&str, &str)> {
 }
 
 /// Either face of a serving-side subscription: catch-up replay for
-/// durable streams, plain live for the rest.
+/// durable streams, plain live for the rest. The replay is boxed: it
+/// carries its read window's cursor and spare events, several times a
+/// live subscription's size.
 enum Feed {
-    Replay(ReplaySubscription),
+    Replay(Box<ReplaySubscription>),
     Live(Subscription),
 }
 
@@ -428,7 +433,7 @@ fn handle_subscribe(
     let (feed, cutover) = match broker.subscribe_replay(name, from_seq) {
         Ok(replay) => {
             let cutover = replay.cutover_seq();
-            (Feed::Replay(replay), cutover)
+            (Feed::Replay(Box::new(replay)), cutover)
         }
         Err(BackboneError::NotDurable { .. }) => match broker.subscribe(name) {
             Ok(live) => (Feed::Live(live), 0),
@@ -467,7 +472,9 @@ fn handle_subscribe(
 /// one inbox entry, at most one waker write and one `IoSlice` for the
 /// whole batch, and no per-event frame in between. Nothing lingers to
 /// fill a batch. Events a predicate-scoped subscription does not match
-/// are dropped here, before they ever reach the wire.
+/// are dropped here, before they ever reach the wire. The batch stays
+/// in `batch` until the next refill, where a replay subscription takes
+/// its events back to overwrite.
 fn forward_loop(
     mut feed: Feed,
     filter: Option<Arc<StreamFilter>>,

@@ -7,9 +7,13 @@
 //! `Broker` → `Subscription::recv_timeout` → drop, with every thread
 //! of the process counted.
 //!
-//! An event costs four allocations end to end: its payload `Vec` and
-//! its `Arc<Event>` where it enters the origin broker, and the same two
-//! where the link republishes it. Everything between is per *batch*:
+//! A live event costs four allocations end to end: its payload `Vec`
+//! and its `Arc<Event>` where it enters the origin broker, and the same
+//! two where the link republishes it. An event replayed from a durable
+//! stream's log costs only the link's two: the forwarder hands its
+//! replay subscription each drained batch back, and the subscription
+//! overwrites those events with the next records in place. Everything
+//! between is per *batch*:
 //! the forwarder writes a drained batch straight into one wire block
 //! (one allocation, sized after the blocks before it), the loop thread
 //! and the kernel move the block, and the link parses events in place
@@ -26,9 +30,9 @@
 //!    event, fails it twice over.)
 //! 2. **Batches full by construction**: the same hop fed from a durable
 //!    stream's log, where the forwarder's batches are whole (archived
-//!    records do not wait): `T(2N) − T(N) ≤ 4N + N/16` across two
-//!    catch-ups of N and 2N events — the block per 64 events and the
-//!    queues' growth fit in the sixteenth.
+//!    records do not wait): `T(2N) − T(N) ≤ 2N + N/16` across two
+//!    catch-ups of N and 2N events — the link's two per event; the
+//!    block per 64 events and the queues' growth fit in the sixteenth.
 //!
 //! Everything runs inside a single `#[test]` so no concurrent test can
 //! disturb the counter.
@@ -150,7 +154,7 @@ fn relayed_event_allocation_budget() {
     assert_eq!((stats.duplicates_dropped, stats.protocol_errors, stats.cycle_drops), (0, 0, 0));
     drop((sub, link));
 
-    // ---- full batches: four per event and a sixteenth ---------------------
+    // ---- full batches from the log: two per event and a sixteenth ---------
     // Warm-up: whatever the first catch-up of a process pays once.
     catch_up_cost(&fed, logs[0].0, logs[0].1);
     let short = catch_up_cost(&fed, logs[0].0, logs[0].1);
@@ -158,12 +162,12 @@ fn relayed_event_allocation_budget() {
     let marginal = long.saturating_sub(short);
     println!("catch-up: {:.3} allocations per relayed event", marginal as f64 / N as f64);
     assert!(
-        marginal <= 4 * N + N / 16,
+        marginal <= 2 * N + N / 16,
         "catching up on {N} more events cost {marginal} allocations (short {short}, long {long})"
     );
     // What a catch-up pays beyond its events: a broker, a link, their
     // threads and queues.
-    let fixed = short.saturating_sub(4 * N + N / 16);
+    let fixed = short.saturating_sub(2 * N + N / 16);
     assert!(fixed <= 1024, "a catch-up's fixed term grew to {fixed} allocations");
 
     assert_eq!(fed.net_stats().pushes_dropped, 0);
