@@ -483,6 +483,8 @@ fn forward_loop(
     stop: &AtomicBool,
 ) {
     let mut batch: Vec<Arc<Event>> = Vec::with_capacity(FORWARD_BATCH);
+    // The indices of the batch's events the predicate accepts.
+    let mut keep: Vec<usize> = Vec::with_capacity(if filter.is_some() { FORWARD_BATCH } else { 0 });
     // Each block is sized for the largest so far (a batch and a byte
     // cap bound it): a steady stream pays one allocation per block, not
     // a doubling series.
@@ -492,10 +494,14 @@ fn forward_loop(
         // holds what was read before it: forward that, then stop.
         let fed = feed.recv_batch(&mut batch);
         let mut block = Block::with_capacity(if batch.is_empty() { 0 } else { block_bytes });
-        for event in &batch {
-            if filter.as_ref().is_some_and(|filter| !filter.matches_message(&event.payload)) {
-                continue;
-            }
+        keep.clear();
+        if let Some(filter) = &filter {
+            let messages = batch.iter().map(|event| event.payload.as_slice());
+            filter.select(messages.enumerate(), &mut keep);
+        }
+        // Unfiltered, the whole batch goes.
+        let all = if filter.is_none() { batch.len() } else { 0 };
+        for event in (0..all).chain(keep.iter().copied()).map(|k| &batch[k]) {
             put_event(&mut block, event);
             if block.len() >= FORWARD_BLOCK_BYTES
                 && !push_block(handle, conn, std::mem::take(&mut block), stop)

@@ -254,16 +254,22 @@ impl<T> Receiver<T> {
     pub(crate) fn len(&self) -> usize {
         self.shared.lock().items.len()
     }
-}
 
-impl<T> Drop for Receiver<T> {
-    fn drop(&mut self) {
+    /// Closes the queue as dropping the receiver does: senders see it
+    /// closed, and what was queued is dropped.
+    pub(crate) fn close(&self) {
         let mut state = self.shared.lock();
         state.receiver = false;
         // Dropped on return, after the unlock: an item may hold a sender
         // of this very queue.
         let _items = std::mem::take(&mut state.items);
         self.shared.unlock_after_pop(state);
+    }
+}
+
+impl<T> Drop for Receiver<T> {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 

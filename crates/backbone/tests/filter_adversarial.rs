@@ -13,9 +13,12 @@
 //!    decode-then-[`eval_record`](StreamFilter::eval_record) across a
 //!    generated matrix of formats × architectures × expressions ×
 //!    records, and fail closed (non-match, counted error, no panic) on
-//!    malformed messages — one message at a time and in
+//!    malformed messages — one message at a time, in
 //!    [`select`](StreamFilter::select)'s runs, which resolve a program
-//!    once per run of equal sender architectures.
+//!    once per run of equal sender architectures, and in a
+//!    [`FilterSet`](backbone::filter::FilterSet)'s, which evaluates a
+//!    stream's predicates together and must give each program exactly
+//!    what it gives alone.
 
 use std::time::Duration;
 
@@ -880,4 +883,400 @@ fn ieee_semantics_hold_on_both_paths() {
             assert_eq!(filter.eval_record(&decoded), want, "oracle: {src} on d={d} f={f} {arch}");
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Predicate-set differential: a stream's predicates evaluated together by a
+// `FilterSet` vs each alone, a test-side model that knows bad strings, and
+// the `eval_record` oracle.
+// ---------------------------------------------------------------------------
+
+/// A field's value class, as generated predicates and records see it.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Kind {
+    Int,
+    UInt,
+    Float,
+    Str,
+}
+
+/// `ticks` with a second string field and a `float` one, so a set's
+/// programs share string loads and widen.
+fn quotes() -> StructType {
+    StructType::new(
+        "Quote",
+        vec![
+            StructField::new("price", CType::Prim(Primitive::Long)),
+            StructField::new("qty", CType::Prim(Primitive::UInt)),
+            StructField::new("weight", CType::Prim(Primitive::Double)),
+            StructField::new("dest", CType::String),
+            StructField::new("org", CType::String),
+            StructField::new("temp", CType::Prim(Primitive::Float)),
+        ],
+    )
+}
+
+/// A struct type the set differential draws from, its fields' classes in
+/// field order.
+struct Shape {
+    st: StructType,
+    fields: &'static [(&'static str, Kind)],
+}
+
+fn shapes() -> [Shape; 2] {
+    use Kind::*;
+    [
+        Shape {
+            st: quotes(),
+            fields: &[
+                ("price", Int),
+                ("qty", UInt),
+                ("weight", Float),
+                ("dest", Str),
+                ("org", Str),
+                ("temp", Float),
+            ],
+        },
+        Shape {
+            st: flights(),
+            fields: &[("callsign", Str), ("alt", UInt), ("temp", Float), ("heading", Int)],
+        },
+    ]
+}
+
+/// Literals of each class, as source text.
+fn literals(kind: Kind) -> &'static [&'static str] {
+    match kind {
+        Kind::Int => &["-40", "-3", "0", "7", "39"],
+        Kind::UInt => &["0", "3", "9", "39"],
+        Kind::Float => &["-2.5", "0.5", "3", "-0.0", "12", "39.5", "0.1"],
+        Kind::Str => &["\"ATL\"", "\"BOS\"", "\"A\"", "\"\"", "\"AT\"", "\"ATLANTA\""],
+    }
+}
+
+/// A generated predicate, kept as a tree so the model can evaluate it.
+#[derive(Debug)]
+enum Pred {
+    /// One field, an operator or keyword, and its literals.
+    Leaf(usize, &'static str, Vec<&'static str>),
+    And(Box<Pred>, Box<Pred>),
+    Or(Box<Pred>, Box<Pred>),
+    Not(Box<Pred>),
+}
+
+fn render_pred(pred: &Pred, shape: &Shape) -> String {
+    match pred {
+        Pred::Leaf(field, op, lits) => {
+            let name = shape.fields[*field].0;
+            match *op {
+                "IN" => format!("{name} IN ({})", lits.join(", ")),
+                "BETWEEN" => format!("{name} BETWEEN {} AND {}", lits[0], lits[1]),
+                _ => format!("{name} {op} {}", lits[0]),
+            }
+        }
+        Pred::And(l, r) => format!("({} && {})", render_pred(l, shape), render_pred(r, shape)),
+        Pred::Or(l, r) => format!("({} || {})", render_pred(l, shape), render_pred(r, shape)),
+        Pred::Not(inner) => format!("!({})", render_pred(inner, shape)),
+    }
+}
+
+fn generated_pred_leaf(mix: &mut Mix, shape: &Shape) -> Pred {
+    let field = mix.below(shape.fields.len() as u64) as usize;
+    let kind = shape.fields[field].1;
+    let lits = literals(kind);
+    match mix.below(5) {
+        0 => {
+            let items = (0..1 + mix.below(3)).map(|_| pick(mix, lits)).collect();
+            Pred::Leaf(field, "IN", items)
+        }
+        1 if kind != Kind::Str => Pred::Leaf(field, "BETWEEN", vec![pick(mix, lits), pick(mix, lits)]),
+        // A bound pair on one field, in either order: the range fold.
+        2 if kind != Kind::Str => {
+            let lower = Pred::Leaf(field, pick(mix, &[">", ">="]), vec![pick(mix, lits)]);
+            let upper = Pred::Leaf(field, pick(mix, &["<", "<="]), vec![pick(mix, lits)]);
+            match mix.below(2) {
+                0 => Pred::And(lower.into(), upper.into()),
+                _ => Pred::And(upper.into(), lower.into()),
+            }
+        }
+        _ if kind == Kind::Str => {
+            Pred::Leaf(field, pick(mix, &["==", "!=", "^="]), vec![pick(mix, lits)])
+        }
+        _ => Pred::Leaf(field, pick(mix, &["==", "!=", "<", "<=", ">", ">="]), vec![pick(mix, lits)]),
+    }
+}
+
+fn generated_pred(mix: &mut Mix, shape: &Shape, depth: u32) -> Pred {
+    if depth == 0 || mix.below(3) == 0 {
+        return generated_pred_leaf(mix, shape);
+    }
+    let sub = |mix: &mut Mix| Box::new(generated_pred(mix, shape, depth - 1));
+    match mix.below(5) {
+        0 | 1 => Pred::And(sub(mix), sub(mix)),
+        2 | 3 => Pred::Or(sub(mix), sub(mix)),
+        _ => Pred::Not(sub(mix)),
+    }
+}
+
+/// A field's value in a generated record; `Bad` is a string whose
+/// pointer is out of bounds, unterminated or to non-UTF-8 bytes.
+#[derive(Clone, Debug)]
+enum Val {
+    Int(i64),
+    UInt(u64),
+    Float(f64),
+    Str(&'static str),
+    Bad(u8),
+}
+
+fn generated_val(mix: &mut Mix, kind: Kind) -> Val {
+    match kind {
+        Kind::Int => Val::Int(mix.below(80) as i64 - 40),
+        Kind::UInt => Val::UInt(mix.below(40)),
+        // Each exact in binary32, so a `float` field holds it as is.
+        Kind::Float => Val::Float([-2.5, 0.5, 3.0, -0.0, 12.0, f64::NAN, 39.5][mix.below(7) as usize]),
+        Kind::Str if mix.below(4) == 0 => Val::Bad(mix.below(3) as u8),
+        Kind::Str => Val::Str(["ATL", "BOS", "AB", "A", "", "ATLANTA"][mix.below(6) as usize]),
+    }
+}
+
+/// The literal as a number of `kind`'s class.
+fn literal_order(val: &Val, lit: &str) -> Option<std::cmp::Ordering> {
+    match val {
+        Val::Int(v) => Some(v.cmp(&lit.parse::<i64>().expect("an integer literal"))),
+        Val::UInt(v) => Some(v.cmp(&lit.parse::<u64>().expect("a non-negative literal"))),
+        Val::Float(v) => v.partial_cmp(&lit.parse::<f64>().expect("a numeric literal")),
+        Val::Str(_) | Val::Bad(_) => unreachable!("strings are compared as bytes"),
+    }
+}
+
+/// The model: the predicate's verdict on `record`, or `Err` when it
+/// reaches a bad string — which fails the whole predicate, however it
+/// is negated or combined, exactly where evaluation reaches it.
+fn model(pred: &Pred, record: &[Val]) -> Result<bool, ()> {
+    use std::cmp::Ordering::*;
+    match pred {
+        Pred::And(l, r) => Ok(model(l, record)? && model(r, record)?),
+        Pred::Or(l, r) => Ok(model(l, record)? || model(r, record)?),
+        Pred::Not(inner) => Ok(!model(inner, record)?),
+        Pred::Leaf(field, op, lits) => {
+            let val = &record[*field];
+            if let Val::Bad(_) = val {
+                return Err(());
+            }
+            if let Val::Str(s) = val {
+                let lit = |l: &str| l.trim_matches('"').to_owned();
+                return Ok(match *op {
+                    "==" => *s == lit(lits[0]),
+                    "!=" => *s != lit(lits[0]),
+                    "^=" => s.starts_with(&lit(lits[0])),
+                    _ => lits.iter().any(|l| *s == lit(l)),
+                });
+            }
+            let ord = |l: &str| literal_order(val, l);
+            Ok(match *op {
+                "IN" => lits.iter().any(|l| ord(l) == Some(Equal)),
+                "BETWEEN" => {
+                    matches!(ord(lits[0]), Some(Greater | Equal))
+                        && matches!(ord(lits[1]), Some(Less | Equal))
+                }
+                "!=" => ord(lits[0]) != Some(Equal),
+                "==" => ord(lits[0]) == Some(Equal),
+                "<" => ord(lits[0]) == Some(Less),
+                "<=" => matches!(ord(lits[0]), Some(Less | Equal)),
+                ">" => ord(lits[0]) == Some(Greater),
+                _ => matches!(ord(lits[0]), Some(Greater | Equal)),
+            })
+        }
+    }
+}
+
+/// One message of a generated run and what the model makes of it.
+enum Sent {
+    /// Fails before evaluation, for every filter: a header cut short or
+    /// byte soup.
+    Error,
+    /// A message of shape `.0` whose payload is shorter than its fixed
+    /// part: evaluated by that shape's filters, matched by none.
+    Short(usize),
+    /// A message of shape `.0` carrying these values.
+    Record(usize, Vec<Val>),
+}
+
+/// Encodes `values` as a message of `shape` from `arch`, then points
+/// every `Bad` string out of bounds, at unterminated bytes or at
+/// non-UTF-8 bytes appended to the image.
+fn encode_with_bad_strings(shape: &Shape, values: &[Val], arch: Architecture) -> Vec<u8> {
+    let mut record = Record::new();
+    for ((name, _), val) in shape.fields.iter().zip(values) {
+        record = match val {
+            Val::Int(v) => record.with(*name, *v),
+            Val::UInt(v) => record.with(*name, *v),
+            Val::Float(v) => record.with(*name, *v),
+            Val::Str(s) => record.with(*name, *s),
+            Val::Bad(_) => record.with(*name, "placeholder"),
+        };
+    }
+    let mut msg = encode(&record, &shape.st, arch);
+    let header_len = pbio::header::WireHeader::peek(&msg).unwrap().header_len;
+    let layout = clayout::Layout::of_struct(&shape.st, &arch).unwrap();
+    for (field, val) in values.iter().enumerate() {
+        let Val::Bad(how) = val else { continue };
+        let image_len = (msg.len() - header_len) as u64;
+        let target = match how {
+            0 => image_len + 3,
+            1 => {
+                msg.extend_from_slice(b"ZZ");
+                image_len
+            }
+            _ => {
+                msg.extend_from_slice(&[0xC3, 0x28, 0]);
+                image_len
+            }
+        };
+        let clayout::Access::Str(pointer) = layout.fields[field].access else {
+            unreachable!("a string field");
+        };
+        pointer.write_raw(&mut msg, header_len + layout.fields[field].offset, target);
+    }
+    msg
+}
+
+/// One generated case: a set of 1–24 predicates, each with the shape it
+/// is over, and a run of 1–120 messages from six sender architectures.
+struct SetCase {
+    preds: Vec<(usize, Pred)>,
+    run: Vec<(Vec<u8>, Sent)>,
+}
+
+fn generated_set_case(seed: u64, shapes: &[Shape; 2]) -> SetCase {
+    let mut mix = Mix(seed);
+    let both = mix.below(3) == 0;
+    let preds: Vec<(usize, Pred)> = (0..1 + mix.below(24))
+        .map(|_| {
+            let s = usize::from(both && mix.below(4) == 0);
+            (s, generated_pred(&mut mix, &shapes[s], 3))
+        })
+        .collect();
+    let mut arch = Architecture::ALL[mix.below(6) as usize];
+    let run = (0..1 + mix.below(120))
+        .map(|_| {
+            if mix.below(4) == 0 {
+                arch = Architecture::ALL[mix.below(6) as usize];
+            }
+            let s = usize::from(mix.below(4) == 0);
+            let values: Vec<Val> =
+                shapes[s].fields.iter().map(|(_, kind)| generated_val(&mut mix, *kind)).collect();
+            let msg = encode_with_bad_strings(&shapes[s], &values, arch);
+            match mix.below(20) {
+                0 => {
+                    let cut = mix.below(pbio::header::FIXED_HEADER_LEN as u64 + 4) as usize;
+                    (msg[..cut].to_vec(), Sent::Error)
+                }
+                1 => ((0..mix.below(96)).map(|_| mix.next() as u8).collect(), Sent::Error),
+                2 => {
+                    let header_len = pbio::header::WireHeader::peek(&msg).unwrap().header_len;
+                    let fixed = clayout::Layout::of_struct(&shapes[s].st, &arch).unwrap().size;
+                    let cut = header_len + mix.below(fixed as u64) as usize;
+                    (msg[..cut].to_vec(), Sent::Short(s))
+                }
+                _ => (msg, Sent::Record(s, values)),
+            }
+        })
+        .collect();
+    SetCase { preds, run }
+}
+
+/// A `FilterSet` over generated predicates yields, for every program, the
+/// keys and the counter deltas of that program's own `select` over the
+/// run, and the model's verdicts — through cut headers, foreign
+/// fingerprints, short payloads, and bad strings reached or skipped under
+/// `!`, `||` and `&&`. Where a record has no bad string, the model is held
+/// to the `eval_record` oracle.
+#[test]
+fn a_filter_set_agrees_with_each_filter_alone_and_with_the_model() {
+    use backbone::filter::FilterSet;
+    use std::sync::Arc;
+    let shapes = shapes();
+    let formats: Vec<Vec<Format>> = shapes
+        .iter()
+        .map(|shape| {
+            Architecture::ALL
+                .iter()
+                .map(|arch| Format::new(FormatId(7), shape.st.clone(), *arch).unwrap())
+                .collect()
+        })
+        .collect();
+    let (mut skipped_bad, mut reached_bad) = (0, 0);
+    for seed in 0..400u64 {
+        let SetCase { preds, run } = generated_set_case(0x5E7 ^ seed << 16, &shapes);
+        let filters: Vec<Arc<StreamFilter>> = preds
+            .iter()
+            .map(|(s, pred)| {
+                let src = render_pred(pred, &shapes[*s]);
+                Arc::new(StreamFilter::compile(&src, &shapes[*s].st).expect("well-typed"))
+            })
+            .collect();
+        // What the model says each program selects and counts.
+        let want: Vec<(Vec<usize>, [u64; 3])> = preds
+            .iter()
+            .map(|(s, pred)| {
+                let mut keys = Vec::new();
+                let mut errors = 0;
+                for (k, (_, sent)) in run.iter().enumerate() {
+                    match sent {
+                        Sent::Record(t, values) if t == s => {
+                            let verdict = model(pred, values);
+                            match &verdict {
+                                Err(()) => reached_bad += 1,
+                                Ok(_) if values.iter().any(|v| matches!(v, Val::Bad(_))) => {
+                                    skipped_bad += 1
+                                }
+                                Ok(_) => {}
+                            }
+                            if verdict == Ok(true) {
+                                keys.push(k);
+                            }
+                        }
+                        Sent::Short(t) if t == s => {}
+                        _ => errors += 1,
+                    }
+                }
+                let matched = keys.len() as u64;
+                (keys, [run.len() as u64, matched, errors])
+            })
+            .collect();
+
+        let before: Vec<_> = filters.iter().map(|f| f.stats()).collect();
+        let mut set = FilterSet::new(filters.clone());
+        let mut got = vec![Vec::new(); filters.len()];
+        set.select(run.iter().enumerate().map(|(k, (msg, _))| (k, msg.as_slice())), &mut got);
+        let after_set: Vec<_> = filters.iter().map(|f| f.stats()).collect();
+        for (p, filter) in filters.iter().enumerate() {
+            let context = format!("seed {seed}, program {p}: {}", filter.normalized());
+            assert_eq!(got[p], want[p].0, "set keys, {context}");
+            assert_eq!(delta(before[p], after_set[p]), want[p].1, "set counters, {context}");
+            let mut alone = Vec::new();
+            filter.select(run.iter().enumerate().map(|(k, (msg, _))| (k, msg.as_slice())), &mut alone);
+            assert_eq!(alone, want[p].0, "select keys, {context}");
+            assert_eq!(delta(after_set[p], filter.stats()), want[p].1, "select counters, {context}");
+        }
+        // The model against the library's oracle, on the decodable records.
+        for (msg, sent) in &run {
+            let Sent::Record(s, values) = sent else { continue };
+            if values.iter().any(|v| matches!(v, Val::Bad(_))) {
+                continue;
+            }
+            let peek = pbio::header::WireHeader::peek(msg).unwrap();
+            let arch = Architecture::ALL.iter().position(|a| a.descriptor() == peek.descriptor);
+            let decoded = pbio::ndr::decode_with(msg, &formats[*s][arch.unwrap()]).unwrap();
+            for ((t, pred), filter) in preds.iter().zip(&filters) {
+                if t == s {
+                    assert_eq!(filter.eval_record(&decoded), model(pred, values) == Ok(true));
+                }
+            }
+        }
+    }
+    // Both ways past a bad string must be common, or the test has no teeth.
+    assert!(reached_bad > 1000 && skipped_bad > 1000, "reached {reached_bad}, skipped {skipped_bad}");
 }

@@ -12,7 +12,11 @@
 //! 2. a filtered broker publish allocates exactly what an unfiltered
 //!    one does (the payload `Vec` and the `Arc<Event>` wrapper):
 //!    predicate-indexed fanout adds nothing per event, independent of
-//!    how many subscribers share the stream's programs.
+//!    how many subscribers share the stream's programs, and
+//! 3. on a stream of 16 programs and 256 subscribers — the stream's
+//!    predicate set and its subscribers grouped by program — the
+//!    publishing thread still allocates exactly those two per message,
+//!    and dispatch on the shard worker allocates nothing.
 //!
 //! Everything runs inside a single `#[test]` so no concurrent test can
 //! disturb the counter. Claim 1 runs on the calling thread alone and
@@ -22,7 +26,7 @@
 
 use std::sync::Arc;
 
-use backbone::{Broker, Event, StreamFilter};
+use backbone::{Broker, Event, StreamFilter, Subscription};
 use clayout::{Architecture, CType, Primitive, Record, StructField, StructType, Value};
 use omf_bench::{allocations, thread_allocations, CountingAllocator};
 use pbio::format::{Format, FormatId};
@@ -98,6 +102,56 @@ fn publish_allocs_per_message(matching: usize, rejecting: usize) -> usize {
     total / rounds
 }
 
+/// Steady-state allocations on a stream with 16 programs, each shared
+/// by 16 subscribers: per message on the publishing thread, and in all
+/// on every other thread. Each message matches one program, whose 16
+/// subscribers take it on the publishing thread.
+fn wide_fanout_allocs_per_message() -> (usize, usize) {
+    const PROGRAMS: i64 = 16;
+    let st = ticks();
+    let format = Format::new(FormatId(7), st.clone(), Architecture::host()).unwrap();
+    let broker = Arc::new(Broker::with_shards(1));
+    broker.create_stream("wide", None);
+    broker.register_stream_type("wide", st).unwrap();
+    let groups: Vec<Vec<Subscription>> = (0..PROGRAMS)
+        .map(|p| {
+            let expr = format!("price >= {} && price < {}", 100 * p, 100 * (p + 1));
+            (0..16)
+                .map(|_| broker.subscribe_filtered("wide", &expr).unwrap())
+                .collect()
+        })
+        .collect();
+    let payloads: Vec<Vec<u8>> = (0..PROGRAMS)
+        .map(|p| encode_tick(&format, 100 * p + 50, "ATL"))
+        .collect();
+    let stream: Arc<str> = Arc::from("wide");
+    let fmt: Arc<str> = Arc::from("Tick");
+    let round = || {
+        for (payload, group) in payloads.iter().zip(&groups) {
+            let event = Event::new(Arc::clone(&stream), Arc::clone(&fmt), payload.clone());
+            broker.publish(event).unwrap();
+            for sub in group {
+                sub.recv().unwrap();
+            }
+        }
+    };
+    // Warm-up: grows the shard queue, the match lists and the
+    // subscriber queues to working-set capacity.
+    for _ in 0..4 {
+        round();
+    }
+    let rounds = 8;
+    let (before_thread, before) = (thread_allocations(), allocations());
+    for _ in 0..rounds {
+        round();
+    }
+    let messages = rounds * PROGRAMS as usize;
+    let thread = thread_allocations() - before_thread;
+    let others = allocations() - before - thread;
+    assert_eq!(thread % messages, 0, "{thread} allocations not uniform across {messages} messages");
+    (thread / messages, others)
+}
+
 #[test]
 fn filtered_fanout_allocation_budget() {
     // --- Claim 1: matches_message is allocation-free at steady state. ---
@@ -157,4 +211,13 @@ fn filtered_fanout_allocation_budget() {
         wide, 2,
         "filtered publish should allocate exactly the payload and its Arc<Event> wrapper"
     );
+
+    // --- Claim 3: 16 programs over 256 subscribers: the same two on the
+    // publishing thread, nothing in dispatch. ---
+    let (publishing, dispatch) = wide_fanout_allocs_per_message();
+    assert_eq!(
+        publishing, 2,
+        "a publish into a 16-program set should allocate the payload and its Arc<Event>"
+    );
+    assert_eq!(dispatch, 0, "dispatch through the stream's predicate set allocated");
 }
