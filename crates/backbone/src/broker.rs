@@ -763,11 +763,6 @@ impl Broker {
         }
     }
 
-    /// The number of shards this broker dispatches across.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard_for(&self, stream: &str) -> &Arc<Shard> {
         // FNV-1a: allocation-free and plenty for partitioning names.
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -1543,6 +1538,13 @@ fn deliver_events(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Broker {
+        /// The number of shards this broker dispatches across.
+        fn shard_count(&self) -> usize {
+            self.shards.len()
+        }
+    }
     use std::time::Duration;
 
     fn event(stream: &str, n: u8) -> Event {

@@ -15,8 +15,8 @@
 //!   a slow subscriber's own queue grows instead, so it neither loses
 //!   events nor holds up its shard.
 //! * [`net`] — a length-prefixed TCP event transport
-//!   ([`net::EventServer`], [`net::EventClient`]): a readiness event
-//!   loop over epoll, `poll(2)` off Linux (sharded, nonblocking
+//!   ([`net::EventServer`], [`net::EventClient`]) on the workspace's
+//!   one readiness loop over epoll (a few driver threads, nonblocking
 //!   connection state machines, write coalescing), so the scale and
 //!   latency experiments cross real sockets.
 //! * [`federation`] — broker-to-broker links: a [`FederationLink`]

@@ -62,18 +62,25 @@ pub(crate) type Decoded<'a> = (&'a str, &'a [u8], usize);
 /// validated once, when its frame is whole (or already known bad), not
 /// on every call that finds the frame still short.
 pub(crate) fn decode_frame(buf: &[u8]) -> Result<Option<Decoded<'_>>, BackboneError> {
-    let Some((len4, rest)) = buf.split_first_chunk::<4>() else { return Ok(None) };
+    let Some((len4, rest)) = buf.split_first_chunk::<4>() else {
+        return Ok(None);
+    };
     let name_len = u32::from_le_bytes(*len4);
     if name_len > MAX_SECTION {
         return Err(BackboneError::BadFrame {
             detail: format!("stream name length {name_len} exceeds limit"),
         });
     }
-    let Some((name, rest)) = rest.split_at_checked(name_len as usize) else { return Ok(None) };
-    let Some((len4, rest)) = rest.split_first_chunk::<4>() else { return Ok(None) };
+    let Some((name, rest)) = rest.split_at_checked(name_len as usize) else {
+        return Ok(None);
+    };
+    let Some((len4, rest)) = rest.split_first_chunk::<4>() else {
+        return Ok(None);
+    };
     let stream = || {
-        std::str::from_utf8(name)
-            .map_err(|_| BackboneError::BadFrame { detail: "stream name is not UTF-8".into() })
+        std::str::from_utf8(name).map_err(|_| BackboneError::BadFrame {
+            detail: "stream name is not UTF-8".into(),
+        })
     };
     let payload_len = u32::from_le_bytes(*len4);
     if payload_len > MAX_SECTION {
@@ -82,7 +89,9 @@ pub(crate) fn decode_frame(buf: &[u8]) -> Result<Option<Decoded<'_>>, BackboneEr
             detail: format!("payload length {payload_len} exceeds limit"),
         });
     }
-    let Some(payload) = rest.get(..payload_len as usize) else { return Ok(None) };
+    let Some(payload) = rest.get(..payload_len as usize) else {
+        return Ok(None);
+    };
     Ok(Some((stream()?, payload, 8 + name.len() + payload.len())))
 }
 
@@ -98,7 +107,10 @@ pub struct Block {
 impl Block {
     /// An empty block with room for `bytes` of wire image.
     pub(crate) fn with_capacity(bytes: usize) -> Block {
-        Block { bytes: Vec::with_capacity(bytes), frames: 0 }
+        Block {
+            bytes: Vec::with_capacity(bytes),
+            frames: 0,
+        }
     }
 
     /// A one-frame block.
@@ -125,9 +137,11 @@ impl Block {
         put: impl FnOnce(&mut Vec<u8>),
     ) {
         self.bytes.reserve(8 + stream.len() + payload_len);
-        self.bytes.extend_from_slice(&(stream.len() as u32).to_le_bytes());
+        self.bytes
+            .extend_from_slice(&(stream.len() as u32).to_le_bytes());
         self.bytes.extend_from_slice(stream.as_bytes());
-        self.bytes.extend_from_slice(&(payload_len as u32).to_le_bytes());
+        self.bytes
+            .extend_from_slice(&(payload_len as u32).to_le_bytes());
         let start = self.bytes.len();
         put(&mut self.bytes);
         debug_assert_eq!(self.bytes.len() - start, payload_len);
@@ -213,7 +227,10 @@ impl ConnMachine {
         let frame = match decode_frame(&self.rbuf[self.rstart..])? {
             Some((stream, payload, total)) => {
                 self.rstart += total;
-                Some(Frame { stream: stream.to_owned(), payload: payload.to_vec() })
+                Some(Frame {
+                    stream: stream.to_owned(),
+                    payload: payload.to_vec(),
+                })
             }
             None => None,
         };
@@ -289,7 +306,11 @@ impl ConnMachine {
         let mut count = 0;
         let mut offered = 0;
         for (slot, block) in slices.iter_mut().zip(&self.out) {
-            let bytes = if count == 0 { &block.bytes[self.written..] } else { &block.bytes[..] };
+            let bytes = if count == 0 {
+                &block.bytes[self.written..]
+            } else {
+                &block.bytes[..]
+            };
             *slot = IoSlice::new(bytes);
             offered += bytes.len();
             count += 1;
@@ -310,7 +331,11 @@ impl ConnMachine {
             self.out.pop_front();
         }
         self.out_frames -= frames_completed;
-        Ok(WriteOutcome { bytes: n, partial: n < offered, frames_completed })
+        Ok(WriteOutcome {
+            bytes: n,
+            partial: n < offered,
+            frames_completed,
+        })
     }
 }
 
@@ -321,8 +346,11 @@ mod tests {
 
     #[test]
     fn frames_parse_across_arbitrary_splits() {
-        let frames =
-            vec![Frame::new("a", vec![1, 2, 3]), Frame::new("", vec![]), Frame::new("s", vec![9; 300])];
+        let frames = vec![
+            Frame::new("a", vec![1, 2, 3]),
+            Frame::new("", vec![]),
+            Frame::new("s", vec![9; 300]),
+        ];
         let mut wire = Vec::new();
         write_frame_batch(&mut wire, &frames).unwrap();
 
@@ -372,10 +400,16 @@ mod tests {
             block.bytes
         };
         let (stream, payload, total) = decode_frame(&wire).unwrap().unwrap();
-        assert_eq!((stream, payload), (frame.stream.as_str(), frame.payload.as_slice()));
+        assert_eq!(
+            (stream, payload),
+            (frame.stream.as_str(), frame.payload.as_slice())
+        );
         assert_eq!(total, 8 + frame.stream.len() + frame.payload.len());
         for cut in 0..total {
-            assert!(decode_frame(&wire[..cut]).unwrap().is_none(), "cut at {cut}");
+            assert!(
+                decode_frame(&wire[..cut]).unwrap().is_none(),
+                "cut at {cut}"
+            );
         }
     }
 
@@ -394,7 +428,10 @@ mod tests {
 
     #[test]
     fn partial_writes_resume_mid_frame() {
-        let frames = vec![Frame::new("stream-name", (0..100u8).collect()), Frame::new("x", vec![7; 40])];
+        let frames = vec![
+            Frame::new("stream-name", (0..100u8).collect()),
+            Frame::new("x", vec![7; 40]),
+        ];
         let mut machine = ConnMachine::new();
         for frame in &frames {
             machine.queue(frame.clone());
@@ -416,7 +453,12 @@ mod tests {
         // byte stream is the queued frames, in queue order, and every
         // frame is counted exactly once.
         let frames: Vec<Frame> = (0..40u32)
-            .map(|i| Frame::new(format!("s{}", i % 3), vec![i as u8; (i as usize * 37) % 300]))
+            .map(|i| {
+                Frame::new(
+                    format!("s{}", i % 3),
+                    vec![i as u8; (i as usize * 37) % 300],
+                )
+            })
             .collect();
         let mut machine = ConnMachine::new();
         let mut sink = Trickle(Vec::new());

@@ -362,7 +362,7 @@ impl UrlSource {
                 reason: "url source requires an absolute http:// locator".to_owned(),
             });
         }
-        crate::server::http_get_observed(locator, &self.policy, stats, extent)
+        crate::client::http_get_observed(locator, &self.policy, stats, extent)
     }
 }
 

@@ -55,7 +55,10 @@
 pub mod archive;
 pub mod binding;
 mod cache;
+mod client;
 pub mod discovery;
+#[doc(hidden)]
+pub mod driver;
 pub mod error;
 pub mod seglog;
 pub mod server;

@@ -1,4 +1,4 @@
-//! The metadata server and its HTTP client.
+//! The metadata server.
 //!
 //! §4.4: "Newly created streams can make their metadata available as XML
 //! Schema documents on a publicly known intranet server. The server can
@@ -20,46 +20,40 @@
 //! keeps it until the document is replaced.
 //!
 //! A request carrying `Connection: keep-alive` leaves its connection open
-//! for the next one. The client asks that of every GET and keeps up to
-//! [`IDLE_CONNECTIONS`] idle connections for the whole process, so a
-//! fresh session's discovery reuses the last one's connection instead of
-//! paying for a TCP handshake and teardown. The server is one thread
-//! running a readiness loop over its listener and every connection, so
-//! an idle or slow client costs a table entry, not a thread.
+//! for the next one; the client ([`http_get`] and the rest, re-exported
+//! here from their own module) asks that of every GET. The server is one
+//! [`Driver`] thread over its listener and every connection, so an idle
+//! or slow client costs a table entry, not a thread. Each connection is
+//! a `Conn`, the HTTP side of the driver's [`Protocol`].
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use polling::{Interest, Poller, Waker};
+use polling::Interest;
 use xsdlite::Schema;
 
-use crate::discovery::{DiscoveryPolicy, DiscoveryStats, Extent};
+pub use crate::client::{http_get, http_get_with, http_post, http_post_with};
+use crate::driver::{Driver, Handle, Protocol, Ready, Want};
 use crate::error::X2wError;
 use crate::unpoisoned;
-use crate::url::Locator;
 
 /// Cap on the request line + headers of one inbound request, and on the
 /// head of a response the client reads. A slow-loris client feeding
 /// header bytes that never end must not grow server memory without
 /// bound; past this budget the server answers `431 Request Header Fields
 /// Too Large` and closes.
-const MAX_HEADER_BYTES: usize = 8 * 1024;
-
-/// Cap on one HTTP response body accepted by the client side
-/// ([`http_get_with`]); a hostile or broken server cannot balloon a
-/// discovery fetch into an unbounded buffer.
-const MAX_RESPONSE_BYTES: usize = 64 * 1024 * 1024;
+pub(crate) const MAX_HEADER_BYTES: usize = 8 * 1024;
 
 /// The request header that asks for the closure of a static document's
 /// first complex type; `first` is its one value. A server that does not
 /// know it sends the whole document, which the client checks the same way.
-const CLOSURE_HEADER: &str = "X-Xsd-Closure";
+pub(crate) const CLOSURE_HEADER: &str = "X-Xsd-Closure";
 
 /// Connections the server holds open at once. When the table is full the
 /// longest-idle connection is closed for a new one; when none is idle,
@@ -79,21 +73,6 @@ const IDLE_TIMEOUT: Duration = Duration::from_secs(5);
 /// response out of the client's receive buffer.
 const DRAIN_DEADLINE: Duration = Duration::from_millis(200);
 const DRAIN_READS: u32 = 64;
-
-/// After an accept error other than `WouldBlock` (such as `EMFILE`), the
-/// listener goes unwatched for this long, unless a connection closes
-/// first. Connections already open are served meanwhile.
-const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
-
-/// Idle keep-alive connections the client keeps across every server it
-/// talks to.
-const IDLE_CONNECTIONS: usize = 8;
-
-/// The poller keys of the listener and the waker; connections count up
-/// from [`FIRST_CONNECTION`] and a key is never reused.
-const LISTENER: u64 = 0;
-const WAKER: u64 = 1;
-const FIRST_CONNECTION: u64 = 2;
 
 const WRITE: Interest = Interest {
     read: false,
@@ -157,19 +136,17 @@ impl Published {
 pub struct MetadataServer {
     addr: SocketAddr,
     routes: Arc<RwLock<Routes>>,
-    stop: Arc<AtomicBool>,
-    waker: Arc<Waker>,
-    accepted: Arc<AtomicU64>,
+    driver: Arc<Handle<Infallible>>,
     /// How many times the loop's wait has returned.
     wakeups: Arc<AtomicU64>,
-    handle: Option<JoinHandle<()>>,
+    thread: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for MetadataServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetadataServer")
             .field("addr", &self.addr)
-            .field("accepted", &self.accepted.load(Ordering::SeqCst))
+            .field("accepted", &self.driver.accepted())
             .field("wakeups", &self.wakeups.load(Ordering::SeqCst))
             .finish_non_exhaustive()
     }
@@ -185,40 +162,20 @@ impl MetadataServer {
     pub fn bind(addr: impl ToSocketAddrs) -> Result<MetadataServer, X2wError> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let poller = Poller::new()?;
-        let waker = Arc::new(Waker::new()?);
-        poller.add(listener.as_raw_fd(), LISTENER, Interest::READ)?;
-        poller.add(waker.read_fd(), WAKER, Interest::READ)?;
         let routes: Arc<RwLock<Routes>> = Arc::new(RwLock::new(Routes::default()));
-        let stop = Arc::new(AtomicBool::new(false));
-        let accepted = Arc::new(AtomicU64::new(0));
-        let wakeups = Arc::new(AtomicU64::new(0));
-        let event_loop = EventLoop {
-            listener,
-            listening: true,
-            paused_until: None,
-            poller,
-            waker: Arc::clone(&waker),
-            stop: Arc::clone(&stop),
-            accepted: Arc::clone(&accepted),
-            wakeups: Arc::clone(&wakeups),
+        let driver = Handle::new()?;
+        let http = Http {
             routes: Arc::clone(&routes),
-            conns: HashMap::new(),
-            next_key: FIRST_CONNECTION,
             scratch: vec![0; 16 * 1024],
         };
-        let handle = std::thread::Builder::new()
-            .name("metadata-server".to_owned())
-            .spawn(move || event_loop.run())?;
+        let thread = Driver::<Conn>::new(Arc::clone(&driver), Some(listener), http)?
+            .spawn("metadata-server".to_owned())?;
         Ok(MetadataServer {
             addr,
             routes,
-            stop,
-            waker,
-            accepted,
-            wakeups,
-            handle: Some(handle),
+            wakeups: Arc::clone(&driver.wakeups),
+            driver,
+            thread: Some(thread),
         })
     }
 
@@ -254,7 +211,7 @@ impl MetadataServer {
     /// that reuses a kept connection sends requests without adding to
     /// it.
     pub fn accept_wakeups(&self) -> u64 {
-        self.accepted.load(Ordering::SeqCst)
+        self.driver.accepted()
     }
 
     /// Paths of all static documents currently published.
@@ -271,170 +228,22 @@ impl MetadataServer {
 
 impl Drop for MetadataServer {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.waker.wake();
         // The loop closes every connection and the listener as it exits.
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+        self.driver.stop();
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
         }
     }
 }
 
-/// The server's one thread: the listener, the waker and every connection
-/// under one poller. Generators, the one-time closure cut and a POST's
-/// schema check run here too, so a slow one delays every client; they
-/// are rare and bounded by the document.
-struct EventLoop {
-    listener: TcpListener,
-    /// Whether the poller watches the listener; not while every one of
-    /// [`MAX_CONNECTIONS`] connections is busy, nor after an accept
-    /// error until `paused_until`.
-    listening: bool,
-    paused_until: Option<Instant>,
-    poller: Poller,
-    waker: Arc<Waker>,
-    stop: Arc<AtomicBool>,
-    accepted: Arc<AtomicU64>,
-    wakeups: Arc<AtomicU64>,
+/// What every connection of the server shares. Generators, the one-time
+/// closure cut and a POST's schema check run on the loop's thread, so a
+/// slow one delays every client; they are rare and bounded by the
+/// document.
+struct Http {
     routes: Arc<RwLock<Routes>>,
-    conns: HashMap<u64, Conn>,
-    next_key: u64,
     /// Where every read lands before it is appended to a request.
     scratch: Vec<u8>,
-}
-
-impl EventLoop {
-    fn run(mut self) {
-        let mut events = Vec::new();
-        loop {
-            // With no connection and no paused listener there is no
-            // deadline, and the wait has no timeout: an idle server never
-            // wakes.
-            let next_deadline = self
-                .conns
-                .values()
-                .map(|conn| conn.deadline)
-                .chain(self.paused_until)
-                .min();
-            let timeout = next_deadline.map(|deadline| {
-                let left = deadline.saturating_duration_since(Instant::now());
-                // Whole milliseconds, rounded up, so a deadline less than
-                // one away does not spin the loop until it passes.
-                Duration::from_millis(left.as_micros().div_ceil(1000) as u64)
-            });
-            events.clear();
-            let waited = self.poller.wait(&mut events, timeout);
-            self.wakeups.fetch_add(1, Ordering::SeqCst);
-            if waited.is_err() || self.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            for event in &events {
-                match event.key {
-                    WAKER => self.waker.drain(),
-                    LISTENER => self.accept(),
-                    key => self.service(key),
-                }
-            }
-            if next_deadline.is_some_and(|deadline| deadline <= Instant::now()) {
-                self.expire();
-            }
-        }
-        // Dropping the loop closes the listener and every connection.
-    }
-
-    fn accept(&mut self) {
-        loop {
-            if self.conns.len() >= MAX_CONNECTIONS && !self.evict_idle() {
-                // Every connection is mid-request: the rest wait in the
-                // TCP backlog until one closes.
-                let _ = self.poller.delete(self.listener.as_raw_fd());
-                self.listening = false;
-                return;
-            }
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    self.accepted.fetch_add(1, Ordering::SeqCst);
-                    let key = self.next_key;
-                    self.next_key += 1;
-                    let registered = stream
-                        .set_nonblocking(true)
-                        .and_then(|()| stream.set_nodelay(true))
-                        .and_then(|()| self.poller.add(stream.as_raw_fd(), key, Interest::READ));
-                    if registered.is_ok() {
-                        self.conns.insert(key, Conn::new(stream));
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    // A persistent failure such as EMFILE leaves the
-                    // listener readable: stop watching it for a while
-                    // rather than spin on it or sleep on the thread that
-                    // serves every open connection.
-                    let _ = self.poller.delete(self.listener.as_raw_fd());
-                    self.listening = false;
-                    self.paused_until = Some(Instant::now() + ACCEPT_BACKOFF);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Closes the longest-idle connection, if any is idle.
-    fn evict_idle(&mut self) -> bool {
-        let idle = self
-            .conns
-            .iter()
-            .filter(|(_, conn)| matches!(conn.phase, Phase::Idle))
-            .min_by_key(|(_, conn)| conn.deadline)
-            .map(|(key, _)| *key);
-        idle.map(|key| self.close(key)).is_some()
-    }
-
-    fn service(&mut self, key: u64) {
-        let Some(conn) = self.conns.get_mut(&key) else {
-            return;
-        };
-        if !conn.advance(key, &self.poller, &self.routes, &mut self.scratch) {
-            self.close(key);
-        }
-    }
-
-    fn expire(&mut self) {
-        let now = Instant::now();
-        if self.paused_until.is_some_and(|until| until <= now) {
-            self.listen();
-        }
-        let poller = &self.poller;
-        let before = self.conns.len();
-        self.conns.retain(|_, conn| {
-            let open = conn.deadline > now;
-            if !open {
-                let _ = poller.delete(conn.stream.as_raw_fd());
-            }
-            open
-        });
-        if self.conns.len() < before {
-            self.listen();
-        }
-    }
-
-    fn close(&mut self, key: u64) {
-        if let Some(conn) = self.conns.remove(&key) {
-            let _ = self.poller.delete(conn.stream.as_raw_fd());
-            self.listen();
-        }
-    }
-
-    /// Watches the listener again once a connection has closed or an
-    /// accept error's pause has passed.
-    fn listen(&mut self) {
-        self.paused_until = None;
-        if !self.listening {
-            let fd = self.listener.as_raw_fd();
-            self.listening = self.poller.add(fd, LISTENER, Interest::READ).is_ok();
-        }
-    }
 }
 
 /// One connection's place in the request/response cycle.
@@ -463,8 +272,9 @@ impl Phase {
     };
 }
 
+/// One HTTP connection: the bytes of the request being read and where it
+/// is in the request/response cycle. The driver owns its socket.
 struct Conn {
-    stream: TcpStream,
     /// The request being read: its head, then a POST body. It grows only
     /// with the bytes that arrive, and the head at most to
     /// [`MAX_HEADER_BYTES`].
@@ -472,37 +282,70 @@ struct Conn {
     phase: Phase,
     /// When the connection is closed unless its phase moves on first.
     deadline: Instant,
-    /// The poller waits for writability, not input: a response is
-    /// blocked on a full socket.
-    awaiting_write: bool,
+}
+
+/// The HTTP side of the driver: at most [`MAX_CONNECTIONS`], each with a
+/// deadline, and no commands.
+impl Protocol for Conn {
+    type Context = Http;
+    type Message = Infallible;
+    const MAX_CONNECTIONS: usize = MAX_CONNECTIONS;
+    const DEADLINES: bool = true;
+
+    fn open(_: u64, _: &mut Http) -> (Conn, Option<Instant>) {
+        let deadline = Instant::now() + IDLE_TIMEOUT;
+        let conn = Conn {
+            input: Vec::new(),
+            phase: Phase::Idle,
+            deadline,
+        };
+        (conn, Some(deadline))
+    }
+
+    /// Waits for writability, not input, while a response is blocked on
+    /// a full socket.
+    fn ready(&mut self, _: u64, stream: &mut TcpStream, _: Ready, http: &mut Http) -> Option<Want> {
+        let open = match self.phase {
+            Phase::Writing(_) => self.send(stream, &http.routes),
+            _ => self.advance(stream, &http.routes, &mut http.scratch),
+        };
+        let interest = match self.phase {
+            Phase::Writing(_) => WRITE,
+            _ => Interest::READ,
+        };
+        open.then_some(Want {
+            interest,
+            deadline: Some(self.deadline),
+        })
+    }
+
+    fn deliver(&mut self, _: u64, message: Infallible, _: &mut Http) {
+        match message {}
+    }
+
+    fn undelivered(message: Infallible, _: &mut Http) {
+        match message {}
+    }
+
+    fn closed(self, _: u64, _: &mut Http) {}
+
+    fn idle(&self) -> bool {
+        matches!(self.phase, Phase::Idle)
+    }
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
-        Conn {
-            stream,
-            input: Vec::new(),
-            phase: Phase::Idle,
-            deadline: Instant::now() + IDLE_TIMEOUT,
-            awaiting_write: false,
-        }
-    }
-
-    /// Moves the connection on after a readiness event. Returns whether
-    /// it stays open.
+    /// Reads what has arrived and answers the request once it is whole.
+    /// Returns whether the connection stays open.
     fn advance(
         &mut self,
-        key: u64,
-        poller: &Poller,
+        stream: &mut TcpStream,
         routes: &RwLock<Routes>,
         scratch: &mut [u8],
     ) -> bool {
-        if matches!(self.phase, Phase::Writing(_)) {
-            return self.send(key, poller, routes);
-        }
         loop {
-            let n = match self.stream.read(scratch) {
-                Ok(0) => return self.at_eof(key, poller, routes),
+            let n = match stream.read(scratch) {
+                Ok(0) => return self.at_eof(stream, routes),
                 Ok(n) => n,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -524,21 +367,21 @@ impl Conn {
             let ended_a_line = scratch[..n].contains(&b'\n');
             if let Some(response) = self.request(routes, ended_a_line, false) {
                 self.phase = Phase::Writing(response);
-                return self.send(key, poller, routes);
+                return self.send(stream, routes);
             }
         }
     }
 
     /// The client closed its side: a request cut short is answered as it
     /// stands, as a blocking reader at EOF would.
-    fn at_eof(&mut self, key: u64, poller: &Poller, routes: &RwLock<Routes>) -> bool {
+    fn at_eof(&mut self, stream: &mut TcpStream, routes: &RwLock<Routes>) -> bool {
         if !matches!(self.phase, Phase::Reading { .. }) {
             return false;
         }
         match self.request(routes, true, true) {
             Some(response) => {
                 self.phase = Phase::Writing(response);
-                self.send(key, poller, routes)
+                self.send(stream, routes)
             }
             None => false,
         }
@@ -615,37 +458,25 @@ impl Conn {
 
     /// Writes what the socket takes of the response, then moves on to
     /// what follows it. Returns whether the connection stays open.
-    fn send(&mut self, key: u64, poller: &Poller, routes: &RwLock<Routes>) -> bool {
+    fn send(&mut self, stream: &mut TcpStream, routes: &RwLock<Routes>) -> bool {
         loop {
             let Phase::Writing(response) = &mut self.phase else {
                 return true;
             };
-            match response.write_to(&mut self.stream) {
+            match response.write_to(stream) {
                 Ok(true) => {}
                 Ok(false) => {
                     // Blocked: resume when the socket drains. A client
                     // that stops reading is cut off after IDLE_TIMEOUT.
                     self.deadline = Instant::now() + IDLE_TIMEOUT;
-                    if !self.awaiting_write {
-                        self.awaiting_write = true;
-                        return poller.modify(self.stream.as_raw_fd(), key, WRITE).is_ok();
-                    }
                     return true;
                 }
                 Err(_) => return false,
             }
-            let then = response.then;
-            if self.awaiting_write {
-                self.awaiting_write = false;
-                let fd = self.stream.as_raw_fd();
-                if poller.modify(fd, key, Interest::READ).is_err() {
-                    return false;
-                }
-            }
-            match then {
+            match response.then {
                 Then::Close => return false,
                 Then::Drain => {
-                    let _ = self.stream.shutdown(Shutdown::Write);
+                    let _ = stream.shutdown(Shutdown::Write);
                     self.input = Vec::new();
                     self.phase = Phase::Draining { reads: 0 };
                     self.deadline = Instant::now() + DRAIN_DEADLINE;
@@ -805,7 +636,7 @@ fn answer(
 /// first line not yet seen whole (0: the first line, which cannot end
 /// the head however short it is), and leaves it there for the next call,
 /// so bytes that arrive a few at a time are scanned once.
-fn head_end(bytes: &[u8], line_start: &mut usize) -> Option<usize> {
+pub(crate) fn head_end(bytes: &[u8], line_start: &mut usize) -> Option<usize> {
     while let Some(at) = bytes[*line_start..].iter().position(|b| *b == b'\n') {
         let line = &bytes[*line_start..=*line_start + at];
         let first = *line_start == 0;
@@ -818,7 +649,7 @@ fn head_end(bytes: &[u8], line_start: &mut usize) -> Option<usize> {
 }
 
 /// Whether a comma-separated header value lists `token`, in any case.
-fn lists_token(value: &[u8], token: &[u8]) -> bool {
+pub(crate) fn lists_token(value: &[u8], token: &[u8]) -> bool {
     value
         .split(|b| *b == b',')
         .any(|item| item.trim_ascii().eq_ignore_ascii_case(token))
@@ -877,497 +708,11 @@ fn parse_request_head(head: &[u8]) -> Result<RequestHead<'_>, &'static str> {
     Ok(request)
 }
 
-/// What the client acts on in a response head.
-#[derive(Debug, PartialEq, Eq)]
-struct ResponseHead {
-    status: u16,
-    content_length: Option<usize>,
-    /// `Connection` lists `keep-alive`.
-    keep_alive: bool,
-    /// Where the body starts: the length of the head, blank line included.
-    body_start: usize,
-}
-
-/// Parses the head at the front of a response: `Ok(None)` while it has
-/// not all arrived. Refuses a head that is not UTF-8, one longer than
-/// [`MAX_HEADER_BYTES`], a status line without a numeric status, and a
-/// `Content-Length` that is not a number or contradicts an earlier one.
-fn parse_response_head(bytes: &[u8]) -> Result<Option<ResponseHead>, &'static str> {
-    let budget = &bytes[..bytes.len().min(MAX_HEADER_BYTES)];
-    let Some(body_start) = head_end(budget, &mut 0) else {
-        return match bytes.len() >= MAX_HEADER_BYTES {
-            true => Err("response head too long"),
-            false => Ok(None),
-        };
-    };
-    let head = std::str::from_utf8(&bytes[..body_start]).map_err(|_| "response is not UTF-8")?;
-    let mut lines = head.lines();
-    let status = lines
-        .next()
-        .and_then(|line| line.split_whitespace().nth(1))
-        .and_then(|status| status.parse().ok())
-        .ok_or("malformed status line")?;
-    let mut parsed = ResponseHead {
-        status,
-        content_length: None,
-        keep_alive: false,
-        body_start,
-    };
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
-        };
-        let value = value.trim();
-        if name.eq_ignore_ascii_case("content-length") {
-            let length = value.parse().map_err(|_| "malformed Content-Length")?;
-            if parsed.content_length.is_some_and(|known| known != length) {
-                return Err("conflicting Content-Length");
-            }
-            parsed.content_length = Some(length);
-        } else if name.eq_ignore_ascii_case("connection") {
-            parsed.keep_alive = lists_token(value.as_bytes(), b"keep-alive");
-        }
-    }
-    Ok(Some(parsed))
-}
-
-/// Registers a metadata document at `url` with a minimal HTTP/1.0 POST
-/// — the remote half of the paper's future-work "format registration
-/// mechanism … that incorporates the HTTP protocol".
-///
-/// # Errors
-///
-/// Connection failures, malformed responses, or a non-2xx status (the
-/// server rejects documents that are not well-formed schemas).
-pub fn http_post(url: &str, document: &str) -> Result<(), X2wError> {
-    http_post_with(url, document, &DiscoveryPolicy::default())
-}
-
-/// [`http_post`] under an explicit [`DiscoveryPolicy`]: connect, write
-/// and read deadlines, bounded retries, and a total wall-clock cap.
-///
-/// # Errors
-///
-/// As [`http_post`]; transport failures are retried per the policy, a
-/// definitive HTTP status (even 5xx) is returned immediately.
-pub fn http_post_with(url: &str, document: &str, policy: &DiscoveryPolicy) -> Result<(), X2wError> {
-    let locator = Locator::parse(url)?;
-    let Locator::Http { host, path, .. } = &locator else {
-        return Err(X2wError::BadLocator {
-            locator: url.to_owned(),
-            reason: "http_post requires an http:// URL".to_owned(),
-        });
-    };
-    let head = format!(
-        "POST {path} HTTP/1.0\r\nHost: {host}\r\nContent-Type: text/xml\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        document.len()
-    );
-    let response = http_exchange(&locator, url, &head, document.as_bytes(), policy, None)?;
-    let Ok(Some(parsed)) = parse_response_head(&response) else {
-        return Err(X2wError::BadLocator {
-            locator: url.to_owned(),
-            reason: "malformed HTTP response".to_owned(),
-        });
-    };
-    if (200..300).contains(&parsed.status) {
-        Ok(())
-    } else {
-        let detail = String::from_utf8_lossy(&response[parsed.body_start..]);
-        Err(X2wError::Discovery {
-            locator: url.to_owned(),
-            attempts: vec![format!(
-                "server answered HTTP {}: {}",
-                parsed.status,
-                detail.trim()
-            )],
-        })
-    }
-}
-
-/// Fetches `url` with a minimal HTTP/1.0 GET and returns the body.
-///
-/// # Errors
-///
-/// Reports connection failures, malformed responses and non-200
-/// statuses.
-pub fn http_get(url: &str) -> Result<String, X2wError> {
-    http_get_with(url, &DiscoveryPolicy::default())
-}
-
-/// [`http_get`] under an explicit [`DiscoveryPolicy`]: connect, write
-/// and read deadlines, bounded retries with jittered exponential
-/// backoff, and a total wall-clock cap across all of them.
-///
-/// # Errors
-///
-/// As [`http_get`]; transport failures are retried per the policy, a
-/// definitive HTTP status (even 5xx) is returned immediately.
-pub fn http_get_with(url: &str, policy: &DiscoveryPolicy) -> Result<String, X2wError> {
-    http_get_observed(url, policy, None, Extent::Whole)
-}
-
-/// [`http_get_with`] that additionally records retries into `stats` and,
-/// for [`Extent::Closure`], asks the server for the closure of the
-/// document's first complex type.
-pub(crate) fn http_get_observed(
-    url: &str,
-    policy: &DiscoveryPolicy,
-    stats: Option<&DiscoveryStats>,
-    extent: Extent,
-) -> Result<String, X2wError> {
-    let locator = Locator::parse(url)?;
-    let Locator::Http { host, path, .. } = &locator else {
-        return Err(X2wError::BadLocator {
-            locator: url.to_owned(),
-            reason: "http_get requires an http:// URL".to_owned(),
-        });
-    };
-    // HTTP/1.0 with an explicit keep-alive: an HTTP/1.1 request would
-    // invite a chunked response from servers other than this one.
-    let head = match extent {
-        Extent::Whole => {
-            format!("GET {path} HTTP/1.0\r\nHost: {host}\r\nConnection: keep-alive\r\n\r\n")
-        }
-        Extent::Closure => format!(
-            "GET {path} HTTP/1.0\r\nHost: {host}\r\n{CLOSURE_HEADER}: first\r\nConnection: keep-alive\r\n\r\n"
-        ),
-    };
-    let response = http_exchange(&locator, url, &head, b"", policy, stats)?;
-    parse_http_response(response, url)
-}
-
-/// Runs one request/response exchange under `policy`: up to
-/// `policy.attempts` tries, exponential backoff with jitter between
-/// them, everything clamped to one total deadline. Transport failures
-/// accumulate into the final [`X2wError::Discovery`] so a caller sees
-/// *why* every attempt failed, not just that the last one did.
-fn http_exchange(
-    locator: &Locator,
-    url: &str,
-    head: &str,
-    body: &[u8],
-    policy: &DiscoveryPolicy,
-    stats: Option<&DiscoveryStats>,
-) -> Result<Vec<u8>, X2wError> {
-    let deadline = Instant::now() + policy.total_deadline;
-    let mut failures = Vec::new();
-    for attempt in 0..policy.attempts.max(1) {
-        if attempt > 0 {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                failures.push("total deadline exhausted before retry".to_owned());
-                break;
-            }
-            if let Some(stats) = stats {
-                stats.note_retry();
-            }
-            std::thread::sleep(policy.backoff_before(attempt, jitter_unit()).min(remaining));
-        }
-        match attempt_exchange(locator, head, body, policy, deadline) {
-            Ok(response) => return Ok(response),
-            Err(e) => failures.push(format!("attempt {}: {e}", attempt + 1)),
-        }
-        if Instant::now() >= deadline {
-            break;
-        }
-    }
-    Err(X2wError::Discovery {
-        locator: url.to_owned(),
-        attempts: failures,
-    })
-}
-
-fn timed_out(message: &str) -> X2wError {
-    X2wError::Io(std::io::Error::new(
-        std::io::ErrorKind::TimedOut,
-        message.to_owned(),
-    ))
-}
-
-/// Idle keep-alive connections, least recently used first, shared by
-/// the whole process: every join builds its own session and source, so a
-/// cache per source would never be hit (the JDK's `HttpURLConnection`
-/// and Go's `DefaultTransport` keep theirs per process too). Only
-/// connections reach it; every discovery still sends a request and
-/// parses the body it gets.
-static IDLE: Mutex<Vec<(SocketAddr, TcpStream)>> = Mutex::new(Vec::new());
-
-/// The most recently kept idle connection to one of `addrs`.
-fn take_idle(addrs: &[SocketAddr]) -> Option<(SocketAddr, TcpStream)> {
-    let mut idle = unpoisoned(IDLE.lock());
-    let at = idle.iter().rposition(|(addr, _)| addrs.contains(addr))?;
-    Some(idle.remove(at))
-}
-
-/// Keeps a connection whose response ended where its head said, closing
-/// the least recently used one when [`IDLE_CONNECTIONS`] are kept. A
-/// cache that refused new entries when full would fill with connections
-/// to servers long gone.
-fn keep_idle(addr: SocketAddr, stream: TcpStream) {
-    let mut idle = unpoisoned(IDLE.lock());
-    if idle.len() >= IDLE_CONNECTIONS {
-        idle.remove(0);
-    }
-    idle.push((addr, stream));
-}
-
-/// One connect/write/read round trip, every socket operation clamped to
-/// the time left before `deadline`. A request goes first over a kept
-/// idle connection; if that fails before the first byte of a response,
-/// for any reason but a timeout, the server closed it while it sat idle,
-/// and the request is sent once more at once on a fresh connection. That
-/// re-send is part of this attempt: no backoff, and no retry counted (a
-/// POST sent twice republishes the same document). Only a response that
-/// says `Connection: keep-alive` returns its connection to [`IDLE`],
-/// which a POST's `Connection: close` never gets.
-fn attempt_exchange(
-    locator: &Locator,
-    head: &str,
-    body: &[u8],
-    policy: &DiscoveryPolicy,
-    deadline: Instant,
-) -> Result<Vec<u8>, X2wError> {
-    let addrs = locator.socket_addrs()?;
-    if let Some((addr, stream)) = take_idle(&addrs) {
-        match exchange(stream, head, body, policy, deadline, true) {
-            Ok((response, stream)) => {
-                if let Some(stream) = stream {
-                    keep_idle(addr, stream);
-                }
-                return Ok(response);
-            }
-            Err(Failed { stale: true, .. }) => {}
-            Err(failed) => return Err(failed.error),
-        }
-    }
-    let (addr, stream) = connect(&addrs, policy, deadline)?;
-    let (response, stream) =
-        exchange(stream, head, body, policy, deadline, false).map_err(|failed| failed.error)?;
-    if let Some(stream) = stream {
-        keep_idle(addr, stream);
-    }
-    Ok(response)
-}
-
-// `set_*_timeout(ZERO)` is an invalid argument, so deadline clamps floor
-// at one millisecond; the explicit deadline checks around them keep that
-// floor from compounding into real overrun.
-const MIN_TIMEOUT: Duration = Duration::from_millis(1);
-
-/// A fresh connection to the first of `addrs` that accepts one.
-fn connect(
-    addrs: &[SocketAddr],
-    policy: &DiscoveryPolicy,
-    deadline: Instant,
-) -> Result<(SocketAddr, TcpStream), X2wError> {
-    let mut last_err = None;
-    for addr in addrs {
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Err(timed_out(
-                "total discovery deadline exhausted before connect",
-            ));
-        }
-        match TcpStream::connect_timeout(addr, policy.connect_timeout.min(left).max(MIN_TIMEOUT)) {
-            Ok(stream) => {
-                stream.set_nodelay(true)?;
-                return Ok((*addr, stream));
-            }
-            Err(e) => last_err = Some(e),
-        }
-    }
-    Err(X2wError::Io(last_err.unwrap_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::NotConnected, "no address to connect to")
-    })))
-}
-
-/// Why an exchange failed. `stale`: nothing of a response arrived and
-/// the cause was not a timeout, which on a reused connection means the
-/// server had closed it.
-struct Failed {
-    error: X2wError,
-    stale: bool,
-}
-
-impl Failed {
-    fn before_response(error: std::io::Error) -> Failed {
-        let timeout = matches!(
-            error.kind(),
-            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-        );
-        Failed {
-            error: X2wError::Io(error),
-            stale: !timeout,
-        }
-    }
-}
-
-impl From<X2wError> for Failed {
-    fn from(error: X2wError) -> Failed {
-        Failed {
-            error,
-            stale: false,
-        }
-    }
-}
-
-/// Sends the request over `stream` and reads the response. Returns the
-/// stream too when it can carry another request: the head said
-/// `Connection: keep-alive` and gave a `Content-Length`, and exactly that
-/// many body bytes were read. Any other response is read to EOF.
-fn exchange(
-    mut stream: TcpStream,
-    head: &str,
-    body: &[u8],
-    policy: &DiscoveryPolicy,
-    deadline: Instant,
-    reused: bool,
-) -> Result<(Vec<u8>, Option<TcpStream>), Failed> {
-    let left = deadline.saturating_duration_since(Instant::now());
-    if left.is_zero() {
-        return Err(timed_out("total discovery deadline exhausted before write").into());
-    }
-    stream
-        .set_write_timeout(Some(policy.write_timeout.min(left).max(MIN_TIMEOUT)))
-        .and_then(|()| stream.write_all(head.as_bytes()))
-        .and_then(|()| stream.write_all(body))
-        .map_err(Failed::before_response)?;
-    // Bounded read loop: the timeout is re-armed against the remaining
-    // total deadline between reads, so a server drip-feeding one byte
-    // per read cannot stretch the fetch past `policy.total_deadline`.
-    // The socket is told only when the clamped value changes — until the
-    // deadline is closer than `read_timeout`, that is once.
-    //
-    // The response is read straight into one buffer: `response[..filled]`
-    // has been received, and the zeroed rest, grown by doubling or to the
-    // length the head gives, is where the next read lands. At most one
-    // byte past the cap is ever asked for, which is enough to refuse the
-    // response.
-    let mut armed = None;
-    let mut response = vec![0u8; 8 * 1024];
-    let mut filled = 0;
-    // Once the head is in: where the response ends, if the connection
-    // outlives it.
-    let mut head_seen = false;
-    let mut end = None;
-    loop {
-        if end.is_some_and(|end| filled >= end) {
-            break;
-        }
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Err(timed_out("total discovery deadline exhausted mid-read").into());
-        }
-        let timeout = Some(policy.read_timeout.min(left).max(MIN_TIMEOUT));
-        if timeout != armed {
-            stream.set_read_timeout(timeout).map_err(X2wError::Io)?;
-            armed = timeout;
-        }
-        if filled == response.len() {
-            response.resize((2 * filled).min(MAX_RESPONSE_BYTES + 1), 0);
-        }
-        let limit = end.unwrap_or(response.len());
-        let n = match stream.read(&mut response[filled..limit]) {
-            Ok(0) if filled == 0 && reused => {
-                return Err(Failed::before_response(
-                    std::io::ErrorKind::UnexpectedEof.into(),
-                ))
-            }
-            Ok(0) if end.is_some() => {
-                return Err(X2wError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed before the response's Content-Length",
-                ))
-                .into())
-            }
-            Ok(0) => break,
-            Ok(n) => n,
-            Err(e) if filled == 0 => return Err(Failed::before_response(e)),
-            Err(e) => return Err(X2wError::Io(e).into()),
-        };
-        filled += n;
-        if filled > MAX_RESPONSE_BYTES {
-            return Err(over_the_cap().into());
-        }
-        // The head can only have ended if a line did.
-        if head_seen || !response[filled - n..filled].contains(&b'\n') {
-            continue;
-        }
-        match parse_response_head(&response[..filled]) {
-            Ok(None) => {}
-            Ok(Some(parsed)) => {
-                head_seen = true;
-                let Some(length) = parsed.content_length else {
-                    continue;
-                };
-                let total = parsed.body_start.saturating_add(length);
-                if total > MAX_RESPONSE_BYTES {
-                    return Err(over_the_cap().into());
-                }
-                if parsed.keep_alive {
-                    response.resize(total.max(filled), 0);
-                    end = Some(total);
-                }
-            }
-            // Read no further; the caller's parse says what is wrong.
-            Err(_) => break,
-        }
-    }
-    let reusable = end == Some(filled);
-    response.truncate(end.unwrap_or(filled).min(filled));
-    Ok((response, reusable.then_some(stream)))
-}
-
-fn over_the_cap() -> X2wError {
-    X2wError::Io(std::io::Error::new(
-        std::io::ErrorKind::InvalidData,
-        "response exceeds the discovery response cap",
-    ))
-}
-
-/// A jitter sample in `[0, 1)` xorshifted from the clock's subsecond
-/// nanoseconds — enough to de-correlate retry stampedes across
-/// processes without pulling in an RNG dependency.
-fn jitter_unit() -> f64 {
-    let nanos = u64::from(
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.subsec_nanos())
-            .unwrap_or(0),
-    ) | 1;
-    let mut x = nanos.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// The body of a `200` response, which becomes the returned `String`
-/// in place: the head is drained off the front and each byte is checked
-/// as UTF-8 once.
-fn parse_http_response(mut response: Vec<u8>, url: &str) -> Result<String, X2wError> {
-    let malformed = |reason: &str| X2wError::BadLocator {
-        locator: url.to_owned(),
-        reason: reason.to_owned(),
-    };
-    let head = match parse_response_head(&response) {
-        Ok(Some(head)) => head,
-        Ok(None) => return Err(malformed("malformed HTTP response (no header terminator)")),
-        Err(why) => return Err(malformed(why)),
-    };
-    if head.status != 200 {
-        return Err(X2wError::Discovery {
-            locator: url.to_owned(),
-            attempts: vec![format!("server answered HTTP {}", head.status)],
-        });
-    }
-    response.drain(..head.body_start);
-    String::from_utf8(response).map_err(|_| malformed("response is not UTF-8"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{http_get_observed, MAX_RESPONSE_BYTES};
+    use crate::discovery::{DiscoveryPolicy, Extent};
 
     const DOC: &str = "<xsd:schema xmlns:xsd=\"http://www.w3.org/1999/XMLSchema\"/>";
 
@@ -1986,155 +1331,5 @@ mod tests {
             start.elapsed()
         );
         server.join().unwrap();
-    }
-
-    #[test]
-    fn response_heads_parse_into_status_length_keep_alive_and_body_start() {
-        let head = "HTTP/1.0 200 OK\r\nContent-Type: text/xml\r\nContent-Length: 4\r\nConnection: Keep-Alive\r\n\r\n";
-        let parsed = |content_length, keep_alive, body_start| {
-            Ok(Some(ResponseHead {
-                status: 200,
-                content_length,
-                keep_alive,
-                body_start,
-            }))
-        };
-        let whole = format!("{head}<a/>");
-        assert_eq!(
-            parse_response_head(whole.as_bytes()),
-            parsed(Some(4), true, head.len())
-        );
-        let bare = "HTTP/1.0 200 OK\n\nbody\r\n\r\n";
-        assert_eq!(
-            parse_response_head(bare.as_bytes()),
-            parsed(None, false, 17)
-        );
-        let closing = head.replace("Keep-Alive", "close");
-        assert_eq!(
-            parse_response_head(closing.as_bytes()),
-            parsed(Some(4), false, closing.len())
-        );
-        // Not all there yet: the status line alone cannot end the head.
-        for cut in [
-            &b""[..],
-            b"HTTP/1.0 200 OK\r\n",
-            b"HTTP/1.0 200 OK\r\nContent-Le",
-        ] {
-            assert_eq!(parse_response_head(cut), Ok(None));
-        }
-        for (refused, why) in [
-            (&b"HTTP/1.0 OK\r\n\r\n"[..], "malformed status line"),
-            (b"HTTP/1.0 200 O\xffK\r\n\r\n", "response is not UTF-8"),
-            (
-                b"HTTP/1.0 200 OK\r\nContent-Length: -1\r\n\r\n",
-                "malformed Content-Length",
-            ),
-            (
-                b"HTTP/1.0 200 OK\r\nContent-Length: 4\r\nContent-Length: 5\r\n\r\n",
-                "conflicting Content-Length",
-            ),
-        ] {
-            assert_eq!(parse_response_head(refused), Err(why));
-        }
-        let long = format!("HTTP/1.0 200 OK\r\nX: {}", "y".repeat(MAX_HEADER_BYTES));
-        assert_eq!(
-            parse_response_head(long.as_bytes()),
-            Err("response head too long")
-        );
-    }
-
-    /// Seeded mutants of real response heads. A byte flip gives a parse
-    /// or a refusal, never a panic. A cut short of the blank line is
-    /// `None` and any longer one the head as it was. A forged
-    /// `Content-Length` is read as its number, refused when it is not one
-    /// or contradicts the real one, and a duplicate of the real one
-    /// changes nothing; lengths past the cap parse (the client refuses
-    /// them). A byte that is not UTF-8 anywhere in the head is refused, as
-    /// is a head padded past its budget.
-    #[test]
-    fn response_head_mutants_parse_or_refuse() {
-        const RESPONSES: [&str; 4] = [
-            "HTTP/1.0 200 OK\r\nContent-Type: text/xml\r\nContent-Length: 4\r\nConnection: keep-alive\r\n\r\n<a/>",
-            "HTTP/1.0 404 Not Found\r\nContent-Type: text/plain\r\nContent-Length: 9\r\nConnection: close\r\n\r\nnot found",
-            "HTTP/1.0 500 Whatever\r\n\r\nno document here",
-            "HTTP/1.1 200 OK\nContent-Length: 4\nConnection: keep-alive\n\nbody",
-        ];
-        let mut mix = Mix(0x5eed_4ead);
-        let (mut parsed, mut refused) = (0, 0);
-        for _ in 0..30_000 {
-            let response = RESPONSES[mix.below(RESPONSES.len())].as_bytes();
-            let base = parse_response_head(response).unwrap().unwrap();
-            // Where a header line may go: after the status line.
-            let line_at = response.iter().position(|b| *b == b'\n').unwrap() + 1;
-            let mut mutant = response.to_vec();
-            match mix.below(6) {
-                0 => {
-                    let at = mix.below(mutant.len());
-                    mutant[at] ^= 1 + mix.below(255) as u8;
-                }
-                1 => {
-                    let cut = mix.below(mutant.len() + 1);
-                    mutant.truncate(cut);
-                    let expected = (cut >= base.body_start).then_some(base);
-                    assert_eq!(parse_response_head(&mutant), Ok(expected), "{cut}");
-                }
-                2 => {
-                    let digits = 1 + mix.below(24);
-                    let forged: String = (0..digits)
-                        .map(|_| char::from(b"0123456789-+ x"[mix.below(14)]))
-                        .collect();
-                    let line = format!("Content-Length: {forged}\r\n");
-                    mutant.splice(line_at..line_at, line.bytes());
-                    let got = parse_response_head(&mutant);
-                    match forged.trim().parse::<usize>() {
-                        Ok(length) if base.content_length.is_none_or(|l| l == length) => {
-                            let head = got.unwrap().unwrap();
-                            assert_eq!(head.content_length, Some(length), "{forged:?}");
-                            assert_eq!(head.body_start, base.body_start + line.len());
-                        }
-                        _ => assert!(got.is_err(), "{forged:?} gave {got:?}"),
-                    }
-                }
-                3 => {
-                    let length = base.content_length.unwrap_or(0);
-                    let past_cap = MAX_RESPONSE_BYTES + mix.below(usize::MAX / 2);
-                    let claim = [length, past_cap][mix.below(2)];
-                    let line = format!("content-length:{claim}\r\n");
-                    mutant.splice(line_at..line_at, line.bytes());
-                    let head = parse_response_head(&mutant);
-                    if base.content_length.is_some_and(|l| l != claim) {
-                        assert_eq!(head, Err("conflicting Content-Length"));
-                    } else {
-                        assert_eq!(head.unwrap().unwrap().content_length, Some(claim));
-                    }
-                }
-                4 => {
-                    // Anywhere before the blank line. The heads are
-                    // ASCII, so a lead byte has no continuation and a
-                    // continuation byte no lead.
-                    let blank = response[..base.body_start - 1]
-                        .iter()
-                        .rposition(|b| *b == b'\n')
-                        .unwrap();
-                    let at = mix.below(blank + 1);
-                    mutant.insert(at, [0xff, 0xc3, 0x80][mix.below(3)]);
-                    assert_eq!(parse_response_head(&mutant), Err("response is not UTF-8"));
-                }
-                _ => {
-                    let pad = MAX_HEADER_BYTES - base.body_start + 1 + mix.below(64);
-                    let line = format!("X-Pad: {}\r\n", "p".repeat(pad));
-                    mutant.splice(line_at..line_at, line.bytes());
-                    assert_eq!(parse_response_head(&mutant), Err("response head too long"));
-                }
-            }
-            match parse_response_head(&mutant) {
-                Ok(_) => parsed += 1,
-                Err(_) => refused += 1,
-            }
-        }
-        assert!(
-            parsed > 8_000 && refused > 8_000,
-            "{parsed} parsed, {refused} refused"
-        );
     }
 }
