@@ -22,7 +22,7 @@
 //! so the dispatch worker never waits on a subscriber, and a slow one
 //! grows its own queue ([`Subscription::backlog`]).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
@@ -35,7 +35,6 @@ use pbio::PbioError;
 use xml2wire::seglog::{SegLogConfig, SegReplay, SegmentLog};
 
 use crate::error::BackboneError;
-use crate::federation::FORWARD_BATCH;
 use crate::filter::{FilterCache, FilterError, FilterSet, StreamFilter};
 use crate::queue::{self, Closed, Receiver, Sender};
 use crate::unpoisoned;
@@ -48,7 +47,14 @@ use crate::unpoisoned;
 /// names are `Arc<str>` so a long-lived publisher hands them out by
 /// reference-count bump instead of copying per message; the broker
 /// likewise fans one `Arc<Event>` out to every subscriber, so the
-/// payload bytes are allocated exactly once no matter the fan-out.
+/// payload bytes are allocated at most once no matter the fan-out.
+///
+/// A received `Arc<Event>` may still be shared with the spare list of
+/// the producer that published it (a capture point, a federation
+/// link's route, a replay subscription), which overwrites it only once
+/// every other holder has dropped it. So [`Arc::try_unwrap`] or
+/// [`Arc::get_mut`] on a received event can fail even when no other
+/// subscriber holds it: clone the `Event` to mutate it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// The stream this event was published on.
@@ -105,6 +111,84 @@ impl Event {
             seq,
             hops: 0,
         }
+    }
+}
+
+/// Bytes one producer's [`Spares`] may hold: the payload capacity of
+/// its kept events plus their `Event` headers. A byte bound, not a
+/// count, so a producer of large events keeps fewer of them; 256 KiB
+/// is the segment log's read window.
+pub(crate) const SPARE_BYTES: usize = 256 * 1024;
+
+/// The events one producer handed out, oldest first, kept so that a
+/// later message overwrites one in place instead of allocating a
+/// payload and an [`Arc`]. The oldest is reused once [`Arc::get_mut`]
+/// finds it unique — every queue, forwarder and subscriber has dropped
+/// it — and that is the only gate: an event someone still holds is
+/// never written. While the oldest is in flight the list grows, so its
+/// length follows the depth the producer sees; at [`SPARE_BYTES`] it
+/// stops growing and keeps what it has, the events that come back
+/// first.
+#[derive(Debug, Default)]
+pub(crate) struct Spares {
+    kept: VecDeque<Arc<Event>>,
+    /// What `kept` holds, as [`footprint`] counted it when each came in.
+    bytes: usize,
+}
+
+/// What a kept event costs its producer's [`Spares`].
+fn footprint(event: &Event) -> usize {
+    event.payload.capacity() + std::mem::size_of::<Event>()
+}
+
+impl Spares {
+    /// An event carrying a copy of `payload`, unique and not yet kept:
+    /// the oldest kept event overwritten once no one else holds it,
+    /// else a new one with an exact-size payload.
+    pub(crate) fn event(
+        &mut self,
+        stream: &Arc<str>,
+        format_name: &Arc<str>,
+        seq: u64,
+        hops: u8,
+        payload: &[u8],
+    ) -> Arc<Event> {
+        if let Some(event) = self.kept.front_mut().and_then(Arc::get_mut) {
+            self.bytes -= footprint(event);
+            event.payload.clear();
+            event.payload.extend_from_slice(payload);
+            (event.seq, event.hops) = (seq, hops);
+            if !Arc::ptr_eq(&event.stream, stream) {
+                event.stream = Arc::clone(stream);
+            }
+            if !Arc::ptr_eq(&event.format_name, format_name) {
+                event.format_name = Arc::clone(format_name);
+            }
+            return self.kept.pop_front().expect("the front was just written");
+        }
+        let event = Event {
+            stream: Arc::clone(stream),
+            format_name: Arc::clone(format_name),
+            payload: payload.to_vec(),
+            seq,
+            hops,
+        };
+        Arc::new(event)
+    }
+
+    /// Keeps a share of an event just handed out, to overwrite once it
+    /// comes back unique, unless the list would pass [`SPARE_BYTES`].
+    /// A full list lets the new event go rather than its oldest: events
+    /// held in order (a slow subscriber's queue) come back oldest
+    /// first. An oldest event held for good stops reuse for as long as
+    /// it is held; the producer then allocates as if it kept nothing.
+    pub(crate) fn keep(&mut self, event: Arc<Event>) {
+        let bytes = footprint(&event);
+        if self.bytes + bytes > SPARE_BYTES {
+            return;
+        }
+        self.bytes += bytes;
+        self.kept.push_back(event);
     }
 }
 
@@ -269,10 +353,12 @@ const SHARD_QUEUE_DEPTH: usize = 8192;
 /// A subscription: the consuming end of a stream.
 ///
 /// Events arrive as [`Arc<Event>`]: every subscriber of a stream shares
-/// the single allocation the publisher made, so receiving is free of
-/// copies. `Arc<Event>` dereferences to [`Event`], so `.payload` et al.
-/// read as before; clone the `Arc` (cheap) to retain an event, or clone
-/// the `Event` (copies the payload) to mutate one.
+/// the single event the publisher made, so receiving is free of copies.
+/// `Arc<Event>` dereferences to [`Event`], so `.payload` et al. read as
+/// before; clone the `Arc` (cheap) to retain an event, or clone the
+/// `Event` (copies the payload) to mutate one. The producer may still
+/// share a received event, to reuse it once every holder has dropped
+/// it, so [`Arc::try_unwrap`] or [`Arc::get_mut`] on it can fail.
 ///
 /// Dropping a subscription deregisters it without waiting: the
 /// unsubscribe is queued behind the events already published, or, when
@@ -392,19 +478,14 @@ impl Subscription {
     }
 }
 
-/// Payload capacity above which an archived event is not kept for
-/// reuse: the log's own read window, so one oversized record does not
-/// pin its buffer for the rest of a replay.
-const SPARE_PAYLOAD_MAX: usize = 256 * 1024;
-
 /// A catch-up subscription on a durable stream: replays archived
 /// history first, then hands over to the live feed at the exact
 /// sequence boundary, deduping by seq (see
 /// [`Broker::subscribe_replay`]).
 ///
 /// An archived event costs no allocation once its caller has dropped
-/// the one before it: the subscription keeps the events it handed out
-/// and overwrites one in place when [`Arc::get_mut`] finds it unique
+/// an earlier one: the subscription keeps the events it handed out in
+/// its [`Spares`] and overwrites the oldest in place once it is unique
 /// again. An event the caller still holds is never written; the next
 /// record then gets a new event. A malformed record's error is
 /// returned by every later receive, so the records after it are never
@@ -420,11 +501,9 @@ pub struct ReplaySubscription {
     /// Format name of the last archived record: one log is one stream
     /// and in practice one format, so its `Arc` is shared, not rebuilt.
     format_name: Arc<str>,
-    /// Archived events handed out earlier, to overwrite once unique: the
-    /// last one `recv`/`recv_timeout` returned, or what a batch gave
-    /// back. At most [`FORWARD_BATCH`], each within
-    /// [`SPARE_PAYLOAD_MAX`]; dropped when the snapshot is exhausted.
-    spares: Vec<Arc<Event>>,
+    /// Archived events handed out, to overwrite once unique; dropped
+    /// when the snapshot is exhausted.
+    spares: Spares,
     /// What was wrong with a malformed archived record, once one came.
     failed: Option<String>,
 }
@@ -454,38 +533,21 @@ impl ReplaySubscription {
         };
         let Some((seq, record)) = replay.next_record()? else {
             self.replay = None;
-            self.spares = Vec::new();
+            self.spares = Spares::default();
             return Ok(None);
         };
-        let spare = self.spares.pop();
-        match decode_log_record(&self.stream, &mut self.format_name, seq, record, spare) {
-            Ok(event) => Ok(Some(event)),
+        let spares = &mut self.spares;
+        match decode_log_record(&self.stream, &mut self.format_name, seq, record, spares) {
+            Ok(event) => {
+                spares.keep(Arc::clone(&event));
+                Ok(Some(event))
+            }
             Err(what) => {
                 let detail = format!("archived record seq {seq} {what}");
                 self.failed = Some(detail.clone());
                 Err(BackboneError::BadFrame { detail })
             }
         }
-    }
-
-    /// Keeps an archived event to overwrite once its caller drops it,
-    /// within the spares' bounds.
-    fn keep(&mut self, event: Arc<Event>) {
-        if self.replay.is_some()
-            && self.spares.len() < FORWARD_BATCH
-            && event.payload.capacity() <= SPARE_PAYLOAD_MAX
-        {
-            self.spares.push(event);
-        }
-    }
-
-    /// The next archived event, kept for reuse.
-    fn next_archived_kept(&mut self) -> Result<Option<Arc<Event>>, BackboneError> {
-        let event = self.next_archived()?;
-        if let Some(event) = &event {
-            self.keep(Arc::clone(event));
-        }
-        Ok(event)
     }
 
     /// Next event: archived history until the snapshot is exhausted,
@@ -500,7 +562,7 @@ impl ReplaySubscription {
         &mut self,
         timeout: std::time::Duration,
     ) -> Result<Arc<Event>, BackboneError> {
-        if let Some(event) = self.next_archived_kept()? {
+        if let Some(event) = self.next_archived()? {
             return Ok(event);
         }
         // A live event already queued is taken without reading the
@@ -527,9 +589,8 @@ impl ReplaySubscription {
     /// [`Subscription::recv_batch`]): archived records first, without
     /// blocking, as many as `max` allows; once the snapshot is
     /// exhausted, a live batch with the replay duplicates (seq ≤
-    /// cut-over) taken out — which may leave nothing of it. The
-    /// archived events of the last batch that are unique again are
-    /// taken back from `out` and overwritten by this one.
+    /// cut-over) taken out — which may leave nothing of it. Clearing
+    /// `out` hands the last batch's events back to the spares.
     ///
     /// # Errors
     ///
@@ -540,11 +601,7 @@ impl ReplaySubscription {
         max: usize,
         timeout: std::time::Duration,
     ) -> Result<(), BackboneError> {
-        for mut event in out.drain(..) {
-            if Arc::get_mut(&mut event).is_some() {
-                self.keep(event);
-            }
-        }
+        out.clear();
         while out.len() < max {
             match self.next_archived()? {
                 Some(event) => out.push(event),
@@ -564,7 +621,7 @@ impl ReplaySubscription {
     ///
     /// Corrupt archive records or disconnection.
     pub fn recv(&mut self) -> Result<Arc<Event>, BackboneError> {
-        if let Some(event) = self.next_archived_kept()? {
+        if let Some(event) = self.next_archived()? {
             return Ok(event);
         }
         loop {
@@ -618,7 +675,23 @@ impl PublishHandle {
     /// `FormatNameTooLong` (as [`BackboneError::Metadata`]) for a format
     /// name over 65 535 bytes.
     pub fn publish(&self, format_name: Arc<str>, payload: Vec<u8>) -> Result<usize, BackboneError> {
-        enqueue_event(&self.meta, &self.shard_tx, format_name, payload)
+        let event = Event::new(Arc::clone(&self.meta.name), format_name, payload);
+        enqueue_event(&self.meta, &self.shard_tx, &mut Arc::new(event))
+    }
+
+    /// [`publish`](Self::publish) for a producer that keeps what it
+    /// publishes: `message` is copied into an event from `spares`,
+    /// which keeps a share of it once it is queued.
+    pub(crate) fn publish_pooled(
+        &self,
+        format_name: &Arc<str>,
+        message: &[u8],
+        spares: &mut Spares,
+    ) -> Result<usize, BackboneError> {
+        let mut event = spares.event(&self.meta.name, format_name, 0, 0, message);
+        let reached = enqueue_event(&self.meta, &self.shard_tx, &mut event)?;
+        spares.keep(event);
+        Ok(reached)
     }
 
     /// The stream this handle publishes to.
@@ -650,54 +723,42 @@ impl PublishHandle {
     }
 }
 
-/// The one publish path: assigns the next sequence for durable streams
-/// (seq assignment and the queue send form one critical section so
-/// queue order equals seq order) and enqueues on the stream's shard.
+/// The one publish path, for a local event (seq 0, no hops) on
+/// `meta`'s stream: assigns the next sequence of a durable stream in
+/// place while the event is still unique (seq assignment and the queue
+/// send form one critical section so queue order equals seq order),
+/// then enqueues a share of it on the stream's shard.
 ///
 /// A format name longer than a wire header's `u16` length can say is
 /// refused here, before it takes a seq: the segment log and a
 /// federation hop both frame the name behind that length.
 fn enqueue_event(
-    meta: &Arc<StreamMeta>,
+    meta: &StreamMeta,
     shard_tx: &Sender<ShardMsg>,
-    format_name: Arc<str>,
-    payload: Vec<u8>,
+    event: &mut Arc<Event>,
 ) -> Result<usize, BackboneError> {
-    if format_name.len() > MAX_FORMAT_NAME_LEN {
-        let len = format_name.len();
+    let len = event.format_name.len();
+    if len > MAX_FORMAT_NAME_LEN {
         return Err(PbioError::FormatNameTooLong {
             len,
             max: MAX_FORMAT_NAME_LEN,
         }
         .into());
     }
+    let send = |event: &Arc<Event>| {
+        shard_tx
+            .send(ShardMsg::Event(Arc::clone(event)))
+            .map_err(|_| BackboneError::Disconnected)
+    };
     if let Some(durable) = &meta.durable {
         let mut next = unpoisoned(durable.next_seq.lock());
-        let seq = *next + 1;
-        let event = Event {
-            stream: Arc::clone(&meta.name),
-            format_name,
-            payload,
-            seq,
-            hops: 0,
-        };
-        shard_tx
-            .send(ShardMsg::Event(Arc::new(event)))
-            .map_err(|_| BackboneError::Disconnected)?;
+        Arc::make_mut(event).seq = *next + 1;
+        send(event)?;
         // Commit the seq only on a successful send, so a failed publish
         // leaves no hole in the log's contiguous sequence.
-        *next = seq;
+        *next += 1;
     } else {
-        let event = Event {
-            stream: Arc::clone(&meta.name),
-            format_name,
-            payload,
-            seq: 0,
-            hops: 0,
-        };
-        shard_tx
-            .send(ShardMsg::Event(Arc::new(event)))
-            .map_err(|_| BackboneError::Disconnected)?;
+        send(event)?;
     }
     meta.published.fetch_add(1, Ordering::Relaxed);
     Ok(meta.subscribers.load(Ordering::SeqCst))
@@ -1064,7 +1125,7 @@ impl Broker {
             live,
             stream: Arc::clone(&meta.name),
             format_name: Arc::from(""),
-            spares: Vec::new(),
+            spares: Spares::default(),
             failed: None,
         })
     }
@@ -1085,7 +1146,8 @@ impl Broker {
     /// which is refused before it takes a sequence number.
     pub fn publish(&self, event: Event) -> Result<usize, BackboneError> {
         let (shard, meta) = self.lookup(&event.stream)?;
-        enqueue_event(&meta, &shard.tx, event.format_name, event.payload)
+        let event = Event::new(Arc::clone(&meta.name), event.format_name, event.payload);
+        enqueue_event(&meta, &shard.tx, &mut Arc::new(event))
     }
 
     /// Pins a publish route for a stream: one registry lookup now, none
@@ -1247,16 +1309,14 @@ fn put_log_record(event: &Event, put: &mut dyn FnMut(&[u8])) {
 /// record)` pair the log lends, or what is wrong with the record
 /// (shorter than its header, a truncated or non-UTF-8 format name).
 /// `last_name` is the previous record's format name, reused when this
-/// record carries the same bytes. The payload is copied into `spare`
-/// when [`Arc::get_mut`] finds it unique — the only gate, so an event
-/// someone still holds is never written — and into a new event (two
-/// allocations) otherwise.
+/// record carries the same bytes. The payload is copied into an event
+/// from `spares`, which does not keep it.
 fn decode_log_record(
     stream: &Arc<str>,
     last_name: &mut Arc<str>,
     seq: u64,
     record: &[u8],
-    spare: Option<Arc<Event>>,
+    spares: &mut Spares,
 ) -> Result<Arc<Event>, &'static str> {
     let (name_len, rest) = record
         .split_first_chunk::<2>()
@@ -1268,28 +1328,7 @@ fn decode_log_record(
         let name = std::str::from_utf8(name).map_err(|_| "has a non-UTF-8 format name")?;
         *last_name = name.into();
     }
-    if let Some(mut spare) = spare {
-        if let Some(event) = Arc::get_mut(&mut spare) {
-            event.payload.clear();
-            event.payload.extend_from_slice(payload);
-            event.seq = seq;
-            event.hops = 0;
-            if !Arc::ptr_eq(&event.format_name, last_name) {
-                event.format_name = Arc::clone(last_name);
-            }
-            if !Arc::ptr_eq(&event.stream, stream) {
-                event.stream = Arc::clone(stream);
-            }
-            return Ok(spare);
-        }
-    }
-    let event = Event::with_seq(
-        Arc::clone(stream),
-        Arc::clone(last_name),
-        payload.to_vec(),
-        seq,
-    );
-    Ok(Arc::new(event))
+    Ok(spares.event(stream, last_name, seq, 0, payload))
 }
 
 /// The dispatch worker: drains the shard queue in batches, applies
@@ -1538,6 +1577,14 @@ fn deliver_events(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::federation::FORWARD_BATCH;
+
+    impl Spares {
+        /// What the list holds, as it counts against [`SPARE_BYTES`].
+        pub(crate) fn bytes(&self) -> usize {
+            self.bytes
+        }
+    }
 
     impl Broker {
         /// The number of shards this broker dispatches across.
@@ -2175,7 +2222,7 @@ mod tests {
         broker
             .create_stream_durable("ops", StreamConfig::default(), DurableSpec::new(&dir))
             .unwrap();
-        let big = SPARE_PAYLOAD_MAX + 4096;
+        let big = SPARE_BYTES + 4096;
         broker.publish(event("ops", 1)).unwrap();
         broker
             .publish(Event::new("ops", "F", vec![2; big]))
@@ -2190,7 +2237,7 @@ mod tests {
             if seq == 2 {
                 assert_eq!(event.payload.len(), big);
             } else {
-                assert!(event.payload.capacity() <= SPARE_PAYLOAD_MAX, "seq {seq}");
+                assert!(event.payload.capacity() <= SPARE_BYTES, "seq {seq}");
             }
         }
         let mut replay = broker.subscribe_replay("ops", 1).unwrap();
@@ -2203,10 +2250,33 @@ mod tests {
             for event in &out {
                 assert_eq!(event.seq, next);
                 if next > 2 {
-                    assert!(event.payload.capacity() <= SPARE_PAYLOAD_MAX, "seq {next}");
+                    assert!(event.payload.capacity() <= SPARE_BYTES, "seq {next}");
                 }
                 next += 1;
             }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn spares_of_a_replay_whose_caller_holds_everything_stay_within_their_cap() {
+        // Nothing handed out comes back, so the spares fill to the cap
+        // and then keep nothing more; the held events never change.
+        const EVENTS: u64 = 4_000;
+        let (broker, dir) = reuse_log("spare-cap", EVENTS);
+        let mut replay = broker.subscribe_replay("ops", 1).unwrap();
+        let (mut held, mut most) = (Vec::new(), 0);
+        for seq in 1..=EVENTS {
+            held.push(replay.recv_timeout(Duration::from_secs(5)).unwrap());
+            most = most.max(replay.spares.bytes());
+            assert!(replay.spares.bytes() <= SPARE_BYTES, "seq {seq}");
+        }
+        assert!(
+            most > SPARE_BYTES / 2,
+            "the spares never filled: {most} bytes"
+        );
+        for (seq, event) in (1..).zip(&held) {
+            assert_is_record(event, seq, EVENTS);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -27,11 +27,13 @@
 //!   the last format name, the last seq seen) and republishes all the
 //!   events of one socket read with one hand-off per stream to the
 //!   local shard queue — never blocking on the socket while it holds
-//!   parsed events. A live event costs two allocations on each side of
-//!   the hop and nothing else that is not shared by its batch. An event
-//!   replayed from a durable stream's log costs none on the serving
-//!   side: the forwarder hands each drained batch back to its replay
-//!   subscription, which overwrites those events with the next records.
+//!   parsed events. Each route copies its events into ones it published
+//!   earlier and the leaf's subscribers have dropped since, so a warm
+//!   live event costs no allocation on either side of the hop beyond
+//!   its share of a block. An event replayed from a durable stream's
+//!   log costs none on the serving side either: the replay
+//!   subscription overwrites the events of the batch the forwarder
+//!   drained before.
 //! * **Sequence numbers travel with events.** A durable stream's events
 //!   keep the origin-assigned seq across hops, so dedup at the
 //!   replay/live boundary is exact *anywhere* downstream, not just at
@@ -88,7 +90,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xml2wire::DiscoveryPolicy;
 
-use crate::broker::{Broker, Event, PublishHandle, ReplaySubscription, Subscription};
+use crate::broker::{Broker, Event, PublishHandle, ReplaySubscription, Spares, Subscription};
 use crate::error::BackboneError;
 use crate::filter::StreamFilter;
 use crate::net::{
@@ -268,13 +270,6 @@ impl Forwarder {
         self.stop.store(true, Ordering::SeqCst);
         drop(self.thread.take()); // detach
     }
-
-    fn stop_joined(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
 }
 
 type ForwarderMap = Mutex<HashMap<(ConnId, String), Forwarder>>;
@@ -387,13 +382,18 @@ impl Drop for FederatedBroker {
     fn drop(&mut self) {
         // Stop forwarders first so nothing pushes at a dying server,
         // then let the server drop join its transport threads (its
-        // close callbacks find an empty map).
+        // close callbacks find an empty map). Every forwarder is
+        // signalled before any is joined, so the drop waits out one
+        // [`FORWARD_TICK`], not one per forwarder.
         let drained: Vec<Forwarder> = {
             let mut map = unpoisoned(self.forwarders.lock());
             map.drain().map(|(_, fwd)| fwd).collect()
         };
-        for fwd in drained {
-            fwd.stop_joined();
+        for fwd in &drained {
+            fwd.stop.store(true, Ordering::SeqCst);
+        }
+        for thread in drained.into_iter().filter_map(|mut fwd| fwd.thread.take()) {
+            let _ = thread.join();
         }
     }
 }
@@ -723,6 +723,8 @@ struct Route {
     last_seen: u64,
     /// Events parsed out of the current socket read, not yet published.
     pending: Vec<Arc<Event>>,
+    /// The events republished on this route, to overwrite once unique.
+    spares: Spares,
 }
 
 /// The route for `stream` (a link subscribes a handful of streams).
@@ -750,6 +752,7 @@ fn link_loop(
             format_name: Arc::from(""),
             last_seen: 0,
             pending: Vec::new(),
+            spares: Spares::default(),
         })
         .collect();
     // Predicates the remote has refused are dropped for the life of
@@ -826,9 +829,10 @@ fn pump_link(
 
 /// Handles every whole frame in the client's receive window: control
 /// frames are acted on, events are checked (hop ceiling, seq dedup)
-/// and built — payload `Vec` and `Arc<Event>`, nothing else — onto
-/// their route's pending list. Returns `false` when the link is to be
-/// dropped (a malformed transport frame, a failed send).
+/// and copied onto their route's pending list, each into an event of
+/// the route's spares — a new payload `Vec` and `Arc<Event>` only while
+/// every earlier one is still in flight. Returns `false` when the link
+/// is to be dropped (a malformed transport frame, a failed send).
 fn absorb_window(
     client: &mut EventClient,
     routes: &mut [Route],
@@ -896,13 +900,10 @@ fn absorb_window(
             }
             route.last_seen = seq;
         }
-        route.pending.push(Arc::new(Event {
-            stream: Arc::clone(route.handle.stream()),
-            format_name: Arc::clone(&route.format_name),
-            payload: message.to_vec(),
-            seq,
-            hops: hops + 1,
-        }));
+        let stream = route.handle.stream();
+        let event = route.spares.event(stream, &route.format_name, seq, hops + 1, message);
+        route.spares.keep(Arc::clone(&event));
+        route.pending.push(event);
     }
 }
 
@@ -1185,6 +1186,27 @@ mod tests {
         assert!(wait_for(|| fed.forwarder_count() == 1));
         client.send(&Frame::new(FED_UNSUB, b"asd".to_vec())).unwrap();
         assert!(wait_for(|| fed.forwarder_count() == 0));
+    }
+
+    #[test]
+    fn dropping_a_federated_broker_waits_one_tick_not_one_per_forwarder() {
+        let origin = Arc::new(Broker::new());
+        let streams: Vec<String> = (0..16).map(|k| format!("s{k}")).collect();
+        for stream in &streams {
+            origin.create_stream(stream.clone(), None);
+        }
+        let fed =
+            FederatedBroker::bind(Arc::clone(&origin), "127.0.0.1:0", NetConfig::default())
+                .unwrap();
+        let leaf = Arc::new(Broker::new());
+        let link =
+            FederationLink::connect(fed.local_addr(), leaf, LinkConfig::new(&streams)).unwrap();
+        assert!(wait_for(|| fed.forwarder_count() == 16));
+        let started = std::time::Instant::now();
+        drop(fed);
+        let took = started.elapsed();
+        drop(link);
+        assert!(took < Duration::from_millis(100), "dropping 16 forwarders took {took:?}");
     }
 
     #[test]

@@ -65,7 +65,7 @@ impl FormatScope {
     /// # Errors
     ///
     /// Rejects scopes naming fields the type does not declare.
-    pub fn apply(&self, full: &ComplexType) -> Result<ComplexType, BackboneError> {
+    fn apply(&self, full: &ComplexType) -> Result<ComplexType, BackboneError> {
         for name in &self.visible {
             if full.element(name).is_none() {
                 return Err(BackboneError::BadFrame {
@@ -103,7 +103,8 @@ impl FormatScope {
     ///
     /// # Errors
     ///
-    /// As [`apply`](Self::apply).
+    /// Rejects a type the document does not define, and scopes naming
+    /// fields the type does not declare.
     pub fn scoped_schema(
         &self,
         full: &Schema,

@@ -7,7 +7,7 @@ use clayout::Record;
 use pbio::Format;
 use xml2wire::Xml2Wire;
 
-use crate::broker::{Broker, PublishHandle, Subscription};
+use crate::broker::{Broker, PublishHandle, Spares, Subscription};
 use crate::error::BackboneError;
 use crate::unpoisoned;
 
@@ -16,8 +16,10 @@ use crate::unpoisoned;
 ///
 /// The hot path is allocation-pooled: records are encoded into a
 /// retained scratch buffer (header prefix memoized in the resolved
-/// [`Format`], payload built in place), so the only allocation per
-/// published message is the exact-size payload the broker fans out by
+/// [`Format`], payload built in place) and copied into an event the
+/// capture point published earlier and every holder has dropped since,
+/// so a warm publish allocates nothing; only while every earlier event
+/// is still in flight does a message get a new exact-size payload and
 /// [`Arc`]. The publish route itself is pinned too: a
 /// [`PublishHandle`] resolved at creation time routes straight to the
 /// stream's shard, so publishing touches neither the format registry
@@ -31,7 +33,8 @@ pub struct CapturePoint {
     stream: Arc<str>,
     format_name: Arc<str>,
     format: Arc<Format>,
-    scratch: Mutex<Vec<u8>>,
+    /// The encode buffer and the events published from it.
+    pool: Mutex<(Vec<u8>, Spares)>,
 }
 
 impl CapturePoint {
@@ -68,7 +71,7 @@ impl CapturePoint {
             stream,
             format_name,
             format,
-            scratch: Mutex::new(Vec::new()),
+            pool: Mutex::default(),
         })
     }
 
@@ -79,30 +82,34 @@ impl CapturePoint {
     ///
     /// Encoding or broker failures.
     pub fn publish(&self, record: &Record) -> Result<usize, BackboneError> {
-        let mut scratch = unpoisoned(self.scratch.lock());
-        self.publish_from(&mut scratch, record)
+        let mut pool = unpoisoned(self.pool.lock());
+        self.publish_from(&mut pool, record)
     }
 
-    /// Publishes a batch, returning the total deliveries. The scratch
-    /// buffer is locked once for the whole batch.
+    /// Publishes a batch, returning the total deliveries. The pool is
+    /// locked once for the whole batch.
     ///
     /// # Errors
     ///
     /// As [`publish`](Self::publish); stops at the first failure.
     pub fn publish_batch(&self, records: &[Record]) -> Result<usize, BackboneError> {
-        let mut scratch = unpoisoned(self.scratch.lock());
+        let mut pool = unpoisoned(self.pool.lock());
         let mut total = 0;
         for record in records {
-            total += self.publish_from(&mut scratch, record)?;
+            total += self.publish_from(&mut pool, record)?;
         }
         Ok(total)
     }
 
-    /// Encodes into `scratch` (reusing its capacity) and publishes the
-    /// exact-size copy — the one allocation the message needs.
-    fn publish_from(&self, scratch: &mut Vec<u8>, record: &Record) -> Result<usize, BackboneError> {
+    /// Encodes into the pool's buffer (reusing its capacity) and
+    /// publishes a copy in one of the pool's events.
+    fn publish_from(
+        &self,
+        (scratch, spares): &mut (Vec<u8>, Spares),
+        record: &Record,
+    ) -> Result<usize, BackboneError> {
         pbio::ndr::encode_into(scratch, record, &self.format)?;
-        self.handle.publish(Arc::clone(&self.format_name), scratch.to_vec())
+        self.handle.publish_pooled(&self.format_name, scratch, spares)
     }
 
     /// The stream this capture point feeds.
@@ -262,6 +269,25 @@ mod tests {
             decoded.get("arln").unwrap().as_str(),
             record.get("arln").unwrap().as_str()
         );
+    }
+
+    #[test]
+    fn spare_lists_stay_within_their_byte_cap() {
+        // A subscriber that never reads keeps every event in flight:
+        // the capture point's spares fill to the cap and then keep
+        // nothing more.
+        let (_server, broker, capture, _consumer) = pipeline();
+        let never_read = broker.subscribe(ASD_STREAM).unwrap();
+        let records = AirlineGenerator::seeded(4).flight_events(64);
+        let spare_bytes = || unpoisoned(capture.pool.lock()).1.bytes();
+        let mut most = 0;
+        for _ in 0..100 {
+            capture.publish_batch(&records).unwrap();
+            assert!(spare_bytes() <= crate::broker::SPARE_BYTES);
+            most = most.max(spare_bytes());
+        }
+        assert!(most > crate::broker::SPARE_BYTES / 2, "the spares never filled: {most} bytes");
+        drop(never_read);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use clayout::Architecture;
 use pbio::{Format, FormatId, Xml2WireRecord};
 use xml2wire::Xml2Wire;
 
-use crate::broker::{Broker, Event, PublishHandle, Subscription};
+use crate::broker::{Broker, Event, PublishHandle, Spares, Subscription};
 use crate::error::BackboneError;
 use crate::unpoisoned;
 
@@ -31,8 +31,8 @@ use crate::unpoisoned;
 ///
 /// Like [`CapturePoint`](crate::CapturePoint), the publish route is
 /// pinned at creation time (resolved format, shard handle, pooled
-/// scratch buffer), and a publish runs the format's layout over the
-/// struct's fields instead of a `Record`'s.
+/// scratch buffer and published events), and a publish runs the
+/// format's layout over the struct's fields instead of a `Record`'s.
 #[derive(Debug)]
 pub struct TypedCapture<T: Xml2WireRecord> {
     /// Kept so the broker's dispatch workers outlive the capture point.
@@ -41,7 +41,8 @@ pub struct TypedCapture<T: Xml2WireRecord> {
     stream: Arc<str>,
     format_name: Arc<str>,
     format: Arc<Format>,
-    scratch: Mutex<Vec<u8>>,
+    /// The encode buffer and the events published from it.
+    pool: Mutex<(Vec<u8>, Spares)>,
     _record: PhantomData<fn(&T)>,
 }
 
@@ -74,7 +75,7 @@ impl<T: Xml2WireRecord> TypedCapture<T> {
             stream,
             format_name: Arc::from(T::FORMAT_NAME),
             format,
-            scratch: Mutex::new(Vec::new()),
+            pool: Mutex::default(),
             _record: PhantomData,
         })
     }
@@ -86,25 +87,34 @@ impl<T: Xml2WireRecord> TypedCapture<T> {
     ///
     /// Encoding or broker failures.
     pub fn publish(&self, value: &T) -> Result<usize, BackboneError> {
-        let mut scratch = unpoisoned(self.scratch.lock());
-        pbio::ndr::encode_typed_into(&mut scratch, value, &self.format)?;
-        self.handle.publish(Arc::clone(&self.format_name), scratch.to_vec())
+        let mut pool = unpoisoned(self.pool.lock());
+        self.publish_from(&mut pool, value)
     }
 
-    /// Publishes a batch, returning total deliveries; the scratch
-    /// buffer is locked once for the whole batch.
+    /// Publishes a batch, returning total deliveries; the pool is
+    /// locked once for the whole batch.
     ///
     /// # Errors
     ///
     /// As [`publish`](Self::publish); stops at the first failure.
     pub fn publish_batch(&self, values: &[T]) -> Result<usize, BackboneError> {
-        let mut scratch = unpoisoned(self.scratch.lock());
+        let mut pool = unpoisoned(self.pool.lock());
         let mut total = 0;
         for value in values {
-            pbio::ndr::encode_typed_into(&mut scratch, value, &self.format)?;
-            total += self.handle.publish(Arc::clone(&self.format_name), scratch.to_vec())?;
+            total += self.publish_from(&mut pool, value)?;
         }
         Ok(total)
+    }
+
+    /// Encodes into the pool's buffer and publishes a copy in one of
+    /// the pool's events.
+    fn publish_from(
+        &self,
+        (scratch, spares): &mut (Vec<u8>, Spares),
+        value: &T,
+    ) -> Result<usize, BackboneError> {
+        pbio::ndr::encode_typed_into(scratch, value, &self.format)?;
+        self.handle.publish_pooled(&self.format_name, scratch, spares)
     }
 
     /// The stream this capture point feeds.

@@ -6,9 +6,10 @@
 //!
 //! 1. `pbio::ndr::encode_into` performs **zero** allocations per message
 //!    once its buffer has grown to the working-set size, and
-//! 2. `CapturePoint::publish` → `Broker::publish` allocates the payload
-//!    **exactly once** per message (plus the `Arc<Event>` wrapper),
-//!    independent of the subscriber count.
+//! 2. a warm `CapturePoint::publish` → `Broker::publish` allocates
+//!    **nothing** per message, independent of the subscriber count: the
+//!    capture point copies each message into an event it published
+//!    earlier and every subscriber has dropped since.
 //!
 //! Everything runs inside a single `#[test]` so no concurrent test can
 //! disturb the counter. Claim 1 is made on the calling thread alone and
@@ -49,7 +50,17 @@ fn publish_allocs_per_message(capture: &CapturePoint, subs: &[Subscription]) -> 
     // Warm-up: grow the scratch buffer, the shard queue, the dispatch
     // worker's reused batch buffers, and the subscriber queues.
     // Delivery is asynchronous (a shard worker fans out), so each round
-    // blocks on recv() until the event lands.
+    // blocks on recv() until the event lands. A burst first grows the
+    // capture point's spares past one event: the shard worker may still
+    // hold the last event a subscriber received, never the one before.
+    for _ in 0..4 {
+        capture.publish(&record).unwrap();
+    }
+    for sub in subs {
+        for _ in 0..4 {
+            sub.recv().unwrap();
+        }
+    }
     for _ in 0..16 {
         capture.publish(&record).unwrap();
         for sub in subs {
@@ -91,8 +102,8 @@ fn hot_path_allocation_budget() {
         "pooled encode must not allocate per message at steady state"
     );
 
-    // --- Claim 2: publish allocates the payload once, independent of
-    // fan-out: the exact-size payload Vec plus the shared Arc<Event>. ---
+    // --- Claim 2: a warm publish allocates nothing, independent of
+    // fan-out: the payload Vec and its Arc<Event> are reused. ---
     let (capture_1, subs_1) = pipeline(1);
     let per_message_1 = publish_allocs_per_message(&capture_1, &subs_1);
 
@@ -104,7 +115,7 @@ fn hot_path_allocation_budget() {
         "fan-out must not change the per-message allocation count"
     );
     assert_eq!(
-        per_message_64, 2,
-        "publish should allocate exactly the payload and its Arc<Event> wrapper"
+        per_message_64, 0,
+        "a warm publish should reuse an event its subscribers dropped"
     );
 }

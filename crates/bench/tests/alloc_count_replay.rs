@@ -5,8 +5,8 @@
 //!    `ReplaySubscription::recv_timeout` allocates nothing per archived
 //!    event when the caller drops each event before it asks for the
 //!    next: the log lends each record out of the window it was read and
-//!    checked in, the subscription copies it into the event it handed
-//!    out last (unique again, so `Arc::get_mut` lets it), and the format
+//!    checked in, the subscription copies it into the oldest event it
+//!    handed out (unique again, so `Arc::get_mut` lets it), and the format
 //!    name's `Arc<str>` is shared between consecutive records that carry
 //!    the same one. A longer history costs nothing more; what a replay
 //!    costs at all (the read window, the live subscription, the first

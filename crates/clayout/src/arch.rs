@@ -34,7 +34,7 @@ pub struct SizeAlign {
 
 impl SizeAlign {
     /// Creates a naturally-aligned primitive (`align == size`).
-    pub const fn natural(size: usize) -> Self {
+    const fn natural(size: usize) -> Self {
         SizeAlign { size, align: size }
     }
 

@@ -484,12 +484,6 @@ impl Layout {
     pub fn arch(&self) -> &Architecture {
         &self.arch
     }
-
-    /// Total bytes of padding inserted between and after fields.
-    pub fn padding(&self) -> usize {
-        let used: usize = self.fields.iter().map(|f| f.size).sum();
-        self.size - used
-    }
 }
 
 /// Sibling counts up to this are checked for a repeated name by
@@ -528,6 +522,14 @@ pub fn align_up(offset: usize, align: usize) -> usize {
 mod tests {
     use super::*;
     use crate::arch::Architecture;
+
+    impl Layout {
+        /// Total bytes of padding inserted between and after fields.
+        fn padding(&self) -> usize {
+            let used: usize = self.fields.iter().map(|f| f.size).sum();
+            self.size - used
+        }
+    }
 
     fn prim(p: Primitive) -> CType {
         CType::Prim(p)
