@@ -128,12 +128,17 @@ pub(crate) const SPARE_BYTES: usize = 256 * 1024;
 /// never written. While the oldest is in flight the list grows, so its
 /// length follows the depth the producer sees; at [`SPARE_BYTES`] it
 /// stops growing and keeps what it has, the events that come back
-/// first.
+/// first. An oldest held out of order — the event in the middle of the
+/// list is free already — is let go at once, and any oldest once it has
+/// stayed held for as many events as the list holds, so one event held
+/// for good cannot stop reuse.
 #[derive(Debug, Default)]
 pub(crate) struct Spares {
     kept: VecDeque<Arc<Event>>,
     /// What `kept` holds, as [`footprint`] counted it when each came in.
     bytes: usize,
+    /// Events made since the oldest was last found unique or let go.
+    waited: usize,
 }
 
 /// What a kept event costs its producer's [`Spares`].
@@ -154,6 +159,7 @@ impl Spares {
         payload: &[u8],
     ) -> Arc<Event> {
         if let Some(event) = self.kept.front_mut().and_then(Arc::get_mut) {
+            self.waited = 0;
             self.bytes -= footprint(event);
             event.payload.clear();
             event.payload.extend_from_slice(payload);
@@ -165,6 +171,17 @@ impl Spares {
                 event.format_name = Arc::clone(format_name);
             }
             return self.kept.pop_front().expect("the front was just written");
+        }
+        // The oldest is held: the next event looks at the one after it
+        // if this one is held out of order or has waited a whole list.
+        let len = self.kept.len();
+        if len > 0 {
+            self.waited += 1;
+            if self.waited > len || Arc::get_mut(&mut self.kept[len / 2]).is_some() {
+                let held = self.kept.pop_front().expect("the list is not empty");
+                self.bytes -= footprint(&held);
+                self.waited = 0;
+            }
         }
         let event = Event {
             stream: Arc::clone(stream),
@@ -180,8 +197,7 @@ impl Spares {
     /// comes back unique, unless the list would pass [`SPARE_BYTES`].
     /// A full list lets the new event go rather than its oldest: events
     /// held in order (a slow subscriber's queue) come back oldest
-    /// first. An oldest event held for good stops reuse for as long as
-    /// it is held; the producer then allocates as if it kept nothing.
+    /// first.
     pub(crate) fn keep(&mut self, event: Arc<Event>) {
         let bytes = footprint(&event);
         if self.bytes + bytes > SPARE_BYTES {
@@ -2256,6 +2272,50 @@ mod tests {
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn spares_held_for_good_do_not_stop_reuse() {
+        let (stream, name) = (Arc::from("s"), Arc::from("F"));
+        // Eight events handed out and kept; `held` stands for a caller.
+        let fill = |spares: &mut Spares| -> Vec<Arc<Event>> {
+            (1..=8)
+                .map(|seq| {
+                    let event = spares.event(&stream, &name, seq, 0, &[seq as u8]);
+                    spares.keep(Arc::clone(&event));
+                    event
+                })
+                .collect()
+        };
+        let reused = |event: &Arc<Event>, from: &[*const Event]| from.contains(&Arc::as_ptr(event));
+
+        // Held out of order: the oldest is held, the middle is free. One
+        // event is new, and the next is the second oldest, overwritten.
+        let mut spares = Spares::default();
+        let events = fill(&mut spares);
+        let kept: Vec<_> = events.iter().map(Arc::as_ptr).collect();
+        let oldest = Arc::clone(&events[0]);
+        drop(events);
+        assert!(!reused(&spares.event(&stream, &name, 9, 0, &[9]), &kept));
+        assert!(reused(&spares.event(&stream, &name, 10, 0, &[10]), &kept));
+        assert_eq!((oldest.seq, &oldest.payload[..]), (1, &[1][..]));
+
+        // The oldest and the middle both held for good, nothing new
+        // kept (a full list): reuse resumes after one list's worth.
+        let mut spares = Spares::default();
+        let events = fill(&mut spares);
+        let kept: Vec<_> = events.iter().map(Arc::as_ptr).collect();
+        let held = [Arc::clone(&events[0]), Arc::clone(&events[4])];
+        drop(events);
+        let first = (9..9 + 64)
+            .find(|&seq| reused(&spares.event(&stream, &name, seq, 0, &[0]), &kept))
+            .expect("reuse never resumed");
+        assert!(first <= 9 + 8 + 1, "reuse resumed at seq {first}");
+        assert_eq!((held[0].seq, held[1].seq), (1, 5));
+        assert_eq!(
+            (&held[0].payload[..], &held[1].payload[..]),
+            (&[1][..], &[5][..])
+        );
     }
 
     #[test]

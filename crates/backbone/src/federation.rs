@@ -721,9 +721,16 @@ struct Route {
     /// Highest durable seq observed: what a (re)subscription resumes
     /// after, and what dedups replay/reconnect overlap.
     last_seen: u64,
+    /// The replay cutover the serving broker acknowledged for the
+    /// current subscription, `u64::MAX` until it has: an event at or
+    /// below it is part of a catch-up, a burst that can run the link
+    /// any distance ahead of the leaf's subscribers, so it is copied
+    /// into a spare but not kept.
+    cutover: u64,
     /// Events parsed out of the current socket read, not yet published.
     pending: Vec<Arc<Event>>,
-    /// The events republished on this route, to overwrite once unique.
+    /// The live events republished on this route, to overwrite once
+    /// unique.
     spares: Spares,
 }
 
@@ -751,6 +758,7 @@ fn link_loop(
             handle,
             format_name: Arc::from(""),
             last_seen: 0,
+            cutover: u64::MAX,
             pending: Vec::new(),
             spares: Spares::default(),
         })
@@ -766,7 +774,8 @@ fn link_loop(
             if stop.load(Ordering::SeqCst) {
                 break; // raced Drop: its close may have missed the slot
             }
-            let subscribed = routes.iter().all(|route| {
+            let subscribed = routes.iter_mut().all(|route| {
+                route.cutover = u64::MAX;
                 let stream = route.handle.stream();
                 let predicate = filters.get(&**stream).map_or("", String::as_str);
                 let sub = encode_sub(route.last_seen + 1, stream, predicate);
@@ -831,7 +840,8 @@ fn pump_link(
 /// frames are acted on, events are checked (hop ceiling, seq dedup)
 /// and copied onto their route's pending list, each into an event of
 /// the route's spares — a new payload `Vec` and `Arc<Event>` only while
-/// every earlier one is still in flight. Returns `false` when the link
+/// every earlier one is still in flight; only live events are kept
+/// (see [`Route::cutover`]). Returns `false` when the link
 /// is to be dropped (a malformed transport frame, a failed send).
 fn absorb_window(
     client: &mut EventClient,
@@ -848,10 +858,18 @@ fn absorb_window(
             Err(_) => return false,
         };
         if stream == FED_SUBOK {
-            // The cutover seq is informational (dedup is by seq), but
-            // a subok that does not even parse is a protocol error.
-            if decode_control(payload).is_none() {
-                protocol_error();
+            // Dedup is by seq; the cutover only tells the route which
+            // events to keep. A subok that does not parse is a protocol
+            // error.
+            match decode_control(payload) {
+                Some((cutover, stream)) => {
+                    if let Some(route) = route_for(routes, stream) {
+                        route.cutover = cutover;
+                    }
+                }
+                None => {
+                    protocol_error();
+                }
             }
             continue;
         }
@@ -864,7 +882,11 @@ fn absorb_window(
             counters.filter_rejected.fetch_add(1, Ordering::Relaxed);
             match decode_suberr(payload) {
                 Some((stream, _detail)) if filters.remove(stream).is_some() => {
-                    let from = route_for(routes, stream).map_or(0, |route| route.last_seen) + 1;
+                    let route = route_for(routes, stream);
+                    let from = route.map_or(0, |route| {
+                        route.cutover = u64::MAX;
+                        route.last_seen
+                    }) + 1;
                     let resub = Frame::new(FED_SUB, encode_sub(from, stream, ""));
                     if client.send(&resub).is_err() {
                         return false;
@@ -902,7 +924,9 @@ fn absorb_window(
         }
         let stream = route.handle.stream();
         let event = route.spares.event(stream, &route.format_name, seq, hops + 1, message);
-        route.spares.keep(Arc::clone(&event));
+        if seq == 0 || seq > route.cutover {
+            route.spares.keep(Arc::clone(&event));
+        }
         route.pending.push(event);
     }
 }

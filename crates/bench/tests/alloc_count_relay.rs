@@ -12,30 +12,29 @@
 //! published earlier and every holder has dropped since (their spare
 //! lists), and an event replayed from a durable stream's log is copied
 //! into one the forwarder's replay subscription handed out before.
-//! Everything between is per *batch*: the forwarder writes a drained
+//! The link keeps only live events: a catch-up is a burst that can run
+//! it any distance ahead of the leaf's subscriber, so each of its
+//! events is copied into a new one (a payload and an `Arc`). Everything
+//! between is per *batch*: the forwarder writes a drained
 //! batch straight into one wire block (one allocation, sized after the
 //! blocks before it), the loop thread and the kernel move the block,
 //! and the link parses events in place in its receive window and
 //! publishes each read with one queue hand-off.
 //!
-//! A spare list allocates a new event (a payload and an `Arc`, two
-//! allocations) only while every event it kept is still in flight, so
-//! what an event costs depends on how far the consumers lag:
+//! A spare list allocates a new event (two allocations) only while
+//! every event it kept is still in flight, so the pin has two halves:
 //!
 //! 1. **Live, in rounds**: `T(2N) − T(N) ≤ N/16 + G` and `T(N) ≤ N/16 +
 //!    G`. A round leaves at most its 256 events and a forwarder batch
 //!    in flight, so the two spare lists grow by at most `G = 2 × (2 ×
 //!    ROUND + 64)` allocations in all; the blocks fit in the sixteenth.
 //!    (Before producers reused events the path cost four per event.)
-//! 2. **Catch-up, a burst**: the same hop fed from a durable stream's
-//!    log, where the forwarder's batches are whole (archived records do
-//!    not wait) and the link may run any distance ahead of the leaf's
-//!    subscriber. A fresh link's route has no spares yet, and once it
-//!    runs more than `SPARE_BYTES` of events ahead it allocates each
-//!    event anew until the leaf catches up, so each catch-up of `E`
-//!    events costs at most `2E + E/16` and a fixed term: the link's two
-//!    per event at worst, the origin's replay none. Runs read 0.5–2.1
-//!    per event, fixed term included, by how far the link ran ahead.
+//! 2. **Batches full by construction**: the same hop fed from a durable
+//!    stream's log, where the forwarder's batches are whole (archived
+//!    records do not wait): `T(2N) − T(N) ≤ 2N + N/16` across two
+//!    catch-ups of N and 2N events — the link's two per event, the
+//!    origin's replay none; the block per 64 events and the queues'
+//!    growth fit in the sixteenth.
 //!
 //! Everything runs inside a single `#[test]` so no concurrent test can
 //! disturb the counter.
@@ -160,18 +159,21 @@ fn relayed_event_allocation_budget() {
     assert_eq!((stats.duplicates_dropped, stats.protocol_errors, stats.cycle_drops), (0, 0, 0));
     drop((sub, link));
 
-    // ---- full batches from the log: two per event at most and a sixteenth --
+    // ---- full batches from the log: two per event and a sixteenth ---------
     // Warm-up: whatever the first catch-up of a process pays once.
     catch_up_cost(&fed, logs[0].0, logs[0].1);
-    for (stream, events) in logs {
-        let spent = catch_up_cost(&fed, stream, events);
-        let events = events as usize;
-        println!("catch-up: {:.3} allocations per event of {events}", spent as f64 / events as f64);
-        // Beyond its events a catch-up pays for a broker, a link, their
-        // threads and queues.
-        let fixed = spent.saturating_sub(2 * events + events / 16);
-        assert!(fixed <= 1024, "a catch-up of {events} events cost {spent} allocations");
-    }
+    let short = catch_up_cost(&fed, logs[0].0, logs[0].1);
+    let long = catch_up_cost(&fed, logs[1].0, logs[1].1);
+    let marginal = long.saturating_sub(short);
+    println!("catch-up: {:.3} allocations per relayed event", marginal as f64 / N as f64);
+    assert!(
+        marginal <= 2 * N + N / 16,
+        "catching up on {N} more events cost {marginal} allocations (short {short}, long {long})"
+    );
+    // What a catch-up pays beyond its events: a broker, a link, their
+    // threads and queues.
+    let fixed = short.saturating_sub(2 * N + N / 16);
+    assert!(fixed <= 1024, "a catch-up's fixed term grew to {fixed} allocations");
 
     assert_eq!(fed.net_stats().pushes_dropped, 0);
     drop((fed, capture, origin));

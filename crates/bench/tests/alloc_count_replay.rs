@@ -11,6 +11,9 @@
 //!    the same one. A longer history costs nothing more; what a replay
 //!    costs at all (the read window, the live subscription, the first
 //!    format name, the first event's payload and `Arc`) is a fixed term.
+//!    A caller that keeps one event in every 64 for good costs one new
+//!    event (two allocations) per 64: the subscription lets a kept
+//!    event go once a later one is free, so it never stops reuse.
 //! 2. **Group append**: `SegmentLog::append_group` of 128 records into
 //!    a warm log allocates nothing — the frames are built in the log's
 //!    own buffer and leave in one write.
@@ -52,6 +55,27 @@ fn replay_cost(broker: &Broker, total: u64, events: u64) -> usize {
     allocations() - before
 }
 
+/// Allocations of a catch-up like [`replay_cost`]'s whose caller keeps
+/// every 64th event to the end; each kept event must still be its own.
+fn keeping_replay_cost(broker: &Broker, total: u64, events: u64) -> usize {
+    let mut kept = Vec::with_capacity(events as usize / 64 + 1);
+    let before = allocations();
+    let mut replay = broker.subscribe_replay("ops", total - events + 1).expect("subscribe_replay");
+    for seq in total - events + 1..=total {
+        let event = replay.recv_timeout(Duration::from_secs(5)).expect("archived event");
+        assert_eq!(event.seq, seq);
+        if seq % 64 == 0 {
+            kept.push(event);
+        }
+    }
+    drop(replay);
+    let spent = allocations() - before;
+    for event in kept {
+        assert_eq!(event.payload, payload(event.seq), "kept event {} changed", event.seq);
+    }
+    spent
+}
+
 #[test]
 fn durable_log_allocation_budget() {
     const N: u64 = 3_000;
@@ -75,6 +99,16 @@ fn durable_log_allocation_budget() {
         "replaying {N} more events must cost no allocation (short {short}, long {long})"
     );
     assert!(short <= 16, "a replay's fixed term grew to {short} allocations");
+
+    let short = keeping_replay_cost(&broker, 3 * N, N);
+    let long = keeping_replay_cost(&broker, 3 * N, 2 * N);
+    let kept = 2 * (N / 64 + 1) as usize;
+    let marginal = long.saturating_sub(short);
+    assert!(
+        marginal <= kept,
+        "keeping one event in 64 of {N} more cost {marginal} allocations (short {short}, long {long})"
+    );
+    assert!(short <= kept + 16, "a keeping replay's fixed term: {short} for {N} events");
     drop(broker);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 
