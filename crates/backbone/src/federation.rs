@@ -861,15 +861,12 @@ fn absorb_window(
             // Dedup is by seq; the cutover only tells the route which
             // events to keep. A subok that does not parse is a protocol
             // error.
-            match decode_control(payload) {
-                Some((cutover, stream)) => {
-                    if let Some(route) = route_for(routes, stream) {
-                        route.cutover = cutover;
-                    }
-                }
-                None => {
-                    protocol_error();
-                }
+            let Some((cutover, stream)) = decode_control(payload) else {
+                protocol_error();
+                continue;
+            };
+            if let Some(route) = route_for(routes, stream) {
+                route.cutover = cutover;
             }
             continue;
         }
@@ -882,11 +879,7 @@ fn absorb_window(
             counters.filter_rejected.fetch_add(1, Ordering::Relaxed);
             match decode_suberr(payload) {
                 Some((stream, _detail)) if filters.remove(stream).is_some() => {
-                    let route = route_for(routes, stream);
-                    let from = route.map_or(0, |route| {
-                        route.cutover = u64::MAX;
-                        route.last_seen
-                    }) + 1;
+                    let from = route_for(routes, stream).map_or(0, |route| route.last_seen) + 1;
                     let resub = Frame::new(FED_SUB, encode_sub(from, stream, ""));
                     if client.send(&resub).is_err() {
                         return false;
